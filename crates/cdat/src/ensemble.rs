@@ -148,7 +148,7 @@ pub fn region_normals(var: &Variable, region: &Region) -> Result<Variable> {
 /// ```
 ///
 /// N member sources fan into one batched-regrid node (one plan-cache
-/// consult, one blocked multi-RHS apply), which fans back out into the
+/// consult, then one apply per member), which fans back out into the
 /// ensemble reductions and per-region chains — wide where members and
 /// regions are independent, so the event-driven executor can overlap
 /// everything but the regrid barrier itself.

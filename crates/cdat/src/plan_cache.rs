@@ -6,16 +6,13 @@
 //! every animation frame, spreadsheet cell or hyperwall panel that repeats
 //! a grid pair pays the planning cost once.
 //!
-//! Two layers:
-//!
-//! * [`PlanCache`] — the single-owner LRU (bookkeeping only, no locking).
-//! * [`SharedPlanCache`] — the concurrent front the multi-tenant session
-//!   service hits from many threads at once. The map lock is **never held
-//!   while a plan builds** (builds for different keys proceed in
-//!   parallel), and concurrent requests for the *same* key are
-//!   deduplicated: one thread builds, the rest wait on that build and are
-//!   counted in [`CacheStats::dedups`]. Keys are content-addressed grid
-//!   fingerprints, so "same key" means "same work" across sessions.
+//! [`SharedPlanCache`] is safe to hit from many threads at once (the
+//! task-graph pool, the session service's workers). The LRU lock is
+//! **never held while a plan builds** (builds for different keys proceed
+//! in parallel), and concurrent requests for the *same* key are
+//! deduplicated: one thread builds, the rest wait on that build and are
+//! counted in [`CacheStats::dedups`]. Keys are content-addressed grid
+//! fingerprints, so "same key" means "same work" across sessions.
 //!
 //! On the dv3dlint `indexing_hot_paths` list: lookups run inside the
 //! interactive render loop and must not panic.
@@ -40,7 +37,7 @@ pub struct CacheStats {
     /// Plans dropped to respect the capacity bound.
     pub evictions: u64,
     /// Lookups that piggybacked on another thread's in-flight build of the
-    /// same key instead of building their own copy (shared front only).
+    /// same key instead of building their own copy.
     pub dedups: u64,
 }
 
@@ -50,68 +47,33 @@ struct Entry {
     last_used: u64,
 }
 
-/// A bounded LRU cache of regrid plans.
+/// The LRU bookkeeping behind [`SharedPlanCache`]; only touched under
+/// its lock.
 #[derive(Debug)]
-pub struct PlanCache {
+struct Lru {
     capacity: usize,
     tick: u64,
     stats: CacheStats,
     entries: HashMap<u64, Entry>,
 }
 
-impl PlanCache {
-    /// An empty cache holding at most `capacity` plans (minimum 1).
-    pub fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            stats: CacheStats::default(),
-            entries: HashMap::new(),
-        }
-    }
-
-    /// The cached plan for `key`, bumping its recency. Counts a hit or a
-    /// miss.
-    pub fn get(&mut self, key: u64) -> Option<Arc<RegridPlan>> {
+impl Lru {
+    /// The cached plan for `key`, bumping its recency (counts nothing).
+    fn touch(&mut self, key: u64) -> Option<Arc<RegridPlan>> {
         self.tick += 1;
-        match self.entries.get_mut(&key) {
-            Some(e) => {
-                e.last_used = self.tick;
-                self.stats.hits += 1;
-                Some(Arc::clone(&e.plan))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// The plan for `key`, building (and caching) it on a miss. A failed
-    /// build caches nothing and surfaces the error.
-    pub fn get_or_build(
-        &mut self,
-        key: u64,
-        build: impl FnOnce() -> Result<RegridPlan>,
-    ) -> Result<Arc<RegridPlan>> {
-        if let Some(plan) = self.get(key) {
-            return Ok(plan);
-        }
-        let plan = Arc::new(build()?);
-        self.insert(key, Arc::clone(&plan));
-        Ok(plan)
+        let tick = self.tick;
+        self.entries.get_mut(&key).map(|e| {
+            e.last_used = tick;
+            Arc::clone(&e.plan)
+        })
     }
 
     /// Inserts a plan, evicting least-recently-used entries to stay within
     /// capacity.
-    pub fn insert(&mut self, key: u64, plan: Arc<RegridPlan>) {
+    fn insert(&mut self, key: u64, plan: Arc<RegridPlan>) {
         self.tick += 1;
         let tick = self.tick;
         self.entries.insert(key, Entry { plan, last_used: tick });
-        self.enforce_capacity();
-    }
-
-    fn enforce_capacity(&mut self) {
         while self.entries.len() > self.capacity {
             // O(n) scan; n is bounded by the (small) capacity. Tie-break on
             // key so eviction order is deterministic.
@@ -129,37 +91,6 @@ impl PlanCache {
                 None => break,
             }
         }
-    }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Maximum number of cached plans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Changes the capacity, evicting LRU entries if it shrank.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        self.enforce_capacity();
-    }
-
-    /// Drops every cached plan (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -194,8 +125,8 @@ impl BuildSlot {
     }
 }
 
-/// The concurrent front over a [`PlanCache`]: safe to hit from many
-/// session threads at once.
+/// A bounded LRU cache of regrid plans, safe to hit from many threads at
+/// once.
 ///
 /// Invariants the contention tests pin down:
 ///
@@ -210,7 +141,7 @@ impl BuildSlot {
 ///   ordinary LRU path, counted in [`CacheStats::evictions`]).
 #[derive(Debug)]
 pub struct SharedPlanCache {
-    cache: Mutex<PlanCache>,
+    lru: Mutex<Lru>,
     inflight: StdMutex<HashMap<u64, Arc<BuildSlot>>>,
 }
 
@@ -218,35 +149,40 @@ impl SharedPlanCache {
     /// A shared cache holding at most `capacity` plans (minimum 1).
     pub fn new(capacity: usize) -> SharedPlanCache {
         SharedPlanCache {
-            cache: Mutex::new(PlanCache::new(capacity)),
+            lru: Mutex::new(Lru {
+                capacity: capacity.max(1),
+                tick: 0,
+                stats: CacheStats::default(),
+                entries: HashMap::new(),
+            }),
             inflight: StdMutex::new(HashMap::new()),
         }
     }
 
-    /// The underlying LRU, for single-owner maintenance (capacity changes,
-    /// clears). Do not hold this lock across plan builds.
-    pub fn cache(&self) -> &Mutex<PlanCache> {
-        &self.cache
-    }
-
     /// Cumulative counters.
     pub fn stats(&self) -> CacheStats {
-        self.cache.lock().stats()
+        self.lru.lock().stats
     }
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.cache.lock().len()
+        self.lru.lock().entries.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.cache.lock().is_empty()
+        self.lru.lock().entries.is_empty()
     }
 
     /// The cached plan for `key`, bumping recency (counts a hit or miss).
     pub fn get(&self, key: u64) -> Option<Arc<RegridPlan>> {
-        self.cache.lock().get(key)
+        let mut c = self.lru.lock();
+        let plan = c.touch(key);
+        match plan {
+            Some(_) => c.stats.hits += 1,
+            None => c.stats.misses += 1,
+        }
+        plan
     }
 
     /// The plan for `key`, building it on a miss without serializing
@@ -262,12 +198,8 @@ impl SharedPlanCache {
         loop {
             // fast path: answer from the LRU under its own (brief) lock
             {
-                let mut c = self.cache.lock();
-                c.tick += 1;
-                let tick = c.tick;
-                if let Some(e) = c.entries.get_mut(&key) {
-                    e.last_used = tick;
-                    let plan = Arc::clone(&e.plan);
+                let mut c = self.lru.lock();
+                if let Some(plan) = c.touch(key) {
                     c.stats.hits += 1;
                     if waited {
                         c.stats.dedups += 1;
@@ -297,13 +229,13 @@ impl SharedPlanCache {
             let out = match built {
                 Ok(plan) => {
                     let plan = Arc::new(plan);
-                    let mut c = self.cache.lock();
+                    let mut c = self.lru.lock();
                     c.stats.misses += 1;
                     c.insert(key, Arc::clone(&plan));
                     Ok(plan)
                 }
                 Err(e) => {
-                    self.cache.lock().stats.misses += 1;
+                    self.lru.lock().stats.misses += 1;
                     Err(e)
                 }
             };
@@ -322,20 +254,14 @@ pub fn shared_global() -> &'static SharedPlanCache {
     GLOBAL.get_or_init(|| SharedPlanCache::new(DEFAULT_GLOBAL_CAPACITY))
 }
 
-/// The process-global plan cache's LRU (legacy single-owner handle; the
-/// concurrent paths should use [`shared_global`]).
-pub fn global() -> &'static Mutex<PlanCache> {
-    shared_global().cache()
-}
-
 /// Counters of the global cache.
 pub fn global_stats() -> CacheStats {
-    global().lock().stats()
+    shared_global().stats()
 }
 
 /// Empties the global cache (counters are kept).
 pub fn clear_global() {
-    global().lock().clear();
+    shared_global().lru.lock().entries.clear();
 }
 
 #[cfg(test)]
@@ -351,11 +277,11 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c = PlanCache::new(2);
-        c.insert(1, Arc::new(plan_for(2)));
-        c.insert(2, Arc::new(plan_for(3)));
+        let c = SharedPlanCache::new(2);
+        c.get_or_build(1, || Ok(plan_for(2))).unwrap();
+        c.get_or_build(2, || Ok(plan_for(3))).unwrap();
         assert!(c.get(1).is_some()); // 1 is now more recent than 2
-        c.insert(3, Arc::new(plan_for(4)));
+        c.get_or_build(3, || Ok(plan_for(4))).unwrap();
         assert_eq!(c.len(), 2);
         assert!(c.get(2).is_none(), "LRU entry 2 should have been evicted");
         assert!(c.get(1).is_some());
@@ -363,12 +289,12 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.hits, 3);
-        assert_eq!(s.misses, 1);
+        assert_eq!(s.misses, 4, "three builds plus the lookup of evicted key 2");
     }
 
     #[test]
     fn get_or_build_builds_once() {
-        let mut c = PlanCache::new(4);
+        let c = SharedPlanCache::new(4);
         let mut builds = 0;
         for _ in 0..3 {
             let p = c
@@ -386,7 +312,7 @@ mod tests {
 
     #[test]
     fn failed_builds_cache_nothing() {
-        let mut c = PlanCache::new(4);
+        let c = SharedPlanCache::new(4);
         let r = c.get_or_build(9, || Err(cdms::CdmsError::Invalid("nope".into())));
         assert!(r.is_err());
         assert!(c.is_empty());
@@ -396,12 +322,11 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_capacity_evicts() {
-        let mut c = PlanCache::new(4);
+    fn capacity_bound_keeps_the_most_recent() {
+        let c = SharedPlanCache::new(1);
         for k in 0..4 {
-            c.insert(k, Arc::new(plan_for(2)));
+            c.get_or_build(k, || Ok(plan_for(2))).unwrap();
         }
-        c.set_capacity(1);
         assert_eq!(c.len(), 1);
         assert_eq!(c.stats().evictions, 3);
         assert!(c.get(3).is_some(), "most recent entry survives");

@@ -14,25 +14,38 @@ use crate::regrid_plan::{horizontal_axes, plan_key, RegridMethod, RegridPlan};
 use cdms::grid::{axes_fingerprint, RectGrid};
 use cdms::axis::AxisKind;
 use cdms::{CdmsError, MaskedArray, Result, Variable};
+use std::sync::Arc;
+
+/// The plan taking `var`'s horizontal grid onto `target`, built at most
+/// once per `(source grid, target grid, method)` through the global plan
+/// cache.
+fn cached_plan(
+    var: &Variable,
+    target: &RectGrid,
+    method: RegridMethod,
+) -> Result<Arc<RegridPlan>> {
+    let (lat_i, lon_i) = horizontal_axes(var)?;
+    let (src_lat, src_lon) = match (var.axes.get(lat_i), var.axes.get(lon_i)) {
+        (Some(a), Some(b)) => (a, b),
+        _ => return Err(CdmsError::Invalid("horizontal axes out of range".into())),
+    };
+    let key = plan_key(axes_fingerprint(src_lat, src_lon), target.fingerprint(), method);
+    plan_cache::shared_global()
+        .get_or_build(key, || RegridPlan::build(method, src_lat, src_lon, target))
+}
 
 /// Regrids `var` onto `target` with `method`, planning through the global
 /// plan cache.
 pub fn regrid(var: &Variable, target: &RectGrid, method: RegridMethod) -> Result<Variable> {
-    let (lat_i, lon_i) = horizontal_axes(var)?;
-    let src_lat = &var.axes[lat_i];
-    let src_lon = &var.axes[lon_i];
-    let key = plan_key(axes_fingerprint(src_lat, src_lon), target.fingerprint(), method);
-    let plan = plan_cache::shared_global()
-        .get_or_build(key, || RegridPlan::build(method, src_lat, src_lon, target))?;
-    plan.apply(var)
+    cached_plan(var, target, method)?.apply(var)
 }
 
 /// Regrids N ensemble members onto `target` with one plan-cache consult
-/// and a single blocked multi-RHS apply ([`RegridPlan::apply_batch`]):
-/// a 200-member ensemble touches the cache once instead of contending
-/// 200 times, and the weight matrix streams through cache once per row
-/// band instead of once per member. Every member must sit on the same
-/// source grid; outputs are bit-identical to per-member [`regrid`] calls.
+/// followed by one [`RegridPlan::apply`] per member: a 200-member
+/// ensemble touches the cache once instead of contending 200 times.
+/// Every member must sit on the same source grid (`apply` rejects one
+/// that does not); outputs are byte-identical to per-member [`regrid`]
+/// calls.
 pub fn regrid_batch(
     members: &[&Variable],
     target: &RectGrid,
@@ -41,15 +54,8 @@ pub fn regrid_batch(
     let Some(first) = members.first() else {
         return Ok(Vec::new());
     };
-    let (lat_i, lon_i) = horizontal_axes(first)?;
-    let (src_lat, src_lon) = match (first.axes.get(lat_i), first.axes.get(lon_i)) {
-        (Some(a), Some(b)) => (a, b),
-        _ => return Err(CdmsError::Invalid("horizontal axes out of range".into())),
-    };
-    let key = plan_key(axes_fingerprint(src_lat, src_lon), target.fingerprint(), method);
-    let plan = plan_cache::shared_global()
-        .get_or_build(key, || RegridPlan::build(method, src_lat, src_lon, target))?;
-    plan.apply_batch(members)
+    let plan = cached_plan(first, target, method)?;
+    members.iter().map(|m| plan.apply(m)).collect()
 }
 
 /// Bilinear regridding onto `target`. Longitude wraps for circular source

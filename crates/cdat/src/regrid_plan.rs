@@ -254,142 +254,6 @@ impl RegridPlan {
             accum_row(renorm, row_cols, row_w, sd, sm, o, om);
         }
     }
-
-    /// Applies the planned operator to N ensemble members at once as a
-    /// **blocked multi-RHS sparse mat-mat**: each CSR row's columns and
-    /// weights are walked once and reused across a cache-resident block of
-    /// source planes ([`accum_row_block`]), so a 200-member regrid
-    /// traverses the weight matrix `planes / PLANE_BLOCK` times instead of
-    /// `200 × planes` times. Parallelism is over (member, plane-block)
-    /// work items, each writing directly into a disjoint contiguous slice
-    /// of its member's output — no intermediate scratch, no scatter pass.
-    ///
-    /// Every member must sit on the plan's source grid (leading time/level
-    /// axes may differ). Per-plane accumulation visits the row's
-    /// `(column, weight)` pairs in the same order with the same f64
-    /// arithmetic as [`accum_row`] and finalizes through the shared
-    /// [`finalize_cell`], so the result is bit-identical to N single
-    /// applies — masks included; the equivalence is locked down
-    /// byte-for-byte by the executor test suite.
-    pub fn apply_batch(&self, members: &[&Variable]) -> Result<Vec<Variable>> {
-        // Source planes per work item: bounds the kernel's hot working
-        // set to ~8 source planes regardless of member count, while the
-        // item count (total planes / 8) still feeds a wide pool.
-        const PLANE_BLOCK: usize = 8;
-
-        if members.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (ny_s, nx_s) = self.src_shape;
-        let (ny_t, nx_t) = self.dst_shape;
-        let src_plane = ny_s * nx_s;
-        let dst_plane = ny_t * nx_t;
-
-        // Validate every member against the plan and size its output.
-        let mut lat_axis_pos = Vec::with_capacity(members.len());
-        let mut plane_counts = Vec::with_capacity(members.len());
-        for var in members {
-            let (lat_i, lon_i) = horizontal_axes(var)?;
-            let (src_lat, src_lon) = match (var.axes.get(lat_i), var.axes.get(lon_i)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Err(CdmsError::Invalid("horizontal axes out of range".into())),
-            };
-            if axes_fingerprint(src_lat, src_lon) != self.src_fp {
-                return Err(CdmsError::Invalid(format!(
-                    "regrid plan mismatch: '{}' is not on the source grid this plan was built for",
-                    var.id
-                )));
-            }
-            lat_axis_pos.push(lat_i);
-            plane_counts.push(
-                var.shape().get(..lat_i).unwrap_or_default().iter().product::<usize>(),
-            );
-        }
-
-        let member_data: Vec<&[f32]> = members.iter().map(|v| v.array.data()).collect();
-        let member_mask: Vec<&[bool]> = members.iter().map(|v| v.array.mask()).collect();
-        let renorm = matches!(self.method, RegridMethod::Conservative);
-
-        // Member-major output buffers, carved into disjoint per-work-item
-        // chunks of PLANE_BLOCK consecutive planes so every item owns a
-        // contiguous `&mut` slice and the kernel writes final values
-        // directly.
-        let mut out_data: Vec<Vec<f32>> =
-            plane_counts.iter().map(|&c| vec![0.0f32; c * dst_plane]).collect();
-        let mut out_mask: Vec<Vec<bool>> =
-            plane_counts.iter().map(|&c| vec![false; c * dst_plane]).collect();
-        let n_items: usize = plane_counts.iter().map(|c| c.div_ceil(PLANE_BLOCK)).sum();
-        let mut work: Vec<(usize, usize, &mut [f32], &mut [bool])> =
-            Vec::with_capacity(n_items);
-        for (m, (data, mask)) in out_data.iter_mut().zip(out_mask.iter_mut()).enumerate() {
-            for (b, (dchunk, mchunk)) in data
-                .chunks_mut(PLANE_BLOCK * dst_plane)
-                .zip(mask.chunks_mut(PLANE_BLOCK * dst_plane))
-                .enumerate()
-            {
-                work.push((m, b * PLANE_BLOCK, dchunk, mchunk));
-            }
-        }
-
-        work.par_iter_mut().for_each(|(m, lp0, dchunk, mchunk)| {
-            let n_planes = dchunk.len() / dst_plane.max(1);
-            // Hoist the block's source plane slices out of the row loop.
-            let srcs: Vec<(&[f32], &[bool])> = (0..n_planes)
-                .map(|k| {
-                    let off = (*lp0 + k) * src_plane;
-                    (
-                        member_data
-                            .get(*m)
-                            .and_then(|d| d.get(off..off + src_plane))
-                            .unwrap_or_default(),
-                        member_mask
-                            .get(*m)
-                            .and_then(|d| d.get(off..off + src_plane))
-                            .unwrap_or_default(),
-                    )
-                })
-                .collect();
-            let mut acc = [(0.0f64, 0.0f64, false); PLANE_BLOCK];
-            let block_acc = acc.get_mut(..srcs.len()).unwrap_or_default();
-            let mut start = self.row_ptr.first().copied().unwrap_or(0);
-            for bi in 0..dst_plane {
-                let end = self.row_ptr.get(bi + 1).copied().unwrap_or(start);
-                let row_cols = self.cols.get(start..end).unwrap_or_default();
-                let row_w = self.weights.get(start..end).unwrap_or_default();
-                start = end;
-                accum_row_block(renorm, row_cols, row_w, &srcs, block_acc);
-                let empty = row_cols.is_empty();
-                for (k, &(vsum, wsum, masked)) in block_acc.iter().enumerate() {
-                    let idx = k * dst_plane + bi;
-                    if let (Some(o), Some(om)) = (dchunk.get_mut(idx), mchunk.get_mut(idx))
-                    {
-                        finalize_cell(renorm, vsum, wsum, masked || empty, o, om);
-                    }
-                }
-            }
-        });
-        drop(work);
-
-        let mut out = Vec::with_capacity(members.len());
-        for (((var, &lat_i), data), mask) in members
-            .iter()
-            .zip(lat_axis_pos.iter())
-            .zip(out_data)
-            .zip(out_mask)
-        {
-            let mut shape = var.shape().get(..lat_i).unwrap_or_default().to_vec();
-            shape.push(ny_t);
-            shape.push(nx_t);
-            let array = MaskedArray::with_mask(data, mask, &shape)?;
-            let mut axes = var.axes.get(..lat_i).unwrap_or_default().to_vec();
-            axes.push(self.dst_lat.clone());
-            axes.push(self.dst_lon.clone());
-            let mut v = Variable::new(&var.id, array, axes)?;
-            v.attributes = var.attributes.clone();
-            out.push(v);
-        }
-        Ok(out)
-    }
 }
 
 /// One CSR row × one source plane — the accumulation kernel of
@@ -425,50 +289,9 @@ fn accum_row(
     finalize_cell(renorm, vsum, wsum, any_masked, o, om);
 }
 
-/// One CSR row × a block of source planes — the multi-RHS kernel of
-/// [`RegridPlan::apply_batch`]. Walks the row's `(column, weight)` pairs
-/// once and accumulates `(vsum, wsum, any_masked)` for every plane in the
-/// block into `acc` (reset here; one entry per plane of `srcs`).
-///
-/// Per plane this performs exactly [`accum_row`]'s accumulation: the same
-/// weights hit the same f64 sums in the same column order, and a strict
-/// plane stops accumulating once masked (`accum_row`'s early `break`,
-/// expressed as a dead flag so the shared column walk can continue for
-/// the other planes). The caller finishes each plane with
-/// [`finalize_cell`], keeping batched output bit-identical to per-plane
-/// applies.
-#[inline]
-fn accum_row_block(
-    renorm: bool,
-    row_cols: &[u32],
-    row_w: &[f64],
-    srcs: &[(&[f32], &[bool])],
-    acc: &mut [(f64, f64, bool)],
-) {
-    for a in acc.iter_mut() {
-        *a = (0.0, 0.0, false);
-    }
-    for (&c, &w) in row_cols.iter().zip(row_w) {
-        let ci = c as usize;
-        for ((sd, sm), a) in srcs.iter().zip(acc.iter_mut()) {
-            if !renorm && a.2 {
-                continue;
-            }
-            if sm.get(ci).copied().unwrap_or(true) {
-                a.2 = true;
-            } else {
-                let v = f64::from(sd.get(ci).copied().unwrap_or(0.0));
-                a.1 += w;
-                a.0 += w * v;
-            }
-        }
-    }
-}
-
-/// Shared epilogue of [`accum_row`] and the [`accum_row_block`] call
-/// sites: renormalizing mode divides by the unmasked weight sum (masking
-/// only when it is zero), strict mode masks when any contributing cell —
-/// or the whole row — was masked.
+/// Epilogue of [`accum_row`]: renormalizing mode divides by the unmasked
+/// weight sum (masking only when it is zero), strict mode masks when any
+/// contributing cell — or the whole row — was masked.
 #[inline]
 fn finalize_cell(
     renorm: bool,

@@ -266,10 +266,9 @@ impl TaskGraph {
     }
 
     /// Adds one task that regrids N ensemble-member inputs onto `target`
-    /// in a single batched apply ([`crate::regrid::regrid_batch`]): the
-    /// plan cache is consulted once and the weight matrix streams through
-    /// cache once per row band instead of once per member. The task's
-    /// output stacks the regridded members along a new leading `member`
+    /// through [`crate::regrid::regrid_batch`]: the plan cache is
+    /// consulted once, then the plan is applied member by member. The
+    /// task's output stacks the regridded members along a new leading `member`
     /// axis, in the order of `inputs`.
     pub fn add_regrid_batch_task(
         &mut self,

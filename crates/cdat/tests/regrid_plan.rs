@@ -12,7 +12,7 @@
 // The reference copies must stay verbatim, pre-split idiom included.
 #![allow(clippy::needless_range_loop, clippy::manual_is_multiple_of)]
 
-use cdat::plan_cache::{self, PlanCache};
+use cdat::plan_cache::{self, SharedPlanCache};
 use cdat::regrid;
 use cdat::regrid_plan::{plan_key, RegridMethod, RegridPlan};
 use cdms::axis::AxisKind;
@@ -403,7 +403,7 @@ fn fingerprint_collisions_by_construction_get_distinct_keys() {
     assert_ne!(axes_fingerprint(&lat_wide, &lon), axes_fingerprint(&lat_narrow, &lon));
 
     // And the cache actually treats them as distinct entries.
-    let mut cache = PlanCache::new(8);
+    let cache = SharedPlanCache::new(8);
     cache.get_or_build(key_a, || RegridPlan::bilinear(&lat_a, &lon_a, &dst)).unwrap();
     cache.get_or_build(key_b, || RegridPlan::bilinear(&lat_b, &lon_b, &dst)).unwrap();
     assert_eq!(cache.len(), 2);
@@ -422,7 +422,7 @@ fn lru_eviction_with_real_plans() {
         .iter()
         .map(|t| plan_key(src.fingerprint(), t.fingerprint(), RegridMethod::Conservative))
         .collect();
-    let mut cache = PlanCache::new(2);
+    let cache = SharedPlanCache::new(2);
     for (k, t) in keys.iter().zip(&targets).take(3) {
         cache
             .get_or_build(*k, || RegridPlan::conservative(&src.lat, &src.lon, t))
@@ -466,7 +466,7 @@ fn cross_variable_plan_reuse() {
         dst.fingerprint(),
         RegridMethod::Bilinear,
     );
-    let p1 = plan_cache::global().lock().get(key).unwrap();
-    let p2 = plan_cache::global().lock().get(key).unwrap();
+    let p1 = plan_cache::shared_global().get(key).unwrap();
+    let p2 = plan_cache::shared_global().get(key).unwrap();
     assert!(Arc::ptr_eq(&p1, &p2));
 }

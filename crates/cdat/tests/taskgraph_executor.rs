@@ -8,11 +8,12 @@
 //!    `TaskReport.outputs` (data AND masks) and its attempt counts are
 //!    bit-identical to `run_serial` at pool sizes 1, 2 and 8, and
 //!    `run_parallel` honours `RAYON_NUM_THREADS` the same way.
-//! 2. **Batched regrid is invisible in the bits.** `apply_batch` over N
-//!    ensemble members equals N sequential `apply` calls byte-for-byte,
+//! 2. **Batched regrid is invisible in the bits.** `regrid_batch` over N
+//!    ensemble members equals N per-member `regrid` calls byte-for-byte,
 //!    masks included, for both regrid methods and uneven member shapes.
 
-use cdat::regrid_plan::{RegridMethod, RegridPlan};
+use cdat::regrid::{regrid, regrid_batch};
+use cdat::regrid_plan::RegridMethod;
 use cdat::taskgraph::{RetryPolicy, TaskGraph};
 use cdms::axis::AxisKind;
 use cdms::synth::SynthesisSpec;
@@ -263,7 +264,12 @@ fn run_parallel_matches_serial_at_env_thread_counts() {
     }
 }
 
-// ---- apply_batch ≡ N sequential applies, byte-for-byte ----
+// ---- regrid_batch ≡ per-member regrid, byte-for-byte ----
+
+/// `regrid_batch` and `regrid` go through the process-global plan cache,
+/// whose counters `regrid_batch_hits_plan_cache_once` reads: the tests
+/// that touch it must not interleave.
+static PLAN_CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 fn batch_members() -> Vec<Variable> {
     // uneven leading shapes on the same horizontal grid: a 4-D field, a
@@ -276,18 +282,16 @@ fn batch_members() -> Vec<Variable> {
 }
 
 #[test]
-fn apply_batch_equals_sequential_applies_byte_for_byte() {
+fn regrid_batch_equals_per_member_regrid_byte_for_byte() {
+    let _guard = PLAN_CACHE_LOCK.lock().expect("plan cache lock");
     let members = batch_members();
+    let refs: Vec<&Variable> = members.iter().collect();
     let target = RectGrid::uniform(7, 13).expect("target grid");
     for method in [RegridMethod::Bilinear, RegridMethod::Conservative] {
-        let lat = members[0].axis(AxisKind::Latitude).expect("lat").clone();
-        let lon = members[0].axis(AxisKind::Longitude).expect("lon").clone();
-        let plan = RegridPlan::build(method, &lat, &lon, &target).expect("plan");
-        let refs: Vec<&Variable> = members.iter().collect();
-        let batch = plan.apply_batch(&refs).expect("apply_batch");
+        let batch = regrid_batch(&refs, &target, method).expect("regrid_batch");
         assert_eq!(batch.len(), members.len());
         for (member, got) in members.iter().zip(&batch) {
-            let want = plan.apply(member).expect("single apply");
+            let want = regrid(member, &target, method).expect("single regrid");
             assert_eq!(got.shape(), want.shape(), "{method:?} '{}'", member.id);
             let wb: Vec<u32> = want.array.data().iter().map(|v| v.to_bits()).collect();
             let gb: Vec<u32> = got.array.data().iter().map(|v| v.to_bits()).collect();
@@ -305,38 +309,31 @@ fn apply_batch_equals_sequential_applies_byte_for_byte() {
 }
 
 #[test]
-fn apply_batch_validates_and_handles_edges() {
+fn regrid_batch_validates_and_handles_edges() {
+    let _guard = PLAN_CACHE_LOCK.lock().expect("plan cache lock");
     let members = batch_members();
     let target = RectGrid::uniform(5, 9).expect("target grid");
-    let lat = members[0].axis(AxisKind::Latitude).expect("lat").clone();
-    let lon = members[0].axis(AxisKind::Longitude).expect("lon").clone();
-    let plan = RegridPlan::bilinear(&lat, &lon, &target).expect("plan");
 
     // empty batch is an empty result, not an error
-    assert!(plan.apply_batch(&[]).expect("empty batch").is_empty());
+    assert!(regrid_batch(&[], &target, RegridMethod::Bilinear).expect("empty batch").is_empty());
 
     // a member on the wrong source grid rejects the whole batch
     let other = SynthesisSpec::new(2, 1, 9, 18).seed(3).build();
     let wrong = other.variable("ta").expect("ta").clone();
     let refs: Vec<&Variable> = members.iter().take(1).chain(std::iter::once(&wrong)).collect();
-    assert!(plan.apply_batch(&refs).is_err());
-
-    // single-member batch is exactly the single apply
-    let solo = plan.apply_batch(&[&members[2]]).expect("solo batch");
-    let want = plan.apply(&members[2]).expect("single");
-    assert_eq!(solo[0].array, want.array);
+    assert!(regrid_batch(&refs, &target, RegridMethod::Bilinear).is_err());
 }
 
 // ---- regrid_batch: one cache consult for N members ----
 
 #[test]
 fn regrid_batch_hits_plan_cache_once() {
+    let _guard = PLAN_CACHE_LOCK.lock().expect("plan cache lock");
     let members = batch_members();
     let refs: Vec<&Variable> = members.iter().collect();
     let target = RectGrid::uniform(6, 11).expect("target grid");
     let before = cdat::plan_cache::global_stats();
-    let out = cdat::regrid::regrid_batch(&refs, &target, RegridMethod::Bilinear)
-        .expect("regrid_batch");
+    let out = regrid_batch(&refs, &target, RegridMethod::Bilinear).expect("regrid_batch");
     let after = cdat::plan_cache::global_stats();
     assert_eq!(out.len(), members.len());
     assert_eq!(
@@ -345,8 +342,7 @@ fn regrid_batch_hits_plan_cache_once() {
         "batch must consult the plan cache exactly once"
     );
     for (member, got) in members.iter().zip(&out) {
-        let want =
-            cdat::regrid::regrid(member, &target, RegridMethod::Bilinear).expect("regrid");
+        let want = regrid(member, &target, RegridMethod::Bilinear).expect("regrid");
         assert_eq!(got.array, want.array, "'{}'", member.id);
     }
 }

@@ -1,12 +1,12 @@
 //! The client (display) node: executes its 1-cell sub-workflow locally at
 //! full resolution and responds to propagated interaction ops.
 //!
-//! [`ClientNode::run`] is the strict loop used by healthy walls; the
-//! fault-injection harness drives [`ClientNode::run_with_faults`], which
+//! There is one message loop, [`ClientNode::run_with_faults`]: it
 //! misbehaves exactly as its [`ClientFaults`] script says (crash at a
 //! frame, delay replies, corrupt a reply, refuse reconnects) and treats a
 //! lost connection as a graceful end of service rather than an error —
 //! in a degraded wall the server is entitled to drop us.
+//! [`ClientNode::run`] is that loop with an empty script.
 
 use crate::fault::ClientFaults;
 use crate::frame_delta::{FrameStreamer, DEFAULT_KEYFRAME_EVERY, PREVIEW_DOWNSAMPLE};
@@ -89,64 +89,18 @@ impl ClientNode {
         }
     }
 
-    /// Runs the strict message loop until `Shutdown`. Returns the number of
-    /// frames rendered. Any protocol violation or connection loss is an
+    /// Runs the message loop until `Shutdown` with no scripted faults
+    /// ([`ClientNode::run_with_faults`] with an empty script) and returns
+    /// the number of frames rendered. A lost connection ends the loop with
+    /// `Ok(frames rendered so far)` — the server dropped this panel and is
+    /// serving its mirror; a protocol violation (an unexpected message,
+    /// `Execute` before `AssignWorkflow`, an unparsable pipeline) is an
     /// error.
-    pub fn run(mut self) -> Result<u64> {
-        loop {
-            match read_message_idle(&mut self.stream, IDLE_SLICE, IO_DEADLINE, "command")? {
-                Message::AssignWorkflow { pipeline_json, cell_module, width, height } => {
-                    self.size = (width, height);
-                    let pipeline = Pipeline::from_json(&pipeline_json)?;
-                    self.cell = Some(self.instantiate(&pipeline, cell_module)?);
-                    self.reset_streamer();
-                    write_message_deadline(
-                        &mut self.stream,
-                        &Message::Ready { client_id: self.id },
-                        IO_DEADLINE,
-                        "Ready",
-                    )?;
-                }
-                Message::Op(op) => {
-                    if matches!(op, dv3d::interaction::ConfigOp::Camera(_)) {
-                        self.in_motion = true;
-                    }
-                    if let Some(cell) = &mut self.cell {
-                        // ops the local plot type doesn't understand are fine
-                        let _ = cell.configure(&op);
-                    }
-                }
-                Message::Execute { frame } => {
-                    let (done, rgba) = self.render_frame(frame)?;
-                    self.send_transport(frame, &rgba, &ClientFaults::default())?;
-                    write_message_deadline(&mut self.stream, &done, IO_DEADLINE, "FrameDone")?;
-                }
-                Message::ResyncRequest { .. } => {
-                    if let Some(streamer) = &mut self.streamer {
-                        streamer.force_keyframe();
-                    }
-                }
-                Message::Heartbeat { seq } => {
-                    write_message_deadline(
-                        &mut self.stream,
-                        &Message::HeartbeatAck { client_id: self.id, seq },
-                        IO_DEADLINE,
-                        "HeartbeatAck",
-                    )?;
-                }
-                Message::Shutdown => return Ok(self.frames_rendered),
-                other => {
-                    return Err(WallError::Protocol(format!(
-                        "client {} got unexpected {other:?}",
-                        self.id
-                    )))
-                }
-            }
-        }
+    pub fn run(self) -> Result<u64> {
+        self.run_with_faults(ClientFaults::default())
     }
 
-    /// Runs the message loop under a fault script. Differences from
-    /// [`ClientNode::run`]:
+    /// Runs the message loop under a fault script:
     ///
     /// * scripted faults fire on cue (drop / delay / corrupt / refuse);
     /// * a lost or dropped connection ends the loop gracefully with the

@@ -37,7 +37,7 @@ pub const DEFAULT_KEYFRAME_EVERY: u64 = 16;
 /// Downsample factor for motion previews (each axis).
 pub const PREVIEW_DOWNSAMPLE: usize = 4;
 
-// FNV-1a, the same content-hash the rvtk tile cache uses.
+// FNV-1a content hash.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 

@@ -27,8 +27,8 @@ pub const PROTO_DELTA: u32 = 2;
 /// multi-tenant service (see [`crate::service`]). Workloads are synthetic
 /// but shaped like the paper's: regridding, reductions, cell renders —
 /// each deterministic in its parameters, so identical requests from
-/// different sessions are content-addressed duplicates the shared caches
-/// collapse into one computation.
+/// different sessions get identical digests (and identical regrids share
+/// one cached plan).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum ServiceWork {
@@ -255,6 +255,16 @@ pub fn read_message_deadline(
     deadline: Duration,
     what: &str,
 ) -> Result<Message> {
+    read_message_deadline_sized(stream, deadline, what).map(|(msg, _)| msg)
+}
+
+/// [`read_message_deadline`] plus the frame's size on the wire (length
+/// prefix + body), for the server's transport byte accounting.
+pub(crate) fn read_message_deadline_sized(
+    stream: &mut TcpStream,
+    deadline: Duration,
+    what: &str,
+) -> Result<(Message, usize)> {
     let end = std::time::Instant::now() + deadline;
     let out = (|| {
         let mut len_buf = [0u8; 4];
@@ -267,7 +277,9 @@ pub fn read_message_deadline(
         }
         let mut body = vec![0u8; len];
         read_exact_deadline(stream, &mut body, end)?;
-        serde_json::from_slice(&body).map_err(|e| WallError::Protocol(e.to_string()))
+        let msg =
+            serde_json::from_slice(&body).map_err(|e| WallError::Protocol(e.to_string()))?;
+        Ok((msg, len_buf.len() + len))
     })();
     stream.set_read_timeout(None).ok();
     out.map_err(|e| match e {

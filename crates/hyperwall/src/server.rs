@@ -10,7 +10,8 @@
 
 use crate::frame_delta::{Applied, FrameAssembler};
 use crate::protocol::{
-    encode_frame, read_message_deadline, write_message_deadline, Message, PROTO_DELTA,
+    read_message_deadline, read_message_deadline_sized, write_message_deadline, Message,
+    PROTO_DELTA,
 };
 use crate::workflow::{split_per_client, wall_registry, CellChain, WallWorkflowConfig};
 use crate::{Result, WallError};
@@ -419,34 +420,35 @@ impl HyperwallServer {
                     .panels[i]
                     .stream
                     .as_mut()
-                    .map(|s| read_message_deadline(s, frame_deadline, "FrameDone"))
+                    .map(|s| read_message_deadline_sized(s, frame_deadline, "FrameDone"))
                     .unwrap_or_else(|| Err(WallError::Protocol("no connection".into())));
                 match reply {
-                    Ok(Message::FrameDone { client_id, frame: f, coverage: c, render_ms })
+                    Ok((Message::FrameDone { client_id, frame: f, coverage: c, render_ms }, _))
                         if client_id == i && f == frame =>
                     {
                         client_render_ms[i] = render_ms;
                         coverage[i] = c;
                         break;
                     }
-                    Ok(Message::FrameDone { client_id, frame: f, .. }) => {
+                    Ok((Message::FrameDone { client_id, frame: f, .. }, _)) => {
                         self.degrade(
                             i,
                             &format!("client {client_id} answered frame {f}, expected {frame}"),
                         );
                         break;
                     }
-                    Ok(
+                    Ok((
                         msg @ (Message::FrameKey { .. }
                         | Message::FrameDelta { .. }
                         | Message::FramePreview { .. }),
-                    ) => {
+                        wire,
+                    )) => {
+                        let wire = wire as u64;
                         transport_msgs += 1;
                         if transport_msgs > MAX_TRANSPORT_PER_FRAME {
                             self.degrade(i, "transport message flood");
                             break;
                         }
-                        let wire = encode_frame(&msg).map(|b| b.len() as u64).unwrap_or(0);
                         transport_bytes[i] += wire;
                         match &msg {
                             Message::FrameKey { .. } => self.key_bytes_total += wire,
@@ -473,7 +475,7 @@ impl HyperwallServer {
                             }
                         }
                     }
-                    Ok(other) => {
+                    Ok((other, _)) => {
                         self.degrade(i, &format!("expected FrameDone, got {other:?}"));
                         break;
                     }
@@ -952,5 +954,77 @@ mod tests {
         for c in clients {
             c.join().unwrap();
         }
+    }
+
+    /// `transport_bytes` and the key/delta totals are the bytes the
+    /// client put on the wire (length prefix + body), counted from the
+    /// frame as received — not from a re-serialisation of the message.
+    #[test]
+    fn transport_bytes_equal_what_the_client_wrote() {
+        use crate::frame_delta::{FrameStreamer, DEFAULT_KEYFRAME_EVERY};
+        use crate::protocol::encode_frame;
+        use std::io::Write;
+
+        let mut server = HyperwallServer::bind_tuned(&cfg(), 4, fast_tuning()).unwrap();
+        let addr = server.addr().unwrap();
+        // scripted v2 clients: a keyframe on frame 0, a preview plus a
+        // delta on frame 1; each returns (key, preview, delta) byte counts
+        let fakes: Vec<_> = (0..2usize)
+            .map(|id| {
+                std::thread::spawn(move || {
+                    let mut s = std::net::TcpStream::connect(addr).unwrap();
+                    write_message(&mut s, &Message::HelloV2 { client_id: id, proto: PROTO_DELTA })
+                        .unwrap();
+                    let (w, h) = match read_message(&mut s).unwrap() {
+                        Message::AssignWorkflow { width, height, .. } => (width, height),
+                        other => panic!("{other:?}"),
+                    };
+                    write_message(&mut s, &Message::Ready { client_id: id }).unwrap();
+                    let mut streamer = FrameStreamer::new(w, h, DEFAULT_KEYFRAME_EVERY);
+                    let mut rgba = vec![(17 * id + 3) as u8; w * h * 4];
+                    let mut written = [0u64; 3];
+                    for frame in 0..2u64 {
+                        match read_message(&mut s).unwrap() {
+                            Message::Execute { frame: f } => assert_eq!(f, frame),
+                            other => panic!("{other:?}"),
+                        }
+                        if frame == 1 {
+                            rgba[5] ^= 0xFF; // dirty one tile
+                            let low = vec![9u8; 8 * 8 * 4];
+                            let preview = streamer.encode_preview(id, frame, &low, 8, 8).unwrap();
+                            let framed = encode_frame(&preview).unwrap();
+                            s.write_all(&framed).unwrap();
+                            written[1] = framed.len() as u64;
+                        }
+                        let (msg, _) = streamer.encode(id, frame, &rgba).unwrap();
+                        let framed = encode_frame(&msg).unwrap();
+                        s.write_all(&framed).unwrap();
+                        written[if frame == 0 { 0 } else { 2 }] = framed.len() as u64;
+                        write_message(
+                            &mut s,
+                            &Message::FrameDone { client_id: id, frame, coverage: 0.5, render_ms: 1.0 },
+                        )
+                        .unwrap();
+                    }
+                    // hold the socket open until the server has read it all
+                    std::thread::sleep(Duration::from_millis(200));
+                    written
+                })
+            })
+            .collect();
+        server.accept_clients(2).unwrap();
+        server.assign_workflows(&cfg()).unwrap();
+        let r0 = server.execute_frame(0).unwrap();
+        let r1 = server.execute_frame(1).unwrap();
+        let written: Vec<[u64; 3]> = fakes.into_iter().map(|f| f.join().unwrap()).collect();
+        assert_eq!(r0.degraded, vec![false, false], "{:?}", server.incidents);
+        assert_eq!(r1.degraded, vec![false, false], "{:?}", server.incidents);
+        for (i, [key, preview, delta]) in written.iter().enumerate() {
+            assert!(*key > 0 && *preview > 0 && *delta > 0);
+            assert_eq!(r0.transport_bytes[i], *key, "panel {i} keyframe bytes");
+            assert_eq!(r1.transport_bytes[i], preview + delta, "panel {i} frame-1 bytes");
+        }
+        assert_eq!(server.key_bytes_total(), written.iter().map(|w| w[0]).sum::<u64>());
+        assert_eq!(server.delta_bytes_total(), written.iter().map(|w| w[2]).sum::<u64>());
     }
 }

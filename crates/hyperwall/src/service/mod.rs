@@ -4,8 +4,9 @@
 //! single tenant. This module turns the same TCP protocol into a shared
 //! analysis service: many concurrent client **sessions**, each with an
 //! id, a token-bucket quota, and a bounded inbox, multiplexed onto a
-//! fixed worker pool over the process-wide shared caches
-//! ([`cdat::plan_cache`] and [`vistrails::shared_cache`]).
+//! fixed worker pool. The one thing sessions share besides the pool is
+//! the process-global regrid-plan cache ([`cdat::plan_cache`]); there is
+//! no cross-session module-result cache.
 //!
 //! The load-management ladder reuses the wall's Degraded philosophy —
 //! *answer worse before answering nothing, and never answer nothing
@@ -33,8 +34,8 @@
 //!
 //! * [`quota`] — fixed-point token buckets on the round clock.
 //! * [`mux`] — admission, DRR scheduling, overload state machine.
-//! * [`worker`] — executes [`crate::protocol::ServiceWork`] against the
-//!   shared caches, full or degraded.
+//! * [`worker`] — executes [`crate::protocol::ServiceWork`], full or
+//!   degraded (regrids plan through the shared plan cache).
 //! * [`server`] — the TCP front-end (accept/connection/scheduler/worker
 //!   threads, all I/O under total-frame deadlines).
 //! * [`client`] — the tenant side, plus scripted misbehavior

@@ -15,8 +15,8 @@
 //!   [`SessionMux::shed_to_watermark`] turns overload into explicit
 //!   `RetryAfter` frames (never silent drops).
 //! * **worker threads** — execute [`crate::protocol::ServiceWork`] via
-//!   [`super::worker::perform`] against the process-wide shared caches,
-//!   at degraded quality when the round was scheduled under overload.
+//!   [`super::worker::perform`], at degraded quality when the round was
+//!   scheduled under overload.
 
 use super::mux::{Admission, MuxConfig, MuxStats, ScheduledRequest, ServiceState, SessionMux};
 use super::worker::perform;

@@ -1,5 +1,5 @@
 //! Service workers: execute one [`ServiceWork`] item, at full or degraded
-//! quality, against the process-wide shared caches.
+//! quality.
 //!
 //! The work kinds map onto the paper's exploratory-analysis verbs:
 //!

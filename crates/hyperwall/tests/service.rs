@@ -282,7 +282,7 @@ fn session_capacity_rejects_with_retry_hint() {
 /// for the same work get the same digest, and the shared plan cache
 /// means the second regrid request reuses the first session's plan.
 #[test]
-fn shared_caches_give_identical_answers_across_sessions() {
+fn shared_plan_cache_gives_identical_answers_across_sessions() {
     let svc = spawn_service(service_cfg()).unwrap();
     let addr = svc.addr();
     let work = ServiceWork::Regrid { src: (24, 48), dst: (11, 21), seed: 42 };

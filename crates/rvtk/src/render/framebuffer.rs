@@ -279,31 +279,6 @@ impl Framebuffer {
         out
     }
 
-    /// Resets `rect` to `background` color and empty depth (the per-tile
-    /// analogue of [`Framebuffer::clear`]).
-    pub(crate) fn clear_rect(&mut self, rect: TileRect, background: Color) {
-        for y in rect.y0..(rect.y0 + rect.h).min(self.height) {
-            let row = y * self.width;
-            let (lo, hi) = (row + rect.x0, row + (rect.x0 + rect.w).min(self.width));
-            self.color[lo..hi].fill(background);
-            self.depth[lo..hi].fill(f32::INFINITY);
-        }
-    }
-
-    /// Copies the color + depth of `rect` from `src`, which must have the
-    /// same dimensions — used to restore clean tiles from a render cache.
-    pub(crate) fn copy_rect_from(&mut self, src: &Framebuffer, rect: TileRect) {
-        if src.width != self.width || src.height != self.height {
-            return;
-        }
-        for y in rect.y0..(rect.y0 + rect.h).min(self.height) {
-            let row = y * self.width;
-            let (lo, hi) = (row + rect.x0, row + (rect.x0 + rect.w).min(self.width));
-            self.color[lo..hi].copy_from_slice(&src.color[lo..hi]);
-            self.depth[lo..hi].copy_from_slice(&src.depth[lo..hi]);
-        }
-    }
-
     /// Mean luminance over all pixels — a cheap "did anything render" probe
     /// used heavily by tests.
     pub fn mean_luminance(&self) -> f32 {
@@ -463,24 +438,12 @@ mod tests {
     }
 
     #[test]
-    fn rgba8_and_rect_helpers_roundtrip() {
+    fn rgba8_is_row_major_packed_bytes() {
         let mut fb = Framebuffer::new(4, 4);
         fb.set_pixel(1, 1, Color::RED);
         let bytes = fb.to_rgba8();
         assert_eq!(bytes.len(), 64);
         assert_eq!(&bytes[(4 + 1) * 4..(4 + 1) * 4 + 4], &[255, 0, 0, 255]);
-        // copy a rect into a second framebuffer
-        let mut dst = Framebuffer::new(4, 4);
-        dst.copy_rect_from(&fb, TileRect { x0: 0, y0: 0, w: 2, h: 2 });
-        assert_eq!(dst.pixel(1, 1), Color::RED);
-        assert_eq!(dst.pixel(3, 3), Color::BLACK);
-        // clear the rect back out
-        dst.clear_rect(TileRect { x0: 0, y0: 0, w: 2, h: 2 }, Color::BLUE);
-        assert_eq!(dst.pixel(1, 1), Color::BLUE);
-        assert_eq!(dst.depth_at(1, 1), f32::INFINITY);
-        // mismatched dims are a no-op, not a panic
-        let small = Framebuffer::new(2, 2);
-        dst.copy_rect_from(&small, TileRect { x0: 0, y0: 0, w: 2, h: 2 });
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub use actor::{Actor, Property, Representation};
 pub use camera::Camera;
 pub use framebuffer::{Framebuffer, TileGrid, TileRect};
 pub use light::Light;
-pub use renderer::{RedrawStats, RenderCache, Renderer};
+pub use renderer::Renderer;
 pub use text::{draw_colorbar, draw_text, text_width, GLYPH_HEIGHT};
 pub use volume::{BlendMode, Volume, VolumeProperty};
 pub use window::{RenderWindow, StereoMode};

@@ -186,7 +186,7 @@ fn push_polylines(
 pub(crate) fn rasterize(prims: &PrimitiveList, fb: &mut Framebuffer) {
     let grid = TileGrid::with_default_tile(fb.width(), fb.height());
     let bins = tile::bin_primitives(prims, &grid);
-    tile::rasterize_bins(prims, &bins, &grid, None, fb);
+    tile::rasterize_bins(prims, &bins, &grid, fb);
 }
 
 /// Builds the frame's screen-space primitives for `actors` and sorts

@@ -4,56 +4,10 @@ use crate::color::Color;
 use crate::math::Bounds;
 use crate::render::actor::Actor;
 use crate::render::camera::Camera;
-use crate::render::framebuffer::{Framebuffer, TileGrid};
+use crate::render::framebuffer::Framebuffer;
 use crate::render::rasterizer;
 use crate::render::light::Light;
-use crate::render::tile;
 use crate::render::volume::{render_volume, Volume};
-
-/// Frame-to-frame state for incremental redraw: the per-tile FNV content
-/// hashes of the last frame plus a pristine copy of its pixels.
-///
-/// [`Renderer::render_with_cache`] re-rasterizes only tiles whose binned
-/// primitive content changed and restores the rest from the cached copy,
-/// which makes camera-still animation frames and overlay-only updates
-/// nearly free. The snapshot is taken before the caller draws any 2D
-/// overlays into the framebuffer, so overlays never leak into the cache.
-#[derive(Debug, Clone, Default)]
-pub struct RenderCache {
-    grid: Option<TileGrid>,
-    hashes: Vec<u64>,
-    fb: Option<Framebuffer>,
-}
-
-impl RenderCache {
-    /// An empty cache; the first render through it redraws everything.
-    pub fn new() -> RenderCache {
-        RenderCache::default()
-    }
-
-    /// Drops all cached state, forcing the next frame to redraw fully.
-    pub fn invalidate(&mut self) {
-        self.grid = None;
-        self.hashes.clear();
-        self.fb = None;
-    }
-}
-
-/// What an incremental render actually did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RedrawStats {
-    /// Tiles in the frame's grid.
-    pub tiles_total: usize,
-    /// Tiles re-rasterized this frame.
-    pub tiles_redrawn: usize,
-}
-
-impl RedrawStats {
-    /// Tiles restored from the cache instead of re-rasterized.
-    pub fn tiles_reused(&self) -> usize {
-        self.tiles_total - self.tiles_redrawn
-    }
-}
 
 /// A scene plus a camera.
 #[derive(Debug, Clone)]
@@ -154,78 +108,6 @@ impl Renderer {
         for v in &self.volumes {
             render_volume(v, &vp, fb);
         }
-    }
-
-    /// Renders like [`Renderer::render`], but skips re-rasterizing tiles
-    /// whose binned primitive content is unchanged since the last frame
-    /// drawn through `cache`, restoring their pixels (color **and** depth)
-    /// from the cached copy instead. Output is bit-identical to a full
-    /// render.
-    ///
-    /// Scenes containing volumes force a full redraw: the ray-cast pass
-    /// writes the whole frame and is not tiled. A dimension or background
-    /// change likewise invalidates the cache.
-    pub fn render_with_cache(
-        &self,
-        fb: &mut Framebuffer,
-        cache: &mut RenderCache,
-    ) -> RedrawStats {
-        let vp = self
-            .camera
-            .projection_matrix(fb.aspect())
-            .mul_mat(&self.camera.view_matrix());
-        let grid = TileGrid::with_default_tile(fb.width(), fb.height());
-        let prims = rasterizer::build_sorted_primitives(
-            &self.actors,
-            &vp,
-            &self.lights,
-            fb.width(),
-            fb.height(),
-        );
-        let bins = tile::bin_primitives(&prims, &grid);
-        // Salt the content hashes with everything that affects a tile's
-        // pixels besides its binned primitives: dimensions and clear color.
-        let mut salt = 0xd6e8_feb8_6659_fd93u64 ^ (fb.width() as u64).rotate_left(17);
-        salt ^= (fb.height() as u64).rotate_left(34);
-        salt ^= u64::from(self.background.r.to_bits())
-            | u64::from(self.background.g.to_bits()) << 32;
-        salt ^= u64::from(self.background.b.to_bits()).rotate_left(48)
-            ^ u64::from(self.background.a.to_bits()).rotate_left(16);
-        let hashes = tile::tile_hashes(&prims, &bins, salt);
-
-        let reusable = self.volumes.is_empty()
-            && cache.grid == Some(grid)
-            && cache.hashes.len() == hashes.len()
-            && cache.fb.as_ref().is_some_and(|c| {
-                c.width() == fb.width() && c.height() == fb.height()
-            });
-        let dirty: Vec<bool> = if reusable {
-            hashes.iter().zip(&cache.hashes).map(|(a, b)| a != b).collect()
-        } else {
-            vec![true; grid.len()]
-        };
-        let mut redrawn = 0usize;
-        for (idx, is_dirty) in dirty.iter().enumerate() {
-            let rect = grid.rect(idx);
-            if *is_dirty {
-                fb.clear_rect(rect, self.background);
-                redrawn += 1;
-            } else if let Some(cached) = cache.fb.as_ref() {
-                fb.copy_rect_from(cached, rect);
-            }
-        }
-        tile::rasterize_bins(&prims, &bins, &grid, Some(&dirty), fb);
-        for v in &self.volumes {
-            render_volume(v, &vp, fb);
-        }
-        // Snapshot the pristine frame (before any caller-drawn overlays).
-        match cache.fb.as_mut() {
-            Some(c) => c.clone_from(fb),
-            None => cache.fb = Some(fb.clone()),
-        }
-        cache.hashes = hashes;
-        cache.grid = Some(grid);
-        RedrawStats { tiles_total: grid.len(), tiles_redrawn: redrawn }
     }
 
     /// Casts a pick ray through pixel `(px, py)` and probes the first
@@ -334,86 +216,6 @@ mod tests {
         // a ray that misses
         let miss = r.pick(64, 64, 0.0, 0.0);
         assert!(miss.is_none() || miss.unwrap().1.is_finite());
-    }
-
-    fn frame_bits(fb: &Framebuffer) -> Vec<u32> {
-        fb.colors()
-            .iter()
-            .flat_map(|c| [c.r.to_bits(), c.g.to_bits(), c.b.to_bits(), c.a.to_bits()])
-            .collect()
-    }
-
-    #[test]
-    fn cached_render_is_bit_identical_and_skips_clean_tiles() {
-        let mut r = Renderer::new();
-        r.add_actor(tri_actor());
-        r.reset_camera();
-        let mut cache = RenderCache::new();
-        let mut fb_cached = Framebuffer::new(96, 96);
-        // first frame: everything dirty
-        let s1 = r.render_with_cache(&mut fb_cached, &mut cache);
-        assert_eq!(s1.tiles_redrawn, s1.tiles_total);
-        // second frame, unchanged scene: nothing redrawn, output identical
-        let mut fb2 = Framebuffer::new(96, 96);
-        let s2 = r.render_with_cache(&mut fb2, &mut cache);
-        assert_eq!(s2.tiles_redrawn, 0);
-        assert_eq!(s2.tiles_reused(), s2.tiles_total);
-        let mut fb_full = Framebuffer::new(96, 96);
-        r.render(&mut fb_full);
-        assert_eq!(frame_bits(&fb2), frame_bits(&fb_full));
-        let depths_match = (0..96).all(|y| {
-            (0..96).all(|x| fb2.depth_at(x, y).to_bits() == fb_full.depth_at(x, y).to_bits())
-        });
-        assert!(depths_match, "cached depth must match a full render");
-        // move the camera: tiles go dirty again and output tracks the scene
-        r.camera.azimuth(10.0);
-        let mut fb3 = Framebuffer::new(96, 96);
-        let s3 = r.render_with_cache(&mut fb3, &mut cache);
-        assert!(s3.tiles_redrawn > 0);
-        let mut fb3_full = Framebuffer::new(96, 96);
-        r.render(&mut fb3_full);
-        assert_eq!(frame_bits(&fb3), frame_bits(&fb3_full));
-    }
-
-    #[test]
-    fn cache_invalidates_on_resize_and_background_change() {
-        let mut r = Renderer::new();
-        r.add_actor(tri_actor());
-        r.reset_camera();
-        let mut cache = RenderCache::new();
-        let mut fb = Framebuffer::new(64, 64);
-        r.render_with_cache(&mut fb, &mut cache);
-        // resize: full redraw
-        let mut small = Framebuffer::new(32, 32);
-        let s = r.render_with_cache(&mut small, &mut cache);
-        assert_eq!(s.tiles_redrawn, s.tiles_total);
-        // background change: full redraw (salt differs), pixels match full
-        r.background = Color::rgb(0.1, 0.1, 0.2);
-        let s = r.render_with_cache(&mut small, &mut cache);
-        assert_eq!(s.tiles_redrawn, s.tiles_total);
-        let mut full = Framebuffer::new(32, 32);
-        r.render(&mut full);
-        assert_eq!(frame_bits(&small), frame_bits(&full));
-        // explicit invalidate forces a full redraw too
-        cache.invalidate();
-        let s = r.render_with_cache(&mut small, &mut cache);
-        assert_eq!(s.tiles_redrawn, s.tiles_total);
-    }
-
-    #[test]
-    fn volumes_force_full_redraw_through_cache() {
-        let mut r = Renderer::new();
-        let img = ImageData::from_fn([6, 6, 6], [1.0; 3], [0.0; 3], |_, _, _| 3.0);
-        r.add_volume(Volume::from_image(img));
-        r.reset_camera();
-        let mut cache = RenderCache::new();
-        let mut fb = Framebuffer::new(48, 48);
-        r.render_with_cache(&mut fb, &mut cache);
-        let s = r.render_with_cache(&mut fb, &mut cache);
-        assert_eq!(s.tiles_redrawn, s.tiles_total, "volume scenes never reuse tiles");
-        let mut full = Framebuffer::new(48, 48);
-        r.render(&mut full);
-        assert_eq!(frame_bits(&fb), frame_bits(&full));
     }
 
     #[test]

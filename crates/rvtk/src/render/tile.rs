@@ -9,7 +9,7 @@
 //! per band.
 //!
 //! Bit-identity with the scanline engine is a hard invariant, relied on by
-//! the incremental-redraw cache and the hyperwall delta transport: the
+//! the hyperwall delta transport (which diffs consecutive frames): the
 //! per-pixel kernels below are the scanline kernels verbatim — identical
 //! expression trees, identical fold/clamp semantics — with their iteration
 //! domains intersected with the tile rectangle. Since every pixel belongs
@@ -39,7 +39,6 @@ use rayon::prelude::*;
 /// depends on.
 #[derive(Debug, Default)]
 pub(crate) struct TileBins {
-    tiles: usize,
     tri_off: Vec<u32>,
     tri_items: Vec<RasterTri>,
     line_off: Vec<u32>,
@@ -66,10 +65,6 @@ pub(crate) struct BinnedLine {
 }
 
 impl TileBins {
-    pub(crate) fn len(&self) -> usize {
-        self.tiles
-    }
-
     fn class<'a, T>(off: &'a [u32], items: &'a [T], t: usize) -> &'a [T] {
         let (Some(&a), Some(&b)) = (off.get(t), off.get(t + 1)) else {
             return &[];
@@ -279,7 +274,6 @@ pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins
         }
     });
     TileBins {
-        tiles: grid.len(),
         tri_off,
         tri_items,
         line_off,
@@ -289,86 +283,13 @@ pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_color(h: u64, c: Color) -> u64 {
-    let h = fnv_bytes(h, &c.r.to_bits().to_le_bytes());
-    let h = fnv_bytes(h, &c.g.to_bits().to_le_bytes());
-    let h = fnv_bytes(h, &c.b.to_bits().to_le_bytes());
-    fnv_bytes(h, &c.a.to_bits().to_le_bytes())
-}
-
-/// FNV-1a content hash of each tile's binned primitive *data* (not
-/// indices), in draw order, seeded with `salt`. Two frames whose tile
-/// hashes match bin the same primitive bytes in the same order, so —
-/// rasterization being deterministic — the tile's pixels are identical
-/// and a cached copy can be reused.
-pub(crate) fn tile_hashes(prims: &PrimitiveList, bins: &TileBins, salt: u64) -> Vec<u64> {
-    (0..bins.len())
-        .map(|tile| {
-            let mut h = fnv_bytes(FNV_OFFSET, &salt.to_le_bytes());
-            for t in bins.tris(tile) {
-                h = fnv_bytes(h, &[1]);
-                for v in t.sx.iter().chain(t.sy.iter()) {
-                    h = fnv_bytes(h, &v.to_bits().to_le_bytes());
-                }
-                for z in t.z.iter() {
-                    h = fnv_bytes(h, &z.to_bits().to_le_bytes());
-                }
-                for c in t.color.iter() {
-                    h = fnv_color(h, *c);
-                }
-            }
-            for b in bins.lines(tile) {
-                let Some(l) = prims.lines.get(b.idx as usize) else {
-                    continue;
-                };
-                // hash the payload, not the index: two frames that bin the
-                // same line bytes here must hash alike wherever the line
-                // sits in its frame's primitive list
-                h = fnv_bytes(h, &[2]);
-                let (ax, ay, az) = l.a;
-                let (bx, by, bz) = l.b;
-                for v in [ax, ay, bx, by] {
-                    h = fnv_bytes(h, &v.to_bits().to_le_bytes());
-                }
-                for z in [az, bz] {
-                    h = fnv_bytes(h, &z.to_bits().to_le_bytes());
-                }
-                h = fnv_color(h, l.color_a);
-                h = fnv_color(h, l.color_b);
-            }
-            for p in bins.points(tile) {
-                h = fnv_bytes(h, &[3]);
-                h = fnv_bytes(h, &p.x.to_bits().to_le_bytes());
-                h = fnv_bytes(h, &p.y.to_bits().to_le_bytes());
-                h = fnv_bytes(h, &p.z.to_bits().to_le_bytes());
-                h = fnv_bytes(h, &p.radius.to_bits().to_le_bytes());
-                h = fnv_color(h, p.color);
-            }
-            h
-        })
-        .collect()
-}
-
 /// Rasterizes binned primitives: tile-row bands in parallel, occupied
 /// tiles serially within each band (each tile's pixels belong to exactly
-/// one band, so no locking). When `dirty` is given, tiles marked `false`
-/// are skipped entirely — the incremental-redraw fast path.
+/// one band, so no locking).
 pub(crate) fn rasterize_bins(
     prims: &PrimitiveList,
     bins: &TileBins,
     grid: &TileGrid,
-    dirty: Option<&[bool]>,
     fb: &mut Framebuffer,
 ) {
     let cols = grid.cols();
@@ -376,8 +297,7 @@ pub(crate) fn rasterize_bins(
     bands.par_iter_mut().enumerate().for_each(|(ty, band)| {
         for tx in 0..cols {
             let idx = grid.index(tx, ty);
-            let skip = dirty.is_some_and(|d| !d.get(idx).copied().unwrap_or(true));
-            if skip || bins.is_empty(idx) {
+            if bins.is_empty(idx) {
                 continue;
             }
             let rect = grid.rect(idx);
@@ -593,7 +513,6 @@ mod tests {
         prims.tris.push(tri([2.0, 10.0, 5.0], [2.0, 10.0, 9.0])); // tile 0 only
         prims.tris.push(tri([20.0, 44.0, 30.0], [2.0, 40.0, 9.0])); // spans all four
         let bins = bin_primitives(&prims, &grid);
-        assert_eq!(bins.len(), 4);
         // tile 0 holds copies of both triangles, in draw order
         let sx0: Vec<f64> = bins.tris(0).iter().map(|t| { let [a, _, _] = t.sx; a }).collect();
         assert_eq!(sx0, vec![2.0, 20.0]);
@@ -636,25 +555,7 @@ mod tests {
             color: Color::WHITE,
         });
         let bins = bin_primitives(&prims, &grid);
-        assert!((0..bins.len()).all(|t| bins.points(t).is_empty()));
-    }
-
-    #[test]
-    fn hashes_track_content_not_indices() {
-        let grid = TileGrid::new(32, 32, 32);
-        let mut a = PrimitiveList::default();
-        a.tris.push(tri([1.0, 5.0, 3.0], [1.0, 5.0, 4.0]));
-        let ha = tile_hashes(&a, &bin_primitives(&a, &grid), 7);
-        // same content at a different index position hashes the same
-        let mut b = PrimitiveList::default();
-        b.tris.push(tri([1.0, 5.0, 3.0], [1.0, 5.0, 4.0]));
-        let hb = tile_hashes(&b, &bin_primitives(&b, &grid), 7);
-        assert_eq!(ha, hb);
-        // different salt or content changes the hash
-        assert_ne!(ha, tile_hashes(&a, &bin_primitives(&a, &grid), 8));
-        let mut c = PrimitiveList::default();
-        c.tris.push(tri([1.0, 5.0, 3.0], [1.0, 5.0, 4.5]));
-        assert_ne!(ha, tile_hashes(&c, &bin_primitives(&c, &grid), 7));
+        assert!((0..grid.len()).all(|t| bins.points(t).is_empty()));
     }
 
     #[test]

@@ -11,16 +11,11 @@
 //!    of its RGBA8 bytes, so a
 //!    kernel regression shows up as a hash diff even if identity with the
 //!    (also-changed) reference still holds.
-//! 3. **Incremental redraw is invisible in the bits.** A camera-motion
-//!    script rendered through `RenderCache` matches the scanline
-//!    reference frame-for-frame while still-frames reuse every tile.
 
 use rvtk::color::Color;
 use rvtk::math::Vec3;
 use rvtk::poly_data::PolyData;
-use rvtk::render::{
-    scanline_ref, Actor, Camera, Framebuffer, RenderCache, Renderer, Representation,
-};
+use rvtk::render::{scanline_ref, Actor, Framebuffer, Renderer, Representation};
 use std::sync::Mutex;
 
 // ---- deterministic PRNG (no external crates, no wall clock) ----
@@ -239,38 +234,3 @@ fn golden_multi_actor_frame_pinned() {
 }
 
 const GOLDEN_FRAME_FNV: u64 = 0x5489ac74984d3617;
-
-#[test]
-fn cached_motion_script_bit_identical_to_reference() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    let mut scene = golden_scene();
-    let mut cache = RenderCache::new();
-    let mut fb = Framebuffer::new(160, 120);
-    // script: still, still, small orbit steps, still
-    let script: [f64; 6] = [0.0, 0.0, 1.5, 1.5, -2.0, 0.0];
-    for (i, step) in script.iter().enumerate() {
-        scene.camera.azimuth(*step);
-        let stats = with_threads(3, || scene.render_with_cache(&mut fb, &mut cache));
-        let mut reference = Framebuffer::new(160, 120);
-        with_threads(3, || scanline_ref::render_scene_scanline(&scene, &mut reference));
-        assert_eq!(bits(&fb), bits(&reference), "cached frame {i} diverged");
-        if i > 0 && *step == 0.0 {
-            assert_eq!(stats.tiles_redrawn, 0, "still frame {i} must reuse all tiles");
-        }
-        if *step != 0.0 {
-            assert!(stats.tiles_redrawn > 0, "motion frame {i} must redraw");
-        }
-    }
-}
-
-#[test]
-fn default_camera_roundtrip_does_not_disturb_state() {
-    // regression guard: rendering through the cache must not mutate the
-    // renderer (render_with_cache takes &self)
-    let scene = golden_scene();
-    let cam_before: Camera = scene.camera.clone();
-    let mut cache = RenderCache::new();
-    let mut fb = Framebuffer::new(64, 48);
-    scene.render_with_cache(&mut fb, &mut cache);
-    assert_eq!(format!("{cam_before:?}"), format!("{:?}", scene.camera));
-}

@@ -9,12 +9,10 @@
 
 use crate::module::ModuleRegistry;
 use crate::pipeline::{ModuleId, Pipeline};
-use crate::shared_cache::SharedModuleCache;
 use crate::value::WfData;
 use crate::{Result, WfError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-module outputs of one execution.
@@ -132,9 +130,6 @@ impl RetryPolicy {
 pub struct Executor {
     registry: ModuleRegistry,
     cache: HashMap<u64, BTreeMap<String, WfData>>,
-    /// Optional cross-session result cache (multi-tenant service): local
-    /// misses fall through to it, and fresh results are published to it.
-    shared: Option<Arc<SharedModuleCache>>,
     /// Disable to measure uncached performance (ablation).
     pub caching_enabled: bool,
     /// Per-module retry policy (default: fail fast). Transient module
@@ -149,25 +144,9 @@ impl Executor {
         Executor {
             registry,
             cache: HashMap::new(),
-            shared: None,
             caching_enabled: true,
             retry: RetryPolicy::none(),
         }
-    }
-
-    /// An executor whose local cache is backed by a cross-session shared
-    /// cache: local misses consult `shared`, and fresh results are
-    /// published to it — so concurrent tenants running overlapping
-    /// pipelines each compute a module at most once between them.
-    pub fn with_shared_cache(registry: ModuleRegistry, shared: Arc<SharedModuleCache>) -> Executor {
-        let mut e = Executor::new(registry);
-        e.shared = Some(shared);
-        e
-    }
-
-    /// The cross-session cache, when attached.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedModuleCache>> {
-        self.shared.as_ref()
     }
 
     /// The registry.
@@ -233,23 +212,8 @@ impl Executor {
             for &id in &wave {
                 let sig = signatures[&id];
                 if self.caching_enabled {
-                    // local cache first; a local miss falls through to the
-                    // shared cross-session cache (and warms the local one)
-                    let hit = match self.cache.get(&sig) {
-                        Some(h) => Some(h.clone()),
-                        None => match &self.shared {
-                            Some(sc) => {
-                                let h = sc.get(sig);
-                                if let Some(v) = &h {
-                                    self.cache.insert(sig, v.clone());
-                                }
-                                h
-                            }
-                            None => None,
-                        },
-                    };
-                    if let Some(hit) = hit {
-                        results.outputs.insert(id, hit);
+                    if let Some(hit) = self.cache.get(&sig) {
+                        results.outputs.insert(id, hit.clone());
                         results.log.push(ExecLogEntry {
                             module: id,
                             type_name: target.modules[&id].type_name.clone(),
@@ -303,9 +267,6 @@ impl Executor {
                 let out = out?;
                 if self.caching_enabled {
                     self.cache.insert(sig, out.clone());
-                    if let Some(sc) = &self.shared {
-                        sc.insert(sig, &out);
-                    }
                 }
                 results.outputs.insert(id, out);
                 results.log.push(ExecLogEntry {
@@ -589,41 +550,6 @@ mod tests {
         let types: Vec<&str> = results.log.iter().map(|e| e.type_name.as_str()).collect();
         assert!(types.contains(&"m.add"));
         assert!(results.log.iter().all(|e| e.signature != 0));
-    }
-
-    #[test]
-    fn shared_cache_serves_across_executors() {
-        let shared = Arc::new(SharedModuleCache::new(64));
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut session_a =
-            Executor::with_shared_cache(registry(counter.clone()), Arc::clone(&shared));
-        let mut session_b =
-            Executor::with_shared_cache(registry(counter.clone()), Arc::clone(&shared));
-
-        session_a.execute(&diamond()).unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 3);
-        // a *different* executor (fresh local cache) runs the same
-        // pipeline: everything is served from the shared layer
-        let second = session_b.execute(&diamond()).unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 3, "session B recomputed nothing");
-        assert_eq!(second.cache_hits(), 3);
-        assert_eq!(second.output(3, "out").and_then(WfData::as_float), Some(42.0));
-        let stats = shared.stats();
-        assert_eq!(stats.inserts, 3);
-        assert!(stats.hits >= 3);
-        // the shared hit warmed session B's local cache
-        assert_eq!(session_b.cache_len(), 3);
-    }
-
-    #[test]
-    fn shared_cache_untouched_when_caching_disabled() {
-        let shared = Arc::new(SharedModuleCache::new(64));
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut exec = Executor::with_shared_cache(registry(counter), Arc::clone(&shared));
-        exec.caching_enabled = false;
-        exec.execute(&diamond()).unwrap();
-        assert!(shared.is_empty());
-        assert_eq!(shared.stats(), crate::shared_cache::SharedCacheStats::default());
     }
 
     #[test]

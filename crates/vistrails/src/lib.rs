@@ -67,7 +67,6 @@ pub mod executor;
 pub mod module;
 pub mod pipeline;
 pub mod provenance;
-pub mod shared_cache;
 pub mod spreadsheet;
 pub mod value;
 
