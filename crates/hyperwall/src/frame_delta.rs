@@ -201,7 +201,22 @@ pub fn rle_encode(rgba: &[u8]) -> Vec<u8> {
 /// geometry requires. Never panics on attacker-shaped input; never
 /// allocates beyond `expected_len`.
 pub fn rle_decode(data: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::new();
+    rle_decode_into(data, expected_len, &mut out)?;
+    Ok(out)
+}
+
+/// [`rle_decode`] appending to a caller-owned buffer, so a receiver can
+/// reuse one allocation across frames. On success exactly `expected_len`
+/// bytes were appended; on error `out` holds a partial run the caller must
+/// discard.
+fn rle_decode_into(
+    data: &[u8],
+    expected_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    out.reserve(expected_len);
+    let base = out.len();
     let mut consumed = 0usize;
     for chunk in data.chunks(5) {
         let Ok(run) = <[u8; 5]>::try_from(chunk) else {
@@ -211,33 +226,29 @@ pub fn rle_decode(data: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErro
         if count == 0 {
             return Err(CodecError::ZeroRun { at: consumed });
         }
-        if out.len() + usize::from(count) * 4 > expected_len {
-            return Err(CodecError::LengthMismatch {
-                expected: expected_len,
-                got: out.len() + usize::from(count) * 4,
-            });
+        let got = out.len() - base + usize::from(count) * 4;
+        if got > expected_len {
+            return Err(CodecError::LengthMismatch { expected: expected_len, got });
         }
         for _ in 0..count {
             out.extend_from_slice(&[r, g, b, a]);
         }
         consumed += 5;
     }
-    if out.len() != expected_len {
-        return Err(CodecError::LengthMismatch { expected: expected_len, got: out.len() });
+    if out.len() - base != expected_len {
+        return Err(CodecError::LengthMismatch { expected: expected_len, got: out.len() - base });
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Copies one tile rect out of a full row-major RGBA8 frame.
-fn tile_bytes(rgba: &[u8], width: usize, rect: &rvtk::render::TileRect) -> Vec<u8> {
-    let mut out = Vec::with_capacity(rect.w * rect.h * 4);
+/// Appends one tile rect of a full row-major RGBA8 frame to `out`.
+fn tile_bytes(rgba: &[u8], width: usize, rect: &rvtk::render::TileRect, out: &mut Vec<u8>) {
     for row in 0..rect.h {
         let start = ((rect.y0 + row) * width + rect.x0) * 4;
         if let Some(s) = rgba.get(start..start + rect.w * 4) {
             out.extend_from_slice(s);
         }
     }
-    out
 }
 
 /// True when the tile rect differs between two frames (row-slice compare,
@@ -351,7 +362,7 @@ impl FrameStreamer {
                 payload: rle_encode(rgba),
                 frame_hash: fnv1a(rgba),
             };
-            self.prev = Some(rgba.to_vec());
+            self.remember(rgba);
             return Ok((msg, EncodedKind::Key));
         }
         // delta: walk the tile grid, ship only the rects whose bytes moved
@@ -359,12 +370,14 @@ impl FrameStreamer {
         self.since_key += 1;
         let mut tiles = Vec::new();
         if let Some(prev) = &self.prev {
+            let mut raw = Vec::new();
             for idx in 0..self.grid.len() {
                 let rect = self.grid.rect(idx);
                 if !tile_differs(prev, rgba, self.width, &rect) {
                     continue;
                 }
-                let raw = tile_bytes(rgba, self.width, &rect);
+                raw.clear();
+                tile_bytes(rgba, self.width, &rect, &mut raw);
                 tiles.push(WireTile {
                     tx: rect.x0 / self.grid.tile(),
                     ty: rect.y0 / self.grid.tile(),
@@ -382,8 +395,17 @@ impl FrameStreamer {
             tiles,
             frame_hash: fnv1a(rgba),
         };
-        self.prev = Some(rgba.to_vec());
+        self.remember(rgba);
         Ok((msg, EncodedKind::Delta { tiles: n }))
+    }
+
+    /// Keeps `rgba` as the frame the next delta is taken against, reusing
+    /// the previous frame's buffer (`encode` has checked the length).
+    fn remember(&mut self, rgba: &[u8]) {
+        match &mut self.prev {
+            Some(prev) if prev.len() == rgba.len() => prev.copy_from_slice(rgba),
+            _ => self.prev = Some(rgba.to_vec()),
+        }
     }
 
     /// Encodes a low-resolution preview frame (progressive refinement
@@ -436,6 +458,13 @@ pub struct FrameAssembler {
     height: usize,
     grid: TileGrid,
     buf: Vec<u8>,
+    /// Decoded bytes of the message being applied: a keyframe's whole
+    /// frame, or a delta's tiles back to back. Kept between calls so the
+    /// steady state allocates nothing.
+    staged: Vec<u8>,
+    /// What the tiles of the delta being applied overwrote in `buf`, laid
+    /// out like `staged`; written back if the whole-frame hash fails.
+    undo: Vec<u8>,
     epoch: u64,
     next_seq: u64,
     synced: bool,
@@ -454,6 +483,8 @@ impl FrameAssembler {
             height,
             grid: TileGrid::with_default_tile(width, height),
             buf: vec![0u8; width * height * 4],
+            staged: Vec::new(),
+            undo: Vec::new(),
             epoch: 0,
             next_seq: 0,
             synced: false,
@@ -541,12 +572,13 @@ impl FrameAssembler {
                 got: (width, height),
             });
         }
-        let decoded = rle_decode(payload, self.width * self.height * 4)?;
-        let got = fnv1a(&decoded);
+        self.staged.clear();
+        rle_decode_into(payload, self.width * self.height * 4, &mut self.staged)?;
+        let got = fnv1a(&self.staged);
         if got != frame_hash {
             return Err(DeltaError::FrameHashMismatch { expected: frame_hash, got });
         }
-        self.buf = decoded;
+        std::mem::swap(&mut self.buf, &mut self.staged);
         self.epoch = epoch;
         self.next_seq = 1;
         self.synced = true;
@@ -581,44 +613,50 @@ impl FrameAssembler {
             return Err(DeltaError::SeqGap { expected: self.next_seq, got: seq });
         }
         // Stage 1: decode and validate EVERY tile before touching the
-        // frame — this is what makes a torn frame structurally impossible.
-        let mut staged: Vec<(rvtk::render::TileRect, Vec<u8>)> =
-            Vec::with_capacity(tiles.len());
+        // frame — a tile that fails its own checks never reaches `buf`.
+        self.staged.clear();
+        let mut rects: Vec<(rvtk::render::TileRect, usize)> = Vec::with_capacity(tiles.len());
         for t in tiles {
             if t.tx >= self.grid.cols() || t.ty >= self.grid.rows() {
                 self.synced = false;
                 return Err(DeltaError::TileOutOfRange { tx: t.tx, ty: t.ty });
             }
             let rect = self.grid.rect(self.grid.index(t.tx, t.ty));
-            let decoded = match rle_decode(&t.data, rect.w * rect.h * 4) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.synced = false;
-                    return Err(e.into());
-                }
-            };
-            if fnv1a(&decoded) != t.hash {
+            let at = self.staged.len();
+            if let Err(e) = rle_decode_into(&t.data, rect.w * rect.h * 4, &mut self.staged) {
+                self.synced = false;
+                return Err(e.into());
+            }
+            if fnv1a(self.staged.get(at..).unwrap_or_default()) != t.hash {
                 self.synced = false;
                 return Err(DeltaError::TileHashMismatch { tx: t.tx, ty: t.ty });
             }
-            staged.push((rect, decoded));
+            rects.push((rect, at));
         }
-        // Stage 2: apply to a scratch copy and check the whole-frame hash;
-        // only then commit.
-        let mut next = self.buf.clone();
-        for (rect, decoded) in &staged {
-            write_tile(&mut next, self.width, rect, decoded);
+        // Stage 2: patch the frame in place, keeping what each tile
+        // overwrote, and check the whole-frame hash; a mismatch writes the
+        // old bytes back, so the commit is still all-or-nothing.
+        self.undo.clear();
+        for (rect, at) in &rects {
+            let len = rect.w * rect.h * 4;
+            tile_bytes(&self.buf, self.width, rect, &mut self.undo);
+            let decoded = self.staged.get(*at..*at + len).unwrap_or_default();
+            write_tile(&mut self.buf, self.width, rect, decoded);
         }
-        let got = fnv1a(&next);
+        let got = fnv1a(&self.buf);
         if got != frame_hash {
+            // newest first: a tile sent twice must end on its oldest bytes
+            for (rect, at) in rects.iter().rev() {
+                let old = self.undo.get(*at..*at + rect.w * rect.h * 4).unwrap_or_default();
+                write_tile(&mut self.buf, self.width, rect, old);
+            }
             self.synced = false;
             return Err(DeltaError::FrameHashMismatch { expected: frame_hash, got });
         }
-        self.buf = next;
         self.next_seq = seq + 1;
         self.last_hash = frame_hash;
         self.deltas_applied += 1;
-        Ok(Applied::Delta { tiles: staged.len() })
+        Ok(Applied::Delta { tiles: rects.len() })
     }
 
     fn apply_preview(
@@ -628,6 +666,14 @@ impl FrameAssembler {
         payload: &[u8],
         hash: u64,
     ) -> Result<Applied, DeltaError> {
+        // a preview is a downsample of the panel; the bound also keeps a
+        // wire-declared geometry from sizing the decode buffer
+        if width > self.width || height > self.height {
+            return Err(DeltaError::WrongSize {
+                expected: (self.width, self.height),
+                got: (width, height),
+            });
+        }
         let decoded = rle_decode(payload, width * height * 4)?;
         let got = fnv1a(&decoded);
         if got != hash {
@@ -783,6 +829,101 @@ mod tests {
         asm.apply(&key2).unwrap();
         assert_eq!(asm.frame().unwrap(), f2.as_slice());
         assert!(asm.verify());
+    }
+
+    /// The `FrameHashMismatch` twin of the test above: every tile is valid,
+    /// so all of them are written into the frame before the whole-frame
+    /// hash exposes the lie — and all of them must be taken out again.
+    #[test]
+    fn lying_frame_hash_is_rejected_without_partial_mutation() {
+        let (w, h) = (70, 50);
+        let mut streamer = FrameStreamer::new(w, h, 0);
+        let mut asm = FrameAssembler::new(w, h);
+        let (key, _) = streamer.encode(0, 0, &frame(w, h, 0)).unwrap();
+        asm.apply(&key).unwrap();
+        let before = asm.frame().unwrap().to_vec();
+        let (mut delta, kind) = streamer.encode(0, 1, &frame(w, h, 1)).unwrap();
+        assert!(matches!(kind, EncodedKind::Delta { tiles } if tiles > 1));
+        if let Message::FrameDelta { tiles, frame_hash, .. } = &mut delta {
+            *frame_hash ^= 1;
+            // the same tile a second time with other (valid) content: the
+            // restore must end on the committed bytes, not on the first copy
+            let rect = asm.grid.rect(asm.grid.index(tiles[0].tx, tiles[0].ty));
+            let raw = vec![77u8; rect.w * rect.h * 4];
+            let again =
+                WireTile { hash: fnv1a(&raw), data: rle_encode(&raw), ..tiles[0].clone() };
+            tiles.push(again);
+        }
+        let err = asm.apply(&delta).unwrap_err();
+        assert!(matches!(err, DeltaError::FrameHashMismatch { .. }), "{err}");
+        assert_eq!(asm.buf, before, "tiles of a rejected delta stayed in the frame");
+        assert!(!asm.is_synced(), "a lying delta must force resync");
+        assert!(asm.frame().is_none());
+        // resync: a fresh keyframe restores sync
+        streamer.force_keyframe();
+        let f2 = frame(w, h, 2);
+        let (key2, _) = streamer.encode(0, 2, &f2).unwrap();
+        asm.apply(&key2).unwrap();
+        assert_eq!(asm.frame().unwrap(), f2.as_slice());
+        assert!(asm.verify());
+    }
+
+    /// A key, a delta of several tiles, a delta of no tiles and a preview
+    /// go over the wire with one byte damaged. Each either fails to decode,
+    /// or decodes to something the assembler refuses with its committed
+    /// bytes untouched, or — when the flip hit a field that carries no
+    /// pixel state (`client_id`, `frame`, a keyframe's `epoch`) — is applied
+    /// whole: the committed frame is then exactly the sender's. There is
+    /// no fourth outcome, and no panic.
+    #[test]
+    fn wire_byte_flips_never_tear_the_frame() {
+        use crate::protocol::{encode_frame, read_message};
+        let (w, h) = (70, 50);
+        let mut streamer = FrameStreamer::new(w, h, 0);
+        let mut asm = FrameAssembler::new(w, h);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for (i, name) in ["key", "delta", "empty delta", "preview"].into_iter().enumerate() {
+            let shown = frame(w, h, (i as u64).min(1));
+            let msg = match name {
+                "preview" => streamer.encode_preview(3, 3, &frame(16, 12, 5), 16, 12).unwrap(),
+                _ => streamer.encode(3, i as u64, &shown).unwrap().0,
+            };
+            if name == "delta" {
+                assert!(matches!(&msg, Message::FrameDelta { tiles, .. } if tiles.len() > 1));
+            }
+            let framed = encode_frame(&msg).unwrap();
+            let mut rejected = 0;
+            for _ in 0..400 {
+                let mut bad = framed.clone();
+                let at = (next() % bad.len() as u64) as usize;
+                bad[at] ^= (next() % 255 + 1) as u8;
+                let Ok(got) = read_message(&mut bad.as_slice()) else {
+                    rejected += 1;
+                    continue;
+                };
+                assert_ne!(got, msg, "{name}: flip at {at} decoded unchanged");
+                let mut hit = asm.clone();
+                match hit.apply(&got) {
+                    Err(_) => {
+                        rejected += 1;
+                        assert_eq!(hit.buf, asm.buf, "{name}: flip at {at} tore the frame");
+                        assert_eq!(hit.preview, asm.preview, "{name}: flip at {at}");
+                    }
+                    Ok(_) => {
+                        assert_eq!(hit.frame(), Some(shown.as_slice()), "{name}: flip at {at}");
+                        assert!(hit.verify(), "{name}: flip at {at}");
+                    }
+                }
+            }
+            assert!(rejected > 0, "{name}: no flip was ever caught");
+            asm.apply(&msg).unwrap();
+        }
     }
 
     #[test]

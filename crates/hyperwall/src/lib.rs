@@ -14,9 +14,11 @@
 //! The cluster nodes are threads connected by real TCP sockets on loopback
 //! (the protocol is identical to what separate hosts would speak):
 //!
-//! * [`protocol`] — length-prefixed JSON messages (workflow assignment,
-//!   interaction ops, frame execution, completion reports, heartbeats).
-//! * [`frame_delta`] — the v2 pixel transport: dirty-tile deltas with
+//! * [`protocol`] — length-prefixed messages with two kinds of body: JSON
+//!   for the control messages (workflow assignment, interaction ops, frame
+//!   execution, completion reports, heartbeats), a compact binary record
+//!   for the three pixel messages. The byte layout is in the module docs.
+//! * [`frame_delta`] — the pixel transport: dirty-tile deltas with
 //!   RLE payloads, hash-guarded all-or-nothing assembly, keyframe resync,
 //!   and low-res previews during camera motion.
 //! * [`workflow`] — builds the 15-cell wall workflow and splits it into

@@ -1,6 +1,29 @@
 //! The wire protocol between the server node and the display clients:
-//! length-prefixed JSON messages over TCP, with bounded message sizes and
+//! length-prefixed messages over TCP, with bounded message sizes and
 //! deadline-aware variants of every exchange.
+//!
+//! Every message is a `u32` little-endian body length followed by the body.
+//! There are two kinds of body, and each [`Message`] variant has exactly one:
+//!
+//! * **Control messages** (every variant but the three below) are the JSON
+//!   text of the `Message`. They are small and rare.
+//! * **Pixel messages** (`FrameKey`, `FrameDelta`, `FramePreview`) are a
+//!   compact binary record. Their first byte is a tag that cannot begin a
+//!   JSON text, so the decoder tells the kinds apart from that byte alone.
+//!   A JSON body naming a pixel variant is a protocol error.
+//!
+//! All integers are little-endian; `u64` unless noted; `len` / `count`
+//! fields are `u32`; a byte string is its `u32` length then the bytes.
+//!
+//! ```text
+//! FrameKey      0x01 client_id frame epoch seq width height frame_hash payload
+//! FrameDelta    0x02 client_id frame epoch seq frame_hash count(u32) tile*
+//!     tile      tx ty hash data
+//! FramePreview  0x03 client_id frame epoch width height hash payload
+//! ```
+//!
+//! The decoder bounds every declared length, and the tile count, by the
+//! bytes actually present before it allocates, and rejects trailing bytes.
 
 use crate::frame_delta::WireTile;
 use crate::{Result, WallError};
@@ -10,18 +33,44 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Hard cap on one message body. The largest legitimate message is an
-/// `AssignWorkflow` pipeline JSON (a few KiB); anything near this cap is a
-/// corrupt or hostile length prefix, and rejecting it keeps a bad client
-/// from making the server allocate gigabytes.
+/// Hard cap on one message body, checked on both sides: [`encode_frame`]
+/// refuses to build a larger message and the readers reject a larger
+/// length prefix before allocating for it, so a corrupt or hostile prefix
+/// cannot make the peer allocate gigabytes. The largest legitimate message
+/// is a `FrameKey`: RLE expands an incompressible frame to 5 bytes per
+/// pixel, so the worst case is `width * height * 5 +` [`KEY_HEADER_BYTES`]
+/// (864 061 bytes for a 480×360 panel). A panel above ~1.6 Mpx of pure
+/// noise would not fit; its keyframe is refused at the sender.
 pub const MAX_MESSAGE_BYTES: usize = 8 << 20;
 
-/// Protocol revision spoken by [`Message::HelloV2`] clients: adds the
+/// Protocol revision spoken by [`Message::HelloV2`] clients that use the
 /// dirty-tile frame-delta transport (`FrameKey` / `FrameDelta` /
-/// `FramePreview` / `ResyncRequest`). Plain [`Message::Hello`] clients are
-/// implicitly revision 1 and never see those messages — the same
-/// version-gating discipline as the `.ncr` v1/v2 container.
-pub const PROTO_DELTA: u32 = 2;
+/// `FramePreview` / `ResyncRequest`) in its binary wire form. Plain
+/// [`Message::Hello`] clients are implicitly revision 1, and a `HelloV2`
+/// declaring less than this is served the same way: frame metadata only,
+/// no pixel messages in either direction. (Revision 2 carried the pixel
+/// messages as JSON; nothing speaks it any more.)
+pub const PROTO_DELTA: u32 = 3;
+
+/// First body byte of a binary `FrameKey`.
+const TAG_KEY: u8 = 0x01;
+/// First body byte of a binary `FrameDelta`.
+const TAG_DELTA: u8 = 0x02;
+/// First body byte of a binary `FramePreview`.
+const TAG_PREVIEW: u8 = 0x03;
+
+/// Body bytes of a `FrameKey` besides its payload: tag, seven `u64`
+/// fields, payload length.
+pub const KEY_HEADER_BYTES: usize = 1 + 7 * 8 + 4;
+/// Body bytes of a `FrameDelta` besides its tiles: tag, five `u64` fields,
+/// tile count.
+pub const DELTA_HEADER_BYTES: usize = 1 + 5 * 8 + 4;
+/// Body bytes of one delta tile besides its data: `tx`, `ty`, `hash`, data
+/// length.
+pub const TILE_HEADER_BYTES: usize = 3 * 8 + 4;
+/// Body bytes of a `FramePreview` besides its payload: tag, six `u64`
+/// fields, payload length.
+pub const PREVIEW_HEADER_BYTES: usize = 1 + 6 * 8 + 4;
 
 /// One unit of analysis / rendering work a session submits to the
 /// multi-tenant service (see [`crate::service`]). Workloads are synthetic
@@ -187,24 +236,246 @@ pub enum Message {
     ResyncRequest { client_id: usize, epoch: u64 },
 }
 
-/// Encodes one message into its wire form (u32-LE length prefix + JSON
-/// body) without sending it. Fault-injection paths use this to dribble or
-/// truncate a frame byte-by-byte; everything else should call
-/// [`write_message_deadline`].
-pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
-    let body = serde_json::to_vec(msg).map_err(|e| WallError::Protocol(e.to_string()))?;
-    if body.len() > MAX_MESSAGE_BYTES {
-        return Err(WallError::Protocol(format!(
-            "refusing to send {} byte message (cap {MAX_MESSAGE_BYTES})",
-            body.len()
-        )));
-    }
-    let mut framed = (body.len() as u32).to_le_bytes().to_vec();
-    framed.extend_from_slice(&body);
+/// Starts a wire frame for a body of `body_len` bytes: checks the cap,
+/// allocates the whole frame once and writes the length prefix.
+fn start_frame(body_len: usize) -> Result<Vec<u8>> {
+    let prefix = u32::try_from(body_len)
+        .ok()
+        .filter(|_| body_len <= MAX_MESSAGE_BYTES)
+        .ok_or_else(|| {
+            WallError::Protocol(format!(
+                "refusing to send {body_len} byte message (cap {MAX_MESSAGE_BYTES})"
+            ))
+        })?;
+    let mut framed = Vec::with_capacity(4 + body_len);
+    framed.extend_from_slice(&prefix.to_le_bytes());
     Ok(framed)
 }
 
-/// Writes one message (u32-LE length prefix + JSON body).
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_size(out: &mut Vec<u8>, v: usize) {
+    put_u64(out, v as u64); // usize is at most 64 bits wide: lossless
+}
+
+/// Appends a `u32` length or count. Each one measures part of a body that
+/// [`start_frame`] held under [`MAX_MESSAGE_BYTES`], so it fits; saturating
+/// only keeps the function total.
+fn put_len(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(&u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes());
+}
+
+/// Appends a byte string: its length, then the bytes.
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_len(out, bytes.len());
+    out.extend_from_slice(bytes);
+}
+
+/// Encodes one message into its wire form (u32-LE length prefix + body)
+/// without sending it: the binary record for the three pixel variants, JSON
+/// for the rest (see the module docs). Fault-injection paths use this to
+/// dribble or truncate a frame byte-by-byte; everything else should call
+/// [`write_message_deadline`]. A message whose body would exceed
+/// [`MAX_MESSAGE_BYTES`] is refused here rather than sent.
+pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
+    match msg {
+        Message::FrameKey {
+            client_id,
+            frame,
+            epoch,
+            seq,
+            width,
+            height,
+            payload,
+            frame_hash,
+        } => {
+            let mut out = start_frame(KEY_HEADER_BYTES.saturating_add(payload.len()))?;
+            out.push(TAG_KEY);
+            put_size(&mut out, *client_id);
+            put_u64(&mut out, *frame);
+            put_u64(&mut out, *epoch);
+            put_u64(&mut out, *seq);
+            put_size(&mut out, *width);
+            put_size(&mut out, *height);
+            put_u64(&mut out, *frame_hash);
+            put_bytes(&mut out, payload);
+            Ok(out)
+        }
+        Message::FrameDelta { client_id, frame, epoch, seq, tiles, frame_hash } => {
+            let body_len = tiles.iter().fold(DELTA_HEADER_BYTES, |n, t| {
+                n.saturating_add(TILE_HEADER_BYTES).saturating_add(t.data.len())
+            });
+            let mut out = start_frame(body_len)?;
+            out.push(TAG_DELTA);
+            put_size(&mut out, *client_id);
+            put_u64(&mut out, *frame);
+            put_u64(&mut out, *epoch);
+            put_u64(&mut out, *seq);
+            put_u64(&mut out, *frame_hash);
+            put_len(&mut out, tiles.len());
+            for t in tiles {
+                put_size(&mut out, t.tx);
+                put_size(&mut out, t.ty);
+                put_u64(&mut out, t.hash);
+                put_bytes(&mut out, &t.data);
+            }
+            Ok(out)
+        }
+        Message::FramePreview { client_id, frame, epoch, width, height, payload, hash } => {
+            let mut out = start_frame(PREVIEW_HEADER_BYTES.saturating_add(payload.len()))?;
+            out.push(TAG_PREVIEW);
+            put_size(&mut out, *client_id);
+            put_u64(&mut out, *frame);
+            put_u64(&mut out, *epoch);
+            put_size(&mut out, *width);
+            put_size(&mut out, *height);
+            put_u64(&mut out, *hash);
+            put_bytes(&mut out, payload);
+            Ok(out)
+        }
+        control => {
+            // control messages are a few hundred bytes (an `AssignWorkflow`
+            // a few KiB), so the one copy of the JSON text is not worth a
+            // streaming serializer
+            let body =
+                serde_json::to_vec(control).map_err(|e| WallError::Protocol(e.to_string()))?;
+            let mut out = start_frame(body.len())?;
+            out.extend_from_slice(&body);
+            Ok(out)
+        }
+    }
+}
+
+/// Cursor over a binary body. Every read is bounded by the bytes left, so a
+/// lying length field is an error, never an allocation or a panic.
+struct BodyReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> BodyReader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let (head, tail) = self.rest.split_at_checked(n).ok_or_else(|| {
+            WallError::Protocol(format!(
+                "pixel message truncated: field needs {n} bytes, {} left",
+                self.rest.len()
+            ))
+        })?;
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut b = [0u8; N];
+        b.copy_from_slice(self.take(N)?);
+        Ok(b)
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn size(&mut self) -> Result<usize> {
+        let v = self.u64()?;
+        usize::try_from(v)
+            .map_err(|_| WallError::Protocol(format!("field value {v} does not fit usize")))
+    }
+
+    /// A byte string: the declared length is checked against the bytes
+    /// present before anything is copied.
+    fn bytes(&mut self) -> Result<Vec<u8>> {
+        let n = self.u32()? as usize;
+        Ok(self.take(n)?.to_vec())
+    }
+
+    /// How many tiles follow: each needs at least its header, so a count the
+    /// remaining bytes cannot hold is refused before it sizes a `Vec`.
+    fn tile_count(&mut self) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.rest.len() / TILE_HEADER_BYTES {
+            return Err(WallError::Protocol(format!(
+                "delta declares {n} tiles, {} bytes left",
+                self.rest.len()
+            )));
+        }
+        Ok(n)
+    }
+
+    fn finish(self) -> Result<()> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(WallError::Protocol(format!(
+                "{} trailing bytes after pixel message",
+                self.rest.len()
+            )))
+        }
+    }
+}
+
+/// Decodes a control message from its JSON body. The three pixel variants
+/// have no JSON form: a body that names one is refused, well-formed or not.
+fn decode_control(body: &[u8]) -> Result<Message> {
+    match serde_json::from_slice(body).map_err(|e| WallError::Protocol(e.to_string()))? {
+        Message::FrameKey { .. } | Message::FrameDelta { .. } | Message::FramePreview { .. } => {
+            Err(WallError::Protocol(
+                "pixel message with a JSON body (binary is its only wire form)".into(),
+            ))
+        }
+        control => Ok(control),
+    }
+}
+
+/// Decodes one message body (the bytes after the length prefix).
+fn decode_body(body: &[u8]) -> Result<Message> {
+    let mut r = BodyReader { rest: body.get(1..).unwrap_or_default() };
+    let msg = match body.first() {
+        Some(&TAG_KEY) => Message::FrameKey {
+            client_id: r.size()?,
+            frame: r.u64()?,
+            epoch: r.u64()?,
+            seq: r.u64()?,
+            width: r.size()?,
+            height: r.size()?,
+            frame_hash: r.u64()?,
+            payload: r.bytes()?,
+        },
+        Some(&TAG_DELTA) => {
+            let (client_id, frame, epoch, seq, frame_hash) =
+                (r.size()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+            let n = r.tile_count()?;
+            let mut tiles = Vec::with_capacity(n);
+            for _ in 0..n {
+                tiles.push(WireTile {
+                    tx: r.size()?,
+                    ty: r.size()?,
+                    hash: r.u64()?,
+                    data: r.bytes()?,
+                });
+            }
+            Message::FrameDelta { client_id, frame, epoch, seq, tiles, frame_hash }
+        }
+        Some(&TAG_PREVIEW) => Message::FramePreview {
+            client_id: r.size()?,
+            frame: r.u64()?,
+            epoch: r.u64()?,
+            width: r.size()?,
+            height: r.size()?,
+            hash: r.u64()?,
+            payload: r.bytes()?,
+        },
+        _ => return decode_control(body),
+    };
+    r.finish()?;
+    Ok(msg)
+}
+
+/// Writes one message (u32-LE length prefix + body).
 pub fn write_message(stream: &mut impl Write, msg: &Message) -> Result<()> {
     let framed = encode_frame(msg)?;
     stream.write_all(&framed)?;
@@ -226,7 +497,7 @@ pub fn read_message(stream: &mut impl Read) -> Result<Message> {
     }
     let mut body = vec![0u8; len];
     stream.read_exact(&mut body)?;
-    serde_json::from_slice(&body).map_err(|e| WallError::Protocol(e.to_string()))
+    decode_body(&body)
 }
 
 /// True when an I/O error is a deadline expiry rather than a dead peer.
@@ -277,9 +548,7 @@ pub(crate) fn read_message_deadline_sized(
         }
         let mut body = vec![0u8; len];
         read_exact_deadline(stream, &mut body, end)?;
-        let msg =
-            serde_json::from_slice(&body).map_err(|e| WallError::Protocol(e.to_string()))?;
-        Ok((msg, len_buf.len() + len))
+        Ok((decode_body(&body)?, len_buf.len() + len))
     })();
     stream.set_read_timeout(None).ok();
     out.map_err(|e| match e {

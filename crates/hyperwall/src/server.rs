@@ -73,10 +73,12 @@ struct Panel {
     state: PanelState,
     reconnect_attempts: u32,
     next_retry_frame: u64,
-    /// Protocol revision the client spoke at its handshake (1 = metadata
-    /// only, [`PROTO_DELTA`] = frame-delta pixel transport).
+    /// Protocol revision the client declared at its handshake (below
+    /// [`PROTO_DELTA`] = metadata only, otherwise frame-delta pixel
+    /// transport).
     proto: u32,
-    /// Receiver half of the delta transport; `Some` only for v2 panels.
+    /// Receiver half of the delta transport; `Some` only for panels at or
+    /// above [`PROTO_DELTA`].
     assembler: Option<FrameAssembler>,
 }
 
@@ -201,10 +203,11 @@ impl HyperwallServer {
         Ok(self.listener.local_addr()?)
     }
 
-    /// Accepts `n` clients (ordered by their Hello ids). Both handshake
-    /// revisions are admitted: plain `Hello` clients get the original
-    /// metadata-only protocol, `HelloV2` clients opt into the frame-delta
-    /// pixel transport.
+    /// Accepts `n` clients (ordered by their Hello ids). Both handshakes
+    /// are admitted and each client is served the revision it declared:
+    /// plain `Hello` clients and `HelloV2` clients below [`PROTO_DELTA`] get
+    /// the metadata-only protocol, `HelloV2` clients at or above it the
+    /// frame-delta pixel transport.
     pub fn accept_clients(&mut self, n: usize) -> Result<()> {
         let mut slots: Vec<Option<(TcpStream, u32)>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
@@ -215,7 +218,7 @@ impl HyperwallServer {
                     slots[client_id] = Some((stream, 1));
                 }
                 Message::HelloV2 { client_id, proto } if client_id < n => {
-                    slots[client_id] = Some((stream, proto.max(PROTO_DELTA)));
+                    slots[client_id] = Some((stream, proto));
                 }
                 other => {
                     return Err(WallError::Protocol(format!("expected Hello, got {other:?}")))
@@ -250,7 +253,7 @@ impl HyperwallServer {
             })
             .collect::<Result<_>>()?;
         for i in 0..self.panels.len() {
-            // v2 panels get a frame assembler matching the assigned size
+            // pixel-transport panels get a frame assembler of the assigned size
             if self.panels[i].proto >= PROTO_DELTA {
                 self.panels[i].assembler =
                     Some(FrameAssembler::new(cfg.cell_px.0, cfg.cell_px.1));
@@ -459,7 +462,7 @@ impl HyperwallServer {
                             first_content_ms[i] = start.elapsed().as_secs_f64() * 1000.0;
                         }
                         if self.panels[i].assembler.is_none() {
-                            self.degrade(i, "pixel transport from a v1 client");
+                            self.degrade(i, "pixel transport from a metadata-only client");
                             break;
                         }
                         if let Some(asm) = self.panels[i].assembler.as_mut() {
@@ -642,7 +645,7 @@ impl HyperwallServer {
         let (i, proto) = match read_message_deadline(stream, deadline, "Hello")? {
             Message::Hello { client_id } if client_id < self.panels.len() => (client_id, 1),
             Message::HelloV2 { client_id, proto } if client_id < self.panels.len() => {
-                (client_id, proto.max(PROTO_DELTA))
+                (client_id, proto)
             }
             other => {
                 return Err(WallError::Protocol(format!("expected Hello, got {other:?}")))
@@ -954,6 +957,53 @@ mod tests {
         for c in clients {
             c.join().unwrap();
         }
+    }
+
+    /// A `HelloV2` that declares a revision below `PROTO_DELTA` is served
+    /// what it declared: metadata only — no assembler, and no
+    /// `ResyncRequest` for the pixel frames it never promised to send.
+    #[test]
+    fn hello_v2_below_proto_delta_is_a_metadata_only_panel() {
+        let one = WallWorkflowConfig { n_cells: 1, ..cfg() };
+        let mut server = HyperwallServer::bind_tuned(&one, 4, fast_tuning()).unwrap();
+        let addr = server.addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let mut s = std::net::TcpStream::connect(addr).unwrap();
+            write_message(&mut s, &Message::HelloV2 { client_id: 0, proto: PROTO_DELTA - 1 })
+                .unwrap();
+            match read_message(&mut s).unwrap() {
+                Message::AssignWorkflow { .. } => {}
+                other => panic!("{other:?}"),
+            }
+            write_message(&mut s, &Message::Ready { client_id: 0 }).unwrap();
+            // everything the server sends from here on: Execute per frame,
+            // then Shutdown — and nothing in between
+            let mut seen = Vec::new();
+            loop {
+                match read_message(&mut s).unwrap() {
+                    Message::Execute { frame } => {
+                        seen.push(format!("Execute {frame}"));
+                        let done =
+                            Message::FrameDone { client_id: 0, frame, coverage: 0.5, render_ms: 1.0 };
+                        write_message(&mut s, &done).unwrap();
+                    }
+                    Message::Shutdown => return seen,
+                    other => seen.push(format!("{other:?}")),
+                }
+            }
+        });
+        server.accept_clients(1).unwrap();
+        server.assign_workflows(&one).unwrap();
+        for frame in 0..2 {
+            let report = server.execute_frame(frame).unwrap();
+            assert_eq!(report.degraded, vec![false], "{:?}", server.incidents);
+            assert_eq!(report.transport_bytes, vec![0]);
+        }
+        server.shutdown().unwrap();
+        assert_eq!(fake.join().unwrap(), ["Execute 0", "Execute 1"]);
+        assert_eq!(server.panel_states(), vec![PanelState::Live]);
+        assert_eq!(server.resync_requests_total(), 0);
+        assert_eq!(server.panels_synced(), vec![false]);
     }
 
     /// `transport_bytes` and the key/delta totals are the bytes the
