@@ -226,7 +226,7 @@ impl Dv3dCell {
                 draw_text(fb, 3, height - 11, &msg, Color::rgb(1.0, 1.0, 0.6), 1);
             }
         }
-        Ok(window.framebuffer().clone())
+        Ok(window.into_framebuffer())
     }
 
     /// Picks through a pixel: probes the plot's image along the view ray

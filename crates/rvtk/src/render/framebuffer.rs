@@ -100,35 +100,56 @@ impl TileGrid {
         }
     }
 
-    /// Calls `f(flat_index)` for every tile overlapping the inclusive
-    /// pixel bbox `[x0, x1] × [y0, y1]` (screen-clamped). The bbox may
-    /// extend past the screen; nothing is visited for an empty overlap.
-    pub fn for_tiles_over(
-        &self,
-        x0: f64,
-        x1: f64,
-        y0: f64,
-        y1: f64,
-        mut f: impl FnMut(usize),
-    ) {
+    /// The tiles overlapping the inclusive pixel bbox `[x0, x1] × [y0, y1]`
+    /// (screen-clamped). The bbox may extend past the screen; an empty
+    /// overlap yields the empty span. NaN bounds compare false against
+    /// both reject tests and clamp to pixel 0.
+    pub(crate) fn tile_span(&self, x0: f64, x1: f64, y0: f64, y1: f64) -> TileSpan {
         if self.width == 0 || self.height == 0 || x1 < 0.0 || y1 < 0.0 {
-            return;
+            return TileSpan::EMPTY;
         }
         if x0 > (self.width - 1) as f64 || y0 > (self.height - 1) as f64 {
-            return;
+            return TileSpan::EMPTY;
         }
         let px0 = x0.max(0.0) as usize;
         let py0 = y0.max(0.0) as usize;
         let px1 = (x1 as usize).min(self.width - 1);
         let py1 = (y1 as usize).min(self.height - 1);
         if px0 > px1 || py0 > py1 {
-            return;
+            return TileSpan::EMPTY;
         }
-        for ty in (py0 / self.tile)..=(py1 / self.tile) {
-            for tx in (px0 / self.tile)..=(px1 / self.tile) {
-                f(self.index(tx, ty));
-            }
-        }
+        // dv3dlint: allow(no_panic) -- a tile coordinate above u32::MAX needs a screen 2^32 px across; the CSR bins index tiles with u32 too
+        let tile = |px: usize| u32::try_from(px / self.tile).expect("tile coordinate fits u32");
+        TileSpan { tx0: tile(px0), tx1: tile(px1), ty0: tile(py0), ty1: tile(py1) }
+    }
+
+    /// Calls `f(flat_index)` for every tile overlapping the inclusive
+    /// pixel bbox `[x0, x1] × [y0, y1]` (screen-clamped), row-major.
+    pub fn for_tiles_over(&self, x0: f64, x1: f64, y0: f64, y1: f64, f: impl FnMut(usize)) {
+        self.tile_span(x0, x1, y0, y1).tiles(self.cols()).for_each(f);
+    }
+}
+
+/// An inclusive rectangle of tile coordinates — what a screen bbox
+/// reduces to once clamped to a [`TileGrid`]. 16 bytes, so a frame can
+/// keep one per primitive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TileSpan {
+    tx0: u32,
+    tx1: u32,
+    ty0: u32,
+    ty1: u32,
+}
+
+impl TileSpan {
+    /// Covers no tile.
+    const EMPTY: TileSpan = TileSpan { tx0: 1, tx1: 0, ty0: 1, ty1: 0 };
+
+    /// Flat indices of the covered tiles in a grid `cols` tiles wide,
+    /// row-major.
+    pub(crate) fn tiles(self, cols: usize) -> impl Iterator<Item = usize> + Clone {
+        let TileSpan { tx0, tx1, ty0, ty1 } = self;
+        (ty0..=ty1).flat_map(move |ty| (tx0..=tx1).map(move |tx| ty as usize * cols + tx as usize))
     }
 }
 
@@ -272,9 +293,9 @@ impl Framebuffer {
     /// Quantizes the image to packed RGBA8 bytes (row-major, y = 0 top) —
     /// the lossless wire format of the hyperwall frame-delta transport.
     pub fn to_rgba8(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.color.len() * 4);
-        for c in &self.color {
-            out.extend_from_slice(&c.to_u8());
+        let mut out = vec![0u8; self.color.len() * 4];
+        for (px, c) in out.chunks_exact_mut(4).zip(&self.color) {
+            px.copy_from_slice(&c.to_u8());
         }
         out
     }
@@ -444,6 +465,24 @@ mod tests {
         let bytes = fb.to_rgba8();
         assert_eq!(bytes.len(), 64);
         assert_eq!(&bytes[(4 + 1) * 4..(4 + 1) * 4 + 4], &[255, 0, 0, 255]);
+    }
+
+    #[test]
+    fn rgba8_quantizes_every_pixel_like_color_to_u8() {
+        // a frame whose channels leave [0, 1] in every way `to_u8` clamps
+        let odd =
+            [-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 300.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let (w, h) = (7, 5);
+        let mut fb = Framebuffer::new(w, h);
+        for (i, px) in fb.color.iter_mut().enumerate() {
+            let at = |k: usize| odd[(i * 3 + k * 5) % odd.len()];
+            *px = Color { r: at(0), g: at(1), b: at(2), a: at(3) };
+        }
+        let bytes = fb.to_rgba8();
+        assert_eq!(bytes.len(), w * h * 4);
+        for (i, c) in fb.colors().iter().enumerate() {
+            assert_eq!(bytes[i * 4..i * 4 + 4], c.to_u8(), "pixel {i}: {c:?}");
+        }
     }
 
     #[test]

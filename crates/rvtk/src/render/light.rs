@@ -22,9 +22,28 @@ impl Light {
 
     /// Lambertian diffuse factor for a surface normal (two-sided).
     pub fn diffuse(&self, normal: Vec3) -> f32 {
-        let n = normal.normalized();
-        let l = -self.direction.normalized();
-        (n.dot(l).abs() as f32) * self.intensity
+        self.incident().diffuse(normal.normalized())
+    }
+
+    /// The per-light constants of [`Light::diffuse`], evaluated once so a
+    /// per-vertex loop does not re-normalise the light's own direction.
+    pub(crate) fn incident(&self) -> IncidentLight {
+        IncidentLight { toward: -self.direction.normalized(), intensity: self.intensity }
+    }
+}
+
+/// A light reduced to the unit vector pointing back at it and its
+/// intensity.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IncidentLight {
+    toward: Vec3,
+    intensity: f32,
+}
+
+impl IncidentLight {
+    /// Lambertian diffuse factor for an already-normalised normal.
+    pub(crate) fn diffuse(&self, unit_normal: Vec3) -> f32 {
+        (unit_normal.dot(self.toward).abs() as f32) * self.intensity
     }
 }
 

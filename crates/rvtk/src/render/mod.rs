@@ -30,3 +30,21 @@ pub use renderer::Renderer;
 pub use text::{draw_colorbar, draw_text, text_width, GLYPH_HEIGHT};
 pub use volume::{BlendMode, Volume, VolumeProperty};
 pub use window::{RenderWindow, StereoMode};
+
+/// The deterministic PRNG of this module's seeded unit tests.
+#[cfg(test)]
+pub(crate) mod test_rng {
+    /// xorshift64*: no external crates, no wall clock. Seed it non-zero.
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        pub(crate) fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545f4914f6cdd1d)
+        }
+    }
+}

@@ -2,11 +2,14 @@
 //! z-buffered), depth-interpolated lines and point sprites.
 //!
 //! Geometry is first transformed and shaded into screen-space primitive
-//! lists; a bucketing pass then bins each primitive into the 32×32 screen
-//! tiles its bbox overlaps, and rayon rasterizes tile-row bands in parallel
-//! — each tile owns its pixels, so no locking is needed, and a tile visits
-//! only the primitives binned into it (see `tile.rs`). Output is
-//! bit-identical to the historic row-band engine kept in `scanline_ref.rs`.
+//! lists and the triangles put in painter order (a sort of 8-byte
+//! key/index words, then one gather of the payloads — see
+//! `sort_far_to_near`); a bucketing pass then bins each primitive into
+//! the 32×32 screen tiles its bbox overlaps, and rayon rasterizes tile-row
+//! bands in parallel — each tile owns its pixels, so no locking is needed,
+//! and a tile visits only the primitives binned into it (see `tile.rs`).
+//! Output is bit-identical to the historic row-band engine kept in
+//! `scanline_ref.rs`.
 
 use crate::color::Color;
 use crate::math::{Mat4, Vec3};
@@ -91,6 +94,7 @@ pub(crate) fn build_primitives(
     // Shade all points once.
     let prop = &actor.property;
     let base_alpha = prop.opacity;
+    let incident: Vec<_> = lights.iter().map(Light::incident).collect();
     let vertex_color = |i: usize| -> Color {
         let mut c = match (&prop.lookup_table, &pd.scalars) {
             (Some(lut), Some(s)) => lut.map(s[i]),
@@ -99,9 +103,9 @@ pub(crate) fn build_primitives(
         c.a *= base_alpha;
         if prop.lighting {
             if let Some(normals) = &pd.normals {
-                let n = actor.transform.transform_vector(normals[i]);
+                let n = actor.transform.transform_vector(normals[i]).normalized();
                 let mut diffuse = 0.0f32;
-                for light in lights {
+                for light in &incident {
                     diffuse += light.diffuse(n);
                 }
                 let k = (prop.ambient + (1.0 - prop.ambient) * diffuse.min(1.0)).min(1.0);
@@ -114,6 +118,7 @@ pub(crate) fn build_primitives(
 
     match prop.representation {
         Representation::Surface => {
+            out.tris.reserve(pd.triangles.len());
             for tri in &pd.triangles {
                 let [a, b, c] = tri.map(|i| i as usize);
                 if let (Some(pa), Some(pb), Some(pc)) = (screen[a], screen[b], screen[c]) {
@@ -191,7 +196,8 @@ pub(crate) fn rasterize(prims: &PrimitiveList, fb: &mut Framebuffer) {
 
 /// Builds the frame's screen-space primitives for `actors` and sorts
 /// triangles far→near (painter-friendly ordering for translucency) —
-/// the shared front half of both the tile and scanline engines.
+/// the one front half of both the tile and scanline engines, so the
+/// reference sees the same primitive order the tile engine bins.
 pub(crate) fn build_sorted_primitives(
     actors: &[Actor],
     view_proj: &Mat4,
@@ -203,13 +209,40 @@ pub(crate) fn build_sorted_primitives(
     for actor in actors {
         build_primitives(actor, view_proj, lights, width, height, &mut prims);
     }
-    // Painter-friendly ordering for translucent surfaces: draw far→near.
-    prims.tris.sort_by(|a, b| {
-        let za = a.z.iter().sum::<f32>();
-        let zb = b.z.iter().sum::<f32>();
-        zb.total_cmp(&za)
-    });
+    sort_far_to_near(&mut prims.tris);
     prims
+}
+
+/// Maps a z-sum to a `u32` whose unsigned order is the *reverse* of
+/// `f32::total_cmp`: greater z (farther) gives a smaller key. Distinct
+/// bit patterns (±0.0, NaN payloads) keep distinct keys, exactly the
+/// cases `total_cmp` tells apart.
+fn far_first_key(z_sum: f32) -> u32 {
+    let bits = z_sum.to_bits();
+    if bits >> 31 == 0 {
+        !bits & 0x7fff_ffff
+    } else {
+        bits
+    }
+}
+
+/// Painter order: far→near by the sum of the vertex depths, equal sums
+/// in list order — the permutation a stable sort comparing
+/// `zb.total_cmp(&za)` yields. The sort runs on 8-byte
+/// `(key << 32 | index)` words instead of the 112-byte payloads: each
+/// z-sum is computed once, the index in the low half breaks ties in
+/// list order (so an unstable sort is exact — no two words are equal),
+/// and one gather then moves every payload once.
+fn sort_far_to_near(tris: &mut Vec<RasterTri>) {
+    // dv3dlint: allow(no_panic) -- 2^32 triangles are 480 GB of payload; the CSR bin offsets are u32 too
+    let n = u32::try_from(tris.len()).expect("triangle count fits the u32 sort index");
+    let mut order: Vec<u64> = tris
+        .iter()
+        .zip(0..n)
+        .map(|(t, i)| u64::from(far_first_key(t.z.iter().sum::<f32>())) << 32 | u64::from(i))
+        .collect();
+    order.sort_unstable();
+    *tris = order.iter().map(|&word| tris[(word & 0xffff_ffff) as usize]).collect();
 }
 
 /// Convenience entry point: builds primitives for `actors` and rasterizes
@@ -247,6 +280,7 @@ mod tests {
     use super::*;
     use crate::poly_data::PolyData;
     use crate::render::camera::Camera;
+    use crate::render::test_rng::Rng;
 
     fn screen_tri() -> Actor {
         // Big triangle in the z=0 plane, camera straight on.
@@ -437,6 +471,112 @@ mod tests {
         draw_actors(&[screen_tri()], &front_camera(), &[], &mut fb);
         let mut fb1 = Framebuffer::new(1, 1);
         draw_actors(&[screen_tri()], &front_camera(), &[], &mut fb1);
+    }
+
+    /// A finite depth: both zeros, subnormals, a small pool (so sums tie
+    /// exactly) and plain values.
+    fn finite_depth(rng: &mut Rng) -> f32 {
+        const POOL: [f32; 6] = [0.25, -0.25, 0.5, 1.0, -1.0, 1e-3];
+        match rng.next() % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(rng.next() as u32 & 0x007f_ffff), // subnormal
+            3 => -f32::from_bits(rng.next() as u32 & 0x007f_ffff),
+            4 | 5 => POOL[(rng.next() % POOL.len() as u64) as usize],
+            _ => (rng.next() % 2_000_001) as f32 / 1_000_000.0 - 1.0,
+        }
+    }
+
+    /// Depth triples that stress the key: finite ones, sums that collide
+    /// as `+0.0` / `-0.0`, one NaN (either sign, any payload, quiet or
+    /// signalling), infinities, and `∞ + -∞`. At most one NaN enters a
+    /// sum: which payload an x86 add of *two* NaNs keeps depends on
+    /// operand order, the compiler may order the comparator's two sums
+    /// differently, and std's sort then panics ("does not correctly
+    /// implement a total order") — the old comparator defines no order
+    /// to compare against there.
+    fn stress_depths(rng: &mut Rng) -> [f32; 3] {
+        let (x, y) = (finite_depth(rng), finite_depth(rng));
+        let payload = rng.next() as u32 & 0x007f_ffff | 1;
+        match rng.next() % 12 {
+            0 => [x * 0.0, 0.0, -0.0],
+            1 => [-0.0, -0.0, -0.0],
+            2 => [f32::from_bits(0x7f80_0000 | payload), x, y],
+            3 => [x, f32::from_bits(0xff80_0000 | payload), y],
+            4 => [f32::INFINITY, x, y],
+            5 => [x, y, f32::NEG_INFINITY],
+            6 => [f32::INFINITY, f32::NEG_INFINITY, x],
+            _ => [x, y, finite_depth(rng)],
+        }
+    }
+
+    #[test]
+    fn key_sort_is_the_stable_total_cmp_permutation() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for len in [0usize, 1, 2, 3, 17, 1_000, 120_000] {
+            // sx[0] remembers the list position, so a permutation that
+            // orders equal sums differently is caught
+            let tris: Vec<RasterTri> = (0..len)
+                .map(|i| RasterTri {
+                    sx: [i as f64, 0.0, 0.0],
+                    z: stress_depths(&mut rng),
+                    ..RasterTri::default()
+                })
+                .collect();
+            let mut expected = tris.clone();
+            // the comparator `build_sorted_primitives` used before the
+            // key sort, verbatim
+            expected.sort_by(|a, b| {
+                let za = a.z.iter().sum::<f32>();
+                let zb = b.z.iter().sum::<f32>();
+                zb.total_cmp(&za)
+            });
+            let mut sorted = tris;
+            sort_far_to_near(&mut sorted);
+            assert_eq!(sorted.len(), expected.len());
+            for (at, (got, want)) in sorted.iter().zip(&expected).enumerate() {
+                assert_eq!(
+                    (got.sx[0], got.z.map(f32::to_bits)),
+                    (want.sx[0], want.z.map(f32::to_bits)),
+                    "len {len}: position {at} differs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn far_first_key_reverses_total_cmp() {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xffc0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.75,
+            -0.75,
+        ];
+        for &a in &specials {
+            for &b in &specials {
+                assert_eq!(
+                    far_first_key(a).cmp(&far_first_key(b)),
+                    b.total_cmp(&a),
+                    "{a:?} ({:#x}) vs {b:?} ({:#x})",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! every primitive and point sprites/lines re-walked their full extent once
 //! per band.
 //!
+//! Binning evaluates each primitive's geometry once. A triangle's bbox is
+//! clamped to a 16-byte [`TileSpan`] (the tile rectangle
+//! `TileGrid::for_tiles_over` would walk); lines and point sprites resolve
+//! to `(tile, entry)` pairs. The one CSR builder, [`csr_pairs`], then
+//! counts, prefix-sums and scatters from those stored spans and pairs.
+//!
 //! Bit-identity with the scanline engine is a hard invariant, relied on by
 //! the hyperwall delta transport (which diffs consecutive frames): the
 //! per-pixel kernels below are the scanline kernels verbatim — identical
@@ -21,22 +27,23 @@
 //! indexing — slice-pattern destructuring, iterators and `.get()` only.
 
 use crate::color::Color;
-use crate::render::framebuffer::{Framebuffer, TileGrid};
+use crate::render::framebuffer::{Framebuffer, TileGrid, TileSpan};
 use crate::render::rasterizer::{PrimitiveList, RasterLine, RasterPoint, RasterTri};
 use rayon::prelude::*;
 
 /// Per-tile primitive *data* in CSR (offsets + flat payload) layout, one
 /// class per array pair — a sort-middle command buffer. A counting sort
-/// builds each pair in two passes over the primitives — count,
-/// prefix-sum, fill — so a frame costs a handful of exact-sized
-/// allocations instead of three growable `Vec`s per tile. Bins carry
+/// ([`csr_pairs`]) builds each pair — count, prefix-sum, fill — so a
+/// frame costs a handful of exact-sized allocations instead of three
+/// growable `Vec`s per tile. Bins carry
 /// copies of the primitives rather than indices: a tile then rasterizes
 /// from one contiguous slice instead of chasing per-index pointers into
 /// the frame-wide primitive arrays, which on multi-actor scenes is the
 /// difference between streaming reads and an L1 miss per primitive
 /// visit. Within a tile, entries stay in primitive-list order (the fill
 /// pass walks primitives in order), which the draw-order invariant
-/// depends on.
+/// depends on; for triangles that list order is the painter order
+/// `rasterizer::build_sorted_primitives` established.
 #[derive(Debug, Default)]
 pub(crate) struct TileBins {
     tri_off: Vec<u32>,
@@ -89,72 +96,38 @@ impl TileBins {
     }
 }
 
-/// Counting-sort one primitive class into CSR form. `each` replays the
-/// class's (payload, conservative bbox) stream; it runs twice — once to
-/// count entries per tile, once to scatter the payload copies through
-/// per-tile write cursors.
-fn csr_bin<T, F>(grid: &TileGrid, mut each: F) -> (Vec<u32>, Vec<T>)
+/// Counting-sorts `(tile, payload)` entries into CSR form: count per
+/// tile, prefix-sum, scatter payload copies through per-tile write
+/// cursors. `entries` is walked twice, so it must be cheap to replay — a
+/// slice of resolved pairs, or stored tile spans, never a geometry
+/// traversal. Entries stay in iteration order within a tile, which the
+/// draw-order invariant depends on.
+fn csr_pairs<'a, T, I>(n: usize, entries: I) -> (Vec<u32>, Vec<T>)
 where
-    T: Copy + Default,
-    F: FnMut(&mut dyn FnMut(T, f64, f64, f64, f64)),
+    T: Copy + Default + 'a,
+    I: Iterator<Item = (usize, &'a T)> + Clone,
 {
-    let n = grid.len();
     let mut off = vec![0u32; n + 1];
-    each(&mut |_prim, x0, x1, y0, y1| {
-        grid.for_tiles_over(x0, x1, y0, y1, |idx| {
-            if let Some(c) = off.get_mut(idx + 1) {
-                *c += 1;
-            }
-        });
-    });
-    let mut sum = 0u32;
-    for c in off.iter_mut() {
-        sum += *c;
-        *c = sum;
-    }
-    let total = off.last().copied().unwrap_or(0) as usize;
-    let mut items = vec![T::default(); total];
-    let mut cursor: Vec<u32> = off.get(..n).map(<[u32]>::to_vec).unwrap_or_default();
-    each(&mut |prim, x0, x1, y0, y1| {
-        grid.for_tiles_over(x0, x1, y0, y1, |idx| {
-            if let Some(cur) = cursor.get_mut(idx) {
-                if let Some(slot) = items.get_mut(*cur as usize) {
-                    *slot = prim;
-                }
-                *cur += 1;
-            }
-        });
-    });
-    (off, items)
-}
-
-/// Counting-sort pre-resolved `(tile, payload)` pairs into CSR form —
-/// the fast path for classes whose binner already knows the single tile
-/// each entry lands in. Entries stay in push order within a tile, which
-/// the draw-order invariant depends on.
-fn csr_pairs<T: Copy + Default>(n: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
-    let mut off = vec![0u32; n + 1];
-    for (idx, _) in pairs {
-        if let Some(c) = off.get_mut(*idx as usize + 1) {
+    entries.clone().for_each(|(idx, _)| {
+        if let Some(c) = off.get_mut(idx + 1) {
             *c += 1;
         }
-    }
+    });
     let mut sum = 0u32;
     for c in off.iter_mut() {
         sum += *c;
         *c = sum;
     }
-    let total = off.last().copied().unwrap_or(0) as usize;
-    let mut items = vec![T::default(); total];
+    let mut items = vec![T::default(); sum as usize];
     let mut cursor: Vec<u32> = off.get(..n).map(<[u32]>::to_vec).unwrap_or_default();
-    for (idx, prim) in pairs {
-        if let Some(cur) = cursor.get_mut(*idx as usize) {
+    entries.for_each(|(idx, prim)| {
+        if let Some(cur) = cursor.get_mut(idx) {
             if let Some(slot) = items.get_mut(*cur as usize) {
                 *slot = *prim;
             }
             *cur += 1;
         }
-    }
+    });
     (off, items)
 }
 
@@ -163,23 +136,35 @@ fn csr_pairs<T: Copy + Default>(n: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<
 /// bounds); under-binning would drop pixels, so boxes are expanded to
 /// cover rounding (`line`) and sprite radius (`point`).
 pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins {
-    let (tri_off, tri_items) = csr_bin(grid, |emit| {
-        for t in prims.tris.iter() {
+    // One geometry evaluation per triangle: its bbox is clamped to a
+    // 16-byte tile span here, and both counting-sort passes replay the
+    // spans, not the min/max/floor/ceil.
+    let spans: Vec<TileSpan> = prims
+        .tris
+        .iter()
+        .map(|t| {
             let [ax, bx, cx] = t.sx;
             let [ay, by, cy] = t.sy;
-            emit(
-                *t,
+            grid.tile_span(
                 min3(ax, bx, cx).floor(),
                 max3(ax, bx, cx).ceil(),
                 min3(ay, by, cy).floor(),
                 max3(ay, by, cy).ceil(),
-            );
-        }
-    });
+            )
+        })
+        .collect();
+    let cols = grid.cols();
+    let (tri_off, tri_items) = csr_pairs(
+        grid.len(),
+        prims
+            .tris
+            .iter()
+            .zip(spans.iter())
+            .flat_map(|(t, span)| span.tiles(cols).map(move |idx| (idx, t))),
+    );
     // The line traversal (slab/column walk with interval solves) is the
     // expensive part of binning, and each slab/column pair targets
-    // exactly one tile — so rather than replaying the traversal through
-    // `csr_bin`'s bbox path twice, walk the geometry once into a flat
+    // exactly one tile — so walk the geometry once into a flat
     // (tile, entry) scratch list and counting-sort that.
     let mut line_scratch: Vec<(u32, BinnedLine)> = Vec::new();
     {
@@ -257,22 +242,23 @@ pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins
             }
         }
     }
-    let (line_off, line_items) = csr_pairs(grid.len(), &line_scratch);
-    let (point_off, point_items) = csr_bin(grid, |emit| {
-        for p in prims.points.iter() {
-            if !(-1.001..=1.001).contains(&p.z) {
-                continue; // the kernel rejects the whole sprite anyway
-            }
-            let r = p.radius.max(0.5) as f64;
-            emit(
-                *p,
-                (p.x - r).floor(),
-                (p.x + r).ceil(),
-                (p.y - r).floor(),
-                (p.y + r).ceil(),
-            );
+    let (line_off, line_items) =
+        csr_pairs(grid.len(), line_scratch.iter().map(|(idx, l)| (*idx as usize, l)));
+    let mut point_scratch: Vec<(usize, &RasterPoint)> = Vec::new();
+    for p in prims.points.iter() {
+        if !(-1.001..=1.001).contains(&p.z) {
+            continue; // the kernel rejects the whole sprite anyway
         }
-    });
+        let r = p.radius.max(0.5) as f64;
+        grid.for_tiles_over(
+            (p.x - r).floor(),
+            (p.x + r).ceil(),
+            (p.y - r).floor(),
+            (p.y + r).ceil(),
+            |idx| point_scratch.push((idx, p)),
+        );
+    }
+    let (point_off, point_items) = csr_pairs(grid.len(), point_scratch.iter().copied());
     TileBins {
         tri_off,
         tri_items,
@@ -501,6 +487,7 @@ fn slab_t(p0: f64, inv_d: f64, lo: f64, hi: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::test_rng::Rng;
 
     fn tri(sx: [f64; 3], sy: [f64; 3]) -> RasterTri {
         RasterTri { sx, sy, z: [0.0; 3], color: [Color::WHITE; 3] }
@@ -519,6 +506,115 @@ mod tests {
         for t in 1..4 {
             let sx: Vec<f64> = bins.tris(t).iter().map(|t| { let [a, _, _] = t.sx; a }).collect();
             assert_eq!(sx, vec![20.0], "only the spanning triangle lands in tile {t}");
+        }
+    }
+
+    /// `TileGrid::for_tiles_over` as it stood when binning replayed every
+    /// triangle's bbox through it twice, verbatim (fields read through
+    /// the accessors): the oracle for the stored-span binning.
+    fn tiles_over_reference(
+        grid: &TileGrid,
+        x0: f64,
+        x1: f64,
+        y0: f64,
+        y1: f64,
+        mut f: impl FnMut(usize),
+    ) {
+        let (width, height, tile) = (grid.width(), grid.height(), grid.tile());
+        if width == 0 || height == 0 || x1 < 0.0 || y1 < 0.0 {
+            return;
+        }
+        if x0 > (width - 1) as f64 || y0 > (height - 1) as f64 {
+            return;
+        }
+        let px0 = x0.max(0.0) as usize;
+        let py0 = y0.max(0.0) as usize;
+        let px1 = (x1 as usize).min(width - 1);
+        let py1 = (y1 as usize).min(height - 1);
+        if px0 > px1 || py0 > py1 {
+            return;
+        }
+        for ty in (py0 / tile)..=(py1 / tile) {
+            for tx in (px0 / tile)..=(px1 / tile) {
+                f(grid.index(tx, ty));
+            }
+        }
+    }
+
+    #[test]
+    fn triangle_bins_equal_the_bbox_walk_in_primitive_order() {
+        const NAN: f64 = f64::NAN;
+        const INF: f64 = f64::INFINITY;
+        let grids = [(70usize, 33usize, 32usize), (33, 70, 32), (96, 64, 32), (50, 50, 7), (1, 1, 32)];
+        for (w, h, tile) in grids {
+            let grid = TileGrid::new(w, h, tile);
+            let (fw, fh) = (w as f64, h as f64);
+            let mut cases: Vec<([f64; 3], [f64; 3])> = vec![
+                ([2.0, 10.0, 5.0], [2.0, 10.0, 9.0]),               // inside one tile
+                ([20.3, 44.7, 30.1], [2.2, 31.9, 9.5]),             // straddles a tile edge
+                ([31.0, 32.0, 31.5], [31.0, 32.0, 31.5]),           // straddles a corner
+                ([-5.5, 12.0, 3.0], [4.0, 9.0, 20.0]),              // straddles the left edge
+                ([fw - 3.0, fw + 9.0, fw - 1.0], [1.0, 2.0, 8.0]),  // straddles the right edge
+                ([3.0, 9.0, 5.0], [-7.0, 4.0, 2.0]),                // straddles the top
+                ([3.0, 9.0, 5.0], [fh - 2.0, fh + 30.0, fh - 1.0]), // straddles the bottom
+                ([-9.0, -1.2, -4.0], [3.0, 8.0, 5.0]),              // off-screen left
+                ([-0.9, -0.2, -0.5], [3.0, 8.0, 5.0]),              // ceil reaches column 0
+                ([fw, fw + 4.0, fw + 2.0], [3.0, 8.0, 5.0]),        // off-screen right
+                ([fw - 0.5, fw + 4.0, fw + 2.0], [3.0, 8.0, 5.0]),  // floor reaches the last column
+                ([3.0, 8.0, 5.0], [-20.0, -1.5, -3.0]),             // off-screen above
+                ([3.0, 8.0, 5.0], [fh + 0.1, fh + 9.0, fh + 2.0]),  // off-screen below
+                ([NAN, 12.0, 40.0], [5.0, 6.0, 20.0]),              // one NaN coordinate
+                ([NAN, NAN, NAN], [5.0, 6.0, 20.0]),                // a NaN axis
+                ([5.0, 6.0, 20.0], [NAN, NAN, 3.0]),
+                ([-INF, 10.0, 20.0], [4.0, INF, 8.0]),              // infinite extent
+                ([INF, INF, INF], [1.0, 2.0, 3.0]),
+                ([1e300, -1e300, 0.0], [-1e300, 1e300, 0.0]),       // beyond any integer type
+                ([4.0, 4.0, 4.0], [4.0, 4.0, 4.0]),                 // zero area: a point
+                ([4.0, 40.0, 22.0], [9.0, 9.0, 9.0]),               // zero area: a row
+                ([33.0, 33.0, 33.0], [-4.0, fh + 4.0, 12.0]),       // zero area: a column
+                ([-50.0, fw + 50.0, fw / 2.0], [-50.0, -50.0, fh + 50.0]), // full screen
+                ([0.0, fw - 1.0, 0.0], [0.0, 0.0, fh - 1.0]),       // exactly the screen
+            ];
+            // a seeded sweep on top of the named cases
+            let mut rng = Rng(0x2545_f491_4f6c_dd1d ^ (w * 131 + h) as u64);
+            let mut coord = |span: f64| (rng.next() % 4_000) as f64 / 4_000.0 * 3.0 * span - span;
+            for _ in 0..400 {
+                cases.push((
+                    [coord(fw), coord(fw), coord(fw)],
+                    [coord(fh), coord(fh), coord(fh)],
+                ));
+            }
+            let mut prims = PrimitiveList::default();
+            for (id, (sx, sy)) in cases.iter().enumerate() {
+                // z[0] carries the list position into the bins
+                prims.tris.push(RasterTri { z: [id as f32, 0.0, 0.0], ..tri(*sx, *sy) });
+            }
+            let mut expected: Vec<Vec<usize>> = vec![Vec::new(); grid.len()];
+            for (id, (sx, sy)) in cases.iter().enumerate() {
+                let [ax, bx, cx] = *sx;
+                let [ay, by, cy] = *sy;
+                tiles_over_reference(
+                    &grid,
+                    min3(ax, bx, cx).floor(),
+                    max3(ax, bx, cx).ceil(),
+                    min3(ay, by, cy).floor(),
+                    max3(ay, by, cy).ceil(),
+                    |idx| expected.get_mut(idx).expect("tile in range").push(id),
+                );
+            }
+            let bins = bin_primitives(&prims, &grid);
+            for (t, want) in expected.iter().enumerate() {
+                let got: Vec<usize> = bins
+                    .tris(t)
+                    .iter()
+                    .map(|tri| {
+                        let [id, _, _] = tri.z;
+                        id as usize
+                    })
+                    .collect();
+                assert_eq!(&got, want, "{w}x{h} tile {tile}: tile {t}");
+            }
+            assert!(expected.iter().any(|l| l.len() > 100), "the sweep must load the bins");
         }
     }
 

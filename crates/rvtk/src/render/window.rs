@@ -62,6 +62,11 @@ impl RenderWindow {
         &mut self.fb
     }
 
+    /// Consumes the window, handing its image over without a copy.
+    pub fn into_framebuffer(self) -> Framebuffer {
+        self.fb
+    }
+
     /// Renders `renderer` into this window honouring the stereo mode.
     pub fn render(&mut self, renderer: &Renderer) {
         match self.stereo {

@@ -11,6 +11,19 @@
 //!    of its RGBA8 bytes, so a
 //!    kernel regression shows up as a hash diff even if identity with the
 //!    (also-changed) reference still holds.
+//! 3. **Identity and painter order at scale.** The random scenes carry at
+//!    most 20 triangles per actor, so they never sort a long key array,
+//!    never tie at size and never scatter a large CSR. One 172 740-triangle
+//!    frame does: a gyroid-like isosurface drawn twice — two translucent
+//!    actors sharing one mesh, so every triangle ties exactly with its
+//!    twin on the painter key and the blend shows which of the two was
+//!    drawn first — on a 480×360 screen whose bottom tile row is partial,
+//!    at pools of 1, 2 and 8. Both engines share the front half
+//!    (transform, shade, painter sort), so identity alone cannot see a
+//!    wrong painter order: the frame is also pinned by an FNV-1a hash of
+//!    its color and depth bits, recorded with the payload `sort_by`
+//!    (stable, `zb.total_cmp(&za)` on the z-sums) that the key sort
+//!    replaced.
 
 use rvtk::color::Color;
 use rvtk::math::Vec3;
@@ -234,3 +247,54 @@ fn golden_multi_actor_frame_pinned() {
 }
 
 const GOLDEN_FRAME_FNV: u64 = 0x5489ac74984d3617;
+
+fn gyroid_scene() -> (Renderer, usize) {
+    use rvtk::lookup_table::{ColormapName, LookupTable};
+    // triangle waves in place of sin/cos: plain IEEE arithmetic, so the
+    // mesh does not depend on the platform's libm
+    let wave = |t: f64| 4.0 * (t / 14.0 - (t / 14.0 + 0.5).floor()).abs() - 1.0;
+    let field = rvtk::ImageData::from_fn([36, 36, 36], [1.0; 3], [0.0; 3], |x, y, z| {
+        (wave(x) * wave(y + 3.5) + wave(y) * wave(z + 3.5) + wave(z) * wave(x + 3.5)) as f32
+    });
+    let mesh = rvtk::filters::isosurface(&field, 0.05).expect("gyroid isosurface");
+    let triangles = mesh.triangles.len();
+    let mut r = Renderer::new();
+    // lit and LUT-colored, like a DV3D isosurface plot
+    let mut lit = Actor::from_poly_data(mesh.clone()).with_opacity(0.55);
+    lit.property.lighting = true;
+    lit.property.lookup_table = Some(LookupTable::new(ColormapName::Jet, (-1.0, 1.0)));
+    r.add_actor(lit);
+    // the twin: same vertices, so the same z-sums, in a flat color
+    let mut flat =
+        Actor::from_poly_data(mesh).with_color(Color::rgb(0.9, 0.4, 0.1)).with_opacity(0.4);
+    flat.property.lighting = false;
+    r.add_actor(flat);
+    r.background = Color::rgb(0.02, 0.03, 0.08);
+    r.reset_camera();
+    r.camera.azimuth(35.0);
+    r.camera.elevation(20.0);
+    (r, 2 * triangles)
+}
+
+#[test]
+fn large_isosurface_frame_bit_identical_and_painter_order_pinned() {
+    let _guard = ENV_LOCK.lock().expect("env lock");
+    let (scene, triangles) = gyroid_scene();
+    assert!(triangles >= 50_000, "only {triangles} triangles: not a scale test");
+    let (w, h) = (480, 360);
+    let mut reference = Framebuffer::new(w, h);
+    with_threads(2, || scanline_ref::render_scene_scanline(&scene, &mut reference));
+    let covered = reference.covered_pixels(scene.background);
+    assert!(covered > w * h / 4, "the surface must fill the frame: {covered} px");
+    let ref_bits = bits(&reference);
+    let bytes: Vec<u8> = ref_bits.iter().flat_map(|word| word.to_le_bytes()).collect();
+    let hash = fnv1a(&bytes);
+    assert_eq!(hash, PAYLOAD_SORT_FRAME_FNV, "painter order drifted: got {hash:#018x}");
+    for threads in [1usize, 2, 8] {
+        let mut fb = Framebuffer::new(w, h);
+        with_threads(threads, || scene.render(&mut fb));
+        assert!(bits(&fb) == ref_bits, "tile vs scanline diverged at {threads} threads");
+    }
+}
+
+const PAYLOAD_SORT_FRAME_FNV: u64 = 0x2ce36068b4048a46;
