@@ -17,16 +17,31 @@
 //! * `SpatialMean` reads it once through the chain while reducing over
 //!   latitude (the longitude reduction then runs on the tiny remainder).
 //!
-//! Every reduction uses the deterministic kernels of [`crate::reduce`]
-//! (fixed blocks / per-cell eager order), and each lane op applies the
-//! exact `f32` arithmetic of its single-step counterpart, so a pipeline's
-//! output is **bit-identical** to running the fused steps one at a time —
-//! just with ~3 full-size passes instead of ~10.
+//! Every reduction runs the deterministic kernels of [`crate::reduce`]
+//! themselves — not copies of them: the virtual field is handed over as a
+//! *row source* (`ChainRows`: copy a run of base lanes, stream the chain
+//! over it), the same contract `reduce` reads a materialized array through
+//! — and each lane op applies the exact `f32` arithmetic of its
+//! single-step counterpart, so a pipeline's output is **bit-identical** to
+//! running the fused steps one at a time — just with ~3 full-size passes
+//! instead of ~10.
+//!
+//! The lane ops are selects, not branches: a masked lane's value is
+//! computed and thrown away rather than skipped, which lets every op
+//! vectorise whatever the mask looks like. Nothing observable depends on
+//! it — a select keeps the old value and the old flag exactly where the
+//! branch did nothing — but it is why an op must tolerate garbage (NaN, ∞)
+//! under a set mask flag.
+//!
+//! [`run`] borrows its input: the base array is read in place until a step
+//! produces an owned one (the anomaly flush, the latitude mean), so a
+//! recipe that ends in a reduction never copies the full field.
 
-use crate::reduce::{self, MomentSums};
+use crate::reduce::{self, RowSource};
 use cdms::axis::AxisKind;
 use cdms::{CdmsError, MaskedArray, Result, Variable};
 use rayon::prelude::*;
+use std::borrow::Cow;
 
 /// One step of an analysis recipe.
 #[derive(Debug, Clone)]
@@ -61,16 +76,12 @@ enum LaneOp {
     /// Subtract a broadcast time-mean slab (the anomaly transform): lane
     /// `(o, t, i)` reads slab cell `(o, i)`. Masked slab cells mask the
     /// lane and leave its value untouched.
-    SubSlab { slab_d: Vec<f32>, slab_m: Vec<bool>, nt: usize, inner: usize },
+    SubSlab { slab: MaskedArray, nt: usize, inner: usize },
     /// Mask lanes whose value exceeds the threshold; data untouched.
     MaskGreater(f32),
     /// Mask lanes below the threshold; data untouched.
     MaskLess(f32),
 }
-
-/// Working-buffer size for streaming the chain: matches the fused
-/// expression engine's chunk so both stay L1/L2-resident.
-const CHUNK: usize = 4096;
 
 impl LaneOp {
     /// Applies the op to a contiguous run of lanes starting at flat index
@@ -95,32 +106,25 @@ impl LaneOp {
                     map_lane(v, m, (*v - sub) / div);
                 }
             }
-            LaneOp::SubSlab { slab_d, slab_m, nt, inner } => {
+            LaneOp::SubSlab { slab, nt, inner } => {
                 let c0 = (start / (nt * inner)) * inner + start % inner;
-                let sd = slab_d.get(c0..c0 + d.len()).unwrap_or_default();
-                let sm = slab_m.get(c0..c0 + d.len()).unwrap_or_default();
+                let sd = slab.data().get(c0..c0 + d.len()).unwrap_or_default();
+                let sm = slab.mask().get(c0..c0 + d.len()).unwrap_or_default();
                 for (((v, m), &sv), &s_m) in
                     d.iter_mut().zip(m.iter_mut()).zip(sd).zip(sm)
                 {
-                    if s_m || *m {
-                        *m = true;
-                    } else {
-                        *v -= sv;
-                    }
+                    *m |= s_m;
+                    *v = if *m { *v } else { *v - sv };
                 }
             }
             LaneOp::MaskGreater(s) => {
                 for (v, m) in d.iter().zip(m.iter_mut()) {
-                    if !*m && *v > *s {
-                        *m = true;
-                    }
+                    *m |= *v > *s;
                 }
             }
             LaneOp::MaskLess(s) => {
                 for (v, m) in d.iter().zip(m.iter_mut()) {
-                    if !*m && *v < *s {
-                        *m = true;
-                    }
+                    *m |= *v < *s;
                 }
             }
         }
@@ -154,125 +158,35 @@ fn apply_chain_run(chain: &[LaneOp], start: usize, d: &mut [f32], m: &mut [bool]
 }
 
 /// The `MaskedArray::map` lane contract: masked lanes pass through, a
-/// non-finite result masks and keeps the pre-op value.
+/// non-finite result masks and keeps the pre-op value. Written as selects,
+/// so `r` may be computed from a masked lane's garbage.
 #[inline]
 fn map_lane(v: &mut f32, m: &mut bool, r: f32) {
-    if !*m {
-        if r.is_nan() || r.is_infinite() {
-            *m = true;
-        } else {
-            *v = r;
-        }
-    }
+    *m |= !r.is_finite();
+    *v = if *m { *v } else { r };
 }
 
-/// Global moments of the virtual field — `reduce::moments` arithmetic
-/// (same blocks, same merge tree) over chained lanes.
-fn virtual_moments(base: &MaskedArray, chain: &[LaneOp]) -> MomentSums {
-    let (data, mask) = (base.data(), base.mask());
-    reduce::blocked(
-        base.len(),
-        |r| {
-            let mut p = MomentSums::default();
-            let mut vb = [0.0f32; CHUNK];
-            let mut mb = [false; CHUNK];
-            let mut flat = r.start;
-            let d = data.get(r.clone()).unwrap_or_default();
-            let mk = mask.get(r).unwrap_or_default();
-            for (dc, mc) in d.chunks(CHUNK).zip(mk.chunks(CHUNK)) {
-                let vb = vb.get_mut(..dc.len()).unwrap_or_default();
-                let mb = mb.get_mut(..mc.len()).unwrap_or_default();
-                vb.copy_from_slice(dc);
-                mb.copy_from_slice(mc);
-                apply_chain_run(chain, flat, vb, mb);
-                for (&v, &m) in vb.iter().zip(mb.iter()) {
-                    if !m {
-                        p.push(v as f64);
-                    }
-                }
-                flat += dc.len();
-            }
-            p
-        },
-        MomentSums::merged,
-    )
-    .unwrap_or_default()
+/// The virtual field as a row source: lanes of `base` with the whole chain
+/// applied — what `reduce::moments_of` and `reduce::weighted_mean_axis_of`
+/// read instead of a materialized array.
+struct ChainRows<'f> {
+    base: &'f MaskedArray,
+    chain: &'f [LaneOp],
 }
 
-/// Weighted mean of the virtual field along `axis` —
-/// `reduce::weighted_mean_axis` arithmetic (per-cell ascending order, outer
-/// slabs in parallel) over chained lanes. Consumes the chain: the result is
-/// materialized.
-fn virtual_weighted_mean_axis(
-    base: &MaskedArray,
-    chain: &[LaneOp],
-    axis: usize,
-    weights: &[f64],
-) -> Result<MaskedArray> {
-    let shape = base.shape();
-    if axis >= shape.len() {
-        return Err(CdmsError::AxisOutOfRange { axis, rank: shape.len() });
+impl RowSource for ChainRows<'_> {
+    fn rows<'a>(
+        &'a self,
+        start: usize,
+        d: &'a mut [f32],
+        m: &'a mut [bool],
+    ) -> (&'a [f32], &'a [bool]) {
+        let lanes = start..start + d.len();
+        d.copy_from_slice(self.base.data().get(lanes.clone()).unwrap_or_default());
+        m.copy_from_slice(self.base.mask().get(lanes).unwrap_or_default());
+        apply_chain_run(self.chain, start, d, m);
+        (d, m)
     }
-    let k = shape.get(axis).copied().unwrap_or(1);
-    if weights.len() != k {
-        return Err(CdmsError::ShapeMismatch { expected: vec![k], got: vec![weights.len()] });
-    }
-    let inner: usize = shape.iter().skip(axis + 1).product();
-    let (src_d, src_m) = (base.data(), base.mask());
-    let mut out_shape: Vec<usize> = shape.to_vec();
-    out_shape.remove(axis);
-    if out_shape.is_empty() {
-        out_shape.push(1);
-    }
-    let cells: usize = out_shape.iter().product();
-    let mut data = vec![0.0f32; cells];
-    let mut mask = vec![false; cells];
-    data.par_chunks_mut(inner.max(1))
-        .zip(mask.par_chunks_mut(inner.max(1)))
-        .enumerate()
-        .for_each(|(o, (dd, mm))| {
-            let mut wsum = vec![0.0f64; dd.len()];
-            let mut vsum = vec![0.0f64; dd.len()];
-            let mut vb = [0.0f32; CHUNK];
-            let mut mb = [false; CHUNK];
-            for (j, &w) in weights.iter().enumerate() {
-                let base_flat = (o * k + j) * inner;
-                let drow = src_d.get(base_flat..base_flat + inner).unwrap_or_default();
-                let mrow = src_m.get(base_flat..base_flat + inner).unwrap_or_default();
-                let mut flat = base_flat;
-                let mut col = 0;
-                for (dc, mc) in drow.chunks(CHUNK).zip(mrow.chunks(CHUNK)) {
-                    let vb = vb.get_mut(..dc.len()).unwrap_or_default();
-                    let mb = mb.get_mut(..mc.len()).unwrap_or_default();
-                    vb.copy_from_slice(dc);
-                    mb.copy_from_slice(mc);
-                    apply_chain_run(chain, flat, vb, mb);
-                    for (((ws, vs), &v), &m) in wsum
-                        .iter_mut()
-                        .skip(col)
-                        .zip(vsum.iter_mut().skip(col))
-                        .zip(vb.iter())
-                        .zip(mb.iter())
-                    {
-                        if !m {
-                            *ws += w;
-                            *vs += w * v as f64;
-                        }
-                    }
-                    flat += dc.len();
-                    col += dc.len();
-                }
-            }
-            for (((d, mk), &ws), &vs) in dd.iter_mut().zip(mm.iter_mut()).zip(&wsum).zip(&vsum)
-            {
-                if ws > 0.0 {
-                    *d = (vs / ws) as f32;
-                } else {
-                    *mk = true;
-                }
-            }
-        });
-    MaskedArray::with_mask(data, mask, &out_shape)
 }
 
 /// Materializes the virtual field: one parallel pass applying the whole
@@ -294,11 +208,18 @@ fn materialize(base: &MaskedArray, chain: &[LaneOp]) -> MaskedArray {
     out
 }
 
+/// [`Variable::axis_index`] for the axes of a variable not assembled yet.
+fn axis_index(axes: &[cdms::Axis], kind: AxisKind) -> Option<usize> {
+    axes.iter().position(|a| a.kind == kind)
+}
+
 /// Runs `steps` over `var` with cross-step fusion. Output (data, mask and
 /// axes) is bit-identical to applying the corresponding single-step fused
 /// functions in sequence — see the module docs for the pass-count argument.
 pub fn run(var: &Variable, steps: &[AnalysisStep]) -> Result<Variable> {
-    let mut cur = var.clone();
+    // the base array stays borrowed until a step produces an owned one
+    let mut array = Cow::Borrowed(&var.array);
+    let (mut id, mut axes) = (var.id.clone(), var.axes.clone());
     let mut chain: Vec<LaneOp> = Vec::new();
     for step in steps {
         match step {
@@ -307,25 +228,24 @@ pub fn run(var: &Variable, steps: &[AnalysisStep]) -> Result<Variable> {
             AnalysisStep::MaskGreater(s) => chain.push(LaneOp::MaskGreater(*s)),
             AnalysisStep::MaskLess(s) => chain.push(LaneOp::MaskLess(*s)),
             AnalysisStep::Anomaly => {
-                let t_idx = cur.axis_index(AxisKind::Time).ok_or_else(|| {
-                    CdmsError::NotFound(format!("time axis on '{}'", cur.id))
-                })?;
+                let t_idx = axis_index(&axes, AxisKind::Time)
+                    .ok_or_else(|| CdmsError::NotFound(format!("time axis on '{id}'")))?;
                 // the time mean wants concrete lanes: flush pending ops
                 // (one fused pass), then read the slab
                 if !chain.is_empty() {
-                    cur.array = materialize(&cur.array, &chain);
+                    array = Cow::Owned(materialize(&array, &chain));
                     chain.clear();
                 }
-                let mean = reduce::mean_axis(&cur.array, t_idx)?;
-                let nt = cur.shape().get(t_idx).copied().unwrap_or(1);
+                let slab = reduce::mean_axis(&array, t_idx)?;
+                let nt = array.shape().get(t_idx).copied().unwrap_or(1);
                 let inner: usize =
-                    cur.shape().iter().skip(t_idx + 1).product::<usize>().max(1);
-                let (slab_d, slab_m) = (mean.data().to_vec(), mean.mask().to_vec());
-                chain.push(LaneOp::SubSlab { slab_d, slab_m, nt, inner });
-                cur.id = format!("{}_anom", cur.id);
+                    array.shape().iter().skip(t_idx + 1).product::<usize>().max(1);
+                chain.push(LaneOp::SubSlab { slab, nt, inner });
+                id = format!("{id}_anom");
             }
             AnalysisStep::Standardize => {
-                let m = virtual_moments(&cur.array, &chain);
+                let field = ChainRows { base: &array, chain: &chain };
+                let m = reduce::moments_of(array.len(), &field);
                 let mean = m
                     .mean()
                     .ok_or_else(|| CdmsError::EmptySelection("all masked".into()))?
@@ -335,30 +255,31 @@ pub fn run(var: &Variable, steps: &[AnalysisStep]) -> Result<Variable> {
                     return Err(CdmsError::Invalid("zero variance".into()));
                 }
                 chain.push(LaneOp::SubDiv { sub: mean, div: std });
-                cur.id = format!("{}_std", cur.id);
+                id = format!("{id}_std");
             }
             AnalysisStep::SpatialMean => {
                 // latitude reduction streams through the chain; what's
                 // left is small, so the longitude step runs materialized
-                let lat_idx = cur.axis_index(AxisKind::Latitude).ok_or_else(|| {
-                    CdmsError::NotFound(format!("Latitude axis on '{}'", cur.id))
-                })?;
-                let weights = cur.axes[lat_idx].weights();
-                cur.array =
-                    virtual_weighted_mean_axis(&cur.array, &chain, lat_idx, &weights)?;
+                let lat_idx = axis_index(&axes, AxisKind::Latitude)
+                    .ok_or_else(|| CdmsError::NotFound(format!("Latitude axis on '{id}'")))?;
+                let weights = axes.remove(lat_idx).weights();
+                let field = ChainRows { base: &array, chain: &chain };
+                let zonal =
+                    reduce::weighted_mean_axis_of(array.shape(), lat_idx, &weights, &field)?;
                 chain.clear();
-                cur.axes.remove(lat_idx);
-                if cur.axes.is_empty() {
-                    cur.axes.push(cdms::Axis::new("scalar", vec![0.0], "", AxisKind::Generic)?);
+                if axes.is_empty() {
+                    axes.push(cdms::Axis::new("scalar", vec![0.0], "", AxisKind::Generic)?);
                 }
-                cur = crate::averager::average_over(&cur, AxisKind::Longitude)?;
+                let mean = crate::averager::average_over(
+                    &Variable::new(&id, zonal, axes)?,
+                    AxisKind::Longitude,
+                )?;
+                (id, axes, array) = (mean.id, mean.axes, Cow::Owned(mean.array));
             }
         }
     }
-    if !chain.is_empty() {
-        cur.array = materialize(&cur.array, &chain);
-    }
-    Variable::new(&cur.id, cur.array, cur.axes).map(|mut v| {
+    let array = if chain.is_empty() { array.into_owned() } else { materialize(&array, &chain) };
+    Variable::new(&id, array, axes).map(|mut v| {
         v.attributes = var.attributes.clone();
         v
     })

@@ -135,6 +135,10 @@ impl BuildSlot {
 /// * concurrent lookups of the same missing key run **one** build; the
 ///   other threads block on that build and count as
 ///   [`CacheStats::dedups`] (their served lookups also count as hits);
+/// * a key that is cached is never built again: the thread that claims a
+///   build looks the key up once more under its claim, so a build that
+///   landed between its miss and its claim is a hit, not a second build
+///   overwriting the live entry;
 /// * a failed build poisons nothing: waiters retry, and the next claimant
 ///   rebuilds;
 /// * capacity stays bounded under any interleaving (eviction is the
@@ -185,6 +189,18 @@ impl SharedPlanCache {
         plan
     }
 
+    /// Answers `key` from the LRU under its own (brief) lock, counting the
+    /// hit — and a dedup when the caller `waited` on another thread's build.
+    fn lookup(&self, key: u64, waited: bool) -> Option<Arc<RegridPlan>> {
+        let mut c = self.lru.lock();
+        let plan = c.touch(key)?;
+        c.stats.hits += 1;
+        if waited {
+            c.stats.dedups += 1;
+        }
+        Some(plan)
+    }
+
     /// The plan for `key`, building it on a miss without serializing
     /// unrelated builds, and deduplicating concurrent builds of the same
     /// key. A failed build caches nothing and surfaces the error to the
@@ -196,16 +212,9 @@ impl SharedPlanCache {
     ) -> Result<Arc<RegridPlan>> {
         let mut waited = false;
         loop {
-            // fast path: answer from the LRU under its own (brief) lock
-            {
-                let mut c = self.lru.lock();
-                if let Some(plan) = c.touch(key) {
-                    c.stats.hits += 1;
-                    if waited {
-                        c.stats.dedups += 1;
-                    }
-                    return Ok(plan);
-                }
+            // fast path: answer from the LRU
+            if let Some(plan) = self.lookup(key, waited) {
+                return Ok(plan);
             }
             // miss: claim the build, or wait on whoever already claimed it
             let (slot, is_builder) = {
@@ -224,20 +233,27 @@ impl SharedPlanCache {
                 waited = true;
                 continue;
             }
-            // build WITHOUT holding either lock: other keys proceed freely
-            let built = build();
-            let out = match built {
-                Ok(plan) => {
-                    let plan = Arc::new(plan);
-                    let mut c = self.lru.lock();
-                    c.stats.misses += 1;
-                    c.insert(key, Arc::clone(&plan));
-                    Ok(plan)
-                }
-                Err(e) => {
-                    self.lru.lock().stats.misses += 1;
-                    Err(e)
-                }
+            // The miss above and the claim are two critical sections: a
+            // build of this key may have landed (insert, then unclaim)
+            // between them. Builders insert before they unclaim, so one
+            // more look under the claim sees every finished build — only a
+            // key that is really absent gets built.
+            let out = match self.lookup(key, waited) {
+                Some(plan) => Ok(plan),
+                // build WITHOUT holding either lock: other keys proceed freely
+                None => match build() {
+                    Ok(plan) => {
+                        let plan = Arc::new(plan);
+                        let mut c = self.lru.lock();
+                        c.stats.misses += 1;
+                        c.insert(key, Arc::clone(&plan));
+                        Ok(plan)
+                    }
+                    Err(e) => {
+                        self.lru.lock().stats.misses += 1;
+                        Err(e)
+                    }
+                },
             };
             std_lock(&self.inflight).remove(&key);
             slot.finish();

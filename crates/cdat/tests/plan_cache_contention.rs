@@ -188,3 +188,46 @@ fn eviction_under_contention_stays_bounded_with_consistent_counters() {
         stats.misses
     );
 }
+
+#[test]
+fn a_cached_key_is_never_built_a_second_time() {
+    // The double build needs a thread to miss the LRU just before the
+    // builder inserts and to reach the in-flight map just after the builder
+    // unclaims. No hook reaches between those two steps from outside, so
+    // the test repeats the encounter instead: every thread walks the same
+    // fresh keys in the same order, so all of them arrive at each key
+    // together, and the build is a clone, so it is over while the losers of
+    // the claim are still queueing for the in-flight lock. Capacity covers
+    // every key: a second build of any key is the bug and nothing else.
+    const THREADS: usize = 8;
+    const KEYS: usize = 40_000;
+    let cache = SharedPlanCache::new(KEYS);
+    let plan = build_plan(0).unwrap();
+    let builds: Vec<AtomicUsize> = (0..KEYS).map(|_| AtomicUsize::new(0)).collect();
+    let gate = Barrier::new(THREADS);
+
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                gate.wait();
+                for (key, built) in builds.iter().enumerate() {
+                    cache
+                        .get_or_build(key as u64, || {
+                            built.fetch_add(1, Ordering::SeqCst);
+                            Ok(plan.clone())
+                        })
+                        .unwrap();
+                }
+            });
+        }
+    });
+
+    let twice: Vec<usize> =
+        (0..KEYS).filter(|&k| builds[k].load(Ordering::SeqCst) != 1).collect();
+    assert!(twice.is_empty(), "keys not built exactly once: {twice:?}");
+    let stats = cache.stats();
+    assert_eq!(stats.misses, KEYS as u64, "one miss per key");
+    assert_eq!(stats.hits, ((THREADS - 1) * KEYS) as u64, "every other lookup is a hit");
+    assert_eq!(stats.evictions, 0);
+    assert_eq!(cache.len(), KEYS);
+}

@@ -65,6 +65,32 @@ fn axis_layout(var: &Variable, opts: &TranslationOptions) -> Result<(usize, usiz
     Ok((lat, lon, vertical))
 }
 
+/// For each image row `j + ny * k`, in image order, the row of the canonical
+/// `(z, lat, lon)` array it is filled from. Level index `k` ascends with
+/// height already (pressure axes store 1000→10 hPa, so index order *is*
+/// bottom-up); y must ascend with latitude, so rows flip when that axis
+/// descends. Fails for ranks translation does not support.
+fn source_rows(
+    canon: &Variable,
+    vertical: Option<usize>,
+    lat_ascending: bool,
+) -> Result<impl Iterator<Item = usize>> {
+    let (nz, ny) = match (vertical, canon.shape()) {
+        (Some(_), &[nz, ny, _]) => (nz, ny),
+        (None, &[ny, _]) => (1, ny),
+        _ => {
+            return Err(Dv3dError::Config(format!(
+                "'{}' rank {} unsupported by translation",
+                canon.id,
+                canon.rank()
+            )))
+        }
+    };
+    Ok((0..nz).flat_map(move |k| {
+        (0..ny).map(move |j| k * ny + if lat_ascending { j } else { ny - 1 - j })
+    }))
+}
+
 /// Converts a scalar variable to image data.
 ///
 /// Accepts `(lat, lon)`, `(lev, lat, lon)`, or — tagged Hovmöller —
@@ -93,30 +119,13 @@ pub fn translate_scalar(var: &Variable, opts: &TranslationOptions) -> Result<Ima
     let (lon_a, lon_b) = lon.range();
     let origin = [lon_a.min(lon_b), lat.range().0.min(lat.range().1), 0.0];
 
-    // y must ascend with latitude; flip rows if the axis descends.
-    let lat_ascending = lat.direction() >= 0;
-
     let mut scalars = vec![f32::NAN; nx * ny * nz];
-    for k in 0..nz {
-        for j in 0..ny {
-            let jj = if lat_ascending { j } else { ny - 1 - j };
-            for i in 0..nx {
-                let value = match (vert_i, canon.rank()) {
-                    (Some(_), 3) => canon.array.get_valid(&[k, jj, i]),
-                    (None, 2) => canon.array.get_valid(&[jj, i]),
-                    _ => {
-                        return Err(Dv3dError::Config(format!(
-                            "'{}' rank {} unsupported by translation",
-                            var.id,
-                            canon.rank()
-                        )))
-                    }
-                }
-                .map_err(Dv3dError::from)?;
-                // Level index k ascends with height already: pressure axes
-                // store 1000→10 hPa, so index order *is* bottom-up.
-                scalars[i + nx * (j + ny * k)] = value.unwrap_or(f32::NAN);
-            }
+    let (data, mask) = (canon.array.data(), canon.array.mask());
+    let rows = source_rows(&canon, vert_i, lat.direction() >= 0)?;
+    for (row, src) in scalars.chunks_mut(nx.max(1)).zip(rows) {
+        let lanes = src * nx..(src + 1) * nx;
+        for ((out, &v), &masked) in row.iter_mut().zip(&data[lanes.clone()]).zip(&mask[lanes]) {
+            *out = if masked { f32::NAN } else { v };
         }
     }
     ImageData::new([nx, ny, nz], [dx, dy, opts.vertical_scale], origin, scalars)
@@ -144,32 +153,17 @@ pub fn translate_vector(
     let canon_u = u.to_canonical_order()?;
     let canon_v = v.to_canonical_order()?;
     let (lat_i, _, vert_i) = axis_layout(&canon_u, opts)?;
-    let lat = &canon_u.axes[lat_i];
-    let lat_ascending = lat.direction() >= 0;
+    let rows = source_rows(&canon_u, vert_i, canon_u.axes[lat_i].direction() >= 0)?;
     let [nx, ny, nz] = img.dims;
     let mut vectors = vec![[0.0f32; 3]; nx * ny * nz];
-    for k in 0..nz {
-        for j in 0..ny {
-            let jj = if lat_ascending { j } else { ny - 1 - j };
-            for i in 0..nx {
-                let (uu, vv) = match (vert_i, canon_u.rank()) {
-                    (Some(_), 3) => (
-                        canon_u.array.get_valid(&[k, jj, i]).map_err(Dv3dError::from)?,
-                        canon_v.array.get_valid(&[k, jj, i]).map_err(Dv3dError::from)?,
-                    ),
-                    (None, 2) => (
-                        canon_u.array.get_valid(&[jj, i]).map_err(Dv3dError::from)?,
-                        canon_v.array.get_valid(&[jj, i]).map_err(Dv3dError::from)?,
-                    ),
-                    _ => {
-                        return Err(Dv3dError::Config(
-                            "unsupported rank for vector translation".into(),
-                        ))
-                    }
-                };
-                vectors[i + nx * (j + ny * k)] =
-                    [uu.unwrap_or(0.0), vv.unwrap_or(0.0), 0.0];
-            }
+    let (u_d, u_m) = (canon_u.array.data(), canon_u.array.mask());
+    let (v_d, v_m) = (canon_v.array.data(), canon_v.array.mask());
+    for (row, src) in vectors.chunks_mut(nx.max(1)).zip(rows) {
+        let lanes = src * nx..(src + 1) * nx;
+        let u = u_d[lanes.clone()].iter().zip(&u_m[lanes.clone()]);
+        let v = v_d[lanes.clone()].iter().zip(&v_m[lanes]);
+        for (out, ((&uu, &u_masked), (&vv, &v_masked))) in row.iter_mut().zip(u.zip(v)) {
+            *out = [if u_masked { 0.0 } else { uu }, if v_masked { 0.0 } else { vv }, 0.0];
         }
     }
     img = img.with_vectors(vectors).map_err(Dv3dError::from)?;
@@ -216,11 +210,127 @@ mod tests {
         assert_eq!(n_nan, tos.array.len() - tos.array.valid_count());
     }
 
+    /// The fill as it was before the row copy: one `get_valid` per element.
+    fn per_element_scalars(var: &Variable, opts: &TranslationOptions) -> Vec<f32> {
+        let canon = var.to_canonical_order().unwrap();
+        let (lat_i, lon_i, vert_i) = axis_layout(&canon, opts).unwrap();
+        let lat = &canon.axes[lat_i];
+        let nz = vert_i.map(|i| canon.axes[i].len()).unwrap_or(1);
+        let (ny, nx) = (lat.len(), canon.axes[lon_i].len());
+        let lat_ascending = lat.direction() >= 0;
+        let mut scalars = vec![f32::NAN; nx * ny * nz];
+        for k in 0..nz {
+            for j in 0..ny {
+                let jj = if lat_ascending { j } else { ny - 1 - j };
+                for i in 0..nx {
+                    let value = match (vert_i, canon.rank()) {
+                        (Some(_), 3) => canon.array.get_valid(&[k, jj, i]),
+                        (None, 2) => canon.array.get_valid(&[jj, i]),
+                        _ => panic!("unsupported rank"),
+                    }
+                    .unwrap();
+                    scalars[i + nx * (j + ny * k)] = value.unwrap_or(f32::NAN);
+                }
+            }
+        }
+        scalars
+    }
+
+    /// Masks every 5th lane of `var`, storing NaN / ∞ / garbage under the
+    /// mask, and optionally turns the latitude axis (and the rows with it)
+    /// north-to-south.
+    fn hostile(var: &Variable, descending: bool) -> Variable {
+        let mut v = var.clone();
+        let (d, m) = v.array.parts_mut();
+        for (i, (d, m)) in d.iter_mut().zip(m.iter_mut()).enumerate() {
+            if i % 5 == 2 {
+                *d = [f32::from_bits(0x7fa0_0001), f32::INFINITY, f32::NEG_INFINITY, 1.0e38][i / 5 % 4];
+                *m = true;
+            }
+        }
+        if descending {
+            let lat_i = v.axis_index(AxisKind::Latitude).unwrap();
+            let mut perm: Vec<usize> = (0..v.rank()).collect();
+            perm.swap(lat_i, v.rank() - 1);
+            // reverse latitude by reversing the lanes of a lat-innermost copy
+            let mut t = v.array.transpose(&perm).unwrap();
+            let ny = v.axes[lat_i].len();
+            let (d, m) = t.parts_mut();
+            d.chunks_mut(ny).for_each(<[f32]>::reverse);
+            m.chunks_mut(ny).for_each(<[bool]>::reverse);
+            v.array = t.transpose(&perm).unwrap();
+            let mut values = v.axes[lat_i].values.clone();
+            values.reverse();
+            v.axes[lat_i] = cdms::Axis::latitude(values).unwrap();
+            assert!(v.axes[lat_i].direction() < 0);
+        }
+        v
+    }
+
+    #[test]
+    fn row_copy_fill_equals_the_per_element_fill_bit_for_bit() {
+        let ds = SynthesisSpec::new(5, 4, 16, 32).build();
+        let opts = TranslationOptions::default();
+        let three_d = ds.variable("ta").unwrap().time_slab(0).unwrap();
+        let two_d = ds.variable("sftlf").unwrap().clone();
+        let hov = hovmoller_volume(ds.variable("wave").unwrap()).unwrap();
+        for (name, var) in [("3-D", &three_d), ("2-D", &two_d), ("Hovmöller", &hov)] {
+            for descending in [false, true] {
+                let var = hostile(var, descending);
+                let want: Vec<u32> =
+                    per_element_scalars(&var, &opts).iter().map(|v| v.to_bits()).collect();
+                let img = translate_scalar(&var, &opts).unwrap();
+                let got: Vec<u32> = img.scalars.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{name}, descending {descending}");
+                let nan = f32::NAN.to_bits();
+                let masked = var.array.len() - var.array.valid_count();
+                assert_eq!(got.iter().filter(|&&b| b == nan).count(), masked, "{name}");
+                // the flip is real: image row 0 is the southernmost latitude
+                let lat = var.axis(AxisKind::Latitude).unwrap();
+                assert_eq!(img.origin[1], lat.range().0.min(lat.range().1));
+            }
+        }
+    }
+
+    #[test]
+    fn vector_fill_zeroes_masked_components_in_flipped_rows() {
+        let ds = SynthesisSpec::new(1, 3, 8, 16).build();
+        let opts = TranslationOptions::default();
+        for descending in [false, true] {
+            let u = hostile(&ds.variable("ua").unwrap().time_slab(0).unwrap(), descending);
+            let v = hostile(&ds.variable("va").unwrap().time_slab(0).unwrap(), descending);
+            let img = translate_vector(&u, &v, &opts).unwrap();
+            let vectors = img.vectors.as_ref().unwrap();
+            let [nx, ny, nz] = img.dims;
+            for k in 0..nz {
+                for j in 0..ny {
+                    let jj = if descending { ny - 1 - j } else { j };
+                    for i in 0..nx {
+                        let uu = u.array.get_valid(&[k, jj, i]).unwrap().unwrap_or(0.0);
+                        let vv = v.array.get_valid(&[k, jj, i]).unwrap().unwrap_or(0.0);
+                        let want = [uu, vv, 0.0].map(f32::to_bits);
+                        assert_eq!(vectors[img.index(i, j, k)].map(f32::to_bits), want);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn multi_time_without_hovmoller_tag_rejected() {
         let ds = SynthesisSpec::new(3, 2, 8, 16).build();
         let ta = ds.variable("ta").unwrap();
         assert!(translate_scalar(ta, &TranslationOptions::default()).is_err());
+    }
+
+    #[test]
+    fn unsupported_rank_is_an_error_not_a_panic() {
+        // one timestep passes the time-slab check but leaves rank 4
+        let ds = SynthesisSpec::new(1, 4, 8, 16).build();
+        let (ta, ua, va) = (ds.variable("ta"), ds.variable("ua"), ds.variable("va"));
+        let opts = TranslationOptions::default();
+        assert!(matches!(translate_scalar(ta.unwrap(), &opts), Err(Dv3dError::Config(_))));
+        assert!(translate_vector(ua.unwrap(), va.unwrap(), &opts).is_err());
     }
 
     #[test]
