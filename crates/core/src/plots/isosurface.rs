@@ -9,6 +9,7 @@ use parking_lot::Mutex;
 use rvtk::filters::{isosurface, isosurface_colored};
 use rvtk::render::{Actor, Renderer};
 use rvtk::{ImageData, LookupTable, PolyData};
+use std::sync::Arc;
 
 /// An interactive isosurface view.
 ///
@@ -23,8 +24,9 @@ pub struct IsosurfacePlot {
     pub isovalue: f32,
     /// Colormap state; ranges over the *color* variable when present.
     pub editor: TransferEditor,
-    /// Cached `(isovalue, surface)` of the last extraction.
-    cache: Mutex<Option<(f32, PolyData)>>,
+    /// Cached `(isovalue, surface)` of the last extraction; every frame at
+    /// that isovalue shares the one allocation with its actor.
+    cache: Mutex<Option<(f32, Arc<PolyData>)>>,
 }
 
 impl Clone for IsosurfacePlot {
@@ -79,19 +81,19 @@ impl IsosurfacePlot {
         Ok(plot)
     }
 
-    /// Extracts the current surface, served from the cache when the
-    /// isovalue hasn't changed since the last extraction.
-    pub fn extract(&self) -> Result<rvtk::PolyData> {
+    /// Extracts the current surface, served from the cache (shared, not
+    /// copied) when the isovalue hasn't changed since the last extraction.
+    pub fn extract(&self) -> Result<Arc<PolyData>> {
         if let Some((v, surf)) = self.cache.lock().as_ref() {
             if *v == self.isovalue {
-                return Ok(surf.clone());
+                return Ok(Arc::clone(surf));
             }
         }
-        let surf = match &self.color_image {
+        let surf = Arc::new(match &self.color_image {
             Some(ci) => isosurface_colored(&self.image, self.isovalue, ci)?,
             None => isosurface(&self.image, self.isovalue)?,
-        };
-        *self.cache.lock() = Some((self.isovalue, surf.clone()));
+        });
+        *self.cache.lock() = Some((self.isovalue, Arc::clone(&surf)));
         Ok(surf)
     }
 }
@@ -271,6 +273,26 @@ mod tests {
         p.set_image(img2.clone()).unwrap();
         let fresh = IsosurfacePlot::new(img2, None, Some(p.isovalue)).unwrap();
         assert_eq!(p.extract().unwrap(), fresh.extract().unwrap());
+    }
+
+    #[test]
+    fn frames_at_one_isovalue_share_the_cached_surface() {
+        let mesh_of = |p: &IsosurfacePlot| {
+            let mut r = Renderer::new();
+            p.populate(&mut r).unwrap();
+            Arc::clone(&r.actors()[0].poly_data)
+        };
+        let mut p = IsosurfacePlot::new(radial(), None, Some(5.0)).unwrap();
+        let first = mesh_of(&p);
+        assert!(Arc::ptr_eq(&first, &mesh_of(&p)), "a cache hit must not copy the surface");
+        // a changed isovalue extracts afresh
+        p.configure(&ConfigOp::SetIsovalue(3.0)).unwrap();
+        let moved = mesh_of(&p);
+        assert!(!Arc::ptr_eq(&first, &moved));
+        assert!(Arc::ptr_eq(&moved, &mesh_of(&p)));
+        // and so does new data at an unchanged relative isovalue
+        p.set_image(radial()).unwrap();
+        assert!(!Arc::ptr_eq(&moved, &mesh_of(&p)));
     }
 
     #[test]

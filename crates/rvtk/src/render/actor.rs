@@ -4,6 +4,7 @@ use crate::color::Color;
 use crate::lookup_table::LookupTable;
 use crate::math::{Bounds, Mat4};
 use crate::poly_data::PolyData;
+use std::sync::Arc;
 
 /// How geometry is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,8 +55,10 @@ impl Default for Property {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Actor {
     /// The geometry (already in world coordinates unless `transform` says
-    /// otherwise).
-    pub poly_data: PolyData,
+    /// otherwise). Shared, not owned: the renderer only reads it, so a plot
+    /// that caches its mesh hands every frame the same allocation. Assign
+    /// into it through `Arc::make_mut`.
+    pub poly_data: Arc<PolyData>,
     /// Appearance.
     pub property: Property,
     /// Model transform applied at render time.
@@ -66,9 +69,9 @@ pub struct Actor {
 
 impl Actor {
     /// Wraps geometry with default appearance.
-    pub fn from_poly_data(poly_data: PolyData) -> Actor {
+    pub fn from_poly_data(poly_data: impl Into<Arc<PolyData>>) -> Actor {
         Actor {
-            poly_data,
+            poly_data: poly_data.into(),
             property: Property::default(),
             transform: Mat4::identity(),
             visible: true,

@@ -100,33 +100,37 @@ impl TileGrid {
         }
     }
 
-    /// The tiles overlapping the inclusive pixel bbox `[x0, x1] × [y0, y1]`
-    /// (screen-clamped). The bbox may extend past the screen; an empty
-    /// overlap yields the empty span. NaN bounds compare false against
-    /// both reject tests and clamp to pixel 0.
-    pub(crate) fn tile_span(&self, x0: f64, x1: f64, y0: f64, y1: f64) -> TileSpan {
-        if self.width == 0 || self.height == 0 || x1 < 0.0 || y1 < 0.0 {
+    /// The tiles overlapping the inclusive pixel box `[x0, x1, y0, y1]`
+    /// (screen-clamped) — the one copy of the clamp / reject rules, shared
+    /// by triangle binning (whose boxes are born as integers) and
+    /// [`TileGrid::for_tiles_over`]. The box may extend past the screen
+    /// or sit saturated at the `i32` limits; an empty overlap yields the
+    /// empty span. A screen edge beyond `i32::MAX` pixels saturates: one
+    /// framebuffer row of that width is 43 GB.
+    pub(crate) fn tile_span(&self, [x0, x1, y0, y1]: [i32; 4]) -> TileSpan {
+        if self.width == 0 || self.height == 0 {
             return TileSpan::EMPTY;
         }
-        if x0 > (self.width - 1) as f64 || y0 > (self.height - 1) as f64 {
-            return TileSpan::EMPTY;
-        }
-        let px0 = x0.max(0.0) as usize;
-        let py0 = y0.max(0.0) as usize;
-        let px1 = (x1 as usize).min(self.width - 1);
-        let py1 = (y1 as usize).min(self.height - 1);
+        let last = |n: usize| i32::try_from(n - 1).unwrap_or(i32::MAX);
+        let (px0, px1) = (x0.max(0), x1.min(last(self.width)));
+        let (py0, py1) = (y0.max(0), y1.min(last(self.height)));
+        // the one reject: a box that ends before pixel 0 has its clamped
+        // end below its clamped start, and so has one that starts past the
+        // last pixel
         if px0 > px1 || py0 > py1 {
             return TileSpan::EMPTY;
         }
-        // dv3dlint: allow(no_panic) -- a tile coordinate above u32::MAX needs a screen 2^32 px across; the CSR bins index tiles with u32 too
-        let tile = |px: usize| u32::try_from(px / self.tile).expect("tile coordinate fits u32");
+        let edge = u32::try_from(self.tile).unwrap_or(u32::MAX);
+        let tile = |px: i32| px.unsigned_abs() / edge;
         TileSpan { tx0: tile(px0), tx1: tile(px1), ty0: tile(py0), ty1: tile(py1) }
     }
 
     /// Calls `f(flat_index)` for every tile overlapping the inclusive
     /// pixel bbox `[x0, x1] × [y0, y1]` (screen-clamped), row-major.
+    /// Bounds are pixel coordinates — whole numbers, possibly ±∞ — and are
+    /// cast saturating to `i32`; a NaN bound casts to pixel 0.
     pub fn for_tiles_over(&self, x0: f64, x1: f64, y0: f64, y1: f64, f: impl FnMut(usize)) {
-        self.tile_span(x0, x1, y0, y1).tiles(self.cols()).for_each(f);
+        self.tile_span([x0, x1, y0, y1].map(|b| b as i32)).tiles(self.cols()).for_each(f);
     }
 }
 

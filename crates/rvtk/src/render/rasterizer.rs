@@ -1,15 +1,22 @@
 //! Tile-binned software rasterization: triangles (Gouraud-shaded,
 //! z-buffered), depth-interpolated lines and point sprites.
 //!
-//! Geometry is first transformed and shaded into screen-space primitive
-//! lists and the triangles put in painter order (a sort of 8-byte
-//! key/index words, then one gather of the payloads — see
-//! `sort_far_to_near`); a bucketing pass then bins each primitive into
-//! the 32×32 screen tiles its bbox overlaps, and rayon rasterizes tile-row
-//! bands in parallel — each tile owns its pixels, so no locking is needed,
-//! and a tile visits only the primitives binned into it (see `tile.rs`).
-//! Output is bit-identical to the historic row-band engine kept in
-//! `scanline_ref.rs`.
+//! Geometry is first transformed and shaded into screen space. Every mesh
+//! point becomes one 40-byte [`ScreenVertex`] in a frame-wide array,
+//! written once; a triangle is a 28-byte [`TriRef`] — three indices into
+//! that array plus the integer pixel box of its corners — and nothing
+//! downstream copies a vertex again: the painter sort orders 8-byte
+//! key/index words and gathers the refs (see `sort_far_to_near`), a
+//! bucketing pass bins ref copies into the 32×32 screen tiles their box
+//! overlaps, and rayon rasterizes tile-row bands in parallel — each tile
+//! owns its pixels, so no locking is needed, and a tile visits only the
+//! primitives binned into it (see `tile.rs`). Lines and point sprites
+//! carry their endpoints by value. Output is bit-identical to the
+//! historic row-band engine kept in `scanline_ref.rs`.
+//!
+//! This file is on the dv3dlint `indexing_hot_paths` list: mesh-supplied
+//! indices are looked up with `.get()`, so a malformed `PolyData` drops
+//! cells instead of panicking mid-frame.
 
 use crate::color::Color;
 use crate::math::{Mat4, Vec3};
@@ -18,7 +25,35 @@ use crate::render::framebuffer::{Framebuffer, TileGrid};
 use crate::render::light::Light;
 use crate::render::tile;
 
-/// A transformed, shaded triangle ready to rasterize.
+/// One transformed, shaded mesh point: what every triangle corner that
+/// indexes it used to carry a copy of.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ScreenVertex {
+    /// Screen x/y.
+    pub sx: f64,
+    pub sy: f64,
+    /// NDC depth.
+    pub z: f32,
+    /// Shaded color.
+    pub color: Color,
+}
+
+/// A triangle of the frame, by reference: 28 bytes that the sort gathers
+/// and the bins copy in place of the vertices themselves.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TriRef {
+    /// Corner indices into [`PrimitiveList::verts`], in range by
+    /// construction (`build_primitives` is the only writer).
+    pub v: [u32; 3],
+    /// Pixel box `[x0, x1, y0, y1]` of the corners: `⌊min⌋` / `⌈max⌉` per
+    /// axis, saturated to `i32` (see [`union3`]). It travels with the ref
+    /// so that binning, and a tile rejecting an entry that misses its
+    /// rectangle, never touch a vertex.
+    pub bbox: [i32; 4],
+}
+
+/// A triangle with its corners by value — the row-band oracle's input,
+/// built only by [`PrimitiveList::raster_tri`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RasterTri {
     /// Screen x/y per vertex.
@@ -52,12 +87,51 @@ pub(crate) struct RasterPoint {
 /// All primitives of a frame, in screen space.
 #[derive(Debug, Default)]
 pub(crate) struct PrimitiveList {
-    pub tris: Vec<RasterTri>,
+    /// Every actor's points, actor after actor in mesh order (a point
+    /// dropped by the projection keeps its slot, unreferenced).
+    pub verts: Vec<ScreenVertex>,
+    pub tris: Vec<TriRef>,
     pub lines: Vec<RasterLine>,
     pub points: Vec<RasterPoint>,
 }
 
-/// Transforms and shades one actor into screen-space primitives.
+impl PrimitiveList {
+    /// The triangle `t` names, corners by value.
+    pub(crate) fn raster_tri(&self, t: &TriRef) -> RasterTri {
+        let [a, b, c] = t.v.map(|i| self.verts.get(i as usize).copied().unwrap_or_default());
+        RasterTri {
+            sx: [a.sx, b.sx, c.sx],
+            sy: [a.sy, b.sy, c.sy],
+            z: [a.z, b.z, c.z],
+            color: [a.color, b.color, c.color],
+        }
+    }
+}
+
+/// The pixel columns and rows a screen position touches:
+/// `[⌊sx⌋, ⌈sx⌉, ⌊sy⌋, ⌈sy⌉]`, cast saturating.
+fn pixel_box(sx: f64, sy: f64) -> [i32; 4] {
+    [sx.floor() as i32, sx.ceil() as i32, sy.floor() as i32, sy.ceil() as i32]
+}
+
+/// The pixel box of a triangle from the pixel boxes of its corners: min
+/// of the floors, max of the ceils. This *is* the row-band engine's
+/// `⌊min3(x)⌋` / `⌈max3(x)⌉` cast to `i32`: floor, ceil and the
+/// saturating cast are each monotone non-decreasing on `[-∞, +∞]`, a
+/// monotone `g` commutes with min and max (`g(min(a, b)) = min(g(a),
+/// g(b))`), and no NaN reaches here (a non-finite projection drops the
+/// vertex; scaling a finite NDC coordinate to the screen can overflow to
+/// ±∞ but not to NaN), so `min3`'s NaN-skipping is never exercised. One
+/// floor/ceil pair per *vertex* then serves every triangle around it.
+fn union3(a: [i32; 4], b: [i32; 4], c: [i32; 4]) -> [i32; 4] {
+    let ([ax0, ax1, ay0, ay1], [bx0, bx1, by0, by1], [cx0, cx1, cy0, cy1]) = (a, b, c);
+    [ax0.min(bx0).min(cx0), ax1.max(bx1).max(cx1), ay0.min(by0).min(cy0), ay1.max(by1).max(cy1)]
+}
+
+/// Transforms and shades one actor into screen-space primitives. Total
+/// over any `PolyData`: a cell naming a point that does not exist is
+/// dropped like one naming a point behind the camera, and a point without
+/// a scalar or a normal takes the flat color / unlit path.
 pub(crate) fn build_primitives(
     actor: &Actor,
     view_proj: &Mat4,
@@ -69,118 +143,109 @@ pub(crate) fn build_primitives(
     if !actor.visible || actor.property.opacity <= 0.0 {
         return;
     }
-    let pd = &actor.poly_data;
+    let pd = &*actor.poly_data;
     let mvp = view_proj.mul_mat(&actor.transform);
     let (w, h) = (width as f64, height as f64);
-
-    // Transform all points once.
-    let mut screen: Vec<Option<(f64, f64, f32)>> = Vec::with_capacity(pd.points.len());
-    for &p in &pd.points {
+    let to_screen = |p: Vec3| -> Option<(f64, f64, f32)> {
         let (clip, cw) = mvp.transform_point4(p);
         if cw <= 1e-9 {
-            screen.push(None); // behind the camera
-            continue;
+            return None; // behind the camera
         }
         let ndc = clip / cw;
         if !(ndc.x.is_finite() && ndc.y.is_finite() && ndc.z.is_finite()) {
-            screen.push(None);
-            continue;
+            return None;
         }
         let sx = (ndc.x + 1.0) / 2.0 * (w - 1.0);
         let sy = (1.0 - ndc.y) / 2.0 * (h - 1.0);
-        screen.push(Some((sx, sy, ndc.z as f32)));
-    }
+        Some((sx, sy, ndc.z as f32))
+    };
 
-    // Shade all points once.
     let prop = &actor.property;
     let base_alpha = prop.opacity;
     let incident: Vec<_> = lights.iter().map(Light::incident).collect();
-    let vertex_color = |i: usize| -> Color {
-        let mut c = match (&prop.lookup_table, &pd.scalars) {
-            (Some(lut), Some(s)) => lut.map(s[i]),
-            _ => prop.color,
-        };
+    let scalars = prop.lookup_table.as_ref().zip(pd.scalars.as_deref());
+    let normals = pd.normals.as_deref().filter(|_| prop.lighting);
+    let shade = |i: usize| -> Color {
+        let mut c = scalars
+            .and_then(|(lut, s)| s.get(i).map(|&v| lut.map(v)))
+            .unwrap_or(prop.color);
         c.a *= base_alpha;
-        if prop.lighting {
-            if let Some(normals) = &pd.normals {
-                let n = actor.transform.transform_vector(normals[i]).normalized();
-                let mut diffuse = 0.0f32;
-                for light in &incident {
-                    diffuse += light.diffuse(n);
-                }
-                let k = (prop.ambient + (1.0 - prop.ambient) * diffuse.min(1.0)).min(1.0);
-                c = c.scaled(k);
+        if let Some(&normal) = normals.and_then(|n| n.get(i)) {
+            let n = actor.transform.transform_vector(normal).normalized();
+            let mut diffuse = 0.0f32;
+            for light in &incident {
+                diffuse += light.diffuse(n);
             }
+            let k = (prop.ambient + (1.0 - prop.ambient) * diffuse.min(1.0)).min(1.0);
+            c = c.scaled(k);
         }
         c.clamped()
     };
-    let colors: Vec<Color> = (0..pd.points.len()).map(vertex_color).collect();
+
+    // Transform and shade every point once, into the frame's vertex array;
+    // `px` says which points survived (`None`: dropped, no cell may use
+    // it) and, for a surface — the one representation whose cells read
+    // it — holds each survivor's pixel box.
+    let PrimitiveList { verts, tris, lines, points } = out;
+    let n = pd.points.len();
+    // dv3dlint: allow(no_panic) -- 2^32 vertices are 171 GB of `ScreenVertex`; the sort and CSR indices are u32 too
+    let end = u32::try_from(verts.len() + n).expect("frame vertex count fits the u32 ids");
+    let base = end - n as u32;
+    let surface = prop.representation == Representation::Surface;
+    let mut px: Vec<Option<[i32; 4]>> = Vec::with_capacity(n);
+    verts.extend(pd.points.iter().enumerate().map(|(i, &p)| {
+        let on_screen = to_screen(p).map(|(sx, sy, z)| ScreenVertex { sx, sy, z, color: shade(i) });
+        px.push(on_screen.map(|v| if surface { pixel_box(v.sx, v.sy) } else { [0; 4] }));
+        on_screen.unwrap_or_default()
+    }));
+    let mine = verts.get(base as usize..).unwrap_or(&[]);
+    let corner = |i: u32| px.get(i as usize).copied().flatten();
+    let vertex = |i: u32| corner(i).and(mine.get(i as usize));
+    let segment = |a: u32, b: u32| -> Option<RasterLine> {
+        let (va, vb) = (vertex(a)?, vertex(b)?);
+        Some(RasterLine {
+            a: (va.sx, va.sy, va.z),
+            b: (vb.sx, vb.sy, vb.z),
+            color_a: va.color,
+            color_b: vb.color,
+        })
+    };
+    let push_polylines = |lines: &mut Vec<RasterLine>| {
+        for line in &pd.lines {
+            for seg in line.windows(2) {
+                if let [a, b] = *seg {
+                    lines.extend(segment(a, b));
+                }
+            }
+        }
+    };
 
     match prop.representation {
         Representation::Surface => {
-            out.tris.reserve(pd.triangles.len());
-            for tri in &pd.triangles {
-                let [a, b, c] = tri.map(|i| i as usize);
-                if let (Some(pa), Some(pb), Some(pc)) = (screen[a], screen[b], screen[c]) {
-                    out.tris.push(RasterTri {
-                        sx: [pa.0, pb.0, pc.0],
-                        sy: [pa.1, pb.1, pc.1],
-                        z: [pa.2, pb.2, pc.2],
-                        color: [colors[a], colors[b], colors[c]],
-                    });
-                }
-            }
-            push_polylines(pd, &screen, &colors, out);
+            tris.reserve(pd.triangles.len());
+            // boxes are joined here, in mesh order, where the three `px`
+            // gathers are near each other; after the painter sort the same
+            // gathers miss the cache on every triangle
+            tris.extend(pd.triangles.iter().filter_map(|&[a, b, c]| {
+                // the corners exist, so their ids are below `end`
+                let bbox = union3(corner(a)?, corner(b)?, corner(c)?);
+                Some(TriRef { v: [base + a, base + b, base + c], bbox })
+            }));
+            push_polylines(lines);
         }
         Representation::Wireframe => {
-            for tri in &pd.triangles {
-                for (a, b) in [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])] {
-                    let (a, b) = (a as usize, b as usize);
-                    if let (Some(pa), Some(pb)) = (screen[a], screen[b]) {
-                        out.lines.push(RasterLine {
-                            a: pa,
-                            b: pb,
-                            color_a: colors[a],
-                            color_b: colors[b],
-                        });
-                    }
+            for &[a, b, c] in &pd.triangles {
+                for (a, b) in [(a, b), (b, c), (c, a)] {
+                    lines.extend(segment(a, b));
                 }
             }
-            push_polylines(pd, &screen, &colors, out);
+            push_polylines(lines);
         }
         Representation::Points => {
-            for (i, s) in screen.iter().enumerate() {
-                if let Some(p) = s {
-                    out.points.push(RasterPoint {
-                        x: p.0,
-                        y: p.1,
-                        z: p.2,
-                        radius: prop.point_size / 2.0,
-                        color: colors[i],
-                    });
-                }
-            }
-        }
-    }
-}
-
-fn push_polylines(
-    pd: &crate::poly_data::PolyData,
-    screen: &[Option<(f64, f64, f32)>],
-    colors: &[Color],
-    out: &mut PrimitiveList,
-) {
-    for line in &pd.lines {
-        for seg in line.windows(2) {
-            let (a, b) = (seg[0] as usize, seg[1] as usize);
-            if let (Some(pa), Some(pb)) = (screen[a], screen[b]) {
-                out.lines.push(RasterLine {
-                    a: pa,
-                    b: pb,
-                    color_a: colors[a],
-                    color_b: colors[b],
-                });
-            }
+            let radius = prop.point_size / 2.0;
+            points.extend(mine.iter().zip(&px).filter(|(_, on_screen)| on_screen.is_some()).map(
+                |(v, _)| RasterPoint { x: v.sx, y: v.sy, z: v.z, radius, color: v.color },
+            ));
         }
     }
 }
@@ -209,7 +274,7 @@ pub(crate) fn build_sorted_primitives(
     for actor in actors {
         build_primitives(actor, view_proj, lights, width, height, &mut prims);
     }
-    sort_far_to_near(&mut prims.tris);
+    sort_far_to_near(&prims.verts, &mut prims.tris);
     prims
 }
 
@@ -226,23 +291,29 @@ fn far_first_key(z_sum: f32) -> u32 {
     }
 }
 
-/// Painter order: far→near by the sum of the vertex depths, equal sums
+/// Painter order: far→near by the sum of the corner depths, equal sums
 /// in list order — the permutation a stable sort comparing
 /// `zb.total_cmp(&za)` yields. The sort runs on 8-byte
-/// `(key << 32 | index)` words instead of the 112-byte payloads: each
-/// z-sum is computed once, the index in the low half breaks ties in
+/// `(key << 32 | index)` words: each z-sum is computed once (three
+/// vertex reads in mesh order), the index in the low half breaks ties in
 /// list order (so an unstable sort is exact — no two words are equal),
-/// and one gather then moves every payload once.
-fn sort_far_to_near(tris: &mut Vec<RasterTri>) {
-    // dv3dlint: allow(no_panic) -- 2^32 triangles are 480 GB of payload; the CSR bin offsets are u32 too
+/// and one gather then moves every 28-byte ref once.
+fn sort_far_to_near(verts: &[ScreenVertex], tris: &mut Vec<TriRef>) {
+    // dv3dlint: allow(no_panic) -- 2^32 triangles are 120 GB of refs; the CSR bin offsets are u32 too
     let n = u32::try_from(tris.len()).expect("triangle count fits the u32 sort index");
+    let depth = |i: u32| verts.get(i as usize).map_or(0.0, |v| v.z);
     let mut order: Vec<u64> = tris
         .iter()
         .zip(0..n)
-        .map(|(t, i)| u64::from(far_first_key(t.z.iter().sum::<f32>())) << 32 | u64::from(i))
+        .map(|(t, i)| {
+            u64::from(far_first_key(t.v.map(depth).iter().sum::<f32>())) << 32 | u64::from(i)
+        })
         .collect();
     order.sort_unstable();
-    *tris = order.iter().map(|&word| tris[(word & 0xffff_ffff) as usize]).collect();
+    *tris = order
+        .iter()
+        .map(|&word| tris.get((word & 0xffff_ffff) as usize).copied().unwrap_or_default())
+        .collect();
 }
 
 /// Convenience entry point: builds primitives for `actors` and rasterizes
@@ -281,6 +352,19 @@ mod tests {
     use crate::poly_data::PolyData;
     use crate::render::camera::Camera;
     use crate::render::test_rng::Rng;
+    use std::sync::Arc;
+
+    impl PrimitiveList {
+        /// Appends a triangle over three new vertices, boxed the way
+        /// `build_primitives` boxes a mesh triangle (also the fixture of
+        /// the `tile.rs` tests).
+        pub(crate) fn push_tri(&mut self, corners: [ScreenVertex; 3]) {
+            let base = self.verts.len() as u32;
+            let [a, b, c] = corners.map(|v| pixel_box(v.sx, v.sy));
+            self.verts.extend(corners);
+            self.tris.push(TriRef { v: [base, base + 1, base + 2], bbox: union3(a, b, c) });
+        }
+    }
 
     fn screen_tri() -> Actor {
         // Big triangle in the z=0 plane, camera straight on.
@@ -379,7 +463,7 @@ mod tests {
     fn scalar_coloring_via_lut() {
         use crate::lookup_table::{ColormapName, LookupTable};
         let mut a = screen_tri();
-        a.poly_data.scalars = Some(vec![0.0, 0.0, 1.0]);
+        Arc::make_mut(&mut a.poly_data).scalars = Some(vec![0.0, 0.0, 1.0]);
         a.property.lookup_table = Some(LookupTable::new(ColormapName::Grayscale, (0.0, 1.0)));
         a.property.lighting = false;
         let mut fb = Framebuffer::new(64, 64);
@@ -394,7 +478,8 @@ mod tests {
     fn lighting_darkens_grazing_surfaces() {
         let mut lit = screen_tri();
         lit.property.lighting = true;
-        lit.poly_data.normals = Some(vec![Vec3::new(1.0, 0.0, 0.0); 3]); // ⊥ to light below
+        // ⊥ to the light below
+        Arc::make_mut(&mut lit.poly_data).normals = Some(vec![Vec3::new(1.0, 0.0, 0.0); 3]);
         let mut fb = Framebuffer::new(32, 32);
         let light = Light::directional(Vec3::new(0.0, 0.0, -1.0));
         draw_actors(&[lit], &front_camera(), &[light], &mut fb);
@@ -511,19 +596,28 @@ mod tests {
     }
 
     #[test]
+    fn a_ref_is_28_bytes_and_a_vertex_40() {
+        // the sizes the bytes-per-frame argument (DESIGN §16) stands on
+        assert_eq!(std::mem::size_of::<TriRef>(), 28);
+        assert_eq!(std::mem::size_of::<ScreenVertex>(), 40);
+        assert_eq!(std::mem::size_of::<RasterTri>(), 112);
+    }
+
+    #[test]
     fn key_sort_is_the_stable_total_cmp_permutation() {
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
         for len in [0usize, 1, 2, 3, 17, 1_000, 120_000] {
-            // sx[0] remembers the list position, so a permutation that
-            // orders equal sums differently is caught
-            let tris: Vec<RasterTri> = (0..len)
-                .map(|i| RasterTri {
-                    sx: [i as f64, 0.0, 0.0],
-                    z: stress_depths(&mut rng),
-                    ..RasterTri::default()
-                })
-                .collect();
-            let mut expected = tris.clone();
+            // sx of the first corner remembers the list position, so a
+            // permutation that orders equal sums differently is caught
+            let mut prims = PrimitiveList::default();
+            for i in 0..len {
+                let [za, zb, zc] = stress_depths(&mut rng);
+                let at = |sx: f64, z: f32| ScreenVertex { sx, z, ..ScreenVertex::default() };
+                prims.push_tri([at(i as f64, za), at(0.0, zb), at(0.0, zc)]);
+            }
+            let by_value =
+                |tris: &[TriRef]| tris.iter().map(|t| prims.raster_tri(t)).collect::<Vec<_>>();
+            let mut expected = by_value(&prims.tris);
             // the comparator `build_sorted_primitives` used before the
             // key sort, verbatim
             expected.sort_by(|a, b| {
@@ -531,8 +625,9 @@ mod tests {
                 let zb = b.z.iter().sum::<f32>();
                 zb.total_cmp(&za)
             });
-            let mut sorted = tris;
-            sort_far_to_near(&mut sorted);
+            let mut sorted = prims.tris.clone();
+            sort_far_to_near(&prims.verts, &mut sorted);
+            let sorted = by_value(&sorted);
             assert_eq!(sorted.len(), expected.len());
             for (at, (got, want)) in sorted.iter().zip(&expected).enumerate() {
                 assert_eq!(
@@ -576,6 +671,178 @@ mod tests {
                     b.to_bits()
                 );
             }
+        }
+    }
+
+    /// A mesh that uses every per-point array: a lit, LUT-colored fan of
+    /// six triangles round a raised hub, plus two polylines.
+    fn fan_mesh() -> PolyData {
+        let mut pd = PolyData::new();
+        for i in 0..6 {
+            let a = i as f64 / 6.0 * std::f64::consts::TAU;
+            pd.add_point(Vec3::new(a.cos(), a.sin(), 0.0));
+        }
+        let hub = pd.add_point(Vec3::new(0.0, 0.0, 0.6));
+        for i in 0..6 {
+            pd.triangles.push([i, (i + 1) % 6, hub]);
+        }
+        pd.lines.push(vec![0, 2, 4, 0]);
+        pd.lines.push(vec![1, hub, 4]);
+        pd.scalars = Some((0..7).map(|i| i as f32 / 6.0).collect());
+        pd.compute_normals();
+        pd
+    }
+
+    fn fan_actor(pd: PolyData, rep: Representation) -> Actor {
+        use crate::lookup_table::{ColormapName, LookupTable};
+        let mut a = Actor::from_poly_data(pd)
+            .with_lookup_table(LookupTable::new(ColormapName::Jet, (0.0, 1.0)))
+            .with_representation(rep);
+        a.property.point_size = 5.0;
+        a
+    }
+
+    fn frame_bits(actors: &[Actor]) -> Vec<u32> {
+        let mut fb = Framebuffer::new(64, 48);
+        draw_actors(actors, &front_camera(), &[Light::default()], &mut fb);
+        let depths = (0..48).flat_map(|y| (0..64).map(move |x| (x, y)));
+        fb.colors()
+            .iter()
+            .flat_map(|c| [c.r, c.g, c.b, c.a])
+            .chain(depths.map(|(x, y)| fb.depth_at(x, y)))
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    const REPRESENTATIONS: [Representation; 3] =
+        [Representation::Surface, Representation::Wireframe, Representation::Points];
+
+    #[test]
+    fn cells_naming_missing_points_are_dropped_and_the_rest_renders_identically() {
+        for rep in REPRESENTATIONS {
+            // the cells that survive, spelled out: of `[2, 3, ∞, 4, 5]`
+            // the segments 2–3 and 4–5, of `[0, 7, 1]` nothing
+            let mut clean = fan_mesh();
+            clean.lines.push(vec![2, 3]);
+            clean.lines.push(vec![4, 5]);
+            let mut bad = fan_mesh();
+            bad.triangles.insert(0, [0, 1, 7]); // one past the last point
+            bad.triangles.insert(3, [u32::MAX, 2, 3]);
+            bad.triangles.push([9, 8, 7]);
+            bad.lines.push(vec![2, 3, u32::MAX, 4, 5]);
+            bad.lines.push(vec![0, 7, 1]);
+            bad.lines.push(vec![7]);
+            // behind another actor, so that the fan's vertex ids have a base
+            let mut behind = screen_tri();
+            behind.transform = Mat4::translate(Vec3::new(0.0, 0.0, -1.0));
+            let want = frame_bits(&[behind.clone(), fan_actor(clean, rep)]);
+            assert_eq!(frame_bits(&[behind, fan_actor(bad, rep)]), want, "{rep:?}");
+            assert!(want.iter().any(|&b| b == 1.0f32.to_bits()), "{rep:?} drew nothing");
+        }
+        // cells over no points at all
+        let mut empty = PolyData::new();
+        empty.triangles.push([0, 1, 2]);
+        empty.lines.push(vec![0, 1]);
+        for rep in REPRESENTATIONS {
+            let blank = frame_bits(&[]);
+            assert_eq!(frame_bits(&[fan_actor(empty.clone(), rep)]), blank, "{rep:?}");
+        }
+    }
+
+    #[test]
+    fn a_missing_scalar_or_normal_falls_back_for_that_vertex_only() {
+        let colors = |a: &Actor| -> Vec<Color> {
+            let mut prims = PrimitiveList::default();
+            build_primitives(a, &front_camera(), &[Light::default()], 64, 48, &mut prims);
+            prims.verts.iter().map(|v| v.color).collect()
+        };
+        let full = fan_actor(fan_mesh(), Representation::Surface);
+        let mut flat = full.clone();
+        flat.property.lookup_table = None;
+        let mut unlit = full.clone();
+        unlit.property.lighting = false;
+        let (full, flat, unlit) = (colors(&full), colors(&flat), colors(&unlit));
+        assert_ne!(full, flat);
+        assert_ne!(full, unlit);
+        for keep in [0usize, 1, 4, 6] {
+            let mut short_scalars = fan_mesh();
+            short_scalars.scalars.as_mut().unwrap().truncate(keep);
+            let mut short_normals = fan_mesh();
+            short_normals.normals.as_mut().unwrap().truncate(keep);
+            for rep in REPRESENTATIONS {
+                // the first `keep` vertices are untouched, the rest take
+                // the path an actor without the array takes
+                let got = colors(&fan_actor(short_scalars.clone(), rep));
+                assert_eq!(got[..keep], full[..keep], "{rep:?}, {keep} scalars");
+                assert_eq!(got[keep..], flat[keep..], "{rep:?}, {keep} scalars");
+                let got = colors(&fan_actor(short_normals.clone(), rep));
+                assert_eq!(got[..keep], full[..keep], "{rep:?}, {keep} normals");
+                assert_eq!(got[keep..], unlit[keep..], "{rep:?}, {keep} normals");
+                // and the frame renders
+                frame_bits(&[
+                    fan_actor(short_scalars.clone(), rep),
+                    fan_actor(short_normals.clone(), rep),
+                ]);
+            }
+        }
+    }
+
+    #[test]
+    fn every_tri_ref_names_the_vertex_its_actor_meant() {
+        // three actors with 7, 4 and 3 points: the second has a vertex
+        // behind the eye (so a slot no triangle may name) and the third is
+        // a wireframe (vertices, no triangles); flat unlit colors tell
+        // whose vertex a ref resolved to
+        let mut partly_behind = PolyData::new();
+        partly_behind.add_point(Vec3::new(-1.5, -1.0, -1.0));
+        partly_behind.add_point(Vec3::new(0.0, 0.0, 50.0)); // behind the eye at z=5
+        partly_behind.add_point(Vec3::new(1.5, -1.0, -1.0));
+        partly_behind.add_point(Vec3::new(0.0, 1.5, -1.0));
+        partly_behind.triangles.push([0, 1, 2]); // dropped
+        partly_behind.triangles.push([0, 2, 3]);
+        let flat = |pd: PolyData, c: Color| {
+            let mut a = Actor::from_poly_data(pd).with_color(c);
+            a.property.lighting = false;
+            a
+        };
+        let mut fan = fan_mesh();
+        fan.scalars = None;
+        let fan_tris = fan.triangles.clone();
+        // each actor with the mesh triangles that survive the projection
+        let actors = [
+            (flat(fan, Color::RED), fan_tris),
+            (flat(partly_behind, Color::GREEN), vec![[0, 2, 3]]),
+            (screen_tri().with_representation(Representation::Wireframe), vec![]),
+            (screen_tri().with_color(Color::BLUE), vec![[0, 1, 2]]),
+        ];
+        let (vp, lights) = (front_camera(), [Light::default()]);
+        let mut frame = PrimitiveList::default();
+        let mut want: Vec<RasterTri> = Vec::new();
+        for (a, surviving) in &actors {
+            build_primitives(a, &vp, &lights, 64, 48, &mut frame);
+            // the actor alone in a list: its ids are its mesh indices
+            let mut alone = PrimitiveList::default();
+            build_primitives(a, &vp, &lights, 64, 48, &mut alone);
+            assert_eq!(&alone.tris.iter().map(|t| t.v).collect::<Vec<_>>(), surviving);
+            for t in &alone.tris {
+                let tri = alone.raster_tri(t);
+                assert_eq!(tri.color, [a.property.color; 3]);
+                want.push(tri);
+            }
+        }
+        assert_eq!(frame.verts.len(), 7 + 4 + 3 + 3);
+        assert_eq!(frame.tris.len(), 6 + 1 + 1);
+        assert_eq!(frame.tris.len(), want.len());
+        for (t, want) in frame.tris.iter().zip(&want) {
+            let got = frame.raster_tri(t);
+            assert_eq!(
+                (got.sx, got.sy, got.z.map(f32::to_bits), got.color),
+                (want.sx, want.sy, want.z.map(f32::to_bits), want.color),
+                "ref {t:?}"
+            );
+            let [a, b, c] = t.v.map(|i| frame.verts[i as usize]);
+            let boxes = [a, b, c].map(|v| pixel_box(v.sx, v.sy));
+            assert_eq!(t.bbox, union3(boxes[0], boxes[1], boxes[2]));
         }
     }
 

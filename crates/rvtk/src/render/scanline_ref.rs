@@ -8,6 +8,12 @@
 //! engine is bit-identical to it for random scenes at any thread count,
 //! and so `benches/render.rs` can measure the speedup honestly. Mirrors
 //! the `cdat::expr` ↔ eager-reference precedent from PR 5.
+//!
+//! Its triangle kernel still takes corners by value and derives the
+//! bbox from them in `f64`; the frame now stores triangles as vertex
+//! indices, so each band builds that `RasterTri` view per triangle
+//! (`PrimitiveList::raster_tri`) — a cost of the oracle, not of the
+//! engine it once was.
 
 use crate::color::Color;
 use crate::render::framebuffer::Framebuffer;
@@ -44,7 +50,7 @@ pub(crate) fn rasterize_scanline(prims: &PrimitiveList, fb: &mut Framebuffer) {
             depths: band.depths,
         };
         for t in &prims.tris {
-            band.triangle(t);
+            band.triangle(&prims.raster_tri(t));
         }
         for l in &prims.lines {
             band.line(l);

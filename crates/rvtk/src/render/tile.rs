@@ -8,9 +8,11 @@
 //! every primitive and point sprites/lines re-walked their full extent once
 //! per band.
 //!
-//! Binning evaluates each primitive's geometry once. A triangle's bbox is
-//! clamped to a 16-byte [`TileSpan`] (the tile rectangle
-//! `TileGrid::for_tiles_over` would walk); lines and point sprites resolve
+//! Binning evaluates each primitive's geometry once. A triangle arrives as
+//! a 28-byte [`TriRef`] whose integer pixel box was joined from its
+//! corners when the mesh was assembled; binning clamps that box to a
+//! 16-byte [`TileSpan`] (the tile rectangle `TileGrid::for_tiles_over`
+//! would walk) without reading a vertex. Lines and point sprites resolve
 //! to `(tile, entry)` pairs. The one CSR builder, [`csr_pairs`], then
 //! counts, prefix-sums and scatters from those stored spans and pairs.
 //!
@@ -18,7 +20,9 @@
 //! the hyperwall delta transport (which diffs consecutive frames): the
 //! per-pixel kernels below are the scanline kernels verbatim — identical
 //! expression trees, identical fold/clamp semantics — with their iteration
-//! domains intersected with the tile rectangle. Since every pixel belongs
+//! domains intersected with the tile rectangle (for a triangle in integer
+//! pixel coordinates: its box is the scanline `⌊min3⌋` / `⌈max3⌉`, see
+//! `rasterizer::union3`). Since every pixel belongs
 //! to exactly one tile, and primitives are replayed per tile in list order
 //! (triangles, then lines, then points), each pixel sees exactly the plot
 //! sequence the scanline engine would have issued, at any thread count.
@@ -28,26 +32,35 @@
 
 use crate::color::Color;
 use crate::render::framebuffer::{Framebuffer, TileGrid, TileSpan};
-use crate::render::rasterizer::{PrimitiveList, RasterLine, RasterPoint, RasterTri};
+use crate::render::rasterizer::{PrimitiveList, RasterLine, RasterPoint, ScreenVertex, TriRef};
 use rayon::prelude::*;
 
-/// Per-tile primitive *data* in CSR (offsets + flat payload) layout, one
+/// Per-tile primitive entries in CSR (offsets + flat items) layout, one
 /// class per array pair — a sort-middle command buffer. A counting sort
 /// ([`csr_pairs`]) builds each pair — count, prefix-sum, fill — so a
 /// frame costs a handful of exact-sized allocations instead of three
-/// growable `Vec`s per tile. Bins carry
-/// copies of the primitives rather than indices: a tile then rasterizes
-/// from one contiguous slice instead of chasing per-index pointers into
-/// the frame-wide primitive arrays, which on multi-actor scenes is the
-/// difference between streaming reads and an L1 miss per primitive
-/// visit. Within a tile, entries stay in primitive-list order (the fill
-/// pass walks primitives in order), which the draw-order invariant
-/// depends on; for triangles that list order is the painter order
+/// growable `Vec`s per tile.
+///
+/// What an entry holds is what a tile visit needs, weighed against what
+/// copying it into every overlapped tile costs. A point sprite is binned
+/// by value. A triangle is binned as its 28-byte [`TriRef`], not as its
+/// corners: bins of corner copies (112 bytes an entry) were once argued
+/// for here as streaming reads against a cache miss per visit, and
+/// measured wrong on large meshes — a 97 138-triangle isosurface wrote
+/// and read back 12 MB of such bins per frame for vertices that, stored
+/// once, fit in 2 MB and stay cache-resident while the tiles gather from
+/// them. The pixel box travels with the ref because it is all that
+/// binning reads and all a tile needs to turn away an entry that misses
+/// its rectangle — neither touches a vertex.
+///
+/// Within a tile, entries stay in primitive-list order (the fill pass
+/// walks primitives in order), which the draw-order invariant depends
+/// on; for triangles that list order is the painter order
 /// `rasterizer::build_sorted_primitives` established.
 #[derive(Debug, Default)]
 pub(crate) struct TileBins {
     tri_off: Vec<u32>,
-    tri_items: Vec<RasterTri>,
+    tri_items: Vec<TriRef>,
     line_off: Vec<u32>,
     line_items: Vec<BinnedLine>,
     point_off: Vec<u32>,
@@ -59,10 +72,10 @@ pub(crate) struct TileBins {
 /// tile. The range falls out of the slab/column t-intervals the binning
 /// pass already computes, so storing it here lets the kernel start
 /// walking immediately instead of re-deriving the range (two interval
-/// solves, i.e. divisions) per tile entry. Unlike triangles and points,
-/// lines bin by index rather than by copy: a zoomed full-height segment
-/// crosses a whole tile column, and copying an 80-byte payload per
-/// crossed tile costs more in binning memory traffic than the gather
+/// solves, i.e. divisions) per tile entry. Like triangles and unlike
+/// points, lines bin by index rather than by copy: a zoomed full-height
+/// segment crosses a whole tile column, and copying an 80-byte payload
+/// per crossed tile costs more in binning memory traffic than the gather
 /// indirection saves in the kernel.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BinnedLine {
@@ -79,7 +92,7 @@ impl TileBins {
         items.get(a as usize..b as usize).unwrap_or(&[])
     }
 
-    pub(crate) fn tris(&self, t: usize) -> &[RasterTri] {
+    pub(crate) fn tris(&self, t: usize) -> &[TriRef] {
         Self::class(&self.tri_off, &self.tri_items, t)
     }
 
@@ -136,23 +149,10 @@ where
 /// bounds); under-binning would drop pixels, so boxes are expanded to
 /// cover rounding (`line`) and sprite radius (`point`).
 pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins {
-    // One geometry evaluation per triangle: its bbox is clamped to a
-    // 16-byte tile span here, and both counting-sort passes replay the
-    // spans, not the min/max/floor/ceil.
-    let spans: Vec<TileSpan> = prims
-        .tris
-        .iter()
-        .map(|t| {
-            let [ax, bx, cx] = t.sx;
-            let [ay, by, cy] = t.sy;
-            grid.tile_span(
-                min3(ax, bx, cx).floor(),
-                max3(ax, bx, cx).ceil(),
-                min3(ay, by, cy).floor(),
-                max3(ay, by, cy).ceil(),
-            )
-        })
-        .collect();
+    // One clamp per triangle: its pixel box becomes a 16-byte tile span
+    // here, and both counting-sort passes replay the spans, not the
+    // clamps and divisions.
+    let spans: Vec<TileSpan> = prims.tris.iter().map(|t| grid.tile_span(t.bbox)).collect();
     let cols = grid.cols();
     let (tri_off, tri_items) = csr_pairs(
         grid.len(),
@@ -287,17 +287,20 @@ pub(crate) fn rasterize_bins(
                 continue;
             }
             let rect = grid.rect(idx);
+            let (x0, x1) = (rect.x0, rect.x0 + rect.w);
             let mut view = TileView {
-                x0: rect.x0,
-                x1: rect.x0 + rect.w,
+                x0,
+                x1,
                 y0: band.y0,
                 rows: band.rows,
                 width: band.width,
+                rect: [x0, x1 - 1, band.y0, band.y0 + band.rows - 1]
+                    .map(|px| i32::try_from(px).unwrap_or(i32::MAX)),
                 colors: &mut *band.colors,
                 depths: &mut *band.depths,
             };
             for t in bins.tris(idx) {
-                view.triangle(t);
+                view.triangle(&prims.verts, t);
             }
             for b in bins.lines(idx) {
                 if let Some(l) = prims.lines.get(b.idx as usize) {
@@ -311,16 +314,6 @@ pub(crate) fn rasterize_bins(
     });
 }
 
-/// Replicates the scanline reference's `fold(INFINITY, f64::min)` /
-/// `fold(NEG_INFINITY, f64::max)` exactly (including NaN behaviour).
-fn min3(a: f64, b: f64, c: f64) -> f64 {
-    f64::INFINITY.min(a).min(b).min(c)
-}
-
-fn max3(a: f64, b: f64, c: f64) -> f64 {
-    f64::NEG_INFINITY.max(a).max(b).max(c)
-}
-
 /// One tile of one band: the x-range `[x0, x1)` of the tile plus the
 /// rows the owning band covers. Holds the pixel slices directly (not a
 /// `&mut BandView` indirection) so the plot path compiles to the same
@@ -332,6 +325,9 @@ struct TileView<'a> {
     y0: usize,
     rows: usize,
     width: usize,
+    /// The same rectangle as the inclusive pixel box `[x0, x1, y0, y1]`
+    /// a [`TriRef::bbox`] is clipped against.
+    rect: [i32; 4],
     colors: &'a mut [Color],
     depths: &'a mut [f32],
 }
@@ -356,32 +352,37 @@ impl TileView<'_> {
         }
     }
 
-    fn triangle(&mut self, t: &RasterTri) {
-        let [ax, bx, cx] = t.sx;
-        let [ay, by, cy] = t.sy;
-        let [az, bz, cz] = t.z;
-        let [col_a, col_b, col_c] = t.color;
-        let band_y0 = self.y0;
-        let band_y1 = band_y0 + self.rows - 1;
-        let ymin = min3(ay, by, cy).floor().max(band_y0 as f64);
-        let ymax = max3(ay, by, cy).ceil().min(band_y1 as f64);
+    fn triangle(&mut self, verts: &[ScreenVertex], t: &TriRef) {
+        // Clip the integer box against the tile before touching a vertex:
+        // the scanline `⌊min3⌋.max(lo)` / `⌈max3⌉.min(hi)` in `i32`, where
+        // a saturated bound still lands on the same side of the tile.
+        let [bx0, bx1, by0, by1] = t.bbox;
+        let [rx0, rx1, ry0, ry1] = self.rect;
+        let (ymin, ymax) = (by0.max(ry0), by1.min(ry1));
         if ymin > ymax {
             return;
         }
-        let xmin = min3(ax, bx, cx).floor().max(self.x0 as f64);
-        let xmax = max3(ax, bx, cx).ceil().min((self.x1 - 1) as f64);
+        let (xmin, xmax) = (bx0.max(rx0), bx1.min(rx1));
         if xmin > xmax {
             return;
         }
+        let [Some(a), Some(b), Some(c)] = t.v.map(|i| verts.get(i as usize)) else {
+            return;
+        };
+        let (ax, bx, cx) = (a.sx, b.sx, c.sx);
+        let (ay, by, cy) = (a.sy, b.sy, c.sy);
+        let (az, bz, cz) = (a.z, b.z, c.z);
+        let (col_a, col_b, col_c) = (a.color, b.color, c.color);
         // signed area; reject degenerate
         let area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay);
         if area.abs() < 1e-12 {
             return;
         }
         let inv_area = 1.0 / area;
-        for y in (ymin as usize)..=(ymax as usize) {
+        // the clipped bounds lie inside the tile, so they are non-negative
+        for y in (ymin.unsigned_abs() as usize)..=(ymax.unsigned_abs() as usize) {
             let py = y as f64;
-            for x in (xmin as usize)..=(xmax as usize) {
+            for x in (xmin.unsigned_abs() as usize)..=(xmax.unsigned_abs() as usize) {
                 let px = x as f64;
                 // barycentric coordinates
                 let w0 = ((bx - px) * (cy - py) - (cx - px) * (by - py)) * inv_area;
@@ -489,29 +490,87 @@ mod tests {
     use super::*;
     use crate::render::test_rng::Rng;
 
-    fn tri(sx: [f64; 3], sy: [f64; 3]) -> RasterTri {
-        RasterTri { sx, sy, z: [0.0; 3], color: [Color::WHITE; 3] }
+    /// The scanline reference's `fold(INFINITY, f64::min)` /
+    /// `fold(NEG_INFINITY, f64::max)` (NaN-skipping included), as the
+    /// tile kernel and the binning pass spelled them before triangles
+    /// carried an integer box.
+    fn min3(a: f64, b: f64, c: f64) -> f64 {
+        f64::INFINITY.min(a).min(b).min(c)
+    }
+
+    fn max3(a: f64, b: f64, c: f64) -> f64 {
+        f64::NEG_INFINITY.max(a).max(b).max(c)
+    }
+
+    /// The bbox those engines derived per triangle, per tile entry.
+    fn float_box([ax, bx, cx]: [f64; 3], [ay, by, cy]: [f64; 3]) -> [f64; 4] {
+        [
+            min3(ax, bx, cx).floor(),
+            max3(ax, bx, cx).ceil(),
+            min3(ay, by, cy).floor(),
+            max3(ay, by, cy).ceil(),
+        ]
+    }
+
+    fn push_tri(prims: &mut PrimitiveList, [ax, bx, cx]: [f64; 3], [ay, by, cy]: [f64; 3]) {
+        let at = |sx, sy| ScreenVertex { sx, sy, z: 0.0, color: Color::WHITE };
+        prims.push_tri([at(ax, ay), at(bx, by), at(cx, cy)]);
     }
 
     #[test]
     fn binning_hits_overlapping_tiles_only() {
         let grid = TileGrid::new(64, 64, 32);
         let mut prims = PrimitiveList::default();
-        prims.tris.push(tri([2.0, 10.0, 5.0], [2.0, 10.0, 9.0])); // tile 0 only
-        prims.tris.push(tri([20.0, 44.0, 30.0], [2.0, 40.0, 9.0])); // spans all four
+        push_tri(&mut prims, [2.0, 10.0, 5.0], [2.0, 10.0, 9.0]); // tile 0 only
+        push_tri(&mut prims, [20.0, 44.0, 30.0], [2.0, 40.0, 9.0]); // spans all four
         let bins = bin_primitives(&prims, &grid);
-        // tile 0 holds copies of both triangles, in draw order
-        let sx0: Vec<f64> = bins.tris(0).iter().map(|t| { let [a, _, _] = t.sx; a }).collect();
-        assert_eq!(sx0, vec![2.0, 20.0]);
+        let first_sx = |t: usize| -> Vec<f64> {
+            bins.tris(t).iter().map(|t| prims.raster_tri(t).sx).map(|[a, _, _]| a).collect()
+        };
+        // tile 0 holds refs to both triangles, in draw order
+        assert_eq!(first_sx(0), vec![2.0, 20.0]);
         for t in 1..4 {
-            let sx: Vec<f64> = bins.tris(t).iter().map(|t| { let [a, _, _] = t.sx; a }).collect();
-            assert_eq!(sx, vec![20.0], "only the spanning triangle lands in tile {t}");
+            assert_eq!(first_sx(t), vec![20.0], "only the spanning triangle lands in tile {t}");
         }
+    }
+
+    #[test]
+    fn pixel_box_is_the_floor_min_ceil_max_box() {
+        const BIG: f64 = 1e300;
+        // coordinates the cast can get wrong: exactly integral, sub-pixel
+        // on either side of an integer and of zero, negative, beyond i32
+        // and beyond any integer type
+        let pool = [
+            0.0, -0.0, 1.0, -1.0, 7.0, 31.0, 32.0, 479.0, 0.25, -0.25, 0.999_999, -0.999_999,
+            31.5, 32.000_001, 2_147_483_647.0, 2_147_483_647.5, 2_147_483_648.0,
+            -2_147_483_648.0, -2_147_483_648.5, -2_147_483_649.0, 4.0e9, -4.0e9, BIG, -BIG,
+            f64::MAX, f64::MIN, f64::MAX / 2.0, f64::INFINITY, f64::NEG_INFINITY,
+            f64::MIN_POSITIVE, -f64::MIN_POSITIVE,
+        ];
+        let mut rng = Rng(0x0dd_ba11_5eed);
+        let coord = |rng: &mut Rng| match rng.next() % 3 {
+            0 => pool.get((rng.next() % pool.len() as u64) as usize).copied().unwrap_or(0.0),
+            1 => (rng.next() % 1_000) as f64 - 500.0, // integral
+            _ => (rng.next() % 2_000_000) as f64 / 1_000.0 - 1_000.0,
+        };
+        let mut saturated = 0;
+        for _ in 0..4_000 {
+            let sx = [coord(&mut rng), coord(&mut rng), coord(&mut rng)];
+            let sy = [coord(&mut rng), coord(&mut rng), coord(&mut rng)];
+            let mut prims = PrimitiveList::default();
+            push_tri(&mut prims, sx, sy);
+            let want = float_box(sx, sy).map(|b| b as i32);
+            let got = prims.tris.first().map(|t| t.bbox);
+            assert_eq!(got, Some(want), "corners {sx:?} {sy:?}");
+            saturated += usize::from(want.contains(&i32::MAX) || want.contains(&i32::MIN));
+        }
+        assert!(saturated > 400, "the sweep must reach the cast's limits: {saturated}");
     }
 
     /// `TileGrid::for_tiles_over` as it stood when binning replayed every
     /// triangle's bbox through it twice, verbatim (fields read through
-    /// the accessors): the oracle for the stored-span binning.
+    /// the accessors): the `f64` clamp / reject rules, and so the oracle
+    /// for the stored-span binning and for the integer `tile_span`.
     fn tiles_over_reference(
         grid: &TileGrid,
         x0: f64,
@@ -584,23 +643,24 @@ mod tests {
                     [coord(fh), coord(fh), coord(fh)],
                 ));
             }
+            // the integer box is the saturating cast of the float one;
+            // v[0] carries the list position into the bins
+            let boxes: Vec<[f64; 4]> = cases.iter().map(|(sx, sy)| float_box(*sx, *sy)).collect();
             let mut prims = PrimitiveList::default();
-            for (id, (sx, sy)) in cases.iter().enumerate() {
-                // z[0] carries the list position into the bins
-                prims.tris.push(RasterTri { z: [id as f32, 0.0, 0.0], ..tri(*sx, *sy) });
+            for (id, b) in boxes.iter().enumerate() {
+                prims.tris.push(TriRef { v: [id as u32, 0, 0], bbox: b.map(|bound| bound as i32) });
             }
             let mut expected: Vec<Vec<usize>> = vec![Vec::new(); grid.len()];
-            for (id, (sx, sy)) in cases.iter().enumerate() {
-                let [ax, bx, cx] = *sx;
-                let [ay, by, cy] = *sy;
-                tiles_over_reference(
-                    &grid,
-                    min3(ax, bx, cx).floor(),
-                    max3(ax, bx, cx).ceil(),
-                    min3(ay, by, cy).floor(),
-                    max3(ay, by, cy).ceil(),
-                    |idx| expected.get_mut(idx).expect("tile in range").push(id),
-                );
+            for (id, &[x0, x1, y0, y1]) in boxes.iter().enumerate() {
+                let mut want = Vec::new();
+                tiles_over_reference(&grid, x0, x1, y0, y1, |idx| want.push(idx));
+                // the public walk casts its float bounds into the same span
+                let mut walked = Vec::new();
+                grid.for_tiles_over(x0, x1, y0, y1, |idx| walked.push(idx));
+                assert_eq!(walked, want, "{w}x{h} tile {tile}: case {id}");
+                for idx in want {
+                    expected.get_mut(idx).expect("tile in range").push(id);
+                }
             }
             let bins = bin_primitives(&prims, &grid);
             for (t, want) in expected.iter().enumerate() {
@@ -608,11 +668,24 @@ mod tests {
                     .tris(t)
                     .iter()
                     .map(|tri| {
-                        let [id, _, _] = tri.z;
+                        let [id, _, _] = tri.v;
                         id as usize
                     })
                     .collect();
                 assert_eq!(&got, want, "{w}x{h} tile {tile}: tile {t}");
+            }
+            // NaN and infinite *bounds* (no triangle box has them, a
+            // caller's sprite box may): NaN clamps to pixel 0
+            let odd = [NAN, INF, -INF, -3.0, 0.0, 5.0, fw - 1.0, fw + 40.0];
+            for (i, &x0) in odd.iter().enumerate() {
+                for &x1 in &odd {
+                    let (y0, y1) = (odd.get((i + 3) % odd.len()).copied().unwrap_or(0.0), x1);
+                    let mut want = Vec::new();
+                    tiles_over_reference(&grid, x0, x1, y0, y1, |idx| want.push(idx));
+                    let mut walked = Vec::new();
+                    grid.for_tiles_over(x0, x1, y0, y1, |idx| walked.push(idx));
+                    assert_eq!(walked, want, "{w}x{h} tile {tile}: bounds {x0} {x1} {y0} {y1}");
+                }
             }
             assert!(expected.iter().any(|l| l.len() > 100), "the sweep must load the bins");
         }

@@ -24,6 +24,14 @@
 //!    its color and depth bits, recorded with the payload `sort_by`
 //!    (stable, `zb.total_cmp(&za)` on the z-sums) that the key sort
 //!    replaced.
+//! 4. **One vertex array, many actors.** Triangles name their corners by
+//!    index into a vertex array all actors of the frame share, each actor
+//!    at its own base. Both engines resolve those indices the same way, so
+//!    identity alone need not see a wrong base; an opaque scene without
+//!    depth ties does, because its frame does not depend on the order of
+//!    its actors while every base does. Three actors with different point counts —
+//!    one with a vertex behind the camera, one drawn as a wireframe — in
+//!    all six orders: tile ≡ scanline at pools 1, 2 and 8, and one frame.
 
 use rvtk::color::Color;
 use rvtk::math::Vec3;
@@ -131,7 +139,8 @@ fn random_actor(rng: &mut Rng) -> Actor {
         use rvtk::lookup_table::{ColormapName, LookupTable};
         if a.poly_data.scalars.is_none() {
             let n = a.poly_data.points.len();
-            a.poly_data.scalars = Some((0..n).map(|i| i as f32 / n.max(1) as f32).collect());
+            std::sync::Arc::make_mut(&mut a.poly_data).scalars =
+                Some((0..n).map(|i| i as f32 / n.max(1) as f32).collect());
         }
         a.property.lookup_table =
             Some(LookupTable::new(ColormapName::Jet, (0.0, 1.0)));
@@ -298,3 +307,72 @@ fn large_isosurface_frame_bit_identical_and_painter_order_pinned() {
 }
 
 const PAYLOAD_SORT_FRAME_FNV: u64 = 0x2ce36068b4048a46;
+
+/// A fan of `n` triangles round the z axis at depth `z`, a little warped
+/// so that no two of its pixels tie on depth.
+fn fan(n: u32, radius: f64, z: f64) -> PolyData {
+    let mut pd = PolyData::new();
+    for i in 0..n {
+        let a = f64::from(i) / f64::from(n) * std::f64::consts::TAU;
+        pd.add_point(Vec3::new(radius * a.cos(), radius * a.sin(), z + 0.03 * f64::from(i)));
+    }
+    let hub = pd.add_point(Vec3::new(0.1, -0.05, z + 0.4));
+    for i in 0..n {
+        pd.triangles.push([i, (i + 1) % n, hub]);
+    }
+    pd
+}
+
+#[test]
+fn actors_sharing_the_vertex_array_render_one_frame_in_any_order() {
+    let _guard = ENV_LOCK.lock().expect("env lock");
+    let flat = |pd: PolyData, color: Color| {
+        let mut a = Actor::from_poly_data(pd).with_color(color);
+        a.property.lighting = false;
+        a
+    };
+    let big = flat(fan(11, 1.6, -1.0), Color::rgb(0.9, 0.2, 0.1));
+    // a point behind the eye: the two triangles round it are dropped, its
+    // slot in the shared array stays, unreferenced
+    let mut pd = fan(4, 1.1, 0.0);
+    pd.points[2] = Vec3::new(-0.4, 0.3, 50.0);
+    let partly_behind = flat(pd, Color::rgb(0.1, 0.8, 0.3));
+    let mut wire = flat(fan(3, 0.8, 1.0), Color::rgb(0.2, 0.3, 0.95));
+    wire.property.representation = Representation::Wireframe;
+    let actors = [big, partly_behind, wire];
+
+    let (w, h) = (97, 80);
+    let mut frames: Vec<Vec<u32>> = Vec::new();
+    for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+        let mut scene = Renderer::new();
+        for i in order {
+            scene.add_actor(actors[i].clone());
+        }
+        scene.camera.position = Vec3::new(0.3, 0.2, 5.0);
+        scene.camera.focal_point = Vec3::new(0.0, 0.0, 0.0);
+        scene.camera.clipping_range = (0.1, 100.0);
+        let mut reference = Framebuffer::new(w, h);
+        with_threads(2, || scanline_ref::render_scene_scanline(&scene, &mut reference));
+        let ref_bits = bits(&reference);
+        for threads in [1usize, 2, 8] {
+            let mut fb = Framebuffer::new(w, h);
+            with_threads(threads, || scene.render(&mut fb));
+            assert!(
+                bits(&fb) == ref_bits,
+                "tile vs scanline diverged: order {order:?}, {threads} threads"
+            );
+        }
+        frames.push(ref_bits);
+    }
+    // every actor is on screen, in its own color
+    let first = &frames[0];
+    for a in &actors {
+        let c = a.property.color;
+        let px = [c.r.to_bits(), c.g.to_bits(), c.b.to_bits(), c.a.to_bits()];
+        let seen = first[..w * h * 4].chunks_exact(4).filter(|p| **p == px).count();
+        assert!(seen > 20, "actor colored {c:?} covers {seen} px");
+    }
+    for (i, frame) in frames.iter().enumerate() {
+        assert!(frame == first, "actor order {i} changed the frame");
+    }
+}
