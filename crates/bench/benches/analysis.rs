@@ -136,6 +136,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"analysis\",\n",
+            "  \"smoke\": {},\n",
             "  \"reps\": {},\n",
             "  \"shape\": \"{}\",\n",
             "  \"eager_chain_ms\": {:.4},\n",
@@ -150,6 +151,7 @@ fn main() {
             "  \"thread_sweep\": [\n{}\n  ]\n",
             "}}\n"
         ),
+        smoke(),
         reps,
         if smoke() { "12x3x24x48" } else { "12x17x73x144" },
         eager,

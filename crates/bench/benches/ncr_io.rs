@@ -99,6 +99,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"ncr_io\",\n",
+            "  \"smoke\": {},\n",
             "  \"reps\": {},\n",
             "  \"v1_bytes\": {},\n",
             "  \"v2_bytes\": {},\n",
@@ -119,6 +120,7 @@ fn main() {
             "  \"decode_overhead_pct\": {:.2}\n",
             "}}\n"
         ),
+        smoke(),
         reps,
         v1.len(),
         v2.len(),

@@ -150,6 +150,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"regrid\",\n",
+            "  \"smoke\": {},\n",
             "  \"n_times\": {},\n",
             "  \"reps\": {},\n",
             "  \"src_grid\": \"24x48\",\n",
@@ -172,6 +173,7 @@ fn main() {
             "  \"cache_misses\": {}\n",
             "}}\n"
         ),
+        smoke(),
         N_TIMES,
         reps,
         bi_cold,

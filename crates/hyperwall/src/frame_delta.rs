@@ -12,6 +12,41 @@
 //! resync path: the server answers with a `ResyncRequest` and the client's
 //! [`FrameStreamer`] promotes its next frame to a keyframe.
 //!
+//! # The whole-frame hash is a hash of tile hashes
+//!
+//! `frame_hash` is FNV-1a over the little-endian `u64` FNV-1a hashes of the
+//! frame's tiles in grid order (180 words for 480×360), and a tile's hash
+//! is what [`WireTile::hash`] carries: FNV-1a over its raw RGBA8 bytes,
+//! row-major within its rect. Position binds through the order of the
+//! words. Both ends keep that **tile-hash table**. A keyframe rebuilds it
+//! from pixels; a delta touches only the entries of its dirty tiles — whose
+//! hashes both ends compute for the wire anyway — and then hashes the
+//! 1 440-byte table, not the 691 200-byte frame. Tiles are hashed four
+//! abreast.
+//!
+//! The receiver holds this invariant: *every table entry equals the hash of
+//! that tile's bytes in the committed frame.* A keyframe establishes it
+//! from decoded bytes; a delta preserves it because every tile it writes
+//! was hash-checked against the entry it installs. So a `frame_hash` that
+//! matches the receiver's candidate table means the receiver's frame is
+//! tile for tile the sender's — a corrupt, dropped, reordered, duplicated
+//! or stale message, or a sender whose previous frame differs from the
+//! receiver's, is rejected. Apply is check-then-commit: tiles are decoded
+//! and checked in a staging buffer, the claimed hashes go into a candidate
+//! copy of the table, and only when the candidate's hash equals
+//! `frame_hash` are pixels written and the candidate adopted. A rejected
+//! message therefore leaves frame and table untouched by construction.
+//!
+//! What this gives up is the saving: `apply` no longer re-reads pixels it
+//! did not write. A frame buffer damaged *in the receiver's memory*
+//! between frames is caught by [`FrameAssembler::verify`], which recomputes
+//! every tile hash from the pixels, and no longer by the next `apply`.
+//! Everything that arrives on the wire is checked as before, and a
+//! keyframe — also the answer to every `ResyncRequest` — rebuilds both
+//! tables from pixels.
+//!
+//! # Epochs and previews
+//!
 //! Epoch/sequence discipline: every keyframe starts a new *epoch* and
 //! resets the *sequence*; deltas are only valid against the epoch they
 //! were encoded in and in strict sequence order. A delta from a stale
@@ -25,7 +60,7 @@
 //! already uses for degraded panels: photons early, fidelity a moment
 //! later.
 
-use rvtk::render::TileGrid;
+use rvtk::render::{TileGrid, TileRect};
 use serde::{Deserialize, Serialize};
 
 /// How many frames a [`FrameStreamer`] sends between periodic keyframes
@@ -41,14 +76,81 @@ pub const PREVIEW_DOWNSAMPLE: usize = 4;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+fn fnv_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+}
+
 /// FNV-1a over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv_step(h, b))
+}
+
+/// Tiles hashed abreast. One FNV-1a chain advances a byte per xor→multiply
+/// latency (≈ 4 cycles); four independent chains issue a multiply every
+/// cycle, which is all the multiplier takes — a fifth would only queue.
+const LANES: usize = 4;
+
+/// Advances [`LANES`] FNV-1a states over one byte slice each, in lockstep.
+/// Each lane's result is exactly what the scalar chain gives for its bytes,
+/// whatever the other lanes hold.
+fn fnv1a_lanes(mut states: [u64; LANES], mut lanes: [&[u8]; LANES]) -> [u64; LANES] {
+    // Each round advances every unfinished lane by the length of the
+    // shortest one, so it retires at least one lane. A finished lane rides
+    // along on the shortest lane's bytes and its result is thrown away: the
+    // lockstep loop always has four chains to interleave.
+    loop {
+        let unfinished = lanes.iter().copied().filter(|l| !l.is_empty());
+        let Some(shortest) = unfinished.min_by_key(|l| l.len()) else {
+            return states;
+        };
+        let n = shortest.len();
+        let [a, b, c, d] = lanes
+            .map(|l| if l.is_empty() { shortest } else { l }.get(..n).unwrap_or_default());
+        let [mut h0, mut h1, mut h2, mut h3] = states;
+        for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+            h0 = fnv_step(h0, a);
+            h1 = fnv_step(h1, b);
+            h2 = fnv_step(h2, c);
+            h3 = fnv_step(h3, d);
+        }
+        for ((state, lane), h) in states.iter_mut().zip(&mut lanes).zip([h0, h1, h2, h3]) {
+            if !lane.is_empty() {
+                *state = h;
+                *lane = lane.get(n..).unwrap_or_default();
+            }
+        }
     }
-    h
+}
+
+/// Byte span of pixel row `row` of a tile rect in a row-major RGBA8 frame.
+fn row_span(width: usize, rect: &TileRect, row: usize) -> std::ops::Range<usize> {
+    let start = ((rect.y0 + row) * width + rect.x0) * 4;
+    start..start + rect.w * 4
+}
+
+/// The FNV-1a hash of every tile of a row-major RGBA8 frame, in grid order:
+/// what [`WireTile::hash`] carries for each, computed in place [`LANES`]
+/// tiles at a time.
+fn tile_hashes<'a>(rgba: &'a [u8], grid: &'a TileGrid) -> impl Iterator<Item = u64> + 'a {
+    (0..grid.len()).step_by(LANES).flat_map(move |first| {
+        // past the last tile `rect` is empty, and an empty lane costs nothing
+        let rects: [TileRect; LANES] = std::array::from_fn(|lane| grid.rect(first + lane));
+        let rows = rects.iter().map(|r| r.h).max().unwrap_or(0);
+        let hashes = (0..rows).fold([FNV_OFFSET; LANES], |states, row| {
+            let lanes = rects.map(|r| {
+                let span = if row < r.h { row_span(grid.width(), &r, row) } else { 0..0 };
+                rgba.get(span).unwrap_or_default()
+            });
+            fnv1a_lanes(states, lanes)
+        });
+        hashes.into_iter().take(grid.len() - first)
+    })
+}
+
+/// The whole-frame hash: FNV-1a over the table's words, little-endian, in
+/// grid order.
+fn table_hash(table: &[u64]) -> u64 {
+    table.iter().flat_map(|word| word.to_le_bytes()).fold(FNV_OFFSET, fnv_step)
 }
 
 /// A payload-level codec failure (truncated run, length mismatch). Carried
@@ -242,10 +344,9 @@ fn rle_decode_into(
 }
 
 /// Appends one tile rect of a full row-major RGBA8 frame to `out`.
-fn tile_bytes(rgba: &[u8], width: usize, rect: &rvtk::render::TileRect, out: &mut Vec<u8>) {
+fn tile_bytes(rgba: &[u8], width: usize, rect: &TileRect, out: &mut Vec<u8>) {
     for row in 0..rect.h {
-        let start = ((rect.y0 + row) * width + rect.x0) * 4;
-        if let Some(s) = rgba.get(start..start + rect.w * 4) {
+        if let Some(s) = rgba.get(row_span(width, rect, row)) {
             out.extend_from_slice(s);
         }
     }
@@ -253,25 +354,38 @@ fn tile_bytes(rgba: &[u8], width: usize, rect: &rvtk::render::TileRect, out: &mu
 
 /// True when the tile rect differs between two frames (row-slice compare,
 /// no allocation).
-fn tile_differs(a: &[u8], b: &[u8], width: usize, rect: &rvtk::render::TileRect) -> bool {
-    for row in 0..rect.h {
-        let start = ((rect.y0 + row) * width + rect.x0) * 4;
-        let span = start..start + rect.w * 4;
-        if a.get(span.clone()) != b.get(span) {
-            return true;
-        }
-    }
-    false
+fn tile_differs(a: &[u8], b: &[u8], width: usize, rect: &TileRect) -> bool {
+    (0..rect.h).any(|row| {
+        let span = row_span(width, rect, row);
+        a.get(span.clone()) != b.get(span)
+    })
 }
 
 /// Writes decoded tile bytes back into a full frame buffer.
-fn write_tile(buf: &mut [u8], width: usize, rect: &rvtk::render::TileRect, data: &[u8]) {
+fn write_tile(buf: &mut [u8], width: usize, rect: &TileRect, data: &[u8]) {
     for (row, src) in data.chunks_exact(rect.w * 4).enumerate() {
-        let start = ((rect.y0 + row) * width + rect.x0) * 4;
-        if let Some(dst) = buf.get_mut(start..start + rect.w * 4) {
+        if let Some(dst) = buf.get_mut(row_span(width, rect, row)) {
             dst.copy_from_slice(src);
         }
     }
+}
+
+/// Splits the next tile's bytes off `packed`, where whole tiles lie back to
+/// back (a sender's copies, a receiver's decoded payloads).
+fn next_tile<'a>(packed: &mut &'a [u8], rect: &TileRect) -> &'a [u8] {
+    let (tile, rest) = packed.split_at_checked(rect.w * rect.h * 4).unwrap_or_default();
+    *packed = rest;
+    tile
+}
+
+/// The next `group.len()` (at most [`LANES`]) tiles of `packed`, one a
+/// lane; lanes beyond the group are empty.
+fn packed_lanes<'a>(packed: &mut &'a [u8], group: &[TileRect]) -> [&'a [u8]; LANES] {
+    let mut lanes: [&[u8]; LANES] = [&[]; LANES];
+    for (lane, rect) in lanes.iter_mut().zip(group) {
+        *lane = next_tile(packed, rect);
+    }
+    lanes
 }
 
 /// What one encoded frame turned out to be.
@@ -283,14 +397,17 @@ pub enum EncodedKind {
     Delta { tiles: usize },
 }
 
-/// The sender half: tracks the previous frame, decides keyframe vs delta,
-/// and stamps epoch/sequence numbers.
+/// The sender half: tracks the previous frame and its tile-hash table,
+/// decides keyframe vs delta, and stamps epoch/sequence numbers.
 #[derive(Debug, Clone)]
 pub struct FrameStreamer {
     width: usize,
     height: usize,
     grid: TileGrid,
+    /// The frame the next delta is taken against.
     prev: Option<Vec<u8>>,
+    /// The hash of every tile of `prev`, in grid order.
+    table: Vec<u64>,
     epoch: u64,
     seq: u64,
     since_key: u64,
@@ -308,6 +425,7 @@ impl FrameStreamer {
             height,
             grid: TileGrid::with_default_tile(width, height),
             prev: None,
+            table: Vec::new(),
             epoch: 0,
             seq: 0,
             since_key: 0,
@@ -344,46 +462,36 @@ impl FrameStreamer {
                 got: (rgba.len() / 4, 1),
             });
         }
-        let key_due = self.prev.is_none()
-            || self.force_key
+        let key_due = self.force_key
             || (self.keyframe_every > 0 && self.since_key + 1 >= self.keyframe_every);
-        if key_due {
-            self.force_key = false;
-            self.epoch += 1;
-            self.seq = 0;
-            self.since_key = 0;
-            let msg = crate::protocol::Message::FrameKey {
-                client_id,
-                frame,
-                epoch: self.epoch,
-                seq: 0,
-                width: self.width,
-                height: self.height,
-                payload: rle_encode(rgba),
-                frame_hash: fnv1a(rgba),
-            };
-            self.remember(rgba);
-            return Ok((msg, EncodedKind::Key));
-        }
-        // delta: walk the tile grid, ship only the rects whose bytes moved
+        let prev = match &mut self.prev {
+            Some(prev) if !key_due => prev,
+            _ => return Ok((self.encode_key(client_id, frame, rgba), EncodedKind::Key)),
+        };
+        // delta: ship only the rects whose bytes moved, and bring `prev`
+        // and the table up to date tile by tile
         self.seq += 1;
         self.since_key += 1;
-        let mut tiles = Vec::new();
-        if let Some(prev) = &self.prev {
-            let mut raw = Vec::new();
-            for idx in 0..self.grid.len() {
-                let rect = self.grid.rect(idx);
-                if !tile_differs(prev, rgba, self.width, &rect) {
-                    continue;
+        let dirty: Vec<TileRect> = (0..self.grid.len())
+            .map(|idx| self.grid.rect(idx))
+            .filter(|rect| tile_differs(prev, rgba, self.width, rect))
+            .collect();
+        let mut tiles = Vec::with_capacity(dirty.len());
+        let mut raw = Vec::new(); // one group's tiles, back to back
+        for group in dirty.chunks(LANES) {
+            raw.clear();
+            for rect in group {
+                tile_bytes(rgba, self.width, rect, &mut raw);
+            }
+            let lanes = packed_lanes(&mut raw.as_slice(), group);
+            let hashes = fnv1a_lanes([FNV_OFFSET; LANES], lanes);
+            for ((rect, bytes), hash) in group.iter().zip(lanes).zip(hashes) {
+                let (tx, ty) = (rect.x0 / self.grid.tile(), rect.y0 / self.grid.tile());
+                write_tile(prev, self.width, rect, bytes);
+                if let Some(entry) = self.table.get_mut(self.grid.index(tx, ty)) {
+                    *entry = hash;
                 }
-                raw.clear();
-                tile_bytes(rgba, self.width, &rect, &mut raw);
-                tiles.push(WireTile {
-                    tx: rect.x0 / self.grid.tile(),
-                    ty: rect.y0 / self.grid.tile(),
-                    hash: fnv1a(&raw),
-                    data: rle_encode(&raw),
-                });
+                tiles.push(WireTile { tx, ty, hash, data: rle_encode(bytes) });
             }
         }
         let n = tiles.len();
@@ -393,18 +501,38 @@ impl FrameStreamer {
             epoch: self.epoch,
             seq: self.seq,
             tiles,
-            frame_hash: fnv1a(rgba),
+            frame_hash: table_hash(&self.table),
         };
-        self.remember(rgba);
         Ok((msg, EncodedKind::Delta { tiles: n }))
     }
 
-    /// Keeps `rgba` as the frame the next delta is taken against, reusing
-    /// the previous frame's buffer (`encode` has checked the length).
-    fn remember(&mut self, rgba: &[u8]) {
+    /// A keyframe: new epoch, and `prev` and the table rebuilt from `rgba`
+    /// (`encode` has checked the length).
+    fn encode_key(
+        &mut self,
+        client_id: usize,
+        frame: u64,
+        rgba: &[u8],
+    ) -> crate::protocol::Message {
+        self.force_key = false;
+        self.epoch += 1;
+        self.seq = 0;
+        self.since_key = 0;
+        self.table.clear();
+        self.table.extend(tile_hashes(rgba, &self.grid));
         match &mut self.prev {
-            Some(prev) if prev.len() == rgba.len() => prev.copy_from_slice(rgba),
-            _ => self.prev = Some(rgba.to_vec()),
+            Some(prev) => prev.copy_from_slice(rgba),
+            None => self.prev = Some(rgba.to_vec()),
+        }
+        crate::protocol::Message::FrameKey {
+            client_id,
+            frame,
+            epoch: self.epoch,
+            seq: 0,
+            width: self.width,
+            height: self.height,
+            payload: rle_encode(rgba),
+            frame_hash: table_hash(&self.table),
         }
     }
 
@@ -452,19 +580,27 @@ pub enum Applied {
 /// all-or-nothing semantics. The committed frame is only ever replaced by
 /// a fully-validated next frame — a rejected message leaves it untouched,
 /// so the wall can keep showing the last good frame while resync runs.
+///
+/// Every buffer a message is decoded or checked in is kept between calls
+/// and only grows: once it has seen a stream's largest key, delta and
+/// preview, applying allocates nothing.
 #[derive(Debug, Clone)]
 pub struct FrameAssembler {
     width: usize,
     height: usize,
     grid: TileGrid,
     buf: Vec<u8>,
-    /// Decoded bytes of the message being applied: a keyframe's whole
-    /// frame, or a delta's tiles back to back. Kept between calls so the
-    /// steady state allocates nothing.
+    /// The hash of every tile of `buf`, in grid order (the module docs
+    /// state the invariant).
+    table: Vec<u64>,
+    /// Decoded bytes of the message being applied: a keyframe's or a
+    /// preview's whole frame, or a delta's tiles back to back.
     staged: Vec<u8>,
-    /// What the tiles of the delta being applied overwrote in `buf`, laid
-    /// out like `staged`; written back if the whole-frame hash fails.
-    undo: Vec<u8>,
+    /// Where each tile of the delta being applied goes, in message order.
+    rects: Vec<TileRect>,
+    /// The table as the message being applied would leave it; adopted only
+    /// once its hash equals the message's `frame_hash`.
+    candidate: Vec<u64>,
     epoch: u64,
     next_seq: u64,
     synced: bool,
@@ -483,8 +619,10 @@ impl FrameAssembler {
             height,
             grid: TileGrid::with_default_tile(width, height),
             buf: vec![0u8; width * height * 4],
+            table: Vec::new(),
             staged: Vec::new(),
-            undo: Vec::new(),
+            rects: Vec::new(),
+            candidate: Vec::new(),
             epoch: 0,
             next_seq: 0,
             synced: false,
@@ -530,12 +668,16 @@ impl FrameAssembler {
         self.deltas_applied
     }
 
-    /// Recomputes the committed frame's hash — true when the stored pixels
-    /// still match what the sender claimed. A torn or stale commit (which
-    /// the all-or-nothing apply is designed to make impossible) would show
-    /// up here.
+    /// Audits the committed frame by reading it: recomputes every tile's
+    /// hash from the stored pixels and requires them equal to the table,
+    /// and the table's hash equal to what the sender last claimed. This is
+    /// the check that catches pixels damaged in memory after they were
+    /// committed; a torn or stale commit (which the all-or-nothing apply is
+    /// designed to make impossible) would show up here too.
     pub fn verify(&self) -> bool {
-        self.synced && fnv1a(&self.buf) == self.last_hash
+        self.synced
+            && tile_hashes(&self.buf, &self.grid).eq(self.table.iter().copied())
+            && table_hash(&self.table) == self.last_hash
     }
 
     /// Validates and applies one transport message. On any error the
@@ -574,11 +716,14 @@ impl FrameAssembler {
         }
         self.staged.clear();
         rle_decode_into(payload, self.width * self.height * 4, &mut self.staged)?;
-        let got = fnv1a(&self.staged);
+        self.candidate.clear();
+        self.candidate.extend(tile_hashes(&self.staged, &self.grid));
+        let got = table_hash(&self.candidate);
         if got != frame_hash {
             return Err(DeltaError::FrameHashMismatch { expected: frame_hash, got });
         }
         std::mem::swap(&mut self.buf, &mut self.staged);
+        std::mem::swap(&mut self.table, &mut self.candidate);
         self.epoch = epoch;
         self.next_seq = 1;
         self.synced = true;
@@ -612,51 +757,52 @@ impl FrameAssembler {
             self.synced = false;
             return Err(DeltaError::SeqGap { expected: self.next_seq, got: seq });
         }
-        // Stage 1: decode and validate EVERY tile before touching the
-        // frame — a tile that fails its own checks never reaches `buf`.
+        // Check: decode every tile, hash them, and build the table this
+        // delta would leave — all beside the committed frame and table.
         self.staged.clear();
-        let mut rects: Vec<(rvtk::render::TileRect, usize)> = Vec::with_capacity(tiles.len());
+        self.rects.clear();
         for t in tiles {
             if t.tx >= self.grid.cols() || t.ty >= self.grid.rows() {
                 self.synced = false;
                 return Err(DeltaError::TileOutOfRange { tx: t.tx, ty: t.ty });
             }
             let rect = self.grid.rect(self.grid.index(t.tx, t.ty));
-            let at = self.staged.len();
             if let Err(e) = rle_decode_into(&t.data, rect.w * rect.h * 4, &mut self.staged) {
                 self.synced = false;
                 return Err(e.into());
             }
-            if fnv1a(self.staged.get(at..).unwrap_or_default()) != t.hash {
-                self.synced = false;
-                return Err(DeltaError::TileHashMismatch { tx: t.tx, ty: t.ty });
+            self.rects.push(rect);
+        }
+        self.candidate.clone_from(&self.table);
+        let mut packed = self.staged.as_slice();
+        for (group, sent) in self.rects.chunks(LANES).zip(tiles.chunks(LANES)) {
+            let hashes = fnv1a_lanes([FNV_OFFSET; LANES], packed_lanes(&mut packed, group));
+            for (t, got) in sent.iter().zip(hashes) {
+                if got != t.hash {
+                    self.synced = false;
+                    return Err(DeltaError::TileHashMismatch { tx: t.tx, ty: t.ty });
+                }
+                // a tile sent twice ends on its later copy, here and below
+                if let Some(entry) = self.candidate.get_mut(self.grid.index(t.tx, t.ty)) {
+                    *entry = got;
+                }
             }
-            rects.push((rect, at));
         }
-        // Stage 2: patch the frame in place, keeping what each tile
-        // overwrote, and check the whole-frame hash; a mismatch writes the
-        // old bytes back, so the commit is still all-or-nothing.
-        self.undo.clear();
-        for (rect, at) in &rects {
-            let len = rect.w * rect.h * 4;
-            tile_bytes(&self.buf, self.width, rect, &mut self.undo);
-            let decoded = self.staged.get(*at..*at + len).unwrap_or_default();
-            write_tile(&mut self.buf, self.width, rect, decoded);
-        }
-        let got = fnv1a(&self.buf);
+        let got = table_hash(&self.candidate);
         if got != frame_hash {
-            // newest first: a tile sent twice must end on its oldest bytes
-            for (rect, at) in rects.iter().rev() {
-                let old = self.undo.get(*at..*at + rect.w * rect.h * 4).unwrap_or_default();
-                write_tile(&mut self.buf, self.width, rect, old);
-            }
             self.synced = false;
             return Err(DeltaError::FrameHashMismatch { expected: frame_hash, got });
         }
+        // Commit: nothing below can fail.
+        let mut packed = self.staged.as_slice();
+        for rect in &self.rects {
+            write_tile(&mut self.buf, self.width, rect, next_tile(&mut packed, rect));
+        }
+        std::mem::swap(&mut self.table, &mut self.candidate);
         self.next_seq = seq + 1;
         self.last_hash = frame_hash;
         self.deltas_applied += 1;
-        Ok(Applied::Delta { tiles: rects.len() })
+        Ok(Applied::Delta { tiles: tiles.len() })
     }
 
     fn apply_preview(
@@ -674,12 +820,16 @@ impl FrameAssembler {
                 got: (width, height),
             });
         }
-        let decoded = rle_decode(payload, width * height * 4)?;
-        let got = fnv1a(&decoded);
+        // decoded and checked beside the shown preview, like a keyframe
+        self.staged.clear();
+        rle_decode_into(payload, width * height * 4, &mut self.staged)?;
+        let got = fnv1a(&self.staged);
         if got != hash {
             return Err(DeltaError::FrameHashMismatch { expected: hash, got });
         }
-        self.preview = Some((width, height, decoded));
+        let (w, h, shown) = self.preview.get_or_insert_default();
+        (*w, *h) = (width, height);
+        shown.clone_from(&self.staged);
         Ok(Applied::Preview)
     }
 }
@@ -924,6 +1074,311 @@ mod tests {
             assert!(rejected > 0, "{name}: no flip was ever caught");
             asm.apply(&msg).unwrap();
         }
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut rng = seed | 1;
+        move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        }
+    }
+
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut next = xorshift(seed);
+        (0..len).map(|_| (next() >> 24) as u8).collect()
+    }
+
+    /// The reference the laned paths are held to: one tile copied out of
+    /// the frame and hashed by the scalar chain.
+    fn scalar_tile_hashes(rgba: &[u8], grid: &TileGrid) -> Vec<u64> {
+        (0..grid.len())
+            .map(|idx| {
+                let mut raw = Vec::new();
+                tile_bytes(rgba, grid.width(), &grid.rect(idx), &mut raw);
+                fnv1a(&raw)
+            })
+            .collect()
+    }
+
+    fn table_of(rgba: &[u8], grid: &TileGrid) -> Vec<u64> {
+        tile_hashes(rgba, grid).collect()
+    }
+
+    #[test]
+    fn laned_kernel_equals_scalar_fnv1a_per_lane() {
+        let start = [FNV_OFFSET; LANES];
+        for len in [0, 1, 127, 128, 4096] {
+            let data: [Vec<u8>; LANES] = std::array::from_fn(|l| noise(len, 11 + l as u64));
+            let got = fnv1a_lanes(start, std::array::from_fn(|l| data[l].as_slice()));
+            assert_eq!(got, data.each_ref().map(|d| fnv1a(d)), "four lanes of {len}");
+        }
+        // ragged quadruples: every lane its own length, empty lanes anywhere
+        let ragged = [
+            [128, 128, 128, 0],
+            [0, 0, 0, 4096],
+            [0, 1, 0, 0],
+            [127, 0, 4096, 1],
+            [4096, 1024, 1024, 1024],
+            [24, 128, 128, 24],
+            [5, 4, 3, 2],
+        ];
+        for (i, lens) in ragged.into_iter().enumerate() {
+            let data = lens.map(|len| noise(len, 97 + i as u64 + len as u64));
+            let got = fnv1a_lanes(start, std::array::from_fn(|l| data[l].as_slice()));
+            assert_eq!(got, data.each_ref().map(|d| fnv1a(d)), "lanes of {lens:?}");
+        }
+        // states carry over: rows fed one call at a time are one chain
+        let data: [Vec<u8>; LANES] = std::array::from_fn(|l| noise(300 + 7 * l, 5 + l as u64));
+        let mut states = start;
+        for row in 0..4 {
+            let lanes = std::array::from_fn(|l| data[l].chunks(100).nth(row).unwrap_or_default());
+            states = fnv1a_lanes(states, lanes);
+        }
+        assert_eq!(states, data.each_ref().map(|d| fnv1a(d)));
+    }
+
+    #[test]
+    fn tile_hashes_equal_scalar_hashes_tile_by_tile() {
+        // full quadruples, a ragged last group, a short bottom row, single
+        // rows and columns, and grids of fewer tiles than lanes
+        for (w, h) in [(480, 360), (256, 192), (70, 50), (33, 1), (1, 1), (96, 20), (0, 0)] {
+            let grid = TileGrid::with_default_tile(w, h);
+            let rgba = noise(w * h * 4, (w * 1000 + h) as u64);
+            let got = table_of(&rgba, &grid);
+            assert_eq!(got.len(), grid.len(), "{w}×{h}");
+            assert_eq!(got, scalar_tile_hashes(&rgba, &grid), "{w}×{h}");
+        }
+    }
+
+    #[test]
+    fn frame_hash_binds_tiles_to_their_positions() {
+        let (w, h) = (96, 64);
+        let grid = TileGrid::with_default_tile(w, h);
+        let rgba = noise(w * h * 4, 3);
+        // swap the contents of tiles 1 and 3 (both 32×32)
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        tile_bytes(&rgba, w, &grid.rect(1), &mut a);
+        tile_bytes(&rgba, w, &grid.rect(3), &mut b);
+        let mut swapped = rgba.clone();
+        write_tile(&mut swapped, w, &grid.rect(1), &b);
+        write_tile(&mut swapped, w, &grid.rect(3), &a);
+        let (before, mut after) = (table_of(&rgba, &grid), table_of(&swapped, &grid));
+        assert_ne!(table_hash(&before), table_hash(&after));
+        // the same hashes in another order, nothing else
+        after.swap(1, 3);
+        assert_eq!(before, after);
+    }
+
+    /// Frame `i` of a seeded sequence: the moving blob of `frame`, plus a
+    /// few tiles of noise that come and go.
+    fn busy_frame(w: usize, h: usize, i: u64) -> Vec<u8> {
+        let grid = TileGrid::with_default_tile(w, h);
+        let mut rgba = frame(w, h, i / 2); // every other frame repeats the blob
+        let mut next = xorshift(i + 1);
+        for _ in 0..next() % 4 {
+            let rect = grid.rect((next() % grid.len() as u64) as usize);
+            write_tile(&mut rgba, w, &rect, &noise(rect.w * rect.h * 4, next()));
+        }
+        rgba
+    }
+
+    #[test]
+    fn both_tables_track_the_frame_through_keys_deltas_and_a_resync() {
+        let (w, h) = (200, 72); // 7 columns (4 + 3), bottom row 8 px high
+        let grid = TileGrid::with_default_tile(w, h);
+        let mut streamer = FrameStreamer::new(w, h, 7);
+        let mut asm = FrameAssembler::new(w, h);
+        let (mut keys, mut deltas) = (0, 0);
+        for i in 0..40u64 {
+            if i == 18 {
+                streamer.force_keyframe(); // a resync in mid-cadence
+            }
+            let rgba = busy_frame(w, h, i);
+            let (msg, kind) = streamer.encode(0, i, &rgba).unwrap();
+            match kind {
+                EncodedKind::Key => keys += 1,
+                EncodedKind::Delta { .. } => deltas += 1,
+            }
+            assert_eq!(kind == EncodedKind::Key, i == 18 || [0, 7, 14, 25, 32, 39].contains(&i));
+            asm.apply(&msg).unwrap();
+            let scratch = scalar_tile_hashes(&rgba, &grid);
+            assert_eq!(streamer.table, scratch, "sender table, frame {i}");
+            assert_eq!(asm.table, scratch, "receiver table, frame {i}");
+            assert_eq!(streamer.prev.as_deref(), Some(rgba.as_slice()), "sender prev, frame {i}");
+            assert_eq!(asm.frame(), Some(rgba.as_slice()), "frame {i}");
+            assert_eq!(asm.last_hash, table_hash(&scratch));
+            assert!(asm.verify());
+        }
+        assert_eq!((asm.keys_applied(), asm.deltas_applied()), (keys, deltas));
+        assert!(keys == 7 && deltas == 33);
+    }
+
+    #[test]
+    fn verify_recomputes_from_the_pixels() {
+        let (w, h) = (70, 50);
+        let mut streamer = FrameStreamer::new(w, h, 0);
+        let mut asm = FrameAssembler::new(w, h);
+        assert!(!asm.verify(), "nothing committed yet");
+        for i in 0..2 {
+            asm.apply(&streamer.encode(0, i, &frame(w, h, i)).unwrap().0).unwrap();
+        }
+        assert!(asm.verify());
+        // one byte of the committed pixels, in the last (ragged) tile
+        let mut hit = asm.clone();
+        *hit.buf.last_mut().unwrap() ^= 1;
+        assert!(!hit.verify(), "verify must read the pixels");
+        // one word of the table, pixels intact
+        for idx in [0, asm.table.len() - 1] {
+            let mut hit = asm.clone();
+            hit.table[idx] ^= 1;
+            assert!(!hit.verify(), "verify must check table word {idx}");
+        }
+        // the claimed hash alone
+        let mut hit = asm.clone();
+        hit.last_hash ^= 1;
+        assert!(!hit.verify());
+        assert!(asm.verify());
+    }
+
+    /// Rejected deltas leave pixels AND table as they were; a delta that
+    /// carries one tile twice, honestly hashed, ends on the later copy in
+    /// both.
+    #[test]
+    fn rejected_deltas_touch_neither_frame_nor_table() {
+        let (w, h) = (200, 72);
+        let mut streamer = FrameStreamer::new(w, h, 0);
+        let mut asm = FrameAssembler::new(w, h);
+        asm.apply(&streamer.encode(0, 0, &busy_frame(w, h, 0)).unwrap().0).unwrap();
+        let next = busy_frame(w, h, 3);
+        let (delta, kind) = streamer.encode(0, 1, &next).unwrap();
+        assert!(matches!(kind, EncodedKind::Delta { tiles } if tiles > LANES));
+        let Message::FrameDelta { tiles, frame_hash, .. } = &delta else { panic!("{delta:?}") };
+        let rebuilt = |tiles: Vec<WireTile>, frame_hash: u64| Message::FrameDelta {
+            client_id: 0,
+            frame: 1,
+            epoch: 1,
+            seq: 1,
+            tiles,
+            frame_hash,
+        };
+
+        // every tile valid, the frame hash a lie
+        let mut hit = asm.clone();
+        let err = hit.apply(&rebuilt(tiles.clone(), frame_hash ^ 1)).unwrap_err();
+        assert!(matches!(err, DeltaError::FrameHashMismatch { .. }), "{err}");
+        assert_eq!((&hit.buf, &hit.table), (&asm.buf, &asm.table));
+        assert!(!hit.is_synced());
+
+        // the LAST tile fails its hash: all before it were decoded and hashed
+        let mut bad = tiles.clone();
+        bad.last_mut().unwrap().hash ^= 1;
+        let mut hit = asm.clone();
+        let err = hit.apply(&rebuilt(bad, *frame_hash)).unwrap_err();
+        let last = tiles.last().unwrap();
+        let at = (last.tx, last.ty);
+        assert!(matches!(err, DeltaError::TileHashMismatch { tx, ty } if (tx, ty) == at), "{err}");
+        assert_eq!((&hit.buf, &hit.table), (&asm.buf, &asm.table));
+        assert!(!hit.is_synced());
+
+        // the first tile a second time, with other content and the frame
+        // hash of the frame that results: applied, later copy wins
+        let rect = asm.grid.rect(asm.grid.index(tiles[0].tx, tiles[0].ty));
+        let raw = noise(rect.w * rect.h * 4, 77);
+        let mut twice = tiles.clone();
+        twice.push(WireTile { hash: fnv1a(&raw), data: rle_encode(&raw), ..tiles[0].clone() });
+        let mut want = next.clone();
+        write_tile(&mut want, w, &rect, &raw);
+        let want_table = scalar_tile_hashes(&want, &asm.grid);
+        let mut hit = asm.clone();
+        let applied = hit.apply(&rebuilt(twice.clone(), table_hash(&want_table))).unwrap();
+        assert_eq!(applied, Applied::Delta { tiles: twice.len() });
+        assert_eq!(hit.buf, want);
+        assert_eq!(hit.table, want_table);
+        assert!(hit.verify());
+        // ... and with the hash of the frame WITHOUT the second copy: refused
+        let mut hit = asm.clone();
+        assert!(hit.apply(&rebuilt(twice, *frame_hash)).is_err());
+        assert_eq!((&hit.buf, &hit.table), (&asm.buf, &asm.table));
+
+        // the honest delta still applies to the untouched original
+        asm.apply(&delta).unwrap();
+        assert_eq!(asm.frame(), Some(next.as_slice()));
+    }
+
+    /// Revision 3 defined `frame_hash` as FNV-1a over the frame's bytes. A
+    /// peer still computing that is refused on its first message and on any
+    /// later one, with nothing of the assembler's state moved.
+    #[test]
+    fn revision_3_frame_hashes_are_rejected() {
+        let (w, h) = (70, 50);
+        let mut streamer = FrameStreamer::new(w, h, 0);
+        let mut asm = FrameAssembler::new(w, h);
+        let (f0, f1) = (frame(w, h, 0), frame(w, h, 1));
+        let (mut key, _) = streamer.encode(0, 0, &f0).unwrap();
+        let (mut delta, _) = streamer.encode(0, 1, &f1).unwrap();
+        if let Message::FrameKey { frame_hash, .. } = &mut key {
+            assert_ne!(*frame_hash, fnv1a(&f0));
+            *frame_hash = fnv1a(&f0);
+        }
+        if let Message::FrameDelta { frame_hash, .. } = &mut delta {
+            *frame_hash = fnv1a(&f1);
+        }
+        let fresh = asm.clone();
+        let err = asm.apply(&key).unwrap_err();
+        assert!(matches!(err, DeltaError::FrameHashMismatch { .. }), "{err}");
+        assert_eq!((&asm.buf, &asm.table, asm.epoch()), (&fresh.buf, &fresh.table, 0));
+        assert!(!asm.is_synced());
+        // an honest keyframe (epoch 2), then the old-style delta
+        streamer.force_keyframe();
+        asm.apply(&streamer.encode(0, 2, &f0).unwrap().0).unwrap();
+        if let Message::FrameDelta { epoch, .. } = &mut delta {
+            *epoch = 2;
+        }
+        let synced = asm.clone();
+        let err = asm.apply(&delta).unwrap_err();
+        assert!(matches!(err, DeltaError::FrameHashMismatch { .. }), "{err}");
+        assert_eq!((&asm.buf, &asm.table, asm.epoch()), (&synced.buf, &synced.table, 2));
+        assert!(!asm.is_synced(), "a delta that does not add up forces a resync");
+    }
+
+    /// After one key, one delta and one preview, a second round of each
+    /// allocates nothing: every kept buffer is one of the same allocations
+    /// (pairs trade places on commit) at the same capacity.
+    #[test]
+    fn steady_state_apply_keeps_its_buffers() {
+        let (w, h) = (200, 72);
+        let mut streamer = FrameStreamer::new(w, h, 0);
+        let mut asm = FrameAssembler::new(w, h);
+        let low = frame(50, 18, 9);
+        let mut round = |asm: &mut FrameAssembler| {
+            streamer.force_keyframe();
+            asm.apply(&streamer.encode(0, 0, &busy_frame(w, h, 0)).unwrap().0).unwrap();
+            let (delta, kind) = streamer.encode(0, 1, &busy_frame(w, h, 3)).unwrap();
+            assert!(matches!(kind, EncodedKind::Delta { tiles } if tiles > LANES));
+            asm.apply(&delta).unwrap();
+            asm.apply(&streamer.encode_preview(0, 2, &low, 50, 18).unwrap()).unwrap();
+            assert_eq!(asm.preview(), Some((50, 18, low.as_slice())));
+            assert!(asm.verify());
+            let bytes = |v: &Vec<u8>| (v.as_ptr() as usize, v.capacity());
+            let words = |v: &Vec<u64>| (v.as_ptr() as usize, v.capacity());
+            let mut kept = vec![
+                bytes(&asm.buf),
+                bytes(&asm.staged),
+                asm.preview.as_ref().map(|(_, _, shown)| bytes(shown)).unwrap(),
+                words(&asm.table),
+                words(&asm.candidate),
+                (asm.rects.as_ptr() as usize, asm.rects.capacity()),
+            ];
+            kept.sort_unstable();
+            kept
+        };
+        let first = round(&mut asm);
+        assert!(first.iter().all(|&(_, capacity)| capacity > 0), "{first:?}");
+        assert_eq!(round(&mut asm), first, "the second round reallocated");
+        assert_eq!(round(&mut asm), first, "the third round reallocated");
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   execution, completion reports, heartbeats), a compact binary record
 //!   for the three pixel messages. The byte layout is in the module docs.
 //! * [`frame_delta`] — the pixel transport: dirty-tile deltas with
-//!   RLE payloads, hash-guarded all-or-nothing assembly, keyframe resync,
-//!   and low-res previews during camera motion.
+//!   RLE payloads, hash-guarded all-or-nothing assembly (every tile carries
+//!   its hash, and the whole-frame hash is the hash of the tile hashes, so
+//!   a delta is checked by reading only the tiles it carries), keyframe
+//!   resync, and low-res previews during camera motion.
 //! * [`workflow`] — builds the 15-cell wall workflow and splits it into
 //!   per-client sub-workflows with `Pipeline::upstream_subgraph`.
 //! * [`server`] / [`client`] — the two node roles.

@@ -22,6 +22,12 @@
 //! FramePreview  0x03 client_id frame epoch width height hash payload
 //! ```
 //!
+//! A tile's `hash` is FNV-1a over its decoded RGBA8 bytes, row-major within
+//! its rect. `frame_hash` is FNV-1a over those hashes — the little-endian
+//! `u64` hash of every tile of the frame the message leaves, in grid order
+//! (see [`crate::frame_delta`]). A preview's `hash` is FNV-1a over its
+//! decoded bytes.
+//!
 //! The decoder bounds every declared length, and the tile count, by the
 //! bytes actually present before it allocates, and rejects trailing bytes.
 
@@ -49,8 +55,10 @@ pub const MAX_MESSAGE_BYTES: usize = 8 << 20;
 /// [`Message::Hello`] clients are implicitly revision 1, and a `HelloV2`
 /// declaring less than this is served the same way: frame metadata only,
 /// no pixel messages in either direction. (Revision 2 carried the pixel
-/// messages as JSON; nothing speaks it any more.)
-pub const PROTO_DELTA: u32 = 3;
+/// messages as JSON; revision 3 had today's byte layout, but its
+/// `frame_hash` was FNV-1a over the frame's bytes, which a revision-4
+/// receiver rejects. Nothing speaks either any more.)
+pub const PROTO_DELTA: u32 = 4;
 
 /// First body byte of a binary `FrameKey`.
 const TAG_KEY: u8 = 0x01;
@@ -202,7 +210,8 @@ pub enum Message {
         height: usize,
         /// RLE-compressed RGBA8 (see [`crate::frame_delta::rle_encode`]).
         payload: Vec<u8>,
-        /// FNV-1a over the raw (decoded) frame bytes.
+        /// FNV-1a over the little-endian FNV-1a hashes of the decoded
+        /// frame's tiles, in grid order.
         frame_hash: u64,
     },
     /// Client → server: only the tiles that changed since the previous
@@ -215,7 +224,8 @@ pub enum Message {
         /// Strictly sequential within the epoch.
         seq: u64,
         tiles: Vec<WireTile>,
-        /// FNV-1a over the full assembled frame after this delta.
+        /// The same hash of tile hashes as a keyframe's, of the full
+        /// assembled frame after this delta.
         frame_hash: u64,
     },
     /// Client → server: a low-resolution preview sent ahead of the full

@@ -762,8 +762,10 @@ impl HyperwallServer {
             .collect()
     }
 
-    /// True when panel `i`'s assembled frame re-verifies against its
-    /// whole-frame content hash (the no-torn-tiles guarantee).
+    /// True when panel `i`'s assembled frame re-verifies: every tile's hash
+    /// recomputed from the stored pixels, against the table whose hash the
+    /// client last claimed (the no-torn-tiles guarantee, and the check that
+    /// catches a frame damaged in this process's memory after commit).
     pub fn panel_frame_verified(&self, i: usize) -> bool {
         self.panels
             .get(i)
@@ -962,48 +964,56 @@ mod tests {
     /// A `HelloV2` that declares a revision below `PROTO_DELTA` is served
     /// what it declared: metadata only — no assembler, and no
     /// `ResyncRequest` for the pixel frames it never promised to send.
+    /// Revision 3 is one of them: its pixel messages look like today's but
+    /// its `frame_hash` means something else.
     #[test]
     fn hello_v2_below_proto_delta_is_a_metadata_only_panel() {
-        let one = WallWorkflowConfig { n_cells: 1, ..cfg() };
-        let mut server = HyperwallServer::bind_tuned(&one, 4, fast_tuning()).unwrap();
-        let addr = server.addr().unwrap();
-        let fake = std::thread::spawn(move || {
-            let mut s = std::net::TcpStream::connect(addr).unwrap();
-            write_message(&mut s, &Message::HelloV2 { client_id: 0, proto: PROTO_DELTA - 1 })
-                .unwrap();
-            match read_message(&mut s).unwrap() {
-                Message::AssignWorkflow { .. } => {}
-                other => panic!("{other:?}"),
-            }
-            write_message(&mut s, &Message::Ready { client_id: 0 }).unwrap();
-            // everything the server sends from here on: Execute per frame,
-            // then Shutdown — and nothing in between
-            let mut seen = Vec::new();
-            loop {
+        for proto in [2, 3] {
+            assert!(proto < PROTO_DELTA);
+            let one = WallWorkflowConfig { n_cells: 1, ..cfg() };
+            let mut server = HyperwallServer::bind_tuned(&one, 4, fast_tuning()).unwrap();
+            let addr = server.addr().unwrap();
+            let fake = std::thread::spawn(move || {
+                let mut s = std::net::TcpStream::connect(addr).unwrap();
+                write_message(&mut s, &Message::HelloV2 { client_id: 0, proto }).unwrap();
                 match read_message(&mut s).unwrap() {
-                    Message::Execute { frame } => {
-                        seen.push(format!("Execute {frame}"));
-                        let done =
-                            Message::FrameDone { client_id: 0, frame, coverage: 0.5, render_ms: 1.0 };
-                        write_message(&mut s, &done).unwrap();
-                    }
-                    Message::Shutdown => return seen,
-                    other => seen.push(format!("{other:?}")),
+                    Message::AssignWorkflow { .. } => {}
+                    other => panic!("{other:?}"),
                 }
+                write_message(&mut s, &Message::Ready { client_id: 0 }).unwrap();
+                // everything the server sends from here on: Execute per
+                // frame, then Shutdown — and nothing in between
+                let mut seen = Vec::new();
+                loop {
+                    match read_message(&mut s).unwrap() {
+                        Message::Execute { frame } => {
+                            seen.push(format!("Execute {frame}"));
+                            let done = Message::FrameDone {
+                                client_id: 0,
+                                frame,
+                                coverage: 0.5,
+                                render_ms: 1.0,
+                            };
+                            write_message(&mut s, &done).unwrap();
+                        }
+                        Message::Shutdown => return seen,
+                        other => seen.push(format!("{other:?}")),
+                    }
+                }
+            });
+            server.accept_clients(1).unwrap();
+            server.assign_workflows(&one).unwrap();
+            for frame in 0..2 {
+                let report = server.execute_frame(frame).unwrap();
+                assert_eq!(report.degraded, vec![false], "{:?}", server.incidents);
+                assert_eq!(report.transport_bytes, vec![0]);
             }
-        });
-        server.accept_clients(1).unwrap();
-        server.assign_workflows(&one).unwrap();
-        for frame in 0..2 {
-            let report = server.execute_frame(frame).unwrap();
-            assert_eq!(report.degraded, vec![false], "{:?}", server.incidents);
-            assert_eq!(report.transport_bytes, vec![0]);
+            server.shutdown().unwrap();
+            assert_eq!(fake.join().unwrap(), ["Execute 0", "Execute 1"], "proto {proto}");
+            assert_eq!(server.panel_states(), vec![PanelState::Live]);
+            assert_eq!(server.resync_requests_total(), 0);
+            assert_eq!(server.panels_synced(), vec![false]);
         }
-        server.shutdown().unwrap();
-        assert_eq!(fake.join().unwrap(), ["Execute 0", "Execute 1"]);
-        assert_eq!(server.panel_states(), vec![PanelState::Live]);
-        assert_eq!(server.resync_requests_total(), 0);
-        assert_eq!(server.panels_synced(), vec![false]);
     }
 
     /// `transport_bytes` and the key/delta totals are the bytes the

@@ -4,7 +4,7 @@
 //! with a damaged `Message` that still decodes is tested next to it, in
 //! `frame_delta.rs`, where the committed buffer is visible.)
 
-use hyperwall::frame_delta::{DeltaError, FrameAssembler, FrameStreamer};
+use hyperwall::frame_delta::{fnv1a, DeltaError, FrameAssembler, FrameStreamer};
 use hyperwall::protocol::{
     encode_frame, read_message, Message, DELTA_HEADER_BYTES, KEY_HEADER_BYTES,
     MAX_MESSAGE_BYTES, PREVIEW_HEADER_BYTES, TILE_HEADER_BYTES,
@@ -72,6 +72,44 @@ impl XorShift {
         self.0 ^= self.0 >> 7;
         self.0 ^= self.0 << 17;
         self.0
+    }
+}
+
+/// `frame_hash` as a peer would compute it from the protocol docs alone:
+/// FNV-1a over the little-endian FNV-1a hashes of the frame's 32×32 tiles
+/// (clipped at the right and bottom edges) in grid order, a tile's bytes
+/// taken row-major within its rect.
+fn frame_hash_by_the_book(rgba: &[u8], w: usize, h: usize) -> u64 {
+    let grid = rvtk::render::TileGrid::with_default_tile(w, h);
+    let mut words = Vec::new();
+    for idx in 0..grid.len() {
+        let rect = grid.rect(idx);
+        let mut tile = Vec::new();
+        for y in rect.y0..rect.y0 + rect.h {
+            let start = (y * w + rect.x0) * 4;
+            tile.extend_from_slice(&rgba[start..start + rect.w * 4]);
+        }
+        words.extend_from_slice(&fnv1a(&tile).to_le_bytes());
+    }
+    fnv1a(&words)
+}
+
+/// The eight `frame_hash` bytes of a key and of a delta, as they come off
+/// the wire, are the hash of tile hashes of the frame that message leaves —
+/// not revision 3's hash of the frame bytes.
+#[test]
+fn frame_hash_on_the_wire_is_the_hash_of_the_tile_hashes() {
+    let mut streamer = FrameStreamer::new(W, H, 0);
+    for seed in 0..3 {
+        let rgba = frame(W, H, seed);
+        let (msg, _) = streamer.encode(0, seed, &rgba).unwrap();
+        let claimed = match decode(&encode_frame(&msg).unwrap()).unwrap() {
+            Message::FrameKey { frame_hash, .. } if seed == 0 => frame_hash,
+            Message::FrameDelta { frame_hash, .. } if seed > 0 => frame_hash,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(claimed, frame_hash_by_the_book(&rgba, W, H), "frame {seed}");
+        assert_ne!(claimed, fnv1a(&rgba), "frame {seed}");
     }
 }
 
