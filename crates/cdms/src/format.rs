@@ -1,14 +1,21 @@
-//! The `.ncr` self-describing binary container — this repo's NetCDF stand-in.
+//! The `.ncr` self-describing binary file — this repo's NetCDF stand-in.
 //!
-//! Three on-disk versions exist, all little-endian, all starting with
+//! Three on-disk generations exist, all little-endian, all starting with
 //! `magic "NCRS" | version u32`. The reader dispatches on the version, so
-//! files written by earlier releases keep opening unchanged. **v3** — the
-//! chunked streaming layout with a resolution pyramid, read piecewise via
-//! `Storage::read_at` by [`crate::stream`] — lives in [`crate::format_v3`];
-//! this module holds v1/v2 plus the framing and codec primitives all
-//! versions share.
+//! files written by earlier releases keep opening unchanged. v2 and v3 are
+//! *sectioned*: checksummed frames, a trailer directory and a footer, whose
+//! byte layout has one owner and one table — the module docs of
+//! `container.rs`. Above that container a generation is the list of
+//! sections it carries. This module holds v1, v2, and what every sectioned
+//! generation shares: the payload codecs (header, axis, variable head, raw
+//! `f32 | mask` body), the axis dedup and axis-ref resolution, the strict
+//! in-order section reader and the salvage prelude. **v3** — chunked, with
+//! a resolution pyramid, read piecewise via `Storage::read_at` by
+//! [`crate::stream`] — lives in [`crate::format_v3`].
 //!
-//! **v1** (legacy, still readable; [`to_bytes_v1`] still writes it):
+//! **v1** (legacy and unchecksummed; still readable, and [`to_bytes_v1`]
+//! still writes it — it is the tests' and the `ncr_io` bench's only source
+//! of v1 bytes):
 //!
 //! ```text
 //! magic "NCRS" | version u32 = 1
@@ -23,44 +30,43 @@
 //!   mask:  bit-packed, ⌈n/8⌉ bytes
 //! ```
 //!
-//! **v2** (current; checksummed sections, written crash-safely through
-//! [`crate::storage::write_atomic`]):
+//! **v2** (what [`to_bytes`] and [`write_dataset`] write: whole-file reads,
+//! written crash-safely through [`crate::storage::write_atomic`]) carries,
+//! in this order:
 //!
 //! ```text
-//! magic "NCRS" | version u32 = 2
-//! section*            frame = kind u8 | payload_len u64 | payload | crc32c u32
-//!   Header   (kind 1) dataset id, global attrs, axis count, variable count
-//!   Axis     (kind 2) one deduplicated axis per section
-//!   Variable (kind 3) id, axis indices, attrs, shape, data, mask
-//!   Trailer  (kind 4) section directory: (kind, offset, len, crc)*
-//!                     + file CRC over all section CRCs
-//! footer              trailer offset u64 | crc32c(offset bytes) u32
+//! Header   (kind 1) dataset id, global attrs, axis count, variable count
+//! Axis     (kind 2) one deduplicated axis per section
+//! Variable (kind 3) head (id, axis refs, attrs, shape) | f32 × n | mask
 //! ```
 //!
-//! Every section payload is CRC32C-guarded; the strict reader
-//! ([`from_bytes`]) verifies all of them plus the trailer directory and
-//! footer, and bounds every allocation against the bytes actually present
-//! so hostile length fields fail cleanly instead of exhausting memory.
-//! [`from_bytes_salvage`] instead skips sections whose checksums fail —
-//! locating them through the trailer directory when it survives, or by a
-//! sequential walk when it doesn't — and returns the intact variables plus
-//! a [`SalvageReport`] saying exactly what was lost and why.
+//! The strict reader ([`from_bytes`]) verifies every section checksum, the
+//! trailer directory and the footer, and bounds every allocation against
+//! the bytes actually present so hostile length fields fail cleanly
+//! instead of exhausting memory. [`from_bytes_salvage`] instead skips
+//! sections whose checksums fail — locating them through the trailer
+//! directory when it survives, or by a sequential walk when it doesn't —
+//! and returns the intact variables plus a [`SalvageReport`] saying exactly
+//! what was lost and why.
 //!
-//! Strings are `u32 length + UTF-8 bytes`. Corrupt input of either version
+//! Strings are `u32 length + UTF-8 bytes`. Corrupt input of any generation
 //! fails with [`CdmsError::Format`] rather than panicking.
 
 use crate::attr::{AttValue, Attributes};
 use crate::axis::{Axis, AxisKind};
 use crate::calendar::Calendar;
+use crate::container::{self, get_u32, get_u64, get_u8, take_bytes, Entry, Writer};
 use crate::dataset::Dataset;
 use crate::error::{CdmsError, Result};
-use crate::storage::{crc32c, LocalDisk, Storage};
+use crate::storage::{LocalDisk, Storage};
 use crate::{MaskedArray, Variable};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::path::Path;
 
-pub(crate) const MAGIC: &[u8; 4] = b"NCRS";
+pub use crate::container::{SectionKind, SectionSpan};
+
 /// Legacy unsectioned format.
 pub const VERSION_V1: u32 = 1;
 /// Checksummed-section format (whole-file reads).
@@ -68,70 +74,8 @@ pub const VERSION_V2: u32 = 2;
 /// Chunked streaming format with resolution pyramid (see [`crate::format_v3`]).
 pub const VERSION_V3: u32 = 3;
 
-/// Bytes of a section frame besides the payload: kind u8 + len u64 + crc u32.
-pub(crate) const FRAME_OVERHEAD: usize = 13;
-/// Bytes of the end-of-file footer: trailer offset u64 + crc u32.
-pub(crate) const FOOTER_LEN: usize = 12;
-
 pub(crate) const MAX_AXES: usize = 1 << 20;
 pub(crate) const MAX_VARS: usize = 1_000_000;
-
-/// The kind tag of a v2/v3 section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SectionKind {
-    Header,
-    Axis,
-    Variable,
-    Trailer,
-    /// v3 only: per-variable metadata (id, axis refs, attrs, shape) with no
-    /// bulk data — the data lives in [`SectionKind::Chunk`] frames.
-    VarMeta,
-    /// v3 only: one (variable, time-window, pyramid-level) data chunk.
-    Chunk,
-    /// v3 only: the chunk directory mapping (var, window, level) → frame.
-    ChunkDir,
-}
-
-impl SectionKind {
-    pub(crate) fn as_u8(self) -> u8 {
-        match self {
-            SectionKind::Header => 1,
-            SectionKind::Axis => 2,
-            SectionKind::Variable => 3,
-            SectionKind::Trailer => 4,
-            SectionKind::VarMeta => 5,
-            SectionKind::Chunk => 6,
-            SectionKind::ChunkDir => 7,
-        }
-    }
-
-    pub(crate) fn from_u8(b: u8) -> Option<SectionKind> {
-        match b {
-            1 => Some(SectionKind::Header),
-            2 => Some(SectionKind::Axis),
-            3 => Some(SectionKind::Variable),
-            4 => Some(SectionKind::Trailer),
-            5 => Some(SectionKind::VarMeta),
-            6 => Some(SectionKind::Chunk),
-            7 => Some(SectionKind::ChunkDir),
-            _ => None,
-        }
-    }
-}
-
-/// Byte extents of one encoded v2 section — the corruption fuzzer's oracle
-/// for "which variables must survive a given mutation".
-#[derive(Debug, Clone)]
-pub struct SectionSpan {
-    pub kind: SectionKind,
-    /// The whole frame: kind byte through trailing CRC.
-    pub frame: Range<usize>,
-    /// The payload bytes within the file.
-    pub payload: Range<usize>,
-    /// For variable sections: the variable id and the ordinals (among axis
-    /// sections) of the axes it references.
-    pub variable: Option<(String, Vec<usize>)>,
-}
 
 /// Full byte map of an encoded v2 file.
 #[derive(Debug, Clone)]
@@ -189,7 +133,23 @@ impl SalvageReport {
             if self.header_intact { "" } else { "; header lost" }
         )
     }
+
+    /// Books the outcome of rebuilding the variable of body section
+    /// `section`: recovered into `ds`, or lost with its id (when it could
+    /// be read) and the reason.
+    pub(crate) fn settle(&mut self, ds: &mut Dataset, section: usize, outcome: Salvaged) {
+        match outcome {
+            Ok(var) => {
+                self.recovered_variables.push(var.id.clone());
+                ds.add_variable(var);
+            }
+            Err((id, reason)) => self.lost_variables.push(LostVariable { id, section, reason }),
+        }
+    }
 }
+
+/// A variable salvage rebuilt, or the id (when readable) and reason it is lost.
+pub(crate) type Salvaged = std::result::Result<Variable, (Option<String>, String)>;
 
 impl std::fmt::Display for SalvageReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -199,7 +159,7 @@ impl std::fmt::Display for SalvageReport {
 
 // ---- encoding ----
 
-/// Serializes a dataset to bytes in the current (v2) format.
+/// Serializes a dataset to bytes in the v2 format.
 pub fn to_bytes(ds: &Dataset) -> Bytes {
     to_bytes_v2_with_layout(ds).0
 }
@@ -207,9 +167,7 @@ pub fn to_bytes(ds: &Dataset) -> Bytes {
 /// Serializes a dataset in the legacy v1 format (no checksums). Kept for
 /// compatibility testing and the v1-vs-v2 overhead benchmark.
 pub fn to_bytes_v1(ds: &Dataset) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_V1);
+    let mut buf = container::preamble(VERSION_V1, 0);
     put_string(&mut buf, &ds.id);
     put_attrs(&mut buf, &ds.attributes);
     buf.put_u32_le(ds.variables().len() as u32);
@@ -220,10 +178,9 @@ pub fn to_bytes_v1(ds: &Dataset) -> Bytes {
             put_axis(&mut buf, ax);
         }
         put_attrs(&mut buf, &var.attributes);
-        buf.put_u32_le(var.array.rank() as u32);
-        for &d in var.array.shape() {
-            buf.put_u64_le(d as u64);
-        }
+        put_shape(&mut buf, var.array.shape());
+        // element-wise on purpose, as every v1 file was written: the
+        // `ncr_io` bench gates v2's cost against this encoder
         for &v in var.array.data() {
             buf.put_f32_le(v);
         }
@@ -236,224 +193,266 @@ pub fn to_bytes_v1(ds: &Dataset) -> Bytes {
 /// fuzzer and storage tooling use the layout to reason about which bytes
 /// belong to which section.
 ///
-/// Sections are framed **in place**: the length field is written as a
-/// placeholder, the payload streams directly into the output buffer, and
-/// `end_section` patches the length and appends the CRC — no per-section
-/// temporary buffers, no payload copy. Combined with an exact up-front
-/// capacity reservation (the encoder never reallocates) and bulk `f32`
-/// writes, this removes the v2 encode overhead the `ncr_io` bench used to
-/// report against v1. The byte layout is unchanged.
+/// The container's `Writer` frames every section in place and is told
+/// the exact payload sizes up front, so the encoder never reallocates and
+/// never copies a payload; with bulk `f32` writes that is what removed the
+/// v2 encode overhead the `ncr_io` bench used to report against v1.
 pub fn to_bytes_v2_with_layout(ds: &Dataset) -> (Bytes, V2Layout) {
-    // Deduplicate axes across variables: each distinct axis is written once
-    // and referenced by index.
+    let (axes, refs_per_var) = dedup_axes(ds);
+    let variables = || ds.variables().iter().zip(&refs_per_var);
+    let sizes = std::iter::once(header_size(ds))
+        .chain(axes.iter().map(|ax| axis_size(ax)))
+        .chain(variables().map(|(var, refs)| {
+            var_head_size(var, refs) + raw_body_size(var.array.len()).unwrap_or(0)
+        }));
+    let mut w = Writer::new(VERSION_V2, sizes);
+    w.section(SectionKind::Header, None, |buf| put_header(buf, ds, axes.len()));
+    for ax in &axes {
+        w.section(SectionKind::Axis, None, |buf| put_axis(buf, ax));
+    }
+    for (var, refs) in variables() {
+        w.section(SectionKind::Variable, Some((var.id.clone(), refs.clone())), |buf| {
+            put_var_head(buf, var, refs);
+            put_raw_body(buf, var.array.data(), var.array.mask());
+        });
+    }
+    let (bytes, sections, footer) = w.finish();
+    (bytes, V2Layout { sections, footer })
+}
+
+/// Deduplicates axes across variables: each distinct axis is written once
+/// and referenced by its ordinal. Returns the axes to write and, per
+/// variable, its refs.
+pub(crate) fn dedup_axes(ds: &Dataset) -> (Vec<&Axis>, Vec<Vec<usize>>) {
     let mut axes: Vec<&Axis> = Vec::new();
-    let mut refs_per_var: Vec<Vec<usize>> = Vec::with_capacity(ds.variables().len());
-    for var in ds.variables() {
-        let refs = var
-            .axes
-            .iter()
-            .map(|ax| match axes.iter().position(|a| *a == ax) {
-                Some(i) => i,
-                None => {
-                    axes.push(ax);
-                    axes.len() - 1
-                }
-            })
-            .collect();
-        refs_per_var.push(refs);
-    }
+    let refs_per_var = ds
+        .variables()
+        .iter()
+        .map(|var| {
+            var.axes
+                .iter()
+                .map(|ax| match axes.iter().position(|a| *a == ax) {
+                    Some(i) => i,
+                    None => {
+                        axes.push(ax);
+                        axes.len() - 1
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    (axes, refs_per_var)
+}
 
-    // Exact total size, so one allocation serves the whole encode.
-    let n_dir = 1 + axes.len() + ds.variables().len();
-    let trailer_payload = 4 + 21 * n_dir + 4;
-    let mut total = 8 // magic + version
-        + FRAME_OVERHEAD + header_size(ds)
-        + FRAME_OVERHEAD + trailer_payload
-        + FOOTER_LEN;
-    for ax in &axes {
-        total += FRAME_OVERHEAD + axis_size(ax);
-    }
-    for (var, refs) in ds.variables().iter().zip(&refs_per_var) {
-        total += FRAME_OVERHEAD + variable_size(var, refs);
-    }
+// ---- section payloads every sectioned generation shares ----
+//
+// Each `*_size` is exact and mirrors its `put_*` writer.
 
-    let mut buf = BytesMut::new();
-    buf.reserve(total);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_V2);
-    let mut sections: Vec<SectionSpan> = Vec::new();
-    // directory entries: (kind, frame offset, payload len, crc)
-    let mut dir: Vec<(u8, u64, u64, u32)> = Vec::new();
-
-    // header
-    let p = begin_section(&mut buf, SectionKind::Header);
-    put_string(&mut buf, &ds.id);
-    put_attrs(&mut buf, &ds.attributes);
-    buf.put_u32_le(axes.len() as u32);
+/// Header payload: dataset id, global attrs, axis count, variable count.
+pub(crate) fn put_header(buf: &mut BytesMut, ds: &Dataset, n_axes: usize) {
+    put_string(buf, &ds.id);
+    put_attrs(buf, &ds.attributes);
+    buf.put_u32_le(n_axes as u32);
     buf.put_u32_le(ds.variables().len() as u32);
-    end_section(&mut buf, p, &mut sections, &mut dir, SectionKind::Header, None);
-
-    // axes
-    for ax in &axes {
-        let p = begin_section(&mut buf, SectionKind::Axis);
-        put_axis(&mut buf, ax);
-        end_section(&mut buf, p, &mut sections, &mut dir, SectionKind::Axis, None);
-    }
-
-    // variables
-    for (var, refs) in ds.variables().iter().zip(&refs_per_var) {
-        let p = begin_section(&mut buf, SectionKind::Variable);
-        put_string(&mut buf, &var.id);
-        buf.put_u32_le(refs.len() as u32);
-        for &r in refs {
-            buf.put_u32_le(r as u32);
-        }
-        put_attrs(&mut buf, &var.attributes);
-        buf.put_u32_le(var.array.rank() as u32);
-        for &d in var.array.shape() {
-            buf.put_u64_le(d as u64);
-        }
-        put_f32_bulk(&mut buf, var.array.data());
-        put_mask(&mut buf, var.array.mask());
-        end_section(
-            &mut buf,
-            p,
-            &mut sections,
-            &mut dir,
-            SectionKind::Variable,
-            Some((var.id.clone(), refs.clone())),
-        );
-    }
-
-    // trailer: directory of everything written so far, plus a file-level
-    // CRC chained over the per-section CRCs.
-    let trailer_offset = buf.len();
-    let p = begin_section(&mut buf, SectionKind::Trailer);
-    buf.put_u32_le(dir.len() as u32);
-    let mut crc_bytes = Vec::with_capacity(dir.len() * 4);
-    for &(kind, off, len, crc) in &dir {
-        buf.put_u8(kind);
-        buf.put_u64_le(off);
-        buf.put_u64_le(len);
-        buf.put_u32_le(crc);
-        crc_bytes.extend_from_slice(&crc.to_le_bytes());
-    }
-    buf.put_u32_le(crc32c(&crc_bytes));
-    end_section(&mut buf, p, &mut sections, &mut dir, SectionKind::Trailer, None);
-
-    // footer: where the trailer starts, checksummed, so salvage can find
-    // the directory from EOF even when mid-file framing is destroyed.
-    let footer_start = buf.len();
-    buf.put_u64_le(trailer_offset as u64);
-    buf.put_u32_le(crc32c(&(trailer_offset as u64).to_le_bytes()));
-
-    debug_assert_eq!(buf.len(), total, "size precomputation must be exact");
-    let layout = V2Layout { sections, footer: footer_start..buf.len() };
-    (buf.freeze(), layout)
-}
-
-/// Opens a section frame in place: writes the kind byte and a zero length
-/// placeholder, returning the payload start offset for `end_section`.
-fn begin_section(buf: &mut BytesMut, kind: SectionKind) -> usize {
-    buf.put_u8(kind.as_u8());
-    buf.put_u64_le(0); // patched by end_section
-    buf.len()
-}
-
-/// Closes an in-place section frame: patches the length placeholder,
-/// appends the payload CRC, and records the span and directory entry.
-fn end_section(
-    buf: &mut BytesMut,
-    payload_start: usize,
-    sections: &mut Vec<SectionSpan>,
-    dir: &mut Vec<(u8, u64, u64, u32)>,
-    kind: SectionKind,
-    variable: Option<(String, Vec<usize>)>,
-) {
-    let len = buf.len() - payload_start;
-    let crc = crc32c(&buf[payload_start..]);
-    buf[payload_start - 8..payload_start].copy_from_slice(&(len as u64).to_le_bytes());
-    buf.put_u32_le(crc);
-    let frame_start = payload_start - 9;
-    sections.push(SectionSpan {
-        kind,
-        frame: frame_start..buf.len(),
-        payload: payload_start..payload_start + len,
-        variable,
-    });
-    dir.push((kind.as_u8(), frame_start as u64, len as u64, crc));
-}
-
-// ---- encoded-size precomputation (exact, mirrors the put_* writers) ----
-
-pub(crate) fn string_size(s: &str) -> usize {
-    4 + s.len()
-}
-
-pub(crate) fn attrs_size(attrs: &Attributes) -> usize {
-    let mut n = 4;
-    for (k, v) in attrs {
-        n += string_size(k) + 1;
-        n += match v {
-            AttValue::Text(s) => string_size(s),
-            AttValue::Float(_) | AttValue::Int(_) => 8,
-            AttValue::FloatVec(v) => 4 + 8 * v.len(),
-        };
-    }
-    n
-}
-
-pub(crate) fn axis_size(ax: &Axis) -> usize {
-    string_size(&ax.id)
-        + string_size(&ax.units)
-        + 2 // kind + calendar
-        + 8
-        + 8 * ax.values.len()
-        + 1
-        + ax.bounds.as_ref().map_or(0, |b| 16 * b.len())
-        + attrs_size(&ax.attributes)
 }
 
 pub(crate) fn header_size(ds: &Dataset) -> usize {
     string_size(&ds.id) + attrs_size(&ds.attributes) + 8
 }
 
-fn variable_size(var: &Variable, refs: &[usize]) -> usize {
-    let n = var.array.len();
+/// Decodes a header payload into an empty dataset carrying the id and
+/// global attrs, plus the declared axis and variable counts.
+pub(crate) fn decode_header(payload: &[u8]) -> Result<(Dataset, usize, usize)> {
+    let mut cur = payload;
+    let buf = &mut cur;
+    let mut ds = Dataset::new(&get_string(buf)?);
+    ds.attributes = get_attrs(buf)?;
+    let n_axes = get_u32(buf)? as usize;
+    let n_vars = get_u32(buf)? as usize;
+    if n_axes > MAX_AXES {
+        return Err(CdmsError::Format(format!("implausible axis count {n_axes}")));
+    }
+    if n_vars > MAX_VARS {
+        return Err(CdmsError::Format(format!("implausible variable count {n_vars}")));
+    }
+    if !buf.is_empty() {
+        return Err(CdmsError::Format("header payload has trailing bytes".into()));
+    }
+    Ok((ds, n_axes, n_vars))
+}
+
+pub(crate) fn decode_axis_payload(payload: &[u8]) -> Result<Axis> {
+    let mut cur = payload;
+    let buf = &mut cur;
+    let ax = get_axis(buf)?;
+    if !buf.is_empty() {
+        return Err(CdmsError::Format(format!("axis '{}' payload has trailing bytes", ax.id)));
+    }
+    Ok(ax)
+}
+
+/// What a variable says about itself ahead of its data: a v2 `Variable`
+/// payload is this head plus a raw body, a v3 `VarMeta` payload this head
+/// plus window and pyramid depth.
+pub(crate) struct VarHead {
+    pub(crate) id: String,
+    /// Ordinals into the file's axis sections.
+    pub(crate) axis_refs: Vec<usize>,
+    pub(crate) attributes: Attributes,
+    pub(crate) shape: Vec<usize>,
+}
+
+pub(crate) fn put_var_head(buf: &mut BytesMut, var: &Variable, refs: &[usize]) {
+    put_string(buf, &var.id);
+    buf.put_u32_le(refs.len() as u32);
+    for &r in refs {
+        buf.put_u32_le(r as u32);
+    }
+    put_attrs(buf, &var.attributes);
+    put_shape(buf, var.array.shape());
+}
+
+pub(crate) fn var_head_size(var: &Variable, refs: &[usize]) -> usize {
     string_size(&var.id)
         + 4
         + 4 * refs.len()
         + attrs_size(&var.attributes)
         + 4
         + 8 * var.array.rank()
-        + 4 * n
-        + n.div_ceil(8)
+}
+
+pub(crate) fn get_var_head(buf: &mut &[u8]) -> Result<VarHead> {
+    let id = get_string(buf)?;
+    let naxes = get_u32(buf)? as usize;
+    if naxes > 64 {
+        return Err(CdmsError::Format(format!("implausible rank {naxes}")));
+    }
+    let mut axis_refs = Vec::with_capacity(naxes);
+    for _ in 0..naxes {
+        axis_refs.push(get_u32(buf)? as usize);
+    }
+    let attributes = get_attrs(buf)?;
+    let shape = get_shape(buf)?;
+    if shape.len() != naxes {
+        return Err(CdmsError::Format(format!(
+            "variable '{id}': rank {} != axis count {naxes}",
+            shape.len()
+        )));
+    }
+    Ok(VarHead { id, axis_refs, attributes, shape })
+}
+
+fn put_shape(buf: &mut BytesMut, shape: &[usize]) {
+    buf.put_u32_le(shape.len() as u32);
+    for &d in shape {
+        buf.put_u64_le(d as u64);
+    }
+}
+
+fn get_shape(buf: &mut &[u8]) -> Result<Vec<usize>> {
+    let rank = get_u32(buf)? as usize;
+    if rank > 64 {
+        return Err(CdmsError::Format(format!("implausible rank {rank}")));
+    }
+    (0..rank).map(|_| Ok(get_u64(buf)? as usize)).collect()
+}
+
+/// Raw data body: `f32 × n`, then the validity mask bit-packed into
+/// `⌈n/8⌉` bytes — a v2 variable's data and a v3 `CODEC_RAW` chunk body
+/// alike (v1 holds the same bytes, but keeps its own element-wise codec).
+pub(crate) fn put_raw_body(buf: &mut impl BufMut, data: &[f32], mask: &[bool]) {
+    put_f32_bulk(buf, data);
+    put_mask(buf, mask);
+}
+
+/// Bytes of a raw body of `n` elements; `None` when a hostile `n` overflows.
+pub(crate) fn raw_body_size(n: usize) -> Option<usize> {
+    n.checked_mul(4)?.checked_add(n.div_ceil(8))
+}
+
+pub(crate) fn get_raw_body(buf: &mut &[u8], n: usize) -> Result<(Vec<f32>, Vec<bool>)> {
+    let float_bytes = n
+        .checked_mul(4)
+        .ok_or_else(|| CdmsError::Format(format!("implausible element count {n}")))?;
+    // `take_bytes` proves the bytes are present before anything is sized
+    // by `n`; chunk-wise conversion is what the compiler vectorizes
+    let floats = take_bytes(buf, float_bytes)?;
+    let data = floats.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+    Ok((data.collect(), get_mask(buf, n)?))
+}
+
+/// Product of `shape` without overflow (empty shape = scalar = 1 element).
+pub(crate) fn checked_volume(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
+}
+
+/// One entry of a file's axis table: every entry has its axis when
+/// reading strictly; salvage's table has holes where a section was lost.
+pub(crate) trait AxisSlot {
+    fn axis(&self) -> Option<&Axis>;
+}
+
+impl AxisSlot for Axis {
+    fn axis(&self) -> Option<&Axis> {
+        Some(self)
+    }
+}
+
+impl AxisSlot for Option<Axis> {
+    fn axis(&self) -> Option<&Axis> {
+        self.as_ref()
+    }
+}
+
+/// Resolves a variable's axis refs against the file's axis sections. The
+/// error is the reason the variable cannot be built.
+pub(crate) fn resolve_axes(
+    id: &str,
+    refs: &[usize],
+    table: &[impl AxisSlot],
+) -> std::result::Result<Vec<Axis>, String> {
+    refs.iter()
+        .map(|&r| match table.get(r) {
+            Some(slot) => slot.axis().cloned().ok_or_else(|| format!("axis section {r} corrupt")),
+            None => Err(format!(
+                "variable '{id}' references axis section {r}, only {} exist",
+                table.len()
+            )),
+        })
+        .collect()
+}
+
+/// Decodes a v2 `Variable` payload against the file's axis table.
+fn decode_variable(payload: &[u8], table: &[impl AxisSlot]) -> Salvaged {
+    let mut cur = payload;
+    let buf = &mut cur;
+    let head = get_var_head(buf).map_err(|e| (None, format!("unreadable head: {e}")))?;
+    let axes = resolve_axes(&head.id, &head.axis_refs, table)
+        .map_err(|reason| (Some(head.id.clone()), reason))?;
+    let named = |e: CdmsError| (Some(head.id.clone()), format!("payload decode failed: {e}"));
+    let n = checked_volume(&head.shape)
+        .ok_or_else(|| named(CdmsError::Format("shape overflows".into())))?;
+    let (data, mask) = get_raw_body(buf, n).map_err(named)?;
+    if !buf.is_empty() {
+        return Err(named(CdmsError::Format("payload has trailing bytes".into())));
+    }
+    let array = MaskedArray::with_mask(data, mask, &head.shape).map_err(named)?;
+    let mut var = Variable::new(&head.id, array, axes).map_err(named)?;
+    var.attributes = head.attributes;
+    Ok(var)
 }
 
 // ---- decoding (strict) ----
 
 /// Deserializes a dataset from bytes, dispatching on the format version.
-/// Verifies every v2 checksum; any mismatch is a [`CdmsError::Format`].
+/// Verifies every v2/v3 checksum; any mismatch is a [`CdmsError::Format`].
 pub fn from_bytes(buf: &[u8]) -> Result<Dataset> {
-    match parse_magic_version(buf)? {
-        VERSION_V1 => from_bytes_v1(&buf[8..]),
+    match container::parse_preamble(buf)? {
+        VERSION_V1 => from_bytes_v1(buf.get(container::PREAMBLE_LEN..).unwrap_or_default()),
         VERSION_V2 => from_bytes_v2(buf),
         VERSION_V3 => crate::format_v3::from_bytes_v3(buf),
         v => Err(CdmsError::Format(format!("unsupported version {v}"))),
     }
-}
-
-pub(crate) fn parse_magic_version(buf: &[u8]) -> Result<u32> {
-    if buf.len() < 8 {
-        return Err(CdmsError::Format(format!(
-            "truncated: {} bytes is too short for magic + version",
-            buf.len()
-        )));
-    }
-    if &buf[..4] != MAGIC {
-        return Err(CdmsError::Format("bad magic (not an .ncr file)".into()));
-    }
-    Ok(u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]))
 }
 
 /// Legacy v1 body decoder (`buf` starts after magic + version).
@@ -477,15 +476,12 @@ fn from_bytes_v1(mut buf: &[u8]) -> Result<Dataset> {
             axes.push(get_axis(buf)?);
         }
         let attributes = get_attrs(buf)?;
-        let rank = get_u32(buf)? as usize;
-        if rank != naxes {
+        let shape = get_shape(buf)?;
+        if shape.len() != naxes {
             return Err(CdmsError::Format(format!(
-                "variable '{vid}': rank {rank} != axis count {naxes}"
+                "variable '{vid}': rank {} != axis count {naxes}",
+                shape.len()
             )));
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(get_u64(buf)? as usize);
         }
         let n = checked_volume(&shape)
             .ok_or_else(|| CdmsError::Format(format!("variable '{vid}': shape overflows")))?;
@@ -494,6 +490,7 @@ fn from_bytes_v1(mut buf: &[u8]) -> Result<Dataset> {
                 "variable '{vid}': declared {n} elements exceeds remaining bytes"
             )));
         }
+        // element-wise like the v1 writer, and for the same reason
         let mut data = Vec::with_capacity(n);
         for _ in 0..n {
             data.push(get_f32(buf)?);
@@ -507,267 +504,94 @@ fn from_bytes_v1(mut buf: &[u8]) -> Result<Dataset> {
     Ok(ds)
 }
 
-/// One parsed v2/v3 section frame.
-pub(crate) struct Frame<'a> {
-    pub(crate) kind: SectionKind,
-    pub(crate) offset: usize,
-    pub(crate) payload: &'a [u8],
-    pub(crate) crc: u32,
+/// A file's section directory being consumed in file order — how a
+/// generation says which sections it carries: "the next one must be a
+/// header", "then this many axes". `fetch` produces a listed section's
+/// payload: a slice of an image [`container::verify_all`] has vouched
+/// for, or a ranged read held to its entry.
+pub(crate) struct Sections<'d, F> {
+    rest: std::slice::Iter<'d, Entry>,
+    fetch: F,
 }
 
-/// Parses and CRC-verifies the frame at `*pos`, advancing past it.
-/// `limit` is the end of the section region (start of the footer).
-pub(crate) fn read_frame<'a>(full: &'a [u8], pos: &mut usize, limit: usize) -> Result<Frame<'a>> {
-    let start = *pos;
-    if limit < start + FRAME_OVERHEAD {
-        return Err(CdmsError::Format(format!("truncated section frame at byte {start}")));
-    }
-    let kind = SectionKind::from_u8(full[start])
-        .ok_or_else(|| CdmsError::Format(format!("unknown section kind at byte {start}")))?;
-    let len_bytes: [u8; 8] = full[start + 1..start + 9]
-        .try_into()
-        .map_err(|_| CdmsError::Format("unreachable: 8-byte slice".into()))?;
-    let len = u64::from_le_bytes(len_bytes) as usize;
-    if len > limit - start - FRAME_OVERHEAD {
-        return Err(CdmsError::Format(format!(
-            "section at byte {start} claims {len} payload bytes, only {} remain",
-            limit - start - FRAME_OVERHEAD
-        )));
-    }
-    let payload = &full[start + 9..start + 9 + len];
-    let crc_at = start + 9 + len;
-    let stored = u32::from_le_bytes([
-        full[crc_at],
-        full[crc_at + 1],
-        full[crc_at + 2],
-        full[crc_at + 3],
-    ]);
-    if crc32c(payload) != stored {
-        return Err(CdmsError::Format(format!(
-            "{kind:?} section at byte {start}: checksum mismatch"
-        )));
-    }
-    *pos = crc_at + 4;
-    Ok(Frame { kind, offset: start, payload, crc: stored })
-}
-
-pub(crate) fn expect_kind(frame: &Frame<'_>, want: SectionKind) -> Result<()> {
-    if frame.kind != want {
-        return Err(CdmsError::Format(format!(
-            "expected {want:?} section at byte {}, found {:?}",
-            frame.offset, frame.kind
-        )));
-    }
-    Ok(())
-}
-
-/// Strict v2 decoder: verifies every section checksum, the trailer
-/// directory, and the footer.
-fn from_bytes_v2(full: &[u8]) -> Result<Dataset> {
-    if full.len() < 8 + FRAME_OVERHEAD + FOOTER_LEN {
-        return Err(CdmsError::Format(format!("truncated v2 file ({} bytes)", full.len())));
-    }
-    let footer_at = full.len() - FOOTER_LEN;
-    let declared_trailer = verify_footer(full, footer_at)?;
-
-    let mut pos = 8usize;
-    let mut observed: Vec<(u8, u64, u64, u32)> = Vec::new();
-    let note = |f: &Frame<'_>| (f.kind.as_u8(), f.offset as u64, f.payload.len() as u64, f.crc);
-
-    let header = read_frame(full, &mut pos, footer_at)?;
-    expect_kind(&header, SectionKind::Header)?;
-    observed.push(note(&header));
-    let (id, attributes, n_axes, n_vars) = decode_header(header.payload)?;
-
-    let mut axes = Vec::new();
-    for _ in 0..n_axes {
-        let frame = read_frame(full, &mut pos, footer_at)?;
-        expect_kind(&frame, SectionKind::Axis)?;
-        observed.push(note(&frame));
-        axes.push(decode_axis_payload(frame.payload)?);
+impl<'d, 'a, F: FnMut(&Entry) -> Result<Cow<'a, [u8]>>> Sections<'d, F> {
+    pub(crate) fn new(directory: &'d [Entry], fetch: F) -> Self {
+        Sections { rest: directory.iter(), fetch }
     }
 
-    let mut ds = Dataset::new(&id);
-    ds.attributes = attributes;
-    for _ in 0..n_vars {
-        let frame = read_frame(full, &mut pos, footer_at)?;
-        expect_kind(&frame, SectionKind::Variable)?;
-        observed.push(note(&frame));
-        ds.add_variable(decode_variable_payload(frame.payload, &axes)?);
-    }
-
-    let trailer_at = pos;
-    let trailer = read_frame(full, &mut pos, footer_at)?;
-    expect_kind(&trailer, SectionKind::Trailer)?;
-    if pos != footer_at {
-        return Err(CdmsError::Format(format!(
-            "{} unexpected bytes between trailer and footer",
-            footer_at - pos
-        )));
-    }
-    if declared_trailer != trailer_at as u64 {
-        return Err(CdmsError::Format(format!(
-            "footer points at byte {declared_trailer}, trailer found at {trailer_at}"
-        )));
-    }
-    verify_trailer(trailer.payload, &observed)?;
-    Ok(ds)
-}
-
-/// Checks the footer checksum and returns the declared trailer offset.
-pub(crate) fn verify_footer(full: &[u8], footer_at: usize) -> Result<u64> {
-    let off_bytes: [u8; 8] = full[footer_at..footer_at + 8]
-        .try_into()
-        .map_err(|_| CdmsError::Format("unreachable: 8-byte slice".into()))?;
-    let stored = u32::from_le_bytes([
-        full[footer_at + 8],
-        full[footer_at + 9],
-        full[footer_at + 10],
-        full[footer_at + 11],
-    ]);
-    if crc32c(&off_bytes) != stored {
-        return Err(CdmsError::Format("footer checksum mismatch".into()));
-    }
-    Ok(u64::from_le_bytes(off_bytes))
-}
-
-/// Checks the trailer directory against the sections actually observed,
-/// plus the file-level CRC chained over section CRCs.
-pub(crate) fn verify_trailer(payload: &[u8], observed: &[(u8, u64, u64, u32)]) -> Result<()> {
-    let mut cur = payload;
-    let buf = &mut cur;
-    let n = get_u32(buf)? as usize;
-    if n != observed.len() {
-        return Err(CdmsError::Format(format!(
-            "trailer lists {n} sections, file has {}",
-            observed.len()
-        )));
-    }
-    if buf.len() < n * 21 {
-        return Err(CdmsError::Format("trailer directory truncated".into()));
-    }
-    let mut crc_bytes = Vec::with_capacity(n * 4);
-    for &(kind, off, len, crc) in observed {
-        let entry =
-            (get_u8(buf)?, get_u64(buf)?, get_u64(buf)?, get_u32(buf)?);
-        if entry != (kind, off, len, crc) {
-            return Err(CdmsError::Format(format!(
-                "trailer directory disagrees with section at byte {off}"
-            )));
+    /// The payload of the next section, which must be of kind `want`.
+    pub(crate) fn next(&mut self, want: SectionKind) -> Result<Cow<'a, [u8]>> {
+        match self.rest.next() {
+            Some(entry) if entry.kind == want => (self.fetch)(entry),
+            Some(entry) => Err(CdmsError::Format(format!(
+                "expected {want:?} section at byte {}, found {:?}",
+                entry.offset, entry.kind
+            ))),
+            None => Err(CdmsError::Format(format!("file ends where a {want:?} section belongs"))),
         }
-        crc_bytes.extend_from_slice(&crc.to_le_bytes());
     }
-    let file_crc = get_u32(buf)?;
-    if file_crc != crc32c(&crc_bytes) {
-        return Err(CdmsError::Format("file-level checksum mismatch".into()));
+
+    /// The run of `kind` sections next in line: located, not fetched.
+    pub(crate) fn run_of(&mut self, kind: SectionKind) -> &'d [Entry] {
+        let all = self.rest.as_slice();
+        let (run, rest) = all.split_at(all.iter().take_while(|e| e.kind == kind).count());
+        self.rest = rest.iter();
+        run
     }
-    if !buf.is_empty() {
-        return Err(CdmsError::Format("trailer payload has trailing bytes".into()));
+
+    /// What every sectioned file opens with: the header, then as many axis
+    /// sections as it declares. Returns the empty dataset (id and global
+    /// attrs), the axis table and the declared variable count.
+    pub(crate) fn open(&mut self) -> Result<(Dataset, Vec<Axis>, usize)> {
+        let (ds, n_axes, n_vars) = decode_header(&self.next(SectionKind::Header)?)?;
+        let axes = (0..n_axes)
+            .map(|_| decode_axis_payload(&self.next(SectionKind::Axis)?))
+            .collect::<Result<_>>()?;
+        Ok((ds, axes, n_vars))
     }
-    Ok(())
+
+    /// Nothing may follow what the generation asked for.
+    pub(crate) fn end(mut self) -> Result<()> {
+        match self.rest.next() {
+            Some(entry) => Err(CdmsError::Format(format!(
+                "unexpected {:?} section at byte {}",
+                entry.kind, entry.offset
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
-pub(crate) fn decode_header(payload: &[u8]) -> Result<(String, Attributes, usize, usize)> {
-    let mut cur = payload;
-    let buf = &mut cur;
-    let id = get_string(buf)?;
-    let attributes = get_attrs(buf)?;
-    let n_axes = get_u32(buf)? as usize;
-    let n_vars = get_u32(buf)? as usize;
-    if n_axes > MAX_AXES {
-        return Err(CdmsError::Format(format!("implausible axis count {n_axes}")));
-    }
-    if n_vars > MAX_VARS {
-        return Err(CdmsError::Format(format!("implausible variable count {n_vars}")));
-    }
-    if !buf.is_empty() {
-        return Err(CdmsError::Format("header payload has trailing bytes".into()));
-    }
-    Ok((id, attributes, n_axes, n_vars))
-}
-
-pub(crate) fn decode_axis_payload(payload: &[u8]) -> Result<Axis> {
-    let mut cur = payload;
-    let buf = &mut cur;
-    let ax = get_axis(buf)?;
-    if !buf.is_empty() {
-        return Err(CdmsError::Format(format!("axis '{}' payload has trailing bytes", ax.id)));
-    }
-    Ok(ax)
-}
-
-pub(crate) fn decode_variable_payload(payload: &[u8], axes: &[Axis]) -> Result<Variable> {
-    let mut cur = payload;
-    let buf = &mut cur;
-    let vid = get_string(buf)?;
-    let naxes = get_u32(buf)? as usize;
-    if naxes > 64 {
-        return Err(CdmsError::Format(format!("implausible rank {naxes}")));
-    }
-    let mut var_axes = Vec::with_capacity(naxes);
-    for _ in 0..naxes {
-        let r = get_u32(buf)? as usize;
-        let ax = axes.get(r).ok_or_else(|| {
-            CdmsError::Format(format!(
-                "variable '{vid}' references axis section {r}, only {} exist",
-                axes.len()
-            ))
+/// Strict v2 decoder: the container verifies every frame, the trailer
+/// directory and the footer; v2 is header, axes, then one `Variable`
+/// section per declared variable.
+fn from_bytes_v2(full: &[u8]) -> Result<Dataset> {
+    let directory = container::verify_all(full)?;
+    let mut sections = Sections::new(&directory, |e| e.slice_of(full).map(Cow::Borrowed));
+    let (mut ds, axes, n_vars) = sections.open()?;
+    for _ in 0..n_vars {
+        let payload = sections.next(SectionKind::Variable)?;
+        let var = decode_variable(&payload, &axes).map_err(|(id, reason)| {
+            CdmsError::Format(format!("variable '{}': {reason}", id.unwrap_or_default()))
         })?;
-        var_axes.push(ax.clone());
+        ds.add_variable(var);
     }
-    let attributes = get_attrs(buf)?;
-    let rank = get_u32(buf)? as usize;
-    if rank != naxes {
-        return Err(CdmsError::Format(format!(
-            "variable '{vid}': rank {rank} != axis count {naxes}"
-        )));
-    }
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(get_u64(buf)? as usize);
-    }
-    let n = checked_volume(&shape)
-        .ok_or_else(|| CdmsError::Format(format!("variable '{vid}': shape overflows")))?;
-    if n > buf.len() / 4 {
-        return Err(CdmsError::Format(format!(
-            "variable '{vid}': declared {n} elements exceeds section bytes"
-        )));
-    }
-    // Bulk conversion: the guard above proved 4*n bytes are present, so
-    // the data block can be split off and converted chunk-wise (which the
-    // compiler vectorizes) instead of element-wise through `get_f32`.
-    let (raw, rest) = buf.split_at(4 * n);
-    *buf = rest;
-    let mut data = Vec::with_capacity(n);
-    data.extend(raw.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])));
-    let mask = get_mask(buf, n)?;
-    if !buf.is_empty() {
-        return Err(CdmsError::Format(format!(
-            "variable '{vid}' payload has trailing bytes"
-        )));
-    }
-    let array = MaskedArray::with_mask(data, mask, &shape)?;
-    let mut var = Variable::new(&vid, array, var_axes)?;
-    var.attributes = attributes;
-    Ok(var)
-}
-
-/// Product of `shape` without overflow (empty shape = scalar = 1 element).
-pub(crate) fn checked_volume(shape: &[usize]) -> Option<usize> {
-    shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
+    sections.end()?;
+    Ok(ds)
 }
 
 // ---- decoding (salvage) ----
 
 /// Best-effort decode: recovers every variable whose own section and
-/// referenced axis sections pass checksum verification, skipping the rest.
-/// Returns the (possibly partial, possibly empty) dataset plus a
-/// [`SalvageReport`]. Errors only when the input is not a v2 `.ncr` file
-/// at all — v1 files carry no checksums to salvage by, so a corrupt v1
-/// file is unrecoverable.
+/// referenced axis sections pass checksum verification, skipping the rest
+/// (v3 recovers per chunk — see [`crate::format_v3`]). Returns the
+/// (possibly partial, possibly empty) dataset plus a [`SalvageReport`].
+/// A damaged v2 or v3 file never errors here; what does is input that is
+/// not an `.ncr` file, a version this build does not know, and a corrupt
+/// v1 file — v1 carries no checksums to salvage by.
 pub fn from_bytes_salvage(buf: &[u8]) -> Result<(Dataset, SalvageReport)> {
-    match parse_magic_version(buf)? {
-        VERSION_V1 => match from_bytes_v1(&buf[8..]) {
+    match container::parse_preamble(buf)? {
+        VERSION_V1 => match from_bytes_v1(buf.get(container::PREAMBLE_LEN..).unwrap_or_default()) {
             Ok(ds) => {
                 let report = SalvageReport {
                     sections_total: 1,
@@ -788,254 +612,69 @@ pub fn from_bytes_salvage(buf: &[u8]) -> Result<(Dataset, SalvageReport)> {
     }
 }
 
-/// A located (not yet verified) v2/v3 section.
-pub(crate) struct RawSection {
-    pub(crate) kind: SectionKind,
-    pub(crate) offset: usize,
-    pub(crate) len: usize,
-    pub(crate) crc: u32,
+/// What salvage establishes before a generation looks at its own sections.
+pub(crate) struct Salvage<'a> {
+    /// Empty, carrying the header's id and global attrs when it survived.
+    pub(crate) ds: Dataset,
+    pub(crate) report: SalvageReport,
+    /// The axis sections in file order, so refs resolve by ordinal; `None`
+    /// where a section failed its checksum or decode.
+    pub(crate) axes: Vec<Option<Axis>>,
+    /// Every other located section in file order; `None` where the payload
+    /// failed its checksum (already counted in `report.sections_corrupt`).
+    pub(crate) bodies: Vec<(SectionKind, Option<&'a [u8]>)>,
 }
 
-fn salvage_v2(full: &[u8]) -> (Dataset, SalvageReport) {
-    let (raw, directory_intact) = locate_sections(full);
+/// The salvage prelude: locates the sections, checksums every one of them,
+/// and decodes header and axes.
+pub(crate) fn salvage_prelude(full: &[u8]) -> Salvage<'_> {
+    let (located, directory_intact) = container::locate(full);
     let mut report = SalvageReport {
-        sections_total: raw.len(),
+        sections_total: located.len(),
         directory_intact,
         ..SalvageReport::default()
     };
-
-    // First pass: verify checksums, decode header and axes. Axis sections
-    // keep their file order so variable references resolve by ordinal.
-    let mut header: Option<(String, Attributes)> = None;
-    let mut axes: Vec<Option<Axis>> = Vec::new();
-    let mut var_payloads: Vec<Option<&[u8]>> = Vec::new();
-    for s in &raw {
-        let Some(payload) = verified_payload(full, s) else {
-            report.sections_corrupt += 1;
-            match s.kind {
-                SectionKind::Axis => axes.push(None),
-                SectionKind::Variable => var_payloads.push(None),
-                _ => {}
-            }
-            continue;
-        };
-        match s.kind {
-            SectionKind::Header => {
-                if let Ok((id, attrs, _, _)) = decode_header(payload) {
-                    header = Some((id, attrs));
-                } else {
-                    report.sections_corrupt += 1;
+    let mut ds = Dataset::new("");
+    let mut axes = Vec::new();
+    let mut bodies = Vec::new();
+    for entry in &located {
+        let payload = entry.payload_in(full);
+        let intact = match entry.kind {
+            SectionKind::Header => match payload.map(decode_header) {
+                Some(Ok((header, _, _))) => {
+                    ds = header;
+                    report.header_intact = true;
+                    true
                 }
-            }
-            SectionKind::Axis => match decode_axis_payload(payload) {
-                Ok(ax) => axes.push(Some(ax)),
-                Err(_) => {
-                    report.sections_corrupt += 1;
-                    axes.push(None);
-                }
+                _ => false,
             },
-            SectionKind::Variable => var_payloads.push(Some(payload)),
-            // v3-only kinds never appear in a well-formed v2 file; a
-            // corrupt kind byte that happens to decode as one is ignored
-            SectionKind::Trailer
-            | SectionKind::VarMeta
-            | SectionKind::Chunk
-            | SectionKind::ChunkDir => {}
-        }
-    }
-    report.header_intact = header.is_some();
-    let (id, attributes) = header.unwrap_or_else(|| (String::new(), Attributes::new()));
-    let mut ds = Dataset::new(&id);
-    ds.attributes = attributes;
-
-    // Second pass: rebuild variables whose payload and axis references are
-    // all intact.
-    let resolved: Vec<Axis> = axes.iter().flatten().cloned().collect();
-    let intact_index: Vec<Option<usize>> = {
-        // ordinal in `axes` → index in `resolved` (None when corrupt)
-        let mut next = 0usize;
-        axes.iter()
-            .map(|a| {
-                a.as_ref().map(|_| {
-                    next += 1;
-                    next - 1
-                })
-            })
-            .collect()
-    };
-    for (ordinal, payload) in var_payloads.iter().enumerate() {
-        let Some(payload) = payload else {
-            // already counted corrupt in the first pass
-            report.lost_variables.push(LostVariable {
-                id: None,
-                section: ordinal,
-                reason: "variable section checksum mismatch".into(),
-            });
-            continue;
+            SectionKind::Axis => {
+                axes.push(payload.and_then(|p| decode_axis_payload(p).ok()));
+                axes.last().is_some_and(Option::is_some)
+            }
+            kind => {
+                bodies.push((kind, payload));
+                payload.is_some()
+            }
         };
-        match salvage_variable(payload, &intact_index, &resolved) {
-            Ok(var) => {
-                report.recovered_variables.push(var.id.clone());
-                ds.add_variable(var);
-            }
-            Err((vid, reason)) => {
-                report.lost_variables.push(LostVariable { id: vid, section: ordinal, reason });
-            }
-        }
+        report.sections_corrupt += usize::from(!intact);
+    }
+    Salvage { ds, report, axes, bodies }
+}
+
+fn salvage_v2(full: &[u8]) -> (Dataset, SalvageReport) {
+    let Salvage { mut ds, mut report, axes, bodies } = salvage_prelude(full);
+    // v3-only kinds never appear in a well-formed v2 file; a corrupt kind
+    // byte that happens to decode as one is ignored
+    let variables = bodies.iter().filter(|(kind, _)| *kind == SectionKind::Variable);
+    for (section, (_, payload)) in variables.enumerate() {
+        let outcome = match payload {
+            Some(payload) => decode_variable(payload, &axes),
+            None => Err((None, "variable section checksum mismatch".into())),
+        };
+        report.settle(&mut ds, section, outcome);
     }
     (ds, report)
-}
-
-/// Decodes one variable payload against possibly-holey axes. Errors carry
-/// the id (when readable) and a reason.
-fn salvage_variable(
-    payload: &[u8],
-    intact_index: &[Option<usize>],
-    resolved: &[Axis],
-) -> std::result::Result<Variable, (Option<String>, String)> {
-    // Peek the id + axis references first so a missing axis produces a
-    // named reason instead of a generic decode failure.
-    let mut cur = payload;
-    let buf = &mut cur;
-    let vid = get_string(buf).map_err(|e| (None, format!("unreadable id: {e}")))?;
-    let naxes = get_u32(buf).map_err(|e| (Some(vid.clone()), e.to_string()))? as usize;
-    if naxes > 64 {
-        return Err((Some(vid), format!("implausible rank {naxes}")));
-    }
-    for _ in 0..naxes {
-        let r = get_u32(buf).map_err(|e| (Some(vid.clone()), e.to_string()))? as usize;
-        match intact_index.get(r) {
-            Some(Some(_)) => {}
-            Some(None) => {
-                return Err((Some(vid), format!("axis section {r} corrupt")));
-            }
-            None => {
-                return Err((Some(vid), format!("axis section {r} missing")));
-            }
-        }
-    }
-    // Full decode against the compacted intact-axis list, with references
-    // remapped through `intact_index`.
-    let remapped = remap_axis_refs(payload, intact_index)
-        .map_err(|e| (Some(vid.clone()), e.to_string()))?;
-    decode_variable_payload(&remapped, resolved)
-        .map_err(|e| (Some(vid), format!("payload decode failed: {e}")))
-}
-
-/// Rewrites a variable payload's axis ordinals from "all sections" space
-/// into "intact sections" space so `decode_variable_payload` can resolve
-/// them against the compacted axis list.
-fn remap_axis_refs(payload: &[u8], intact_index: &[Option<usize>]) -> Result<Vec<u8>> {
-    let mut cur = payload;
-    let buf = &mut cur;
-    let id_start_len = payload.len() - {
-        get_string(buf)?;
-        buf.len()
-    };
-    let naxes = get_u32(buf)? as usize;
-    let refs_at = id_start_len + 4;
-    let mut out = payload.to_vec();
-    for i in 0..naxes {
-        let at = refs_at + i * 4;
-        let r = u32::from_le_bytes([
-            payload[at],
-            payload[at + 1],
-            payload[at + 2],
-            payload[at + 3],
-        ]) as usize;
-        let mapped = intact_index
-            .get(r)
-            .copied()
-            .flatten()
-            .ok_or_else(|| CdmsError::Format(format!("axis section {r} not intact")))?;
-        out[at..at + 4].copy_from_slice(&(mapped as u32).to_le_bytes());
-    }
-    Ok(out)
-}
-
-/// Slices and checksum-verifies one raw section's payload.
-pub(crate) fn verified_payload<'a>(full: &'a [u8], s: &RawSection) -> Option<&'a [u8]> {
-    let payload_at = s.offset.checked_add(9)?;
-    let crc_at = payload_at.checked_add(s.len)?;
-    if crc_at.checked_add(4)? > full.len() {
-        return None;
-    }
-    let payload = &full[payload_at..crc_at];
-    (crc32c(payload) == s.crc).then_some(payload)
-}
-
-/// Locates sections via the trailer directory (preferred — robust to
-/// corrupt mid-file framing) or a sequential walk.
-pub(crate) fn locate_sections(full: &[u8]) -> (Vec<RawSection>, bool) {
-    if let Some(sections) = sections_from_directory(full) {
-        return (sections, true);
-    }
-    (sections_by_walk(full), false)
-}
-
-fn sections_from_directory(full: &[u8]) -> Option<Vec<RawSection>> {
-    if full.len() < 8 + FRAME_OVERHEAD + FOOTER_LEN {
-        return None;
-    }
-    let footer_at = full.len() - FOOTER_LEN;
-    let trailer_at = verify_footer(full, footer_at).ok()? as usize;
-    if trailer_at < 8 || trailer_at + FRAME_OVERHEAD > footer_at {
-        return None;
-    }
-    let mut pos = trailer_at;
-    let frame = read_frame(full, &mut pos, footer_at).ok()?;
-    if frame.kind != SectionKind::Trailer {
-        return None;
-    }
-    let mut cur = frame.payload;
-    let buf = &mut cur;
-    let n = get_u32(buf).ok()? as usize;
-    if n > buf.len() / 21 {
-        return None; // each entry is 21 bytes; a bigger claim is hostile
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let kind = SectionKind::from_u8(get_u8(buf).ok()?)?;
-        let offset = get_u64(buf).ok()? as usize;
-        let len = get_u64(buf).ok()? as usize;
-        let crc = get_u32(buf).ok()?;
-        // entries must fit inside the section region
-        if offset < 8 || offset.checked_add(FRAME_OVERHEAD + len)? > footer_at {
-            return None;
-        }
-        out.push(RawSection { kind, offset, len, crc });
-    }
-    Some(out)
-}
-
-fn sections_by_walk(full: &[u8]) -> Vec<RawSection> {
-    let mut out = Vec::new();
-    let mut pos = 8usize;
-    while pos + FRAME_OVERHEAD <= full.len() {
-        let Some(kind) = SectionKind::from_u8(full[pos]) else {
-            break; // framing destroyed; cannot resync without the directory
-        };
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&full[pos + 1..pos + 9]);
-        let len = u64::from_le_bytes(len_bytes) as usize;
-        let Some(end) = pos.checked_add(FRAME_OVERHEAD + len) else { break };
-        if end > full.len() {
-            break;
-        }
-        if kind == SectionKind::Trailer {
-            break;
-        }
-        let crc_at = pos + 9 + len;
-        let crc = u32::from_le_bytes([
-            full[crc_at],
-            full[crc_at + 1],
-            full[crc_at + 2],
-            full[crc_at + 3],
-        ]);
-        out.push(RawSection { kind, offset: pos, len, crc });
-        pos = end;
-    }
-    out
 }
 
 // ---- file I/O ----
@@ -1106,6 +745,34 @@ pub fn read_dataset_salvage_with(
 
 // ---- encoding helpers ----
 
+pub(crate) fn string_size(s: &str) -> usize {
+    4 + s.len()
+}
+
+pub(crate) fn attrs_size(attrs: &Attributes) -> usize {
+    let mut n = 4;
+    for (k, v) in attrs {
+        n += string_size(k) + 1;
+        n += match v {
+            AttValue::Text(s) => string_size(s),
+            AttValue::Float(_) | AttValue::Int(_) => 8,
+            AttValue::FloatVec(v) => 4 + 8 * v.len(),
+        };
+    }
+    n
+}
+
+pub(crate) fn axis_size(ax: &Axis) -> usize {
+    string_size(&ax.id)
+        + string_size(&ax.units)
+        + 2 // kind + calendar
+        + 8
+        + 8 * ax.values.len()
+        + 1
+        + ax.bounds.as_ref().map_or(0, |b| 16 * b.len())
+        + attrs_size(&ax.attributes)
+}
+
 pub(crate) fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
@@ -1174,7 +841,7 @@ pub(crate) fn put_axis(buf: &mut BytesMut, ax: &Axis) {
 
 /// Streams an `f32` slice into the buffer through a stack staging block,
 /// amortizing the per-element bookkeeping of `put_f32_le`.
-pub(crate) fn put_f32_bulk(buf: &mut BytesMut, data: &[f32]) {
+fn put_f32_bulk(buf: &mut impl BufMut, data: &[f32]) {
     let mut stage = [0u8; 4096];
     for chunk in data.chunks(1024) {
         let mut n = 0;
@@ -1186,7 +853,7 @@ pub(crate) fn put_f32_bulk(buf: &mut BytesMut, data: &[f32]) {
     }
 }
 
-pub(crate) fn put_mask(buf: &mut BytesMut, mask: &[bool]) {
+fn put_mask(buf: &mut impl BufMut, mask: &[bool]) {
     let nbytes = mask.len().div_ceil(8);
     let mut packed = vec![0u8; nbytes];
     for (i, &m) in mask.iter().enumerate() {
@@ -1198,23 +865,6 @@ pub(crate) fn put_mask(buf: &mut BytesMut, mask: &[bool]) {
 }
 
 // ---- decoding helpers ----
-
-pub(crate) fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
-    if buf.len() < n {
-        return Err(CdmsError::Format(format!("truncated: need {n} bytes, have {}", buf.len())));
-    }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
-}
-
-pub(crate) fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    Ok(take_bytes(buf, 4)?.iter().rev().fold(0u32, |acc, &b| (acc << 8) | b as u32))
-}
-
-pub(crate) fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    Ok(take_bytes(buf, 8)?.iter().rev().fold(0u64, |acc, &b| (acc << 8) | b as u64))
-}
 
 fn get_f32(buf: &mut &[u8]) -> Result<f32> {
     let mut b = take_bytes(buf, 4)?;
@@ -1229,10 +879,6 @@ fn get_f64(buf: &mut &[u8]) -> Result<f64> {
 fn get_i64(buf: &mut &[u8]) -> Result<i64> {
     let mut b = take_bytes(buf, 8)?;
     Ok(b.get_i64_le())
-}
-
-pub(crate) fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    Ok(take_bytes(buf, 1)?[0])
 }
 
 pub(crate) fn get_string(buf: &mut &[u8]) -> Result<String> {
@@ -1525,19 +1171,65 @@ mod tests {
         assert!(salvaged.variable("ta").is_none());
     }
 
+    /// One sectioned encoding: generation, bytes, section spans, footer.
+    type Encoded = (&'static str, Vec<u8>, Vec<SectionSpan>, Range<usize>);
+
+    /// Both sectioned encodings of `ds`, each with its byte map.
+    fn v2_and_v3(ds: &Dataset) -> [Encoded; 2] {
+        let (v2, l2) = to_bytes_v2_with_layout(ds);
+        let (v3, l3) = crate::format_v3::to_bytes_v3(ds);
+        [("v2", v2.to_vec(), l2.sections, l2.footer), ("v3", v3.to_vec(), l3.sections, l3.footer)]
+    }
+
     #[test]
     fn salvage_drops_variables_of_corrupt_axis() {
         let ds = two_var_dataset();
-        let (bytes, layout) = to_bytes_v2_with_layout(&ds);
-        let mut bytes = bytes.to_vec();
-        // corrupt the first axis section: both variables reference it
-        let ax = layout.sections.iter().find(|s| s.kind == SectionKind::Axis).unwrap();
-        bytes[ax.payload.start] ^= 0xFF;
-        let (salvaged, report) = from_bytes_salvage(&bytes).unwrap();
-        assert!(salvaged.is_empty());
-        assert_eq!(report.lost_variables.len(), 2);
-        assert!(report.lost_variables[0].reason.contains("axis section"), "{report:?}");
-        assert_eq!(report.lost_variables[0].id.as_deref(), Some("ta"));
+        for (generation, mut bytes, sections, _) in v2_and_v3(&ds) {
+            // corrupt the first axis section: both variables reference it
+            let ax = sections.iter().find(|s| s.kind == SectionKind::Axis).unwrap();
+            bytes[ax.payload.start] ^= 0xFF;
+            let (salvaged, report) = from_bytes_salvage(&bytes).unwrap();
+            assert!(salvaged.is_empty());
+            assert_eq!(report.lost_variables.len(), 2);
+            assert!(report.lost_variables[0].reason.contains("axis section"), "{report:?}");
+            assert_eq!(report.lost_variables[0].id.as_deref(), Some("ta"));
+            // one section is damaged and one is counted; the variables that
+            // merely reference it are named, and blamed on the axis
+            assert_eq!(report.sections_corrupt, 1, "{generation}: {report:?}");
+            for (lost, id) in report.lost_variables.iter().zip(["ta", "ua"]) {
+                assert_eq!(lost.id.as_deref(), Some(id), "{generation}: {report:?}");
+                assert!(lost.reason.contains("axis section"), "{generation}: {report:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn same_damage_gets_the_same_report_in_v2_and_v3() {
+        let ds = two_var_dataset();
+        // where to flip one byte, given a generation's byte map
+        type Aim = fn(&[SectionSpan], &Range<usize>) -> usize;
+        let table: [(&str, Aim); 5] = [
+            ("header payload", |s, _| s[0].payload.start + 2),
+            ("axis payload", |s, _| {
+                s.iter().find(|s| s.kind == SectionKind::Axis).unwrap().payload.start
+            }),
+            ("variable / varmeta payload", |s, _| {
+                let ta = s.iter().find(|s| matches!(&s.variable, Some((id, _)) if id == "ta"));
+                ta.unwrap().payload.start + 1
+            }),
+            ("framing destroyed, directory intact", |s, _| s[0].frame.start + 3),
+            ("footer destroyed", |_, footer| footer.start),
+        ];
+        for (damage, aim) in table {
+            let reports = v2_and_v3(&ds).map(|(_, mut bytes, sections, footer)| {
+                bytes[aim(&sections, &footer)] ^= 0xFF;
+                let (salvaged, report) = from_bytes_salvage(&bytes).unwrap();
+                assert_eq!(salvaged.variable_ids(), report.recovered_variables, "{damage}");
+                let lost: Vec<_> = report.lost_variables.into_iter().map(|l| l.id).collect();
+                (report.directory_intact, report.header_intact, report.recovered_variables, lost)
+            });
+            assert_eq!(reports[0], reports[1], "{damage}: v2 report != v3 report");
+        }
     }
 
     #[test]

@@ -1,56 +1,66 @@
 //! `.ncr` format **v3** — the chunked, multi-resolution streaming layout.
 //!
-//! v3 keeps the v2 skeleton (CRC32C-framed sections, trailer directory,
-//! checksummed footer) but splits each variable's bulk data into
-//! **chunk frames**, one per (time window, pyramid level), so a reader can
-//! fetch exactly the bytes one animation frame needs via
-//! `Storage::read_at` instead of slurping the whole file:
+//! v3 sits in the same container as v2 (CRC32C-framed sections, trailer
+//! directory, checksummed footer — byte layout in the module docs of
+//! `container.rs`) and shares v2's header, axis and variable-head payloads
+//! ([`crate::format`]). What it changes is which sections it carries: each
+//! variable's bulk data is split into **chunk frames**, one per (time
+//! window, pyramid level), so a reader can fetch exactly the bytes one
+//! animation frame needs via `Storage::read_at` instead of slurping the
+//! whole file. In this order:
 //!
 //! ```text
-//! magic "NCRS" | version u32 = 3
 //! Header   (kind 1) dataset id, global attrs, axis count, varmeta count
 //! Axis     (kind 2) one deduplicated axis per section
-//! VarMeta  (kind 5) id, axis refs, attrs, shape, window size, level count
-//!                   — metadata only, no bulk data
+//! VarMeta  (kind 5) head (id, axis refs, attrs, shape) | window u32 |
+//!                   levels u32 — metadata only, no bulk data
 //! Chunk    (kind 6) var u32 | window u32 | level u32 | codec u8 |
-//!                   raw_len u64 | body        (ordered by (var, win, lvl))
-//! ChunkDir (kind 7) (var, window, level) → (frame offset, payload len, crc)
-//! Trailer  (kind 4) directory of ALL sections + file CRC   (as v2)
-//! footer            trailer offset u64 | crc32c(offset) u32
+//!                   n u64 | body              (ordered by (var, win, lvl))
+//! ChunkDir (kind 7) count u32, then per chunk, in the same order:
+//!                   var u32 | window u32 | level u32 |
+//!                   frame offset u64 | payload len u64 | crc u32
 //! ```
 //!
 //! A chunk's body is the window's data (`f32 × n`) plus its bit-packed
-//! mask, either raw (codec 0) or PackBits-RLE compressed (codec 1 — chosen
-//! per chunk only when it is actually smaller, so constant fields shrink
-//! and noisy fields pay nothing). Level 0 is full resolution; level *k*
-//! downsamples the two trailing non-time dimensions by `2^k`, averaging
-//! valid cells (a cell with no valid source cells is masked). The pyramid
-//! is what lets [`crate::stream`] degrade a damaged or slow chunk to a
-//! coarser level instead of stalling playback.
+//! mask, either raw (codec 0 — the same bytes as a v2 variable's body) or
+//! PackBits-RLE compressed (codec 1 — chosen per chunk only when it is
+//! actually smaller, so constant fields shrink and noisy fields pay
+//! nothing). Level 0 is full resolution; level *k* downsamples the two
+//! trailing non-time dimensions by `2^k`, averaging valid cells (a cell
+//! with no valid source cells is masked). The pyramid is what lets
+//! [`crate::stream`] degrade a damaged or slow chunk to a coarser level
+//! instead of stalling playback.
 //!
-//! The strict reader ([`from_bytes_v3`]) rebuilds variables from level-0
-//! chunks only and verifies every frame CRC, the chunk directory, the
-//! trailer, and the footer — `from_bytes(to_bytes_v3(ds))` is bit-exact
-//! with the source dataset. [`salvage_v3`] recovers per chunk: a corrupt
-//! level-0 chunk falls back to the best intact pyramid level (upsampled,
-//! nearest-neighbor), or to a fully-masked window at worst.
+//! The strict reader (behind [`crate::format::from_bytes`]) and the ranged
+//! open ([`read_meta_with`]) read the metadata through one function, so
+//! they refuse the same files; the strict reader then decodes every chunk
+//! and rebuilds variables from level 0 — `from_bytes(to_bytes_v3(ds))` is
+//! bit-exact with the source dataset. Salvage (behind
+//! [`crate::format::from_bytes_salvage`]) recovers per chunk by the policy
+//! the streamer serves by (`best_window`): a corrupt level-0 chunk falls
+//! back to the best intact pyramid level (upsampled, nearest-neighbor), or
+//! to a fully-masked window at worst.
 
 use crate::attr::Attributes;
 use crate::axis::{Axis, AxisKind};
+use crate::container::{self, get_u32, get_u64, get_u8, Entry, Writer};
 use crate::dataset::Dataset;
 use crate::error::{CdmsError, Result};
 use crate::format::{
-    self, SectionKind, SectionSpan, VERSION_V3, FOOTER_LEN, FRAME_OVERHEAD, MAGIC,
+    self, AxisSlot, Salvage, SalvageReport, Salvaged, SectionKind, SectionSpan, VERSION_V3,
 };
-use crate::format::{LostVariable, SalvageReport};
-use crate::storage::{crc32c, LocalDisk, Storage};
+use crate::storage::{LocalDisk, Storage};
 use crate::{MaskedArray, Variable};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use rayon::prelude::*;
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
 
+/// Bytes of a chunk payload ahead of its body: identity triple u32 × 3,
+/// codec u8, element count u64.
+const CHUNK_HEAD_LEN: usize = 21;
 /// Raw (uncompressed) chunk body.
 pub const CODEC_RAW: u8 = 0;
 /// PackBits run-length-encoded chunk body.
@@ -182,6 +192,26 @@ impl V3VarMeta {
     pub fn level_volume(&self, w: usize, level: usize) -> Option<usize> {
         format::checked_volume(&self.level_shape(w, level))
     }
+
+    /// Binds freshly decoded metadata to the file's axis table: resolves
+    /// the refs, holds the shape to the axes' lengths and derives the
+    /// time-axis position. Returns the variable's axes, or the reason it
+    /// cannot be built.
+    fn bind(&mut self, table: &[impl AxisSlot]) -> std::result::Result<Vec<Axis>, String> {
+        let axes = format::resolve_axes(&self.id, &self.axis_refs, table)?;
+        for (d, (ax, &dim)) in axes.iter().zip(&self.shape).enumerate() {
+            if ax.len() != dim {
+                return Err(format!(
+                    "variable '{}': dim {d} is {dim}, axis '{}' has {} points",
+                    self.id,
+                    ax.id,
+                    ax.len()
+                ));
+            }
+        }
+        self.time_axis = axes.iter().position(|a| a.kind == AxisKind::Time);
+        Ok(axes)
+    }
 }
 
 /// One entry of the `ChunkDir` section: where a chunk frame lives.
@@ -192,16 +222,25 @@ pub struct ChunkDirEntry {
     pub level: usize,
     /// File offset of the chunk *frame* (kind byte).
     pub offset: u64,
-    /// Payload length (frame is `FRAME_OVERHEAD` bytes longer).
+    /// Payload length.
     pub len: u64,
     /// CRC32C of the payload.
     pub crc: u32,
 }
 
+/// Bytes of one `ChunkDir` entry.
+const CHUNKDIR_ENTRY_LEN: usize = 32;
+
 impl ChunkDirEntry {
     /// Byte length of the whole frame on disk.
     pub fn frame_len(&self) -> usize {
-        self.len as usize + FRAME_OVERHEAD
+        self.located().frame_len()
+    }
+
+    /// The chunk frame as the container locates it — the form a fetched
+    /// frame is held to ([`Entry::hold`]).
+    pub(crate) fn located(&self) -> Entry {
+        Entry { kind: SectionKind::Chunk, offset: self.offset, len: self.len, crc: self.crc }
     }
 }
 
@@ -239,18 +278,7 @@ impl V3Meta {
             .vars
             .get(var)
             .ok_or_else(|| CdmsError::NotFound(format!("variable ordinal {var}")))?;
-        meta.axis_refs
-            .iter()
-            .map(|&r| {
-                self.axes.get(r).cloned().ok_or_else(|| {
-                    CdmsError::Format(format!(
-                        "variable '{}' references axis {r}, only {} exist",
-                        meta.id,
-                        self.axes.len()
-                    ))
-                })
-            })
-            .collect()
+        format::resolve_axes(&meta.id, &meta.axis_refs, &self.axes).map_err(CdmsError::Format)
     }
 }
 
@@ -271,34 +299,25 @@ pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Bytes, V3Layout) {
     let window = opts.window.max(1);
     let req_levels = opts.levels.max(1);
 
-    // Deduplicate axes across variables, as v2 does.
-    let mut axes: Vec<&Axis> = Vec::new();
-    let mut metas: Vec<V3VarMeta> = Vec::with_capacity(ds.variables().len());
-    for var in ds.variables() {
-        let refs: Vec<usize> = var
-            .axes
-            .iter()
-            .map(|ax| match axes.iter().position(|a| *a == ax) {
-                Some(i) => i,
-                None => {
-                    axes.push(ax);
-                    axes.len() - 1
-                }
-            })
-            .collect();
-        let time_axis = var.axis_index(AxisKind::Time);
-        let mut meta = V3VarMeta {
-            id: var.id.clone(),
-            axis_refs: refs,
-            attributes: var.attributes.clone(),
-            shape: var.array.shape().to_vec(),
-            window,
-            levels: 1,
-            time_axis,
-        };
-        meta.levels = effective_levels(&meta, req_levels);
-        metas.push(meta);
-    }
+    let (axes, refs_per_var) = format::dedup_axes(ds);
+    let metas: Vec<V3VarMeta> = ds
+        .variables()
+        .iter()
+        .zip(refs_per_var)
+        .map(|(var, axis_refs)| {
+            let mut meta = V3VarMeta {
+                id: var.id.clone(),
+                axis_refs,
+                attributes: var.attributes.clone(),
+                shape: var.array.shape().to_vec(),
+                window,
+                levels: 1,
+                time_axis: var.axis_index(AxisKind::Time),
+            };
+            meta.levels = effective_levels(&meta, req_levels);
+            meta
+        })
+        .collect();
 
     // One job per (var, window, level), in file order.
     let jobs: Vec<(usize, usize, usize)> = metas
@@ -322,130 +341,54 @@ pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Bytes, V3Layout) {
         });
     }
 
-    let mut buf = BytesMut::new();
-    let mut estimate = 64;
-    for p in &payloads {
-        estimate += p.len() + FRAME_OVERHEAD + 32;
-    }
-    buf.reserve(estimate);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_V3);
-
-    let mut sections: Vec<SectionSpan> = Vec::new();
-    let mut dir: Vec<(u8, u64, u64, u32)> = Vec::new();
-    let mut chunk_spans: Vec<ChunkSpan> = Vec::new();
-    let mut chunk_dir: Vec<ChunkDirEntry> = Vec::new();
-
-    // header (same payload shape as v2: id, attrs, axis count, var count)
-    let mut p = BytesMut::new();
-    format::put_string(&mut p, &ds.id);
-    format::put_attrs(&mut p, &ds.attributes);
-    p.put_u32_le(axes.len() as u32);
-    p.put_u32_le(metas.len() as u32);
-    put_frame(&mut buf, SectionKind::Header, &p, &mut sections, &mut dir, None);
-
+    let variables = || ds.variables().iter().zip(&metas);
+    let sizes = std::iter::once(format::header_size(ds))
+        .chain(axes.iter().map(|ax| format::axis_size(ax)))
+        .chain(variables().map(|(var, meta)| format::var_head_size(var, &meta.axis_refs) + 8))
+        .chain(payloads.iter().map(Vec::len))
+        .chain(std::iter::once(4 + CHUNKDIR_ENTRY_LEN * jobs.len()));
+    let mut w = Writer::new(VERSION_V3, sizes);
+    w.section(SectionKind::Header, None, |buf| format::put_header(buf, ds, axes.len()));
     for ax in &axes {
-        let mut p = BytesMut::new();
-        format::put_axis(&mut p, ax);
-        put_frame(&mut buf, SectionKind::Axis, &p, &mut sections, &mut dir, None);
+        w.section(SectionKind::Axis, None, |buf| format::put_axis(buf, ax));
     }
-
-    for meta in &metas {
-        let mut p = BytesMut::new();
-        format::put_string(&mut p, &meta.id);
-        p.put_u32_le(meta.axis_refs.len() as u32);
-        for &r in &meta.axis_refs {
-            p.put_u32_le(r as u32);
-        }
-        format::put_attrs(&mut p, &meta.attributes);
-        p.put_u32_le(meta.shape.len() as u32);
-        for &d in &meta.shape {
-            p.put_u64_le(d as u64);
-        }
-        p.put_u32_le(meta.window as u32);
-        p.put_u32_le(meta.levels as u32);
-        put_frame(
-            &mut buf,
-            SectionKind::VarMeta,
-            &p,
-            &mut sections,
-            &mut dir,
-            Some((meta.id.clone(), meta.axis_refs.clone())),
-        );
-    }
-
-    for (&(vi, w, l), payload) in jobs.iter().zip(&payloads) {
-        let (frame, span, crc) =
-            put_frame(&mut buf, SectionKind::Chunk, payload, &mut sections, &mut dir, None);
-        chunk_dir.push(ChunkDirEntry {
-            var: vi,
-            window: w,
-            level: l,
-            offset: frame.start as u64,
-            len: payload.len() as u64,
-            crc,
+    for (var, meta) in variables() {
+        let names = Some((meta.id.clone(), meta.axis_refs.clone()));
+        w.section(SectionKind::VarMeta, names, |buf| {
+            format::put_var_head(buf, var, &meta.axis_refs);
+            buf.put_u32_le(meta.window as u32);
+            buf.put_u32_le(meta.levels as u32);
         });
-        chunk_spans.push(ChunkSpan { var: vi, window: w, level: l, frame, payload: span });
     }
 
-    let mut p = BytesMut::new();
-    p.put_u32_le(chunk_dir.len() as u32);
-    for e in &chunk_dir {
-        p.put_u32_le(e.var as u32);
-        p.put_u32_le(e.window as u32);
-        p.put_u32_le(e.level as u32);
-        p.put_u64_le(e.offset);
-        p.put_u64_le(e.len);
-        p.put_u32_le(e.crc);
+    let mut chunk_spans: Vec<ChunkSpan> = Vec::with_capacity(jobs.len());
+    let mut chunk_dir: Vec<ChunkDirEntry> = Vec::with_capacity(jobs.len());
+    for (&(var, window, level), payload) in jobs.iter().zip(&payloads) {
+        let at = w.section(SectionKind::Chunk, None, |buf| buf.put_slice(payload));
+        chunk_dir.push(ChunkDirEntry {
+            var,
+            window,
+            level,
+            offset: at.offset,
+            len: at.len,
+            crc: at.crc,
+        });
+        chunk_spans.push(ChunkSpan { var, window, level, frame: at.frame(), payload: at.payload() });
     }
-    put_frame(&mut buf, SectionKind::ChunkDir, &p, &mut sections, &mut dir, None);
+    w.section(SectionKind::ChunkDir, None, |buf| {
+        buf.put_u32_le(chunk_dir.len() as u32);
+        for e in &chunk_dir {
+            buf.put_u32_le(e.var as u32);
+            buf.put_u32_le(e.window as u32);
+            buf.put_u32_le(e.level as u32);
+            buf.put_u64_le(e.offset);
+            buf.put_u64_le(e.len);
+            buf.put_u32_le(e.crc);
+        }
+    });
 
-    // trailer + footer: byte-compatible with v2 so salvage's directory
-    // bootstrap works unchanged.
-    let trailer_offset = buf.len();
-    let mut p = BytesMut::new();
-    p.put_u32_le(dir.len() as u32);
-    let mut crc_bytes = Vec::with_capacity(dir.len() * 4);
-    for &(kind, off, len, crc) in &dir {
-        p.put_u8(kind);
-        p.put_u64_le(off);
-        p.put_u64_le(len);
-        p.put_u32_le(crc);
-        crc_bytes.extend_from_slice(&crc.to_le_bytes());
-    }
-    p.put_u32_le(crc32c(&crc_bytes));
-    put_frame(&mut buf, SectionKind::Trailer, &p, &mut sections, &mut dir, None);
-
-    let footer_start = buf.len();
-    buf.put_u64_le(trailer_offset as u64);
-    buf.put_u32_le(crc32c(&(trailer_offset as u64).to_le_bytes()));
-
-    let layout =
-        V3Layout { sections, chunks: chunk_spans, footer: footer_start..buf.len() };
-    (buf.freeze(), layout)
-}
-
-/// Appends one framed section, returning (frame range, payload range, crc).
-fn put_frame(
-    buf: &mut BytesMut,
-    kind: SectionKind,
-    payload: &[u8],
-    sections: &mut Vec<SectionSpan>,
-    dir: &mut Vec<(u8, u64, u64, u32)>,
-    variable: Option<(String, Vec<usize>)>,
-) -> (Range<usize>, Range<usize>, u32) {
-    let frame_start = buf.len();
-    buf.put_u8(kind.as_u8());
-    buf.put_u64_le(payload.len() as u64);
-    let payload_start = buf.len();
-    buf.put_slice(payload);
-    let crc = crc32c(payload);
-    buf.put_u32_le(crc);
-    let frame = frame_start..buf.len();
-    let span = payload_start..payload_start + payload.len();
-    sections.push(SectionSpan { kind, frame: frame.clone(), payload: span.clone(), variable });
-    dir.push((kind.as_u8(), frame_start as u64, payload.len() as u64, crc));
-    (frame, span, crc)
+    let (bytes, sections, footer) = w.finish();
+    (bytes, V3Layout { sections, chunks: chunk_spans, footer })
 }
 
 /// Levels worth writing: stop once every pyramid dim has collapsed to 1.
@@ -492,17 +435,8 @@ fn encode_chunk_payload(
     };
 
     let n = data.len();
-    let mut raw = Vec::with_capacity(4 * n + n.div_ceil(8));
-    for &v in &data {
-        raw.extend_from_slice(&v.to_le_bytes());
-    }
-    let mut packed = vec![0u8; n.div_ceil(8)];
-    for (i, &m) in mask.iter().enumerate() {
-        if m {
-            packed[i / 8] |= 1 << (i % 8);
-        }
-    }
-    raw.extend_from_slice(&packed);
+    let mut raw = Vec::with_capacity(format::raw_body_size(n).unwrap_or(0));
+    format::put_raw_body(&mut raw, &data, &mask);
 
     let (codec, body) = if compress {
         let rle = packbits_encode(&raw);
@@ -515,7 +449,7 @@ fn encode_chunk_payload(
         (CODEC_RAW, raw)
     };
 
-    let mut out = Vec::with_capacity(21 + body.len());
+    let mut out = Vec::with_capacity(CHUNK_HEAD_LEN + body.len());
     out.extend_from_slice(&(vi as u32).to_le_bytes());
     out.extend_from_slice(&(w as u32).to_le_bytes());
     out.extend_from_slice(&(level as u32).to_le_bytes());
@@ -738,6 +672,14 @@ pub(crate) fn packbits_decode(input: &[u8], expected_len: usize) -> Result<Vec<u
 
 // ---- chunk decode ----
 
+/// Decoded chunk: data plus validity mask.
+pub(crate) type ChunkData = (Vec<f32>, Vec<bool>);
+
+/// The (var, window, level) triple a chunk payload opens with.
+fn chunk_identity(buf: &mut &[u8]) -> Result<(usize, usize, usize)> {
+    Ok((get_u32(buf)? as usize, get_u32(buf)? as usize, get_u32(buf)? as usize))
+}
+
 /// Decodes a chunk payload, checking its identity triple and element count
 /// against the directory/metadata. Returns (data, mask).
 pub fn decode_chunk_payload(
@@ -747,228 +689,107 @@ pub fn decode_chunk_payload(
 ) -> Result<(Vec<f32>, Vec<bool>)> {
     let mut cur = payload;
     let buf = &mut cur;
-    let var = format::get_u32(buf)? as usize;
-    let window = format::get_u32(buf)? as usize;
-    let level = format::get_u32(buf)? as usize;
+    let (var, window, level) = chunk_identity(buf)?;
     if (var, window, level) != expect {
         return Err(CdmsError::Format(format!(
             "chunk identity ({var},{window},{level}) != expected {expect:?}"
         )));
     }
-    let codec = format::get_u8(buf)?;
-    let n = format::get_u64(buf)? as usize;
+    let codec = get_u8(buf)?;
+    let n = get_u64(buf)? as usize;
     if n != expect_n {
         return Err(CdmsError::Format(format!(
             "chunk ({var},{window},{level}) declares {n} elements, metadata wants {expect_n}"
         )));
     }
-    let raw_len = 4usize
-        .checked_mul(n)
-        .and_then(|b| b.checked_add(n.div_ceil(8)))
+    let raw_len = format::raw_body_size(n)
         .ok_or_else(|| CdmsError::Format("chunk size overflows".into()))?;
-    let raw: Vec<u8> = match codec {
-        CODEC_RAW => {
-            if buf.len() != raw_len {
-                return Err(CdmsError::Format(format!(
-                    "raw chunk body is {} bytes, expected {raw_len}",
-                    buf.len()
-                )));
-            }
-            buf.to_vec()
+    let unpacked;
+    let mut body: &[u8] = match codec {
+        CODEC_RAW => buf,
+        CODEC_RLE => {
+            unpacked = packbits_decode(buf, raw_len)?;
+            &unpacked
         }
-        CODEC_RLE => packbits_decode(buf, raw_len)?,
         c => return Err(CdmsError::Format(format!("unknown chunk codec {c}"))),
     };
-    let mut data = Vec::with_capacity(n);
-    let (floats, packed) = raw.split_at(4 * n);
-    data.extend(floats.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])));
-    let mut mcur = packed;
-    let mask = format::get_mask(&mut mcur, n)?;
-    Ok((data, mask))
+    if body.len() != raw_len {
+        return Err(CdmsError::Format(format!(
+            "chunk body is {} bytes, expected {raw_len}",
+            body.len()
+        )));
+    }
+    format::get_raw_body(&mut body, n)
 }
 
-/// Verifies a chunk *frame* (as read from disk at a directory entry's
-/// offset) against the entry — kind, length, and payload CRC — and returns
-/// the payload slice. A short read shows up as a length mismatch.
-pub fn verify_chunk_frame<'a>(frame: &'a [u8], entry: &ChunkDirEntry) -> Result<&'a [u8]> {
-    if frame.len() != entry.frame_len() {
-        return Err(CdmsError::Format(format!(
-            "chunk frame is {} bytes, directory promises {}",
-            frame.len(),
-            entry.frame_len()
-        )));
-    }
-    let mut pos = 0usize;
-    let parsed = format::read_frame(frame, &mut pos, frame.len())?;
-    format::expect_kind(&parsed, SectionKind::Chunk)?;
-    if parsed.crc != entry.crc {
-        return Err(CdmsError::Format(format!(
-            "chunk ({},{},{}) checksum disagrees with directory",
-            entry.var, entry.window, entry.level
-        )));
-    }
-    // Re-borrow through `frame` to decouple the payload lifetime from the
-    // local `parsed`.
-    frame
-        .get(9..9 + parsed.payload.len())
-        .ok_or_else(|| CdmsError::Format("chunk frame truncated".into()))
+// ---- windows ----
+
+/// What [`best_window`] found for one window.
+pub(crate) enum Window<C> {
+    /// The level-0 chunk, as fetched.
+    Full(C),
+    /// A coarser level, upsampled to full resolution.
+    Degraded(ChunkData),
+    /// Every level is gone: the window is masked fill.
+    Masked,
 }
 
-// ---- strict decode ----
-
-/// Strict v3 decoder: verifies every frame CRC, the chunk directory, the
-/// trailer, and the footer, and rebuilds variables from level-0 chunks.
-pub fn from_bytes_v3(full: &[u8]) -> Result<Dataset> {
-    if full.len() < 8 + FRAME_OVERHEAD + FOOTER_LEN {
-        return Err(CdmsError::Format(format!("truncated v3 file ({} bytes)", full.len())));
+/// The per-window fallback policy, shared by the streamer and salvage:
+/// level 0, else the first intact coarser level upsampled to full
+/// resolution (nearest-neighbor), else masked. `fetch(level)` yields window
+/// `w`'s chunk at that level, or `None` when it is lost.
+pub(crate) fn best_window<C: Borrow<ChunkData>>(
+    meta: &V3VarMeta,
+    w: usize,
+    mut fetch: impl FnMut(usize) -> Option<C>,
+) -> Window<C> {
+    if let Some(full) = fetch(0) {
+        return Window::Full(full);
     }
-    let footer_at = full.len() - FOOTER_LEN;
-    let declared_trailer = format::verify_footer(full, footer_at)?;
-
-    let mut pos = 8usize;
-    let mut observed: Vec<(u8, u64, u64, u32)> = Vec::new();
-    let note = |f: &format::Frame<'_>| {
-        (f.kind.as_u8(), f.offset as u64, f.payload.len() as u64, f.crc)
-    };
-
-    let header = format::read_frame(full, &mut pos, footer_at)?;
-    format::expect_kind(&header, SectionKind::Header)?;
-    observed.push(note(&header));
-    let (id, attributes, n_axes, n_vars) = format::decode_header(header.payload)?;
-
-    let mut axes = Vec::new();
-    for _ in 0..n_axes {
-        let frame = format::read_frame(full, &mut pos, footer_at)?;
-        format::expect_kind(&frame, SectionKind::Axis)?;
-        observed.push(note(&frame));
-        axes.push(format::decode_axis_payload(frame.payload)?);
-    }
-
-    let mut metas = Vec::with_capacity(n_vars);
-    for _ in 0..n_vars {
-        let frame = format::read_frame(full, &mut pos, footer_at)?;
-        format::expect_kind(&frame, SectionKind::VarMeta)?;
-        observed.push(note(&frame));
-        metas.push(decode_varmeta_payload(frame.payload, &axes)?);
-    }
-
-    // chunk frames, in (var, window, level) order
-    let mut chunk_frames: Vec<(ChunkDirEntry, &[u8])> = Vec::new();
-    for (vi, meta) in metas.iter().enumerate() {
-        for w in 0..meta.n_windows() {
-            for l in 0..meta.levels {
-                let frame = format::read_frame(full, &mut pos, footer_at)?;
-                format::expect_kind(&frame, SectionKind::Chunk)?;
-                observed.push(note(&frame));
-                chunk_frames.push((
-                    ChunkDirEntry {
-                        var: vi,
-                        window: w,
-                        level: l,
-                        offset: frame.offset as u64,
-                        len: frame.payload.len() as u64,
-                        crc: frame.crc,
-                    },
-                    frame.payload,
-                ));
-            }
+    let full_shape = meta.slab_shape(w);
+    for level in 1..meta.levels {
+        let Some(coarse) = fetch(level) else { continue };
+        let (data, mask) = coarse.borrow();
+        if let Ok(up) = upsample_nearest(data, mask, &meta.level_shape(w, level), &full_shape) {
+            return Window::Degraded(up);
         }
     }
+    Window::Masked
+}
 
-    let chunkdir = format::read_frame(full, &mut pos, footer_at)?;
-    format::expect_kind(&chunkdir, SectionKind::ChunkDir)?;
-    observed.push(note(&chunkdir));
-    let dir_entries = decode_chunkdir_payload(chunkdir.payload)?;
-    if dir_entries.len() != chunk_frames.len() {
-        return Err(CdmsError::Format(format!(
-            "chunk directory lists {} chunks, file has {}",
-            dir_entries.len(),
-            chunk_frames.len()
-        )));
-    }
-    for (listed, (found, _)) in dir_entries.iter().zip(&chunk_frames) {
-        if listed != found {
-            return Err(CdmsError::Format(format!(
-                "chunk directory disagrees with chunk at byte {}",
-                found.offset
-            )));
+/// Rebuilds a whole variable from its windows. `window(w)` yields window
+/// `w` at full resolution, or `None` to leave it masked.
+pub(crate) fn assemble_variable<C: Borrow<ChunkData>>(
+    meta: &V3VarMeta,
+    axes: Vec<Axis>,
+    mut window: impl FnMut(usize) -> Result<Option<C>>,
+) -> Result<Variable> {
+    let volume = format::checked_volume(&meta.shape)
+        .ok_or_else(|| CdmsError::Format(format!("variable '{}': shape overflows", meta.id)))?;
+    let mut data = vec![0.0f32; volume];
+    let mut mask = vec![true; volume];
+    for w in 0..meta.n_windows() {
+        if let Some(slab) = window(w)? {
+            let (slab_data, slab_mask) = slab.borrow();
+            scatter_window(
+                slab_data,
+                slab_mask,
+                &mut data,
+                &mut mask,
+                &meta.shape,
+                meta.time_axis,
+                meta.window_range(w),
+            )?;
         }
     }
-
-    let trailer_at = pos;
-    let trailer = format::read_frame(full, &mut pos, footer_at)?;
-    format::expect_kind(&trailer, SectionKind::Trailer)?;
-    if pos != footer_at {
-        return Err(CdmsError::Format(format!(
-            "{} unexpected bytes between trailer and footer",
-            footer_at - pos
-        )));
-    }
-    if declared_trailer != trailer_at as u64 {
-        return Err(CdmsError::Format(format!(
-            "footer points at byte {declared_trailer}, trailer found at {trailer_at}"
-        )));
-    }
-    format::verify_trailer(trailer.payload, &observed)?;
-
-    // Rebuild variables from level-0 chunks; higher levels were already
-    // CRC-verified by read_frame, and get a full decode check here too so
-    // a corrupt-but-CRC-consistent pyramid cannot hide.
-    let mut ds = Dataset::new(&id);
-    ds.attributes = attributes;
-    let mut cursor = 0usize;
-    for (vi, meta) in metas.iter().enumerate() {
-        let volume = format::checked_volume(&meta.shape)
-            .ok_or_else(|| CdmsError::Format(format!("variable '{}': shape overflows", meta.id)))?;
-        let mut data = vec![0.0f32; volume];
-        let mut mask = vec![false; volume];
-        for w in 0..meta.n_windows() {
-            for l in 0..meta.levels {
-                let (entry, payload) = chunk_frames
-                    .get(cursor)
-                    .ok_or_else(|| CdmsError::Format("chunk frames exhausted early".into()))?;
-                cursor += 1;
-                let n = meta.level_volume(w, l).ok_or_else(|| {
-                    CdmsError::Format(format!("variable '{}': level shape overflows", meta.id))
-                })?;
-                let (cdata, cmask) = decode_chunk_payload(payload, (vi, w, l), n)?;
-                if l == 0 {
-                    scatter_window(
-                        &cdata,
-                        &cmask,
-                        &mut data,
-                        &mut mask,
-                        &meta.shape,
-                        meta.time_axis,
-                        meta.window_range(w),
-                    )?;
-                }
-                let _ = entry;
-            }
-        }
-        let array = MaskedArray::with_mask(data, mask, &meta.shape)?;
-        let var_axes: Vec<Axis> = meta
-            .axis_refs
-            .iter()
-            .map(|&r| {
-                axes.get(r).cloned().ok_or_else(|| {
-                    CdmsError::Format(format!(
-                        "variable '{}' references axis {r}, only {} exist",
-                        meta.id,
-                        axes.len()
-                    ))
-                })
-            })
-            .collect::<Result<_>>()?;
-        let mut var = Variable::new(&meta.id, array, var_axes)?;
-        var.attributes = meta.attributes.clone();
-        ds.add_variable(var);
-    }
-    Ok(ds)
+    let array = MaskedArray::with_mask(data, mask, &meta.shape)?;
+    let mut var = Variable::new(&meta.id, array, axes)?;
+    var.attributes = meta.attributes.clone();
+    Ok(var)
 }
 
 /// Copies a window slab (time dim cut to `range`) into the full array.
-pub(crate) fn scatter_window(
+fn scatter_window(
     slab_data: &[f32],
     slab_mask: &[bool],
     full_data: &mut [f32],
@@ -1025,32 +846,16 @@ pub(crate) fn scatter_window(
     Ok(())
 }
 
-/// Decodes a `VarMeta` payload, deriving the time-axis position.
-pub(crate) fn decode_varmeta_payload(payload: &[u8], axes: &[Axis]) -> Result<V3VarMeta> {
+// ---- metadata ----
+
+/// Decodes a `VarMeta` payload. The time-axis position is not serialized:
+/// [`V3VarMeta::bind`] derives it once the axes are known.
+fn decode_varmeta_payload(payload: &[u8]) -> Result<V3VarMeta> {
     let mut cur = payload;
     let buf = &mut cur;
-    let id = format::get_string(buf)?;
-    let naxes = format::get_u32(buf)? as usize;
-    if naxes > 64 {
-        return Err(CdmsError::Format(format!("implausible rank {naxes}")));
-    }
-    let mut refs = Vec::with_capacity(naxes);
-    for _ in 0..naxes {
-        refs.push(format::get_u32(buf)? as usize);
-    }
-    let attributes = format::get_attrs(buf)?;
-    let rank = format::get_u32(buf)? as usize;
-    if rank != naxes {
-        return Err(CdmsError::Format(format!(
-            "variable '{id}': rank {rank} != axis count {naxes}"
-        )));
-    }
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(format::get_u64(buf)? as usize);
-    }
-    let window = format::get_u32(buf)? as usize;
-    let levels = format::get_u32(buf)? as usize;
+    let format::VarHead { id, axis_refs, attributes, shape } = format::get_var_head(buf)?;
+    let window = get_u32(buf)? as usize;
+    let levels = get_u32(buf)? as usize;
     if !buf.is_empty() {
         return Err(CdmsError::Format(format!("varmeta '{id}' payload has trailing bytes")));
     }
@@ -1059,41 +864,26 @@ pub(crate) fn decode_varmeta_payload(payload: &[u8], axes: &[Axis]) -> Result<V3
             "varmeta '{id}': implausible window {window} / levels {levels}"
         )));
     }
-    // shape must agree with the referenced axes (when they resolve)
-    let time_axis = refs
-        .iter()
-        .position(|&r| axes.get(r).map(|a| a.kind == AxisKind::Time).unwrap_or(false));
-    for (d, &r) in refs.iter().enumerate() {
-        if let (Some(ax), Some(&dim)) = (axes.get(r), shape.get(d)) {
-            if ax.len() != dim {
-                return Err(CdmsError::Format(format!(
-                    "variable '{id}': dim {d} is {dim}, axis '{}' has {} points",
-                    ax.id,
-                    ax.len()
-                )));
-            }
-        }
-    }
-    Ok(V3VarMeta { id, axis_refs: refs, attributes, shape, window, levels, time_axis })
+    Ok(V3VarMeta { id, axis_refs, attributes, shape, window, levels, time_axis: None })
 }
 
 /// Decodes a `ChunkDir` payload into its entries (file order).
-pub(crate) fn decode_chunkdir_payload(payload: &[u8]) -> Result<Vec<ChunkDirEntry>> {
+fn decode_chunkdir_payload(payload: &[u8]) -> Result<Vec<ChunkDirEntry>> {
     let mut cur = payload;
     let buf = &mut cur;
-    let n = format::get_u32(buf)? as usize;
-    if n > buf.len() / 32 {
+    let n = get_u32(buf)? as usize;
+    if n > buf.len() / CHUNKDIR_ENTRY_LEN {
         return Err(CdmsError::Format(format!("implausible chunk count {n}")));
     }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(ChunkDirEntry {
-            var: format::get_u32(buf)? as usize,
-            window: format::get_u32(buf)? as usize,
-            level: format::get_u32(buf)? as usize,
-            offset: format::get_u64(buf)?,
-            len: format::get_u64(buf)?,
-            crc: format::get_u32(buf)?,
+            var: get_u32(buf)? as usize,
+            window: get_u32(buf)? as usize,
+            level: get_u32(buf)? as usize,
+            offset: get_u64(buf)?,
+            len: get_u64(buf)?,
+            crc: get_u32(buf)?,
         });
     }
     if !buf.is_empty() {
@@ -1102,130 +892,125 @@ pub(crate) fn decode_chunkdir_payload(payload: &[u8]) -> Result<Vec<ChunkDirEntr
     Ok(out)
 }
 
+/// Reads a v3 file's metadata off its section directory, `fetch` producing
+/// each listed section's payload — the one reading of "header, axes,
+/// varmetas, chunks, chunk directory" under both the strict reader and the
+/// ranged open, so the two refuse the same files. No chunk is fetched.
+fn read_meta<'a>(
+    directory: &[Entry],
+    file_len: u64,
+    fetch: impl FnMut(&Entry) -> Result<Cow<'a, [u8]>>,
+) -> Result<V3Meta> {
+    let mut sections = format::Sections::new(directory, fetch);
+    let (ds, axes, n_vars) = sections.open()?;
+    let mut vars = Vec::with_capacity(n_vars);
+    for _ in 0..n_vars {
+        let mut meta = decode_varmeta_payload(&sections.next(SectionKind::VarMeta)?)?;
+        meta.bind(&axes).map_err(CdmsError::Format)?;
+        vars.push(meta);
+    }
+    let located = sections.run_of(SectionKind::Chunk);
+    let chunks = decode_chunkdir_payload(&sections.next(SectionKind::ChunkDir)?)?;
+    sections.end()?;
+
+    // The chunk directory must list exactly the chunks the metadata
+    // implies — every (variable, window, level), in that order, which is
+    // also the sorted order `V3Meta::chunk` searches — each where the
+    // trailer directory locates a chunk frame.
+    if chunks.len() != located.len() {
+        return Err(CdmsError::Format(format!(
+            "chunk directory lists {} chunks, file has {}",
+            chunks.len(),
+            located.len()
+        )));
+    }
+    let mut listed = chunks.iter().zip(located);
+    let implied = vars.iter().enumerate().flat_map(|(vi, m)| {
+        (0..m.n_windows()).flat_map(move |w| (0..m.levels).map(move |l| (vi, w, l)))
+    });
+    for id in implied {
+        match listed.next() {
+            Some((c, at)) if (c.var, c.window, c.level) == id && c.located() == *at => {}
+            Some((c, _)) => {
+                return Err(CdmsError::Format(format!(
+                    "chunk directory disagrees with chunk at byte {}",
+                    c.offset
+                )))
+            }
+            None => return Err(CdmsError::Format(format!("no chunk for {id:?} in the file"))),
+        }
+    }
+    if let Some((c, _)) = listed.next() {
+        return Err(CdmsError::Format(format!(
+            "chunk ({},{},{}) belongs to no variable",
+            c.var, c.window, c.level
+        )));
+    }
+    Ok(V3Meta { id: ds.id, attributes: ds.attributes, axes, vars, chunks, file_len })
+}
+
+// ---- strict decode ----
+
+/// Strict v3 decoder: the container verifies every frame, the trailer
+/// directory and the footer; [`read_meta`] the metadata and the chunk
+/// directory; then every chunk of every level gets a full decode — so a
+/// corrupt-but-CRC-consistent pyramid cannot hide — and variables are
+/// rebuilt from level 0.
+pub(crate) fn from_bytes_v3(full: &[u8]) -> Result<Dataset> {
+    let directory = container::verify_all(full)?;
+    let meta = read_meta(&directory, full.len() as u64, |e| e.slice_of(full).map(Cow::Borrowed))?;
+    let mut ds = Dataset::new(&meta.id);
+    ds.attributes = meta.attributes.clone();
+    for (vi, vm) in meta.vars.iter().enumerate() {
+        let var = assemble_variable(vm, meta.var_axes(vi)?, |w| {
+            let mut levels = (0..vm.levels).map(|l| {
+                let lost = || CdmsError::Format(format!("chunk ({vi},{w},{l}) cannot be located"));
+                let entry = meta.chunk(vi, w, l).ok_or_else(lost)?;
+                let n = vm.level_volume(w, l).ok_or_else(lost)?;
+                decode_chunk_payload(entry.located().slice_of(full)?, (vi, w, l), n)
+            });
+            let level0 = levels.next().transpose()?;
+            levels.try_for_each(|coarse| coarse.map(drop))?;
+            Ok(level0)
+        })?;
+        ds.add_variable(var);
+    }
+    Ok(ds)
+}
+
 // ---- salvage ----
 
 /// Per-chunk best-effort decode: every variable whose metadata and axes
 /// survive is rebuilt window by window — full resolution when the level-0
 /// chunk is intact, the best intact pyramid level (upsampled) otherwise,
 /// and a fully-masked window when every level of a window is gone.
-pub fn salvage_v3(full: &[u8]) -> (Dataset, SalvageReport) {
-    let (raw, directory_intact) = format::locate_sections(full);
-    let mut report = SalvageReport {
-        sections_total: raw.len(),
-        directory_intact,
-        ..SalvageReport::default()
-    };
-
-    let mut header: Option<(String, Attributes)> = None;
-    let mut axes: Vec<Option<Axis>> = Vec::new();
-    // intact payload per varmeta slot, None where the section is corrupt —
-    // decoded after the axis list exists (the time axis is derived from it)
-    let mut varmeta_slots: Vec<Option<&[u8]>> = Vec::new();
-    let mut chunk_payloads: Vec<&[u8]> = Vec::new();
-    for s in &raw {
-        let Some(payload) = format::verified_payload(full, s) else {
-            report.sections_corrupt += 1;
-            match s.kind {
-                SectionKind::Axis => axes.push(None),
-                SectionKind::VarMeta => varmeta_slots.push(None),
-                _ => {}
-            }
-            continue;
-        };
-        match s.kind {
-            SectionKind::Header => {
-                if let Ok((id, attrs, _, _)) = format::decode_header(payload) {
-                    header = Some((id, attrs));
-                } else {
-                    report.sections_corrupt += 1;
+pub(crate) fn salvage_v3(full: &[u8]) -> (Dataset, SalvageReport) {
+    let Salvage { mut ds, mut report, axes, bodies } = format::salvage_prelude(full);
+    let mut varmetas: Vec<Option<&[u8]>> = Vec::new();
+    // intact chunks, by their self-declared identity triple
+    let mut chunks: BTreeMap<(usize, usize, usize), &[u8]> = BTreeMap::new();
+    for (kind, payload) in bodies {
+        match (kind, payload) {
+            (SectionKind::VarMeta, _) => varmetas.push(payload),
+            (SectionKind::Chunk, Some(payload)) => {
+                if let Ok(id) = chunk_identity(&mut &*payload) {
+                    chunks.insert(id, payload);
                 }
             }
-            SectionKind::Axis => match format::decode_axis_payload(payload) {
-                Ok(ax) => axes.push(Some(ax)),
-                Err(_) => {
-                    report.sections_corrupt += 1;
-                    axes.push(None);
-                }
-            },
-            SectionKind::VarMeta => varmeta_slots.push(Some(payload)),
-            SectionKind::Chunk => chunk_payloads.push(payload),
             _ => {}
         }
     }
-    report.header_intact = header.is_some();
-    let (id, attributes) = header.unwrap_or_else(|| (String::new(), Attributes::new()));
-    let mut ds = Dataset::new(&id);
-    ds.attributes = attributes;
-
-    // Resolve varmetas now that the (possibly holey) axis list exists.
-    let resolved_axes: Vec<Axis> = axes
-        .iter()
-        .map(|a| a.clone().unwrap_or_else(|| Axis::empty("corrupt", "", AxisKind::Generic)))
-        .collect();
-    let metas: Vec<Option<V3VarMeta>> = varmeta_slots
-        .iter()
-        .map(|slot| {
-            let payload = (*slot)?;
-            match decode_varmeta_payload(payload, &resolved_axes) {
-                Ok(m) => Some(m),
-                Err(_) => {
-                    report.sections_corrupt += 1;
-                    None
-                }
-            }
-        })
-        .collect();
-
-    // Index intact chunks by their self-declared identity triple.
-    let mut chunk_index: BTreeMap<(usize, usize, usize), &[u8]> = BTreeMap::new();
-    for payload in chunk_payloads {
-        let mut cur = payload;
-        let buf = &mut cur;
-        if let (Ok(v), Ok(w), Ok(l)) =
-            (format::get_u32(buf), format::get_u32(buf), format::get_u32(buf))
-        {
-            chunk_index.insert((v as usize, w as usize, l as usize), payload);
-        }
-    }
-
-    for (vi, meta) in metas.iter().enumerate() {
-        let Some(meta) = meta else {
-            report.lost_variables.push(LostVariable {
-                id: None,
-                section: vi,
-                reason: "varmeta section checksum mismatch".into(),
-            });
-            continue;
+    for (vi, payload) in varmetas.into_iter().enumerate() {
+        // a payload that failed its checksum was counted by the prelude;
+        // one that passes it and still does not decode is counted here
+        let meta = payload.and_then(|p| {
+            decode_varmeta_payload(p).map_err(|_| report.sections_corrupt += 1).ok()
+        });
+        let outcome = match meta {
+            Some(meta) => salvage_variable_v3(vi, meta, &axes, &chunks, &mut report),
+            None => Err((None, "varmeta section checksum mismatch".into())),
         };
-        // all referenced axes must be intact
-        let mut bad_axis = None;
-        for &r in &meta.axis_refs {
-            if !matches!(axes.get(r), Some(Some(_))) {
-                bad_axis = Some(r);
-                break;
-            }
-        }
-        if let Some(r) = bad_axis {
-            report.lost_variables.push(LostVariable {
-                id: Some(meta.id.clone()),
-                section: vi,
-                reason: format!("axis section {r} corrupt"),
-            });
-            continue;
-        }
-        match salvage_variable_v3(vi, meta, &chunk_index, &resolved_axes, &mut report) {
-            Ok(var) => {
-                report.recovered_variables.push(var.id.clone());
-                ds.add_variable(var);
-            }
-            Err(reason) => {
-                report.lost_variables.push(LostVariable {
-                    id: Some(meta.id.clone()),
-                    section: vi,
-                    reason,
-                });
-            }
-        }
+        report.settle(&mut ds, vi, outcome);
     }
     (ds, report)
 }
@@ -1233,175 +1018,55 @@ pub fn salvage_v3(full: &[u8]) -> (Dataset, SalvageReport) {
 /// Rebuilds one variable from whatever chunks survive.
 fn salvage_variable_v3(
     vi: usize,
-    meta: &V3VarMeta,
-    chunk_index: &BTreeMap<(usize, usize, usize), &[u8]>,
-    axes: &[Axis],
+    mut meta: V3VarMeta,
+    axes: &[Option<Axis>],
+    chunks: &BTreeMap<(usize, usize, usize), &[u8]>,
     report: &mut SalvageReport,
-) -> std::result::Result<Variable, String> {
-    let volume = format::checked_volume(&meta.shape).ok_or("shape overflows")?;
-    let mut data = vec![0.0f32; volume];
-    let mut mask = vec![true; volume]; // windows with no chunk stay masked
-    for w in 0..meta.n_windows() {
-        let full_shape = meta.slab_shape(w);
-        let mut recovered = None;
-        for l in 0..meta.levels {
-            let Some(payload) = chunk_index.get(&(vi, w, l)) else { continue };
-            let Some(n) = meta.level_volume(w, l) else { continue };
-            let Ok((cdata, cmask)) = decode_chunk_payload(payload, (vi, w, l), n) else {
-                report.sections_corrupt += 1;
-                continue;
-            };
-            if l == 0 {
-                recovered = Some((cdata, cmask));
-            } else {
-                let from_shape = meta.level_shape(w, l);
-                match upsample_nearest(&cdata, &cmask, &from_shape, &full_shape) {
-                    Ok(up) => recovered = Some(up),
-                    Err(_) => continue,
-                }
-            }
-            break;
-        }
-        let (cdata, cmask) = match recovered {
-            Some(r) => r,
-            // every level gone: leave the window masked
-            None => continue,
-        };
-        scatter_window(
-            &cdata,
-            &cmask,
-            &mut data,
-            &mut mask,
-            &meta.shape,
-            meta.time_axis,
-            meta.window_range(w),
-        )
-        .map_err(|e| e.to_string())?;
-    }
-    let array = MaskedArray::with_mask(data, mask, &meta.shape).map_err(|e| e.to_string())?;
-    let var_axes: Vec<Axis> = meta
-        .axis_refs
-        .iter()
-        .map(|&r| axes.get(r).cloned().ok_or_else(|| format!("axis {r} missing")))
-        .collect::<std::result::Result<_, _>>()?;
-    let mut var = Variable::new(&meta.id, array, var_axes).map_err(|e| e.to_string())?;
-    var.attributes = meta.attributes.clone();
-    Ok(var)
+) -> Salvaged {
+    let var_axes =
+        meta.bind(axes).map_err(|reason| (Some(meta.id.clone()), reason))?;
+    assemble_variable(&meta, var_axes, |w| {
+        let found = best_window(&meta, w, |l| {
+            let n = meta.level_volume(w, l)?;
+            let decoded = decode_chunk_payload(chunks.get(&(vi, w, l))?, (vi, w, l), n);
+            decoded.map_err(|_| report.sections_corrupt += 1).ok()
+        });
+        Ok(match found {
+            Window::Full(slab) | Window::Degraded(slab) => Some(slab),
+            Window::Masked => None,
+        })
+    })
+    .map_err(|e| (Some(meta.id.clone()), e.to_string()))
 }
 
 // ---- metadata bootstrap for streaming readers ----
 
 /// Reads only the metadata of a v3 file through ranged reads: footer →
-/// trailer → header/axes/varmetas/chunkdir. No chunk payload is touched,
-/// so opening a petascale series costs a handful of small reads.
+/// trailer → header/axes/varmetas/chunkdir, every fetched frame held to
+/// its directory entry. No chunk payload is touched, so opening a
+/// petascale series costs a handful of small reads.
 pub fn read_meta_with(storage: &dyn Storage, path: &Path) -> Result<V3Meta> {
-    let file_len = storage.len(path)?;
-    let min = (8 + FRAME_OVERHEAD + FOOTER_LEN) as u64;
-    if file_len < min {
-        return Err(CdmsError::Format(format!(
-            "{}: truncated v3 file ({file_len} bytes)",
-            path.display()
-        )));
-    }
-    let head = storage.read_at(path, 0, 8)?;
-    if head.get(..4) != Some(&MAGIC[..]) {
-        return Err(CdmsError::Format(format!("{}: bad magic (not an .ncr file)", path.display())));
-    }
-    let version = head
-        .get(4..8)
-        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .ok_or_else(|| CdmsError::Format("short read on magic".into()))?;
-    if version != VERSION_V3 {
-        return Err(CdmsError::Format(format!(
-            "{}: version {version} is not streamable (only v3 has a chunk directory)",
-            path.display()
-        )));
-    }
-
-    let footer_at = file_len - FOOTER_LEN as u64;
-    let footer = read_exact_at(storage, path, footer_at, FOOTER_LEN)?;
-    let trailer_at = format::verify_footer(&footer, 0)?;
-    if trailer_at < 8 || trailer_at >= footer_at {
-        return Err(CdmsError::Format(format!(
-            "{}: footer points outside the file (byte {trailer_at})",
-            path.display()
-        )));
-    }
-    let trailer_bytes =
-        read_exact_at(storage, path, trailer_at, (footer_at - trailer_at) as usize)?;
-    let mut pos = 0usize;
-    let trailer = format::read_frame(&trailer_bytes, &mut pos, trailer_bytes.len())?;
-    format::expect_kind(&trailer, SectionKind::Trailer)?;
-
-    // section directory: (kind, offset, len, crc)
-    let mut cur = trailer.payload;
-    let buf = &mut cur;
-    let n = format::get_u32(buf)? as usize;
-    if n > buf.len() / 21 {
-        return Err(CdmsError::Format("trailer directory truncated".into()));
-    }
-    let mut header_sec = None;
-    let mut axis_secs = Vec::new();
-    let mut varmeta_secs = Vec::new();
-    let mut chunkdir_sec = None;
-    for _ in 0..n {
-        let kind = format::get_u8(buf)?;
-        let off = format::get_u64(buf)?;
-        let len = format::get_u64(buf)?;
-        let _crc = format::get_u32(buf)?;
-        if off.checked_add(FRAME_OVERHEAD as u64 + len).map(|end| end > footer_at).unwrap_or(true)
-        {
+    let read = |offset, len| read_exact_at(storage, path, offset, len);
+    let open = || {
+        let file_len = storage.len(path)?;
+        let version = container::parse_preamble(&storage.read_at(path, 0, container::PREAMBLE_LEN)?)?;
+        if version != VERSION_V3 {
             return Err(CdmsError::Format(format!(
-                "directory entry at byte {off} overruns the file"
+                "version {version} is not streamable (only v3 has a chunk directory)"
             )));
         }
-        match SectionKind::from_u8(kind) {
-            Some(SectionKind::Header) => header_sec = Some((off, len)),
-            Some(SectionKind::Axis) => axis_secs.push((off, len)),
-            Some(SectionKind::VarMeta) => varmeta_secs.push((off, len)),
-            Some(SectionKind::ChunkDir) => chunkdir_sec = Some((off, len)),
-            _ => {}
-        }
-    }
-    let (hoff, hlen) =
-        header_sec.ok_or_else(|| CdmsError::Format("no header section in directory".into()))?;
-    let (id, attributes, n_axes, n_vars) =
-        format::decode_header(read_section(storage, path, hoff, hlen)?.as_slice())?;
-    if axis_secs.len() != n_axes || varmeta_secs.len() != n_vars {
-        return Err(CdmsError::Format(format!(
-            "{}: header declares {n_axes} axes / {n_vars} variables, directory lists {} / {}",
-            path.display(),
-            axis_secs.len(),
-            varmeta_secs.len()
-        )));
-    }
-
-    let mut axes = Vec::with_capacity(axis_secs.len());
-    for (off, len) in axis_secs {
-        axes.push(format::decode_axis_payload(&read_section(storage, path, off, len)?)?);
-    }
-    let mut vars = Vec::with_capacity(varmeta_secs.len());
-    for (off, len) in varmeta_secs {
-        vars.push(decode_varmeta_payload(&read_section(storage, path, off, len)?, &axes)?);
-    }
-    let (coff, clen) = chunkdir_sec
-        .ok_or_else(|| CdmsError::Format("no chunk directory section in directory".into()))?;
-    let mut chunks = decode_chunkdir_payload(&read_section(storage, path, coff, clen)?)?;
-    chunks.sort_by_key(|e| (e.var, e.window, e.level));
-    for e in &chunks {
-        if e.offset.checked_add(e.frame_len() as u64).map(|end| end > footer_at).unwrap_or(true) {
-            return Err(CdmsError::Format(format!(
-                "chunk ({},{},{}) overruns the file",
-                e.var, e.window, e.level
-            )));
-        }
-    }
-    Ok(V3Meta { id, attributes, axes, vars, chunks, file_len })
+        let (directory, _) =
+            container::read_directory(file_len, |offset, len| read(offset, len).map(Cow::Owned))?;
+        read_meta(&directory, file_len, |e| {
+            Ok(Cow::Owned(e.hold(&read(e.offset, e.frame_len())?)?.to_vec()))
+        })
+    };
+    open().map_err(|e| format::with_path(e, path))
 }
 
 /// Ranged read that treats a short result as corruption (the caller asked
 /// for bytes the format says must exist).
-pub(crate) fn read_exact_at(
+fn read_exact_at(
     storage: &dyn Storage,
     path: &Path,
     offset: u64,
@@ -1416,14 +1081,6 @@ pub(crate) fn read_exact_at(
         )));
     }
     Ok(got)
-}
-
-/// Reads and CRC-verifies one section frame, returning its payload.
-fn read_section(storage: &dyn Storage, path: &Path, offset: u64, len: u64) -> Result<Vec<u8>> {
-    let frame = read_exact_at(storage, path, offset, len as usize + FRAME_OVERHEAD)?;
-    let mut pos = 0usize;
-    let parsed = format::read_frame(&frame, &mut pos, frame.len())?;
-    Ok(parsed.payload.to_vec())
 }
 
 // ---- file I/O ----
@@ -1449,6 +1106,7 @@ mod tests {
     use super::*;
     use crate::calendar::Calendar;
     use crate::format::{from_bytes, from_bytes_salvage, to_bytes};
+    use crate::storage::crc32c;
     use crate::synth::SynthesisSpec;
 
     fn sample() -> Dataset {

@@ -69,6 +69,7 @@ pub mod attr;
 pub mod axis;
 pub mod calendar;
 pub mod catalog;
+mod container;
 pub mod dataset;
 pub mod error;
 pub mod format;

@@ -38,7 +38,7 @@
 
 use crate::axis::AxisKind;
 use crate::error::{CdmsError, Result};
-use crate::format_v3::{self, upsample_nearest, ChunkDirEntry, V3Meta, V3VarMeta};
+use crate::format_v3::{self, ChunkData, ChunkDirEntry, V3Meta, V3VarMeta, Window};
 use crate::storage::{LocalDisk, Storage};
 use crate::{MaskedArray, Variable};
 use parking_lot::Mutex;
@@ -88,10 +88,8 @@ struct ChunkKey {
     level: usize,
 }
 
-/// Decoded chunk: data plus validity mask, shared between cache and
+/// One resident chunk; the decoded data is shared between cache and
 /// callers without copying.
-type ChunkData = (Vec<f32>, Vec<bool>);
-
 struct CacheEntry {
     data: Arc<ChunkData>,
     bytes: usize,
@@ -233,17 +231,6 @@ struct ReportCore {
     degraded: u64,
     salvaged: u64,
     deadline_missed: u64,
-}
-
-/// How a window's data was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Served {
-    /// Full resolution (level 0).
-    Full,
-    /// Upsampled from this coarser pyramid level.
-    Degraded(usize),
-    /// Every level failed; fully-masked fill.
-    Masked,
 }
 
 struct Shared {
@@ -446,7 +433,9 @@ impl StreamingVariable {
             match self.shared.storage.read_at(&self.shared.path, entry.offset, entry.frame_len())
             {
                 Ok(frame) => {
-                    let verified = format_v3::verify_chunk_frame(&frame, &entry).and_then(|p| {
+                    // the frame is held to its directory entry — kind, length,
+                    // CRC — as every metadata frame was at open
+                    let verified = entry.located().hold(&frame).and_then(|p| {
                         format_v3::decode_chunk_payload(p, (key.var, key.window, key.level), n)
                     });
                     match verified {
@@ -499,32 +488,25 @@ impl StreamingVariable {
     }
 
     /// Window `w` at the best available fidelity. Never fails on I/O or
-    /// corruption: level 0, else the first intact coarser level upsampled
-    /// to full resolution, else a fully-masked slab.
-    fn window_degraded(&self, w: usize) -> Result<(Arc<ChunkData>, Served)> {
-        if let Ok(data) = self.window_strict(w) {
-            return Ok((data, Served::Full));
-        }
+    /// corruption: [`format_v3::best_window`] is the policy, this books
+    /// its outcome.
+    fn window_degraded(&self, w: usize) -> Result<Arc<ChunkData>> {
         let meta = self.meta()?;
-        let full_shape = meta.slab_shape(w);
-        for level in 1..meta.levels {
-            let Ok(coarse) = self.fetch_chunk(ChunkKey { var: self.var, window: w, level })
-            else {
-                continue;
-            };
-            let from_shape = meta.level_shape(w, level);
-            let (d, m) = &*coarse;
-            let (data, mask) = match upsample_nearest(d, m, &from_shape, &full_shape) {
-                Ok(up) => up,
-                Err(_) => continue,
-            };
-            self.shared.report.lock().degraded += 1;
-            return Ok((Arc::new((data, mask)), Served::Degraded(level)));
-        }
-        let n = crate::format::checked_volume(&full_shape)
-            .ok_or_else(|| CdmsError::Format(format!("variable '{}': shape overflows", meta.id)))?;
-        self.shared.report.lock().salvaged += 1;
-        Ok((Arc::new((vec![0.0; n], vec![true; n])), Served::Masked))
+        let fetch = |level| self.fetch_chunk(ChunkKey { var: self.var, window: w, level }).ok();
+        Ok(match format_v3::best_window(meta, w, fetch) {
+            Window::Full(data) => data,
+            Window::Degraded(data) => {
+                self.shared.report.lock().degraded += 1;
+                Arc::new(data)
+            }
+            Window::Masked => {
+                let n = crate::format::checked_volume(&meta.slab_shape(w)).ok_or_else(|| {
+                    CdmsError::Format(format!("variable '{}': shape overflows", meta.id))
+                })?;
+                self.shared.report.lock().salvaged += 1;
+                Arc::new((vec![0.0; n], vec![true; n]))
+            }
+        })
     }
 
     // ---- frame access ----
@@ -545,7 +527,7 @@ impl StreamingVariable {
     /// windows.
     pub fn time_slab_degraded(&self, t: usize) -> Result<Variable> {
         let (w, k) = self.locate(t)?;
-        let (data, _served) = self.window_degraded(w)?;
+        let data = self.window_degraded(w)?;
         let out = self.assemble_step(&data, w, k)?;
         self.prefetch_from(w + 1);
         Ok(out)
@@ -563,7 +545,7 @@ impl StreamingVariable {
     /// fidelity: a damaged window degrades to an upsampled pyramid level
     /// or, at worst, a fully-masked slab instead of failing.
     pub fn window_variable_degraded(&self, w: usize) -> Result<Variable> {
-        let (data, _served) = self.window_degraded(w)?;
+        let data = self.window_degraded(w)?;
         self.assemble_window(&data, w)
     }
 
@@ -589,29 +571,8 @@ impl StreamingVariable {
     /// bounded-memory only in the sense that chunks stream through the
     /// cache; the result itself is the full array.
     pub fn materialize(&self) -> Result<Variable> {
-        let meta = self.meta()?.clone();
-        let volume = crate::format::checked_volume(&meta.shape)
-            .ok_or_else(|| CdmsError::Format(format!("variable '{}': shape overflows", meta.id)))?;
-        let mut data = vec![0.0f32; volume];
-        let mut mask = vec![false; volume];
-        for w in 0..meta.n_windows() {
-            let chunk = self.window_strict(w)?;
-            let (cd, cm) = &*chunk;
-            format_v3::scatter_window(
-                cd,
-                cm,
-                &mut data,
-                &mut mask,
-                &meta.shape,
-                meta.time_axis,
-                meta.window_range(w),
-            )?;
-        }
-        let array = MaskedArray::with_mask(data, mask, &meta.shape)?;
         let axes = self.shared.meta.var_axes(self.var)?;
-        let mut var = Variable::new(&meta.id, array, axes)?;
-        var.attributes = meta.attributes.clone();
-        Ok(var)
+        format_v3::assemble_variable(self.meta()?, axes, |w| self.window_strict(w).map(Some))
     }
 
     // ---- internals ----

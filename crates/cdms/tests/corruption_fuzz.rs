@@ -373,6 +373,79 @@ fn corruption_fuzz_v3_chunk_map_oracle() {
     assert!(masked_windows > 0, "no window was ever fully lost — fuzzer mis-aimed");
 }
 
+#[test]
+fn corruption_fuzz_v3_ranged_open_agrees_with_strict() {
+    // The ranged bootstrap (`read_meta_with`, what `StreamingDataset::open`
+    // runs) sees only the file's tail and its metadata frames. Whatever it
+    // is shown, it either refuses or returns exactly the metadata that was
+    // written — never an `Ok` describing a different file. Same mutation
+    // generator as the chunk-map oracle above: first clear of the trailer
+    // (chunk hits must not disturb the open), then over the whole image.
+    let ds = sample();
+    let opts = V3Options { window: 2, levels: 3, compress: true };
+    let (bytes, layout) = format_v3::to_bytes_v3_with(&ds, &opts);
+    let original = bytes.to_vec();
+    let trailer_start = layout
+        .sections
+        .iter()
+        .find(|s| s.kind == SectionKind::Trailer)
+        .expect("v3 always has a trailer")
+        .frame
+        .start;
+    let metadata_frames: Vec<&Range<usize>> = layout
+        .sections
+        .iter()
+        .filter(|s| s.kind != SectionKind::Chunk)
+        .map(|s| &s.frame)
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("cdms_v3_ranged_fuzz_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("mutated.ncr");
+    std::fs::write(&path, &original).unwrap();
+    let want = format_v3::read_meta_with(&LocalDisk, &path).unwrap();
+
+    let mut rng = TestRng::from_name("corruption_fuzz_v3");
+    let iters = (fuzz_iters() / 2).max(200);
+    let (mut opened, mut refused) = (0usize, 0usize);
+    for iter in 0..iters {
+        let mut mutated = original.clone();
+        let n_mut = 1 + (rng.next_u64() as usize) % 8;
+        let hi = if iter % 2 == 0 { trailer_start } else { original.len() };
+        mutate(&mut mutated, &mut rng, n_mut, 8, hi);
+        std::fs::write(&path, &mutated).unwrap();
+
+        let t0 = Instant::now();
+        let ranged = format_v3::read_meta_with(&LocalDisk, &path);
+        assert!(t0.elapsed() < DECODE_BUDGET, "iter {iter}: open took {:?}", t0.elapsed());
+        match ranged {
+            Ok(got) => {
+                assert_eq!(got.id, want.id, "iter {iter}: id");
+                assert_eq!(got.attributes, want.attributes, "iter {iter}: attributes");
+                assert_eq!(got.axes, want.axes, "iter {iter}: axes");
+                assert_eq!(got.vars, want.vars, "iter {iter}: variables");
+                assert_eq!(got.chunks, want.chunks, "iter {iter}: chunk directory");
+                assert_eq!(got.file_len, want.file_len, "iter {iter}: file length");
+                opened += 1;
+            }
+            Err(_) => {
+                // a refusal needs a reason: some byte the open reads moved
+                assert!(
+                    metadata_frames.iter().any(|r| original[(*r).clone()] != mutated[(*r).clone()])
+                        || original[layout.footer.clone()] != mutated[layout.footer.clone()],
+                    "iter {iter}: ranged open refused a file whose metadata is untouched"
+                );
+                // and what the ranged open refuses, the strict reader refuses
+                assert!(format::from_bytes(&mutated).is_err(), "iter {iter}");
+                refused += 1;
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(opened > 0, "no mutated image ever opened — fuzzer is mis-aimed");
+    assert!(refused > 0, "no mutated image was ever refused — fuzzer is mis-aimed");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -98,3 +98,45 @@ fn salvage_report_on_clean_v1_file() {
     assert!(report.is_clean(), "{report}");
     assert_eq!(back.variable_ids(), ds.variable_ids());
 }
+
+// ---- golden encoder pins ----
+//
+// The three generations share one container writer and one set of payload
+// codecs, so "v3 decodes like v2" no longer compares independent
+// implementations. Independence comes from the bytes: length and CRC32C
+// of every encoder's output for fixed inputs, recorded before the writers
+// were folded. A pin that moves means files written by an earlier build
+// no longer match what this build writes.
+
+fn assert_pin(tag: &str, bytes: &[u8], len: usize, crc: u32) {
+    assert_eq!(
+        (bytes.len(), format!("{:08x}", cdms::storage::crc32c(bytes))),
+        (len, format!("{crc:08x}")),
+        "{tag}: encoded bytes moved"
+    );
+}
+
+#[test]
+fn golden_pins_of_every_encoder() {
+    use cdms::format_v3::{to_bytes_v3, to_bytes_v3_with, V3Options};
+    let ds = cdms::synth::SynthesisSpec::new(6, 2, 8, 16).build();
+    assert_pin("v1", &format::to_bytes_v1(&ds), 46_230, 0xcb88_6325);
+    assert_pin("v2", &format::to_bytes(&ds), 43_859, 0x8ee1_34bb);
+    assert_pin("v3 default", &to_bytes_v3(&ds).0, 59_859, 0x2043_c78d);
+    let raw = V3Options { window: 2, levels: 3, compress: false };
+    assert_pin("v3 w2 l3 raw", &to_bytes_v3_with(&ds, &raw).0, 63_529, 0x4690_9c5d);
+}
+
+#[test]
+fn golden_pin_of_the_benchmark_shaped_file() {
+    // what `benchmark/src/input.rs` writes for seed 1
+    use cdms::format_v3::{to_bytes_v3_with, V3Options};
+    let full = cdms::synth::SynthesisSpec::new(48, 8, 90, 180).seed(1).build();
+    let mut ds = Dataset::new("bench");
+    for id in ["ta", "sftlf"] {
+        ds.add_variable(full.require(id).unwrap().clone());
+    }
+    drop(full);
+    let opts = V3Options { window: 4, levels: 3, compress: true };
+    assert_pin("bench v3", &to_bytes_v3_with(&ds, &opts).0, 33_057_510, 0x0178_b0d8);
+}

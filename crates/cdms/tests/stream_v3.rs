@@ -262,3 +262,57 @@ fn healthy_playback_is_bit_exact_and_fault_free() {
     assert_eq!(report.degraded + report.salvaged + report.deadline_missed, 0);
     std::fs::remove_file(&path).ok();
 }
+
+// ---- the ranged open refuses what the strict reader refuses ----
+
+#[test]
+fn ranged_open_refuses_swapped_equal_length_axis_frames() {
+    // Two axis frames of the same length trade places in the body while
+    // the trailer directory keeps their original (kind, offset, len, crc)
+    // entries. Every frame still carries a valid CRC of its own payload,
+    // so only holding each frame to ITS directory entry tells the two
+    // apart; a reader that skips that check serves the variable with its
+    // axes transposed.
+    use cdms::format::SectionKind;
+    use cdms::{Axis, MaskedArray, Variable};
+    let axis = |id: &str, step: f64| {
+        Axis::new(id, (0..4).map(|i| i as f64 * step).collect(), "m", AxisKind::Generic).unwrap()
+    };
+    let arr = MaskedArray::from_fn(&[4, 4], |ix| (ix[0] * 4 + ix[1]) as f32);
+    let mut ds = Dataset::new("swap");
+    ds.add_variable(Variable::new("v", arr, vec![axis("yy", 1.0), axis("xx", 2.0)]).unwrap());
+    let (bytes, layout) = format_v3::to_bytes_v3(&ds);
+    let mut bytes = bytes.to_vec();
+
+    let frames: Vec<_> = layout
+        .sections
+        .iter()
+        .filter(|s| s.kind == SectionKind::Axis)
+        .map(|s| s.frame.clone())
+        .collect();
+    assert_eq!(frames.len(), 2);
+    assert_eq!(frames[0].len(), frames[1].len(), "the premise: equal-length frames");
+    let first = bytes[frames[0].clone()].to_vec();
+    bytes.copy_within(frames[1].clone(), frames[0].start);
+    bytes[frames[1].clone()].copy_from_slice(&first);
+
+    assert!(format::from_bytes(&bytes).is_err(), "strict reader must refuse");
+    let path = temp_path("swapped_axes");
+    std::fs::write(&path, &bytes).unwrap();
+    let meta = format_v3::read_meta_with(&LocalDisk, &path);
+    assert!(
+        meta.is_err(),
+        "read_meta_with accepted swapped axis frames: axes {:?}",
+        meta.map(|m| m.axes.iter().map(|a| a.id.clone()).collect::<Vec<_>>())
+    );
+    let opened = StreamingDataset::open(&path);
+    assert!(
+        opened.is_err(),
+        "StreamingDataset::open accepted swapped axis frames: window 0 axes {:?}",
+        opened.map(|sd| {
+            let w = sd.variable("v").unwrap().window_variable(0).unwrap();
+            w.axes.iter().map(|a| a.id.clone()).collect::<Vec<_>>()
+        })
+    );
+    std::fs::remove_file(&path).ok();
+}
