@@ -30,6 +30,18 @@ struct Task {
     run: Box<TaskFn>,
 }
 
+impl Task {
+    /// What the task body is handed: the outputs of its declared
+    /// dependencies, in declared order, and nothing else — under both
+    /// runners, so the serial oracle cannot see more than the pool does.
+    fn inputs(&self, outputs: &BTreeMap<String, Arc<Variable>>) -> BTreeMap<String, Arc<Variable>> {
+        self.deps
+            .iter()
+            .filter_map(|d| outputs.get(d).map(|v| (d.clone(), Arc::clone(v))))
+            .collect()
+    }
+}
+
 /// How a run reacts to a failing task: total attempts per task, and the
 /// backoff slept between them (doubling each retry). Mirrors
 /// `vistrails::executor::RetryPolicy` without coupling the crates.
@@ -363,7 +375,8 @@ impl TaskGraph {
         Ok(waves)
     }
 
-    /// Runs the graph serially in schedule order.
+    /// Runs the graph serially in schedule order. Each task sees exactly
+    /// its declared dependencies' outputs, as on the pool.
     pub fn run_serial(&self) -> Result<TaskReport> {
         let start = Instant::now();
         let waves = self.schedule()?;
@@ -373,7 +386,7 @@ impl TaskGraph {
         for wave in waves {
             for i in wave {
                 let Some(t) = self.tasks.get(i) else { continue };
-                let (attempts, out) = self.retry.run(&t.run, &outputs);
+                let (attempts, out) = self.retry.run(&t.run, &t.inputs(&outputs));
                 let out = out
                     .map_err(|e| CdmsError::Invalid(format!("task '{}': {e}", t.name)))?;
                 timings.insert(t.name.clone(), attempts.iter().sum());
@@ -552,18 +565,15 @@ impl TaskGraph {
             }
             let Some(next) = guard.ready.pop() else { continue };
             let Some(task) = self.tasks.get(next.index) else { continue };
-            // Snapshot exactly the declared dependencies (Arc clones) while
-            // still under the lock; the task body runs without it.
-            let mut dep_vals: BTreeMap<String, Arc<Variable>> = BTreeMap::new();
-            for d in &task.deps {
-                if let Some(v) = guard.outputs.get(d) {
-                    dep_vals.insert(d.clone(), Arc::clone(v));
-                }
-            }
+            // Snapshot the inputs while still under the lock; the task body
+            // runs without it.
+            let dep_vals = task.inputs(&guard.outputs);
             guard.in_flight += 1;
             drop(guard);
 
+            let unwinding = Unwinding { shared, task: &task.name };
             let (attempts, out) = self.retry.run(&task.run, &dep_vals);
+            std::mem::forget(unwinding);
 
             guard = std_lock(&shared.state);
             guard.in_flight -= 1;
@@ -670,6 +680,30 @@ impl ExecState {
 struct ExecShared {
     state: StdMutex<ExecState>,
     cv: Condvar,
+}
+
+/// Held by a worker while a task body runs outside the lock and forgotten
+/// when the body returns, so it drops only if the body unwinds. It then
+/// leaves the scheduler cancelled and drained — failure recorded, the
+/// in-flight count given back, nothing left to start, peers woken — so the
+/// other workers exit and the scope can propagate the panic instead of
+/// waiting on the condvar for ever.
+struct Unwinding<'a> {
+    shared: &'a ExecShared,
+    task: &'a str,
+}
+
+impl Drop for Unwinding<'_> {
+    fn drop(&mut self) {
+        let mut state = std_lock(&self.shared.state);
+        state.in_flight -= 1;
+        if state.error.is_none() {
+            state.error = Some(CdmsError::Invalid(format!("task '{}' panicked", self.task)));
+        }
+        state.ready.clear();
+        drop(state);
+        self.shared.cv.notify_all();
+    }
 }
 
 impl std::fmt::Debug for TaskGraph {
@@ -1076,6 +1110,58 @@ mod tests {
         assert_eq!(report.outputs["ta_w0"].array, want.array);
         assert!(report.attempt_timings["ta_w0"].len() > 1, "should have retried");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// `ta`, `tb`, then `bad` — which declares `ta` and reaches for `tb` —
+    /// and one task behind it.
+    fn graph_reading_an_undeclared_output(
+        read: fn(&BTreeMap<String, Arc<Variable>>) -> Result<Variable>,
+    ) -> TaskGraph {
+        let ds = SynthesisSpec::new(2, 1, 4, 8).build();
+        let mut g = TaskGraph::new();
+        g.add_source("ta", ds.variable("ta").unwrap().clone()).unwrap();
+        g.add_source("tb", ds.variable("ua").unwrap().clone()).unwrap();
+        g.add_task("bad", &["ta"], read).unwrap();
+        g.add_task("after", &["bad"], |deps| Ok((*deps["bad"]).clone())).unwrap();
+        g
+    }
+
+    /// The oracle sees what the pool sees: a task is handed its declared
+    /// dependencies only, so reading an undeclared one fails the same way
+    /// from every runner (`run_serial` used to hand over every output so
+    /// far and returned `Ok`).
+    #[test]
+    fn undeclared_dependency_is_the_same_error_from_every_runner() {
+        let g = graph_reading_an_undeclared_output(|deps| {
+            let tb = deps.get("tb").ok_or_else(|| CdmsError::NotFound("undeclared 'tb'".into()))?;
+            Ok((**tb).clone())
+        });
+        let serial = g.run_serial().map(|_| ()).unwrap_err().to_string();
+        assert!(serial.contains("task 'bad'") && serial.contains("undeclared 'tb'"), "{serial}");
+        for pool in [1, 2, 8] {
+            let pooled = g.run_with_pool(pool).map(|_| ()).unwrap_err().to_string();
+            assert_eq!(pooled, serial, "pool {pool}");
+        }
+    }
+
+    /// A task that panics ends the run at any pool size, the way it ends
+    /// `run_serial` and a pool of 1: the panic propagates. (Above one
+    /// worker the peers used to wait on the condvar for ever.) The run is
+    /// on its own thread so that a hang fails this test at the watchdog
+    /// instead of stalling the suite.
+    #[test]
+    fn panicking_task_ends_the_pool_run() {
+        let g = graph_reading_an_undeclared_output(|deps| Ok((*deps["tb"]).clone()));
+        let run = std::thread::spawn(move || g.run_with_pool(2).map(|_| ()));
+        let started = Instant::now();
+        while !run.is_finished() {
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "run_with_pool(2) still running 1 s after its task panicked"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(run.join().is_err(), "the task's panic propagates");
     }
 
     #[test]

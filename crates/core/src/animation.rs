@@ -12,6 +12,20 @@ use cdms::axis::AxisKind;
 use cdms::{StreamReport, StreamingVariable, Variable};
 use rvtk::ImageData;
 
+/// The frame a step of `delta` from `current` lands on among `n` frames:
+/// wrapped when `looping`, clamped to the ends otherwise. No `delta`
+/// overflows — the wrap reduces it first, the clamp saturates. Both
+/// controllers commit the result only once the plot has taken the frame.
+fn stepped(current: usize, delta: i64, n: usize, looping: bool) -> usize {
+    let (current, n) = (current as i64, (n as i64).max(1));
+    let next = if looping {
+        (current + delta.rem_euclid(n)).rem_euclid(n)
+    } else {
+        current.saturating_add(delta).clamp(0, n - 1)
+    };
+    next as usize
+}
+
 /// Steps a plot through a time series.
 #[derive(Debug, Clone)]
 pub struct AnimationController {
@@ -78,15 +92,10 @@ impl AnimationController {
     /// Steps by `delta` (negative allowed), honouring `looping`, and
     /// installs the frame into the plot. Returns the new index.
     pub fn step(&mut self, plot: &mut dyn Plot, delta: i64) -> Result<usize> {
-        let n = self.frames.len() as i64;
-        let raw = self.current as i64 + delta;
-        self.current = if self.looping {
-            raw.rem_euclid(n) as usize
-        } else {
-            raw.clamp(0, n - 1) as usize
-        };
-        plot.set_image(self.frames[self.current].clone())?;
-        Ok(self.current)
+        let next = stepped(self.current, delta, self.frames.len(), self.looping);
+        plot.set_image(self.frames[next].clone())?;
+        self.current = next;
+        Ok(next)
     }
 
     /// Jumps to an absolute frame.
@@ -178,13 +187,7 @@ impl StreamingAnimation {
     /// Steps by `delta` (negative allowed), honouring `looping`, and
     /// installs the freshly streamed frame. Returns the new index.
     pub fn step(&mut self, plot: &mut dyn Plot, delta: i64) -> Result<usize> {
-        let n = self.var.n_times() as i64;
-        let raw = self.current as i64 + delta;
-        let next = if self.looping {
-            raw.rem_euclid(n) as usize
-        } else {
-            raw.clamp(0, n - 1) as usize
-        };
+        let next = stepped(self.current, delta, self.var.n_times(), self.looping);
         plot.set_image(self.frame(next)?)?;
         self.current = next;
         Ok(next)
@@ -413,6 +416,49 @@ mod tests {
             assert_eq!(report.salvaged, 2, "{report}");
             assert_eq!(report.failed_chunks, 3, "{report}");
             assert!(report.peak_cache_bytes <= 4_000, "{report}");
+            std::fs::remove_file(&path).ok();
+        }
+
+        /// One index rule under both controllers: a frame the plot
+        /// refuses leaves the playhead where it was, and no `delta`
+        /// overflows the index arithmetic.
+        #[test]
+        fn refused_frames_and_extreme_steps_treat_both_controllers_alike() {
+            use crate::plots::IsosurfacePlot;
+            let ds = SynthesisSpec::new(4, 1, 8, 16).seed(5).build();
+            let pr = ds.variable("pr").unwrap();
+            let opts = TranslationOptions::default();
+            let path = temp_path("index_rule");
+            format_v3::write_dataset_v3(&ds, &path).unwrap();
+            let sd = StreamingDataset::open(&path).unwrap();
+            let mut precomputed = AnimationController::from_variable(pr, &opts).unwrap();
+            let mut streamed =
+                StreamingAnimation::new(sd.variable("pr").unwrap(), opts.clone()).unwrap();
+
+            // an isosurface colored by a field of other dims refuses every frame
+            let odd = ImageData::from_fn([3, 3, 3], [1.0; 3], [0.0; 3], |x, _, _| x as f32);
+            let mut refusing = IsosurfacePlot::new(odd.clone(), Some(odd), None).unwrap();
+            assert!(precomputed.step(&mut refusing, 1).is_err());
+            assert_eq!(precomputed.current(), 0);
+            assert!(streamed.step(&mut refusing, 1).is_err());
+            assert_eq!(streamed.current(), 0);
+
+            let first = translate_scalar(&pr.time_slab(0).unwrap(), &opts).unwrap();
+            let mut cell = Dv3dCell::new("pr", PlotSpec::slicer(first));
+            // from frame 1 of 4: i64::MAX ≡ 3 and i64::MIN ≡ 0 (mod 4)
+            for (looping, delta, lands_on) in [
+                (true, i64::MAX, 0),
+                (true, i64::MIN, 1),
+                (false, i64::MAX, 3),
+                (false, i64::MIN, 0),
+            ] {
+                precomputed.looping = looping;
+                streamed.looping = looping;
+                precomputed.seek(cell.plot_mut(), 1).unwrap();
+                streamed.seek(cell.plot_mut(), 1).unwrap();
+                assert_eq!(precomputed.step(cell.plot_mut(), delta).unwrap(), lands_on);
+                assert_eq!(streamed.step(cell.plot_mut(), delta).unwrap(), lands_on);
+            }
             std::fs::remove_file(&path).ok();
         }
 

@@ -8,15 +8,15 @@
 //! in a degraded wall the server is entitled to drop us.
 //! [`ClientNode::run`] is that loop with an empty script.
 
-use crate::fault::ClientFaults;
+use crate::fault::{cut_mid_frame, dribble, ClientFaults};
 use crate::frame_delta::{FrameStreamer, DEFAULT_KEYFRAME_EVERY, PREVIEW_DOWNSAMPLE};
 use crate::protocol::{
-    read_message_deadline, read_message_idle, write_message_deadline, Message, PROTO_DELTA,
+    encode_frame, read_message_deadline, read_message_idle, write_message_deadline, Message,
+    PROTO_DELTA,
 };
-use crate::workflow::wall_registry;
+use crate::workflow::{cell_from_plot_stage, wall_registry};
 use crate::{Result, WallError};
 use dv3d::cell::Dv3dCell;
-use dv3d::plots::PlotSpec;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -64,14 +64,10 @@ impl ClientNode {
     }
 
     fn connect_proto(addr: std::net::SocketAddr, id: usize, proto: u32) -> Result<ClientNode> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        let hello = ClientNode::hello_message(id, proto);
-        write_message_deadline(&mut stream, &hello, IO_DEADLINE, "Hello")?;
         Ok(ClientNode {
             id,
             addr,
-            stream,
+            stream: ClientNode::dial(addr, id, proto)?,
             cell: None,
             size: (64, 64),
             frames_rendered: 0,
@@ -81,12 +77,18 @@ impl ClientNode {
         })
     }
 
-    fn hello_message(id: usize, proto: u32) -> Message {
-        if proto >= PROTO_DELTA {
+    /// Dials the server and says hello in the revision's handshake — the
+    /// first time and after a crash alike.
+    fn dial(addr: std::net::SocketAddr, id: usize, proto: u32) -> Result<TcpStream> {
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true).ok();
+        let hello = if proto >= PROTO_DELTA {
             Message::HelloV2 { client_id: id, proto }
         } else {
             Message::Hello { client_id: id }
-        }
+        };
+        write_message_deadline(&mut stream, &hello, IO_DEADLINE, "Hello")?;
+        Ok(stream)
     }
 
     /// Runs the message loop until `Shutdown` with no scripted faults
@@ -119,22 +121,15 @@ impl ClientNode {
         // the server may have given this panel up, and a blocking read
         // would hang the client thread forever
         let mut expect_reassign = false;
+        // The loop ends — quietly, with the frames rendered so far — at
+        // `Shutdown` and wherever the connection turns out to be gone.
         loop {
-            let msg = if expect_reassign {
-                match read_message_deadline(
-                    &mut self.stream,
-                    Duration::from_secs(2),
-                    "re-AssignWorkflow",
-                ) {
-                    Ok(m) => m,
-                    Err(_) => return Ok(self.frames_rendered),
-                }
+            let command = if expect_reassign {
+                read_message_deadline(&mut self.stream, Duration::from_secs(2), "re-AssignWorkflow")
             } else {
-                match read_message_idle(&mut self.stream, IDLE_SLICE, IO_DEADLINE, "command") {
-                    Ok(m) => m,
-                    Err(_) => return Ok(self.frames_rendered),
-                }
+                read_message_idle(&mut self.stream, IDLE_SLICE, IO_DEADLINE, "command")
             };
+            let Ok(msg) = command else { break };
             expect_reassign = false;
             match msg {
                 Message::AssignWorkflow { pipeline_json, cell_module, width, height } => {
@@ -143,15 +138,8 @@ impl ClientNode {
                     self.cell = Some(self.instantiate(&pipeline, cell_module)?);
                     self.reset_streamer();
                     std::thread::sleep(delay);
-                    if write_message_deadline(
-                        &mut self.stream,
-                        &Message::Ready { client_id: self.id },
-                        IO_DEADLINE,
-                        "Ready",
-                    )
-                    .is_err()
-                    {
-                        return Ok(self.frames_rendered);
+                    if !self.reply(&Message::Ready { client_id: self.id }, "Ready") {
+                        break;
                     }
                 }
                 Message::Op(op) => {
@@ -168,50 +156,33 @@ impl ClientNode {
                     }
                 }
                 Message::Execute { frame } => {
-                    if !dropped && faults.drop_at() == Some(frame) {
-                        // scripted crash: vanish without answering (close
-                        // the socket NOW so the server sees a dead peer,
-                        // not a slow one, while we redial)
-                        dropped = true;
-                        self.stream.shutdown(std::net::Shutdown::Both).ok();
-                        if !self.reconnect(&mut refusals_left) {
-                            return Ok(self.frames_rendered);
+                    // scripted crash: vanish without answering; scripted
+                    // torn frame: send half the FrameDone bytes first
+                    let crash = !dropped && faults.drop_at() == Some(frame);
+                    if crash || (!cut && faults.mid_request_disconnect_at() == Some(frame)) {
+                        if crash {
+                            dropped = true;
+                        } else {
+                            cut = true;
+                            let (done, _) = self.render_frame(frame)?;
+                            cut_mid_frame(&mut self.stream, &encode_frame(&done)?).ok();
                         }
-                        self.cell = None;
-                        expect_reassign = true;
-                        continue;
-                    }
-                    if !cut && faults.mid_request_disconnect_at() == Some(frame) {
-                        // scripted torn frame: send half the FrameDone
-                        // bytes, then cut the connection — the server sees
-                        // a truncated frame, not a clean close
-                        cut = true;
-                        let (done, _) = self.render_frame(frame)?;
-                        let framed = crate::protocol::encode_frame(&done)?;
-                        let half = &framed[..framed.len() / 2];
-                        self.stream.write_all(half).ok();
-                        self.stream.flush().ok();
+                        // close the socket NOW so the server sees a dead
+                        // peer, not a slow one, while we redial
                         self.stream.shutdown(std::net::Shutdown::Both).ok();
                         if !self.reconnect(&mut refusals_left) {
-                            return Ok(self.frames_rendered);
+                            break;
                         }
                         self.cell = None;
                         expect_reassign = true;
                         continue;
                     }
                     if faults.slow_loris_ms() > 0 {
-                        // slow-loris: the reply dribbles out one byte at a
-                        // time, so the frame never completes within the
-                        // server's deadline even though the socket is live
                         let (done, _) = self.render_frame(frame)?;
-                        let framed = crate::protocol::encode_frame(&done)?;
-                        let delay = Duration::from_millis(faults.slow_loris_ms());
-                        for byte in framed {
-                            if self.stream.write_all(&[byte]).is_err() {
-                                return Ok(self.frames_rendered);
-                            }
-                            self.stream.flush().ok();
-                            std::thread::sleep(delay);
+                        let framed = encode_frame(&done)?;
+                        let sent = dribble(&mut self.stream, &framed, faults.slow_loris_ms());
+                        if sent < framed.len() {
+                            break;
                         }
                         continue;
                     }
@@ -223,35 +194,26 @@ impl ClientNode {
                         let mut framed = (garbage.len() as u32).to_le_bytes().to_vec();
                         framed.extend_from_slice(&garbage);
                         if self.stream.write_all(&framed).is_err() {
-                            return Ok(self.frames_rendered);
+                            break;
                         }
                         continue;
                     }
                     let (done, rgba) = self.render_frame(frame)?;
                     std::thread::sleep(delay);
-                    if self.send_transport(frame, &rgba, &faults).is_err() {
-                        return Ok(self.frames_rendered);
-                    }
-                    if write_message_deadline(&mut self.stream, &done, IO_DEADLINE, "FrameDone")
-                        .is_err()
+                    if self.send_transport(frame, &rgba, &faults).is_err()
+                        || !self.reply(&done, "FrameDone")
                     {
-                        return Ok(self.frames_rendered);
+                        break;
                     }
                 }
                 Message::Heartbeat { seq } => {
                     std::thread::sleep(delay);
-                    if write_message_deadline(
-                        &mut self.stream,
-                        &Message::HeartbeatAck { client_id: self.id, seq },
-                        IO_DEADLINE,
-                        "HeartbeatAck",
-                    )
-                    .is_err()
-                    {
-                        return Ok(self.frames_rendered);
+                    let ack = Message::HeartbeatAck { client_id: self.id, seq };
+                    if !self.reply(&ack, "HeartbeatAck") {
+                        break;
                     }
                 }
-                Message::Shutdown => return Ok(self.frames_rendered),
+                Message::Shutdown => break,
                 other => {
                     return Err(WallError::Protocol(format!(
                         "client {} got unexpected {other:?}",
@@ -260,6 +222,13 @@ impl ClientNode {
                 }
             }
         }
+        Ok(self.frames_rendered)
+    }
+
+    /// Sends one reply. `false` when it could not be sent: the server has
+    /// dropped this panel, and the caller ends the run.
+    fn reply(&mut self, msg: &Message, what: &str) -> bool {
+        write_message_deadline(&mut self.stream, msg, IO_DEADLINE, what).is_ok()
     }
 
     /// Renders the assigned cell; returns the `FrameDone` reply and the
@@ -338,14 +307,10 @@ impl ClientNode {
                 *refusals_left -= 1;
                 continue;
             }
-            let Ok(mut s) = TcpStream::connect(self.addr) else { continue };
-            s.set_nodelay(true).ok();
-            let hello = ClientNode::hello_message(self.id, self.proto);
-            if write_message_deadline(&mut s, &hello, IO_DEADLINE, "Hello").is_err() {
-                continue;
+            if let Ok(stream) = ClientNode::dial(self.addr, self.id, self.proto) {
+                self.stream = stream;
+                return true;
             }
-            self.stream = s;
-            return true;
         }
         false
     }
@@ -354,25 +319,18 @@ impl ClientNode {
     /// the live cell from the produced `PlotSpec`.
     fn instantiate(&self, pipeline: &Pipeline, cell_module: u64) -> Result<Dv3dCell> {
         // find the plot module feeding the cell's "plot" port
-        let plot_conn = pipeline
+        let plot = pipeline
             .inputs_of(cell_module)
             .into_iter()
             .find(|c| c.to_port == "plot")
             .ok_or_else(|| WallError::Protocol("cell has no plot input".into()))?
-            .clone();
-        let mut exec = Executor::new(wall_registry());
-        let results = exec.execute_subset(pipeline, Some(plot_conn.from_module))?;
-        let spec = results
-            .output(plot_conn.from_module, &plot_conn.from_port)
-            .and_then(|d| d.as_opaque::<PlotSpec>())
-            .ok_or_else(|| WallError::Protocol("plot module produced no PlotSpec".into()))?;
+            .from_module;
         let name = pipeline.modules[&cell_module]
             .params
             .get("name")
             .and_then(vistrails::value::ParamValue::as_str)
-            .unwrap_or("wall cell")
-            .to_string();
-        Dv3dCell::try_new(&name, (*spec).clone()).map_err(Into::into)
+            .unwrap_or("wall cell");
+        cell_from_plot_stage(&mut Executor::new(wall_registry()), pipeline, plot, name)
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::client::ClientNode;
 use crate::fault::FaultPlan;
 use crate::server::{FrameReport, HyperwallServer, PanelState, WallTuning};
-use crate::workflow::WallWorkflowConfig;
+use crate::workflow::{cell_from_plot_stage, WallWorkflowConfig};
 use crate::Result;
 use dv3d::interaction::ConfigOp;
 use std::time::Instant;
@@ -188,15 +188,10 @@ pub fn run_single_node_baseline(cfg: &WallWorkflowConfig, n_frames: u64) -> Resu
     let (pipeline, chains) = crate::workflow::build_wall_pipeline(cfg)?;
     let mut exec = vistrails::executor::Executor::new(crate::workflow::wall_registry());
     // build all cells once (like clients do)
-    let mut cells = Vec::new();
-    for chain in &chains {
-        let results = exec.execute_subset(&pipeline, Some(chain.plot))?;
-        let spec = results
-            .output(chain.plot, "plot")
-            .and_then(|d| d.as_opaque::<dv3d::plots::PlotSpec>())
-            .ok_or_else(|| crate::WallError::Protocol("no PlotSpec".into()))?;
-        cells.push(dv3d::cell::Dv3dCell::try_new("baseline", (*spec).clone())?);
-    }
+    let mut cells = chains
+        .iter()
+        .map(|chain| cell_from_plot_stage(&mut exec, &pipeline, chain.plot, "baseline"))
+        .collect::<Result<Vec<_>>>()?;
     let start = Instant::now();
     for _ in 0..n_frames {
         for cell in &mut cells {
@@ -268,6 +263,23 @@ mod tests {
             assert!(f.transport_bytes.iter().all(|&b| b > 0), "{f:?}");
             assert!(f.first_content_ms.iter().all(|&ms| ms > 0.0), "{f:?}");
         }
+    }
+
+    /// The wire does not move: a healthy 3-cell, 4-frame run with one camera
+    /// op, pinned on what the server counted off the sockets (recorded
+    /// before the panel link was introduced; the same at 1, 2 and 8 render
+    /// threads).
+    #[test]
+    fn healthy_wall_wire_is_pinned() {
+        let ops = vec![ConfigOp::Camera(CameraOp::Azimuth(20.0))];
+        let report = run_wall(&small_cfg(3), 4, 4, &ops).unwrap();
+        assert_eq!(report.key_bytes, 11_205);
+        assert_eq!(report.delta_bytes, 11_504);
+        assert_eq!(report.preview_frames, 3);
+        assert_eq!(report.resync_requests, 0);
+        assert_eq!(report.delta_rejects, 0);
+        assert!(report.incidents.is_empty(), "{:?}", report.incidents);
+        assert_eq!(report.synced_final, vec![true; 3]);
     }
 
     #[test]

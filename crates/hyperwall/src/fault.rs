@@ -5,9 +5,14 @@
 //! on cue. Because the plan is plain data (and the seeded constructor is a
 //! pure function of its seed), every failure scenario is reproducible —
 //! the degradation/recovery tests in [`crate::cluster`] are ordinary
-//! deterministic unit tests, not flaky chaos runs.
+//! deterministic unit tests, not flaky chaos runs. The two scripted sends
+//! that both the wall client and the service client perform — the
+//! slow-loris dribble and the half-frame cut — live here too, once.
 
 use std::collections::BTreeMap;
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// One scripted misbehaviour of a display client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,6 +179,58 @@ impl ClientFaults {
     }
 }
 
+/// The slow-loris send ([`Fault::SlowLoris`]): `framed` goes out one byte
+/// every `ms_per_byte` milliseconds, so the frame never completes within
+/// the peer's deadline even though the socket is live. Returns the bytes
+/// that made it out before the peer (rightly) hung up.
+pub(crate) fn dribble(stream: &mut TcpStream, framed: &[u8], ms_per_byte: u64) -> usize {
+    for (sent, byte) in framed.iter().enumerate() {
+        if stream.write_all(std::slice::from_ref(byte)).is_err() {
+            return sent;
+        }
+        stream.flush().ok();
+        std::thread::sleep(Duration::from_millis(ms_per_byte));
+    }
+    framed.len()
+}
+
+/// The torn frame ([`Fault::MidRequestDisconnect`]): half of `framed`, then
+/// the connection is cut — the peer sees a truncated frame, not a clean
+/// close.
+pub(crate) fn cut_mid_frame(stream: &mut TcpStream, framed: &[u8]) -> std::io::Result<()> {
+    let half = stream.write_all(framed.get(..framed.len() / 2).unwrap_or_default());
+    stream.flush().ok();
+    stream.shutdown(std::net::Shutdown::Both).ok();
+    half
+}
+
+/// SplitMix64 — the only randomness of the seeded plans, which are pure
+/// functions of their seed.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Draws `k` distinct ids below `n` (all `n` when `k` is larger): a
+    /// Fisher–Yates prefix over `0..n`.
+    fn distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let k = k.min(n);
+        let mut ids: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = i + (self.next() % (n - i) as u64) as usize;
+            ids.swap(i, j);
+        }
+        ids.truncate(k);
+        ids
+    }
+}
+
 /// A scripted failure scenario for a whole wall run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -216,16 +273,9 @@ impl FaultPlan {
     /// reconnect attempts. Same seed → same scenario, always.
     pub fn seeded_crash(seed: u64, n_clients: usize, n_frames: u64, refusals: u32) -> FaultPlan {
         assert!(n_clients > 0 && n_frames > 0, "empty wall scenario");
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let victim = (next() % n_clients as u64) as usize;
-        let frame = next() % n_frames;
+        let mut rng = SplitMix64(seed);
+        let victim = (rng.next() % n_clients as u64) as usize;
+        let frame = rng.next() % n_frames;
         FaultPlan::none()
             .inject(victim, Fault::DropAtFrame(frame))
             .inject(victim, Fault::RefuseReconnect(refusals))
@@ -243,28 +293,14 @@ impl FaultPlan {
         storm_requests: u32,
     ) -> FaultPlan {
         assert!(n_sessions > 0, "empty service scenario");
-        let n_misbehaving = n_misbehaving.min(n_sessions);
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        // Fisher–Yates prefix over the session ids picks distinct victims.
-        let mut ids: Vec<usize> = (0..n_sessions).collect();
-        for i in 0..n_misbehaving {
-            let j = i + (next() % (n_sessions - i) as u64) as usize;
-            ids.swap(i, j);
-        }
+        let mut rng = SplitMix64(seed);
         let mut plan = FaultPlan::none();
-        for (k, &victim) in ids[..n_misbehaving].iter().enumerate() {
+        for (k, victim) in rng.distinct(n_sessions, n_misbehaving).into_iter().enumerate() {
             let fault = match k % 4 {
                 0 => Fault::QuotaStorm(storm_requests.max(1)),
-                1 => Fault::SlowLoris(20 + next() % 30),
-                2 => Fault::MidRequestDisconnect(next() % 4),
-                _ => Fault::ReconnectStorm(4 + (next() % 8) as u32),
+                1 => Fault::SlowLoris(20 + rng.next() % 30),
+                2 => Fault::MidRequestDisconnect(rng.next() % 4),
+                _ => Fault::ReconnectStorm(4 + (rng.next() % 8) as u32),
             };
             plan = plan.inject(victim, fault);
         }
@@ -283,30 +319,16 @@ impl FaultPlan {
         n_misbehaving: usize,
     ) -> FaultPlan {
         assert!(n_clients > 0 && n_frames > 0, "empty delta storm scenario");
-        let n_misbehaving = n_misbehaving.min(n_clients);
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        // distinct victims via a Fisher–Yates prefix, like the other storms
-        let mut ids: Vec<usize> = (0..n_clients).collect();
-        for i in 0..n_misbehaving {
-            let j = i + (next() % (n_clients - i) as u64) as usize;
-            ids.swap(i, j);
-        }
+        let mut rng = SplitMix64(seed);
         // leave at least two frames after the fault for resync + recovery
         let last_fault_frame = n_frames.saturating_sub(3).max(1);
         let mut plan = FaultPlan::none();
-        for (k, &victim) in ids[..n_misbehaving].iter().enumerate() {
-            let frame = 1 + next() % last_fault_frame;
+        for (k, victim) in rng.distinct(n_clients, n_misbehaving).into_iter().enumerate() {
+            let frame = 1 + rng.next() % last_fault_frame;
             let fault = match k % 3 {
                 0 => Fault::CorruptDeltaAt(frame),
                 1 => Fault::DropDeltaAt(frame),
-                _ => Fault::DelayDeltaAt(frame, 5 + next() % 20),
+                _ => Fault::DelayDeltaAt(frame, 5 + rng.next() % 20),
             };
             plan = plan.inject(victim, fault);
         }
@@ -431,6 +453,31 @@ mod tests {
         assert_ne!(a, FaultPlan::seeded_delta_storm(12, 6, 10, 4));
         // misbehaving count clamps to the client count
         assert_eq!(FaultPlan::seeded_delta_storm(1, 2, 10, 5).faulty_clients().len(), 2);
+    }
+
+    /// The generators' output, recorded before they were put on one
+    /// SplitMix64 and one victim draw: a seed names the same scenario it
+    /// always did. (The determinism tests compare a plan with itself,
+    /// which a changed generator passes.)
+    #[test]
+    fn seeded_plans_are_pinned() {
+        assert_eq!(
+            format!("{:?}", FaultPlan::seeded_crash(7, 3, 8, 2)),
+            "FaultPlan { per_client: {0: ClientFaults { faults: [DropAtFrame(4), \
+             RefuseReconnect(2)] }} }"
+        );
+        assert_eq!(
+            format!("{:?}", FaultPlan::seeded_service_storm(11, 6, 4, 40)),
+            "FaultPlan { per_client: {0: ClientFaults { faults: [MidRequestDisconnect(2)] }, \
+             1: ClientFaults { faults: [SlowLoris(28)] }, \
+             3: ClientFaults { faults: [QuotaStorm(40)] }, \
+             5: ClientFaults { faults: [ReconnectStorm(8)] }} }"
+        );
+        assert_eq!(
+            format!("{:?}", FaultPlan::seeded_delta_storm(5, 3, 10, 2)),
+            "FaultPlan { per_client: {1: ClientFaults { faults: [DropDeltaAt(3)] }, \
+             2: ClientFaults { faults: [CorruptDeltaAt(3)] }} }"
+        );
     }
 
     #[test]

@@ -41,15 +41,22 @@
 //!   message length is capped at [`protocol::MAX_MESSAGE_BYTES`], and the
 //!   server can interleave [`protocol::Message::Heartbeat`] probes to
 //!   detect silent clients between frames.
-//! * **Panel states, `Live → Degraded → Live`.** When a client misses its
-//!   frame deadline, disconnects, or answers garbage, the server marks that
-//!   panel [`server::PanelState::Degraded`] and substitutes its own low-res
-//!   mirror render of the same cell, so the wall keeps animating (at worse
-//!   quality on one panel) instead of freezing. Degraded panels are retried
+//! * **Panel states, `Live → Degraded → Live`.** A panel is one value with
+//!   two arms: `Live(link)` — the link owns the socket, the revision the
+//!   client declared and, for a pixel panel, its frame assembler — or
+//!   `Degraded`, which owns the retry schedule ([`server::PanelState`] is
+//!   the public view of which arm it is). When a client misses its frame
+//!   deadline, disconnects, or answers garbage, the server degrades that
+//!   panel and substitutes its own low-res mirror render of the same cell,
+//!   so the wall keeps animating (at worse quality on one panel) instead of
+//!   freezing. A client is admitted by one path, the first time and after a
+//!   crash alike — hello (who it is, what it speaks) → offer (its stored
+//!   `AssignWorkflow`, which also sizes the assembler) → confirm (`Ready`,
+//!   then the interaction-op log it missed). Degraded panels are retried
 //!   with capped exponential backoff: the server polls its listener each
-//!   frame, re-runs the `Hello → AssignWorkflow → Ready` handshake, replays
-//!   the interaction-op log the client missed, and promotes the panel back
-//!   to `Live`.
+//!   frame and runs that path on whoever dials in. The number of panels is
+//!   fixed when the server is bound; `accept_clients` and
+//!   `assign_workflows` refuse an argument that disagrees with it.
 //! * **Reproducible failure.** [`fault::FaultPlan`] injects failures
 //!   deterministically (drop at frame N, delayed replies, corrupt bytes,
 //!   refused reconnects), so every degradation/recovery path has an exact,

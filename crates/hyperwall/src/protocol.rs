@@ -493,12 +493,13 @@ pub fn write_message(stream: &mut impl Write, msg: &Message) -> Result<()> {
     Ok(())
 }
 
-/// Reads one message; blocks until a full frame arrives. Length prefixes
-/// above [`MAX_MESSAGE_BYTES`] are rejected as protocol errors before any
-/// allocation happens.
-pub fn read_message(stream: &mut impl Read) -> Result<Message> {
+/// Reads one frame through `fill`, which fills a whole buffer or fails:
+/// the length prefix, checked against [`MAX_MESSAGE_BYTES`] before it sizes
+/// an allocation, then the body. Returns the message and the frame's size
+/// on the wire. The one reader under the blocking and the deadline read.
+fn read_frame(mut fill: impl FnMut(&mut [u8]) -> Result<()>) -> Result<(Message, usize)> {
     let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
+    fill(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_MESSAGE_BYTES {
         return Err(WallError::Protocol(format!(
@@ -506,8 +507,15 @@ pub fn read_message(stream: &mut impl Read) -> Result<Message> {
         )));
     }
     let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    decode_body(&body)
+    fill(&mut body)?;
+    Ok((decode_body(&body)?, len_buf.len() + len))
+}
+
+/// Reads one message; blocks until a full frame arrives. Length prefixes
+/// above [`MAX_MESSAGE_BYTES`] are rejected as protocol errors before any
+/// allocation happens.
+pub fn read_message(stream: &mut impl Read) -> Result<Message> {
+    read_frame(|buf| Ok(stream.read_exact(buf)?)).map(|(msg, _)| msg)
 }
 
 /// True when an I/O error is a deadline expiry rather than a dead peer.
@@ -518,6 +526,15 @@ fn is_timeout(e: &std::io::Error) -> bool {
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
     )
+}
+
+/// Maps a deadline expiry to [`WallError::Timeout`] saying `what_expired`;
+/// any other failure keeps its I/O or protocol classification.
+fn expiry_as_timeout(e: WallError, what_expired: std::fmt::Arguments<'_>) -> WallError {
+    match e {
+        WallError::Io(io) if is_timeout(&io) => WallError::Timeout(what_expired.to_string()),
+        other => other,
+    }
 }
 
 /// Reads one message with a deadline covering the *whole frame*, not just
@@ -547,26 +564,9 @@ pub(crate) fn read_message_deadline_sized(
     what: &str,
 ) -> Result<(Message, usize)> {
     let end = std::time::Instant::now() + deadline;
-    let out = (|| {
-        let mut len_buf = [0u8; 4];
-        read_exact_deadline(stream, &mut len_buf, end)?;
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > MAX_MESSAGE_BYTES {
-            return Err(WallError::Protocol(format!(
-                "implausible message length {len} (cap {MAX_MESSAGE_BYTES})"
-            )));
-        }
-        let mut body = vec![0u8; len];
-        read_exact_deadline(stream, &mut body, end)?;
-        Ok((decode_body(&body)?, len_buf.len() + len))
-    })();
+    let out = read_frame(|buf| read_exact_deadline(stream, buf, end));
     stream.set_read_timeout(None).ok();
-    out.map_err(|e| match e {
-        WallError::Io(io) if is_timeout(&io) => {
-            WallError::Timeout(format!("{what} not received within {deadline:?}"))
-        }
-        other => other,
-    })
+    out.map_err(|e| expiry_as_timeout(e, format_args!("{what} not received within {deadline:?}")))
 }
 
 /// Fills `buf` from the stream, giving up (with a timeout-kinded I/O
@@ -611,24 +611,17 @@ fn read_exact_deadline(
 /// [`read_message_deadline`], a silent peer is not an error here — an idle
 /// command loop is a legitimate state — but the wait never blocks longer
 /// than `slice` at a time, and once bytes start arriving the whole frame
-/// must complete within `deadline`. Peeking (not reading) during the idle
-/// wait means a slice expiry can never desynchronise a half-received frame.
+/// must complete within `deadline`. It is [`read_message_idle_bounded`]
+/// asked again for as long as it reports an idle slice.
 pub fn read_message_idle(
     stream: &mut TcpStream,
     slice: Duration,
     deadline: Duration,
     what: &str,
 ) -> Result<Message> {
-    let mut probe = [0u8; 1];
     loop {
-        stream.set_read_timeout(Some(slice))?;
-        let peeked = stream.peek(&mut probe);
-        stream.set_read_timeout(None).ok();
-        match peeked {
-            // data (or EOF) ready: read_message_deadline reports either
-            Ok(_) => return read_message_deadline(stream, deadline, what),
-            Err(e) if is_timeout(&e) => continue,
-            Err(e) => return Err(e.into()),
+        if let Some(msg) = read_message_idle_bounded(stream, slice, deadline, slice, what)? {
+            return Ok(msg);
         }
     }
 }
@@ -638,8 +631,8 @@ pub fn read_message_idle(
 /// error — the caller typically checks a shutdown flag and calls again).
 /// Once bytes start arriving the whole frame must complete within
 /// `deadline`, so a slow-loris peer trips [`WallError::Timeout`] instead of
-/// wedging the connection thread. Peeking during the idle wait means an
-/// idle expiry can never desynchronise a half-received frame.
+/// wedging the connection thread. Peeking (not reading) during the idle
+/// wait means an idle expiry can never desynchronise a half-received frame.
 pub fn read_message_idle_bounded(
     stream: &mut TcpStream,
     slice: Duration,
@@ -676,12 +669,7 @@ pub fn write_message_deadline(
     stream.set_write_timeout(Some(deadline))?;
     let out = write_message(stream, msg);
     stream.set_write_timeout(None).ok();
-    out.map_err(|e| match e {
-        WallError::Io(io) if is_timeout(&io) => {
-            WallError::Timeout(format!("{what} not sent within {deadline:?}"))
-        }
-        other => other,
-    })
+    out.map_err(|e| expiry_as_timeout(e, format_args!("{what} not sent within {deadline:?}")))
 }
 
 #[cfg(test)]
@@ -837,6 +825,17 @@ mod tests {
             let err = read_message(&mut cursor).unwrap_err();
             assert!(matches!(err, WallError::Protocol(_)), "{err}");
         }
+        // the deadline read refuses the same prefix in the same words
+        let prefix = ((MAX_MESSAGE_BYTES + 1) as u32).to_le_bytes();
+        let blocking = read_message(&mut std::io::Cursor::new(prefix)).unwrap_err();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        peer.write_all(&prefix).unwrap();
+        let timed = read_message_deadline(&mut stream, Duration::from_secs(1), "x").unwrap_err();
+        assert!(matches!(timed, WallError::Protocol(_)), "{timed}");
+        assert_eq!(timed.to_string(), blocking.to_string());
+        assert!(timed.to_string().contains("implausible message length"), "{timed}");
         // exactly at the cap the length itself is legal (the read then
         // fails on the missing body, an Io error, not a Protocol one)
         let mut buf = (MAX_MESSAGE_BYTES as u32).to_le_bytes().to_vec();
@@ -875,6 +874,15 @@ mod tests {
         assert!(matches!(err, WallError::Timeout(_)), "{err}");
         assert!(err.to_string().contains("FrameDone"));
         assert!(start.elapsed() < Duration::from_secs(2));
+        // a bounded idle wait with no idle budget reports the silence, not an error
+        let idle = read_message_idle_bounded(
+            &mut stream,
+            Duration::from_millis(5),
+            Duration::from_secs(1),
+            Duration::ZERO,
+            "command",
+        );
+        assert!(matches!(idle, Ok(None)), "{idle:?}");
         // deadline must be cleared afterwards: a normal exchange still works
         let msg = Message::Heartbeat { seq: 1 };
         let mut held = _held;

@@ -5,25 +5,49 @@
 //! The server is the fault-tolerance anchor (see the crate docs): every
 //! client exchange runs under a deadline, a failing client degrades its
 //! panel instead of stopping the wall, degraded panels are served from the
-//! server's own low-res mirror, and reconnecting clients are re-handshaken
-//! with capped exponential backoff and promoted back to live.
+//! server's own low-res mirror, and reconnecting clients are admitted
+//! again with capped exponential backoff and promoted back to live.
+//!
+//! A panel is one value with two arms: `Live(link)`, where the link owns
+//! the socket, the protocol revision the client declared and (for pixel
+//! panels) the frame assembler; or `Degraded`, which owns the retry
+//! schedule. There is no live panel without a socket to handle. The link
+//! has the server's only send and receive (`send_msg`, `recv_msg`; the
+//! names are the link's own because dv3dlint resolves calls by name);
+//! `tell` is "send to panel *i*,
+//! degrade it on failure" on top of them. A client is admitted by one path,
+//! the first time and after a crash alike: `hello` (who it is, what it
+//! speaks) → `offer` (its stored assignment; the assembler is sized from
+//! it) → `confirm` (`Ready`, then the op log). The number of panels is the
+//! number of cells the server was bound with; the calls that restate it
+//! ([`HyperwallServer::accept_clients`], [`HyperwallServer::assign_workflows`])
+//! are refused when they disagree.
+//!
+//! What deliberately stays as it was: every deadline and cap; heartbeats;
+//! `MAX_TRANSPORT_PER_FRAME`; a rejected delta is answered with a resync
+//! request, never a degradation; the op log is unbounded but paced by the
+//! operator (its `allow` says why); a client below [`PROTO_DELTA`] is a
+//! metadata-only panel. On the dv3dlint `indexing_hot_paths` list: panel
+//! ids arrive in a client's `Hello` and per-panel state is looked up inside
+//! every frame, so access goes through `.get()` and iterators.
 
 use crate::frame_delta::{Applied, FrameAssembler};
 use crate::protocol::{
     read_message_deadline, read_message_deadline_sized, write_message_deadline, Message,
     PROTO_DELTA,
 };
-use crate::workflow::{split_per_client, wall_registry, CellChain, WallWorkflowConfig};
+use crate::workflow::{
+    cell_from_plot_stage, split_per_client, wall_registry, CellChain, WallWorkflowConfig,
+};
 use crate::{Result, WallError};
 use dv3d::cell::Dv3dCell;
 use dv3d::interaction::ConfigOp;
-use dv3d::plots::PlotSpec;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use vistrails::executor::Executor;
 use vistrails::pipeline::Pipeline;
 
-/// Health of one wall panel.
+/// Health of one wall panel, as [`HyperwallServer::panel_states`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanelState {
     /// The display client renders this panel at full resolution.
@@ -66,31 +90,86 @@ impl Default for WallTuning {
     }
 }
 
-/// One display connection and its health bookkeeping.
+/// The connection to one display client.
 #[derive(Debug)]
-struct Panel {
-    stream: Option<TcpStream>,
-    state: PanelState,
-    reconnect_attempts: u32,
-    next_retry_frame: u64,
-    /// Protocol revision the client declared at its handshake (below
+struct Link {
+    stream: TcpStream,
+    /// Protocol revision the client declared in its hello (below
     /// [`PROTO_DELTA`] = metadata only, otherwise frame-delta pixel
     /// transport).
     proto: u32,
-    /// Receiver half of the delta transport; `Some` only for panels at or
-    /// above [`PROTO_DELTA`].
+    /// Receiver half of the delta transport, sized from the assignment the
+    /// client was offered; `None` for a metadata-only client.
     assembler: Option<FrameAssembler>,
 }
 
+impl Link {
+    fn send_msg(&mut self, msg: &Message, deadline: Duration, what: &str) -> Result<()> {
+        write_message_deadline(&mut self.stream, msg, deadline, what)
+    }
+
+    /// The next message and its size on the wire.
+    fn recv_msg(&mut self, deadline: Duration, what: &str) -> Result<(Message, usize)> {
+        read_message_deadline_sized(&mut self.stream, deadline, what)
+    }
+
+    /// Offers the client its assignment. A pixel-transport client gets a
+    /// fresh assembler of the assigned size: its fresh streamer opens with
+    /// a keyframe, so the two sync from there.
+    fn offer(&mut self, assignment: &Message, deadline: Duration) -> Result<()> {
+        self.send_msg(assignment, deadline, "AssignWorkflow")?;
+        self.assembler = match assignment {
+            Message::AssignWorkflow { width, height, .. } if self.proto >= PROTO_DELTA => {
+                Some(FrameAssembler::new(*width, *height))
+            }
+            _ => None,
+        };
+        Ok(())
+    }
+
+    /// Awaits the client's `Ready`, then replays the op log so that its
+    /// cell matches the rest of the wall.
+    fn confirm(&mut self, op_log: &[ConfigOp], deadline: Duration) -> Result<()> {
+        match self.recv_msg(deadline, "Ready")? {
+            (Message::Ready { .. }, _) => {}
+            (other, _) => {
+                return Err(WallError::Protocol(format!("expected Ready, got {other:?}")))
+            }
+        }
+        for op in op_log {
+            self.send_msg(&Message::Op(op.clone()), deadline, "Op replay")?;
+        }
+        Ok(())
+    }
+}
+
+/// One wall panel: served by its display client over a live link, or by
+/// the server mirror while the client is retried.
+// `Live` is every panel's steady state and a wall has a few dozen panels:
+// boxing the link to shrink the rare arm would buy nothing.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+enum Panel {
+    Live(Link),
+    Degraded {
+        /// Reconnect polls spent on this panel since it degraded.
+        attempts: u32,
+        /// The frame at which the next poll is due.
+        next_retry_frame: u64,
+    },
+}
+
 impl Panel {
-    fn live(stream: TcpStream, proto: u32) -> Panel {
-        Panel {
-            stream: Some(stream),
-            state: PanelState::Live,
-            reconnect_attempts: 0,
-            next_retry_frame: 0,
-            proto,
-            assembler: None,
+    /// True for a degraded panel that is owed a reconnect poll at `frame`.
+    fn retry_due(&self, frame: u64, max_attempts: u32) -> bool {
+        matches!(self, Panel::Degraded { attempts, next_retry_frame }
+            if *attempts < max_attempts && frame >= *next_retry_frame)
+    }
+
+    fn assembler(&self) -> Option<&FrameAssembler> {
+        match self {
+            Panel::Live(link) => link.assembler.as_ref(),
+            Panel::Degraded { .. } => None,
         }
     }
 }
@@ -123,23 +202,37 @@ pub struct FrameReport {
     pub first_content_ms: Vec<f64>,
 }
 
+/// One panel's share of one frame; [`FrameReport`]'s vectors are these,
+/// unzipped.
+#[derive(Default)]
+struct PanelFrame {
+    render_ms: f64,
+    coverage: f64,
+    degraded: bool,
+    transport_bytes: u64,
+    first_content_ms: f64,
+}
+
 /// The hyperwall server.
 #[derive(Debug)]
 pub struct HyperwallServer {
     listener: TcpListener,
+    /// One per cell once the clients are accepted, indexed by client id.
     panels: Vec<Panel>,
     /// The full wall pipeline.
     pub pipeline: Pipeline,
-    /// One chain per cell.
+    /// One chain per cell; their number is the wall's panel count.
     pub chains: Vec<CellChain>,
+    /// Per-display full resolution, as bound.
+    cell_px: (usize, usize),
     /// Local low-resolution mirror cells (the touchscreen spreadsheet).
     mirror: Vec<Dv3dCell>,
     /// Mirror resolution per cell.
     pub mirror_px: (usize, usize),
     /// Deadlines / retry policy.
     pub tuning: WallTuning,
-    /// Saved `AssignWorkflow` messages, replayed at reconnect.
-    assignments: Vec<Option<Message>>,
+    /// Each panel's `AssignWorkflow`, kept to be offered again at reconnect.
+    assignments: Vec<Message>,
     /// Interaction ops broadcast so far, replayed at reconnect so a
     /// recovered panel matches the rest of the wall.
     op_log: Vec<ConfigOp>,
@@ -164,7 +257,8 @@ impl HyperwallServer {
         HyperwallServer::bind_tuned(cfg, mirror_downsample, WallTuning::default())
     }
 
-    /// Binds with explicit deadlines / retry policy.
+    /// Binds with explicit deadlines / retry policy. `cfg` fixes the
+    /// wall's panel count and panel size for the server's lifetime.
     pub fn bind_tuned(
         cfg: &WallWorkflowConfig,
         mirror_downsample: usize,
@@ -179,6 +273,7 @@ impl HyperwallServer {
             panels: Vec::new(),
             pipeline,
             chains,
+            cell_px: cfg.cell_px,
             mirror: Vec::new(),
             mirror_px,
             tuning,
@@ -203,103 +298,125 @@ impl HyperwallServer {
         Ok(self.listener.local_addr()?)
     }
 
-    /// Accepts `n` clients (ordered by their Hello ids). Both handshakes
-    /// are admitted and each client is served the revision it declared:
-    /// plain `Hello` clients and `HelloV2` clients below [`PROTO_DELTA`] get
-    /// the metadata-only protocol, `HelloV2` clients at or above it the
-    /// frame-delta pixel transport.
+    /// Reads a connecting client's hello — which panel it serves and the
+    /// revision it speaks — and makes the socket a link. The one read of a
+    /// socket that is not yet a panel's.
+    fn hello(&self, mut stream: TcpStream) -> Result<(usize, Link)> {
+        stream.set_nodelay(true).ok();
+        let n = self.chains.len();
+        let hello = read_message_deadline(&mut stream, self.tuning.io_deadline, "Hello")?;
+        let (i, proto) = match hello {
+            Message::Hello { client_id } if client_id < n => (client_id, 1),
+            Message::HelloV2 { client_id, proto } if client_id < n => (client_id, proto),
+            other => return Err(WallError::Protocol(format!("expected Hello, got {other:?}"))),
+        };
+        Ok((i, Link { stream, proto, assembler: None }))
+    }
+
+    /// Accepts the wall's `n` clients (ordered by their Hello ids); `n`
+    /// must be the number of cells the server was bound with. Both
+    /// handshakes are admitted and each client is served the revision it
+    /// declared: plain `Hello` clients and `HelloV2` clients below
+    /// [`PROTO_DELTA`] get the metadata-only protocol, `HelloV2` clients at
+    /// or above it the frame-delta pixel transport.
     pub fn accept_clients(&mut self, n: usize) -> Result<()> {
-        let mut slots: Vec<Option<(TcpStream, u32)>> = (0..n).map(|_| None).collect();
+        let cells = self.chains.len();
+        if n != cells {
+            return Err(WallError::Protocol(format!(
+                "accept_clients({n}) on a wall bound with {cells} cells"
+            )));
+        }
+        let mut slots: Vec<Option<Link>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
-            let (mut stream, _) = self.listener.accept()?;
-            stream.set_nodelay(true).ok();
-            match read_message_deadline(&mut stream, self.tuning.io_deadline, "Hello")? {
-                Message::Hello { client_id } if client_id < n => {
-                    slots[client_id] = Some((stream, 1));
-                }
-                Message::HelloV2 { client_id, proto } if client_id < n => {
-                    slots[client_id] = Some((stream, proto));
-                }
-                other => {
-                    return Err(WallError::Protocol(format!("expected Hello, got {other:?}")))
-                }
+            let (stream, _) = self.listener.accept()?;
+            let (i, link) = self.hello(stream)?;
+            if let Some(slot) = slots.get_mut(i) {
+                *slot = Some(link);
             }
         }
         self.panels = slots
             .into_iter()
-            .map(|s| {
-                s.map(|(stream, proto)| Panel::live(stream, proto))
-                    .ok_or_else(|| WallError::Protocol("missing client".into()))
-            })
+            .map(|s| s.map(Panel::Live).ok_or_else(|| WallError::Protocol("missing client".into())))
             .collect::<Result<_>>()?;
         Ok(())
     }
 
     /// Ships each client its sub-workflow and waits for all Ready replies.
     /// Also instantiates the server's local low-res mirror of every cell.
+    /// `cfg` must be the configuration the server was bound with.
     ///
     /// A client that fails its assignment degrades its panel instead of
     /// failing the wall: the mirror covers it from frame 0 onward.
     pub fn assign_workflows(&mut self, cfg: &WallWorkflowConfig) -> Result<()> {
-        let subs = split_per_client(&self.pipeline, &self.chains)?;
-        self.assignments = (0..self.panels.len())
-            .map(|i| {
-                Ok(Some(Message::AssignWorkflow {
-                    pipeline_json: subs[i].to_json()?,
-                    cell_module: self.chains[i].cell,
-                    width: cfg.cell_px.0,
-                    height: cfg.cell_px.1,
-                }))
+        if (cfg.n_cells, cfg.cell_px) != (self.chains.len(), self.cell_px) {
+            return Err(WallError::Protocol(format!(
+                "assign_workflows for {} cells of {:?} px on a wall bound with {} of {:?} px",
+                cfg.n_cells,
+                cfg.cell_px,
+                self.chains.len(),
+                self.cell_px
+            )));
+        }
+        let (width, height) = self.cell_px;
+        self.assignments = split_per_client(&self.pipeline, &self.chains)?
+            .iter()
+            .zip(&self.chains)
+            .map(|(sub, chain)| {
+                Ok(Message::AssignWorkflow {
+                    pipeline_json: sub.to_json()?,
+                    cell_module: chain.cell,
+                    width,
+                    height,
+                })
             })
             .collect::<Result<_>>()?;
+        // Offer all, then confirm all: every client instantiates its cell
+        // while the others do.
+        let deadline = self.tuning.io_deadline;
         for i in 0..self.panels.len() {
-            // pixel-transport panels get a frame assembler of the assigned size
-            if self.panels[i].proto >= PROTO_DELTA {
-                self.panels[i].assembler =
-                    Some(FrameAssembler::new(cfg.cell_px.0, cfg.cell_px.1));
-            }
-            // every slot was filled Some(..) by the collect above
-            let Some(msg) = self.assignments[i].clone() else { continue };
-            let deadline = self.tuning.io_deadline;
-            let send = match self.panels[i].stream.as_mut() {
-                Some(stream) => write_message_deadline(stream, &msg, deadline, "AssignWorkflow"),
-                None => Err(WallError::Degraded { panel: i, reason: "no connection".into() }),
+            let (Some(Panel::Live(link)), Some(assignment)) =
+                (self.panels.get_mut(i), self.assignments.get(i))
+            else {
+                continue;
             };
-            if let Err(e) = send {
+            if let Err(e) = link.offer(assignment, deadline) {
                 self.degrade(i, &format!("AssignWorkflow send failed: {e}"));
             }
         }
         for i in 0..self.panels.len() {
-            if self.panels[i].state != PanelState::Live {
-                continue;
-            }
-            let deadline = self.tuning.io_deadline;
-            let reply = self
-                .panels[i]
-                .stream
-                .as_mut()
-                .map(|s| read_message_deadline(s, deadline, "Ready"))
-                .unwrap_or_else(|| Err(WallError::Protocol("no connection".into())));
-            match reply {
-                Ok(Message::Ready { .. }) => {}
-                Ok(other) => self.degrade(i, &format!("expected Ready, got {other:?}")),
-                Err(e) => self.degrade(i, &format!("Ready read failed: {e}")),
+            let Some(Panel::Live(link)) = self.panels.get_mut(i) else { continue };
+            if let Err(e) = link.confirm(&self.op_log, deadline) {
+                self.degrade(i, &format!("Ready failed: {e}"));
             }
         }
-        // Build the local mirror by executing each plot stage once.
-        self.mirror.clear();
+        // Build the local mirror by executing each plot stage once, through
+        // one executor: the shared source is computed for the first chain
+        // and cached for the rest.
         let mut exec = Executor::new(wall_registry());
-        for chain in self.chains.clone() {
-            let results = exec.execute_subset(&self.pipeline, Some(chain.plot))?;
-            let spec = results
-                .output(chain.plot, "plot")
-                .and_then(|d| d.as_opaque::<PlotSpec>())
-                .ok_or_else(|| WallError::Protocol("no PlotSpec for mirror".into()))?;
-            let mut cell = Dv3dCell::try_new("mirror", (*spec).clone())?;
-            cell.show_colorbar = false;
-            self.mirror.push(cell);
-        }
+        self.mirror = self
+            .chains
+            .iter()
+            .map(|chain| {
+                let mut cell =
+                    cell_from_plot_stage(&mut exec, &self.pipeline, chain.plot, "mirror")?;
+                cell.show_colorbar = false;
+                Ok(cell)
+            })
+            .collect::<Result<_>>()?;
         Ok(())
+    }
+
+    /// Tells panel `i` something, if it is live; a send that fails degrades
+    /// it. True when the message went out.
+    fn tell(&mut self, i: usize, msg: &Message, what: &str) -> bool {
+        let Some(Panel::Live(link)) = self.panels.get_mut(i) else { return false };
+        match link.send_msg(msg, self.tuning.io_deadline, what) {
+            Ok(()) => true,
+            Err(e) => {
+                self.degrade(i, &format!("{what} send failed: {e}"));
+                false
+            }
+        }
     }
 
     /// Broadcasts an interaction op to every live client and applies it to
@@ -309,20 +426,9 @@ impl HyperwallServer {
         let start = Instant::now();
         // dv3dlint: allow(unbounded_growth) -- reconnect replay needs the full op history (ops are relative deltas over the reset assignment state), and growth is paced by operator interaction, not client traffic
         self.op_log.push(op.clone());
-        let deadline = self.tuning.io_deadline;
+        let msg = Message::Op(op.clone());
         for i in 0..self.panels.len() {
-            if self.panels[i].state != PanelState::Live {
-                continue;
-            }
-            let send = self
-                .panels[i]
-                .stream
-                .as_mut()
-                .map(|s| write_message_deadline(s, &Message::Op(op.clone()), deadline, "Op"))
-                .unwrap_or(Ok(()));
-            if let Err(e) = send {
-                self.degrade(i, &format!("Op send failed: {e}"));
-            }
+            self.tell(i, &msg, "Op");
         }
         for cell in &mut self.mirror {
             let _ = cell.configure(op);
@@ -337,29 +443,23 @@ impl HyperwallServer {
         let seq = self.heartbeat_seq;
         let deadline = self.tuning.io_deadline;
         for i in 0..self.panels.len() {
-            if self.panels[i].state != PanelState::Live {
-                continue;
-            }
-            let probe = (|| -> Result<()> {
-                let stream = self.panels[i]
-                    .stream
-                    .as_mut()
-                    .ok_or_else(|| WallError::Protocol("no connection".into()))?;
-                write_message_deadline(stream, &Message::Heartbeat { seq }, deadline, "Heartbeat")?;
-                match read_message_deadline(stream, deadline, "HeartbeatAck")? {
+            let Some(Panel::Live(link)) = self.panels.get_mut(i) else { continue };
+            let probe = link
+                .send_msg(&Message::Heartbeat { seq }, deadline, "Heartbeat")
+                .and_then(|()| link.recv_msg(deadline, "HeartbeatAck"))
+                .and_then(|(reply, _)| match reply {
                     Message::HeartbeatAck { client_id, seq: s } if client_id == i && s == seq => {
                         Ok(())
                     }
                     other => Err(WallError::Protocol(format!(
                         "expected HeartbeatAck({seq}), got {other:?}"
                     ))),
-                }
-            })();
+                });
             if let Err(e) = probe {
                 self.degrade(i, &format!("heartbeat failed: {e}"));
             }
         }
-        Ok(self.panels.iter().filter(|p| p.state == PanelState::Live).count())
+        Ok(self.panels.iter().filter(|p| matches!(p, Panel::Live(_))).count())
     }
 
     /// Executes one distributed frame: reconnect any panels whose backoff
@@ -373,303 +473,213 @@ impl HyperwallServer {
         self.current_frame = frame;
         self.try_reconnects(frame);
 
-        let n = self.panels.len();
         let start = Instant::now();
-        let mut sent = vec![false; n];
-        let deadline = self.tuning.io_deadline;
-        for (i, was_sent) in sent.iter_mut().enumerate() {
-            if self.panels[i].state != PanelState::Live {
-                continue;
-            }
-            let send = self
-                .panels[i]
-                .stream
-                .as_mut()
-                .map(|s| write_message_deadline(s, &Message::Execute { frame }, deadline, "Execute"))
-                .unwrap_or_else(|| Err(WallError::Protocol("no connection".into())));
-            match send {
-                Ok(()) => *was_sent = true,
-                Err(e) => self.degrade(i, &format!("Execute send failed: {e}")),
-            }
+        let execute = Message::Execute { frame };
+        for i in 0..self.panels.len() {
+            self.tell(i, &execute, "Execute");
         }
 
         // server-side reduced-resolution mirror of the full spreadsheet
         let (mw, mh) = (self.mirror_px.0.max(16), self.mirror_px.1.max(16));
         let mirror_start = Instant::now();
-        let mut mirror_coverage = vec![0.0f64; n];
-        for (i, cell) in self.mirror.iter_mut().enumerate() {
-            let fb = cell.render(mw, mh)?;
-            mirror_coverage[i] =
-                fb.covered_pixels(rvtk::Color::BLACK) as f64 / (mw * mh) as f64;
-        }
+        let mirror_coverage = self
+            .mirror
+            .iter_mut()
+            .map(|cell| {
+                let fb = cell.render(mw, mh)?;
+                Ok(fb.covered_pixels(rvtk::Color::BLACK) as f64 / (mw * mh) as f64)
+            })
+            .collect::<Result<Vec<f64>>>()?;
         let mirror_ms = mirror_start.elapsed().as_secs_f64() * 1000.0;
 
-        let mut client_render_ms = vec![0.0; n];
-        let mut coverage = vec![0.0; n];
-        let mut transport_bytes = vec![0u64; n];
-        let mut first_content_ms = vec![0.0f64; n];
-        let frame_deadline = self.tuning.frame_deadline;
-        for i in 0..n {
-            if !sent[i] {
-                continue;
-            }
-            // v2 clients interleave FramePreview / FrameKey / FrameDelta
-            // messages before their FrameDone on the same ordered stream;
-            // drain them into the panel's assembler until the frame closes.
-            let mut transport_msgs: u32 = 0;
-            let mut content_ok = false;
-            loop {
-                let reply = self
-                    .panels[i]
-                    .stream
-                    .as_mut()
-                    .map(|s| read_message_deadline_sized(s, frame_deadline, "FrameDone"))
-                    .unwrap_or_else(|| Err(WallError::Protocol("no connection".into())));
-                match reply {
-                    Ok((Message::FrameDone { client_id, frame: f, coverage: c, render_ms }, _))
-                        if client_id == i && f == frame =>
-                    {
-                        client_render_ms[i] = render_ms;
-                        coverage[i] = c;
-                        break;
-                    }
-                    Ok((Message::FrameDone { client_id, frame: f, .. }, _)) => {
-                        self.degrade(
-                            i,
-                            &format!("client {client_id} answered frame {f}, expected {frame}"),
-                        );
-                        break;
-                    }
-                    Ok((
-                        msg @ (Message::FrameKey { .. }
-                        | Message::FrameDelta { .. }
-                        | Message::FramePreview { .. }),
-                        wire,
-                    )) => {
-                        let wire = wire as u64;
-                        transport_msgs += 1;
-                        if transport_msgs > MAX_TRANSPORT_PER_FRAME {
-                            self.degrade(i, "transport message flood");
-                            break;
-                        }
-                        transport_bytes[i] += wire;
-                        match &msg {
-                            Message::FrameKey { .. } => self.key_bytes_total += wire,
-                            Message::FrameDelta { .. } => self.delta_bytes_total += wire,
-                            _ => self.preview_frames_total += 1,
-                        }
-                        if first_content_ms[i] == 0.0 {
-                            first_content_ms[i] = start.elapsed().as_secs_f64() * 1000.0;
-                        }
-                        if self.panels[i].assembler.is_none() {
-                            self.degrade(i, "pixel transport from a metadata-only client");
-                            break;
-                        }
-                        if let Some(asm) = self.panels[i].assembler.as_mut() {
-                            // a rejected delta is NOT a degradation: the
-                            // assembler unsyncs atomically (no torn tiles)
-                            // and the end-of-frame resync below repairs it
-                            match asm.apply(&msg) {
-                                Ok(Applied::Key) | Ok(Applied::Delta { .. }) => {
-                                    content_ok = true;
-                                }
-                                Ok(Applied::Preview) => {}
-                                Err(_) => self.delta_rejects_total += 1,
-                            }
-                        }
-                    }
-                    Ok((other, _)) => {
-                        self.degrade(i, &format!("expected FrameDone, got {other:?}"));
-                        break;
-                    }
-                    Err(e) => {
-                        if matches!(e, WallError::Timeout(_)) {
-                            self.deadline_misses_total += 1;
-                        }
-                        self.degrade(i, &format!("FrameDone failed: {e}"));
-                        break;
-                    }
+        // a panel still live here was sent its Execute
+        let rows: Vec<PanelFrame> = (0..self.panels.len())
+            .map(|i| {
+                let mut row = self.collect_frame(i, frame, start);
+                // graceful degradation: a degraded panel shows the server mirror
+                if matches!(self.panels.get(i), Some(Panel::Degraded { .. })) {
+                    row.degraded = true;
+                    row.coverage = mirror_coverage.get(i).copied().unwrap_or(0.0);
+                    self.degraded_frames_total += 1;
                 }
-            }
-            // Drop / reject detection: a live v2 panel whose frame closed
-            // without committing any pixel content (delta lost in transit or
-            // rejected) is told to open its next frame with a keyframe.
-            if self.panels[i].state == PanelState::Live
-                && self.panels[i].proto >= PROTO_DELTA
-                && !content_ok
-            {
-                let epoch =
-                    self.panels[i].assembler.as_ref().map(|a| a.epoch()).unwrap_or(0);
-                let send = self
-                    .panels[i]
-                    .stream
-                    .as_mut()
-                    .map(|s| {
-                        write_message_deadline(
-                            s,
-                            &Message::ResyncRequest { client_id: i, epoch },
-                            deadline,
-                            "ResyncRequest",
-                        )
-                    })
-                    .unwrap_or_else(|| Err(WallError::Protocol("no connection".into())));
-                match send {
-                    Ok(()) => self.resync_requests_total += 1,
-                    Err(e) => self.degrade(i, &format!("ResyncRequest send failed: {e}")),
-                }
-            }
-        }
-
-        // graceful degradation: degraded panels show the server mirror
-        let mut degraded = vec![false; n];
-        for i in 0..n {
-            if self.panels[i].state == PanelState::Degraded {
-                degraded[i] = true;
-                coverage[i] = mirror_coverage[i];
-                self.degraded_frames_total += 1;
-            }
-        }
+                row
+            })
+            .collect();
 
         Ok(FrameReport {
             frame,
-            client_render_ms,
+            client_render_ms: rows.iter().map(|r| r.render_ms).collect(),
             round_trip_ms: start.elapsed().as_secs_f64() * 1000.0,
             mirror_ms,
-            coverage,
-            degraded,
-            transport_bytes,
-            first_content_ms,
+            coverage: rows.iter().map(|r| r.coverage).collect(),
+            degraded: rows.iter().map(|r| r.degraded).collect(),
+            transport_bytes: rows.iter().map(|r| r.transport_bytes).collect(),
+            first_content_ms: rows.iter().map(|r| r.first_content_ms).collect(),
         })
     }
 
-    /// Marks a panel degraded, drops its connection, and schedules the
-    /// first reconnect attempt.
-    fn degrade(&mut self, i: usize, reason: &str) {
-        if self.panels[i].state == PanelState::Degraded {
-            return;
+    /// Collects panel `i`'s replies to `Execute { frame }` (sent at `start`)
+    /// until its `FrameDone` closes the frame; nothing to collect from a
+    /// degraded panel. v2 clients
+    /// interleave FramePreview / FrameKey / FrameDelta messages before
+    /// their FrameDone on the same ordered stream; those are drained into
+    /// the panel's assembler. A panel that breaks the exchange is degraded.
+    fn collect_frame(&mut self, i: usize, frame: u64, start: Instant) -> PanelFrame {
+        let mut row = PanelFrame::default();
+        let frame_deadline = self.tuning.frame_deadline;
+        let Some(Panel::Live(link)) = self.panels.get_mut(i) else { return row };
+        let mut transport_msgs: u32 = 0;
+        let mut content_ok = false;
+        // `Err` says why the panel is degraded
+        let closed: std::result::Result<(), String> = loop {
+            match link.recv_msg(frame_deadline, "FrameDone") {
+                Ok((Message::FrameDone { client_id, frame: f, coverage, render_ms }, _))
+                    if client_id == i && f == frame =>
+                {
+                    row.render_ms = render_ms;
+                    row.coverage = coverage;
+                    break Ok(());
+                }
+                Ok((Message::FrameDone { client_id, frame: f, .. }, _)) => {
+                    break Err(format!("client {client_id} answered frame {f}, expected {frame}"));
+                }
+                Ok((
+                    msg @ (Message::FrameKey { .. }
+                    | Message::FrameDelta { .. }
+                    | Message::FramePreview { .. }),
+                    wire,
+                )) => {
+                    let wire = wire as u64;
+                    transport_msgs += 1;
+                    if transport_msgs > MAX_TRANSPORT_PER_FRAME {
+                        break Err("transport message flood".into());
+                    }
+                    row.transport_bytes += wire;
+                    match &msg {
+                        Message::FrameKey { .. } => self.key_bytes_total += wire,
+                        Message::FrameDelta { .. } => self.delta_bytes_total += wire,
+                        _ => self.preview_frames_total += 1,
+                    }
+                    if row.first_content_ms == 0.0 {
+                        row.first_content_ms = start.elapsed().as_secs_f64() * 1000.0;
+                    }
+                    let Some(asm) = link.assembler.as_mut() else {
+                        break Err("pixel transport from a metadata-only client".into());
+                    };
+                    // a rejected delta is NOT a degradation: the
+                    // assembler unsyncs atomically (no torn tiles)
+                    // and the end-of-frame resync below repairs it
+                    match asm.apply(&msg) {
+                        Ok(Applied::Key) | Ok(Applied::Delta { .. }) => content_ok = true,
+                        Ok(Applied::Preview) => {}
+                        Err(_) => self.delta_rejects_total += 1,
+                    }
+                }
+                Ok((other, _)) => break Err(format!("expected FrameDone, got {other:?}")),
+                Err(e) => {
+                    if matches!(e, WallError::Timeout(_)) {
+                        self.deadline_misses_total += 1;
+                    }
+                    break Err(format!("FrameDone failed: {e}"));
+                }
+            }
+        };
+        // Drop / reject detection: a pixel panel whose frame closed without
+        // committing any pixel content (delta lost in transit or rejected)
+        // is told to open its next frame with a keyframe.
+        let stale_epoch = link.assembler.as_ref().filter(|_| !content_ok).map(|asm| asm.epoch());
+        match (closed, stale_epoch) {
+            (Err(reason), _) => self.degrade(i, &reason),
+            (Ok(()), Some(epoch)) => {
+                if self.tell(i, &Message::ResyncRequest { client_id: i, epoch }, "ResyncRequest") {
+                    self.resync_requests_total += 1;
+                }
+            }
+            (Ok(()), None) => {}
         }
-        self.incidents
-            .push(format!("frame {}: panel {i} degraded: {reason}", self.current_frame));
-        let p = &mut self.panels[i];
-        p.state = PanelState::Degraded;
-        p.stream = None;
-        // the assembled frame is stale the moment the client is gone; a
-        // reconnect installs a fresh assembler sized from the assignment
-        p.assembler = None;
-        p.reconnect_attempts = 0;
-        p.next_retry_frame = self.current_frame + self.tuning.backoff_base_frames.max(1);
+        row
+    }
+
+    /// Marks a live panel degraded and schedules the first reconnect
+    /// attempt. Its link goes with it: the socket is closed, and the
+    /// assembled frame is stale the moment the client is gone.
+    fn degrade(&mut self, i: usize, reason: &str) {
+        let Some(panel @ Panel::Live(_)) = self.panels.get_mut(i) else { return };
+        *panel = Panel::Degraded {
+            attempts: 0,
+            next_retry_frame: self.current_frame + self.tuning.backoff_base_frames.max(1),
+        };
+        self.incidents.push(format!("frame {}: panel {i} degraded: {reason}", self.current_frame));
     }
 
     /// True when some degraded panel is due a reconnect attempt at `frame`.
     fn reconnect_due(&self, frame: u64) -> bool {
-        self.panels.iter().any(|p| {
-            p.state == PanelState::Degraded
-                && p.reconnect_attempts < self.tuning.max_reconnect_attempts
-                && frame >= p.next_retry_frame
-        })
+        self.panels.iter().any(|p| p.retry_due(frame, self.tuning.max_reconnect_attempts))
     }
 
-    /// Polls the listener for returning clients and re-handshakes them:
-    /// `Hello → AssignWorkflow → Ready`, then replays the op log so the
-    /// recovered panel matches the rest of the wall. Panels that do not
-    /// return get their backoff doubled (capped); after
-    /// `max_reconnect_attempts` they are left permanently degraded.
+    /// Polls the listener for returning clients and admits them again
+    /// (`hello → offer → confirm`, the op log replayed so the recovered
+    /// panel matches the rest of the wall). Panels that do not return get
+    /// their backoff doubled (capped); after `max_reconnect_attempts` they
+    /// are left permanently degraded.
     fn try_reconnects(&mut self, frame: u64) {
         if !self.reconnect_due(frame) {
             return;
         }
         let poll_deadline = Instant::now() + self.tuning.reconnect_poll;
         self.listener.set_nonblocking(true).ok();
-        loop {
+        while self.reconnect_due(frame) {
             match self.listener.accept() {
-                Ok((mut stream, _)) => {
+                Ok((stream, _)) => {
                     stream.set_nonblocking(false).ok();
-                    stream.set_nodelay(true).ok();
-                    match self.rehandshake(&mut stream) {
-                        Ok((i, proto)) => {
-                            self.incidents.push(format!(
-                                "frame {frame}: panel {i} reconnected, restored to live"
-                            ));
-                            let mut panel = Panel::live(stream, proto);
-                            if proto >= PROTO_DELTA {
-                                // fresh assembler: the client's fresh streamer
-                                // opens with a keyframe, so they resync
-                                if let Some(Message::AssignWorkflow { width, height, .. }) =
-                                    self.assignments.get(i).cloned().flatten()
-                                {
-                                    panel.assembler = Some(FrameAssembler::new(width, height));
-                                }
-                            }
-                            self.panels[i] = panel;
+                    let incident = match self.readmit(stream) {
+                        Ok(i) => {
                             self.reconnects_total += 1;
+                            format!("frame {frame}: panel {i} reconnected, restored to live")
                         }
-                        Err(e) => {
-                            self.incidents
-                                .push(format!("frame {frame}: rejected reconnect: {e}"));
-                        }
-                    }
+                        Err(e) => format!("frame {frame}: rejected reconnect: {e}"),
+                    };
+                    self.incidents.push(incident);
                 }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if !self.reconnect_due(frame) || Instant::now() >= poll_deadline {
-                        break;
-                    }
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        && Instant::now() < poll_deadline =>
+                {
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 Err(_) => break,
             }
-            if !self.reconnect_due(frame) {
-                break;
-            }
         }
         self.listener.set_nonblocking(false).ok();
         // panels still down: consume this attempt and back off exponentially
-        for i in 0..self.panels.len() {
-            let max = self.tuning.max_reconnect_attempts;
-            let base = self.tuning.backoff_base_frames.max(1);
-            let p = &mut self.panels[i];
-            if p.state == PanelState::Degraded
-                && p.reconnect_attempts < max
-                && frame >= p.next_retry_frame
-            {
-                p.reconnect_attempts += 1;
-                let backoff = base.saturating_shl(p.reconnect_attempts.min(5)).min(32);
-                p.next_retry_frame = frame + backoff;
+        let max = self.tuning.max_reconnect_attempts;
+        let base = self.tuning.backoff_base_frames.max(1);
+        for panel in self.panels.iter_mut().filter(|p| p.retry_due(frame, max)) {
+            if let Panel::Degraded { attempts, next_retry_frame } = panel {
+                *attempts += 1;
+                *next_retry_frame = frame + (base << (*attempts).min(5)).min(32);
             }
         }
     }
 
-    /// Runs the full recovery handshake on a fresh connection; returns the
-    /// recovered panel index and the protocol revision it spoke.
-    fn rehandshake(&mut self, stream: &mut TcpStream) -> Result<(usize, u32)> {
+    /// Admits a returning client on a fresh connection and puts its panel
+    /// back to live; returns the panel index.
+    fn readmit(&mut self, stream: TcpStream) -> Result<usize> {
         let deadline = self.tuning.io_deadline;
-        let (i, proto) = match read_message_deadline(stream, deadline, "Hello")? {
-            Message::Hello { client_id } if client_id < self.panels.len() => (client_id, 1),
-            Message::HelloV2 { client_id, proto } if client_id < self.panels.len() => {
-                (client_id, proto)
-            }
-            other => {
-                return Err(WallError::Protocol(format!("expected Hello, got {other:?}")))
-            }
-        };
-        if self.panels[i].state != PanelState::Degraded {
+        let (i, mut link) = self.hello(stream)?;
+        let Some(panel @ Panel::Degraded { .. }) = self.panels.get_mut(i) else {
             return Err(WallError::Protocol(format!(
                 "client {i} reconnected but its panel is live"
             )));
-        }
-        let assignment = self.assignments.get(i).cloned().flatten().ok_or_else(|| {
-            WallError::Protocol(format!("no stored assignment for panel {i}"))
-        })?;
-        write_message_deadline(stream, &assignment, deadline, "AssignWorkflow")?;
-        match read_message_deadline(stream, deadline, "Ready")? {
-            Message::Ready { .. } => {}
-            other => {
-                return Err(WallError::Protocol(format!("expected Ready, got {other:?}")))
-            }
-        }
-        for op in self.op_log.clone() {
-            write_message_deadline(stream, &Message::Op(op), deadline, "Op replay")?;
-        }
-        Ok((i, proto))
+        };
+        let assignment = self
+            .assignments
+            .get(i)
+            .ok_or_else(|| WallError::Protocol(format!("no stored assignment for panel {i}")))?;
+        link.offer(assignment, deadline)?;
+        link.confirm(&self.op_log, deadline)?;
+        *panel = Panel::Live(link);
+        Ok(i)
     }
 
     /// Assembles the server's low-resolution mirror cells into one mosaic
@@ -692,9 +702,9 @@ impl HyperwallServer {
     /// notify).
     pub fn shutdown(&mut self) -> Result<()> {
         let deadline = self.tuning.io_deadline;
-        for panel in self.panels.iter_mut() {
-            if let Some(stream) = panel.stream.as_mut() {
-                write_message_deadline(stream, &Message::Shutdown, deadline, "Shutdown").ok();
+        for panel in &mut self.panels {
+            if let Panel::Live(link) = panel {
+                link.send_msg(&Message::Shutdown, deadline, "Shutdown").ok();
             }
         }
         Ok(())
@@ -707,7 +717,13 @@ impl HyperwallServer {
 
     /// Current health of every panel.
     pub fn panel_states(&self) -> Vec<PanelState> {
-        self.panels.iter().map(|p| p.state).collect()
+        self.panels
+            .iter()
+            .map(|p| match p {
+                Panel::Live(_) => PanelState::Live,
+                Panel::Degraded { .. } => PanelState::Degraded,
+            })
+            .collect()
     }
 
     /// Panel-frames served from the server mirror instead of a live client.
@@ -756,10 +772,7 @@ impl HyperwallServer {
     /// Per panel: does its assembler currently hold a hash-verified frame?
     /// (Always `false` for v1 panels, which ship no pixels.)
     pub fn panels_synced(&self) -> Vec<bool> {
-        self.panels
-            .iter()
-            .map(|p| p.assembler.as_ref().map(|a| a.is_synced()).unwrap_or(false))
-            .collect()
+        self.panels.iter().map(|p| p.assembler().is_some_and(|a| a.is_synced())).collect()
     }
 
     /// True when panel `i`'s assembled frame re-verifies: every tile's hash
@@ -767,28 +780,13 @@ impl HyperwallServer {
     /// client last claimed (the no-torn-tiles guarantee, and the check that
     /// catches a frame damaged in this process's memory after commit).
     pub fn panel_frame_verified(&self, i: usize) -> bool {
-        self.panels
-            .get(i)
-            .and_then(|p| p.assembler.as_ref())
-            .map(|a| a.verify())
-            .unwrap_or(false)
+        self.panels.get(i).and_then(Panel::assembler).is_some_and(|a| a.verify())
     }
 
     /// The last committed full-resolution RGBA frame for panel `i`, if its
     /// assembler is synced.
     pub fn panel_frame(&self, i: usize) -> Option<&[u8]> {
-        self.panels.get(i).and_then(|p| p.assembler.as_ref()).and_then(|a| a.frame())
-    }
-}
-
-/// `u64::checked_shl` that saturates instead of wrapping (backoff helper).
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        self.checked_shl(shift).unwrap_or(u64::MAX)
+        self.panels.get(i).and_then(Panel::assembler).and_then(|a| a.frame())
     }
 }
 
@@ -835,8 +833,48 @@ mod tests {
             let mut s = std::net::TcpStream::connect(addr).unwrap();
             write_message(&mut s, &Message::Execute { frame: 0 }).unwrap();
         });
-        assert!(server.accept_clients(1).is_err());
+        assert!(server.accept_clients(2).is_err());
         rogue.join().unwrap();
+    }
+
+    /// The panel count is fixed at `bind`. The two later calls that restate
+    /// it are refused when they disagree, before any socket is touched — a
+    /// 2-cell wall that accepted 1 client used to panic in the next
+    /// `execute_frame`, a 1-cell wall that accepted 2 in `assign_workflows`.
+    #[test]
+    fn panel_count_is_agreed_once() {
+        let mut server = HyperwallServer::bind_tuned(&cfg(), 4, fast_tuning()).unwrap();
+        let addr = server.addr().unwrap();
+        // one client is dialling, so a server that does go to its listener
+        // for `accept_clients(1)` gets an answer and fails here, not hangs
+        let lone = std::thread::spawn(move || {
+            let mut s = std::net::TcpStream::connect(addr).unwrap();
+            write_message(&mut s, &Message::Hello { client_id: 0 }).unwrap();
+        });
+        let too_few = server.accept_clients(1).unwrap_err().to_string();
+        assert!(too_few.contains("accept_clients(1)") && too_few.contains("2 cells"), "{too_few}");
+        lone.join().unwrap();
+        // nobody else is dialling: a call that waited on the listener would
+        // never return
+        let too_many = server.accept_clients(3).unwrap_err().to_string();
+        assert!(
+            too_many.contains("accept_clients(3)") && too_many.contains("2 cells"),
+            "{too_many}"
+        );
+        assert_eq!(server.n_clients(), 0);
+
+        for other in [
+            WallWorkflowConfig { n_cells: 1, ..cfg() },
+            WallWorkflowConfig { n_cells: 3, ..cfg() },
+            WallWorkflowConfig { cell_px: (64, 48), ..cfg() },
+        ] {
+            let err = server.assign_workflows(&other).unwrap_err().to_string();
+            assert!(err.contains("2 of (32, 24) px"), "{err}");
+            let asked = format!("{} cells of {:?} px", other.n_cells, other.cell_px);
+            assert!(err.contains(&asked), "{err}");
+        }
+        // the configuration it was bound with is the one it takes
+        server.assign_workflows(&cfg()).unwrap();
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! (slow-loris, mid-request disconnects, reconnect storms, quota storms)
 //! so overload tests script abuse exactly.
 
-use crate::fault::ClientFaults;
+use crate::fault::{cut_mid_frame, dribble, ClientFaults};
 use crate::protocol::{
     encode_frame, read_message_deadline, read_message_idle_bounded, write_message_deadline,
     Message, ServiceWork,
 };
 use crate::{Result, WallError};
-use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -222,14 +221,7 @@ pub fn slow_loris_open(addr: SocketAddr, session_id: u64, ms_per_byte: u64) -> R
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     let framed = encode_frame(&Message::SessionOpen { session_id })?;
-    for (i, b) in framed.iter().enumerate() {
-        if stream.write_all(std::slice::from_ref(b)).is_err() {
-            return Ok(i);
-        }
-        stream.flush().ok();
-        std::thread::sleep(Duration::from_millis(ms_per_byte));
-    }
-    Ok(framed.len())
+    Ok(dribble(&mut stream, &framed, ms_per_byte))
 }
 
 /// Connects, opens a session, then cuts the connection halfway through a
@@ -246,10 +238,7 @@ pub fn disconnect_mid_request(
         request: 0,
         work: ServiceWork::Analysis { seed: 1, len: 64 },
     })?;
-    client.stream.write_all(&framed[..framed.len() / 2])?;
-    client.stream.flush().ok();
-    client.stream.shutdown(std::net::Shutdown::Both).ok();
-    Ok(())
+    Ok(cut_mid_frame(&mut client.stream, &framed)?)
 }
 
 /// Hammers the service with `attempts` immediate reconnects of the same

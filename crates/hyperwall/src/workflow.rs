@@ -5,7 +5,10 @@
 //! upstream subgraph (source + select + translate + plot + cell) is the
 //! "edited version of the workflow" the paper's server ships to clients.
 
-use crate::Result;
+use crate::{Result, WallError};
+use dv3d::cell::Dv3dCell;
+use dv3d::plots::PlotSpec;
+use vistrails::executor::Executor;
 use vistrails::module::ModuleRegistry;
 use vistrails::pipeline::{ModuleId, Pipeline};
 use vistrails::value::ParamValue;
@@ -95,6 +98,25 @@ pub fn wall_registry() -> ModuleRegistry {
     let mut reg = ModuleRegistry::new();
     dv3d::modules::register_all(&mut reg);
     reg
+}
+
+/// Executes `pipeline` up to its `plot` module and builds the cell named
+/// `name` from the `PlotSpec` that module produces — how the server's
+/// mirror, a display client and the single-node baseline each come by a
+/// cell. A caller building several cells of one pipeline passes the same
+/// `exec`: the shared source is then a cache hit from the second on.
+pub(crate) fn cell_from_plot_stage(
+    exec: &mut Executor,
+    pipeline: &Pipeline,
+    plot: ModuleId,
+    name: &str,
+) -> Result<Dv3dCell> {
+    let results = exec.execute_subset(pipeline, Some(plot))?;
+    let spec = results
+        .output(plot, "plot")
+        .and_then(|d| d.as_opaque::<PlotSpec>())
+        .ok_or_else(|| WallError::Protocol("plot module produced no PlotSpec".into()))?;
+    Ok(Dv3dCell::try_new(name, (*spec).clone())?)
 }
 
 /// Splits the wall pipeline into one sub-pipeline per cell — the per-client
