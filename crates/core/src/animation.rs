@@ -1,11 +1,15 @@
 //! 4D animation: stepping a plot through timesteps.
 //!
 //! "Animating over one of the data dimensions (typically time) provides a
-//! very effective method for viewing and browsing 4D data" (§III.D). The
-//! controller pre-translates each timestep of a variable into image data
-//! and swaps frames into the plot, preserving interactive state.
+//! very effective method for viewing and browsing 4D data" (§III.D). There
+//! is one playhead — an index, `looping`, `step` / `seek` / `render_loop` —
+//! over two frame sources: [`AnimationController`] pre-translates every
+//! timestep into memory and clones frame *t*; [`StreamingAnimation`]
+//! fetches, salvages and translates frame *t* off a `.ncr` v3 file as the
+//! playhead reaches it. Either way the plot keeps its interactive state,
+//! and the index moves only once the plot has taken the frame.
 
-use crate::plots::Plot;
+use crate::plots::{offset_index, Plot};
 use crate::translation::{translate_scalar, TranslationOptions};
 use crate::{Dv3dError, Result};
 use cdms::axis::AxisKind;
@@ -14,25 +18,142 @@ use rvtk::ImageData;
 
 /// The frame a step of `delta` from `current` lands on among `n` frames:
 /// wrapped when `looping`, clamped to the ends otherwise. No `delta`
-/// overflows — the wrap reduces it first, the clamp saturates. Both
-/// controllers commit the result only once the plot has taken the frame.
+/// overflows — the wrap reduces it first, the clamp saturates.
 fn stepped(current: usize, delta: i64, n: usize, looping: bool) -> usize {
+    if !looping {
+        return offset_index(current, delta, n);
+    }
     let (current, n) = (current as i64, (n as i64).max(1));
-    let next = if looping {
-        (current + delta.rem_euclid(n)).rem_euclid(n)
-    } else {
-        current.saturating_add(delta).clamp(0, n - 1)
-    };
-    next as usize
+    (current + delta.rem_euclid(n)).rem_euclid(n) as usize
 }
 
-/// Steps a plot through a time series.
+/// Where a [`Playhead`]'s frames come from. Two implementations: frames
+/// held in memory, and frames streamed off disk.
+pub trait FrameSource {
+    /// Number of frames.
+    fn n_frames(&self) -> usize;
+
+    /// Frame `t`, ready for [`Plot::set_image`].
+    fn frame(&self, t: usize) -> Result<ImageData>;
+}
+
+fn out_of_range(index: usize, n: usize) -> Dv3dError {
+    Dv3dError::Config(format!("frame {index} out of range ({n} frames)"))
+}
+
+impl FrameSource for Vec<ImageData> {
+    fn n_frames(&self) -> usize {
+        self.len()
+    }
+
+    fn frame(&self, t: usize) -> Result<ImageData> {
+        self.get(t).cloned().ok_or_else(|| out_of_range(t, self.len()))
+    }
+}
+
+/// A lazy, bounded-memory view of a `.ncr` v3 variable and how to
+/// translate its slabs.
 #[derive(Debug, Clone)]
-pub struct AnimationController {
-    frames: Vec<ImageData>,
+pub struct Streamed {
+    var: StreamingVariable,
+    opts: TranslationOptions,
+}
+
+impl FrameSource for Streamed {
+    fn n_frames(&self) -> usize {
+        self.var.n_times()
+    }
+
+    /// Fetches and translates frame `t`, degrading rather than failing
+    /// when chunks are unreadable. Also prefetches upcoming windows.
+    fn frame(&self, t: usize) -> Result<ImageData> {
+        let slab = self.var.time_slab_degraded(t).map_err(Dv3dError::from)?;
+        translate_scalar(&slab, &self.opts)
+    }
+}
+
+/// Steps a plot through the frames of a [`FrameSource`].
+#[derive(Debug, Clone)]
+pub struct Playhead<S> {
+    frames: S,
     current: usize,
     /// Wrap around at the ends.
     pub looping: bool,
+}
+
+/// Steps a plot through a time series translated into memory up front.
+pub type AnimationController = Playhead<Vec<ImageData>>;
+
+/// Steps a plot through a time series streamed off disk.
+///
+/// Unlike [`AnimationController`], which pre-translates every timestep
+/// into memory, this controller holds only a [`StreamingVariable`] — a
+/// lazy, bounded-memory view of a `.ncr` v3 file — and translates each
+/// frame on demand as the playhead reaches it. A series far larger than
+/// RAM plays at a fixed memory ceiling (the stream's chunk-cache budget),
+/// and faulted chunks degrade to a coarser pyramid level or masked fill
+/// instead of stalling playback; [`StreamingAnimation::report`] says how
+/// often that happened.
+pub type StreamingAnimation = Playhead<Streamed>;
+
+impl<S: FrameSource> Playhead<S> {
+    fn over(frames: S) -> Playhead<S> {
+        Playhead { frames, current: 0, looping: true }
+    }
+
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        self.frames.n_frames()
+    }
+
+    /// Never true (both sources hold ≥ 1 frame by construction).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Current frame index.
+    pub fn current(&self) -> usize {
+        self.current
+    }
+
+    /// Installs frame `index` into the plot; the playhead moves only when
+    /// the plot has taken it.
+    fn show(&mut self, plot: &mut dyn Plot, index: usize) -> Result<usize> {
+        plot.set_image(self.frames.frame(index)?)?;
+        self.current = index;
+        Ok(index)
+    }
+
+    /// Steps by `delta` (negative allowed), honouring `looping`, and
+    /// installs the frame into the plot. Returns the new index.
+    pub fn step(&mut self, plot: &mut dyn Plot, delta: i64) -> Result<usize> {
+        self.show(plot, stepped(self.current, delta, self.len(), self.looping))
+    }
+
+    /// Jumps to an absolute frame.
+    pub fn seek(&mut self, plot: &mut dyn Plot, index: usize) -> Result<usize> {
+        if index >= self.len() {
+            return Err(out_of_range(index, self.len()));
+        }
+        self.show(plot, index)
+    }
+
+    /// Renders one full pass over all frames at the given size, returning
+    /// the frames — the offline-animation path (and the fps benchmark
+    /// body), also for series that never fit in memory at once.
+    pub fn render_loop(
+        &mut self,
+        cell: &mut crate::cell::Dv3dCell,
+        width: usize,
+        height: usize,
+    ) -> Result<Vec<rvtk::render::Framebuffer>> {
+        let mut out = Vec::with_capacity(self.len());
+        for i in 0..self.len() {
+            self.seek(cell.plot_mut(), i)?;
+            out.push(cell.render(width, height)?);
+        }
+        Ok(out)
+    }
 }
 
 impl AnimationController {
@@ -42,13 +163,9 @@ impl AnimationController {
         if var.axis_index(AxisKind::Time).is_none() {
             return Err(Dv3dError::Config(format!("'{}' has no time axis", var.id)));
         }
-        let nt = var.n_times();
-        let mut frames = Vec::with_capacity(nt);
-        for t in 0..nt {
-            let slab = var.time_slab(t)?;
-            frames.push(translate_scalar(&slab, opts)?);
-        }
-        Ok(AnimationController { frames, current: 0, looping: true })
+        let frames: Result<Vec<ImageData>> =
+            (0..var.n_times()).map(|t| translate_scalar(&var.time_slab(t)?, opts)).collect();
+        Ok(Playhead::over(frames?))
     }
 
     /// Builds a controller like [`AnimationController::from_variable`],
@@ -71,80 +188,8 @@ impl AnimationController {
         if frames.is_empty() {
             return Err(Dv3dError::Config("animation needs at least one frame".into()));
         }
-        Ok(AnimationController { frames, current: 0, looping: true })
+        Ok(Playhead::over(frames))
     }
-
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Never true (construction requires ≥ 1 frame).
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Current frame index.
-    pub fn current(&self) -> usize {
-        self.current
-    }
-
-    /// Steps by `delta` (negative allowed), honouring `looping`, and
-    /// installs the frame into the plot. Returns the new index.
-    pub fn step(&mut self, plot: &mut dyn Plot, delta: i64) -> Result<usize> {
-        let next = stepped(self.current, delta, self.frames.len(), self.looping);
-        plot.set_image(self.frames[next].clone())?;
-        self.current = next;
-        Ok(next)
-    }
-
-    /// Jumps to an absolute frame.
-    pub fn seek(&mut self, plot: &mut dyn Plot, index: usize) -> Result<usize> {
-        if index >= self.frames.len() {
-            return Err(Dv3dError::Config(format!(
-                "frame {index} out of range ({} frames)",
-                self.frames.len()
-            )));
-        }
-        self.current = index;
-        plot.set_image(self.frames[index].clone())?;
-        Ok(index)
-    }
-
-    /// Renders a full loop over all frames at the given size, returning the
-    /// frames — the offline-animation path (and the fps benchmark body).
-    pub fn render_loop(
-        &mut self,
-        cell: &mut crate::cell::Dv3dCell,
-        width: usize,
-        height: usize,
-    ) -> Result<Vec<rvtk::render::Framebuffer>> {
-        let mut out = Vec::with_capacity(self.frames.len());
-        for i in 0..self.frames.len() {
-            self.seek(cell.plot_mut(), i)?;
-            out.push(cell.render(width, height)?);
-        }
-        Ok(out)
-    }
-}
-
-/// Steps a plot through a time series streamed off disk.
-///
-/// Unlike [`AnimationController`], which pre-translates every timestep
-/// into memory, this controller holds only a [`StreamingVariable`] — a
-/// lazy, bounded-memory view of a `.ncr` v3 file — and translates each
-/// frame on demand as the playhead reaches it. A series far larger than
-/// RAM plays at a fixed memory ceiling (the stream's chunk-cache budget),
-/// and faulted chunks degrade to a coarser pyramid level or masked fill
-/// instead of stalling playback; [`StreamingAnimation::report`] says how
-/// often that happened.
-#[derive(Debug, Clone)]
-pub struct StreamingAnimation {
-    var: StreamingVariable,
-    opts: TranslationOptions,
-    current: usize,
-    /// Wrap around at the ends.
-    pub looping: bool,
 }
 
 impl StreamingAnimation {
@@ -154,73 +199,12 @@ impl StreamingAnimation {
         if !var.has_time_axis() {
             return Err(Dv3dError::Config(format!("'{}' has no time axis", var.id())));
         }
-        Ok(StreamingAnimation { var, opts, current: 0, looping: true })
-    }
-
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.var.n_times()
-    }
-
-    /// Never true ([`StreamingVariable`] always has ≥ 1 timestep).
-    pub fn is_empty(&self) -> bool {
-        self.var.n_times() == 0
-    }
-
-    /// Current frame index.
-    pub fn current(&self) -> usize {
-        self.current
+        Ok(Playhead::over(Streamed { var, opts }))
     }
 
     /// Fault-tolerance counters for the underlying streaming session.
     pub fn report(&self) -> StreamReport {
-        self.var.report()
-    }
-
-    /// Fetches and translates frame `t`, degrading rather than failing
-    /// when chunks are unreadable. Also prefetches upcoming windows.
-    fn frame(&self, t: usize) -> Result<ImageData> {
-        let slab = self.var.time_slab_degraded(t).map_err(Dv3dError::from)?;
-        translate_scalar(&slab, &self.opts)
-    }
-
-    /// Steps by `delta` (negative allowed), honouring `looping`, and
-    /// installs the freshly streamed frame. Returns the new index.
-    pub fn step(&mut self, plot: &mut dyn Plot, delta: i64) -> Result<usize> {
-        let next = stepped(self.current, delta, self.var.n_times(), self.looping);
-        plot.set_image(self.frame(next)?)?;
-        self.current = next;
-        Ok(next)
-    }
-
-    /// Jumps to an absolute frame.
-    pub fn seek(&mut self, plot: &mut dyn Plot, index: usize) -> Result<usize> {
-        if index >= self.var.n_times() {
-            return Err(Dv3dError::Config(format!(
-                "frame {index} out of range ({} frames)",
-                self.var.n_times()
-            )));
-        }
-        plot.set_image(self.frame(index)?)?;
-        self.current = index;
-        Ok(index)
-    }
-
-    /// Renders one full pass over all frames at the given size — the
-    /// offline path for series that never fit in memory at once.
-    pub fn render_loop(
-        &mut self,
-        cell: &mut crate::cell::Dv3dCell,
-        width: usize,
-        height: usize,
-    ) -> Result<Vec<rvtk::render::Framebuffer>> {
-        let n = self.var.n_times();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            self.seek(cell.plot_mut(), i)?;
-            out.push(cell.render(width, height)?);
-        }
-        Ok(out)
+        self.frames.var.report()
     }
 }
 
@@ -441,6 +425,10 @@ mod tests {
             assert!(precomputed.step(&mut refusing, 1).is_err());
             assert_eq!(precomputed.current(), 0);
             assert!(streamed.step(&mut refusing, 1).is_err());
+            assert_eq!(streamed.current(), 0);
+            assert!(precomputed.seek(&mut refusing, 2).is_err());
+            assert_eq!(precomputed.current(), 0);
+            assert!(streamed.seek(&mut refusing, 2).is_err());
             assert_eq!(streamed.current(), 0);
 
             let first = translate_scalar(&pr.time_slab(0).unwrap(), &opts).unwrap();

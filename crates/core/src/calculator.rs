@@ -319,19 +319,20 @@ fn apply_function(name: &str, args: Vec<CalcValue>, strings: Vec<String>) -> Res
             Ok(CalcValue::Variable(averager::average_over_kinds(&v, &kinds)?))
         }
         "regrid" => {
-            let v = one_var(name, &args[..1])?;
-            let dims: Vec<usize> = args[1..]
-                .iter()
-                .map(|a| {
-                    a.as_scalar().map(|s| s as usize).ok_or_else(|| {
-                        Dv3dError::Config("regrid(x, nlat, nlon) wants numbers".into())
-                    })
+            use CalcValue::{Scalar, Variable};
+            let [Variable(v), Scalar(nlat), Scalar(nlon)] = args.as_slice() else {
+                return Err(Dv3dError::Config(
+                    "regrid(x, nlat, nlon) wants a variable and two numbers".into(),
+                ));
+            };
+            // a typed size is outside input like a workflow parameter: same ceiling
+            let axis_len = |n: f64| {
+                let in_range = (1.0..=crate::modules::MAX_AXIS_LEN as f64).contains(&n);
+                in_range.then_some(n as usize).ok_or_else(|| {
+                    Dv3dError::Config(format!("regrid(): an axis of {n} points is out of range"))
                 })
-                .collect::<Result<_>>()?;
-            if dims.len() != 2 {
-                return Err(Dv3dError::Config("regrid(x, nlat, nlon)".into()));
-            }
-            let grid = RectGrid::uniform(dims[0], dims[1])?;
+            };
+            let grid = RectGrid::uniform(axis_len(*nlat)?, axis_len(*nlon)?)?;
             // optional method string: regrid(x, nlat, nlon, 'conservative')
             let method = match strings.first() {
                 None => cdat::regrid_plan::RegridMethod::Bilinear,
@@ -341,7 +342,7 @@ fn apply_function(name: &str, args: Vec<CalcValue>, strings: Vec<String>) -> Res
                     ))
                 })?,
             };
-            Ok(CalcValue::Variable(regrid::regrid(&v, &grid, method)?))
+            Ok(CalcValue::Variable(regrid::regrid(v, &grid, method)?))
         }
         "corr" => {
             let (a, b) = match (args.first(), args.get(1)) {
@@ -508,6 +509,10 @@ mod tests {
         assert!(evaluate(&mut d, "'unterminated").is_err());
         assert!(evaluate(&mut d, "ta $ 2").is_err());
         assert!(evaluate(&mut d, "regrid(ta, 4)").is_err());
+        // sizes a user can type: none panics or allocates
+        for typed in ["regrid()", "regrid(ta, 1e18, 2)", "regrid(ta, 0 - 1, 2)", "regrid(4, 4, 8)"] {
+            assert!(evaluate(&mut d, typed).is_err(), "{typed}");
+        }
         assert!(evaluate(&mut d, "corr(ta, 3)").is_err());
     }
 

@@ -8,15 +8,15 @@
 
 use crate::interaction::{CameraOp, ConfigOp};
 use crate::plots::{Plot, PlotSpec};
-use crate::{Dv3dError, Result};
-use cdms::axis::AxisKind;
+use crate::translation::{translate_scalar, TranslationOptions};
+use crate::Result;
 use cdms::Variable;
 use rvtk::filters::{contour_lines, SliceAxis};
 use rvtk::math::Vec3;
 use rvtk::render::{
     draw_colorbar, draw_text, Actor, Camera, Framebuffer, Renderer, StereoMode, RenderWindow,
 };
-use rvtk::{Color, ImageData, PolyData};
+use rvtk::{Color, PolyData};
 
 /// One visualization cell.
 pub struct Dv3dCell {
@@ -57,21 +57,7 @@ impl Dv3dCell {
     /// Builds a cell around a plot spec.
     pub fn new(name: &str, spec: PlotSpec) -> Dv3dCell {
         // dv3dlint: allow(no_panic) -- infallible convenience constructor; callers that can handle failure use try_new
-        let plot = spec.build().expect("plot construction");
-        Dv3dCell {
-            name: name.to_string(),
-            plot,
-            camera: Camera::default(),
-            camera_valid: false,
-            base_map: None,
-            show_colorbar: true,
-            show_outline: false,
-            show_labels: true,
-            pick_display: None,
-            stereo: StereoMode::Off,
-            background: Color::BLACK,
-            op_log: Vec::new(),
-        }
+        Self::try_new(name, spec).expect("plot construction")
     }
 
     /// Fallible constructor.
@@ -112,30 +98,11 @@ impl Dv3dCell {
         &self.op_log
     }
 
-    /// Installs a base map: coastlines contoured from a land-fraction
-    /// variable (`sftlf`) at the 0.5 level, drawn at the volume floor.
+    /// Installs a base map: coastlines contoured from a `(lat, lon)`
+    /// land-fraction variable (`sftlf`) at the 0.5 level, drawn at the
+    /// volume floor — on the grid the translation module puts every plot on.
     pub fn set_base_map(&mut self, land_fraction: &Variable) -> Result<()> {
-        let lat = land_fraction
-            .axis(AxisKind::Latitude)
-            .ok_or_else(|| Dv3dError::Config("base map needs a latitude axis".into()))?;
-        let lon = land_fraction
-            .axis(AxisKind::Longitude)
-            .ok_or_else(|| Dv3dError::Config("base map needs a longitude axis".into()))?;
-        let (ny, nx) = (lat.len(), lon.len());
-        let dx = if nx > 1 { (lon.values[1] - lon.values[0]).abs() } else { 1.0 };
-        let dy = if ny > 1 { (lat.values[1] - lat.values[0]).abs() } else { 1.0 };
-        let origin = [lon.values[0], lat.range().0.min(lat.range().1), 0.0];
-        let ascending = lat.direction() >= 0;
-        let mut scalars = vec![0.0f32; nx * ny];
-        for j in 0..ny {
-            let jj = if ascending { j } else { ny - 1 - j };
-            for i in 0..nx {
-                scalars[i + nx * j] =
-                    land_fraction.array.get(&[jj, i]).map_err(Dv3dError::from)?;
-            }
-        }
-        let img = ImageData::new([nx, ny, 1], [dx, dy, 1.0], origin, scalars)
-            .map_err(Dv3dError::from)?;
+        let img = translate_scalar(land_fraction, &TranslationOptions::default())?;
         let mut coast = contour_lines(&img, SliceAxis::Z, 0, &[0.5])?;
         // drop slightly below the data so slice planes stay readable
         for p in &mut coast.points {
@@ -232,8 +199,7 @@ impl Dv3dCell {
     /// Picks through a pixel: probes the plot's image along the view ray
     /// and stores the result for display.
     pub fn pick(&mut self, px: f64, py: f64, width: usize, height: usize) -> Option<(Vec3, f32)> {
-        let renderer = self.scene().ok()?;
-        let mut r = renderer;
+        let mut r = self.scene().ok()?;
         // ensure a volume exists to probe: probe the plot image directly
         r.clear_scene();
         r.add_volume(rvtk::render::Volume::from_image(self.plot.image().clone()));

@@ -3,7 +3,9 @@
 //! No display server exists here, but each pane's *semantics* do: the
 //! project view organizes spreadsheets into projects, the variable view
 //! lists and edits the selected dataset's variables, and the plot view
-//! exposes the palette of prebuilt plot workflows.
+//! exposes the palette of prebuilt plot workflows — which is
+//! [`crate::plots::PALETTE`] itself: label, inputs needed, and the key
+//! `prebuilt_plot_workflow` takes.
 
 use crate::{Dv3dError, Result};
 use cdms::{AttValue, Dataset};
@@ -143,64 +145,6 @@ impl<'a> VariableView<'a> {
     }
 }
 
-/// One entry of the plot palette (the "plot view").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PaletteEntry {
-    /// Palette label ("Slicer", "Hovmoller Volume"…).
-    pub name: &'static str,
-    /// Which variables the plot needs (1 = scalar, 2 = overlay/color/uv).
-    pub n_inputs: usize,
-    /// Whether the plot needs a vector pair.
-    pub needs_vectors: bool,
-    /// Whether the plot expects a Hovmöller (time-as-z) volume.
-    pub needs_hovmoller: bool,
-}
-
-/// The palette of prebuilt plots DV3D ships (§III.E "a palette of available
-/// plots, exposing a list of prebuilt workflows").
-pub fn plot_palette() -> Vec<PaletteEntry> {
-    vec![
-        PaletteEntry { name: "Slicer", n_inputs: 1, needs_vectors: false, needs_hovmoller: false },
-        PaletteEntry {
-            name: "Slicer + Contour Overlay",
-            n_inputs: 2,
-            needs_vectors: false,
-            needs_hovmoller: false,
-        },
-        PaletteEntry { name: "Volume", n_inputs: 1, needs_vectors: false, needs_hovmoller: false },
-        PaletteEntry {
-            name: "Isosurface",
-            n_inputs: 1,
-            needs_vectors: false,
-            needs_hovmoller: false,
-        },
-        PaletteEntry {
-            name: "Isosurface (colored by 2nd var)",
-            n_inputs: 2,
-            needs_vectors: false,
-            needs_hovmoller: false,
-        },
-        PaletteEntry {
-            name: "Hovmoller Slicer",
-            n_inputs: 1,
-            needs_vectors: false,
-            needs_hovmoller: true,
-        },
-        PaletteEntry {
-            name: "Hovmoller Volume",
-            n_inputs: 1,
-            needs_vectors: false,
-            needs_hovmoller: true,
-        },
-        PaletteEntry {
-            name: "Vector Slicer",
-            n_inputs: 2,
-            needs_vectors: true,
-            needs_hovmoller: false,
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,8 +211,8 @@ mod tests {
 
     #[test]
     fn palette_covers_paper_plot_types() {
-        let palette = plot_palette();
-        let names: Vec<&str> = palette.iter().map(|e| e.name).collect();
+        let palette = crate::plots::PALETTE;
+        let names: Vec<&str> = palette.iter().map(|e| e.label).collect();
         for expected in
             ["Slicer", "Volume", "Isosurface", "Hovmoller Slicer", "Hovmoller Volume", "Vector Slicer"]
         {
@@ -276,5 +220,21 @@ mod tests {
         }
         assert!(palette.iter().any(|e| e.needs_vectors));
         assert_eq!(palette.iter().filter(|e| e.needs_hovmoller).count(), 2);
+        // the eight entries the plot view always listed, with their flags:
+        // (label, two variables, vector pair, time-as-z volume)
+        for (label, two_inputs, vectors, hovmoller) in [
+            ("Slicer", false, false, false),
+            ("Slicer + Contour Overlay", true, false, false),
+            ("Volume", false, false, false),
+            ("Isosurface", false, false, false),
+            ("Isosurface (colored by 2nd var)", true, false, false),
+            ("Hovmoller Slicer", false, false, true),
+            ("Hovmoller Volume", false, false, true),
+            ("Vector Slicer", true, true, false),
+        ] {
+            let row = palette.iter().find(|e| e.label == label).expect(label);
+            assert_eq!(row.second_image.is_some() || row.needs_vectors, two_inputs, "{label}");
+            assert_eq!((row.needs_vectors, row.needs_hovmoller), (vectors, hovmoller), "{label}");
+        }
     }
 }

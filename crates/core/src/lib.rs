@@ -16,20 +16,24 @@
 //! * [`plots`] — the plot types of §III.C: [`plots::SlicerPlot`],
 //!   [`plots::VolumePlot`], [`plots::IsosurfacePlot`],
 //!   [`plots::HovmollerPlot`] (slicer + volume over time-as-height) and
-//!   [`plots::VectorSlicerPlot`].
+//!   [`plots::VectorSlicerPlot`] — and [`plots::PALETTE`], the one list of
+//!   them that every front-end below reads (§III.E).
 //! * [`transfer`] — the interactive *leveling* editor that reshapes color
 //!   and opacity transfer functions with mouse drags (§III.F).
 //! * [`cell`] — the DV3D spreadsheet cell: plot + base map + labels +
 //!   colorbar + pick display + navigation (§III.G).
 //! * [`spreadsheet`] — multi-cell coordination with configuration
 //!   propagation to active cells (§III.E).
-//! * [`animation`] — 4D browsing by animating over time (§III.D).
-//! * [`modules`] — registration of CDMS/CDAT/DV3D as VisTrails packages,
-//!   plus the prebuilt-workflow plot palette (§III.A, §III.F).
+//! * [`animation`] — 4D browsing by animating over time (§III.D): one
+//!   playhead over frames held in memory or streamed off disk.
+//! * [`modules`] — registration of CDMS/CDAT/DV3D as VisTrails packages
+//!   (the plot modules by walking the palette), and the one recorded cell
+//!   chain under the prebuilt workflows, the CLI and the hyperwall
+//!   (§III.A, §III.F).
 //! * [`calculator`] — the command-line/calculator interface for deriving
 //!   variables with CDAT operations (§III.E).
 //! * [`gui`] — the headless model of the UV-CDAT GUI's panes: project
-//!   view, variable view, plot palette (§III.E).
+//!   view, variable view; its plot view is the palette itself (§III.E).
 //! * [`interaction`] — key/mouse events → configuration operations,
 //!   recorded as provenance (§III.F).
 //!

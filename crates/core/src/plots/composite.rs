@@ -8,9 +8,10 @@
 
 use crate::interaction::ConfigOp;
 use crate::plots::Plot;
+use crate::transfer::TransferEditor;
 use crate::Result;
 use rvtk::render::Renderer;
-use rvtk::{ImageData, LookupTable};
+use rvtk::ImageData;
 
 /// Several plots rendered into one cell.
 pub struct CompositePlot {
@@ -38,10 +39,6 @@ impl CompositePlot {
         &self.members
     }
 
-    /// Mutable member access.
-    pub fn members_mut(&mut self) -> &mut [Box<dyn Plot>] {
-        &mut self.members
-    }
 }
 
 impl Plot for CompositePlot {
@@ -66,15 +63,17 @@ impl Plot for CompositePlot {
         Ok(())
     }
 
-    fn scalar_range(&self) -> (f32, f32) {
-        self.members[0].scalar_range()
+    fn editor(&self) -> &TransferEditor {
+        self.members[0].editor()
     }
 
-    fn legend(&self) -> LookupTable {
-        self.members[0].legend()
+    fn check_image(&self, image: &ImageData) -> Result<()> {
+        self.members.iter().try_for_each(|m| m.check_image(image))
     }
 
+    /// All or nothing: no member takes the frame unless every member will.
     fn set_image(&mut self, image: ImageData) -> Result<()> {
+        self.check_image(&image)?;
         for m in &mut self.members {
             m.set_image(image.clone())?;
         }
@@ -156,6 +155,36 @@ mod tests {
             assert_eq!(m.image().dims, [8, 8, 8]);
         }
         assert_eq!(c.scalar_range(), (0.0, 7.0));
+    }
+
+    /// A frame one member refuses reaches no member: the volume ahead of
+    /// an overlay-carrying slicer keeps its image, range and rendering.
+    #[test]
+    fn refused_frame_reaches_no_member() {
+        let grid = |dims| ImageData::from_fn(dims, [1.0; 3], [0.0; 3], |x, y, z| (x + y + z) as f32);
+        let mut c = PlotSpec::Combined {
+            members: vec![
+                PlotSpec::volume(grid([6, 6, 4])),
+                PlotSpec::slicer_with_overlay(grid([6, 6, 4]), grid([6, 6, 4])),
+            ],
+        }
+        .build()
+        .unwrap();
+        let render = |plot: &dyn Plot| {
+            let mut r = Renderer::new();
+            plot.populate(&mut r).unwrap();
+            r.reset_camera();
+            let mut fb = Framebuffer::new(48, 48);
+            r.render(&mut fb);
+            fb.colors().iter().map(|c| c.to_u8()).collect::<Vec<_>>()
+        };
+        let (range, frame) = (c.scalar_range(), render(c.as_ref()));
+        assert!(c.set_image(grid([5, 5, 3])).is_err());
+        assert_eq!(c.image().dims, [6, 6, 4]);
+        assert_eq!(c.scalar_range(), range);
+        assert!(render(c.as_ref()) == frame, "a refused frame changed the rendering");
+        // a frame every member takes still goes through
+        c.set_image(grid([6, 6, 4])).unwrap();
     }
 
     #[test]

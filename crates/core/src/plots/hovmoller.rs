@@ -4,9 +4,10 @@
 
 use crate::interaction::ConfigOp;
 use crate::plots::{Plot, SlicerPlot, VolumePlot};
+use crate::transfer::TransferEditor;
 use crate::Result;
 use rvtk::render::Renderer;
-use rvtk::{ImageData, LookupTable};
+use rvtk::ImageData;
 
 /// Which underlying view a Hovmöller plot uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +48,8 @@ impl HovmollerPlot {
 impl Plot for HovmollerPlot {
     fn type_name(&self) -> &'static str {
         match self.mode {
-            HovmollerMode::Slicer => "Hovmoller Slicer",
-            HovmollerMode::Volume => "Hovmoller Volume",
+            HovmollerMode::Slicer => super::HOVMOLLER_SLICER.label,
+            HovmollerMode::Volume => super::HOVMOLLER_VOLUME.label,
         }
     }
 
@@ -60,12 +61,12 @@ impl Plot for HovmollerPlot {
         self.inner.populate(renderer)
     }
 
-    fn scalar_range(&self) -> (f32, f32) {
-        self.inner.scalar_range()
+    fn editor(&self) -> &TransferEditor {
+        self.inner.editor()
     }
 
-    fn legend(&self) -> LookupTable {
-        self.inner.legend()
+    fn check_image(&self, image: &ImageData) -> Result<()> {
+        self.inner.check_image(image)
     }
 
     fn set_image(&mut self, image: ImageData) -> Result<()> {

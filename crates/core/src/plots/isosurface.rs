@@ -2,13 +2,13 @@
 //! the spatially corresponding values of a second variable (§III.C).
 
 use crate::interaction::ConfigOp;
-use crate::plots::{image_range, Plot};
+use crate::plots::{image_range, same_dims, Plot};
 use crate::transfer::TransferEditor;
-use crate::{Dv3dError, Result};
+use crate::Result;
 use parking_lot::Mutex;
 use rvtk::filters::{isosurface, isosurface_colored};
 use rvtk::render::{Actor, Renderer};
-use rvtk::{ImageData, LookupTable, PolyData};
+use rvtk::{ImageData, PolyData};
 use std::sync::Arc;
 
 /// An interactive isosurface view.
@@ -29,18 +29,6 @@ pub struct IsosurfacePlot {
     cache: Mutex<Option<(f32, Arc<PolyData>)>>,
 }
 
-impl Clone for IsosurfacePlot {
-    fn clone(&self) -> Self {
-        IsosurfacePlot {
-            image: self.image.clone(),
-            color_image: self.color_image.clone(),
-            isovalue: self.isovalue,
-            editor: self.editor.clone(),
-            cache: Mutex::new(self.cache.lock().clone()),
-        }
-    }
-}
-
 impl IsosurfacePlot {
     /// A new isosurface at `isovalue` (defaults to the range midpoint).
     pub fn new(
@@ -48,14 +36,7 @@ impl IsosurfacePlot {
         color_image: Option<ImageData>,
         isovalue: Option<f32>,
     ) -> Result<IsosurfacePlot> {
-        if let Some(ci) = &color_image {
-            if ci.dims != image.dims {
-                return Err(Dv3dError::Config(format!(
-                    "color field dims {:?} != surface field dims {:?}",
-                    ci.dims, image.dims
-                )));
-            }
-        }
+        same_dims("color field", color_image.as_ref(), &image)?;
         let surf_range = image_range(&image);
         let isovalue = isovalue.unwrap_or((surf_range.0 + surf_range.1) / 2.0);
         let color_range = color_image.as_ref().map(image_range).unwrap_or(surf_range);
@@ -100,10 +81,13 @@ impl IsosurfacePlot {
 
 impl Plot for IsosurfacePlot {
     fn type_name(&self) -> &'static str {
-        "Isosurface"
+        super::ISOSURFACE.label
     }
 
     fn configure(&mut self, op: &ConfigOp) -> Result<bool> {
+        if self.editor.configure(op)? {
+            return Ok(true);
+        }
         match op {
             ConfigOp::SetIsovalue(v) => {
                 self.isovalue = *v;
@@ -113,24 +97,6 @@ impl Plot for IsosurfacePlot {
                 let range = image_range(&self.image);
                 self.isovalue = (self.isovalue + delta_frac * (range.1 - range.0))
                     .clamp(range.0, range.1);
-                Ok(true)
-            }
-            ConfigOp::Leveling { dx, dy } => {
-                self.editor.drag(*dx, *dy);
-                Ok(true)
-            }
-            ConfigOp::NextColormap => {
-                self.editor.next_colormap();
-                Ok(true)
-            }
-            ConfigOp::SetColormap(name) => {
-                if !self.editor.set_colormap(name) {
-                    return Err(Dv3dError::Config(format!("unknown colormap '{name}'")));
-                }
-                Ok(true)
-            }
-            ConfigOp::ToggleInvert => {
-                self.editor.toggle_invert();
                 Ok(true)
             }
             _ => Ok(false),
@@ -148,20 +114,16 @@ impl Plot for IsosurfacePlot {
         Ok(())
     }
 
-    fn scalar_range(&self) -> (f32, f32) {
-        self.editor.data_range
+    fn editor(&self) -> &TransferEditor {
+        &self.editor
     }
 
-    fn legend(&self) -> LookupTable {
-        self.editor.lookup_table()
+    fn check_image(&self, image: &ImageData) -> Result<()> {
+        same_dims("color field", self.color_image.as_ref(), image)
     }
 
     fn set_image(&mut self, image: ImageData) -> Result<()> {
-        if let Some(ci) = &self.color_image {
-            if ci.dims != image.dims {
-                return Err(Dv3dError::Config("new image dims do not match color field".into()));
-            }
-        }
+        self.check_image(&image)?;
         // keep the isovalue at the same relative position in the new range
         let old = image_range(&self.image);
         let new = image_range(&image);

@@ -2,13 +2,13 @@
 //! pseudocolor images, optionally overlaid with a second variable's
 //! contour map (§III.C).
 
-use crate::interaction::{Axis3, ConfigOp};
-use crate::plots::{image_range, Plot};
+use crate::interaction::ConfigOp;
+use crate::plots::{image_range, offset_index, same_dims, Plot};
 use crate::transfer::TransferEditor;
 use crate::{Dv3dError, Result};
 use rvtk::filters::{auto_levels, contour_lines, slice_axis, SliceAxis};
 use rvtk::render::{Actor, Renderer};
-use rvtk::{Color, ImageData, LookupTable};
+use rvtk::{Color, ImageData};
 
 /// Interactive slice planes through a scalar volume.
 #[derive(Debug, Clone)]
@@ -29,14 +29,7 @@ pub struct SlicerPlot {
 impl SlicerPlot {
     /// A slicer with the z plane enabled at mid-volume.
     pub fn new(image: ImageData, overlay: Option<ImageData>) -> Result<SlicerPlot> {
-        if let Some(ov) = &overlay {
-            if ov.dims != image.dims {
-                return Err(Dv3dError::Config(format!(
-                    "overlay dims {:?} != image dims {:?}",
-                    ov.dims, image.dims
-                )));
-            }
-        }
+        same_dims("overlay", overlay.as_ref(), &image)?;
         let editor = TransferEditor::new(image_range(&image));
         let slice_index = [image.dims[0] / 2, image.dims[1] / 2, image.dims[2] / 2];
         Ok(SlicerPlot {
@@ -48,24 +41,22 @@ impl SlicerPlot {
             n_contours: 6,
         })
     }
-
-    fn move_slice(&mut self, axis: Axis3, delta: i64) {
-        let ai = SliceAxis::from(axis).index();
-        let n = self.image.dims[ai] as i64;
-        let cur = self.slice_index[ai] as i64;
-        self.slice_index[ai] = (cur + delta).clamp(0, n - 1) as usize;
-    }
 }
 
 impl Plot for SlicerPlot {
     fn type_name(&self) -> &'static str {
-        "Slicer"
+        super::SLICER.label
     }
 
     fn configure(&mut self, op: &ConfigOp) -> Result<bool> {
+        if self.editor.configure(op)? {
+            return Ok(true);
+        }
         match op {
             ConfigOp::MoveSlice { axis, delta } => {
-                self.move_slice(*axis, *delta);
+                let ai = SliceAxis::from(*axis).index();
+                let n = self.image.dims[ai];
+                self.slice_index[ai] = offset_index(self.slice_index[ai], *delta, n);
                 Ok(true)
             }
             ConfigOp::SetSlice { axis, index } => {
@@ -81,24 +72,6 @@ impl Plot for SlicerPlot {
             ConfigOp::TogglePlane { axis } => {
                 let ai = SliceAxis::from(*axis).index();
                 self.plane_enabled[ai] = !self.plane_enabled[ai];
-                Ok(true)
-            }
-            ConfigOp::Leveling { dx, dy } => {
-                self.editor.drag(*dx, *dy);
-                Ok(true)
-            }
-            ConfigOp::NextColormap => {
-                self.editor.next_colormap();
-                Ok(true)
-            }
-            ConfigOp::SetColormap(name) => {
-                if !self.editor.set_colormap(name) {
-                    return Err(Dv3dError::Config(format!("unknown colormap '{name}'")));
-                }
-                Ok(true)
-            }
-            ConfigOp::ToggleInvert => {
-                self.editor.toggle_invert();
                 Ok(true)
             }
             _ => Ok(false),
@@ -134,20 +107,16 @@ impl Plot for SlicerPlot {
         Ok(())
     }
 
-    fn scalar_range(&self) -> (f32, f32) {
-        self.editor.data_range
+    fn editor(&self) -> &TransferEditor {
+        &self.editor
     }
 
-    fn legend(&self) -> LookupTable {
-        self.editor.lookup_table()
+    fn check_image(&self, image: &ImageData) -> Result<()> {
+        same_dims("overlay", self.overlay.as_ref(), image)
     }
 
     fn set_image(&mut self, image: ImageData) -> Result<()> {
-        if let Some(ov) = &self.overlay {
-            if ov.dims != image.dims {
-                return Err(Dv3dError::Config("new image dims do not match overlay".into()));
-            }
-        }
+        self.check_image(&image)?;
         for ai in 0..3 {
             self.slice_index[ai] = self.slice_index[ai].min(image.dims[ai].saturating_sub(1));
         }
@@ -176,6 +145,7 @@ impl Plot for SlicerPlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interaction::Axis3;
     use rvtk::render::Framebuffer;
 
     fn image() -> ImageData {
@@ -196,6 +166,12 @@ mod tests {
         assert_eq!(p.slice_index[2], 5);
         p.configure(&ConfigOp::MoveSlice { axis: Axis3::Z, delta: -100 }).unwrap();
         assert_eq!(p.slice_index[2], 0);
+        // from the mid-volume start, so that index + delta overflows
+        for (delta, lands_on) in [(i64::MAX, 5), (i64::MIN, 0)] {
+            let mut p = SlicerPlot::new(image(), None).unwrap();
+            p.configure(&ConfigOp::MoveSlice { axis: Axis3::Z, delta }).unwrap();
+            assert_eq!(p.slice_index[2], lands_on);
+        }
     }
 
     #[test]

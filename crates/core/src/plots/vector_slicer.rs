@@ -3,13 +3,13 @@
 //! as wind velocity) that have both magnitude and direction" (§III.C).
 
 use crate::interaction::{Axis3, ConfigOp, VectorMode};
-use crate::plots::{image_range, Plot};
+use crate::plots::{image_range, offset_index, Plot};
 use crate::transfer::TransferEditor;
 use crate::{Dv3dError, Result};
 use rvtk::filters::{glyphs_on_slice, streamlines, GlyphOptions, SliceAxis, StreamlineOptions};
 use rvtk::math::Vec3;
 use rvtk::render::{Actor, Renderer};
-use rvtk::{ImageData, LookupTable};
+use rvtk::ImageData;
 
 /// An interactive vector-field slice plane.
 #[derive(Debug, Clone)]
@@ -31,12 +31,18 @@ pub struct VectorSlicerPlot {
     pub seed_density: usize,
 }
 
+/// The check on construction and on every new frame.
+fn has_vectors(image: &ImageData) -> Result<()> {
+    match image.vectors {
+        Some(_) => Ok(()),
+        None => Err(Dv3dError::Config("vector slicer needs a vector field".into())),
+    }
+}
+
 impl VectorSlicerPlot {
     /// A vector slicer over `image` (must carry vectors), z-plane default.
     pub fn new(image: ImageData, mode: VectorMode) -> Result<VectorSlicerPlot> {
-        if image.vectors.is_none() {
-            return Err(Dv3dError::Config("vector slicer needs a vector field".into()));
-        }
+        has_vectors(&image)?;
         let editor = TransferEditor::new(image_range(&image));
         let slice_index = image.dims[2] / 2;
         let diag = image.bounds().diagonal();
@@ -95,17 +101,18 @@ impl VectorSlicerPlot {
 
 impl Plot for VectorSlicerPlot {
     fn type_name(&self) -> &'static str {
-        "Vector Slicer"
+        super::VECTOR_SLICER.label
     }
 
     fn configure(&mut self, op: &ConfigOp) -> Result<bool> {
+        if self.editor.configure(op)? {
+            return Ok(true);
+        }
         match op {
             ConfigOp::MoveSlice { axis, delta } => {
                 if *axis == self.axis {
-                    let ai = self.slice_axis().index();
-                    let n = self.image.dims[ai] as i64;
-                    self.slice_index =
-                        (self.slice_index as i64 + delta).clamp(0, n - 1) as usize;
+                    let n = self.image.dims[self.slice_axis().index()];
+                    self.slice_index = offset_index(self.slice_index, *delta, n);
                 } else {
                     // switching axes re-centres the plane
                     self.axis = *axis;
@@ -115,26 +122,15 @@ impl Plot for VectorSlicerPlot {
                 Ok(true)
             }
             ConfigOp::SetSlice { axis, index } => {
-                self.axis = *axis;
-                let ai = self.slice_axis().index();
-                if *index >= self.image.dims[ai] {
+                if *index >= self.image.dims[SliceAxis::from(*axis).index()] {
                     return Err(Dv3dError::Config(format!("slice index {index} out of range")));
                 }
+                self.axis = *axis;
                 self.slice_index = *index;
                 Ok(true)
             }
             ConfigOp::SetVectorMode(mode) => {
                 self.mode = *mode;
-                Ok(true)
-            }
-            ConfigOp::NextColormap => {
-                self.editor.next_colormap();
-                Ok(true)
-            }
-            ConfigOp::SetColormap(name) => {
-                if !self.editor.set_colormap(name) {
-                    return Err(Dv3dError::Config(format!("unknown colormap '{name}'")));
-                }
                 Ok(true)
             }
             _ => Ok(false),
@@ -160,18 +156,16 @@ impl Plot for VectorSlicerPlot {
         Ok(())
     }
 
-    fn scalar_range(&self) -> (f32, f32) {
-        self.editor.data_range
+    fn editor(&self) -> &TransferEditor {
+        &self.editor
     }
 
-    fn legend(&self) -> LookupTable {
-        self.editor.lookup_table()
+    fn check_image(&self, image: &ImageData) -> Result<()> {
+        has_vectors(image)
     }
 
     fn set_image(&mut self, image: ImageData) -> Result<()> {
-        if image.vectors.is_none() {
-            return Err(Dv3dError::Config("vector slicer needs a vector field".into()));
-        }
+        self.check_image(&image)?;
         let ai = self.slice_axis().index();
         self.slice_index = self.slice_index.min(image.dims[ai].saturating_sub(1));
         self.editor.rescale(image_range(&image));
@@ -253,6 +247,24 @@ mod tests {
         assert_eq!(p.axis, Axis3::X);
         assert_eq!(p.slice_index, 6);
         assert!(p.configure(&ConfigOp::SetSlice { axis: Axis3::Y, index: 99 }).is_err());
+        assert_eq!(p.axis, Axis3::X, "a refused op leaves the plane where it was");
+        // drags off the socket saturate at the last / first plane (from
+        // plane 6, so that index + delta overflows)
+        p.configure(&ConfigOp::MoveSlice { axis: Axis3::X, delta: i64::MAX }).unwrap();
+        assert_eq!(p.slice_index, 11);
+        p.configure(&ConfigOp::MoveSlice { axis: Axis3::X, delta: i64::MIN }).unwrap();
+        assert_eq!(p.slice_index, 0);
+    }
+
+    #[test]
+    fn colormap_ops_go_to_the_editor() {
+        let mut p = VectorSlicerPlot::new(wind(), VectorMode::Glyphs).unwrap();
+        assert!(p.configure(&ConfigOp::NextColormap).unwrap());
+        assert!(p.configure(&ConfigOp::SetColormap("bogus".into())).is_err());
+        // taken since every plot hands its editor the same four ops
+        assert!(p.configure(&ConfigOp::ToggleInvert).unwrap());
+        assert!(p.editor.inverted);
+        assert!(p.configure(&ConfigOp::Leveling { dx: 0.1, dy: 0.0 }).unwrap());
     }
 
     #[test]

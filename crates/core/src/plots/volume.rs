@@ -5,9 +5,9 @@
 use crate::interaction::ConfigOp;
 use crate::plots::{image_range, Plot};
 use crate::transfer::TransferEditor;
-use crate::{Dv3dError, Result};
+use crate::Result;
 use rvtk::render::{BlendMode, Renderer, Volume, VolumeProperty};
-use rvtk::{ImageData, LookupTable};
+use rvtk::ImageData;
 
 /// An interactive volume rendering.
 #[derive(Debug, Clone)]
@@ -54,31 +54,11 @@ impl VolumePlot {
 
 impl Plot for VolumePlot {
     fn type_name(&self) -> &'static str {
-        "Volume"
+        super::VOLUME.label
     }
 
     fn configure(&mut self, op: &ConfigOp) -> Result<bool> {
-        match op {
-            ConfigOp::Leveling { dx, dy } => {
-                self.editor.drag(*dx, *dy);
-                Ok(true)
-            }
-            ConfigOp::NextColormap => {
-                self.editor.next_colormap();
-                Ok(true)
-            }
-            ConfigOp::SetColormap(name) => {
-                if !self.editor.set_colormap(name) {
-                    return Err(Dv3dError::Config(format!("unknown colormap '{name}'")));
-                }
-                Ok(true)
-            }
-            ConfigOp::ToggleInvert => {
-                self.editor.toggle_invert();
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
+        self.editor.configure(op)
     }
 
     fn populate(&self, renderer: &mut Renderer) -> Result<()> {
@@ -90,12 +70,8 @@ impl Plot for VolumePlot {
         Ok(())
     }
 
-    fn scalar_range(&self) -> (f32, f32) {
-        self.editor.data_range
-    }
-
-    fn legend(&self) -> LookupTable {
-        self.editor.lookup_table()
+    fn editor(&self) -> &TransferEditor {
+        &self.editor
     }
 
     fn set_image(&mut self, image: ImageData) -> Result<()> {

@@ -143,13 +143,8 @@ impl Dv3dSpreadsheet {
         cell_height: usize,
     ) -> Result<BTreeMap<(usize, usize), Framebuffer>> {
         let mut frames = BTreeMap::new();
-        let keys: Vec<(usize, usize)> = self.cells.keys().copied().collect();
-        for at in keys {
-            // keys were enumerated from the same map; a miss means a
-            // concurrent removal, and skipping the cell is the safe answer
-            let Some(cell) = self.cells.get_mut(&at) else { continue };
-            let frame = cell.render(cell_width, cell_height)?;
-            frames.insert(at, frame);
+        for (at, cell) in &mut self.cells {
+            frames.insert(*at, cell.render(cell_width, cell_height)?);
         }
         Ok(frames)
     }

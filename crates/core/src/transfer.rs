@@ -8,6 +8,8 @@
 //! level)` state those drags adjust and produces the transfer functions
 //! the renderer consumes.
 
+use crate::interaction::ConfigOp;
+use crate::{Dv3dError, Result};
 use rvtk::lookup_table::ColormapName;
 use rvtk::{ColorTransferFunction, LookupTable, OpacityTransferFunction};
 
@@ -40,6 +42,24 @@ impl TransferEditor {
             colormap: ColormapName::Jet,
             inverted: false,
         }
+    }
+
+    /// Applies `op` when it is one of the colormap / leveling ops every
+    /// plot hands to its editor; `Ok(false)` means the op is not the
+    /// editor's and the plot should look at it.
+    pub fn configure(&mut self, op: &ConfigOp) -> Result<bool> {
+        match op {
+            ConfigOp::Leveling { dx, dy } => self.drag(*dx, *dy),
+            ConfigOp::NextColormap => self.next_colormap(),
+            ConfigOp::SetColormap(name) => {
+                if !self.set_colormap(name) {
+                    return Err(Dv3dError::Config(format!("unknown colormap '{name}'")));
+                }
+            }
+            ConfigOp::ToggleInvert => self.toggle_invert(),
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Applies a mouse drag: horizontal motion moves the *level* across the

@@ -330,7 +330,7 @@ impl ClientNode {
             .get("name")
             .and_then(vistrails::value::ParamValue::as_str)
             .unwrap_or("wall cell");
-        cell_from_plot_stage(&mut Executor::new(wall_registry()), pipeline, plot, name)
+        Ok(cell_from_plot_stage(&mut Executor::new(wall_registry()), pipeline, plot, name)?)
     }
 }
 

@@ -191,7 +191,7 @@ pub fn run_single_node_baseline(cfg: &WallWorkflowConfig, n_frames: u64) -> Resu
     let mut cells = chains
         .iter()
         .map(|chain| cell_from_plot_stage(&mut exec, &pipeline, chain.plot, "baseline"))
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<dv3d::Result<Vec<_>>>()?;
     let start = Instant::now();
     for _ in 0..n_frames {
         for cell in &mut cells {

@@ -150,7 +150,11 @@ impl From<frame_delta::DeltaError> for WallError {
 
 impl From<dv3d::Dv3dError> for WallError {
     fn from(e: dv3d::Dv3dError) -> Self {
-        WallError::Render(e.to_string())
+        match e {
+            // a workflow failure met while building a cell stays typed
+            dv3d::Dv3dError::Workflow(e) => WallError::Workflow(e),
+            other => WallError::Render(other.to_string()),
+        }
     }
 }
 

@@ -5,10 +5,10 @@
 //! upstream subgraph (source + select + translate + plot + cell) is the
 //! "edited version of the workflow" the paper's server ships to clients.
 
-use crate::{Result, WallError};
-use dv3d::cell::Dv3dCell;
-use dv3d::plots::PlotSpec;
-use vistrails::executor::Executor;
+use crate::Result;
+pub(crate) use dv3d::modules::cell_from_plot_stage;
+pub use dv3d::modules::CellChain;
+use dv3d::modules::{cell_chain_actions, single_variable_row, synth_source_actions};
 use vistrails::module::ModuleRegistry;
 use vistrails::pipeline::{ModuleId, Pipeline};
 use vistrails::value::ParamValue;
@@ -30,65 +30,45 @@ impl Default for WallWorkflowConfig {
     }
 }
 
-/// The (variable, plot type) pairs the cells cycle through — one variable
+/// The (variable, palette row) pairs the cells cycle through — one variable
 /// per display, like the "large numbers of variables contained in a typical
 /// climate simulation dataset" the paper shows on the wall. Surface-only
 /// fields (`pr`) get slicers; 3D fields also get volumes and isosurfaces.
 const WALL_CELLS: [(&str, &str); 5] = [
-    ("ta", "dv3d.SlicerPlot"),
-    ("zg", "dv3d.VolumePlot"),
-    ("hus", "dv3d.IsosurfacePlot"),
-    ("ua", "dv3d.VolumePlot"),
-    ("pr", "dv3d.SlicerPlot"),
+    ("ta", "slicer"),
+    ("zg", "volume"),
+    ("hus", "isosurface"),
+    ("ua", "volume"),
+    ("pr", "slicer"),
 ];
 
-/// The module ids of one cell's chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellChain {
-    pub select: ModuleId,
-    pub translate: ModuleId,
-    pub plot: ModuleId,
-    pub cell: ModuleId,
-}
-
-/// Builds the full wall pipeline. Module 1 is the shared data source;
-/// cell `i` uses ids `10i + {10, 11, 12, 13}`.
+/// Builds the full wall pipeline by applying the recorded actions of the
+/// shared data source (module 1) and of each cell's chain; cell `i` uses
+/// ids `10i + {10, 11, 12, 13}` (`+ 14` is the slot of a Hovmöller stage).
 pub fn build_wall_pipeline(cfg: &WallWorkflowConfig) -> Result<(Pipeline, Vec<CellChain>)> {
-    let mut p = Pipeline::new();
-    p.add_module(1, "cdms.SynthSource")?;
-    p.set_parameter(1, "nt", ParamValue::Int(cfg.synth.0))?;
-    p.set_parameter(1, "nlev", ParamValue::Int(cfg.synth.1))?;
-    p.set_parameter(1, "nlat", ParamValue::Int(cfg.synth.2))?;
-    p.set_parameter(1, "nlon", ParamValue::Int(cfg.synth.3))?;
-
+    let mut actions = synth_source_actions(1, cfg.synth);
     let mut chains = Vec::with_capacity(cfg.n_cells);
-    for i in 0..cfg.n_cells {
+    for (i, (variable, plot)) in WALL_CELLS.iter().cycle().take(cfg.n_cells).enumerate() {
         let base = 10 * (i as ModuleId + 1);
         let chain = CellChain {
             select: base,
             translate: base + 1,
             plot: base + 2,
             cell: base + 3,
+            hovmoller: base + 4,
         };
-        let (variable, plot_type) = WALL_CELLS[i % WALL_CELLS.len()];
-
-        p.add_module(chain.select, "cdms.SelectVariable")?;
-        p.set_parameter(chain.select, "name", ParamValue::Str(variable.into()))?;
-        p.set_parameter(chain.select, "time_index", ParamValue::Int(0))?;
-        p.connect((1, "dataset"), (chain.select, "dataset"))?;
-
-        p.add_module(chain.translate, "dv3d.TranslateScalar")?;
-        p.connect((chain.select, "variable"), (chain.translate, "variable"))?;
-
-        p.add_module(chain.plot, plot_type)?;
-        p.connect((chain.translate, "image"), (chain.plot, "image"))?;
-
-        p.add_module(chain.cell, "dv3d.Cell")?;
-        p.connect((chain.plot, "plot"), (chain.cell, "plot"))?;
-        p.set_parameter(chain.cell, "name", ParamValue::Str(format!("{variable} #{i}")))?;
-        p.set_parameter(chain.cell, "width", ParamValue::Int(cfg.cell_px.0 as i64))?;
-        p.set_parameter(chain.cell, "height", ParamValue::Int(cfg.cell_px.1 as i64))?;
+        let cell_params = vec![
+            ("name", ParamValue::Str(format!("{variable} #{i}"))),
+            ("width", ParamValue::Int(cfg.cell_px.0 as i64)),
+            ("height", ParamValue::Int(cfg.cell_px.1 as i64)),
+        ];
+        let row = single_variable_row(plot)?;
+        actions.extend(cell_chain_actions(row, 1, &chain, variable, 0, cell_params));
         chains.push(chain);
+    }
+    let mut p = Pipeline::new();
+    for action in &actions {
+        action.apply(&mut p)?;
     }
     Ok((p, chains))
 }
@@ -98,25 +78,6 @@ pub fn wall_registry() -> ModuleRegistry {
     let mut reg = ModuleRegistry::new();
     dv3d::modules::register_all(&mut reg);
     reg
-}
-
-/// Executes `pipeline` up to its `plot` module and builds the cell named
-/// `name` from the `PlotSpec` that module produces — how the server's
-/// mirror, a display client and the single-node baseline each come by a
-/// cell. A caller building several cells of one pipeline passes the same
-/// `exec`: the shared source is then a cache hit from the second on.
-pub(crate) fn cell_from_plot_stage(
-    exec: &mut Executor,
-    pipeline: &Pipeline,
-    plot: ModuleId,
-    name: &str,
-) -> Result<Dv3dCell> {
-    let results = exec.execute_subset(pipeline, Some(plot))?;
-    let spec = results
-        .output(plot, "plot")
-        .and_then(|d| d.as_opaque::<PlotSpec>())
-        .ok_or_else(|| WallError::Protocol("plot module produced no PlotSpec".into()))?;
-    Ok(Dv3dCell::try_new(name, (*spec).clone())?)
 }
 
 /// Splits the wall pipeline into one sub-pipeline per cell — the per-client
@@ -147,6 +108,17 @@ mod tests {
         for c in &chains {
             assert!(sinks.contains(&c.cell));
         }
+    }
+
+    /// The wall's workflow is what `AssignWorkflow` carries to every
+    /// client: its serialized form is pinned (length + FNV-1a, recorded
+    /// while the pipeline was still assembled by hand).
+    #[test]
+    fn default_wall_pipeline_json_is_pinned() {
+        let (p, _) = build_wall_pipeline(&WallWorkflowConfig::default()).unwrap();
+        let json = p.to_json().unwrap();
+        let pin = (json.len(), crate::frame_delta::fnv1a(json.as_bytes()));
+        assert_eq!(pin, (9219, 0xc345_ef65_1404_1e00), "{json}");
     }
 
     #[test]

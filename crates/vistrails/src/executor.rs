@@ -19,7 +19,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Default)]
 pub struct ExecResults {
     outputs: BTreeMap<ModuleId, BTreeMap<String, WfData>>,
-    /// Execution log entries in completion order.
+    /// Execution log entries, wavefront by wavefront and in module order
+    /// within one — the same sequence on every run of one pipeline.
     pub log: Vec<ExecLogEntry>,
 }
 
@@ -238,33 +239,47 @@ impl Executor {
             }
 
             // Run the wavefront in parallel; each job runs under the retry
-            // policy and reports its per-attempt timings.
+            // policy and reports its per-attempt timings. An outcome leads
+            // with its job's position in the wave: threads finish in any
+            // order, the wave is booked in this one.
             type JobOutput =
-                (ModuleId, u64, String, Vec<Duration>, Result<BTreeMap<String, WfData>>);
+                (usize, ModuleId, u64, String, Vec<Duration>, Result<BTreeMap<String, WfData>>);
             let retry = self.retry.clone();
             let outcomes: Mutex<Vec<JobOutput>> = Mutex::new(Vec::with_capacity(jobs.len()));
             if jobs.len() <= 1 {
                 for (id, sig, tn, params, inputs, module) in jobs {
                     let (timings, out) = retry
                         .run(|| module.execute(&inputs, &params).map_err(|e| wrap_exec_err(id, e)));
-                    outcomes.lock().push((id, sig, tn, timings, out));
+                    outcomes.lock().push((0, id, sig, tn, timings, out));
                 }
             } else {
                 std::thread::scope(|scope| {
-                    for (id, sig, tn, params, inputs, module) in jobs {
+                    for (pos, job) in jobs.into_iter().enumerate() {
+                        let (id, sig, tn, params, inputs, module) = job;
                         let outcomes = &outcomes;
                         let retry = &retry;
                         scope.spawn(move || {
                             let (timings, out) = retry.run(|| {
                                 module.execute(&inputs, &params).map_err(|e| wrap_exec_err(id, e))
                             });
-                            outcomes.lock().push((id, sig, tn, timings, out));
+                            outcomes.lock().push((pos, id, sig, tn, timings, out));
                         });
                     }
                 });
             }
-            for (id, sig, type_name, attempt_durations, out) in outcomes.into_inner() {
-                let out = out?;
+            let mut outcomes = outcomes.into_inner();
+            outcomes.sort_by_key(|outcome| outcome.0);
+            // Cache and book every success of the wave, then report its
+            // lowest-positioned failure.
+            let mut failed = None;
+            for (_, id, sig, type_name, attempt_durations, out) in outcomes {
+                let out = match out {
+                    Ok(out) => out,
+                    Err(e) => {
+                        failed = failed.or(Some(e));
+                        continue;
+                    }
+                };
                 if self.caching_enabled {
                     self.cache.insert(sig, out.clone());
                 }
@@ -278,6 +293,9 @@ impl Executor {
                     attempts: attempt_durations.len() as u32,
                     attempt_durations,
                 });
+            }
+            if let Some(e) = failed {
+                return Err(e);
             }
         }
         Ok(results)
@@ -448,6 +466,65 @@ mod tests {
                 assert_eq!(message, "boom");
             }
             other => panic!("expected failure, got {other:?}"),
+        }
+    }
+
+    /// A wave whose threads are made to finish in the reverse of module
+    /// order is still booked in module order, its successes are cached,
+    /// and of two failures the earlier module's is the one returned.
+    #[test]
+    fn a_wave_is_booked_in_module_order_not_completion_order() {
+        use std::sync::{Condvar, Mutex};
+        const N: usize = 8;
+        // module `rank` finishes only once the N - 1 - rank modules after
+        // it in the wave have finished
+        let gated_registry = || {
+            let finished = Arc::new((Mutex::new(0usize), Condvar::new()));
+            let mut r = ModuleRegistry::new();
+            r.register_fn("m", "gate", &[], &[("out", PortType::Float)], move |_, params| {
+                let rank = params.get("rank").and_then(ParamValue::as_i64).unwrap() as usize;
+                let (count, turn) = &*finished;
+                let waited = turn
+                    .wait_timeout_while(
+                        count.lock().unwrap(),
+                        Duration::from_secs(10),
+                        |done| *done < N - 1 - rank,
+                    )
+                    .unwrap();
+                let mut done = waited.0;
+                *done += 1;
+                turn.notify_all();
+                if params.get("fail").and_then(ParamValue::as_bool) == Some(true) {
+                    return Err(WfError::Execution { module: 0, message: format!("gate {rank}") });
+                }
+                Ok(single("out", WfData::Float(rank as f64)))
+            });
+            r
+        };
+        let wave = |failing: &[u64]| {
+            let mut p = Pipeline::new();
+            for rank in 0..N as u64 {
+                p.add_module(10 + rank, "m.gate").unwrap();
+                p.set_parameter(10 + rank, "rank", ParamValue::Int(rank as i64)).unwrap();
+                if failing.contains(&rank) {
+                    p.set_parameter(10 + rank, "fail", ParamValue::Bool(true)).unwrap();
+                }
+            }
+            p
+        };
+        for _ in 0..20 {
+            let results = Executor::new(gated_registry()).execute(&wave(&[])).unwrap();
+            let booked: Vec<ModuleId> = results.log.iter().map(|e| e.module).collect();
+            assert_eq!(booked, (10..18).collect::<Vec<_>>());
+
+            let mut exec = Executor::new(gated_registry());
+            match exec.execute(&wave(&[2, 5])) {
+                Err(WfError::Execution { module, message }) => {
+                    assert_eq!((module, message.as_str()), (12, "gate 2"));
+                }
+                other => panic!("expected module 12's failure, got {other:?}"),
+            }
+            assert_eq!(exec.cache_len(), N - 2, "the wave's successes are cached");
         }
     }
 

@@ -8,16 +8,24 @@
 //!               [--time 0 --width 640 --height 480 --colormap viridis]
 //! uvcdat wall   [--cells 15 --frames 2]
 //! ```
+//!
+//! `--type` is the key of a single-variable row of the plot palette
+//! (`dv3d::plots::PALETTE`; the usage text lists them), and `plot` builds
+//! its cell through the same recorded chain of workflow modules as a
+//! prebuilt workflow or a hyperwall cell.
 
-use dv3d::cell::Dv3dCell;
 use dv3d::interaction::ConfigOp;
-use dv3d::plots::PlotSpec;
-use dv3d::translation::{translate_scalar, TranslationOptions};
+use dv3d::modules::{cell_chain_actions, cell_from_plot_stage, single_variable_row, CellChain};
+use dv3d::plots::single_variable_rows;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use uvcdat::cdms::synth::SynthesisSpec;
 use uvcdat::cdms::Dataset;
-use uvcdat::{cdat, cdms, dv3d, hyperwall};
+use uvcdat::vistrails::executor::Executor;
+use uvcdat::vistrails::pipeline::Pipeline;
+use uvcdat::vistrails::provenance::Action;
+use uvcdat::vistrails::value::ParamValue;
+use uvcdat::{dv3d, hyperwall};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,7 +34,8 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!();
-            eprintln!("{USAGE}");
+            let types: Vec<&str> = single_variable_rows().map(|row| row.key).collect();
+            eprintln!("{USAGE}\n\nplot types: {}", types.join(" "));
             ExitCode::FAILURE
         }
     }
@@ -38,35 +47,27 @@ const USAGE: &str = "usage:
   uvcdat calc   FILE EXPR [-o FILE]
   uvcdat plot   FILE --var NAME --type TYPE -o FILE.ppm
                 [--time N --width N --height N --colormap NAME]
-  uvcdat wall   [--cells N --frames N]
+  uvcdat wall   [--cells N --frames N]";
 
-plot types: slicer volume isosurface hovmoller_slicer hovmoller_volume";
-
-/// Splits `args` into positional arguments and `--flag value` options.
+/// Splits `args` into positional arguments and `--flag value` options
+/// (`-o` reads as `--o`).
 fn parse(args: &[String]) -> (Vec<&str>, HashMap<&str, &str>) {
     let mut pos = Vec::new();
     let mut opts = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if let Some(name) = a.strip_prefix("--") {
-            if i + 1 < args.len() {
-                opts.insert(name, args[i + 1].as_str());
-                i += 2;
-            } else {
-                opts.insert(name, "");
-                i += 1;
-            }
-        } else if a == "-o" {
-            if i + 1 < args.len() {
-                opts.insert("o", args[i + 1].as_str());
-                i += 2;
-            } else {
-                i += 1;
-            }
-        } else {
-            pos.push(a);
-            i += 1;
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(a) = rest.next() {
+        match a.strip_prefix("--").or((a == "-o").then_some("o")) {
+            Some(name) => match rest.next() {
+                Some(value) => {
+                    opts.insert(name, value);
+                }
+                // a trailing `--flag` is set and empty; a trailing `-o` names no file
+                None if a != "-o" => {
+                    opts.insert(name, "");
+                }
+                None => {}
+            },
+            None => pos.push(a),
         }
     }
     (pos, opts)
@@ -167,37 +168,34 @@ fn cmd_plot(pos: &[&str], opts: &HashMap<&str, &str>) -> Result<(), String> {
     let height = opt_usize(opts, "height", 480)?;
     let t = opt_usize(opts, "time", 0)?;
 
-    let ds = Dataset::open(path).map_err(|e| e.to_string())?;
-    let var = ds.require(var_name).map_err(|e| e.to_string())?;
-    let topts = TranslationOptions::default();
+    let row = single_variable_row(plot_type).map_err(|e| e.to_string())?;
 
-    let spec = match plot_type {
-        "slicer" | "volume" | "isosurface" => {
-            let slab = if var.axis_index(cdms::axis::AxisKind::Time).is_some() {
-                var.time_slab(t).map_err(|e| e.to_string())?
-            } else {
-                var.clone()
-            };
-            let img = translate_scalar(&slab, &topts).map_err(|e| e.to_string())?;
-            match plot_type {
-                "slicer" => PlotSpec::slicer(img),
-                "volume" => PlotSpec::volume(img),
-                _ => PlotSpec::isosurface(img),
-            }
-        }
-        "hovmoller_slicer" | "hovmoller_volume" => {
-            let vol = cdat::hovmoller::hovmoller_volume(var).map_err(|e| e.to_string())?;
-            let img = translate_scalar(&vol, &topts).map_err(|e| e.to_string())?;
-            if plot_type == "hovmoller_slicer" {
-                PlotSpec::hovmoller_slicer(img)
-            } else {
-                PlotSpec::hovmoller_volume(img)
-            }
-        }
-        other => return Err(format!("unknown plot type '{other}'")),
-    };
-
-    let mut cell = Dv3dCell::try_new(&format!("{var_name} / {}", ds.id), spec)
+    // the file is module 1; the chain is recorded onto the same pipeline
+    let ids = CellChain { select: 2, hovmoller: 3, translate: 10, plot: 11, cell: 12 };
+    let time_index = i64::try_from(t).map_err(|_| format!("--time {t} is out of range"))?;
+    let source = [
+        Action::AddModule { id: 1, type_name: "cdms.OpenFile".into() },
+        Action::SetParameter {
+            module: 1,
+            name: "path".into(),
+            value: ParamValue::Str(path.to_string()),
+        },
+    ];
+    let chain = cell_chain_actions(row, 1, &ids, var_name, time_index, vec![]);
+    let mut pipeline = Pipeline::new();
+    for action in source.iter().chain(&chain) {
+        action.apply(&mut pipeline).map_err(|e| e.to_string())?;
+    }
+    let mut exec = Executor::new(uvcdat::standard_registry());
+    // The cell needs the dataset's name and land fraction too: the file
+    // module runs first, and is a cache hit when the chain runs.
+    let opened = exec.execute_subset(&pipeline, Some(1)).map_err(|e| e.to_string())?;
+    let ds = opened
+        .output(1, "dataset")
+        .and_then(|d| d.as_opaque::<Dataset>())
+        .ok_or("the file module produced no dataset")?;
+    let name = format!("{var_name} / {}", ds.id);
+    let mut cell = cell_from_plot_stage(&mut exec, &pipeline, ids.plot, &name)
         .map_err(|e| e.to_string())?;
     if let Some(lf) = ds.variable("sftlf") {
         cell.set_base_map(lf).ok();

@@ -106,6 +106,55 @@ fn hovmoller_plot_from_cli() {
     std::fs::remove_file(ppm).ok();
 }
 
+/// Every single-variable palette row renders from the CLI, and the usage
+/// text and an unknown key's error both list exactly those rows.
+#[test]
+fn every_palette_row_plots_from_cli() {
+    let ncr = temp_path("p.ncr");
+    assert!(uvcdat()
+        .args(["synth", "-o", ncr.to_str().unwrap(), "--nt", "3", "--nlat", "10", "--nlon", "20"])
+        .status()
+        .unwrap()
+        .success());
+    let keys: Vec<&str> =
+        uvcdat::dv3d::plots::single_variable_rows().map(|row| row.key).collect();
+    for row in uvcdat::dv3d::plots::single_variable_rows() {
+        let ppm = temp_path(&format!("{}.ppm", row.key));
+        // a Hovmöller volume stacks the timesteps of a surface field
+        let var = if row.needs_hovmoller { "wave" } else { "ta" };
+        let out = uvcdat()
+            .args(["plot", ncr.to_str().unwrap(), "--var", var, "--type", row.key])
+            .args(["--width", "96", "--height", "72", "-o", ppm.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}: {}", row.key, String::from_utf8_lossy(&out.stderr));
+        let bytes = std::fs::read(&ppm).unwrap();
+        assert!(bytes.starts_with(b"P6\n96 72\n255\n"), "{}", row.key);
+        assert!(bytes.iter().skip(13).any(|&b| b != 0), "{} drew nothing", row.key);
+        std::fs::remove_file(ppm).ok();
+    }
+    // a field without a time axis plots whole, whatever --time says
+    let ppm = temp_path("lf.ppm");
+    let out = uvcdat()
+        .args(["plot", ncr.to_str().unwrap(), "--var", "sftlf", "--time", "2"])
+        .args(["-o", ppm.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_file(ppm).ok();
+
+    let out = uvcdat()
+        .args(["plot", ncr.to_str().unwrap(), "--var", "ta", "--type", "hologram"])
+        .args(["-o", "/tmp/x.ppm"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let text = String::from_utf8_lossy(&out.stderr);
+    let listed = format!("plot types: {}", keys.join(" "));
+    assert_eq!(text.matches(&listed).count(), 2, "error and usage both list the keys: {text}");
+    std::fs::remove_file(ncr).ok();
+}
+
 #[test]
 fn bad_invocations_fail_cleanly() {
     // no command
