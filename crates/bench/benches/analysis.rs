@@ -12,8 +12,11 @@
 //! Also reports serial-vs-parallel scaling of the fused pipeline with the
 //! *effective* rayon pool size per row — single-core CI boxes resolve
 //! every request to a pool of 1, and the artifact should say so rather
-//! than look like a scaling failure. RAYON_NUM_THREADS is honoured: an
-//! externally pinned value wins over hardware detection for the wide row.
+//! than look like a scaling failure. The wide row runs at the process
+//! default (`RAYON_NUM_THREADS`, else the hardware), the sweep rows under
+//! `rayon::with_threads`. Rows that ask for more threads than the box has
+//! must cost no more than the 2-thread row: helpers are claimed from a
+//! persistent pool, not spawned per region.
 //!
 //! `ANALYSIS_BENCH_SMOKE=1` shrinks reps and the field for CI smoke runs.
 
@@ -50,20 +53,11 @@ fn once_ms<T>(mut f: impl FnMut() -> T) -> f64 {
 
 /// Times the fused pipeline under a requested worker count, returning the
 /// best-of-reps ms and the pool size the dispatcher actually resolved.
-/// Any externally-set RAYON_NUM_THREADS is restored afterwards.
 fn fused_ms_at(var: &Variable, threads: usize, reps: usize) -> (f64, usize) {
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let effective = rayon::current_num_threads();
-    let mut runs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        runs.push(once_ms(|| run(var, &CHAIN).expect("fused pipeline")));
-    }
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    (best(runs), effective)
+    rayon::with_threads(threads, || {
+        let runs = (0..reps).map(|_| once_ms(|| run(var, &CHAIN).expect("fused pipeline")));
+        (best(runs.collect()), rayon::current_num_threads())
+    })
 }
 
 fn main() {
@@ -90,21 +84,13 @@ fn main() {
     // frees ~40 MB of intermediates, and whichever pass runs next pays
     // the page faults for re-growing the heap (+4 ms on the 20 ms fused
     // pass when it directly follows an eager call).
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let eager = best((0..reps).map(|_| once_ms(|| eager_chain(ta))).collect());
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    let eager = rayon::with_threads(1, || {
+        best((0..reps).map(|_| once_ms(|| eager_chain(ta))).collect())
+    });
 
     // Scaling rows: serial vs whatever the box (or RAYON_NUM_THREADS) offers.
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let wide = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(hw);
+    let wide = rayon::current_num_threads();
     // Full sweep at 1/2/4/8 requested workers (the BENCH_render.json
     // convention), plus the legacy serial / wide rows.
     let sweep: Vec<(usize, f64, usize)> = [1usize, 2, 4, 8]
@@ -119,6 +105,9 @@ fn main() {
         .map(|&(_, ms, pool)| (ms, pool))
         .unwrap_or((f64::NAN, 1));
     let (wide_ms, pool_n) = fused_ms_at(ta, wide, reps);
+    // the rows that ask for more threads than the 2-thread row, against it
+    let ms_at = |t: usize| sweep.iter().find(|r| r.0 == t).map_or(f64::NAN, |r| r.1);
+    let oversubscribed = ms_at(4).max(ms_at(8)) / ms_at(2);
     let sweep_json = sweep
         .iter()
         .map(|(t, ms, pool)| {
@@ -148,6 +137,7 @@ fn main() {
             "  \"effective_pool_one_thread\": {},\n",
             "  \"effective_pool_all_threads\": {},\n",
             "  \"requested_threads\": {},\n",
+            "  \"slowest_of_4_and_8_over_2_threads\": {:.2},\n",
             "  \"thread_sweep\": [\n{}\n  ]\n",
             "}}\n"
         ),
@@ -163,6 +153,7 @@ fn main() {
         pool1,
         pool_n,
         wide,
+        oversubscribed,
         sweep_json,
     );
     // workspace root, independent of the bench binary's cwd
@@ -177,5 +168,9 @@ fn main() {
         speedup >= 1.5,
         "fused pipeline must be >= 1.5x faster than the eager chain \
          single-threaded, got {speedup:.2}x (eager {eager:.4} ms, fused {fused:.4} ms)"
+    );
+    assert!(
+        smoke() || oversubscribed <= 1.25,
+        "asking for 4 or 8 threads must cost no more than asking for 2, got {oversubscribed:.2}x"
     );
 }

@@ -82,44 +82,45 @@ fn main() {
     // ---- timing: inner kernels pinned to one rayon worker -------------
     // All speedup below must come from executor-level task overlap, not
     // from the kernels' own data parallelism.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-
-    // serial-oracle baseline
-    let mut runs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        runs.push(once_ms(|| g.run_serial().expect("serial run")));
-    }
-    let serial_ms = best(runs);
-
-    if std::env::var("ENSEMBLE_BENCH_DEBUG").is_ok() {
-        let report = g.run_serial().expect("serial run");
-        let mut by_cost: Vec<(&String, f64)> = report
-            .timings
-            .iter()
-            .map(|(name, d)| (name, d.as_secs_f64() * 1e3))
-            .collect();
-        by_cost.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        for (name, ms) in by_cost.iter().take(12) {
-            println!("task {name}: {ms:.2} ms");
+    let (serial_ms, sweep) = rayon::with_threads(1, || {
+        // serial-oracle baseline
+        let mut runs = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            runs.push(once_ms(|| g.run_serial().expect("serial run")));
         }
-    }
+        let serial_ms = best(runs);
 
-    // 1/2/4/8 executor-worker sweep
-    let sweep: Vec<(usize, f64, usize)> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&w| {
-            let mut runs = Vec::with_capacity(reps);
-            let mut workers = 1;
-            for _ in 0..reps {
-                runs.push(once_ms(|| {
-                    let report = g.run_with_pool(w).expect("pooled run");
-                    workers = report.workers;
-                    report
-                }));
+        if std::env::var("ENSEMBLE_BENCH_DEBUG").is_ok() {
+            let report = g.run_serial().expect("serial run");
+            let mut by_cost: Vec<(&String, f64)> = report
+                .timings
+                .iter()
+                .map(|(name, d)| (name, d.as_secs_f64() * 1e3))
+                .collect();
+            by_cost.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            for (name, ms) in by_cost.iter().take(12) {
+                println!("task {name}: {ms:.2} ms");
             }
-            (w, best(runs), workers)
-        })
-        .collect();
+        }
+
+        // 1/2/4/8 executor-worker sweep
+        let sweep: Vec<(usize, f64, usize)> = [1usize, 2, 4, 8]
+            .iter()
+            .map(|&w| {
+                let mut runs = Vec::with_capacity(reps);
+                let mut workers = 1;
+                for _ in 0..reps {
+                    runs.push(once_ms(|| {
+                        let report = g.run_with_pool(w).expect("pooled run");
+                        workers = report.workers;
+                        report
+                    }));
+                }
+                (w, best(runs), workers)
+            })
+            .collect();
+        (serial_ms, sweep)
+    });
     let (two_ms, two_workers) = sweep
         .iter()
         .find(|&&(w, _, _)| w == 2)
@@ -133,11 +134,6 @@ fn main() {
             "2-worker executor only {dag_speedup:.2}x over run_serial \
              (serial {serial_ms:.2} ms, 2 workers {two_ms:.2} ms)"
         );
-    }
-
-    match rayon_env {
-        Some(ref v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
 
     let sweep_json = sweep

@@ -65,28 +65,20 @@ fn warm_ms_per_step(var: &Variable, target: &RectGrid, method: RegridMethod, rep
 }
 
 /// Whole-variable apply (all timesteps in one parallel pass) under a given
-/// worker count, ms. Uses RAYON_NUM_THREADS, which the vendored rayon
-/// honours at dispatch time; also returns the pool size the dispatcher
-/// actually resolved, so single-core boxes (effective pool of 1 regardless
-/// of the request) are visible in the artifact instead of looking like a
-/// scaling failure. Any externally-set RAYON_NUM_THREADS is restored.
+/// worker count (`rayon::with_threads`), ms; also returns the pool size
+/// the dispatcher actually resolved.
 fn scaling_ms(var: &Variable, target: &RectGrid, threads: usize, reps: usize) -> (f64, usize) {
     let (lat, lon) = (&var.axes[var.rank() - 2], &var.axes[var.rank() - 1]);
     let plan = RegridPlan::build(RegridMethod::Conservative, lat, lon, target).expect("plan");
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let effective = rayon::current_num_threads();
-    let mut runs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(plan.apply(var).expect("apply"));
-        runs.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    (best(runs), effective)
+    rayon::with_threads(threads, || {
+        let mut runs = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            std::hint::black_box(plan.apply(var).expect("apply"));
+            runs.push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+        (best(runs), rayon::current_num_threads())
+    })
 }
 
 fn main() {
@@ -103,14 +95,10 @@ fn main() {
     let co_warm = warm_ms_per_step(tos, &target, RegridMethod::Conservative, reps);
 
     // Thread scaling of one whole-variable parallel apply (time*lev planes).
-    // An externally-set RAYON_NUM_THREADS wins over hardware detection, so
-    // CI can pin the wide row; `scaling_ms` reports what the pool resolved.
+    // The wide row runs at the process default, so an externally-set
+    // RAYON_NUM_THREADS wins over hardware detection and CI can pin it.
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let wide = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(hw);
+    let wide = rayon::current_num_threads();
     // Full sweep at 1/2/4/8 requested workers (the BENCH_render.json
     // convention), plus the legacy one-thread / wide rows derived from it.
     let sweep: Vec<(usize, f64, usize)> = [1usize, 2, 4, 8]

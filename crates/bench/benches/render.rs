@@ -15,8 +15,8 @@
 //!    from the Execute broadcast to the first pixel content arriving at
 //!    the server (`FrameReport::first_content_ms`).
 //!
-//! The bench honours `RAYON_NUM_THREADS` (the vendored rayon reads it at
-//! dispatch time) and reports both the env setting and the effective pool
+//! The bench runs at the process's thread count (`RAYON_NUM_THREADS`, else
+//! the hardware) and reports both the env setting and the effective pool
 //! size. `RENDER_BENCH_SMOKE=1` shrinks sizes and reps for CI smoke runs.
 
 use hyperwall::frame_delta::FrameStreamer;
@@ -247,8 +247,6 @@ fn main() {
     let hardware_threads =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let rayon_env = std::env::var("RAYON_NUM_THREADS").ok();
-    // measured inside a parallel region so the vendored rayon has resolved
-    // RAYON_NUM_THREADS into an actual pool
     let rayon_threads = rayon::current_num_threads();
 
     // ---- 1. tile vs scanline frame time -------------------------------

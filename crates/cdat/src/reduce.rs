@@ -716,6 +716,7 @@ pub fn percentile_axis(arr: &MaskedArray, axis: usize, q: f64) -> Result<MaskedA
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rayon::with_threads;
 
     #[test]
     fn min_max_axis_match_eager_bits() {
@@ -881,27 +882,12 @@ mod tests {
         (data, mask)
     }
 
-    /// `RAYON_NUM_THREADS` is process-global; only this module's tests set it.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-        let prev = std::env::var("RAYON_NUM_THREADS").ok();
-        std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-        let out = f();
-        match prev {
-            Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-            None => std::env::remove_var("RAYON_NUM_THREADS"),
-        }
-        out
-    }
-
     fn sums_bits(n: u64, sum: (f64, f64), sum_sq: (f64, f64)) -> (u64, [u64; 4]) {
         (n, [sum.0, sum.1, sum_sq.0, sum_sq.1].map(f64::to_bits))
     }
 
     #[test]
     fn lane_moments_equal_the_ordered_neumaier_blocks_bit_for_bit() {
-        let _guard = ENV_LOCK.lock().expect("env lock");
         let lengths = [
             0,
             1,

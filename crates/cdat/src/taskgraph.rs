@@ -473,10 +473,10 @@ impl TaskGraph {
     }
 
     /// Runs the graph on the dependency-counting executor with a worker
-    /// pool sized from `RAYON_NUM_THREADS` / available parallelism (the
-    /// same resolution the vendored rayon uses). Outputs are bit-identical
-    /// to [`TaskGraph::run_serial`]; each task sees exactly its declared
-    /// dependencies' outputs.
+    /// pool sized from `rayon::current_num_threads()` — the caller's
+    /// `rayon::with_threads` value, else the process default. Outputs are
+    /// bit-identical to [`TaskGraph::run_serial`]; each task sees exactly
+    /// its declared dependencies' outputs.
     pub fn run_parallel(&self) -> Result<TaskReport> {
         self.run_with_pool(rayon::current_num_threads())
     }
@@ -525,9 +525,15 @@ impl TaskGraph {
             // benches time as "pool of 1".
             self.exec_worker(&shared, &topo);
         } else {
+            // the executor's threads are not the caller's: hand them its
+            // scoped thread count, so the kernels inside a task publish
+            // regions as wide as they would on the caller
+            let kernel_threads = rayon::current_num_threads();
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| self.exec_worker(&shared, &topo));
+                    scope.spawn(|| {
+                        rayon::with_threads(kernel_threads, || self.exec_worker(&shared, &topo))
+                    });
                 }
             });
         }
@@ -811,7 +817,7 @@ mod tests {
     fn parallel_is_faster_on_independent_tasks() {
         // two independent 60ms tasks: serial ≥ 120ms, parallel ≈ 60ms.
         // Pool pinned to 2 so the assertion holds regardless of the
-        // RAYON_NUM_THREADS ambient value.
+        // ambient thread count.
         let g = analysis_graph(60);
         let s = g.run_serial().unwrap();
         let p = g.run_with_pool(2).unwrap();

@@ -10,8 +10,7 @@
 //! 2. **Reductions are thread-count invariant.** `spatial_mean`,
 //!    `correlation`, `standardize`, `monthly_climatology` and the fused
 //!    pipeline produce bit-identical results under rayon pools of
-//!    1, 2 and 8 workers (the vendored rayon honours RAYON_NUM_THREADS
-//!    at dispatch time).
+//!    1, 2 and 8 workers (`rayon::with_threads`).
 //! 3. **The O(n) running mean matches the O(n·window) original.** Masks
 //!    and counts agree exactly; data agrees to tolerance (prefix-sum
 //!    differencing regroups the f64 window sum, which is not a
@@ -21,7 +20,7 @@ use cdat::expr::{Expr, PredFn, UnaryFn};
 use cdat::{averager, climatology, eager_ref, pipeline, statistics};
 use cdms::synth::SynthesisSpec;
 use cdms::{Axis, AxisKind, MaskedArray, Variable};
-use std::sync::Mutex;
+use rayon::with_threads;
 
 // ---- deterministic PRNG (no external crates, no wall clock) ----
 
@@ -274,29 +273,12 @@ fn fused_chains_match_eager_reference_bit_for_bit() {
 
 // ---- 2. reductions are bit-identical across pool sizes ----
 
-/// Serializes RAYON_NUM_THREADS mutation across tests in this binary:
-/// the test harness runs cases concurrently and the env var is
-/// process-global.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    out
-}
-
 fn var_bits(v: &Variable) -> (Vec<u32>, Vec<bool>) {
     (v.array.data().iter().map(|x| x.to_bits()).collect(), v.array.mask().to_vec())
 }
 
 #[test]
 fn reductions_bit_identical_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     // 24 x 4 x 32 x 64 = 196k lanes: well past every parallel cutoff
     let ds = SynthesisSpec::new(24, 4, 32, 64).seed(99).build();
     let ta = ds.variable("ta").expect("ta");
@@ -353,7 +335,6 @@ fn reductions_bit_identical_across_thread_counts() {
 
 #[test]
 fn expr_eval_bit_identical_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     let mut rng = Rng::new(4242);
     let shape = [40_000usize];
     let base = random_array(&mut rng, &shape);

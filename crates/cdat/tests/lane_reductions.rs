@@ -20,21 +20,7 @@ use cdat::pipeline::{self, AnalysisStep};
 use cdat::{averager, climatology, reduce, statistics};
 use cdms::synth::SynthesisSpec;
 use cdms::{MaskedArray, Variable};
-use std::sync::Mutex;
-
-/// RAYON_NUM_THREADS is process-global: tests that set it take turns.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    out
-}
+use rayon::with_threads;
 
 fn bits(a: &MaskedArray) -> (Vec<u32>, Vec<bool>, Vec<usize>) {
     (a.data().iter().map(|v| v.to_bits()).collect(), a.mask().to_vec(), a.shape().to_vec())
@@ -151,7 +137,6 @@ fn slab_mean_axis(arr: &MaskedArray, axis: usize) -> MaskedArray {
 
 #[test]
 fn tiled_axis_means_equal_the_slab_loops_bit_for_bit() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     // (shape, axis): the reduced axis outermost with a ragged last tile, an
     // exact tile multiple, slabs shorter than a tile (several per tile, the
     // last tile short), a long ragged slab inside outer slabs, inner == 1
@@ -205,7 +190,6 @@ fn stepwise(var: &Variable) -> Variable {
 
 #[test]
 fn fused_pipeline_equals_the_stepwise_chain_at_the_benchmark_window_size() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     let ds = SynthesisSpec::new(4, 8, 180, 360).seed(15).build();
     let ta = ds.variable("ta").expect("ta");
     // the masked copy: 20% of the lanes (holding NaN / ∞) plus whole

@@ -7,7 +7,7 @@
 //!    by the retry policy, and permanently failing tasks — the executor's
 //!    `TaskReport.outputs` (data AND masks) and its attempt counts are
 //!    bit-identical to `run_serial` at pool sizes 1, 2 and 8, and
-//!    `run_parallel` honours `RAYON_NUM_THREADS` the same way.
+//!    `run_parallel` sizes its pool from `rayon::with_threads` the same way.
 //! 2. **Batched regrid is invisible in the bits.** `regrid_batch` over N
 //!    ensemble members equals N per-member `regrid` calls byte-for-byte,
 //!    masks included, for both regrid methods and uneven member shapes.
@@ -19,6 +19,7 @@ use cdms::axis::AxisKind;
 use cdms::synth::SynthesisSpec;
 use cdms::{Axis, CdmsError, MaskedArray, RectGrid, Variable};
 use proptest::prelude::*;
+use rayon::with_threads;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -231,24 +232,10 @@ proptest! {
     }
 }
 
-// ---- run_parallel honours RAYON_NUM_THREADS ----
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    out
-}
+// ---- run_parallel honours the scoped thread count ----
 
 #[test]
 fn run_parallel_matches_serial_at_env_thread_counts() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     let spec = random_spec(0xD1CE, 18, 30, 20, false);
     let want = build_graph(&spec).run_serial().expect("serial");
     for threads in [1usize, 2, 8] {

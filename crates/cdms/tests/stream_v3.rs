@@ -17,25 +17,9 @@ use cdms::stream::{StreamOptions, StreamReport, StreamingDataset};
 use cdms::synth::SynthesisSpec;
 use cdms::{AxisKind, Dataset, Storage};
 use proptest::prelude::*;
+use rayon::with_threads;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::sync::Mutex;
-
-/// Serializes RAYON_NUM_THREADS mutation across tests in this binary:
-/// the test harness runs cases concurrently and the env var is
-/// process-global.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    out
-}
 
 fn temp_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cdms_stream_v3_{}", std::process::id()));
@@ -91,7 +75,6 @@ proptest! {
 
 #[test]
 fn v3_encode_is_byte_identical_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     let ds = SynthesisSpec::new(10, 3, 16, 24).seed(77).build();
     let opts = V3Options { window: 3, levels: 3, compress: true };
     let reference = with_threads(1, || format_v3::to_bytes_v3_with(&ds, &opts).0);
@@ -180,7 +163,6 @@ fn run_fault_storm(path: &std::path::Path, ds: &Dataset) -> (Vec<(usize, &'stati
 
 #[test]
 fn fault_storm_playback_completes_every_frame_with_exact_counters() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     // 24 steps × 2 levels × 12×16 cells, windows of 2 → 12 level-0 chunks
     // of 3 840 decoded bytes each
     let ds = SynthesisSpec::new(24, 2, 12, 16).seed(4242).build();

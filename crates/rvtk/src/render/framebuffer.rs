@@ -2,6 +2,7 @@
 //! tile/band partition helpers shared by the rasterizer and volume paths.
 
 use crate::color::Color;
+use rayon::prelude::*;
 use std::io::Write;
 use std::path::Path;
 
@@ -120,8 +121,14 @@ impl TileGrid {
         if px0 > px1 || py0 > py1 {
             return TileSpan::EMPTY;
         }
+        // the clamped bounds are non-negative; a power-of-two edge (the
+        // default 32) divides by a shift, four times a triangle
         let edge = u32::try_from(self.tile).unwrap_or(u32::MAX);
-        let tile = |px: i32| px.unsigned_abs() / edge;
+        let shift = edge.is_power_of_two().then(|| edge.trailing_zeros());
+        let tile = |px: i32| match shift {
+            Some(s) => px.unsigned_abs() >> s,
+            None => px.unsigned_abs() / edge,
+        };
         TileSpan { tx0: tile(px0), tx1: tile(px1), ty0: tile(py0), ty1: tile(py1) }
     }
 
@@ -157,7 +164,7 @@ impl TileSpan {
     }
 }
 
-/// A horizontal slice of a framebuffer owned by one rasterizer thread —
+/// A horizontal slice of a framebuffer, written by one thread at a time —
 /// the partition unit shared by the tile rasterizer, the scanline
 /// reference and the volume ray-caster.
 pub(crate) struct BandView<'a> {
@@ -182,6 +189,11 @@ pub struct Framebuffer {
     color: Vec<Color>,
     /// NDC depth in [-1, 1]; +∞ means empty.
     depth: Vec<f32>,
+    /// `Some(c)` while every pixel is still `c` at depth +∞ — nothing has
+    /// been drawn since the fill — so that clearing a new framebuffer to
+    /// the color it was made with does not fill it a second time. Every
+    /// `&mut self` path that can write a pixel resets it.
+    blank: Option<Color>,
 }
 
 impl Framebuffer {
@@ -192,6 +204,7 @@ impl Framebuffer {
             height,
             color: vec![Color::BLACK; width * height],
             depth: vec![f32::INFINITY; width * height],
+            blank: Some(Color::BLACK),
         }
     }
 
@@ -212,8 +225,11 @@ impl Framebuffer {
 
     /// Clears color and depth.
     pub fn clear(&mut self, background: Color) {
-        self.color.fill(background);
-        self.depth.fill(f32::INFINITY);
+        if self.blank != Some(background) {
+            self.color.fill(background);
+            self.depth.fill(f32::INFINITY);
+            self.blank = Some(background);
+        }
     }
 
     /// Pixel color at `(x, y)`; panics out of range (test/diagnostic use).
@@ -229,6 +245,7 @@ impl Framebuffer {
     /// Sets a pixel unconditionally (no depth test), for 2D overlays.
     pub fn set_pixel(&mut self, x: usize, y: usize, c: Color) {
         if x < self.width && y < self.height {
+            self.blank = None;
             let i = y * self.width + x;
             self.color[i] = if c.a >= 1.0 { c } else { c.over(self.color[i]) };
         }
@@ -242,6 +259,7 @@ impl Framebuffer {
         }
         let i = y * self.width + x;
         if z < self.depth[i] {
+            self.blank = None;
             if c.a >= 0.999 {
                 self.color[i] = c;
                 self.depth[i] = z;
@@ -264,6 +282,7 @@ impl Framebuffer {
     pub(crate) fn band_views(&mut self, rows_per_band: usize) -> Vec<BandView<'_>> {
         let rows_per = rows_per_band.clamp(1, self.height.max(1));
         let width = self.width;
+        self.blank = None;
         let mut out = Vec::with_capacity(self.height.div_ceil(rows_per));
         let mut color_rest: &mut [Color] = &mut self.color;
         let mut depth_rest: &mut [f32] = &mut self.depth;
@@ -280,8 +299,8 @@ impl Framebuffer {
         out
     }
 
-    /// One band per rayon worker — the historic row-band split used by the
-    /// volume path and the scanline reference rasterizer.
+    /// One band per rayon worker — the historic row-band split of the
+    /// scanline reference rasterizer.
     pub(crate) fn thread_bands(&mut self) -> Vec<BandView<'_>> {
         let n = rayon::current_num_threads().max(1).min(self.height.max(1));
         self.band_views(self.height.max(1).div_ceil(n))
@@ -296,11 +315,16 @@ impl Framebuffer {
 
     /// Quantizes the image to packed RGBA8 bytes (row-major, y = 0 top) —
     /// the lossless wire format of the hyperwall frame-delta transport.
+    /// Bands of [`TileGrid::TILE`] rows are quantized in parallel.
     pub fn to_rgba8(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.color.len() * 4];
-        for (px, c) in out.chunks_exact_mut(4).zip(&self.color) {
-            px.copy_from_slice(&c.to_u8());
-        }
+        let band = self.width.max(1) * TileGrid::TILE;
+        out.par_chunks_mut(band * 4).enumerate().for_each(|(b, bytes)| {
+            let colors = self.color.get(b * band..).unwrap_or(&[]);
+            for (px, c) in bytes.chunks_exact_mut(4).zip(colors) {
+                px.copy_from_slice(&c.to_u8());
+            }
+        });
         out
     }
 
@@ -329,6 +353,7 @@ impl Framebuffer {
     /// `(x0, y0)`, clipping at the edges (no depth transfer) — used to
     /// assemble mosaics like the hyperwall preview.
     pub fn blit(&mut self, src: &Framebuffer, x0: usize, y0: usize) {
+        self.blank = None;
         for sy in 0..src.height() {
             let dy = y0 + sy;
             if dy >= self.height {
@@ -369,6 +394,37 @@ mod tests {
         assert_eq!(fb.pixel(3, 2), Color::BLUE);
         assert_eq!(fb.depth_at(0, 0), f32::INFINITY);
         assert!((fb.aspect() - 4.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clear_refills_after_every_kind_of_write() {
+        // a new framebuffer skips the fill when cleared to the color it
+        // was made with; once anything may have been written, to that
+        // color too, it must not
+        let mut lit = Framebuffer::new(1, 1);
+        lit.set_pixel(0, 0, Color::RED);
+        let writes: [fn(&mut Framebuffer, &Framebuffer); 4] = [
+            |fb, _| fb.set_pixel(1, 1, Color::RED),
+            |fb, _| fb.plot(1, 1, 0.5, Color::RED),
+            |fb, lit| fb.blit(lit, 1, 1),
+            |fb, _| {
+                for band in fb.band_views(1) {
+                    band.colors.fill(Color::RED);
+                    band.depths.fill(0.5);
+                }
+            },
+        ];
+        for (i, write) in writes.iter().enumerate() {
+            for background in [Color::BLACK, Color::BLUE] {
+                let mut fb = Framebuffer::new(3, 2);
+                fb.clear(background);
+                write(&mut fb, &lit);
+                assert_eq!(fb.pixel(1, 1), Color::RED, "write {i}");
+                fb.clear(background);
+                assert!(fb.colors().iter().all(|&c| c == background), "write {i}");
+                assert!(fb.depth.iter().all(|&d| d == f32::INFINITY), "write {i}");
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,20 @@
 //! downstream copies a vertex again: the painter sort orders 8-byte
 //! key/index words and gathers the refs (see `sort_far_to_near`), a
 //! bucketing pass bins ref copies into the 32×32 screen tiles their box
-//! overlaps, and rayon rasterizes tile-row bands in parallel — each tile
+//! overlaps, and tile-row bands are rasterized in parallel — each tile
 //! owns its pixels, so no locking is needed, and a tile visits only the
 //! primitives binned into it (see `tile.rs`). Lines and point sprites
 //! carry their endpoints by value. Output is bit-identical to the
 //! historic row-band engine kept in `scanline_ref.rs`.
+//!
+//! Every pass over a frame's vertices or triangles but the assembly of
+//! the refs is a parallel region over chunks — the per-vertex transform
+//! and shade, the key build and run sort, the run merges, the ref gather,
+//! and in `tile.rs` the binning and the tile rows. A chunk writes only its
+//! own slots, and the chunks are fixed sizes except the sort's runs, which
+//! follow the thread count and whose words have one sorted order however
+//! they are cut — so no bit of the frame depends on the thread count. A
+//! mesh smaller than one chunk never leaves the calling thread.
 //!
 //! This file is on the dv3dlint `indexing_hot_paths` list: mesh-supplied
 //! indices are looked up with `.get()`, so a malformed `PolyData` drops
@@ -24,6 +33,13 @@ use crate::render::actor::{Actor, Representation};
 use crate::render::framebuffer::{Framebuffer, TileGrid};
 use crate::render::light::Light;
 use crate::render::tile;
+use rayon::prelude::*;
+
+/// Mesh points transformed and shaded per parallel item.
+const VERTEX_CHUNK: usize = 4096;
+/// Refs gathered per parallel item, and the shortest painter-word run
+/// worth sorting on its own.
+const SORT_CHUNK: usize = 8_192;
 
 /// One transformed, shaded mesh point: what every triangle corner that
 /// indexes it used to carry a copy of.
@@ -108,10 +124,22 @@ impl PrimitiveList {
     }
 }
 
+/// `(⌊v⌋ as i32, ⌈v⌉ as i32)` without the two libm calls: the saturating
+/// cast truncates toward zero, one comparison says whether that moved the
+/// value up or down, and the step back saturates where `⌊v⌋` or `⌈v⌉`
+/// itself lies beyond `i32` (and NaN casts to 0 and compares false, as
+/// `NaN.floor() as i32` is 0).
+fn floor_ceil(v: f64) -> (i32, i32) {
+    let t = v as i32;
+    let back = f64::from(t);
+    (t.saturating_sub(i32::from(back > v)), t.saturating_add(i32::from(back < v)))
+}
+
 /// The pixel columns and rows a screen position touches:
 /// `[⌊sx⌋, ⌈sx⌉, ⌊sy⌋, ⌈sy⌉]`, cast saturating.
 fn pixel_box(sx: f64, sy: f64) -> [i32; 4] {
-    [sx.floor() as i32, sx.ceil() as i32, sy.floor() as i32, sy.ceil() as i32]
+    let ((x0, x1), (y0, y1)) = (floor_ceil(sx), floor_ceil(sy));
+    [x0, x1, y0, y1]
 }
 
 /// The pixel box of a triangle from the pixel boxes of its corners: min
@@ -192,13 +220,24 @@ pub(crate) fn build_primitives(
     let end = u32::try_from(verts.len() + n).expect("frame vertex count fits the u32 ids");
     let base = end - n as u32;
     let surface = prop.representation == Representation::Surface;
-    let mut px: Vec<Option<[i32; 4]>> = Vec::with_capacity(n);
-    verts.extend(pd.points.iter().enumerate().map(|(i, &p)| {
-        let on_screen = to_screen(p).map(|(sx, sy, z)| ScreenVertex { sx, sy, z, color: shade(i) });
-        px.push(on_screen.map(|v| if surface { pixel_box(v.sx, v.sy) } else { [0; 4] }));
-        on_screen.unwrap_or_default()
-    }));
-    let mine = verts.get(base as usize..).unwrap_or(&[]);
+    let mut px: Vec<Option<[i32; 4]>> = vec![None; n];
+    verts.resize(end as usize, ScreenVertex::default());
+    let mine = verts.get_mut(base as usize..).unwrap_or(&mut []);
+    mine.par_chunks_mut(VERTEX_CHUNK).zip(px.par_chunks_mut(VERTEX_CHUNK)).enumerate().for_each(
+        |(chunk, (slots, boxes))| {
+            let first = chunk * VERTEX_CHUNK;
+            let mesh_points = pd.points.get(first..).unwrap_or(&[]);
+            for (i, ((slot, on_screen), &p)) in
+                (first..).zip(slots.iter_mut().zip(boxes.iter_mut()).zip(mesh_points))
+            {
+                if let Some((sx, sy, z)) = to_screen(p) {
+                    *slot = ScreenVertex { sx, sy, z, color: shade(i) };
+                    *on_screen = Some(if surface { pixel_box(sx, sy) } else { [0; 4] });
+                }
+            }
+        },
+    );
+    let mine = &*mine;
     let corner = |i: u32| px.get(i as usize).copied().flatten();
     let vertex = |i: u32| corner(i).and(mine.get(i as usize));
     let segment = |a: u32, b: u32| -> Option<RasterLine> {
@@ -296,24 +335,95 @@ fn far_first_key(z_sum: f32) -> u32 {
 /// `zb.total_cmp(&za)` yields. The sort runs on 8-byte
 /// `(key << 32 | index)` words: each z-sum is computed once (three
 /// vertex reads in mesh order), the index in the low half breaks ties in
-/// list order (so an unstable sort is exact — no two words are equal),
-/// and one gather then moves every 28-byte ref once.
+/// list order (so no two words are equal and the words have exactly one
+/// sorted order — whichever way it is reached), and one gather then
+/// moves every 28-byte ref once. The words are keyed and sorted in
+/// parallel as one run per thread — a merge level costs about twice what
+/// a level of the sort does, so the fewest runs that occupy every thread —
+/// then merged pairwise and gathered in parallel.
 fn sort_far_to_near(verts: &[ScreenVertex], tris: &mut Vec<TriRef>) {
     // dv3dlint: allow(no_panic) -- 2^32 triangles are 120 GB of refs; the CSR bin offsets are u32 too
-    let n = u32::try_from(tris.len()).expect("triangle count fits the u32 sort index");
+    u32::try_from(tris.len()).expect("triangle count fits the u32 sort index");
     let depth = |i: u32| verts.get(i as usize).map_or(0.0, |v| v.z);
-    let mut order: Vec<u64> = tris
-        .iter()
-        .zip(0..n)
-        .map(|(t, i)| {
-            u64::from(far_first_key(t.v.map(depth).iter().sum::<f32>())) << 32 | u64::from(i)
-        })
-        .collect();
-    order.sort_unstable();
-    *tris = order
-        .iter()
-        .map(|&word| tris.get((word & 0xffff_ffff) as usize).copied().unwrap_or_default())
-        .collect();
+    let runs = rayon::current_num_threads().next_power_of_two();
+    let run = tris.len().div_ceil(runs).max(SORT_CHUNK);
+    let mut order = vec![0u64; tris.len()];
+    order.par_chunks_mut(run).enumerate().for_each(|(r, words)| {
+        let first = r * run;
+        let refs = tris.get(first..).unwrap_or(&[]);
+        for (i, (word, t)) in (first as u64..).zip(words.iter_mut().zip(refs)) {
+            *word = u64::from(far_first_key(t.v.map(depth).iter().sum::<f32>())) << 32 | i;
+        }
+        words.sort_unstable();
+    });
+    merge_runs(&mut order, run);
+    let mut sorted = vec![TriRef::default(); tris.len()];
+    sorted.par_chunks_mut(SORT_CHUNK).enumerate().for_each(|(chunk, slots)| {
+        let words = order.get(chunk * SORT_CHUNK..).unwrap_or(&[]);
+        for (slot, &word) in slots.iter_mut().zip(words) {
+            *slot = tris.get((word & 0xffff_ffff) as usize).copied().unwrap_or_default();
+        }
+    });
+    *tris = sorted;
+}
+
+/// Merges the sorted runs of `run` words that make up `order` into one
+/// sorted list: neighbouring runs pairwise, level by level, until one run
+/// is left. Each pair is cut at the median of its union ([`median_cut`])
+/// into two independent merges, so the last level — one pair — still
+/// occupies two threads.
+fn merge_runs(order: &mut Vec<u64>, run: usize) {
+    let mut spare = vec![0u64; order.len()];
+    let mut width = run.max(1);
+    while width < order.len() {
+        let mut jobs = Vec::with_capacity(order.len().div_ceil(width));
+        for (pair, merged) in order.chunks(2 * width).zip(spare.chunks_mut(2 * width)) {
+            let (a, b) = pair.split_at(width.min(pair.len()));
+            let (lower, upper) = merged.split_at_mut(merged.len() / 2);
+            let from_a = median_cut(a, b, lower.len());
+            let ((a_lo, a_hi), (b_lo, b_hi)) = (a.split_at(from_a), b.split_at(lower.len() - from_a));
+            jobs.push((a_lo, b_lo, lower));
+            jobs.push((a_hi, b_hi, upper));
+        }
+        jobs.par_iter_mut().for_each(|(a, b, merged)| merge(a, b, merged));
+        std::mem::swap(order, &mut spare);
+        width *= 2;
+    }
+}
+
+/// How many of the `k` smallest words of two sorted lists come from `a`
+/// (`k ≤ a.len() + b.len()`, no word twice): the least `i` whose `a[i]`
+/// lies above the `b` word it would displace.
+fn median_cut(a: &[u64], b: &[u64], k: usize) -> usize {
+    let (mut lo, mut hi) = (k.saturating_sub(b.len()), k.min(a.len()));
+    while lo < hi {
+        // `lo ≤ i < hi` keeps both probes in range
+        let i = lo + (hi - lo) / 2;
+        match (a.get(i), b.get(k - i - 1)) {
+            (Some(x), Some(y)) if x < y => lo = i + 1,
+            _ => hi = i,
+        }
+    }
+    lo
+}
+
+/// Merges two sorted lists into `merged`, whose length is the sum of
+/// theirs. The select compiles to a conditional move: on painter keys the
+/// branch it replaces is a coin toss.
+fn merge(a: &[u64], b: &[u64], merged: &mut [u64]) {
+    let (mut i, mut j) = (0, 0);
+    let mut slots = merged.iter_mut();
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        let Some(slot) = slots.next() else { return };
+        let from_a = x < y;
+        *slot = if from_a { x } else { y };
+        i += usize::from(from_a);
+        j += usize::from(!from_a);
+    }
+    let rest = a.get(i..).unwrap_or(&[]).iter().chain(b.get(j..).unwrap_or(&[]));
+    for (slot, &word) in slots.zip(rest) {
+        *slot = word;
+    }
 }
 
 /// Convenience entry point: builds primitives for `actors` and rasterizes
@@ -635,6 +745,22 @@ mod tests {
                     (want.sx[0], want.z.map(f32::to_bits)),
                     "len {len}: position {at} differs"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn merge_runs_sorts_any_run_layout() {
+        let mut rng = Rng(0x5eed_0fa5_07b7);
+        for len in [0usize, 1, 2, 5, 16, 17, 31, 100, 1_000] {
+            for run in [1usize, 2, 3, 7, 16, 64, 2_000] {
+                // distinct words, as the painter words are
+                let mut words: Vec<u64> = (0..len as u64).map(|i| rng.next() << 16 | i).collect();
+                words.chunks_mut(run).for_each(<[u64]>::sort_unstable);
+                let mut want = words.clone();
+                want.sort_unstable();
+                merge_runs(&mut words, run);
+                assert_eq!(words, want, "{len} words in runs of {run}");
             }
         }
     }

@@ -1,12 +1,14 @@
 //! Tile-binned rasterization: the sort-middle core of the renderer.
 //!
 //! A cheap bucketing pass assigns each screen-space primitive to the fixed
-//! 32×32 [`TileGrid`] tiles its bounding box overlaps; rayon then rasterizes
-//! tile-row bands in parallel and each band walks only the *occupied* tiles
-//! it owns, visiting only the primitives binned there. Contrast with the old
-//! row-band engine (preserved in `scanline_ref`), where every band scanned
-//! every primitive and point sprites/lines re-walked their full extent once
-//! per band.
+//! 32×32 [`TileGrid`] tiles its bounding box overlaps; tile-row bands are
+//! then rasterized in parallel — a band is one item of the region, claimed
+//! by whichever thread is free, so a surface that sits in one half of the
+//! screen still loads every core — and each band walks only the *occupied*
+//! tiles it owns, visiting only the primitives binned there. Contrast with
+//! the old row-band engine (preserved in `scanline_ref`), where every band
+//! scanned every primitive and point sprites/lines re-walked their full
+//! extent once per band.
 //!
 //! Binning evaluates each primitive's geometry once. A triangle arrives as
 //! a 28-byte [`TriRef`] whose integer pixel box was joined from its
@@ -15,6 +17,9 @@
 //! would walk) without reading a vertex. Lines and point sprites resolve
 //! to `(tile, entry)` pairs. The one CSR builder, [`csr_pairs`], then
 //! counts, prefix-sums and scatters from those stored spans and pairs.
+//! The sorted triangle list is binned in parallel, [`BIN_CHUNK`] triangles
+//! to a bin set of their own; a tile replays the sets in chunk order, which
+//! is list order.
 //!
 //! Bit-identity with the scanline engine is a hard invariant, relied on by
 //! the hyperwall delta transport (which diffs consecutive frames): the
@@ -35,9 +40,29 @@ use crate::render::framebuffer::{Framebuffer, TileGrid, TileSpan};
 use crate::render::rasterizer::{PrimitiveList, RasterLine, RasterPoint, ScreenVertex, TriRef};
 use rayon::prelude::*;
 
+/// Triangles binned per parallel item, into a [`Csr`] of their own.
+const BIN_CHUNK: usize = 8_192;
+
+/// One class of per-tile entries in CSR layout: tile `t` holds
+/// `items[off[t]..off[t + 1]]`.
+#[derive(Debug, Default)]
+struct Csr<T> {
+    off: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Csr<T> {
+    fn tile(&self, t: usize) -> &[T] {
+        let (Some(&a), Some(&b)) = (self.off.get(t), self.off.get(t + 1)) else {
+            return &[];
+        };
+        self.items.get(a as usize..b as usize).unwrap_or(&[])
+    }
+}
+
 /// Per-tile primitive entries in CSR (offsets + flat items) layout, one
-/// class per array pair — a sort-middle command buffer. A counting sort
-/// ([`csr_pairs`]) builds each pair — count, prefix-sum, fill — so a
+/// class per [`Csr`] — a sort-middle command buffer. A counting sort
+/// ([`csr_pairs`]) builds each one — count, prefix-sum, fill — so a
 /// frame costs a handful of exact-sized allocations instead of three
 /// growable `Vec`s per tile.
 ///
@@ -56,15 +81,14 @@ use rayon::prelude::*;
 /// Within a tile, entries stay in primitive-list order (the fill pass
 /// walks primitives in order), which the draw-order invariant depends
 /// on; for triangles that list order is the painter order
-/// `rasterizer::build_sorted_primitives` established.
+/// `rasterizer::build_sorted_primitives` established, kept across the
+/// chunk bin sets by reading them first to last.
 #[derive(Debug, Default)]
 pub(crate) struct TileBins {
-    tri_off: Vec<u32>,
-    tri_items: Vec<TriRef>,
-    line_off: Vec<u32>,
-    line_items: Vec<BinnedLine>,
-    point_off: Vec<u32>,
-    point_items: Vec<RasterPoint>,
+    /// One bin set per [`BIN_CHUNK`] triangles of the sorted list.
+    tris: Vec<Csr<TriRef>>,
+    lines: Csr<BinnedLine>,
+    points: Csr<RasterPoint>,
 }
 
 /// A binned line entry: the index of the line in the frame's
@@ -85,27 +109,21 @@ pub(crate) struct BinnedLine {
 }
 
 impl TileBins {
-    fn class<'a, T>(off: &'a [u32], items: &'a [T], t: usize) -> &'a [T] {
-        let (Some(&a), Some(&b)) = (off.get(t), off.get(t + 1)) else {
-            return &[];
-        };
-        items.get(a as usize..b as usize).unwrap_or(&[])
-    }
-
-    pub(crate) fn tris(&self, t: usize) -> &[TriRef] {
-        Self::class(&self.tri_off, &self.tri_items, t)
+    /// Tile `t`'s triangles, in list order.
+    pub(crate) fn tris(&self, t: usize) -> impl Iterator<Item = &TriRef> {
+        self.tris.iter().flat_map(move |chunk| chunk.tile(t))
     }
 
     pub(crate) fn lines(&self, t: usize) -> &[BinnedLine] {
-        Self::class(&self.line_off, &self.line_items, t)
+        self.lines.tile(t)
     }
 
     pub(crate) fn points(&self, t: usize) -> &[RasterPoint] {
-        Self::class(&self.point_off, &self.point_items, t)
+        self.points.tile(t)
     }
 
     fn is_empty(&self, t: usize) -> bool {
-        self.tris(t).is_empty() && self.lines(t).is_empty() && self.points(t).is_empty()
+        self.tris(t).next().is_none() && self.lines(t).is_empty() && self.points(t).is_empty()
     }
 }
 
@@ -115,7 +133,7 @@ impl TileBins {
 /// slice of resolved pairs, or stored tile spans, never a geometry
 /// traversal. Entries stay in iteration order within a tile, which the
 /// draw-order invariant depends on.
-fn csr_pairs<'a, T, I>(n: usize, entries: I) -> (Vec<u32>, Vec<T>)
+fn csr_pairs<'a, T, I>(n: usize, entries: I) -> Csr<T>
 where
     T: Copy + Default + 'a,
     I: Iterator<Item = (usize, &'a T)> + Clone,
@@ -141,7 +159,7 @@ where
             *cur += 1;
         }
     });
-    (off, items)
+    Csr { off, items }
 }
 
 /// Bins every primitive into the tiles its conservative screen bbox
@@ -149,19 +167,22 @@ where
 /// bounds); under-binning would drop pixels, so boxes are expanded to
 /// cover rounding (`line`) and sprite radius (`point`).
 pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins {
-    // One clamp per triangle: its pixel box becomes a 16-byte tile span
-    // here, and both counting-sort passes replay the spans, not the
-    // clamps and divisions.
-    let spans: Vec<TileSpan> = prims.tris.iter().map(|t| grid.tile_span(t.bbox)).collect();
     let cols = grid.cols();
-    let (tri_off, tri_items) = csr_pairs(
-        grid.len(),
-        prims
-            .tris
-            .iter()
-            .zip(spans.iter())
-            .flat_map(|(t, span)| span.tiles(cols).map(move |idx| (idx, t))),
-    );
+    let chunks: Vec<&[TriRef]> = prims.tris.chunks(BIN_CHUNK).collect();
+    let mut tris: Vec<Csr<TriRef>> = chunks.iter().map(|_| Csr::default()).collect();
+    tris.par_iter_mut().zip(chunks.par_iter()).for_each(|(bins, chunk)| {
+        // One clamp per triangle: its pixel box becomes a 16-byte tile
+        // span here, and both counting-sort passes replay the spans, not
+        // the clamps and divisions.
+        let spans: Vec<TileSpan> = chunk.iter().map(|t| grid.tile_span(t.bbox)).collect();
+        *bins = csr_pairs(
+            grid.len(),
+            chunk
+                .iter()
+                .zip(spans.iter())
+                .flat_map(|(t, span)| span.tiles(cols).map(move |idx| (idx, t))),
+        );
+    });
     // The line traversal (slab/column walk with interval solves) is the
     // expensive part of binning, and each slab/column pair targets
     // exactly one tile — so walk the geometry once into a flat
@@ -242,8 +263,7 @@ pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins
             }
         }
     }
-    let (line_off, line_items) =
-        csr_pairs(grid.len(), line_scratch.iter().map(|(idx, l)| (*idx as usize, l)));
+    let lines = csr_pairs(grid.len(), line_scratch.iter().map(|(idx, l)| (*idx as usize, l)));
     let mut point_scratch: Vec<(usize, &RasterPoint)> = Vec::new();
     for p in prims.points.iter() {
         if !(-1.001..=1.001).contains(&p.z) {
@@ -258,20 +278,14 @@ pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins
             |idx| point_scratch.push((idx, p)),
         );
     }
-    let (point_off, point_items) = csr_pairs(grid.len(), point_scratch.iter().copied());
-    TileBins {
-        tri_off,
-        tri_items,
-        line_off,
-        line_items,
-        point_off,
-        point_items,
-    }
+    let points = csr_pairs(grid.len(), point_scratch.iter().copied());
+    TileBins { tris, lines, points }
 }
 
 /// Rasterizes binned primitives: tile-row bands in parallel, occupied
 /// tiles serially within each band (each tile's pixels belong to exactly
-/// one band, so no locking).
+/// one band, so no locking). Which thread takes which band is decided as
+/// the bands are claimed, top to bottom.
 pub(crate) fn rasterize_bins(
     prims: &PrimitiveList,
     bins: &TileBins,
@@ -525,7 +539,7 @@ mod tests {
         push_tri(&mut prims, [20.0, 44.0, 30.0], [2.0, 40.0, 9.0]); // spans all four
         let bins = bin_primitives(&prims, &grid);
         let first_sx = |t: usize| -> Vec<f64> {
-            bins.tris(t).iter().map(|t| prims.raster_tri(t).sx).map(|[a, _, _]| a).collect()
+            bins.tris(t).map(|t| prims.raster_tri(t).sx).map(|[a, _, _]| a).collect()
         };
         // tile 0 holds refs to both triangles, in draw order
         assert_eq!(first_sx(0), vec![2.0, 20.0]);
@@ -546,7 +560,18 @@ mod tests {
             -2_147_483_648.0, -2_147_483_648.5, -2_147_483_649.0, 4.0e9, -4.0e9, BIG, -BIG,
             f64::MAX, f64::MIN, f64::MAX / 2.0, f64::INFINITY, f64::NEG_INFINITY,
             f64::MIN_POSITIVE, -f64::MIN_POSITIVE,
+            // either side of the two i32 limits, where the cast saturates
+            // and the step back from it must
+            2_147_483_646.5, 2_147_483_648.5, -2_147_483_647.5, 2_147_483_646.0,
+            -2_147_483_647.0,
         ];
+        // every pool value on its own first, so no edge waits on the draw
+        for &v in &pool {
+            let mut prims = PrimitiveList::default();
+            push_tri(&mut prims, [v; 3], [v; 3]);
+            let (lo, hi) = (v.floor() as i32, v.ceil() as i32);
+            assert_eq!(prims.tris.first().map(|t| t.bbox), Some([lo, hi, lo, hi]), "corner {v:?}");
+        }
         let mut rng = Rng(0x0dd_ba11_5eed);
         let coord = |rng: &mut Rng| match rng.next() % 3 {
             0 => pool.get((rng.next() % pool.len() as u64) as usize).copied().unwrap_or(0.0),
@@ -666,7 +691,6 @@ mod tests {
             for (t, want) in expected.iter().enumerate() {
                 let got: Vec<usize> = bins
                     .tris(t)
-                    .iter()
                     .map(|tri| {
                         let [id, _, _] = tri.v;
                         id as usize

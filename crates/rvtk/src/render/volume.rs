@@ -5,7 +5,7 @@ use crate::color::Color;
 use crate::image_data::ImageData;
 use crate::lookup_table::{ColorTransferFunction, ColormapName, OpacityTransferFunction};
 use crate::math::{Mat4, Vec3};
-use crate::render::framebuffer::Framebuffer;
+use crate::render::framebuffer::{Framebuffer, TileGrid};
 use rayon::prelude::*;
 
 /// How samples along a ray combine.
@@ -91,9 +91,9 @@ pub(crate) fn render_volume(volume: &Volume, view_proj: &Mat4, fb: &mut Framebuf
     // property's nominal setting
     let reference = prop.sample_distance.max(1e-6);
 
-    // one band per rayon worker, via the partition helper shared with the
-    // rasterizer
-    let mut bands = fb.thread_bands();
+    // bands of the tile-row height, whatever the thread count: claimed one
+    // at a time, so rows that miss the volume cost their thread nothing
+    let mut bands = fb.band_views(TileGrid::TILE);
     bands.par_iter_mut().for_each(|band| {
         let (colors, depths) = (&mut *band.colors, &mut *band.depths);
         for row in 0..band.rows {

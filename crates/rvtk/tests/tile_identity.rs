@@ -4,8 +4,8 @@
 //!    surface/wireframe/points actors, translucency, LUT coloring, random
 //!    camera poses and framebuffer shapes) the tile-binned engine must
 //!    produce color AND depth bit-identical to the frozen row-band
-//!    scanline reference, at rayon pools of 1, 2, 3 and 8 workers (the
-//!    vendored rayon honours RAYON_NUM_THREADS at dispatch time).
+//!    scanline reference, at rayon pools of 1, 2, 3 and 8 workers
+//!    (`rayon::with_threads`).
 //! 2. **Golden multi-actor frame.** One deterministic frame mixing
 //!    surface, wireframe and points actors is pinned by an FNV-1a hash
 //!    of its RGBA8 bytes, so a
@@ -36,8 +36,8 @@
 use rvtk::color::Color;
 use rvtk::math::Vec3;
 use rvtk::poly_data::PolyData;
+use rayon::with_threads;
 use rvtk::render::{scanline_ref, Actor, Framebuffer, Renderer, Representation};
-use std::sync::Mutex;
 
 // ---- deterministic PRNG (no external crates, no wall clock) ----
 
@@ -74,20 +74,6 @@ impl Rng {
     fn chance(&mut self, pct: u64) -> bool {
         self.next() % 100 < pct
     }
-}
-
-/// Serializes RAYON_NUM_THREADS mutation across tests in this binary.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    out
 }
 
 fn random_actor(rng: &mut Rng) -> Actor {
@@ -185,7 +171,6 @@ fn bits(fb: &Framebuffer) -> Vec<u32> {
 
 #[test]
 fn tile_engine_bit_identical_to_scanline_for_random_scenes() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     let sizes = [(33usize, 31usize), (64, 48), (97, 80), (128, 64), (16, 16)];
     for seed in 0..40u64 {
         let mut rng = Rng::new(seed);
@@ -241,7 +226,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn golden_multi_actor_frame_pinned() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     let scene = golden_scene();
     let mut fb = Framebuffer::new(160, 120);
     with_threads(2, || scene.render(&mut fb));
@@ -287,7 +271,6 @@ fn gyroid_scene() -> (Renderer, usize) {
 
 #[test]
 fn large_isosurface_frame_bit_identical_and_painter_order_pinned() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     let (scene, triangles) = gyroid_scene();
     assert!(triangles >= 50_000, "only {triangles} triangles: not a scale test");
     let (w, h) = (480, 360);
@@ -325,7 +308,6 @@ fn fan(n: u32, radius: f64, z: f64) -> PolyData {
 
 #[test]
 fn actors_sharing_the_vertex_array_render_one_frame_in_any_order() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
     let flat = |pd: PolyData, color: Color| {
         let mut a = Actor::from_poly_data(pd).with_color(color);
         a.property.lighting = false;
