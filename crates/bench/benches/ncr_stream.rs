@@ -15,6 +15,13 @@
 //!   frame still arrives, degraded or masked where the plan dictates,
 //!   and the wall-clock overhead over a healthy pass is reported.
 //!
+//! Every session here reads on demand only: the streamer has no readahead
+//! (see the module docs of `cdms::stream`), so the healthy and the faulted
+//! playback rows are one decode per window and nothing else. Recordings
+//! made before PR 24 included a window of synchronous prefetch in both
+//! rows (and switched it off for the cold/warm rows); compare across that
+//! line with that in mind.
+//!
 //! `NCR_STREAM_BENCH_SMOKE=1` shrinks the series for CI smoke runs.
 
 use cdms::format_v3::{self, V3Options};
@@ -35,11 +42,10 @@ fn once_ms<T>(mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// Streaming options for a playback session: tight budget, no artificial
-/// waiting, one window of prefetch (the steady-playback configuration).
+/// waiting.
 fn session_opts(cache_bytes: usize) -> StreamOptions {
     StreamOptions {
         cache_bytes,
-        prefetch_windows: 1,
         max_retries: 3,
         backoff_base_ms: 0,
         backoff_cap_ms: 0,
@@ -83,17 +89,13 @@ fn main() {
     let budget = decoded_level0_bytes / 4;
 
     // ---- cold vs warm window latency ----
-    // cold: first touch of each window in a fresh prefetch-free session;
+    // cold: first touch of a window in a fresh session;
     // warm: re-touching a window that is already resident.
     let mut cold_ms = f64::INFINITY;
     let mut warm_ms = f64::INFINITY;
     for _ in 0..reps {
-        let sd = StreamingDataset::open_with(
-            Arc::new(LocalDisk),
-            &path,
-            StreamOptions { prefetch_windows: 0, ..session_opts(budget) },
-        )
-        .expect("open");
+        let sd = StreamingDataset::open_with(Arc::new(LocalDisk), &path, session_opts(budget))
+            .expect("open");
         let sv = sd.variable("ta").expect("ta");
         cold_ms = cold_ms.min(once_ms(|| sv.time_slab(0).expect("cold fetch")));
         warm_ms = warm_ms.min(once_ms(|| sv.time_slab(1).expect("warm fetch")));

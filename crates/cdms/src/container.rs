@@ -31,7 +31,8 @@
 //! * [`read_directory`] — the bootstrap from the file's tail, over any
 //!   byte source (a slice, or ranged `Storage::read_at` calls); a frame
 //!   fetched later is held to its entry by [`Entry::hold`] — kind, length
-//!   and CRC — metadata sections and chunks alike.
+//!   and CRC — metadata sections and chunks alike (a chunk takes the two
+//!   halves of `hold` separately, so its decode can run beside the CRC).
 //! * [`locate`] — salvage: the directory when it survives, else a
 //!   sequential walk; [`Entry::payload_in`] then vouches for a payload by
 //!   the entry's CRC alone, so destroyed framing bytes cost nothing.
@@ -227,10 +228,18 @@ impl Entry {
     }
 
     /// The strict rule: holds `frame` — the bytes read at this entry's
-    /// offset — to the entry: exact length (a short read shows up here),
-    /// then kind, payload length, stored CRC and computed CRC. Returns the
-    /// payload.
+    /// offset — to the entry, [`Entry::structure`] then [`Entry::checksum`].
+    /// Returns the payload.
     pub(crate) fn hold<'a>(&self, frame: &'a [u8]) -> Result<&'a [u8]> {
+        let payload = self.structure(frame)?;
+        self.checksum(payload)?;
+        Ok(payload)
+    }
+
+    /// The structural half of [`Entry::hold`]: exact length (a short read
+    /// shows up here), then kind, payload length and stored CRC. Returns the
+    /// payload, which nothing has vouched for yet.
+    pub(crate) fn structure<'a>(&self, frame: &'a [u8]) -> Result<&'a [u8]> {
         if frame.len() != self.frame_len() {
             return format_err(format!(
                 "{:?} frame at byte {} is {} bytes, directory promises {}",
@@ -247,7 +256,18 @@ impl Entry {
                 self.kind, self.offset
             ));
         }
-        parsed.verified(self.offset)
+        Ok(parsed.payload)
+    }
+
+    /// The other half: `payload` hashes to this entry's CRC.
+    pub(crate) fn checksum(&self, payload: &[u8]) -> Result<()> {
+        if crc32c(payload) != self.crc {
+            return format_err(format!(
+                "{:?} section at byte {}: checksum mismatch",
+                self.kind, self.offset
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -255,20 +275,6 @@ impl Entry {
 struct Frame<'a> {
     entry: Entry,
     payload: &'a [u8],
-}
-
-impl<'a> Frame<'a> {
-    /// The payload, once it matches the frame's stored CRC. `at` is the
-    /// frame's file offset, for the message.
-    fn verified(&self, at: u64) -> Result<&'a [u8]> {
-        if crc32c(self.payload) != self.entry.crc {
-            return format_err(format!(
-                "{:?} section at byte {at}: checksum mismatch",
-                self.entry.kind
-            ));
-        }
-        Ok(self.payload)
-    }
 }
 
 /// Parses the frame at `start`, which must end at or before `limit`. The
@@ -416,7 +422,8 @@ pub(crate) fn read_directory<'a>(
             frame.entry.frame_len()
         ));
     }
-    let mut cur = frame.verified(trailer_at)?;
+    Entry { offset: trailer_at, ..frame.entry }.checksum(frame.payload)?;
+    let mut cur = frame.payload;
 
     let count = get_u32(&mut cur)? as usize;
     if count > cur.len() / ENTRY_LEN {

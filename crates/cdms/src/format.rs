@@ -975,9 +975,27 @@ pub(crate) fn get_axis(buf: &mut &[u8]) -> Result<Axis> {
 }
 
 pub(crate) fn get_mask(buf: &mut &[u8], n: usize) -> Result<Vec<bool>> {
-    let nbytes = n.div_ceil(8);
-    let packed = take_bytes(buf, nbytes)?;
-    Ok((0..n).map(|i| packed[i / 8] & (1 << (i % 8)) != 0).collect())
+    let packed = take_bytes(buf, n.div_ceil(8))?;
+    // element `i` is bit `i % 8` of byte `i / 8`: a whole byte yields eight
+    // elements at once, a partial last byte its low `n % 8` bits (the
+    // padding bits above them are not read)
+    let mut mask = Vec::with_capacity(n);
+    for &b in packed.iter().take(n / 8) {
+        mask.extend_from_slice(&[
+            b & 1 != 0,
+            b & 2 != 0,
+            b & 4 != 0,
+            b & 8 != 0,
+            b & 16 != 0,
+            b & 32 != 0,
+            b & 64 != 0,
+            b & 128 != 0,
+        ]);
+    }
+    if let Some(&last) = packed.get(n / 8) {
+        mask.extend((0..n % 8).map(|bit| last & (1 << bit) != 0));
+    }
+    Ok(mask)
 }
 
 #[cfg(test)]
@@ -1298,6 +1316,28 @@ mod tests {
         let mut cur = &p[..];
         let err = get_attrs(&mut cur).unwrap_err();
         assert!(err.to_string().contains("implausible vector length"), "{err}");
+    }
+
+    proptest::proptest! {
+        /// `get_mask` against its per-bit definition — element `i` is bit
+        /// `i % 8` of byte `i / 8` — at every length around the whole-byte
+        /// and tail boundaries, over arbitrary bytes: set padding bits in
+        /// the last byte change nothing, and exactly `⌈n/8⌉` bytes are
+        /// consumed.
+        #[test]
+        fn get_mask_is_the_per_bit_definition(
+            bytes in proptest::collection::vec(0u8..=255, 10),
+        ) {
+            for n in 0..=67usize {
+                let mut cur = &bytes[..];
+                let mask = get_mask(&mut cur, n).unwrap();
+                let want: Vec<bool> = (0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect();
+                proptest::prop_assert_eq!(mask, want, "n = {}", n);
+                proptest::prop_assert_eq!(cur.len(), bytes.len() - n.div_ceil(8));
+            }
+            // one element short of bytes present is a truncation, not a panic
+            proptest::prop_assert!(get_mask(&mut &bytes[..8], 65).is_err());
+        }
     }
 
     #[test]

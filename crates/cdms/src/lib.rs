@@ -40,7 +40,7 @@
 //!   resolution pyramid, indexed by a trailer chunk directory;
 //!   [`StreamingVariable`] reads any (window, level) piecewise through
 //!   `Storage::read_at` behind a byte-budgeted LRU chunk cache with
-//!   prefetch, per-chunk retry, and pyramid/masked-fill degradation, so
+//!   per-chunk retry and pyramid/masked-fill degradation, so
 //!   animation of a series far larger than RAM never stalls on a fault.
 //! * [`catalog`] — a directory-backed stand-in for Earth System Grid (ESG)
 //!   federated data access: search by attribute, open remote variables;

@@ -422,7 +422,7 @@ pub enum StorageFault {
 /// [`Storage::read_at`] call instead of a primitive-operation index. This
 /// is what lets a fault storm target one specific `.ncr` v3 chunk — the
 /// chunk's frame offset is known from the file layout — deterministically,
-/// regardless of how many unrelated reads the prefetcher issues first.
+/// regardless of how many unrelated reads come first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadFault {
     /// `read_at` calls whose starting offset falls in this range trigger

@@ -27,14 +27,27 @@
 //!   [`StreamOptions::deadline_ms`] (e.g. a disk spinning up under an
 //!   injected [`crate::storage::StorageFault::DelayedRead`]) are counted
 //!   as deadline misses.
-//! * **Prefetch** — after serving a frame, the next
-//!   [`StreamOptions::prefetch_windows`] windows' full-resolution chunks
-//!   are pulled into the cache, so steady playback hits warm chunks.
 //!
 //! Every event lands in a [`StreamReport`], which fault-storm tests
 //! assert against exactly: with a scripted
 //! [`crate::storage::StorageFaultPlan`], the counters are a deterministic
-//! function of the plan.
+//! function of the plan and of the sequence of requests.
+//!
+//! **A request fetches the chunk it shows and nothing else.** There is no
+//! readahead. There was one: after serving a frame, `time_slab_degraded`
+//! decoded the next two windows on the caller's thread before it returned.
+//! A prefetch the caller waits for moves a decode to an earlier frame; it
+//! cannot hide one. On the pipeline benchmark's file (12 windows, a cache
+//! of three) it cost every far jump three decodes to show one frame (144
+//! chunk reads a session where demand alone reads 41) and every first
+//! frame three, and on an in-order scan the window fetched ahead carried
+//! the oldest LRU stamp, so the next fetch-ahead evicted exactly it: 21
+//! reads for 12 windows. The only readahead that could earn its lines
+//! overlaps the decode with the caller's render, off the caller's thread;
+//! that is parked in ROADMAP.md until a trace can show the overlap.
+//!
+//! The one miss that is left is verified and decoded on both cores: see
+//! `held_and_decoded`.
 
 use crate::axis::AxisKind;
 use crate::error::{CdmsError, Result};
@@ -42,6 +55,7 @@ use crate::format_v3::{self, ChunkData, ChunkDirEntry, V3Meta, V3VarMeta, Window
 use crate::storage::{LocalDisk, Storage};
 use crate::{MaskedArray, Variable};
 use parking_lot::Mutex;
+use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -54,8 +68,6 @@ pub struct StreamOptions {
     /// exceeded; chunks larger than the whole budget are served without
     /// being cached.
     pub cache_bytes: usize,
-    /// Full-resolution windows to pull ahead after serving a frame.
-    pub prefetch_windows: usize,
     /// Retries for *transient* read failures (hard failures never retry).
     pub max_retries: u32,
     /// First retry backoff; doubles each retry.
@@ -71,7 +83,6 @@ impl Default for StreamOptions {
     fn default() -> StreamOptions {
         StreamOptions {
             cache_bytes: 8 << 20,
-            prefetch_windows: 2,
             max_retries: 3,
             backoff_base_ms: 1,
             backoff_cap_ms: 50,
@@ -138,12 +149,6 @@ impl ChunkCache {
                 None
             }
         }
-    }
-
-    /// True when the chunk is resident; does not disturb the counters
-    /// (used by the prefetcher to skip warm windows).
-    fn contains(&self, key: &ChunkKey) -> bool {
-        self.map.contains_key(key)
     }
 
     /// Inserts a decoded chunk, evicting least-recently-used entries
@@ -432,19 +437,12 @@ impl StreamingVariable {
         let decoded: ChunkData = loop {
             match self.shared.storage.read_at(&self.shared.path, entry.offset, entry.frame_len())
             {
-                Ok(frame) => {
-                    // the frame is held to its directory entry — kind, length,
-                    // CRC — as every metadata frame was at open
-                    let verified = entry.located().hold(&frame).and_then(|p| {
-                        format_v3::decode_chunk_payload(p, (key.var, key.window, key.level), n)
-                    });
-                    match verified {
-                        Ok(dm) => break dm,
-                        // corruption (bad CRC, short frame, bad codec):
-                        // retrying the same bytes cannot help
-                        Err(e) => return Err(self.fail_chunk(key, e)),
-                    }
-                }
+                Ok(frame) => match held_and_decoded(&entry, &frame, n) {
+                    Ok(dm) => break dm,
+                    // corruption (bad CRC, short frame, bad codec):
+                    // retrying the same bytes cannot help
+                    Err(e) => return Err(self.fail_chunk(key, e)),
+                },
                 Err(e) if e.is_transient() && attempt < opts.max_retries => {
                     attempt += 1;
                     self.shared.report.lock().retried += 1;
@@ -522,15 +520,11 @@ impl StreamingVariable {
     /// One time step at the best available fidelity — the call that keeps
     /// an animation running through a fault storm. Falls back to a coarser
     /// pyramid level (upsampled) or a masked slab; the only remaining
-    /// errors are out-of-range `t` and metadata inconsistencies. After
-    /// serving, prefetches the next [`StreamOptions::prefetch_windows`]
-    /// windows.
+    /// errors are out-of-range `t` and metadata inconsistencies.
     pub fn time_slab_degraded(&self, t: usize) -> Result<Variable> {
         let (w, k) = self.locate(t)?;
         let data = self.window_degraded(w)?;
-        let out = self.assemble_step(&data, w, k)?;
-        self.prefetch_from(w + 1);
-        Ok(out)
+        self.assemble_step(&data, w, k)
     }
 
     /// Chunk window `w` as a [`Variable`] with the time axis kept (sliced
@@ -547,24 +541,6 @@ impl StreamingVariable {
     pub fn window_variable_degraded(&self, w: usize) -> Result<Variable> {
         let data = self.window_degraded(w)?;
         self.assemble_window(&data, w)
-    }
-
-    /// Pulls the level-0 chunks of up to `prefetch_windows` windows
-    /// starting at `w` into the cache, skipping warm and known-dead ones.
-    /// Failures are absorbed (they are negative-cached for later serves).
-    pub fn prefetch_from(&self, w: usize) {
-        let Ok(meta) = self.meta() else { return };
-        let n_windows = meta.n_windows();
-        let count = self.shared.opts.prefetch_windows;
-        for w2 in w..(w + count).min(n_windows) {
-            let key = ChunkKey { var: self.var, window: w2, level: 0 };
-            let warm =
-                self.shared.cache.lock().contains(&key) || self.shared.failed.lock().contains(&key);
-            if warm {
-                continue;
-            }
-            let _ = self.fetch_chunk(key);
-        }
     }
 
     /// Materializes the whole variable (strict, full resolution) —
@@ -648,6 +624,29 @@ impl StreamingVariable {
         var.attributes = meta.attributes.clone();
         Ok(var)
     }
+}
+
+/// Holds a fetched chunk frame to its directory entry — length, kind,
+/// payload length, stored CRC, computed CRC, as every metadata frame was at
+/// open — and decodes it. The CRC and the decode read the same payload and
+/// need nothing of each other, so once the structure has passed they are
+/// the two items of one parallel region (in this order on one thread). The
+/// decode arm sees bytes nothing has vouched for yet, which is what
+/// [`format_v3::decode_chunk_payload`] is written for; its result is
+/// dropped unseen unless the checksum passed, so a damaged chunk reports
+/// the checksum mismatch, as it does when the two run one after the other.
+fn held_and_decoded(entry: &ChunkDirEntry, frame: &[u8], n: usize) -> Result<ChunkData> {
+    let located = entry.located();
+    let payload = located.structure(frame)?;
+    let identity = (entry.var, entry.window, entry.level);
+    let mut checked = Ok(());
+    let mut decoded = Err(CdmsError::Format("chunk decode did not run".into()));
+    let mut arms: [&mut (dyn FnMut() + Send); 2] = [
+        &mut || checked = located.checksum(payload),
+        &mut || decoded = format_v3::decode_chunk_payload(payload, identity, n),
+    ];
+    arms.par_iter_mut().for_each(|arm| arm());
+    checked.and(decoded)
 }
 
 /// Copies time step `k` out of a window slab, dropping the time dim.
@@ -771,7 +770,6 @@ mod tests {
         // one window = 2*6*10 floats = 540 B decoded; budget of ~2 windows
         let sopts = StreamOptions {
             cache_bytes: 1200,
-            prefetch_windows: 0,
             ..StreamOptions::default()
         };
         let sd = StreamingDataset::open_with(Arc::new(LocalDisk), &path, sopts).unwrap();
@@ -802,7 +800,6 @@ mod tests {
         );
         let faulty: Arc<dyn Storage> = Arc::new(FaultyStorage::new(plan));
         let sopts = StreamOptions {
-            prefetch_windows: 0,
             backoff_base_ms: 0,
             ..StreamOptions::default()
         };
@@ -832,7 +829,7 @@ mod tests {
             .inject_read(e00.offset..e00.offset + 1, StorageFault::ReadError, 0)
             .inject_read(e10.offset..e10.offset + 1, StorageFault::ReadError, 0)
             .inject_read(e11.offset..e11.offset + 1, StorageFault::BitFlip { bit: 400 }, 0);
-        let sopts = StreamOptions { prefetch_windows: 0, ..StreamOptions::default() };
+        let sopts = StreamOptions::default();
         let sd =
             StreamingDataset::open_with(Arc::new(FaultyStorage::new(plan)), &path, sopts).unwrap();
         let sv = sd.variable(&vid).unwrap();
@@ -865,7 +862,6 @@ mod tests {
             1,
         );
         let sopts = StreamOptions {
-            prefetch_windows: 0,
             deadline_ms: Some(5),
             ..StreamOptions::default()
         };
@@ -882,18 +878,78 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_warms_the_next_window() {
-        let opts = V3Options { window: 2, levels: 1, compress: false };
-        let (_, path) = write_sample("prefetch.ncr", &opts);
-        let sopts = StreamOptions { prefetch_windows: 1, ..StreamOptions::default() };
-        let sd = StreamingDataset::open_with(Arc::new(LocalDisk), &path, sopts).unwrap();
-        let sv = sd.variable("ta").unwrap();
-        sv.time_slab_degraded(0).unwrap(); // serves w0, prefetches w1
-        let before = sd.report();
-        sv.time_slab_degraded(2).unwrap(); // w1 must be warm
-        let after = sd.report();
-        assert_eq!(after.chunk_reads, before.chunk_reads + 1, "only w2's prefetch reads");
-        assert!(after.cache_hits > before.cache_hits);
+    fn bit_flip_in_an_rle_body_is_a_checksum_mismatch_and_never_a_frame() {
+        let opts = V3Options { window: 2, levels: 2, compress: true };
+        let (_, path) = write_sample("rle_flip.ncr", &opts);
+        let meta = format_v3::read_meta_with(&LocalDisk, &path).unwrap();
+        let vid = meta.vars.first().unwrap().id.clone();
+        let e00 = *meta.chunk(0, 0, 0).unwrap();
+        let frame = LocalDisk.read_at(&path, e00.offset, e00.frame_len()).unwrap();
+        // frame head (9 bytes), chunk identity (12), then the codec byte
+        assert_eq!(frame[9 + 12], format_v3::CODEC_RLE, "the premise: an RLE chunk");
+        // a bit well inside the PackBits body, flipped on every read
+        let in_body = 8 * (9 + 21 + 40) + 3;
+        let session = |fault| {
+            let plan =
+                StorageFaultPlan::none().inject_read(e00.offset..e00.offset + 1, fault, 0);
+            let sd = StreamingDataset::open_with(
+                Arc::new(FaultyStorage::new(plan)),
+                &path,
+                StreamOptions::default(),
+            )
+            .unwrap();
+            (sd.variable(&vid).unwrap(), sd)
+        };
+        let (sv, sd) = session(StorageFault::BitFlip { bit: in_body });
+        // the decode ran beside the CRC; what it made of the damaged bytes
+        // is not what the caller hears about
+        let first = sv.time_slab(0).unwrap_err();
+        assert_eq!(
+            first.to_string(),
+            format!("format error: Chunk section at byte {}: checksum mismatch", e00.offset)
+        );
+        // negative-cached, once
+        let second = sv.time_slab(0).unwrap_err();
+        assert!(second.to_string().contains("previously failed permanently"), "{second}");
+        assert_eq!(sd.report().failed_chunks, 1);
+        assert_eq!(sd.report().chunk_reads, 0, "a chunk that failed is not a chunk read");
+        // the frame served instead is the pyramid's — the very frame a
+        // session serves whose level-0 chunk cannot be read at all
+        let served = sv.time_slab_degraded(0).unwrap();
+        let (dead, _) = session(StorageFault::ReadError);
+        assert_eq!(served.array, dead.time_slab_degraded(0).unwrap().array);
+        assert!(served.array.valid_count() > 0);
+        let report = sd.report();
+        assert_eq!((report.degraded, report.salvaged, report.failed_chunks), (1, 0, 1), "{report}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn valid_crc_with_the_wrong_identity_is_a_decode_error() {
+        let opts = V3Options { window: 2, levels: 1, compress: true };
+        let (_, path) = write_sample("identity.ncr", &opts);
+        let meta = format_v3::read_meta_with(&LocalDisk, &path).unwrap();
+        let e1 = *meta.chunk(0, 1, 0).unwrap();
+        let n = meta.vars[0].level_volume(1, 0).unwrap();
+        let mut frame = LocalDisk.read_at(&path, e1.offset, e1.frame_len()).unwrap();
+        assert!(held_and_decoded(&e1, &frame, n).is_ok());
+        // window 1's frame, intact, under a directory entry that says
+        // window 0: structure and checksum hold, the identity does not
+        let lying = ChunkDirEntry { window: 0, ..e1 };
+        let err = held_and_decoded(&lying, &frame, n).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "format error: chunk identity (0,1,0) != expected (0, 0, 0)"
+        );
+        // and a damaged body outranks it: structure → checksum → decode
+        frame[9 + 21 + 40] ^= 0x08;
+        let err = held_and_decoded(&lying, &frame, n).unwrap_err();
+        assert!(err.to_string().ends_with("checksum mismatch"), "{err}");
+        // while a damaged stored CRC is a structure error before either
+        let last = frame.len() - 1;
+        frame[last] ^= 0x01;
+        let err = held_and_decoded(&lying, &frame, n).unwrap_err();
+        assert!(err.to_string().ends_with("disagrees with its directory entry"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

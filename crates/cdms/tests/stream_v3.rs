@@ -8,7 +8,11 @@
 //!   plays back every frame — no stall, no panic — with salvage and
 //!   degradation counters matching the injected fault plan EXACTLY, the
 //!   cache never exceeding its byte budget, and the whole report
-//!   bit-identical across thread counts.
+//!   bit-identical across thread counts — over raw chunks and over
+//!   PackBits-coded ones;
+//! * a request fetches the chunk it shows and nothing else: the first
+//!   frame, an in-order scan and a scripted run of far jumps read exactly
+//!   the windows the three-window cache does not hold.
 
 use cdms::format::{self};
 use cdms::format_v3::{self, V3Options};
@@ -132,7 +136,6 @@ fn run_fault_storm(path: &std::path::Path, ds: &Dataset) -> (Vec<(usize, &'stati
     let storage: Arc<dyn Storage> = Arc::new(FaultyStorage::new(plan));
     let sopts = StreamOptions {
         cache_bytes: 8_000,
-        prefetch_windows: 1,
         max_retries: 3,
         backoff_base_ms: 0,
         backoff_cap_ms: 0,
@@ -163,11 +166,24 @@ fn run_fault_storm(path: &std::path::Path, ds: &Dataset) -> (Vec<(usize, &'stati
 
 #[test]
 fn fault_storm_playback_completes_every_frame_with_exact_counters() {
+    storm_plays_every_frame_with_exact_counters(false);
+}
+
+/// The same storm over PackBits-coded chunks. A test of its own, so that
+/// the two run side by side and not one after the other: the storm counts
+/// real 5 ms deadlines, and twice as long a test reaches into the 8-thread
+/// encoder test that the harness starts later.
+#[test]
+fn fault_storm_playback_over_rle_chunks_has_the_same_exact_counters() {
+    storm_plays_every_frame_with_exact_counters(true);
+}
+
+fn storm_plays_every_frame_with_exact_counters(compress: bool) {
     // 24 steps × 2 levels × 12×16 cells, windows of 2 → 12 level-0 chunks
     // of 3 840 decoded bytes each
     let ds = SynthesisSpec::new(24, 2, 12, 16).seed(4242).build();
-    let opts = V3Options { window: 2, levels: 2, compress: false };
-    let path = temp_path("storm");
+    let opts = V3Options { window: 2, levels: 2, compress };
+    let path = temp_path(if compress { "storm_rle" } else { "storm" });
     format_v3::write_dataset_v3_with(&LocalDisk, &ds, &path, &opts).unwrap();
 
     // the premise of the test: the series dwarfs the cache budget
@@ -181,6 +197,7 @@ fn fault_storm_playback_completes_every_frame_with_exact_counters() {
         decoded_level0_bytes >= 4 * 8_000,
         "series ({decoded_level0_bytes} B decoded) must be ≥ 4× the 8 kB cache budget"
     );
+    assert_eq!(chunk_codec(&path, meta.chunk(vi, 5, 0).unwrap()), compress as u8);
 
     let mut reports = Vec::new();
     for threads in [1usize, 2, 8] {
@@ -217,6 +234,99 @@ fn fault_storm_playback_completes_every_frame_with_exact_counters() {
     // the whole session is deterministic: byte-for-byte identical reports
     assert_eq!(reports[0], reports[1], "1 vs 2 threads");
     assert_eq!(reports[0], reports[2], "1 vs 8 threads");
+    std::fs::remove_file(&path).ok();
+}
+
+// ---- a request fetches the chunk it shows and nothing else ----
+
+/// The codec byte of a chunk on disk: frame head (kind u8, length u64), then
+/// the chunk's identity triple (3 × u32), then the codec.
+fn chunk_codec(path: &std::path::Path, entry: &format_v3::ChunkDirEntry) -> u8 {
+    std::fs::read(path).unwrap()[entry.offset as usize + 9 + 12]
+}
+
+/// Misses of an LRU that holds three windows: the requests whose window is
+/// not among the last three distinct windows shown.
+fn demand_misses(windows: &[usize]) -> u64 {
+    let mut recent: Vec<usize> = Vec::new();
+    let mut misses = 0;
+    for &w in windows {
+        match recent.iter().position(|&r| r == w) {
+            Some(i) => drop(recent.remove(i)),
+            None => misses += 1,
+        }
+        recent.push(w);
+        if recent.len() > 3 {
+            recent.remove(0);
+        }
+    }
+    misses
+}
+
+#[test]
+fn window_reads_are_a_function_of_the_request_sequence() {
+    // the storm's series, PackBits-coded; the cache holds exactly 3 windows
+    let ds = SynthesisSpec::new(24, 2, 12, 16).seed(4242).build();
+    let opts = V3Options { window: 2, levels: 2, compress: true };
+    let path = temp_path("demand");
+    format_v3::write_dataset_v3_with(&LocalDisk, &ds, &path, &opts).unwrap();
+    let meta = format_v3::read_meta_with(&LocalDisk, &path).unwrap();
+    let vi = meta.var_index("ta").unwrap();
+    let vm = &meta.vars[vi];
+    let n_windows = vm.n_windows() as u64;
+    let window_bytes = vm.level_volume(0, 0).unwrap() as u64 * 5;
+    let first = meta.chunk(vi, 0, 0).unwrap();
+    assert_eq!(chunk_codec(&path, first), format_v3::CODEC_RLE, "the premise: an RLE chunk");
+    let ta = ds.variable("ta").unwrap();
+
+    // each script in a fresh session; frames exact, the report returned
+    let play = |steps: &[usize]| {
+        let sopts =
+            StreamOptions { cache_bytes: 3 * window_bytes as usize, ..StreamOptions::default() };
+        let sd = StreamingDataset::open_with(Arc::new(LocalDisk), &path, sopts).unwrap();
+        let sv = sd.variable("ta").unwrap();
+        for &t in steps {
+            let frame = sv.time_slab_degraded(t).unwrap();
+            assert_eq!(frame.array, ta.time_slab(t).unwrap().array, "step {t}");
+        }
+        sd.report()
+    };
+    let in_order: Vec<usize> = (0..vm.n_times()).collect();
+    // far jumps that revisit: some land on one of the last three windows
+    // shown, some on one evicted since
+    let jumps = [0usize, 9, 18, 1, 8, 19, 23, 2, 12, 13, 3, 22, 9, 0, 16, 5];
+    let jump_windows: Vec<usize> = jumps.iter().map(|t| t / 2).collect();
+    let jump_misses = demand_misses(&jump_windows);
+    assert_eq!(jump_misses, 10, "the model, checked by hand on this script");
+
+    let run = || {
+        // the first frame of a session reads the one chunk it shows
+        let first_frame = play(&[0]);
+        assert_eq!(first_frame.chunk_reads, 1, "{first_frame}");
+        assert_eq!(first_frame.bytes_read, first.frame_len() as u64, "{first_frame}");
+        assert_eq!(first_frame.peak_cache_bytes, window_bytes, "{first_frame}");
+        assert_eq!((first_frame.cache_misses, first_frame.cache_hits), (1, 0), "{first_frame}");
+
+        // an in-order scan reads every window exactly once
+        let scan = play(&in_order);
+        assert_eq!(scan.chunk_reads, n_windows, "{scan}");
+        assert_eq!(scan.cache_misses, n_windows, "{scan}");
+        assert_eq!(scan.cache_hits, in_order.len() as u64 - n_windows, "{scan}");
+        assert_eq!(scan.evictions, n_windows - 3, "{scan}");
+        assert_eq!(scan.peak_cache_bytes, 3 * window_bytes, "{scan}");
+
+        // a jump reads a chunk only when the cache does not hold its window
+        let jumped = play(&jumps);
+        assert_eq!(jumped.chunk_reads, jump_misses, "{jumped}");
+        assert_eq!(jumped.cache_misses, jump_misses, "{jumped}");
+        assert_eq!(jumped.cache_hits, jumps.len() as u64 - jump_misses, "{jumped}");
+        assert_eq!(jumped.evictions, jump_misses - 3, "{jumped}");
+        [first_frame, scan, jumped]
+    };
+    let reference = with_threads(1, run);
+    for threads in [2usize, 8] {
+        assert_eq!(with_threads(threads, run), reference, "1 vs {threads} threads");
+    }
     std::fs::remove_file(&path).ok();
 }
 

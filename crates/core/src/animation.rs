@@ -65,7 +65,7 @@ impl FrameSource for Streamed {
     }
 
     /// Fetches and translates frame `t`, degrading rather than failing
-    /// when chunks are unreadable. Also prefetches upcoming windows.
+    /// when chunks are unreadable.
     fn frame(&self, t: usize) -> Result<ImageData> {
         let slab = self.var.time_slab_degraded(t).map_err(Dv3dError::from)?;
         translate_scalar(&slab, &self.opts)
@@ -372,7 +372,6 @@ mod tests {
             let storage: Arc<dyn Storage> = Arc::new(FaultyStorage::new(plan));
             let sopts = StreamOptions {
                 cache_bytes: 4_000,
-                prefetch_windows: 1,
                 backoff_base_ms: 0,
                 backoff_cap_ms: 0,
                 ..StreamOptions::default()
