@@ -126,7 +126,8 @@ mod tests {
         let c = combined();
         let mut r = Renderer::new();
         c.populate(&mut r).unwrap();
-        assert_eq!(r.actors().len(), 1); // slicer plane
+        assert_eq!(r.image_slices().len(), 1); // slicer plane
+        assert!(r.actors().is_empty());
         assert_eq!(r.volumes().len(), 1); // volume
         r.reset_camera();
         let mut fb = Framebuffer::new(64, 64);

@@ -113,7 +113,7 @@ mod tests {
         assert!(p.configure(&ConfigOp::MoveSlice { axis: Axis3::Z, delta: 2 }).unwrap());
         let mut r = Renderer::new();
         p.populate(&mut r).unwrap();
-        assert_eq!(r.actors().len(), 1);
+        assert_eq!(r.image_slices().len(), 1);
     }
 
     #[test]

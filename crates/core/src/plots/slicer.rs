@@ -1,13 +1,18 @@
 //! The Slicer plot: interactively draggable slice planes showing
 //! pseudocolor images, optionally overlaid with a second variable's
 //! contour map (§III.C).
+//!
+//! Each enabled plane is one `rvtk::render::ImageSlice`: a textured quad
+//! whose texture is the plane's grid values through the editor's lookup
+//! table, drawn at a cost that follows the pixels it covers. The Hovmöller
+//! slicer and the combined volume + slicer cell are this plot too.
 
 use crate::interaction::ConfigOp;
 use crate::plots::{image_range, offset_index, same_dims, Plot};
 use crate::transfer::TransferEditor;
 use crate::{Dv3dError, Result};
-use rvtk::filters::{auto_levels, contour_lines, slice_axis, SliceAxis};
-use rvtk::render::{Actor, Renderer};
+use rvtk::filters::{auto_levels, contour_lines, SliceAxis};
+use rvtk::render::{Actor, ImageSlice, Renderer};
 use rvtk::{Color, ImageData};
 
 /// Interactive slice planes through a scalar volume.
@@ -83,11 +88,9 @@ impl Plot for SlicerPlot {
             if !self.plane_enabled[ai] {
                 continue;
             }
-            let surf = slice_axis(&self.image, axis, self.slice_index[ai])?;
-            let mut actor =
-                Actor::from_poly_data(surf).with_lookup_table(self.editor.lookup_table());
-            actor.property.lighting = false;
-            renderer.add_actor(actor);
+            let lut = self.editor.lookup_table();
+            let plane = ImageSlice::from_image(&self.image, axis, self.slice_index[ai], lut)?;
+            renderer.add_image_slice(plane);
         }
         // overlay contours on the z plane
         if let Some(ov) = &self.overlay {
@@ -186,12 +189,13 @@ mod tests {
         let mut p = SlicerPlot::new(image(), None).unwrap();
         let mut r1 = Renderer::new();
         p.populate(&mut r1).unwrap();
-        assert_eq!(r1.actors().len(), 1);
+        assert_eq!(r1.image_slices().len(), 1);
         p.configure(&ConfigOp::TogglePlane { axis: Axis3::X }).unwrap();
         p.configure(&ConfigOp::TogglePlane { axis: Axis3::Y }).unwrap();
         let mut r3 = Renderer::new();
         p.populate(&mut r3).unwrap();
-        assert_eq!(r3.actors().len(), 3);
+        assert_eq!(r3.image_slices().len(), 3);
+        assert!(r3.actors().is_empty());
     }
 
     #[test]
@@ -200,8 +204,9 @@ mod tests {
         let p = SlicerPlot::new(image(), Some(ov)).unwrap();
         let mut r = Renderer::new();
         p.populate(&mut r).unwrap();
-        assert_eq!(r.actors().len(), 2);
-        assert!(!r.actors()[1].poly_data.lines.is_empty());
+        assert_eq!(r.image_slices().len(), 1);
+        assert_eq!(r.actors().len(), 1);
+        assert!(!r.actors()[0].poly_data.lines.is_empty());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!
 //! * [`isosurface`] / [`isosurface_colored`] — marching-tetrahedra surface
 //!   extraction (DV3D's Isosurface plot).
-//! * [`slice_axis`] / [`slice_plane`] — pseudocolor slice planes (Slicer).
+//! * [`SliceAxis`] — the axis a slice plane is perpendicular to. The
+//!   Slicer's pseudocolour planes are not a filter's output: each is drawn
+//!   as one textured quad, [`crate::render::ImageSlice`].
 //! * [`contour_lines`] — marching-squares contour overlays.
 //! * [`streamlines`] / [`glyphs_on_slice`] — vector-field visualization
 //!   (Vector slicer).
@@ -25,6 +27,6 @@ pub use glyph::{glyphs_on_slice, GlyphOptions};
 pub use isosurface::{isosurface, isosurface_colored};
 pub use outline::outline;
 pub use probe::{probe, ProbeResult};
-pub use slice::{slice_axis, slice_plane, SliceAxis};
+pub use slice::SliceAxis;
 pub use streamline::{streamlines, StreamlineOptions};
 pub use threshold::threshold;

@@ -1,14 +1,10 @@
-//! Slice extraction: pseudocolor planes through a volume.
+//! Slice axes: which grid axis a slice plane is perpendicular to.
 //!
-//! [`slice_axis`] pulls an axis-aligned plane out of image data as a
-//! triangulated quad mesh with per-point scalars — the geometry the DV3D
-//! Slicer drags through a dataset. [`slice_plane`] cuts an arbitrary
-//! oblique plane by sampling.
-
-use crate::image_data::ImageData;
-use crate::math::Vec3;
-use crate::poly_data::PolyData;
-use crate::{Result, VtkError};
+//! The Slicer's pseudocolour planes are not extracted as geometry: each is
+//! a [`render::ImageSlice`](crate::render::ImageSlice), one textured quad
+//! whose cost follows the pixels it covers rather than the plane's cells.
+//! The axis is shared by that prop, the contour and glyph filters, which
+//! work in the same planes, and DV3D's slice interaction.
 
 /// Which axis a slice plane is perpendicular to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,215 +21,6 @@ impl SliceAxis {
             SliceAxis::X => 0,
             SliceAxis::Y => 1,
             SliceAxis::Z => 2,
-        }
-    }
-}
-
-/// Extracts the plane `axis = slice_index` as a quad mesh (two triangles per
-/// cell) with per-point scalars copied from the volume. NaNs pass through
-/// (they render with the lookup table's NaN color).
-pub fn slice_axis(img: &ImageData, axis: SliceAxis, slice_index: usize) -> Result<PolyData> {
-    let ai = axis.index();
-    if slice_index >= img.dims[ai] {
-        return Err(VtkError::Invalid(format!(
-            "slice index {slice_index} out of range for axis {ai} (len {})",
-            img.dims[ai]
-        )));
-    }
-    // The two in-plane axes, in an order that keeps +normal consistent.
-    let (u_ax, v_ax) = match axis {
-        SliceAxis::X => (1, 2),
-        SliceAxis::Y => (0, 2),
-        SliceAxis::Z => (0, 1),
-    };
-    let (nu, nv) = (img.dims[u_ax], img.dims[v_ax]);
-    let mut out = PolyData::new();
-    let mut scalars = Vec::with_capacity(nu * nv);
-    for v in 0..nv {
-        for u in 0..nu {
-            let mut ijk = [0usize; 3];
-            ijk[ai] = slice_index;
-            ijk[u_ax] = u;
-            ijk[v_ax] = v;
-            out.add_point(img.point(ijk[0], ijk[1], ijk[2]));
-            scalars.push(img.scalar(ijk[0], ijk[1], ijk[2]));
-        }
-    }
-    for v in 0..nv.saturating_sub(1) {
-        for u in 0..nu.saturating_sub(1) {
-            let p00 = (v * nu + u) as u32;
-            let p10 = p00 + 1;
-            let p01 = p00 + nu as u32;
-            let p11 = p01 + 1;
-            out.triangles.push([p00, p10, p11]);
-            out.triangles.push([p00, p11, p01]);
-        }
-    }
-    out.scalars = Some(scalars);
-    // flat normals perpendicular to the plane
-    let mut n = Vec3::ZERO;
-    match axis {
-        SliceAxis::X => n.x = 1.0,
-        SliceAxis::Y => n.y = 1.0,
-        SliceAxis::Z => n.z = 1.0,
-    }
-    out.normals = Some(vec![n; out.points.len()]);
-    Ok(out)
-}
-
-/// Cuts an arbitrary plane (point + normal) through the volume by building
-/// an in-plane grid of `resolution × resolution` sample points covering the
-/// volume bounds, sampling trilinearly. Points outside the volume (or in
-/// NaN cells) get NaN scalars.
-pub fn slice_plane(
-    img: &ImageData,
-    plane_point: Vec3,
-    plane_normal: Vec3,
-    resolution: usize,
-) -> Result<PolyData> {
-    if resolution < 2 {
-        return Err(VtkError::Invalid("plane resolution must be ≥ 2".into()));
-    }
-    let n = plane_normal.normalized();
-    if n.length() < 0.5 {
-        return Err(VtkError::Invalid("zero plane normal".into()));
-    }
-    // Build an orthonormal in-plane basis.
-    let helper = if n.x.abs() < 0.9 { Vec3::new(1.0, 0.0, 0.0) } else { Vec3::new(0.0, 1.0, 0.0) };
-    let u = n.cross(helper).normalized();
-    let v = n.cross(u).normalized();
-    let half = img.bounds().diagonal() / 2.0;
-
-    let mut out = PolyData::new();
-    let mut scalars = Vec::with_capacity(resolution * resolution);
-    for j in 0..resolution {
-        for i in 0..resolution {
-            let s = -half + 2.0 * half * i as f64 / (resolution - 1) as f64;
-            let t = -half + 2.0 * half * j as f64 / (resolution - 1) as f64;
-            let p = plane_point + u * s + v * t;
-            out.add_point(p);
-            scalars.push(img.sample_world(p).unwrap_or(f32::NAN));
-        }
-    }
-    for j in 0..resolution - 1 {
-        for i in 0..resolution - 1 {
-            let p00 = (j * resolution + i) as u32;
-            let p10 = p00 + 1;
-            let p01 = p00 + resolution as u32;
-            let p11 = p01 + 1;
-            // only emit cells with at least one valid sample
-            let any_valid = [p00, p10, p01, p11]
-                .iter()
-                .any(|&k| !scalars[k as usize].is_nan());
-            if any_valid {
-                out.triangles.push([p00, p10, p11]);
-                out.triangles.push([p00, p11, p01]);
-            }
-        }
-    }
-    out.scalars = Some(scalars);
-    out.normals = Some(vec![n; out.points.len()]);
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ramp() -> ImageData {
-        ImageData::from_fn([5, 4, 3], [1.0; 3], [0.0; 3], |x, y, z| {
-            (x + 10.0 * y + 100.0 * z) as f32
-        })
-    }
-
-    #[test]
-    fn z_slice_extracts_plane_values() {
-        let img = ramp();
-        let s = slice_axis(&img, SliceAxis::Z, 2).unwrap();
-        assert_eq!(s.points.len(), 5 * 4);
-        assert_eq!(s.triangles.len(), 4 * 3 * 2);
-        let sc = s.scalars.as_ref().unwrap();
-        // first point is (0, 0, 2) → 200
-        assert_eq!(sc[0], 200.0);
-        // all points have z = 2
-        for &p in &s.points {
-            assert_eq!(p.z, 2.0);
-        }
-    }
-
-    #[test]
-    fn x_slice_geometry() {
-        let img = ramp();
-        let s = slice_axis(&img, SliceAxis::X, 3).unwrap();
-        assert_eq!(s.points.len(), 4 * 3);
-        for &p in &s.points {
-            assert_eq!(p.x, 3.0);
-        }
-        let sc = s.scalars.as_ref().unwrap();
-        assert_eq!(sc[0], 3.0); // (3, 0, 0)
-    }
-
-    #[test]
-    fn y_slice_geometry() {
-        let img = ramp();
-        let s = slice_axis(&img, SliceAxis::Y, 1).unwrap();
-        assert_eq!(s.points.len(), 5 * 3);
-        assert_eq!(s.scalars.as_ref().unwrap()[0], 10.0);
-    }
-
-    #[test]
-    fn out_of_range_slice_rejected() {
-        let img = ramp();
-        assert!(slice_axis(&img, SliceAxis::Z, 3).is_err());
-        assert!(slice_axis(&img, SliceAxis::X, 5).is_err());
-    }
-
-    #[test]
-    fn slice_area_matches_extent() {
-        let img = ramp();
-        let s = slice_axis(&img, SliceAxis::Z, 0).unwrap();
-        // 4 × 3 world units
-        assert!((s.surface_area() - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn oblique_plane_samples_field() {
-        let img = ImageData::from_fn([10, 10, 10], [1.0; 3], [0.0; 3], |x, _, _| x as f32);
-        let s = slice_plane(
-            &img,
-            Vec3::new(4.5, 4.5, 4.5),
-            Vec3::new(0.0, 0.0, 1.0),
-            16,
-        )
-        .unwrap();
-        let sc = s.scalars.as_ref().unwrap();
-        // where valid, scalar == x coordinate of the sample point
-        let mut checked = 0;
-        for (i, &v) in sc.iter().enumerate() {
-            if !v.is_nan() {
-                assert!((v as f64 - s.points[i].x).abs() < 1e-4);
-                checked += 1;
-            }
-        }
-        assert!(checked > 16, "expected interior samples, got {checked}");
-    }
-
-    #[test]
-    fn oblique_plane_validates_inputs() {
-        let img = ramp();
-        assert!(slice_plane(&img, Vec3::ZERO, Vec3::ZERO, 8).is_err());
-        assert!(slice_plane(&img, Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0), 1).is_err());
-    }
-
-    #[test]
-    fn oblique_plane_diagonal_normal() {
-        let img = ImageData::from_fn([8, 8, 8], [1.0; 3], [0.0; 3], |x, y, z| (x + y + z) as f32);
-        let n = Vec3::new(1.0, 1.0, 1.0);
-        let s = slice_plane(&img, Vec3::new(3.5, 3.5, 3.5), n, 12).unwrap();
-        // on the plane through the centre ⊥ (1,1,1), x+y+z is constant = 10.5
-        let sc = s.scalars.as_ref().unwrap();
-        for &v in sc.iter().filter(|v| !v.is_nan()) {
-            assert!((v - 10.5).abs() < 1e-3, "{v}");
         }
     }
 }

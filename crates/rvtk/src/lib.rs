@@ -11,15 +11,16 @@
 //!   optional vectors; trilinear sampling and central-difference gradients.
 //! * [`PolyData`] — points + triangles + polylines with per-point scalars
 //!   and normals.
-//! * [`filters`] — isosurface (marching tetrahedra), axis-aligned and
-//!   oblique plane slicing, 2D contour lines (marching squares), RK4
-//!   streamlines, arrow glyphs, thresholding and point probing.
+//! * [`filters`] — isosurface (marching tetrahedra), 2D contour lines
+//!   (marching squares), RK4 streamlines, arrow glyphs, thresholding and
+//!   point probing.
 //! * [`LookupTable`] / transfer functions — scalar→color maps and the
 //!   piecewise color/opacity functions volume rendering uses.
-//! * [`render`] — cameras, lights, actors, a z-buffered triangle
-//!   rasterizer (rayon-parallel), a front-to-back ray-cast volume renderer,
-//!   offscreen framebuffers with PPM export, anaglyph/side-by-side stereo,
-//!   and bitmap-font annotations.
+//! * [`render`] — cameras, lights, actors, slice planes drawn as textured
+//!   quads, a z-buffered triangle rasterizer (rayon-parallel), a
+//!   front-to-back ray-cast volume renderer, offscreen framebuffers with
+//!   PPM export, anaglyph/side-by-side stereo, and bitmap-font
+//!   annotations.
 //!
 //! ## Quickstart
 //!

@@ -2,7 +2,8 @@
 //! a ray-cast volume renderer, offscreen framebuffers and stereo modes.
 //!
 //! The pipeline mirrors VTK: a [`Renderer`] owns [`Actor`]s (surface/line
-//! geometry), [`Volume`]s (ray-cast scalar fields), a [`Camera`] and
+//! geometry), [`ImageSlice`]s (pseudocolour planes drawn as textured
+//! quads), [`Volume`]s (ray-cast scalar fields), a [`Camera`] and
 //! [`Light`]s, and draws into the [`Framebuffer`] of a [`RenderWindow`].
 //! DV3D hides all of these behind its plot types, exactly as the paper
 //! describes ("without exposing details such as actors, cameras, renderers,
@@ -11,6 +12,7 @@
 mod actor;
 mod camera;
 mod framebuffer;
+mod image_slice;
 mod light;
 mod renderer;
 mod text;
@@ -25,6 +27,7 @@ pub mod scanline_ref;
 pub use actor::{Actor, Property, Representation};
 pub use camera::Camera;
 pub use framebuffer::{Framebuffer, TileGrid, TileRect};
+pub use image_slice::ImageSlice;
 pub use light::Light;
 pub use renderer::Renderer;
 pub use text::{draw_colorbar, draw_text, text_width, GLYPH_HEIGHT};

@@ -1,5 +1,6 @@
-//! Tile-binned software rasterization: triangles (Gouraud-shaded,
-//! z-buffered), depth-interpolated lines and point sprites.
+//! Tile-binned software rasterization: slice quads (textured, see
+//! `image_slice.rs`), triangles (Gouraud-shaded, z-buffered),
+//! depth-interpolated lines and point sprites.
 //!
 //! Geometry is first transformed and shaded into screen space. Every mesh
 //! point becomes one 40-byte [`ScreenVertex`] in a frame-wide array,
@@ -11,8 +12,11 @@
 //! overlaps, and tile-row bands are rasterized in parallel — each tile
 //! owns its pixels, so no locking is needed, and a tile visits only the
 //! primitives binned into it (see `tile.rs`). Lines and point sprites
-//! carry their endpoints by value. Output is bit-identical to the
-//! historic row-band engine kept in `scanline_ref.rs`.
+//! carry their endpoints by value; a slice quad carries its texture and
+//! the inverse of its homography, and is drawn in each tile it covers
+//! before the tile's triangles. Output is bit-identical to the historic
+//! row-band engine kept in `scanline_ref.rs`, which draws no quads: the
+//! identity is over scenes of actors.
 //!
 //! Every pass over a frame's vertices or triangles but the assembly of
 //! the refs is a parallel region over chunks — the per-vertex transform
@@ -31,6 +35,7 @@ use crate::color::Color;
 use crate::math::{Mat4, Vec3};
 use crate::render::actor::{Actor, Representation};
 use crate::render::framebuffer::{Framebuffer, TileGrid};
+use crate::render::image_slice::{ImageSlice, ScreenQuad};
 use crate::render::light::Light;
 use crate::render::tile;
 use rayon::prelude::*;
@@ -109,6 +114,7 @@ pub(crate) struct PrimitiveList {
     pub tris: Vec<TriRef>,
     pub lines: Vec<RasterLine>,
     pub points: Vec<RasterPoint>,
+    pub quads: Vec<ScreenQuad>,
 }
 
 impl PrimitiveList {
@@ -214,7 +220,7 @@ pub(crate) fn build_primitives(
     // `px` says which points survived (`None`: dropped, no cell may use
     // it) and, for a surface — the one representation whose cells read
     // it — holds each survivor's pixel box.
-    let PrimitiveList { verts, tris, lines, points } = out;
+    let PrimitiveList { verts, tris, lines, points, .. } = out;
     let n = pd.points.len();
     // dv3dlint: allow(no_panic) -- 2^32 vertices are 171 GB of `ScreenVertex`; the sort and CSR indices are u32 too
     let end = u32::try_from(verts.len() + n).expect("frame vertex count fits the u32 ids");
@@ -426,15 +432,19 @@ fn merge(a: &[u64], b: &[u64], merged: &mut [u64]) {
     }
 }
 
-/// Convenience entry point: builds primitives for `actors` and rasterizes
-/// them into `fb` using `view_proj` and `lights`.
-pub(crate) fn draw_actors(
+/// The renderer's entry point: builds primitives for `actors`, projects
+/// `slices` to screen quads, and rasterizes both into `fb` using
+/// `view_proj` and `lights`.
+pub(crate) fn draw(
     actors: &[Actor],
+    slices: &[ImageSlice],
     view_proj: &Mat4,
     lights: &[Light],
     fb: &mut Framebuffer,
 ) {
-    let prims = build_sorted_primitives(actors, view_proj, lights, fb.width(), fb.height());
+    let (width, height) = (fb.width(), fb.height());
+    let mut prims = build_sorted_primitives(actors, view_proj, lights, width, height);
+    prims.quads = slices.iter().filter_map(|s| s.to_screen(view_proj, width, height)).collect();
     rasterize(&prims, fb);
 }
 
@@ -463,6 +473,10 @@ mod tests {
     use crate::render::camera::Camera;
     use crate::render::test_rng::Rng;
     use std::sync::Arc;
+
+    fn draw_actors(actors: &[Actor], view_proj: &Mat4, lights: &[Light], fb: &mut Framebuffer) {
+        draw(actors, &[], view_proj, lights, fb);
+    }
 
     impl PrimitiveList {
         /// Appends a triangle over three new vertices, boxed the way

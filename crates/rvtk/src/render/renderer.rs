@@ -1,10 +1,12 @@
-//! The renderer: a scene of actors, volumes and lights seen by a camera.
+//! The renderer: a scene of actors, slice planes, volumes and lights seen
+//! by a camera.
 
 use crate::color::Color;
 use crate::math::Bounds;
 use crate::render::actor::Actor;
 use crate::render::camera::Camera;
 use crate::render::framebuffer::Framebuffer;
+use crate::render::image_slice::ImageSlice;
 use crate::render::rasterizer;
 use crate::render::light::Light;
 use crate::render::volume::{render_volume, Volume};
@@ -13,6 +15,7 @@ use crate::render::volume::{render_volume, Volume};
 #[derive(Debug, Clone)]
 pub struct Renderer {
     actors: Vec<Actor>,
+    slices: Vec<ImageSlice>,
     volumes: Vec<Volume>,
     /// Scene lights (empty = ambient only).
     pub lights: Vec<Light>,
@@ -33,6 +36,7 @@ impl Renderer {
     pub fn new() -> Renderer {
         Renderer {
             actors: Vec::new(),
+            slices: Vec::new(),
             volumes: Vec::new(),
             lights: vec![Light::default()],
             camera: Camera::default(),
@@ -44,6 +48,12 @@ impl Renderer {
     pub fn add_actor(&mut self, actor: Actor) -> usize {
         self.actors.push(actor);
         self.actors.len() - 1
+    }
+
+    /// Adds a slice plane, returning its index.
+    pub fn add_image_slice(&mut self, slice: ImageSlice) -> usize {
+        self.slices.push(slice);
+        self.slices.len() - 1
     }
 
     /// Adds a volume, returning its index.
@@ -62,6 +72,11 @@ impl Renderer {
         &mut self.actors
     }
 
+    /// All slice planes.
+    pub fn image_slices(&self) -> &[ImageSlice] {
+        &self.slices
+    }
+
     /// All volumes.
     pub fn volumes(&self) -> &[Volume] {
         &self.volumes
@@ -75,6 +90,7 @@ impl Renderer {
     /// Removes everything from the scene.
     pub fn clear_scene(&mut self) {
         self.actors.clear();
+        self.slices.clear();
         self.volumes.clear();
     }
 
@@ -83,6 +99,9 @@ impl Renderer {
         let mut b = Bounds::empty();
         for a in self.actors.iter().filter(|a| a.visible) {
             b.union(&a.bounds());
+        }
+        for s in &self.slices {
+            b.union(&s.bounds());
         }
         for v in self.volumes.iter().filter(|v| v.visible) {
             b.union(&v.image.bounds());
@@ -96,15 +115,15 @@ impl Renderer {
         self.camera.reset_to_bounds(&b);
     }
 
-    /// Renders the scene into a framebuffer: clear, rasterize geometry,
-    /// then ray-cast volumes against the geometry depth.
+    /// Renders the scene into a framebuffer: clear, rasterize slice planes
+    /// and geometry, then ray-cast volumes against their depth.
     pub fn render(&self, fb: &mut Framebuffer) {
         fb.clear(self.background);
         let vp = self
             .camera
             .projection_matrix(fb.aspect())
             .mul_mat(&self.camera.view_matrix());
-        rasterizer::draw_actors(&self.actors, &vp, &self.lights, fb);
+        rasterizer::draw(&self.actors, &self.slices, &vp, &self.lights, fb);
         for v in &self.volumes {
             render_volume(v, &vp, fb);
         }
@@ -146,6 +165,7 @@ impl Renderer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filters::SliceAxis;
     use crate::image_data::ImageData;
     use crate::math::Vec3;
     use crate::poly_data::PolyData;
@@ -186,12 +206,20 @@ mod tests {
         let mut r = Renderer::new();
         r.add_actor(tri_actor());
         let img = ImageData::from_fn([4, 4, 4], [1.0; 3], [10.0, 0.0, 0.0], |_, _, _| 1.0);
-        r.add_volume(Volume::from_image(img));
+        r.add_volume(Volume::from_image(img.clone()));
         let b = r.scene_bounds();
         assert_eq!(b.min.x, -1.0);
         assert_eq!(b.max.x, 13.0);
+        // a slice plane counts too: the x = 16 plane of the grid moved on
+        let mut img = img;
+        img.origin = [14.0, -5.0, 0.0];
+        let lut = crate::lookup_table::LookupTable::default();
+        r.add_image_slice(ImageSlice::from_image(&img, SliceAxis::X, 2, lut).unwrap());
+        let b = r.scene_bounds();
+        assert_eq!((b.min.y, b.max.x), (-5.0, 16.0));
         r.clear_scene();
         assert!(r.scene_bounds().is_empty());
+        assert!(r.image_slices().is_empty());
     }
 
     #[test]

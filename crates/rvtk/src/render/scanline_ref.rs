@@ -26,7 +26,9 @@ use rayon::prelude::*;
 
 /// Renders `r`'s scene with the historic row-band engine: clear, scanline
 /// rasterization, then the (shared) volume ray-cast pass. The public
-/// counterpart of [`Renderer::render`] for identity tests and benches.
+/// counterpart of [`Renderer::render`] for identity tests and benches over
+/// scenes of actors: the reference has no quad kernel and draws none of
+/// the scene's slice planes.
 pub fn render_scene_scanline(r: &Renderer, fb: &mut Framebuffer) {
     fb.clear(r.background);
     let vp = r.camera.projection_matrix(fb.aspect()).mul_mat(&r.camera.view_matrix());

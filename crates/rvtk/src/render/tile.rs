@@ -10,7 +10,9 @@
 //! scanned every primitive and point sprites/lines re-walked their full
 //! extent once per band.
 //!
-//! Binning evaluates each primitive's geometry once. A triangle arrives as
+//! Binning evaluates each primitive's geometry once. A slice quad is
+//! binned by index to every tile its pixel box covers, and a tile draws
+//! its quads before anything else (see [`TileView::quad`]). A triangle arrives as
 //! a 28-byte [`TriRef`] whose integer pixel box was joined from its
 //! corners when the mesh was assembled; binning clamps that box to a
 //! 16-byte [`TileSpan`] (the tile rectangle `TileGrid::for_tiles_over`
@@ -21,22 +23,27 @@
 //! to a bin set of their own; a tile replays the sets in chunk order, which
 //! is list order.
 //!
-//! Bit-identity with the scanline engine is a hard invariant, relied on by
-//! the hyperwall delta transport (which diffs consecutive frames): the
-//! per-pixel kernels below are the scanline kernels verbatim — identical
+//! Bit-identity with the scanline engine is a hard invariant over scenes
+//! of actors, relied on by the hyperwall delta transport (which diffs
+//! consecutive frames) and kept by the reference, which has no quad kernel:
+//! the triangle, line and point kernels below are the scanline kernels
+//! verbatim — identical
 //! expression trees, identical fold/clamp semantics — with their iteration
 //! domains intersected with the tile rectangle (for a triangle in integer
 //! pixel coordinates: its box is the scanline `⌊min3⌋` / `⌈max3⌉`, see
 //! `rasterizer::union3`). Since every pixel belongs
 //! to exactly one tile, and primitives are replayed per tile in list order
-//! (triangles, then lines, then points), each pixel sees exactly the plot
-//! sequence the scanline engine would have issued, at any thread count.
+//! (quads, then triangles, then lines, then points), each pixel sees
+//! exactly the plot sequence the scanline engine would have issued, at any
+//! thread count. The quad kernel is a function of the pixel alone, so
+//! slices keep every frame independent of the thread count too.
 //!
 //! This file is on the dv3dlint `indexing_hot_paths` list: no bracket
 //! indexing — slice-pattern destructuring, iterators and `.get()` only.
 
 use crate::color::Color;
 use crate::render::framebuffer::{Framebuffer, TileGrid, TileSpan};
+use crate::render::image_slice::ScreenQuad;
 use crate::render::rasterizer::{PrimitiveList, RasterLine, RasterPoint, ScreenVertex, TriRef};
 use rayon::prelude::*;
 
@@ -85,6 +92,9 @@ impl<T> Csr<T> {
 /// chunk bin sets by reading them first to last.
 #[derive(Debug, Default)]
 pub(crate) struct TileBins {
+    /// Indices into `PrimitiveList::quads` of the slices whose box
+    /// overlaps the tile, in list order.
+    quads: Csr<u32>,
     /// One bin set per [`BIN_CHUNK`] triangles of the sorted list.
     tris: Vec<Csr<TriRef>>,
     lines: Csr<BinnedLine>,
@@ -109,6 +119,10 @@ pub(crate) struct BinnedLine {
 }
 
 impl TileBins {
+    fn quads(&self, t: usize) -> &[u32] {
+        self.quads.tile(t)
+    }
+
     /// Tile `t`'s triangles, in list order.
     pub(crate) fn tris(&self, t: usize) -> impl Iterator<Item = &TriRef> {
         self.tris.iter().flat_map(move |chunk| chunk.tile(t))
@@ -123,7 +137,10 @@ impl TileBins {
     }
 
     fn is_empty(&self, t: usize) -> bool {
-        self.tris(t).next().is_none() && self.lines(t).is_empty() && self.points(t).is_empty()
+        self.quads(t).is_empty()
+            && self.tris(t).next().is_none()
+            && self.lines(t).is_empty()
+            && self.points(t).is_empty()
     }
 }
 
@@ -168,6 +185,14 @@ where
 /// cover rounding (`line`) and sprite radius (`point`).
 pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins {
     let cols = grid.cols();
+    let quad_ids: Vec<u32> = (0..).take(prims.quads.len()).collect();
+    let quads = csr_pairs(
+        grid.len(),
+        quad_ids
+            .iter()
+            .zip(&prims.quads)
+            .flat_map(|(id, q)| grid.tile_span(q.bbox).tiles(cols).map(move |idx| (idx, id))),
+    );
     let chunks: Vec<&[TriRef]> = prims.tris.chunks(BIN_CHUNK).collect();
     let mut tris: Vec<Csr<TriRef>> = chunks.iter().map(|_| Csr::default()).collect();
     tris.par_iter_mut().zip(chunks.par_iter()).for_each(|(bins, chunk)| {
@@ -279,13 +304,15 @@ pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins
         );
     }
     let points = csr_pairs(grid.len(), point_scratch.iter().copied());
-    TileBins { tris, lines, points }
+    TileBins { quads, tris, lines, points }
 }
 
 /// Rasterizes binned primitives: tile-row bands in parallel, occupied
 /// tiles serially within each band (each tile's pixels belong to exactly
 /// one band, so no locking). Which thread takes which band is decided as
-/// the bands are claimed, top to bottom.
+/// the bands are claimed, top to bottom. Within a tile the slice quads go
+/// first: they are opaque images under everything else, and what the
+/// mesh they replaced wrote before any translucent triangle blended.
 pub(crate) fn rasterize_bins(
     prims: &PrimitiveList,
     bins: &TileBins,
@@ -313,6 +340,9 @@ pub(crate) fn rasterize_bins(
                 colors: &mut *band.colors,
                 depths: &mut *band.depths,
             };
+            for q in bins.quads(idx).iter().filter_map(|&q| prims.quads.get(q as usize)) {
+                view.quad(q);
+            }
             for t in bins.tris(idx) {
                 view.triangle(&prims.verts, t);
             }
@@ -409,6 +439,78 @@ impl TileView<'_> {
                 if !(-1.001..=1.001).contains(&z) {
                     continue; // outside clip volume
                 }
+                let c = Color {
+                    r: (w0 as f32) * col_a.r + (w1 as f32) * col_b.r + (w2 as f32) * col_c.r,
+                    g: (w0 as f32) * col_a.g + (w1 as f32) * col_b.g + (w2 as f32) * col_c.g,
+                    b: (w0 as f32) * col_a.b + (w1 as f32) * col_b.b + (w2 as f32) * col_c.b,
+                    a: (w0 as f32) * col_a.a + (w1 as f32) * col_b.a + (w2 as f32) * col_c.a,
+                };
+                self.plot(x, y, z, c);
+            }
+        }
+    }
+
+    /// A slice quad, clipped to the tile. Each pixel centre in the box goes
+    /// through the inverse homography to the plane point under it, at grid
+    /// coordinates `(s, t)`. A centre is drawn when that point is in front
+    /// of the eye (`1/w > 0`; per-pixel clipping, where the mesh dropped
+    /// every triangle with a corner at `w ≤ 1e-9`), on the plane to the
+    /// mesh's `1e-9` edge tolerance, and at an NDC depth inside the clip
+    /// range. Its colour is the texels of the cell triangle it falls in —
+    /// the mesh's own split along the `p00–p11` diagonal — mixed with the
+    /// barycentric weights of `(s, t)` in that triangle, and it is written
+    /// with the plane's exact depth under the triangle kernel's `z < d`
+    /// rule. The weights are perspective-correct where the mesh's were
+    /// screen-affine; DESIGN §21 bounds the difference.
+    fn quad(&mut self, q: &ScreenQuad) {
+        const EDGE: f64 = 1e-9;
+        let [bx0, bx1, by0, by1] = q.bbox;
+        let [rx0, rx1, ry0, ry1] = self.rect;
+        let (ymin, ymax) = (by0.max(ry0), by1.min(ry1));
+        let (xmin, xmax) = (bx0.max(rx0), bx1.min(rx1));
+        if ymin > ymax || xmin > xmax {
+            return;
+        }
+        let [[sx, sy, s1], [tx, ty, t1], [wx, wy, w1]] = q.to_plane;
+        let [zx, zy, z1] = q.depth;
+        let nu = q.nu;
+        let (last_u, last_v) = (nu.saturating_sub(1) as f64, q.nv.saturating_sub(1) as f64);
+        let (cell_u, cell_v) = (nu.saturating_sub(2), q.nv.saturating_sub(2));
+        // the clipped bounds lie inside the tile, so they are non-negative
+        for y in (ymin.unsigned_abs() as usize)..=(ymax.unsigned_abs() as usize) {
+            let py = y as f64;
+            let (s_row, t_row, w_row, z_row) = (sy * py + s1, ty * py + t1, wy * py + w1, zy * py + z1);
+            for x in (xmin.unsigned_abs() as usize)..=(xmax.unsigned_abs() as usize) {
+                let px = x as f64;
+                let inv_w = wx * px + w_row;
+                if inv_w <= 0.0 {
+                    continue; // behind the eye, or on its plane (a NaN fails the next test)
+                }
+                let w = 1.0 / inv_w;
+                let (s, t) = ((sx * px + s_row) * w, (tx * px + t_row) * w);
+                if !(s >= -EDGE && s <= last_u + EDGE && t >= -EDGE && t <= last_v + EDGE) {
+                    continue; // off the plane
+                }
+                let z = (zx * px + z_row) as f32;
+                if !(-1.001..=1.001).contains(&z) {
+                    continue; // outside clip volume
+                }
+                let (s, t) = (s.clamp(0.0, last_u), t.clamp(0.0, last_v));
+                let (u0, v0) = ((s as usize).min(cell_u), (t as usize).min(cell_v));
+                let (fs, ft) = (s - u0 as f64, t - v0 as f64);
+                let p00 = v0 * nu + u0;
+                let (p10, p01, p11) = (p00 + 1, p00 + nu, p00 + nu + 1);
+                // [p00, p10, p11] on the p10 side of the diagonal, else [p00, p11, p01]
+                let (w0, w1, w2, ib, ic) = if fs >= ft {
+                    (1.0 - fs, fs - ft, ft, p10, p11)
+                } else {
+                    (1.0 - ft, fs, ft - fs, p11, p01)
+                };
+                let (Some(col_a), Some(col_b), Some(col_c)) =
+                    (q.texels.get(p00), q.texels.get(ib), q.texels.get(ic))
+                else {
+                    continue;
+                };
                 let c = Color {
                     r: (w0 as f32) * col_a.r + (w1 as f32) * col_b.r + (w2 as f32) * col_c.r,
                     g: (w0 as f32) * col_a.g + (w1 as f32) * col_b.g + (w2 as f32) * col_c.g,
@@ -712,6 +814,31 @@ mod tests {
                 }
             }
             assert!(expected.iter().any(|l| l.len() > 100), "the sweep must load the bins");
+        }
+    }
+
+    #[test]
+    fn quads_bin_by_index_to_every_tile_their_box_covers() {
+        use crate::render::image_slice::ScreenQuad;
+        let grid = TileGrid::new(96, 64, 32);
+        let mut prims = PrimitiveList::default();
+        let quad = |bbox| ScreenQuad {
+            texels: Vec::new().into(),
+            nu: 2,
+            nv: 2,
+            to_plane: [[0.0; 3]; 3],
+            depth: [0.0; 3],
+            bbox,
+        };
+        prims.quads.push(quad([20, 44, 2, 40])); // tiles (0..=1, 0..=1)
+        prims.quads.push(quad([i32::MIN, i32::MAX, i32::MIN, i32::MAX])); // every tile
+        prims.quads.push(quad([-9, -1, 0, 63])); // off screen
+        let bins = bin_primitives(&prims, &grid);
+        for t in 0..grid.len() {
+            let (tx, ty) = (t % 3, t / 3);
+            let want: Vec<u32> = if tx <= 1 && ty <= 1 { vec![0, 1] } else { vec![1] };
+            assert_eq!(bins.quads(t), want.as_slice(), "tile {t}");
+            assert!(!bins.is_empty(t));
         }
     }
 

@@ -81,7 +81,7 @@ fn fig3_isosurface_and_combined_volume_slicer() {
     let mut fb = Framebuffer::new(128, 96);
     r.render(&mut fb);
     assert!(fb.covered_pixels(Color::BLACK) > 300);
-    assert_eq!(r.actors().len(), 1);
+    assert_eq!(r.image_slices().len(), 1);
     assert_eq!(r.volumes().len(), 1);
 }
 
