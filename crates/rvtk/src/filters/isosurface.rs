@@ -1,4 +1,5 @@
-//! Isosurface extraction by marching tetrahedra.
+//! Isosurface extraction by marching tetrahedra, one vertex per crossed
+//! lattice edge.
 //!
 //! Each grid cell is split into six tetrahedra sharing the cell's main
 //! diagonal — a decomposition whose face diagonals agree between adjacent
@@ -6,6 +7,20 @@
 //! tests). Compared to classic marching cubes this trades slightly more
 //! triangles for a table small enough to verify by inspection and no
 //! ambiguous cases.
+//!
+//! A vertex is keyed by the lattice edge it lies on, or by the grid point
+//! it lands on when the interpolation reaches an end (a triangle two of
+//! whose corners then coincide is dropped). It is built once — position,
+//! normal from gradients computed once per grid point, colour sample — when
+//! the serial k → j → i → tetrahedron → edge walk first reaches its key, as
+//! Flying Edges (Schroeder et al., 2015) and VTK's contour filters share
+//! edge vertices.
+//!
+//! k-slabs are marched in parallel. A vertex in the plane two slabs share
+//! belongs to the lower one, unless NaN cells kept that slab from reaching
+//! it. Owned counts give each slab its output offsets, and the slabs
+//! write their parts in parallel, in the serial walk's first-use order at
+//! any thread count. DESIGN §22 has the layout.
 
 use crate::image_data::ImageData;
 use crate::math::Vec3;
@@ -36,6 +51,14 @@ const TETS: [[usize; 4]; 6] = [
     [0, 5, 1, 6],
 ];
 
+/// Keys per grid point: the point itself takes 0, and the edge from it to
+/// the point `(dx, dy, dz)` further on takes `dx + 2·dy + 4·dz`.
+const SLOTS: usize = 8;
+/// A window slot no vertex is keyed by yet.
+const NONE: u32 = u32::MAX;
+/// Marks a slab vertex the slab below owns, in the ranks of [`link`].
+const BELOW: u32 = 1 << 31;
+
 /// Extracts the isosurface of `img.scalars` at `value`.
 ///
 /// Cells touching NaN scalars are skipped (missing-data holes). Vertex
@@ -62,16 +85,6 @@ pub fn isosurface_colored(
     isosurface_impl(img, value, Some(color_field))
 }
 
-/// Triangles, points and per-vertex attributes emitted by one k-slab of
-/// cells. Triangle indices are slab-local; the stitch pass offsets them.
-#[derive(Debug, Default)]
-struct SlabMesh {
-    points: Vec<Vec3>,
-    triangles: Vec<[u32; 3]>,
-    scalars: Vec<f32>,
-    normals: Vec<Vec3>,
-}
-
 fn isosurface_impl(
     img: &ImageData,
     value: f32,
@@ -81,164 +94,263 @@ fn isosurface_impl(
     if nx < 2 || ny < 2 || nz < 2 {
         return Err(VtkError::Invalid("isosurface needs at least 2 points per axis".into()));
     }
+    let cases = TETS.map(|tet| std::array::from_fn(|mask| tet_triangles(tet, mask)));
+    let march = March { img, value, color_field, cases };
+    let mut slabs: Vec<Slab> = (0..nz - 1).map(|_| Slab::default()).collect();
+    slabs.par_iter_mut().enumerate().for_each(|(k, slab)| march.slab(k, slab));
+    let mut ranks: Vec<Vec<u32>> = vec![Vec::new(); slabs.len()];
+    ranks.par_iter_mut().enumerate().for_each(|(k, ranks)| *ranks = link(&slabs, k));
 
-    // The cell loop is embarrassingly parallel across k-slabs: each slab
-    // emits into its own mesh (disjoint writes), then slabs are stitched in
-    // ascending k with offset indices — the concatenation reproduces the
-    // serial single-loop emission order exactly, so the output is
-    // bit-identical to the serial path regardless of thread schedule (the
-    // test below checks this against a serial reference).
-    let mut slabs: Vec<SlabMesh> = (0..nz - 1).map(|_| SlabMesh::default()).collect();
-    slabs
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(k, slab)| march_slab(img, value, k, color_field, slab));
-
+    let owned: Vec<usize> = ranks.iter().map(|r| r.iter().filter(|&&r| r & BELOW == 0).count()).collect();
+    let firsts: Vec<u32> = owned.iter().scan(0, |n, &o| Some(std::mem::replace(n, *n + o as u32))).collect();
+    let num_points = owned.iter().sum();
+    let triangle_counts: Vec<usize> = slabs.iter().map(|s| s.triangles.len()).collect();
     let mut out = PolyData::new();
-    let mut scalars: Vec<f32> = Vec::new();
-    let mut normals: Vec<Vec3> = Vec::new();
-    for slab in slabs {
-        let offset = out.points.len() as u32;
-        out.points.extend(slab.points);
-        out.triangles
-            .extend(slab.triangles.into_iter().map(|[a, b, c]| [a + offset, b + offset, c + offset]));
-        scalars.extend(slab.scalars);
-        normals.extend(slab.normals);
-    }
-    out.scalars = Some(scalars);
+    out.points = vec![Vec3::ZERO; num_points];
+    let mut normals = vec![Vec3::ZERO; num_points];
+    let mut scalars = vec![0.0; num_points];
+    out.triangles = vec![[0; 3]; triangle_counts.iter().sum()];
+    let mut parts: Vec<_> = split(&mut out.points, &owned)
+        .zip(split(&mut normals, &owned))
+        .zip(split(&mut scalars, &owned))
+        .zip(split(&mut out.triangles, &triangle_counts))
+        .collect();
+    parts.par_iter_mut().enumerate().for_each(|(k, (((points, normals), scalars), triangles))| {
+        let (Some(slab), Some(mine), Some(&first)) = (slabs.get(k), ranks.get(k), firsts.get(k)) else {
+            return;
+        };
+        let vertices = slab.vertices.iter().zip(mine).filter(|&(_, r)| r & BELOW == 0);
+        let dst = points.iter_mut().zip(normals.iter_mut()).zip(scalars.iter_mut());
+        for ((v, _), ((p, n), s)) in vertices.zip(dst) {
+            (*p, *n, *s) = (v.point, v.normal, v.scalar);
+        }
+        // a vertex the slab below owns lies in its top plane, and a slab
+        // owns every vertex there
+        let below = k.checked_sub(1).and_then(|b| Some((ranks.get(b)?, *firsts.get(b)?)));
+        let output_id = |v: u32| match mine.get(v as usize) {
+            Some(&r) if r & BELOW == 0 => first + r,
+            Some(&r) => below.and_then(|(theirs, f)| Some(f + theirs.get((r & !BELOW) as usize)?)).unwrap_or(0),
+            None => 0,
+        };
+        for (dst, triangle) in triangles.iter_mut().zip(&slab.triangles) {
+            *dst = triangle.map(output_id);
+        }
+    });
     out.normals = Some(normals);
-    out.merge_points(1e-7 * (1.0 + img.bounds().diagonal()));
+    out.scalars = Some(scalars);
     Ok(out)
 }
 
-/// Runs marching tetrahedra over every cell of one k-slab, in the same
-/// j/i order the serial triple loop used.
-fn march_slab(
-    img: &ImageData,
+/// What one slab of cells emits.
+#[derive(Debug, Default)]
+struct Slab {
+    /// In the order the slab reached them.
+    vertices: Vec<Vertex>,
+    /// Over slab vertex ids.
+    triangles: Vec<[u32; 3]>,
+    /// `(key, vertex)` for the vertices in the slab's top plane, sorted:
+    /// what the slab above looks the plane they share up in.
+    top: Vec<(usize, u32)>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Vertex {
+    point: Vec3,
+    normal: Vec3,
+    scalar: f32,
+    /// Its grid point's index times [`SLOTS`], plus its slot.
+    key: usize,
+}
+
+/// A slab's vertex ids and gradients for the grid rows `j` and `j + 1` a
+/// row of cells touches, each in the slab's bottom and top plane. Row `y`
+/// lives in half `y % 2`, so moving on a row clears one half.
+#[derive(Debug)]
+struct Window {
+    ids: Vec<u32>,
+    gradients: Vec<Option<Vec3>>,
+}
+
+/// Where grid point `(x, y)` of the slab's plane `z` (0 bottom, 1 top) sits
+/// in a [`Window`] of rows `nx` points long.
+fn at(nx: usize, [x, y, z]: [usize; 3]) -> usize {
+    (y % 2 * 2 + z) * nx + x
+}
+
+/// The triangles of one tetrahedron for one corner mask, as
+/// [`tet_triangles`] gives them.
+type Case = [Option<[(usize, usize); 3]>; 2];
+
+/// What every slab of one extraction shares.
+#[derive(Debug)]
+struct March<'a> {
+    img: &'a ImageData,
     value: f32,
-    k: usize,
-    color_field: Option<&ImageData>,
-    slab: &mut SlabMesh,
-) {
-    let [nx, ny, _] = img.dims;
-    let mut corner_val = [0.0f32; 8];
-    let mut corner_idx = [[0usize; 3]; 8];
-    for j in 0..ny - 1 {
-        for i in 0..nx - 1 {
-            let mut has_nan = false;
-            for (c, off) in CORNERS.iter().enumerate() {
-                let (ci, cj, ck) = (i + off[0], j + off[1], k + off[2]);
-                let v = img.scalar(ci, cj, ck);
-                if v.is_nan() {
-                    has_nan = true;
-                    break;
+    color_field: Option<&'a ImageData>,
+    /// Per tetrahedron of [`TETS`], its triangles for each corner mask.
+    cases: [[Case; 16]; 6],
+}
+
+impl March<'_> {
+    /// Marches every cell of slab `k`, in the j/i order of the serial walk.
+    fn slab(&self, k: usize, slab: &mut Slab) {
+        let [nx, ny, _] = self.img.dims;
+        let mut window = Window { ids: vec![NONE; 4 * nx * SLOTS], gradients: vec![None; 4 * nx] };
+        for j in 0..ny - 1 {
+            for i in 0..nx - 1 {
+                let values = CORNERS.map(|[x, y, z]| {
+                    self.img.scalars.get(self.img.index(i + x, j + y, k + z)).copied().unwrap_or(f32::NAN)
+                });
+                // cells touching NaN are holes; a cell all on one side of
+                // the isovalue has no surface
+                if values.iter().any(|v| v.is_nan())
+                    || values.iter().all(|&v| v < self.value)
+                    || values.iter().all(|&v| v >= self.value)
+                {
+                    continue;
                 }
-                corner_val[c] = v;
-                corner_idx[c] = [ci, cj, ck];
+                for (tet, cases) in TETS.iter().zip(&self.cases) {
+                    let mask = tet.iter().enumerate().fold(0, |mask, (c, &corner)| {
+                        let inside = values.get(corner).is_some_and(|&v| v >= self.value);
+                        mask | (usize::from(inside) << c)
+                    });
+                    for triangle in cases.get(mask).into_iter().flatten().flatten() {
+                        let ids = triangle.map(|edge| self.vertex(slab, &mut window, [i, j, k], &values, edge));
+                        if let [Some(p0), Some(p1), Some(p2)] = ids {
+                            if p0 != p1 && p1 != p2 && p0 != p2 {
+                                slab.triangles.push([p0, p1, p2]);
+                            }
+                        }
+                    }
+                }
             }
-            if has_nan {
-                continue;
-            }
-            // quick reject: all corners same side
-            let any_below = corner_val.iter().any(|&v| v < value);
-            let any_above = corner_val.iter().any(|&v| v >= value);
-            if !(any_below && any_above) {
-                continue;
-            }
-            for tet in &TETS {
-                march_tet(
-                    img,
-                    value,
-                    tet.map(|c| corner_idx[c]),
-                    tet.map(|c| corner_val[c]),
-                    color_field,
-                    slab,
-                );
-            }
+            // row j is done with; its half of the window takes row j + 2
+            window.ids.chunks_mut(2 * nx * SLOTS).nth(j % 2).into_iter().flatten().for_each(|id| *id = NONE);
+            window.gradients.chunks_mut(2 * nx).nth(j % 2).into_iter().flatten().for_each(|g| *g = None);
         }
+        slab.top.sort_unstable();
+    }
+
+    /// The slab's vertex on the edge from the inside cube corner `a` of the
+    /// cell at `[i, j, k]`, whose corners hold `values`, to the outside
+    /// corner `b`, built the first time the slab reaches that edge or the
+    /// grid point the vertex lands on.
+    fn vertex(&self, slab: &mut Slab, window: &mut Window, [i, j, k]: [usize; 3], values: &[f32; 8], (a, b): (usize, usize)) -> Option<u32> {
+        let [nx, ny, _] = self.img.dims;
+        let ([ax, ay, az], [bx, by, bz]) = (*CORNERS.get(a)?, *CORNERS.get(b)?);
+        let (pa, pb) = ([i + ax, j + ay, az], [i + bx, j + by, bz]);
+        // window slot and key of slot `s` of grid point `[x, y, z]`
+        let name = |[x, y, z]: [usize; 3], s: usize| (at(nx, [x, y, z]) * SLOTS + s, (x + nx * (y + ny * (k + z))) * SLOTS + s);
+        let edge = name(
+            [i + ax.min(bx), j + ay.min(by), az.min(bz)],
+            ax.abs_diff(bx) + 2 * ay.abs_diff(by) + 4 * az.abs_diff(bz),
+        );
+        let id = *window.ids.get(edge.0)?;
+        if id != NONE {
+            return Some(id);
+        }
+        let (va, vb) = (*values.get(a)?, *values.get(b)?);
+        let t = if (vb - va).abs() < 1e-30 { 0.5 } else { ((self.value - va) / (vb - va)) as f64 };
+        let t = t.clamp(0.0, 1.0);
+        let world = |[x, y, z]: [usize; 3]| self.img.point(x, y, k + z);
+        let p = world(pa).lerp(world(pb), t);
+        let named = if p == world(pa) {
+            name(pa, 0)
+        } else if p == world(pb) {
+            name(pb, 0)
+        } else {
+            edge
+        };
+        let mut id = *window.ids.get(named.0)?;
+        if id == NONE {
+            let [ga, gb] = [pa, pb].map(|c @ [x, y, z]| {
+                let g = window.gradients.get_mut(at(nx, c))?;
+                Some(*g.get_or_insert_with(|| self.img.gradient(x, y, k + z)))
+            });
+            id = slab.vertices.len() as u32;
+            slab.vertices.push(Vertex {
+                point: p,
+                normal: (-(ga?.lerp(gb?, t))).normalized(),
+                scalar: match self.color_field {
+                    Some(cf) => cf.sample_continuous(cf.world_to_continuous(p)).unwrap_or(f32::NAN),
+                    None => self.value,
+                },
+                key: named.1,
+            });
+            if named.1 >= SLOTS * nx * ny * (k + 1) {
+                slab.top.push((named.1, id));
+            }
+            *window.ids.get_mut(named.0)? = id;
+        }
+        *window.ids.get_mut(edge.0)? = id;
+        Some(id)
     }
 }
 
-/// Emits 0–2 triangles for one tetrahedron into the slab mesh.
-fn march_tet(
-    img: &ImageData,
-    value: f32,
-    idx: [[usize; 3]; 4],
-    val: [f32; 4],
-    color_field: Option<&ImageData>,
-    out: &mut SlabMesh,
-) {
-    // classify: bit c set when corner c is "inside" (>= value)
-    let mut mask = 0u8;
-    for (c, &v) in val.iter().enumerate() {
-        if v >= value {
-            mask |= 1 << c;
-        }
-    }
-    if mask == 0 || mask == 0b1111 {
-        return;
-    }
+/// Ranks slab `k`'s vertices: a vertex's rank among those the slab owns,
+/// or [`BELOW`] with its id in the slab below when that slab reached the
+/// key first, which it can only have in the plane the two share.
+fn link(slabs: &[Slab], k: usize) -> Vec<u32> {
+    let top = k.checked_sub(1).and_then(|b| slabs.get(b)).map(|b| b.top.as_slice()).unwrap_or_default();
+    let mut owned = 0;
+    let vertices = slabs.get(k).map(|s| s.vertices.as_slice()).unwrap_or_default();
+    vertices
+        .iter()
+        .map(|v| match top.binary_search_by_key(&v.key, |&(key, _)| key).ok().and_then(|at| top.get(at)) {
+            Some(&(_, id)) => BELOW | id,
+            None => {
+                owned += 1;
+                owned - 1
+            }
+        })
+        .collect()
+}
 
-    // edge interpolation helper
-    let mut edge_vertex = |a: usize, b: usize| -> u32 {
-        let (va, vb) = (val[a], val[b]);
-        let t = if (vb - va).abs() < 1e-30 { 0.5 } else { ((value - va) / (vb - va)) as f64 };
-        let t = t.clamp(0.0, 1.0);
-        let pa = img.point(idx[a][0], idx[a][1], idx[a][2]);
-        let pb = img.point(idx[b][0], idx[b][1], idx[b][2]);
-        let p = pa.lerp(pb, t);
-        let ga = img.gradient(idx[a][0], idx[a][1], idx[a][2]);
-        let gb = img.gradient(idx[b][0], idx[b][1], idx[b][2]);
-        let n = (-(ga.lerp(gb, t))).normalized();
-        let s = match color_field {
-            Some(cf) => cf
-                .sample_continuous(cf.world_to_continuous(p))
-                .unwrap_or(f32::NAN),
-            None => value,
-        };
-        out.points.push(p);
-        out.scalars.push(s);
-        out.normals.push(n);
-        (out.points.len() - 1) as u32
+/// `rest` cut into consecutive parts of the given lengths.
+fn split<'a, T>(mut rest: &'a mut [T], lens: &[usize]) -> std::vec::IntoIter<&'a mut [T]> {
+    let mut parts = Vec::with_capacity(lens.len());
+    for &n in lens {
+        let n = n.min(rest.len());
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        parts.push(head);
+        rest = tail;
+    }
+    parts.into_iter()
+}
+
+/// The triangles one tetrahedron contributes, given which of its corners
+/// are inside (bit `c` of `mask` for corner `c`, value ≥ isovalue). Each
+/// triangle corner is an edge, named (inside cube corner, outside cube
+/// corner); triangles wind so the normal faces decreasing field.
+fn tet_triangles(tet: [usize; 4], mask: usize) -> Case {
+    let side = |inside: bool| {
+        tet.into_iter()
+            .enumerate()
+            .filter(move |&(c, _)| (mask & (1 << c) != 0) == inside)
+            .map(|(_, corner)| corner)
     };
-
-    // Inside-corner sets for each case. Orientation: wind triangles so the
-    // normal points toward decreasing field (outward for "blob > value").
-    let inside: Vec<usize> = (0..4).filter(|&c| mask & (1 << c) != 0).collect();
-    match inside.len() {
+    let (mut ins, mut outs) = (side(true), side(false));
+    match mask.count_ones() {
         1 => {
-            let a = inside[0];
-            let others: Vec<usize> = (0..4).filter(|&c| c != a).collect();
-            let p0 = edge_vertex(a, others[0]);
-            let p1 = edge_vertex(a, others[1]);
-            let p2 = edge_vertex(a, others[2]);
-            out.triangles.push([p0, p1, p2]);
+            if let (Some(a), Some(b), Some(c), Some(d)) = (ins.next(), outs.next(), outs.next(), outs.next()) {
+                return [Some([(a, b), (a, c), (a, d)]), None];
+            }
         }
         3 => {
-            // three corners inside means exactly one bit is clear
-            let Some(a) = (0..4).find(|&c| mask & (1 << c) == 0) else { return };
-            let others: Vec<usize> = (0..4).filter(|&c| c != a).collect();
-            let p0 = edge_vertex(others[0], a);
-            let p1 = edge_vertex(others[1], a);
-            let p2 = edge_vertex(others[2], a);
-            out.triangles.push([p0, p1, p2]);
+            if let (Some(a), Some(b), Some(c), Some(d)) = (outs.next(), ins.next(), ins.next(), ins.next()) {
+                return [Some([(b, a), (c, a), (d, a)]), None];
+            }
         }
         2 => {
-            let (a, b) = (inside[0], inside[1]);
-            let outs: Vec<usize> = (0..4).filter(|&c| c != a && c != b).collect();
-            let (c, d) = (outs[0], outs[1]);
-            // quad: a-c, a-d, b-d, b-c
-            let p0 = edge_vertex(a, c);
-            let p1 = edge_vertex(a, d);
-            let p2 = edge_vertex(b, d);
-            let p3 = edge_vertex(b, c);
-            out.triangles.push([p0, p1, p2]);
-            out.triangles.push([p0, p2, p3]);
+            // the quad a–c, a–d, b–d, b–c as two triangles
+            if let (Some(a), Some(b), Some(c), Some(d)) = (ins.next(), ins.next(), outs.next(), outs.next()) {
+                return [Some([(a, c), (a, d), (b, d)]), Some([(a, c), (b, d), (b, c)])];
+            }
         }
-        // 0 or 4 corners inside: the isosurface does not cross this
-        // tetrahedron, so there is nothing to emit
+        // no corner or every corner inside: the surface misses the tetrahedron
         _ => {}
     }
+    [None, None]
 }
 
 #[cfg(test)]
@@ -293,55 +405,6 @@ mod tests {
             }
         }
         assert!(agree as f64 > 0.95 * surf.points.len() as f64);
-    }
-
-    #[test]
-    fn parallel_slab_output_is_bit_identical_to_serial() {
-        // Serial reference: run the slab kernel k-by-k into ONE accumulating
-        // mesh — exactly what the pre-parallel triple loop emitted — and
-        // compare bitwise against the parallel+stitch path.
-        fn serial_reference(img: &ImageData, value: f32) -> PolyData {
-            let [_, _, nz] = img.dims;
-            let mut acc = SlabMesh::default();
-            for k in 0..nz - 1 {
-                march_slab(img, value, k, None, &mut acc);
-            }
-            let mut out = PolyData::new();
-            out.points = acc.points;
-            out.triangles = acc.triangles;
-            out.scalars = Some(acc.scalars);
-            out.normals = Some(acc.normals);
-            out.merge_points(1e-7 * (1.0 + img.bounds().diagonal()));
-            out
-        }
-
-        let (mut img, r) = sphere_field(20, 6.0);
-        // include a NaN hole so the skip path is exercised too
-        let idx = img.index(2, 3, 4);
-        img.scalars[idx] = f32::NAN;
-        for value in [r as f32, 2.0, 8.5] {
-            let par = isosurface(&img, value).unwrap();
-            let ser = serial_reference(&img, value);
-            assert_eq!(par.points.len(), ser.points.len(), "value {value}");
-            assert!(
-                par.points.iter().zip(&ser.points).all(|(a, b)| {
-                    a.x.to_bits() == b.x.to_bits()
-                        && a.y.to_bits() == b.y.to_bits()
-                        && a.z.to_bits() == b.z.to_bits()
-                }),
-                "points differ at value {value}"
-            );
-            assert_eq!(par.triangles, ser.triangles, "value {value}");
-            let (ps, ss) = (par.scalars.as_ref().unwrap(), ser.scalars.as_ref().unwrap());
-            assert_eq!(ps.len(), ss.len());
-            assert!(ps.iter().zip(ss).all(|(a, b)| a.to_bits() == b.to_bits()));
-            let (pn, sn) = (par.normals.as_ref().unwrap(), ser.normals.as_ref().unwrap());
-            assert!(pn.iter().zip(sn).all(|(a, b)| {
-                a.x.to_bits() == b.x.to_bits()
-                    && a.y.to_bits() == b.y.to_bits()
-                    && a.z.to_bits() == b.z.to_bits()
-            }));
-        }
     }
 
     #[test]

@@ -120,8 +120,9 @@ impl PolyData {
     }
 
     /// True when every triangle edge is shared by exactly two triangles —
-    /// i.e. the mesh is a closed (watertight) surface. The isosurface
-    /// property tests use this.
+    /// i.e. the mesh is a closed (watertight) surface. Edges are matched by
+    /// point index, so the triangles must share vertices, as the isosurface
+    /// extractor's do.
     pub fn is_closed_surface(&self) -> bool {
         use std::collections::HashMap;
         if self.triangles.is_empty() {
@@ -135,50 +136,6 @@ impl PolyData {
             }
         }
         edges.values().all(|&c| c == 2)
-    }
-
-    /// Merges points closer than `tol`, remapping cells. Useful after
-    /// per-cell isosurface extraction to make a watertight mesh.
-    pub fn merge_points(&mut self, tol: f64) {
-        use std::collections::HashMap;
-        let inv = 1.0 / tol.max(1e-12);
-        let mut map: HashMap<(i64, i64, i64), u32> = HashMap::new();
-        let mut remap = vec![0u32; self.points.len()];
-        let mut new_points = Vec::new();
-        let mut new_normals = self.normals.as_ref().map(|_| Vec::new());
-        let mut new_scalars = self.scalars.as_ref().map(|_| Vec::new());
-        for (i, &p) in self.points.iter().enumerate() {
-            let key = (
-                (p.x * inv).round() as i64,
-                (p.y * inv).round() as i64,
-                (p.z * inv).round() as i64,
-            );
-            let idx = *map.entry(key).or_insert_with(|| {
-                new_points.push(p);
-                if let (Some(nn), Some(on)) = (new_normals.as_mut(), self.normals.as_ref()) {
-                    nn.push(on[i]);
-                }
-                if let (Some(ns), Some(os)) = (new_scalars.as_mut(), self.scalars.as_ref()) {
-                    ns.push(os[i]);
-                }
-                (new_points.len() - 1) as u32
-            });
-            remap[i] = idx;
-        }
-        self.points = new_points;
-        self.normals = new_normals;
-        self.scalars = new_scalars;
-        for tri in &mut self.triangles {
-            *tri = tri.map(|i| remap[i as usize]);
-        }
-        // drop degenerate triangles created by merging
-        self.triangles
-            .retain(|t| t[0] != t[1] && t[1] != t[2] && t[0] != t[2]);
-        for line in &mut self.lines {
-            for i in line.iter_mut() {
-                *i = remap[*i as usize];
-            }
-        }
     }
 }
 
@@ -271,43 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_points_welds_duplicates() {
-        // two triangles sharing an edge, with the shared points duplicated
-        let mut pd = PolyData::new();
-        let p = [
-            Vec3::new(0.0, 0.0, 0.0),
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::new(0.0, 1.0, 0.0),
-            // duplicates of points 1 and 2
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::new(0.0, 1.0, 0.0),
-            Vec3::new(1.0, 1.0, 0.0),
-        ];
-        for &q in &p {
-            pd.add_point(q);
-        }
-        pd.triangles = vec![[0, 1, 2], [3, 5, 4]];
-        pd.merge_points(1e-6);
-        assert_eq!(pd.points.len(), 4);
-        assert_eq!(pd.triangles.len(), 2);
-        // shared edge now uses the same indices
-        let t1 = pd.triangles[1];
-        assert!(t1.contains(&1) && t1.contains(&2));
-    }
-
-    #[test]
-    fn merge_points_drops_degenerate_triangles() {
-        let mut pd = PolyData::new();
-        pd.add_point(Vec3::ZERO);
-        pd.add_point(Vec3::new(1e-9, 0.0, 0.0)); // will weld with point 0
-        pd.add_point(Vec3::new(1.0, 0.0, 0.0));
-        pd.triangles = vec![[0, 1, 2]];
-        pd.merge_points(1e-6);
-        assert!(pd.triangles.is_empty());
-    }
-
-    #[test]
-    fn lines_survive_append_and_merge() {
+    fn lines_survive_append() {
         let mut pd = PolyData::new();
         pd.add_point(Vec3::ZERO);
         pd.add_point(Vec3::new(1.0, 0.0, 0.0));

@@ -7,9 +7,25 @@ use uvcdat::cdms::calendar::{Calendar, RelTime};
 use uvcdat::cdms::format;
 use uvcdat::cdms::{Axis, Dataset, RectGrid, Variable};
 use uvcdat::rvtk::filters::isosurface;
-use uvcdat::rvtk::ImageData;
+use uvcdat::rvtk::math::Vec3;
+use uvcdat::rvtk::{ImageData, PolyData};
 use uvcdat::vistrails::provenance::{Action, Vistrail};
 use uvcdat::vistrails::value::ParamValue;
+
+/// The edges of `surf` not shared by exactly two triangles, by their end
+/// points.
+fn unpaired_edges(surf: &PolyData) -> Vec<(Vec3, Vec3)> {
+    let mut uses = std::collections::BTreeMap::new();
+    for t in &surf.triangles {
+        for (a, b) in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
+            *uses.entry((a.min(b), a.max(b))).or_insert(0) += 1;
+        }
+    }
+    uses.into_iter()
+        .filter(|&(_, n)| n != 2)
+        .map(|((a, b), _)| (surf.points[a as usize], surf.points[b as usize]))
+        .collect()
+}
 
 /// Strategy: a small masked array with arbitrary data and mask.
 fn masked_array(max_len: usize) -> impl Strategy<Value = MaskedArray> {
@@ -135,22 +151,47 @@ proptest! {
     }
 
     /// Isosurfaces of radial fields are watertight for any centre/radius
-    /// that stays inside the grid.
+    /// that stays inside the grid. With `on_grid` the centre is a grid
+    /// point and the isovalue an integer, so vertices land exactly on grid
+    /// points and the triangles between them collapse. A NaN voxel removes
+    /// the cells around it: the surface may open there, and only there.
     #[test]
     fn isosurface_watertight(
         n in 8usize..18,
         radius_frac in 0.15f64..0.4,
         cx in 0.4f64..0.6,
+        on_grid in any::<bool>(),
+        nan in any::<bool>(),
+        voxel in (0usize..64, 0usize..64, 0usize..64),
     ) {
         let c = (n - 1) as f64;
-        let (px, py, pz) = (c * cx, c * 0.5, c * 0.5);
-        let img = ImageData::from_fn([n, n, n], [1.0; 3], [0.0; 3], move |x, y, z| {
+        let (mut px, mut py, mut pz) = (c * cx, c * 0.5, c * 0.5);
+        let mut r = radius_frac * c;
+        if on_grid {
+            (px, py, pz, r) = (px.round(), py.round(), pz.round(), r.round().max(2.0));
+        }
+        let mut img = ImageData::from_fn([n, n, n], [1.0; 3], [0.0; 3], move |x, y, z| {
             (((x - px).powi(2) + (y - py).powi(2) + (z - pz).powi(2)) as f32).sqrt()
         });
-        let r = (radius_frac * c) as f32;
-        let surf = isosurface(&img, r).unwrap();
+        let hole = nan.then(|| Vec3::new((voxel.0 % n) as f64, (voxel.1 % n) as f64, (voxel.2 % n) as f64));
+        if let Some(v) = hole {
+            let at = img.index(v.x as usize, v.y as usize, v.z as usize);
+            img.scalars[at] = f32::NAN;
+        }
+        let surf = isosurface(&img, r as f32).unwrap();
         prop_assert!(!surf.triangles.is_empty());
-        prop_assert!(surf.is_closed_surface(), "n={} r={}", n, r);
+        match hole {
+            None => prop_assert!(surf.is_closed_surface(), "n={} r={} on_grid={}", n, r, on_grid),
+            Some(v) => {
+                let near = |p: Vec3| {
+                    let d = p - v;
+                    d.x.abs().max(d.y.abs()).max(d.z.abs()) <= 1.0
+                };
+                for (a, b) in unpaired_edges(&surf) {
+                    prop_assert!(near(a) && near(b), "n={} r={} open edge {:?}-{:?} far from NaN at {:?}", n, r, a, b, v);
+                }
+            }
+        }
     }
 
     /// Provenance materialization is a pure function of the action path:
