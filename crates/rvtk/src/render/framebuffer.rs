@@ -251,24 +251,6 @@ impl Framebuffer {
         }
     }
 
-    /// Depth-tested plot: writes color+depth when `z` is closer.
-    /// Translucent fragments blend without writing depth.
-    pub fn plot(&mut self, x: usize, y: usize, z: f32, c: Color) {
-        if x >= self.width || y >= self.height {
-            return;
-        }
-        let i = y * self.width + x;
-        if z < self.depth[i] {
-            self.blank = None;
-            if c.a >= 0.999 {
-                self.color[i] = c;
-                self.depth[i] = z;
-            } else {
-                self.color[i] = Color { a: 1.0, ..c }.lerp(self.color[i], 1.0 - c.a);
-            }
-        }
-    }
-
     /// Raw color slice.
     pub fn colors(&self) -> &[Color] {
         &self.color
@@ -403,9 +385,8 @@ mod tests {
         // color too, it must not
         let mut lit = Framebuffer::new(1, 1);
         lit.set_pixel(0, 0, Color::RED);
-        let writes: [fn(&mut Framebuffer, &Framebuffer); 4] = [
+        let writes: [fn(&mut Framebuffer, &Framebuffer); 3] = [
             |fb, _| fb.set_pixel(1, 1, Color::RED),
-            |fb, _| fb.plot(1, 1, 0.5, Color::RED),
             |fb, lit| fb.blit(lit, 1, 1),
             |fb, _| {
                 for band in fb.band_views(1) {
@@ -428,31 +409,8 @@ mod tests {
     }
 
     #[test]
-    fn depth_test_keeps_nearest() {
+    fn out_of_range_set_pixel_ignored() {
         let mut fb = Framebuffer::new(2, 2);
-        fb.plot(0, 0, 0.5, Color::RED);
-        fb.plot(0, 0, 0.8, Color::GREEN); // farther: rejected
-        assert_eq!(fb.pixel(0, 0), Color::RED);
-        fb.plot(0, 0, 0.2, Color::BLUE); // nearer: replaces
-        assert_eq!(fb.pixel(0, 0), Color::BLUE);
-        assert_eq!(fb.depth_at(0, 0), 0.2);
-    }
-
-    #[test]
-    fn translucent_blends_without_depth_write() {
-        let mut fb = Framebuffer::new(1, 1);
-        fb.plot(0, 0, 0.5, Color::RED);
-        fb.plot(0, 0, 0.3, Color::rgba(0.0, 0.0, 1.0, 0.5));
-        let c = fb.pixel(0, 0);
-        assert!(c.r > 0.4 && c.b > 0.4, "{c:?}");
-        // depth still that of the opaque fragment
-        assert_eq!(fb.depth_at(0, 0), 0.5);
-    }
-
-    #[test]
-    fn out_of_range_plots_ignored() {
-        let mut fb = Framebuffer::new(2, 2);
-        fb.plot(5, 5, 0.0, Color::WHITE);
         fb.set_pixel(5, 5, Color::WHITE);
         assert_eq!(fb.covered_pixels(Color::BLACK), 0);
     }

@@ -6,26 +6,26 @@
 //! point becomes one 40-byte [`ScreenVertex`] in a frame-wide array,
 //! written once; a triangle is a 28-byte [`TriRef`] — three indices into
 //! that array plus the integer pixel box of its corners — and nothing
-//! downstream copies a vertex again: the painter sort orders 8-byte
-//! key/index words and gathers the refs (see `sort_far_to_near`), a
-//! bucketing pass bins ref copies into the 32×32 screen tiles their box
-//! overlaps, and tile-row bands are rasterized in parallel — each tile
-//! owns its pixels, so no locking is needed, and a tile visits only the
-//! primitives binned into it (see `tile.rs`). Lines and point sprites
-//! carry their endpoints by value; a slice quad carries its texture and
-//! the inverse of its homography, and is drawn in each tile it covers
-//! before the tile's triangles. Output is bit-identical to the historic
-//! row-band engine kept in `scanline_ref.rs`, which draws no quads: the
-//! identity is over scenes of actors.
+//! downstream copies a vertex again: a bucketing pass bins ref copies into
+//! the 32×32 screen tiles their box overlaps, and tile-row bands are
+//! rasterized in parallel — each tile owns its pixels, so no locking is
+//! needed, and a tile visits only the primitives binned into it (see
+//! `tile.rs`). Lines and point sprites carry their endpoints by value; a
+//! slice quad carries its texture and the inverse of its homography, and
+//! is drawn in each tile it covers before the tile's triangles. Output is
+//! bit-identical to the historic row-band engine kept in
+//! `scanline_ref.rs`, which draws no quads: the identity is over scenes of
+//! actors.
 //!
-//! Every pass over a frame's vertices or triangles but the assembly of
-//! the refs is a parallel region over chunks — the per-vertex transform
-//! and shade, the key build and run sort, the run merges, the ref gather,
-//! and in `tile.rs` the binning and the tile rows. A chunk writes only its
-//! own slots, and the chunks are fixed sizes except the sort's runs, which
-//! follow the thread count and whose words have one sorted order however
-//! they are cut — so no bit of the frame depends on the thread count. A
-//! mesh smaller than one chunk never leaves the calling thread.
+//! Triangles go into painter order ([`sort_far_to_near`]) only when one
+//! can blend ([`PrimitiveList::blends`]): the tile kernel settles exact
+//! depth ties by painter key, so an opaque frame in mesh order shows the
+//! same pixels (DESIGN §23). The reference always sorts.
+//!
+//! The per-vertex transform and shade and, in `tile.rs`, the binning and
+//! the tile rows are parallel regions over fixed-size chunks. A chunk
+//! writes only its own slots, so no bit of the frame depends on the thread
+//! count; a mesh smaller than one chunk never leaves the calling thread.
 //!
 //! This file is on the dv3dlint `indexing_hot_paths` list: mesh-supplied
 //! indices are looked up with `.get()`, so a malformed `PolyData` drops
@@ -42,9 +42,6 @@ use rayon::prelude::*;
 
 /// Mesh points transformed and shaded per parallel item.
 const VERTEX_CHUNK: usize = 4096;
-/// Refs gathered per parallel item, and the shortest painter-word run
-/// worth sorting on its own.
-const SORT_CHUNK: usize = 8_192;
 
 /// One transformed, shaded mesh point: what every triangle corner that
 /// indexes it used to carry a copy of.
@@ -115,6 +112,9 @@ pub(crate) struct PrimitiveList {
     pub lines: Vec<RasterLine>,
     pub points: Vec<RasterPoint>,
     pub quads: Vec<ScreenQuad>,
+    /// Some point of a surface actor has a shaded alpha below 1, so a
+    /// triangle fragment may blend and the painter order may show.
+    pub blends: bool,
 }
 
 impl PrimitiveList {
@@ -219,30 +219,38 @@ pub(crate) fn build_primitives(
     // Transform and shade every point once, into the frame's vertex array;
     // `px` says which points survived (`None`: dropped, no cell may use
     // it) and, for a surface — the one representation whose cells read
-    // it — holds each survivor's pixel box.
-    let PrimitiveList { verts, tris, lines, points, .. } = out;
+    // it — holds each survivor's pixel box. Each chunk also records
+    // whether a survivor came out translucent.
+    let PrimitiveList { verts, tris, lines, points, blends, .. } = out;
     let n = pd.points.len();
     // dv3dlint: allow(no_panic) -- 2^32 vertices are 171 GB of `ScreenVertex`; the sort and CSR indices are u32 too
     let end = u32::try_from(verts.len() + n).expect("frame vertex count fits the u32 ids");
     let base = end - n as u32;
     let surface = prop.representation == Representation::Surface;
     let mut px: Vec<Option<[i32; 4]>> = vec![None; n];
+    let mut translucent = vec![false; n.div_ceil(VERTEX_CHUNK)];
     verts.resize(end as usize, ScreenVertex::default());
     let mine = verts.get_mut(base as usize..).unwrap_or(&mut []);
-    mine.par_chunks_mut(VERTEX_CHUNK).zip(px.par_chunks_mut(VERTEX_CHUNK)).enumerate().for_each(
-        |(chunk, (slots, boxes))| {
+    let chunks = mine.par_chunks_mut(VERTEX_CHUNK).zip(px.par_chunks_mut(VERTEX_CHUNK));
+    chunks.zip(translucent.par_iter_mut()).enumerate().for_each(
+        |(chunk, ((slots, boxes), seen))| {
             let first = chunk * VERTEX_CHUNK;
             let mesh_points = pd.points.get(first..).unwrap_or(&[]);
+            let mut any = false;
             for (i, ((slot, on_screen), &p)) in
                 (first..).zip(slots.iter_mut().zip(boxes.iter_mut()).zip(mesh_points))
             {
                 if let Some((sx, sy, z)) = to_screen(p) {
-                    *slot = ScreenVertex { sx, sy, z, color: shade(i) };
+                    let color = shade(i);
+                    any |= color.a < 1.0;
+                    *slot = ScreenVertex { sx, sy, z, color };
                     *on_screen = Some(if surface { pixel_box(sx, sy) } else { [0; 4] });
                 }
             }
+            *seen = any;
         },
     );
+    *blends |= surface && translucent.contains(&true);
     let mine = &*mine;
     let corner = |i: u32| px.get(i as usize).copied().flatten();
     let vertex = |i: u32| corner(i).and(mine.get(i as usize));
@@ -304,11 +312,9 @@ pub(crate) fn rasterize(prims: &PrimitiveList, fb: &mut Framebuffer) {
     tile::rasterize_bins(prims, &bins, &grid, fb);
 }
 
-/// Builds the frame's screen-space primitives for `actors` and sorts
-/// triangles far→near (painter-friendly ordering for translucency) —
-/// the one front half of both the tile and scanline engines, so the
-/// reference sees the same primitive order the tile engine bins.
-pub(crate) fn build_sorted_primitives(
+/// Builds the frame's screen-space primitives for `actors`, and puts the
+/// triangles in painter order only when one can blend (DESIGN §23).
+fn frame_primitives(
     actors: &[Actor],
     view_proj: &Mat4,
     lights: &[Light],
@@ -319,7 +325,9 @@ pub(crate) fn build_sorted_primitives(
     for actor in actors {
         build_primitives(actor, view_proj, lights, width, height, &mut prims);
     }
-    sort_far_to_near(&prims.verts, &mut prims.tris);
+    if prims.blends {
+        sort_far_to_near(&prims.verts, &mut prims.tris);
+    }
     prims
 }
 
@@ -336,100 +344,29 @@ fn far_first_key(z_sum: f32) -> u32 {
     }
 }
 
+/// A triangle's painter key: the one expression the sort and the tile
+/// kernel's tie rule both evaluate, so the two agree to the bit.
+pub(crate) fn painter_key(z: [f32; 3]) -> u32 {
+    far_first_key(z.iter().sum::<f32>())
+}
+
 /// Painter order: far→near by the sum of the corner depths, equal sums
 /// in list order — the permutation a stable sort comparing
 /// `zb.total_cmp(&za)` yields. The sort runs on 8-byte
 /// `(key << 32 | index)` words: each z-sum is computed once (three
 /// vertex reads in mesh order), the index in the low half breaks ties in
 /// list order (so no two words are equal and the words have exactly one
-/// sorted order — whichever way it is reached), and one gather then
-/// moves every 28-byte ref once. The words are keyed and sorted in
-/// parallel as one run per thread — a merge level costs about twice what
-/// a level of the sort does, so the fewest runs that occupy every thread —
-/// then merged pairwise and gathered in parallel.
-fn sort_far_to_near(verts: &[ScreenVertex], tris: &mut Vec<TriRef>) {
+/// sorted order), and one gather then moves every 28-byte ref once.
+pub(crate) fn sort_far_to_near(verts: &[ScreenVertex], tris: &mut Vec<TriRef>) {
     // dv3dlint: allow(no_panic) -- 2^32 triangles are 120 GB of refs; the CSR bin offsets are u32 too
     u32::try_from(tris.len()).expect("triangle count fits the u32 sort index");
     let depth = |i: u32| verts.get(i as usize).map_or(0.0, |v| v.z);
-    let runs = rayon::current_num_threads().next_power_of_two();
-    let run = tris.len().div_ceil(runs).max(SORT_CHUNK);
-    let mut order = vec![0u64; tris.len()];
-    order.par_chunks_mut(run).enumerate().for_each(|(r, words)| {
-        let first = r * run;
-        let refs = tris.get(first..).unwrap_or(&[]);
-        for (i, (word, t)) in (first as u64..).zip(words.iter_mut().zip(refs)) {
-            *word = u64::from(far_first_key(t.v.map(depth).iter().sum::<f32>())) << 32 | i;
-        }
-        words.sort_unstable();
-    });
-    merge_runs(&mut order, run);
-    let mut sorted = vec![TriRef::default(); tris.len()];
-    sorted.par_chunks_mut(SORT_CHUNK).enumerate().for_each(|(chunk, slots)| {
-        let words = order.get(chunk * SORT_CHUNK..).unwrap_or(&[]);
-        for (slot, &word) in slots.iter_mut().zip(words) {
-            *slot = tris.get((word & 0xffff_ffff) as usize).copied().unwrap_or_default();
-        }
-    });
-    *tris = sorted;
-}
-
-/// Merges the sorted runs of `run` words that make up `order` into one
-/// sorted list: neighbouring runs pairwise, level by level, until one run
-/// is left. Each pair is cut at the median of its union ([`median_cut`])
-/// into two independent merges, so the last level — one pair — still
-/// occupies two threads.
-fn merge_runs(order: &mut Vec<u64>, run: usize) {
-    let mut spare = vec![0u64; order.len()];
-    let mut width = run.max(1);
-    while width < order.len() {
-        let mut jobs = Vec::with_capacity(order.len().div_ceil(width));
-        for (pair, merged) in order.chunks(2 * width).zip(spare.chunks_mut(2 * width)) {
-            let (a, b) = pair.split_at(width.min(pair.len()));
-            let (lower, upper) = merged.split_at_mut(merged.len() / 2);
-            let from_a = median_cut(a, b, lower.len());
-            let ((a_lo, a_hi), (b_lo, b_hi)) = (a.split_at(from_a), b.split_at(lower.len() - from_a));
-            jobs.push((a_lo, b_lo, lower));
-            jobs.push((a_hi, b_hi, upper));
-        }
-        jobs.par_iter_mut().for_each(|(a, b, merged)| merge(a, b, merged));
-        std::mem::swap(order, &mut spare);
-        width *= 2;
-    }
-}
-
-/// How many of the `k` smallest words of two sorted lists come from `a`
-/// (`k ≤ a.len() + b.len()`, no word twice): the least `i` whose `a[i]`
-/// lies above the `b` word it would displace.
-fn median_cut(a: &[u64], b: &[u64], k: usize) -> usize {
-    let (mut lo, mut hi) = (k.saturating_sub(b.len()), k.min(a.len()));
-    while lo < hi {
-        // `lo ≤ i < hi` keeps both probes in range
-        let i = lo + (hi - lo) / 2;
-        match (a.get(i), b.get(k - i - 1)) {
-            (Some(x), Some(y)) if x < y => lo = i + 1,
-            _ => hi = i,
-        }
-    }
-    lo
-}
-
-/// Merges two sorted lists into `merged`, whose length is the sum of
-/// theirs. The select compiles to a conditional move: on painter keys the
-/// branch it replaces is a coin toss.
-fn merge(a: &[u64], b: &[u64], merged: &mut [u64]) {
-    let (mut i, mut j) = (0, 0);
-    let mut slots = merged.iter_mut();
-    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
-        let Some(slot) = slots.next() else { return };
-        let from_a = x < y;
-        *slot = if from_a { x } else { y };
-        i += usize::from(from_a);
-        j += usize::from(!from_a);
-    }
-    let rest = a.get(i..).unwrap_or(&[]).iter().chain(b.get(j..).unwrap_or(&[]));
-    for (slot, &word) in slots.zip(rest) {
-        *slot = word;
-    }
+    let mut order: Vec<u64> = (0u64..)
+        .zip(tris.iter())
+        .map(|(i, t)| u64::from(painter_key(t.v.map(depth))) << 32 | i)
+        .collect();
+    order.sort_unstable();
+    *tris = order.iter().filter_map(|&w| tris.get((w & 0xffff_ffff) as usize).copied()).collect();
 }
 
 /// The renderer's entry point: builds primitives for `actors`, projects
@@ -443,7 +380,7 @@ pub(crate) fn draw(
     fb: &mut Framebuffer,
 ) {
     let (width, height) = (fb.width(), fb.height());
-    let mut prims = build_sorted_primitives(actors, view_proj, lights, width, height);
+    let mut prims = frame_primitives(actors, view_proj, lights, width, height);
     prims.quads = slices.iter().filter_map(|s| s.to_screen(view_proj, width, height)).collect();
     rasterize(&prims, fb);
 }
@@ -742,8 +679,8 @@ mod tests {
             let by_value =
                 |tris: &[TriRef]| tris.iter().map(|t| prims.raster_tri(t)).collect::<Vec<_>>();
             let mut expected = by_value(&prims.tris);
-            // the comparator `build_sorted_primitives` used before the
-            // key sort, verbatim
+            // the comparator the painter sort used before the key sort,
+            // verbatim
             expected.sort_by(|a, b| {
                 let za = a.z.iter().sum::<f32>();
                 let zb = b.z.iter().sum::<f32>();
@@ -764,18 +701,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_runs_sorts_any_run_layout() {
-        let mut rng = Rng(0x5eed_0fa5_07b7);
-        for len in [0usize, 1, 2, 5, 16, 17, 31, 100, 1_000] {
-            for run in [1usize, 2, 3, 7, 16, 64, 2_000] {
-                // distinct words, as the painter words are
-                let mut words: Vec<u64> = (0..len as u64).map(|i| rng.next() << 16 | i).collect();
-                words.chunks_mut(run).for_each(<[u64]>::sort_unstable);
-                let mut want = words.clone();
-                want.sort_unstable();
-                merge_runs(&mut words, run);
-                assert_eq!(words, want, "{len} words in runs of {run}");
-            }
+    fn only_a_frame_that_can_blend_is_painter_sorted() {
+        // three stacked triangles listed near to far: mesh order is the
+        // reverse of painter order, and `v` shows which one a list has
+        let mut stack = PolyData::new();
+        for (k, z) in [0.5, 0.0, -0.5].into_iter().enumerate() {
+            stack.add_point(Vec3::new(-1.0, -1.0, z));
+            stack.add_point(Vec3::new(1.0, -1.0, z));
+            stack.add_point(Vec3::new(0.0, 1.0, z));
+            let k = 3 * k as u32;
+            stack.triangles.push([k, k + 1, k + 2]);
+        }
+        let opaque = Actor::from_poly_data(stack).with_color(Color::RED);
+        let (vp, lights) = (front_camera(), [Light::default()]);
+        let order = |actors: &[Actor]| {
+            let prims = frame_primitives(actors, &vp, &lights, 64, 48);
+            (prims.blends, prims.tris.iter().map(|t| t.v).collect::<Vec<_>>())
+        };
+        let mesh_order = vec![[0, 1, 2], [3, 4, 5], [6, 7, 8]];
+        // opaque surfaces, and beside them a translucent wireframe (lines
+        // are never sorted): mesh order, no sort
+        let wire = opaque.clone().with_representation(Representation::Wireframe).with_opacity(0.5);
+        assert_eq!(order(&[opaque.clone(), wire]), (false, mesh_order));
+        // one translucent surface actor, by opacity or by color: the whole
+        // frame far→near, the twins' equal sums in list order
+        let painter =
+            vec![[6, 7, 8], [15, 16, 17], [3, 4, 5], [12, 13, 14], [0, 1, 2], [9, 10, 11]];
+        let by_color = opaque.clone().with_color(Color::rgba(0.2, 0.9, 0.3, 0.75));
+        for translucent in [opaque.clone().with_opacity(0.5), by_color] {
+            assert_eq!(order(&[opaque.clone(), translucent]), (true, painter.clone()));
         }
     }
 

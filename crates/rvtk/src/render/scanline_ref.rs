@@ -13,12 +13,13 @@
 //! bbox from them in `f64`; the frame now stores triangles as vertex
 //! indices, so each band builds that `RasterTri` view per triangle
 //! (`PrimitiveList::raster_tri`) — a cost of the oracle, not of the
-//! engine it once was.
+//! engine it once was. It sorts every frame into painter order, the tile
+//! engine only a frame that can blend.
 
 use crate::color::Color;
 use crate::render::framebuffer::Framebuffer;
 use crate::render::rasterizer::{
-    build_sorted_primitives, PrimitiveList, RasterLine, RasterPoint, RasterTri,
+    build_primitives, sort_far_to_near, PrimitiveList, RasterLine, RasterPoint, RasterTri,
 };
 use crate::render::renderer::Renderer;
 use crate::render::volume::render_volume;
@@ -32,7 +33,11 @@ use rayon::prelude::*;
 pub fn render_scene_scanline(r: &Renderer, fb: &mut Framebuffer) {
     fb.clear(r.background);
     let vp = r.camera.projection_matrix(fb.aspect()).mul_mat(&r.camera.view_matrix());
-    let prims = build_sorted_primitives(r.actors(), &vp, &r.lights, fb.width(), fb.height());
+    let mut prims = PrimitiveList::default();
+    for actor in r.actors() {
+        build_primitives(actor, &vp, &r.lights, fb.width(), fb.height(), &mut prims);
+    }
+    sort_far_to_near(&prims.verts, &mut prims.tris);
     rasterize_scanline(&prims, fb);
     for v in r.volumes() {
         render_volume(v, &vp, fb);

@@ -19,9 +19,9 @@
 //! would walk) without reading a vertex. Lines and point sprites resolve
 //! to `(tile, entry)` pairs. The one CSR builder, [`csr_pairs`], then
 //! counts, prefix-sums and scatters from those stored spans and pairs.
-//! The sorted triangle list is binned in parallel, [`BIN_CHUNK`] triangles
-//! to a bin set of their own; a tile replays the sets in chunk order, which
-//! is list order.
+//! The triangle list is binned in parallel, [`BIN_CHUNK`] triangles to a
+//! bin set of their own; a tile replays the sets in chunk order, which is
+//! list order.
 //!
 //! Bit-identity with the scanline engine is a hard invariant over scenes
 //! of actors, relied on by the hyperwall delta transport (which diffs
@@ -31,20 +31,25 @@
 //! expression trees, identical fold/clamp semantics — with their iteration
 //! domains intersected with the tile rectangle (for a triangle in integer
 //! pixel coordinates: its box is the scanline `⌊min3⌋` / `⌈max3⌉`, see
-//! `rasterizer::union3`). Since every pixel belongs
-//! to exactly one tile, and primitives are replayed per tile in list order
-//! (quads, then triangles, then lines, then points), each pixel sees
-//! exactly the plot sequence the scanline engine would have issued, at any
-//! thread count. The quad kernel is a function of the pixel alone, so
-//! slices keep every frame independent of the thread count too.
+//! `rasterizer::union3`). Since every pixel belongs to exactly one tile,
+//! and primitives are replayed per tile in list order (quads, then
+//! triangles, then lines, then points), each pixel sees the plot sequence
+//! the scanline engine would have issued, at any thread count — exactly
+//! when the frame can blend and its triangles are in painter order; up to
+//! exact depth ties, which [`TileView::plot`] settles by painter key, when
+//! it cannot and they are in mesh order (DESIGN §23). The quad kernel is a
+//! function of the pixel alone, so slices keep every frame independent of
+//! the thread count too.
 //!
 //! This file is on the dv3dlint `indexing_hot_paths` list: no bracket
 //! indexing — slice-pattern destructuring, iterators and `.get()` only.
 
 use crate::color::Color;
-use crate::render::framebuffer::{Framebuffer, TileGrid, TileSpan};
+use crate::render::framebuffer::{BandView, Framebuffer, TileGrid, TileSpan};
 use crate::render::image_slice::ScreenQuad;
-use crate::render::rasterizer::{PrimitiveList, RasterLine, RasterPoint, ScreenVertex, TriRef};
+use crate::render::rasterizer::{
+    painter_key, PrimitiveList, RasterLine, RasterPoint, ScreenVertex, TriRef,
+};
 use rayon::prelude::*;
 
 /// Triangles binned per parallel item, into a [`Csr`] of their own.
@@ -87,9 +92,9 @@ impl<T> Csr<T> {
 ///
 /// Within a tile, entries stay in primitive-list order (the fill pass
 /// walks primitives in order), which the draw-order invariant depends
-/// on; for triangles that list order is the painter order
-/// `rasterizer::build_sorted_primitives` established, kept across the
-/// chunk bin sets by reading them first to last.
+/// on; for triangles that list order — painter order in a frame that can
+/// blend, mesh order otherwise — is kept across the chunk bin sets by
+/// reading them first to last.
 #[derive(Debug, Default)]
 pub(crate) struct TileBins {
     /// Indices into `PrimitiveList::quads` of the slices whose box
@@ -322,24 +327,14 @@ pub(crate) fn rasterize_bins(
     let cols = grid.cols();
     let mut bands = fb.tile_bands(grid);
     bands.par_iter_mut().enumerate().for_each(|(ty, band)| {
+        let mut owners = vec![0u32; grid.tile() * band.rows];
         for tx in 0..cols {
             let idx = grid.index(tx, ty);
             if bins.is_empty(idx) {
                 continue;
             }
             let rect = grid.rect(idx);
-            let (x0, x1) = (rect.x0, rect.x0 + rect.w);
-            let mut view = TileView {
-                x0,
-                x1,
-                y0: band.y0,
-                rows: band.rows,
-                width: band.width,
-                rect: [x0, x1 - 1, band.y0, band.y0 + band.rows - 1]
-                    .map(|px| i32::try_from(px).unwrap_or(i32::MAX)),
-                colors: &mut *band.colors,
-                depths: &mut *band.depths,
-            };
+            let mut view = TileView::new(band, rect.x0, rect.x0 + rect.w, &mut owners);
             for q in bins.quads(idx).iter().filter_map(|&q| prims.quads.get(q as usize)) {
                 view.quad(q);
             }
@@ -374,11 +369,51 @@ struct TileView<'a> {
     rect: [i32; 4],
     colors: &'a mut [Color],
     depths: &'a mut [f32],
+    /// Per pixel, row-major at the tile's width: the painter key of the
+    /// triangle fragment that set the depth, 0 for the background or a quad.
+    owners: &'a mut [u32],
 }
 
-impl TileView<'_> {
+/// `w0·c0 + w1·c1 + w2·c2` per channel in the scanline triangle kernel's
+/// expression form: a triangle fragment's colour, and a quad's texel mix.
+#[inline]
+fn mix([w0, w1, w2]: [f64; 3], [c0, c1, c2]: [&Color; 3]) -> Color {
+    let (w0, w1, w2) = (w0 as f32, w1 as f32, w2 as f32);
+    Color {
+        r: w0 * c0.r + w1 * c1.r + w2 * c2.r,
+        g: w0 * c0.g + w1 * c1.g + w2 * c2.g,
+        b: w0 * c0.b + w1 * c1.b + w2 * c2.b,
+        a: w0 * c0.a + w1 * c1.a + w2 * c2.a,
+    }
+}
+
+impl<'a> TileView<'a> {
+    /// Columns `x0..x1` of `band`, its owner keys zeroed.
+    fn new(band: &'a mut BandView<'_>, x0: usize, x1: usize, owners: &'a mut [u32]) -> Self {
+        owners.fill(0);
+        TileView {
+            x0,
+            x1,
+            y0: band.y0,
+            rows: band.rows,
+            width: band.width,
+            rect: [x0, x1 - 1, band.y0, band.y0 + band.rows - 1]
+                .map(|px| i32::try_from(px).unwrap_or(i32::MAX)),
+            colors: &mut *band.colors,
+            depths: &mut *band.depths,
+            owners,
+        }
+    }
+
+    /// The depth test: a nearer fragment writes (opaque) or blends. A
+    /// triangle fragment passes its [`painter_key`], also wins an exact
+    /// depth tie against a greater owner key, and owns what it writes; a
+    /// quad (first in a tile), line or point (last) passes `None` and does
+    /// neither. So the pixel keeps the least (depth, key, list index) —
+    /// what painter order leaves there, in any list order if nothing
+    /// blends (DESIGN §23).
     #[inline]
-    fn plot(&mut self, x: usize, y: usize, z: f32, c: Color) {
+    fn plot(&mut self, x: usize, y: usize, z: f32, c: Color, key: Option<u32>) {
         if y < self.y0 || y >= self.y0 + self.rows || x < self.x0 || x >= self.x1 {
             return;
         }
@@ -386,10 +421,15 @@ impl TileView<'_> {
         let (Some(d), Some(px)) = (self.depths.get_mut(i), self.colors.get_mut(i)) else {
             return;
         };
-        if z < *d {
+        let o = (y - self.y0) * (self.x1 - self.x0) + (x - self.x0);
+        let owner = key.and_then(|k| Some((k, self.owners.get_mut(o)?)));
+        if z < *d || owner.as_ref().is_some_and(|(k, owner)| z == *d && *k < **owner) {
             if c.a >= 0.999 {
                 *px = c;
                 *d = z;
+                if let Some((k, owner)) = owner {
+                    *owner = k;
+                }
             } else if c.a > 0.001 {
                 *px = Color { a: 1.0, ..c }.lerp(*px, 1.0 - c.a);
             }
@@ -416,13 +456,13 @@ impl TileView<'_> {
         let (ax, bx, cx) = (a.sx, b.sx, c.sx);
         let (ay, by, cy) = (a.sy, b.sy, c.sy);
         let (az, bz, cz) = (a.z, b.z, c.z);
-        let (col_a, col_b, col_c) = (a.color, b.color, c.color);
         // signed area; reject degenerate
         let area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay);
         if area.abs() < 1e-12 {
             return;
         }
         let inv_area = 1.0 / area;
+        let key = Some(painter_key([az, bz, cz]));
         // the clipped bounds lie inside the tile, so they are non-negative
         for y in (ymin.unsigned_abs() as usize)..=(ymax.unsigned_abs() as usize) {
             let py = y as f64;
@@ -439,13 +479,7 @@ impl TileView<'_> {
                 if !(-1.001..=1.001).contains(&z) {
                     continue; // outside clip volume
                 }
-                let c = Color {
-                    r: (w0 as f32) * col_a.r + (w1 as f32) * col_b.r + (w2 as f32) * col_c.r,
-                    g: (w0 as f32) * col_a.g + (w1 as f32) * col_b.g + (w2 as f32) * col_c.g,
-                    b: (w0 as f32) * col_a.b + (w1 as f32) * col_b.b + (w2 as f32) * col_c.b,
-                    a: (w0 as f32) * col_a.a + (w1 as f32) * col_b.a + (w2 as f32) * col_c.a,
-                };
-                self.plot(x, y, z, c);
+                self.plot(x, y, z, mix([w0, w1, w2], [&a.color, &b.color, &c.color]), key);
             }
         }
     }
@@ -511,13 +545,7 @@ impl TileView<'_> {
                 else {
                     continue;
                 };
-                let c = Color {
-                    r: (w0 as f32) * col_a.r + (w1 as f32) * col_b.r + (w2 as f32) * col_c.r,
-                    g: (w0 as f32) * col_a.g + (w1 as f32) * col_b.g + (w2 as f32) * col_c.g,
-                    b: (w0 as f32) * col_a.b + (w1 as f32) * col_b.b + (w2 as f32) * col_c.b,
-                    a: (w0 as f32) * col_a.a + (w1 as f32) * col_b.a + (w2 as f32) * col_c.a,
-                };
-                self.plot(x, y, z, c);
+                self.plot(x, y, z, mix([w0, w1, w2], [col_a, col_b, col_c]), None);
             }
         }
     }
@@ -559,7 +587,7 @@ impl TileView<'_> {
             // nudge lines toward the viewer so they win ties against the
             // coplanar surfaces they annotate
             let c = l.color_a.lerp(l.color_b, t as f32);
-            self.plot(xi, yi, z - 2e-4, c);
+            self.plot(xi, yi, z - 2e-4, c, None);
         }
     }
 
@@ -579,7 +607,7 @@ impl TileView<'_> {
             for x in (xs as usize)..=(xe as usize) {
                 let d2 = (x as f64 - p.x).powi(2) + (y as f64 - p.y).powi(2);
                 if d2 <= r * r {
-                    self.plot(x, y, p.z, p.color);
+                    self.plot(x, y, p.z, p.color, None);
                 }
             }
         }
@@ -631,6 +659,74 @@ mod tests {
     fn push_tri(prims: &mut PrimitiveList, [ax, bx, cx]: [f64; 3], [ay, by, cy]: [f64; 3]) {
         let at = |sx, sy| ScreenVertex { sx, sy, z: 0.0, color: Color::WHITE };
         prims.push_tri([at(ax, ay), at(bx, by), at(cx, cy)]);
+    }
+
+    #[test]
+    fn plot_keeps_the_least_depth_then_the_least_painter_key() {
+        // per pixel: fragments (depth, color, key) in arrival order, and the
+        // color and depth the pixel must end with; key `None` is a quad,
+        // line or point fragment, `Some` a triangle's with its painter key
+        let (red, green, blue) = (Color::RED, Color::GREEN, Color::BLUE);
+        let glass = Color::rgba(0.0, 0.0, 1.0, 0.5);
+        let blend = Color { a: 1.0, ..glass }.lerp(red, 0.5);
+        type Fragment = (f32, Color, Option<u32>);
+        let cases: [(&[Fragment], Color, f32); 7] = [
+            // the nearest fragment wins, whatever its kind
+            (&[(0.5, red, None), (0.8, green, Some(0)), (0.2, blue, Some(9))], blue, 0.2),
+            // a translucent one in front blends and leaves the depth
+            (&[(0.5, red, Some(9)), (0.3, glass, Some(2))], blend, 0.5),
+            // a quad keeps a tie even against the least key
+            (&[(0.5, red, None), (0.5, green, Some(0))], red, 0.5),
+            // a lower key takes a tie; an equal one (later) or a higher one not
+            (&[(0.25, red, Some(7)), (0.25, green, Some(3)), (0.25, blue, Some(3))], green, 0.25),
+            // ±0 tie, and the winner keeps its own depth bits
+            (&[(0.0, red, Some(5)), (-0.0, green, Some(2))], green, -0.0),
+            // a line or point level with a triangle never wins
+            (&[(0.1, red, Some(4)), (0.1, green, None)], red, 0.1),
+            (&[], Color::BLACK, f32::INFINITY),
+        ];
+        let n = cases.len();
+        let mut fb = Framebuffer::new(n, 1);
+        {
+            let mut band = fb.band_views(1).into_iter().next().expect("one band");
+            let mut owners = vec![0; n];
+            let mut tile = TileView::new(&mut band, 0, n, &mut owners);
+            for (x, (fragments, _, _)) in cases.iter().enumerate() {
+                for &(z, c, key) in fragments.iter() {
+                    tile.plot(x, 0, z, c, key);
+                }
+            }
+            tile.plot(n, 0, 0.0, Color::WHITE, None); // outside the tile: ignored
+        }
+        for (x, &(_, color, depth)) in cases.iter().enumerate() {
+            let got = (fb.pixel(x, 0), fb.depth_at(x, 0).to_bits());
+            assert_eq!(got, (color, depth.to_bits()), "pixel {x}");
+        }
+    }
+
+    #[test]
+    fn unit_corner_alphas_make_every_triangle_fragment_opaque() {
+        // weights as the kernel keeps them — w0, w1 and w2 = 1 − w0 − w1 all
+        // ≥ −1e-9 — drawn down to that tolerance and up past 1: with every
+        // corner alpha 1, no fragment of an opaque frame may blend
+        let mut rng = Rng(0x0a1f_a0e5_7a11);
+        let draw = |rng: &mut Rng| {
+            let u = (rng.next() % 1_000_001) as f64 / 1e6;
+            match rng.next() % 4 {
+                0 => -1e-9 * u,
+                1 => 1.0 + 2e-9 * u,
+                _ => u,
+            }
+        };
+        let mut lowest = f32::INFINITY;
+        for _ in 0..200_000 {
+            let (w0, w1) = (draw(&mut rng), draw(&mut rng));
+            let w2 = 1.0 - w0 - w1;
+            if w2 >= -1e-9 {
+                lowest = lowest.min(mix([w0, w1, w2], [&Color::WHITE; 3]).a);
+            }
+        }
+        assert!((0.999..1.0).contains(&lowest), "least fragment alpha {lowest}");
     }
 
     #[test]

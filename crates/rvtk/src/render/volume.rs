@@ -292,10 +292,9 @@ mod tests {
         let vp = camera_for(&v, 1.0);
         let mut fb = Framebuffer::new(32, 32);
         // fake near geometry covering everything at NDC depth -0.999
-        for y in 0..32 {
-            for x in 0..32 {
-                fb.plot(x, y, -0.999, Color::GREEN);
-            }
+        for band in fb.band_views(32) {
+            band.colors.fill(Color::GREEN);
+            band.depths.fill(-0.999);
         }
         render_volume(&v, &vp, &mut fb);
         let c = fb.pixel(16, 16);

@@ -32,6 +32,16 @@
 //!    its actors while every base does. Three actors with different point counts —
 //!    one with a vertex behind the camera, one drawn as a wireframe — in
 //!    all six orders: tile ≡ scanline at pools 1, 2 and 8, and one frame.
+//! 5. **An opaque frame needs no painter sort.** The tile engine sorts only
+//!    a frame with a translucent surface; an opaque one it draws in mesh
+//!    order, and a triangle fragment that ties the pixel's depth exactly
+//!    wins when its painter key is below that of the fragment holding the
+//!    pixel. The reference always sorts. Two opaque strips of one tilted
+//!    plane, overlapping with different z-sums, in both actor orders — the
+//!    farther-sum strip must show on every tied pixel, and at least 400
+//!    pixels tie, so the rule is reached — and the gyroid twins of
+//!    contract 3 made opaque (every triangle ties its twin): tile ≡
+//!    scanline at pools 1, 2 and 8.
 
 use rvtk::color::Color;
 use rvtk::math::Vec3;
@@ -241,7 +251,9 @@ fn golden_multi_actor_frame_pinned() {
 
 const GOLDEN_FRAME_FNV: u64 = 0x5489ac74984d3617;
 
-fn gyroid_scene() -> (Renderer, usize) {
+/// The gyroid pin's mesh drawn twice: `opacity` for the lit, LUT-colored
+/// actor and for its flat-colored twin.
+fn gyroid_scene_at(opacity: [f32; 2]) -> (Renderer, usize) {
     use rvtk::lookup_table::{ColormapName, LookupTable};
     // triangle waves in place of sin/cos: plain IEEE arithmetic, so the
     // mesh does not depend on the platform's libm
@@ -253,13 +265,13 @@ fn gyroid_scene() -> (Renderer, usize) {
     let triangles = mesh.triangles.len();
     let mut r = Renderer::new();
     // lit and LUT-colored, like a DV3D isosurface plot
-    let mut lit = Actor::from_poly_data(mesh.clone()).with_opacity(0.55);
+    let mut lit = Actor::from_poly_data(mesh.clone()).with_opacity(opacity[0]);
     lit.property.lighting = true;
     lit.property.lookup_table = Some(LookupTable::new(ColormapName::Jet, (-1.0, 1.0)));
     r.add_actor(lit);
     // the twin: same vertices, so the same z-sums, in a flat color
     let mut flat =
-        Actor::from_poly_data(mesh).with_color(Color::rgb(0.9, 0.4, 0.1)).with_opacity(0.4);
+        Actor::from_poly_data(mesh).with_color(Color::rgb(0.9, 0.4, 0.1)).with_opacity(opacity[1]);
     flat.property.lighting = false;
     r.add_actor(flat);
     r.background = Color::rgb(0.02, 0.03, 0.08);
@@ -267,6 +279,10 @@ fn gyroid_scene() -> (Renderer, usize) {
     r.camera.azimuth(35.0);
     r.camera.elevation(20.0);
     (r, 2 * triangles)
+}
+
+fn gyroid_scene() -> (Renderer, usize) {
+    gyroid_scene_at([0.55, 0.4])
 }
 
 #[test]
@@ -290,6 +306,93 @@ fn large_isosurface_frame_bit_identical_and_painter_order_pinned() {
 }
 
 const PAYLOAD_SORT_FRAME_FNV: u64 = 0x2ce36068b4048a46;
+
+#[test]
+fn large_opaque_isosurface_frame_bit_identical_without_the_sort() {
+    // the same twins, opaque: the tile engine draws them in mesh order,
+    // and every pixel where the two tie exactly must still show the lit
+    // one, which painter order (and list order within a key) puts first
+    let (scene, _) = gyroid_scene_at([1.0, 1.0]);
+    let (w, h) = (480, 360);
+    let mut reference = Framebuffer::new(w, h);
+    with_threads(2, || scanline_ref::render_scene_scanline(&scene, &mut reference));
+    let covered = reference.covered_pixels(scene.background);
+    assert!(covered > w * h / 4, "the surface must fill the frame: {covered} px");
+    let ref_bits = bits(&reference);
+    for threads in [1usize, 2, 8] {
+        let mut fb = Framebuffer::new(w, h);
+        with_threads(threads, || scene.render(&mut fb));
+        assert!(bits(&fb) == ref_bits, "tile vs scanline diverged at {threads} threads");
+    }
+}
+
+/// One opaque, unlit rectangle on the plane z = y/4, spanning `y0..y1`
+/// across x ∈ [−2, 2], as two triangles.
+fn plane_strip(y0: f64, y1: f64, color: Color) -> Actor {
+    let mut pd = PolyData::new();
+    for (x, y) in [(-2.0, y0), (2.0, y0), (2.0, y1), (-2.0, y1)] {
+        pd.add_point(Vec3::new(x, y, y / 4.0));
+    }
+    pd.triangles.push([0, 1, 2]);
+    pd.triangles.push([0, 2, 3]);
+    let mut a = Actor::from_poly_data(pd).with_color(color);
+    a.property.lighting = false;
+    a
+}
+
+#[test]
+fn coplanar_opaque_actors_tie_to_the_painter_winner_in_either_order() {
+    // two strips of one tilted plane overlapping on y ∈ [−0.75, 1]: every
+    // triangle of `far` has a smaller z-sum — a farther painter key — than
+    // every triangle of `near`, so where the two reach exactly the same
+    // depth painter order leaves `far` there; drawn in mesh order as
+    // [near, far], only the depth-tie rule keeps it. Corners, camera and
+    // clip range are exact binary fractions, so every corner depth lies
+    // exactly on the plane and most shared pixels tie.
+    let far = plane_strip(-2.0, 1.0, Color::rgb(0.9, 0.2, 0.1));
+    let near = plane_strip(-0.75, 2.25, Color::rgb(0.1, 0.3, 0.9));
+    let (w, h) = (64, 64);
+    let scene = |actors: &[&Actor]| {
+        let mut r = Renderer::new();
+        for a in actors {
+            r.add_actor((*a).clone());
+        }
+        r.camera.position = Vec3::new(0.0, 0.0, 5.0);
+        r.camera.focal_point = Vec3::ZERO;
+        r.camera.parallel_projection = true;
+        r.camera.parallel_scale = 2.0;
+        r.camera.clipping_range = (1.0, 9.0);
+        r
+    };
+    let alone = |a: &Actor| {
+        let mut fb = Framebuffer::new(w, h);
+        scene(&[a]).render(&mut fb);
+        fb
+    };
+    let (far_alone, near_alone) = (alone(&far), alone(&near));
+    let tied: Vec<(usize, usize)> = (0..h)
+        .flat_map(|y| (0..w).map(move |x| (x, y)))
+        .filter(|&(x, y)| {
+            let (a, b) = (far_alone.depth_at(x, y), near_alone.depth_at(x, y));
+            a.is_finite() && a == b
+        })
+        .collect();
+    assert!(tied.len() >= 400, "only {} tied pixels: the rule is not reached", tied.len());
+    for order in [[&far, &near], [&near, &far]] {
+        let scene = scene(&order);
+        let mut reference = Framebuffer::new(w, h);
+        with_threads(2, || scanline_ref::render_scene_scanline(&scene, &mut reference));
+        let ref_bits = bits(&reference);
+        for threads in [1usize, 2, 8] {
+            let mut fb = Framebuffer::new(w, h);
+            with_threads(threads, || scene.render(&mut fb));
+            assert!(bits(&fb) == ref_bits, "tile vs scanline diverged at {threads} threads");
+        }
+        for &(x, y) in &tied {
+            assert_eq!(reference.pixel(x, y), far_alone.pixel(x, y), "pixel ({x}, {y})");
+        }
+    }
+}
 
 /// A fan of `n` triangles round the z axis at depth `z`, a little warped
 /// so that no two of its pixels tie on depth.
