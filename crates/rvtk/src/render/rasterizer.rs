@@ -5,25 +5,27 @@
 //! Geometry is first transformed and shaded into screen space. Every mesh
 //! point becomes one 40-byte [`ScreenVertex`] in a frame-wide array,
 //! written once; a triangle is a 28-byte [`TriRef`] — three indices into
-//! that array plus the integer pixel box of its corners — and nothing
-//! downstream copies a vertex again: a bucketing pass bins ref copies into
-//! the 32×32 screen tiles their box overlaps, and tile-row bands are
-//! rasterized in parallel — each tile owns its pixels, so no locking is
-//! needed, and a tile visits only the primitives binned into it (see
-//! `tile.rs`). Lines and point sprites carry their endpoints by value; a
-//! slice quad carries its texture and the inverse of its homography, and
-//! is drawn in each tile it covers before the tile's triangles. Output is
-//! bit-identical to the historic row-band engine kept in
-//! `scanline_ref.rs`, which draws no quads: the identity is over scenes of
-//! actors.
+//! that array plus the integer box of the pixel centres it can reach — and
+//! nothing downstream copies a vertex again: a bucketing pass bins ref
+//! copies into the 32×32 screen tiles their box overlaps, and tile-row
+//! bands are rasterized in parallel — each tile owns its pixels, so no
+//! locking is needed, and a tile visits only the primitives binned into it
+//! (see `tile.rs`). A triangle whose box holds no pixel centre is not
+//! assembled at all. Lines and point sprites carry their endpoints by
+//! value; a slice quad carries its texture and the inverse of its
+//! homography, and is drawn in each tile it covers before the tile's
+//! triangles. Output is bit-identical to the historic row-band engine kept
+//! in `scanline_ref.rs`, which draws no quads and every triangle whose
+//! corners survive the projection: the identity is over scenes of actors.
 //!
 //! Triangles go into painter order ([`sort_far_to_near`]) only when one
 //! can blend ([`PrimitiveList::blends`]): the tile kernel settles exact
 //! depth ties by painter key, so an opaque frame in mesh order shows the
 //! same pixels (DESIGN §23). The reference always sorts.
 //!
-//! The per-vertex transform and shade and, in `tile.rs`, the binning and
-//! the tile rows are parallel regions over fixed-size chunks. A chunk
+//! The per-vertex transform and shade, the triangle assembly and, in
+//! `tile.rs`, the binning and the tile rows are parallel regions over
+//! fixed-size chunks. A chunk
 //! writes only its own slots, so no bit of the frame depends on the thread
 //! count; a mesh smaller than one chunk never leaves the calling thread.
 //!
@@ -43,6 +45,21 @@ use rayon::prelude::*;
 /// Mesh points transformed and shaded per parallel item.
 const VERTEX_CHUNK: usize = 4096;
 
+/// Mesh triangles assembled per parallel item, into a part of their own.
+const TRI_CHUNK: usize = 8192;
+
+/// The small-triangle rule (DESIGN §24): a triangle whose corner extent is
+/// at most `SMALL_EXTENT` on both axes and whose kernel area is at least
+/// `SMALL_AREA` in magnitude reaches no pixel centre farther than
+/// `SAMPLE_MARGIN` outside its corners. The three are fixed by that proof.
+const SAMPLE_MARGIN: f64 = 1.0 / 64.0;
+const SMALL_EXTENT: f64 = 62.0;
+const SMALL_AREA: f64 = 1.0 / 1_048_576.0;
+
+/// The tile kernel rejects a triangle whose [`signed_area`] is below this
+/// in magnitude.
+pub(crate) const DEGENERATE_AREA: f64 = 1e-12;
+
 /// One transformed, shaded mesh point: what every triangle corner that
 /// indexes it used to carry a copy of.
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,10 +78,12 @@ pub(crate) struct ScreenVertex {
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct TriRef {
     /// Corner indices into [`PrimitiveList::verts`], in range by
-    /// construction (`build_primitives` is the only writer).
+    /// construction (assembly from a [`Surface`] is the only writer).
     pub v: [u32; 3],
-    /// Pixel box `[x0, x1, y0, y1]` of the corners: `⌊min⌋` / `⌈max⌉` per
-    /// axis, saturated to `i32` (see [`union3`]). It travels with the ref
+    /// Inclusive box `[x0, x1, y0, y1]` of the pixel centres the tile
+    /// kernel may plot, saturated to `i32` and never empty (see [`reach`]):
+    /// for a small triangle `⌈min − s⌉` / `⌊max + s⌋` per axis, for any
+    /// other `⌊min⌋` / `⌈max⌉`, the scanline box. It travels with the ref
     /// so that binning, and a tile rejecting an entry that misses its
     /// rectangle, never touch a vertex.
     pub bbox: [i32; 4],
@@ -141,31 +160,122 @@ fn floor_ceil(v: f64) -> (i32, i32) {
     (t.saturating_sub(i32::from(back > v)), t.saturating_add(i32::from(back < v)))
 }
 
-/// The pixel columns and rows a screen position touches:
-/// `[⌊sx⌋, ⌈sx⌉, ⌊sy⌋, ⌈sy⌉]`, cast saturating.
-fn pixel_box(sx: f64, sy: f64) -> [i32; 4] {
-    let ((x0, x1), (y0, y1)) = (floor_ceil(sx), floor_ceil(sy));
+/// The pixel centres within `s` of a screen position:
+/// `[⌈sx − s⌉, ⌊sx + s⌋, ⌈sy − s⌉, ⌊sy + s⌋]`, cast saturating — empty on
+/// an axis where the position is more than `s` from every integer.
+fn sample_box(sx: f64, sy: f64) -> [i32; 4] {
+    let near = |v: f64| (floor_ceil(v - SAMPLE_MARGIN).1, floor_ceil(v + SAMPLE_MARGIN).0);
+    let ((x0, x1), (y0, y1)) = (near(sx), near(sy));
     [x0, x1, y0, y1]
 }
 
-/// The pixel box of a triangle from the pixel boxes of its corners: min
-/// of the floors, max of the ceils. This *is* the row-band engine's
-/// `⌊min3(x)⌋` / `⌈max3(x)⌉` cast to `i32`: floor, ceil and the
-/// saturating cast are each monotone non-decreasing on `[-∞, +∞]`, a
+/// A triangle's sample box from the sample boxes of its corners: min of
+/// the lower bounds, max of the upper ones. This *is* `⌈min3(x) − s⌉` /
+/// `⌊max3(x) + s⌋` cast to `i32`: the rounded `± s`, ceil, floor and the
+/// saturating cast are each monotone non-decreasing on `[-∞, +∞]`, and a
 /// monotone `g` commutes with min and max (`g(min(a, b)) = min(g(a),
-/// g(b))`), and no NaN reaches here (a non-finite projection drops the
-/// vertex; scaling a finite NDC coordinate to the screen can overflow to
-/// ±∞ but not to NaN), so `min3`'s NaN-skipping is never exercised. One
-/// floor/ceil pair per *vertex* then serves every triangle around it.
+/// g(b))`). One pair of casts per *vertex* then serves every triangle
+/// around it.
 fn union3(a: [i32; 4], b: [i32; 4], c: [i32; 4]) -> [i32; 4] {
     let ([ax0, ax1, ay0, ay1], [bx0, bx1, by0, by1], [cx0, cx1, cy0, cy1]) = (a, b, c);
     [ax0.min(bx0).min(cx0), ax1.max(bx1).max(cx1), ay0.min(by0).min(cy0), ay1.max(by1).max(cy1)]
 }
 
-/// Transforms and shades one actor into screen-space primitives. Total
-/// over any `PolyData`: a cell naming a point that does not exist is
-/// dropped like one naming a point behind the camera, and a point without
-/// a scalar or a normal takes the flat color / unlit path.
+/// Twice the signed screen area of `[a, b, c]`: the one expression the
+/// tile kernel rejects a degenerate triangle by and divides its weights
+/// by, and assembly drops and boxes a triangle by, so the two agree to the
+/// bit.
+#[inline]
+pub(crate) fn signed_area(a: &ScreenVertex, b: &ScreenVertex, c: &ScreenVertex) -> f64 {
+    (b.sx - a.sx) * (c.sy - a.sy) - (c.sx - a.sx) * (b.sy - a.sy)
+}
+
+/// The ref of the triangle over frame vertices `v` — corners `[a, b, c]`
+/// with sample boxes `samples` — boxed by the pixel centres the tile
+/// kernel can plot, or `None` when there are none: the kernel rejects a
+/// degenerate triangle outright, and a small triangle whose sample box is
+/// empty reaches no centre. Small means a corner extent of at most
+/// `SMALL_EXTENT` on both axes (no infinite corner passes) and an area of
+/// at least `SMALL_AREA`; DESIGN §24 proves that the kernel rejects every
+/// centre of the scanline box that a small triangle's box leaves out. Any
+/// other triangle keeps the scanline box `⌊min3⌋` / `⌈max3⌉`, which is
+/// never empty; no NaN reaches it (a non-finite projection drops the
+/// vertex, and scaling a finite NDC coordinate to the screen can overflow
+/// to ±∞ but not to NaN).
+fn reach(v: [u32; 3], [a, b, c]: [&ScreenVertex; 3], samples: [[i32; 4]; 3]) -> Option<TriRef> {
+    let area = signed_area(a, b, c).abs();
+    if area < DEGENERATE_AREA {
+        return None;
+    }
+    let (x_lo, x_hi) = (a.sx.min(b.sx).min(c.sx), a.sx.max(b.sx).max(c.sx));
+    let (y_lo, y_hi) = (a.sy.min(b.sy).min(c.sy), a.sy.max(b.sy).max(c.sy));
+    let small = area >= SMALL_AREA && x_hi - x_lo <= SMALL_EXTENT && y_hi - y_lo <= SMALL_EXTENT;
+    let bbox = if small {
+        let [sa, sb, sc] = samples;
+        union3(sa, sb, sc)
+    } else {
+        [floor_ceil(x_lo).0, floor_ceil(x_hi).1, floor_ceil(y_lo).0, floor_ceil(y_hi).1]
+    };
+    let [x0, x1, y0, y1] = bbox;
+    (x0 <= x1 && y0 <= y1).then_some(TriRef { v, bbox })
+}
+
+/// An actor's surface triangles between the vertex pass and assembly: its
+/// mesh cells, the frame id of its first point, and per point `None` if
+/// the projection dropped it, else its [`sample_box`].
+pub(crate) struct Surface<'a> {
+    cells: &'a [[u32; 3]],
+    base: u32,
+    samples: Vec<Option<[i32; 4]>>,
+}
+
+impl Surface<'_> {
+    /// The tile engine's triangles: every cell, in mesh order, whose
+    /// corners survived and which [`reach`]es a pixel centre. Assembled in
+    /// parallel, `TRI_CHUNK` cells to a part of their own, the parts joined
+    /// in chunk order — and before any painter sort, while a triangle's
+    /// three corners are still neighbours in memory.
+    fn assemble(&self, verts: &[ScreenVertex], tris: &mut Vec<TriRef>) {
+        let mine = verts.get(self.base as usize..).unwrap_or(&[]);
+        let corner = |i: u32| {
+            let sample = self.samples.get(i as usize).copied().flatten()?;
+            Some((mine.get(i as usize)?, sample))
+        };
+        let chunks: Vec<&[[u32; 3]]> = self.cells.chunks(TRI_CHUNK).collect();
+        let mut parts: Vec<Vec<TriRef>> = vec![Vec::new(); chunks.len()];
+        parts.par_iter_mut().zip(chunks.par_iter()).for_each(|(part, cells)| {
+            // filled where it stands, the part would write its length into
+            // `parts` on every push, a cache line the other threads' parts
+            // share
+            let mut refs = Vec::with_capacity(cells.len());
+            refs.extend(cells.iter().filter_map(|&[a, b, c]| {
+                let ((va, sa), (vb, sb), (vc, sc)) = (corner(a)?, corner(b)?, corner(c)?);
+                // the corners exist, so their ids are below the frame's
+                // vertex count
+                reach([a, b, c].map(|i| self.base + i), [va, vb, vc], [sa, sb, sc])
+            }));
+            *part = refs;
+        });
+        tris.reserve(parts.iter().map(Vec::len).sum());
+        for mut part in parts {
+            tris.append(&mut part);
+        }
+    }
+
+    /// The scanline reference's triangles: every cell whose three corners
+    /// survived, in mesh order. Their box is the whole plane; the reference
+    /// derives its own from the corners.
+    pub(crate) fn every_triangle(&self) -> impl Iterator<Item = TriRef> + '_ {
+        let survived = |i: u32| self.samples.get(i as usize).is_some_and(Option::is_some);
+        self.cells.iter().filter(move |cell| cell.iter().all(|&i| survived(i))).map(|cell| TriRef {
+            v: cell.map(|i| self.base + i),
+            bbox: [i32::MIN, i32::MAX, i32::MIN, i32::MAX],
+        })
+    }
+}
+
+/// The tile engine's front half for one actor: [`project_actor`], then
+/// the assembly of the surface triangles that reach a pixel centre.
 pub(crate) fn build_primitives(
     actor: &Actor,
     view_proj: &Mat4,
@@ -174,8 +284,27 @@ pub(crate) fn build_primitives(
     height: usize,
     out: &mut PrimitiveList,
 ) {
+    if let Some(surface) = project_actor(actor, view_proj, lights, width, height, out) {
+        surface.assemble(&out.verts, &mut out.tris);
+    }
+}
+
+/// Transforms and shades one actor into screen-space primitives: its
+/// points into `out.verts`, and its lines and point sprites into `out`;
+/// a surface actor's triangles are left to the caller to assemble. Total
+/// over any `PolyData`: a cell naming a point that does not exist is
+/// dropped like one naming a point behind the camera, and a point without
+/// a scalar or a normal takes the flat color / unlit path.
+pub(crate) fn project_actor<'a>(
+    actor: &'a Actor,
+    view_proj: &Mat4,
+    lights: &[Light],
+    width: usize,
+    height: usize,
+    out: &mut PrimitiveList,
+) -> Option<Surface<'a>> {
     if !actor.visible || actor.property.opacity <= 0.0 {
-        return;
+        return None;
     }
     let pd = &*actor.poly_data;
     let mvp = view_proj.mul_mat(&actor.transform);
@@ -219,9 +348,9 @@ pub(crate) fn build_primitives(
     // Transform and shade every point once, into the frame's vertex array;
     // `px` says which points survived (`None`: dropped, no cell may use
     // it) and, for a surface — the one representation whose cells read
-    // it — holds each survivor's pixel box. Each chunk also records
+    // it — holds each survivor's sample box. Each chunk also records
     // whether a survivor came out translucent.
-    let PrimitiveList { verts, tris, lines, points, blends, .. } = out;
+    let PrimitiveList { verts, lines, points, blends, .. } = out;
     let n = pd.points.len();
     // dv3dlint: allow(no_panic) -- 2^32 vertices are 171 GB of `ScreenVertex`; the sort and CSR indices are u32 too
     let end = u32::try_from(verts.len() + n).expect("frame vertex count fits the u32 ids");
@@ -244,7 +373,7 @@ pub(crate) fn build_primitives(
                     let color = shade(i);
                     any |= color.a < 1.0;
                     *slot = ScreenVertex { sx, sy, z, color };
-                    *on_screen = Some(if surface { pixel_box(sx, sy) } else { [0; 4] });
+                    *on_screen = Some(if surface { sample_box(sx, sy) } else { [0; 4] });
                 }
             }
             *seen = any;
@@ -274,18 +403,7 @@ pub(crate) fn build_primitives(
     };
 
     match prop.representation {
-        Representation::Surface => {
-            tris.reserve(pd.triangles.len());
-            // boxes are joined here, in mesh order, where the three `px`
-            // gathers are near each other; after the painter sort the same
-            // gathers miss the cache on every triangle
-            tris.extend(pd.triangles.iter().filter_map(|&[a, b, c]| {
-                // the corners exist, so their ids are below `end`
-                let bbox = union3(corner(a)?, corner(b)?, corner(c)?);
-                Some(TriRef { v: [base + a, base + b, base + c], bbox })
-            }));
-            push_polylines(lines);
-        }
+        Representation::Surface => push_polylines(lines),
         Representation::Wireframe => {
             for &[a, b, c] in &pd.triangles {
                 for (a, b) in [(a, b), (b, c), (c, a)] {
@@ -301,6 +419,7 @@ pub(crate) fn build_primitives(
             ));
         }
     }
+    surface.then(|| Surface { cells: &pd.triangles, base, samples: px })
 }
 
 /// Rasterizes all primitives into the framebuffer via the tile-binned
@@ -416,14 +535,17 @@ mod tests {
     }
 
     impl PrimitiveList {
-        /// Appends a triangle over three new vertices, boxed the way
-        /// `build_primitives` boxes a mesh triangle (also the fixture of
-        /// the `tile.rs` tests).
-        pub(crate) fn push_tri(&mut self, corners: [ScreenVertex; 3]) {
+        /// Appends three new vertices and the triangle over them, boxed —
+        /// or dropped — the way assembly treats a mesh triangle; says
+        /// whether it was kept (also the fixture of the `tile.rs` tests).
+        pub(crate) fn push_tri(&mut self, corners: [ScreenVertex; 3]) -> bool {
             let base = self.verts.len() as u32;
-            let [a, b, c] = corners.map(|v| pixel_box(v.sx, v.sy));
+            let samples = corners.map(|v| sample_box(v.sx, v.sy));
+            let [a, b, c] = &corners;
+            let tri = reach([base, base + 1, base + 2], [a, b, c], samples);
             self.verts.extend(corners);
-            self.tris.push(TriRef { v: [base, base + 1, base + 2], bbox: union3(a, b, c) });
+            self.tris.extend(tri);
+            tri.is_some()
         }
     }
 
@@ -673,8 +795,9 @@ mod tests {
             let mut prims = PrimitiveList::default();
             for i in 0..len {
                 let [za, zb, zc] = stress_depths(&mut rng);
-                let at = |sx: f64, z: f32| ScreenVertex { sx, z, ..ScreenVertex::default() };
-                prims.push_tri([at(i as f64, za), at(0.0, zb), at(0.0, zc)]);
+                let at = |sx, sy, z| ScreenVertex { sx, sy, z, ..ScreenVertex::default() };
+                let x = i as f64;
+                assert!(prims.push_tri([at(x, 0.0, za), at(x + 1.0, 0.0, zb), at(x, 1.0, zc)]));
             }
             let by_value =
                 |tris: &[TriRef]| tris.iter().map(|t| prims.raster_tri(t)).collect::<Vec<_>>();
@@ -934,9 +1057,12 @@ mod tests {
                 (want.sx, want.sy, want.z.map(f32::to_bits), want.color),
                 "ref {t:?}"
             );
-            let [a, b, c] = t.v.map(|i| frame.verts[i as usize]);
-            let boxes = [a, b, c].map(|v| pixel_box(v.sx, v.sy));
-            assert_eq!(t.bbox, union3(boxes[0], boxes[1], boxes[2]));
+            // boxed by its own corners' sample boxes (`tile.rs` holds
+            // `reach` itself to an `f64` spelling of the rule)
+            let corners = t.v.map(|i| frame.verts[i as usize]);
+            let samples = corners.map(|v| sample_box(v.sx, v.sy));
+            let [a, b, c] = &corners;
+            assert_eq!(reach(t.v, [a, b, c], samples).map(|r| r.bbox), Some(t.bbox));
         }
     }
 

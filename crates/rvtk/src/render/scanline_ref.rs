@@ -13,13 +13,17 @@
 //! bbox from them in `f64`; the frame now stores triangles as vertex
 //! indices, so each band builds that `RasterTri` view per triangle
 //! (`PrimitiveList::raster_tri`) — a cost of the oracle, not of the
-//! engine it once was. It sorts every frame into painter order, the tile
-//! engine only a frame that can blend.
+//! engine it once was. It shares the tile engine's vertex pass but not its
+//! triangle assembly: it draws every triangle whose corners survive the
+//! projection, where the tile engine drops those that reach no pixel
+//! centre. It sorts every frame into painter order, the tile engine only
+//! a frame that can blend.
 
 use crate::color::Color;
+use crate::math::Mat4;
 use crate::render::framebuffer::Framebuffer;
 use crate::render::rasterizer::{
-    build_primitives, sort_far_to_near, PrimitiveList, RasterLine, RasterPoint, RasterTri,
+    project_actor, sort_far_to_near, PrimitiveList, RasterLine, RasterPoint, RasterTri,
 };
 use crate::render::renderer::Renderer;
 use crate::render::volume::render_volume;
@@ -33,15 +37,25 @@ use rayon::prelude::*;
 pub fn render_scene_scanline(r: &Renderer, fb: &mut Framebuffer) {
     fb.clear(r.background);
     let vp = r.camera.projection_matrix(fb.aspect()).mul_mat(&r.camera.view_matrix());
-    let mut prims = PrimitiveList::default();
-    for actor in r.actors() {
-        build_primitives(actor, &vp, &r.lights, fb.width(), fb.height(), &mut prims);
-    }
-    sort_far_to_near(&prims.verts, &mut prims.tris);
+    let prims = scanline_primitives(r, &vp, fb.width(), fb.height());
     rasterize_scanline(&prims, fb);
     for v in r.volumes() {
         render_volume(v, &vp, fb);
     }
+}
+
+/// The reference's primitives: every actor through the shared vertex
+/// pass, then every triangle whose three corners survived, in painter
+/// order.
+fn scanline_primitives(r: &Renderer, vp: &Mat4, width: usize, height: usize) -> PrimitiveList {
+    let mut prims = PrimitiveList::default();
+    for actor in r.actors() {
+        if let Some(surface) = project_actor(actor, vp, &r.lights, width, height, &mut prims) {
+            prims.tris.extend(surface.every_triangle());
+        }
+    }
+    sort_far_to_near(&prims.verts, &mut prims.tris);
+    prims
 }
 
 /// Rasterizes all primitives with one band per rayon worker, every band
@@ -199,5 +213,51 @@ impl Band<'_> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::math::Vec3;
+    use crate::poly_data::PolyData;
+    use crate::render::actor::Actor;
+    use crate::render::rasterizer::build_primitives;
+
+    #[test]
+    fn the_reference_keeps_every_triangle_whose_corners_survive() {
+        // A parallel camera on a 65 × 65 screen puts world (x, y) at
+        // pixel (16x + 32, 32 − 16y). Eight 0.3-pixel triangles sit
+        // half-way between pixel centres (no centre within reach), eight
+        // have a corner on a centre, one is degenerate and one has a
+        // corner the projection drops.
+        let mut pd = PolyData::new();
+        let mut tri = |corners: [(f64, f64); 3]| {
+            let world = |(px, py): (f64, f64)| Vec3::new(px / 16.0 - 2.0, 2.0 - py / 16.0, 0.0);
+            let ids = corners.map(|p| pd.add_point(world(p)));
+            pd.triangles.push(ids);
+        };
+        for i in 0..8 {
+            let x = f64::from(20 + 4 * i);
+            tri([(x + 0.4, 30.4), (x + 0.7, 30.4), (x + 0.4, 30.7)]);
+            tri([(x, 40.0), (x + 0.3, 40.0), (x, 40.3)]);
+        }
+        tri([(20.0, 50.0), (30.0, 50.0), (40.0, 50.0)]);
+        tri([(20.0, 55.0), (f64::INFINITY, 55.0), (20.0, 58.0)]);
+        let mut r = Renderer::new();
+        r.add_actor(Actor::from_poly_data(pd));
+        r.camera.position = Vec3::new(0.0, 0.0, 5.0);
+        r.camera.focal_point = Vec3::ZERO;
+        r.camera.parallel_projection = true;
+        r.camera.parallel_scale = 2.0;
+        r.camera.clipping_range = (1.0, 9.0);
+        let vp = r.camera.projection_matrix(1.0).mul_mat(&r.camera.view_matrix());
+        let reference = scanline_primitives(&r, &vp, 65, 65);
+        assert_eq!(reference.tris.len(), 8 + 8 + 1);
+        let mut tile = PrimitiveList::default();
+        for actor in r.actors() {
+            build_primitives(actor, &vp, &r.lights, 65, 65, &mut tile);
+        }
+        assert_eq!(tile.tris.len(), 8);
     }
 }

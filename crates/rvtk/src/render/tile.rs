@@ -13,8 +13,8 @@
 //! Binning evaluates each primitive's geometry once. A slice quad is
 //! binned by index to every tile its pixel box covers, and a tile draws
 //! its quads before anything else (see [`TileView::quad`]). A triangle arrives as
-//! a 28-byte [`TriRef`] whose integer pixel box was joined from its
-//! corners when the mesh was assembled; binning clamps that box to a
+//! a 28-byte [`TriRef`] whose integer box of reachable pixel centres was
+//! joined from its corners when the mesh was assembled; binning clamps that box to a
 //! 16-byte [`TileSpan`] (the tile rectangle `TileGrid::for_tiles_over`
 //! would walk) without reading a vertex. Lines and point sprites resolve
 //! to `(tile, entry)` pairs. The one CSR builder, [`csr_pairs`], then
@@ -29,12 +29,16 @@
 //! the triangle, line and point kernels below are the scanline kernels
 //! verbatim — identical
 //! expression trees, identical fold/clamp semantics — with their iteration
-//! domains intersected with the tile rectangle (for a triangle in integer
-//! pixel coordinates: its box is the scanline `⌊min3⌋` / `⌈max3⌉`, see
-//! `rasterizer::union3`). Since every pixel belongs to exactly one tile,
+//! domains intersected with the tile rectangle. A triangle's domain is its
+//! [`TriRef::bbox`]: the scanline `⌊min3⌋` / `⌈max3⌉` box, less, for a
+//! small triangle, the pixel centres farther than `s = 2⁻⁶` outside its
+//! corners, which the edge test rejects (DESIGN §24); a triangle that
+//! reaches no centre, or that the kernel would reject as degenerate, is
+//! not in the list. Since every pixel belongs to exactly one tile,
 //! and primitives are replayed per tile in list order (quads, then
 //! triangles, then lines, then points), each pixel sees the plot sequence
-//! the scanline engine would have issued, at any thread count — exactly
+//! the scanline engine would have issued, less visits that plot nothing,
+//! at any thread count — exactly
 //! when the frame can blend and its triangles are in painter order; up to
 //! exact depth ties, which [`TileView::plot`] settles by painter key, when
 //! it cannot and they are in mesh order (DESIGN §23). The quad kernel is a
@@ -48,7 +52,8 @@ use crate::color::Color;
 use crate::render::framebuffer::{BandView, Framebuffer, TileGrid, TileSpan};
 use crate::render::image_slice::ScreenQuad;
 use crate::render::rasterizer::{
-    painter_key, PrimitiveList, RasterLine, RasterPoint, ScreenVertex, TriRef,
+    painter_key, signed_area, PrimitiveList, RasterLine, RasterPoint, ScreenVertex, TriRef,
+    DEGENERATE_AREA,
 };
 use rayon::prelude::*;
 
@@ -438,8 +443,9 @@ impl<'a> TileView<'a> {
 
     fn triangle(&mut self, verts: &[ScreenVertex], t: &TriRef) {
         // Clip the integer box against the tile before touching a vertex:
-        // the scanline `⌊min3⌋.max(lo)` / `⌈max3⌉.min(hi)` in `i32`, where
-        // a saturated bound still lands on the same side of the tile.
+        // `x0.max(lo)` / `x1.min(hi)` in `i32`, where a saturated bound
+        // still lands on the same side of the tile. The box is the scanline
+        // box less centres the edge test rejects (`TriRef::bbox`).
         let [bx0, bx1, by0, by1] = t.bbox;
         let [rx0, rx1, ry0, ry1] = self.rect;
         let (ymin, ymax) = (by0.max(ry0), by1.min(ry1));
@@ -456,9 +462,9 @@ impl<'a> TileView<'a> {
         let (ax, bx, cx) = (a.sx, b.sx, c.sx);
         let (ay, by, cy) = (a.sy, b.sy, c.sy);
         let (az, bz, cz) = (a.z, b.z, c.z);
-        // signed area; reject degenerate
-        let area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay);
-        if area.abs() < 1e-12 {
+        // signed area; reject degenerate (assembly already dropped these)
+        let area = signed_area(a, b, c);
+        if area.abs() < DEGENERATE_AREA {
             return;
         }
         let inv_area = 1.0 / area;
@@ -656,9 +662,9 @@ mod tests {
         ]
     }
 
-    fn push_tri(prims: &mut PrimitiveList, [ax, bx, cx]: [f64; 3], [ay, by, cy]: [f64; 3]) {
+    fn push_tri(prims: &mut PrimitiveList, [ax, bx, cx]: [f64; 3], [ay, by, cy]: [f64; 3]) -> bool {
         let at = |sx, sy| ScreenVertex { sx, sy, z: 0.0, color: Color::WHITE };
-        prims.push_tri([at(ax, ay), at(bx, by), at(cx, cy)]);
+        prims.push_tri([at(ax, ay), at(bx, by), at(cx, cy)])
     }
 
     #[test]
@@ -746,10 +752,48 @@ mod tests {
         }
     }
 
+    /// How the rule treats a triangle, in the `f64` spelling of the
+    /// scanline engine (DESIGN §24's constants restated).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Boxed {
+        /// `|area| < 1e-12`: the kernel rejects it, assembly drops it.
+        Degenerate,
+        /// Small, and no pixel centre within `s` of it.
+        Unreached,
+        /// Small: `⌈min − s⌉` / `⌊max + s⌋`, cast saturating.
+        Small([i32; 4]),
+        /// Anything else: the scanline `⌊min⌋` / `⌈max⌉`, cast saturating.
+        Scanline([i32; 4]),
+    }
+
+    fn rule(sx @ [ax, bx, cx]: [f64; 3], sy @ [ay, by, cy]: [f64; 3]) -> Boxed {
+        const S: f64 = 0.015_625;
+        let area = ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)).abs();
+        if area < 1e-12 {
+            return Boxed::Degenerate;
+        }
+        let ([x_lo, x_hi], [y_lo, y_hi]) =
+            ([min3(ax, bx, cx), max3(ax, bx, cx)], [min3(ay, by, cy), max3(ay, by, cy)]);
+        if area >= 2f64.powi(-20) && x_hi - x_lo <= 62.0 && y_hi - y_lo <= 62.0 {
+            // empty once cast: beyond the i32 limits both bounds saturate
+            // to one value, and such a box is kept (and bins to no tile)
+            let [x0, x1, y0, y1] =
+                [(x_lo - S).ceil(), (x_hi + S).floor(), (y_lo - S).ceil(), (y_hi + S).floor()]
+                    .map(|b| b as i32);
+            if x0 > x1 || y0 > y1 {
+                return Boxed::Unreached;
+            }
+            return Boxed::Small([x0, x1, y0, y1]);
+        }
+        Boxed::Scanline(float_box(sx, sy).map(|b| b as i32))
+    }
+
     #[test]
-    fn pixel_box_is_the_floor_min_ceil_max_box() {
+    fn a_tri_box_is_its_sample_box_when_small_and_the_scanline_box_otherwise() {
         const BIG: f64 = 1e300;
-        // coordinates the cast can get wrong: exactly integral, sub-pixel
+        const S: f64 = 0.015_625;
+        const EPS: f64 = 1.0 / 1_073_741_824.0; // 2⁻³⁰
+        // coordinates the casts can get wrong: exactly integral, sub-pixel
         // on either side of an integer and of zero, negative, beyond i32
         // and beyond any integer type
         let pool = [
@@ -758,36 +802,75 @@ mod tests {
             -2_147_483_648.0, -2_147_483_648.5, -2_147_483_649.0, 4.0e9, -4.0e9, BIG, -BIG,
             f64::MAX, f64::MIN, f64::MAX / 2.0, f64::INFINITY, f64::NEG_INFINITY,
             f64::MIN_POSITIVE, -f64::MIN_POSITIVE,
-            // either side of the two i32 limits, where the cast saturates
-            // and the step back from it must
+            // either side of the two i32 limits, where the casts saturate
+            // and the step back from them must
             2_147_483_646.5, 2_147_483_648.5, -2_147_483_647.5, 2_147_483_646.0,
             -2_147_483_647.0,
         ];
-        // every pool value on its own first, so no edge waits on the draw
-        for &v in &pool {
+        // offsets from an integer either side of the sample margin
+        let nudges = [0.0, 1e-12, S - EPS, S, S + EPS, 0.5, 1.0 - S];
+        let mut seen: [usize; 4] = [0; 4];
+        let mut saturated_small = 0;
+        let mut check = |sx: [f64; 3], sy: [f64; 3]| {
             let mut prims = PrimitiveList::default();
-            push_tri(&mut prims, [v; 3], [v; 3]);
-            let (lo, hi) = (v.floor() as i32, v.ceil() as i32);
-            assert_eq!(prims.tris.first().map(|t| t.bbox), Some([lo, hi, lo, hi]), "corner {v:?}");
+            let kept = push_tri(&mut prims, sx, sy);
+            let got = prims.tris.first().map(|t| t.bbox);
+            let want = rule(sx, sy);
+            let (slot, bbox) = match want {
+                Boxed::Degenerate => (0, None),
+                Boxed::Unreached => (1, None),
+                Boxed::Small(b) => (2, Some(b)),
+                Boxed::Scanline(b) => (3, Some(b)),
+            };
+            assert_eq!((kept, got), (bbox.is_some(), bbox), "corners {sx:?} {sy:?}: {want:?}");
+            if let Some(n) = seen.get_mut(slot) {
+                *n += 1;
+            }
+            let limits = bbox.is_some_and(|b| b.contains(&i32::MAX) || b.contains(&i32::MIN));
+            saturated_small += usize::from(slot == 2 && limits);
+        };
+        // every pool value as the corner of a unit right triangle (both
+        // windings), so no edge waits on the draw
+        for &v in &pool {
+            check([v, v + 1.0, v], [v, v, v + 1.0]);
+            check([v, v, v + 1.0], [v, v + 1.0, v]);
         }
         let mut rng = Rng(0x0dd_ba11_5eed);
+        let pick = |rng: &mut Rng, from: &[f64]| {
+            from.get((rng.next() % from.len() as u64) as usize).copied().unwrap_or(0.0)
+        };
         let coord = |rng: &mut Rng| match rng.next() % 3 {
-            0 => pool.get((rng.next() % pool.len() as u64) as usize).copied().unwrap_or(0.0),
+            0 => pick(rng, &pool),
             1 => (rng.next() % 1_000) as f64 - 500.0, // integral
             _ => (rng.next() % 2_000_000) as f64 / 1_000.0 - 1_000.0,
         };
-        let mut saturated = 0;
-        for _ in 0..4_000 {
-            let sx = [coord(&mut rng), coord(&mut rng), coord(&mut rng)];
-            let sy = [coord(&mut rng), coord(&mut rng), coord(&mut rng)];
-            let mut prims = PrimitiveList::default();
-            push_tri(&mut prims, sx, sy);
-            let want = float_box(sx, sy).map(|b| b as i32);
-            let got = prims.tris.first().map(|t| t.bbox);
-            assert_eq!(got, Some(want), "corners {sx:?} {sy:?}");
-            saturated += usize::from(want.contains(&i32::MAX) || want.contains(&i32::MIN));
+        // per axis, corners a nudge (either sign) off an anchor on, or
+        // half-way between, pixel centres, or off the anchor one spread
+        // on: extents either side of 62, areas either side of 2⁻²⁰ and
+        // 1e-12, and all three corners in one pixel column or row
+        let axis = |rng: &mut Rng| -> [f64; 3] {
+            let anchor = pick(rng, &pool).round() + pick(rng, &[0.0, 0.5]);
+            let spread = pick(rng, &[0.0, 0.0, 1.0, 2.0, 31.0, 62.0, 63.0]);
+            [(); 3].map(|()| {
+                let nudge = pick(rng, &nudges) * pick(rng, &[1.0, -1.0]);
+                anchor + spread * pick(rng, &[0.0, 1.0]) + nudge
+            })
+        };
+        for round in 0..24_000 {
+            let (sx, sy) = if round % 2 == 0 {
+                (axis(&mut rng), axis(&mut rng))
+            } else {
+                let sx = [coord(&mut rng), coord(&mut rng), coord(&mut rng)];
+                (sx, [coord(&mut rng), coord(&mut rng), coord(&mut rng)])
+            };
+            check(sx, sy);
         }
-        assert!(saturated > 400, "the sweep must reach the cast's limits: {saturated}");
+        let [degenerate, unreached, small, scanline] = seen;
+        assert!(
+            degenerate > 200 && unreached > 200 && small > 200 && scanline > 200,
+            "every rule must be reached: {seen:?}"
+        );
+        assert!(saturated_small > 400, "small boxes must reach the limits: {saturated_small}");
     }
 
     /// `TileGrid::for_tiles_over` as it stood when binning replayed every

@@ -42,6 +42,17 @@
 //!    pixels tie, so the rule is reached — and the gyroid twins of
 //!    contract 3 made opaque (every triangle ties its twin): tile ≡
 //!    scanline at pools 1, 2 and 8.
+//! 6. **A triangle is boxed by the pixel centres it can reach.** The tile
+//!    engine drops a triangle that reaches no centre and tests a small one
+//!    only at centres within `s = 2⁻⁶` of its corners; the reference
+//!    tests the whole `⌊min⌋ / ⌈max⌉` box of every triangle whose corners
+//!    survive. On a screen where every corner lands exactly where the test
+//!    puts it: corners at integers ± {0, 1e-12, s − 2⁻³⁰, s, s + 2⁻³⁰},
+//!    slivers either side of the small-area bound 2⁻²⁰ and of the kernel's
+//!    1e-12, extents either side of 62, triangles off the screen's edge,
+//!    both windings, opaque and translucent: tile ≡ scanline at pools 1, 2
+//!    and 8, and the dropped, the small-box and the scanline-box triangles
+//!    are each reached.
 
 use rvtk::color::Color;
 use rvtk::math::Vec3;
@@ -459,5 +470,179 @@ fn actors_sharing_the_vertex_array_render_one_frame_in_any_order() {
     }
     for (i, frame) in frames.iter().enumerate() {
         assert!(frame == first, "actor order {i} changed the frame");
+    }
+}
+
+/// The sample margin `s = 2⁻⁶` of the small-triangle rule.
+const S: f64 = 1.0 / 64.0;
+
+/// Offsets from an integer either side of `s`.
+const NUDGES: [f64; 5] = [0.0, 1e-12, S - 1.0 / 1_073_741_824.0, S, S + 1.0 / 1_073_741_824.0];
+
+/// The world point `exact_scene` draws at screen `(px, py)`: the map
+/// `(x, y) ↦ (16x + 32, 32 − 16y)` inverted, both ways exact for `px`,
+/// `py` in [16, 128] — every product is by a power of two, and every sum
+/// has a result on a coarser grid than its operands.
+fn at_pixel(px: f64, py: f64, z: f64) -> Vec3 {
+    Vec3::new(px / 16.0 - 2.0, 2.0 - py / 16.0, z)
+}
+
+/// The 65 × 65 screen of `at_pixel`: a parallel camera of half-height 2
+/// on the z axis.
+fn exact_scene(actors: Vec<Actor>) -> Renderer {
+    let mut r = Renderer::new();
+    for a in actors {
+        r.add_actor(a);
+    }
+    r.camera.position = Vec3::new(0.0, 0.0, 5.0);
+    r.camera.focal_point = Vec3::ZERO;
+    r.camera.parallel_projection = true;
+    r.camera.parallel_scale = 2.0;
+    r.camera.clipping_range = (1.0, 9.0);
+    r
+}
+
+type ScreenTri = [(f64, f64); 3];
+
+/// An unlit actor of screen-space triangles, `z` rising a little from
+/// triangle to triangle.
+fn screen_actor(tris: &[ScreenTri], z: f64, color: Color) -> Actor {
+    let mut pd = PolyData::new();
+    for (k, corners) in tris.iter().enumerate() {
+        let z = z + 1e-3 * k as f64;
+        let ids = corners.map(|(px, py)| pd.add_point(at_pixel(px, py, z)));
+        pd.triangles.push(ids);
+    }
+    let mut a = Actor::from_poly_data(pd).with_color(color);
+    a.property.lighting = false;
+    a
+}
+
+/// Which way the small-triangle rule takes a triangle, spelled in `f64`
+/// on its exact screen corners.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// Twice its area is below 1e-12: the kernel rejects it.
+    Degenerate,
+    /// Small, with no pixel centre within `s`: dropped.
+    Unreached,
+    /// Small: tested only at centres within `s` of its corners.
+    Small,
+    /// Extent within 62 but area below 2⁻²⁰: the scanline box.
+    Sliver,
+    /// Extent beyond 62: the scanline box.
+    Wide,
+}
+
+fn rule([(ax, ay), (bx, by), (cx, cy)]: ScreenTri) -> Rule {
+    let area = ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)).abs();
+    let extent = |a: f64, b: f64, c: f64| a.max(b).max(c) - a.min(b).min(c);
+    let reach =
+        |a: f64, b: f64, c: f64| (a.min(b).min(c) - S).ceil() <= (a.max(b).max(c) + S).floor();
+    if area < 1e-12 {
+        Rule::Degenerate
+    } else if extent(ax, bx, cx) > 62.0 || extent(ay, by, cy) > 62.0 {
+        Rule::Wide
+    } else if area < 2f64.powi(-20) {
+        Rule::Sliver
+    } else if reach(ax, bx, cx) && reach(ay, by, cy) {
+        Rule::Small
+    } else {
+        Rule::Unreached
+    }
+}
+
+/// Triangles of the adversarial scene, one list per layer, front to back.
+fn adversarial_layers(rng: &mut Rng) -> [Vec<ScreenTri>; 3] {
+    let pick = |rng: &mut Rng, from: &[f64]| from[rng.below(from.len())];
+    let sign = |rng: &mut Rng| if rng.chance(50) { 1.0 } else { -1.0 };
+    let nudge = |rng: &mut Rng| sign(rng) * pick(rng, &NUDGES);
+    let wind =
+        |rng: &mut Rng, [a, b, c]: ScreenTri| if rng.chance(50) { [a, b, c] } else { [a, c, b] };
+    // front: one right triangle in each 3-pixel cell, its right angle a
+    // nudge off the cell's pixel centre, legs of ≤ 1.5 px pointing either
+    // way; the last column and row hang off the screen
+    let mut tiny = Vec::new();
+    for i in 0..16 {
+        for j in 0..16 {
+            let x = f64::from(19 + 3 * i) + nudge(rng);
+            let y = f64::from(19 + 3 * j) + nudge(rng);
+            let lx = sign(rng) * pick(rng, &[0.25, 0.5, 1.0, 1.5]);
+            let ly = sign(rng) * 0.5;
+            let corners = [(x, y), (x + lx, y), (x, y + ly)];
+            tiny.push(wind(rng, corners));
+        }
+    }
+    // middle: one sliver per row along a nudged pixel row, twice its area
+    // either side of 1e-12 and of 2⁻²⁰, its length either side of 62
+    let mut slivers = Vec::new();
+    for r in 0..20 {
+        let y = f64::from(20 + 2 * r) + nudge(rng);
+        let x = f64::from(18 + 2 * (r % 8)) + nudge(rng);
+        let len = pick(rng, &[20.0, 47.5, 62.0 - S, 62.0, 62.0 + S, 80.0]);
+        let area = pick(rng, &[5e-13, 2e-12, 2f64.powi(-21), 2f64.powi(-19), 0.25]);
+        let apex = (x + len * 0.375, y + sign(rng) * area / len);
+        slivers.push(wind(rng, [(x, y), (x + len, y), apex]));
+    }
+    // back: wide and not-quite-wide triangles, corners nudged off pixel
+    // centres, some reaching past the right and bottom edges
+    let mut wide = Vec::new();
+    for k in 0..12 {
+        let (x, y) = (f64::from(16 + k), f64::from(16 + 2 * k));
+        let ex = pick(rng, &[30.0, 61.0, 62.0, 63.0, 90.0]);
+        let ey = pick(rng, &[40.0, 62.0, 63.0]);
+        let a = (x + nudge(rng), y + nudge(rng));
+        let b = (x + ex + nudge(rng), y);
+        wide.push(wind(rng, [a, b, (x, y + ey)]));
+    }
+    [tiny, slivers, wide]
+}
+
+#[test]
+fn triangles_boxed_by_reachable_centres_render_as_the_unculled_reference() {
+    let (w, h) = (65, 65);
+    let colors = [Color::rgb(0.9, 0.2, 0.1), Color::rgb(0.1, 0.8, 0.3), Color::rgb(0.2, 0.3, 0.95)];
+    let mut seen: Vec<Rule> = Vec::new();
+    for seed in 0..6u64 {
+        let mut rng = Rng::new(0xB0C5 + seed);
+        let layers = adversarial_layers(&mut rng);
+        for tri in layers.iter().flatten() {
+            for &(px, py) in tri {
+                // the corner is where the test put it, wherever it is in range
+                let p = at_pixel(px, py, 0.0);
+                if (16.0..=128.0).contains(&px) && (16.0..=128.0).contains(&py) {
+                    let screen = ((p.x / 2.0 + 1.0) / 2.0 * 64.0, (1.0 - p.y / 2.0) / 2.0 * 64.0);
+                    assert_eq!(screen, (px, py));
+                }
+            }
+            seen.push(rule(*tri));
+        }
+        for front_opacity in [1.0, 0.6] {
+            let actors = layers
+                .iter()
+                .zip(colors)
+                .zip([0.5, 0.0, -0.5])
+                .map(|((tris, color), z)| screen_actor(tris, z, color))
+                .enumerate()
+                .map(|(i, a)| if i == 0 { a.with_opacity(front_opacity) } else { a })
+                .collect();
+            let scene = exact_scene(actors);
+            let mut reference = Framebuffer::new(w, h);
+            with_threads(2, || scanline_ref::render_scene_scanline(&scene, &mut reference));
+            let ref_bits = bits(&reference);
+            for threads in [1usize, 2, 8] {
+                let mut fb = Framebuffer::new(w, h);
+                with_threads(threads, || scene.render(&mut fb));
+                assert!(
+                    bits(&fb) == ref_bits,
+                    "tile vs scanline diverged: seed {seed}, opacity {front_opacity}, \
+                     {threads} threads"
+                );
+            }
+        }
+    }
+    for want in [Rule::Degenerate, Rule::Unreached, Rule::Small, Rule::Sliver, Rule::Wide] {
+        let n = seen.iter().filter(|&&r| r == want).count();
+        assert!(n >= 10, "{want:?} reached by only {n} triangles");
     }
 }
