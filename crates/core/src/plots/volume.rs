@@ -150,6 +150,28 @@ mod tests {
             .unwrap());
     }
 
+    /// Inverting the colormap recolours the volume, not only its legend.
+    #[test]
+    fn toggle_invert_recolours_the_volume() {
+        let mut p = VolumePlot::new(ball()).unwrap();
+        let color = |p: &VolumePlot| {
+            let mut r = Renderer::new();
+            p.populate(&mut r).unwrap();
+            r.volumes()[0].property.color.clone()
+        };
+        let half = p.editor.window / 2.0;
+        let (lo, hi) = (p.editor.level - half, p.editor.level + half);
+        let before = color(&p);
+        p.configure(&ConfigOp::ToggleInvert).unwrap();
+        let after = color(&p);
+        assert_ne!(before.map(lo), before.map(hi));
+        assert_eq!(after.map(lo), before.map(hi));
+        assert_eq!(after.map(hi), before.map(lo));
+        let legend = p.legend();
+        assert_eq!(after.map(lo), legend.map(legend.range.0));
+        assert_eq!(after.map(hi), legend.map(legend.range.1));
+    }
+
     #[test]
     fn set_image_rescales_editor() {
         let mut p = VolumePlot::new(ball()).unwrap();

@@ -79,11 +79,13 @@ impl TransferEditor {
     }
 
     /// The color transfer function over the *windowed* sub-range, so color
-    /// contrast follows the leveling operation too.
+    /// contrast follows the leveling operation too; inverted with the
+    /// colormap, as [`TransferEditor::lookup_table`] is.
     pub fn color_function(&self) -> ColorTransferFunction {
         let lo = (self.level - self.window / 2.0).max(self.data_range.0);
         let hi = (self.level + self.window / 2.0).min(self.data_range.1);
-        let range = if hi > lo { (lo, hi) } else { self.data_range };
+        let (lo, hi) = if hi > lo { (lo, hi) } else { self.data_range };
+        let range = if self.inverted { (hi, lo) } else { (lo, hi) };
         ColorTransferFunction::from_colormap(self.colormap, range)
     }
 

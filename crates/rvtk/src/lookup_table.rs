@@ -191,14 +191,24 @@ impl ColorTransferFunction {
         ColorTransferFunction { nodes }
     }
 
-    /// From a named colormap stretched over `range`.
+    /// From a named colormap stretched over `range`; a range given high to
+    /// low runs the map backwards (an inverted colormap).
     pub fn from_colormap(name: ColormapName, range: (f32, f32)) -> ColorTransferFunction {
         let pts = name.control_points();
-        let nodes = pts
+        let mut nodes: Vec<(f32, Color)> = pts
             .into_iter()
             .map(|(t, c)| (range.0 + t * (range.1 - range.0), c))
             .collect();
+        if range.1 < range.0 {
+            nodes.reverse();
+        }
         ColorTransferFunction { nodes }
+    }
+
+    /// The scalars of the first and last nodes (`None` without nodes):
+    /// the function is constant outside them.
+    pub(crate) fn span(&self) -> Option<(f32, f32)> {
+        Some((self.nodes.first()?.0, self.nodes.last()?.0))
     }
 
     /// Evaluates the function at `v` (clamped to the node range).
@@ -250,6 +260,12 @@ impl OpacityTransferFunction {
             (level - half, 0.0),
             (level + half, max_opacity.clamp(0.0, 1.0)),
         ])
+    }
+
+    /// The scalars of the first and last nodes (`None` without nodes):
+    /// the function is constant outside them.
+    pub(crate) fn span(&self) -> Option<(f32, f32)> {
+        Some((self.nodes.first()?.0, self.nodes.last()?.0))
     }
 
     /// Evaluates the opacity at `v` (clamped to the node range).
@@ -356,6 +372,19 @@ mod tests {
         assert_eq!(ctf.map(100.0), Color::BLACK);
         assert_eq!(ctf.map(200.0), Color::WHITE);
         assert!((ctf.map(150.0).r - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn ctf_from_a_reversed_range_inverts_the_map() {
+        let ctf = ColorTransferFunction::from_colormap(ColormapName::Jet, (200.0, 100.0));
+        let lut = LookupTable::with_resolution(ColormapName::Jet, (100.0, 200.0), 256, true);
+        assert_eq!(ctf.map(100.0), lut.map(100.0));
+        assert_eq!(ctf.map(200.0), lut.map(200.0));
+        assert_eq!(ctf.map(50.0), ctf.map(100.0));
+        let forward = ColorTransferFunction::from_colormap(ColormapName::Jet, (100.0, 200.0));
+        for v in [100.0, 112.5, 150.0, 180.0, 200.0] {
+            assert_eq!(ctf.map(v), forward.map(300.0 - v), "at {v}");
+        }
     }
 
     #[test]
