@@ -2,9 +2,10 @@
 //! the same wall with one permanently dead panel (mirror-substituted).
 //!
 //! The design claim under test: graceful degradation keeps the wall
-//! animating at comparable per-frame cost — the server's low-res mirror
-//! render of the dead cell is cheap, so losing a panel must not stall the
-//! other panels. Emits `BENCH_hyperwall_faults.json`.
+//! animating. A healthy frame renders no mirror cell; a dead panel costs
+//! the server one low-res mirror render a frame, which overlaps the live
+//! clients' renders, so losing a panel must not stall the other panels.
+//! Emits `BENCH_hyperwall_faults.json`.
 
 use hyperwall::cluster::{run_wall, run_wall_with_faults, WallRunReport};
 use hyperwall::fault::{Fault, FaultPlan};

@@ -9,7 +9,7 @@
 //! [`ClientNode::run`] is that loop with an empty script.
 
 use crate::fault::{cut_mid_frame, dribble, ClientFaults};
-use crate::frame_delta::{FrameStreamer, DEFAULT_KEYFRAME_EVERY, PREVIEW_DOWNSAMPLE};
+use crate::frame_delta::{box_filter, FrameStreamer, DEFAULT_KEYFRAME_EVERY, PREVIEW_DOWNSAMPLE};
 use crate::protocol::{
     encode_frame, read_message_deadline, read_message_idle, write_message_deadline, Message,
     PROTO_DELTA,
@@ -44,8 +44,8 @@ pub struct ClientNode {
     proto: u32,
     /// The delta encoder, created at `AssignWorkflow` for v2 clients.
     streamer: Option<FrameStreamer>,
-    /// Set when a camera op arrives; the next frame leads with a low-res
-    /// preview (progressive refinement during motion).
+    /// Set when a camera op arrives; the next frame's key or delta is
+    /// preceded by a downsampled preview of the same frame.
     in_motion: bool,
 }
 
@@ -259,26 +259,21 @@ impl ClientNode {
         };
     }
 
-    /// Ships this frame's pixel content ahead of `FrameDone`: an optional
-    /// low-res preview when the camera moved since the last frame, then
-    /// the keyframe/delta. No-op for v1 clients. Scripted transport faults
-    /// (corrupt / drop / delay) are applied here, after encoding — the
-    /// streamer's state always advances as if the send succeeded, which is
-    /// exactly the failure the server's resync path must absorb.
+    /// Ships this frame's pixel content ahead of `FrameDone`: when the
+    /// camera moved since the last frame, a preview box-filtered from
+    /// `rgba`, then the keyframe/delta. No-op for v1 clients. Scripted
+    /// transport faults (corrupt / drop / delay) are applied here, after
+    /// encoding — the streamer's state always advances as if the send
+    /// succeeded, which is exactly the failure the server's resync path
+    /// must absorb.
     fn send_transport(&mut self, frame: u64, rgba: &[u8], faults: &ClientFaults) -> Result<()> {
         let Some(streamer) = &mut self.streamer else { return Ok(()) };
-        if self.in_motion {
-            self.in_motion = false;
-            let (pw, ph) = (
-                (self.size.0 / PREVIEW_DOWNSAMPLE).max(8),
-                (self.size.1 / PREVIEW_DOWNSAMPLE).max(8),
-            );
-            if let Some(cell) = &mut self.cell {
-                let low = cell.render(pw, ph)?;
-                let preview =
-                    streamer.encode_preview(self.id, frame, &low.to_rgba8(), pw, ph)?;
-                write_message_deadline(&mut self.stream, &preview, IO_DEADLINE, "FramePreview")?;
-            }
+        if std::mem::take(&mut self.in_motion) {
+            let (w, h) = self.size;
+            let (pw, ph) = ((w / PREVIEW_DOWNSAMPLE).max(8), (h / PREVIEW_DOWNSAMPLE).max(8));
+            let low = box_filter(rgba, w, h, pw, ph);
+            let preview = streamer.encode_preview(self.id, frame, &low, pw, ph)?;
+            write_message_deadline(&mut self.stream, &preview, IO_DEADLINE, "FramePreview")?;
         }
         let (mut msg, _) = streamer.encode(self.id, frame, rgba)?;
         if let Some((f, ms)) = faults.delay_delta_at() {

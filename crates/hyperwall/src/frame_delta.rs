@@ -54,11 +54,17 @@
 //! assembled frame — "zero stale-epoch tiles" is enforced here, not by
 //! the transport's good behaviour.
 //!
-//! During camera motion a client can additionally send a low-resolution
-//! [`crate::protocol::Message::FramePreview`] ahead of the full-resolution
-//! delta — the wall-scale version of the low-res-mirror trick the server
-//! already uses for degraded panels: photons early, fidelity a moment
-//! later.
+//! After a camera op a client also sends a
+//! [`crate::protocol::Message::FramePreview`]: the same frame at a quarter
+//! of each axis (1/16 of the pixels), [`box_filter`]ed from the
+//! full-resolution frame it has just rendered. It is written just before
+//! that frame's key or delta, so it brings no photons earlier; it costs a
+//! downsample, not a second render. Previews ride outside the epoch/seq
+//! discipline. Whether to drop the message is a wire change, left to a
+//! later revision.
+//!
+//! The server derives the touchscreen's mirror of a live panel the same
+//! way: [`box_filter`] over the panel's assembled frame.
 
 use rvtk::render::{TileGrid, TileRect};
 use serde::{Deserialize, Serialize};
@@ -71,6 +77,48 @@ pub const DEFAULT_KEYFRAME_EVERY: u64 = 16;
 
 /// Downsample factor for motion previews (each axis).
 pub const PREVIEW_DOWNSAMPLE: usize = 4;
+
+/// Resamples a row-major RGBA8 `width`×`height` frame to `out_w`×`out_h`.
+/// Output pixel `(x, y)` is the rounded mean, channel by channel, of the
+/// source rect `[x·w/ow, (x+1)·w/ow) × [y·h/oh, (y+1)·h/oh)`, widened to
+/// one pixel where the output is finer than the source. Integer
+/// arithmetic only, so a frame gives the same bytes on every host and
+/// thread count. Source pixels missing from a short `rgba` count as zero.
+///
+/// Each output row first sums its source rows column by column, then each
+/// output pixel sums its columns of that: every source byte is read once.
+pub fn box_filter(rgba: &[u8], width: usize, height: usize, out_w: usize, out_h: usize) -> Vec<u8> {
+    let span = |i: usize, n: usize, out: usize| {
+        let lo = i * n / out;
+        lo..((i + 1) * n / out).max(lo + 1)
+    };
+    let cols: Vec<_> = (0..out_w).map(|x| span(x, width, out_w)).collect();
+    let row_bytes = width * 4;
+    let mut column_sums = vec![0u32; row_bytes];
+    let mut out = Vec::with_capacity(out_w * out_h * 4);
+    for y in 0..out_h {
+        let rows = span(y, height, out_h);
+        column_sums.fill(0);
+        for r in rows.clone() {
+            let row = rgba.get(r * row_bytes..).unwrap_or_default();
+            for (s, &b) in column_sums.iter_mut().zip(row) {
+                *s += u32::from(b);
+            }
+        }
+        for c in &cols {
+            let mut sum = [0u64; 4];
+            let px = column_sums.get(c.start * 4..c.end * 4).unwrap_or_default();
+            for p in px.chunks_exact(4) {
+                for (s, &v) in sum.iter_mut().zip(p) {
+                    *s += u64::from(v);
+                }
+            }
+            let n = (rows.len() * c.len()) as u64;
+            out.extend(sum.map(|s| ((s + n / 2) / n) as u8));
+        }
+    }
+    out
+}
 
 // FNV-1a content hash.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -536,9 +584,9 @@ impl FrameStreamer {
         }
     }
 
-    /// Encodes a low-resolution preview frame (progressive refinement
-    /// during camera motion). Previews ride outside the epoch/seq
-    /// discipline: they are advisory photons, not state transitions.
+    /// Encodes a low-resolution preview frame, a [`box_filter`] of the
+    /// frame about to be encoded. Previews ride outside the epoch/seq
+    /// discipline: they are advisory, not state transitions.
     pub fn encode_preview(
         &self,
         client_id: usize,
@@ -1456,6 +1504,110 @@ mod tests {
             FrameStreamer::new(32, 32, 0).encode(0, 0, &frame(32, 32, 0)).unwrap();
         let err = asm.apply(&key).unwrap_err();
         assert!(matches!(err, DeltaError::WrongSize { .. }), "{err}");
+    }
+
+    /// The box filter written out by hand: float mean, rounded, over the
+    /// rect the filter's contract names.
+    fn box_reference(rgba: &[u8], w: usize, h: usize, ow: usize, oh: usize) -> Vec<u8> {
+        let span = |i: usize, n: usize, o: usize| (i * n / o, ((i + 1) * n / o).max(i * n / o + 1));
+        let mut out = Vec::new();
+        for y in 0..oh {
+            let (y0, y1) = span(y, h, oh);
+            for x in 0..ow {
+                let (x0, x1) = span(x, w, ow);
+                for c in 0..4 {
+                    let mut sum = 0.0;
+                    for sy in y0..y1 {
+                        for sx in x0..x1 {
+                            sum += f64::from(rgba[(sy * w + sx) * 4 + c]);
+                        }
+                    }
+                    out.push((sum / ((y1 - y0) * (x1 - x0)) as f64).round() as u8);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn box_filter_of_a_constant_frame_is_constant() {
+        let px = [7u8, 99, 200, 255];
+        let flat: Vec<u8> = px.repeat(70 * 50);
+        for (ow, oh) in [(17, 12), (70, 50), (1, 1), (140, 3)] {
+            assert_eq!(box_filter(&flat, 70, 50, ow, oh), px.repeat(ow * oh), "{ow}×{oh}");
+        }
+        // pixels missing from a frame cut short count as zero, in whole
+        // rows and in part of one: 4 × 2 of 200, then 6 of its 8 pixels
+        let full = [200u8; 4 * 2 * 4];
+        assert_eq!(box_filter(&full[..16], 4, 2, 1, 1), [100; 4]);
+        assert_eq!(box_filter(&full[..24], 4, 2, 1, 1), [150; 4]);
+    }
+
+    #[test]
+    fn box_filter_means_the_source_rect() {
+        // the wall's preview, a 4 × 4 block a pixel
+        let big = noise(256 * 192 * 4, 1);
+        let low = box_filter(&big, 256, 192, 64, 48);
+        assert_eq!(low.len(), 64 * 48 * 4);
+        assert_eq!(low, box_reference(&big, 256, 192, 64, 48));
+        // the first output pixel by hand
+        let corner: Vec<u32> = (0..4)
+            .map(|c| {
+                (0..4)
+                    .flat_map(|y| (0..4).map(move |x| (y * 256 + x) * 4 + c))
+                    .map(|i| u32::from(big[i]))
+                    .sum()
+            })
+            .collect();
+        let want: Vec<u8> = corner.iter().map(|&s| ((s + 8) / 16) as u8).collect();
+        assert_eq!(low[..4], want[..]);
+        // the fifteen-cell smoke wall: 32 × 24 panels, where the preview's
+        // floor of 8 px makes rows of 3 source rows, not 4
+        let small = noise(32 * 24 * 4, 2);
+        assert_eq!(box_filter(&small, 32, 24, 8, 8), box_reference(&small, 32, 24, 8, 8));
+        // uneven rects both ways
+        let odd = noise(70 * 50 * 4, 3);
+        assert_eq!(box_filter(&odd, 70, 50, 17, 12), box_reference(&odd, 70, 50, 17, 12));
+    }
+
+    #[test]
+    fn box_filter_finer_than_the_source_copies_one_pixel_each() {
+        // 3 × 2 → 7 × 5: every output rect is one source pixel, x·w/ow
+        let src = noise(3 * 2 * 4, 4);
+        let up = box_filter(&src, 3, 2, 7, 5);
+        assert_eq!(up, box_reference(&src, 3, 2, 7, 5));
+        for y in 0..5 {
+            for x in 0..7 {
+                let (at, from) = ((y * 7 + x) * 4, ((y * 2 / 5) * 3 + x * 3 / 7) * 4);
+                assert_eq!(up[at..at + 4], src[from..from + 4], "({x}, {y})");
+            }
+        }
+    }
+
+    /// A wall cell rendered at 1, 2 and 8 threads gives the same preview
+    /// message, byte for byte.
+    #[test]
+    fn preview_bytes_are_the_same_at_any_thread_count() {
+        use crate::protocol::encode_frame;
+        use crate::workflow::{build_wall_pipeline, cell_from_plot_stage, wall_registry};
+        use crate::workflow::WallWorkflowConfig;
+        let cfg = WallWorkflowConfig { n_cells: 2, synth: (2, 4, 24, 48), cell_px: (256, 192) };
+        let (w, h) = cfg.cell_px;
+        let (pw, ph) = (w / PREVIEW_DOWNSAMPLE, h / PREVIEW_DOWNSAMPLE);
+        let (pipeline, chains) = build_wall_pipeline(&cfg).unwrap();
+        let mut exec = vistrails::executor::Executor::new(wall_registry());
+        for chain in &chains {
+            let mut cell = cell_from_plot_stage(&mut exec, &pipeline, chain.plot, "preview").unwrap();
+            let previews: Vec<Vec<u8>> = [1, 2, 8]
+                .map(|n| {
+                    let rgba = rayon::with_threads(n, || cell.render(w, h).unwrap().to_rgba8());
+                    let low = box_filter(&rgba, w, h, pw, ph);
+                    let streamer = FrameStreamer::new(w, h, 0);
+                    encode_frame(&streamer.encode_preview(0, 1, &low, pw, ph).unwrap()).unwrap()
+                })
+                .into();
+            assert!(previews.iter().all(|p| *p == previews[0]), "cell {}", chain.cell);
+        }
     }
 
     #[test]

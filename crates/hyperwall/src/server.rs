@@ -1,12 +1,18 @@
 //! The server (control) node: owns the full workflow, ships sub-workflows
-//! to clients, mirrors everything at reduced resolution, and propagates
-//! the user's interaction ops to the wall.
+//! to clients, keeps a reduced-resolution mirror cell of every panel, and
+//! propagates the user's interaction ops to the wall.
 //!
 //! The server is the fault-tolerance anchor (see the crate docs): every
 //! client exchange runs under a deadline, a failing client degrades its
 //! panel instead of stopping the wall, degraded panels are served from the
 //! server's own low-res mirror, and reconnecting clients are admitted
 //! again with capped exponential backoff and promoted back to live.
+//!
+//! Each cell is rendered once a frame. A live panel's client renders it;
+//! the server renders a mirror cell only for a panel it serves itself (a
+//! degraded one), and the touchscreen mosaic box-filters the frames the
+//! live panels sent. Every mirror cell still takes every op, so a panel
+//! that degrades is mirrored at once.
 //!
 //! A panel is one value with two arms: `Live(link)`, where the link owns
 //! the socket, the protocol revision the client declared and (for pixel
@@ -31,7 +37,7 @@
 //! ids arrive in a client's `Hello` and per-panel state is looked up inside
 //! every frame, so access goes through `.get()` and iterators.
 
-use crate::frame_delta::{Applied, FrameAssembler};
+use crate::frame_delta::{box_filter, Applied, FrameAssembler};
 use crate::protocol::{
     read_message_deadline, read_message_deadline_sized, write_message_deadline, Message,
     PROTO_DELTA,
@@ -187,7 +193,8 @@ pub struct FrameReport {
     pub client_render_ms: Vec<f64>,
     /// Wall time from Execute broadcast to the last FrameDone, ms.
     pub round_trip_ms: f64,
-    /// Server's low-res mirror render time for all cells, ms.
+    /// Mirror renders for the panels served from the mirror this frame,
+    /// ms; exactly 0.0 when every panel is live.
     pub mirror_ms: f64,
     /// Per-client coverage fractions (mirror-derived for degraded panels).
     pub coverage: Vec<f64>,
@@ -463,9 +470,12 @@ impl HyperwallServer {
     }
 
     /// Executes one distributed frame: reconnect any panels whose backoff
-    /// is due, broadcast Execute to live panels, render the local mirror
-    /// while clients render full-res, collect FrameDone, and substitute the
-    /// mirror for every panel that is (or just became) degraded.
+    /// is due, broadcast Execute to live panels, render the mirror cells of
+    /// the degraded panels while the clients render theirs, collect
+    /// FrameDone, and serve every panel that is (or just became) degraded
+    /// from its mirror cell. A panel that degrades while its frame is
+    /// collected has its mirror cell rendered then, once; that render is in
+    /// the frame's `mirror_ms` and `round_trip_ms`.
     ///
     /// Client failures never fail the frame — only server-local errors
     /// (e.g. the mirror render itself) do.
@@ -479,32 +489,33 @@ impl HyperwallServer {
             self.tell(i, &execute, "Execute");
         }
 
-        // server-side reduced-resolution mirror of the full spreadsheet
-        let (mw, mh) = (self.mirror_px.0.max(16), self.mirror_px.1.max(16));
-        let mirror_start = Instant::now();
-        let mirror_coverage = self
-            .mirror
-            .iter_mut()
-            .map(|cell| {
-                let fb = cell.render(mw, mh)?;
-                Ok(fb.covered_pixels(rvtk::Color::BLACK) as f64 / (mw * mh) as f64)
+        // the panels already degraded are served from the mirror: their
+        // cells render here, while the live clients render theirs
+        let mut mirror_ms = 0.0;
+        let served: Vec<Option<f64>> = (0..self.panels.len())
+            .map(|i| match self.panels.get(i) {
+                Some(Panel::Degraded { .. }) => self.mirror_coverage(i, &mut mirror_ms).map(Some),
+                _ => Ok(None),
             })
-            .collect::<Result<Vec<f64>>>()?;
-        let mirror_ms = mirror_start.elapsed().as_secs_f64() * 1000.0;
-
+            .collect::<Result<_>>()?;
         // a panel still live here was sent its Execute
-        let rows: Vec<PanelFrame> = (0..self.panels.len())
-            .map(|i| {
+        let rows = served
+            .into_iter()
+            .enumerate()
+            .map(|(i, served)| {
                 let mut row = self.collect_frame(i, frame, start);
                 // graceful degradation: a degraded panel shows the server mirror
                 if matches!(self.panels.get(i), Some(Panel::Degraded { .. })) {
                     row.degraded = true;
-                    row.coverage = mirror_coverage.get(i).copied().unwrap_or(0.0);
+                    row.coverage = match served {
+                        Some(coverage) => coverage,
+                        None => self.mirror_coverage(i, &mut mirror_ms)?,
+                    };
                     self.degraded_frames_total += 1;
                 }
-                row
+                Ok(row)
             })
-            .collect();
+            .collect::<Result<Vec<PanelFrame>>>()?;
 
         Ok(FrameReport {
             frame,
@@ -516,6 +527,29 @@ impl HyperwallServer {
             transport_bytes: rows.iter().map(|r| r.transport_bytes).collect(),
             first_content_ms: rows.iter().map(|r| r.first_content_ms).collect(),
         })
+    }
+
+    /// The mirror resolution of one cell.
+    fn mirror_size(&self) -> (usize, usize) {
+        (self.mirror_px.0.max(16), self.mirror_px.1.max(16))
+    }
+
+    /// Panel `i`'s mirror cell rendered at the mirror size; `None` before
+    /// `assign_workflows` has built the mirror.
+    fn render_mirror(&mut self, i: usize) -> Result<Option<rvtk::render::Framebuffer>> {
+        let (w, h) = self.mirror_size();
+        let Some(cell) = self.mirror.get_mut(i) else { return Ok(None) };
+        Ok(Some(cell.render(w, h)?))
+    }
+
+    /// Renders panel `i`'s mirror cell and returns its covered-pixel
+    /// fraction, the coverage the panel shows while the server serves it
+    /// (0 with no mirror); the render time is added to `ms`.
+    fn mirror_coverage(&mut self, i: usize, ms: &mut f64) -> Result<f64> {
+        let t = Instant::now();
+        let Some(fb) = self.render_mirror(i)? else { return Ok(0.0) };
+        *ms += t.elapsed().as_secs_f64() * 1000.0;
+        Ok(fb.covered_pixels(rvtk::Color::BLACK) as f64 / (fb.width() * fb.height()) as f64)
     }
 
     /// Collects panel `i`'s replies to `Execute { frame }` (sent at `start`)
@@ -682,18 +716,25 @@ impl HyperwallServer {
         Ok(i)
     }
 
-    /// Assembles the server's low-resolution mirror cells into one mosaic
-    /// framebuffer arranged by the wall layout — the touchscreen preview of
-    /// the whole wall.
+    /// The touchscreen preview of the whole wall: one mirror-sized picture
+    /// per panel, arranged by the wall layout. A panel with a synced frame
+    /// shows that frame, box-filtered — what the wall shows; the others
+    /// (degraded and metadata-only panels) show their mirror cell, rendered
+    /// here.
     pub fn mirror_mosaic(&mut self, layout: &crate::layout::WallLayout) -> Result<rvtk::render::Framebuffer> {
-        let (mw, mh) = (self.mirror_px.0.max(16), self.mirror_px.1.max(16));
-        let mut mosaic = rvtk::render::Framebuffer::new(mw * layout.cols, mh * layout.rows);
-        for (i, cell) in self.mirror.iter_mut().enumerate() {
+        use rvtk::render::Framebuffer;
+        let (mw, mh) = self.mirror_size();
+        let (w, h) = self.cell_px;
+        let mut mosaic = Framebuffer::new(mw * layout.cols, mh * layout.rows);
+        for i in 0..self.mirror.len() {
             let Some((row, col)) = layout.panel_of(i) else {
                 break;
             };
-            let frame = cell.render(mw, mh)?;
-            mosaic.blit(&frame, col * mw, row * mh);
+            let picture = match self.panel_frame(i) {
+                Some(rgba) => Framebuffer::from_rgba8(mw, mh, &box_filter(rgba, w, h, mw, mh)),
+                None => self.render_mirror(i)?.unwrap_or_else(|| Framebuffer::new(mw, mh)),
+            };
+            mosaic.blit(&picture, col * mw, row * mh);
         }
         Ok(mosaic)
     }
@@ -898,6 +939,7 @@ mod tests {
         let report = server.execute_frame(0).unwrap();
         assert_eq!(report.degraded, vec![true, true]);
         assert!(report.coverage.iter().all(|&c| c > 0.0), "{report:?}");
+        assert!(report.mirror_ms > 0.0, "{report:?}");
         assert_eq!(server.degraded_frames_total(), 2);
         assert!(!server.incidents.is_empty());
     }
@@ -949,8 +991,10 @@ mod tests {
         // the honest client's numbers came through
         assert_eq!(report.client_render_ms[0], 1.0);
         assert_eq!(report.coverage[0], 0.5);
-        // the liar's coverage was substituted from the mirror
+        // the liar's coverage was substituted from the mirror, rendered in
+        // this frame once the panel degraded
         assert!(report.coverage[1] > 0.0);
+        assert!(report.mirror_ms > 0.0, "{report:?}");
         for f in fakes {
             f.join().unwrap();
         }

@@ -310,6 +310,20 @@ impl Framebuffer {
         out
     }
 
+    /// A `width`×`height` framebuffer holding packed RGBA8 pixels, the
+    /// inverse of [`Framebuffer::to_rgba8`] (empty depth). Pixels missing
+    /// from a short `rgba` stay black.
+    pub fn from_rgba8(width: usize, height: usize, rgba: &[u8]) -> Framebuffer {
+        let mut fb = Framebuffer::new(width, height);
+        fb.blank = None;
+        for (c, px) in fb.color.iter_mut().zip(rgba.chunks_exact(4)) {
+            if let Ok(px) = <[u8; 4]>::try_from(px) {
+                *c = Color::from_u8(px);
+            }
+        }
+        fb
+    }
+
     /// Mean luminance over all pixels — a cheap "did anything render" probe
     /// used heavily by tests.
     pub fn mean_luminance(&self) -> f32 {
@@ -501,6 +515,16 @@ mod tests {
         for (i, c) in fb.colors().iter().enumerate() {
             assert_eq!(bytes[i * 4..i * 4 + 4], c.to_u8(), "pixel {i}: {c:?}");
         }
+    }
+
+    #[test]
+    fn from_rgba8_inverts_to_rgba8_for_every_byte() {
+        // every byte value in every channel, and a short input
+        let bytes: Vec<u8> = (0..=255u8).flat_map(|v| [v, 255 - v, v / 3, v]).collect();
+        let fb = Framebuffer::from_rgba8(16, 16, &bytes);
+        assert_eq!(fb.to_rgba8(), bytes);
+        let short = Framebuffer::from_rgba8(2, 1, &[9, 9, 9, 255]);
+        assert_eq!(short.to_rgba8(), [9, 9, 9, 255, 0, 0, 0, 255]);
     }
 
     #[test]

@@ -224,12 +224,20 @@ fn cmd_wall(opts: &HashMap<&str, &str>) -> Result<(), String> {
     let report = hyperwall::cluster::run_wall(&cfg, 4, frames, &[])
         .map_err(|e| e.to_string())?;
     println!(
-        "{} clients, {} frames: assign {:.1} ms, mean client render {:.1} ms, mean mirror {:.1} ms",
+        "{} clients, {} frames: assign {:.1} ms, mean client render {:.1} ms",
         report.n_clients,
         frames,
         report.assign_ms,
         report.mean_client_render_ms(),
-        report.mean_mirror_ms()
     );
+    if report.degraded_frames == 0 {
+        println!("every panel live: the server rendered no mirror cell");
+    } else {
+        println!(
+            "mirror {:.1} ms per degraded panel-frame ({} panel-frames degraded)",
+            report.mirror_ms_per_degraded_frame(),
+            report.degraded_frames
+        );
+    }
     Ok(())
 }

@@ -114,8 +114,9 @@ fn fig4_hovmoller_plots_and_phase_speed() {
 }
 
 /// Fig 5: the 15-cell hyperwall execution model — server assigns per-cell
-/// sub-workflows, clients render full-res, server mirrors low-res,
-/// interaction ops propagate to every display.
+/// sub-workflows, clients render full-res, the server keeps a low-res
+/// mirror for any panel that fails, interaction ops propagate to every
+/// display.
 #[test]
 fn fig5_hyperwall_fifteen_cells() {
     let cfg = WallWorkflowConfig { n_cells: 15, synth: (1, 2, 10, 20), cell_px: (48, 36) };
