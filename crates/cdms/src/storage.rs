@@ -258,17 +258,10 @@ impl Storage for LocalDisk {
         use std::io::{Read, Seek, SeekFrom};
         let mut f = std::fs::File::open(path)?;
         f.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len];
-        let mut filled = 0usize;
-        while filled < len {
-            match f.read(&mut buf[filled..]) {
-                Ok(0) => break, // EOF: return the short prefix
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        buf.truncate(filled);
+        // read into capacity, not over zeros: `read_to_end` stops at EOF
+        // (the short prefix) and retries `Interrupted` itself
+        let mut buf = Vec::with_capacity(len);
+        f.take(len as u64).read_to_end(&mut buf)?;
         Ok(buf)
     }
 
@@ -929,6 +922,8 @@ mod tests {
         // reads past EOF return the short prefix, not an error
         assert_eq!(LocalDisk.read_at(&path, 8, 10).unwrap(), b"89");
         assert_eq!(LocalDisk.read_at(&path, 20, 5).unwrap(), b"");
+        // a length far past EOF reserves it but returns what exists
+        assert_eq!(LocalDisk.read_at(&path, 0, 1 << 20).unwrap(), b"0123456789");
         std::fs::remove_file(&path).ok();
     }
 

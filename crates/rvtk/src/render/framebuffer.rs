@@ -2,7 +2,6 @@
 //! tile/band partition helpers shared by the rasterizer and volume paths.
 
 use crate::color::Color;
-use rayon::prelude::*;
 use std::io::Write;
 use std::path::Path;
 
@@ -189,11 +188,6 @@ pub struct Framebuffer {
     color: Vec<Color>,
     /// NDC depth in [-1, 1]; +∞ means empty.
     depth: Vec<f32>,
-    /// `Some(c)` while every pixel is still `c` at depth +∞ — nothing has
-    /// been drawn since the fill — so that clearing a new framebuffer to
-    /// the color it was made with does not fill it a second time. Every
-    /// `&mut self` path that can write a pixel resets it.
-    blank: Option<Color>,
 }
 
 impl Framebuffer {
@@ -204,8 +198,15 @@ impl Framebuffer {
             height,
             color: vec![Color::BLACK; width * height],
             depth: vec![f32::INFINITY; width * height],
-            blank: Some(Color::BLACK),
         }
+    }
+
+    /// A `width`×`height` framebuffer whose pixels are not written yet: no
+    /// storage at all. Only for a caller that hands it straight to
+    /// [`Framebuffer::redraw_bands`] (through `Renderer::render`), which
+    /// writes every pixel before anything can read one.
+    pub(crate) fn unwritten(width: usize, height: usize) -> Framebuffer {
+        Framebuffer { width, height, color: Vec::new(), depth: Vec::new() }
     }
 
     /// Width in pixels.
@@ -225,11 +226,8 @@ impl Framebuffer {
 
     /// Clears color and depth.
     pub fn clear(&mut self, background: Color) {
-        if self.blank != Some(background) {
-            self.color.fill(background);
-            self.depth.fill(f32::INFINITY);
-            self.blank = Some(background);
-        }
+        self.color.fill(background);
+        self.depth.fill(f32::INFINITY);
     }
 
     /// Pixel color at `(x, y)`; panics out of range (test/diagnostic use).
@@ -245,7 +243,6 @@ impl Framebuffer {
     /// Sets a pixel unconditionally (no depth test), for 2D overlays.
     pub fn set_pixel(&mut self, x: usize, y: usize, c: Color) {
         if x < self.width && y < self.height {
-            self.blank = None;
             let i = y * self.width + x;
             self.color[i] = if c.a >= 1.0 { c } else { c.over(self.color[i]) };
         }
@@ -258,13 +255,13 @@ impl Framebuffer {
 
     /// Splits the framebuffer into horizontal bands of `rows_per_band`
     /// rows (the last may be shorter) — each band owns disjoint rows so
-    /// they can be written in parallel without locking. This is the one
-    /// partition primitive shared by the tile rasterizer, the scanline
-    /// reference and the volume ray-caster.
+    /// they can be written in parallel without locking: the partition of
+    /// the scanline reference and the volume ray-caster, which draw over
+    /// pixels already written. The tile rasterizer writes its bands
+    /// through [`Framebuffer::redraw_bands`].
     pub(crate) fn band_views(&mut self, rows_per_band: usize) -> Vec<BandView<'_>> {
         let rows_per = rows_per_band.clamp(1, self.height.max(1));
         let width = self.width;
-        self.blank = None;
         let mut out = Vec::with_capacity(self.height.div_ceil(rows_per));
         let mut color_rest: &mut [Color] = &mut self.color;
         let mut depth_rest: &mut [f32] = &mut self.depth;
@@ -288,24 +285,60 @@ impl Framebuffer {
         self.band_views(self.height.max(1).div_ceil(n))
     }
 
-    /// Bands aligned to the tile rows of `grid`: band `ty` covers exactly
-    /// tile row `ty`, so a parallel iteration over these bands gives each
-    /// worker exclusive ownership of whole tiles.
-    pub(crate) fn tile_bands(&mut self, grid: &TileGrid) -> Vec<BandView<'_>> {
-        self.band_views(grid.tile())
+    /// Writes every pixel anew, band by band, on one parallel region: band
+    /// `b` covers the `rows_per_band` rows from `b * rows_per_band` (the
+    /// last may be shorter), is written as `background` at depth +∞ straight
+    /// into the storage's spare capacity, and is then handed to
+    /// `draw(b, band)` while it is still in cache. No pixel is written
+    /// before its band's fill, so none is written twice to clear it. A
+    /// panic in `draw` leaves the framebuffer cleared to `background`.
+    pub(crate) fn redraw_bands(
+        &mut self,
+        rows_per_band: usize,
+        background: Color,
+        draw: impl Fn(usize, &mut BandView<'_>) + Sync,
+    ) {
+        /// Restores whole storage if the growth below unwinds.
+        struct Cleared<'a>(&'a mut Framebuffer, Color);
+        impl Drop for Cleared<'_> {
+            fn drop(&mut self) {
+                let n = self.0.width * self.0.height;
+                if self.0.color.len() != n || self.0.depth.len() != n {
+                    self.0.color.clear();
+                    self.0.color.resize(n, self.1);
+                    self.0.depth.clear();
+                    self.0.depth.resize(n, f32::INFINITY);
+                }
+            }
+        }
+        let rows_per = rows_per_band.clamp(1, self.height.max(1));
+        let (width, n) = (self.width, self.width * self.height);
+        self.color.clear();
+        self.depth.clear();
+        let fb = Cleared(self, background);
+        let (color, depth) = (&mut fb.0.color, &mut fb.0.depth);
+        let band_px = (rows_per * width).max(1);
+        rayon::extend_chunks_pair(color, depth, n, band_px, |b, colors, depths| {
+            let colors = colors.fill(background);
+            let rows = colors.len() / width;
+            let depths = depths.fill(f32::INFINITY);
+            draw(b, &mut BandView { y0: b * rows_per, rows, width, colors, depths });
+        });
     }
 
     /// Quantizes the image to packed RGBA8 bytes (row-major, y = 0 top) —
     /// the lossless wire format of the hyperwall frame-delta transport.
-    /// Bands of [`TileGrid::TILE`] rows are quantized in parallel.
+    /// Bands of [`TileGrid::TILE`] rows are quantized in parallel, each
+    /// written once into the output's spare capacity.
     pub fn to_rgba8(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.color.len() * 4];
+        let mut out = Vec::new();
         let band = self.width.max(1) * TileGrid::TILE;
-        out.par_chunks_mut(band * 4).enumerate().for_each(|(b, bytes)| {
+        rayon::extend_chunks(&mut out, self.color.len() * 4, band * 4, |b, mut bytes| {
             let colors = self.color.get(b * band..).unwrap_or(&[]);
-            for (px, c) in bytes.chunks_exact_mut(4).zip(colors) {
-                px.copy_from_slice(&c.to_u8());
+            for c in colors.iter().take(bytes.len() / 4) {
+                bytes.extend_from_slice(&c.to_u8());
             }
+            bytes.finish();
         });
         out
     }
@@ -315,7 +348,6 @@ impl Framebuffer {
     /// from a short `rgba` stay black.
     pub fn from_rgba8(width: usize, height: usize, rgba: &[u8]) -> Framebuffer {
         let mut fb = Framebuffer::new(width, height);
-        fb.blank = None;
         for (c, px) in fb.color.iter_mut().zip(rgba.chunks_exact(4)) {
             if let Ok(px) = <[u8; 4]>::try_from(px) {
                 *c = Color::from_u8(px);
@@ -349,7 +381,6 @@ impl Framebuffer {
     /// `(x0, y0)`, clipping at the edges (no depth transfer) — used to
     /// assemble mosaics like the hyperwall preview.
     pub fn blit(&mut self, src: &Framebuffer, x0: usize, y0: usize) {
-        self.blank = None;
         for sy in 0..src.height() {
             let dy = y0 + sy;
             if dy >= self.height {
@@ -393,33 +424,43 @@ mod tests {
     }
 
     #[test]
-    fn clear_refills_after_every_kind_of_write() {
-        // a new framebuffer skips the fill when cleared to the color it
-        // was made with; once anything may have been written, to that
-        // color too, it must not
-        let mut lit = Framebuffer::new(1, 1);
-        lit.set_pixel(0, 0, Color::RED);
-        let writes: [fn(&mut Framebuffer, &Framebuffer); 3] = [
-            |fb, _| fb.set_pixel(1, 1, Color::RED),
-            |fb, lit| fb.blit(lit, 1, 1),
-            |fb, _| {
-                for band in fb.band_views(1) {
-                    band.colors.fill(Color::RED);
-                    band.depths.fill(0.5);
+    fn redraw_bands_fills_each_band_before_drawing_it_and_survives_a_panic() {
+        for threads in [1, 2, 8] {
+            rayon::with_threads(threads, || {
+                // a ragged last band, over storage that held another frame
+                let mut fb = Framebuffer::new(7, 10);
+                fb.clear(Color::RED);
+                fb.redraw_bands(3, Color::BLUE, |b, band| {
+                    assert_eq!((band.y0, band.rows), (b * 3, if b == 3 { 1 } else { 3 }));
+                    assert!(band.colors.iter().all(|&c| c == Color::BLUE), "band {b}");
+                    assert!(band.depths.iter().all(|&d| d == f32::INFINITY), "band {b}");
+                    band.colors[0] = Color::GREEN;
+                    band.depths[0] = 0.5;
+                });
+                for y in 0..10 {
+                    let first = y % 3 == 0;
+                    assert_eq!(fb.pixel(0, y), if first { Color::GREEN } else { Color::BLUE });
+                    assert_eq!(fb.depth_at(0, y), if first { 0.5 } else { f32::INFINITY });
+                    assert_eq!(fb.pixel(6, y), Color::BLUE);
                 }
-            },
-        ];
-        for (i, write) in writes.iter().enumerate() {
-            for background in [Color::BLACK, Color::BLUE] {
-                let mut fb = Framebuffer::new(3, 2);
-                fb.clear(background);
-                write(&mut fb, &lit);
-                assert_eq!(fb.pixel(1, 1), Color::RED, "write {i}");
-                fb.clear(background);
-                assert!(fb.colors().iter().all(|&c| c == background), "write {i}");
-                assert!(fb.depth.iter().all(|&d| d == f32::INFINITY), "write {i}");
-            }
+                // a panicking band leaves the framebuffer whole, cleared
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fb.redraw_bands(3, Color::WHITE, |b, band| {
+                        band.colors[0] = Color::GREEN;
+                        assert!(b != 2, "band 2");
+                    });
+                }));
+                assert!(caught.is_err());
+                assert_eq!(fb.colors().len(), 70);
+                assert!(fb.colors().iter().all(|&c| c == Color::WHITE), "at {threads}");
+                assert!((0..10).all(|y| fb.depth_at(3, y) == f32::INFINITY));
+            });
         }
+        // a framebuffer with no pixels, and one with no storage yet
+        Framebuffer::new(0, 4).redraw_bands(2, Color::BLUE, |_, _| panic!("no band"));
+        let mut fb = Framebuffer::unwritten(5, 2);
+        fb.redraw_bands(32, Color::BLUE, |_, _| {});
+        assert!(fb.colors().len() == 10 && fb.colors().iter().all(|&c| c == Color::BLUE));
     }
 
     #[test]
@@ -467,9 +508,9 @@ mod tests {
         // rects tile the screen exactly
         let area: usize = (0..g.len()).map(|i| g.rect(i).w * g.rect(i).h).sum();
         assert_eq!(area, 70 * 33);
-        // tile bands align with tile rows
+        // bands of one tile row align with tile rows
         let mut fb = Framebuffer::new(70, 33);
-        let bands = fb.tile_bands(&g);
+        let bands = fb.band_views(g.tile());
         assert_eq!(bands.len(), g.rows());
         assert_eq!(bands[1].rows, 1);
     }

@@ -41,6 +41,7 @@ use crate::render::image_slice::{ImageSlice, ScreenQuad};
 use crate::render::light::Light;
 use crate::render::tile;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Mesh points transformed and shaded per parallel item.
 const VERTEX_CHUNK: usize = 4096;
@@ -232,9 +233,13 @@ pub(crate) struct Surface<'a> {
 impl Surface<'_> {
     /// The tile engine's triangles: every cell, in mesh order, whose
     /// corners survived and which [`reach`]es a pixel centre. Assembled in
-    /// parallel, `TRI_CHUNK` cells to a part of their own, the parts joined
-    /// in chunk order — and before any painter sort, while a triangle's
-    /// three corners are still neighbours in memory.
+    /// parallel, `TRI_CHUNK` cells to a part of their own — before any
+    /// painter sort, while a triangle's three corners are still neighbours
+    /// in memory — and the parts then written once into `tris`, each at the
+    /// offset the counts of the parts before it give, in parallel too.
+    /// (Counting first and writing the refs straight into `tris` evaluates
+    /// [`reach`] twice a triangle, which costs more than the move saves:
+    /// DESIGN §27.)
     fn assemble(&self, verts: &[ScreenVertex], tris: &mut Vec<TriRef>) {
         let mine = verts.get(self.base as usize..).unwrap_or(&[]);
         let corner = |i: u32| {
@@ -256,10 +261,11 @@ impl Surface<'_> {
             }));
             *part = refs;
         });
-        tris.reserve(parts.iter().map(Vec::len).sum());
-        for mut part in parts {
-            tris.append(&mut part);
-        }
+        let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
+        rayon::extend_counted(tris, &counts, |c, mut slots| {
+            slots.extend_from_slice(parts.get(c).map_or(&[], Vec::as_slice));
+            slots.finish();
+        });
     }
 
     /// The scanline reference's triangles: every cell whose three corners
@@ -348,39 +354,44 @@ pub(crate) fn project_actor<'a>(
     // Transform and shade every point once, into the frame's vertex array;
     // `px` says which points survived (`None`: dropped, no cell may use
     // it) and, for a surface — the one representation whose cells read
-    // it — holds each survivor's sample box. Each chunk also records
-    // whether a survivor came out translucent.
+    // it — holds each survivor's sample box. Both are written once, chunk
+    // by chunk, into spare capacity; a chunk that shades a survivor
+    // translucent says so.
     let PrimitiveList { verts, lines, points, blends, .. } = out;
     let n = pd.points.len();
     // dv3dlint: allow(no_panic) -- 2^32 vertices are 171 GB of `ScreenVertex`; the sort and CSR indices are u32 too
     let end = u32::try_from(verts.len() + n).expect("frame vertex count fits the u32 ids");
     let base = end - n as u32;
     let surface = prop.representation == Representation::Surface;
-    let mut px: Vec<Option<[i32; 4]>> = vec![None; n];
-    let mut translucent = vec![false; n.div_ceil(VERTEX_CHUNK)];
-    verts.resize(end as usize, ScreenVertex::default());
-    let mine = verts.get_mut(base as usize..).unwrap_or(&mut []);
-    let chunks = mine.par_chunks_mut(VERTEX_CHUNK).zip(px.par_chunks_mut(VERTEX_CHUNK));
-    chunks.zip(translucent.par_iter_mut()).enumerate().for_each(
-        |(chunk, ((slots, boxes), seen))| {
-            let first = chunk * VERTEX_CHUNK;
-            let mesh_points = pd.points.get(first..).unwrap_or(&[]);
-            let mut any = false;
-            for (i, ((slot, on_screen), &p)) in
-                (first..).zip(slots.iter_mut().zip(boxes.iter_mut()).zip(mesh_points))
-            {
-                if let Some((sx, sy, z)) = to_screen(p) {
+    let mut px: Vec<Option<[i32; 4]>> = Vec::new();
+    let translucent = AtomicBool::new(false);
+    rayon::extend_chunks_pair(verts, &mut px, n, VERTEX_CHUNK, |chunk, mut slots, mut boxes| {
+        let first = chunk * VERTEX_CHUNK;
+        let mesh_points = pd.points.get(first..first + slots.len()).unwrap_or(&[]);
+        let mut any = false;
+        for (i, &p) in (first..).zip(mesh_points) {
+            match to_screen(p) {
+                Some((sx, sy, z)) => {
                     let color = shade(i);
                     any |= color.a < 1.0;
-                    *slot = ScreenVertex { sx, sy, z, color };
-                    *on_screen = Some(if surface { sample_box(sx, sy) } else { [0; 4] });
+                    slots.push(ScreenVertex { sx, sy, z, color });
+                    boxes.push(Some(if surface { sample_box(sx, sy) } else { [0; 4] }));
+                }
+                None => {
+                    slots.push(ScreenVertex::default());
+                    boxes.push(None);
                 }
             }
-            *seen = any;
-        },
-    );
-    *blends |= surface && translucent.contains(&true);
-    let mine = &*mine;
+        }
+        slots.finish();
+        boxes.finish();
+        if any {
+            // Relaxed: read after the region, which publishes it
+            translucent.store(true, Ordering::Relaxed);
+        }
+    });
+    *blends |= surface && translucent.into_inner();
+    let mine = verts.get(base as usize..).unwrap_or(&[]);
     let corner = |i: u32| px.get(i as usize).copied().flatten();
     let vertex = |i: u32| corner(i).and(mine.get(i as usize));
     let segment = |a: u32, b: u32| -> Option<RasterLine> {
@@ -422,13 +433,13 @@ pub(crate) fn project_actor<'a>(
     surface.then(|| Surface { cells: &pd.triangles, base, samples: px })
 }
 
-/// Rasterizes all primitives into the framebuffer via the tile-binned
-/// engine: bin into the default 32×32 grid, then rasterize occupied tiles
-/// with rayon (tile-row bands in parallel).
-pub(crate) fn rasterize(prims: &PrimitiveList, fb: &mut Framebuffer) {
+/// Rasterizes all primitives via the tile-binned engine into a
+/// framebuffer it writes anew over `background`: bin into the default
+/// 32×32 grid, then fill and rasterize tile-row bands in parallel.
+pub(crate) fn rasterize(prims: &PrimitiveList, background: Color, fb: &mut Framebuffer) {
     let grid = TileGrid::with_default_tile(fb.width(), fb.height());
     let bins = tile::bin_primitives(prims, &grid);
-    tile::rasterize_bins(prims, &bins, &grid, fb);
+    tile::rasterize_bins(prims, &bins, &grid, background, fb);
 }
 
 /// Builds the frame's screen-space primitives for `actors`, and puts the
@@ -489,19 +500,21 @@ pub(crate) fn sort_far_to_near(verts: &[ScreenVertex], tris: &mut Vec<TriRef>) {
 }
 
 /// The renderer's entry point: builds primitives for `actors`, projects
-/// `slices` to screen quads, and rasterizes both into `fb` using
-/// `view_proj` and `lights`.
+/// `slices` to screen quads, and rasterizes both, using `view_proj` and
+/// `lights`, into `fb`, every pixel of which it writes anew over
+/// `background`.
 pub(crate) fn draw(
     actors: &[Actor],
     slices: &[ImageSlice],
     view_proj: &Mat4,
     lights: &[Light],
+    background: Color,
     fb: &mut Framebuffer,
 ) {
     let (width, height) = (fb.width(), fb.height());
     let mut prims = frame_primitives(actors, view_proj, lights, width, height);
     prims.quads = slices.iter().filter_map(|s| s.to_screen(view_proj, width, height)).collect();
-    rasterize(&prims, fb);
+    rasterize(&prims, background, fb);
 }
 
 /// Unprojects a screen pixel back to a world-space ray; used by pick
@@ -531,7 +544,7 @@ mod tests {
     use std::sync::Arc;
 
     fn draw_actors(actors: &[Actor], view_proj: &Mat4, lights: &[Light], fb: &mut Framebuffer) {
-        draw(actors, &[], view_proj, lights, fb);
+        draw(actors, &[], view_proj, lights, Color::BLACK, fb);
     }
 
     impl PrimitiveList {
@@ -676,8 +689,7 @@ mod tests {
         let mut a = screen_tri().with_opacity(0.5);
         a.property.lighting = false;
         let mut fb = Framebuffer::new(32, 32);
-        fb.clear(Color::BLUE);
-        draw_actors(&[a], &front_camera(), &[], &mut fb);
+        draw(&[a], &[], &front_camera(), &[], Color::BLUE, &mut fb);
         let c = fb.pixel(16, 20);
         assert!(c.r > 0.3 && c.b > 0.3, "{c:?}");
     }

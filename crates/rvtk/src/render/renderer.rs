@@ -115,18 +115,27 @@ impl Renderer {
         self.camera.reset_to_bounds(&b);
     }
 
-    /// Renders the scene into a framebuffer: clear, rasterize slice planes
-    /// and geometry, then ray-cast volumes against their depth.
+    /// Renders the scene into a framebuffer, replacing every pixel: the
+    /// tile pass writes each band as the background and rasterizes slice
+    /// planes and geometry into it, then volumes are ray-cast against the
+    /// depth. Nothing of what `fb` held before is read.
     pub fn render(&self, fb: &mut Framebuffer) {
-        fb.clear(self.background);
         let vp = self
             .camera
             .projection_matrix(fb.aspect())
             .mul_mat(&self.camera.view_matrix());
-        rasterizer::draw(&self.actors, &self.slices, &vp, &self.lights, fb);
+        rasterizer::draw(&self.actors, &self.slices, &vp, &self.lights, self.background, fb);
         for v in &self.volumes {
             render_volume(v, &vp, fb);
         }
+    }
+
+    /// The scene rendered into a new `width`×`height` framebuffer, each of
+    /// whose pixels is written once by the tile pass before it is drawn on.
+    pub(crate) fn render_image(&self, width: usize, height: usize) -> Framebuffer {
+        let mut fb = Framebuffer::unwritten(width, height);
+        self.render(&mut fb);
+        fb
     }
 
     /// Casts a pick ray through pixel `(px, py)` and probes the first

@@ -317,21 +317,23 @@ pub(crate) fn bin_primitives(prims: &PrimitiveList, grid: &TileGrid) -> TileBins
     TileBins { quads, tris, lines, points }
 }
 
-/// Rasterizes binned primitives: tile-row bands in parallel, occupied
-/// tiles serially within each band (each tile's pixels belong to exactly
-/// one band, so no locking). Which thread takes which band is decided as
-/// the bands are claimed, top to bottom. Within a tile the slice quads go
-/// first: they are opaque images under everything else, and what the
-/// mesh they replaced wrote before any translucent triangle blended.
+/// Rasterizes binned primitives into a framebuffer it writes anew:
+/// tile-row bands in parallel, each written as `background` at depth +∞ and
+/// then its occupied tiles rasterized serially while the band is still in
+/// cache (each tile's pixels belong to exactly one band, so no locking).
+/// Which thread takes which band is decided as the bands are claimed, top
+/// to bottom. Within a tile the slice quads go first: they are opaque
+/// images under everything else, and what the mesh they replaced wrote
+/// before any translucent triangle blended.
 pub(crate) fn rasterize_bins(
     prims: &PrimitiveList,
     bins: &TileBins,
     grid: &TileGrid,
+    background: Color,
     fb: &mut Framebuffer,
 ) {
     let cols = grid.cols();
-    let mut bands = fb.tile_bands(grid);
-    bands.par_iter_mut().enumerate().for_each(|(ty, band)| {
+    fb.redraw_bands(grid.tile(), background, |ty, band| {
         let mut owners = vec![0u32; grid.tile() * band.rows];
         for tx in 0..cols {
             let idx = grid.index(tx, ty);

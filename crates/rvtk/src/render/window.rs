@@ -8,6 +8,7 @@
 use crate::color::Color;
 use crate::render::framebuffer::Framebuffer;
 use crate::render::renderer::Renderer;
+use std::cell::OnceCell;
 use std::path::Path;
 
 /// Stereo rendering modes.
@@ -25,7 +26,11 @@ pub enum StereoMode {
 /// An offscreen render window.
 #[derive(Debug, Clone)]
 pub struct RenderWindow {
-    fb: Framebuffer,
+    width: usize,
+    height: usize,
+    /// The image of the last `render`, which writes each of its pixels
+    /// once. Before the first, an accessor makes it black.
+    image: OnceCell<Framebuffer>,
     /// Stereo mode applied at `render`.
     pub stereo: StereoMode,
     /// World-space eye separation for stereo pairs.
@@ -36,7 +41,9 @@ impl RenderWindow {
     /// Creates a window with the given pixel size.
     pub fn new(width: usize, height: usize) -> RenderWindow {
         RenderWindow {
-            fb: Framebuffer::new(width, height),
+            width,
+            height,
+            image: OnceCell::new(),
             stereo: StereoMode::Off,
             eye_separation: 0.0,
         }
@@ -44,70 +51,74 @@ impl RenderWindow {
 
     /// Window width.
     pub fn width(&self) -> usize {
-        self.fb.width()
+        self.width
     }
 
     /// Window height.
     pub fn height(&self) -> usize {
-        self.fb.height()
+        self.height
     }
 
-    /// The current image.
+    /// The current image: black before the first `render`.
     pub fn framebuffer(&self) -> &Framebuffer {
-        &self.fb
+        self.image.get_or_init(|| Framebuffer::new(self.width, self.height))
     }
 
     /// Mutable framebuffer (for overlays drawn after `render`).
     pub fn framebuffer_mut(&mut self) -> &mut Framebuffer {
-        &mut self.fb
+        self.framebuffer();
+        // dv3dlint: allow(no_panic) -- `framebuffer` has just made the image
+        self.image.get_mut().expect("the image exists once `framebuffer` has run")
     }
 
     /// Consumes the window, handing its image over without a copy.
     pub fn into_framebuffer(self) -> Framebuffer {
-        self.fb
+        let (width, height) = (self.width, self.height);
+        self.image.into_inner().unwrap_or_else(|| Framebuffer::new(width, height))
     }
 
-    /// Renders `renderer` into this window honouring the stereo mode.
+    /// Renders `renderer` into this window honouring the stereo mode. The
+    /// new image replaces the old one; nothing of the old one is read.
     pub fn render(&mut self, renderer: &Renderer) {
-        match self.stereo {
-            StereoMode::Off => renderer.render(&mut self.fb),
+        let (width, height) = (self.width, self.height);
+        let eye = |cam| {
+            let mut eye = renderer.clone();
+            eye.camera = cam;
+            eye
+        };
+        let image = match self.stereo {
+            StereoMode::Off => renderer.render_image(width, height),
             StereoMode::Anaglyph => {
-                let sep = self.effective_separation(renderer);
-                let (lc, rc) = renderer.camera.stereo_pair(sep);
-                let mut left = renderer.clone();
-                left.camera = lc;
-                let mut right = renderer.clone();
-                right.camera = rc;
-                let mut fb_l = Framebuffer::new(self.width(), self.height());
-                let mut fb_r = Framebuffer::new(self.width(), self.height());
-                left.render(&mut fb_l);
-                right.render(&mut fb_r);
+                let (lc, rc) = renderer.camera.stereo_pair(self.effective_separation(renderer));
+                let fb_l = eye(lc).render_image(width, height);
+                let fb_r = eye(rc).render_image(width, height);
                 // red channel from the left eye, green+blue from the right
-                for y in 0..self.height() {
-                    for x in 0..self.width() {
+                let mut fb = Framebuffer::new(width, height);
+                for y in 0..height {
+                    for x in 0..width {
                         let l = fb_l.pixel(x, y).luminance();
                         let r = fb_r.pixel(x, y);
-                        self.fb.set_pixel(x, y, Color::rgb(l, r.g, r.b));
+                        fb.set_pixel(x, y, Color::rgb(l, r.g, r.b));
                     }
                 }
+                fb
             }
             StereoMode::SideBySide => {
-                let sep = self.effective_separation(renderer);
-                let (lc, rc) = renderer.camera.stereo_pair(sep);
-                let half = (self.width() / 2).max(1);
-                let mut fb_half = Framebuffer::new(half, self.height());
+                let (lc, rc) = renderer.camera.stereo_pair(self.effective_separation(renderer));
+                let half = (width / 2).max(1);
+                let mut fb = Framebuffer::new(width, height);
                 for (cam, x_off) in [(lc, 0usize), (rc, half)] {
-                    let mut eye = renderer.clone();
-                    eye.camera = cam;
-                    eye.render(&mut fb_half);
-                    for y in 0..self.height() {
+                    let fb_half = eye(cam).render_image(half, height);
+                    for y in 0..height {
                         for x in 0..half {
-                            self.fb.set_pixel(x + x_off, y, fb_half.pixel(x, y));
+                            fb.set_pixel(x + x_off, y, fb_half.pixel(x, y));
                         }
                     }
                 }
+                fb
             }
-        }
+        };
+        self.image = OnceCell::from(image);
     }
 
     fn effective_separation(&self, renderer: &Renderer) -> f64 {
@@ -120,7 +131,7 @@ impl RenderWindow {
 
     /// Saves the current image as PPM.
     pub fn save_ppm(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.fb.save_ppm(path)
+        self.framebuffer().save_ppm(path)
     }
 }
 
