@@ -5,24 +5,54 @@
 //! and between keyframes a **delta** carrying only the tiles whose content
 //! changed since the previous frame (the same 32×32 tiling the rvtk
 //! rasterizer bins by — [`rvtk::render::TileGrid`] is shared). Payloads are
-//! losslessly RLE-compressed, every tile carries an FNV-1a content hash,
-//! and every message carries a whole-frame hash, so a corrupted or dropped
-//! message is *detected and rejected atomically* — the receiving
-//! [`FrameAssembler`] never commits a torn frame. Rejection feeds the
-//! resync path: the server answers with a `ResyncRequest` and the client's
-//! [`FrameStreamer`] promotes its next frame to a keyframe.
+//! losslessly RLE-compressed, every tile carries a content hash, and every
+//! message carries a whole-frame hash, so a corrupted or dropped message is
+//! *detected and rejected atomically* — the receiving [`FrameAssembler`]
+//! never commits a torn frame. Rejection feeds the resync path: the server
+//! answers with a `ResyncRequest` and the client's [`FrameStreamer`]
+//! promotes its next frame to a keyframe.
+//!
+//! # The pixel hash (wire revision 5)
+//!
+//! Every pixel hash on the wire — a tile's [`WireTile::hash`], every entry
+//! of the tile-hash tables below, `frame_hash` and a preview's `hash` — is
+//! one fold over little-endian `u64` words:
+//!
+//! ```text
+//! step(h, w)   = ((h ^ w) · K).rotate_left(29)        K    = 0x9e37_79b9_7f4a_7c15
+//! hash(words)  = fmix64(fold(step, SEED, words) ^ n)   SEED = 0x243f_6a88_85a3_08d3
+//! ```
+//!
+//! with wrapping `u64` arithmetic and MurmurHash3's `fmix64` finalizer. An
+//! image's words are its rows' in order, top to bottom, each row's bytes
+//! read eight at a time; in a row of odd width the last pixel's four bytes
+//! are zero-extended to a word of their own. `n` is the image's byte count,
+//! `4·w·h`. A tile is hashed as the image of its rect, row-major within
+//! it; a preview as the whole image. `frame_hash` is the same fold over the
+//! tile-hash table's words, with `n` = 8 × the tile count.
+//!
+//! *One changed word always changes the hash.* For a fixed state `h`, the
+//! word enters injectively (`h ^ w`, then a multiply by the odd `K` and a
+//! rotate, both bijections of `u64`); with the word fixed, a step is a
+//! bijection of the state, and so is `fmix64` of a state xored with the
+//! same `n`. So two images of one geometry that differ in a single word
+//! part at that word and stay apart to the end — the certainty FNV-1a gave
+//! for a single byte, at a word a step. The rotate moves the top bits of a
+//! product down, where the next multiply spreads them upwards again:
+//! without it a change confined to the high bytes — the alpha of every
+//! second pixel — would stay in the top 8 bits of the state, and two such
+//! changes would cancel one time in 256.
 //!
 //! # The whole-frame hash is a hash of tile hashes
 //!
-//! `frame_hash` is FNV-1a over the little-endian `u64` FNV-1a hashes of the
-//! frame's tiles in grid order (180 words for 480×360), and a tile's hash
-//! is what [`WireTile::hash`] carries: FNV-1a over its raw RGBA8 bytes,
-//! row-major within its rect. Position binds through the order of the
-//! words. Both ends keep that **tile-hash table**. A keyframe rebuilds it
-//! from pixels; a delta touches only the entries of its dirty tiles — whose
-//! hashes both ends compute for the wire anyway — and then hashes the
-//! 1 440-byte table, not the 691 200-byte frame. Tiles are hashed four
-//! abreast.
+//! `frame_hash` folds the hashes of the frame's tiles in grid order (180
+//! words for 480×360); position binds through the order of the words. Both
+//! ends keep that **tile-hash table**. A keyframe rebuilds it from pixels;
+//! a delta touches only the entries of its dirty tiles — whose hashes both
+//! ends compute for the wire anyway — and then hashes the 1 440-byte table,
+//! not the 691 200-byte frame. Tiles are hashed four abreast, in place in
+//! the frame or among the packed tiles of a delta: nothing is copied to be
+//! hashed.
 //!
 //! The receiver holds this invariant: *every table entry equals the hash of
 //! that tile's bytes in the committed frame.* A keyframe establishes it
@@ -120,54 +150,152 @@ pub fn box_filter(rgba: &[u8], width: usize, height: usize, out_w: usize, out_h:
     out
 }
 
-// FNV-1a content hash.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_step(h: u64, b: u8) -> u64 {
-    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-}
-
-/// FNV-1a over a byte slice.
+/// FNV-1a over a byte slice: the pixel hash of wire revisions 3 and 4, kept
+/// as their reference for tests, and as the checksum of pins recorded
+/// with it.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv_step(h, b))
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// Tiles hashed abreast. One FNV-1a chain advances a byte per xor→multiply
-/// latency (≈ 4 cycles); four independent chains issue a multiply every
-/// cycle, which is all the multiplier takes — a fifth would only queue.
+/// The multiplier of [`step`]; odd, so multiplying by it permutes `u64`.
+const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The state every pixel hash starts from.
+const SEED: u64 = 0x243f_6a88_85a3_08d3;
+
+/// One word into the hash state (module docs).
+fn step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(K).rotate_left(29)
+}
+
+/// Ends a fold of `byte_len` bytes: MurmurHash3's `fmix64` of the state
+/// xored with the length.
+fn finish(h: u64, byte_len: usize) -> u64 {
+    let mut h = h ^ byte_len as u64;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Folds one row into a state: its whole words, then the last pixel of an
+/// odd-width row, zero-extended.
+fn fold_row(h: u64, row: &[u8]) -> u64 {
+    let (words, tail) = row.as_chunks::<8>();
+    let h = words.iter().fold(h, |h, w| step(h, u64::from_le_bytes(*w)));
+    if tail.is_empty() {
+        return h;
+    }
+    let mut last = [0u8; 8];
+    for (to, from) in last.iter_mut().zip(tail) {
+        *to = *from;
+    }
+    step(h, u64::from_le_bytes(last))
+}
+
+/// Images hashed abreast. One chain takes a word per xor→multiply→rotate
+/// latency (≈ 5 cycles); four independent chains issue a multiply on most
+/// cycles.
 const LANES: usize = 4;
 
-/// Advances [`LANES`] FNV-1a states over one byte slice each, in lockstep.
-/// Each lane's result is exactly what the scalar chain gives for its bytes,
-/// whatever the other lanes hold.
-fn fnv1a_lanes(mut states: [u64; LANES], mut lanes: [&[u8]; LANES]) -> [u64; LANES] {
-    // Each round advances every unfinished lane by the length of the
-    // shortest one, so it retires at least one lane. A finished lane rides
-    // along on the shortest lane's bytes and its result is thrown away: the
-    // lockstep loop always has four chains to interleave.
-    loop {
-        let unfinished = lanes.iter().copied().filter(|l| !l.is_empty());
-        let Some(shortest) = unfinished.min_by_key(|l| l.len()) else {
-            return states;
-        };
-        let n = shortest.len();
-        let [a, b, c, d] = lanes
-            .map(|l| if l.is_empty() { shortest } else { l }.get(..n).unwrap_or_default());
-        let [mut h0, mut h1, mut h2, mut h3] = states;
-        for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
-            h0 = fnv_step(h0, a);
-            h1 = fnv_step(h1, b);
-            h2 = fnv_step(h2, c);
-            h3 = fnv_step(h3, d);
-        }
-        for ((state, lane), h) in states.iter_mut().zip(&mut lanes).zip([h0, h1, h2, h3]) {
-            if !lane.is_empty() {
-                *state = h;
-                *lane = lane.get(n..).unwrap_or_default();
-            }
+/// Advances [`LANES`] states over one row each, in lockstep. Each lane ends
+/// exactly where [`fold_row`] takes it, whatever the other lanes hold; an
+/// empty row leaves its lane's state as it was.
+fn fold_rows(states: [u64; LANES], rows: [&[u8]; LANES]) -> [u64; LANES] {
+    // The whole words every non-empty row has go four abreast. An empty
+    // lane rides along on the shortest row and its result is thrown away,
+    // so the loop always has four chains to interleave.
+    let live = rows.iter().copied().filter(|r| !r.is_empty());
+    let Some(shortest) = live.min_by_key(|r| r.len()) else {
+        return states;
+    };
+    let shared = shortest.len() / 8 * 8;
+    let [a, b, c, d] = rows.map(|r| {
+        let r = if r.is_empty() { shortest } else { r };
+        r.get(..shared).unwrap_or_default().as_chunks::<8>().0
+    });
+    let [mut h0, mut h1, mut h2, mut h3] = states;
+    for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+        h0 = step(h0, u64::from_le_bytes(*a));
+        h1 = step(h1, u64::from_le_bytes(*b));
+        h2 = step(h2, u64::from_le_bytes(*c));
+        h3 = step(h3, u64::from_le_bytes(*d));
+    }
+    let mut out = states;
+    for ((state, row), h) in out.iter_mut().zip(rows).zip([h0, h1, h2, h3]) {
+        if !row.is_empty() {
+            *state = fold_row(h, row.get(shared..).unwrap_or_default());
         }
     }
+    out
+}
+
+/// The pixel rows of one RGBA8 image inside a larger buffer: `rows` rows of
+/// `row_bytes` bytes, `stride` bytes apart — a tile in place in its frame,
+/// a tile among the packed tiles of a delta, or a whole preview.
+#[derive(Debug, Clone, Copy, Default)]
+struct Rows<'a> {
+    bytes: &'a [u8],
+    row_bytes: usize,
+    stride: usize,
+    rows: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// Tile `rect` in place in a row-major frame `width` pixels wide.
+    fn in_frame(rgba: &'a [u8], width: usize, rect: &TileRect) -> Rows<'a> {
+        Rows {
+            bytes: rgba.get(row_span(width, rect, 0).start..).unwrap_or_default(),
+            row_bytes: rect.w * 4,
+            stride: width * 4,
+            rows: rect.h,
+        }
+    }
+
+    /// A `width`×`height` image whose rows lie back to back in `bytes`.
+    fn packed(bytes: &'a [u8], width: usize, height: usize) -> Rows<'a> {
+        Rows { bytes, row_bytes: width * 4, stride: width * 4, rows: height }
+    }
+
+    /// Row `r`; empty past the last row.
+    fn row(&self, r: usize) -> &'a [u8] {
+        if r >= self.rows {
+            return &[];
+        }
+        let start = r * self.stride;
+        self.bytes.get(start..start + self.row_bytes).unwrap_or_default()
+    }
+
+    /// The rows, top to bottom.
+    fn iter(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
+        (0..self.rows).map(|r| self.row(r))
+    }
+
+    /// The byte count the hash binds: what the geometry holds.
+    fn byte_len(&self) -> usize {
+        self.rows * self.row_bytes
+    }
+}
+
+/// The pixel hash of up to [`LANES`] images, computed abreast and in place:
+/// every pixel hash but the table's own goes through here.
+fn hash_images(images: [Rows; LANES]) -> [u64; LANES] {
+    let rows = images.iter().map(|i| i.rows).max().unwrap_or(0);
+    let mut states = (0..rows).fold([SEED; LANES], |s, r| fold_rows(s, images.map(|i| i.row(r))));
+    for (h, image) in states.iter_mut().zip(images) {
+        *h = finish(*h, image.byte_len());
+    }
+    states
+}
+
+/// The pixel hash of one `width`×`height` image packed in `rgba`.
+fn image_hash(rgba: &[u8], width: usize, height: usize) -> u64 {
+    let image = Rows::packed(rgba, width, height);
+    let [h, ..] = hash_images([image, Rows::default(), Rows::default(), Rows::default()]);
+    h
 }
 
 /// Byte span of pixel row `row` of a tile rect in a row-major RGBA8 frame.
@@ -176,29 +304,22 @@ fn row_span(width: usize, rect: &TileRect, row: usize) -> std::ops::Range<usize>
     start..start + rect.w * 4
 }
 
-/// The FNV-1a hash of every tile of a row-major RGBA8 frame, in grid order:
-/// what [`WireTile::hash`] carries for each, computed in place [`LANES`]
-/// tiles at a time.
+/// The hash of every tile of a row-major RGBA8 frame, in grid order: what
+/// [`WireTile::hash`] carries for each, computed in place [`LANES`] tiles
+/// at a time.
 fn tile_hashes<'a>(rgba: &'a [u8], grid: &'a TileGrid) -> impl Iterator<Item = u64> + 'a {
     (0..grid.len()).step_by(LANES).flat_map(move |first| {
         // past the last tile `rect` is empty, and an empty lane costs nothing
-        let rects: [TileRect; LANES] = std::array::from_fn(|lane| grid.rect(first + lane));
-        let rows = rects.iter().map(|r| r.h).max().unwrap_or(0);
-        let hashes = (0..rows).fold([FNV_OFFSET; LANES], |states, row| {
-            let lanes = rects.map(|r| {
-                let span = if row < r.h { row_span(grid.width(), &r, row) } else { 0..0 };
-                rgba.get(span).unwrap_or_default()
-            });
-            fnv1a_lanes(states, lanes)
+        let images = std::array::from_fn(|lane| {
+            Rows::in_frame(rgba, grid.width(), &grid.rect(first + lane))
         });
-        hashes.into_iter().take(grid.len() - first)
+        hash_images(images).into_iter().take(grid.len() - first)
     })
 }
 
-/// The whole-frame hash: FNV-1a over the table's words, little-endian, in
-/// grid order.
+/// The whole-frame hash: the fold over the table's words.
 fn table_hash(table: &[u64]) -> u64 {
-    table.iter().flat_map(|word| word.to_le_bytes()).fold(FNV_OFFSET, fnv_step)
+    finish(table.iter().fold(SEED, |h, &w| step(h, w)), table.len() * 8)
 }
 
 /// A payload-level codec failure (truncated run, length mismatch). Carried
@@ -241,12 +362,18 @@ pub enum DeltaError {
     Codec(CodecError),
     /// The message's geometry disagrees with the assembler's.
     WrongSize { expected: (usize, usize), got: (usize, usize) },
+    /// A pixel buffer handed to a [`FrameStreamer`] is not the
+    /// `width`×`height` RGBA8 frame it was said to be.
+    WrongLength { width: usize, height: usize, got: usize },
     /// A delta from an epoch other than the current keyframe lineage.
     StaleEpoch { current: u64, got: u64 },
     /// A delta arrived out of sequence (a message was lost or duplicated).
     SeqGap { expected: u64, got: u64 },
     /// A delta arrived before any keyframe established a base frame.
     NotSynced,
+    /// [`FrameAssembler::apply`] was handed a message that carries no
+    /// pixels (not a `FrameKey`, `FrameDelta` or `FramePreview`).
+    NotPixels,
     /// A tile coordinate outside the frame's tile grid.
     TileOutOfRange { tx: usize, ty: usize },
     /// A tile payload failed its content hash — wire corruption.
@@ -269,7 +396,13 @@ impl std::fmt::Display for DeltaError {
             DeltaError::SeqGap { expected, got } => {
                 write!(f, "delta seq {got}, expected {expected}")
             }
+            DeltaError::WrongLength { width, height, got } => write!(
+                f,
+                "pixel buffer of {got} bytes, a {width}×{height} RGBA8 frame is {}",
+                width * height * 4
+            ),
             DeltaError::NotSynced => write!(f, "delta before any keyframe"),
+            DeltaError::NotPixels => write!(f, "not a pixel message"),
             DeltaError::TileOutOfRange { tx, ty } => {
                 write!(f, "tile ({tx},{ty}) outside the frame grid")
             }
@@ -298,15 +431,15 @@ impl From<CodecError> for DeltaError {
     }
 }
 
-/// One dirty tile on the wire: grid coordinates, an FNV-1a hash of the
-/// *decoded* tile bytes, and the RLE-compressed RGBA8 payload.
+/// One dirty tile on the wire: grid coordinates, the pixel hash of the
+/// *decoded* tile, and the RLE-compressed RGBA8 payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireTile {
     /// Tile column in the frame's tile grid.
     pub tx: usize,
     /// Tile row in the frame's tile grid.
     pub ty: usize,
-    /// FNV-1a over the decoded (raw RGBA8) tile bytes.
+    /// The pixel hash (module docs) of the decoded RGBA8 tile.
     pub hash: u64,
     /// RLE-compressed RGBA8, row-major within the tile rect.
     pub data: Vec<u8>,
@@ -321,22 +454,29 @@ pub struct WireTile {
 
 /// RLE-encodes a raw RGBA8 pixel stream.
 pub fn rle_encode(rgba: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(rgba.len() / 4 + 8);
+    rle_encode_rows(Rows::packed(rgba, rgba.len() / 4, 1))
+}
+
+/// [`rle_encode`] of an image's rows, as if they lay back to back: a tile
+/// straight from its frame.
+fn rle_encode_rows(image: Rows) -> Vec<u8> {
+    let mut out = Vec::with_capacity(image.byte_len() / 4 + 8);
     let mut current: Option<[u8; 4]> = None;
     let mut count: u8 = 0;
-    for chunk in rgba.chunks_exact(4) {
-        let Ok(px) = <[u8; 4]>::try_from(chunk) else { continue };
-        match current {
-            Some(c) if c == px && count < u8::MAX => count += 1,
-            Some(c) => {
-                out.push(count);
-                out.extend_from_slice(&c);
-                current = Some(px);
-                count = 1;
-            }
-            None => {
-                current = Some(px);
-                count = 1;
+    for row in image.iter() {
+        for &px in row.as_chunks::<4>().0 {
+            match current {
+                Some(c) if c == px && count < u8::MAX => count += 1,
+                Some(c) => {
+                    out.push(count);
+                    out.extend_from_slice(&c);
+                    current = Some(px);
+                    count = 1;
+                }
+                None => {
+                    current = Some(px);
+                    count = 1;
+                }
             }
         }
     }
@@ -391,15 +531,6 @@ fn rle_decode_into(
     Ok(())
 }
 
-/// Appends one tile rect of a full row-major RGBA8 frame to `out`.
-fn tile_bytes(rgba: &[u8], width: usize, rect: &TileRect, out: &mut Vec<u8>) {
-    for row in 0..rect.h {
-        if let Some(s) = rgba.get(row_span(width, rect, row)) {
-            out.extend_from_slice(s);
-        }
-    }
-}
-
 /// True when the tile rect differs between two frames (row-slice compare,
 /// no allocation).
 fn tile_differs(a: &[u8], b: &[u8], width: usize, rect: &TileRect) -> bool {
@@ -409,31 +540,22 @@ fn tile_differs(a: &[u8], b: &[u8], width: usize, rect: &TileRect) -> bool {
     })
 }
 
-/// Writes decoded tile bytes back into a full frame buffer.
-fn write_tile(buf: &mut [u8], width: usize, rect: &TileRect, data: &[u8]) {
-    for (row, src) in data.chunks_exact(rect.w * 4).enumerate() {
-        if let Some(dst) = buf.get_mut(row_span(width, rect, row)) {
+/// Writes a tile's rows into rect `rect` of a full frame buffer.
+fn write_tile(buf: &mut [u8], width: usize, rect: &TileRect, tile: Rows) {
+    for (row, src) in tile.iter().enumerate() {
+        let dst = buf.get_mut(row_span(width, rect, row)).filter(|d| d.len() == src.len());
+        if let Some(dst) = dst {
             dst.copy_from_slice(src);
         }
     }
 }
 
-/// Splits the next tile's bytes off `packed`, where whole tiles lie back to
-/// back (a sender's copies, a receiver's decoded payloads).
-fn next_tile<'a>(packed: &mut &'a [u8], rect: &TileRect) -> &'a [u8] {
+/// Splits the next tile off `packed`, where whole tiles lie back to back
+/// (a receiver's decoded payloads).
+fn next_tile<'a>(packed: &mut &'a [u8], rect: &TileRect) -> Rows<'a> {
     let (tile, rest) = packed.split_at_checked(rect.w * rect.h * 4).unwrap_or_default();
     *packed = rest;
-    tile
-}
-
-/// The next `group.len()` (at most [`LANES`]) tiles of `packed`, one a
-/// lane; lanes beyond the group are empty.
-fn packed_lanes<'a>(packed: &mut &'a [u8], group: &[TileRect]) -> [&'a [u8]; LANES] {
-    let mut lanes: [&[u8]; LANES] = [&[]; LANES];
-    for (lane, rect) in lanes.iter_mut().zip(group) {
-        *lane = next_tile(packed, rect);
-    }
-    lanes
+    Rows::packed(tile, rect.w, rect.h)
 }
 
 /// What one encoded frame turned out to be.
@@ -505,9 +627,10 @@ impl FrameStreamer {
     ) -> Result<(crate::protocol::Message, EncodedKind), DeltaError> {
         let expected = self.width * self.height * 4;
         if rgba.len() != expected {
-            return Err(DeltaError::WrongSize {
-                expected: (self.width, self.height),
-                got: (rgba.len() / 4, 1),
+            return Err(DeltaError::WrongLength {
+                width: self.width,
+                height: self.height,
+                got: rgba.len(),
             });
         }
         let key_due = self.force_key
@@ -525,21 +648,18 @@ impl FrameStreamer {
             .filter(|rect| tile_differs(prev, rgba, self.width, rect))
             .collect();
         let mut tiles = Vec::with_capacity(dirty.len());
-        let mut raw = Vec::new(); // one group's tiles, back to back
         for group in dirty.chunks(LANES) {
-            raw.clear();
-            for rect in group {
-                tile_bytes(rgba, self.width, rect, &mut raw);
+            let mut images = [Rows::default(); LANES];
+            for (image, rect) in images.iter_mut().zip(group) {
+                *image = Rows::in_frame(rgba, self.width, rect);
             }
-            let lanes = packed_lanes(&mut raw.as_slice(), group);
-            let hashes = fnv1a_lanes([FNV_OFFSET; LANES], lanes);
-            for ((rect, bytes), hash) in group.iter().zip(lanes).zip(hashes) {
+            for ((rect, image), hash) in group.iter().zip(images).zip(hash_images(images)) {
                 let (tx, ty) = (rect.x0 / self.grid.tile(), rect.y0 / self.grid.tile());
-                write_tile(prev, self.width, rect, bytes);
+                write_tile(prev, self.width, rect, image);
                 if let Some(entry) = self.table.get_mut(self.grid.index(tx, ty)) {
                     *entry = hash;
                 }
-                tiles.push(WireTile { tx, ty, hash, data: rle_encode(bytes) });
+                tiles.push(WireTile { tx, ty, hash, data: rle_encode_rows(image) });
             }
         }
         let n = tiles.len();
@@ -596,10 +716,7 @@ impl FrameStreamer {
         height: usize,
     ) -> Result<crate::protocol::Message, DeltaError> {
         if rgba.len() != width * height * 4 {
-            return Err(DeltaError::WrongSize {
-                expected: (width, height),
-                got: (rgba.len() / 4, 1),
-            });
+            return Err(DeltaError::WrongLength { width, height, got: rgba.len() });
         }
         Ok(crate::protocol::Message::FramePreview {
             client_id,
@@ -608,7 +725,7 @@ impl FrameStreamer {
             width,
             height,
             payload: rle_encode(rgba),
-            hash: fnv1a(rgba),
+            hash: image_hash(rgba, width, height),
         })
     }
 }
@@ -744,7 +861,7 @@ impl FrameAssembler {
             Message::FramePreview { width, height, payload, hash, .. } => {
                 self.apply_preview(*width, *height, payload, *hash)
             }
-            _ => Err(DeltaError::NotSynced),
+            _ => Err(DeltaError::NotPixels),
         }
     }
 
@@ -824,8 +941,11 @@ impl FrameAssembler {
         self.candidate.clone_from(&self.table);
         let mut packed = self.staged.as_slice();
         for (group, sent) in self.rects.chunks(LANES).zip(tiles.chunks(LANES)) {
-            let hashes = fnv1a_lanes([FNV_OFFSET; LANES], packed_lanes(&mut packed, group));
-            for (t, got) in sent.iter().zip(hashes) {
+            let mut images = [Rows::default(); LANES];
+            for (image, rect) in images.iter_mut().zip(group) {
+                *image = next_tile(&mut packed, rect);
+            }
+            for (t, got) in sent.iter().zip(hash_images(images)) {
                 if got != t.hash {
                     self.synced = false;
                     return Err(DeltaError::TileHashMismatch { tx: t.tx, ty: t.ty });
@@ -871,7 +991,7 @@ impl FrameAssembler {
         // decoded and checked beside the shown preview, like a keyframe
         self.staged.clear();
         rle_decode_into(payload, width * height * 4, &mut self.staged)?;
-        let got = fnv1a(&self.staged);
+        let got = image_hash(&self.staged, width, height);
         if got != hash {
             return Err(DeltaError::FrameHashMismatch { expected: hash, got });
         }
@@ -1048,8 +1168,11 @@ mod tests {
             // restore must end on the committed bytes, not on the first copy
             let rect = asm.grid.rect(asm.grid.index(tiles[0].tx, tiles[0].ty));
             let raw = vec![77u8; rect.w * rect.h * 4];
-            let again =
-                WireTile { hash: fnv1a(&raw), data: rle_encode(&raw), ..tiles[0].clone() };
+            let again = WireTile {
+                hash: reference_hash(&raw, rect.w),
+                data: rle_encode(&raw),
+                ..tiles[0].clone()
+            };
             tiles.push(again);
         }
         let err = asm.apply(&delta).unwrap_err();
@@ -1139,14 +1262,45 @@ mod tests {
         (0..len).map(|_| (next() >> 24) as u8).collect()
     }
 
-    /// The reference the laned paths are held to: one tile copied out of
-    /// the frame and hashed by the scalar chain.
+    /// Appends one tile rect of a full row-major RGBA8 frame to `out`.
+    fn tile_bytes(rgba: &[u8], width: usize, rect: &TileRect, out: &mut Vec<u8>) {
+        for row in 0..rect.h {
+            out.extend_from_slice(&rgba[row_span(width, rect, row)]);
+        }
+    }
+
+    /// Writes a packed tile's bytes into rect `rect` of a frame.
+    fn write_packed(buf: &mut [u8], width: usize, rect: &TileRect, data: &[u8]) {
+        write_tile(buf, width, rect, Rows::packed(data, rect.w, rect.h));
+    }
+
+    /// The little-endian word of up to eight bytes, zero-extended.
+    fn le_word(bytes: &[u8]) -> u64 {
+        bytes.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b))
+    }
+
+    /// One row into a state, a word at a time, by the module docs.
+    fn scalar_fold(h: u64, row: &[u8]) -> u64 {
+        row.chunks(8).fold(h, |h, w| step(h, le_word(w)))
+    }
+
+    /// The module docs' pixel hash of a `width`-pixel-wide image whose rows
+    /// lie back to back, one word at a time: the reference every laned path
+    /// is held to.
+    fn reference_hash(bytes: &[u8], width: usize) -> u64 {
+        let h = bytes.chunks((width * 4).max(1)).fold(SEED, scalar_fold);
+        finish(h, bytes.len())
+    }
+
+    /// The reference table: each tile copied out of the frame and hashed
+    /// by [`reference_hash`].
     fn scalar_tile_hashes(rgba: &[u8], grid: &TileGrid) -> Vec<u64> {
         (0..grid.len())
             .map(|idx| {
+                let rect = grid.rect(idx);
                 let mut raw = Vec::new();
-                tile_bytes(rgba, grid.width(), &grid.rect(idx), &mut raw);
-                fnv1a(&raw)
+                tile_bytes(rgba, grid.width(), &rect, &mut raw);
+                reference_hash(&raw, rect.w)
             })
             .collect()
     }
@@ -1156,43 +1310,201 @@ mod tests {
     }
 
     #[test]
-    fn laned_kernel_equals_scalar_fnv1a_per_lane() {
-        let start = [FNV_OFFSET; LANES];
-        for len in [0, 1, 127, 128, 4096] {
+    fn laned_kernel_equals_the_scalar_reference_per_lane() {
+        let start = [SEED, 0, 1, u64::MAX];
+        let scalar = |states: [u64; LANES], rows: [&[u8]; LANES]| -> [u64; LANES] {
+            std::array::from_fn(|l| scalar_fold(states[l], rows[l]))
+        };
+        for len in [0, 4, 8, 124, 128, 4096] {
             let data: [Vec<u8>; LANES] = std::array::from_fn(|l| noise(len, 11 + l as u64));
-            let got = fnv1a_lanes(start, std::array::from_fn(|l| data[l].as_slice()));
-            assert_eq!(got, data.each_ref().map(|d| fnv1a(d)), "four lanes of {len}");
+            let rows = data.each_ref().map(|d| d.as_slice());
+            assert_eq!(fold_rows(start, rows), scalar(start, rows), "four lanes of {len}");
         }
-        // ragged quadruples: every lane its own length, empty lanes anywhere
+        // ragged groups: every lane its own length, whole words or an odd
+        // row's last pixel, empty lanes anywhere
         let ragged = [
             [128, 128, 128, 0],
             [0, 0, 0, 4096],
-            [0, 1, 0, 0],
-            [127, 0, 4096, 1],
-            [4096, 1024, 1024, 1024],
-            [24, 128, 128, 24],
-            [5, 4, 3, 2],
+            [0, 4, 0, 0],
+            [124, 0, 4096, 4],
+            [4096, 1024, 1020, 1024],
+            [24, 128, 128, 20],
+            [20, 16, 12, 8],
+            [4, 4, 4, 4],
+            [12, 0, 0, 0],
         ];
         for (i, lens) in ragged.into_iter().enumerate() {
             let data = lens.map(|len| noise(len, 97 + i as u64 + len as u64));
-            let got = fnv1a_lanes(start, std::array::from_fn(|l| data[l].as_slice()));
-            assert_eq!(got, data.each_ref().map(|d| fnv1a(d)), "lanes of {lens:?}");
+            let rows = data.each_ref().map(|d| d.as_slice());
+            assert_eq!(fold_rows(start, rows), scalar(start, rows), "lanes of {lens:?}");
         }
-        // states carry over: rows fed one call at a time are one chain
-        let data: [Vec<u8>; LANES] = std::array::from_fn(|l| noise(300 + 7 * l, 5 + l as u64));
-        let mut states = start;
+        // states carry over: rows fed one call at a time are one chain,
+        // each odd-width row ending in its own zero-extended word
+        let widths = [124, 100, 4, 28];
+        let data: [Vec<u8>; LANES] =
+            std::array::from_fn(|l| noise(4 * widths[l], 5 + l as u64));
+        let (mut laned, mut want) = (start, start);
         for row in 0..4 {
-            let lanes = std::array::from_fn(|l| data[l].chunks(100).nth(row).unwrap_or_default());
-            states = fnv1a_lanes(states, lanes);
+            let rows = std::array::from_fn(|l| data[l].chunks(widths[l]).nth(row).unwrap());
+            laned = fold_rows(laned, rows);
+            want = scalar(want, rows);
         }
-        assert_eq!(states, data.each_ref().map(|d| fnv1a(d)));
+        assert_eq!(laned, want);
+        // whole images: packed, of every width class, beside empty lanes
+        for dims in [[(32, 32), (33, 5), (0, 0), (1, 7)], [(6, 32), (0, 0), (0, 0), (0, 0)]] {
+            let data = dims.map(|(w, h)| noise(w * h * 4, (w * 100 + h) as u64));
+            let images = std::array::from_fn(|l| Rows::packed(&data[l], dims[l].0, dims[l].1));
+            let want = std::array::from_fn(|l| reference_hash(&data[l], dims[l].0));
+            assert_eq!(hash_images(images), want, "{dims:?}");
+            assert_eq!(image_hash(&data[0], dims[0].0, dims[0].1), want[0]);
+        }
+    }
+
+    /// Flips the bits `mask` in the word of `img` that begins at byte `at`
+    /// (eight bytes, or four at the end of an odd-width row).
+    fn flip_word(img: &mut [u8], at: usize, len: usize, mask: u64) {
+        for (b, m) in img[at..at + len].iter_mut().zip(mask.to_le_bytes()) {
+            *b ^= m;
+        }
+    }
+
+    /// Where each word of a `w`×`h` image begins, and its byte count.
+    fn word_spans(w: usize, h: usize) -> Vec<(usize, usize)> {
+        let row = w * 4;
+        (0..h)
+            .flat_map(|y| (0..row).step_by(8).map(move |x| (y * row + x, (row - x).min(8))))
+            .collect()
+    }
+
+    /// A nonzero mask of the low `len` bytes.
+    fn word_mask(next: &mut impl FnMut() -> u64, len: usize) -> u64 {
+        let keep = if len >= 8 { u64::MAX } else { (1 << (8 * len)) - 1 };
+        loop {
+            let m = next() & keep;
+            if m != 0 {
+                return m;
+            }
+        }
+    }
+
+    /// One changed word always changes the hash (module docs): any change,
+    /// at every word of a 32 × 32 tile, of a 33 × 5 image whose rows end in
+    /// a zero-extended pixel, and of the 1 × 5 edge tile of a 33 × 5 frame
+    /// hashed in place.
+    #[test]
+    fn every_single_word_change_changes_the_hash() {
+        let mut next = xorshift(41);
+        for (w, h) in [(32, 32), (33, 5)] {
+            let mut img = noise(w * h * 4, (w * h) as u64);
+            let base = image_hash(&img, w, h);
+            assert_eq!(base, reference_hash(&img, w));
+            for (at, len) in word_spans(w, h) {
+                let top = 0xffu64 << (8 * (len - 1));
+                let masks = [1, top, word_mask(&mut next, len), word_mask(&mut next, len)];
+                for mask in masks {
+                    flip_word(&mut img, at, len, mask);
+                    assert_ne!(image_hash(&img, w, h), base, "{w}×{h}, word at {at}, {mask:#x}");
+                    flip_word(&mut img, at, len, mask);
+                }
+            }
+        }
+        let (w, h) = (33, 5);
+        let grid = TileGrid::with_default_tile(w, h);
+        let edge = grid.rect(grid.index(1, 0));
+        assert_eq!((edge.w, edge.h), (1, 5));
+        let mut rgba = noise(w * h * 4, 8);
+        let base = table_of(&rgba, &grid);
+        for y in 0..h {
+            let at = row_span(w, &edge, y).start;
+            for mask in [1, 0xff00_0000, word_mask(&mut next, 4)] {
+                flip_word(&mut rgba, at, 4, mask);
+                let hit = table_of(&rgba, &grid);
+                assert_eq!(hit[0], base[0]);
+                assert_ne!(hit[1], base[1], "edge row {y}, {mask:#x}");
+                flip_word(&mut rgba, at, 4, mask);
+            }
+        }
+    }
+
+    /// The rotate at work: changes confined to the high byte of two words
+    /// (the alpha of a pixel at an odd column) never cancel.
+    #[test]
+    fn two_high_byte_changes_are_caught() {
+        let (w, h) = (32, 32);
+        let mut img = noise(w * h * 4, 12);
+        let base = image_hash(&img, w, h);
+        let mut next = xorshift(10_000);
+        for trial in 0..10_000 {
+            let first = (next() % 512) as usize;
+            let second = (first + 1 + (next() % 511) as usize) % 512;
+            let masks = [first, second].map(|word| (word * 8 + 7, (next() % 255 + 1) as u8));
+            for (at, m) in masks {
+                img[at] ^= m;
+            }
+            assert_ne!(image_hash(&img, w, h), base, "trial {trial}: {masks:?}");
+            for (at, m) in masks {
+                img[at] ^= m;
+            }
+        }
+    }
+
+    /// Every byte of a 32 × 32 tile and of an odd-width tile (the 15 × 32
+    /// right-edge tile of a 79 × 32 frame, hashed in place) set to each of
+    /// its 255 other values: no change goes unseen. ≈ 1.3 M hashes, four
+    /// abreast; run it in a release build.
+    #[test]
+    #[ignore = "exhaustive; run with `cargo test -p hyperwall --release -- --ignored`"]
+    fn every_single_byte_change_changes_the_hash() {
+        let tile = noise(32 * 32 * 4, 21);
+        let base = image_hash(&tile, 32, 32);
+        let mut copies: [Vec<u8>; LANES] = std::array::from_fn(|_| tile.clone());
+        for at in 0..tile.len() {
+            let values: Vec<u8> = (0..=255u8).filter(|&v| v != tile[at]).collect();
+            for group in values.chunks(LANES) {
+                for (copy, &v) in copies.iter_mut().zip(group) {
+                    copy[at] = v;
+                }
+                let images = std::array::from_fn(|l| Rows::packed(&copies[l], 32, 32));
+                for (h, v) in hash_images(images).into_iter().zip(group) {
+                    assert_ne!(h, base, "byte {at} = {v}");
+                }
+            }
+            for copy in &mut copies {
+                copy[at] = tile[at];
+            }
+        }
+
+        let (w, h) = (79, 32);
+        let grid = TileGrid::with_default_tile(w, h);
+        let edge = grid.rect(grid.index(2, 0));
+        assert_eq!((edge.w, edge.h), (15, 32));
+        let frame = noise(w * h * 4, 22);
+        let base = hash_images([Rows::in_frame(&frame, w, &edge); LANES])[0];
+        let mut copies: [Vec<u8>; LANES] = std::array::from_fn(|_| frame.clone());
+        for at in (0..h).flat_map(|y| row_span(w, &edge, y)) {
+            let values: Vec<u8> = (0..=255u8).filter(|&v| v != frame[at]).collect();
+            for group in values.chunks(LANES) {
+                for (copy, &v) in copies.iter_mut().zip(group) {
+                    copy[at] = v;
+                }
+                let images = std::array::from_fn(|l| Rows::in_frame(&copies[l], w, &edge));
+                for (h, v) in hash_images(images).into_iter().zip(group) {
+                    assert_ne!(h, base, "byte {at} = {v}");
+                }
+            }
+            for copy in &mut copies {
+                copy[at] = frame[at];
+            }
+        }
     }
 
     #[test]
     fn tile_hashes_equal_scalar_hashes_tile_by_tile() {
         // full quadruples, a ragged last group, a short bottom row, single
         // rows and columns, and grids of fewer tiles than lanes
-        for (w, h) in [(480, 360), (256, 192), (70, 50), (33, 1), (1, 1), (96, 20), (0, 0)] {
+        // (79 × 40: 15-pixel edge tiles, every row ending in a lone pixel)
+        let sizes = [(480, 360), (256, 192), (70, 50), (79, 40), (33, 1), (1, 1), (96, 20), (0, 0)];
+        for (w, h) in sizes {
             let grid = TileGrid::with_default_tile(w, h);
             let rgba = noise(w * h * 4, (w * 1000 + h) as u64);
             let got = table_of(&rgba, &grid);
@@ -1211,8 +1523,8 @@ mod tests {
         tile_bytes(&rgba, w, &grid.rect(1), &mut a);
         tile_bytes(&rgba, w, &grid.rect(3), &mut b);
         let mut swapped = rgba.clone();
-        write_tile(&mut swapped, w, &grid.rect(1), &b);
-        write_tile(&mut swapped, w, &grid.rect(3), &a);
+        write_packed(&mut swapped, w, &grid.rect(1), &b);
+        write_packed(&mut swapped, w, &grid.rect(3), &a);
         let (before, mut after) = (table_of(&rgba, &grid), table_of(&swapped, &grid));
         assert_ne!(table_hash(&before), table_hash(&after));
         // the same hashes in another order, nothing else
@@ -1228,7 +1540,7 @@ mod tests {
         let mut next = xorshift(i + 1);
         for _ in 0..next() % 4 {
             let rect = grid.rect((next() % grid.len() as u64) as usize);
-            write_tile(&mut rgba, w, &rect, &noise(rect.w * rect.h * 4, next()));
+            write_packed(&mut rgba, w, &rect, &noise(rect.w * rect.h * 4, next()));
         }
         rgba
     }
@@ -1336,9 +1648,10 @@ mod tests {
         let rect = asm.grid.rect(asm.grid.index(tiles[0].tx, tiles[0].ty));
         let raw = noise(rect.w * rect.h * 4, 77);
         let mut twice = tiles.clone();
-        twice.push(WireTile { hash: fnv1a(&raw), data: rle_encode(&raw), ..tiles[0].clone() });
+        let hash = reference_hash(&raw, rect.w);
+        twice.push(WireTile { hash, data: rle_encode(&raw), ..tiles[0].clone() });
         let mut want = next.clone();
-        write_tile(&mut want, w, &rect, &raw);
+        write_packed(&mut want, w, &rect, &raw);
         let want_table = scalar_tile_hashes(&want, &asm.grid);
         let mut hit = asm.clone();
         let applied = hit.apply(&rebuilt(twice.clone(), table_hash(&want_table))).unwrap();
@@ -1390,6 +1703,81 @@ mod tests {
         assert!(matches!(err, DeltaError::FrameHashMismatch { .. }), "{err}");
         assert_eq!((&asm.buf, &asm.table, asm.epoch()), (&synced.buf, &synced.table, 2));
         assert!(!asm.is_synced(), "a delta that does not add up forces a resync");
+    }
+
+    /// Revision 4 hashed tiles and the table with FNV-1a, byte by byte. A
+    /// peer still doing so is refused on its keyframe and on its deltas,
+    /// with nothing of the assembler's state moved.
+    #[test]
+    fn revision_4_frame_hashes_are_rejected() {
+        let (w, h) = (70, 50);
+        let grid = TileGrid::with_default_tile(w, h);
+        let fnv_tiles = |rgba: &[u8]| -> Vec<u8> {
+            (0..grid.len())
+                .flat_map(|idx| {
+                    let mut raw = Vec::new();
+                    tile_bytes(rgba, w, &grid.rect(idx), &mut raw);
+                    fnv1a(&raw).to_le_bytes()
+                })
+                .collect()
+        };
+        let revision_4 = |rgba: &[u8]| fnv1a(&fnv_tiles(rgba));
+        let mut streamer = FrameStreamer::new(w, h, 0);
+        let mut asm = FrameAssembler::new(w, h);
+        let (f0, f1) = (frame(w, h, 0), frame(w, h, 1));
+        let (mut key, _) = streamer.encode(0, 0, &f0).unwrap();
+        let (delta, _) = streamer.encode(0, 1, &f1).unwrap();
+        if let Message::FrameKey { frame_hash, .. } = &mut key {
+            assert_ne!(*frame_hash, revision_4(&f0));
+            *frame_hash = revision_4(&f0);
+        }
+        let fresh = asm.clone();
+        let err = asm.apply(&key).unwrap_err();
+        assert!(matches!(err, DeltaError::FrameHashMismatch { .. }), "{err}");
+        assert_eq!((&asm.buf, &asm.table, asm.epoch()), (&fresh.buf, &fresh.table, 0));
+        assert!(!asm.is_synced());
+
+        // an honest keyframe (epoch 2), then the delta as revision 4 sends
+        // it: every tile FNV-1a-hashed, and the frame hash over those
+        streamer.force_keyframe();
+        asm.apply(&streamer.encode(0, 2, &f0).unwrap().0).unwrap();
+        let Message::FrameDelta { tiles, .. } = &delta else { panic!("{delta:?}") };
+        assert!(tiles.len() > 1);
+        let old_tiles: Vec<WireTile> = tiles
+            .iter()
+            .map(|t| {
+                let rect = grid.rect(grid.index(t.tx, t.ty));
+                let raw = rle_decode(&t.data, rect.w * rect.h * 4).unwrap();
+                assert_ne!(t.hash, fnv1a(&raw));
+                WireTile { hash: fnv1a(&raw), ..t.clone() }
+            })
+            .collect();
+        let as_revision_4 = |tiles: Vec<WireTile>, frame_hash: u64| Message::FrameDelta {
+            client_id: 0,
+            frame: 1,
+            epoch: 2,
+            seq: 1,
+            tiles,
+            frame_hash,
+        };
+        let synced = asm.clone();
+        let first = (old_tiles[0].tx, old_tiles[0].ty);
+        let err = asm.apply(&as_revision_4(old_tiles, revision_4(&f1))).unwrap_err();
+        let at_first = matches!(err, DeltaError::TileHashMismatch { tx, ty } if (tx, ty) == first);
+        assert!(at_first, "{err}");
+        assert_eq!((&asm.buf, &asm.table, asm.epoch()), (&synced.buf, &synced.table, 2));
+        assert!(!asm.is_synced(), "a delta that does not add up forces a resync");
+        // ... and with today's tile hashes under revision 4's frame hash
+        let mut asm = synced.clone();
+        let err = asm.apply(&as_revision_4(tiles.clone(), revision_4(&f1))).unwrap_err();
+        assert!(matches!(err, DeltaError::FrameHashMismatch { .. }), "{err}");
+        assert_eq!((&asm.buf, &asm.table, asm.epoch()), (&synced.buf, &synced.table, 2));
+        assert!(!asm.is_synced());
+        // the honest delta still applies
+        let mut asm = synced;
+        let Message::FrameDelta { frame_hash, .. } = &delta else { unreachable!() };
+        asm.apply(&as_revision_4(tiles.clone(), *frame_hash)).unwrap();
+        assert_eq!(asm.frame(), Some(f1.as_slice()));
     }
 
     /// After one key, one delta and one preview, a second round of each
@@ -1497,13 +1885,56 @@ mod tests {
         let mut streamer = FrameStreamer::new(32, 32, 0);
         assert!(matches!(
             streamer.encode(0, 0, &[0u8; 16]),
-            Err(DeltaError::WrongSize { .. })
+            Err(DeltaError::WrongLength { .. })
         ));
         let mut asm = FrameAssembler::new(16, 16);
         let (key, _) =
             FrameStreamer::new(32, 32, 0).encode(0, 0, &frame(32, 32, 0)).unwrap();
         let err = asm.apply(&key).unwrap_err();
         assert!(matches!(err, DeltaError::WrongSize { .. }), "{err}");
+    }
+
+    /// A buffer of the wrong length is reported as the byte count it is,
+    /// against the frame it should have been, and sends nothing.
+    #[test]
+    fn wrong_length_buffers_are_reported_as_lengths() {
+        let mut streamer = FrameStreamer::new(32, 32, 0);
+        let err = streamer.encode(0, 0, &[0u8; 16]).unwrap_err();
+        assert!(matches!(err, DeltaError::WrongLength { width: 32, height: 32, got: 16 }));
+        let text = err.to_string();
+        for part in ["16 bytes", "32×32", "4096"] {
+            assert!(text.contains(part), "{text}");
+        }
+        assert!(!text.contains("assembler") && !text.contains("(4, 1)"), "{text}");
+        assert_eq!(streamer.epoch(), 0, "nothing was encoded");
+        let err = streamer.encode_preview(0, 0, &[0u8; 20], 16, 12).unwrap_err();
+        assert!(matches!(err, DeltaError::WrongLength { width: 16, height: 12, got: 20 }));
+        let text = err.to_string();
+        for part in ["20 bytes", "16×12", "768"] {
+            assert!(text.contains(part), "{text}");
+        }
+        assert!(!text.contains("assembler") && !text.contains("(5, 1)"), "{text}");
+    }
+
+    /// A control message handed to the assembler is refused as what it is,
+    /// synced or not, and moves nothing.
+    #[test]
+    fn a_message_without_pixels_is_refused_as_such() {
+        let (w, h) = (64, 48);
+        let mut streamer = FrameStreamer::new(w, h, 0);
+        let mut asm = FrameAssembler::new(w, h);
+        for msg in [Message::Ready { client_id: 0 }, Message::Execute { frame: 3 }] {
+            let err = asm.apply(&msg).unwrap_err();
+            assert!(matches!(err, DeltaError::NotPixels), "{err}");
+            assert!(!err.to_string().contains("keyframe"), "{err}");
+        }
+        asm.apply(&streamer.encode(0, 0, &frame(w, h, 0)).unwrap().0).unwrap();
+        let before = asm.clone();
+        let err = asm.apply(&Message::Ready { client_id: 0 }).unwrap_err();
+        assert!(matches!(err, DeltaError::NotPixels), "{err}");
+        assert!(asm.is_synced(), "a stray control message must not unsync");
+        assert_eq!((&asm.buf, &asm.table), (&before.buf, &before.table));
+        assert_eq!(asm.last_hash, before.last_hash);
     }
 
     /// The box filter written out by hand: float mean, rounded, over the

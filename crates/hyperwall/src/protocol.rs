@@ -22,11 +22,11 @@
 //! FramePreview  0x03 client_id frame epoch width height hash payload
 //! ```
 //!
-//! A tile's `hash` is FNV-1a over its decoded RGBA8 bytes, row-major within
-//! its rect. `frame_hash` is FNV-1a over those hashes — the little-endian
-//! `u64` hash of every tile of the frame the message leaves, in grid order
-//! (see [`crate::frame_delta`]). A preview's `hash` is FNV-1a over its
-//! decoded bytes.
+//! Every hash is the word-at-a-time pixel hash of wire revision 5, defined
+//! in the [`crate::frame_delta`] docs. A tile's `hash` is that of its
+//! decoded RGBA8 rect. `frame_hash` is the same fold over the `u64` hash of
+//! every tile of the frame the message leaves, in grid order. A preview's
+//! `hash` is that of its decoded image.
 //!
 //! The decoder bounds every declared length, and the tile count, by the
 //! bytes actually present before it allocates, and rejects trailing bytes.
@@ -54,11 +54,15 @@ pub const MAX_MESSAGE_BYTES: usize = 8 << 20;
 /// `FramePreview` / `ResyncRequest`) in its binary wire form. Plain
 /// [`Message::Hello`] clients are implicitly revision 1, and a `HelloV2`
 /// declaring less than this is served the same way: frame metadata only,
-/// no pixel messages in either direction. (Revision 2 carried the pixel
-/// messages as JSON; revision 3 had today's byte layout, but its
-/// `frame_hash` was FNV-1a over the frame's bytes, which a revision-4
-/// receiver rejects. Nothing speaks either any more.)
-pub const PROTO_DELTA: u32 = 4;
+/// no pixel messages in either direction. Revision 5 hashes pixels a word
+/// at a time (the [`crate::frame_delta`] docs define the hash); every byte
+/// sits where revisions 3 and 4 put it. Revision 2 carried the pixel
+/// messages as JSON; revision 3's `frame_hash` was FNV-1a over the frame's
+/// bytes, and revision 4's FNV-1a over the tiles' FNV-1a hashes. A
+/// revision-5 receiver rejects both (`FrameHashMismatch`, or
+/// `TileHashMismatch` for a revision-4 delta), so a client declaring any of
+/// them is served metadata only; nothing in this crate speaks them.
+pub const PROTO_DELTA: u32 = 5;
 
 /// First body byte of a binary `FrameKey`.
 const TAG_KEY: u8 = 0x01;
@@ -210,8 +214,8 @@ pub enum Message {
         height: usize,
         /// RLE-compressed RGBA8 (see [`crate::frame_delta::rle_encode`]).
         payload: Vec<u8>,
-        /// FNV-1a over the little-endian FNV-1a hashes of the decoded
-        /// frame's tiles, in grid order.
+        /// The pixel hash folded over the pixel hashes of the decoded
+        /// frame's tiles, in grid order (the [`crate::frame_delta`] docs).
         frame_hash: u64,
     },
     /// Client → server: only the tiles that changed since the previous

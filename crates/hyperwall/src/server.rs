@@ -1046,11 +1046,11 @@ mod tests {
     /// A `HelloV2` that declares a revision below `PROTO_DELTA` is served
     /// what it declared: metadata only — no assembler, and no
     /// `ResyncRequest` for the pixel frames it never promised to send.
-    /// Revision 3 is one of them: its pixel messages look like today's but
-    /// its `frame_hash` means something else.
+    /// Revisions 3 and 4 are among them: their pixel messages look like
+    /// today's but their hashes mean something else.
     #[test]
     fn hello_v2_below_proto_delta_is_a_metadata_only_panel() {
-        for proto in [2, 3] {
+        for proto in [2, 3, 4] {
             assert!(proto < PROTO_DELTA);
             let one = WallWorkflowConfig { n_cells: 1, ..cfg() };
             let mut server = HyperwallServer::bind_tuned(&one, 4, fast_tuning()).unwrap();

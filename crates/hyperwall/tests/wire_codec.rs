@@ -75,11 +75,52 @@ impl XorShift {
     }
 }
 
+/// Wire revision 5's fold, written out from the `frame_delta` module docs
+/// alone: `step(h, w) = ((h ^ w)·K).rotate_left(29)` from `SEED` over the
+/// words, then MurmurHash3's `fmix64` of the state xored with the byte
+/// count.
+fn fold_by_the_book(words: impl IntoIterator<Item = u64>, byte_len: usize) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    const SEED: u64 = 0x243f_6a88_85a3_08d3;
+    let mut h = SEED;
+    for w in words {
+        h = (h ^ w).wrapping_mul(K).rotate_left(29);
+    }
+    h ^= byte_len as u64;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
 /// `frame_hash` as a peer would compute it from the protocol docs alone:
-/// FNV-1a over the little-endian FNV-1a hashes of the frame's 32×32 tiles
-/// (clipped at the right and bottom edges) in grid order, a tile's bytes
-/// taken row-major within its rect.
+/// the fold over the hashes of the frame's 32×32 tiles (clipped at the
+/// right and bottom edges) in grid order, a tile's words being its rows',
+/// top to bottom, eight little-endian bytes each, the last pixel of an
+/// odd-width row zero-extended to a word of its own.
 fn frame_hash_by_the_book(rgba: &[u8], w: usize, h: usize) -> u64 {
+    let grid = rvtk::render::TileGrid::with_default_tile(w, h);
+    let mut tile_hashes = Vec::new();
+    for idx in 0..grid.len() {
+        let rect = grid.rect(idx);
+        let mut words = Vec::new();
+        for y in rect.y0..rect.y0 + rect.h {
+            let start = (y * w + rect.x0) * 4;
+            for chunk in rgba[start..start + rect.w * 4].chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                words.push(u64::from_le_bytes(word));
+            }
+        }
+        tile_hashes.push(fold_by_the_book(words, rect.w * rect.h * 4));
+    }
+    fold_by_the_book(tile_hashes.iter().copied(), tile_hashes.len() * 8)
+}
+
+/// Revision 4's `frame_hash`: FNV-1a over the little-endian FNV-1a hashes
+/// of the tiles.
+fn revision_4_frame_hash(rgba: &[u8], w: usize, h: usize) -> u64 {
     let grid = rvtk::render::TileGrid::with_default_tile(w, h);
     let mut words = Vec::new();
     for idx in 0..grid.len() {
@@ -95,21 +136,27 @@ fn frame_hash_by_the_book(rgba: &[u8], w: usize, h: usize) -> u64 {
 }
 
 /// The eight `frame_hash` bytes of a key and of a delta, as they come off
-/// the wire, are the hash of tile hashes of the frame that message leaves —
-/// not revision 3's hash of the frame bytes.
+/// the wire, are revision 5's hash of tile hashes of the frame that message
+/// leaves — not revision 3's hash of the frame bytes, nor revision 4's
+/// FNV-1a of FNV-1a tile hashes.
 #[test]
 fn frame_hash_on_the_wire_is_the_hash_of_the_tile_hashes() {
-    let mut streamer = FrameStreamer::new(W, H, 0);
-    for seed in 0..3 {
-        let rgba = frame(W, H, seed);
-        let (msg, _) = streamer.encode(0, seed, &rgba).unwrap();
-        let claimed = match decode(&encode_frame(&msg).unwrap()).unwrap() {
-            Message::FrameKey { frame_hash, .. } if seed == 0 => frame_hash,
-            Message::FrameDelta { frame_hash, .. } if seed > 0 => frame_hash,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(claimed, frame_hash_by_the_book(&rgba, W, H), "frame {seed}");
-        assert_ne!(claimed, fnv1a(&rgba), "frame {seed}");
+    // and at 79 × 41, where the right-edge tiles are 15 pixels wide: every
+    // row of them ends in a zero-extended pixel
+    for (w, h) in [(W, H), (79, 41)] {
+        let mut streamer = FrameStreamer::new(w, h, 0);
+        for seed in 0..3 {
+            let rgba = frame(w, h, seed);
+            let (msg, _) = streamer.encode(0, seed, &rgba).unwrap();
+            let claimed = match decode(&encode_frame(&msg).unwrap()).unwrap() {
+                Message::FrameKey { frame_hash, .. } if seed == 0 => frame_hash,
+                Message::FrameDelta { frame_hash, .. } if seed > 0 => frame_hash,
+                other => panic!("{other:?}"),
+            };
+            assert_eq!(claimed, frame_hash_by_the_book(&rgba, w, h), "{w}×{h} frame {seed}");
+            assert_ne!(claimed, fnv1a(&rgba), "{w}×{h} frame {seed}");
+            assert_ne!(claimed, revision_4_frame_hash(&rgba, w, h), "{w}×{h} frame {seed}");
+        }
     }
 }
 
