@@ -249,20 +249,29 @@ impl MaskedArray {
             .filter_map(|(i, (&v, &m))| if m { None } else { Some((i, v)) })
     }
 
-    /// Minimum and maximum over valid elements, or `None` if fully masked.
+    /// Minimum and maximum over valid elements, NaNs skipped; `None` when no
+    /// valid non-NaN element is left. A valid ±∞ counts; of two equal zeros
+    /// either may come back. The lane fold of `rvtk::image_data::value_range`
+    /// (DESIGN §29) with a mask: a masked element enters as NaN, which
+    /// compares false both ways. `cdms` does not link `rvtk`, so this copy
+    /// is deliberate.
     pub fn min_max(&self) -> Option<(f32, f32)> {
-        let mut it = self.iter_valid().map(|(_, v)| v);
-        let first = it.next()?;
-        let (mut lo, mut hi) = (first, first);
-        for v in it {
-            if v < lo {
-                lo = v;
-            }
-            if v > hi {
-                hi = v;
+        const LANES: usize = 8;
+        let mut lo = [f32::INFINITY; LANES];
+        let mut hi = [f32::NEG_INFINITY; LANES];
+        let (data, mask) = (self.data.chunks_exact(LANES), self.mask.chunks_exact(LANES));
+        let tails = (data.remainder(), mask.remainder());
+        for (chunk, masked) in data.zip(mask).chain([tails]) {
+            for (((l, h), &v), &m) in lo.iter_mut().zip(&mut hi).zip(chunk).zip(masked) {
+                let v = if m { f32::NAN } else { v };
+                *l = if v < *l { v } else { *l };
+                *h = if v > *h { v } else { *h };
             }
         }
-        Some((lo, hi))
+        let lo = lo.into_iter().fold(f32::INFINITY, |a, v| if v < a { v } else { a });
+        let hi = hi.into_iter().fold(f32::NEG_INFINITY, |a, v| if v > a { v } else { a });
+        // any value taken leaves lo ≤ hi; none leaves the seeds, +∞ > −∞
+        (lo <= hi).then_some((lo, hi))
     }
 
     /// Reinterprets the array with a new shape of identical element count.
@@ -432,6 +441,38 @@ mod tests {
             MaskedArray::with_mask(vec![5.0, -1.0, 100.0], vec![false, false, true], &[3]).unwrap();
         assert_eq!(a.min_max(), Some((-1.0, 5.0)));
         assert_eq!(MaskedArray::all_masked(&[3]).min_max(), None);
+    }
+
+    #[test]
+    fn min_max_skips_nan_wherever_it_sits() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        // lengths below, at and past one group of eight lanes
+        for n in [5, 8, 9, 17, 30] {
+            let data: Vec<f32> = (0..n).map(|i| i as f32 * 1.5 - 6.0).collect();
+            let top = (n - 1) as f32 * 1.5 - 6.0;
+            let range = |d: Vec<f32>| MaskedArray::from_vec(d, &[n]).unwrap().min_max();
+            assert_eq!(range(data.clone()), Some((-6.0, top)));
+            for (at, want) in [(0, (-4.5, top)), (n / 2, (-6.0, top)), (n - 1, (-6.0, top - 1.5))] {
+                let mut holed = data.clone();
+                holed[at] = nan;
+                assert_eq!(range(holed), Some(want), "n {n}, NaN at {at}");
+            }
+            assert_eq!(range(vec![nan; n]), None, "only NaN in valid lanes");
+            // NaN and ±∞ under the mask are ignored, wherever they sit
+            let mut hidden = data.clone();
+            let mut mask = vec![false; n];
+            for (at, v) in [(0, nan), (n / 2, inf), (n - 1, -inf)] {
+                hidden[at] = v;
+                mask[at] = true;
+            }
+            let a = MaskedArray::with_mask(hidden, mask.clone(), &[n]).unwrap();
+            assert_eq!(a.min_max(), Some((-4.5, top - 1.5)), "n {n}");
+            let a = MaskedArray::with_mask(vec![nan; n], mask, &[n]).unwrap();
+            assert_eq!(a.min_max(), None, "n {n}: the valid lanes hold only NaN");
+        }
+        // a valid ±∞ counts
+        let a = MaskedArray::from_vec(vec![nan, -inf, 2.0, inf], &[4]).unwrap();
+        assert_eq!(a.min_max(), Some((-inf, inf)));
     }
 
     #[test]

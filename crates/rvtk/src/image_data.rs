@@ -5,6 +5,28 @@
 use crate::math::{Bounds, Vec3};
 use crate::{Result, VtkError};
 
+/// The range of `values` with NaNs skipped; `None` when none is left or the
+/// minimum is not finite (a +∞ maximum is kept; of ±0 either may come back).
+/// Eight min and max lanes stepped by compare-select — a NaN compares false
+/// both ways — then merged, so no step waits on the last (DESIGN §29).
+pub fn value_range(values: &[f32]) -> Option<(f32, f32)> {
+    const LANES: usize = 8;
+    let mut lo = [f32::INFINITY; LANES];
+    let mut hi = [f32::NEG_INFINITY; LANES];
+    let chunks = values.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    // the tail rides the same loop: handled apart, the groups run ≈ 6× slower (DESIGN §29)
+    for chunk in chunks.chain([tail]) {
+        for ((l, h), &v) in lo.iter_mut().zip(&mut hi).zip(chunk) {
+            *l = if v < *l { v } else { *l };
+            *h = if v > *h { v } else { *h };
+        }
+    }
+    let lo = lo.into_iter().fold(f32::INFINITY, |a, v| if v < a { v } else { a });
+    let hi = hi.into_iter().fold(f32::NEG_INFINITY, |a, v| if v > a { v } else { a });
+    lo.is_finite().then_some((lo, hi))
+}
+
 /// A regular 3D grid. Point `(i, j, k)` lives at
 /// `origin + (i·sx, j·sy, k·sz)`; scalars are stored x-fastest
 /// (`index = i + dims[0]·(j + dims[1]·k)`), matching VTK.
@@ -109,22 +131,9 @@ impl ImageData {
         b
     }
 
-    /// Scalar range ignoring NaNs; `None` if all NaN.
+    /// Scalar range ignoring NaNs: [`value_range`] of the scalars.
     pub fn scalar_range(&self) -> Option<(f32, f32)> {
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for &v in &self.scalars {
-            if v.is_nan() {
-                continue;
-            }
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if lo.is_finite() {
-            Some((lo, hi))
-        } else {
-            None
-        }
+        value_range(&self.scalars)
     }
 
     /// Continuous (fractional-index) coordinates of a world point.

@@ -2,6 +2,7 @@
 //! attributes — the output type of geometry filters and the input to the
 //! rasterizer.
 
+use crate::image_data::value_range;
 use crate::math::{Bounds, Vec3};
 
 /// Polygonal geometry.
@@ -45,19 +46,10 @@ impl PolyData {
         b
     }
 
-    /// Scalar range, `None` when scalars are absent or empty.
+    /// Scalar range ignoring NaNs ([`value_range`]); `None` when scalars
+    /// are absent.
     pub fn scalar_range(&self) -> Option<(f32, f32)> {
-        let s = self.scalars.as_ref()?;
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for &v in s {
-            if v.is_nan() {
-                continue;
-            }
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        lo.is_finite().then_some((lo, hi))
+        value_range(self.scalars.as_ref()?)
     }
 
     /// Computes area-weighted per-point normals from the triangle mesh.

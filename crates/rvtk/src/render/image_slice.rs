@@ -18,7 +18,7 @@
 
 use crate::color::Color;
 use crate::filters::SliceAxis;
-use crate::image_data::ImageData;
+use crate::image_data::{value_range, ImageData};
 use crate::lookup_table::LookupTable;
 use crate::math::{Bounds, Mat4, Vec3};
 use crate::{Result, VtkError};
@@ -78,12 +78,8 @@ impl ImageSlice {
             .map(|(i, j, k)| img.scalars.get(img.index(i, j, k)).copied().unwrap_or(f32::NAN))
             .collect();
         if lut.range.0 >= lut.range.1 {
-            let (lo, hi) = values
-                .iter()
-                .filter(|v| !v.is_nan())
-                .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-            if lo.is_finite() {
-                lut.set_range((lo, hi));
+            if let Some(range) = value_range(&values) {
+                lut.set_range(range);
             }
         }
         let corner = |u: usize, v: usize| {
