@@ -7,12 +7,12 @@
 //! a grid pair pays the planning cost once.
 //!
 //! [`SharedPlanCache`] is safe to hit from many threads at once (the
-//! task-graph pool, the session service's workers). The LRU lock is
+//! task-graph pool's regrid tasks). The LRU lock is
 //! **never held while a plan builds** (builds for different keys proceed
 //! in parallel), and concurrent requests for the *same* key are
 //! deduplicated: one thread builds, the rest wait on that build and are
 //! counted in [`CacheStats::dedups`]. Keys are content-addressed grid
-//! fingerprints, so "same key" means "same work" across sessions.
+//! fingerprints, so "same key" means "same work" across callers.
 //!
 //! On the dv3dlint `indexing_hot_paths` list: lookups run inside the
 //! interactive render loop and must not panic.
@@ -264,8 +264,8 @@ impl SharedPlanCache {
 
 static GLOBAL: OnceLock<SharedPlanCache> = OnceLock::new();
 
-/// The process-global shared plan cache: the concurrent front every
-/// session of the multi-tenant service (and the `regrid` wrappers) hits.
+/// The process-global shared plan cache: the concurrent front the
+/// `regrid` wrappers and the task graph's regrid tasks hit.
 pub fn shared_global() -> &'static SharedPlanCache {
     GLOBAL.get_or_init(|| SharedPlanCache::new(DEFAULT_GLOBAL_CAPACITY))
 }

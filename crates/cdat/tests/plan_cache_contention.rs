@@ -1,6 +1,6 @@
 //! Contention tests for [`cdat::plan_cache::SharedPlanCache`] — the
-//! concurrent front the multi-tenant service hammers from many session
-//! worker threads at once.
+//! concurrent front that task-graph workers hit from many threads at
+//! once.
 //!
 //! Pinned invariants:
 //!

@@ -388,8 +388,6 @@ impl Config {
             ]),
             unbounded_enabled: true,
             input_modules: svec(&[
-                "crates/hyperwall/src/service/server.rs",
-                "crates/hyperwall/src/service/mux.rs",
                 "crates/hyperwall/src/server.rs",
             ]),
             grow_calls: svec(&["push", "extend", "append", "push_back", "insert"]),

@@ -111,14 +111,11 @@ mod tests {
         assert!(diags.is_empty());
     }
 
-    /// The session-service modules are ordinary I/O consumers, not part
-    /// of the protocol module — raw exchanges there are flagged too.
+    /// The wall's node modules are ordinary I/O consumers, not part of
+    /// the protocol module — raw exchanges there are flagged too.
     #[test]
-    fn service_modules_are_covered() {
-        for file in [
-            "crates/hyperwall/src/service/server.rs",
-            "crates/hyperwall/src/service/client.rs",
-        ] {
+    fn wall_node_modules_are_covered() {
+        for file in ["crates/hyperwall/src/server.rs", "crates/hyperwall/src/client.rs"] {
             let diags = run_on(&DeadlineIo, "hyperwall", file, FIXTURE, &cfg());
             assert_eq!(lines(&diags), vec![5, 6], "{file}: {diags:?}");
         }

@@ -1,9 +1,9 @@
 //! R8 `guard_across_blocking`: no lock guard may be live across a call
 //! that can block — deadline I/O, fsync, channel receives, sleeps, condvar
 //! waits — whether the blocking call is direct or reached through the
-//! workspace call graph. This is the static form of PR 6's plan-cache
-//! claim ("the lock is never held during builds") and of the session
-//! service's worker-loop discipline.
+//! workspace call graph. This is the static form of the plan cache's
+//! claim ("the lock is never held during builds") and of the chunk
+//! streamer's ("no lock is held across I/O or backoff").
 //!
 //! The condvar exemption: `cv.wait(guard)` *releases* the guard it is
 //! handed for the duration of the wait, so that guard is exempt at the

@@ -1,11 +1,11 @@
-//! R10 `unbounded_growth`: in the modules that parse network/session
-//! input (the service front-end), every `push`/`extend`/`insert` into a
-//! long-lived collection must sit in a function that shows *some*
-//! capacity discipline — a `max_*`/`*_limit`/`cap`/`budget`/`quota`-named
-//! bound, a shrink call (`truncate`, `drain`, `evict`, `pop`, …), or a
-//! `len()` comparison. Otherwise a chatty or malicious client grows the
-//! collection without bound and the admission-control story of the
-//! session service is fiction.
+//! R10 `unbounded_growth`: in the modules that handle network or
+//! client-driven input (the wall server, the task-graph and ensemble
+//! schedulers), every `push`/`extend`/`insert` into a long-lived collection
+//! must sit in a function that shows *some* capacity discipline — a
+//! `max_*`/`*_limit`/`cap`/`budget`/`quota`-named bound, a shrink call
+//! (`truncate`, `drain`, `evict`, `pop`, …), or a `len()` comparison.
+//! Otherwise a chatty or malicious client grows the collection without
+//! bound.
 //!
 //! Deliberately coarse (function granularity, name-based evidence): the
 //! goal is "the author thought about the bound", not a proof. Collections
@@ -81,7 +81,7 @@ mod tests {
     use super::*;
     use crate::rules::testutil::{cfg, lines, run_on_ws};
 
-    const PATH: &str = "crates/hyperwall/src/service/server.rs";
+    const PATH: &str = "crates/hyperwall/src/server.rs";
 
     #[test]
     fn unguarded_growth_in_input_module_is_caught() {

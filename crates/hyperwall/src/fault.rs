@@ -5,9 +5,9 @@
 //! on cue. Because the plan is plain data (and the seeded constructor is a
 //! pure function of its seed), every failure scenario is reproducible —
 //! the degradation/recovery tests in [`crate::cluster`] are ordinary
-//! deterministic unit tests, not flaky chaos runs. The two scripted sends
-//! that both the wall client and the service client perform — the
-//! slow-loris dribble and the half-frame cut — live here too, once.
+//! deterministic unit tests, not flaky chaos runs. The wall client's two
+//! scripted sends — the slow-loris dribble and the half-frame cut — live
+//! here too.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -33,17 +33,9 @@ pub enum Fault {
     /// (milliseconds per byte) — the classic slow-loris: the connection is
     /// alive but a frame never completes within any reasonable deadline.
     SlowLoris(u64),
-    /// Cut the connection halfway through sending message (wall: frame,
-    /// service: request) N — the peer sees a truncated frame, not a clean
-    /// close.
+    /// Cut the connection halfway through sending the message of frame N —
+    /// the peer sees a truncated frame, not a clean close.
     MidRequestDisconnect(u64),
-    /// After losing the connection, redial this many times in a tight loop
-    /// (a thundering-herd reconnect storm hammering the accept path).
-    ReconnectStorm(u32),
-    /// Fire this many requests back-to-back, ignoring every `Busy` /
-    /// `RetryAfter` the service answers — a quota-exhaustion storm
-    /// (service-level; the wall protocol has no client-initiated requests).
-    QuotaStorm(u32),
     /// Flip payload bytes inside the `FrameKey` / `FrameDelta` for this
     /// frame before sending — the message still parses, but its content
     /// hashes no longer match; the server must reject it atomically and
@@ -128,28 +120,6 @@ impl ClientFaults {
             Fault::MidRequestDisconnect(n) => Some(*n),
             _ => None,
         })
-    }
-
-    /// Size of the scripted reconnect storm (0 = none).
-    pub fn reconnect_storm(&self) -> u32 {
-        self.faults
-            .iter()
-            .find_map(|f| match f {
-                Fault::ReconnectStorm(k) => Some(*k),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
-    /// Size of the scripted quota-exhaustion storm (0 = none).
-    pub fn quota_storm(&self) -> u32 {
-        self.faults
-            .iter()
-            .find_map(|f| match f {
-                Fault::QuotaStorm(k) => Some(*k),
-                _ => None,
-            })
-            .unwrap_or(0)
     }
 
     /// Frame whose delta/keyframe payload is corrupted in flight, if
@@ -281,32 +251,6 @@ impl FaultPlan {
             .inject(victim, Fault::RefuseReconnect(refusals))
     }
 
-    /// A seeded service-overload scenario: of `n_sessions` client sessions,
-    /// `n_misbehaving` distinct victims are picked deterministically from
-    /// `seed` (SplitMix64) and each is scripted one misbehaviour, cycling
-    /// through quota storms, slow-loris sends, mid-request disconnects and
-    /// reconnect storms. Same seed → same storm, always.
-    pub fn seeded_service_storm(
-        seed: u64,
-        n_sessions: usize,
-        n_misbehaving: usize,
-        storm_requests: u32,
-    ) -> FaultPlan {
-        assert!(n_sessions > 0, "empty service scenario");
-        let mut rng = SplitMix64(seed);
-        let mut plan = FaultPlan::none();
-        for (k, victim) in rng.distinct(n_sessions, n_misbehaving).into_iter().enumerate() {
-            let fault = match k % 4 {
-                0 => Fault::QuotaStorm(storm_requests.max(1)),
-                1 => Fault::SlowLoris(20 + rng.next() % 30),
-                2 => Fault::MidRequestDisconnect(rng.next() % 4),
-                _ => Fault::ReconnectStorm(4 + (rng.next() % 8) as u32),
-            };
-            plan = plan.inject(victim, fault);
-        }
-        plan
-    }
-
     /// A seeded frame-delta fault storm: `n_misbehaving` distinct victim
     /// clients are drawn deterministically from `seed` (SplitMix64) and
     /// each is scripted one transport fault — corrupt, drop, or a small
@@ -346,11 +290,15 @@ mod tests {
             .inject(2, Fault::DropAtFrame(5))
             .inject(2, Fault::RefuseReconnect(3))
             .inject(0, Fault::DelayReplies(40))
-            .inject(1, Fault::CorruptAtFrame(1));
+            .inject(1, Fault::CorruptAtFrame(1))
+            .inject(3, Fault::SlowLoris(25))
+            .inject(4, Fault::MidRequestDisconnect(3));
         assert_eq!(plan.client(2).drop_at(), Some(5));
         assert_eq!(plan.client(2).refused_reconnects(), 3);
         assert_eq!(plan.client(0).reply_delay_ms(), 40);
         assert_eq!(plan.client(1).corrupt_at(), Some(1));
+        assert_eq!(plan.client(3).slow_loris_ms(), 25);
+        assert_eq!(plan.client(4).mid_request_disconnect_at(), Some(3));
         // unscripted client: all-clear defaults
         let clean = plan.client(9);
         assert!(clean.is_empty());
@@ -358,62 +306,11 @@ mod tests {
         assert_eq!(clean.reply_delay_ms(), 0);
         assert_eq!(clean.corrupt_at(), None);
         assert_eq!(clean.refused_reconnects(), 0);
-        assert_eq!(plan.faulty_clients(), vec![0, 1, 2]);
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::none().is_empty());
-    }
-
-    #[test]
-    fn service_fault_queries_find_scripted_faults() {
-        let plan = FaultPlan::none()
-            .inject(0, Fault::SlowLoris(25))
-            .inject(1, Fault::MidRequestDisconnect(3))
-            .inject(2, Fault::ReconnectStorm(9))
-            .inject(3, Fault::QuotaStorm(64));
-        assert_eq!(plan.client(0).slow_loris_ms(), 25);
-        assert_eq!(plan.client(1).mid_request_disconnect_at(), Some(3));
-        assert_eq!(plan.client(2).reconnect_storm(), 9);
-        assert_eq!(plan.client(3).quota_storm(), 64);
-        // unscripted defaults
-        let clean = plan.client(7);
         assert_eq!(clean.slow_loris_ms(), 0);
         assert_eq!(clean.mid_request_disconnect_at(), None);
-        assert_eq!(clean.reconnect_storm(), 0);
-        assert_eq!(clean.quota_storm(), 0);
-    }
-
-    #[test]
-    fn seeded_service_storm_is_deterministic_with_distinct_victims() {
-        let a = FaultPlan::seeded_service_storm(7, 16, 12, 32);
-        let b = FaultPlan::seeded_service_storm(7, 16, 12, 32);
-        assert_eq!(a, b);
-        let victims = a.faulty_clients();
-        assert_eq!(victims.len(), 12, "victims must be distinct: {victims:?}");
-        assert!(victims.iter().all(|&v| v < 16));
-        // every storm kind appears when enough victims are drawn
-        let (mut storms, mut loris, mut cuts, mut herds) = (0, 0, 0, 0);
-        for &v in &victims {
-            let f = a.client(v);
-            if f.quota_storm() > 0 {
-                storms += 1;
-            }
-            if f.slow_loris_ms() > 0 {
-                loris += 1;
-            }
-            if f.mid_request_disconnect_at().is_some() {
-                cuts += 1;
-            }
-            if f.reconnect_storm() > 0 {
-                herds += 1;
-            }
-        }
-        assert!(storms > 0 && loris > 0 && cuts > 0 && herds > 0);
-        // different seeds explore different victim sets
-        let other = FaultPlan::seeded_service_storm(8, 16, 12, 32);
-        assert_ne!(a, other);
-        // misbehaving count is clamped to the session count
-        let clamped = FaultPlan::seeded_service_storm(1, 3, 10, 4);
-        assert_eq!(clamped.faulty_clients().len(), 3);
+        assert_eq!(plan.faulty_clients(), vec![0, 1, 2, 3, 4]);
+        assert!(!plan.is_empty());
+        assert!(FaultPlan::none().is_empty());
     }
 
     #[test]
@@ -465,13 +362,6 @@ mod tests {
             format!("{:?}", FaultPlan::seeded_crash(7, 3, 8, 2)),
             "FaultPlan { per_client: {0: ClientFaults { faults: [DropAtFrame(4), \
              RefuseReconnect(2)] }} }"
-        );
-        assert_eq!(
-            format!("{:?}", FaultPlan::seeded_service_storm(11, 6, 4, 40)),
-            "FaultPlan { per_client: {0: ClientFaults { faults: [MidRequestDisconnect(2)] }, \
-             1: ClientFaults { faults: [SlowLoris(28)] }, \
-             3: ClientFaults { faults: [QuotaStorm(40)] }, \
-             5: ClientFaults { faults: [ReconnectStorm(8)] }} }"
         );
         assert_eq!(
             format!("{:?}", FaultPlan::seeded_delta_storm(5, 3, 10, 2)),

@@ -73,7 +73,6 @@ pub mod frame_delta;
 pub mod layout;
 pub mod protocol;
 pub mod server;
-pub mod service;
 pub mod workflow;
 
 /// Errors raised by hyperwall operations.
@@ -91,9 +90,6 @@ pub enum WallError {
     Timeout(String),
     /// An operation addressed a panel that is currently degraded.
     Degraded { panel: usize, reason: String },
-    /// The session service turned the caller away under load; retry after
-    /// the indicated backoff.
-    Overloaded { retry_after_ms: u64 },
     /// A frame-delta transport message was rejected (corrupt payload,
     /// stale epoch, sequence gap); the inner error says why and is
     /// surfaced through `source()`.
@@ -110,9 +106,6 @@ impl std::fmt::Display for WallError {
             WallError::Timeout(m) => write!(f, "timeout: {m}"),
             WallError::Degraded { panel, reason } => {
                 write!(f, "panel {panel} degraded: {reason}")
-            }
-            WallError::Overloaded { retry_after_ms } => {
-                write!(f, "service overloaded: retry after {retry_after_ms} ms")
             }
             WallError::Delta(e) => write!(f, "frame delta: {e}"),
         }

@@ -84,52 +84,6 @@ pub const TILE_HEADER_BYTES: usize = 3 * 8 + 4;
 /// fields, payload length.
 pub const PREVIEW_HEADER_BYTES: usize = 1 + 6 * 8 + 4;
 
-/// One unit of analysis / rendering work a session submits to the
-/// multi-tenant service (see [`crate::service`]). Workloads are synthetic
-/// but shaped like the paper's: regridding, reductions, cell renders —
-/// each deterministic in its parameters, so identical requests from
-/// different sessions get identical digests (and identical regrids share
-/// one cached plan).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum ServiceWork {
-    /// Regrid a seeded synthetic field from a `src`-shaped uniform grid
-    /// onto a `dst`-shaped one (plans flow through the shared plan cache).
-    Regrid { src: (usize, usize), dst: (usize, usize), seed: u64 },
-    /// Deterministic moment reduction over a seeded synthetic series.
-    Analysis { seed: u64, len: usize },
-    /// Render a small synthetic cell at this resolution (degraded replies
-    /// substitute a low-res mirror frame, exactly like a degraded panel).
-    Render { width: usize, height: usize, seed: u64 },
-}
-
-/// Fidelity of a service reply. Under overload the service answers with
-/// coarsened results (the Degraded-panel idea applied to analysis work)
-/// before it sheds anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum ResultQuality {
-    /// Full-resolution result.
-    Full,
-    /// Coarsened / low-res mirror result produced under overload.
-    Degraded,
-}
-
-/// Why the service turned a session or request away. Every rejection is
-/// explicit — nothing is ever silently dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum RejectReason {
-    /// The session cap is reached; no new sessions are admitted.
-    SessionCapacity,
-    /// The session's token-bucket quota is exhausted.
-    OverQuota,
-    /// The session's bounded inbox is full.
-    InboxFull,
-    /// The request was admitted but shed under overload before running.
-    Shed,
-}
-
 /// Messages exchanged between server and clients.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -169,32 +123,6 @@ pub enum Message {
     HeartbeatAck { client_id: usize, seq: u64 },
     /// Server → client: shut down cleanly.
     Shutdown,
-    /// Client → service: open a multiplexed analysis session.
-    SessionOpen { session_id: u64 },
-    /// Service → client: the session is admitted.
-    SessionAccepted { session_id: u64 },
-    /// Service → client: backpressure. The queue depth tells the client
-    /// how far behind the service is; a conforming client backs off for
-    /// `retry_after_ms` before retrying.
-    Busy { session_id: u64, queue_depth: usize, retry_after_ms: u64 },
-    /// Service → client: request `request` was turned away (quota, full
-    /// inbox, or shed under overload) — retry after the given backoff.
-    /// This is the "nothing is silently dropped" guarantee in wire form.
-    RetryAfter { session_id: u64, request: u64, retry_after_ms: u64, reason: RejectReason },
-    /// Client → service: one unit of work within a session.
-    Request { session_id: u64, request: u64, work: ServiceWork },
-    /// Service → client: request finished. `digest` fingerprints the
-    /// result (so tests can assert determinism), `quality` says whether
-    /// overload coarsened it.
-    Response {
-        session_id: u64,
-        request: u64,
-        quality: ResultQuality,
-        digest: u64,
-        compute_ms: f64,
-    },
-    /// Client → service: close the session and free its slot.
-    SessionClose { session_id: u64 },
     /// Client → server: versioned handshake. `proto >=`
     /// [`PROTO_DELTA`] opts the panel into the frame-delta transport;
     /// servers answer v1 [`Message::Hello`] clients exactly as before, so
@@ -615,36 +543,16 @@ fn read_exact_deadline(
 /// [`read_message_deadline`], a silent peer is not an error here — an idle
 /// command loop is a legitimate state — but the wait never blocks longer
 /// than `slice` at a time, and once bytes start arriving the whole frame
-/// must complete within `deadline`. It is [`read_message_idle_bounded`]
-/// asked again for as long as it reports an idle slice.
+/// must complete within `deadline`, so a slow-loris peer trips
+/// [`WallError::Timeout`] instead of wedging the thread. Peeking (not
+/// reading) during the idle wait means an idle slice can never
+/// desynchronise a half-received frame.
 pub fn read_message_idle(
     stream: &mut TcpStream,
     slice: Duration,
     deadline: Duration,
     what: &str,
 ) -> Result<Message> {
-    loop {
-        if let Some(msg) = read_message_idle_bounded(stream, slice, deadline, slice, what)? {
-            return Ok(msg);
-        }
-    }
-}
-
-/// Like [`read_message_idle`] but with a bounded idle wait: if no bytes
-/// arrive within `max_idle`, returns `Ok(None)` (an idle session is not an
-/// error — the caller typically checks a shutdown flag and calls again).
-/// Once bytes start arriving the whole frame must complete within
-/// `deadline`, so a slow-loris peer trips [`WallError::Timeout`] instead of
-/// wedging the connection thread. Peeking (not reading) during the idle
-/// wait means an idle expiry can never desynchronise a half-received frame.
-pub fn read_message_idle_bounded(
-    stream: &mut TcpStream,
-    slice: Duration,
-    deadline: Duration,
-    max_idle: Duration,
-    what: &str,
-) -> Result<Option<Message>> {
-    let idle_deadline = std::time::Instant::now() + max_idle;
     let mut probe = [0u8; 1];
     loop {
         stream.set_read_timeout(Some(slice))?;
@@ -652,12 +560,8 @@ pub fn read_message_idle_bounded(
         stream.set_read_timeout(None).ok();
         match peeked {
             // data (or EOF) ready: read_message_deadline reports either
-            Ok(_) => return read_message_deadline(stream, deadline, what).map(Some),
-            Err(e) if is_timeout(&e) => {
-                if std::time::Instant::now() >= idle_deadline {
-                    return Ok(None);
-                }
-            }
+            Ok(_) => return read_message_deadline(stream, deadline, what),
+            Err(e) if is_timeout(&e) => continue,
             Err(e) => return Err(e.into()),
         }
     }
@@ -701,38 +605,6 @@ mod tests {
             Message::Heartbeat { seq: 11 },
             Message::HeartbeatAck { client_id: 3, seq: 11 },
             Message::Shutdown,
-            Message::SessionOpen { session_id: 9 },
-            Message::SessionAccepted { session_id: 9 },
-            Message::Busy { session_id: 9, queue_depth: 17, retry_after_ms: 40 },
-            Message::RetryAfter {
-                session_id: 9,
-                request: 4,
-                retry_after_ms: 25,
-                reason: RejectReason::Shed,
-            },
-            Message::Request {
-                session_id: 9,
-                request: 4,
-                work: ServiceWork::Regrid { src: (8, 16), dst: (6, 12), seed: 1 },
-            },
-            Message::Request {
-                session_id: 9,
-                request: 5,
-                work: ServiceWork::Analysis { seed: 2, len: 64 },
-            },
-            Message::Request {
-                session_id: 9,
-                request: 6,
-                work: ServiceWork::Render { width: 32, height: 24, seed: 3 },
-            },
-            Message::Response {
-                session_id: 9,
-                request: 4,
-                quality: ResultQuality::Degraded,
-                digest: 0xDEAD_BEEF,
-                compute_ms: 1.25,
-            },
-            Message::SessionClose { session_id: 9 },
             Message::HelloV2 { client_id: 3, proto: PROTO_DELTA },
             Message::FrameKey {
                 client_id: 3,
@@ -779,13 +651,6 @@ mod tests {
                 | Message::Heartbeat { .. }
                 | Message::HeartbeatAck { .. }
                 | Message::Shutdown
-                | Message::SessionOpen { .. }
-                | Message::SessionAccepted { .. }
-                | Message::Busy { .. }
-                | Message::RetryAfter { .. }
-                | Message::Request { .. }
-                | Message::Response { .. }
-                | Message::SessionClose { .. }
                 | Message::HelloV2 { .. }
                 | Message::FrameKey { .. }
                 | Message::FrameDelta { .. }
@@ -878,15 +743,6 @@ mod tests {
         assert!(matches!(err, WallError::Timeout(_)), "{err}");
         assert!(err.to_string().contains("FrameDone"));
         assert!(start.elapsed() < Duration::from_secs(2));
-        // a bounded idle wait with no idle budget reports the silence, not an error
-        let idle = read_message_idle_bounded(
-            &mut stream,
-            Duration::from_millis(5),
-            Duration::from_secs(1),
-            Duration::ZERO,
-            "command",
-        );
-        assert!(matches!(idle, Ok(None)), "{idle:?}");
         // deadline must be cleared afterwards: a normal exchange still works
         let msg = Message::Heartbeat { seq: 1 };
         let mut held = _held;
