@@ -261,7 +261,12 @@ impl Entry {
 
     /// The other half: `payload` hashes to this entry's CRC.
     pub(crate) fn checksum(&self, payload: &[u8]) -> Result<()> {
-        if crc32c(payload) != self.crc {
+        self.crc_is(crc32c(payload))
+    }
+
+    /// [`Entry::checksum`] of a payload whose CRC32C the caller computed.
+    pub(crate) fn crc_is(&self, crc: u32) -> Result<()> {
+        if crc != self.crc {
             return format_err(format!(
                 "{:?} section at byte {}: checksum mismatch",
                 self.kind, self.offset

@@ -370,15 +370,64 @@ pub(crate) fn raw_body_size(n: usize) -> Option<usize> {
     n.checked_mul(4)?.checked_add(n.div_ceil(8))
 }
 
+/// Elements per item of [`get_raw_body`]'s region: 64 KiB of floats. A
+/// multiple of eight, so every item's mask starts on a byte.
+pub(crate) const CONVERT_CHUNK: usize = 16 * 1024;
+
+/// Elements an item converts at a time, on the stack, before it copies them
+/// into its slots: the conversion loops then vectorize, and a slot copy
+/// checks its room once per stage rather than once per element.
+const CONVERT_STAGE: usize = 256;
+
+/// A packed mask byte's eight flags: `MASK_BITS[b][i]` is bit `i` of `b`,
+/// the flag of the byte's element `i`.
+static MASK_BITS: [[bool; 8]; 256] = {
+    let mut rows = [[false; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            rows[b][bit] = b & (1 << bit) != 0;
+            bit += 1;
+        }
+        b += 1;
+    }
+    rows
+};
+
+/// Decodes a raw body of `n` elements (see [`put_raw_body`]). Floats and
+/// mask are written once each, chunk for chunk, on one parallel region.
 pub(crate) fn get_raw_body(buf: &mut &[u8], n: usize) -> Result<(Vec<f32>, Vec<bool>)> {
     let float_bytes = n
         .checked_mul(4)
         .ok_or_else(|| CdmsError::Format(format!("implausible element count {n}")))?;
     // `take_bytes` proves the bytes are present before anything is sized
-    // by `n`; chunk-wise conversion is what the compiler vectorizes
-    let floats = take_bytes(buf, float_bytes)?;
-    let data = floats.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-    Ok((data.collect(), get_mask(buf, n)?))
+    // by `n`
+    let words = take_bytes(buf, float_bytes)?.as_chunks::<4>().0;
+    let packed = take_bytes(buf, n.div_ceil(8))?;
+    let (mut data, mut mask) = (Vec::new(), Vec::new());
+    rayon::extend_chunks_pair(&mut data, &mut mask, n, CONVERT_CHUNK, |i, mut values, mut valid| {
+        let first = i * CONVERT_CHUNK;
+        let words = words.get(first..first + values.len()).unwrap_or_default();
+        let bytes = packed.get(first / 8..).unwrap_or_default();
+        let mut floats = [0f32; CONVERT_STAGE];
+        let mut flags = [false; CONVERT_STAGE];
+        for (words, bytes) in words.chunks(CONVERT_STAGE).zip(bytes.chunks(CONVERT_STAGE / 8)) {
+            for (f, w) in floats.iter_mut().zip(words) {
+                *f = f32::from_le_bytes(*w);
+            }
+            values.extend_from_slice(&floats[..words.len()]);
+            for (eight, &b) in flags.as_chunks_mut::<8>().0.iter_mut().zip(bytes) {
+                *eight = MASK_BITS[b as usize];
+            }
+            // a partial last byte gives its low `n % 8` bits; the padding
+            // bits above them are not read
+            valid.extend_from_slice(&flags[..words.len()]);
+        }
+        values.finish();
+        valid.finish();
+    });
+    Ok((data, mask))
 }
 
 /// Product of `shape` without overflow (empty shape = scalar = 1 element).

@@ -629,9 +629,17 @@ pub(crate) fn packbits_encode(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decodes PackBits, requiring exactly `expected_len` output bytes.
-pub(crate) fn packbits_decode(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
+/// Decodes PackBits into `out`, replacing what it held, requiring exactly
+/// `expected_len` output bytes. `out` keeps its allocation between calls
+/// and never grows past `expected_len`: a reused buffer's capacity is the
+/// largest body it has held.
+pub(crate) fn packbits_decode_into(
+    input: &[u8],
+    expected_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    out.clear();
+    out.reserve_exact(expected_len);
     let mut i = 0usize;
     while i < input.len() {
         let tag = input[i];
@@ -667,7 +675,7 @@ pub(crate) fn packbits_decode(input: &[u8], expected_len: usize) -> Result<Vec<u
             out.len()
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---- chunk decode ----
@@ -687,6 +695,23 @@ pub fn decode_chunk_payload(
     expect: (usize, usize, usize),
     expect_n: usize,
 ) -> Result<(Vec<f32>, Vec<bool>)> {
+    let mut unpacked = Vec::new();
+    let stored = chunk_body(payload, expect, expect_n, &mut unpacked)?;
+    format::get_raw_body(&mut stored.unwrap_or(&unpacked), expect_n)
+}
+
+/// The serial half of decoding a chunk payload, which every reader of a
+/// chunk runs: checks the identity triple, codec and element count against
+/// the directory/metadata, and finds the raw body. A `CODEC_RAW` body is
+/// returned as the payload's own bytes; a `CODEC_RLE` body is PackBits-
+/// decoded into `unpacked`, and `None` says that it is there. The other
+/// half is [`format::get_raw_body`].
+pub(crate) fn chunk_body<'p>(
+    payload: &'p [u8],
+    expect: (usize, usize, usize),
+    expect_n: usize,
+    unpacked: &mut Vec<u8>,
+) -> Result<Option<&'p [u8]>> {
     let mut cur = payload;
     let buf = &mut cur;
     let (var, window, level) = chunk_identity(buf)?;
@@ -704,22 +729,20 @@ pub fn decode_chunk_payload(
     }
     let raw_len = format::raw_body_size(n)
         .ok_or_else(|| CdmsError::Format("chunk size overflows".into()))?;
-    let unpacked;
-    let mut body: &[u8] = match codec {
-        CODEC_RAW => buf,
+    let (body_len, stored) = match codec {
+        CODEC_RAW => (buf.len(), Some(*buf)),
         CODEC_RLE => {
-            unpacked = packbits_decode(buf, raw_len)?;
-            &unpacked
+            packbits_decode_into(buf, raw_len, unpacked)?;
+            (unpacked.len(), None)
         }
         c => return Err(CdmsError::Format(format!("unknown chunk codec {c}"))),
     };
-    if body.len() != raw_len {
+    if body_len != raw_len {
         return Err(CdmsError::Format(format!(
-            "chunk body is {} bytes, expected {raw_len}",
-            body.len()
+            "chunk body is {body_len} bytes, expected {raw_len}"
         )));
     }
-    format::get_raw_body(&mut body, n)
+    Ok(stored)
 }
 
 // ---- windows ----
@@ -1233,11 +1256,14 @@ mod tests {
             (0..=255u8).cycle().take(700).collect(),
             [vec![9u8; 200], (0..100u8).collect(), vec![3u8; 5]].concat(),
         ];
+        // one buffer for every case, as the streamer reuses it
+        let mut dec = Vec::new();
         for case in cases {
             let enc = packbits_encode(&case);
-            let dec = packbits_decode(&enc, case.len()).unwrap();
+            packbits_decode_into(&enc, case.len(), &mut dec).unwrap();
             assert_eq!(dec, case);
         }
+        assert_eq!(dec.capacity(), 1000, "grown to the largest body, not past it");
         // constant input compresses hard
         let enc = packbits_encode(&[0u8; 1000]);
         assert!(enc.len() < 20, "{}", enc.len());

@@ -64,10 +64,22 @@ const fn crc32c_tables() -> [[u32; 256]; 16] {
 
 static CRC32C_TABLES: [[u32; 256]; 16] = crc32c_tables();
 
-/// Buffers at least this large are CRC'd as three interleaved streams
-/// whose partial CRCs are stitched together with [`crc32c_shift`]; the
-/// per-call combine cost (~µs) only pays for itself on bulk sections.
-const MULTISTREAM_MIN: usize = 3 * 16 * 1024;
+/// Bytes in each of a block's three interleaved streams.
+const CRC_STREAM: usize = 16 * 1024;
+
+/// Bytes of one CRC block: three 16 KiB streams walked in one interleaved
+/// slicing-by-16 loop, so that their three dependency chains overlap and
+/// hide the table-lookup latency a single chain serializes on. Every buffer
+/// is CRC'd as whole blocks, each folded on with [`crc32c_join`], then a
+/// serial tail; the streamer runs the blocks of a chunk on both cores.
+pub(crate) const CRC_BLOCK: usize = 3 * CRC_STREAM;
+
+/// The zero-byte shift operators that stitch a block's streams together
+/// and blocks onto each other, built at compile time: applying one costs a
+/// GF(2) matrix–vector product, where building one at run time costs
+/// ≈ 19 µs.
+static SHIFT_STREAM: [u32; 32] = shift_operator(CRC_STREAM as u64);
+static SHIFT_BLOCK: [u32; 32] = shift_operator(CRC_BLOCK as u64);
 
 /// CRC32C (Castagnoli) of `bytes` — the checksum guarding every `.ncr`
 /// format-v2 section.
@@ -78,39 +90,37 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 /// Continues a CRC32C computation: `crc32c_update(crc32c(a), b)` equals
 /// `crc32c` of `a` and `b` concatenated.
 pub fn crc32c_update(seed: u32, bytes: &[u8]) -> u32 {
-    if bytes.len() < MULTISTREAM_MIN {
-        return crc32c_serial(seed, bytes);
-    }
-    // Split into three contiguous streams and walk them in one interleaved
-    // slicing-by-16 loop: the three dependency chains overlap, hiding the
-    // table-lookup latency a single chain serializes on.
-    let third = (bytes.len() / 3) & !15; // 16-byte aligned stream length
-    let (a, rest) = bytes.split_at(third);
-    let (b, c) = rest.split_at(third);
+    let (blocks, tail) = bytes.as_chunks::<CRC_BLOCK>();
+    let crc = blocks.iter().fold(seed, |crc, block| crc32c_join(crc, crc32c_block(block)));
+    crc32c_serial(crc, tail)
+}
+
+/// CRC32C of one block, as three interleaved streams whose finalized CRCs
+/// are stitched back into one (zlib's `crc32_combine`):
+/// `crc(x ++ y) = shift(crc(x), y.len()) ^ crc(y)`.
+pub(crate) fn crc32c_block(block: &[u8; CRC_BLOCK]) -> u32 {
     let t = &CRC32C_TABLES;
-    let (mut ca, mut cb, mut cc) = (!seed, !0u32, !0u32);
-    let mut az = a.chunks_exact(16);
-    let mut bz = b.chunks_exact(16);
-    let mut cz = c.chunks_exact(16);
-    for _ in 0..third / 16 {
-        // a and b hold exactly third/16 chunks and c at least that many,
-        // so none of these is ever None
-        if let (Some(x), Some(y), Some(z)) = (az.next(), bz.next(), cz.next()) {
-            ca = fold16(t, ca, x);
-            cb = fold16(t, cb, y);
-            cc = fold16(t, cc, z);
-        }
+    let (a, bc) = block.as_chunks::<16>().0.split_at(CRC_STREAM / 16);
+    let (b, c) = bc.split_at(CRC_STREAM / 16);
+    let (mut ca, mut cb, mut cc) = (!0u32, !0u32, !0u32);
+    for ((x, y), z) in a.iter().zip(b).zip(c) {
+        ca = fold16(t, ca, x);
+        cb = fold16(t, cb, y);
+        cc = fold16(t, cc, z);
     }
-    let cc = finish_serial(t, cc, &c[third..]); // c's tail, serially
-    // stitch the three finalized stream CRCs back into one (zlib's
-    // crc32_combine): crc(x ++ y) = shift(crc(x), y.len()) ^ crc(y)
-    let ab = crc32c_shift(!ca, b.len() as u64) ^ !cb;
-    crc32c_shift(ab, c.len() as u64) ^ !cc
+    let ab = gf2_times(&SHIFT_STREAM, !ca) ^ !cb;
+    gf2_times(&SHIFT_STREAM, ab) ^ !cc
+}
+
+/// Continues the CRC32C `crc` across one block whose own CRC32C is
+/// `block_crc` — the same stitch, one block long.
+pub(crate) fn crc32c_join(crc: u32, block_crc: u32) -> u32 {
+    gf2_times(&SHIFT_BLOCK, crc) ^ block_crc
 }
 
 /// One slicing-by-16 fold: absorbs a 16-byte block into `crc`.
 #[inline(always)]
-fn fold16(t: &[[u32; 256]; 16], crc: u32, c: &[u8]) -> u32 {
+fn fold16(t: &[[u32; 256]; 16], crc: u32, c: &[u8; 16]) -> u32 {
     let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
     t[15][(lo & 0xFF) as usize]
         ^ t[14][((lo >> 8) & 0xFF) as usize]
@@ -130,51 +140,45 @@ fn fold16(t: &[[u32; 256]; 16], crc: u32, c: &[u8]) -> u32 {
         ^ t[0][c[15] as usize]
 }
 
-/// Single-stream slicing-by-16 (small buffers and stream tails).
+/// Single-stream slicing-by-16 (small buffers and the tail after the
+/// blocks).
 fn crc32c_serial(seed: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32C_TABLES;
-    !finish_serial(t, !seed, bytes)
-}
-
-/// Runs the raw (pre-inversion) CRC state over `bytes`.
-fn finish_serial(t: &[[u32; 256]; 16], mut crc: u32, bytes: &[u8]) -> u32 {
-    let mut chunks = bytes.chunks_exact(16);
-    for c in &mut chunks {
-        crc = fold16(t, crc, c);
-    }
-    for &b in chunks.remainder() {
+    let (chunks, rest) = bytes.as_chunks::<16>();
+    let mut crc = chunks.iter().fold(!seed, |crc, c| fold16(t, crc, c));
+    for &b in rest {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    crc
+    !crc
 }
 
 /// GF(2) matrix × vector product (zlib's `gf2_matrix_times` idiom).
-fn gf2_times(mat: &[u32; 32], mut vec: u32) -> u32 {
+const fn gf2_times(mat: &[u32; 32], vec: u32) -> u32 {
     let mut sum = 0;
     let mut i = 0;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
+    while i < 32 {
+        // every row, without a branch on the bit: the bit picks the row
+        sum ^= mat[i] & 0u32.wrapping_sub((vec >> i) & 1);
         i += 1;
     }
     sum
 }
 
-fn gf2_square(square: &mut [u32; 32], mat: &[u32; 32]) {
-    for n in 0..32 {
+const fn gf2_square(square: &mut [u32; 32], mat: &[u32; 32]) {
+    let mut n = 0;
+    while n < 32 {
         square[n] = gf2_times(mat, mat[n]);
+        n += 1;
     }
 }
 
 /// Advances `crc` (a finalized CRC32C of some prefix) across `len` zero
 /// bytes: `crc32c_shift(crc32c(a), b.len()) ^ crc32c(b)` equals
 /// `crc32c(a ++ b)` up to the shared pre/post inversion handled by the
-/// caller. This is zlib's `crc32_combine` with the Castagnoli polynomial,
-/// and is what lets the interleaved streams above be stitched back into
-/// one standard CRC.
-fn crc32c_shift(mut crc: u32, mut len: u64) -> u32 {
+/// caller. This is zlib's `crc32_combine` with the Castagnoli polynomial.
+/// It builds its squared operators as it goes, so it runs only at compile
+/// time, in [`shift_operator`].
+const fn crc32c_shift(mut crc: u32, mut len: u64) -> u32 {
     if len == 0 {
         return crc;
     }
@@ -182,9 +186,11 @@ fn crc32c_shift(mut crc: u32, mut len: u64) -> u32 {
     let mut odd = [0u32; 32];
     odd[0] = 0x82F6_3B78;
     let mut row = 1u32;
-    for entry in odd.iter_mut().skip(1) {
-        *entry = row;
+    let mut i = 1;
+    while i < 32 {
+        odd[i] = row;
         row <<= 1;
+        i += 1;
     }
     let mut even = [0u32; 32];
     gf2_square(&mut even, &odd); // shift by two bits
@@ -209,6 +215,18 @@ fn crc32c_shift(mut crc: u32, mut len: u64) -> u32 {
         }
     }
     crc
+}
+
+/// The matrix of the shift across `len` zero bytes: the shift is linear in
+/// the CRC, so row `i` is where it takes the CRC `1 << i`.
+const fn shift_operator(len: u64) -> [u32; 32] {
+    let mut op = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        op[i] = crc32c_shift(1 << i, len);
+        i += 1;
+    }
+    op
 }
 
 // ---- the storage primitive trait ----
@@ -766,9 +784,16 @@ mod tests {
         assert_eq!(all, chained);
     }
 
+    /// The block length under the name the multi-stream tests know it by.
+    const MULTISTREAM_MIN: usize = CRC_BLOCK;
+
     /// Deterministic pseudo-random buffer for the bulk-CRC tests.
     fn noise(len: usize) -> Vec<u8> {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        noise_from(0x9E37_79B9_7F4A_7C15, len)
+    }
+
+    /// [`noise`] from another starting state.
+    fn noise_from(mut x: u64, len: usize) -> Vec<u8> {
         (0..len)
             .map(|_| {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -810,6 +835,60 @@ mod tests {
         for split in [1, 100, 99_991, 150_000, 299_999] {
             let (a, b) = buf.split_at(split);
             assert_eq!(crc32c_update(crc32c(a), b), whole, "split {split}");
+        }
+    }
+
+    /// Lengths around the stream and block boundaries, and the benchmark's
+    /// chunk frame.
+    const BLOCK_EDGE_LENGTHS: [usize; 9] = [
+        0,
+        1,
+        CRC_STREAM - 1,
+        CRC_STREAM + 1,
+        CRC_BLOCK - 1,
+        CRC_BLOCK + 1,
+        2 * CRC_BLOCK,
+        2 * CRC_BLOCK + 7,
+        2_090_836,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+        /// Whole blocks stitched by the compile-time operators, then the
+        /// tail, are the single-stream CRC of the same bytes from any seed.
+        #[test]
+        fn crc32c_blocks_are_the_serial_crc(
+            seed in 0u32..u32::MAX,
+            state in 0u64..u64::MAX,
+        ) {
+            for len in BLOCK_EDGE_LENGTHS {
+                let buf = noise_from(state, len);
+                proptest::prop_assert_eq!(
+                    crc32c_update(seed, &buf),
+                    crc32c_serial(seed, &buf),
+                    "len {}", len
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_block_fold_plus_tail_is_crc32c() {
+        use rayon::prelude::*;
+        for len in BLOCK_EDGE_LENGTHS {
+            let buf = noise(len);
+            let (blocks, tail) = buf.as_chunks::<CRC_BLOCK>();
+            for threads in [1, 2, 8] {
+                let mut crcs = vec![0u32; blocks.len()];
+                rayon::with_threads(threads, || {
+                    crcs.par_iter_mut()
+                        .zip(blocks.par_iter())
+                        .for_each(|(crc, block)| *crc = crc32c_block(block));
+                });
+                let folded = crcs.iter().fold(0, |crc, &block| crc32c_join(crc, block));
+                assert_eq!(crc32c_update(folded, tail), crc32c(&buf), "len {len}, {threads} threads");
+            }
         }
     }
 

@@ -46,13 +46,14 @@
 //! overlaps the decode with the caller's render, off the caller's thread;
 //! that is parked in ROADMAP.md until a trace can show the overlap.
 //!
-//! The one miss that is left is verified and decoded on both cores: see
-//! `held_and_decoded`.
+//! The one miss that is left is verified and decoded on both cores, split
+//! into even halves: see `held_and_decoded_into`.
 
 use crate::axis::AxisKind;
 use crate::error::{CdmsError, Result};
+use crate::format;
 use crate::format_v3::{self, ChunkData, ChunkDirEntry, V3Meta, V3VarMeta, Window};
-use crate::storage::{LocalDisk, Storage};
+use crate::storage::{crc32c_block, crc32c_join, crc32c_update, LocalDisk, Storage, CRC_BLOCK};
 use crate::{MaskedArray, Variable};
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -153,9 +154,17 @@ impl ChunkCache {
 
     /// Inserts a decoded chunk, evicting least-recently-used entries
     /// *first* so resident bytes never exceed the budget. A chunk larger
-    /// than the whole budget is not cached at all.
+    /// than the whole budget is not cached at all. A chunk already resident
+    /// — two threads missed it at once — only has its recency refreshed:
+    /// nothing is evicted for bytes that are not added.
     fn insert(&mut self, key: ChunkKey, data: Arc<ChunkData>, bytes: usize) {
         if bytes > self.budget {
+            return;
+        }
+        self.tick += 1;
+        let stamp = self.tick;
+        if let Some(resident) = self.map.get_mut(&key) {
+            resident.stamp = stamp;
             return;
         }
         while self.bytes + bytes > self.budget {
@@ -169,11 +178,8 @@ impl ChunkCache {
                 self.evictions += 1;
             }
         }
-        self.tick += 1;
-        let stamp = self.tick;
-        if self.map.insert(key, CacheEntry { data, bytes, stamp }).is_none() {
-            self.bytes += bytes;
-        }
+        self.map.insert(key, CacheEntry { data, bytes, stamp });
+        self.bytes += bytes;
         self.peak_bytes = self.peak_bytes.max(self.bytes);
     }
 }
@@ -247,6 +253,14 @@ struct Shared {
     /// Chunks that failed permanently; later fetches fail fast.
     failed: Mutex<BTreeSet<ChunkKey>>,
     report: Mutex<ReportCore>,
+    /// The PackBits body buffer, reused from miss to miss. A miss takes it
+    /// under a short lock and puts it back when it is done; a miss that
+    /// finds it taken decodes into a buffer of its own and never waits, and
+    /// whichever is put back last is kept. So a session holds at most one,
+    /// and since a body is decoded into exactly its own length
+    /// ([`format_v3::packbits_decode_into`]), its capacity is at most the
+    /// file's largest level-0 raw body.
+    body: Mutex<Vec<u8>>,
 }
 
 /// A v3 file opened for streaming: metadata resident, bulk data fetched
@@ -290,6 +304,7 @@ impl StreamingDataset {
                 cache,
                 failed: Mutex::new(BTreeSet::new()),
                 report: Mutex::new(ReportCore::default()),
+                body: Mutex::new(Vec::new()),
             }),
         })
     }
@@ -437,12 +452,17 @@ impl StreamingVariable {
         let decoded: ChunkData = loop {
             match self.shared.storage.read_at(&self.shared.path, entry.offset, entry.frame_len())
             {
-                Ok(frame) => match held_and_decoded(&entry, &frame, n) {
-                    Ok(dm) => break dm,
-                    // corruption (bad CRC, short frame, bad codec):
-                    // retrying the same bytes cannot help
-                    Err(e) => return Err(self.fail_chunk(key, e)),
-                },
+                Ok(frame) => {
+                    let mut body = std::mem::take(&mut *self.shared.body.lock());
+                    let held = held_and_decoded_into(&entry, &frame, n, &mut body);
+                    *self.shared.body.lock() = body;
+                    match held {
+                        Ok(dm) => break dm,
+                        // corruption (bad CRC, short frame, bad codec):
+                        // retrying the same bytes cannot help
+                        Err(e) => return Err(self.fail_chunk(key, e)),
+                    }
+                }
                 Err(e) if e.is_transient() && attempt < opts.max_retries => {
                     attempt += 1;
                     self.shared.report.lock().retried += 1;
@@ -498,7 +518,7 @@ impl StreamingVariable {
                 Arc::new(data)
             }
             Window::Masked => {
-                let n = crate::format::checked_volume(&meta.slab_shape(w)).ok_or_else(|| {
+                let n = format::checked_volume(&meta.slab_shape(w)).ok_or_else(|| {
                     CdmsError::Format(format!("variable '{}': shape overflows", meta.id))
                 })?;
                 self.shared.report.lock().salvaged += 1;
@@ -628,25 +648,50 @@ impl StreamingVariable {
 
 /// Holds a fetched chunk frame to its directory entry — length, kind,
 /// payload length, stored CRC, computed CRC, as every metadata frame was at
-/// open — and decodes it. The CRC and the decode read the same payload and
-/// need nothing of each other, so once the structure has passed they are
-/// the two items of one parallel region (in this order on one thread). The
-/// decode arm sees bytes nothing has vouched for yet, which is what
-/// [`format_v3::decode_chunk_payload`] is written for; its result is
-/// dropped unseen unless the checksum passed, so a damaged chunk reports
-/// the checksum mismatch, as it does when the two run one after the other.
-fn held_and_decoded(entry: &ChunkDirEntry, frame: &[u8], n: usize) -> Result<ChunkData> {
+/// open — and decodes it, on both cores, in two parallel regions. `body`
+/// is the buffer a PackBits body is decoded into.
+///
+/// The structure is checked first. The first region is then flat: item 0
+/// checks the chunk's head and PackBits-decodes its body into `body`
+/// ([`format_v3::chunk_body`]), and items 1… CRC the payload's whole
+/// [`CRC_BLOCK`]s. Item 0 is the one piece that cannot be split, and claims
+/// go in ascending order, so it starts first and the blocks balance around
+/// it. The block CRCs are folded in order, then the tail after them, and
+/// the checksum decides: the decode arm saw bytes nothing had vouched for
+/// yet, which is what `chunk_body` is written for, and what it made of
+/// them is looked at only once the checksum has passed. So a damaged chunk
+/// reports the checksum mismatch, as it does when the two run one after the
+/// other. The second region converts the body into floats and mask
+/// ([`format::get_raw_body`]).
+fn held_and_decoded_into(
+    entry: &ChunkDirEntry,
+    frame: &[u8],
+    n: usize,
+    body: &mut Vec<u8>,
+) -> Result<ChunkData> {
     let located = entry.located();
     let payload = located.structure(frame)?;
     let identity = (entry.var, entry.window, entry.level);
-    let mut checked = Ok(());
-    let mut decoded = Err(CdmsError::Format("chunk decode did not run".into()));
-    let mut arms: [&mut (dyn FnMut() + Send); 2] = [
-        &mut || checked = located.checksum(payload),
-        &mut || decoded = format_v3::decode_chunk_payload(payload, identity, n),
-    ];
-    arms.par_iter_mut().for_each(|arm| arm());
-    checked.and(decoded)
+    let (blocks, tail) = payload.as_chunks::<CRC_BLOCK>();
+    // slot 0 is the decode arm's; slot 1 + b holds block b's CRC
+    let mut crcs = vec![0u32; 1 + blocks.len()];
+    let unpack = Mutex::new((body, Err(CdmsError::Format("chunk decode did not run".into()))));
+    crcs.par_iter_mut().enumerate().for_each(|(i, crc)| match i.checked_sub(1) {
+        None => {
+            let mut arm = unpack.lock();
+            let (body, stored) = &mut *arm;
+            *stored = format_v3::chunk_body(payload, identity, n, body);
+        }
+        Some(b) => {
+            if let Some(block) = blocks.get(b) {
+                *crc = crc32c_block(block);
+            }
+        }
+    });
+    let whole = crcs.iter().skip(1).fold(0, |crc, &block| crc32c_join(crc, block));
+    located.crc_is(crc32c_update(whole, tail))?;
+    let (body, stored) = unpack.into_inner();
+    format::get_raw_body(&mut stored?.unwrap_or(body), n)
 }
 
 /// Copies time step `k` out of a window slab, dropping the time dim.
@@ -689,6 +734,12 @@ mod tests {
     use crate::storage::{FaultyStorage, StorageFault, StorageFaultPlan};
     use crate::synth::SynthesisSpec;
     use crate::Dataset;
+
+    /// A miss decoding into a buffer of its own, as a concurrent miss
+    /// does.
+    fn held_and_decoded(entry: &ChunkDirEntry, frame: &[u8], n: usize) -> Result<ChunkData> {
+        held_and_decoded_into(entry, frame, n, &mut Vec::new())
+    }
 
     fn write_sample(name: &str, opts: &V3Options) -> (Dataset, std::path::PathBuf) {
         let dir = std::env::temp_dir().join("cdms_stream_unit");
@@ -951,6 +1002,286 @@ mod tests {
         let err = held_and_decoded(&lying, &frame, n).unwrap_err();
         assert!(err.to_string().ends_with("disagrees with its directory entry"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The miss as it was before it was split evenly across both cores,
+    /// kept verbatim as the oracle of the one that replaced it: a serial
+    /// PackBits decode into a fresh buffer, a serial float conversion and
+    /// bool-mask expansion, with the CRC and that decode as the two arms
+    /// of one region.
+    mod oracle {
+        use crate::container::{get_u32, get_u64, get_u8, take_bytes};
+        use crate::error::{CdmsError, Result};
+        use crate::format::{self, get_mask};
+        use crate::format_v3::{ChunkData, ChunkDirEntry, CODEC_RAW, CODEC_RLE};
+        use rayon::prelude::*;
+
+        /// Decodes PackBits, requiring exactly `expected_len` output bytes.
+        pub(crate) fn packbits_decode(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
+            let mut out = Vec::with_capacity(expected_len);
+            let mut i = 0usize;
+            while i < input.len() {
+                let tag = input[i];
+                i += 1;
+                if tag == 128 {
+                    return Err(CdmsError::Format("packbits: reserved tag 128".into()));
+                }
+                if tag < 128 {
+                    let n = tag as usize + 1;
+                    let lit = input
+                        .get(i..i + n)
+                        .ok_or_else(|| CdmsError::Format("packbits: literal run truncated".into()))?;
+                    if out.len() + n > expected_len {
+                        return Err(CdmsError::Format("packbits: output overruns declared size".into()));
+                    }
+                    out.extend_from_slice(lit);
+                    i += n;
+                } else {
+                    let n = 257 - tag as usize;
+                    let &b = input
+                        .get(i)
+                        .ok_or_else(|| CdmsError::Format("packbits: repeat run truncated".into()))?;
+                    if out.len() + n > expected_len {
+                        return Err(CdmsError::Format("packbits: output overruns declared size".into()));
+                    }
+                    out.resize(out.len() + n, b);
+                    i += 1;
+                }
+            }
+            if out.len() != expected_len {
+                return Err(CdmsError::Format(format!(
+                    "packbits: decoded {} bytes, expected {expected_len}",
+                    out.len()
+                )));
+            }
+            Ok(out)
+        }
+
+        pub(crate) fn get_raw_body(buf: &mut &[u8], n: usize) -> Result<(Vec<f32>, Vec<bool>)> {
+            let float_bytes = n
+                .checked_mul(4)
+                .ok_or_else(|| CdmsError::Format(format!("implausible element count {n}")))?;
+            // `take_bytes` proves the bytes are present before anything is sized
+            // by `n`; chunk-wise conversion is what the compiler vectorizes
+            let floats = take_bytes(buf, float_bytes)?;
+            let data = floats.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+            Ok((data.collect(), get_mask(buf, n)?))
+        }
+
+        /// The (var, window, level) triple a chunk payload opens with.
+        fn chunk_identity(buf: &mut &[u8]) -> Result<(usize, usize, usize)> {
+            Ok((get_u32(buf)? as usize, get_u32(buf)? as usize, get_u32(buf)? as usize))
+        }
+
+        /// Decodes a chunk payload, checking its identity triple and element count
+        /// against the directory/metadata. Returns (data, mask).
+        pub fn decode_chunk_payload(
+            payload: &[u8],
+            expect: (usize, usize, usize),
+            expect_n: usize,
+        ) -> Result<(Vec<f32>, Vec<bool>)> {
+            let mut cur = payload;
+            let buf = &mut cur;
+            let (var, window, level) = chunk_identity(buf)?;
+            if (var, window, level) != expect {
+                return Err(CdmsError::Format(format!(
+                    "chunk identity ({var},{window},{level}) != expected {expect:?}"
+                )));
+            }
+            let codec = get_u8(buf)?;
+            let n = get_u64(buf)? as usize;
+            if n != expect_n {
+                return Err(CdmsError::Format(format!(
+                    "chunk ({var},{window},{level}) declares {n} elements, metadata wants {expect_n}"
+                )));
+            }
+            let raw_len = format::raw_body_size(n)
+                .ok_or_else(|| CdmsError::Format("chunk size overflows".into()))?;
+            let unpacked;
+            let mut body: &[u8] = match codec {
+                CODEC_RAW => buf,
+                CODEC_RLE => {
+                    unpacked = packbits_decode(buf, raw_len)?;
+                    &unpacked
+                }
+                c => return Err(CdmsError::Format(format!("unknown chunk codec {c}"))),
+            };
+            if body.len() != raw_len {
+                return Err(CdmsError::Format(format!(
+                    "chunk body is {} bytes, expected {raw_len}",
+                    body.len()
+                )));
+            }
+            get_raw_body(&mut body, n)
+        }
+
+        pub(crate) fn held_and_decoded(entry: &ChunkDirEntry, frame: &[u8], n: usize) -> Result<ChunkData> {
+            let located = entry.located();
+            let payload = located.structure(frame)?;
+            let identity = (entry.var, entry.window, entry.level);
+            let mut checked = Ok(());
+            let mut decoded = Err(CdmsError::Format("chunk decode did not run".into()));
+            let mut arms: [&mut (dyn FnMut() + Send); 2] = [
+                &mut || checked = located.checksum(payload),
+                &mut || decoded = decode_chunk_payload(payload, identity, n),
+            ];
+            arms.par_iter_mut().for_each(|arm| arm());
+            checked.and(decoded)
+        }
+    }
+
+    /// A (time, lat, lon) field of `nt` steps written as v3: zero runs
+    /// between stretches of noise, so that PackBits wins where `compress`
+    /// asks for it, and about one element in eight masked.
+    fn field_file(name: &str, (nt, nlat, nlon): (usize, usize, usize), opts: &V3Options) -> PathBuf {
+        use crate::axis::Axis;
+        use crate::calendar::Calendar;
+        let time = (0..nt).map(|t| t as f64).collect();
+        let axes = vec![
+            Axis::time(time, "days since 2000-01-01", Calendar::NoLeap365).unwrap(),
+            Axis::latitude((0..nlat).map(|j| -80.0 + 160.0 * j as f64 / nlat as f64).collect())
+                .unwrap(),
+            Axis::longitude((0..nlon).map(|i| 360.0 * i as f64 / nlon as f64).collect()).unwrap(),
+        ];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let (data, mask): (Vec<f32>, Vec<bool>) = (0..nt * nlat * nlon)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let v = if (i / 97) % 3 == 0 { (x >> 40) as f32 / 1e3 } else { 0.0 };
+                (v, x >> 61 == 0)
+            })
+            .unzip();
+        let array = MaskedArray::with_mask(data, mask, &[nt, nlat, nlon]).unwrap();
+        let mut ds = Dataset::new("field");
+        ds.add_variable(Variable::new("f", array, axes).unwrap());
+        let dir = std::env::temp_dir().join("cdms_stream_unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let bytes = crate::format_v3::to_bytes_v3_with(&ds, opts).0;
+        crate::storage::write_atomic(&LocalDisk, &path, &bytes).unwrap();
+        path
+    }
+
+    /// Every chunk of a file: its directory entry, frame and element count.
+    fn chunks_of(path: &Path) -> Vec<(ChunkDirEntry, Vec<u8>, usize)> {
+        let meta = format_v3::read_meta_with(&LocalDisk, path).unwrap();
+        let var = &meta.vars[0];
+        let mut out = Vec::new();
+        for w in 0..var.n_windows() {
+            for level in 0..var.levels {
+                let e = *meta.chunk(0, w, level).unwrap();
+                let frame = LocalDisk.read_at(path, e.offset, e.frame_len()).unwrap();
+                out.push((e, frame, var.level_volume(w, level).unwrap()));
+            }
+        }
+        out
+    }
+
+    fn bits(decoded: &ChunkData) -> (Vec<u32>, &[bool]) {
+        (decoded.0.iter().map(|v| v.to_bits()).collect(), &decoded.1)
+    }
+
+    #[test]
+    fn the_split_miss_is_the_serial_miss_bit_for_bit() {
+        let (mut residues, mut codecs) = (BTreeSet::new(), BTreeSet::new());
+        let (mut small, mut multi_chunk, mut multi_block) = (false, false, false);
+        let mut body = Vec::new();
+        let shapes = [(7, 13, 11), (7, 9, 17), (7, 16, 10), (7, 91, 97)];
+        for (k, shape) in shapes.into_iter().enumerate() {
+            for compress in [false, true] {
+                let opts = V3Options { window: 3, levels: 3, compress };
+                let path = field_file(&format!("split_{k}_{compress}.ncr"), shape, &opts);
+                for (e, frame, n) in chunks_of(&path) {
+                    let want = oracle::held_and_decoded(&e, &frame, n).unwrap();
+                    for threads in [1, 2, 8] {
+                        let got = rayon::with_threads(threads, || {
+                            held_and_decoded_into(&e, &frame, n, &mut body).unwrap()
+                        });
+                        assert_eq!(bits(&got), bits(&want), "{shape:?} {e:?}, {threads} threads");
+                    }
+                    residues.insert(n % 8);
+                    codecs.insert(frame[9 + 12]);
+                    small |= n < format::CONVERT_CHUNK;
+                    multi_chunk |= n > format::CONVERT_CHUNK;
+                    multi_block |= e.len as usize > 2 * CRC_BLOCK;
+                }
+                std::fs::remove_file(&path).ok();
+            }
+        }
+        assert_eq!(residues, (0..8).collect(), "every n % 8");
+        assert_eq!(codecs, [format_v3::CODEC_RAW, format_v3::CODEC_RLE].into(), "both codecs");
+        assert!(small && multi_chunk && multi_block, "{small} {multi_chunk} {multi_block}");
+    }
+
+    #[test]
+    fn a_flipped_bit_in_any_crc_block_or_the_tail_is_the_checksum_mismatch() {
+        // a raw chunk of 50 000 elements: four whole blocks and a tail
+        for compress in [false, true] {
+            let opts = V3Options { window: 4, levels: 1, compress };
+            let path = field_file(&format!("flip_{compress}.ncr"), (4, 100, 125), &opts);
+            let (e, frame, n) = chunks_of(&path).remove(0);
+            let blocks = e.len as usize / CRC_BLOCK;
+            assert!(blocks >= if compress { 1 } else { 4 }, "{blocks} blocks");
+            let mut places = vec![5, blocks / 2 * CRC_BLOCK + 77, (blocks - 1) * CRC_BLOCK + 4000];
+            places.push(blocks * CRC_BLOCK + (e.len as usize - blocks * CRC_BLOCK) / 2);
+            let mismatch =
+                format!("format error: Chunk section at byte {}: checksum mismatch", e.offset);
+            for at in places {
+                let mut damaged = frame.clone();
+                damaged[9 + at] ^= 0x10;
+                let want = oracle::held_and_decoded(&e, &damaged, n).unwrap_err();
+                assert_eq!(want.to_string(), mismatch);
+                for threads in [1, 2, 8] {
+                    let got = rayon::with_threads(threads, || {
+                        held_and_decoded_into(&e, &damaged, n, &mut Vec::new()).unwrap_err()
+                    });
+                    assert_eq!(got.to_string(), mismatch, "payload byte {at}, {threads} threads");
+                }
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_session_keeps_one_body_buffer_no_larger_than_a_level0_body() {
+        // windows of 3, 3 and 1 steps at three levels, PackBits throughout
+        let opts = V3Options { window: 3, levels: 3, compress: true };
+        let path = field_file("ceiling.ncr", (7, 45, 61), &opts);
+        let chunks = chunks_of(&path);
+        assert!(chunks.iter().all(|(_, frame, _)| frame[9 + 12] == format_v3::CODEC_RLE));
+        let sd = StreamingDataset::open(&path).unwrap();
+        let sv = sd.variable("f").unwrap();
+        let var = &sd.meta().vars[0];
+        for window in 0..var.n_windows() {
+            for level in 0..var.levels {
+                sv.fetch_chunk(ChunkKey { var: 0, window, level }).unwrap();
+            }
+        }
+        let largest = (0..var.n_windows())
+            .map(|w| format::raw_body_size(var.level_volume(w, 0).unwrap()).unwrap())
+            .max()
+            .unwrap();
+        let held = sd.shared.body.lock().capacity();
+        assert!(held > 0 && held <= largest, "{held} B held, largest level-0 body {largest} B");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_chunk_inserted_twice_evicts_nothing() {
+        let chunk = || Arc::new((vec![0.0f32; 2], vec![false; 2]));
+        let key = |window| ChunkKey { var: 0, window, level: 0 };
+        let mut cache = ChunkCache::new(20);
+        cache.insert(key(0), chunk(), 10);
+        cache.insert(key(1), chunk(), 10);
+        // window 1 is now the least recently used: a second insert of
+        // window 0, as when two threads miss it at once, must not evict it
+        assert!(cache.get(&key(0)).is_some());
+        cache.insert(key(0), chunk(), 10);
+        assert_eq!(cache.evictions, 0);
+        assert_eq!(cache.bytes, 20);
+        assert!(cache.get(&key(1)).is_some(), "the neighbour stays resident");
     }
 
     #[test]
