@@ -28,7 +28,6 @@ fn tuning() -> WallTuning {
         backoff_base_frames: 1,
         max_reconnect_attempts: 1,
         reconnect_poll: Duration::from_millis(5),
-        heartbeat_every_frames: 0,
     }
 }
 

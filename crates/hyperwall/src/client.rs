@@ -1,5 +1,7 @@
 //! The client (display) node: executes its 1-cell sub-workflow locally at
-//! full resolution and responds to propagated interaction ops.
+//! full resolution, responds to propagated interaction ops, and ships every
+//! frame it renders to the server as a keyframe or a dirty-tile delta (wire
+//! revision [`PROTO_DELTA`], the only one there is).
 //!
 //! There is one message loop, [`ClientNode::run_with_faults`]: it
 //! misbehaves exactly as its [`ClientFaults`] script says (crash at a
@@ -9,7 +11,7 @@
 //! [`ClientNode::run`] is that loop with an empty script.
 
 use crate::fault::{cut_mid_frame, dribble, ClientFaults};
-use crate::frame_delta::{box_filter, FrameStreamer, DEFAULT_KEYFRAME_EVERY, PREVIEW_DOWNSAMPLE};
+use crate::frame_delta::{FrameStreamer, DEFAULT_KEYFRAME_EVERY};
 use crate::protocol::{
     encode_frame, read_message_deadline, read_message_idle, write_message_deadline, Message,
     PROTO_DELTA,
@@ -39,54 +41,32 @@ pub struct ClientNode {
     cell: Option<Dv3dCell>,
     size: (usize, usize),
     frames_rendered: u64,
-    /// Protocol revision spoken at the handshake (1 = metadata only,
-    /// [`PROTO_DELTA`] = frame-delta pixel transport).
-    proto: u32,
-    /// The delta encoder, created at `AssignWorkflow` for v2 clients.
-    streamer: Option<FrameStreamer>,
-    /// Set when a camera op arrives; the next frame's key or delta is
-    /// preceded by a downsampled preview of the same frame.
-    in_motion: bool,
+    /// The delta encoder, created afresh at every `AssignWorkflow`.
+    streamer: FrameStreamer,
 }
 
 impl ClientNode {
-    /// Connects with the original (v1) handshake: frame metadata only, no
-    /// pixel transport. Kept for old deployments; new walls use
-    /// [`ClientNode::connect_v2`].
-    pub fn connect(addr: std::net::SocketAddr, id: usize) -> Result<ClientNode> {
-        ClientNode::connect_proto(addr, id, 1)
-    }
-
-    /// Connects with the v2 handshake, opting into the dirty-tile
-    /// frame-delta transport (keyframes, deltas, previews, resync).
+    /// Connects to the server and says hello as panel `id`. The `_v2`
+    /// names the versioned handshake, which is now the only one.
     pub fn connect_v2(addr: std::net::SocketAddr, id: usize) -> Result<ClientNode> {
-        ClientNode::connect_proto(addr, id, PROTO_DELTA)
-    }
-
-    fn connect_proto(addr: std::net::SocketAddr, id: usize, proto: u32) -> Result<ClientNode> {
+        let size = (64, 64);
         Ok(ClientNode {
             id,
             addr,
-            stream: ClientNode::dial(addr, id, proto)?,
+            stream: ClientNode::dial(addr, id)?,
             cell: None,
-            size: (64, 64),
+            size,
             frames_rendered: 0,
-            proto,
-            streamer: None,
-            in_motion: false,
+            streamer: FrameStreamer::new(size.0, size.1, DEFAULT_KEYFRAME_EVERY),
         })
     }
 
-    /// Dials the server and says hello in the revision's handshake — the
-    /// first time and after a crash alike.
-    fn dial(addr: std::net::SocketAddr, id: usize, proto: u32) -> Result<TcpStream> {
+    /// Dials the server and says hello — the first time and after a crash
+    /// alike.
+    fn dial(addr: std::net::SocketAddr, id: usize) -> Result<TcpStream> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let hello = if proto >= PROTO_DELTA {
-            Message::HelloV2 { client_id: id, proto }
-        } else {
-            Message::Hello { client_id: id }
-        };
+        let hello = Message::Hello { client_id: id, proto: PROTO_DELTA };
         write_message_deadline(&mut stream, &hello, IO_DEADLINE, "Hello")?;
         Ok(stream)
     }
@@ -143,18 +123,11 @@ impl ClientNode {
                     }
                 }
                 Message::Op(op) => {
-                    if matches!(op, dv3d::interaction::ConfigOp::Camera(_)) {
-                        self.in_motion = true;
-                    }
                     if let Some(cell) = &mut self.cell {
                         let _ = cell.configure(&op);
                     }
                 }
-                Message::ResyncRequest { .. } => {
-                    if let Some(streamer) = &mut self.streamer {
-                        streamer.force_keyframe();
-                    }
-                }
+                Message::ResyncRequest { .. } => self.streamer.force_keyframe(),
                 Message::Execute { frame } => {
                     // scripted crash: vanish without answering; scripted
                     // torn frame: send half the FrameDone bytes first
@@ -248,34 +221,20 @@ impl ClientNode {
         Ok((Message::FrameDone { client_id: self.id, frame, coverage, render_ms }, rgba))
     }
 
-    /// Fresh delta stream for the (re)assigned size — v2 clients only.
-    /// A fresh streamer's first frame is always a keyframe, so a
-    /// reconnected client and its server-side assembler re-sync naturally.
+    /// Fresh delta stream for the (re)assigned size. A fresh streamer's
+    /// first frame is always a keyframe, so a reconnected client and its
+    /// server-side assembler re-sync naturally.
     fn reset_streamer(&mut self) {
-        self.streamer = if self.proto >= PROTO_DELTA {
-            Some(FrameStreamer::new(self.size.0, self.size.1, DEFAULT_KEYFRAME_EVERY))
-        } else {
-            None
-        };
+        self.streamer = FrameStreamer::new(self.size.0, self.size.1, DEFAULT_KEYFRAME_EVERY);
     }
 
-    /// Ships this frame's pixel content ahead of `FrameDone`: when the
-    /// camera moved since the last frame, a preview box-filtered from
-    /// `rgba`, then the keyframe/delta. No-op for v1 clients. Scripted
-    /// transport faults (corrupt / drop / delay) are applied here, after
-    /// encoding — the streamer's state always advances as if the send
-    /// succeeded, which is exactly the failure the server's resync path
-    /// must absorb.
+    /// Ships this frame's pixel content, a keyframe or a delta, ahead of
+    /// `FrameDone`. Scripted transport faults (corrupt / drop / delay) are
+    /// applied here, after encoding — the streamer's state always advances
+    /// as if the send succeeded, which is exactly the failure the server's
+    /// resync path must absorb.
     fn send_transport(&mut self, frame: u64, rgba: &[u8], faults: &ClientFaults) -> Result<()> {
-        let Some(streamer) = &mut self.streamer else { return Ok(()) };
-        if std::mem::take(&mut self.in_motion) {
-            let (w, h) = self.size;
-            let (pw, ph) = ((w / PREVIEW_DOWNSAMPLE).max(8), (h / PREVIEW_DOWNSAMPLE).max(8));
-            let low = box_filter(rgba, w, h, pw, ph);
-            let preview = streamer.encode_preview(self.id, frame, &low, pw, ph)?;
-            write_message_deadline(&mut self.stream, &preview, IO_DEADLINE, "FramePreview")?;
-        }
-        let (mut msg, _) = streamer.encode(self.id, frame, rgba)?;
+        let (mut msg, _) = self.streamer.encode(self.id, frame, rgba)?;
         if let Some((f, ms)) = faults.delay_delta_at() {
             if f == frame {
                 std::thread::sleep(Duration::from_millis(ms));
@@ -302,7 +261,7 @@ impl ClientNode {
                 *refusals_left -= 1;
                 continue;
             }
-            if let Ok(stream) = ClientNode::dial(self.addr, self.id, self.proto) {
+            if let Ok(stream) = ClientNode::dial(self.addr, self.id) {
                 self.stream = stream;
                 return true;
             }
@@ -360,21 +319,23 @@ mod tests {
     use crate::workflow::{build_wall_pipeline, split_per_client, WallWorkflowConfig};
     use std::net::TcpListener;
 
-    /// Drives one client through the full protocol by hand.
+    /// Drives one client through the full protocol by hand: its key and
+    /// its delta assemble into a frame that re-verifies.
     #[test]
     fn client_full_protocol_roundtrip() {
+        use crate::frame_delta::FrameAssembler;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
 
         let client_thread = std::thread::spawn(move || {
-            let client = ClientNode::connect(addr, 0).unwrap();
+            let client = ClientNode::connect_v2(addr, 0).unwrap();
             client.run().unwrap()
         });
 
         let (mut stream, _) = listener.accept().unwrap();
         // hello
         let hello = read_message(&mut stream).unwrap();
-        assert_eq!(hello, Message::Hello { client_id: 0 });
+        assert_eq!(hello, Message::Hello { client_id: 0, proto: PROTO_DELTA });
         // assign
         let cfg = WallWorkflowConfig { n_cells: 2, synth: (1, 2, 8, 16), cell_px: (48, 48) };
         let (p, chains) = build_wall_pipeline(&cfg).unwrap();
@@ -401,8 +362,18 @@ mod tests {
             read_message(&mut stream).unwrap(),
             Message::HeartbeatAck { client_id: 0, seq: 5 }
         );
+        let mut asm = FrameAssembler::new(48, 48);
         for frame in 0..2u64 {
             write_message(&mut stream, &Message::Execute { frame }).unwrap();
+            // the frame's pixels come first: a keyframe, then a delta
+            let pixels = read_message(&mut stream).unwrap();
+            match (&pixels, frame) {
+                (Message::FrameKey { client_id: 0, frame: 0, .. }, 0)
+                | (Message::FrameDelta { client_id: 0, frame: 1, .. }, 1) => {}
+                (other, _) => panic!("frame {frame}: expected its key or delta, got {other:?}"),
+            }
+            asm.apply(&pixels).unwrap();
+            assert!(asm.verify(), "frame {frame}");
             match read_message(&mut stream).unwrap() {
                 Message::FrameDone { client_id, frame: f, coverage, render_ms } => {
                     assert_eq!(client_id, 0);
@@ -413,6 +384,7 @@ mod tests {
                 other => panic!("expected FrameDone, got {other:?}"),
             }
         }
+        assert_eq!((asm.keys_applied(), asm.deltas_applied()), (1, 1));
         write_message(&mut stream, &Message::Shutdown).unwrap();
         assert_eq!(client_thread.join().unwrap(), 2);
     }
@@ -422,7 +394,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client_thread = std::thread::spawn(move || {
-            let client = ClientNode::connect(addr, 1).unwrap();
+            let client = ClientNode::connect_v2(addr, 1).unwrap();
             client.run()
         });
         let (mut stream, _) = listener.accept().unwrap();
@@ -440,7 +412,7 @@ mod tests {
             .inject(0, Fault::RefuseReconnect(1))
             .client(0);
         let client_thread = std::thread::spawn(move || {
-            let client = ClientNode::connect(addr, 0).unwrap();
+            let client = ClientNode::connect_v2(addr, 0).unwrap();
             client.run_with_faults(faults).unwrap()
         });
         let (mut stream, _) = listener.accept().unwrap();
@@ -452,7 +424,7 @@ mod tests {
         let (mut stream2, _) = listener.accept().unwrap();
         assert_eq!(
             read_message(&mut stream2).unwrap(),
-            Message::Hello { client_id: 0 }
+            Message::Hello { client_id: 0, proto: PROTO_DELTA }
         );
         // we never re-assign; the client's deadline expires and it exits
         // gracefully having rendered nothing
@@ -465,7 +437,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let scripted = FaultPlan::none().inject(0, Fault::CorruptAtFrame(0)).client(0);
         let client_thread = std::thread::spawn(move || {
-            let client = ClientNode::connect(addr, 0).unwrap();
+            let client = ClientNode::connect_v2(addr, 0).unwrap();
             client.run_with_faults(scripted).unwrap()
         });
         let (mut stream, _) = listener.accept().unwrap();

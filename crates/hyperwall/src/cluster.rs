@@ -41,8 +41,6 @@ pub struct WallRunReport {
     pub delta_bytes: u64,
     /// Wire bytes of `FrameKey` full-frame messages received.
     pub key_bytes: u64,
-    /// Low-res motion previews received.
-    pub preview_frames: u64,
     /// Keyframe resyncs the server requested (dropped / rejected deltas).
     pub resync_requests: u64,
     /// Transport messages an assembler rejected (corrupt, stale, gapped).
@@ -122,7 +120,6 @@ pub fn run_wall_with_faults(
     plan: &FaultPlan,
     tuning: WallTuning,
 ) -> Result<WallRunReport> {
-    let heartbeat_every = tuning.heartbeat_every_frames;
     let mut server = HyperwallServer::bind_tuned(cfg, mirror_downsample, tuning)?;
     let addr = server.addr()?;
     let n = cfg.n_cells;
@@ -150,9 +147,6 @@ pub fn run_wall_with_faults(
                 op_broadcast_ms.push(server.broadcast_op(op)?);
             }
         }
-        if heartbeat_every > 0 && frame > 0 && frame % heartbeat_every == 0 {
-            server.heartbeat()?;
-        }
         frames.push(server.execute_frame(frame)?);
     }
     server.shutdown()?;
@@ -176,7 +170,6 @@ pub fn run_wall_with_faults(
         incidents: server.incidents.clone(),
         delta_bytes: server.delta_bytes_total(),
         key_bytes: server.key_bytes_total(),
-        preview_frames: server.preview_frames_total(),
         resync_requests: server.resync_requests_total(),
         delta_rejects: server.delta_rejects_total(),
         synced_final: server.panels_synced(),
@@ -220,7 +213,6 @@ mod tests {
             backoff_base_frames: 1,
             max_reconnect_attempts: 4,
             reconnect_poll: Duration::from_millis(400),
-            heartbeat_every_frames: 0,
         }
     }
 
@@ -255,10 +247,9 @@ mod tests {
         assert_eq!(report.final_states, vec![PanelState::Live; 3]);
         assert!(report.incidents.is_empty(), "{:?}", report.incidents);
         // delta transport: frame 0 opened with keyframes, frame 1 shipped
-        // dirty-tile deltas, and the camera op triggered motion previews
+        // dirty-tile deltas
         assert!(report.key_bytes > 0, "{report:?}");
         assert!(report.delta_bytes > 0, "{report:?}");
-        assert!(report.preview_frames >= 3, "{report:?}");
         assert_eq!(report.resync_requests, 0);
         assert_eq!(report.delta_rejects, 0);
         assert_eq!(report.synced_final, vec![true; 3]);
@@ -271,14 +262,15 @@ mod tests {
     /// The wire does not move: a healthy 3-cell, 4-frame run with one camera
     /// op, pinned on what the server counted off the sockets (recorded
     /// before the panel link was introduced; the same at 1, 2 and 8 render
-    /// threads).
+    /// threads). Keys and deltas are all the pixel bytes there are.
     #[test]
     fn healthy_wall_wire_is_pinned() {
         let ops = vec![ConfigOp::Camera(CameraOp::Azimuth(20.0))];
         let report = run_wall(&small_cfg(3), 4, 4, &ops).unwrap();
         assert_eq!(report.key_bytes, 11_205);
         assert_eq!(report.delta_bytes, 11_504);
-        assert_eq!(report.preview_frames, 3);
+        let transport: u64 = report.frames.iter().flat_map(|f| &f.transport_bytes).sum();
+        assert_eq!(transport, report.key_bytes + report.delta_bytes);
         assert_eq!(report.resync_requests, 0);
         assert_eq!(report.delta_rejects, 0);
         assert!(report.incidents.is_empty(), "{:?}", report.incidents);
@@ -306,7 +298,7 @@ mod tests {
         let clients: Vec<_> = (0..6)
             .map(|id| {
                 std::thread::spawn(move || {
-                    crate::client::ClientNode::connect(addr, id).unwrap().run()
+                    crate::client::ClientNode::connect_v2(addr, id).unwrap().run()
                 })
             })
             .collect();
@@ -347,9 +339,10 @@ mod tests {
             .count()
     }
 
-    /// After one frame of a mixed wall, a live pixel panel's mosaic region
-    /// is its assembled frame box-filtered, byte for byte; a metadata-only
-    /// panel and a degraded one are still lit from their mirror cells.
+    /// After one frame of a wall with one dead panel, a live panel's mosaic
+    /// region is its assembled frame box-filtered, byte for byte, and that
+    /// frame re-verifies; the degraded panel is still lit from its mirror
+    /// cell, and has no frame to verify.
     #[test]
     fn mosaic_shows_the_frames_the_wall_shows() {
         use crate::frame_delta::box_filter;
@@ -359,15 +352,14 @@ mod tests {
         let layout = WallLayout::small(2, 2, cfg.cell_px);
         let mut server = HyperwallServer::bind_tuned(&cfg, 2, fast_tuning()).unwrap();
         let addr = server.addr().unwrap();
-        // panel 0 metadata-only, panels 1 and 2 pixel panels, panel 3 a
-        // pixel client that hangs up after its hello
-        let v1 = std::thread::spawn(move || ClientNode::connect(addr, 0).unwrap().run());
-        let v2: Vec<_> = [1, 2]
+        // panels 0, 1 and 2 live, panel 3 a client that hangs up after its
+        // hello
+        let live: Vec<_> = [0, 1, 2]
             .map(|id| std::thread::spawn(move || ClientNode::connect_v2(addr, id).unwrap().run()))
             .into();
         let quitter = std::thread::spawn(move || {
             let mut s = std::net::TcpStream::connect(addr).unwrap();
-            write_message(&mut s, &Message::HelloV2 { client_id: 3, proto: PROTO_DELTA }).unwrap();
+            write_message(&mut s, &Message::Hello { client_id: 3, proto: PROTO_DELTA }).unwrap();
         });
         server.accept_clients(4).unwrap();
         quitter.join().unwrap();
@@ -375,7 +367,15 @@ mod tests {
         let report = server.execute_frame(0).unwrap();
         assert_eq!(report.degraded, [false, false, false, true], "{:?}", server.incidents);
         assert!(report.mirror_ms > 0.0 && report.coverage[3] > 0.0, "{report:?}");
-        assert_eq!(server.panels_synced(), [false, true, true, false]);
+        assert_eq!(server.panels_synced(), [true, true, true, false]);
+        for i in 0..3 {
+            assert!(server.panel_frame_verified(i), "panel {i}");
+            let assembled = server.panel_frame(i).unwrap();
+            assert_eq!(assembled.len(), cfg.cell_px.0 * cfg.cell_px.1 * 4);
+            assert!(assembled.iter().any(|&b| b != 0), "panel {i}");
+        }
+        assert!(!server.panel_frame_verified(3));
+        assert!(server.panel_frame(3).is_none());
 
         let (mw, mh) = (32, 24);
         let mosaic = server.mirror_mosaic(&layout).unwrap();
@@ -397,8 +397,7 @@ mod tests {
             }
         }
         server.shutdown().unwrap();
-        v1.join().unwrap().unwrap();
-        for c in v2 {
+        for c in live {
             assert_eq!(c.join().unwrap().unwrap(), 1);
         }
     }
@@ -549,40 +548,30 @@ mod tests {
         assert_eq!(report.synced_final, vec![true; 3], "{:?}", report.incidents);
     }
 
-    /// Version gating: a v1 (metadata-only) client and a v2 (delta
-    /// transport) client share one wall. The v1 panel works exactly as
-    /// before — no pixel transport, no resync traffic — while the v2 panel
-    /// streams hash-verified frames.
+    /// A corrupt delta shows no new photons: on the frame it hits, the
+    /// victim's assembler rejects it and the panel reports no content
+    /// latency, while its neighbours and its other frames do; the resync
+    /// that follows brings it back.
     #[test]
-    fn v1_and_v2_clients_share_a_wall() {
-        let cfg = small_cfg(2);
-        let mut server = HyperwallServer::bind_tuned(&cfg, 4, fast_tuning()).unwrap();
-        let addr = server.addr().unwrap();
-        let t0 = std::thread::spawn(move || ClientNode::connect(addr, 0).unwrap().run());
-        let t1 =
-            std::thread::spawn(move || ClientNode::connect_v2(addr, 1).unwrap().run());
-        server.accept_clients(2).unwrap();
-        server.assign_workflows(&cfg).unwrap();
-        for frame in 0..3 {
-            let report = server.execute_frame(frame).unwrap();
-            assert_eq!(report.degraded, vec![false, false], "{:?}", server.incidents);
-            // the v1 panel ships no pixels; the v2 panel does every frame
-            assert_eq!(report.transport_bytes[0], 0);
-            assert!(report.transport_bytes[1] > 0, "{report:?}");
-            assert_eq!(report.first_content_ms[0], 0.0);
-            assert!(report.first_content_ms[1] > 0.0, "{report:?}");
+    fn a_rejected_delta_reports_no_first_content() {
+        let cfg = small_cfg(3);
+        let ops = vec![ConfigOp::Camera(CameraOp::Azimuth(20.0))];
+        let plan = FaultPlan::none().inject(1, Fault::CorruptDeltaAt(2));
+        let report = run_wall_with_faults(&cfg, 4, 5, &ops, &plan, fast_tuning()).unwrap();
+        assert_eq!(report.delta_rejects, 1, "{report:?}");
+        assert_eq!(report.resync_requests, 1, "{report:?}");
+        assert_eq!(report.degraded_frames, 0, "{:?}", report.incidents);
+        for f in &report.frames {
+            for (i, &ms) in f.first_content_ms.iter().enumerate() {
+                if (f.frame, i) == (2, 1) {
+                    assert_eq!(ms, 0.0, "{f:?}");
+                    assert!(f.transport_bytes[i] > 0, "the rejected delta was counted: {f:?}");
+                } else {
+                    assert!(ms > 0.0, "frame {} panel {i}: {f:?}", f.frame);
+                }
+            }
         }
-        assert_eq!(server.panels_synced(), vec![false, true]);
-        assert!(server.panel_frame_verified(1));
-        assert!(!server.panel_frame_verified(0));
-        let assembled = server.panel_frame(1).unwrap();
-        assert_eq!(assembled.len(), cfg.cell_px.0 * cfg.cell_px.1 * 4);
-        assert!(assembled.iter().any(|&b| b != 0));
-        assert_eq!(server.resync_requests_total(), 0);
-        assert_eq!(server.delta_rejects_total(), 0);
-        server.shutdown().unwrap();
-        t0.join().unwrap().unwrap();
-        t1.join().unwrap().unwrap();
+        assert_eq!(report.synced_final, vec![true; 3], "{:?}", report.incidents);
     }
 
     /// A client that replies too slowly trips the frame deadline and is

@@ -17,12 +17,14 @@
 //! * [`protocol`] — length-prefixed messages with two kinds of body: JSON
 //!   for the control messages (workflow assignment, interaction ops, frame
 //!   execution, completion reports, heartbeats), a compact binary record
-//!   for the three pixel messages. The byte layout is in the module docs.
+//!   for the two pixel messages. The byte layout is in the module docs.
+//!   There is one wire revision and one handshake: every live panel ships
+//!   its frames as pixels.
 //! * [`frame_delta`] — the pixel transport: dirty-tile deltas with
 //!   RLE payloads, hash-guarded all-or-nothing assembly (every tile carries
 //!   its hash, and the whole-frame hash is the hash of the tile hashes, so
-//!   a delta is checked by reading only the tiles it carries), keyframe
-//!   resync, and low-res previews during camera motion.
+//!   a delta is checked by reading only the tiles it carries), and keyframe
+//!   resync.
 //! * [`workflow`] — builds the 15-cell wall workflow and splits it into
 //!   per-client sub-workflows with `Pipeline::upstream_subgraph`.
 //! * [`server`] / [`client`] — the two node roles.
@@ -42,17 +44,17 @@
 //!   server can interleave [`protocol::Message::Heartbeat`] probes to
 //!   detect silent clients between frames.
 //! * **Panel states, `Live → Degraded → Live`.** A panel is one value with
-//!   two arms: `Live(link)` — the link owns the socket, the revision the
-//!   client declared and, for a pixel panel, its frame assembler — or
-//!   `Degraded`, which owns the retry schedule ([`server::PanelState`] is
+//!   two arms: `Live(link)` — the link owns the socket and the panel's
+//!   frame assembler — or `Degraded`, which owns the retry schedule ([`server::PanelState`] is
 //!   the public view of which arm it is). When a client misses its frame
 //!   deadline, disconnects, or answers garbage, the server degrades that
 //!   panel and substitutes its own low-res mirror render of the same cell,
 //!   so the wall keeps animating (at worse quality on one panel) instead of
 //!   freezing. A client is admitted by one path, the first time and after a
-//!   crash alike — hello (who it is, what it speaks) → offer (its stored
-//!   `AssignWorkflow`, which also sizes the assembler) → confirm (`Ready`,
-//!   then the interaction-op log it missed). Degraded panels are retried
+//!   crash alike — hello (which panel it serves, at the one wire revision;
+//!   the link's assembler is built here) → offer (its stored
+//!   `AssignWorkflow`) → confirm (`Ready`, then the interaction-op log it
+//!   missed). Degraded panels are retried
 //!   with capped exponential backoff: the server polls its listener each
 //!   frame and runs that path on whoever dials in. The number of panels is
 //!   fixed when the server is bound; `accept_clients` and

@@ -5,12 +5,12 @@
 //! Every message is a `u32` little-endian body length followed by the body.
 //! There are two kinds of body, and each [`Message`] variant has exactly one:
 //!
-//! * **Control messages** (every variant but the three below) are the JSON
+//! * **Control messages** (every variant but the two below) are the JSON
 //!   text of the `Message`. They are small and rare.
-//! * **Pixel messages** (`FrameKey`, `FrameDelta`, `FramePreview`) are a
-//!   compact binary record. Their first byte is a tag that cannot begin a
-//!   JSON text, so the decoder tells the kinds apart from that byte alone.
-//!   A JSON body naming a pixel variant is a protocol error.
+//! * **Pixel messages** (`FrameKey`, `FrameDelta`) are a compact binary
+//!   record. Their first byte is a tag that cannot begin a JSON text, so the
+//!   decoder tells the kinds apart from that byte alone. A JSON body naming
+//!   a pixel variant is a protocol error.
 //!
 //! All integers are little-endian; `u64` unless noted; `len` / `count`
 //! fields are `u32`; a byte string is its `u32` length then the bytes.
@@ -19,17 +19,17 @@
 //! FrameKey      0x01 client_id frame epoch seq width height frame_hash payload
 //! FrameDelta    0x02 client_id frame epoch seq frame_hash count(u32) tile*
 //!     tile      tx ty hash data
-//! FramePreview  0x03 client_id frame epoch width height hash payload
 //! ```
 //!
 //! Every hash is the word-at-a-time pixel hash of wire revision 5, defined
 //! in the [`crate::frame_delta`] docs. A tile's `hash` is that of its
 //! decoded RGBA8 rect. `frame_hash` is the same fold over the `u64` hash of
-//! every tile of the frame the message leaves, in grid order. A preview's
-//! `hash` is that of its decoded image.
+//! every tile of the frame the message leaves, in grid order.
 //!
 //! The decoder bounds every declared length, and the tile count, by the
 //! bytes actually present before it allocates, and rejects trailing bytes.
+//! A body that starts with any other byte, `0x03` (revision 5's motion
+//! preview) among them, is read as JSON and refused as a protocol error.
 
 use crate::frame_delta::WireTile;
 use crate::{Result, WallError};
@@ -49,27 +49,28 @@ use std::time::Duration;
 /// noise would not fit; its keyframe is refused at the sender.
 pub const MAX_MESSAGE_BYTES: usize = 8 << 20;
 
-/// Protocol revision spoken by [`Message::HelloV2`] clients that use the
-/// dirty-tile frame-delta transport (`FrameKey` / `FrameDelta` /
-/// `FramePreview` / `ResyncRequest`) in its binary wire form. Plain
-/// [`Message::Hello`] clients are implicitly revision 1, and a `HelloV2`
-/// declaring less than this is served the same way: frame metadata only,
-/// no pixel messages in either direction. Revision 5 hashes pixels a word
-/// at a time (the [`crate::frame_delta`] docs define the hash); every byte
-/// sits where revisions 3 and 4 put it. Revision 2 carried the pixel
-/// messages as JSON; revision 3's `frame_hash` was FNV-1a over the frame's
-/// bytes, and revision 4's FNV-1a over the tiles' FNV-1a hashes. A
-/// revision-5 receiver rejects both (`FrameHashMismatch`, or
-/// `TileHashMismatch` for a revision-4 delta), so a client declaring any of
-/// them is served metadata only; nothing in this crate speaks them.
-pub const PROTO_DELTA: u32 = 5;
+/// The one wire revision this crate speaks, declared in every
+/// [`Message::Hello`]: every panel ships its frames as the binary
+/// dirty-tile transport (`FrameKey` / `FrameDelta`, answered by
+/// `ResyncRequest`). A hello declaring any other revision is refused as a
+/// protocol error, and so is a body in an older handshake's form.
+///
+/// Revision 6 is revision 5 with two things taken out: the motion preview
+/// (tag `0x03`, a box filter of the frame sent right after it, which
+/// nothing read) and the metadata-only panel (the revision-1
+/// `Hello { client_id }`, and revision 5's versioned hello declaring less
+/// than the delta revision: frame reports and no pixels). Every byte of a
+/// key or a delta sits where revision 5 put it. Revision 5 hashes pixels a
+/// word at a time (the [`crate::frame_delta`] docs define the hash);
+/// revision 2 carried the pixel messages as JSON; revision 3's `frame_hash`
+/// was FNV-1a over the frame's bytes, and revision 4's FNV-1a over the
+/// tiles' FNV-1a hashes.
+pub const PROTO_DELTA: u32 = 6;
 
 /// First body byte of a binary `FrameKey`.
 const TAG_KEY: u8 = 0x01;
 /// First body byte of a binary `FrameDelta`.
 const TAG_DELTA: u8 = 0x02;
-/// First body byte of a binary `FramePreview`.
-const TAG_PREVIEW: u8 = 0x03;
 
 /// Body bytes of a `FrameKey` besides its payload: tag, seven `u64`
 /// fields, payload length.
@@ -80,17 +81,15 @@ pub const DELTA_HEADER_BYTES: usize = 1 + 5 * 8 + 4;
 /// Body bytes of one delta tile besides its data: `tx`, `ty`, `hash`, data
 /// length.
 pub const TILE_HEADER_BYTES: usize = 3 * 8 + 4;
-/// Body bytes of a `FramePreview` besides its payload: tag, six `u64`
-/// fields, payload length.
-pub const PREVIEW_HEADER_BYTES: usize = 1 + 6 * 8 + 4;
 
 /// Messages exchanged between server and clients.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum Message {
     /// Client → server: identify after connecting (also used when a
-    /// recovering client re-handshakes after a disconnect).
-    Hello { client_id: usize },
+    /// recovering client re-handshakes after a disconnect), declaring the
+    /// wire revision it speaks; anything but [`PROTO_DELTA`] is refused.
+    Hello { client_id: usize, proto: u32 },
     /// Server → client: the 1-cell sub-workflow to own.
     AssignWorkflow {
         /// Serialized `vistrails::Pipeline`.
@@ -123,11 +122,6 @@ pub enum Message {
     HeartbeatAck { client_id: usize, seq: u64 },
     /// Server → client: shut down cleanly.
     Shutdown,
-    /// Client → server: versioned handshake. `proto >=`
-    /// [`PROTO_DELTA`] opts the panel into the frame-delta transport;
-    /// servers answer v1 [`Message::Hello`] clients exactly as before, so
-    /// old clients keep working against new servers.
-    HelloV2 { client_id: usize, proto: u32 },
     /// Client → server: a full-frame keyframe — RLE-compressed RGBA8 of the
     /// whole panel, starting a new delta epoch. Sent on the first frame,
     /// on a periodic cadence, and in answer to [`Message::ResyncRequest`].
@@ -159,18 +153,6 @@ pub enum Message {
         /// The same hash of tile hashes as a keyframe's, of the full
         /// assembled frame after this delta.
         frame_hash: u64,
-    },
-    /// Client → server: a low-resolution preview sent ahead of the full
-    /// frame during camera motion (progressive refinement). Advisory:
-    /// carries its own hash but no epoch/seq obligations.
-    FramePreview {
-        client_id: usize,
-        frame: u64,
-        epoch: u64,
-        width: usize,
-        height: usize,
-        payload: Vec<u8>,
-        hash: u64,
     },
     /// Server → client: this panel's frame content was missing, corrupt or
     /// out of sequence — the next frame must be a keyframe. Resync instead
@@ -216,7 +198,7 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 /// Encodes one message into its wire form (u32-LE length prefix + body)
-/// without sending it: the binary record for the three pixel variants, JSON
+/// without sending it: the binary record for the two pixel variants, JSON
 /// for the rest (see the module docs). Fault-injection paths use this to
 /// dribble or truncate a frame byte-by-byte; everything else should call
 /// [`write_message_deadline`]. A message whose body would exceed
@@ -263,18 +245,6 @@ pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
                 put_u64(&mut out, t.hash);
                 put_bytes(&mut out, &t.data);
             }
-            Ok(out)
-        }
-        Message::FramePreview { client_id, frame, epoch, width, height, payload, hash } => {
-            let mut out = start_frame(PREVIEW_HEADER_BYTES.saturating_add(payload.len()))?;
-            out.push(TAG_PREVIEW);
-            put_size(&mut out, *client_id);
-            put_u64(&mut out, *frame);
-            put_u64(&mut out, *epoch);
-            put_size(&mut out, *width);
-            put_size(&mut out, *height);
-            put_u64(&mut out, *hash);
-            put_bytes(&mut out, payload);
             Ok(out)
         }
         control => {
@@ -360,15 +330,13 @@ impl<'a> BodyReader<'a> {
     }
 }
 
-/// Decodes a control message from its JSON body. The three pixel variants
+/// Decodes a control message from its JSON body. The two pixel variants
 /// have no JSON form: a body that names one is refused, well-formed or not.
 fn decode_control(body: &[u8]) -> Result<Message> {
     match serde_json::from_slice(body).map_err(|e| WallError::Protocol(e.to_string()))? {
-        Message::FrameKey { .. } | Message::FrameDelta { .. } | Message::FramePreview { .. } => {
-            Err(WallError::Protocol(
-                "pixel message with a JSON body (binary is its only wire form)".into(),
-            ))
-        }
+        Message::FrameKey { .. } | Message::FrameDelta { .. } => Err(WallError::Protocol(
+            "pixel message with a JSON body (binary is its only wire form)".into(),
+        )),
         control => Ok(control),
     }
 }
@@ -402,15 +370,6 @@ fn decode_body(body: &[u8]) -> Result<Message> {
             }
             Message::FrameDelta { client_id, frame, epoch, seq, tiles, frame_hash }
         }
-        Some(&TAG_PREVIEW) => Message::FramePreview {
-            client_id: r.size()?,
-            frame: r.u64()?,
-            epoch: r.u64()?,
-            width: r.size()?,
-            height: r.size()?,
-            hash: r.u64()?,
-            payload: r.bytes()?,
-        },
         _ => return decode_control(body),
     };
     r.finish()?;
@@ -590,7 +549,7 @@ mod tests {
     /// without a sample.
     fn all_variants() -> Vec<Message> {
         let msgs = vec![
-            Message::Hello { client_id: 3 },
+            Message::Hello { client_id: 3, proto: PROTO_DELTA },
             Message::AssignWorkflow {
                 pipeline_json: "{}".into(),
                 cell_module: 12,
@@ -605,7 +564,6 @@ mod tests {
             Message::Heartbeat { seq: 11 },
             Message::HeartbeatAck { client_id: 3, seq: 11 },
             Message::Shutdown,
-            Message::HelloV2 { client_id: 3, proto: PROTO_DELTA },
             Message::FrameKey {
                 client_id: 3,
                 frame: 7,
@@ -629,15 +587,6 @@ mod tests {
                 }],
                 frame_hash: 0x0dd_ba11,
             },
-            Message::FramePreview {
-                client_id: 3,
-                frame: 8,
-                epoch: 1,
-                width: 4,
-                height: 2,
-                payload: vec![8, 0, 0, 0, 255],
-                hash: 0xcafe,
-            },
             Message::ResyncRequest { client_id: 3, epoch: 1 },
         ];
         for m in &msgs {
@@ -651,10 +600,8 @@ mod tests {
                 | Message::Heartbeat { .. }
                 | Message::HeartbeatAck { .. }
                 | Message::Shutdown
-                | Message::HelloV2 { .. }
                 | Message::FrameKey { .. }
                 | Message::FrameDelta { .. }
-                | Message::FramePreview { .. }
                 | Message::ResyncRequest { .. } => {}
             }
         }

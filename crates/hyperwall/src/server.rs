@@ -15,29 +15,29 @@
 //! that degrades is mirrored at once.
 //!
 //! A panel is one value with two arms: `Live(link)`, where the link owns
-//! the socket, the protocol revision the client declared and (for pixel
-//! panels) the frame assembler; or `Degraded`, which owns the retry
-//! schedule. There is no live panel without a socket to handle. The link
-//! has the server's only send and receive (`send_msg`, `recv_msg`; the
-//! names are the link's own because dv3dlint resolves calls by name);
-//! `tell` is "send to panel *i*,
-//! degrade it on failure" on top of them. A client is admitted by one path,
-//! the first time and after a crash alike: `hello` (who it is, what it
-//! speaks) → `offer` (its stored assignment; the assembler is sized from
-//! it) → `confirm` (`Ready`, then the op log). The number of panels is the
-//! number of cells the server was bound with; the calls that restate it
-//! ([`HyperwallServer::accept_clients`], [`HyperwallServer::assign_workflows`])
-//! are refused when they disagree.
+//! the socket and the panel's frame assembler; or `Degraded`, which owns
+//! the retry schedule. There is no live panel without a socket to handle,
+//! and none without an assembler: every client ships pixels. The link has
+//! the server's only send and receive (`send_msg`, `recv_msg`; the names
+//! are the link's own because dv3dlint resolves calls by name); `tell` is
+//! "send to panel *i*, degrade it on failure" on top of them. A client is
+//! admitted by one path, the first time and after a crash alike: `hello`
+//! (which panel it serves; a hello of any revision but [`PROTO_DELTA`] is
+//! refused, and the assembler is built at the bound panel size) → `offer`
+//! (its stored assignment) → `confirm` (`Ready`, then the op log). The
+//! number of panels is the number of cells the server was bound with; the
+//! calls that restate it ([`HyperwallServer::accept_clients`],
+//! [`HyperwallServer::assign_workflows`]) are refused when they disagree.
 //!
 //! What deliberately stays as it was: every deadline and cap; heartbeats;
 //! `MAX_TRANSPORT_PER_FRAME`; a rejected delta is answered with a resync
 //! request, never a degradation; the op log is unbounded but paced by the
-//! operator (its `allow` says why); a client below [`PROTO_DELTA`] is a
-//! metadata-only panel. On the dv3dlint `indexing_hot_paths` list: panel
-//! ids arrive in a client's `Hello` and per-panel state is looked up inside
-//! every frame, so access goes through `.get()` and iterators.
+//! operator (its `allow` says why). On the dv3dlint `indexing_hot_paths`
+//! list: panel ids arrive in a client's `Hello` and per-panel state is
+//! looked up inside every frame, so access goes through `.get()` and
+//! iterators.
 
-use crate::frame_delta::{box_filter, Applied, FrameAssembler};
+use crate::frame_delta::{box_filter, FrameAssembler};
 use crate::protocol::{
     read_message_deadline, read_message_deadline_sized, write_message_deadline, Message,
     PROTO_DELTA,
@@ -78,9 +78,6 @@ pub struct WallTuning {
     /// How long one reconnect poll keeps the door open for a returning
     /// client before the wall moves on to the next frame.
     pub reconnect_poll: Duration,
-    /// Probe live clients with a `Heartbeat` every this many frames
-    /// (0 disables; [`crate::cluster::run_wall_with_faults`] honours it).
-    pub heartbeat_every_frames: u64,
 }
 
 impl Default for WallTuning {
@@ -91,7 +88,6 @@ impl Default for WallTuning {
             backoff_base_frames: 1,
             max_reconnect_attempts: 5,
             reconnect_poll: Duration::from_millis(100),
-            heartbeat_every_frames: 0,
         }
     }
 }
@@ -100,13 +96,9 @@ impl Default for WallTuning {
 #[derive(Debug)]
 struct Link {
     stream: TcpStream,
-    /// Protocol revision the client declared in its hello (below
-    /// [`PROTO_DELTA`] = metadata only, otherwise frame-delta pixel
-    /// transport).
-    proto: u32,
-    /// Receiver half of the delta transport, sized from the assignment the
-    /// client was offered; `None` for a metadata-only client.
-    assembler: Option<FrameAssembler>,
+    /// Receiver half of the delta transport, at the wall's panel size: the
+    /// size of every `AssignWorkflow`, so of the client's frames.
+    assembler: FrameAssembler,
 }
 
 impl Link {
@@ -119,18 +111,11 @@ impl Link {
         read_message_deadline_sized(&mut self.stream, deadline, what)
     }
 
-    /// Offers the client its assignment. A pixel-transport client gets a
-    /// fresh assembler of the assigned size: its fresh streamer opens with
-    /// a keyframe, so the two sync from there.
+    /// Offers the client its assignment. The client starts a fresh
+    /// streamer on it, which opens with a keyframe, and the link's
+    /// assembler is as fresh as the link: the two sync from there.
     fn offer(&mut self, assignment: &Message, deadline: Duration) -> Result<()> {
-        self.send_msg(assignment, deadline, "AssignWorkflow")?;
-        self.assembler = match assignment {
-            Message::AssignWorkflow { width, height, .. } if self.proto >= PROTO_DELTA => {
-                Some(FrameAssembler::new(*width, *height))
-            }
-            _ => None,
-        };
-        Ok(())
+        self.send_msg(assignment, deadline, "AssignWorkflow")
     }
 
     /// Awaits the client's `Ready`, then replays the op log so that its
@@ -174,7 +159,7 @@ impl Panel {
 
     fn assembler(&self) -> Option<&FrameAssembler> {
         match self {
-            Panel::Live(link) => link.assembler.as_ref(),
+            Panel::Live(link) => Some(&link.assembler),
             Panel::Degraded { .. } => None,
         }
     }
@@ -200,12 +185,13 @@ pub struct FrameReport {
     pub coverage: Vec<f64>,
     /// Which panels were served from the server mirror this frame.
     pub degraded: Vec<bool>,
-    /// Wire bytes of frame-delta transport messages received per panel
-    /// this frame (0 for v1 panels).
+    /// Wire bytes of keyframe and delta messages received per panel this
+    /// frame, committed or rejected (0 for a degraded panel).
     pub transport_bytes: Vec<u64>,
-    /// Per panel: ms from the Execute broadcast to the first pixel content
-    /// (preview, keyframe or delta) arriving — the interaction-to-photon
-    /// latency of the wall. 0 when no content arrived.
+    /// Per panel: ms from the Execute broadcast to the panel's assembler
+    /// committing the frame's keyframe or delta — the interaction-to-photon
+    /// latency of the wall. 0 for a frame that committed no content: none
+    /// arrived, or what arrived was rejected.
     pub first_content_ms: Vec<f64>,
 }
 
@@ -250,7 +236,6 @@ pub struct HyperwallServer {
     deadline_misses_total: u64,
     delta_bytes_total: u64,
     key_bytes_total: u64,
-    preview_frames_total: u64,
     resync_requests_total: u64,
     delta_rejects_total: u64,
     /// Human-readable fault timeline ("frame 2: panel 1 degraded: …").
@@ -293,7 +278,6 @@ impl HyperwallServer {
             deadline_misses_total: 0,
             delta_bytes_total: 0,
             key_bytes_total: 0,
-            preview_frames_total: 0,
             resync_requests_total: 0,
             delta_rejects_total: 0,
             incidents: Vec::new(),
@@ -305,27 +289,31 @@ impl HyperwallServer {
         Ok(self.listener.local_addr()?)
     }
 
-    /// Reads a connecting client's hello — which panel it serves and the
-    /// revision it speaks — and makes the socket a link. The one read of a
-    /// socket that is not yet a panel's.
+    /// Reads a connecting client's hello — which panel it serves — and
+    /// makes the socket a link with a fresh assembler of the bound panel
+    /// size. A hello declaring any revision but [`PROTO_DELTA`] is a
+    /// protocol error. The one read of a socket that is not yet a panel's.
     fn hello(&self, mut stream: TcpStream) -> Result<(usize, Link)> {
         stream.set_nodelay(true).ok();
         let n = self.chains.len();
         let hello = read_message_deadline(&mut stream, self.tuning.io_deadline, "Hello")?;
-        let (i, proto) = match hello {
-            Message::Hello { client_id } if client_id < n => (client_id, 1),
-            Message::HelloV2 { client_id, proto } if client_id < n => (client_id, proto),
+        let i = match hello {
+            Message::Hello { proto, .. } if proto != PROTO_DELTA => {
+                return Err(WallError::Protocol(format!(
+                    "hello for wire revision {proto}; this wall speaks only {PROTO_DELTA}"
+                )))
+            }
+            Message::Hello { client_id, .. } if client_id < n => client_id,
             other => return Err(WallError::Protocol(format!("expected Hello, got {other:?}"))),
         };
-        Ok((i, Link { stream, proto, assembler: None }))
+        let (w, h) = self.cell_px;
+        Ok((i, Link { stream, assembler: FrameAssembler::new(w, h) }))
     }
 
     /// Accepts the wall's `n` clients (ordered by their Hello ids); `n`
-    /// must be the number of cells the server was bound with. Both
-    /// handshakes are admitted and each client is served the revision it
-    /// declared: plain `Hello` clients and `HelloV2` clients below
-    /// [`PROTO_DELTA`] get the metadata-only protocol, `HelloV2` clients at
-    /// or above it the frame-delta pixel transport.
+    /// must be the number of cells the server was bound with. A hello that
+    /// is refused (another revision, an id outside the wall) fails the
+    /// call.
     pub fn accept_clients(&mut self, n: usize) -> Result<()> {
         let cells = self.chains.len();
         if n != cells {
@@ -554,9 +542,8 @@ impl HyperwallServer {
 
     /// Collects panel `i`'s replies to `Execute { frame }` (sent at `start`)
     /// until its `FrameDone` closes the frame; nothing to collect from a
-    /// degraded panel. v2 clients
-    /// interleave FramePreview / FrameKey / FrameDelta messages before
-    /// their FrameDone on the same ordered stream; those are drained into
+    /// degraded panel. The client sends the frame's keyframe or delta ahead
+    /// of its `FrameDone` on the same ordered stream; it is drained into
     /// the panel's assembler. A panel that breaks the exchange is degraded.
     fn collect_frame(&mut self, i: usize, frame: u64, start: Instant) -> PanelFrame {
         let mut row = PanelFrame::default();
@@ -577,35 +564,27 @@ impl HyperwallServer {
                 Ok((Message::FrameDone { client_id, frame: f, .. }, _)) => {
                     break Err(format!("client {client_id} answered frame {f}, expected {frame}"));
                 }
-                Ok((
-                    msg @ (Message::FrameKey { .. }
-                    | Message::FrameDelta { .. }
-                    | Message::FramePreview { .. }),
-                    wire,
-                )) => {
+                Ok((msg @ (Message::FrameKey { .. } | Message::FrameDelta { .. }), wire)) => {
                     let wire = wire as u64;
                     transport_msgs += 1;
                     if transport_msgs > MAX_TRANSPORT_PER_FRAME {
                         break Err("transport message flood".into());
                     }
                     row.transport_bytes += wire;
-                    match &msg {
-                        Message::FrameKey { .. } => self.key_bytes_total += wire,
-                        Message::FrameDelta { .. } => self.delta_bytes_total += wire,
-                        _ => self.preview_frames_total += 1,
+                    if matches!(msg, Message::FrameKey { .. }) {
+                        self.key_bytes_total += wire;
+                    } else {
+                        self.delta_bytes_total += wire;
                     }
-                    if row.first_content_ms == 0.0 {
-                        row.first_content_ms = start.elapsed().as_secs_f64() * 1000.0;
-                    }
-                    let Some(asm) = link.assembler.as_mut() else {
-                        break Err("pixel transport from a metadata-only client".into());
-                    };
                     // a rejected delta is NOT a degradation: the
                     // assembler unsyncs atomically (no torn tiles)
                     // and the end-of-frame resync below repairs it
-                    match asm.apply(&msg) {
-                        Ok(Applied::Key) | Ok(Applied::Delta { .. }) => content_ok = true,
-                        Ok(Applied::Preview) => {}
+                    match link.assembler.apply(&msg) {
+                        Ok(_) if !content_ok => {
+                            row.first_content_ms = start.elapsed().as_secs_f64() * 1000.0;
+                            content_ok = true;
+                        }
+                        Ok(_) => {}
                         Err(_) => self.delta_rejects_total += 1,
                     }
                 }
@@ -618,10 +597,10 @@ impl HyperwallServer {
                 }
             }
         };
-        // Drop / reject detection: a pixel panel whose frame closed without
+        // Drop / reject detection: a panel whose frame closed without
         // committing any pixel content (delta lost in transit or rejected)
         // is told to open its next frame with a keyframe.
-        let stale_epoch = link.assembler.as_ref().filter(|_| !content_ok).map(|asm| asm.epoch());
+        let stale_epoch = (!content_ok).then(|| link.assembler.epoch());
         match (closed, stale_epoch) {
             (Err(reason), _) => self.degrade(i, &reason),
             (Ok(()), Some(epoch)) => {
@@ -716,11 +695,11 @@ impl HyperwallServer {
         Ok(i)
     }
 
-    /// The touchscreen preview of the whole wall: one mirror-sized picture
+    /// The touchscreen mirror of the whole wall: one mirror-sized picture
     /// per panel, arranged by the wall layout. A panel with a synced frame
-    /// shows that frame, box-filtered — what the wall shows; the others
-    /// (degraded and metadata-only panels) show their mirror cell, rendered
-    /// here.
+    /// shows that frame, box-filtered — what the wall shows; the others (a
+    /// degraded panel, or one whose frame is not synced yet) show their
+    /// mirror cell, rendered here.
     pub fn mirror_mosaic(&mut self, layout: &crate::layout::WallLayout) -> Result<rvtk::render::Framebuffer> {
         use rvtk::render::Framebuffer;
         let (mw, mh) = self.mirror_size();
@@ -792,11 +771,6 @@ impl HyperwallServer {
         self.key_bytes_total
     }
 
-    /// Low-res motion previews received.
-    pub fn preview_frames_total(&self) -> u64 {
-        self.preview_frames_total
-    }
-
     /// Keyframe resyncs the server had to request (dropped or rejected
     /// deltas detected at end of frame).
     pub fn resync_requests_total(&self) -> u64 {
@@ -811,7 +785,8 @@ impl HyperwallServer {
     }
 
     /// Per panel: does its assembler currently hold a hash-verified frame?
-    /// (Always `false` for v1 panels, which ship no pixels.)
+    /// (Always `false` for a degraded panel, whose assembler went with its
+    /// link.)
     pub fn panels_synced(&self) -> Vec<bool> {
         self.panels.iter().map(|p| p.assembler().is_some_and(|a| a.is_synced())).collect()
     }
@@ -848,7 +823,6 @@ mod tests {
             backoff_base_frames: 1,
             max_reconnect_attempts: 3,
             reconnect_poll: Duration::from_millis(50),
-            heartbeat_every_frames: 0,
         }
     }
 
@@ -859,7 +833,7 @@ mod tests {
         let rogue = std::thread::spawn(move || {
             let mut s = std::net::TcpStream::connect(addr).unwrap();
             // claims an out-of-range client id
-            write_message(&mut s, &Message::Hello { client_id: 99 }).unwrap();
+            write_message(&mut s, &Message::Hello { client_id: 99, proto: PROTO_DELTA }).unwrap();
         });
         let err = server.accept_clients(2).unwrap_err();
         assert!(matches!(err, WallError::Protocol(_)), "{err}");
@@ -890,7 +864,7 @@ mod tests {
         // for `accept_clients(1)` gets an answer and fails here, not hangs
         let lone = std::thread::spawn(move || {
             let mut s = std::net::TcpStream::connect(addr).unwrap();
-            write_message(&mut s, &Message::Hello { client_id: 0 }).unwrap();
+            write_message(&mut s, &Message::Hello { client_id: 0, proto: PROTO_DELTA }).unwrap();
         });
         let too_few = server.accept_clients(1).unwrap_err().to_string();
         assert!(too_few.contains("accept_clients(1)") && too_few.contains("2 cells"), "{too_few}");
@@ -926,7 +900,8 @@ mod tests {
         let quitter = std::thread::spawn(move || {
             for id in 0..2 {
                 let mut s = std::net::TcpStream::connect(addr).unwrap();
-                write_message(&mut s, &Message::Hello { client_id: id }).unwrap();
+                let hello = Message::Hello { client_id: id, proto: PROTO_DELTA };
+                write_message(&mut s, &hello).unwrap();
                 drop(s);
             }
         });
@@ -953,7 +928,8 @@ mod tests {
             .map(|id| {
                 std::thread::spawn(move || {
                     let mut s = std::net::TcpStream::connect(addr).unwrap();
-                    write_message(&mut s, &Message::Hello { client_id: id }).unwrap();
+                    let hello = Message::Hello { client_id: id, proto: PROTO_DELTA };
+                    write_message(&mut s, &hello).unwrap();
                     match read_message(&mut s).unwrap() {
                         Message::AssignWorkflow { .. } => {}
                         other => panic!("{other:?}"),
@@ -1008,7 +984,8 @@ mod tests {
             .map(|id| {
                 std::thread::spawn(move || {
                     let mut s = std::net::TcpStream::connect(addr).unwrap();
-                    write_message(&mut s, &Message::Hello { client_id: id }).unwrap();
+                    let hello = Message::Hello { client_id: id, proto: PROTO_DELTA };
+                    write_message(&mut s, &hello).unwrap();
                     match read_message(&mut s).unwrap() {
                         Message::AssignWorkflow { .. } => {}
                         other => panic!("{other:?}"),
@@ -1043,58 +1020,55 @@ mod tests {
         }
     }
 
-    /// A `HelloV2` that declares a revision below `PROTO_DELTA` is served
-    /// what it declared: metadata only — no assembler, and no
-    /// `ResyncRequest` for the pixel frames it never promised to send.
-    /// Revisions 3 and 4 are among them: their pixel messages look like
-    /// today's but their hashes mean something else.
+    /// Wire revision 6 has one handshake. A hello in an older form — the
+    /// revision-1 `Hello` that names no revision, revision 5's `HelloV2` —
+    /// or declaring any revision but `PROTO_DELTA` is refused: at
+    /// `accept_clients` as a protocol error, and from a returning client as
+    /// a rejected reconnect that leaves its panel degraded.
     #[test]
-    fn hello_v2_below_proto_delta_is_a_metadata_only_panel() {
-        for proto in [2, 3, 4] {
-            assert!(proto < PROTO_DELTA);
-            let one = WallWorkflowConfig { n_cells: 1, ..cfg() };
+    fn a_hello_of_any_other_revision_is_refused() {
+        use std::io::Write;
+        let framed = |body: Vec<u8>| {
+            let mut out = (body.len() as u32).to_le_bytes().to_vec();
+            out.extend(body);
+            out
+        };
+        let hello = |proto| crate::protocol::encode_frame(&Message::Hello { client_id: 0, proto });
+        let mut refused = vec![
+            framed(br#"{"Hello":{"client_id":0}}"#.to_vec()),
+            framed(format!(r#"{{"HelloV2":{{"client_id":0,"proto":{PROTO_DELTA}}}}}"#).into()),
+        ];
+        refused.extend((1..PROTO_DELTA).chain([PROTO_DELTA + 1]).map(|p| hello(p).unwrap()));
+        assert_eq!(refused.len(), 8);
+        let one = WallWorkflowConfig { n_cells: 1, ..cfg() };
+        let dial = |addr, bytes: &[u8]| {
+            let mut s = std::net::TcpStream::connect(addr).unwrap();
+            s.write_all(bytes).unwrap();
+            s
+        };
+        for bytes in &refused {
+            let what = String::from_utf8_lossy(&bytes[4..]).into_owned();
+            let mut server = HyperwallServer::bind_tuned(&one, 4, fast_tuning()).unwrap();
+            let _held = dial(server.addr().unwrap(), bytes);
+            let err = server.accept_clients(1).unwrap_err();
+            assert!(matches!(err, WallError::Protocol(_)), "{what}: {err}");
+
+            // a client admitted at revision 6 hangs up, so its panel
+            // degrades; the hello that dials in at its retry is refused
             let mut server = HyperwallServer::bind_tuned(&one, 4, fast_tuning()).unwrap();
             let addr = server.addr().unwrap();
-            let fake = std::thread::spawn(move || {
-                let mut s = std::net::TcpStream::connect(addr).unwrap();
-                write_message(&mut s, &Message::HelloV2 { client_id: 0, proto }).unwrap();
-                match read_message(&mut s).unwrap() {
-                    Message::AssignWorkflow { .. } => {}
-                    other => panic!("{other:?}"),
-                }
-                write_message(&mut s, &Message::Ready { client_id: 0 }).unwrap();
-                // everything the server sends from here on: Execute per
-                // frame, then Shutdown — and nothing in between
-                let mut seen = Vec::new();
-                loop {
-                    match read_message(&mut s).unwrap() {
-                        Message::Execute { frame } => {
-                            seen.push(format!("Execute {frame}"));
-                            let done = Message::FrameDone {
-                                client_id: 0,
-                                frame,
-                                coverage: 0.5,
-                                render_ms: 1.0,
-                            };
-                            write_message(&mut s, &done).unwrap();
-                        }
-                        Message::Shutdown => return seen,
-                        other => seen.push(format!("{other:?}")),
-                    }
-                }
-            });
+            drop(dial(addr, &hello(PROTO_DELTA).unwrap()));
             server.accept_clients(1).unwrap();
             server.assign_workflows(&one).unwrap();
-            for frame in 0..2 {
-                let report = server.execute_frame(frame).unwrap();
-                assert_eq!(report.degraded, vec![false], "{:?}", server.incidents);
-                assert_eq!(report.transport_bytes, vec![0]);
-            }
-            server.shutdown().unwrap();
-            assert_eq!(fake.join().unwrap(), ["Execute 0", "Execute 1"], "proto {proto}");
-            assert_eq!(server.panel_states(), vec![PanelState::Live]);
-            assert_eq!(server.resync_requests_total(), 0);
-            assert_eq!(server.panels_synced(), vec![false]);
+            assert_eq!(server.panel_states(), [PanelState::Degraded], "{what}");
+            let _held = dial(addr, bytes);
+            let report = server.execute_frame(1).unwrap();
+            assert_eq!(report.degraded, [true], "{what}");
+            assert_eq!(server.panel_states(), [PanelState::Degraded], "{what}");
+            assert_eq!(server.reconnects_total(), 0, "{what}");
+            let rejected: Vec<_> =
+                server.incidents.iter().filter(|i| i.contains("rejected reconnect")).collect();
+            assert_eq!(rejected.len(), 1, "{what}: {:?}", server.incidents);
         }
     }
 
@@ -1109,13 +1083,13 @@ mod tests {
 
         let mut server = HyperwallServer::bind_tuned(&cfg(), 4, fast_tuning()).unwrap();
         let addr = server.addr().unwrap();
-        // scripted v2 clients: a keyframe on frame 0, a preview plus a
-        // delta on frame 1; each returns (key, preview, delta) byte counts
+        // scripted clients: a keyframe on frame 0, a delta on frame 1; each
+        // returns its (key, delta) byte counts
         let fakes: Vec<_> = (0..2usize)
             .map(|id| {
                 std::thread::spawn(move || {
                     let mut s = std::net::TcpStream::connect(addr).unwrap();
-                    write_message(&mut s, &Message::HelloV2 { client_id: id, proto: PROTO_DELTA })
+                    write_message(&mut s, &Message::Hello { client_id: id, proto: PROTO_DELTA })
                         .unwrap();
                     let (w, h) = match read_message(&mut s).unwrap() {
                         Message::AssignWorkflow { width, height, .. } => (width, height),
@@ -1124,7 +1098,7 @@ mod tests {
                     write_message(&mut s, &Message::Ready { client_id: id }).unwrap();
                     let mut streamer = FrameStreamer::new(w, h, DEFAULT_KEYFRAME_EVERY);
                     let mut rgba = vec![(17 * id + 3) as u8; w * h * 4];
-                    let mut written = [0u64; 3];
+                    let mut written = [0u64; 2];
                     for frame in 0..2u64 {
                         match read_message(&mut s).unwrap() {
                             Message::Execute { frame: f } => assert_eq!(f, frame),
@@ -1132,16 +1106,11 @@ mod tests {
                         }
                         if frame == 1 {
                             rgba[5] ^= 0xFF; // dirty one tile
-                            let low = vec![9u8; 8 * 8 * 4];
-                            let preview = streamer.encode_preview(id, frame, &low, 8, 8).unwrap();
-                            let framed = encode_frame(&preview).unwrap();
-                            s.write_all(&framed).unwrap();
-                            written[1] = framed.len() as u64;
                         }
                         let (msg, _) = streamer.encode(id, frame, &rgba).unwrap();
                         let framed = encode_frame(&msg).unwrap();
                         s.write_all(&framed).unwrap();
-                        written[if frame == 0 { 0 } else { 2 }] = framed.len() as u64;
+                        written[frame as usize] = framed.len() as u64;
                         write_message(
                             &mut s,
                             &Message::FrameDone { client_id: id, frame, coverage: 0.5, render_ms: 1.0 },
@@ -1158,15 +1127,39 @@ mod tests {
         server.assign_workflows(&cfg()).unwrap();
         let r0 = server.execute_frame(0).unwrap();
         let r1 = server.execute_frame(1).unwrap();
-        let written: Vec<[u64; 3]> = fakes.into_iter().map(|f| f.join().unwrap()).collect();
+        let written: Vec<[u64; 2]> = fakes.into_iter().map(|f| f.join().unwrap()).collect();
         assert_eq!(r0.degraded, vec![false, false], "{:?}", server.incidents);
         assert_eq!(r1.degraded, vec![false, false], "{:?}", server.incidents);
-        for (i, [key, preview, delta]) in written.iter().enumerate() {
-            assert!(*key > 0 && *preview > 0 && *delta > 0);
+        for (i, [key, delta]) in written.iter().enumerate() {
+            assert!(*key > 0 && *delta > 0);
             assert_eq!(r0.transport_bytes[i], *key, "panel {i} keyframe bytes");
-            assert_eq!(r1.transport_bytes[i], preview + delta, "panel {i} frame-1 bytes");
+            assert_eq!(r1.transport_bytes[i], *delta, "panel {i} delta bytes");
         }
         assert_eq!(server.key_bytes_total(), written.iter().map(|w| w[0]).sum::<u64>());
-        assert_eq!(server.delta_bytes_total(), written.iter().map(|w| w[2]).sum::<u64>());
+        assert_eq!(server.delta_bytes_total(), written.iter().map(|w| w[1]).sum::<u64>());
+    }
+
+    /// A wall cell rendered at 1, 2 and 8 threads and box-filtered to the
+    /// size `mirror_mosaic` shows it at gives the same bytes: the mirror of
+    /// a live panel does not depend on the client's pool.
+    #[test]
+    fn mirror_pictures_are_the_same_at_any_thread_count() {
+        let cfg = WallWorkflowConfig { n_cells: 2, synth: (2, 4, 24, 48), cell_px: (256, 192) };
+        let server = HyperwallServer::bind(&cfg, 4).unwrap();
+        let (w, h) = cfg.cell_px;
+        let (mw, mh) = server.mirror_size();
+        assert_eq!((mw, mh), (64, 48));
+        let mut exec = Executor::new(wall_registry());
+        for chain in &server.chains {
+            let mut cell =
+                cell_from_plot_stage(&mut exec, &server.pipeline, chain.plot, "mirror").unwrap();
+            let pictures: Vec<Vec<u8>> = [1, 2, 8]
+                .map(|n| {
+                    let rgba = rayon::with_threads(n, || cell.render(w, h).unwrap().to_rgba8());
+                    box_filter(&rgba, w, h, mw, mh)
+                })
+                .into();
+            assert!(pictures.iter().all(|p| *p == pictures[0]), "cell {}", chain.cell);
+        }
     }
 }

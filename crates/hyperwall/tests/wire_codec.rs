@@ -1,19 +1,18 @@
 //! Robustness of the binary wire form of the pixel messages (`FrameKey`,
-//! `FrameDelta`, `FramePreview`): whatever bytes arrive, the decoder answers
-//! with a `Message` or an error, never a panic. (What the assembler does
+//! `FrameDelta`): whatever bytes arrive, the decoder answers with a
+//! `Message` or an error, never a panic. (What the assembler does
 //! with a damaged `Message` that still decodes is tested next to it, in
 //! `frame_delta.rs`, where the committed buffer is visible.)
 
-use hyperwall::frame_delta::{fnv1a, DeltaError, FrameAssembler, FrameStreamer};
+use hyperwall::frame_delta::{fnv1a, FrameAssembler, FrameStreamer};
 use hyperwall::protocol::{
     encode_frame, read_message, Message, DELTA_HEADER_BYTES, KEY_HEADER_BYTES,
-    MAX_MESSAGE_BYTES, PREVIEW_HEADER_BYTES, TILE_HEADER_BYTES,
+    MAX_MESSAGE_BYTES, TILE_HEADER_BYTES,
 };
 use hyperwall::WallError;
 
 const W: usize = 70; // not tile-aligned on purpose
 const H: usize = 50;
-const PREVIEW: (usize, usize) = (16, 12);
 
 /// Background plus a moving blob, like a real render.
 fn frame(w: usize, h: usize, seed: u64) -> Vec<u8> {
@@ -33,8 +32,8 @@ struct Case {
     msg: Message,
 }
 
-/// A key, a delta of several tiles, a delta of no tiles and a preview, each
-/// taken from one running stream.
+/// A key, a delta of several tiles and a delta of no tiles, each taken from
+/// one running stream.
 fn cases() -> Vec<Case> {
     let mut streamer = FrameStreamer::new(W, H, 0);
     let mut out = Vec::new();
@@ -42,9 +41,6 @@ fn cases() -> Vec<Case> {
         let (msg, _) = streamer.encode(3, out.len() as u64, &frame(W, H, seed)).unwrap();
         out.push(Case { name, msg });
     }
-    let low = frame(PREVIEW.0, PREVIEW.1, 5);
-    let msg = streamer.encode_preview(3, 3, &low, PREVIEW.0, PREVIEW.1).unwrap();
-    out.push(Case { name: "preview", msg });
     match (&out[1].msg, &out[2].msg) {
         (Message::FrameDelta { tiles: some, .. }, Message::FrameDelta { tiles: none, .. }) => {
             assert!(some.len() >= 2 && none.is_empty());
@@ -173,7 +169,6 @@ fn wire_size_is_prefix_plus_header_plus_payload_bytes() {
                 DELTA_HEADER_BYTES
                     + tiles.iter().map(|t| TILE_HEADER_BYTES + t.data.len()).sum::<usize>()
             }
-            Message::FramePreview { payload, .. } => PREVIEW_HEADER_BYTES + payload.len(),
             other => panic!("{other:?}"),
         };
         assert_eq!(framed.len(), 4 + expect, "{}", case.name);
@@ -207,17 +202,11 @@ fn declared_sizes_beyond_the_body_are_protocol_errors() {
     let all = cases();
     let key = encode_frame(&all[0].msg).unwrap();
     let delta = encode_frame(&all[1].msg).unwrap();
-    let preview = encode_frame(&all[3].msg).unwrap();
     let payload_len_of_key = 4 + KEY_HEADER_BYTES - 4;
     let tile_count = 4 + DELTA_HEADER_BYTES - 4;
     let first_tile_len = 4 + DELTA_HEADER_BYTES + TILE_HEADER_BYTES - 4;
-    let payload_len_of_preview = 4 + PREVIEW_HEADER_BYTES - 4;
-    for (framed, at) in [
-        (&key, payload_len_of_key),
-        (&delta, tile_count),
-        (&delta, first_tile_len),
-        (&preview, payload_len_of_preview),
-    ] {
+    for (framed, at) in [(&key, payload_len_of_key), (&delta, tile_count), (&delta, first_tile_len)]
+    {
         let declared = u32::from_le_bytes(framed[at..at + 4].try_into().unwrap());
         for lie in [declared + 1, u32::MAX] {
             let mut bad = framed.clone();
@@ -251,22 +240,35 @@ fn trailing_bytes_empty_body_and_json_pixel_bodies_are_protocol_errors() {
     assert!(matches!(err, WallError::Protocol(_)), "empty body: {err}");
 }
 
-/// A preview is a downsample: one larger than the panel is refused before
-/// its declared geometry sizes a buffer.
+/// Revision 6 has two pixel tags. A body that opens with revision 5's
+/// preview tag, `0x03`, is read as the JSON text it cannot be and refused
+/// as a protocol error — a whole revision-5 preview, and the tag followed
+/// by anything at all — never a panic and never a pixel message.
 #[test]
-fn oversize_preview_is_refused() {
-    let preview = Message::FramePreview {
-        client_id: 0,
-        frame: 0,
-        epoch: 0,
-        width: usize::MAX / 8,
-        height: 2,
-        payload: vec![1, 0, 0, 0, 255],
-        hash: 0,
-    };
-    let mut asm = FrameAssembler::new(W, H);
-    let back = decode(&encode_frame(&preview).unwrap()).unwrap();
-    assert!(matches!(asm.apply(&back), Err(DeltaError::WrongSize { .. })));
+fn the_retired_preview_tag_is_a_protocol_error() {
+    // as revision 5 laid it out: tag, client_id, frame, epoch, width,
+    // height, hash, then the payload as a byte string
+    let mut preview = vec![0x03];
+    for field in [3u64, 8, 1, 4, 2, 0xcafe] {
+        preview.extend(field.to_le_bytes());
+    }
+    preview.extend(5u32.to_le_bytes());
+    preview.extend([8, 0, 0, 0, 255]);
+    let mut bodies = vec![preview, vec![0x03]];
+    let mut rng = XorShift(3);
+    for len in [2usize, 9, 61, 400] {
+        for _ in 0..20 {
+            bodies.push([0x03].into_iter().chain((1..len).map(|_| rng.next() as u8)).collect());
+        }
+    }
+    for body in bodies {
+        let mut framed = (body.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(&body);
+        match decode(&framed) {
+            Err(WallError::Protocol(_)) => {}
+            other => panic!("0x03 body of {} bytes: {other:?}", body.len()),
+        }
+    }
 }
 
 /// `MAX_MESSAGE_BYTES` holds the worst keyframe of the benchmark's panel —

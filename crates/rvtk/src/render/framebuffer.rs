@@ -379,7 +379,7 @@ impl Framebuffer {
 
     /// Copies `src` into this framebuffer with its top-left corner at
     /// `(x0, y0)`, clipping at the edges (no depth transfer) — used to
-    /// assemble mosaics like the hyperwall preview.
+    /// assemble mosaics like the hyperwall's touchscreen mirror.
     pub fn blit(&mut self, src: &Framebuffer, x0: usize, y0: usize) {
         for sy in 0..src.height() {
             let dy = y0 + sy;
