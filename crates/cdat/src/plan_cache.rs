@@ -21,7 +21,7 @@ use crate::regrid_plan::RegridPlan;
 use cdms::Result;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock};
 
 /// Default capacity of the process-global cache: a hyperwall's worth of
 /// distinct grid pairs, small enough that eviction scans stay trivial.
@@ -94,23 +94,16 @@ impl Lru {
     }
 }
 
-/// Locks a std mutex, recovering the guard from a poisoned lock (the
-/// protected state is plain bookkeeping; a panicked peer cannot corrupt it
-/// beyond what the usual counters tolerate).
-fn std_lock<T>(m: &StdMutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// One in-flight plan build that other threads can wait on.
 #[derive(Debug, Default)]
 struct BuildSlot {
-    done: StdMutex<bool>,
+    done: Mutex<bool>,
     cv: Condvar,
 }
 
 impl BuildSlot {
     fn wait(&self) {
-        let mut done = std_lock(&self.done);
+        let mut done = self.done.lock();
         while !*done {
             done = self
                 .cv
@@ -120,7 +113,7 @@ impl BuildSlot {
     }
 
     fn finish(&self) {
-        *std_lock(&self.done) = true;
+        *self.done.lock() = true;
         self.cv.notify_all();
     }
 }
@@ -146,7 +139,7 @@ impl BuildSlot {
 #[derive(Debug)]
 pub struct SharedPlanCache {
     lru: Mutex<Lru>,
-    inflight: StdMutex<HashMap<u64, Arc<BuildSlot>>>,
+    inflight: Mutex<HashMap<u64, Arc<BuildSlot>>>,
 }
 
 impl SharedPlanCache {
@@ -159,7 +152,7 @@ impl SharedPlanCache {
                 stats: CacheStats::default(),
                 entries: HashMap::new(),
             }),
-            inflight: StdMutex::new(HashMap::new()),
+            inflight: Mutex::new(HashMap::new()),
         }
     }
 
@@ -218,7 +211,7 @@ impl SharedPlanCache {
             }
             // miss: claim the build, or wait on whoever already claimed it
             let (slot, is_builder) = {
-                let mut inflight = std_lock(&self.inflight);
+                let mut inflight = self.inflight.lock();
                 match inflight.get(&key) {
                     Some(s) => (Arc::clone(s), false),
                     None => {
@@ -255,7 +248,7 @@ impl SharedPlanCache {
                     }
                 },
             };
-            std_lock(&self.inflight).remove(&key);
+            self.inflight.lock().remove(&key);
             slot.finish();
             return out;
         }

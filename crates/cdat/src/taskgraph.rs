@@ -4,22 +4,24 @@
 //! dependencies' outputs to a new [`Variable`]. The graph runs either
 //! serially ([`TaskGraph::run_serial`], the determinism oracle) or on a
 //! **dependency-counting, event-driven executor**
-//! ([`TaskGraph::run_with_pool`] / [`TaskGraph::run_parallel`]): a bounded
-//! worker pool in which a task is enqueued the instant its last dependency
-//! completes — no inter-wave barriers, so a slow task only delays its own
-//! dependents, never unrelated work. Ready tasks are dispatched
-//! critical-path-first, the first task error cancels the rest of the graph
-//! (in-flight tasks drain cleanly), and outputs are bit-identical to
-//! `run_serial` at any worker count. See DESIGN.md §18.
+//! ([`TaskGraph::run_with_pool`] / [`TaskGraph::run_parallel`]): the items
+//! of one `rayon` region are its workers, and a task is enqueued the instant
+//! its last dependency completes — no inter-wave barriers, so a slow task
+//! only delays its own dependents, never unrelated work. Ready tasks are
+//! dispatched critical-path-first, the first task error cancels the rest of
+//! the graph (in-flight tasks drain cleanly), and outputs are bit-identical
+//! to `run_serial` at any worker count. See DESIGN.md §18.
 //!
 //! On the dv3dlint `indexing_hot_paths` list: the scheduler runs under
 //! every batch workload and must not panic, so element access goes through
 //! `.get()` and iterators.
 
 use cdms::{CdmsError, Result, Variable};
+use parking_lot::Mutex;
+use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 type TaskFn = dyn Fn(&BTreeMap<String, Arc<Variable>>) -> Result<Variable> + Send + Sync;
@@ -472,8 +474,8 @@ impl TaskGraph {
         Ok(Topology { deps_left, dependents, height })
     }
 
-    /// Runs the graph on the dependency-counting executor with a worker
-    /// pool sized from `rayon::current_num_threads()` — the caller's
+    /// Runs the graph on the dependency-counting executor with as many
+    /// workers as `rayon::current_num_threads()` — the caller's
     /// `rayon::with_threads` value, else the process default. Outputs are
     /// bit-identical to [`TaskGraph::run_serial`]; each task sees exactly
     /// its declared dependencies' outputs.
@@ -483,6 +485,15 @@ impl TaskGraph {
 
     /// Runs the graph on a bounded pool of exactly `threads` workers
     /// (clamped to at least 1, at most the task count).
+    ///
+    /// The workers are the items of one `rayon` region of that width, so
+    /// the run starts no thread of its own and a one-worker run stays on
+    /// the caller. A worker needs no seat to be sure of finishing: one
+    /// worker drains the ready queue by itself, and a worker waits on the
+    /// condvar only while a peer has a task in flight, so no wait cycle
+    /// forms. Tasks run at the caller's `rayon::current_num_threads()`, so
+    /// the kernels inside a task publish regions as wide as they would on
+    /// the caller.
     ///
     /// Scheduling is event-driven: every task carries a count of unmet
     /// dependencies, and the completion that zeroes the count pushes the
@@ -507,7 +518,7 @@ impl TaskGraph {
             }
         }
         let shared = ExecShared {
-            state: StdMutex::new(ExecState {
+            state: Mutex::new(ExecState {
                 ready,
                 deps_left: topo.deps_left.clone(),
                 outputs: BTreeMap::new(),
@@ -519,28 +530,13 @@ impl TaskGraph {
             }),
             cv: Condvar::new(),
         };
-        if workers <= 1 {
-            // Single-worker pool: run inline on the caller's thread. Same
-            // code path, no spawn cost — this is the serial-fallback the
-            // benches time as "pool of 1".
-            self.exec_worker(&shared, &topo);
-        } else {
-            // the executor's threads are not the caller's: hand them its
-            // scoped thread count, so the kernels inside a task publish
-            // regions as wide as they would on the caller
-            let kernel_threads = rayon::current_num_threads();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        rayon::with_threads(kernel_threads, || self.exec_worker(&shared, &topo))
-                    });
-                }
-            });
-        }
-        let state = shared
-            .state
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let kernel_threads = rayon::current_num_threads();
+        rayon::with_threads(workers, || {
+            vec![(); workers].par_iter().for_each(|()| {
+                rayon::with_threads(kernel_threads, || self.exec_worker(&shared, &topo))
+            })
+        });
+        let state = shared.state.into_inner();
         if let Some(e) = state.error {
             return Err(e);
         }
@@ -558,7 +554,7 @@ impl TaskGraph {
     /// graph is complete or cancelled-and-drained.
     fn exec_worker(&self, shared: &ExecShared, topo: &Topology) {
         let n = self.tasks.len();
-        let mut guard = std_lock(&shared.state);
+        let mut guard = shared.state.lock();
         loop {
             while guard.ready.is_empty() && !guard.finished(n) {
                 let cv = &shared.cv;
@@ -581,7 +577,7 @@ impl TaskGraph {
             let (attempts, out) = self.retry.run(&task.run, &dep_vals);
             std::mem::forget(unwinding);
 
-            guard = std_lock(&shared.state);
+            guard = shared.state.lock();
             guard.in_flight -= 1;
             match out {
                 Ok(v) => {
@@ -622,13 +618,6 @@ impl TaskGraph {
             shared.cv.notify_all();
         }
     }
-}
-
-/// Locks the executor mutex, recovering from poisoning (the scheduler
-/// state stays consistent: a panicking task closure unwinds outside the
-/// lock, and bookkeeping updates are straight-line code).
-fn std_lock<T>(m: &StdMutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Static topology the executor schedules against.
@@ -684,7 +673,7 @@ impl ExecState {
 }
 
 struct ExecShared {
-    state: StdMutex<ExecState>,
+    state: Mutex<ExecState>,
     cv: Condvar,
 }
 
@@ -692,7 +681,7 @@ struct ExecShared {
 /// when the body returns, so it drops only if the body unwinds. It then
 /// leaves the scheduler cancelled and drained — failure recorded, the
 /// in-flight count given back, nothing left to start, peers woken — so the
-/// other workers exit and the scope can propagate the panic instead of
+/// other workers exit and the region can re-raise the panic instead of
 /// waiting on the condvar for ever.
 struct Unwinding<'a> {
     shared: &'a ExecShared,
@@ -701,7 +690,7 @@ struct Unwinding<'a> {
 
 impl Drop for Unwinding<'_> {
     fn drop(&mut self) {
-        let mut state = std_lock(&self.shared.state);
+        let mut state = self.shared.state.lock();
         state.in_flight -= 1;
         if state.error.is_none() {
             state.error = Some(CdmsError::Invalid(format!("task '{}' panicked", self.task)));

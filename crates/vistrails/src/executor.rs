@@ -1,17 +1,19 @@
 //! The caching, branch-parallel pipeline executor.
 //!
 //! Execution walks the pipeline in topological *wavefronts*: every module
-//! whose inputs are ready runs, and modules in the same wavefront run on
-//! separate threads (the paper's "parallel task execution"). Results are
-//! cached by module signature (type + params + upstream signatures), so
-//! re-executing after a small edit only recomputes the dirty cone — the
-//! mechanism that makes VisTrails-style exploratory tweaking cheap.
+//! whose inputs are ready runs, and the modules of one wavefront are the
+//! items of one `rayon` region, so they run in parallel on at most the
+//! caller's `rayon::current_num_threads()` threads (the paper's "parallel
+//! task execution"). Results are cached by module signature (type +
+//! params + upstream signatures), so re-executing after a small edit only
+//! recomputes the dirty cone — the mechanism that makes VisTrails-style
+//! exploratory tweaking cheap.
 
 use crate::module::ModuleRegistry;
 use crate::pipeline::{ModuleId, Pipeline};
 use crate::value::WfData;
 use crate::{Result, WfError};
-use parking_lot::Mutex;
+use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
@@ -171,6 +173,13 @@ impl Executor {
     }
 
     /// Executes only what `sink` needs (or everything when `None`).
+    ///
+    /// Each wavefront runs as one `rayon` region at the caller's
+    /// `rayon::current_num_threads()`, so `rayon::with_threads` sets how
+    /// many of its modules run at once. A module that panics ends the run:
+    /// the modules of its wave that are running finish, the rest do not
+    /// start, nothing of the wave is cached, and the panic is re-raised
+    /// here.
     pub fn execute_subset(
         &mut self,
         pipeline: &Pipeline,
@@ -238,41 +247,25 @@ impl Executor {
                 jobs.push((id, sig, node.type_name.clone(), node.params.clone(), inputs, module));
             }
 
-            // Run the wavefront in parallel; each job runs under the retry
-            // policy and reports its per-attempt timings. An outcome leads
-            // with its job's position in the wave: threads finish in any
-            // order, the wave is booked in this one.
-            type JobOutput =
-                (usize, ModuleId, u64, String, Vec<Duration>, Result<BTreeMap<String, WfData>>);
-            let retry = self.retry.clone();
-            let outcomes: Mutex<Vec<JobOutput>> = Mutex::new(Vec::with_capacity(jobs.len()));
-            if jobs.len() <= 1 {
-                for (id, sig, tn, params, inputs, module) in jobs {
-                    let (timings, out) = retry
-                        .run(|| module.execute(&inputs, &params).map_err(|e| wrap_exec_err(id, e)));
-                    outcomes.lock().push((0, id, sig, tn, timings, out));
-                }
-            } else {
-                std::thread::scope(|scope| {
-                    for (pos, job) in jobs.into_iter().enumerate() {
-                        let (id, sig, tn, params, inputs, module) = job;
-                        let outcomes = &outcomes;
-                        let retry = &retry;
-                        scope.spawn(move || {
-                            let (timings, out) = retry.run(|| {
-                                module.execute(&inputs, &params).map_err(|e| wrap_exec_err(id, e))
-                            });
-                            outcomes.lock().push((pos, id, sig, tn, timings, out));
-                        });
-                    }
-                });
-            }
-            let mut outcomes = outcomes.into_inner();
-            outcomes.sort_by_key(|outcome| outcome.0);
+            // Run the wavefront as one region over its jobs, at the
+            // caller's thread count. Each job runs under the retry policy
+            // and writes its per-attempt timings and outcome into its own
+            // slot: jobs finish in any order, the wave is booked in this one.
+            type Attempts = (Vec<Duration>, Result<BTreeMap<String, WfData>>);
+            let retry = &self.retry;
+            let mut slots: Vec<Option<Attempts>> = jobs.iter().map(|_| None).collect();
+            jobs.par_iter().zip(slots.par_iter_mut()).for_each(|(job, slot)| {
+                let (id, _, _, params, inputs, module) = job;
+                *slot = Some(
+                    retry.run(|| module.execute(inputs, params).map_err(|e| wrap_exec_err(*id, e))),
+                );
+            });
             // Cache and book every success of the wave, then report its
-            // lowest-positioned failure.
+            // lowest-positioned failure. The region returns only once every
+            // job has filled its slot.
             let mut failed = None;
-            for (_, id, sig, type_name, attempt_durations, out) in outcomes {
+            for ((id, sig, type_name, ..), slot) in jobs.into_iter().zip(slots) {
+                let Some((attempt_durations, out)) = slot else { continue };
                 let out = match out {
                     Ok(out) => out,
                     Err(e) => {
@@ -512,20 +505,22 @@ mod tests {
             }
             p
         };
-        for _ in 0..20 {
-            let results = Executor::new(gated_registry()).execute(&wave(&[])).unwrap();
-            let booked: Vec<ModuleId> = results.log.iter().map(|e| e.module).collect();
-            assert_eq!(booked, (10..18).collect::<Vec<_>>());
+        rayon::with_threads(N, || {
+            for _ in 0..20 {
+                let results = Executor::new(gated_registry()).execute(&wave(&[])).unwrap();
+                let booked: Vec<ModuleId> = results.log.iter().map(|e| e.module).collect();
+                assert_eq!(booked, (10..18).collect::<Vec<_>>());
 
-            let mut exec = Executor::new(gated_registry());
-            match exec.execute(&wave(&[2, 5])) {
-                Err(WfError::Execution { module, message }) => {
-                    assert_eq!((module, message.as_str()), (12, "gate 2"));
+                let mut exec = Executor::new(gated_registry());
+                match exec.execute(&wave(&[2, 5])) {
+                    Err(WfError::Execution { module, message }) => {
+                        assert_eq!((module, message.as_str()), (12, "gate 2"));
+                    }
+                    other => panic!("expected module 12's failure, got {other:?}"),
                 }
-                other => panic!("expected module 12's failure, got {other:?}"),
+                assert_eq!(exec.cache_len(), N - 2, "the wave's successes are cached");
             }
-            assert_eq!(exec.cache_len(), N - 2, "the wave's successes are cached");
-        }
+        });
     }
 
     #[test]
@@ -609,13 +604,52 @@ mod tests {
             p.add_module(id, "m.slow").unwrap();
         }
         let start = Instant::now();
-        exec.execute(&p).unwrap();
+        rayon::with_threads(4, || exec.execute(&p)).unwrap();
         let elapsed = start.elapsed();
         // serial would be ≥ 160ms; parallel should be well under
         assert!(
             elapsed < Duration::from_millis(140),
             "wavefront not parallel: {elapsed:?}"
         );
+    }
+
+    /// A module that panics inside a 4-wide wave ends `execute` with its
+    /// panic instead of leaving the wave waiting, and the pool that ran
+    /// the wave serves the same executor's next run. The run is on its own
+    /// thread so that a hang fails this test at the watchdog instead of
+    /// stalling the suite.
+    #[test]
+    fn a_panicking_module_ends_the_wave_and_the_pool_survives() {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let mut r = registry(counter.clone());
+        r.register_fn("m", "panic", &[], &[("out", PortType::Float)], |_, _| {
+            panic!("module panicked")
+        });
+        let mut p = Pipeline::new();
+        for id in 1..=3 {
+            p.add_module(id, "m.slow").unwrap();
+        }
+        p.add_module(4, "m.panic").unwrap();
+        let mut exec = Executor::new(r);
+        let run = std::thread::spawn(move || {
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rayon::with_threads(4, || exec.execute(&p).map(|_| ()))
+            }));
+            (exec, ran.is_err())
+        });
+        let started = Instant::now();
+        while !run.is_finished() {
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "execute still running 1 s after its module panicked"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let (mut exec, panicked) = run.join().unwrap();
+        assert!(panicked, "the module's panic propagates");
+        assert_eq!(exec.cache_len(), 0, "nothing of the panicked wave is cached");
+        let results = rayon::with_threads(4, || exec.execute(&diamond())).unwrap();
+        assert_eq!(results.output(3, "out").and_then(WfData::as_float), Some(42.0));
     }
 
     #[test]
