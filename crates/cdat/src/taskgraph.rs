@@ -953,10 +953,10 @@ mod tests {
     #[test]
     fn dataset_source_degrades_to_salvage_on_corruption() {
         let (path, ds) = saved_dataset("salvage");
-        // Corrupt a variable other than "ta": strict read fails, salvage
-        // still recovers "ta", so the graph keeps running.
-        let (bytes, layout) = cdms::format::to_bytes_v2_with_layout(&ds);
-        let mut bytes = bytes.to_vec();
+        // Corrupt the metadata section of a variable other than "ta":
+        // strict read fails, salvage still recovers "ta", so the graph
+        // keeps running.
+        let (mut bytes, layout) = cdms::format_v3::to_bytes_v3_with(&ds, &Default::default());
         let victim = layout
             .sections
             .iter()

@@ -392,7 +392,8 @@ mod tests {
         .unwrap();
         let mut flat = SynthesisSpec::new(2, 1, 4, 8).build();
         flat.id = "flat".to_string();
-        crate::format::write_dataset(&flat, &root.join("flat.ncr")).unwrap();
+        let v2 = crate::format::to_bytes_v2_with_layout(&flat).0;
+        std::fs::write(root.join("flat.ncr"), v2).unwrap();
 
         let cat = EsgCatalog::new(&root).unwrap();
         // the v3 file indexes as a healthy entry like any other
@@ -540,8 +541,7 @@ mod tests {
         }
         // Corrupt one variable's section payload; the rest must survive.
         let path = root.join("partial.ncr");
-        let (bytes, layout) = crate::format::to_bytes_v2_with_layout(&ds);
-        let mut bytes = bytes.to_vec();
+        let (mut bytes, layout) = crate::format::to_bytes_v2_with_layout(&ds);
         let victim = layout
             .sections
             .iter()

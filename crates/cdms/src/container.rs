@@ -18,8 +18,8 @@
 //! A file is `preamble | frame* | trailer | footer`, nothing between. The
 //! trailer directory lists every frame before it, in file order. What the
 //! payloads *mean* — which section kinds a generation carries, in which
-//! order, holding what — belongs to [`crate::format`] (v2) and
-//! [`crate::format_v3`] (v3); v1 shares only the preamble.
+//! order, holding what — belongs to [`crate::format`] (v2, read only) and
+//! [`crate::format_v3`] (v3, the one generation written).
 //!
 //! One [`Writer`] frames sections in place (length placeholder, payload
 //! streamed straight into the output, length patched, CRC appended) and
@@ -42,7 +42,6 @@
 
 use crate::error::{CdmsError, Result};
 use crate::storage::crc32c;
-use bytes::{BufMut, Bytes, BytesMut};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -154,6 +153,25 @@ fn slice_at<'a>(bytes: &'a [u8], start: u64, len: usize, what: &str) -> Result<&
         .ok_or_else(|| CdmsError::Format(format!("truncated {what} at byte {start}")))
 }
 
+// ---- byte image ----
+
+/// Little-endian appends onto a file image: every multi-byte integer a
+/// `.ncr` file holds is written through these (a float through its bits).
+pub(crate) trait PutLe {
+    fn put_u32_le(&mut self, v: u32);
+    fn put_u64_le(&mut self, v: u64);
+}
+
+impl PutLe for Vec<u8> {
+    fn put_u32_le(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64_le(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
 // ---- preamble ----
 
 /// Checks the magic and returns the format version. `head` is the start of
@@ -169,14 +187,6 @@ pub(crate) fn parse_preamble(head: &[u8]) -> Result<u32> {
         return format_err("bad magic (not an .ncr file)".into());
     }
     get_u32(&mut cur)
-}
-
-/// Starts a file image: the preamble, in a buffer of `capacity` bytes.
-pub(crate) fn preamble(version: u32, capacity: usize) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(capacity);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(version);
-    buf
 }
 
 // ---- located sections ----
@@ -320,7 +330,7 @@ fn encoded_len(payload_lens: impl Iterator<Item = usize>) -> usize {
 /// place — no per-section buffer, no payload copy — then trailer and
 /// footer.
 pub(crate) struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
     reserved: usize,
     entries: Vec<Entry>,
     spans: Vec<SectionSpan>,
@@ -331,7 +341,10 @@ impl Writer {
     /// come, so one allocation serves the whole encode.
     pub(crate) fn new(version: u32, payload_lens: impl Iterator<Item = usize>) -> Writer {
         let reserved = encoded_len(payload_lens);
-        Writer { buf: preamble(version, reserved), reserved, entries: Vec::new(), spans: Vec::new() }
+        let mut buf = Vec::with_capacity(reserved);
+        buf.extend_from_slice(MAGIC);
+        buf.put_u32_le(version);
+        Writer { buf, reserved, entries: Vec::new(), spans: Vec::new() }
     }
 
     /// Appends one section: `fill` streams the payload straight into the
@@ -341,10 +354,10 @@ impl Writer {
         &mut self,
         kind: SectionKind,
         variable: Option<(String, Vec<usize>)>,
-        fill: impl FnOnce(&mut BytesMut),
+        fill: impl FnOnce(&mut Vec<u8>),
     ) -> Entry {
         let offset = self.buf.len();
-        self.buf.put_u8(kind.as_u8());
+        self.buf.push(kind.as_u8());
         self.buf.put_u64_le(0); // patched below, once the payload is in
         fill(&mut self.buf);
         let payload = offset + PAYLOAD_AT..self.buf.len();
@@ -363,13 +376,13 @@ impl Writer {
     /// file CRC chained over their CRCs — and the footer that locates it
     /// from EOF. Returns the image, every section's span (trailer
     /// included) and the footer's extent.
-    pub(crate) fn finish(mut self) -> (Bytes, Vec<SectionSpan>, Range<usize>) {
+    pub(crate) fn finish(mut self) -> (Vec<u8>, Vec<SectionSpan>, Range<usize>) {
         let entries = std::mem::take(&mut self.entries);
         let trailer = self.section(SectionKind::Trailer, None, |buf| {
             buf.put_u32_le(entries.len() as u32);
             let mut crcs = Vec::with_capacity(entries.len() * 4);
             for e in &entries {
-                buf.put_u8(e.kind.as_u8());
+                buf.push(e.kind.as_u8());
                 buf.put_u64_le(e.offset);
                 buf.put_u64_le(e.len);
                 buf.put_u32_le(e.crc);
@@ -381,7 +394,7 @@ impl Writer {
         self.buf.put_u64_le(trailer.offset);
         self.buf.put_u32_le(crc32c(&trailer.offset.to_le_bytes()));
         debug_assert_eq!(self.buf.len(), self.reserved, "size precomputation must be exact");
-        (self.buf.freeze(), self.spans, footer_at..footer_at + FOOTER_LEN)
+        (self.buf, self.spans, footer_at..footer_at + FOOTER_LEN)
     }
 }
 

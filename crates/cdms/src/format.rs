@@ -1,38 +1,25 @@
 //! The `.ncr` self-describing binary file — this repo's NetCDF stand-in.
 //!
-//! Three on-disk generations exist, all little-endian, all starting with
-//! `magic "NCRS" | version u32`. The reader dispatches on the version, so
-//! files written by earlier releases keep opening unchanged. v2 and v3 are
-//! *sectioned*: checksummed frames, a trailer directory and a footer, whose
-//! byte layout has one owner and one table — the module docs of
-//! `container.rs`. Above that container a generation is the list of
-//! sections it carries. This module holds v1, v2, and what every sectioned
-//! generation shares: the payload codecs (header, axis, variable head, raw
+//! Every file is little-endian and starts with `magic "NCRS" | version u32`,
+//! then carries *sections*: checksummed frames, a trailer directory and a
+//! footer, whose byte layout has one owner and one table — the module docs
+//! of `container.rs`. Above that container a generation is the list of
+//! sections it carries. Two generations are readable, and one is written:
+//!
+//! * **v3** is what [`to_bytes`], [`write_dataset`] and `Dataset::save`
+//!   write, at [`V3Options::default`]: chunked, with a resolution pyramid,
+//!   read piecewise via `Storage::read_at` by [`crate::stream`]. It lives
+//!   in [`crate::format_v3`].
+//! * **v2** is read only, so files written by earlier builds keep opening.
+//!
+//! The reader dispatches on the version; any other version — the
+//! unsectioned v1 of the first builds included — is refused as
+//! unsupported. This module holds the v2 reader and what both generations
+//! share: the payload codecs (header, axis, variable head, raw
 //! `f32 | mask` body), the axis dedup and axis-ref resolution, the strict
-//! in-order section reader and the salvage prelude. **v3** — chunked, with
-//! a resolution pyramid, read piecewise via `Storage::read_at` by
-//! [`crate::stream`] — lives in [`crate::format_v3`].
+//! in-order section reader and the salvage prelude.
 //!
-//! **v1** (legacy and unchecksummed; still readable, and [`to_bytes_v1`]
-//! still writes it — it is the tests' and the `ncr_io` bench's only source
-//! of v1 bytes):
-//!
-//! ```text
-//! magic "NCRS" | version u32 = 1
-//! dataset id: string
-//! global attributes
-//! variable count u32, then per variable:
-//!   id: string
-//!   axes: count u32, each fully self-describing (duplicated per variable)
-//!   attributes
-//!   shape: rank u32, dims u64...
-//!   data:  f32 × n
-//!   mask:  bit-packed, ⌈n/8⌉ bytes
-//! ```
-//!
-//! **v2** (what [`to_bytes`] and [`write_dataset`] write: whole-file reads,
-//! written crash-safely through [`crate::storage::write_atomic`]) carries,
-//! in this order:
+//! **v2** carries, in this order:
 //!
 //! ```text
 //! Header   (kind 1) dataset id, global attrs, axis count, variable count
@@ -49,42 +36,30 @@
 //! and returns the intact variables plus a [`SalvageReport`] saying exactly
 //! what was lost and why.
 //!
-//! Strings are `u32 length + UTF-8 bytes`. Corrupt input of any generation
-//! fails with [`CdmsError::Format`] rather than panicking.
+//! Strings are `u32 length + UTF-8 bytes`. Corrupt input of either
+//! generation fails with [`CdmsError::Format`] rather than panicking.
 
 use crate::attr::{AttValue, Attributes};
 use crate::axis::{Axis, AxisKind};
 use crate::calendar::Calendar;
-use crate::container::{self, get_u32, get_u64, get_u8, take_bytes, Entry, Writer};
+use crate::container::{self, get_u32, get_u64, get_u8, take_bytes, Entry, PutLe};
 use crate::dataset::Dataset;
 use crate::error::{CdmsError, Result};
+use crate::format_v3::V3Options;
 use crate::storage::{LocalDisk, Storage};
 use crate::{MaskedArray, Variable};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::borrow::Cow;
-use std::ops::Range;
 use std::path::Path;
 
 pub use crate::container::{SectionKind, SectionSpan};
 
-/// Legacy unsectioned format.
-pub const VERSION_V1: u32 = 1;
-/// Checksummed-section format (whole-file reads).
+/// Checksummed-section format (whole-file reads; read only).
 pub const VERSION_V2: u32 = 2;
 /// Chunked streaming format with resolution pyramid (see [`crate::format_v3`]).
 pub const VERSION_V3: u32 = 3;
 
 pub(crate) const MAX_AXES: usize = 1 << 20;
 pub(crate) const MAX_VARS: usize = 1_000_000;
-
-/// Full byte map of an encoded v2 file.
-#[derive(Debug, Clone)]
-pub struct V2Layout {
-    /// All sections in file order (header, axes, variables, trailer).
-    pub sections: Vec<SectionSpan>,
-    /// The 12-byte end-of-file footer.
-    pub footer: Range<usize>,
-}
 
 /// One variable `read_dataset_salvage` could not recover.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,65 +134,9 @@ impl std::fmt::Display for SalvageReport {
 
 // ---- encoding ----
 
-/// Serializes a dataset to bytes in the v2 format.
-pub fn to_bytes(ds: &Dataset) -> Bytes {
-    to_bytes_v2_with_layout(ds).0
-}
-
-/// Serializes a dataset in the legacy v1 format (no checksums). Kept for
-/// compatibility testing and the v1-vs-v2 overhead benchmark.
-pub fn to_bytes_v1(ds: &Dataset) -> Bytes {
-    let mut buf = container::preamble(VERSION_V1, 0);
-    put_string(&mut buf, &ds.id);
-    put_attrs(&mut buf, &ds.attributes);
-    buf.put_u32_le(ds.variables().len() as u32);
-    for var in ds.variables() {
-        put_string(&mut buf, &var.id);
-        buf.put_u32_le(var.axes.len() as u32);
-        for ax in &var.axes {
-            put_axis(&mut buf, ax);
-        }
-        put_attrs(&mut buf, &var.attributes);
-        put_shape(&mut buf, var.array.shape());
-        // element-wise on purpose, as every v1 file was written: the
-        // `ncr_io` bench gates v2's cost against this encoder
-        for &v in var.array.data() {
-            buf.put_f32_le(v);
-        }
-        put_mask(&mut buf, var.array.mask());
-    }
-    buf.freeze()
-}
-
-/// Serializes in v2 and returns the byte map alongside — the corruption
-/// fuzzer and storage tooling use the layout to reason about which bytes
-/// belong to which section.
-///
-/// The container's `Writer` frames every section in place and is told
-/// the exact payload sizes up front, so the encoder never reallocates and
-/// never copies a payload; with bulk `f32` writes that is what removed the
-/// v2 encode overhead the `ncr_io` bench used to report against v1.
-pub fn to_bytes_v2_with_layout(ds: &Dataset) -> (Bytes, V2Layout) {
-    let (axes, refs_per_var) = dedup_axes(ds);
-    let variables = || ds.variables().iter().zip(&refs_per_var);
-    let sizes = std::iter::once(header_size(ds))
-        .chain(axes.iter().map(|ax| axis_size(ax)))
-        .chain(variables().map(|(var, refs)| {
-            var_head_size(var, refs) + raw_body_size(var.array.len()).unwrap_or(0)
-        }));
-    let mut w = Writer::new(VERSION_V2, sizes);
-    w.section(SectionKind::Header, None, |buf| put_header(buf, ds, axes.len()));
-    for ax in &axes {
-        w.section(SectionKind::Axis, None, |buf| put_axis(buf, ax));
-    }
-    for (var, refs) in variables() {
-        w.section(SectionKind::Variable, Some((var.id.clone(), refs.clone())), |buf| {
-            put_var_head(buf, var, refs);
-            put_raw_body(buf, var.array.data(), var.array.mask());
-        });
-    }
-    let (bytes, sections, footer) = w.finish();
-    (bytes, V2Layout { sections, footer })
+/// Serializes a dataset to bytes: v3 at [`V3Options::default`].
+pub fn to_bytes(ds: &Dataset) -> Vec<u8> {
+    crate::format_v3::to_bytes_v3_with(ds, &V3Options::default()).0
 }
 
 /// Deduplicates axes across variables: each distinct axis is written once
@@ -249,7 +168,7 @@ pub(crate) fn dedup_axes(ds: &Dataset) -> (Vec<&Axis>, Vec<Vec<usize>>) {
 // Each `*_size` is exact and mirrors its `put_*` writer.
 
 /// Header payload: dataset id, global attrs, axis count, variable count.
-pub(crate) fn put_header(buf: &mut BytesMut, ds: &Dataset, n_axes: usize) {
+pub(crate) fn put_header(buf: &mut Vec<u8>, ds: &Dataset, n_axes: usize) {
     put_string(buf, &ds.id);
     put_attrs(buf, &ds.attributes);
     buf.put_u32_le(n_axes as u32);
@@ -302,14 +221,17 @@ pub(crate) struct VarHead {
     pub(crate) shape: Vec<usize>,
 }
 
-pub(crate) fn put_var_head(buf: &mut BytesMut, var: &Variable, refs: &[usize]) {
+pub(crate) fn put_var_head(buf: &mut Vec<u8>, var: &Variable, refs: &[usize]) {
     put_string(buf, &var.id);
     buf.put_u32_le(refs.len() as u32);
     for &r in refs {
         buf.put_u32_le(r as u32);
     }
     put_attrs(buf, &var.attributes);
-    put_shape(buf, var.array.shape());
+    buf.put_u32_le(var.array.rank() as u32);
+    for &d in var.array.shape() {
+        buf.put_u64_le(d as u64);
+    }
 }
 
 pub(crate) fn var_head_size(var: &Variable, refs: &[usize]) -> usize {
@@ -332,35 +254,19 @@ pub(crate) fn get_var_head(buf: &mut &[u8]) -> Result<VarHead> {
         axis_refs.push(get_u32(buf)? as usize);
     }
     let attributes = get_attrs(buf)?;
-    let shape = get_shape(buf)?;
-    if shape.len() != naxes {
-        return Err(CdmsError::Format(format!(
-            "variable '{id}': rank {} != axis count {naxes}",
-            shape.len()
-        )));
-    }
-    Ok(VarHead { id, axis_refs, attributes, shape })
-}
-
-fn put_shape(buf: &mut BytesMut, shape: &[usize]) {
-    buf.put_u32_le(shape.len() as u32);
-    for &d in shape {
-        buf.put_u64_le(d as u64);
-    }
-}
-
-fn get_shape(buf: &mut &[u8]) -> Result<Vec<usize>> {
     let rank = get_u32(buf)? as usize;
-    if rank > 64 {
-        return Err(CdmsError::Format(format!("implausible rank {rank}")));
+    if rank != naxes {
+        let reason = format!("variable '{id}': rank {rank} != axis count {naxes}");
+        return Err(CdmsError::Format(reason));
     }
-    (0..rank).map(|_| Ok(get_u64(buf)? as usize)).collect()
+    let shape = (0..rank).map(|_| Ok(get_u64(buf)? as usize)).collect::<Result<_>>()?;
+    Ok(VarHead { id, axis_refs, attributes, shape })
 }
 
 /// Raw data body: `f32 × n`, then the validity mask bit-packed into
 /// `⌈n/8⌉` bytes — a v2 variable's data and a v3 `CODEC_RAW` chunk body
-/// alike (v1 holds the same bytes, but keeps its own element-wise codec).
-pub(crate) fn put_raw_body(buf: &mut impl BufMut, data: &[f32], mask: &[bool]) {
+/// alike.
+pub(crate) fn put_raw_body(buf: &mut Vec<u8>, data: &[f32], mask: &[bool]) {
     put_f32_bulk(buf, data);
     put_mask(buf, mask);
 }
@@ -494,63 +400,13 @@ fn decode_variable(payload: &[u8], table: &[impl AxisSlot]) -> Salvaged {
 // ---- decoding (strict) ----
 
 /// Deserializes a dataset from bytes, dispatching on the format version.
-/// Verifies every v2/v3 checksum; any mismatch is a [`CdmsError::Format`].
+/// Verifies every checksum; any mismatch is a [`CdmsError::Format`].
 pub fn from_bytes(buf: &[u8]) -> Result<Dataset> {
     match container::parse_preamble(buf)? {
-        VERSION_V1 => from_bytes_v1(buf.get(container::PREAMBLE_LEN..).unwrap_or_default()),
         VERSION_V2 => from_bytes_v2(buf),
         VERSION_V3 => crate::format_v3::from_bytes_v3(buf),
         v => Err(CdmsError::Format(format!("unsupported version {v}"))),
     }
-}
-
-/// Legacy v1 body decoder (`buf` starts after magic + version).
-fn from_bytes_v1(mut buf: &[u8]) -> Result<Dataset> {
-    let buf = &mut buf;
-    let id = get_string(buf)?;
-    let mut ds = Dataset::new(&id);
-    ds.attributes = get_attrs(buf)?;
-    let nvars = get_u32(buf)? as usize;
-    if nvars > MAX_VARS {
-        return Err(CdmsError::Format(format!("implausible variable count {nvars}")));
-    }
-    for _ in 0..nvars {
-        let vid = get_string(buf)?;
-        let naxes = get_u32(buf)? as usize;
-        if naxes > 64 {
-            return Err(CdmsError::Format(format!("implausible rank {naxes}")));
-        }
-        let mut axes = Vec::with_capacity(naxes);
-        for _ in 0..naxes {
-            axes.push(get_axis(buf)?);
-        }
-        let attributes = get_attrs(buf)?;
-        let shape = get_shape(buf)?;
-        if shape.len() != naxes {
-            return Err(CdmsError::Format(format!(
-                "variable '{vid}': rank {} != axis count {naxes}",
-                shape.len()
-            )));
-        }
-        let n = checked_volume(&shape)
-            .ok_or_else(|| CdmsError::Format(format!("variable '{vid}': shape overflows")))?;
-        if n > buf.len() / 4 + 8 {
-            return Err(CdmsError::Format(format!(
-                "variable '{vid}': declared {n} elements exceeds remaining bytes"
-            )));
-        }
-        // element-wise like the v1 writer, and for the same reason
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(get_f32(buf)?);
-        }
-        let mask = get_mask(buf, n)?;
-        let array = MaskedArray::with_mask(data, mask, &shape)?;
-        let mut var = Variable::new(&vid, array, axes)?;
-        var.attributes = attributes;
-        ds.add_variable(var);
-    }
-    Ok(ds)
 }
 
 /// A file's section directory being consumed in file order — how a
@@ -636,25 +492,9 @@ fn from_bytes_v2(full: &[u8]) -> Result<Dataset> {
 /// (v3 recovers per chunk — see [`crate::format_v3`]). Returns the
 /// (possibly partial, possibly empty) dataset plus a [`SalvageReport`].
 /// A damaged v2 or v3 file never errors here; what does is input that is
-/// not an `.ncr` file, a version this build does not know, and a corrupt
-/// v1 file — v1 carries no checksums to salvage by.
+/// not an `.ncr` file, and a version this build does not read.
 pub fn from_bytes_salvage(buf: &[u8]) -> Result<(Dataset, SalvageReport)> {
     match container::parse_preamble(buf)? {
-        VERSION_V1 => match from_bytes_v1(buf.get(container::PREAMBLE_LEN..).unwrap_or_default()) {
-            Ok(ds) => {
-                let report = SalvageReport {
-                    sections_total: 1,
-                    header_intact: true,
-                    directory_intact: true,
-                    recovered_variables: ds.variable_ids(),
-                    ..SalvageReport::default()
-                };
-                Ok((ds, report))
-            }
-            Err(e) => Err(CdmsError::Format(format!(
-                "corrupt v1 file cannot be salvaged (v1 has no section checksums): {e}"
-            ))),
-        },
         VERSION_V2 => Ok(salvage_v2(buf)),
         VERSION_V3 => Ok(crate::format_v3::salvage_v3(buf)),
         v => Err(CdmsError::Format(format!("unsupported version {v}"))),
@@ -728,8 +568,9 @@ fn salvage_v2(full: &[u8]) -> (Dataset, SalvageReport) {
 
 // ---- file I/O ----
 
-/// Writes a dataset to a `.ncr` file crash-safely (v2, atomic
-/// temp-file + fsync + rename via [`crate::storage::write_atomic`]).
+/// Writes a dataset to a `.ncr` file crash-safely (v3 at
+/// [`V3Options::default`], atomic temp-file + fsync + rename via
+/// [`crate::storage::write_atomic`]).
 pub fn write_dataset(ds: &Dataset, path: &Path) -> Result<()> {
     write_dataset_with(&LocalDisk, ds, path)
 }
@@ -737,13 +578,6 @@ pub fn write_dataset(ds: &Dataset, path: &Path) -> Result<()> {
 /// Writes through an explicit storage backend (fault injection, tests).
 pub fn write_dataset_with(storage: &dyn Storage, ds: &Dataset, path: &Path) -> Result<()> {
     crate::storage::write_atomic(storage, path, &to_bytes(ds))
-}
-
-/// Writes in the legacy v1 format, still atomically — kept so the
-/// v1-vs-v2 overhead benchmark and compatibility tests exercise identical
-/// write paths.
-pub fn write_dataset_v1(ds: &Dataset, path: &Path) -> Result<()> {
-    crate::storage::write_atomic(&LocalDisk, path, &to_bytes_v1(ds))
 }
 
 /// Reads a dataset from a `.ncr` file (strict: any checksum failure errors).
@@ -822,50 +656,50 @@ pub(crate) fn axis_size(ax: &Axis) -> usize {
         + attrs_size(&ax.attributes)
 }
 
-pub(crate) fn put_string(buf: &mut BytesMut, s: &str) {
+pub(crate) fn put_string(buf: &mut Vec<u8>, s: &str) {
     buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn put_attrs(buf: &mut BytesMut, attrs: &Attributes) {
+pub(crate) fn put_attrs(buf: &mut Vec<u8>, attrs: &Attributes) {
     buf.put_u32_le(attrs.len() as u32);
     for (k, v) in attrs {
         put_string(buf, k);
         match v {
             AttValue::Text(s) => {
-                buf.put_u8(0);
+                buf.push(0);
                 put_string(buf, s);
             }
             AttValue::Float(f) => {
-                buf.put_u8(1);
-                buf.put_f64_le(*f);
+                buf.push(1);
+                buf.put_u64_le(f.to_bits());
             }
             AttValue::Int(i) => {
-                buf.put_u8(2);
-                buf.put_i64_le(*i);
+                buf.push(2);
+                buf.put_u64_le(*i as u64);
             }
             AttValue::FloatVec(v) => {
-                buf.put_u8(3);
+                buf.push(3);
                 buf.put_u32_le(v.len() as u32);
                 for &f in v {
-                    buf.put_f64_le(f);
+                    buf.put_u64_le(f.to_bits());
                 }
             }
         }
     }
 }
 
-pub(crate) fn put_axis(buf: &mut BytesMut, ax: &Axis) {
+pub(crate) fn put_axis(buf: &mut Vec<u8>, ax: &Axis) {
     put_string(buf, &ax.id);
     put_string(buf, &ax.units);
-    buf.put_u8(match ax.kind {
+    buf.push(match ax.kind {
         AxisKind::Latitude => 0,
         AxisKind::Longitude => 1,
         AxisKind::Level => 2,
         AxisKind::Time => 3,
         AxisKind::Generic => 4,
     });
-    buf.put_u8(match ax.calendar {
+    buf.push(match ax.calendar {
         Calendar::Gregorian => 0,
         Calendar::NoLeap365 => 1,
         Calendar::AllLeap366 => 2,
@@ -873,24 +707,24 @@ pub(crate) fn put_axis(buf: &mut BytesMut, ax: &Axis) {
     });
     buf.put_u64_le(ax.values.len() as u64);
     for &v in &ax.values {
-        buf.put_f64_le(v);
+        buf.put_u64_le(v.to_bits());
     }
     match &ax.bounds {
         Some(b) => {
-            buf.put_u8(1);
+            buf.push(1);
             for (lo, hi) in b {
-                buf.put_f64_le(*lo);
-                buf.put_f64_le(*hi);
+                buf.put_u64_le(lo.to_bits());
+                buf.put_u64_le(hi.to_bits());
             }
         }
-        None => buf.put_u8(0),
+        None => buf.push(0),
     }
     put_attrs(buf, &ax.attributes);
 }
 
 /// Streams an `f32` slice into the buffer through a stack staging block,
-/// amortizing the per-element bookkeeping of `put_f32_le`.
-fn put_f32_bulk(buf: &mut impl BufMut, data: &[f32]) {
+/// amortizing the per-element bookkeeping of an append per float.
+fn put_f32_bulk(buf: &mut Vec<u8>, data: &[f32]) {
     let mut stage = [0u8; 4096];
     for chunk in data.chunks(1024) {
         let mut n = 0;
@@ -898,11 +732,11 @@ fn put_f32_bulk(buf: &mut impl BufMut, data: &[f32]) {
             stage[n..n + 4].copy_from_slice(&v.to_le_bytes());
             n += 4;
         }
-        buf.put_slice(&stage[..n]);
+        buf.extend_from_slice(&stage[..n]);
     }
 }
 
-fn put_mask(buf: &mut impl BufMut, mask: &[bool]) {
+fn put_mask(buf: &mut Vec<u8>, mask: &[bool]) {
     let nbytes = mask.len().div_ceil(8);
     let mut packed = vec![0u8; nbytes];
     for (i, &m) in mask.iter().enumerate() {
@@ -910,24 +744,17 @@ fn put_mask(buf: &mut impl BufMut, mask: &[bool]) {
             packed[i / 8] |= 1 << (i % 8);
         }
     }
-    buf.put_slice(&packed);
+    buf.extend_from_slice(&packed);
 }
 
 // ---- decoding helpers ----
 
-fn get_f32(buf: &mut &[u8]) -> Result<f32> {
-    let mut b = take_bytes(buf, 4)?;
-    Ok(b.get_f32_le())
-}
-
 fn get_f64(buf: &mut &[u8]) -> Result<f64> {
-    let mut b = take_bytes(buf, 8)?;
-    Ok(b.get_f64_le())
+    Ok(f64::from_bits(get_u64(buf)?))
 }
 
 fn get_i64(buf: &mut &[u8]) -> Result<i64> {
-    let mut b = take_bytes(buf, 8)?;
-    Ok(b.get_i64_le())
+    Ok(get_u64(buf)? as i64)
 }
 
 pub(crate) fn get_string(buf: &mut &[u8]) -> Result<String> {
@@ -1023,6 +850,9 @@ pub(crate) fn get_axis(buf: &mut &[u8]) -> Result<Axis> {
     Ok(ax)
 }
 
+/// Unpacks a bit-packed mask element by element: the oracle of
+/// [`get_raw_body`]'s table-driven unpacking.
+#[cfg(test)]
 pub(crate) fn get_mask(buf: &mut &[u8], n: usize) -> Result<Vec<bool>> {
     let packed = take_bytes(buf, n.div_ceil(8))?;
     // element `i` is bit `i % 8` of byte `i / 8`: a whole byte yields eight
@@ -1047,10 +877,60 @@ pub(crate) fn get_mask(buf: &mut &[u8], n: usize) -> Result<Vec<bool>> {
     Ok(mask)
 }
 
+// ---- the v2 encoder, kept for tests ----
+
+/// Full byte map of an encoded v2 file.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct V2Layout {
+    /// All sections in file order (header, axes, variables, trailer).
+    pub(crate) sections: Vec<SectionSpan>,
+    /// The 12-byte end-of-file footer.
+    pub(crate) footer: std::ops::Range<usize>,
+}
+
+/// Serializes in v2 as earlier builds wrote it, with the byte map
+/// alongside. Nothing outside the tests writes v2: this is their only
+/// source of v2 bytes, and `tests::v2_golden_pin` holds it to the bytes
+/// those builds shipped.
+#[cfg(test)]
+pub(crate) fn to_bytes_v2_with_layout(ds: &Dataset) -> (Vec<u8>, V2Layout) {
+    let (axes, refs_per_var) = dedup_axes(ds);
+    let variables = || ds.variables().iter().zip(&refs_per_var);
+    let sizes = std::iter::once(header_size(ds))
+        .chain(axes.iter().map(|ax| axis_size(ax)))
+        .chain(variables().map(|(var, refs)| {
+            var_head_size(var, refs) + raw_body_size(var.array.len()).unwrap_or(0)
+        }));
+    let mut w = container::Writer::new(VERSION_V2, sizes);
+    w.section(SectionKind::Header, None, |buf| put_header(buf, ds, axes.len()));
+    for ax in &axes {
+        w.section(SectionKind::Axis, None, |buf| put_axis(buf, ax));
+    }
+    for (var, refs) in variables() {
+        w.section(SectionKind::Variable, Some((var.id.clone(), refs.clone())), |buf| {
+            put_var_head(buf, var, refs);
+            put_raw_body(buf, var.array.data(), var.array.mask());
+        });
+    }
+    let (bytes, sections, footer) = w.finish();
+    (bytes, V2Layout { sections, footer })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attr::attrs;
+    use crate::format_v3::to_bytes_v3_with;
+    use crate::synth::SynthesisSpec;
+    use proptest::test_runner::TestRng;
+    use std::ops::Range;
+    use std::time::{Duration, Instant};
+
+    /// The v2 bytes of `ds`, from the test encoder.
+    fn to_bytes_v2(ds: &Dataset) -> Vec<u8> {
+        to_bytes_v2_with_layout(ds).0
+    }
 
     fn sample_dataset() -> Dataset {
         let time =
@@ -1084,7 +964,7 @@ mod tests {
     #[test]
     fn roundtrip_through_bytes() {
         let ds = sample_dataset();
-        let bytes = to_bytes(&ds);
+        let bytes = to_bytes_v2(&ds);
         let back = from_bytes(&bytes).unwrap();
         assert_eq!(back.id, ds.id);
         assert_eq!(back.attributes, ds.attributes);
@@ -1093,17 +973,6 @@ mod tests {
         assert_eq!(v1.array, v0.array);
         assert_eq!(v1.axes, v0.axes);
         assert_eq!(v1.attributes, v0.attributes);
-    }
-
-    #[test]
-    fn v1_roundtrip_still_works() {
-        let ds = sample_dataset();
-        let bytes = to_bytes_v1(&ds);
-        assert_eq!(u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]), VERSION_V1);
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back.variable("ta").unwrap().array, ds.variable("ta").unwrap().array);
-        assert_eq!(back.variable("ta").unwrap().axes, ds.variable("ta").unwrap().axes);
-        assert_eq!(back.attributes, ds.attributes);
     }
 
     #[test]
@@ -1143,7 +1012,7 @@ mod tests {
     #[test]
     fn truncated_file_rejected() {
         let ds = sample_dataset();
-        let bytes = to_bytes(&ds);
+        let bytes = to_bytes_v2(&ds);
         for cut in [3, 8, 20, bytes.len() / 2, bytes.len() - 1] {
             let err = from_bytes(&bytes[..cut]).unwrap_err();
             assert!(matches!(err, CdmsError::Format(_) | CdmsError::Invalid(_)), "cut={cut}");
@@ -1153,15 +1022,22 @@ mod tests {
     #[test]
     fn bad_version_rejected() {
         let ds = sample_dataset();
-        let mut bytes = to_bytes(&ds).to_vec();
-        bytes[4] = 99;
-        assert!(matches!(from_bytes(&bytes), Err(CdmsError::Format(_))));
+        // 1 is the unsectioned first generation, which no build reads now
+        for version in [99, 1] {
+            let mut bytes = to_bytes_v2(&ds);
+            bytes[4] = version;
+            assert!(matches!(from_bytes(&bytes), Err(CdmsError::Format(_))));
+            for err in [from_bytes(&bytes).unwrap_err(), from_bytes_salvage(&bytes).unwrap_err()] {
+                let want = format!("unsupported version {version}");
+                assert!(err.to_string().contains(&want), "{err}");
+            }
+        }
     }
 
     #[test]
     fn corrupt_tag_rejected() {
         let ds = sample_dataset();
-        let bytes = to_bytes(&ds).to_vec();
+        let bytes = to_bytes_v2(&ds);
         // Flip every byte one at a time over the header region; must never panic.
         for i in 8..bytes.len().min(120) {
             let mut corrupt = bytes.clone();
@@ -1174,7 +1050,7 @@ mod tests {
     fn any_single_byte_flip_fails_strict_decode() {
         // v2's whole point: silent corruption cannot pass the strict reader.
         let ds = sample_dataset();
-        let bytes = to_bytes(&ds).to_vec();
+        let bytes = to_bytes_v2(&ds);
         for i in 8..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
@@ -1185,7 +1061,7 @@ mod tests {
     #[test]
     fn empty_dataset_roundtrips() {
         let ds = Dataset::new("empty");
-        let back = from_bytes(&to_bytes(&ds)).unwrap();
+        let back = from_bytes(&to_bytes_v2(&ds)).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.id, "empty");
     }
@@ -1201,7 +1077,7 @@ mod tests {
                 .unwrap();
             let mut ds = Dataset::new("m");
             ds.add_variable(Variable::new("v", arr.clone(), vec![ax]).unwrap());
-            let back = from_bytes(&to_bytes(&ds)).unwrap();
+            let back = from_bytes(&to_bytes_v2(&ds)).unwrap();
             assert_eq!(back.variable("v").unwrap().array.mask(), arr.mask(), "n={n}");
         }
     }
@@ -1209,7 +1085,7 @@ mod tests {
     #[test]
     fn salvage_of_clean_file_is_clean() {
         let ds = two_var_dataset();
-        let (ds2, report) = from_bytes_salvage(&to_bytes(&ds)).unwrap();
+        let (ds2, report) = from_bytes_salvage(&to_bytes_v2(&ds)).unwrap();
         assert!(report.is_clean(), "{report}");
         assert!(report.directory_intact);
         assert_eq!(report.recovered_variables, vec!["ta", "ua"]);
@@ -1219,8 +1095,7 @@ mod tests {
     #[test]
     fn salvage_recovers_intact_variable_when_other_corrupts() {
         let ds = two_var_dataset();
-        let (bytes, layout) = to_bytes_v2_with_layout(&ds);
-        let mut bytes = bytes.to_vec();
+        let (mut bytes, layout) = to_bytes_v2_with_layout(&ds);
         // corrupt a payload byte of the "ta" variable section
         let ta = layout
             .sections
@@ -1244,8 +1119,8 @@ mod tests {
     /// Both sectioned encodings of `ds`, each with its byte map.
     fn v2_and_v3(ds: &Dataset) -> [Encoded; 2] {
         let (v2, l2) = to_bytes_v2_with_layout(ds);
-        let (v3, l3) = crate::format_v3::to_bytes_v3(ds);
-        [("v2", v2.to_vec(), l2.sections, l2.footer), ("v3", v3.to_vec(), l3.sections, l3.footer)]
+        let (v3, l3) = to_bytes_v3_with(ds, &V3Options::default());
+        [("v2", v2, l2.sections, l2.footer), ("v3", v3, l3.sections, l3.footer)]
     }
 
     #[test]
@@ -1302,8 +1177,7 @@ mod tests {
     #[test]
     fn salvage_survives_destroyed_framing_via_directory() {
         let ds = two_var_dataset();
-        let (bytes, layout) = to_bytes_v2_with_layout(&ds);
-        let mut bytes = bytes.to_vec();
+        let (mut bytes, layout) = to_bytes_v2_with_layout(&ds);
         // destroy the length field of the header frame: a sequential walk
         // is now lost immediately, but the trailer directory still locates
         // every section
@@ -1320,8 +1194,7 @@ mod tests {
     #[test]
     fn salvage_falls_back_to_walk_when_footer_dies() {
         let ds = two_var_dataset();
-        let (bytes, layout) = to_bytes_v2_with_layout(&ds);
-        let mut bytes = bytes.to_vec();
+        let (mut bytes, layout) = to_bytes_v2_with_layout(&ds);
         bytes[layout.footer.start] ^= 0xFF; // footer checksum now fails
         let (salvaged, report) = from_bytes_salvage(&bytes).unwrap();
         assert!(!report.directory_intact);
@@ -1330,37 +1203,23 @@ mod tests {
     }
 
     #[test]
-    fn salvage_of_corrupt_v1_errors() {
-        let ds = sample_dataset();
-        let mut bytes = to_bytes_v1(&ds).to_vec();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        // a corrupt v1 file either fails decode (usually) or decodes to
-        // something — when it fails, salvage must refuse with a clear reason
-        if from_bytes(&bytes).is_err() {
-            let err = from_bytes_salvage(&bytes).unwrap_err();
-            assert!(err.to_string().contains("v1"), "{err}");
-        }
-    }
-
-    #[test]
     fn hostile_length_fields_fail_before_allocating() {
         // axis claiming 2^60 values inside a 60-byte section must error
-        let mut p = BytesMut::new();
+        let mut p = Vec::new();
         put_string(&mut p, "x");
         put_string(&mut p, "m");
-        p.put_u8(4); // Generic
-        p.put_u8(0); // Gregorian
+        p.push(4); // Generic
+        p.push(0); // Gregorian
         p.put_u64_le(1 << 60); // hostile value count
         let mut cur = &p[..];
         let err = get_axis(&mut cur).unwrap_err();
         assert!(err.to_string().contains("implausible axis length"), "{err}");
 
         // attribute float-vec claiming 2^24 entries in a tiny buffer
-        let mut p = BytesMut::new();
+        let mut p = Vec::new();
         p.put_u32_le(1); // one attribute
         put_string(&mut p, "k");
-        p.put_u8(3); // FloatVec
+        p.push(3); // FloatVec
         p.put_u32_le(1 << 24);
         let mut cur = &p[..];
         let err = get_attrs(&mut cur).unwrap_err();
@@ -1395,10 +1254,202 @@ mod tests {
         let arr = MaskedArray::filled(3.25, &[]);
         let mut ds = Dataset::new("scalar");
         ds.add_variable(Variable::new("t0", arr, vec![]).unwrap());
-        for bytes in [to_bytes(&ds), to_bytes_v1(&ds)] {
+        for bytes in [to_bytes_v2(&ds), to_bytes(&ds)] {
             let back = from_bytes(&bytes).unwrap();
             assert_eq!(back.variable("t0").unwrap().array.data(), &[3.25]);
         }
     }
-}
 
+    // ---- the v2 golden pin ----
+
+    #[test]
+    fn v2_golden_pin() {
+        // length and CRC32C of what the v2 writer of earlier builds wrote
+        // for this dataset: the test encoder must still emit those bytes,
+        // or the v2 tests above no longer test files that exist
+        let ds = SynthesisSpec::new(6, 2, 8, 16).build();
+        let bytes = to_bytes_v2(&ds);
+        assert_eq!(
+            (bytes.len(), format!("{:08x}", crate::storage::crc32c(&bytes))),
+            (43_859, format!("{:08x}", 0x8ee1_34bb_u32)),
+            "v2: encoded bytes moved"
+        );
+    }
+
+    // ---- v2 corruption fuzz ----
+    //
+    // Thousands of random single- and multi-byte mutations and truncations
+    // of an encoded v2 file through the strict decoder and the salvage
+    // path: no panic, output bounded by the input's own element count, each
+    // decode inside a wall-clock budget a hostile length field could never
+    // meet, and — with the encoder's `V2Layout` byte map as the oracle —
+    // every byte-intact variable recovered bit-exact and nothing recovered
+    // silently wrong. `tests/corruption_fuzz.rs` holds v3's fuzzers; the
+    // `corruption_fuzz` name filter selects all four.
+
+    /// Wall-clock ceiling for decoding one ~50 KB mutated file.
+    const DECODE_BUDGET: Duration = Duration::from_secs(5);
+
+    /// Iterations: 1500, or `CDMS_FUZZ_ITERS`.
+    fn fuzz_iters() -> usize {
+        std::env::var("CDMS_FUZZ_ITERS").ok().and_then(|s| s.parse().ok()).unwrap_or(1500)
+    }
+
+    /// A representative multi-variable dataset with shared axes.
+    fn fuzz_sample() -> Dataset {
+        SynthesisSpec::new(3, 2, 12, 24).seed(42).build()
+    }
+
+    /// Total elements across all variables — the output-size bound.
+    fn element_count(ds: &Dataset) -> usize {
+        ds.variables().iter().map(|v| v.array.len()).sum()
+    }
+
+    /// Applies `count` random single-byte XOR mutations in `lo..hi`.
+    fn mutate(bytes: &mut [u8], rng: &mut TestRng, count: usize, lo: usize, hi: usize) {
+        for _ in 0..count {
+            let i = lo + (rng.next_u64() as usize) % (hi - lo);
+            let x = (rng.next_u64() % 255 + 1) as u8; // never a zero XOR
+            bytes[i] ^= x;
+        }
+    }
+
+    /// The oracle: which original variables MUST survive salvage, given the
+    /// bytes that actually differ from the original encoding.
+    ///
+    /// With the trailer directory intact (the mutations never touch the
+    /// trailer or footer), a variable is recoverable iff its own payload and
+    /// the payloads of every axis section it references are byte-identical
+    /// to the original — frame bytes outside payloads don't matter because
+    /// the directory carries the authoritative (offset, len, crc) triples.
+    fn must_survive(layout: &V2Layout, original: &[u8], mutated: &[u8]) -> Vec<String> {
+        let axis_payloads: Vec<&Range<usize>> = layout
+            .sections
+            .iter()
+            .filter(|s| s.kind == SectionKind::Axis)
+            .map(|s| &s.payload)
+            .collect();
+        let untouched = |r: &Range<usize>| original[r.clone()] == mutated[r.clone()];
+        layout
+            .sections
+            .iter()
+            .filter_map(|s| s.variable.as_ref().map(|v| (s, v)))
+            .filter(|(s, (_, axis_refs))| {
+                untouched(&s.payload) && axis_refs.iter().all(|&a| untouched(axis_payloads[a]))
+            })
+            .map(|(_, (id, _))| id.clone())
+            .collect()
+    }
+
+    #[test]
+    fn corruption_fuzz_mutations_never_panic_and_salvage_is_exact() {
+        let ds = fuzz_sample();
+        let max_elements = element_count(&ds);
+        let (original, layout) = to_bytes_v2_with_layout(&ds);
+        // Mutations stay clear of the trailer frame and footer so the section
+        // directory survives and the oracle below is exact.
+        let trailer_start = layout
+            .sections
+            .iter()
+            .find(|s| s.kind == SectionKind::Trailer)
+            .expect("v2 always has a trailer")
+            .frame
+            .start;
+
+        let mut rng = TestRng::from_name("corruption_fuzz_v2");
+        let iters = fuzz_iters();
+        let mut survived_total = 0usize;
+        for iter in 0..iters {
+            let mut mutated = original.clone();
+            let n_mut = 1 + (rng.next_u64() as usize) % 8;
+            mutate(&mut mutated, &mut rng, n_mut, 8, trailer_start);
+
+            let t0 = Instant::now();
+
+            // 1. strict decode: must not panic; any Ok must be bit-honest
+            let strict = from_bytes(&mutated);
+            if let Ok(got) = &strict {
+                // only possible when every mutation XOR-cancelled
+                assert_eq!(mutated, original, "iter {iter}: strict decode accepted altered bytes");
+                assert_eq!(got.variable_ids(), ds.variable_ids());
+            }
+
+            // 2. salvage: magic/version untouched → always Ok
+            let (salvaged, report) = from_bytes_salvage(&mutated).expect("salvage of v2 bytes");
+            assert!(report.directory_intact, "iter {iter}: trailer untouched yet directory lost");
+
+            // allocation/size bounds: output can never outgrow the input, and
+            // the decode can't have materialized a hostile length field
+            assert!(
+                element_count(&salvaged) <= max_elements,
+                "iter {iter}: salvage produced more data than was ever written"
+            );
+            assert!(
+                t0.elapsed() < DECODE_BUDGET,
+                "iter {iter}: decode took {:?} for a {}-byte file",
+                t0.elapsed(),
+                mutated.len()
+            );
+
+            // 3. the oracle: intact variables recovered, bit-exact
+            let expected = must_survive(&layout, &original, &mutated);
+            for id in &expected {
+                let got = salvaged
+                    .variable(id)
+                    .unwrap_or_else(|| panic!("iter {iter}: intact variable '{id}' not recovered"));
+                let want = ds.variable(id).expect("oracle ids come from the dataset");
+                assert_eq!(got.array, want.array, "iter {iter}: '{id}' data differs");
+                assert_eq!(got.axes, want.axes, "iter {iter}: '{id}' axes differ");
+                assert_eq!(got.attributes, want.attributes, "iter {iter}: '{id}' attrs differ");
+            }
+            survived_total += expected.len();
+
+            // no silently-wrong data: anything recovered must equal its original
+            for id in &report.recovered_variables {
+                if let (Some(got), Some(want)) = (salvaged.variable(id), ds.variable(id)) {
+                    assert_eq!(got.array, want.array, "iter {iter}: recovered '{id}' is wrong");
+                }
+            }
+        }
+        // sanity on the fuzzer itself: mutations must both hit and miss variables
+        assert!(survived_total > 0, "oracle never expected a survivor — fuzzer is mis-aimed");
+        assert!(
+            survived_total < iters * ds.len(),
+            "every variable always survived — mutations never landed"
+        );
+    }
+
+    #[test]
+    fn corruption_fuzz_truncations_never_panic() {
+        let ds = fuzz_sample();
+        let max_elements = element_count(&ds);
+        let original = to_bytes_v2(&ds);
+        let mut rng = TestRng::from_name("truncation_fuzz_v2");
+        let iters = (fuzz_iters() / 4).max(100);
+        for iter in 0..iters {
+            // random truncation, sometimes with extra byte mutations on top
+            let keep = (rng.next_u64() as usize) % original.len();
+            let mut mutated = original[..keep].to_vec();
+            if keep > 16 && rng.next_u64().is_multiple_of(2) {
+                let n = 1 + (rng.next_u64() as usize) % 4;
+                mutate(&mut mutated, &mut rng, n, 8, keep);
+            }
+            let t0 = Instant::now();
+            let _ = from_bytes(&mutated); // must not panic
+            if let Ok((salvaged, _report)) = from_bytes_salvage(&mutated) {
+                assert!(element_count(&salvaged) <= max_elements, "iter {iter}");
+                // anything recovered from a truncated file must still be honest
+                for id in salvaged.variable_ids() {
+                    if let (Some(got), Some(want)) = (salvaged.variable(&id), ds.variable(&id)) {
+                        assert_eq!(got.array, want.array, "iter {iter}: truncated '{id}' is wrong");
+                    }
+                }
+            }
+            assert!(
+                t0.elapsed() < DECODE_BUDGET,
+                "iter {iter}: truncated decode took {:?}",
+                t0.elapsed()
+            );
+        }
+    }
+}

@@ -34,7 +34,7 @@
 //! The strict reader (behind [`crate::format::from_bytes`]) and the ranged
 //! open ([`read_meta_with`]) read the metadata through one function, so
 //! they refuse the same files; the strict reader then decodes every chunk
-//! and rebuilds variables from level 0 — `from_bytes(to_bytes_v3(ds))` is
+//! and rebuilds variables from level 0 — `from_bytes(to_bytes(ds))` is
 //! bit-exact with the source dataset. Salvage (behind
 //! [`crate::format::from_bytes_salvage`]) recovers per chunk by the policy
 //! the streamer serves by (`best_window`): a corrupt level-0 chunk falls
@@ -43,15 +43,14 @@
 
 use crate::attr::Attributes;
 use crate::axis::{Axis, AxisKind};
-use crate::container::{self, get_u32, get_u64, get_u8, Entry, Writer};
+use crate::container::{self, get_u32, get_u64, get_u8, Entry, PutLe, Writer};
 use crate::dataset::Dataset;
 use crate::error::{CdmsError, Result};
 use crate::format::{
     self, AxisSlot, Salvage, SalvageReport, Salvaged, SectionKind, SectionSpan, VERSION_V3,
 };
-use crate::storage::{LocalDisk, Storage};
+use crate::storage::Storage;
 use crate::{MaskedArray, Variable};
-use bytes::{BufMut, Bytes};
 use rayon::prelude::*;
 use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
@@ -284,18 +283,13 @@ impl V3Meta {
 
 // ---- encoding ----
 
-/// Serializes a dataset in v3 with default options.
-pub fn to_bytes_v3(ds: &Dataset) -> (Bytes, V3Layout) {
-    to_bytes_v3_with(ds, &V3Options::default())
-}
-
 /// Serializes a dataset in v3, returning the byte map alongside.
 ///
 /// Chunk payloads (downsample + optional compression — the expensive part)
 /// are encoded in parallel into pre-allocated slots, so the output bytes
 /// are identical at any `RAYON_NUM_THREADS`; the frame assembly is
 /// sequential.
-pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Bytes, V3Layout) {
+pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Vec<u8>, V3Layout) {
     let window = opts.window.max(1);
     let req_levels = opts.levels.max(1);
 
@@ -364,7 +358,7 @@ pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Bytes, V3Layout) {
     let mut chunk_spans: Vec<ChunkSpan> = Vec::with_capacity(jobs.len());
     let mut chunk_dir: Vec<ChunkDirEntry> = Vec::with_capacity(jobs.len());
     for (&(var, window, level), payload) in jobs.iter().zip(&payloads) {
-        let at = w.section(SectionKind::Chunk, None, |buf| buf.put_slice(payload));
+        let at = w.section(SectionKind::Chunk, None, |buf| buf.extend_from_slice(payload));
         chunk_dir.push(ChunkDirEntry {
             var,
             window,
@@ -1108,13 +1102,10 @@ fn read_exact_at(
 
 // ---- file I/O ----
 
-/// Writes a dataset in v3 crash-safely (atomic temp-file + fsync + rename
-/// + parent-dir fsync via [`crate::storage::write_atomic`]).
-pub fn write_dataset_v3(ds: &Dataset, path: &Path) -> Result<()> {
-    write_dataset_v3_with(&LocalDisk, ds, path, &V3Options::default())
-}
-
-/// Writes v3 through an explicit backend with explicit options.
+/// Writes v3 crash-safely (atomic temp-file + fsync + rename + parent-dir
+/// fsync via [`crate::storage::write_atomic`]) through an explicit backend
+/// with explicit options; [`crate::format::write_dataset`] writes the
+/// defaults.
 pub fn write_dataset_v3_with(
     storage: &dyn Storage,
     ds: &Dataset,
@@ -1129,7 +1120,7 @@ mod tests {
     use super::*;
     use crate::calendar::Calendar;
     use crate::format::{from_bytes, from_bytes_salvage, to_bytes};
-    use crate::storage::crc32c;
+    use crate::storage::{crc32c, LocalDisk};
     use crate::synth::SynthesisSpec;
 
     fn sample() -> Dataset {
@@ -1139,7 +1130,7 @@ mod tests {
     #[test]
     fn v3_roundtrip_is_bit_exact_with_source() {
         let ds = sample();
-        let (bytes, layout) = to_bytes_v3(&ds);
+        let (bytes, layout) = to_bytes_v3_with(&ds, &V3Options::default());
         assert!(!layout.chunks.is_empty());
         let back = from_bytes(&bytes).unwrap();
         assert_eq!(back.id, ds.id);
@@ -1155,8 +1146,8 @@ mod tests {
     #[test]
     fn v3_matches_v2_decode() {
         let ds = sample();
-        let via_v2 = from_bytes(&to_bytes(&ds)).unwrap();
-        let via_v3 = from_bytes(&to_bytes_v3(&ds).0).unwrap();
+        let via_v2 = from_bytes(&crate::format::to_bytes_v2_with_layout(&ds).0).unwrap();
+        let via_v3 = from_bytes(&to_bytes(&ds)).unwrap();
         for var in via_v2.variables() {
             assert_eq!(via_v3.variable(&var.id).unwrap().array, var.array);
         }
@@ -1190,7 +1181,7 @@ mod tests {
     #[test]
     fn single_byte_flips_fail_strict_decode() {
         let ds = SynthesisSpec::new(3, 1, 4, 6).seed(3).build();
-        let bytes = to_bytes_v3(&ds).0.to_vec();
+        let bytes = to_bytes(&ds);
         for i in (8..bytes.len()).step_by(7) {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
@@ -1202,8 +1193,7 @@ mod tests {
     fn salvage_degrades_corrupt_level0_to_pyramid() {
         let ds = sample();
         let opts = V3Options { window: 2, levels: 3, compress: true };
-        let (bytes, layout) = to_bytes_v3_with(&ds, &opts);
-        let mut bytes = bytes.to_vec();
+        let (mut bytes, layout) = to_bytes_v3_with(&ds, &opts);
         // kill the level-0 chunk of (var 0, window 1)
         let target = layout
             .chunks
@@ -1229,8 +1219,7 @@ mod tests {
     fn salvage_masks_window_when_all_levels_die() {
         let ds = sample();
         let opts = V3Options { window: 2, levels: 2, compress: false };
-        let (bytes, layout) = to_bytes_v3_with(&ds, &opts);
-        let mut bytes = bytes.to_vec();
+        let (mut bytes, layout) = to_bytes_v3_with(&ds, &opts);
         for c in layout.chunks.iter().filter(|c| c.var == 0 && c.window == 0) {
             bytes[c.payload.start + 15] ^= 0xFF;
         }
@@ -1294,7 +1283,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("meta.ncr");
         let ds = sample();
-        write_dataset_v3(&ds, &path).unwrap();
+        crate::format::write_dataset(&ds, &path).unwrap();
         let meta = read_meta_with(&LocalDisk, &path).unwrap();
         assert_eq!(meta.id, ds.id);
         assert_eq!(meta.vars.len(), ds.variables().len());
@@ -1338,7 +1327,7 @@ mod tests {
         ds.add_variable(
             Variable::new("g", MaskedArray::filled(4.0, &[2]), vec![lat]).unwrap(),
         );
-        let back = from_bytes(&to_bytes_v3(&ds).0).unwrap();
+        let back = from_bytes(&to_bytes(&ds)).unwrap();
         assert_eq!(back.variable("s").unwrap().array.data(), &[1.5]);
         assert_eq!(back.variable("g").unwrap().array.data(), &[4.0, 4.0]);
     }

@@ -25,10 +25,12 @@
 //!   attributes; supports coordinate-range subsetting like CDMS `var(...)`
 //!   calls.
 //! * [`Dataset`] + [`mod@format`] — a self-describing binary container (`.ncr`)
-//!   with full write/read round-tripping, standing in for NetCDF. Format v2
-//!   splits the file into CRC32C-checksummed sections so corruption is
-//!   detected per-section; [`format::read_dataset_salvage`] recovers the
-//!   intact variables from a damaged file and reports what was lost.
+//!   with full write/read round-tripping, standing in for NetCDF. Every
+//!   file is written as format v3 (below), and v2 files written by earlier
+//!   builds stay readable. Both split the file into CRC32C-checksummed
+//!   sections so corruption is detected per section;
+//!   [`format::read_dataset_salvage`] recovers the intact variables from a
+//!   damaged file and reports what was lost.
 //! * [`storage`] — the hardened I/O layer beneath the format: a [`Storage`]
 //!   trait with a [`storage::LocalDisk`] backend, crash-safe atomic writes
 //!   (temp file + fsync + verify + rename), bounded retries of transient

@@ -31,9 +31,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 //
 // Slicing-by-16: sixteen 256-entry tables let the hot loop fold 16 input
 // bytes per iteration with independent lookups instead of a bytewise
-// dependency chain. On the single-core bench box this is the difference
-// between the v2 checksum costing ~4x the whole v1 encode and costing a
-// few percent of it (see BENCH_ncr_io.json).
+// dependency chain. On a single-core box this is the difference between
+// the checksums costing ~4x a whole unchecksummed encode and costing a
+// few percent of it.
 
 const fn crc32c_tables() -> [[u32; 256]; 16] {
     let mut tables = [[0u32; 256]; 16];

@@ -1290,7 +1290,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("v2.ncr");
         let ds = SynthesisSpec::new(2, 1, 4, 4).seed(1).build();
-        crate::format::write_dataset(&ds, &path).unwrap();
+        std::fs::write(&path, crate::format::to_bytes_v2_with_layout(&ds).0).unwrap();
         let err = StreamingDataset::open(&path).unwrap_err();
         assert!(err.to_string().contains("not streamable"), "{err}");
         std::fs::remove_file(&path).ok();

@@ -140,10 +140,11 @@ fn crash_on_first_ever_write_leaves_no_file_or_complete_file() {
 
 #[test]
 fn v3_writer_crash_points_leave_complete_old_or_complete_new() {
-    // The chunked v3 writer rides the same six-primitive atomic protocol,
-    // so it inherits the same guarantee: any single fault at any step
-    // leaves the destination as exactly one complete, strictly-verifiable
-    // dataset (old v2 or new v3 — cross-version overwrites included).
+    // The v3 writer at explicit options rides the same six-primitive
+    // atomic protocol, so it inherits the same guarantee: any single fault
+    // at any step leaves the destination as exactly one complete,
+    // strictly-verifiable dataset (old at the default options or new at
+    // window 2 / two levels — an overwrite across layouts included).
     let dir = temp_dir("v3matrix");
     let (old, new) = old_and_new();
     let opts = format_v3::V3Options { window: 2, levels: 2, compress: true };

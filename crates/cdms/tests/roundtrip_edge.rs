@@ -1,23 +1,22 @@
-//! Edge-case round-trip coverage (ISSUE 4 satellite): zero-variable
-//! datasets, zero-length axes, and all-masked variables must survive both
-//! the legacy v1 encoding and the checksummed v2 encoding bit-exactly —
-//! and a v1 file written by the current code must keep opening through the
-//! version-dispatched reader.
+//! Edge-case round-trip coverage: zero-variable datasets, zero-length
+//! axes and all-masked variables must survive the encoding every file is
+//! written in (v3 at its default options) bit-exactly, through both the
+//! strict reader and salvage — plus the golden pins of the v3 encoder's
+//! bytes.
 
-use cdms::format::{self, SalvageReport};
+use cdms::format;
 use cdms::{Axis, AxisKind, Dataset, MaskedArray, Variable};
 
-/// Round-trips `ds` through both format versions and hands each decoded
-/// copy to `check`.
+/// Round-trips `ds` through the default writer, then reads it back both
+/// strictly and by salvage, and hands each decoded copy to `check`.
 fn roundtrip_both(ds: &Dataset, check: impl Fn(&str, &Dataset)) {
-    let v2 = format::from_bytes(&format::to_bytes(ds)).expect("v2 roundtrip");
-    check("v2", &v2);
-    let v1 = format::from_bytes(&format::to_bytes_v1(ds)).expect("v1 roundtrip");
-    check("v1", &v1);
-    // v2 files also salvage cleanly when nothing is wrong
-    let (salvaged, report) = format::from_bytes_salvage(&format::to_bytes(ds)).expect("salvage");
+    let bytes = format::to_bytes(ds);
+    let strict = format::from_bytes(&bytes).expect("v3 roundtrip");
+    check("v3", &strict);
+    // an undamaged file also salvages cleanly
+    let (salvaged, report) = format::from_bytes_salvage(&bytes).expect("salvage");
     assert!(report.is_clean(), "{report}");
-    check("v2-salvage", &salvaged);
+    check("v3-salvage", &salvaged);
 }
 
 #[test]
@@ -70,43 +69,15 @@ fn all_masked_variable_roundtrips() {
     });
 }
 
-#[test]
-fn v1_bytes_written_today_open_identically() {
-    // Byte-compat acceptance: encode v1, re-encode the decoded dataset,
-    // and require the same bytes — proving the v1 writer/reader pair is
-    // unchanged by the v2 work.
-    let lat = Axis::latitude(vec![-45.0, 0.0, 45.0]).unwrap();
-    let arr = MaskedArray::from_fn(&[3], |ix| ix[0] as f32 * 1.5);
-    let var = Variable::new("t2m", arr, vec![lat]).unwrap().with_attr("units", "K");
-    let mut ds = Dataset::new("compat").with_attr("source", "seed-era writer");
-    ds.add_variable(var);
-
-    let first = format::to_bytes_v1(&ds);
-    let decoded = format::from_bytes(&first).unwrap();
-    let second = format::to_bytes_v1(&decoded);
-    assert_eq!(first, second, "v1 encoding is not stable across a decode cycle");
-}
-
-#[test]
-fn salvage_report_on_clean_v1_file() {
-    // v1 has no checksums; salvage of an intact v1 file reports clean.
-    let mut ds = Dataset::new("v1clean");
-    let lat = Axis::latitude(vec![0.0, 10.0]).unwrap();
-    ds.add_variable(Variable::new("x", MaskedArray::zeros(&[2]), vec![lat]).unwrap());
-    let (back, report): (Dataset, SalvageReport) =
-        format::from_bytes_salvage(&format::to_bytes_v1(&ds)).unwrap();
-    assert!(report.is_clean(), "{report}");
-    assert_eq!(back.variable_ids(), ds.variable_ids());
-}
-
 // ---- golden encoder pins ----
 //
-// The three generations share one container writer and one set of payload
-// codecs, so "v3 decodes like v2" no longer compares independent
-// implementations. Independence comes from the bytes: length and CRC32C
-// of every encoder's output for fixed inputs, recorded before the writers
-// were folded. A pin that moves means files written by an earlier build
-// no longer match what this build writes.
+// The writer and the reader share one container and one set of payload
+// codecs, so a round trip does not compare independent implementations.
+// Independence comes from the bytes: length and CRC32C of the encoder's
+// output for fixed inputs, recorded before the writers were folded. A pin
+// that moves means files written by an earlier build no longer match what
+// this build writes. (v2's pin sits beside its test encoder in
+// `format.rs`.)
 
 fn assert_pin(tag: &str, bytes: &[u8], len: usize, crc: u32) {
     assert_eq!(
@@ -118,11 +89,9 @@ fn assert_pin(tag: &str, bytes: &[u8], len: usize, crc: u32) {
 
 #[test]
 fn golden_pins_of_every_encoder() {
-    use cdms::format_v3::{to_bytes_v3, to_bytes_v3_with, V3Options};
+    use cdms::format_v3::{to_bytes_v3_with, V3Options};
     let ds = cdms::synth::SynthesisSpec::new(6, 2, 8, 16).build();
-    assert_pin("v1", &format::to_bytes_v1(&ds), 46_230, 0xcb88_6325);
-    assert_pin("v2", &format::to_bytes(&ds), 43_859, 0x8ee1_34bb);
-    assert_pin("v3 default", &to_bytes_v3(&ds).0, 59_859, 0x2043_c78d);
+    assert_pin("v3 default", &format::to_bytes(&ds), 59_859, 0x2043_c78d);
     let raw = V3Options { window: 2, levels: 3, compress: false };
     assert_pin("v3 w2 l3 raw", &to_bytes_v3_with(&ds, &raw).0, 63_529, 0x4690_9c5d);
 }

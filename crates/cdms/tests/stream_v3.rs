@@ -1,8 +1,7 @@
 //! Integration tests for `.ncr` v3 out-of-core streaming (ISSUE 9):
 //!
-//! * property test: v3 and v2 encodings of the same dataset decode to
-//!   per-time-window identical slabs, for arbitrary window/level/codec
-//!   options;
+//! * property test: the v3 encoding of a dataset decodes to the source
+//!   dataset, per time window, for arbitrary window/level/codec options;
 //! * the parallel v3 encoder is byte-identical at 1, 2 and 8 threads;
 //! * a seeded fault storm over a series 4× larger than the chunk cache
 //!   plays back every frame — no stall, no panic — with salvage and
@@ -31,16 +30,16 @@ fn temp_path(tag: &str) -> PathBuf {
     dir.join(format!("{tag}.ncr"))
 }
 
-// ---- v3 ↔ v2 equivalence ----
+// ---- v3 ↔ source equivalence ----
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For arbitrary (small) datasets and arbitrary writer options, the
-    /// v3 encoding decodes to exactly the same dataset as the v2
-    /// encoding, window by window.
+    /// v3 encoding decodes to exactly the dataset it was written from,
+    /// window by window.
     #[test]
-    fn v3_decodes_identical_to_v2_per_time_window(
+    fn v3_decodes_identical_to_the_source_per_time_window(
         nt in 1usize..9,
         nlev in 1usize..3,
         nlat in 2usize..7,
@@ -52,26 +51,25 @@ proptest! {
     ) {
         let ds = SynthesisSpec::new(nt, nlev, nlat, nlon).seed(seed).build();
         let opts = V3Options { window, levels, compress };
-        let via_v2 = format::from_bytes(&format::to_bytes(&ds)).unwrap();
         let via_v3 = format::from_bytes(&format_v3::to_bytes_v3_with(&ds, &opts).0).unwrap();
-        prop_assert_eq!(via_v2.variable_ids(), via_v3.variable_ids());
-        for v2 in via_v2.variables() {
-            let v3 = via_v3.variable(&v2.id).unwrap();
-            prop_assert_eq!(&v3.axes, &v2.axes);
-            prop_assert_eq!(&v3.attributes, &v2.attributes);
-            if v2.axis_index(AxisKind::Time).is_some() {
+        prop_assert_eq!(ds.variable_ids(), via_v3.variable_ids());
+        for src in ds.variables() {
+            let v3 = via_v3.variable(&src.id).unwrap();
+            prop_assert_eq!(&v3.axes, &src.axes);
+            prop_assert_eq!(&v3.attributes, &src.attributes);
+            if src.axis_index(AxisKind::Time).is_some() {
                 // compare window by window, the granularity v3 stores
-                let n = v2.n_times();
+                let n = src.n_times();
                 let mut t = 0;
                 while t < n {
                     let hi = (t + window).min(n);
-                    let a = v2.time_window(t..hi).unwrap();
+                    let a = src.time_window(t..hi).unwrap();
                     let b = v3.time_window(t..hi).unwrap();
-                    prop_assert_eq!(a.array, b.array, "var '{}' window {}..{}", v2.id, t, hi);
+                    prop_assert_eq!(a.array, b.array, "var '{}' window {}..{}", src.id, t, hi);
                     t = hi;
                 }
             } else {
-                prop_assert_eq!(&v3.array, &v2.array);
+                prop_assert_eq!(&v3.array, &src.array);
             }
         }
     }
@@ -89,22 +87,6 @@ fn v3_encode_is_byte_identical_across_thread_counts() {
             "v3 encoding differs between 1 and {n} threads"
         );
     }
-}
-
-#[test]
-fn v1_and_v2_files_remain_readable() {
-    // regression guard for the version dispatch: introducing v3 must not
-    // disturb how existing files parse
-    let ds = SynthesisSpec::new(3, 1, 6, 8).seed(9).build();
-    let v2 = format::to_bytes(&ds);
-    let back = format::from_bytes(&v2).unwrap();
-    assert_eq!(back.variable_ids(), ds.variable_ids());
-    // and a v2 file opened for streaming fails cleanly, not confusingly
-    let path = temp_path("v2_guard");
-    std::fs::write(&path, &v2).unwrap();
-    let err = StreamingDataset::open(&path).unwrap_err();
-    assert!(err.to_string().contains("not streamable"), "{err}");
-    std::fs::remove_file(&path).ok();
 }
 
 // ---- the fault storm ----
@@ -373,8 +355,7 @@ fn ranged_open_refuses_swapped_equal_length_axis_frames() {
     let arr = MaskedArray::from_fn(&[4, 4], |ix| (ix[0] * 4 + ix[1]) as f32);
     let mut ds = Dataset::new("swap");
     ds.add_variable(Variable::new("v", arr, vec![axis("yy", 1.0), axis("xx", 2.0)]).unwrap());
-    let (bytes, layout) = format_v3::to_bytes_v3(&ds);
-    let mut bytes = bytes.to_vec();
+    let (mut bytes, layout) = format_v3::to_bytes_v3_with(&ds, &V3Options::default());
 
     let frames: Vec<_> = layout
         .sections

@@ -412,7 +412,7 @@ mod tests {
             let pr = ds.variable("pr").unwrap();
             let opts = TranslationOptions::default();
             let path = temp_path("index_rule");
-            format_v3::write_dataset_v3(&ds, &path).unwrap();
+            ds.save(&path).unwrap();
             let sd = StreamingDataset::open(&path).unwrap();
             let mut precomputed = AnimationController::from_variable(pr, &opts).unwrap();
             let mut streamed =
@@ -453,7 +453,7 @@ mod tests {
         fn streaming_rejects_windowless_variables() {
             let ds = SynthesisSpec::new(2, 1, 6, 8).build();
             let path = temp_path("windowless");
-            format_v3::write_dataset_v3(&ds, &path).unwrap();
+            ds.save(&path).unwrap();
             let sd = StreamingDataset::open(&path).unwrap();
             let lf = sd.variable("sftlf").unwrap();
             assert!(StreamingAnimation::new(lf, TranslationOptions::default()).is_err());

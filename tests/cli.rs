@@ -75,6 +75,30 @@ fn synth_info_calc_plot_pipeline() {
 }
 
 #[test]
+fn synth_writes_a_file_the_streamer_serves() {
+    // what `synth` writes is v3, the one format `StreamingDataset` reads
+    use uvcdat::cdms::synth::SynthesisSpec;
+    use uvcdat::cdms::StreamingDataset;
+    let ncr = temp_path("streamed.ncr");
+    let out = uvcdat()
+        .args(["synth", "-o", ncr.to_str().unwrap(), "--nt", "6", "--nlev", "2"])
+        .args(["--nlat", "8", "--nlon", "16", "--seed", "5"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let sd = StreamingDataset::open(&ncr).unwrap_or_else(|e| panic!("synth output: {e}"));
+    let ta = sd.variable("ta").unwrap();
+    let served = ta.window_variable(0).unwrap();
+    let want = SynthesisSpec::new(6, 2, 8, 16).seed(5).build();
+    let want = want.variable("ta").unwrap().time_window(0..served.n_times()).unwrap();
+    assert!(served.n_times() > 0);
+    assert_eq!(served.array, want.array);
+    assert_eq!(served.axes, want.axes);
+    std::fs::remove_file(ncr).ok();
+}
+
+#[test]
 fn hovmoller_plot_from_cli() {
     let ncr = temp_path("h.ncr");
     let ppm = temp_path("h.ppm");
