@@ -9,7 +9,7 @@
 //! "simple arithmetic operations, regridding, conditioned comparisons,
 //! weighted averages, various statistical operations, etc." — plus the
 //! parallel task execution DV3D advertises, as a dependency-aware task
-//! graph executed with rayon.
+//! graph run on `vistrails`' DAG scheduler.
 //!
 //! All operations act on [`cdms::Variable`]s, propagate masks, and keep
 //! axis metadata consistent with the data.

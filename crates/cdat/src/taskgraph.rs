@@ -2,29 +2,24 @@
 //!
 //! An analysis recipe is a DAG of named tasks, each a closure from its
 //! dependencies' outputs to a new [`Variable`]. The graph runs either
-//! serially ([`TaskGraph::run_serial`], the determinism oracle) or on a
-//! **dependency-counting, event-driven executor**
-//! ([`TaskGraph::run_with_pool`] / [`TaskGraph::run_parallel`]): the items
-//! of one `rayon` region are its workers, and a task is enqueued the instant
-//! its last dependency completes — no inter-wave barriers, so a slow task
-//! only delays its own dependents, never unrelated work. Ready tasks are
-//! dispatched critical-path-first, the first task error cancels the rest of
-//! the graph (in-flight tasks drain cleanly), and outputs are bit-identical
-//! to `run_serial` at any worker count. See DESIGN.md §18.
-//!
-//! On the dv3dlint `indexing_hot_paths` list: the scheduler runs under
-//! every batch workload and must not panic, so element access goes through
-//! `.get()` and iterators.
+//! serially ([`TaskGraph::run_serial`], the determinism oracle) or on
+//! [`vistrails::schedule`], the DAG scheduler the workflow executor runs on
+//! too ([`TaskGraph::run_with_pool`] / [`TaskGraph::run_parallel`]), with a
+//! task's insertion order as its node index. Outputs are bit-identical to
+//! `run_serial` at any worker count. See DESIGN.md §18. On the dv3dlint
+//! `indexing_hot_paths` list, as the scheduler is: no element access here
+//! may panic, so it goes through `.get()` and iterators.
 
 use cdms::{CdmsError, Result, Variable};
-use parking_lot::Mutex;
-use rayon::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use vistrails::schedule::{self, Topology};
+pub use vistrails::schedule::RetryPolicy;
 
 type TaskFn = dyn Fn(&BTreeMap<String, Arc<Variable>>) -> Result<Variable> + Send + Sync;
+type Outcome = schedule::Outcome<Arc<Variable>, CdmsError>;
 
 struct Task {
     name: String,
@@ -34,67 +29,19 @@ struct Task {
 
 impl Task {
     /// What the task body is handed: the outputs of its declared
-    /// dependencies, in declared order, and nothing else — under both
-    /// runners, so the serial oracle cannot see more than the pool does.
-    fn inputs(&self, outputs: &BTreeMap<String, Arc<Variable>>) -> BTreeMap<String, Arc<Variable>> {
+    /// dependencies (task indices `deps`), in declared order, and nothing
+    /// else — under both runners, so the serial oracle cannot see more
+    /// than the pool does.
+    fn inputs<'a>(
+        &self,
+        deps: &[usize],
+        output: impl Fn(usize) -> Option<&'a Arc<Variable>>,
+    ) -> BTreeMap<String, Arc<Variable>> {
         self.deps
             .iter()
-            .filter_map(|d| outputs.get(d).map(|v| (d.clone(), Arc::clone(v))))
+            .zip(deps)
+            .filter_map(|(d, &j)| output(j).map(|v| (d.clone(), Arc::clone(v))))
             .collect()
-    }
-}
-
-/// How a run reacts to a failing task: total attempts per task, and the
-/// backoff slept between them (doubling each retry). Mirrors
-/// `vistrails::executor::RetryPolicy` without coupling the crates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (clamped to at least 1).
-    pub max_attempts: u32,
-    /// Sleep before the first retry; doubles on every further retry.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// Fail fast: one attempt, no backoff.
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_attempts: 1, backoff: Duration::ZERO }
-    }
-}
-
-impl RetryPolicy {
-    /// Up to `retries` re-runs after the first failure.
-    pub fn retries(retries: u32, backoff: Duration) -> RetryPolicy {
-        RetryPolicy { max_attempts: retries.saturating_add(1), backoff }
-    }
-
-    /// Runs `f` under the policy, returning per-attempt wall times and the
-    /// final outcome (the last error when every attempt fails).
-    fn run(
-        &self,
-        f: impl Fn(&BTreeMap<String, Arc<Variable>>) -> Result<Variable>,
-        deps: &BTreeMap<String, Arc<Variable>>,
-    ) -> (Vec<Duration>, Result<Variable>) {
-        let max = self.max_attempts.max(1);
-        let mut timings = Vec::new();
-        let mut backoff = self.backoff;
-        loop {
-            let t0 = Instant::now();
-            let out = f(deps);
-            timings.push(t0.elapsed());
-            match out {
-                Ok(v) => return (timings, Ok(v)),
-                Err(e) => {
-                    if timings.len() as u32 >= max {
-                        return (timings, Err(e));
-                    }
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                        backoff *= 2;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -336,368 +283,100 @@ impl TaskGraph {
         self.tasks.is_empty()
     }
 
-    /// Wavefront schedule: groups of task indices whose dependencies are
-    /// all in earlier groups. Errors on unknown deps or cycles.
-    fn schedule(&self) -> Result<Vec<Vec<usize>>> {
+    /// Resolves every task's dependencies to task indices, in declared
+    /// order, and checks the graph: an unknown dependency or a cycle is an
+    /// error.
+    fn topology(&self) -> Result<(Vec<Vec<usize>>, Topology)> {
         let index: BTreeMap<&str, usize> =
             self.tasks.iter().enumerate().map(|(i, t)| (t.name.as_str(), i)).collect();
-        for t in &self.tasks {
-            for d in &t.deps {
-                if !index.contains_key(d.as_str()) {
-                    return Err(CdmsError::NotFound(format!(
-                        "task '{}' depends on unknown '{d}'",
-                        t.name
-                    )));
-                }
-            }
-        }
-        let mut done: BTreeSet<usize> = BTreeSet::new();
-        let mut waves = Vec::new();
-        while done.len() < self.tasks.len() {
-            let ready: Vec<usize> = (0..self.tasks.len())
-                .filter(|i| !done.contains(i))
-                .filter(|&i| {
-                    self.tasks.get(i).is_some_and(|t| {
-                        t.deps
-                            .iter()
-                            .all(|d| index.get(d.as_str()).is_some_and(|j| done.contains(j)))
-                    })
-                })
-                .collect();
-            if ready.is_empty() {
-                let stuck: Vec<String> = (0..self.tasks.len())
-                    .filter(|i| !done.contains(i))
-                    .filter_map(|i| self.tasks.get(i).map(|t| t.name.clone()))
-                    .collect();
-                return Err(CdmsError::Invalid(format!("cycle among tasks {stuck:?}")));
-            }
-            done.extend(&ready);
-            waves.push(ready);
-        }
-        Ok(waves)
+        let resolve = |t: &Task, d: &String| {
+            index.get(d.as_str()).copied().ok_or_else(|| {
+                CdmsError::NotFound(format!("task '{}' depends on unknown '{d}'", t.name))
+            })
+        };
+        let deps = self.tasks.iter().map(|t| t.deps.iter().map(|d| resolve(t, d)).collect());
+        let deps = deps.collect::<Result<Vec<Vec<usize>>>>()?;
+        let topo = Topology::new(&deps).map_err(|stuck| {
+            let stuck: Vec<&str> =
+                stuck.iter().filter_map(|&i| self.tasks.get(i)).map(|t| t.name.as_str()).collect();
+            CdmsError::Invalid(format!("cycle among tasks {stuck:?}"))
+        })?;
+        Ok((deps, topo))
     }
 
-    /// Runs the graph serially in schedule order. Each task sees exactly
-    /// its declared dependencies' outputs, as on the pool.
+    /// Runs the graph serially: a plain loop over the tasks in the
+    /// topology's order (by depth, then insertion), stopping at the first
+    /// failure. Each task sees exactly its declared dependencies' outputs,
+    /// as on the pool.
     pub fn run_serial(&self) -> Result<TaskReport> {
         let start = Instant::now();
-        let waves = self.schedule()?;
-        let mut outputs: BTreeMap<String, Arc<Variable>> = BTreeMap::new();
-        let mut timings = BTreeMap::new();
-        let mut attempt_timings = BTreeMap::new();
-        for wave in waves {
-            for i in wave {
-                let Some(t) = self.tasks.get(i) else { continue };
-                let (attempts, out) = self.retry.run(&t.run, &t.inputs(&outputs));
-                let out = out
-                    .map_err(|e| CdmsError::Invalid(format!("task '{}': {e}", t.name)))?;
-                timings.insert(t.name.clone(), attempts.iter().sum());
-                attempt_timings.insert(t.name.clone(), attempts);
-                outputs.insert(t.name.clone(), Arc::new(out));
+        let (deps, topo) = self.topology()?;
+        let mut slots: Vec<Option<Outcome>> = (0..self.tasks.len()).map(|_| None).collect();
+        for &i in topo.order() {
+            let (Some(t), Some(d)) = (self.tasks.get(i), deps.get(i)) else { continue };
+            let output = |j: usize| slots.get(j)?.as_ref()?.1.as_ref().ok();
+            let outcome = self.retry.run(|| (t.run)(&t.inputs(d, output)).map(Arc::new));
+            let failed = outcome.1.is_err();
+            if let Some(slot) = slots.get_mut(i) {
+                *slot = Some(outcome);
+            }
+            if failed {
+                break;
             }
         }
-        Ok(TaskReport { outputs, timings, attempt_timings, workers: 1, total: start.elapsed() })
+        self.report(&topo, slots, 1, start)
     }
 
-    /// Validates the graph and derives the executor topology: the
-    /// name→index map, the forward dependency counts, the dependents
-    /// adjacency, and each task's critical-path height (longest chain of
-    /// tasks from it to any sink). Errors match [`TaskGraph::schedule`]
-    /// byte-for-byte on unknown deps and cycles.
-    fn topology(&self) -> Result<Topology> {
-        let index: BTreeMap<&str, usize> =
-            self.tasks.iter().enumerate().map(|(i, t)| (t.name.as_str(), i)).collect();
-        let n = self.tasks.len();
-        let mut deps_left = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, t) in self.tasks.iter().enumerate() {
-            for d in &t.deps {
-                let Some(&j) = index.get(d.as_str()) else {
-                    return Err(CdmsError::NotFound(format!(
-                        "task '{}' depends on unknown '{d}'",
-                        t.name
-                    )));
-                };
-                if let Some(c) = deps_left.get_mut(i) {
-                    *c += 1;
-                }
-                if let Some(v) = dependents.get_mut(j) {
-                    v.push(i);
-                }
-            }
-        }
-        // Kahn order doubles as the cycle check and gives the reverse
-        // order for the height computation.
-        let mut counts = deps_left.clone();
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut frontier: Vec<usize> =
-            counts.iter().enumerate().filter(|(_, &c)| c == 0).map(|(i, _)| i).collect();
-        while let Some(i) = frontier.pop() {
-            order.push(i);
-            for &j in dependents.get(i).map(Vec::as_slice).unwrap_or_default() {
-                if let Some(c) = counts.get_mut(j) {
-                    *c -= 1;
-                    if *c == 0 {
-                        frontier.push(j);
-                    }
-                }
-            }
-        }
-        if order.len() < n {
-            let stuck: Vec<String> = counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, _)| {
-                    self.tasks.get(i).map(|t| t.name.clone()).unwrap_or_default()
-                })
-                .collect();
-            return Err(CdmsError::Invalid(format!("cycle among tasks {stuck:?}")));
-        }
-        // Critical-path height, sinks = 1, in reverse topological order:
-        // dispatching the tallest ready task first keeps the longest
-        // remaining chain moving while shorter branches fill spare workers.
-        let mut height = vec![1u32; n];
-        for &i in order.iter().rev() {
-            let tallest_dependent = dependents
-                .get(i)
-                .map(Vec::as_slice)
-                .unwrap_or_default()
-                .iter()
-                .filter_map(|&j| height.get(j).copied())
-                .max()
-                .unwrap_or(0);
-            if let Some(h) = height.get_mut(i) {
-                *h = tallest_dependent.saturating_add(1);
-            }
-        }
-        Ok(Topology { deps_left, dependents, height })
-    }
-
-    /// Runs the graph on the dependency-counting executor with as many
-    /// workers as `rayon::current_num_threads()` — the caller's
-    /// `rayon::with_threads` value, else the process default. Outputs are
-    /// bit-identical to [`TaskGraph::run_serial`]; each task sees exactly
-    /// its declared dependencies' outputs.
+    /// Runs the graph on the scheduler with as many workers as
+    /// `rayon::current_num_threads()` — the caller's `rayon::with_threads`
+    /// value, else the process default. Outputs are bit-identical to
+    /// [`TaskGraph::run_serial`]; each task sees exactly its declared
+    /// dependencies' outputs.
     pub fn run_parallel(&self) -> Result<TaskReport> {
         self.run_with_pool(rayon::current_num_threads())
     }
 
-    /// Runs the graph on a bounded pool of exactly `threads` workers
-    /// (clamped to at least 1, at most the task count).
-    ///
-    /// The workers are the items of one `rayon` region of that width, so
-    /// the run starts no thread of its own and a one-worker run stays on
-    /// the caller. A worker needs no seat to be sure of finishing: one
-    /// worker drains the ready queue by itself, and a worker waits on the
-    /// condvar only while a peer has a task in flight, so no wait cycle
-    /// forms. Tasks run at the caller's `rayon::current_num_threads()`, so
-    /// the kernels inside a task publish regions as wide as they would on
-    /// the caller.
-    ///
-    /// Scheduling is event-driven: every task carries a count of unmet
-    /// dependencies, and the completion that zeroes the count pushes the
-    /// task onto a priority queue ordered by critical-path height (ties
-    /// broken by insertion index, so the queue order is deterministic).
-    /// There are no inter-wave barriers. The first task failure cancels
-    /// the run: the ready queue is drained, no new task starts, in-flight
-    /// tasks finish and their workers exit cleanly. Retry semantics
-    /// ([`TaskGraph::retry`]) are applied per task exactly as in
-    /// `run_serial`.
+    /// Runs the graph as one [`schedule::run`] of exactly `threads` workers
+    /// (clamped to at least 1, at most the task count), each task under
+    /// [`TaskGraph::retry`] exactly as in `run_serial`. Of the failures the
+    /// run saw before it drained, the one `run_serial`'s order meets first
+    /// is returned; a task that panics ends the run with its panic.
     pub fn run_with_pool(&self, threads: usize) -> Result<TaskReport> {
         let start = Instant::now();
-        let topo = self.topology()?;
-        let n = self.tasks.len();
-        let workers = threads.max(1).min(n.max(1));
-        // Seed the ready queue with every zero-dependency task. The heap
-        // is bounded by the task count; with_capacity states the cap.
-        let mut ready: BinaryHeap<Ready> = BinaryHeap::with_capacity(n);
-        for (i, &c) in topo.deps_left.iter().enumerate() {
-            if c == 0 {
-                ready.push(Ready { height: topo.height.get(i).copied().unwrap_or(1), index: i });
-            }
-        }
-        let shared = ExecShared {
-            state: Mutex::new(ExecState {
-                ready,
-                deps_left: topo.deps_left.clone(),
-                outputs: BTreeMap::new(),
-                timings: BTreeMap::new(),
-                attempt_timings: BTreeMap::new(),
-                in_flight: 0,
-                done: 0,
-                error: None,
-            }),
-            cv: Condvar::new(),
-        };
-        let kernel_threads = rayon::current_num_threads();
-        rayon::with_threads(workers, || {
-            vec![(); workers].par_iter().for_each(|()| {
-                rayon::with_threads(kernel_threads, || self.exec_worker(&shared, &topo))
-            })
+        let (deps, topo) = self.topology()?;
+        let workers = threads.clamp(1, self.tasks.len().max(1));
+        let slots = schedule::run(&topo, workers, &self.retry, |i, done| {
+            let (Some(t), Some(d)) = (self.tasks.get(i), deps.get(i)) else {
+                return Err(CdmsError::NotFound(format!("task {i}")));
+            };
+            (t.run)(&t.inputs(d, |j| done.get(j)?.get())).map(Arc::new)
         });
-        let state = shared.state.into_inner();
-        if let Some(e) = state.error {
-            return Err(e);
+        self.report(&topo, slots, workers, start)
+    }
+
+    /// Books a run's successes in the topology's order, or returns the
+    /// first failure in that order.
+    fn report(
+        &self,
+        topo: &Topology,
+        mut slots: Vec<Option<Outcome>>,
+        workers: usize,
+        start: Instant,
+    ) -> Result<TaskReport> {
+        let (mut outputs, mut timings, mut attempt_timings) =
+            (BTreeMap::new(), BTreeMap::new(), BTreeMap::new());
+        for &i in topo.order() {
+            let (Some(t), Some((attempts, out))) =
+                (self.tasks.get(i), slots.get_mut(i).and_then(Option::take))
+            else {
+                continue;
+            };
+            let out = out.map_err(|e| CdmsError::Invalid(format!("task '{}': {e}", t.name)))?;
+            timings.insert(t.name.clone(), attempts.iter().sum());
+            attempt_timings.insert(t.name.clone(), attempts);
+            outputs.insert(t.name.clone(), out);
         }
-        Ok(TaskReport {
-            outputs: state.outputs,
-            timings: state.timings,
-            attempt_timings: state.attempt_timings,
-            workers,
-            total: start.elapsed(),
-        })
-    }
-
-    /// One executor worker: pop the tallest ready task, run it outside the
-    /// scheduler lock, publish the result, and wake peers. Exits when the
-    /// graph is complete or cancelled-and-drained.
-    fn exec_worker(&self, shared: &ExecShared, topo: &Topology) {
-        let n = self.tasks.len();
-        let mut guard = shared.state.lock();
-        loop {
-            while guard.ready.is_empty() && !guard.finished(n) {
-                let cv = &shared.cv;
-                guard = cv.wait(guard).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            if guard.finished(n) {
-                drop(guard);
-                shared.cv.notify_all();
-                return;
-            }
-            let Some(next) = guard.ready.pop() else { continue };
-            let Some(task) = self.tasks.get(next.index) else { continue };
-            // Snapshot the inputs while still under the lock; the task body
-            // runs without it.
-            let dep_vals = task.inputs(&guard.outputs);
-            guard.in_flight += 1;
-            drop(guard);
-
-            let unwinding = Unwinding { shared, task: &task.name };
-            let (attempts, out) = self.retry.run(&task.run, &dep_vals);
-            std::mem::forget(unwinding);
-
-            guard = shared.state.lock();
-            guard.in_flight -= 1;
-            match out {
-                Ok(v) => {
-                    guard.timings.insert(task.name.clone(), attempts.iter().sum());
-                    guard.attempt_timings.insert(task.name.clone(), attempts);
-                    guard.outputs.insert(task.name.clone(), Arc::new(v));
-                    guard.done += 1;
-                    if guard.error.is_none() {
-                        for &j in
-                            topo.dependents.get(next.index).map(Vec::as_slice).unwrap_or_default()
-                        {
-                            let now_ready = match guard.deps_left.get_mut(j) {
-                                Some(c) => {
-                                    *c = c.saturating_sub(1);
-                                    *c == 0
-                                }
-                                None => false,
-                            };
-                            if now_ready {
-                                let h = topo.height.get(j).copied().unwrap_or(1);
-                                guard.ready.push(Ready { height: h, index: j });
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    // First-error cancellation: record the error once and
-                    // drain the ready queue so nothing new starts.
-                    if guard.error.is_none() {
-                        guard.error = Some(CdmsError::Invalid(format!(
-                            "task '{}': {e}",
-                            task.name
-                        )));
-                    }
-                    guard.ready.clear();
-                }
-            }
-            shared.cv.notify_all();
-        }
-    }
-}
-
-/// Static topology the executor schedules against.
-struct Topology {
-    /// Unmet forward-dependency count per task (the executor's seed).
-    deps_left: Vec<usize>,
-    /// Tasks unblocked by each task's completion.
-    dependents: Vec<Vec<usize>>,
-    /// Critical-path height (longest chain to any sink), for priority.
-    height: Vec<u32>,
-}
-
-/// A ready task in the dispatch heap: tallest critical path first, then
-/// lowest insertion index — a total, deterministic order.
-#[derive(PartialEq, Eq)]
-struct Ready {
-    height: u32,
-    index: usize,
-}
-
-impl Ord for Ready {
-    fn cmp(&self, other: &Ready) -> std::cmp::Ordering {
-        self.height.cmp(&other.height).then(other.index.cmp(&self.index))
-    }
-}
-
-impl PartialOrd for Ready {
-    fn partial_cmp(&self, other: &Ready) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Mutable scheduler state, guarded by one mutex that is never held
-/// across a task body (workers snapshot dependencies, drop the lock, run,
-/// re-lock to publish).
-struct ExecState {
-    ready: BinaryHeap<Ready>,
-    deps_left: Vec<usize>,
-    outputs: BTreeMap<String, Arc<Variable>>,
-    timings: BTreeMap<String, Duration>,
-    attempt_timings: BTreeMap<String, Vec<Duration>>,
-    in_flight: usize,
-    done: usize,
-    error: Option<CdmsError>,
-}
-
-impl ExecState {
-    /// True when no worker has anything left to do: every task completed,
-    /// or the run was cancelled and all in-flight work has drained.
-    fn finished(&self, n: usize) -> bool {
-        self.done == n || (self.error.is_some() && self.in_flight == 0 && self.ready.is_empty())
-    }
-}
-
-struct ExecShared {
-    state: Mutex<ExecState>,
-    cv: Condvar,
-}
-
-/// Held by a worker while a task body runs outside the lock and forgotten
-/// when the body returns, so it drops only if the body unwinds. It then
-/// leaves the scheduler cancelled and drained — failure recorded, the
-/// in-flight count given back, nothing left to start, peers woken — so the
-/// other workers exit and the region can re-raise the panic instead of
-/// waiting on the condvar for ever.
-struct Unwinding<'a> {
-    shared: &'a ExecShared,
-    task: &'a str,
-}
-
-impl Drop for Unwinding<'_> {
-    fn drop(&mut self) {
-        let mut state = self.shared.state.lock();
-        state.in_flight -= 1;
-        if state.error.is_none() {
-            state.error = Some(CdmsError::Invalid(format!("task '{}' panicked", self.task)));
-        }
-        state.ready.clear();
-        drop(state);
-        self.shared.cv.notify_all();
+        Ok(TaskReport { outputs, timings, attempt_timings, workers, total: start.elapsed() })
     }
 }
 
@@ -1157,6 +836,40 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(run.join().is_err(), "the task's panic propagates");
+    }
+
+    /// One failure rule for every runner: of the failures a run saw, the
+    /// one first in `run_serial`'s order is returned. `a` (index 0) fails
+    /// only once `b` has failed, or after 2 s, so on a pool of two `b` fails
+    /// first and `a`'s error is still the one returned.
+    #[test]
+    fn every_runner_returns_the_failure_first_in_serial_order() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let graph = || {
+            let b_failed = Arc::new(AtomicBool::new(false));
+            let seen = Arc::clone(&b_failed);
+            let mut g = TaskGraph::new();
+            g.add_task("a", &[], move |_| {
+                let start = Instant::now();
+                while !seen.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(2) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(CdmsError::Invalid("a failed".into()))
+            })
+            .unwrap();
+            g.add_task("b", &[], move |_| {
+                b_failed.store(true, Ordering::SeqCst);
+                Err(CdmsError::Invalid("b failed".into()))
+            })
+            .unwrap();
+            g
+        };
+        let serial = graph().run_serial().map(|_| ()).unwrap_err().to_string();
+        assert!(serial.contains("task 'a'"), "{serial}");
+        for pool in [1, 2, 8] {
+            let pooled = graph().run_with_pool(pool).map(|_| ()).unwrap_err().to_string();
+            assert_eq!(pooled, serial, "pool {pool}");
+        }
     }
 
     #[test]

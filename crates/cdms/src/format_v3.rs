@@ -455,6 +455,10 @@ fn encode_chunk_payload(
 
 /// Mean-of-valid-cells downsampling of `dims` by `2^level`. A destination
 /// cell whose source block holds no valid cell is masked.
+///
+/// One row-major pass over the source adds every valid cell into its
+/// destination's `f64` sum and count, so each destination sums its block
+/// in row-major order.
 fn downsample(
     data: &[f32],
     mask: &[bool],
@@ -463,68 +467,46 @@ fn downsample(
     level: usize,
 ) -> (Vec<f32>, Vec<bool>) {
     let factor = 1usize << level.min(63);
-    let mut out_shape = shape.to_vec();
-    for &d in dims {
-        if let Some(v) = out_shape.get_mut(d) {
-            *v = v.div_ceil(factor).max(1);
-        }
-    }
+    let step = |d: usize| if dims.contains(&d) { factor } else { 1 };
+    let out_shape: Vec<usize> = shape
+        .iter()
+        .enumerate()
+        .map(|(d, &n)| if dims.contains(&d) { n.div_ceil(factor).max(1) } else { n })
+        .collect();
     let out_n = out_shape.iter().product::<usize>();
-    let mut out = vec![0.0f32; out_n];
-    let mut out_mask = vec![true; out_n];
-    let rank = shape.len();
-    let in_strides = row_major_strides(shape);
+    let mut sum = vec![0.0f64; out_n];
+    let mut count = vec![0usize; out_n];
     let out_strides = row_major_strides(&out_shape);
 
-    let mut idx = vec![0usize; rank];
-    for (oi, (slot, mslot)) in out.iter_mut().zip(out_mask.iter_mut()).enumerate() {
-        // multi-index of this output cell
-        let mut rem = oi;
-        for d in 0..rank {
-            idx[d] = rem / out_strides[d];
-            rem %= out_strides[d];
-        }
-        // source block bounds per dim (identity outside `dims`)
-        let mut lo = vec![0usize; rank];
-        let mut hi = vec![0usize; rank];
-        for d in 0..rank {
-            if dims.contains(&d) {
-                lo[d] = idx[d] * factor;
-                hi[d] = (lo[d] + factor).min(shape[d]);
-            } else {
-                lo[d] = idx[d];
-                hi[d] = idx[d] + 1;
+    // The innermost dim is walked in place; `outer` is the multi-index of
+    // the row over the dims before it.
+    let rank = shape.len();
+    let row_len = shape.last().copied().unwrap_or(1).max(1);
+    let row_step = step(rank.saturating_sub(1));
+    let mut outer = vec![0usize; rank.saturating_sub(1)];
+    for (vals, masks) in data.chunks(row_len).zip(mask.chunks(row_len)) {
+        let base: usize =
+            outer.iter().zip(&out_strides).enumerate().map(|(d, (&i, &s))| i / step(d) * s).sum();
+        for (j, (&v, &m)) in vals.iter().zip(masks).enumerate() {
+            if let (false, Some(s), Some(c)) =
+                (m, sum.get_mut(base + j / row_step), count.get_mut(base + j / row_step))
+            {
+                *s += v as f64;
+                *c += 1;
             }
         }
-        // average the valid cells of the block (local accumulator —
-        // deterministic, sequential per output cell)
-        let mut sum = 0.0f64;
-        let mut count = 0usize;
-        let mut cursor = lo.clone();
-        'block: loop {
-            let lin: usize = cursor.iter().zip(&in_strides).map(|(&i, &s)| i * s).sum();
-            if let (Some(&v), Some(&m)) = (data.get(lin), mask.get(lin)) {
-                if !m {
-                    sum += v as f64;
-                    count += 1;
-                }
+        for (i, &n) in outer.iter_mut().zip(shape).rev() {
+            *i += 1;
+            if *i < n {
+                break;
             }
-            // odometer increment over the block
-            for d in (0..rank).rev() {
-                cursor[d] += 1;
-                if cursor[d] < hi[d] {
-                    continue 'block;
-                }
-                cursor[d] = lo[d];
-            }
-            break;
-        }
-        if count > 0 {
-            *slot = (sum / count as f64) as f32;
-            *mslot = false;
+            *i = 0;
         }
     }
-    (out, out_mask)
+    sum.iter()
+        .zip(&count)
+        .map(|(&s, &c)| if c > 0 { ((s / c as f64) as f32, false) } else { (0.0, true) })
+        .unzip()
 }
 
 /// Nearest-neighbor upsampling from `from_shape` to `to_shape` (same rank).

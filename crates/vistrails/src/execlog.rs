@@ -30,7 +30,8 @@ pub struct RunRecord {
     pub run_id: u64,
     /// The provenance version that was materialized (if known).
     pub version: Option<VersionId>,
-    /// Per-module records, completion order.
+    /// Per-module records in the run's booking order: by depth, then by
+    /// module id (`ExecResults::log`).
     pub modules: Vec<ModuleRun>,
 }
 

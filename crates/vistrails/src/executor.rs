@@ -1,28 +1,32 @@
 //! The caching, branch-parallel pipeline executor.
 //!
-//! Execution walks the pipeline in topological *wavefronts*: every module
-//! whose inputs are ready runs, and the modules of one wavefront are the
-//! items of one `rayon` region, so they run in parallel on at most the
-//! caller's `rayon::current_num_threads()` threads (the paper's "parallel
-//! task execution"). Results are cached by module signature (type +
-//! params + upstream signatures), so re-executing after a small edit only
-//! recomputes the dirty cone — the mechanism that makes VisTrails-style
-//! exploratory tweaking cheap.
+//! A pipeline runs as one [`schedule::run`] over its
+//! modules, at the caller's `rayon::current_num_threads()` (the paper's
+//! "parallel task execution"): a module starts the moment its inputs are
+//! ready, so a slow module delays only its own dependents. Results are
+//! cached by module signature (type + params + upstream signatures), so
+//! re-executing after a small edit only recomputes the dirty cone — the
+//! mechanism that makes VisTrails-style exploratory tweaking cheap.
 
 use crate::module::ModuleRegistry;
 use crate::pipeline::{ModuleId, Pipeline};
+use crate::schedule::{self, RetryPolicy};
 use crate::value::WfData;
 use crate::{Result, WfError};
-use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// One module's outputs, by port.
+type Ports = Arc<BTreeMap<String, WfData>>;
 
 /// Per-module outputs of one execution.
 #[derive(Debug, Clone, Default)]
 pub struct ExecResults {
-    outputs: BTreeMap<ModuleId, BTreeMap<String, WfData>>,
-    /// Execution log entries, wavefront by wavefront and in module order
-    /// within one — the same sequence on every run of one pipeline.
+    outputs: BTreeMap<ModuleId, Ports>,
+    /// Execution log entries in booking order: by depth (the longest chain
+    /// of inputs above a module), then by module id — the same sequence on
+    /// every run of one pipeline, whatever order the modules finished in.
     pub log: Vec<ExecLogEntry>,
 }
 
@@ -34,7 +38,7 @@ impl ExecResults {
 
     /// All outputs of a module.
     pub fn module_outputs(&self, module: ModuleId) -> Option<&BTreeMap<String, WfData>> {
-        self.outputs.get(&module)
+        self.outputs.get(&module).map(|ports| &**ports)
     }
 
     /// Number of modules that executed (or were served from cache).
@@ -70,69 +74,11 @@ pub struct ExecLogEntry {
     pub attempt_durations: Vec<Duration>,
 }
 
-/// How execution reacts to a failing module: how many times to try, and
-/// how long to back off between tries (doubling each retry).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (clamped to at least 1).
-    pub max_attempts: u32,
-    /// Sleep before the first retry; doubles on every further retry.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// Fail fast: one attempt, no backoff.
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_attempts: 1, backoff: Duration::ZERO }
-    }
-}
-
-impl RetryPolicy {
-    /// Fail fast (the default).
-    pub fn none() -> RetryPolicy {
-        RetryPolicy::default()
-    }
-
-    /// Up to `retries` re-runs after the first failure, with `backoff`
-    /// (doubling) between attempts.
-    pub fn retries(retries: u32, backoff: Duration) -> RetryPolicy {
-        RetryPolicy { max_attempts: retries.saturating_add(1), backoff }
-    }
-
-    /// Runs `f` under the policy. Returns the per-attempt wall times
-    /// alongside the final outcome (the last error when all attempts fail).
-    pub fn run<T, E>(
-        &self,
-        mut f: impl FnMut() -> std::result::Result<T, E>,
-    ) -> (Vec<Duration>, std::result::Result<T, E>) {
-        let max = self.max_attempts.max(1);
-        let mut timings = Vec::new();
-        let mut backoff = self.backoff;
-        loop {
-            let start = Instant::now();
-            let out = f();
-            timings.push(start.elapsed());
-            match out {
-                Ok(v) => return (timings, Ok(v)),
-                Err(e) => {
-                    if timings.len() as u32 >= max {
-                        return (timings, Err(e));
-                    }
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                        backoff *= 2;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The executor: registry + cross-run result cache.
 #[derive(Debug)]
 pub struct Executor {
     registry: ModuleRegistry,
-    cache: HashMap<u64, BTreeMap<String, WfData>>,
+    cache: HashMap<u64, Ports>,
     /// Disable to measure uncached performance (ablation).
     pub caching_enabled: bool,
     /// Per-module retry policy (default: fail fast). Transient module
@@ -174,12 +120,14 @@ impl Executor {
 
     /// Executes only what `sink` needs (or everything when `None`).
     ///
-    /// Each wavefront runs as one `rayon` region at the caller's
+    /// The modules run as one [`schedule::run`] at the caller's
     /// `rayon::current_num_threads()`, so `rayon::with_threads` sets how
-    /// many of its modules run at once. A module that panics ends the run:
-    /// the modules of its wave that are running finish, the rest do not
-    /// start, nothing of the wave is cached, and the panic is re-raised
-    /// here.
+    /// many run at once. Cache hits are settled before the run: modules
+    /// with equal signatures have identical upstream cones, so neither can
+    /// hit the other's output within a run. After it every success is
+    /// cached and booked, and the failure booked first is returned. A
+    /// module that panics ends the run with its panic, and nothing of the
+    /// run is cached.
     pub fn execute_subset(
         &mut self,
         pipeline: &Pipeline,
@@ -190,108 +138,63 @@ impl Executor {
             Some(s) => pipeline.upstream_subgraph(s)?,
             None => pipeline.clone(),
         };
-        let order = target.topological_order()?;
 
-        // Group into wavefronts: depth = 1 + max(depth of inputs).
-        let mut depth: BTreeMap<ModuleId, usize> = BTreeMap::new();
-        for &id in &order {
-            let d = target
-                .inputs_of(id)
-                .iter()
-                .map(|c| depth[&c.from_module] + 1)
-                .max()
-                .unwrap_or(0);
-            depth.insert(id, d);
+        // Node `i` is the `i`-th module by id; the topology's order, by
+        // depth and then index, is the booking order.
+        let (ids, topo) = target.topology()?;
+
+        // Signatures mix in the registry's cache salts, so an engine-version
+        // bump behind a module type invalidates cached outputs of it and of
+        // everything downstream.
+        let mut jobs = Vec::with_capacity(ids.len());
+        for (&id, node) in &target.modules {
+            let signature = target.module_signature_salted(id, self.registry.cache_salts());
+            let hit = self.caching_enabled.then(|| self.cache.get(&signature).cloned()).flatten();
+            jobs.push((id, signature, node, hit, self.registry.get(&node.type_name)?));
         }
-        let max_depth = depth.values().copied().max().unwrap_or(0);
+
+        let mut slots = schedule::run(&topo, rayon::current_num_threads(), &self.retry, |i, done| {
+            let Some((id, _, node, hit, module)) = jobs.get(i) else {
+                return Err(WfError::NotFound(format!("node {i}")));
+            };
+            if let Some(hit) = hit {
+                return Ok(Arc::clone(hit));
+            }
+            let mut inputs: BTreeMap<String, WfData> = BTreeMap::new();
+            for c in target.inputs_of(*id) {
+                let upstream = ids.binary_search(&c.from_module).ok().and_then(|j| done.get(j)?.get());
+                if let Some(v) = upstream.and_then(|ports| ports.get(&c.from_port)) {
+                    inputs.insert(c.to_port.clone(), v.clone());
+                }
+            }
+            module.execute(&inputs, &node.params).map(Arc::new).map_err(|e| wrap_exec_err(*id, e))
+        });
 
         let mut results = ExecResults::default();
-        // Precompute signatures once, mixing in registry cache salts so an
-        // engine-version bump behind a module type invalidates cached
-        // outputs of it and of everything downstream.
-        let signatures: BTreeMap<ModuleId, u64> = order
-            .iter()
-            .map(|&id| (id, target.module_signature_salted(id, self.registry.cache_salts())))
-            .collect();
-
-        for level in 0..=max_depth {
-            let wave: Vec<ModuleId> =
-                order.iter().copied().filter(|id| depth[id] == level).collect();
-            // Collect per-module work items (inputs are ready by construction).
-            let mut jobs = Vec::with_capacity(wave.len());
-            for &id in &wave {
-                let sig = signatures[&id];
-                if self.caching_enabled {
-                    if let Some(hit) = self.cache.get(&sig) {
-                        results.outputs.insert(id, hit.clone());
-                        results.log.push(ExecLogEntry {
-                            module: id,
-                            type_name: target.modules[&id].type_name.clone(),
-                            duration: Duration::ZERO,
-                            cache_hit: true,
-                            signature: sig,
-                            attempts: 0,
-                            attempt_durations: Vec::new(),
-                        });
-                        continue;
-                    }
-                }
-                let mut inputs: BTreeMap<String, WfData> = BTreeMap::new();
-                for c in target.inputs_of(id) {
-                    if let Some(v) = results.output(c.from_module, &c.from_port) {
-                        inputs.insert(c.to_port.clone(), v.clone());
-                    }
-                }
-                let node = &target.modules[&id];
-                let module = self.registry.get(&node.type_name)?;
-                jobs.push((id, sig, node.type_name.clone(), node.params.clone(), inputs, module));
+        let mut failed = None;
+        for &i in topo.order() {
+            let (Some(&(id, signature, node, ref hit, _)), Some((attempt_durations, out))) =
+                (jobs.get(i), slots.get_mut(i).and_then(Option::take))
+            else {
+                continue;
+            };
+            let Ok(out) = out.map_err(|e| failed = failed.take().or(Some(e))) else { continue };
+            let attempt_durations = if hit.is_some() { Vec::new() } else { attempt_durations };
+            if self.caching_enabled && hit.is_none() {
+                self.cache.insert(signature, Arc::clone(&out));
             }
-
-            // Run the wavefront as one region over its jobs, at the
-            // caller's thread count. Each job runs under the retry policy
-            // and writes its per-attempt timings and outcome into its own
-            // slot: jobs finish in any order, the wave is booked in this one.
-            type Attempts = (Vec<Duration>, Result<BTreeMap<String, WfData>>);
-            let retry = &self.retry;
-            let mut slots: Vec<Option<Attempts>> = jobs.iter().map(|_| None).collect();
-            jobs.par_iter().zip(slots.par_iter_mut()).for_each(|(job, slot)| {
-                let (id, _, _, params, inputs, module) = job;
-                *slot = Some(
-                    retry.run(|| module.execute(inputs, params).map_err(|e| wrap_exec_err(*id, e))),
-                );
+            results.outputs.insert(id, out);
+            results.log.push(ExecLogEntry {
+                module: id,
+                type_name: node.type_name.clone(),
+                duration: attempt_durations.iter().sum(),
+                cache_hit: hit.is_some(),
+                signature,
+                attempts: attempt_durations.len() as u32,
+                attempt_durations,
             });
-            // Cache and book every success of the wave, then report its
-            // lowest-positioned failure. The region returns only once every
-            // job has filled its slot.
-            let mut failed = None;
-            for ((id, sig, type_name, ..), slot) in jobs.into_iter().zip(slots) {
-                let Some((attempt_durations, out)) = slot else { continue };
-                let out = match out {
-                    Ok(out) => out,
-                    Err(e) => {
-                        failed = failed.or(Some(e));
-                        continue;
-                    }
-                };
-                if self.caching_enabled {
-                    self.cache.insert(sig, out.clone());
-                }
-                results.outputs.insert(id, out);
-                results.log.push(ExecLogEntry {
-                    module: id,
-                    type_name,
-                    duration: attempt_durations.iter().sum(),
-                    cache_hit: false,
-                    signature: sig,
-                    attempts: attempt_durations.len() as u32,
-                    attempt_durations,
-                });
-            }
-            if let Some(e) = failed {
-                return Err(e);
-            }
         }
-        Ok(results)
+        failed.map_or(Ok(results), Err)
     }
 }
 
@@ -308,7 +211,7 @@ mod tests {
     use crate::module::{single, PortType};
     use crate::value::{ParamValue, WfData};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::time::Instant;
 
     fn registry(counter: Arc<AtomicUsize>) -> ModuleRegistry {
         let mut r = ModuleRegistry::new();
@@ -521,6 +424,54 @@ mod tests {
                 assert_eq!(exec.cache_len(), N - 2, "the wave's successes are cached");
             }
         });
+    }
+
+    /// A run is booked by depth, then module id, cache hits and misses
+    /// alike: with module 1 edited, the diamond books 1 (a miss), 2 (a
+    /// hit), then 3.
+    #[test]
+    fn a_run_is_booked_by_depth_then_module_id() {
+        let mut exec = Executor::new(registry(Arc::new(AtomicUsize::new(0))));
+        exec.execute(&diamond()).unwrap();
+        let mut p = diamond();
+        p.set_parameter(1, "v", ParamValue::Float(100.0)).unwrap();
+        let results = exec.execute(&p).unwrap();
+        let booked: Vec<(ModuleId, bool)> =
+            results.log.iter().map(|e| (e.module, e.cache_hit)).collect();
+        assert_eq!(booked, [(1, false), (2, true), (3, false)]);
+    }
+
+    /// A module waits for nothing but its inputs. Module 1 (depth 0) runs
+    /// until module 3 (depth 1, behind the fast module 2) has run, so the
+    /// pipeline succeeds only if 3 starts while 1 is still running; behind
+    /// a barrier between depths, 1 fails at its 2 s timeout.
+    #[test]
+    fn a_module_waits_only_for_its_own_inputs() {
+        use std::sync::atomic::AtomicBool;
+        let ran = Arc::new(AtomicBool::new(false));
+        let mut r = registry(Arc::new(AtomicUsize::new(0)));
+        let seen = Arc::clone(&ran);
+        r.register_fn("m", "await", &[], &[("out", PortType::Float)], move |_, _| {
+            let start = Instant::now();
+            while !seen.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(2) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            match seen.load(Ordering::SeqCst) {
+                true => Ok(single("out", WfData::Float(0.0))),
+                false => Err(WfError::Execution { module: 0, message: "3 did not run".into() }),
+            }
+        });
+        r.register_fn("m", "signal", &[("a", PortType::Float)], &[], move |_, _| {
+            ran.store(true, Ordering::SeqCst);
+            Ok(BTreeMap::new())
+        });
+        let mut p = Pipeline::new();
+        p.add_module(1, "m.await").unwrap();
+        p.add_module(2, "m.src").unwrap();
+        p.add_module(3, "m.signal").unwrap();
+        p.connect((2, "out"), (3, "a")).unwrap();
+        let results = rayon::with_threads(2, || Executor::new(r).execute(&p)).unwrap();
+        assert_eq!(results.len(), 3);
     }
 
     #[test]

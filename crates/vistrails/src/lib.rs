@@ -12,8 +12,13 @@
 //! * [`pipeline`] — dataflow graphs of module instances and typed
 //!   connections, with validation (ports, types, cycles) and
 //!   upstream-subgraph extraction (the hyperwall workflow split uses this).
-//! * [`executor`] — topological execution with result caching and
-//!   parallel execution of independent branches.
+//! * [`schedule`] — the one DAG scheduler: a dependency-counting,
+//!   event-driven run over a pool region, with one retry policy and one
+//!   failure rule. The executor below and `cdat`'s analysis task graph
+//!   both run on it.
+//! * [`executor`] — pipeline execution on the scheduler, with result
+//!   caching: independent branches run in parallel, and no module waits
+//!   for anything but its own inputs.
 //! * [`provenance`] — the VisTrails *version tree*: every edit to a
 //!   workflow is an action appended to a tree of versions; any version can
 //!   be materialized by replaying its action path, tagged, branched from,
@@ -67,6 +72,7 @@ pub mod executor;
 pub mod module;
 pub mod pipeline;
 pub mod provenance;
+pub mod schedule;
 pub mod spreadsheet;
 pub mod value;
 

@@ -1,10 +1,11 @@
 //! Dataflow pipelines: module instances + typed connections.
 
 use crate::module::ModuleRegistry;
+use crate::schedule::Topology;
 use crate::value::{Fnv, ParamValue, Params};
 use crate::{Result, WfError};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A module instance's id within a pipeline.
 pub type ModuleId = u64;
@@ -127,50 +128,33 @@ impl Pipeline {
             .collect()
     }
 
-    /// Topological order; errors with the offending ids on a cycle, and on
-    /// connections referencing unknown modules (possible after
-    /// deserializing an untrusted pipeline).
-    pub fn topological_order(&self) -> Result<Vec<ModuleId>> {
-        let mut in_deg: BTreeMap<ModuleId, usize> =
-            self.modules.keys().map(|&id| (id, 0)).collect();
+    /// The modules by id, and the scheduler's [`Topology`] over them (node
+    /// `i` is the `i`-th module by id). Errors with the offending ids on a
+    /// cycle, and on connections referencing unknown modules (possible
+    /// after deserializing an untrusted pipeline).
+    pub fn topology(&self) -> Result<(Vec<ModuleId>, Topology)> {
+        let ids: Vec<ModuleId> = self.modules.keys().copied().collect();
+        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
         for c in &self.connections {
-            if !self.modules.contains_key(&c.from_module) {
-                return Err(WfError::NotFound(format!(
-                    "connection from unknown module {}",
-                    c.from_module
-                )));
-            }
-            *in_deg.get_mut(&c.to_module).ok_or_else(|| {
+            let from = ids.binary_search(&c.from_module).map_err(|_| {
+                WfError::NotFound(format!("connection from unknown module {}", c.from_module))
+            })?;
+            let into = ids.binary_search(&c.to_module).ok().and_then(|i| deps.get_mut(i));
+            into.ok_or_else(|| {
                 WfError::NotFound(format!("connection into unknown module {}", c.to_module))
-            })? += 1;
+            })?
+            .push(from);
         }
-        let mut queue: VecDeque<ModuleId> = in_deg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut order = Vec::with_capacity(self.modules.len());
-        while let Some(id) = queue.pop_front() {
-            order.push(id);
-            for c in self.connections.iter().filter(|c| c.from_module == id) {
-                // a connection to an unknown module is skipped; the length
-                // check below then reports the pipeline as cyclic/invalid
-                let Some(d) = in_deg.get_mut(&c.to_module) else { continue };
-                *d -= 1;
-                if *d == 0 {
-                    queue.push_back(c.to_module);
-                }
-            }
-        }
-        if order.len() != self.modules.len() {
-            let stuck: Vec<ModuleId> = in_deg
-                .iter()
-                .filter(|(_, &d)| d > 0)
-                .map(|(&id, _)| id)
-                .collect();
-            return Err(WfError::Cycle(stuck));
-        }
-        Ok(order)
+        let topo = Topology::new(&deps).map_err(|stuck| {
+            WfError::Cycle(stuck.iter().filter_map(|&i| ids.get(i).copied()).collect())
+        })?;
+        Ok((ids, topo))
+    }
+
+    /// Every module, after all of its inputs: by depth, then by id.
+    pub fn topological_order(&self) -> Result<Vec<ModuleId>> {
+        let (ids, topo) = self.topology()?;
+        Ok(topo.order().iter().filter_map(|&i| ids.get(i).copied()).collect())
     }
 
     /// Validates the pipeline against a registry: module types exist,
@@ -206,7 +190,7 @@ impl Pipeline {
                 });
             }
         }
-        self.topological_order()?;
+        self.topology()?;
         Ok(())
     }
 
