@@ -68,7 +68,8 @@ pub struct TaskReport {
     /// Per-task wall time of each individual attempt, in order (length 1
     /// everywhere unless the retry policy re-ran a failing task).
     pub attempt_timings: BTreeMap<String, Vec<Duration>>,
-    /// Worker threads the run actually used (1 for `run_serial`).
+    /// Workers the run was given (1 for `run_serial`). The scheduler
+    /// starts at most as many as the graph's widest depth level.
     pub workers: usize,
     /// Total wall time of the run.
     pub total: Duration,
@@ -336,8 +337,9 @@ impl TaskGraph {
         self.run_with_pool(rayon::current_num_threads())
     }
 
-    /// Runs the graph as one [`schedule::run`] of exactly `threads` workers
-    /// (clamped to at least 1, at most the task count), each task under
+    /// Runs the graph as one [`schedule::run`] of `threads` workers
+    /// (clamped to at least 1, at most the task count; the scheduler starts
+    /// no more than the graph's widest depth level), each task under
     /// [`TaskGraph::retry`] exactly as in `run_serial`. Of the failures the
     /// run saw before it drained, the one `run_serial`'s order meets first
     /// is returned; a task that panics ends the run with its panic.

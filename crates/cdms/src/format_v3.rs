@@ -414,23 +414,37 @@ fn encode_chunk_payload(
     level: usize,
     compress: bool,
 ) -> Vec<u8> {
-    // Window slab (full resolution). `time_window` only fails when the
-    // range is empty/out of bounds, which `n_windows` precludes; fall back
-    // to the whole array (the no-time-axis single-window case).
-    let slab: Variable = match meta.time_axis {
-        Some(_) => var.time_window(meta.window_range(w)).unwrap_or_else(|_| var.clone()),
-        None => var.clone(),
+    // Window slab (full resolution). With time first (or no time axis) it
+    // is one contiguous run of the variable's data and mask; otherwise it
+    // is sliced out. `time_window` only fails when the range is
+    // empty/out of bounds, which `n_windows` precludes.
+    let sliced;
+    let (data, mask) = match meta.time_axis {
+        Some(0) => {
+            let step: usize = meta.shape.iter().skip(1).product();
+            let times = meta.window_range(w);
+            let run = times.start * step..times.end * step;
+            (&var.array.data()[run.clone()], &var.array.mask()[run])
+        }
+        Some(_) => {
+            sliced = var
+                .time_window(meta.window_range(w))
+                .map_or_else(|_| var.array.clone(), |v| v.array);
+            (sliced.data(), sliced.mask())
+        }
+        None => (var.array.data(), var.array.mask()),
     };
-    let slab_shape = meta.slab_shape(w);
+    let pyramid;
     let (data, mask) = if level == 0 {
-        (slab.array.data().to_vec(), slab.array.mask().to_vec())
+        (data, mask)
     } else {
-        downsample(slab.array.data(), slab.array.mask(), &slab_shape, &meta.pyramid_dims(), level)
+        pyramid = downsample(data, mask, &meta.slab_shape(w), &meta.pyramid_dims(), level);
+        (&pyramid.0[..], &pyramid.1[..])
     };
 
     let n = data.len();
     let mut raw = Vec::with_capacity(format::raw_body_size(n).unwrap_or(0));
-    format::put_raw_body(&mut raw, &data, &mask);
+    format::put_raw_body(&mut raw, data, mask);
 
     let (codec, body) = if compress {
         let rle = packbits_encode(&raw);

@@ -19,7 +19,13 @@
 //! * `tos` — sea-surface temperature, masked over land (exercises masks).
 //! * `pr` — precipitation with an ITCZ band and noise.
 //!
-//! Everything is seeded and reproducible.
+//! Everything is seeded and reproducible, and independent of the thread
+//! count: the `(time, level)` planes of the 4-D fields are filled in one
+//! `rayon` region, each plane from the noise stream's state at its start,
+//! recorded by one serial pass that draws the stream in row-major order.
+//! Every factor of a field is computed once at the loop level it depends
+//! on, its expression's association kept, so each value is bit for bit
+//! the one a point-by-point evaluation gives (DESIGN §32).
 
 use crate::array::MaskedArray;
 use crate::axis::Axis;
@@ -29,6 +35,7 @@ use crate::error::Result;
 use crate::variable::Variable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 
 /// Finalises a synthesis-internal construction. Every call site feeds data
 /// this module just built — buffers filled by loops over exactly the shape
@@ -156,7 +163,6 @@ impl SynthesisSpec {
             .with_attr("model", "SYNTH-1")
             .with_attr("seed", self.seed as i64);
 
-        // Precompute per-point fields.
         let lat_v = &lat.values;
         let lon_v = &lon.values;
         let plev = &lev.values;
@@ -166,51 +172,73 @@ impl SynthesisSpec {
         let land = self.land_fraction(&mut StdRng::seed_from_u64(self.seed ^ 0x5EED));
 
         // ---- 4D fields ----
+        // Each factor is computed at the loop level it depends on (a day,
+        // a level, a latitude row or a longitude column) with its
+        // expression's association kept, so every value is the one a
+        // point-by-point evaluation gives. The `(time, level)` planes are
+        // filled in parallel.
         let shape4 = [nt, nl, ny, nx];
         let n4: usize = shape4.iter().product();
-        let mut ta = Vec::with_capacity(n4);
-        let mut zg = Vec::with_capacity(n4);
-        let mut hus = Vec::with_capacity(n4);
-        let mut ua = Vec::with_capacity(n4);
-        let mut va = Vec::with_capacity(n4);
-
-        for t in 0..nt {
-            let day = t as f64;
-            let season = (2.0 * std::f64::consts::PI * day / 365.0).cos();
-            for l in 0..nl {
-                let z = zstar[l];
-                let lapse = 6.5 * z.min(16.0) - 2.0 * (z - 16.0).max(0.0); // troposphere + weak stratospheric inversion
-                for (_j, &phi_deg) in lat_v.iter().enumerate().take(ny) {
-                    let phi = phi_deg.to_radians();
-                    for (_i, &lam_deg) in lon_v.iter().enumerate().take(nx) {
-                        let lam = lam_deg.to_radians();
+        let plane = ny * nx;
+        let mut ta = vec![0.0f32; n4];
+        let mut zg = vec![0.0f32; n4];
+        let mut hus = vec![0.0f32; n4];
+        let mut ua = vec![0.0f32; n4];
+        let mut va = vec![0.0f32; n4];
+        let lam: Vec<f64> = lon_v.iter().take(nx).map(|d| d.to_radians()).collect();
+        let days: Vec<Day> = (0..nt).map(|t| Day::new(t as f64, &lam)).collect();
+        let levels: Vec<Level> = zstar.iter().map(|&z| Level::new(z)).collect();
+        let rows: Vec<Row> = lat_v.iter().take(ny).map(|&phi| Row::new(phi)).collect();
+        let noise = self.noise as f64;
+        // One serial pass draws the noise stream in row-major order and
+        // records the generator at the start of each plane.
+        let states: Vec<StdRng> = (0..nt * nl)
+            .map(|_| {
+                let start = rng.clone();
+                for _ in 0..plane {
+                    rng.gen_range(-1.0..1.0);
+                }
+                start
+            })
+            .collect();
+        let chunk = plane.max(1);
+        let outputs = ta.par_chunks_mut(chunk).zip(zg.par_chunks_mut(chunk)).zip(
+            hus.par_chunks_mut(chunk).zip(ua.par_chunks_mut(chunk)).zip(va.par_chunks_mut(chunk)),
+        );
+        outputs.zip(states.par_iter()).enumerate().for_each(
+            |(p, (((ta, zg), ((hus, ua), va)), rng))| {
+                let (Some(day), Some(level)) =
+                    (days.get(p / nl.max(1)), levels.get(p % nl.max(1)))
+                else {
+                    return;
+                };
+                let mut rng = rng.clone();
+                let rows_out = ta.chunks_mut(nx).zip(zg.chunks_mut(nx)).zip(
+                    hus.chunks_mut(nx).zip(ua.chunks_mut(nx)).zip(va.chunks_mut(nx)),
+                );
+                for (row, ((ta, zg), ((hus, ua), va))) in rows.iter().zip(rows_out) {
+                    let base = 288.0 + row.merid - level.lapse;
+                    let seasonal = day.ten_season * row.sin_phi;
+                    let q = level.q0 * row.moist;
+                    let u_jet = level.jet * row.jets;
+                    for i in 0..nx {
                         // temperature
-                        let merid = -55.0 * phi.sin() * phi.sin();
-                        let wave4 = 4.0
-                            * (4.0 * lam - 0.15 * day).cos()
-                            * (-((phi_deg.abs() - 45.0) / 20.0).powi(2)).exp()
-                            * (-(z / 12.0)).exp().max(0.2);
-                        let seasonal = 10.0 * season * phi.sin();
-                        let noise = rng.gen_range(-1.0..1.0) * self.noise as f64;
-                        let temp = 288.0 + merid - lapse + wave4 + seasonal + noise;
-                        ta.push(temp as f32);
+                        let wave4 = 4.0 * day.cos4[i] * row.e45 * level.ez12;
+                        let noise = rng.gen_range(-1.0..1.0) * noise;
+                        let temp = base + wave4 + seasonal + noise;
+                        ta[i] = temp as f32;
                         // geopotential height (barometric, km → m)
-                        let zg_v = z * 1000.0 * (temp / 288.0) + 50.0 * wave4;
-                        zg.push(zg_v as f32);
+                        zg[i] = (level.z_m * (temp / 288.0) + 50.0 * wave4) as f32;
                         // humidity: moist surface tropics decaying with height
-                        let q = 0.018
-                            * (-(z / 2.5)).exp()
-                            * (-(phi_deg / 35.0).powi(2)).exp()
-                            * (1.0 + 0.2 * (2.0 * lam - 0.1 * day).sin());
-                        hus.push(q.max(1e-6) as f32);
+                        hus[i] = (q * day.hum[i]).max(1e-6) as f32;
                         // winds from streamfunction ψ = jet + wave (analytic partials)
-                        let (u, v) = streamfunction_wind(phi_deg, lam, day, z);
-                        ua.push(u as f32);
-                        va.push(v as f32);
+                        let dpsi_dphi = level.b * day.cos4[i] * row.env * row.dgauss * RAD_TO_DEG;
+                        ua[i] = (u_jet + -dpsi_dphi / EARTH_RADIUS) as f32;
+                        va[i] = (level.minus_bk * day.sin4[i] * row.env / row.a_cos) as f32;
                     }
                 }
-            }
-        }
+            },
+        );
 
         let axes4 = vec![time.clone(), lev.clone(), lat.clone(), lon.clone()];
         ds.add_variable(
@@ -248,26 +276,25 @@ impl SynthesisSpec {
         let mut tos_mask = Vec::with_capacity(n3);
         let k = self.wave_number;
         let c = self.wave_speed_deg_per_day;
+        let land_mask: Vec<bool> = land.iter().map(|&v| v > 0.5).collect();
         for t in 0..nt {
             let day = t as f64;
-            for (j, &phi_deg) in lat_v.iter().enumerate().take(ny) {
-                for (i, &lam_deg) in lon_v.iter().enumerate().take(nx) {
-                    // eastward-propagating equatorial wave, phase speed c °/day
-                    let phase = (k * (lam_deg - c * day)).to_radians();
-                    let envelope = (-(phi_deg / 15.0).powi(2)).exp();
-                    wave.push((envelope * phase.cos()) as f32);
+            // eastward-propagating equatorial wave, phase speed c °/day
+            let phase_cos: Vec<f64> =
+                lon_v.iter().take(nx).map(|&d| (k * (d - c * day)).to_radians().cos()).collect();
+            let sst_wave: Vec<f64> =
+                lam.iter().map(|&lam| 0.5 * (3.0 * lam + 0.05 * day).sin()).collect();
+            for row in &rows {
+                for (&cos, &sst_wave) in phase_cos.iter().zip(&sst_wave) {
+                    wave.push((row.envelope * cos) as f32);
                     // precipitation: ITCZ band + wave modulation + noise
-                    let itcz = (-(phi_deg - 7.0).powi(2) / 60.0).exp();
-                    let p = 8.0 * itcz * (1.0 + 0.5 * envelope * phase.cos())
-                        + rng.gen_range(0.0..0.5);
+                    let p = row.itcz * (1.0 + row.half_envelope * cos) + rng.gen_range(0.0..0.5);
                     pr.push(p.max(0.0) as f32);
                     // SST: masked over land
-                    let sst = 300.0 - 28.0 * (phi_deg.to_radians().sin()).powi(2)
-                        + 0.5 * (3.0 * lam_deg.to_radians() + 0.05 * day).sin();
-                    tos.push(sst as f32);
-                    tos_mask.push(land[j * nx + i] > 0.5);
+                    tos.push((row.sst + sst_wave) as f32);
                 }
             }
+            tos_mask.extend_from_slice(&land_mask);
         }
         let axes3 = vec![time.clone(), lat.clone(), lon.clone()];
         ds.add_variable(
@@ -336,39 +363,128 @@ impl SynthesisSpec {
     }
 }
 
-/// Winds from the analytic streamfunction
-/// `ψ(φ, λ, t) = ψ_jet(φ) + ψ_wave(φ, λ, t)`:
-/// `u = -∂ψ/∂y`, `v = ∂ψ/∂x` — hence exactly non-divergent.
+/// Earth radius, m.
+const EARTH_RADIUS: f64 = 6.371e6;
+
+/// Degrees per radian.
+const RAD_TO_DEG: f64 = 180.0 / std::f64::consts::PI;
+
+/// The factors of the 4-D fields that depend on the day alone, per
+/// longitude column where they also depend on the longitude.
 ///
-/// Returns `(u, v)` in m/s at pseudo-height `z` km.
-pub fn streamfunction_wind(phi_deg: f64, lam: f64, day: f64, z: f64) -> (f64, f64) {
-    let a = 6.371e6; // Earth radius, m
-    let phi = phi_deg.to_radians();
-    let height_factor = (z / 12.0).clamp(0.15, 1.0);
+/// `cos4` and `sin4` share one angle, `θ = kλ − ωt` with `k = 4`,
+/// `ω = 0.15`: the phase of the temperature's wavenumber-4 disturbance and
+/// of the wave streamfunction `ψ_w = B cos θ exp(−(φ/25)²)`.
+struct Day {
+    /// The seasonal cycle's amplitude at this day.
+    ten_season: f64,
+    cos4: Vec<f64>,
+    sin4: Vec<f64>,
+    /// The humidity's zonal modulation.
+    hum: Vec<f64>,
+}
 
-    // Jet streamfunction: two subtropical jets.
-    // ψ_jet = -A σ √π/2 [erf-like]; use Gaussian u-profile integrated analytically:
-    // choose u_jet(φ) = U e^{-((φd∓40)/12)²}; ψ derivative gives u directly, so
-    // compute u from the profile and the wave part from analytic partials.
-    let u_jet = 35.0 * height_factor
-        * ((-((phi_deg - 40.0) / 12.0f64).powi(2)).exp()
-            + (-((phi_deg + 40.0) / 12.0f64).powi(2)).exp());
+impl Day {
+    fn new(day: f64, lam: &[f64]) -> Day {
+        let season = (2.0 * std::f64::consts::PI * day / 365.0).cos();
+        let theta = |lam: f64| 4.0 * lam - 0.15 * day;
+        Day {
+            ten_season: 10.0 * season,
+            cos4: lam.iter().map(|&lam| theta(lam).cos()).collect(),
+            sin4: lam.iter().map(|&lam| theta(lam).sin()).collect(),
+            hum: lam.iter().map(|&lam| 1.0 + 0.2 * (2.0 * lam - 0.1 * day).sin()).collect(),
+        }
+    }
+}
 
-    // Wave streamfunction ψ_w = B cos(kλ - ωt) exp(-(φd/25)²)
-    let b = 4.0e6 * height_factor;
-    let k = 4.0;
-    let omega = 0.15;
-    let env = (-(phi_deg / 25.0f64).powi(2)).exp();
-    let theta = k * lam - omega * day;
-    // u_w = -∂ψ/∂(aφ) = -(1/a) ∂ψ/∂φ
-    let dpsi_dphi = b * theta.cos() * env * (-2.0 * phi_deg / (25.0 * 25.0)) * (180.0 / std::f64::consts::PI);
-    let u_w = -dpsi_dphi / a;
-    // v_w = ∂ψ/∂(a cosφ λ) = (1/(a cosφ)) ∂ψ/∂λ
-    let dpsi_dlam = -b * k * theta.sin() * env;
-    let cosphi = phi.cos().max(0.05);
-    let v_w = dpsi_dlam / (a * cosphi);
+/// The factors that depend on the pressure level alone, at log-pressure
+/// pseudo-height `z` km.
+struct Level {
+    /// Troposphere lapse + weak stratospheric inversion.
+    lapse: f64,
+    /// Decay of the wavenumber-4 disturbance with height.
+    ez12: f64,
+    /// `z` in metres.
+    z_m: f64,
+    /// Humidity scale, decayed to this level.
+    q0: f64,
+    /// Peak speed of the jets.
+    jet: f64,
+    /// Amplitude `B` of the wave streamfunction.
+    b: f64,
+    /// `−B k`.
+    minus_bk: f64,
+}
 
-    (u_jet + u_w, v_w)
+impl Level {
+    fn new(z: f64) -> Level {
+        let height_factor = (z / 12.0).clamp(0.15, 1.0);
+        let b = 4.0e6 * height_factor;
+        Level {
+            lapse: 6.5 * z.min(16.0) - 2.0 * (z - 16.0).max(0.0),
+            ez12: (-(z / 12.0)).exp().max(0.2),
+            z_m: z * 1000.0,
+            q0: 0.018 * (-(z / 2.5)).exp(),
+            jet: 35.0 * height_factor,
+            b,
+            minus_bk: -b * 4.0,
+        }
+    }
+}
+
+/// The factors that depend on the latitude `φ` alone.
+///
+/// The winds come from the analytic streamfunction
+/// `ψ(φ, λ, t) = ψ_jet(φ) + ψ_w(φ, λ, t)` as `u = −∂ψ/∂y`, `v = ∂ψ/∂x`,
+/// hence exactly non-divergent: `u_jet` is two Gaussian subtropical jets at
+/// ±40°, `u_w = −(1/a) ∂ψ_w/∂φ` and `v_w = (1/(a cos φ)) ∂ψ_w/∂λ`.
+struct Row {
+    sin_phi: f64,
+    /// Meridional temperature gradient.
+    merid: f64,
+    /// Midlatitude envelope of the wavenumber-4 disturbance.
+    e45: f64,
+    /// Tropical profile of humidity.
+    moist: f64,
+    /// Profile of the two jets.
+    jets: f64,
+    /// The wave streamfunction's envelope `exp(−(φ/25)²)`.
+    env: f64,
+    /// `d/dφ` of the envelope's exponent, per degree.
+    dgauss: f64,
+    /// `a cos φ`, held off the poles.
+    a_cos: f64,
+    /// The equatorial wave's envelope.
+    envelope: f64,
+    /// Its share of the precipitation's wave modulation.
+    half_envelope: f64,
+    /// The ITCZ band, scaled to mm/day.
+    itcz: f64,
+    /// Sea-surface temperature before its zonal wave.
+    sst: f64,
+}
+
+impl Row {
+    fn new(phi_deg: f64) -> Row {
+        let phi = phi_deg.to_radians();
+        let sin_phi = phi.sin();
+        let envelope = (-(phi_deg / 15.0).powi(2)).exp();
+        Row {
+            sin_phi,
+            merid: -55.0 * sin_phi * sin_phi,
+            e45: (-((phi_deg.abs() - 45.0) / 20.0).powi(2)).exp(),
+            moist: (-(phi_deg / 35.0).powi(2)).exp(),
+            jets: (-((phi_deg - 40.0) / 12.0f64).powi(2)).exp()
+                + (-((phi_deg + 40.0) / 12.0f64).powi(2)).exp(),
+            env: (-(phi_deg / 25.0f64).powi(2)).exp(),
+            dgauss: -2.0 * phi_deg / (25.0 * 25.0),
+            a_cos: EARTH_RADIUS * phi.cos().max(0.05),
+            envelope,
+            half_envelope: 0.5 * envelope,
+            itcz: 8.0 * (-(phi_deg - 7.0).powi(2) / 60.0).exp(),
+            sst: 300.0 - 28.0 * sin_phi.powi(2),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -524,6 +640,38 @@ mod tests {
                 let masked = tos.array.get_valid(&[0, j, i]).unwrap().is_none();
                 assert_eq!(land, masked, "at ({j}, {i})");
             }
+        }
+    }
+
+    /// FNV-1a 64 over every variable in dataset order: its id, its data
+    /// bits and its mask.
+    fn dataset_hash(ds: &Dataset) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for var in ds.variables() {
+            eat(var.id.as_bytes());
+            for v in var.array.data() {
+                eat(&v.to_bits().to_le_bytes());
+            }
+            for &m in var.array.mask() {
+                eat(&[m as u8]);
+            }
+        }
+        h
+    }
+
+    /// Every value the generator makes, pinned: odd sizes and more
+    /// `(time, level)` planes than workers, at 1, 2 and 8 threads.
+    #[test]
+    fn synthesis_is_pinned_at_any_thread_count() {
+        for threads in [1, 2, 8] {
+            let ds =
+                rayon::with_threads(threads, || SynthesisSpec::new(7, 3, 19, 37).seed(5).build());
+            assert_eq!(dataset_hash(&ds), 0x55cb_d3cc_cb84_55d7, "{threads} threads");
         }
     }
 

@@ -122,7 +122,8 @@ impl Executor {
     ///
     /// The modules run as one [`schedule::run`] at the caller's
     /// `rayon::current_num_threads()`, so `rayon::with_threads` sets how
-    /// many run at once. Cache hits are settled before the run: modules
+    /// many run at once, up to the pipeline's widest depth level (a chain
+    /// runs on the caller). Cache hits are settled before the run: modules
     /// with equal signatures have identical upstream cones, so neither can
     /// hit the other's output within a run. After it every success is
     /// cached and booked, and the failure booked first is returned. A
@@ -472,6 +473,37 @@ mod tests {
         p.connect((2, "out"), (3, "a")).unwrap();
         let results = rayon::with_threads(2, || Executor::new(r).execute(&p)).unwrap();
         assert_eq!(results.len(), 3);
+    }
+
+    /// A chain is one module wide at every depth, so however many threads
+    /// the caller allows, its modules run one after another on the caller.
+    /// Run after run, uncached: a pool that is still warm from the last
+    /// run would otherwise let a lingering worker take the first module.
+    #[test]
+    fn a_chain_runs_on_the_calling_thread() {
+        use parking_lot::Mutex;
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let mut r = ModuleRegistry::new();
+        let seen = Arc::clone(&threads);
+        let (inputs, outputs) = ([("a", PortType::Float)], [("out", PortType::Float)]);
+        r.register_fn("m", "step", &inputs, &outputs, move |_, _| {
+            seen.lock().push(std::thread::current().id());
+            Ok(single("out", WfData::Float(0.0)))
+        });
+        let mut p = Pipeline::new();
+        for id in 1..=5 {
+            p.add_module(id, "m.step").unwrap();
+            if id > 1 {
+                p.connect((id - 1, "out"), (id, "a")).unwrap();
+            }
+        }
+        let mut exec = Executor::new(r);
+        exec.caching_enabled = false;
+        for _ in 0..200 {
+            let results = rayon::with_threads(8, || exec.execute(&p)).unwrap();
+            assert_eq!(results.len(), 5);
+        }
+        assert_eq!(*threads.lock(), vec![std::thread::current().id(); 5 * 200]);
     }
 
     #[test]

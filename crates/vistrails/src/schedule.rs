@@ -93,6 +93,8 @@ pub struct Topology {
     height: Vec<u32>,
     /// Every node by depth, then index.
     order: Vec<usize>,
+    /// Nodes in the widest depth level.
+    width: usize,
 }
 
 impl Topology {
@@ -147,7 +149,14 @@ impl Topology {
         }
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| depth.get(i).copied());
-        Ok(Topology { deps_left, dependents, height, order })
+        let mut level_sizes = vec![0usize; n];
+        for &d in &depth {
+            if let Some(size) = level_sizes.get_mut(d) {
+                *size += 1;
+            }
+        }
+        let width = level_sizes.into_iter().max().unwrap_or(0);
+        Ok(Topology { deps_left, dependents, height, order, width })
     }
 
     /// Every node, shallowest first, then by index: the order a serial run
@@ -155,10 +164,16 @@ impl Topology {
     pub fn order(&self) -> &[usize] {
         &self.order
     }
+
+    /// Nodes in the widest depth level: the most workers [`run`] uses. A
+    /// chain is one node wide, so it runs on the caller.
+    pub fn width(&self) -> usize {
+        self.width
+    }
 }
 
 /// Runs the DAG on `workers` workers (clamped to at least 1, at most the
-/// node count), `body(i, outputs)` computing node `i` under `retry`, where
+/// [`Topology::width`]), `body(i, outputs)` computing node `i` under `retry`, where
 /// `outputs[j]` is written once, when node `j` succeeds, and read without a
 /// lock from then on. Returns every node's outcome by index; a node the
 /// first failure cancelled has none.
@@ -182,7 +197,7 @@ where
     F: Fn(usize, &[OnceLock<T>]) -> Result<T, E> + Sync,
 {
     let n = topo.order.len();
-    let workers = workers.clamp(1, n.max(1));
+    let workers = workers.clamp(1, topo.width.max(1));
     // The heap is bounded by the node count; with_capacity states the cap.
     let mut ready = BinaryHeap::with_capacity(n);
     for (index, (&c, &height)) in topo.deps_left.iter().zip(&topo.height).enumerate() {
@@ -337,6 +352,16 @@ mod tests {
         assert_eq!(order(&[vec![3], vec![], vec![1], vec![]]), Ok(vec![1, 3, 0, 2]));
         // 1 ↔ 2, and 3 behind them
         assert_eq!(order(&[vec![], vec![2], vec![1], vec![2]]), Err(vec![1, 2, 3]));
+    }
+
+    #[test]
+    fn width_is_the_widest_depth_level() {
+        let width = |deps: &[Vec<usize>]| Topology::new(deps).map(|t| t.width());
+        assert_eq!(width(&[]), Ok(0));
+        assert_eq!(width(&[vec![], vec![0], vec![1], vec![2]]), Ok(1));
+        // 0 → {1, 2, 3} → 4, beside the lone 5
+        let diamond = [vec![], vec![0], vec![0], vec![0], vec![1, 2, 3], vec![]];
+        assert_eq!(width(&diamond), Ok(3));
     }
 
     /// What ran before the run drained is in its slot, the failure
