@@ -290,8 +290,8 @@ impl EsgCatalog {
     }
 
     /// Opens a dataset by id for out-of-core streaming instead of a full
-    /// transfer. Only local entries (and local paths behind simulated
-    /// remote nodes) whose file is `.ncr` v3 are streamable; the returned
+    /// transfer. Local entries (and local paths behind simulated remote
+    /// nodes) that are not quarantined are streamable; the returned
     /// session reads chunk frames on demand at a bounded memory budget —
     /// the interactive-browse workflow for series far larger than RAM.
     /// No transfer latency is charged up front: nothing moves until
@@ -392,12 +392,17 @@ mod tests {
         .unwrap();
         let mut flat = SynthesisSpec::new(2, 1, 4, 8).build();
         flat.id = "flat".to_string();
-        let v2 = crate::format::to_bytes_v2_with_layout(&flat).0;
+        // a file of format version 2, which earlier builds wrote
+        let mut v2 = crate::format::to_bytes(&flat);
+        v2[4] = 2;
         std::fs::write(root.join("flat.ncr"), v2).unwrap();
 
         let cat = EsgCatalog::new(&root).unwrap();
         // the v3 file indexes as a healthy entry like any other
         assert!(cat.entries().iter().any(|e| e.id == "big_series" && e.is_healthy()));
+        // the version-2 file is quarantined under its file stem
+        let flat = cat.entries().iter().find(|e| e.id == "flat").unwrap();
+        assert!(matches!(flat.status, EntryStatus::Quarantined { .. }), "{:?}", flat.status);
 
         let sd = cat
             .open_streaming("big_series", crate::stream::StreamOptions::default())
@@ -407,11 +412,11 @@ mod tests {
         let want = ds.variable("ta").unwrap().time_slab(3).unwrap();
         assert_eq!(sv.time_slab(3).unwrap().array, want.array);
 
-        // a v2 entry is not streamable, and says so
+        // and is not streamable: this build reads no version but 3
         let err = cat
             .open_streaming("flat", crate::stream::StreamOptions::default())
             .unwrap_err();
-        assert!(err.to_string().contains("not streamable"), "{err}");
+        assert!(err.to_string().contains("unsupported version 2"), "{err}");
         assert!(cat.open_streaming("missing", Default::default()).is_err());
         std::fs::remove_dir_all(&root).ok();
     }
@@ -539,9 +544,10 @@ mod tests {
             let mut cat = EsgCatalog::new(&root).unwrap();
             cat.publish(&ds, None).unwrap();
         }
-        // Corrupt one variable's section payload; the rest must survive.
+        // Corrupt one variable's VarMeta payload; the rest must survive.
         let path = root.join("partial.ncr");
-        let (mut bytes, layout) = crate::format::to_bytes_v2_with_layout(&ds);
+        let (mut bytes, layout) =
+            crate::format_v3::to_bytes_v3_with(&ds, &crate::format_v3::V3Options::default());
         let victim = layout
             .sections
             .iter()

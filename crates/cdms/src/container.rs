@@ -1,8 +1,8 @@
 //! The `.ncr` container — the one module that knows how a file is framed.
 //!
-//! Every `.ncr` generation starts with the same preamble; v2 and v3 then
-//! carry their data in the same checksummed frames, located by the same
-//! trailer directory and footer. All integers are little-endian.
+//! A `.ncr` file starts with a preamble naming its format version, then
+//! carries its data in checksummed frames, located by a trailer directory
+//! and a footer. All integers are little-endian.
 //!
 //! ```text
 //! part      bytes     layout
@@ -17,9 +17,14 @@
 //!
 //! A file is `preamble | frame* | trailer | footer`, nothing between. The
 //! trailer directory lists every frame before it, in file order. What the
-//! payloads *mean* — which section kinds a generation carries, in which
-//! order, holding what — belongs to [`crate::format`] (v2, read only) and
-//! [`crate::format_v3`] (v3, the one generation written).
+//! payloads *mean* — which section kinds a file carries, in which order,
+//! holding what — belongs to [`crate::format_v3`], with the payload codecs
+//! in [`crate::format`].
+//!
+//! There is one readable version, [`VERSION_V3`], and [`check_preamble`] is
+//! the one place that says so: the strict read, salvage and the ranged open
+//! all go through it, and refuse any other version — v1 and v2, which
+//! earlier builds wrote, included — as `unsupported version N`.
 //!
 //! One [`Writer`] frames sections in place (length placeholder, payload
 //! streamed straight into the output, length patched, CRC appended) and
@@ -46,6 +51,9 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 const MAGIC: &[u8; 4] = b"NCRS";
+/// The format version every file is written in, and the only one read:
+/// chunked, with a resolution pyramid (see [`crate::format_v3`]).
+pub const VERSION_V3: u32 = 3;
 /// Bytes of the preamble: magic + version u32.
 pub(crate) const PREAMBLE_LEN: usize = 8;
 /// Bytes of a frame besides the payload: kind u8 + len u64 + crc u32.
@@ -57,19 +65,22 @@ const ENTRY_LEN: usize = 21;
 /// Bytes of the end-of-file footer: trailer offset u64 + crc u32.
 const FOOTER_LEN: usize = 12;
 
-/// The kind tag of a v2/v3 section.
+/// The kind tag of a section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectionKind {
     Header,
     Axis,
+    /// Tag 3, reserved: the whole-variable section (head + raw body) of
+    /// format v2, which this build no longer reads. No file carries it, and
+    /// the tag is never to be reused.
     Variable,
     Trailer,
-    /// v3 only: per-variable metadata (id, axis refs, attrs, shape) with no
-    /// bulk data — the data lives in [`SectionKind::Chunk`] frames.
+    /// Per-variable metadata (id, axis refs, attrs, shape) with no bulk
+    /// data — the data lives in [`SectionKind::Chunk`] frames.
     VarMeta,
-    /// v3 only: one (variable, time-window, pyramid-level) data chunk.
+    /// One (variable, time-window, pyramid-level) data chunk.
     Chunk,
-    /// v3 only: the chunk directory mapping (var, window, level) → frame.
+    /// The chunk directory mapping (var, window, level) → frame.
     ChunkDir,
 }
 
@@ -109,8 +120,8 @@ pub struct SectionSpan {
     pub frame: Range<usize>,
     /// The payload bytes within the file.
     pub payload: Range<usize>,
-    /// For variable (v2) and varmeta (v3) sections: the variable id and the
-    /// ordinals (among axis sections) of the axes it references.
+    /// For varmeta sections: the variable id and the ordinals (among axis
+    /// sections) of the axes it references.
     pub variable: Option<(String, Vec<usize>)>,
 }
 
@@ -174,9 +185,10 @@ impl PutLe for Vec<u8> {
 
 // ---- preamble ----
 
-/// Checks the magic and returns the format version. `head` is the start of
-/// the file (at least the first 8 bytes).
-pub(crate) fn parse_preamble(head: &[u8]) -> Result<u32> {
+/// Checks the magic and that the file is [`VERSION_V3`]: the one decision
+/// of which versions are readable. `head` is the start of the file (at
+/// least the first 8 bytes).
+pub(crate) fn check_preamble(head: &[u8]) -> Result<()> {
     let mut cur = head.get(..PREAMBLE_LEN).ok_or_else(|| {
         CdmsError::Format(format!(
             "truncated: {} bytes is too short for magic + version",
@@ -186,7 +198,10 @@ pub(crate) fn parse_preamble(head: &[u8]) -> Result<u32> {
     if take_bytes(&mut cur, MAGIC.len())? != MAGIC {
         return format_err("bad magic (not an .ncr file)".into());
     }
-    get_u32(&mut cur)
+    match get_u32(&mut cur)? {
+        VERSION_V3 => Ok(()),
+        v => format_err(format!("unsupported version {v}")),
+    }
 }
 
 // ---- located sections ----
@@ -326,7 +341,7 @@ fn encoded_len(payload_lens: impl Iterator<Item = usize>) -> usize {
     PREAMBLE_LEN + framed + FRAME_OVERHEAD + 4 + ENTRY_LEN * count + 4 + FOOTER_LEN
 }
 
-/// Writes a sectioned file image: preamble, then each section framed in
+/// Writes a [`VERSION_V3`] file image: preamble, then each section framed in
 /// place — no per-section buffer, no payload copy — then trailer and
 /// footer.
 pub(crate) struct Writer {
@@ -339,11 +354,11 @@ pub(crate) struct Writer {
 impl Writer {
     /// `payload_lens` are the exact payload lengths of the sections to
     /// come, so one allocation serves the whole encode.
-    pub(crate) fn new(version: u32, payload_lens: impl Iterator<Item = usize>) -> Writer {
+    pub(crate) fn new(payload_lens: impl Iterator<Item = usize>) -> Writer {
         let reserved = encoded_len(payload_lens);
         let mut buf = Vec::with_capacity(reserved);
         buf.extend_from_slice(MAGIC);
-        buf.put_u32_le(version);
+        buf.put_u32_le(VERSION_V3);
         Writer { buf, reserved, entries: Vec::new(), spans: Vec::new() }
     }
 

@@ -1,13 +1,13 @@
-//! `.ncr` format **v3** — the chunked, multi-resolution streaming layout.
+//! `.ncr` format **v3** — the chunked, multi-resolution streaming layout,
+//! and the one generation this build writes and reads.
 //!
-//! v3 sits in the same container as v2 (CRC32C-framed sections, trailer
-//! directory, checksummed footer — byte layout in the module docs of
-//! `container.rs`) and shares v2's header, axis and variable-head payloads
-//! ([`crate::format`]). What it changes is which sections it carries: each
-//! variable's bulk data is split into **chunk frames**, one per (time
-//! window, pyramid level), so a reader can fetch exactly the bytes one
-//! animation frame needs via `Storage::read_at` instead of slurping the
-//! whole file. In this order:
+//! A v3 file is a container of CRC32C-framed sections with a trailer
+//! directory and a checksummed footer (byte layout in the module docs of
+//! `container.rs`); the header, axis and variable-head payload codecs are
+//! in [`crate::format`]. Each variable's bulk data is split into **chunk
+//! frames**, one per (time window, pyramid level), so a reader can fetch
+//! exactly the bytes one animation frame needs via `Storage::read_at`
+//! instead of slurping the whole file. In this order:
 //!
 //! ```text
 //! Header   (kind 1) dataset id, global attrs, axis count, varmeta count
@@ -22,7 +22,7 @@
 //! ```
 //!
 //! A chunk's body is the window's data (`f32 × n`) plus its bit-packed
-//! mask, either raw (codec 0 — the same bytes as a v2 variable's body) or
+//! mask, either raw (codec 0, [`crate::format`]'s raw body) or
 //! PackBits-RLE compressed (codec 1 — chosen per chunk only when it is
 //! actually smaller, so constant fields shrink and noisy fields pay
 //! nothing). Level 0 is full resolution; level *k* downsamples the two
@@ -47,7 +47,7 @@ use crate::container::{self, get_u32, get_u64, get_u8, Entry, PutLe, Writer};
 use crate::dataset::Dataset;
 use crate::error::{CdmsError, Result};
 use crate::format::{
-    self, AxisSlot, Salvage, SalvageReport, Salvaged, SectionKind, SectionSpan, VERSION_V3,
+    self, AxisSlot, Salvage, SalvageReport, Salvaged, SectionKind, SectionSpan,
 };
 use crate::storage::Storage;
 use crate::{MaskedArray, Variable};
@@ -341,7 +341,7 @@ pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Vec<u8>, V3Layout) {
         .chain(variables().map(|(var, meta)| format::var_head_size(var, &meta.axis_refs) + 8))
         .chain(payloads.iter().map(Vec::len))
         .chain(std::iter::once(4 + CHUNKDIR_ENTRY_LEN * jobs.len()));
-    let mut w = Writer::new(VERSION_V3, sizes);
+    let mut w = Writer::new(sizes);
     w.section(SectionKind::Header, None, |buf| format::put_header(buf, ds, axes.len()));
     for ax in &axes {
         w.section(SectionKind::Axis, None, |buf| format::put_axis(buf, ax));
@@ -369,20 +369,23 @@ pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Vec<u8>, V3Layout) {
         });
         chunk_spans.push(ChunkSpan { var, window, level, frame: at.frame(), payload: at.payload() });
     }
-    w.section(SectionKind::ChunkDir, None, |buf| {
-        buf.put_u32_le(chunk_dir.len() as u32);
-        for e in &chunk_dir {
-            buf.put_u32_le(e.var as u32);
-            buf.put_u32_le(e.window as u32);
-            buf.put_u32_le(e.level as u32);
-            buf.put_u64_le(e.offset);
-            buf.put_u64_le(e.len);
-            buf.put_u32_le(e.crc);
-        }
-    });
+    w.section(SectionKind::ChunkDir, None, |buf| put_chunkdir(buf, &chunk_dir));
 
     let (bytes, sections, footer) = w.finish();
     (bytes, V3Layout { sections, chunks: chunk_spans, footer })
+}
+
+/// `ChunkDir` payload: count u32, then each entry (see the module docs).
+fn put_chunkdir(buf: &mut Vec<u8>, entries: &[ChunkDirEntry]) {
+    buf.put_u32_le(entries.len() as u32);
+    for e in entries {
+        buf.put_u32_le(e.var as u32);
+        buf.put_u32_le(e.window as u32);
+        buf.put_u32_le(e.level as u32);
+        buf.put_u64_le(e.offset);
+        buf.put_u64_le(e.len);
+        buf.put_u32_le(e.crc);
+    }
 }
 
 /// Levels worth writing: stop once every pyramid dim has collapsed to 1.
@@ -1062,12 +1065,7 @@ pub fn read_meta_with(storage: &dyn Storage, path: &Path) -> Result<V3Meta> {
     let read = |offset, len| read_exact_at(storage, path, offset, len);
     let open = || {
         let file_len = storage.len(path)?;
-        let version = container::parse_preamble(&storage.read_at(path, 0, container::PREAMBLE_LEN)?)?;
-        if version != VERSION_V3 {
-            return Err(CdmsError::Format(format!(
-                "version {version} is not streamable (only v3 has a chunk directory)"
-            )));
-        }
+        container::check_preamble(&storage.read_at(path, 0, container::PREAMBLE_LEN)?)?;
         let (directory, _) =
             container::read_directory(file_len, |offset, len| read(offset, len).map(Cow::Owned))?;
         read_meta(&directory, file_len, |e| {
@@ -1140,16 +1138,6 @@ mod tests {
     }
 
     #[test]
-    fn v3_matches_v2_decode() {
-        let ds = sample();
-        let via_v2 = from_bytes(&crate::format::to_bytes_v2_with_layout(&ds).0).unwrap();
-        let via_v3 = from_bytes(&to_bytes(&ds)).unwrap();
-        for var in via_v2.variables() {
-            assert_eq!(via_v3.variable(&var.id).unwrap().array, var.array);
-        }
-    }
-
-    #[test]
     fn chunk_layout_is_complete_and_ordered() {
         let ds = sample();
         let opts = V3Options { window: 2, levels: 3, compress: true };
@@ -1172,17 +1160,6 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn single_byte_flips_fail_strict_decode() {
-        let ds = SynthesisSpec::new(3, 1, 4, 6).seed(3).build();
-        let bytes = to_bytes(&ds);
-        for i in (8..bytes.len()).step_by(7) {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x01;
-            assert!(from_bytes(&corrupt).is_err(), "flip at byte {i} went undetected");
-        }
     }
 
     #[test]
@@ -1326,6 +1303,204 @@ mod tests {
         let back = from_bytes(&to_bytes(&ds)).unwrap();
         assert_eq!(back.variable("s").unwrap().array.data(), &[1.5]);
         assert_eq!(back.variable("g").unwrap().array.data(), &[4.0, 4.0]);
+    }
+
+    // ---- structural damage behind valid checksums ----
+    //
+    // Each file below is framed by `container::Writer`, so every frame CRC,
+    // the trailer and the footer are valid and only the structural checks
+    // can refuse it.
+
+    /// The sections of `ds`'s encode at `opts`, after `edit` has changed
+    /// their payloads, framed anew; then a chunk directory listing the
+    /// chunk frames as written, after `edit_dir` has changed it (given the
+    /// offset the trailer will land at).
+    fn reframe(
+        ds: &Dataset,
+        opts: &V3Options,
+        edit: impl FnOnce(&mut Vec<(SectionKind, Vec<u8>)>),
+        edit_dir: impl FnOnce(&mut Vec<ChunkDirEntry>, u64),
+    ) -> Vec<u8> {
+        let (bytes, layout) = to_bytes_v3_with(ds, opts);
+        let mut sections: Vec<_> = layout
+            .sections
+            .iter()
+            .filter(|s| !matches!(s.kind, SectionKind::ChunkDir | SectionKind::Trailer))
+            .map(|s| (s.kind, bytes[s.payload.clone()].to_vec()))
+            .collect();
+        edit(&mut sections);
+        let n_chunks = sections.iter().filter(|(kind, _)| *kind == SectionKind::Chunk).count();
+        let dir_len = 4 + CHUNKDIR_ENTRY_LEN * n_chunks;
+        let mut w = Writer::new(sections.iter().map(|(_, p)| p.len()).chain([dir_len]));
+        let (mut dir, mut end) = (Vec::new(), container::PREAMBLE_LEN as u64);
+        for (kind, payload) in &sections {
+            let at = w.section(*kind, None, |buf| buf.extend_from_slice(payload));
+            end = at.offset + at.frame_len() as u64;
+            if *kind == SectionKind::Chunk {
+                let (var, window, level) = chunk_identity(&mut &payload[..]).unwrap();
+                let (offset, len, crc) = (at.offset, at.len, at.crc);
+                dir.push(ChunkDirEntry { var, window, level, offset, len, crc });
+            }
+        }
+        let len = dir_len as u64;
+        let chunkdir = Entry { kind: SectionKind::ChunkDir, offset: end, len, crc: 0 };
+        edit_dir(&mut dir, chunkdir.frame().end as u64);
+        assert_eq!(dir.len(), n_chunks, "an edit keeps the directory's size");
+        w.section(SectionKind::ChunkDir, None, |buf| put_chunkdir(buf, &dir));
+        w.finish().0
+    }
+
+    /// The strict read and the ranged open refuse `file`, each with an
+    /// error naming `why`, and salvage does not panic on it.
+    fn refused_everywhere(tag: &str, file: &[u8], why: &str) {
+        let err = from_bytes(file).unwrap_err().to_string();
+        assert!(err.contains(why), "{tag}, strict: {err}");
+        let dir = std::env::temp_dir().join(format!("cdms_v3_structure_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{tag}.ncr"));
+        std::fs::write(&path, file).unwrap();
+        let err = read_meta_with(&LocalDisk, &path).unwrap_err().to_string();
+        assert!(err.contains(why), "{tag}, ranged: {err}");
+        std::fs::remove_file(&path).ok();
+        let _ = from_bytes_salvage(file);
+    }
+
+    #[test]
+    fn reframing_alone_changes_no_byte() {
+        // what the tests below change, and nothing else, is what is refused
+        let ds = sample();
+        for opts in [V3Options::default(), V3Options { window: 2, levels: 3, compress: false }] {
+            assert_eq!(reframe(&ds, &opts, |_| {}, |_, _| {}), to_bytes_v3_with(&ds, &opts).0);
+        }
+    }
+
+    #[test]
+    fn a_chunk_directory_reordered_overlapping_or_into_the_trailer_is_refused() {
+        let ds = sample();
+        let opts = V3Options::default();
+        type Edit = fn(&mut Vec<ChunkDirEntry>, u64);
+        let edits: [(&str, Edit); 4] = [
+            ("reordered", |dir, _| dir.swap(0, 1)),
+            ("overlapping", |dir, _| dir[1].offset = dir[0].offset + 4),
+            ("overrunning", |dir, _| dir[0].len += 8),
+            ("into_the_trailer", |dir, trailer_at| dir.last_mut().unwrap().offset = trailer_at),
+        ];
+        for (tag, edit) in edits {
+            let file = reframe(&ds, &opts, |_| {}, edit);
+            refused_everywhere(tag, &file, "chunk directory disagrees");
+        }
+    }
+
+    #[test]
+    fn a_varmeta_whose_levels_disagree_with_the_chunks_is_refused() {
+        let ds = sample();
+        let opts = V3Options::default();
+        for (tag, delta) in [("fewer_levels", -1i64), ("more_levels", 1)] {
+            let file = reframe(
+                &ds,
+                &opts,
+                |sections| {
+                    // `levels` is the last u32 of the first VarMeta payload
+                    let is_meta = |s: &&mut (SectionKind, Vec<u8>)| s.0 == SectionKind::VarMeta;
+                    let (_, meta) = sections.iter_mut().find(is_meta).unwrap();
+                    let at = meta.len() - 4;
+                    let levels = u32::from_le_bytes(meta[at..].try_into().unwrap());
+                    let levels = (i64::from(levels) + delta) as u32;
+                    meta[at..].copy_from_slice(&levels.to_le_bytes());
+                },
+                |_, _| {},
+            );
+            refused_everywhere(tag, &file, "chunk directory disagrees");
+        }
+    }
+
+    /// A chunk payload with its body PackBits-coded, then `tail` — encoded
+    /// runs — appended after the runs that make up the body.
+    fn rle_coded(payload: &[u8], tail: &[u8]) -> Vec<u8> {
+        let identity = chunk_identity(&mut &payload[..]).unwrap();
+        // the element count follows the identity triple and the codec byte
+        let n = get_u64(&mut &payload[13..]).unwrap() as usize;
+        let mut unpacked = Vec::new();
+        let raw = chunk_body(payload, identity, n, &mut unpacked).unwrap().map(<[u8]>::to_vec);
+        let mut out = payload[..CHUNK_HEAD_LEN].to_vec();
+        out[12] = CODEC_RLE;
+        out.extend(packbits_encode(&raw.unwrap_or(unpacked)));
+        out.extend_from_slice(tail);
+        out
+    }
+
+    #[test]
+    fn packbits_runs_past_the_declared_size_fail_in_a_reused_buffer() {
+        let large: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let small = [5u8, 5, 5, 5, 1, 2, 3];
+        let good = packbits_encode(&small);
+        let mut buf = Vec::new();
+        packbits_decode_into(&packbits_encode(&large), large.len(), &mut buf).unwrap();
+        // after the body: a literal run of three, a repeat run of four; and
+        // a run that starts inside the body and ends past it
+        let literal_past = [&good[..], &[2, 9, 9, 9]].concat();
+        let repeat_past = [&good[..], &[253, 7]].concat();
+        for (what, input, expected_len) in [
+            ("literal past", &literal_past[..], small.len()),
+            ("repeat past", &repeat_past[..], small.len()),
+            ("literal across", &packbits_encode(&[1, 2, 3, 4]), 3),
+            ("repeat across", &packbits_encode(&[6; 5]), 4),
+        ] {
+            let err = packbits_decode_into(input, expected_len, &mut buf).unwrap_err();
+            assert!(err.to_string().contains("overruns declared size"), "{what}: {err}");
+            // the next good decode returns exactly its own bytes, and the
+            // buffer kept the capacity of the largest body it held
+            packbits_decode_into(&good, small.len(), &mut buf).unwrap();
+            assert_eq!(buf, small, "{what}");
+            assert_eq!(buf.capacity(), large.len(), "{what}");
+        }
+    }
+
+    #[test]
+    fn a_packbits_run_past_its_chunk_refuses_the_chunk() {
+        // every chunk RLE-coded, and window 1 of `ta` (two steps, after a
+        // four-step window 0) given one run past its body: the ranged open
+        // reads no chunk, so the streamer meets the chunk when it reads it,
+        // with the session's PackBits buffer last holding a larger body
+        let ds = sample();
+        let opts = V3Options::default();
+        let victim = (0, 1, 0);
+        assert_eq!(ds.variables()[0].id, "ta");
+        for (tag, run) in [("literal_past", &[2u8, 9, 9, 9][..]), ("repeat_past", &[253, 7])] {
+            let file = reframe(
+                &ds,
+                &opts,
+                |sections| {
+                    for (kind, payload) in sections.iter_mut() {
+                        if *kind != SectionKind::Chunk {
+                            continue;
+                        }
+                        let hit = chunk_identity(&mut &payload[..]).unwrap() == victim;
+                        *payload = rle_coded(payload, if hit { run } else { &[] });
+                    }
+                },
+                |_, _| {},
+            );
+            let err = from_bytes(&file).unwrap_err().to_string();
+            assert!(err.contains("overruns declared size"), "{tag}, strict: {err}");
+            // salvage serves the window from the pyramid
+            let (salvaged, report) = from_bytes_salvage(&file).unwrap();
+            assert_eq!(report.sections_corrupt, 1, "{tag}: {report}");
+            assert_eq!(salvaged.len(), ds.len(), "{tag}: {report}");
+
+            let dir = std::env::temp_dir().join(format!("cdms_v3_packbits_{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(format!("{tag}.ncr"));
+            std::fs::write(&path, &file).unwrap();
+            let sd = crate::stream::StreamingDataset::open(&path).unwrap();
+            let window = |id: &str, w| sd.variable(id).unwrap().window_variable(w);
+            let want = |id: &str, steps| ds.variable(id).unwrap().time_window(steps).unwrap().array;
+            assert_eq!(window("ta", 0).unwrap().array, want("ta", 0..4), "{tag}");
+            let err = window("ta", 1).unwrap_err().to_string();
+            assert!(err.contains("overruns declared size"), "{tag}, streamed: {err}");
+            assert_eq!(window("zg", 1).unwrap().array, want("zg", 4..6), "{tag}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!   calls.
 //! * [`Dataset`] + [`mod@format`] — a self-describing binary container (`.ncr`)
 //!   with full write/read round-tripping, standing in for NetCDF. Every
-//!   file is written as format v3 (below), and v2 files written by earlier
-//!   builds stay readable. Both split the file into CRC32C-checksummed
-//!   sections so corruption is detected per section;
+//!   file is written, and read, as format v3 (below); a file of any other
+//!   version is refused as unsupported. It splits the file into
+//!   CRC32C-checksummed sections so corruption is detected per section;
 //!   [`format::read_dataset_salvage`] recovers the intact variables from a
 //!   damaged file and reports what was lost.
 //! * [`storage`] — the hardened I/O layer beneath the format: a [`Storage`]

@@ -3,8 +3,8 @@
 //! Every byte `cdms` puts on disk goes through this module (machine-checked
 //! by the dv3dlint `atomic_writes` rule). It provides:
 //!
-//! * [`crc32c`] — the Castagnoli CRC used by `.ncr` format v2 section
-//!   checksums (software table-driven; no dependencies).
+//! * [`crc32c`] — the Castagnoli CRC used by `.ncr` section checksums
+//!   (software table-driven; no dependencies).
 //! * [`Storage`] — the primitive-operation trait the atomic writer is built
 //!   from (`read` / `write_all` / `sync` / `len` / `rename` / `remove`).
 //! * [`LocalDisk`] — the real filesystem.
@@ -82,7 +82,7 @@ static SHIFT_STREAM: [u32; 32] = shift_operator(CRC_STREAM as u64);
 static SHIFT_BLOCK: [u32; 32] = shift_operator(CRC_BLOCK as u64);
 
 /// CRC32C (Castagnoli) of `bytes` — the checksum guarding every `.ncr`
-/// format-v2 section.
+/// section.
 pub fn crc32c(bytes: &[u8]) -> u32 {
     crc32c_update(0, bytes)
 }

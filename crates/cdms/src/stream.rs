@@ -1290,9 +1290,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("v2.ncr");
         let ds = SynthesisSpec::new(2, 1, 4, 4).seed(1).build();
-        std::fs::write(&path, crate::format::to_bytes_v2_with_layout(&ds).0).unwrap();
+        // a file of format version 2, which earlier builds wrote
+        let mut bytes = crate::format::to_bytes(&ds);
+        bytes[4] = 2;
+        std::fs::write(&path, bytes).unwrap();
         let err = StreamingDataset::open(&path).unwrap_err();
-        assert!(err.to_string().contains("not streamable"), "{err}");
+        assert!(err.to_string().contains("unsupported version 2"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 }

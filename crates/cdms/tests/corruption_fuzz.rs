@@ -1,31 +1,35 @@
 //! Corruption fuzzer for `.ncr` format v3, the format every file is
 //! written in.
 //!
-//! Random single- and multi-byte mutations of an encoded v3 file are
-//! driven through the strict decoder, the salvage path and the ranged open
-//! the streamer runs, asserting:
+//! Random single- and multi-byte mutations and truncations of an encoded
+//! v3 file are driven through the strict decoder, the salvage path and the
+//! ranged open the streamer runs, asserting:
 //!
 //! 1. **No panic** — every mutation yields an `Err` or a dataset, never an
 //!    abort.
 //! 2. **No unbounded allocation** — the decoders bound every allocation
-//!    against the bytes actually present (the workspace forbids unsafe
-//!    code, so there is no custom allocator to meter with; instead the
-//!    guard paths are unit-tested in `format.rs`
-//!    (`hostile_length_fields_fail_before_allocating`) and this fuzzer
+//!    against the bytes actually present. There is no counting allocator
+//!    to meter that with: a `GlobalAlloc` needs `unsafe`, which the
+//!    workspace forbids (`unsafe_code = "forbid"`). Instead the guard paths
+//!    are unit-tested in `format.rs`
+//!    (`hostile_length_fields_fail_before_allocating`), and this fuzzer
 //!    checks the observable consequences: decoded output never exceeds the
 //!    input's own element count, and each decode finishes inside a strict
 //!    wall-clock budget that materializing a hostile multi-gigabyte length
-//!    field could never meet).
+//!    field could never meet.
 //! 3. **No silently-wrong data** — using the encoder's [`V3Layout`] byte
 //!    map as the oracle: every untouched chunk is recovered bit-exact, a
-//!    window whose level-0 chunk was hit degrades to the best intact
-//!    pyramid level, and the ranged open either refuses or returns exactly
-//!    the metadata that was written.
+//!    window whose level-0 chunk was hit or cut off degrades to the best
+//!    intact pyramid level, and the ranged open either refuses or returns
+//!    exactly the metadata that was written.
 //!
-//! The v2 reader's fuzzers sit beside the v2 test encoder in `format.rs`
-//! (`corruption_fuzz_*`, so one name filter runs all four). Iteration
-//! count defaults to 1500 and is overridable via `CDMS_FUZZ_ITERS` (CI
-//! smoke runs use a reduced count).
+//! Damage that every checksum vouches for — a chunk directory reordered,
+//! overlapping or pointing into the trailer, a `levels` that disagrees
+//! with the chunks, PackBits runs past a body — is built section by
+//! section in `format_v3.rs`' unit tests. Iteration count defaults to
+//! 1500 and is overridable via `CDMS_FUZZ_ITERS` (CI smoke runs use a
+//! reduced count); every fuzzer's name starts `corruption_fuzz`, so one
+//! name filter runs them all.
 
 use cdms::format::{self, SectionKind};
 use cdms::format_v3::{self, V3Layout, V3Meta, V3Options};
@@ -124,7 +128,8 @@ fn expected_v3_array(
                 .iter()
                 .find(|c| c.var == vi && c.window == w && c.level == l)
                 .expect("layout lists every chunk");
-            if original[span.payload.clone()] != mutated[span.payload.clone()] {
+            // a truncated image has no bytes past its cut: `get` is `None`
+            if original.get(span.payload.clone()) != mutated.get(span.payload.clone()) {
                 continue;
             }
             let n = vm.level_volume(w, l).expect("well-formed shapes");
@@ -305,6 +310,98 @@ fn corruption_fuzz_v3_ranged_open_agrees_with_strict() {
     assert!(refused > 0, "no mutated image was ever refused — fuzzer is mis-aimed");
 }
 
+#[test]
+fn corruption_fuzz_v3_truncations_keep_the_chunk_map() {
+    // A file cut short has lost its footer, so salvage walks the frames
+    // from the preamble and stops at the first one the cut runs through.
+    // Random prefixes, half of them with byte flips on top: no panic,
+    // bounded output, every decode inside the budget — and when the flips
+    // leave every frame's framing alone (the walk then sees each frame
+    // wholly inside the cut), every variable whose VarMeta and axis
+    // payloads are kept and unflipped is recovered exactly as the
+    // chunk-map oracle says, a chunk cut off counting as touched.
+    let ds = sample();
+    let max_elements = element_count(&ds);
+    let opts = V3Options { window: 2, levels: 3, compress: true };
+    let (original, layout) = format_v3::to_bytes_v3_with(&ds, &opts);
+
+    let dir = std::env::temp_dir().join(format!("cdms_v3_trunc_fuzz_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("oracle.ncr");
+    std::fs::write(&path, &original).unwrap();
+    let meta = format_v3::read_meta_with(&LocalDisk, &path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let axis_payloads: Vec<&Range<usize>> = layout
+        .sections
+        .iter()
+        .filter(|s| s.kind == SectionKind::Axis)
+        .map(|s| &s.payload)
+        .collect();
+    let varmeta_spans: Vec<(&Range<usize>, &Vec<usize>)> = layout
+        .sections
+        .iter()
+        .filter_map(|s| s.variable.as_ref().map(|(_, refs)| (&s.payload, refs)))
+        .collect();
+    let in_a_payload = |i: usize| layout.sections.iter().any(|s| s.payload.contains(&i));
+
+    let mut rng = TestRng::from_name("truncation_fuzz_v3");
+    let iters = (fuzz_iters() / 4).max(100);
+    let (mut exact_windows, mut degraded_windows, mut masked_windows) = (0usize, 0usize, 0usize);
+    for iter in 0..iters {
+        let keep = (rng.next_u64() as usize) % original.len();
+        let mut mutated = original[..keep].to_vec();
+        if keep > 16 && rng.next_u64().is_multiple_of(2) {
+            let n = 1 + (rng.next_u64() as usize) % 4;
+            mutate(&mut mutated, &mut rng, n, 8, keep);
+        }
+
+        let t0 = Instant::now();
+        assert!(format::from_bytes(&mutated).is_err(), "iter {iter}: a truncated file read");
+        let salvage = format::from_bytes_salvage(&mutated);
+        assert!(t0.elapsed() < DECODE_BUDGET, "iter {iter}: decode took {:?}", t0.elapsed());
+        let Ok((salvaged, report)) = salvage else {
+            assert!(keep < 8, "iter {iter}: salvage refused a {keep}-byte prefix");
+            continue;
+        };
+        assert!(!report.directory_intact, "iter {iter}: the footer is gone");
+        assert!(
+            element_count(&salvaged) <= max_elements,
+            "iter {iter}: salvage of a prefix produced more data than was ever written"
+        );
+
+        // the oracle's image ends where the last frame wholly inside the
+        // cut ends, so a chunk whose checksum was cut off counts as touched
+        let whole = layout.sections.iter().map(|s| s.frame.end).filter(|&end| end <= keep).max();
+        let seen = &mutated[..whole.unwrap_or(8).max(8)];
+        let flipped: Vec<usize> =
+            (0..keep).filter(|&i| original.get(i) != mutated.get(i)).collect();
+        if !flipped.iter().all(|&i| in_a_payload(i)) {
+            continue; // a flip hit framing: the walk may stop anywhere
+        }
+        let untouched = |r: &Range<usize>| original.get(r.clone()) == seen.get(r.clone());
+        for (vi, vm) in meta.vars.iter().enumerate() {
+            let (span, refs) = varmeta_spans[vi];
+            if !untouched(span) || !refs.iter().all(|&a| untouched(axis_payloads[a])) {
+                continue; // metadata cut or hit: salvage may drop the variable
+            }
+            let got = salvaged.variable(&vm.id).unwrap_or_else(|| {
+                panic!("iter {iter}: variable '{}' with kept metadata not recovered", vm.id)
+            });
+            let (want_d, want_m, degraded, masked) =
+                expected_v3_array(vi, &meta, &layout, &original, seen);
+            assert_eq!(got.array.data(), want_d.as_slice(), "iter {iter}: '{}' data", vm.id);
+            assert_eq!(got.array.mask(), want_m.as_slice(), "iter {iter}: '{}' mask", vm.id);
+            degraded_windows += degraded;
+            masked_windows += masked;
+            exact_windows += vm.n_windows() - degraded - masked;
+        }
+    }
+    assert!(exact_windows > 0, "no window ever survived a cut — fuzzer mis-aimed");
+    assert!(degraded_windows > 0, "no window ever degraded to the pyramid — fuzzer mis-aimed");
+    assert!(masked_windows > 0, "no window was ever cut off — fuzzer mis-aimed");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -317,8 +414,9 @@ proptest! {
     ) {
         let mut bytes = Vec::new();
         if with_preamble {
+            // the version read, so the garbage reaches the section decoders
             bytes.extend_from_slice(b"NCRS");
-            bytes.extend_from_slice(&2u32.to_le_bytes());
+            bytes.extend_from_slice(&3u32.to_le_bytes());
         }
         bytes.extend_from_slice(&body);
         let t0 = Instant::now();

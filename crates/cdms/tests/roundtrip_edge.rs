@@ -1,8 +1,8 @@
 //! Edge-case round-trip coverage: zero-variable datasets, zero-length
-//! axes and all-masked variables must survive the encoding every file is
-//! written in (v3 at its default options) bit-exactly, through both the
-//! strict reader and salvage — plus the golden pins of the v3 encoder's
-//! bytes.
+//! axes and all-masked variables must survive the one encoding every file
+//! is written and read in (v3, here at its default options) bit-exactly,
+//! through both the strict reader and salvage — plus the golden pins of
+//! the v3 encoder's bytes.
 
 use cdms::format;
 use cdms::{Axis, AxisKind, Dataset, MaskedArray, Variable};
@@ -76,8 +76,7 @@ fn all_masked_variable_roundtrips() {
 // Independence comes from the bytes: length and CRC32C of the encoder's
 // output for fixed inputs, recorded before the writers were folded. A pin
 // that moves means files written by an earlier build no longer match what
-// this build writes. (v2's pin sits beside its test encoder in
-// `format.rs`.)
+// this build writes.
 
 fn assert_pin(tag: &str, bytes: &[u8], len: usize, crc: u32) {
     assert_eq!(
