@@ -84,13 +84,6 @@ impl Dataset {
     pub fn open(path: impl AsRef<Path>) -> Result<Dataset> {
         crate::format::read_dataset(path.as_ref())
     }
-
-    /// Reads a possibly-damaged `.ncr` file with salvage semantics: every
-    /// variable whose checksummed sections are intact is recovered, and the
-    /// accompanying [`crate::SalvageReport`] says what was lost and why.
-    pub fn open_salvage(path: impl AsRef<Path>) -> Result<(Dataset, crate::SalvageReport)> {
-        crate::format::read_dataset_salvage(path.as_ref())
-    }
 }
 
 #[cfg(test)]

@@ -118,10 +118,15 @@ impl Dv3dCell {
     }
 
     /// Applies a configuration operation: camera ops are handled here, the
-    /// rest go to the plot. Every op is appended to the log.
+    /// rest go to the plot. Every op is appended to the log. A camera op on
+    /// a cell that has not framed its camera yet frames it first, so the op
+    /// moves the view the first render would have shown.
     pub fn configure(&mut self, op: &ConfigOp) -> Result<()> {
         match op {
             ConfigOp::Camera(cam_op) => {
+                if *cam_op != CameraOp::Reset {
+                    self.frame_camera()?;
+                }
                 match cam_op {
                     CameraOp::Azimuth(d) => self.camera.azimuth(*d),
                     CameraOp::Elevation(d) => self.camera.elevation(*d),
@@ -139,7 +144,19 @@ impl Dv3dCell {
         Ok(())
     }
 
-    /// Builds the scene for the current state.
+    /// Frames the camera on the current scene, as the first render does,
+    /// unless it is framed already. Copies of one cell that must show the
+    /// same view (a wall panel, its mirror, the panel rebuilt on reconnect)
+    /// each frame at build, before any op, so one op log moves them alike.
+    pub fn frame_camera(&mut self) -> Result<()> {
+        if !self.camera_valid {
+            self.scene()?;
+        }
+        Ok(())
+    }
+
+    /// Builds the scene for the current state, framing the camera on it if
+    /// it is not framed yet.
     fn scene(&mut self) -> Result<Renderer> {
         let mut renderer = Renderer::new();
         renderer.background = self.background;

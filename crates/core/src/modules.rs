@@ -536,6 +536,43 @@ mod tests {
         }
     }
 
+    /// A camera op given to a cell before its first render turns the view
+    /// that render shows: "op, then render" draws what "render, op, render"
+    /// draws, for every op but `Reset` and every single-variable row.
+    #[test]
+    fn a_camera_op_before_the_first_render_is_applied() {
+        use crate::interaction::{CameraOp, ConfigOp};
+        let mut exec = Executor::new(registry());
+        let ops = [
+            CameraOp::Azimuth(30.0),
+            CameraOp::Elevation(-20.0),
+            CameraOp::Zoom(1.5),
+            CameraOp::Pan(0.1, -0.05),
+            CameraOp::Roll(15.0),
+        ];
+        for row in single_variable_rows() {
+            let variable = if row.needs_hovmoller { "pr" } else { "ta" };
+            let wf = prebuilt_plot_workflow(row.key, variable, (2, 3, 12, 24)).unwrap();
+            let pipeline = wf.vistrail.materialize(wf.version).unwrap();
+            let plot = pipeline
+                .inputs_of(wf.cell_module)
+                .into_iter()
+                .find(|c| c.to_port == "plot")
+                .unwrap()
+                .from_module;
+            for op in ops.map(ConfigOp::Camera) {
+                let mut early = cell_from_plot_stage(&mut exec, &pipeline, plot, row.key).unwrap();
+                early.configure(&op).unwrap();
+                let early = early.render(64, 48).unwrap().to_rgba8();
+                let mut late = cell_from_plot_stage(&mut exec, &pipeline, plot, row.key).unwrap();
+                late.render(64, 48).unwrap();
+                late.configure(&op).unwrap();
+                let late = late.render(64, 48).unwrap().to_rgba8();
+                assert!(early == late, "{}: {op:?} before the first render was lost", row.key);
+            }
+        }
+    }
+
     fn fnv1a(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
     }

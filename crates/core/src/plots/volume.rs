@@ -19,8 +19,6 @@ pub struct VolumePlot {
     pub blend: BlendMode,
     /// Ray sample distance in world units.
     pub sample_distance: f64,
-    /// Early ray termination (ablation toggle).
-    pub early_termination: bool,
 }
 
 impl VolumePlot {
@@ -37,7 +35,6 @@ impl VolumePlot {
             editor,
             blend: BlendMode::Composite,
             sample_distance: (diag / 150.0).max(1e-3),
-            early_termination: true,
         })
     }
 
@@ -47,7 +44,7 @@ impl VolumePlot {
             opacity: self.editor.opacity_function(),
             blend: self.blend,
             sample_distance: self.sample_distance,
-            early_termination_alpha: if self.early_termination { 0.98 } else { 2.0 },
+            early_termination_alpha: 0.98,
         }
     }
 }

@@ -270,7 +270,9 @@ impl ClientNode {
     }
 
     /// Executes the assigned sub-workflow up to the plot module and builds
-    /// the live cell from the produced `PlotSpec`.
+    /// the live cell from the produced `PlotSpec`, its camera framed before
+    /// any op arrives — as the server's mirror cell is, so a replayed op log
+    /// turns a reconnected panel to the view the live one showed.
     fn instantiate(&self, pipeline: &Pipeline, cell_module: u64) -> Result<Dv3dCell> {
         // find the plot module feeding the cell's "plot" port
         let plot = pipeline
@@ -284,7 +286,10 @@ impl ClientNode {
             .get("name")
             .and_then(vistrails::value::ParamValue::as_str)
             .unwrap_or("wall cell");
-        Ok(cell_from_plot_stage(&mut Executor::new(wall_registry()), pipeline, plot, name)?)
+        let mut cell =
+            cell_from_plot_stage(&mut Executor::new(wall_registry()), pipeline, plot, name)?;
+        cell.frame_camera()?;
+        Ok(cell)
     }
 }
 

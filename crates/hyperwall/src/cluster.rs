@@ -451,6 +451,60 @@ mod tests {
         assert_eq!(report.synced_final, vec![true; 3], "{:?}", report.incidents);
     }
 
+    /// Panel 0's last committed frame after a 2-panel, `n_frames` run with
+    /// `ops` broadcast before frame 1 under `plan`, and the number of
+    /// reconnects; the run must end with every panel live and verified.
+    fn slicer_panel_frame(plan: &FaultPlan, ops: &[ConfigOp], n_frames: u64) -> (Vec<u8>, u64) {
+        let cfg = small_cfg(2);
+        let mut server = HyperwallServer::bind_tuned(&cfg, 4, fast_tuning()).unwrap();
+        let addr = server.addr().unwrap();
+        let clients: Vec<_> = (0..2)
+            .map(|id| {
+                let faults = plan.client(id);
+                std::thread::spawn(move || {
+                    ClientNode::connect_v2(addr, id).unwrap().run_with_faults(faults)
+                })
+            })
+            .collect();
+        server.accept_clients(2).unwrap();
+        server.assign_workflows(&cfg).unwrap();
+        for frame in 0..n_frames {
+            if frame == 1 {
+                for op in ops {
+                    server.broadcast_op(op).unwrap();
+                }
+            }
+            server.execute_frame(frame).unwrap();
+        }
+        assert_eq!(server.panel_states(), [PanelState::Live; 2], "{:?}", server.incidents);
+        assert!(server.panel_frame_verified(0), "{:?}", server.incidents);
+        let frame = server.panel_frame(0).unwrap().to_vec();
+        let reconnects = server.reconnects_total();
+        server.shutdown().unwrap();
+        for c in clients {
+            c.join().unwrap().unwrap();
+        }
+        (frame, reconnects)
+    }
+
+    /// The slicer panel drops at frame 2, after a slice move and a camera
+    /// turn, and reconnects: the client rebuilds its cell, frames it and
+    /// replays the op log, and the panel shows the frame a healthy wall
+    /// shows, byte for byte.
+    #[test]
+    fn a_reconnected_panel_shows_the_view_of_a_healthy_one() {
+        let ops = [
+            ConfigOp::MoveSlice { axis: Axis3::Z, delta: 1 },
+            ConfigOp::Camera(CameraOp::Azimuth(10.0)),
+        ];
+        let (healthy, none) = slicer_panel_frame(&FaultPlan::none(), &ops, 6);
+        assert_eq!(none, 0);
+        let plan = FaultPlan::none().inject(0, Fault::DropAtFrame(2));
+        let (recovered, reconnects) = slicer_panel_frame(&plan, &ops, 6);
+        assert_eq!(reconnects, 1);
+        assert!(recovered == healthy, "the reconnected panel shows another view");
+    }
+
     /// A panel whose client never comes back stays degraded for the rest of
     /// the run and the wall still completes (mirror keeps covering it).
     #[test]

@@ -12,7 +12,9 @@
 //! the server renders a mirror cell only for a panel it serves itself (a
 //! degraded one), and the touchscreen mosaic box-filters the frames the
 //! live panels sent. Every mirror cell still takes every op, so a panel
-//! that degrades is mirrored at once.
+//! that degrades is mirrored at once. Every copy of a panel's cell — the
+//! client's, the mirror's, the one a reconnected client rebuilds — frames
+//! its camera when it is built, before any op, so one op log shows one view.
 //!
 //! A panel is one value with two arms: `Live(link)`, where the link owns
 //! the socket and the panel's frame assembler; or `Degraded`, which owns
@@ -386,7 +388,8 @@ impl HyperwallServer {
         }
         // Build the local mirror by executing each plot stage once, through
         // one executor: the shared source is computed for the first chain
-        // and cached for the rest.
+        // and cached for the rest. Each cell frames its camera now, as its
+        // client does, so the ops it takes turn it alike.
         let mut exec = Executor::new(wall_registry());
         self.mirror = self
             .chains
@@ -395,6 +398,7 @@ impl HyperwallServer {
                 let mut cell =
                     cell_from_plot_stage(&mut exec, &self.pipeline, chain.plot, "mirror")?;
                 cell.show_colorbar = false;
+                cell.frame_camera()?;
                 Ok(cell)
             })
             .collect::<Result<_>>()?;
@@ -1137,6 +1141,34 @@ mod tests {
         }
         assert_eq!(server.key_bytes_total(), written.iter().map(|w| w[0]).sum::<u64>());
         assert_eq!(server.delta_bytes_total(), written.iter().map(|w| w[1]).sum::<u64>());
+    }
+
+    /// The mirror frames each cell when it builds it, as a client does: after
+    /// ops broadcast before any frame, each mirror cell's camera is that of
+    /// the same cell built, framed and given the same ops.
+    #[test]
+    fn mirror_cells_take_ops_on_a_framed_camera() {
+        use dv3d::interaction::{Axis3, CameraOp};
+        let mut server = HyperwallServer::bind(&cfg(), 4).unwrap();
+        server.assign_workflows(&cfg()).unwrap();
+        let ops = [
+            ConfigOp::MoveSlice { axis: Axis3::Z, delta: 1 },
+            ConfigOp::Camera(CameraOp::Azimuth(10.0)),
+        ];
+        for op in &ops {
+            server.broadcast_op(op).unwrap();
+        }
+        let mut exec = Executor::new(wall_registry());
+        assert_eq!(server.mirror.len(), server.chains.len());
+        for (chain, mirror) in server.chains.iter().zip(&server.mirror) {
+            let mut cell =
+                cell_from_plot_stage(&mut exec, &server.pipeline, chain.plot, "mirror").unwrap();
+            cell.frame_camera().unwrap();
+            for op in &ops {
+                cell.configure(op).unwrap();
+            }
+            assert_eq!(mirror.camera(), cell.camera(), "cell {}", chain.cell);
+        }
     }
 
     /// A wall cell rendered at 1, 2 and 8 threads and box-filtered to the

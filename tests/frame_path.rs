@@ -202,13 +202,16 @@ const PINS: &[(&str, u64)] = &[
     ("volume + slicer on grey, SideBySide", 0x6793588dafbd6734),
 ];
 
+/// The cells turned by `Azimuth(30)` before their first render. Recorded
+/// from cells rendered once before the op: an op given to an unframed cell
+/// used to be dropped, and the first render showed the unturned view.
 const CELL_PINS: &[(&str, u64)] = &[
-    ("cell slicer, Off", 0xcbe2c1b22fd04a7c),
-    ("cell slicer, SideBySide", 0x89b525d6fa138aad),
-    ("cell isosurface, Off", 0xbf89af557f8a4c05),
-    ("cell isosurface, SideBySide", 0xb6fe4f4229a6996b),
-    ("cell volume, Off", 0xcb754545c6940c49),
-    ("cell volume, SideBySide", 0x297eb57240f3bccb),
-    ("cell volume + slicer, Off", 0x5b16aff8916351be),
-    ("cell volume + slicer, SideBySide", 0x168ce774cf99448c),
+    ("cell slicer, Off", 0xe435bc69ebcf9464),
+    ("cell slicer, SideBySide", 0x0d343d699e7e12b7),
+    ("cell isosurface, Off", 0x6786bf2f7ab46b94),
+    ("cell isosurface, SideBySide", 0xbd9ef2485d99208d),
+    ("cell volume, Off", 0xe3545f03d4afb1d4),
+    ("cell volume, SideBySide", 0xf5aabecf5d39ebd6),
+    ("cell volume + slicer, Off", 0x71af1e144418fe4d),
+    ("cell volume + slicer, SideBySide", 0x0fcb6745e32b3384),
 ];
