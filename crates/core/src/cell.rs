@@ -3,8 +3,7 @@
 //! "The DV3D cell module includes a configurable base map, navigation
 //! controls, onscreen dataset and variable labels, a pick operation
 //! display, and legend/colormap displays" (§III.G). A [`Dv3dCell`] owns a
-//! plot, its camera, overlay annotations and an operation log (the raw
-//! material of provenance recording).
+//! plot, its camera and overlay annotations.
 
 use crate::interaction::{CameraOp, ConfigOp};
 use crate::plots::{Plot, PlotSpec};
@@ -39,8 +38,6 @@ pub struct Dv3dCell {
     pub stereo: StereoMode,
     /// Background color.
     pub background: Color,
-    /// Every configuration op applied, in order (provenance raw material).
-    op_log: Vec<ConfigOp>,
 }
 
 impl std::fmt::Debug for Dv3dCell {
@@ -48,7 +45,6 @@ impl std::fmt::Debug for Dv3dCell {
         f.debug_struct("Dv3dCell")
             .field("name", &self.name)
             .field("plot", &self.plot.type_name())
-            .field("ops", &self.op_log.len())
             .finish()
     }
 }
@@ -79,7 +75,6 @@ impl Dv3dCell {
             pick_display: None,
             stereo: StereoMode::Off,
             background: Color::BLACK,
-            op_log: Vec::new(),
         }
     }
 
@@ -91,11 +86,6 @@ impl Dv3dCell {
     /// Mutable plot access (animation uses this).
     pub fn plot_mut(&mut self) -> &mut dyn Plot {
         self.plot.as_mut()
-    }
-
-    /// The configuration operation log.
-    pub fn op_log(&self) -> &[ConfigOp] {
-        &self.op_log
     }
 
     /// Installs a base map: coastlines contoured from a `(lat, lon)`
@@ -118,7 +108,7 @@ impl Dv3dCell {
     }
 
     /// Applies a configuration operation: camera ops are handled here, the
-    /// rest go to the plot. Every op is appended to the log. A camera op on
+    /// rest go to the plot. A camera op on
     /// a cell that has not framed its camera yet frames it first, so the op
     /// moves the view the first render would have shown.
     pub fn configure(&mut self, op: &ConfigOp) -> Result<()> {
@@ -140,7 +130,6 @@ impl Dv3dCell {
                 self.plot.configure(other)?;
             }
         }
-        self.op_log.push(op.clone());
         Ok(())
     }
 
@@ -295,16 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn op_log_records_everything() {
-        let mut c = cell();
-        c.configure(&ConfigOp::MoveSlice { axis: Axis3::Z, delta: 1 }).unwrap();
-        c.configure(&ConfigOp::NextColormap).unwrap();
-        c.configure(&ConfigOp::Camera(CameraOp::Zoom(1.5))).unwrap();
-        assert_eq!(c.op_log().len(), 3);
-        assert!(matches!(c.op_log()[2], ConfigOp::Camera(_)));
-    }
-
-    #[test]
     fn base_map_draws_coastlines() {
         let ds = SynthesisSpec::new(1, 1, 24, 48).build();
         let mut c = cell();
@@ -357,12 +336,14 @@ mod tests {
             (Event::Drag { button: MouseButton::Left, dx: 0.1, dy: 0.1 }, DragMode::Leveling),
             (Event::Scroll { delta: 2.0 }, DragMode::Navigate),
         ];
+        let mut applied = 0;
         for (ev, mode) in events {
             for op in map_event(ev, mode) {
                 c.configure(&op).unwrap();
+                applied += 1;
             }
         }
-        assert!(c.op_log().len() >= 5);
+        assert!(applied >= 5);
         c.render(64, 64).unwrap();
         assert_ne!(c.camera().position, start_cam);
     }
@@ -389,9 +370,10 @@ mod tests {
     #[test]
     fn plot_error_propagates() {
         let mut c = cell();
+        let before = c.render(64, 64).unwrap().to_rgba8();
         let err = c.configure(&ConfigOp::SetColormap("bogus".into()));
         assert!(err.is_err());
-        // failed ops are not logged
-        assert!(c.op_log().is_empty());
+        // a failed op leaves the frame as it was
+        assert_eq!(c.render(64, 64).unwrap().to_rgba8(), before);
     }
 }

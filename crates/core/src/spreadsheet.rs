@@ -193,10 +193,13 @@ mod tests {
         assert_eq!(n, 3); // all cells accept (volume/iso ignore but don't error)
         // deactivate the slicer; leveling affects the other two
         s.set_active((0, 0), false).unwrap();
+        let slicer_frame =
+            |s: &mut Dv3dSpreadsheet| s.cell_mut((0, 0)).unwrap().render(48, 48).unwrap().to_rgba8();
+        let before = slicer_frame(&mut s);
         let n = s.configure_active(&ConfigOp::Leveling { dx: 0.1, dy: 0.0 }).unwrap();
         assert_eq!(n, 2);
-        // slicer's log untouched by the second op
-        assert_eq!(s.cell((0, 0)).unwrap().op_log().len(), 1);
+        // the inactive slicer's frame is untouched by the second op
+        assert_eq!(slicer_frame(&mut s), before);
     }
 
     #[test]

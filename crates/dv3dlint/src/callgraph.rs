@@ -13,7 +13,6 @@
 //! Test functions are excluded: test helpers block freely by design and
 //! would otherwise poison the whole graph.
 
-use crate::config::Config;
 use crate::dataflow::{self, FnFacts};
 use crate::workspace::Workspace;
 use std::collections::{BTreeMap, BTreeSet};
@@ -66,7 +65,7 @@ pub struct Analysis {
 
 impl Analysis {
     /// Builds the analysis over every scanned crate.
-    pub fn build(ws: &Workspace, cfg: &Config) -> Analysis {
+    pub fn build(ws: &Workspace) -> Analysis {
         let mut fns = Vec::new();
         for krate in &ws.crates {
             // hash-typed names are harvested crate-wide: a field declared
@@ -76,7 +75,7 @@ impl Analysis {
                 hash_names.extend(dataflow::hash_names_in(file));
             }
             for file in &krate.files {
-                for facts in dataflow::analyze_file(file, &krate.name, cfg, &hash_names) {
+                for facts in dataflow::analyze_file(file, &krate.name, &hash_names) {
                     if facts.in_test {
                         continue;
                     }
@@ -380,15 +379,13 @@ fn top(&self) { self.mid(); }
 fn pure(&self) { self.nothing_here(); }
 ";
         let ws = ws_of(src);
-        let a = Analysis::build(&ws, &Config::defaults(PathBuf::from(".")));
+        let a = Analysis::build(&ws);
         let idx = |n: &str| a.fns.iter().position(|f| f.name == n).expect("fn");
         assert!(a.may_block[idx("leaf")].is_some());
         let top = a.may_block[idx("top")].as_ref().expect("top blocks");
         assert_eq!(top[0], "mid", "witness names the path");
         assert!(a.may_block[idx("pure")].is_none());
     }
-
-    use crate::config::Config;
 
     #[test]
     fn cross_function_lock_cycle_is_found() {
@@ -410,7 +407,7 @@ fn helper(&self) {
 }
 ";
         let ws = ws_of(src);
-        let a = Analysis::build(&ws, &Config::defaults(PathBuf::from(".")));
+        let a = Analysis::build(&ws);
         let cycles = a.lock_cycles();
         assert_eq!(cycles.len(), 1, "edges: {:?}", a.lock_edges);
         let locks: Vec<&str> = cycles[0].iter().map(|e| e.from.as_str()).collect();
@@ -436,7 +433,7 @@ fn two(&self) {
 }
 ";
         let ws = ws_of(src);
-        let a = Analysis::build(&ws, &Config::defaults(PathBuf::from(".")));
+        let a = Analysis::build(&ws);
         assert!(a.lock_cycles().is_empty());
     }
 
@@ -451,7 +448,7 @@ fn re(&self) {
 }
 ";
         let ws = ws_of(src);
-        let a = Analysis::build(&ws, &Config::defaults(PathBuf::from(".")));
+        let a = Analysis::build(&ws);
         let cycles = a.lock_cycles();
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].len(), 1);

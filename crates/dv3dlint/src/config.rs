@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A scalar or string-array value.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,8 +186,10 @@ fn split_top_level(s: &str) -> Vec<String> {
     parts
 }
 
-/// Per-rule configuration, with defaults matching this workspace so the
-/// tool degrades gracefully on a partial config file.
+/// Which crates and files each rule covers, and whether it runs. What a
+/// rule looks for (the call, marker and lint names) is fixed in the rule
+/// itself. The defaults match this workspace; a run with no
+/// `dv3dlint.toml` (ad-hoc paths outside the repo) uses them as they are.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Workspace root (directory holding `dv3dlint.toml`).
@@ -201,69 +203,32 @@ pub struct Config {
     pub indexing_hot_paths: Vec<String>,
     pub mask_enabled: bool,
     pub mask_crates: Vec<String>,
-    /// Method names that count as raw buffer access.
-    pub raw_markers: Vec<String>,
-    /// Identifiers that demonstrate mask awareness.
-    pub mask_markers: Vec<String>,
     pub deadline_enabled: bool,
     pub deadline_crate: String,
     /// Modules allowed to use raw `read_message`/`write_message` (the
     /// protocol primitives live here by design). Suffix-matched.
     pub protocol_modules: Vec<String>,
-    pub banned_calls: Vec<String>,
     pub atomic_writes_enabled: bool,
     /// Crates whose file writes must go through the atomic storage layer.
     pub atomic_writes_crates: Vec<String>,
     /// The one module allowed to call the raw filesystem write primitives.
     pub storage_module: String,
-    /// Qualified call names (`qualifier::method`) that bypass atomicity.
-    pub raw_write_calls: Vec<String>,
     pub error_hygiene_enabled: bool,
     pub error_hygiene_crates: Vec<String>,
     pub lint_attrs_enabled: bool,
     pub lint_attrs_crates: Vec<String>,
-    pub require_forbid: Vec<String>,
-    pub require_workspace_lints: bool,
-    /// Lints the root manifest must deny (or forbid) workspace-wide.
-    pub workspace_denies: Vec<String>,
-
-    // --- v2 dataflow analysis (shared by the four concurrency rules) ---
     /// Crates the dataflow rules report on (the call-graph analysis itself
     /// is always workspace-global so cross-crate edges resolve).
     pub concurrency_crates: Vec<String>,
-    /// Guard-producing method names. Only *argument-free* calls count, so
-    /// `io::Read::read(&mut buf)` never registers as `RwLock::read()`.
-    pub lock_methods: Vec<String>,
-    /// Free functions whose first argument names the lock and whose return
-    /// value is its guard (the `std_lock(&self.m)` poison-recovery idiom).
-    pub lock_wrappers: Vec<String>,
-    /// Chained methods that pass a guard through unchanged
-    /// (`m.lock().unwrap()` on a std mutex still binds a guard).
-    pub guard_preserving: Vec<String>,
-    /// Condvar wait methods: the guard passed *as the argument* is released
-    /// by the wait and therefore exempt; any other live guard is not.
-    pub condvar_waits: Vec<String>,
-    /// Method or `qualifier::method` names that block the calling thread.
-    pub blocking_calls: Vec<String>,
     pub lock_order_enabled: bool,
     pub guard_blocking_enabled: bool,
     pub nondet_enabled: bool,
     /// Module path suffixes whose parallel reductions are the sanctioned
     /// deterministic ones (`cdat::reduce` splits fixed-shape chunks).
     pub reduction_modules: Vec<String>,
-    /// Chained/looped method names that copy iteration order into ordered
-    /// output (frames, digests, reports).
-    pub ordered_sinks: Vec<String>,
-    /// Chained method names that make iteration order irrelevant.
-    pub order_neutral: Vec<String>,
     pub unbounded_enabled: bool,
     /// Module path suffixes that receive network or session input.
     pub input_modules: Vec<String>,
-    /// Collection-growing method names `unbounded_growth` watches.
-    pub grow_calls: Vec<String>,
-    /// Identifier substrings that signal a capacity bound in the same
-    /// function (`max_sessions`, `capacity`, `shed_watermark`, …).
-    pub growth_guards: Vec<String>,
 }
 
 fn svec(items: &[&str]) -> Vec<String> {
@@ -271,9 +236,11 @@ fn svec(items: &[&str]) -> Vec<String> {
 }
 
 impl Config {
-    /// Built-in defaults for this workspace (used when `dv3dlint.toml` is
-    /// missing a section, and by unit tests).
+    /// Built-in scope for this workspace (used for keys `dv3dlint.toml`
+    /// leaves out, for ad-hoc runs without one, and by unit tests).
     pub fn defaults(root: PathBuf) -> Config {
+        let library_crates =
+            svec(&["cdms", "cdat", "rvtk", "vistrails", "dv3d", "hyperwall", "uvcdat", "dv3dlint"]);
         Config {
             root,
             crate_dirs: svec(&[
@@ -288,33 +255,18 @@ impl Config {
                 ".",
             ]),
             no_panic_enabled: true,
-            no_panic_crates: svec(&[
-                "cdms", "cdat", "rvtk", "vistrails", "dv3d", "hyperwall", "uvcdat", "dv3dlint",
-            ]),
+            no_panic_crates: library_crates.clone(),
             indexing_hot_paths: svec(&["crates/hyperwall/src/protocol.rs"]),
             mask_enabled: true,
             mask_crates: svec(&["cdat"]),
-            raw_markers: svec(&["data", "data_mut"]),
-            mask_markers: svec(&[
-                "iter_valid",
-                "get_valid",
-                "to_filled",
-                "valid_count",
-                "valid_fraction",
-                "from_filled_data",
-            ]),
             deadline_enabled: true,
             deadline_crate: "hyperwall".into(),
             protocol_modules: svec(&["crates/hyperwall/src/protocol.rs"]),
-            banned_calls: svec(&["read_message", "write_message"]),
             atomic_writes_enabled: true,
             atomic_writes_crates: svec(&["cdms"]),
             storage_module: "crates/cdms/src/storage.rs".into(),
-            raw_write_calls: svec(&["fs::write", "File::create", "OpenOptions::new"]),
             error_hygiene_enabled: true,
-            error_hygiene_crates: svec(&[
-                "cdms", "cdat", "rvtk", "vistrails", "dv3d", "hyperwall", "uvcdat", "dv3dlint",
-            ]),
+            error_hygiene_crates: library_crates.clone(),
             lint_attrs_enabled: true,
             lint_attrs_crates: svec(&[
                 "cdms",
@@ -327,208 +279,67 @@ impl Config {
                 "uvcdat",
                 "dv3dlint",
             ]),
-            require_forbid: svec(&["unsafe_code"]),
-            require_workspace_lints: true,
-            workspace_denies: svec(&["unused_must_use"]),
-            concurrency_crates: svec(&[
-                "cdms", "cdat", "rvtk", "vistrails", "dv3d", "hyperwall", "uvcdat", "dv3dlint",
-            ]),
-            lock_methods: svec(&["lock", "read", "write"]),
-            lock_wrappers: svec(&["std_lock"]),
-            guard_preserving: svec(&["unwrap", "expect", "unwrap_or_else"]),
-            condvar_waits: svec(&["wait", "wait_timeout", "wait_while", "wait_timeout_while"]),
-            blocking_calls: svec(&[
-                "wait",
-                "wait_timeout",
-                "wait_while",
-                "recv",
-                "recv_timeout",
-                "sleep",
-                "sync_all",
-                "sync_data",
-                "read_message",
-                "read_message_deadline",
-                "read_message_idle",
-                "write_message",
-                "write_message_deadline",
-                "connect",
-                "accept",
-                "read_exact",
-            ]),
+            concurrency_crates: library_crates,
             lock_order_enabled: true,
             guard_blocking_enabled: true,
             nondet_enabled: true,
             reduction_modules: svec(&["crates/cdat/src/reduce.rs"]),
-            ordered_sinks: svec(&[
-                "push",
-                "extend",
-                "push_str",
-                "append",
-                "push_back",
-                "write_fmt",
-                "mix",
-                "update",
-                "absorb",
-            ]),
-            order_neutral: svec(&[
-                "min",
-                "max",
-                "min_by",
-                "min_by_key",
-                "max_by",
-                "max_by_key",
-                "count",
-                "any",
-                "all",
-                "sum",
-                "product",
-                "len",
-                "contains",
-                "contains_key",
-            ]),
             unbounded_enabled: true,
-            input_modules: svec(&[
-                "crates/hyperwall/src/server.rs",
-            ]),
-            grow_calls: svec(&["push", "extend", "append", "push_back", "insert"]),
-            growth_guards: svec(&[
-                "max", "cap", "limit", "bound", "budget", "watermark", "quota", "shed",
-            ]),
+            input_modules: svec(&["crates/hyperwall/src/server.rs"]),
         }
     }
 
-    /// Loads `dv3dlint.toml` from `root`, overlaying the defaults.
-    pub fn load(root: PathBuf) -> Result<Config, ConfigError> {
-        let path = root.join("dv3dlint.toml");
-        let mut cfg = Config::defaults(root);
-        let Ok(src) = std::fs::read_to_string(&path) else {
-            return Ok(cfg); // defaults cover a missing config file
-        };
+    /// Loads the `dv3dlint.toml` at `path` over the defaults; the
+    /// workspace root is the file's directory. A file that cannot be read
+    /// is an error, not a silent fall-back to the defaults.
+    pub fn load(path: &Path) -> Result<Config, ConfigError> {
+        let src = std::fs::read_to_string(path)
+            .map_err(|e| ConfigError(format!("cannot read {}: {e}", path.display())))?;
         let t = Toml::parse(&src)
             .map_err(|e| ConfigError(format!("{}: {}", path.display(), e.0)))?;
-        if let Some(v) = t.str_list("workspace", "crates") {
-            cfg.crate_dirs = v;
-        }
-        let enabled = |s: &str| t.boolean(s, "enabled");
-        if let Some(b) = enabled("rules.no_panic") {
-            cfg.no_panic_enabled = b;
-        }
-        if let Some(v) = t.str_list("rules.no_panic", "crates") {
-            cfg.no_panic_crates = v;
-        }
-        if let Some(v) = t.str_list("rules.no_panic", "indexing_hot_paths") {
-            cfg.indexing_hot_paths = v;
-        }
-        if let Some(b) = enabled("rules.mask_propagation") {
-            cfg.mask_enabled = b;
-        }
-        if let Some(v) = t.str_list("rules.mask_propagation", "crates") {
-            cfg.mask_crates = v;
-        }
-        if let Some(v) = t.str_list("rules.mask_propagation", "raw_markers") {
-            cfg.raw_markers = v;
-        }
-        if let Some(v) = t.str_list("rules.mask_propagation", "mask_markers") {
-            cfg.mask_markers = v;
-        }
-        if let Some(b) = enabled("rules.deadline_io") {
-            cfg.deadline_enabled = b;
-        }
-        if let Some(s) = t.string("rules.deadline_io", "crate") {
-            cfg.deadline_crate = s;
-        }
-        // singular key kept for back-compat with older config files
-        if let Some(s) = t.string("rules.deadline_io", "protocol_module") {
-            cfg.protocol_modules = vec![s];
-        }
-        if let Some(v) = t.str_list("rules.deadline_io", "protocol_modules") {
-            cfg.protocol_modules = v;
-        }
-        if let Some(v) = t.str_list("rules.deadline_io", "banned_calls") {
-            cfg.banned_calls = v;
-        }
-        if let Some(b) = enabled("rules.atomic_writes") {
-            cfg.atomic_writes_enabled = b;
-        }
-        if let Some(v) = t.str_list("rules.atomic_writes", "crates") {
-            cfg.atomic_writes_crates = v;
-        }
-        if let Some(s) = t.string("rules.atomic_writes", "storage_module") {
-            cfg.storage_module = s;
-        }
-        if let Some(v) = t.str_list("rules.atomic_writes", "raw_write_calls") {
-            cfg.raw_write_calls = v;
-        }
-        if let Some(b) = enabled("rules.error_hygiene") {
-            cfg.error_hygiene_enabled = b;
-        }
-        if let Some(v) = t.str_list("rules.error_hygiene", "crates") {
-            cfg.error_hygiene_crates = v;
-        }
-        if let Some(b) = enabled("rules.lint_attrs") {
-            cfg.lint_attrs_enabled = b;
-        }
-        if let Some(v) = t.str_list("rules.lint_attrs", "crates") {
-            cfg.lint_attrs_crates = v;
-        }
-        if let Some(v) = t.str_list("rules.lint_attrs", "require_forbid") {
-            cfg.require_forbid = v;
-        }
-        if let Some(b) = t.boolean("rules.lint_attrs", "require_workspace_lints") {
-            cfg.require_workspace_lints = b;
-        }
-        if let Some(v) = t.str_list("rules.lint_attrs", "workspace_denies") {
-            cfg.workspace_denies = v;
-        }
-        // shared dataflow-analysis knobs
-        if let Some(v) = t.str_list("analysis", "crates") {
-            cfg.concurrency_crates = v;
-        }
-        if let Some(v) = t.str_list("analysis", "lock_methods") {
-            cfg.lock_methods = v;
-        }
-        if let Some(v) = t.str_list("analysis", "lock_wrappers") {
-            cfg.lock_wrappers = v;
-        }
-        if let Some(v) = t.str_list("analysis", "guard_preserving") {
-            cfg.guard_preserving = v;
-        }
-        if let Some(v) = t.str_list("analysis", "condvar_waits") {
-            cfg.condvar_waits = v;
-        }
-        if let Some(v) = t.str_list("analysis", "blocking_calls") {
-            cfg.blocking_calls = v;
-        }
-        if let Some(b) = enabled("rules.lock_order") {
-            cfg.lock_order_enabled = b;
-        }
-        if let Some(b) = enabled("rules.guard_across_blocking") {
-            cfg.guard_blocking_enabled = b;
-        }
-        if let Some(b) = enabled("rules.nondet_reduction") {
-            cfg.nondet_enabled = b;
-        }
-        if let Some(v) = t.str_list("rules.nondet_reduction", "reduction_modules") {
-            cfg.reduction_modules = v;
-        }
-        if let Some(v) = t.str_list("rules.nondet_reduction", "ordered_sinks") {
-            cfg.ordered_sinks = v;
-        }
-        if let Some(v) = t.str_list("rules.nondet_reduction", "order_neutral") {
-            cfg.order_neutral = v;
-        }
-        if let Some(b) = enabled("rules.unbounded_growth") {
-            cfg.unbounded_enabled = b;
-        }
-        if let Some(v) = t.str_list("rules.unbounded_growth", "input_modules") {
-            cfg.input_modules = v;
-        }
-        if let Some(v) = t.str_list("rules.unbounded_growth", "grow_calls") {
-            cfg.grow_calls = v;
-        }
-        if let Some(v) = t.str_list("rules.unbounded_growth", "growth_guards") {
-            cfg.growth_guards = v;
-        }
+        let root = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
+            _ => PathBuf::from("."),
+        };
+        let mut cfg = Config::defaults(root);
+        let list = |section: &str, key: &str, into: &mut Vec<String>| {
+            if let Some(v) = t.str_list(section, key) {
+                *into = v;
+            }
+        };
+        let string = |section: &str, key: &str, into: &mut String| {
+            if let Some(s) = t.string(section, key) {
+                *into = s;
+            }
+        };
+        let enabled = |section: &str, into: &mut bool| {
+            if let Some(b) = t.boolean(section, "enabled") {
+                *into = b;
+            }
+        };
+        list("workspace", "crates", &mut cfg.crate_dirs);
+        enabled("rules.no_panic", &mut cfg.no_panic_enabled);
+        list("rules.no_panic", "crates", &mut cfg.no_panic_crates);
+        list("rules.no_panic", "indexing_hot_paths", &mut cfg.indexing_hot_paths);
+        enabled("rules.mask_propagation", &mut cfg.mask_enabled);
+        list("rules.mask_propagation", "crates", &mut cfg.mask_crates);
+        enabled("rules.deadline_io", &mut cfg.deadline_enabled);
+        string("rules.deadline_io", "crate", &mut cfg.deadline_crate);
+        list("rules.deadline_io", "protocol_modules", &mut cfg.protocol_modules);
+        enabled("rules.atomic_writes", &mut cfg.atomic_writes_enabled);
+        list("rules.atomic_writes", "crates", &mut cfg.atomic_writes_crates);
+        string("rules.atomic_writes", "storage_module", &mut cfg.storage_module);
+        enabled("rules.error_hygiene", &mut cfg.error_hygiene_enabled);
+        list("rules.error_hygiene", "crates", &mut cfg.error_hygiene_crates);
+        enabled("rules.lint_attrs", &mut cfg.lint_attrs_enabled);
+        list("rules.lint_attrs", "crates", &mut cfg.lint_attrs_crates);
+        list("analysis", "crates", &mut cfg.concurrency_crates);
+        enabled("rules.lock_order", &mut cfg.lock_order_enabled);
+        enabled("rules.guard_across_blocking", &mut cfg.guard_blocking_enabled);
+        enabled("rules.nondet_reduction", &mut cfg.nondet_enabled);
+        list("rules.nondet_reduction", "reduction_modules", &mut cfg.reduction_modules);
+        enabled("rules.unbounded_growth", &mut cfg.unbounded_enabled);
+        list("rules.unbounded_growth", "input_modules", &mut cfg.input_modules);
         Ok(cfg)
     }
 }
@@ -583,6 +394,6 @@ name = "x # not a comment"
         assert!(cfg.no_panic_enabled);
         assert!(cfg.no_panic_crates.contains(&"cdat".to_string()));
         assert_eq!(cfg.deadline_crate, "hyperwall");
-        assert!(cfg.require_forbid.contains(&"unsafe_code".to_string()));
+        assert!(crate::rules::lint_attrs::REQUIRE_FORBID.contains(&"unsafe_code"));
     }
 }

@@ -17,7 +17,6 @@
 //! - guards moved into calls are assumed still live (over-approximation);
 //! - a closure body is treated as executing at its definition site.
 
-use crate::config::Config;
 use crate::lexer::{Tok, Token};
 use crate::model::FileModel;
 use crate::parse::{self, Call, Event, FnIr};
@@ -135,12 +134,11 @@ pub fn hash_names_in(file: &FileModel) -> BTreeSet<String> {
 pub fn analyze_file(
     file: &FileModel,
     krate: &str,
-    cfg: &Config,
     hash_names: &BTreeSet<String>,
 ) -> Vec<FnFacts> {
     parse::functions(file)
         .iter()
-        .map(|f| analyze_fn(file, f, krate, cfg, hash_names))
+        .map(|f| analyze_fn(file, f, krate, hash_names))
         .collect()
 }
 
@@ -158,6 +156,69 @@ struct Guard {
     until: Option<usize>,
 }
 
+/// Argument-free methods that acquire a guard (`RwLock` read/write
+/// included; `io::Read::read(&mut buf)` has arguments and never counts).
+const LOCK_METHODS: &[&str] = &["lock", "read", "write"];
+/// Free functions whose first argument names the lock and whose return
+/// value is its guard (the `std_lock(&self.m)` poison-recovery idiom).
+const LOCK_WRAPPERS: &[&str] = &["std_lock"];
+/// Chained methods that pass a guard through unchanged
+/// (`m.lock().unwrap()` on a std mutex still binds a guard).
+const GUARD_PRESERVING: &[&str] = &["unwrap", "expect", "unwrap_or_else"];
+/// Condvar waits: the guard handed in is released for the wait and so
+/// exempt; any other live guard at the wait site is a finding.
+const CONDVAR_WAITS: &[&str] = &["wait", "wait_timeout", "wait_while", "wait_timeout_while"];
+/// Method or `qualifier::method` names that block the calling thread, the
+/// seeds of the may-block fixpoint. `join` and `write_all` are
+/// deliberately absent: `PathBuf::join` and Vec-backed `write_all` would
+/// swamp the signal.
+const BLOCKING_CALLS: &[&str] = &[
+    "wait",
+    "wait_timeout",
+    "wait_while",
+    "recv",
+    "recv_timeout",
+    "sleep",
+    "sync_all",
+    "sync_data",
+    "read_message",
+    "read_message_deadline",
+    "read_message_deadline_sized",
+    "read_message_idle",
+    "write_message",
+    "write_message_deadline",
+    "connect",
+    "accept",
+    "read_exact",
+];
+/// Methods that copy iteration order into ordered output (frames,
+/// digests, reports): `nondet_reduction`'s sinks.
+const ORDERED_SINKS: &[&str] =
+    &["push", "extend", "push_str", "append", "push_back", "write_fmt", "mix", "update", "absorb"];
+/// Chained methods that make iteration order irrelevant.
+const ORDER_NEUTRAL: &[&str] = &[
+    "min",
+    "max",
+    "min_by",
+    "min_by_key",
+    "max_by",
+    "max_by_key",
+    "count",
+    "any",
+    "all",
+    "sum",
+    "product",
+    "len",
+    "contains",
+    "contains_key",
+];
+/// Collection-growing methods `unbounded_growth` watches.
+const GROW_CALLS: &[&str] = &["push", "extend", "append", "push_back", "insert"];
+/// Identifier substrings that show a capacity bound in the same function
+/// (`max_sessions`, `capacity`, `shed_watermark`, …).
+const GROWTH_GUARDS: &[&str] =
+    &["max", "cap", "limit", "bound", "budget", "watermark", "quota", "shed"];
+
 const ITER_METHODS: &[&str] = &["iter", "iter_mut", "into_iter", "keys", "values", "drain"];
 const SHRINK_METHODS: &[&str] = &[
     "truncate", "retain", "pop", "pop_front", "drain", "remove", "split_off", "evict", "shed",
@@ -168,7 +229,6 @@ fn analyze_fn(
     file: &FileModel,
     f: &FnIr,
     krate: &str,
-    cfg: &Config,
     hash_names: &BTreeSet<String>,
 ) -> FnFacts {
     let toks = &file.lexed.tokens;
@@ -182,7 +242,7 @@ fn analyze_fn(
         nondet_floats: Vec::new(),
         hash_iters: Vec::new(),
         grow_sites: Vec::new(),
-        has_growth_guard: growth_guard_evidence(toks, f.body, cfg),
+        has_growth_guard: growth_guard_evidence(toks, f.body),
     };
 
     let mut guards: Vec<Guard> = Vec::new();
@@ -268,9 +328,9 @@ fn analyze_fn(
                 let iterates_hash = !src.is_empty()
                     && src != "self"
                     && hash_vars.contains(&src)
-                    && fi.methods.iter().all(|m| !cfg.order_neutral.contains(m));
+                    && fi.methods.iter().all(|m| !ORDER_NEUTRAL.contains(&m.as_str()));
                 if iterates_hash {
-                    if let Some(sink) = sink_in_range(toks, fi.body, cfg) {
+                    if let Some(sink) = sink_in_range(toks, fi.body) {
                         facts.hash_iters.push(HashIter {
                             source: src,
                             line: fi.line,
@@ -300,7 +360,7 @@ fn analyze_fn(
                 if ITER_METHODS.contains(&c.method.as_str()) {
                     let src = c.recv.last().cloned().unwrap_or_default();
                     if !src.is_empty() && src != "()" && hash_vars.contains(&src) {
-                        if let Some(sink) = chain_order_sink(toks, c.close, cfg) {
+                        if let Some(sink) = chain_order_sink(toks, c.close) {
                             facts.hash_iters.push(HashIter {
                                 source: src,
                                 line: c.line,
@@ -310,7 +370,7 @@ fn analyze_fn(
                     }
                 }
                 // collection growth
-                if cfg.grow_calls.contains(&c.method) && !c.recv.is_empty() {
+                if GROW_CALLS.contains(&c.method.as_str()) && !c.recv.is_empty() {
                     let head = c.recv.first().map(String::as_str).unwrap_or("");
                     let is_local_builder = c.recv.len() == 1
                         && head != "()"
@@ -325,7 +385,7 @@ fn analyze_fn(
                     }
                 }
                 // lock acquisition?
-                if let Some(lock) = lock_name(c, krate, cfg) {
+                if let Some(lock) = lock_name(c, krate) {
                     let held: Vec<HeldLock> = guards
                         .iter()
                         .map(|g| HeldLock { lock: g.lock.clone(), line: g.line })
@@ -338,7 +398,7 @@ fn analyze_fn(
                     let bound = open_let
                         .as_ref()
                         .filter(|l| c.tok >= l.init.0 && c.tok < l.init.1)
-                        .filter(|l| chain_reaches(toks, c.close, l.init.1, cfg))
+                        .filter(|l| chain_reaches(toks, c.close, l.init.1))
                         .and_then(|l| l.vars.first().cloned());
                     if let Some(var) = bound {
                         guards.push(Guard {
@@ -369,13 +429,13 @@ fn analyze_fn(
                     .last()
                     .map(|q| format!("{q}::{}", c.method))
                     .unwrap_or_default();
-                let blocks = cfg.blocking_calls.contains(&c.method)
-                    || cfg.blocking_calls.contains(&qual_name);
+                let blocks = BLOCKING_CALLS.contains(&c.method.as_str())
+                    || BLOCKING_CALLS.contains(&qual_name.as_str());
                 // The condvar exemption applies to the direct blocking fact
                 // AND the call edge: `cv.wait(guard)` releases the guard it
                 // is handed, so that guard is not held across whatever the
                 // callee name resolves to in the workspace graph either.
-                let is_condvar_wait = cfg.condvar_waits.contains(&c.method);
+                let is_condvar_wait = CONDVAR_WAITS.contains(&c.method.as_str());
                 let held: Vec<HeldLock> = guards
                     .iter()
                     .filter(|g| {
@@ -386,7 +446,7 @@ fn analyze_fn(
                     .collect();
                 if blocks {
                     facts.blocking.push(BlockingUse {
-                        callee: if qual_name.is_empty() || !cfg.blocking_calls.contains(&qual_name)
+                        callee: if qual_name.is_empty() || !BLOCKING_CALLS.contains(&qual_name.as_str())
                         {
                             c.method.clone()
                         } else {
@@ -415,8 +475,8 @@ fn analyze_fn(
 }
 
 /// Lock identity of `c`, when it is an acquisition.
-fn lock_name(c: &Call, krate: &str, cfg: &Config) -> Option<String> {
-    if cfg.lock_methods.contains(&c.method) && c.args.is_empty() && !c.recv.is_empty() {
+fn lock_name(c: &Call, krate: &str) -> Option<String> {
+    if LOCK_METHODS.contains(&c.method.as_str()) && c.args.is_empty() && !c.recv.is_empty() {
         let tail = c
             .recv
             .iter()
@@ -431,7 +491,7 @@ fn lock_name(c: &Call, krate: &str, cfg: &Config) -> Option<String> {
         }
         return Some(format!("{krate}::{tail}"));
     }
-    if cfg.lock_wrappers.contains(&c.method) && c.recv.is_empty() {
+    if LOCK_WRAPPERS.contains(&c.method.as_str()) && c.recv.is_empty() {
         let tail = c
             .arg0_path
             .iter()
@@ -447,7 +507,7 @@ fn lock_name(c: &Call, krate: &str, cfg: &Config) -> Option<String> {
 /// True when the method chain starting after `close` runs — through
 /// guard-preserving methods and `?` only — to `init_end` (so the whole
 /// initializer tail is this chain and the binding receives the guard).
-fn chain_reaches(toks: &[Token], close: usize, init_end: usize, cfg: &Config) -> bool {
+fn chain_reaches(toks: &[Token], close: usize, init_end: usize) -> bool {
     let mut k = close;
     loop {
         let next = k + 1;
@@ -460,7 +520,7 @@ fn chain_reaches(toks: &[Token], close: usize, init_end: usize, cfg: &Config) ->
                 ) else {
                     return false;
                 };
-                if !cfg.guard_preserving.contains(m) {
+                if !GUARD_PRESERVING.contains(&m.as_str()) {
                     return false;
                 }
                 k = match_close_paren(toks, next + 2, init_end + 1);
@@ -572,7 +632,7 @@ fn check_par_terminals(toks: &[Token], close: usize, region: (usize, usize), fac
 }
 
 /// First ordered sink called inside `range` (a loop body), if any.
-fn sink_in_range(toks: &[Token], range: (usize, usize), cfg: &Config) -> Option<String> {
+fn sink_in_range(toks: &[Token], range: (usize, usize)) -> Option<String> {
     let mut j = range.0;
     while j < range.1.min(toks.len()) {
         if let Tok::Ident(m) = &toks[j].tok {
@@ -580,7 +640,7 @@ fn sink_in_range(toks: &[Token], range: (usize, usize), cfg: &Config) -> Option<
                 || (matches!(toks.get(j + 1).map(|t| &t.tok), Some(Tok::Punct('!')))
                     && matches!(toks.get(j + 2).map(|t| &t.tok), Some(Tok::Punct('('))));
             if called
-                && (cfg.ordered_sinks.contains(m)
+                && (ORDERED_SINKS.contains(&m.as_str())
                     || matches!(m.as_str(), "write" | "writeln" | "format"))
             {
                 return Some(m.clone());
@@ -593,7 +653,7 @@ fn sink_in_range(toks: &[Token], range: (usize, usize), cfg: &Config) -> Option<
 
 /// Walks the method chain after `close`; returns the first order-reading
 /// sink, stopping early at order-neutral terminals.
-fn chain_order_sink(toks: &[Token], close: usize, cfg: &Config) -> Option<String> {
+fn chain_order_sink(toks: &[Token], close: usize) -> Option<String> {
     let mut k = close;
     loop {
         let next = k + 1;
@@ -603,7 +663,7 @@ fn chain_order_sink(toks: &[Token], close: usize, cfg: &Config) -> Option<String
                 let Some(Tok::Ident(m)) = toks.get(next + 1).map(|t| &t.tok) else {
                     return None;
                 };
-                if cfg.order_neutral.contains(m) {
+                if ORDER_NEUTRAL.contains(&m.as_str()) {
                     return None;
                 }
                 if m == "collect" {
@@ -626,7 +686,7 @@ fn chain_order_sink(toks: &[Token], close: usize, cfg: &Config) -> Option<String
                     }
                     return None;
                 }
-                if cfg.ordered_sinks.contains(m) {
+                if ORDERED_SINKS.contains(&m.as_str()) {
                     return Some(m.clone());
                 }
                 if m == "for_each" || m == "fold" {
@@ -634,7 +694,7 @@ fn chain_order_sink(toks: &[Token], close: usize, cfg: &Config) -> Option<String
                     // itself writes ordered output
                     let open = next + 2;
                     let end = match_close_paren(toks, open, toks.len());
-                    return sink_in_range(toks, (open, end), cfg)
+                    return sink_in_range(toks, (open, end))
                         .map(|s| format!("{m}({s})"));
                 }
                 // some other adapter (map/filter/cloned/…): keep walking
@@ -651,12 +711,12 @@ fn chain_order_sink(toks: &[Token], close: usize, cfg: &Config) -> Option<String
 }
 
 /// Any evidence of a capacity bound in the function body.
-fn growth_guard_evidence(toks: &[Token], body: (usize, usize), cfg: &Config) -> bool {
+fn growth_guard_evidence(toks: &[Token], body: (usize, usize)) -> bool {
     let (open, close) = body;
     for j in open..close.min(toks.len()) {
         if let Tok::Ident(s) = &toks[j].tok {
             let lower = s.to_ascii_lowercase();
-            if cfg.growth_guards.iter().any(|m| lower.contains(m.as_str())) {
+            if GROWTH_GUARDS.iter().any(|m| lower.contains(m)) {
                 return true;
             }
             if SHRINK_METHODS.contains(&s.as_str())
@@ -684,9 +744,8 @@ mod tests {
 
     fn facts_of(src: &str) -> Vec<FnFacts> {
         let file = FileModel::parse(PathBuf::from("mem.rs"), src);
-        let cfg = Config::defaults(PathBuf::from("."));
         let names = hash_names_in(&file);
-        analyze_file(&file, "t", &cfg, &names)
+        analyze_file(&file, "t", &names)
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use std::path::PathBuf;
 
 /// One finding. `suppressed` findings matched an allow directive — they
-//  are counted in the report but never fail the run. `baselined` findings
-//  matched an entry in the `--baseline` file: reported, never fatal.
+/// are counted in the report but never fail the run.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     pub file: PathBuf,
@@ -12,10 +11,9 @@ pub struct Diagnostic {
     pub line: u32,
     pub rule: &'static str,
     pub message: String,
-    /// Optional fix hint, rendered after the message and in SARIF.
+    /// Optional fix hint, rendered after the message.
     pub hint: Option<String>,
     pub suppressed: bool,
-    pub baselined: bool,
 }
 
 impl Diagnostic {

@@ -15,12 +15,10 @@ pub const ALLOW_SYNTAX: &str = "allow_syntax";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleCount {
     pub rule: &'static str,
-    /// Unsuppressed, unbaselined findings (fail the run).
+    /// Unsuppressed findings (fail the run).
     pub violations: usize,
     /// Findings suppressed by a reasoned allow directive.
     pub allowed: usize,
-    /// Findings absorbed by the `--baseline` file (reported, non-fatal).
-    pub baselined: usize,
 }
 
 /// Outcome of one engine run.
@@ -33,8 +31,6 @@ pub struct RunSummary {
     /// Wall-clock of the lint pass (scan + parse + rules), for the CI
     /// budget assertion. Zero until the driver stamps it.
     pub elapsed_ms: u64,
-    /// Worker threads the parallel front-end used.
-    pub threads: usize,
 }
 
 impl RunSummary {
@@ -46,33 +42,8 @@ impl RunSummary {
         self.per_rule.iter().map(|c| c.allowed).sum()
     }
 
-    pub fn total_baselined(&self) -> usize {
-        self.per_rule.iter().map(|c| c.baselined).sum()
-    }
-
     pub fn clean(&self) -> bool {
         self.total_violations() == 0
-    }
-
-    /// Recomputes `per_rule` from the diagnostics (needed after baseline
-    /// application flips `baselined` flags).
-    pub fn retally(&mut self) {
-        for c in &mut self.per_rule {
-            c.violations = 0;
-            c.allowed = 0;
-            c.baselined = 0;
-        }
-        for d in &self.diagnostics {
-            if let Some(c) = self.per_rule.iter_mut().find(|c| c.rule == d.rule) {
-                if d.suppressed {
-                    c.allowed += 1;
-                } else if d.baselined {
-                    c.baselined += 1;
-                } else {
-                    c.violations += 1;
-                }
-            }
-        }
     }
 }
 
@@ -99,7 +70,6 @@ pub fn run(ws: &Workspace, cfg: &Config) -> RunSummary {
                             .into(),
                     ),
                     suppressed: false,
-                    baselined: false,
                 });
             }
         }
@@ -107,16 +77,18 @@ pub fn run(ws: &Workspace, cfg: &Config) -> RunSummary {
     sort(&mut diagnostics);
     let mut per_rule: Vec<RuleCount> = rules
         .iter()
-        .map(|r| RuleCount { rule: r.id(), violations: 0, allowed: 0, baselined: 0 })
+        .map(|r| r.id())
+        .chain([ALLOW_SYNTAX])
+        .map(|rule| RuleCount { rule, violations: 0, allowed: 0 })
         .collect();
-    per_rule.push(RuleCount { rule: ALLOW_SYNTAX, violations: 0, allowed: 0, baselined: 0 });
-    let mut summary = RunSummary {
-        diagnostics,
-        per_rule,
-        files_scanned: ws.files_scanned,
-        elapsed_ms: 0,
-        threads: crate::workspace::worker_threads(),
-    };
-    summary.retally();
-    summary
+    for d in &diagnostics {
+        if let Some(c) = per_rule.iter_mut().find(|c| c.rule == d.rule) {
+            if d.suppressed {
+                c.allowed += 1;
+            } else {
+                c.violations += 1;
+            }
+        }
+    }
+    RunSummary { diagnostics, per_rule, files_scanned: ws.files_scanned, elapsed_ms: 0 }
 }

@@ -15,6 +15,7 @@
 //! | `no_panic`              | no unwrap/expect/panic-family macros (or hot-path indexing) in library code |
 //! | `mask_propagation`      | CDAT kernels reading raw `.data()` must consult the mask |
 //! | `deadline_io`           | hyperwall exchanges outside `protocol.rs` use `_deadline` variants |
+//! | `atomic_writes`         | cdms file writes outside `storage.rs` go through the atomic writer |
 //! | `error_hygiene`         | public `*Error` enums are `#[non_exhaustive]` + implement `source()` |
 //! | `lint_attrs`            | crate roots `#![forbid(unsafe_code)]` + opt into workspace `[lints]` |
 //! | `lock_order`            | workspace lock-acquisition graph is acyclic (cycles = deadlock risk) |
@@ -35,18 +36,18 @@
 //! ```
 //!
 //! Run `cargo run -p dv3dlint -- --workspace` from anywhere in the repo;
-//! configuration lives in `dv3dlint.toml` at the workspace root, and every
-//! workspace run refreshes `out/dv3dlint_report.json`.
+//! each rule's scope (crates, files, `enabled`) lives in `dv3dlint.toml`
+//! at the workspace root, what it looks for lives in the rule, and every
+//! workspace run refreshes `out/dv3dlint_report.json`. Any unsuppressed
+//! finding fails the run.
 //!
-//! The crate depends only on the workspace's vendored `rayon` stub (for
-//! the parallel file front-end, honouring `RAYON_NUM_THREADS`) — it lexes
-//! Rust, scans items, and reads the TOML subset it needs with its own
-//! machinery, so it builds before (and regardless of) the rest of the
+//! The crate has no dependencies: it lexes Rust, scans items, and reads
+//! the TOML subset it needs with its own machinery, one file after
+//! another, so it builds before (and regardless of) the rest of the
 //! workspace.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod dataflow;
@@ -57,5 +58,4 @@ pub mod model;
 pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod workspace;

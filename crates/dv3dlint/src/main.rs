@@ -6,26 +6,21 @@
 //! dv3dlint --list-rules
 //!
 //! Flags:
-//!   --config <path>          explicit dv3dlint.toml (default: search upward from cwd)
-//!   --json <path>            write the JSON report here (default on --workspace:
-//!                            <root>/out/dv3dlint_report.json)
-//!   --sarif <path>           write SARIF 2.1.0 here (default on --workspace:
-//!                            <root>/out/dv3dlint.sarif)
-//!   --baseline <path>        subtract known findings; they report as `baselined`
-//!                            and do not fail the run
-//!   --write-baseline <path>  record the current findings as the new baseline
-//!   --budget-ms <n>          fail (exit 2) if the lint pass exceeds n ms wall-clock
-//!   --no-report              skip the JSON and SARIF reports
-//!   --quiet                  suppress per-finding output, keep the summary
+//!   --config <path>    the dv3dlint.toml to read (default: search upward from
+//!                      cwd; none found = the built-in scope)
+//!   --json <path>      write the JSON report here (default on --workspace:
+//!                      <root>/out/dv3dlint_report.json)
+//!   --budget-ms <n>    fail (exit 2) if the lint pass exceeds n ms wall-clock
+//!   --quiet            suppress per-finding output, keep the summary
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage/config error (including
-//! a blown `--budget-ms`).
+//! an unreadable `--config` and a blown `--budget-ms`).
 
 #![forbid(unsafe_code)]
 
 use dv3dlint::config::Config;
-use dv3dlint::{baseline, engine, report, sarif, workspace};
+use dv3dlint::{engine, report, workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -34,11 +29,7 @@ struct Args {
     workspace: bool,
     config: Option<PathBuf>,
     json: Option<PathBuf>,
-    sarif: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     budget_ms: Option<u64>,
-    no_report: bool,
     quiet: bool,
     list_rules: bool,
     paths: Vec<PathBuf>,
@@ -49,11 +40,7 @@ fn parse_args() -> Result<Args, String> {
         workspace: false,
         config: None,
         json: None,
-        sarif: None,
-        baseline: None,
-        write_baseline: None,
         budget_ms: None,
-        no_report: false,
         quiet: false,
         list_rules: false,
         paths: Vec::new(),
@@ -69,30 +56,16 @@ fn parse_args() -> Result<Args, String> {
             "--json" => {
                 args.json = Some(PathBuf::from(it.next().ok_or("--json needs a path")?));
             }
-            "--sarif" => {
-                args.sarif = Some(PathBuf::from(it.next().ok_or("--sarif needs a path")?));
-            }
-            "--baseline" => {
-                args.baseline =
-                    Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?));
-            }
-            "--write-baseline" => {
-                args.write_baseline =
-                    Some(PathBuf::from(it.next().ok_or("--write-baseline needs a path")?));
-            }
             "--budget-ms" => {
                 let v = it.next().ok_or("--budget-ms needs a number")?;
                 args.budget_ms =
                     Some(v.parse().map_err(|_| format!("--budget-ms: bad number `{v}`"))?);
             }
-            "--no-report" => args.no_report = true,
             "--quiet" | "-q" => args.quiet = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
                 return Err("usage: dv3dlint --workspace | <paths…> \
-                            [--config <toml>] [--json <path>] [--sarif <path>] \
-                            [--baseline <path>] [--write-baseline <path>] \
-                            [--budget-ms <n>] [--no-report] [--quiet]"
+                            [--config <toml>] [--json <path>] [--budget-ms <n>] [--quiet]"
                     .into());
             }
             p if !p.starts_with('-') => args.paths.push(PathBuf::from(p)),
@@ -102,24 +75,16 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Finds the workspace root: the directory holding `dv3dlint.toml`,
-/// searching upward from the current directory.
-fn find_root(explicit_config: Option<&PathBuf>) -> PathBuf {
-    if let Some(cfg_path) = explicit_config {
-        if let Some(parent) = cfg_path.parent() {
-            if !parent.as_os_str().is_empty() {
-                return parent.to_path_buf();
-            }
-        }
-        return PathBuf::from(".");
-    }
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+/// The `dv3dlint.toml` nearest the current directory, searching upward.
+fn find_config() -> Option<PathBuf> {
+    let mut dir = std::env::current_dir().ok()?;
     loop {
-        if dir.join("dv3dlint.toml").is_file() {
-            return dir;
+        let candidate = dir.join("dv3dlint.toml");
+        if candidate.is_file() {
+            return Some(candidate);
         }
         if !dir.pop() {
-            return PathBuf::from(".");
+            return None;
         }
     }
 }
@@ -132,8 +97,10 @@ fn real_main() -> Result<bool, String> {
         }
         return Ok(true);
     }
-    let root = find_root(args.config.as_ref());
-    let cfg = Config::load(root.clone()).map_err(|e| e.to_string())?;
+    let cfg = match args.config.or_else(find_config) {
+        Some(path) => Config::load(&path).map_err(|e| e.to_string())?,
+        None => Config::defaults(PathBuf::from(".")),
+    };
 
     let started = Instant::now();
     let ws = if args.workspace {
@@ -147,79 +114,37 @@ fn real_main() -> Result<bool, String> {
     let mut summary = engine::run(&ws, &cfg);
     summary.elapsed_ms = started.elapsed().as_millis() as u64;
 
-    if let Some(path) = &args.write_baseline {
-        baseline::save(&summary, path)
-            .map_err(|e| format!("cannot write baseline {}: {e}", path.display()))?;
-        eprintln!(
-            "dv3dlint: baseline with {} finding(s) written to {}",
-            summary.total_violations(),
-            path.display()
-        );
-    }
-    if let Some(path) = &args.baseline {
-        let base = baseline::load(path)?;
-        baseline::apply(&mut summary, &base);
-    }
-
     if !args.quiet {
         for d in summary.diagnostics.iter().filter(|d| !d.suppressed) {
-            if d.baselined {
-                eprintln!("{} [baselined]", d.render());
-            } else {
-                eprintln!("{}", d.render());
-            }
+            eprintln!("{}", d.render());
         }
     }
     let counts: Vec<String> = summary
         .per_rule
         .iter()
-        .filter(|c| c.violations + c.allowed + c.baselined > 0)
-        .map(|c| {
-            format!("{}: {} ({} allowed, {} baselined)", c.rule, c.violations, c.allowed, c.baselined)
-        })
+        .filter(|c| c.violations + c.allowed > 0)
+        .map(|c| format!("{}: {} ({} allowed)", c.rule, c.violations, c.allowed))
         .collect();
     eprintln!(
-        "dv3dlint: {} file(s) in {} ms on {} thread(s), {} violation(s), {} allowed, {} baselined{}{}",
+        "dv3dlint: {} file(s) in {} ms, {} violation(s), {} allowed{}{}",
         summary.files_scanned,
         summary.elapsed_ms,
-        summary.threads,
         summary.total_violations(),
         summary.total_allowed(),
-        summary.total_baselined(),
         if counts.is_empty() { "" } else { " — " },
         counts.join(", ")
     );
 
-    let report_path = if args.no_report {
-        None
-    } else if let Some(p) = args.json {
-        Some(p)
-    } else if args.workspace {
-        Some(root.join("out/dv3dlint_report.json"))
-    } else {
-        None
+    let report_path = match args.json {
+        Some(p) => Some(p),
+        None if args.workspace => Some(cfg.root.join("out/dv3dlint_report.json")),
+        None => None,
     };
     if let Some(path) = report_path {
         report::write(&summary, &path)
             .map_err(|e| format!("cannot write report {}: {e}", path.display()))?;
         if !args.quiet {
             eprintln!("dv3dlint: report written to {}", path.display());
-        }
-    }
-    let sarif_path = if args.no_report {
-        None
-    } else if let Some(p) = args.sarif {
-        Some(p)
-    } else if args.workspace {
-        Some(root.join("out/dv3dlint.sarif"))
-    } else {
-        None
-    };
-    if let Some(path) = sarif_path {
-        sarif::write(&summary, &path)
-            .map_err(|e| format!("cannot write sarif {}: {e}", path.display()))?;
-        if !args.quiet {
-            eprintln!("dv3dlint: sarif written to {}", path.display());
         }
     }
 

@@ -1,8 +1,7 @@
 //! Machine-readable report: `out/dv3dlint_report.json`, rule → violation /
-//! allowed counts. Future PRs assert the counts are monotonically
-//! non-increasing, so the shape is deliberately flat and stable. The JSON
-//! is hand-emitted (fixed shape, no string content needs escaping beyond
-//! the basics).
+//! allowed counts plus every finding. The shape is deliberately flat and
+//! stable. The JSON is hand-emitted (fixed shape, no string content needs
+//! escaping beyond the basics).
 
 use crate::engine::RunSummary;
 use std::path::Path;
@@ -28,19 +27,16 @@ pub fn render(summary: &RunSummary) -> String {
     s.push_str("  \"tool\": \"dv3dlint\",\n");
     s.push_str(&format!("  \"files_scanned\": {},\n", summary.files_scanned));
     s.push_str(&format!("  \"elapsed_ms\": {},\n", summary.elapsed_ms));
-    s.push_str(&format!("  \"threads\": {},\n", summary.threads));
     s.push_str(&format!("  \"total_violations\": {},\n", summary.total_violations()));
     s.push_str(&format!("  \"total_allowed\": {},\n", summary.total_allowed()));
-    s.push_str(&format!("  \"total_baselined\": {},\n", summary.total_baselined()));
     s.push_str("  \"rules\": {\n");
     let n = summary.per_rule.len();
     for (i, c) in summary.per_rule.iter().enumerate() {
         s.push_str(&format!(
-            "    \"{}\": {{ \"violations\": {}, \"allowed\": {}, \"baselined\": {} }}{}\n",
+            "    \"{}\": {{ \"violations\": {}, \"allowed\": {} }}{}\n",
             esc(c.rule),
             c.violations,
             c.allowed,
-            c.baselined,
             if i + 1 < n { "," } else { "" }
         ));
     }
@@ -50,12 +46,11 @@ pub fn render(summary: &RunSummary) -> String {
     for (i, d) in summary.diagnostics.iter().enumerate() {
         s.push_str(&format!(
             "    {{ \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"suppressed\": {}, \
-             \"baselined\": {}, \"message\": \"{}\" }}{}\n",
+             \"message\": \"{}\" }}{}\n",
             esc(d.rule),
             esc(&d.file.as_os_str().to_string_lossy()),
             d.line,
             d.suppressed,
-            d.baselined,
             esc(&d.message),
             if i + 1 < m { "," } else { "" }
         ));
@@ -82,22 +77,18 @@ mod tests {
         let summary = RunSummary {
             diagnostics: Vec::new(),
             per_rule: vec![
-                RuleCount { rule: "no_panic", violations: 2, allowed: 7, baselined: 0 },
-                RuleCount { rule: "deadline_io", violations: 0, allowed: 1, baselined: 3 },
+                RuleCount { rule: "no_panic", violations: 2, allowed: 7 },
+                RuleCount { rule: "deadline_io", violations: 0, allowed: 1 },
             ],
             files_scanned: 42,
             elapsed_ms: 123,
-            threads: 4,
         };
         let json = render(&summary);
         assert!(json.contains("\"files_scanned\": 42"));
         assert!(json.contains("\"elapsed_ms\": 123"));
-        assert!(json.contains("\"threads\": 4"));
         assert!(json.contains("\"total_violations\": 2"));
         assert!(json.contains("\"total_allowed\": 8"));
-        assert!(json.contains("\"total_baselined\": 3"));
-        assert!(json
-            .contains("\"no_panic\": { \"violations\": 2, \"allowed\": 7, \"baselined\": 0 },"));
+        assert!(json.contains("\"no_panic\": { \"violations\": 2, \"allowed\": 7 },"));
         assert!(json.contains("\"findings\": [\n  ]"));
     }
 
@@ -110,22 +101,15 @@ mod tests {
                 rule: "lock_order",
                 message: "cycle".into(),
                 hint: None,
-                suppressed: false,
-                baselined: true,
+                suppressed: true,
             }],
-            per_rule: vec![RuleCount {
-                rule: "lock_order",
-                violations: 0,
-                allowed: 0,
-                baselined: 1,
-            }],
+            per_rule: vec![RuleCount { rule: "lock_order", violations: 0, allowed: 1 }],
             files_scanned: 1,
             elapsed_ms: 0,
-            threads: 1,
         };
         let json = render(&summary);
         assert!(json.contains("\"rule\": \"lock_order\""));
         assert!(json.contains("\"line\": 9"));
-        assert!(json.contains("\"baselined\": true"));
+        assert!(json.contains("\"suppressed\": true"));
     }
 }

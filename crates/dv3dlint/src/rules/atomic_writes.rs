@@ -12,6 +12,9 @@ use crate::diag::Diagnostic;
 use crate::lexer::Tok;
 use crate::workspace::{CrateModel, Workspace};
 
+/// Qualified calls (`qualifier::method`) that bypass atomicity.
+const RAW_WRITE_CALLS: &[&str] = &["fs::write", "File::create", "OpenOptions::new"];
+
 #[derive(Debug)]
 pub struct AtomicWrites;
 
@@ -54,7 +57,7 @@ impl Rule for AtomicWrites {
                     continue;
                 };
                 let call = format!("{qualifier}::{method}");
-                if !cfg.raw_write_calls.iter().any(|b| b == &call) {
+                if !RAW_WRITE_CALLS.contains(&call.as_str()) {
                     continue;
                 }
                 let line = toks[i].line;
@@ -73,7 +76,6 @@ impl Rule for AtomicWrites {
                         "call `storage::write_atomic` (tmp file + fsync + rename)".into(),
                     ),
                     suppressed: file.is_allowed(self.id(), line),
-                    baselined: false,
                 });
             }
         }

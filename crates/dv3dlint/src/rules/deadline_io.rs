@@ -12,6 +12,9 @@ use crate::diag::Diagnostic;
 use crate::lexer::Tok;
 use crate::workspace::{CrateModel, Workspace};
 
+/// The raw blocking protocol primitives.
+const BANNED_CALLS: &[&str] = &["read_message", "write_message"];
+
 #[derive(Debug)]
 pub struct DeadlineIo;
 
@@ -42,7 +45,7 @@ impl Rule for DeadlineIo {
             let toks = &file.lexed.tokens;
             for i in 0..toks.len() {
                 let Tok::Ident(name) = &toks[i].tok else { continue };
-                if !cfg.banned_calls.iter().any(|b| b == name) {
+                if !BANNED_CALLS.contains(&name.as_str()) {
                     continue;
                 }
                 // call sites only: `read_message(`; imports / doc links and
@@ -64,7 +67,6 @@ impl Rule for DeadlineIo {
                     ),
                     hint: Some(format!("replace with `{name}_deadline(stream, deadline, …)`")),
                     suppressed: file.is_allowed(self.id(), line),
-                    baselined: false,
                 });
             }
         }

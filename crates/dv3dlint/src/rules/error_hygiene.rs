@@ -78,7 +78,6 @@ impl Rule for ErrorHygiene {
                         ),
                         hint: Some("add `#[non_exhaustive]` above the enum".into()),
                         suppressed,
-                        baselined: false,
                     });
                 }
                 if !impls_with_source.iter().any(|t| t == &item.name) {
@@ -95,7 +94,6 @@ impl Rule for ErrorHygiene {
                             "implement `std::error::Error for …` with `fn source()`".into(),
                         ),
                         suppressed,
-                        baselined: false,
                     });
                 }
             }

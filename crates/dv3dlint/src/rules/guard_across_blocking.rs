@@ -38,7 +38,7 @@ impl Rule for GuardAcrossBlocking {
         if !cfg.guard_blocking_enabled || !krate.in_scope(&cfg.concurrency_crates) {
             return;
         }
-        let analysis = ws.analysis(cfg);
+        let analysis = ws.analysis();
         for file in &krate.files {
             for i in analysis.fns_in_file(&file.path) {
                 let node = &analysis.fns[i];
@@ -69,7 +69,6 @@ impl Rule for GuardAcrossBlocking {
                                 .into(),
                         ),
                         suppressed: file.is_allowed(self.id(), b.line),
-                        baselined: false,
                     });
                 }
                 // calls under a guard into functions that may block
@@ -111,7 +110,6 @@ impl Rule for GuardAcrossBlocking {
                                 .into(),
                         ),
                         suppressed: file.is_allowed(self.id(), cu.line),
-                        baselined: false,
                     });
                 }
             }

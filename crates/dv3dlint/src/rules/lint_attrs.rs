@@ -1,5 +1,5 @@
 //! R5 `lint_attrs`: every crate root must carry `#![forbid(unsafe_code)]`
-//! (and any other configured `require_forbid` lints), opt into the shared
+//! (every lint in [`REQUIRE_FORBID`]), opt into the shared
 //! workspace `[lints]` table (`[lints] workspace = true` in its
 //! `Cargo.toml`), and the workspace root manifest must deny the agreed
 //! lint set under `[workspace.lints.rust]`. This pins the invariant layer
@@ -10,6 +10,12 @@ use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::workspace::{CrateModel, Workspace};
 use std::path::PathBuf;
+
+/// Lints every crate root must `#![forbid(..)]`.
+pub const REQUIRE_FORBID: &[&str] = &["unsafe_code"];
+/// Lints the root manifest must deny (or forbid) under
+/// `[workspace.lints.rust]`.
+const WORKSPACE_DENIES: &[&str] = &["unused_must_use"];
 
 #[derive(Debug)]
 pub struct LintAttrs;
@@ -39,7 +45,7 @@ impl Rule for LintAttrs {
         let Some(root_model) = krate.files.iter().find(|f| &f.path == root_file) else {
             return;
         };
-        for lint in &cfg.require_forbid {
+        for lint in REQUIRE_FORBID {
             let want = format!("forbid({lint})");
             if !root_model.inner_attrs.iter().any(|a| a.contains(&want)) {
                 out.push(Diagnostic {
@@ -49,11 +55,10 @@ impl Rule for LintAttrs {
                     message: format!("crate root `{}` lacks `#![{want}]`", krate.name),
                     hint: Some(format!("add `#![{want}]` at the top of the crate root")),
                     suppressed: root_model.is_allowed(self.id(), 1),
-                    baselined: false,
                 });
             }
         }
-        if cfg.require_workspace_lints && manifest.boolean("lints", "workspace") != Some(true) {
+        if manifest.boolean("lints", "workspace") != Some(true) {
             out.push(Diagnostic {
                 file: krate.dir.join("Cargo.toml"),
                 line: 0,
@@ -65,14 +70,13 @@ impl Rule for LintAttrs {
                 ),
                 hint: None,
                 suppressed: false,
-                baselined: false,
             });
         }
         // the workspace-level deny set is checked once, against the first
         // crate in the run, so the finding isn't repeated per crate
         if ws.crates.first().map(|c| c.name == krate.name).unwrap_or(true) {
             if let Some(root) = &ws.root_manifest {
-                for lint in &cfg.workspace_denies {
+                for lint in WORKSPACE_DENIES {
                     let level = root.string("workspace.lints.rust", lint);
                     if !matches!(level.as_deref(), Some("deny") | Some("forbid")) {
                         out.push(Diagnostic {
@@ -85,7 +89,6 @@ impl Rule for LintAttrs {
                             ),
                             hint: None,
                             suppressed: false,
-                            baselined: false,
                         });
                     }
                 }

@@ -45,7 +45,7 @@ impl Rule for LockOrder {
         if ws.crates.first().map(|c| c.name != krate.name).unwrap_or(true) {
             return;
         }
-        let analysis = ws.analysis(cfg);
+        let analysis = ws.analysis();
         for cycle in analysis.lock_cycles() {
             let first = match cycle.first() {
                 Some(e) => *e,
@@ -88,7 +88,6 @@ impl Rule for LockOrder {
                         .into(),
                 ),
                 suppressed,
-                baselined: false,
             });
         }
     }

@@ -14,6 +14,18 @@ use crate::lexer::Tok;
 use crate::model::{FileModel, Item, ItemKind};
 use crate::workspace::{CrateModel, Workspace};
 
+/// Method names that count as raw buffer access.
+const RAW_MARKERS: &[&str] = &["data", "data_mut"];
+/// Identifiers that show mask awareness (besides any containing `mask`).
+const MASK_MARKERS: &[&str] = &[
+    "iter_valid",
+    "get_valid",
+    "to_filled",
+    "valid_count",
+    "valid_fraction",
+    "from_filled_data",
+];
+
 #[derive(Debug)]
 pub struct MaskPropagation;
 
@@ -41,7 +53,7 @@ impl Rule for MaskPropagation {
                 if item.kind != ItemKind::Fn || item.in_test {
                     continue;
                 }
-                check_fn(self.id(), file, item, cfg, out);
+                check_fn(self.id(), file, item, out);
             }
         }
     }
@@ -51,7 +63,6 @@ fn check_fn(
     rule: &'static str,
     file: &FileModel,
     f: &Item,
-    cfg: &Config,
     out: &mut Vec<Diagnostic>,
 ) {
     let Some((open, close)) = f.body else { return };
@@ -63,10 +74,10 @@ fn check_fn(
     let mut mask_aware = false;
     for i in open..=close.min(toks.len().saturating_sub(1)) {
         if let Tok::Ident(name) = &toks[i].tok {
-            if name.contains("mask") || cfg.mask_markers.iter().any(|m| m == name) {
+            if name.contains("mask") || MASK_MARKERS.contains(&name.as_str()) {
                 mask_aware = true;
             }
-            if cfg.raw_markers.iter().any(|m| m == name)
+            if RAW_MARKERS.contains(&name.as_str())
                 && matches!(toks.get(i.wrapping_sub(1)).map(|t| &t.tok), Some(Tok::Punct('.')))
                 && matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('(')))
             {
@@ -87,7 +98,6 @@ fn check_fn(
             ),
             hint: Some("iterate `iter_valid()` or branch on `.mask()` before reading".into()),
             suppressed,
-            baselined: false,
         });
     }
 }

@@ -1,7 +1,7 @@
 //! The rule registry. Each rule is a module with its own unit tests against
 //! inline fixture snippets; `all()` returns them in report order.
 //!
-//! Adding a rule (see DESIGN.md §9): create a module implementing [`Rule`],
+//! Adding a rule (see DESIGN.md §10): create a module implementing [`Rule`],
 //! add it to [`all`], give it a config section in `dv3dlint.toml`, and
 //! register its allow-name (the `id()`) in the README table.
 

@@ -65,7 +65,6 @@ fn check_file(rule: &'static str, file: &FileModel, hot: bool, out: &mut Vec<Dia
             message,
             hint: Some("return a `Result` (or use `get`/pattern matching) instead".into()),
             suppressed: file.is_allowed(rule, line),
-            baselined: false,
         });
     };
     for i in 0..toks.len() {

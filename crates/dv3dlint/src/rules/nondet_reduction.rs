@@ -42,7 +42,7 @@ impl Rule for NondetReduction {
         if !cfg.nondet_enabled || !krate.in_scope(&cfg.concurrency_crates) {
             return;
         }
-        let analysis = ws.analysis(cfg);
+        let analysis = ws.analysis();
         for file in &krate.files {
             let path_str = file.path.as_os_str().to_string_lossy();
             let exempt_floats = cfg
@@ -68,7 +68,6 @@ impl Rule for NondetReduction {
                                     .into(),
                             ),
                             suppressed: file.is_allowed(self.id(), nf.line),
-                            baselined: false,
                         });
                     }
                 }
@@ -88,7 +87,6 @@ impl Rule for NondetReduction {
                                 .into(),
                         ),
                         suppressed: file.is_allowed(self.id(), hi.line),
-                        baselined: false,
                     });
                 }
             }

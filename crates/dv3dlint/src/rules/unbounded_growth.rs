@@ -41,7 +41,7 @@ impl Rule for UnboundedGrowth {
         if !cfg.unbounded_enabled {
             return;
         }
-        let analysis = ws.analysis(cfg);
+        let analysis = ws.analysis();
         for file in &krate.files {
             let path_str = file.path.as_os_str().to_string_lossy();
             if !cfg.input_modules.iter().any(|m| path_str.ends_with(m.as_str())) {
@@ -68,7 +68,6 @@ impl Rule for UnboundedGrowth {
                                 .into(),
                         ),
                         suppressed: file.is_allowed(self.id(), g.line),
-                        baselined: false,
                     });
                 }
             }

@@ -4,9 +4,8 @@
 
 use crate::config::{Config, ConfigError, Toml};
 use crate::model::FileModel;
-use rayon::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// One crate as the rules see it.
 #[derive(Debug)]
@@ -33,16 +32,14 @@ pub struct Workspace {
     pub files_scanned: usize,
     /// Lazily-built global dataflow analysis, shared by the concurrency
     /// rules (built once, on first use).
-    pub analysis: OnceLock<Arc<crate::callgraph::Analysis>>,
+    pub analysis: OnceLock<crate::callgraph::Analysis>,
 }
 
 impl Workspace {
     /// The global two-pass analysis (call graph, lock graph, per-function
     /// facts), building it on first request.
-    pub fn analysis(&self, cfg: &Config) -> Arc<crate::callgraph::Analysis> {
-        self.analysis
-            .get_or_init(|| Arc::new(crate::callgraph::Analysis::build(self, cfg)))
-            .clone()
+    pub fn analysis(&self) -> &crate::callgraph::Analysis {
+        self.analysis.get_or_init(|| crate::callgraph::Analysis::build(self))
     }
 
     /// The parsed model of the file at `path`, if it was scanned.
@@ -79,23 +76,9 @@ fn read_source(root: &Path, path: &Path) -> Result<(PathBuf, String), ConfigErro
     Ok((rel(root, path), src))
 }
 
-/// Worker threads the parallel front-end uses (vendored rayon honours
-/// `RAYON_NUM_THREADS`); reported in the JSON report.
-pub fn worker_threads() -> usize {
-    rayon::current_num_threads().max(1)
-}
-
-/// Parses already-read sources in parallel (vendored rayon; honours
-/// `RAYON_NUM_THREADS`). Output order matches input order, so diagnostics
-/// stay deterministic regardless of thread count.
+/// Parses already-read sources, in input order.
 fn parse_sources(sources: Vec<(PathBuf, String)>) -> Vec<FileModel> {
-    let mut slots: Vec<(PathBuf, String, Option<FileModel>)> =
-        sources.into_iter().map(|(p, s)| (p, s, None)).collect();
-    slots
-        .as_mut_slice()
-        .par_iter_mut()
-        .for_each(|(path, src, out)| *out = Some(FileModel::parse(path.clone(), src)));
-    slots.into_iter().filter_map(|(_, _, m)| m).collect()
+    sources.into_iter().map(|(path, src)| FileModel::parse(path, &src)).collect()
 }
 
 /// Builds one crate model from its directory (must contain `Cargo.toml`).

@@ -80,16 +80,45 @@ fn workspace_run_on_this_repo_is_clean() {
     // the repo this tool ships in must stay lint-clean; this is the same
     // invocation CI uses
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let (code, _out, err) = run_lint(&["--workspace", "--no-report"], &root);
+    let dir = scratch_dir("workspace");
+    let report = dir.join("report.json");
+    let report_arg = report.to_string_lossy().into_owned();
+    let (code, _out, err) = run_lint(&["--workspace", "--json", &report_arg], &root);
     assert_eq!(code, 0, "workspace must be clean:\n{err}");
     assert!(err.contains("0 violation(s)"), "{err}");
+    let json = std::fs::read_to_string(&report).expect("report written");
+    assert!(json.contains("\"total_violations\": 0"), "{json}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn usage_errors_exit_two() {
+    // a file to lint, so that the run gets past "nothing to lint" and the
+    // exit code is the unreadable config's
     let dir = scratch_dir("usage");
-    let (code, _out, err) = run_lint(&["--config", "/nonexistent/dv3dlint.toml"], &dir);
+    let file = dir.join("dirty.rs");
+    std::fs::write(&file, DIRTY).expect("write fixture");
+    let path = file.to_string_lossy().into_owned();
+    let (code, _out, err) =
+        run_lint(&["--config", "/nonexistent/dv3dlint.toml", &path], &dir);
     assert_eq!(code, 2, "bad config must exit 2; stderr:\n{err}");
+    assert!(err.contains("cannot read /nonexistent/dv3dlint.toml"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn config_flag_reads_the_file_it_names() {
+    // a config not called dv3dlint.toml that turns `no_panic` off: the
+    // dirty file's three findings go away only if this file is read
+    let dir = scratch_dir("named-config");
+    let file = dir.join("dirty.rs");
+    std::fs::write(&file, DIRTY).expect("write fixture");
+    let config = dir.join("quiet.toml");
+    std::fs::write(&config, "[rules.no_panic]\nenabled = false\n").expect("write config");
+    let (path, config) =
+        (file.to_string_lossy().into_owned(), config.to_string_lossy().into_owned());
+    let (code, _out, err) = run_lint(&["--config", &config, &path], &dir);
+    assert_eq!(code, 0, "the named config disables no_panic; stderr:\n{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
