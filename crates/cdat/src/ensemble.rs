@@ -9,8 +9,11 @@
 //! per-region analysis — the DAG the dependency-counting executor is
 //! benchmarked on (`benches/ensemble.rs`).
 //!
-//! On the dv3dlint `indexing_hot_paths` list: these drivers run under
+//! A hot-path file that denies `clippy::indexing_slicing`: these drivers run under
 //! every batch workload, so element access goes through `.get()`.
+
+// Hot path: the ensemble drivers sit under every batch workload.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::regrid_plan::RegridMethod;
 use crate::taskgraph::TaskGraph;

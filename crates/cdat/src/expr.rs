@@ -41,6 +41,9 @@
 //! [`mask_where_other_local`] run the same fused single-pass kernels
 //! serially for those entry points.
 
+// Hot path: the fused expression kernels sit under every analysis call.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use cdms::array::mask::{self, LANES};
 use cdms::array::BinOp;
 use cdms::{CdmsError, MaskedArray, Result};

@@ -37,6 +37,9 @@
 //! produces an owned one (the anomaly flush, the latitude mean), so a
 //! recipe that ends in a reduction never copies the full field.
 
+// Hot path: the pipeline that fuses across steps sits under every analysis call.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::reduce::{self, RowSource};
 use cdms::axis::AxisKind;
 use cdms::{CdmsError, MaskedArray, Result, Variable};

@@ -14,8 +14,11 @@
 //! counted in [`CacheStats::dedups`]. Keys are content-addressed grid
 //! fingerprints, so "same key" means "same work" across callers.
 //!
-//! On the dv3dlint `indexing_hot_paths` list: lookups run inside the
+//! A hot-path file that denies `clippy::indexing_slicing`: lookups run in the
 //! interactive render loop and must not panic.
+
+// Hot path: cached regrid plans are applied inside every animation frame.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::regrid_plan::RegridPlan;
 use cdms::Result;

@@ -72,6 +72,9 @@
 //! copies base lanes into the stage and streams its deferred lane ops
 //! over them, so the array and the virtual field run the same kernels.
 
+// Hot path: the fused reduction kernels sit under every analysis call.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use cdms::{CdmsError, MaskedArray, Result};
 use rayon::prelude::*;
 

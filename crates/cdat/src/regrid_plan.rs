@@ -7,9 +7,12 @@
 //! unmasked overlap weight. See DESIGN.md §11 for the CSR layout and the
 //! fingerprint scheme.
 //!
-//! This file is on the dv3dlint `indexing_hot_paths` list: the kernel must
+//! A hot-path file that denies `clippy::indexing_slicing`: the kernel must
 //! not panic mid-animation, so all element access goes through `.get()`
 //! and iterators.
+
+// Hot path: the regrid plan/apply kernels run inside every animation frame.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use cdms::axis::{Axis, AxisKind};
 use cdms::grid::{axes_fingerprint, RectGrid};

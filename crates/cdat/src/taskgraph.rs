@@ -6,9 +6,12 @@
 //! [`vistrails::schedule`], the DAG scheduler the workflow executor runs on
 //! too ([`TaskGraph::run_with_pool`] / [`TaskGraph::run_parallel`]), with a
 //! task's insertion order as its node index. Outputs are bit-identical to
-//! `run_serial` at any worker count. See DESIGN.md §18. On the dv3dlint
-//! `indexing_hot_paths` list, as the scheduler is: no element access here
-//! may panic, so it goes through `.get()` and iterators.
+//! `run_serial` at any worker count. See DESIGN.md §18. A hot-path file
+//! that denies `clippy::indexing_slicing`, as the scheduler is: no element
+//! access here may panic, so it goes through `.get()` and iterators.
+
+// Hot path: the task graph sits under every batch workload.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use cdms::{CdmsError, Result, Variable};
 use std::collections::BTreeMap;
@@ -183,7 +186,10 @@ impl TaskGraph {
 
     /// [`TaskGraph::add_streaming_window_source`] through an explicit
     /// storage backend and stream options (fault injection, cache tuning).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "`add_streaming_window_source`'s arguments plus the backend and stream options"
+    )]
     pub fn add_streaming_window_source_with(
         &mut self,
         storage: Arc<dyn cdms::Storage>,

@@ -307,7 +307,10 @@ impl RelTime {
                 cal.from_absolute_days(days)
             }
             _ => {
-                // dv3dlint: allow(no_panic) -- Months/Years are handled by the arms above; every remaining unit is fixed-length
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Months/Years are handled by the arms above; every remaining unit is fixed-length"
+                )]
                 let days_per = self.units.days_per_unit().expect("fixed unit");
                 let days = cal.absolute_days(&self.epoch) + value * days_per;
                 cal.from_absolute_days(days)
@@ -325,8 +328,12 @@ impl RelTime {
             TimeUnits::Years => (t.year - self.epoch.year) as f64,
             _ => {
                 let d = cal.absolute_days(t) - cal.absolute_days(&self.epoch);
-                // dv3dlint: allow(no_panic) -- Months/Years are handled by the arms above; every remaining unit is fixed-length
-                d / self.units.days_per_unit().expect("fixed unit")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Months/Years are handled by the arms above; every remaining unit is fixed-length"
+                )]
+                let days_per = self.units.days_per_unit().expect("fixed unit");
+                d / days_per
             }
         }
     }

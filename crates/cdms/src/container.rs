@@ -42,8 +42,12 @@
 //!   sequential walk; [`Entry::payload_in`] then vouches for a payload by
 //!   the entry's CRC alone, so destroyed framing bytes cost nothing.
 //!
-//! This module turns untrusted offsets and lengths into slices, so it is
-//! on dv3dlint's `indexing_hot_paths`: `.get()` and iterators only.
+//! This module turns untrusted offsets and lengths into slices, so it is a
+//! hot-path file that denies `clippy::indexing_slicing`: `.get()` and
+//! iterators only.
+
+// Hot path: a file's untrusted offsets and lengths become slices here.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::error::{CdmsError, Result};
 use crate::storage::crc32c;

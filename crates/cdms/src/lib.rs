@@ -1,7 +1,16 @@
 #![forbid(unsafe_code)]
-// Index-form loops over several parallel arrays are clearer here than
-// iterator chains; silence the style lint crate-wide.
-#![allow(clippy::needless_range_loop)]
+// R1 (DESIGN.md §10): library code returns an error where it could panic;
+// a site whose invariant rules the panic out says why in an `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+// Outside `storage.rs` the raw file writes are disallowed (`clippy.toml`,
+// R6); tests write damaged files directly.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-form loops over several parallel arrays are clearer here than iterator chains"
+)]
 
 //! # cdms — Climate Data Management System substrate
 //!

@@ -49,6 +49,9 @@
 //! The one miss that is left is verified and decoded on both cores, split
 //! into even halves: see `held_and_decoded_into`.
 
+// Hot path: bytes off hostile storage are decoded inside every played frame.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::axis::AxisKind;
 use crate::error::{CdmsError, Result};
 use crate::format;

@@ -45,7 +45,10 @@ use rayon::prelude::*;
 fn built<T>(what: &str, r: Result<T>) -> T {
     match r {
         Ok(v) => v,
-        // dv3dlint: allow(no_panic) -- shapes and axes are correct by construction in this module; see doc comment
+        #[expect(
+            clippy::panic,
+            reason = "shapes and axes are correct by construction in this module; see doc comment"
+        )]
         Err(e) => panic!("synth invariant broken building {what}: {e}"),
     }
 }

@@ -31,6 +31,8 @@
 //! reduced count); every fuzzer's name starts `corruption_fuzz`, so one
 //! name filter runs them all.
 
+#![allow(clippy::disallowed_methods, reason = "the fuzzer writes damaged files directly, on purpose")]
+
 use cdms::format::{self, SectionKind};
 use cdms::format_v3::{self, V3Layout, V3Meta, V3Options};
 use cdms::storage::LocalDisk;

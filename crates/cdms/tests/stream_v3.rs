@@ -13,6 +13,8 @@
 //!   frame, an in-order scan and a scripted run of far jumps read exactly
 //!   the windows the three-window cache does not hold.
 
+#![allow(clippy::disallowed_methods, reason = "the tests write damaged files directly, on purpose")]
+
 use cdms::format::{self};
 use cdms::format_v3::{self, V3Options};
 use cdms::storage::{FaultyStorage, LocalDisk, StorageFault, StorageFaultPlan};

@@ -9,6 +9,9 @@
 //! playhead reaches it. Either way the plot keeps its interactive state,
 //! and the index moves only once the plot has taken the frame.
 
+// Hot path: on a wall client the playhead's indices arrive off a socket.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::plots::{offset_index, Plot};
 use crate::translation::{translate_scalar, TranslationOptions};
 use crate::{Dv3dError, Result};

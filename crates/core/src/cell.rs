@@ -51,8 +51,11 @@ impl std::fmt::Debug for Dv3dCell {
 
 impl Dv3dCell {
     /// Builds a cell around a plot spec.
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible convenience constructor; callers that can handle failure use try_new"
+    )]
     pub fn new(name: &str, spec: PlotSpec) -> Dv3dCell {
-        // dv3dlint: allow(no_panic) -- infallible convenience constructor; callers that can handle failure use try_new
         Self::try_new(name, spec).expect("plot construction")
     }
 

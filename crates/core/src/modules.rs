@@ -13,6 +13,9 @@
 //! --type` and a hyperwall cell each look a row up by key and build their
 //! cell through the one chain [`cell_chain_actions`] records.
 
+// Hot path: on a wall client the pipeline's parameters arrive off a socket.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::cell::Dv3dCell;
 use crate::plots::{single_variable_rows, PaletteRow, PlotSpec, PALETTE};
 use crate::translation::{translate_scalar, translate_vector, TranslationOptions};

@@ -196,23 +196,8 @@ pub struct Config {
     pub root: PathBuf,
     /// Crate directories scanned by `--workspace`, workspace-relative.
     pub crate_dirs: Vec<String>,
-    pub no_panic_enabled: bool,
-    /// Package names whose non-test library code must be panic-free.
-    pub no_panic_crates: Vec<String>,
-    /// Files (workspace-relative) where indexing without `get` is banned.
-    pub indexing_hot_paths: Vec<String>,
     pub mask_enabled: bool,
     pub mask_crates: Vec<String>,
-    pub deadline_enabled: bool,
-    pub deadline_crate: String,
-    /// Modules allowed to use raw `read_message`/`write_message` (the
-    /// protocol primitives live here by design). Suffix-matched.
-    pub protocol_modules: Vec<String>,
-    pub atomic_writes_enabled: bool,
-    /// Crates whose file writes must go through the atomic storage layer.
-    pub atomic_writes_crates: Vec<String>,
-    /// The one module allowed to call the raw filesystem write primitives.
-    pub storage_module: String,
     pub error_hygiene_enabled: bool,
     pub error_hygiene_crates: Vec<String>,
     pub lint_attrs_enabled: bool,
@@ -254,17 +239,8 @@ impl Config {
                 "crates/dv3dlint",
                 ".",
             ]),
-            no_panic_enabled: true,
-            no_panic_crates: library_crates.clone(),
-            indexing_hot_paths: svec(&["crates/hyperwall/src/protocol.rs"]),
             mask_enabled: true,
             mask_crates: svec(&["cdat"]),
-            deadline_enabled: true,
-            deadline_crate: "hyperwall".into(),
-            protocol_modules: svec(&["crates/hyperwall/src/protocol.rs"]),
-            atomic_writes_enabled: true,
-            atomic_writes_crates: svec(&["cdms"]),
-            storage_module: "crates/cdms/src/storage.rs".into(),
             error_hygiene_enabled: true,
             error_hygiene_crates: library_crates.clone(),
             lint_attrs_enabled: true,
@@ -291,7 +267,9 @@ impl Config {
 
     /// Loads the `dv3dlint.toml` at `path` over the defaults; the
     /// workspace root is the file's directory. A file that cannot be read
-    /// is an error, not a silent fall-back to the defaults.
+    /// is an error, not a silent fall-back to the defaults, and so is a
+    /// section or key this function does not read (a misspelt `enabled`
+    /// would otherwise leave its rule on without a word).
     pub fn load(path: &Path) -> Result<Config, ConfigError> {
         let src = std::fs::read_to_string(path)
             .map_err(|e| ConfigError(format!("cannot read {}: {e}", path.display())))?;
@@ -302,45 +280,61 @@ impl Config {
             _ => PathBuf::from("."),
         };
         let mut cfg = Config::defaults(root);
-        let list = |section: &str, key: &str, into: &mut Vec<String>| {
-            if let Some(v) = t.str_list(section, key) {
-                *into = v;
+        let mut o = Overlay { toml: &t, read: Vec::new() };
+        o.list("workspace", "crates", &mut cfg.crate_dirs);
+        o.enabled("rules.mask_propagation", &mut cfg.mask_enabled);
+        o.list("rules.mask_propagation", "crates", &mut cfg.mask_crates);
+        o.enabled("rules.error_hygiene", &mut cfg.error_hygiene_enabled);
+        o.list("rules.error_hygiene", "crates", &mut cfg.error_hygiene_crates);
+        o.enabled("rules.lint_attrs", &mut cfg.lint_attrs_enabled);
+        o.list("rules.lint_attrs", "crates", &mut cfg.lint_attrs_crates);
+        o.list("analysis", "crates", &mut cfg.concurrency_crates);
+        o.enabled("rules.lock_order", &mut cfg.lock_order_enabled);
+        o.enabled("rules.guard_across_blocking", &mut cfg.guard_blocking_enabled);
+        o.enabled("rules.nondet_reduction", &mut cfg.nondet_enabled);
+        o.list("rules.nondet_reduction", "reduction_modules", &mut cfg.reduction_modules);
+        o.enabled("rules.unbounded_growth", &mut cfg.unbounded_enabled);
+        o.list("rules.unbounded_growth", "input_modules", &mut cfg.input_modules);
+        match o.unknown() {
+            Some(what) => Err(ConfigError(format!("{what} in {}", path.display()))),
+            None => Ok(cfg),
+        }
+    }
+}
+
+/// Copies a parsed `dv3dlint.toml` onto a [`Config`], remembering every
+/// key it reads: whatever the file holds beyond those is unknown.
+struct Overlay<'t> {
+    toml: &'t Toml,
+    read: Vec<(&'static str, &'static str)>,
+}
+
+impl Overlay<'_> {
+    fn list(&mut self, section: &'static str, key: &'static str, into: &mut Vec<String>) {
+        self.read.push((section, key));
+        if let Some(v) = self.toml.str_list(section, key) {
+            *into = v;
+        }
+    }
+
+    fn enabled(&mut self, section: &'static str, into: &mut bool) {
+        self.read.push((section, "enabled"));
+        if let Some(b) = self.toml.boolean(section, "enabled") {
+            *into = b;
+        }
+    }
+
+    /// The file's first section or key that no call above read.
+    fn unknown(&self) -> Option<String> {
+        for (section, keys) in &self.toml.sections {
+            if !section.is_empty() && !self.read.iter().any(|(s, _)| s == section) {
+                return Some(format!("unknown section `[{section}]`"));
             }
-        };
-        let string = |section: &str, key: &str, into: &mut String| {
-            if let Some(s) = t.string(section, key) {
-                *into = s;
+            if let Some(key) = keys.keys().find(|k| !self.read.contains(&(section, k))) {
+                return Some(format!("unknown key `{key}` in `[{section}]`"));
             }
-        };
-        let enabled = |section: &str, into: &mut bool| {
-            if let Some(b) = t.boolean(section, "enabled") {
-                *into = b;
-            }
-        };
-        list("workspace", "crates", &mut cfg.crate_dirs);
-        enabled("rules.no_panic", &mut cfg.no_panic_enabled);
-        list("rules.no_panic", "crates", &mut cfg.no_panic_crates);
-        list("rules.no_panic", "indexing_hot_paths", &mut cfg.indexing_hot_paths);
-        enabled("rules.mask_propagation", &mut cfg.mask_enabled);
-        list("rules.mask_propagation", "crates", &mut cfg.mask_crates);
-        enabled("rules.deadline_io", &mut cfg.deadline_enabled);
-        string("rules.deadline_io", "crate", &mut cfg.deadline_crate);
-        list("rules.deadline_io", "protocol_modules", &mut cfg.protocol_modules);
-        enabled("rules.atomic_writes", &mut cfg.atomic_writes_enabled);
-        list("rules.atomic_writes", "crates", &mut cfg.atomic_writes_crates);
-        string("rules.atomic_writes", "storage_module", &mut cfg.storage_module);
-        enabled("rules.error_hygiene", &mut cfg.error_hygiene_enabled);
-        list("rules.error_hygiene", "crates", &mut cfg.error_hygiene_crates);
-        enabled("rules.lint_attrs", &mut cfg.lint_attrs_enabled);
-        list("rules.lint_attrs", "crates", &mut cfg.lint_attrs_crates);
-        list("analysis", "crates", &mut cfg.concurrency_crates);
-        enabled("rules.lock_order", &mut cfg.lock_order_enabled);
-        enabled("rules.guard_across_blocking", &mut cfg.guard_blocking_enabled);
-        enabled("rules.nondet_reduction", &mut cfg.nondet_enabled);
-        list("rules.nondet_reduction", "reduction_modules", &mut cfg.reduction_modules);
-        enabled("rules.unbounded_growth", &mut cfg.unbounded_enabled);
-        list("rules.unbounded_growth", "input_modules", &mut cfg.input_modules);
-        Ok(cfg)
+        }
+        None
     }
 }
 
@@ -355,7 +349,7 @@ mod tests {
 [workspace]
 crates = ["crates/a", "crates/b"]  # trailing comment
 
-[rules.no_panic]
+[rules.error_hygiene]
 enabled = true
 crates = [
   "cdms",
@@ -369,14 +363,14 @@ name = "x # not a comment"
             t.str_list("workspace", "crates"),
             Some(vec!["crates/a".into(), "crates/b".into()])
         );
-        assert_eq!(t.boolean("rules.no_panic", "enabled"), Some(true));
+        assert_eq!(t.boolean("rules.error_hygiene", "enabled"), Some(true));
         assert_eq!(
-            t.str_list("rules.no_panic", "crates"),
+            t.str_list("rules.error_hygiene", "crates"),
             Some(vec!["cdms".into(), "cdat".into()])
         );
-        assert_eq!(t.get("rules.no_panic", "limit"), Some(&Value::Int(42)));
+        assert_eq!(t.get("rules.error_hygiene", "limit"), Some(&Value::Int(42)));
         assert_eq!(
-            t.string("rules.no_panic", "name").as_deref(),
+            t.string("rules.error_hygiene", "name").as_deref(),
             Some("x # not a comment")
         );
     }
@@ -391,9 +385,9 @@ name = "x # not a comment"
     #[test]
     fn defaults_cover_all_rules() {
         let cfg = Config::defaults(PathBuf::from("."));
-        assert!(cfg.no_panic_enabled);
-        assert!(cfg.no_panic_crates.contains(&"cdat".to_string()));
-        assert_eq!(cfg.deadline_crate, "hyperwall");
+        assert!(cfg.mask_enabled);
+        assert!(cfg.error_hygiene_crates.contains(&"cdat".to_string()));
+        assert_eq!(cfg.mask_crates, vec!["cdat".to_string()]);
         assert!(crate::rules::lint_attrs::REQUIRE_FORBID.contains(&"unsafe_code"));
     }
 }

@@ -7,8 +7,9 @@ use crate::diag::{sort, Diagnostic};
 use crate::rules;
 use crate::workspace::Workspace;
 
-/// Rule id used for malformed `dv3dlint:` directives — these are always
-/// hard errors (a broken escape hatch must not silently suppress).
+/// Rule id used for malformed `dv3dlint:` directives, and for directives
+/// that name no rule — these are always hard errors (a broken escape hatch
+/// must not silently suppress, and one that suppresses nothing must say so).
 pub const ALLOW_SYNTAX: &str = "allow_syntax";
 
 /// Per-rule tally.
@@ -58,15 +59,19 @@ pub fn run(ws: &Workspace, cfg: &Config) -> RunSummary {
     }
     for krate in &ws.crates {
         for file in &krate.files {
-            for (line, problem) in &file.bad_allows {
+            let unknown = file.allows.iter().filter(|a| rules.iter().all(|r| r.id() != a.rule));
+            let unknown = unknown.map(|a| {
+                (a.directive_line, format!("`{}` names no dv3dlint rule: it allows nothing", a.rule))
+            });
+            for (line, problem) in file.bad_allows.iter().cloned().chain(unknown) {
                 diagnostics.push(Diagnostic {
                     file: file.path.clone(),
-                    line: *line,
+                    line,
                     rule: ALLOW_SYNTAX,
-                    message: problem.clone(),
+                    message: problem,
                     hint: Some(
-                        "write `// dv3dlint: allow(<rule>) -- <reason>`; the reason is \
-                         mandatory"
+                        "write `// dv3dlint: allow(<rule>) -- <reason>` with a rule from \
+                         `--list-rules`; the reason is mandatory"
                             .into(),
                     ),
                     suppressed: false,

@@ -344,7 +344,7 @@ mod tests {
             .tokens
             .iter()
             .find(|t| t.tok == Tok::Ident("unwrap".into()))
-            .expect("unwrap token"); // dv3dlint: allow(no_panic) -- test helper
+            .expect("unwrap token");
         assert_eq!(unwrap.line, 3);
     }
 

@@ -2,20 +2,19 @@
 //!
 //! A self-contained static-analysis pass for this DV3D/UV-CDAT
 //! reproduction. The system's correctness rests on invariants no compiler
-//! checks: masked values must propagate through every CDAT kernel,
-//! hyperwall protocol exchanges must be deadline-aware, and hot
-//! render/regrid paths must not panic mid-frame. `dv3dlint` enforces them
-//! with file:line diagnostics and a nonzero exit, so they are invariants
-//! of the build rather than of code review.
+//! checks: masked values must propagate through every CDAT kernel, error
+//! types must stay extensible, and locks must neither cycle nor be held
+//! across a blocking call. `dv3dlint` enforces them with file:line
+//! diagnostics and a nonzero exit, so they are invariants of the build
+//! rather than of code review. (The invariants clippy can check — no
+//! panics on hot paths, deadline-aware wall I/O, crash-safe cdms writes —
+//! are clippy lints in the code they guard; DESIGN.md §10.)
 //!
 //! Shipped rules (each a module under [`rules`], with fixture tests):
 //!
 //! | id                      | invariant |
 //! |-------------------------|-----------|
-//! | `no_panic`              | no unwrap/expect/panic-family macros (or hot-path indexing) in library code |
 //! | `mask_propagation`      | CDAT kernels reading raw `.data()` must consult the mask |
-//! | `deadline_io`           | hyperwall exchanges outside `protocol.rs` use `_deadline` variants |
-//! | `atomic_writes`         | cdms file writes outside `storage.rs` go through the atomic writer |
 //! | `error_hygiene`         | public `*Error` enums are `#[non_exhaustive]` + implement `source()` |
 //! | `lint_attrs`            | crate roots `#![forbid(unsafe_code)]` + opt into workspace `[lints]` |
 //! | `lock_order`            | workspace lock-acquisition graph is acyclic (cycles = deadlock risk) |
@@ -28,16 +27,16 @@
 //! guards, call edges), pass 2 runs intra-procedural guard liveness plus a
 //! workspace call-graph fixpoint (`may_block`, transitive lock sets).
 //!
-//! Escape hatch (reason mandatory, malformed directives are themselves
-//! errors):
+//! Escape hatch (reason mandatory; malformed directives, and directives
+//! naming no rule, are themselves errors):
 //!
 //! ```text
-//! // dv3dlint: allow(no_panic) -- index built from the same shape two lines up
+//! // dv3dlint: allow(mask_propagation) -- an unmasked weights buffer
 //! ```
 //!
 //! Run `cargo run -p dv3dlint -- --workspace` from anywhere in the repo;
 //! each rule's scope (crates, files, `enabled`) lives in `dv3dlint.toml`
-//! at the workspace root, what it looks for lives in the rule, and every
+//! at the workspace root (an unknown section or key there is an error), what it looks for lives in the rule, and every
 //! workspace run refreshes `out/dv3dlint_report.json`. Any unsuppressed
 //! finding fails the run.
 //!
@@ -47,6 +46,11 @@
 //! workspace.
 
 #![forbid(unsafe_code)]
+// R1 (DESIGN.md §10): library code returns an error where it could panic;
+// a site whose invariant rules the panic out says why in an `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 pub mod callgraph;
 pub mod config;

@@ -3,7 +3,7 @@
 //! ```text
 //! dv3dlint --workspace                 # lint every configured crate
 //! dv3dlint path/to/file.rs dir/       # lint explicit paths (all rules, ad hoc)
-//! dv3dlint --list-rules
+//! dv3dlint --list-rules                # the seven rules, one a line
 //!
 //! Flags:
 //!   --config <path>    the dv3dlint.toml to read (default: search upward from
@@ -15,9 +15,15 @@
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage/config error (including
-//! an unreadable `--config` and a blown `--budget-ms`).
+//! an unreadable `--config`, a section or key in it that dv3dlint does not
+//! read, and a blown `--budget-ms`).
 
 #![forbid(unsafe_code)]
+// R1 (DESIGN.md §10): library code returns an error where it could panic;
+// a site whose invariant rules the panic out says why in an `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 use dv3dlint::config::Config;
 use dv3dlint::{engine, report, workspace};

@@ -68,8 +68,6 @@ pub struct FileModel {
     pub inner_attrs: Vec<String>,
     /// All items, outer-to-inner, in source order.
     pub items: Vec<Item>,
-    /// `test_lines[line]` (1-based) — line belongs to a test region.
-    pub test_lines: Vec<bool>,
     pub allows: Vec<Allow>,
     /// Malformed directives: (line, problem).
     pub bad_allows: Vec<(u32, String)>,
@@ -79,13 +77,11 @@ impl FileModel {
     /// Lexes and scans `src`. `path` is only used for display.
     pub fn parse(path: PathBuf, src: &str) -> FileModel {
         let lexed = lex(src);
-        let n_lines = src.lines().count() + 2;
         let mut model = FileModel {
             path,
             lexed,
             inner_attrs: Vec::new(),
             items: Vec::new(),
-            test_lines: vec![false; n_lines],
             allows: Vec::new(),
             bad_allows: Vec::new(),
         };
@@ -96,19 +92,9 @@ impl FileModel {
         model
     }
 
-    /// True when 1-based `line` is inside a test region.
-    pub fn is_test_line(&self, line: u32) -> bool {
-        self.test_lines.get(line as usize).copied().unwrap_or(false)
-    }
-
     /// True when an allow directive for `rule` targets `line`.
     pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
         self.allows.iter().any(|a| a.rule == rule && a.target_line == line)
-    }
-
-    /// Count of allow directives for `rule` in this file.
-    pub fn allow_count(&self, rule: &str) -> usize {
-        self.allows.iter().filter(|a| a.rule == rule).count()
     }
 
     fn collect_allows(&mut self) {
@@ -191,12 +177,10 @@ impl Scanner<'_> {
     /// Scans one item (or skips one stray token).
     fn item(&mut self, end: usize, in_test: bool) {
         let mut attrs: Vec<String> = Vec::new();
-        let mut first_line: Option<u32> = None;
         // attributes
         loop {
             match (self.tok(self.idx), self.tok(self.idx + 1), self.tok(self.idx + 2)) {
                 (Some(Tok::Punct('#')), Some(Tok::Punct('[')), _) => {
-                    first_line.get_or_insert(self.line(self.idx));
                     let text = self.attr_text(self.idx + 1, end);
                     attrs.push(text);
                 }
@@ -216,7 +200,6 @@ impl Scanner<'_> {
             match self.tok(self.idx) {
                 Some(Tok::Ident(s)) if s == "pub" => {
                     is_pub = true;
-                    first_line.get_or_insert(self.line(self.idx));
                     self.idx += 1;
                     // pub(crate) / pub(in path)
                     if self.tok(self.idx) == Some(&Tok::Punct('(')) {
@@ -226,7 +209,6 @@ impl Scanner<'_> {
                 Some(Tok::Ident(s))
                     if matches!(s.as_str(), "unsafe" | "async" | "default") =>
                 {
-                    first_line.get_or_insert(self.line(self.idx));
                     self.idx += 1;
                 }
                 Some(Tok::Ident(s)) if s == "extern" && !attrs.is_empty() => {
@@ -244,7 +226,6 @@ impl Scanner<'_> {
                 Some(Tok::Ident(s)) if s == "const" => {
                     // `const fn` qualifier vs `const X: T = …` item
                     if matches!(self.tok(self.idx + 1), Some(Tok::Ident(n)) if n == "fn") {
-                        first_line.get_or_insert(self.line(self.idx));
                         self.idx += 1;
                     } else {
                         kw = Some("const".into());
@@ -269,7 +250,6 @@ impl Scanner<'_> {
             self.idx += 1;
             return;
         };
-        let start_line = first_line.unwrap_or(kw_line);
 
         // name
         let name = match kw.as_str() {
@@ -321,10 +301,6 @@ impl Scanner<'_> {
 
         // body / terminator
         let body = self.find_body(end);
-        let end_line = match body {
-            Some((_, close)) => self.line(close),
-            None => self.line(self.idx.saturating_sub(1)),
-        };
 
         let is_test_item = in_test
             || attrs.iter().any(|a| {
@@ -332,14 +308,6 @@ impl Scanner<'_> {
                     || a.ends_with("::test")
                     || (a.starts_with("cfg") && a.contains("test"))
             });
-        if is_test_item {
-            for l in start_line..=end_line {
-                if let Some(slot) = self.model.test_lines.get_mut(l as usize) {
-                    *slot = true;
-                }
-            }
-        }
-
         let recurse = matches!(kind, ItemKind::Mod | ItemKind::Impl { .. });
         self.model.items.push(Item {
             kind,
@@ -490,8 +458,13 @@ mod tests {
         FileModel::parse(PathBuf::from("mem.rs"), src)
     }
 
+    /// Names of the items `parse` marks as test code.
+    fn test_items(m: &FileModel) -> Vec<&str> {
+        m.items.iter().filter(|i| i.in_test).map(|i| i.name.as_str()).collect()
+    }
+
     #[test]
-    fn cfg_test_mod_marks_test_lines() {
+    fn cfg_test_mod_marks_its_items_as_test() {
         let src = "\
 pub fn lib_code() { x.unwrap(); }
 
@@ -501,19 +474,13 @@ mod tests {
     fn t() { y.unwrap(); }
 }
 ";
-        let m = parse(src);
-        assert!(!m.is_test_line(1));
-        assert!(m.is_test_line(3), "attr line starts the region");
-        assert!(m.is_test_line(6));
-        assert!(m.is_test_line(7));
+        assert_eq!(test_items(&parse(src)), ["tests", "t"]);
     }
 
     #[test]
-    fn test_fn_outside_mod_is_a_test_region() {
+    fn test_fn_outside_mod_is_a_test_item() {
         let src = "#[test]\nfn standalone() { a.unwrap(); }\nfn real() {}\n";
-        let m = parse(src);
-        assert!(m.is_test_line(2));
-        assert!(!m.is_test_line(3));
+        assert_eq!(test_items(&parse(src)), ["standalone"]);
     }
 
     #[test]
@@ -557,16 +524,16 @@ impl FooError { pub fn helper(&self) {} }
     fn allow_directives_parse_with_reasons() {
         let src = "\
 fn f() {
-    // dv3dlint: allow(no_panic) -- invariant: built two lines up
-    x.unwrap();
-    y.unwrap(); // dv3dlint: allow(no_panic) -- same-line form
-    z.unwrap(); // dv3dlint: allow(no_panic)
+    // dv3dlint: allow(mask_propagation) -- unmasked weights buffer
+    x.data();
+    y.data(); // dv3dlint: allow(mask_propagation) -- same-line form
+    z.data(); // dv3dlint: allow(mask_propagation)
 }
 ";
         let m = parse(src);
-        assert!(m.is_allowed("no_panic", 3), "own-line targets next code line");
-        assert!(m.is_allowed("no_panic", 4), "trailing targets its own line");
-        assert!(!m.is_allowed("no_panic", 5), "reason is mandatory");
+        assert!(m.is_allowed("mask_propagation", 3), "own-line targets next code line");
+        assert!(m.is_allowed("mask_propagation", 4), "trailing targets its own line");
+        assert!(!m.is_allowed("mask_propagation", 5), "reason is mandatory");
         assert_eq!(m.bad_allows.len(), 1);
         assert_eq!(m.bad_allows[0].0, 5);
     }

@@ -77,8 +77,8 @@ mod tests {
         let summary = RunSummary {
             diagnostics: Vec::new(),
             per_rule: vec![
-                RuleCount { rule: "no_panic", violations: 2, allowed: 7 },
-                RuleCount { rule: "deadline_io", violations: 0, allowed: 1 },
+                RuleCount { rule: "mask_propagation", violations: 2, allowed: 7 },
+                RuleCount { rule: "lock_order", violations: 0, allowed: 1 },
             ],
             files_scanned: 42,
             elapsed_ms: 123,
@@ -88,7 +88,7 @@ mod tests {
         assert!(json.contains("\"elapsed_ms\": 123"));
         assert!(json.contains("\"total_violations\": 2"));
         assert!(json.contains("\"total_allowed\": 8"));
-        assert!(json.contains("\"no_panic\": { \"violations\": 2, \"allowed\": 7 },"));
+        assert!(json.contains("\"mask_propagation\": { \"violations\": 2, \"allowed\": 7 },"));
         assert!(json.contains("\"findings\": [\n  ]"));
     }
 

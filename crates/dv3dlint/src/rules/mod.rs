@@ -2,17 +2,15 @@
 //! inline fixture snippets; `all()` returns them in report order.
 //!
 //! Adding a rule (see DESIGN.md §10): create a module implementing [`Rule`],
-//! add it to [`all`], give it a config section in `dv3dlint.toml`, and
-//! register its allow-name (the `id()`) in the README table.
+//! add it to [`all`], give it a config section in `dv3dlint.toml` and the
+//! `Config::load` lines that read it (a section `load` does not read is
+//! refused), and register its allow-name (the `id()`) in the README table.
 
-pub mod atomic_writes;
-pub mod deadline_io;
 pub mod error_hygiene;
 pub mod guard_across_blocking;
 pub mod lint_attrs;
 pub mod lock_order;
 pub mod mask_propagation;
-pub mod no_panic;
 pub mod nondet_reduction;
 pub mod unbounded_growth;
 
@@ -40,10 +38,7 @@ pub trait Rule {
 /// Every shipped rule, in report order.
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(no_panic::NoPanic),
         Box::new(mask_propagation::MaskPropagation),
-        Box::new(deadline_io::DeadlineIo),
-        Box::new(atomic_writes::AtomicWrites),
         Box::new(error_hygiene::ErrorHygiene),
         Box::new(lint_attrs::LintAttrs),
         Box::new(lock_order::LockOrder),

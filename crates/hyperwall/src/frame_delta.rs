@@ -88,6 +88,9 @@
 //! derives the touchscreen's mirror of a live panel from what it already
 //! holds: [`box_filter`] over the panel's assembled frame.
 
+// Hot path: pixel messages are decoded off the wire inside every frame.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use rvtk::render::{TileGrid, TileRect};
 use serde::{Deserialize, Serialize};
 

@@ -1,4 +1,12 @@
 #![forbid(unsafe_code)]
+// R1 (DESIGN.md §10): library code returns an error where it could panic;
+// a site whose invariant rules the panic out says why in an `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+// Outside `protocol.rs` the raw exchanges are disallowed (`clippy.toml`,
+// R3); tests drive them directly over in-memory streams.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 //! # hyperwall — distributed visualization framework (§III.H, Fig 5)
 //!

@@ -31,6 +31,13 @@
 //! A body that starts with any other byte, `0x03` (revision 5's motion
 //! preview) among them, is read as JSON and refused as a protocol error.
 
+// Hot path: the wire codec decodes attacker-shaped input.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the raw `read_message`/`write_message` live here; the `_deadline` variants wrap them"
+)]
+
 use crate::frame_delta::WireTile;
 use crate::{Result, WallError};
 use dv3d::interaction::ConfigOp;

@@ -34,10 +34,13 @@
 //! What deliberately stays as it was: every deadline and cap; heartbeats;
 //! `MAX_TRANSPORT_PER_FRAME`; a rejected delta is answered with a resync
 //! request, never a degradation; the op log is unbounded but paced by the
-//! operator (its `allow` says why). On the dv3dlint `indexing_hot_paths`
-//! list: panel ids arrive in a client's `Hello` and per-panel state is
+//! operator (its `allow` says why). A hot-path file that denies
+//! `clippy::indexing_slicing`: panel ids arrive in a client's `Hello` and per-panel state is
 //! looked up inside every frame, so access goes through `.get()` and
 //! iterators.
+
+// Hot path: per-panel state is indexed by ids from a client's `Hello`, every frame.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::frame_delta::{box_filter, FrameAssembler};
 use crate::protocol::{
@@ -138,9 +141,11 @@ impl Link {
 
 /// One wall panel: served by its display client over a live link, or by
 /// the server mirror while the client is retried.
-// `Live` is every panel's steady state and a wall has a few dozen panels:
-// boxing the link to shrink the rare arm would buy nothing.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "`Live` is every panel's steady state and a wall has a few dozen panels: \
+              boxing the link to shrink the rare arm would buy nothing"
+)]
 #[derive(Debug)]
 enum Panel {
     Live(Link),

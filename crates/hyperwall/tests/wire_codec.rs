@@ -4,6 +4,8 @@
 //! with a damaged `Message` that still decodes is tested next to it, in
 //! `frame_delta.rs`, where the committed buffer is visible.)
 
+#![allow(clippy::disallowed_methods, reason = "the codec is driven directly over in-memory streams")]
+
 use hyperwall::frame_delta::{fnv1a, FrameAssembler, FrameStreamer};
 use hyperwall::protocol::{
     encode_frame, read_message, Message, DELTA_HEADER_BYTES, KEY_HEADER_BYTES,

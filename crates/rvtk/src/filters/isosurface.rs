@@ -22,6 +22,9 @@
 //! write their parts in parallel, in the serial walk's first-use order at
 //! any thread count. DESIGN §22 has the layout.
 
+// Hot path: the extractor runs over every cell of a new field's first frame.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::image_data::ImageData;
 use crate::math::Vec3;
 use crate::poly_data::PolyData;

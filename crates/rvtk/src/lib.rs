@@ -1,4 +1,9 @@
 #![forbid(unsafe_code)]
+// R1 (DESIGN.md §10): library code returns an error where it could panic;
+// a site whose invariant rules the panic out says why in an `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 //! # rvtk — a VTK-like visualization substrate in pure Rust
 //!

@@ -13,8 +13,11 @@
 //! rules (diagonal split, depth and clip, draw order) and why the mesh it
 //! replaced is a bound for it, not an identity.
 //!
-//! This file is on the dv3dlint `indexing_hot_paths` list: the texture is
+//! A hot-path file that denies `clippy::indexing_slicing`: the texture is
 //! built inside every frame the slicer draws.
+
+// Hot path: a slice plane's texture is built from image data every frame.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::color::Color;
 use crate::filters::SliceAxis;

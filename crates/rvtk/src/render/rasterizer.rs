@@ -29,9 +29,12 @@
 //! writes only its own slots, so no bit of the frame depends on the thread
 //! count; a mesh smaller than one chunk never leaves the calling thread.
 //!
-//! This file is on the dv3dlint `indexing_hot_paths` list: mesh-supplied
+//! A hot-path file that denies `clippy::indexing_slicing`: mesh-supplied
 //! indices are looked up with `.get()`, so a malformed `PolyData` drops
 //! cells instead of panicking mid-frame.
+
+// Hot path: an unvalidated `PolyData`'s indices are looked up every frame.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::color::Color;
 use crate::math::{Mat4, Vec3};
@@ -359,7 +362,10 @@ pub(crate) fn project_actor<'a>(
     // translucent says so.
     let PrimitiveList { verts, lines, points, blends, .. } = out;
     let n = pd.points.len();
-    // dv3dlint: allow(no_panic) -- 2^32 vertices are 171 GB of `ScreenVertex`; the sort and CSR indices are u32 too
+    #[expect(
+        clippy::expect_used,
+        reason = "2^32 vertices are 171 GB of `ScreenVertex`; the sort and CSR indices are u32 too"
+    )]
     let end = u32::try_from(verts.len() + n).expect("frame vertex count fits the u32 ids");
     let base = end - n as u32;
     let surface = prop.representation == Representation::Surface;
@@ -488,7 +494,10 @@ pub(crate) fn painter_key(z: [f32; 3]) -> u32 {
 /// list order (so no two words are equal and the words have exactly one
 /// sorted order), and one gather then moves every 28-byte ref once.
 pub(crate) fn sort_far_to_near(verts: &[ScreenVertex], tris: &mut Vec<TriRef>) {
-    // dv3dlint: allow(no_panic) -- 2^32 triangles are 120 GB of refs; the CSR bin offsets are u32 too
+    #[expect(
+        clippy::expect_used,
+        reason = "2^32 triangles are 120 GB of refs; the CSR bin offsets are u32 too"
+    )]
     u32::try_from(tris.len()).expect("triangle count fits the u32 sort index");
     let depth = |i: u32| verts.get(i as usize).map_or(0.0, |v| v.z);
     let mut order: Vec<u64> = (0u64..)

@@ -45,8 +45,11 @@
 //! function of the pixel alone, so slices keep every frame independent of
 //! the thread count too.
 //!
-//! This file is on the dv3dlint `indexing_hot_paths` list: no bracket
+//! A hot-path file that denies `clippy::indexing_slicing`: no bracket
 //! indexing — slice-pattern destructuring, iterators and `.get()` only.
+
+// Hot path: the rasterizer's primitives are binned and filled every frame.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::color::Color;
 use crate::render::framebuffer::{BandView, Framebuffer, TileGrid, TileSpan};

@@ -26,6 +26,9 @@
 //! `tests/volume_oracle.rs` holds the two to within 4 RGBA8 levels on at
 //! most 5 % of a frame's pixels.
 
+// Hot path: scalars, shading table and clear-cell flags are read per sample.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::color::Color;
 use crate::image_data::ImageData;
 use crate::lookup_table::{ColorTransferFunction, ColormapName, OpacityTransferFunction};

@@ -65,9 +65,9 @@ impl RenderWindow {
     }
 
     /// Mutable framebuffer (for overlays drawn after `render`).
+    #[expect(clippy::expect_used, reason = "`framebuffer` has just made the image")]
     pub fn framebuffer_mut(&mut self) -> &mut Framebuffer {
         self.framebuffer();
-        // dv3dlint: allow(no_panic) -- `framebuffer` has just made the image
         self.image.get_mut().expect("the image exists once `framebuffer` has run")
     }
 

@@ -12,9 +12,12 @@
 //! before the run drains stays in its node's slot, and both callers report
 //! the one first in [`Topology::order`], the order a serial run takes.
 //!
-//! On the dv3dlint `indexing_hot_paths` list: the scheduler runs under
+//! A hot-path file that denies `clippy::indexing_slicing`: the scheduler runs under
 //! every batch workload and workflow, and must not panic, so element access
 //! goes through `.get()` and iterators.
+
+// Hot path: the DAG scheduler sits under every task graph and workflow.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -374,5 +377,26 @@ mod tests {
         let slots = run(&topo, 1, &retry, |i, _| if i == 0 { Err("boom") } else { Ok(i) });
         let got: Vec<_> = slots.into_iter().map(|s| s.map(|(a, r)| (a.len(), r))).collect();
         assert_eq!(got, [Some((2, Err("boom"))), None, None]);
+    }
+
+    /// A ladder 50 000 levels deep: node 2k-1 and node 2k each wait on
+    /// node 2(k-1), so every finished node releases two and the graph
+    /// never narrows to one. 99 999 nodes is just under the task graph's
+    /// `MAX_TASKS`. A scheduler that runs released nodes by recursion
+    /// (a nested region per release, say) overflows the stack here.
+    #[test]
+    fn a_deep_fan_out_graph_runs_without_growing_the_stack() {
+        // node i > 0 sits on rung k = ⌈i / 2⌉ and waits on node 2(k-1)
+        let deps: Vec<Vec<usize>> = (0..99_999usize)
+            .map(|i| if i == 0 { vec![] } else { vec![2 * (i.div_ceil(2) - 1)] })
+            .collect();
+        let topo = Topology::new(&deps).unwrap();
+        let slots = rayon::with_threads(2, || {
+            run(&topo, rayon::current_num_threads(), &RetryPolicy::none(), |i, _| Ok::<_, ()>(i))
+        });
+        assert_eq!(slots.len(), 99_999);
+        for (i, slot) in slots.into_iter().enumerate() {
+            assert_eq!(slot.map(|(_, r)| r), Some(Ok(i)), "node {i}");
+        }
     }
 }

@@ -14,6 +14,12 @@
 //! its cell through the same recorded chain of workflow modules as a
 //! prebuilt workflow or a hyperwall cell.
 
+// R1 (DESIGN.md §10): library code returns an error where it could panic;
+// a site whose invariant rules the panic out says why in an `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 use dv3d::interaction::ConfigOp;
 use dv3d::modules::{cell_chain_actions, cell_from_plot_stage, single_variable_row, CellChain};
 use dv3d::plots::single_variable_rows;
