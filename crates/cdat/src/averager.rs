@@ -16,7 +16,7 @@ use rayon::prelude::*;
 
 /// Averages over the first axis of the given kind, weighting by the axis's
 /// natural weights ([`cdms::Axis::weights`]). The axis is removed.
-pub fn average_over(var: &Variable, kind: AxisKind) -> Result<Variable> {
+pub(crate) fn average_over(var: &Variable, kind: AxisKind) -> Result<Variable> {
     let idx = var
         .axis_index(kind)
         .ok_or_else(|| CdmsError::NotFound(format!("{kind:?} axis on '{}'", var.id)))?;
@@ -50,16 +50,6 @@ pub fn spatial_mean(var: &Variable) -> Result<Variable> {
 /// Zonal mean: average over longitude only.
 pub fn zonal_mean(var: &Variable) -> Result<Variable> {
     average_over(var, AxisKind::Longitude)
-}
-
-/// Meridional mean: area-weighted average over latitude only.
-pub fn meridional_mean(var: &Variable) -> Result<Variable> {
-    average_over(var, AxisKind::Latitude)
-}
-
-/// Time mean.
-pub fn time_mean(var: &Variable) -> Result<Variable> {
-    average_over(var, AxisKind::Time)
 }
 
 /// Running mean along the time axis with an odd window; endpoints use the
@@ -181,20 +171,6 @@ mod tests {
         assert_eq!(z.shape(), &[2, 2, 8]);
         assert!(z.axis(AxisKind::Latitude).is_some());
         assert!(z.axis(AxisKind::Longitude).is_none());
-    }
-
-    #[test]
-    fn time_mean_and_full_collapse() {
-        let ds = SynthesisSpec::new(4, 2, 6, 12).build();
-        let ta = ds.variable("ta").unwrap();
-        let tm = time_mean(ta).unwrap();
-        assert_eq!(tm.shape(), &[2, 6, 12]);
-        let scalar = average_over_kinds(
-            ta,
-            &[AxisKind::Time, AxisKind::Level, AxisKind::Latitude, AxisKind::Longitude],
-        )
-        .unwrap();
-        assert_eq!(scalar.array.len(), 1);
     }
 
     #[test]

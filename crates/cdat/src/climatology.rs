@@ -2,7 +2,7 @@
 //! equivalents built on the calendar-aware time axis.
 //!
 //! The month-subset means route through
-//! [`crate::reduce::selected_mean_axis`] and the anomaly through
+//! `crate::reduce::selected_mean_axis` and the anomaly through
 //! [`crate::reduce::mean_axis`] plus a fused parallel subtract pass — both
 //! deterministic under any `RAYON_NUM_THREADS` and bit-identical to the
 //! pre-fusion serial kernels (see [`crate::eager_ref`]).
@@ -13,33 +13,8 @@ use cdms::calendar::RelTime;
 use cdms::{CdmsError, Result, Variable};
 use rayon::prelude::*;
 
-/// Months of each standard season.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Season {
-    /// December–January–February.
-    Djf,
-    /// March–April–May.
-    Mam,
-    /// June–July–August.
-    Jja,
-    /// September–October–November.
-    Son,
-}
-
-impl Season {
-    /// Member months (1-based).
-    pub fn months(&self) -> [u32; 3] {
-        match self {
-            Season::Djf => [12, 1, 2],
-            Season::Mam => [3, 4, 5],
-            Season::Jja => [6, 7, 8],
-            Season::Son => [9, 10, 11],
-        }
-    }
-}
-
 /// Decodes the month (1–12) of every timestep.
-pub fn months_of(var: &Variable) -> Result<Vec<u32>> {
+pub(crate) fn months_of(var: &Variable) -> Result<Vec<u32>> {
     let t_idx = var
         .axis_index(AxisKind::Time)
         .ok_or_else(|| CdmsError::NotFound(format!("time axis on '{}'", var.id)))?;
@@ -50,7 +25,7 @@ pub fn months_of(var: &Variable) -> Result<Vec<u32>> {
 
 /// Mean over the timesteps selected by `pred(month)`. The time axis is
 /// removed. Errors if the predicate selects nothing.
-pub fn mean_over_months(var: &Variable, pred: impl Fn(u32) -> bool) -> Result<Variable> {
+pub(crate) fn mean_over_months(var: &Variable, pred: impl Fn(u32) -> bool) -> Result<Variable> {
     let t_idx = var.axis_index(AxisKind::Time).unwrap_or(0);
     let months = months_of(var)?;
     let selected: Vec<usize> =
@@ -69,12 +44,6 @@ pub fn mean_over_months(var: &Variable, pred: impl Fn(u32) -> bool) -> Result<Va
     let mut v = Variable::new(&var.id, a, axes)?;
     v.attributes = var.attributes.clone();
     Ok(v)
-}
-
-/// Seasonal mean (e.g. DJF average over all years present).
-pub fn seasonal_mean(var: &Variable, season: Season) -> Result<Variable> {
-    let months = season.months();
-    mean_over_months(var, |m| months.contains(&m))
 }
 
 /// Monthly climatology: a 12-step time series of per-month means
@@ -190,17 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn seasonal_means_pick_right_months() {
-        let v = monthly_var(24);
-        let djf = seasonal_mean(&v, Season::Djf).unwrap();
-        // mean of months {12, 1, 2} = 5
-        assert!((djf.array.data()[0] - 5.0).abs() < 1e-5);
-        let jja = seasonal_mean(&v, Season::Jja).unwrap();
-        assert!((jja.array.data()[0] - 7.0).abs() < 1e-5);
-        assert_eq!(djf.shape(), &[2]);
-    }
-
-    #[test]
     fn climatology_is_identity_for_pure_cycle() {
         let v = monthly_var(24);
         let clim = monthly_climatology(&v).unwrap();
@@ -237,12 +195,6 @@ mod tests {
         let tos = ds.variable("tos").unwrap();
         let an = anomaly(tos).unwrap();
         assert_eq!(an.array.valid_count(), tos.array.valid_count());
-    }
-
-    #[test]
-    fn empty_selection_errors() {
-        let v = monthly_var(2); // Jan, Feb only
-        assert!(seasonal_mean(&v, Season::Jja).is_err());
     }
 
     #[test]

@@ -1,22 +1,11 @@
-//! Conditioned comparisons: masking by predicate, comparison against other
-//! variables, and compression to valid values — `MV2.masked_where` and
-//! friends.
-//!
-//! The threshold helpers (`masked_greater` & co.) route through the fused
-//! expression engine with typed predicates, so the mask test runs inside
-//! the parallel chunked kernel; the general closures (`masked_where`,
-//! `masked_where_other`) accept plain `Fn` and use the serial fused pass.
+//! Stepwise threshold masks on a whole variable — `MV2.masked_greater` and
+//! `masked_less` — kept as the reference the fused pipeline's
+//! `AnalysisStep::{MaskGreater, MaskLess}` is held to bit for bit. The
+//! product reaches conditioned comparisons through those steps and
+//! [`crate::expr::Expr::mask_where`].
 
 use crate::expr::{Expr, PredFn};
 use cdms::{Result, Variable};
-
-/// Masks elements where `pred(value)` holds.
-pub fn masked_where(var: &Variable, pred: impl Fn(f32) -> bool) -> Result<Variable> {
-    let arr = crate::expr::mask_where_local(&var.array, pred)?;
-    let mut v = Variable::new(&var.id, arr, var.axes.clone())?;
-    v.attributes = var.attributes.clone();
-    Ok(v)
-}
 
 fn masked_pred(var: &Variable, pred: PredFn<'_>) -> Result<Variable> {
     let arr = Expr::leaf(&var.array).mask_where(pred).eval()?;
@@ -26,116 +15,11 @@ fn masked_pred(var: &Variable, pred: PredFn<'_>) -> Result<Variable> {
 }
 
 /// Masks elements greater than `threshold`.
-pub fn masked_greater(var: &Variable, threshold: f32) -> Result<Variable> {
+pub(crate) fn masked_greater(var: &Variable, threshold: f32) -> Result<Variable> {
     masked_pred(var, PredFn::Greater(threshold))
 }
 
 /// Masks elements less than `threshold`.
-pub fn masked_less(var: &Variable, threshold: f32) -> Result<Variable> {
+pub(crate) fn masked_less(var: &Variable, threshold: f32) -> Result<Variable> {
     masked_pred(var, PredFn::Less(threshold))
-}
-
-/// Masks elements inside `[lo, hi]`.
-pub fn masked_inside(var: &Variable, lo: f32, hi: f32) -> Result<Variable> {
-    masked_pred(var, PredFn::Inside(lo, hi))
-}
-
-/// Masks elements outside `[lo, hi]`.
-pub fn masked_outside(var: &Variable, lo: f32, hi: f32) -> Result<Variable> {
-    masked_pred(var, PredFn::Outside(lo, hi))
-}
-
-/// Masks `a` wherever `cond`'s value satisfies `pred` (conditioned
-/// comparison between two variables, e.g. "temperature where land fraction
-/// > 0.5").
-pub fn masked_where_other(
-    a: &Variable,
-    cond: &Variable,
-    pred: impl Fn(f32) -> bool,
-) -> Result<Variable> {
-    crate::ops::check_domains(a, cond)?;
-    let arr = crate::expr::mask_where_other_local(&a.array, &cond.array, pred)?;
-    let mut v = Variable::new(&a.id, arr, a.axes.clone())?;
-    v.attributes = a.attributes.clone();
-    Ok(v)
-}
-
-/// Returns the valid values as a flat vector (numpy `compressed`).
-pub fn compress(var: &Variable) -> Vec<f32> {
-    var.array.iter_valid().map(|(_, v)| v).collect()
-}
-
-/// Fraction of elements masked.
-pub fn masked_fraction(var: &Variable) -> f64 {
-    1.0 - var.array.valid_fraction()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cdms::synth::SynthesisSpec;
-    use cdms::{Axis, MaskedArray};
-
-    fn ramp() -> Variable {
-        let lat = Axis::latitude(vec![-30.0, 0.0, 30.0]).unwrap();
-        let lon = Axis::longitude(vec![0.0, 120.0, 240.0]).unwrap();
-        let arr = MaskedArray::from_fn(&[3, 3], |ix| (ix[0] * 3 + ix[1]) as f32);
-        Variable::new("r", arr, vec![lat, lon]).unwrap()
-    }
-
-    #[test]
-    fn threshold_masks() {
-        let v = ramp();
-        assert_eq!(masked_greater(&v, 4.0).unwrap().array.valid_count(), 5);
-        assert_eq!(masked_less(&v, 4.0).unwrap().array.valid_count(), 5);
-        assert_eq!(masked_inside(&v, 2.0, 6.0).unwrap().array.valid_count(), 4);
-        assert_eq!(masked_outside(&v, 2.0, 6.0).unwrap().array.valid_count(), 5);
-    }
-
-    #[test]
-    fn conditioned_on_other_variable() {
-        let ds = SynthesisSpec::new(1, 1, 8, 16).build();
-        let lf = ds.variable("sftlf").unwrap();
-        let pr2d = ds.variable("pr").unwrap().time_slab(0).unwrap();
-        // precipitation over ocean only
-        let ocean_pr = masked_where_other(&pr2d, lf, |land| land > 0.5).unwrap();
-        let expected_masked =
-            lf.array.data().iter().filter(|&&v| v > 0.5).count();
-        assert_eq!(ocean_pr.array.len() - ocean_pr.array.valid_count(), expected_masked);
-        // domains must match
-        let coarse = SynthesisSpec::new(1, 1, 4, 8).build();
-        assert!(masked_where_other(&pr2d, coarse.variable("sftlf").unwrap(), |v| v > 0.5)
-            .is_err());
-    }
-
-    #[test]
-    fn conditioned_mask_includes_cond_mask() {
-        let ds = SynthesisSpec::new(1, 1, 8, 16).build();
-        let tos2d = ds.variable("tos").unwrap().time_slab(0).unwrap();
-        let pr2d = ds.variable("pr").unwrap().time_slab(0).unwrap();
-        // mask pr where SST (itself masked over land) is warm
-        let cold_pr = masked_where_other(&pr2d, &tos2d, |sst| sst > 295.0).unwrap();
-        // every land point (masked in tos) must be masked in the output
-        for i in 0..tos2d.array.len() {
-            if tos2d.array.mask()[i] {
-                assert!(cold_pr.array.mask()[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn compress_returns_valid_only() {
-        let v = masked_greater(&ramp(), 6.0).unwrap();
-        let c = compress(&v);
-        assert_eq!(c.len(), 7);
-        assert!(c.iter().all(|&x| x <= 6.0));
-    }
-
-    #[test]
-    fn masked_fraction_math() {
-        let v = ramp();
-        assert_eq!(masked_fraction(&v), 0.0);
-        let half = masked_less(&v, 4.5).unwrap();
-        assert!((masked_fraction(&half) - 5.0 / 9.0).abs() < 1e-12);
-    }
 }

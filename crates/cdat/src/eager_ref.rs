@@ -14,14 +14,14 @@
 //!
 //! Do not "improve" this module: its value is that it does not change.
 //! Elementwise chains need no copies here — the eager `cdms::MaskedArray`
-//! ops (`binop`/`map`/`mask_where`) remain the materializing reference and
+//! ops (`binop`/`map`) remain the materializing reference and
 //! are composed directly by the tests.
 
 use cdms::axis::AxisKind;
 use cdms::{CdmsError, Result, Variable};
 
 /// Pre-fusion `averager::average_over`: eager serial `weighted_mean_axis`.
-pub fn average_over(var: &Variable, kind: AxisKind) -> Result<Variable> {
+pub(crate) fn average_over(var: &Variable, kind: AxisKind) -> Result<Variable> {
     let idx = var
         .axis_index(kind)
         .ok_or_else(|| CdmsError::NotFound(format!("{kind:?} axis on '{}'", var.id)))?;
@@ -126,68 +126,4 @@ pub fn standardize(var: &Variable) -> Result<Variable> {
     let mut v = Variable::new(&format!("{}_std", var.id), arr, var.axes.clone())?;
     v.attributes = var.attributes.clone();
     Ok(v)
-}
-
-/// Pre-fusion `statistics::correlation`: one serial pass of plain `f64`
-/// running sums.
-pub fn correlation(a: &Variable, b: &Variable) -> Result<f64> {
-    crate::ops::check_domains(a, b)?;
-    let mut n = 0usize;
-    let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-    for i in 0..a.array.len() {
-        if a.array.mask()[i] || b.array.mask()[i] {
-            continue;
-        }
-        let x = a.array.data()[i] as f64;
-        let y = b.array.data()[i] as f64;
-        n += 1;
-        sx += x;
-        sy += y;
-        sxx += x * x;
-        syy += y * y;
-        sxy += x * y;
-    }
-    if n < 2 {
-        return Err(CdmsError::EmptySelection("fewer than 2 valid pairs".into()));
-    }
-    let nf = n as f64;
-    let cov = sxy / nf - (sx / nf) * (sy / nf);
-    let vx = (sxx / nf - (sx / nf).powi(2)).max(0.0);
-    let vy = (syy / nf - (sy / nf).powi(2)).max(0.0);
-    if vx <= 0.0 || vy <= 0.0 {
-        return Err(CdmsError::Invalid("zero variance".into()));
-    }
-    Ok(cov / (vx.sqrt() * vy.sqrt()))
-}
-
-/// Pre-fusion `statistics::rmse`.
-pub fn rmse(a: &Variable, b: &Variable) -> Result<f64> {
-    crate::ops::check_domains(a, b)?;
-    let mut n = 0usize;
-    let mut acc = 0.0f64;
-    for i in 0..a.array.len() {
-        if a.array.mask()[i] || b.array.mask()[i] {
-            continue;
-        }
-        let d = (a.array.data()[i] - b.array.data()[i]) as f64;
-        acc += d * d;
-        n += 1;
-    }
-    if n == 0 {
-        return Err(CdmsError::EmptySelection("no valid pairs".into()));
-    }
-    Ok((acc / n as f64).sqrt())
-}
-
-/// Pre-fusion `ops::magnitude`: three materialized intermediates plus a
-/// materializing sqrt map.
-pub fn magnitude(u: &Variable, v: &Variable) -> Result<Variable> {
-    crate::ops::check_domains(u, v)?;
-    let uu = u.array.mul(&u.array)?;
-    let vv = v.array.mul(&v.array)?;
-    let sum = uu.add(&vv)?;
-    let mut out = Variable::new("speed", sum.map(|x| x.sqrt()), u.axes.clone())?;
-    out.attributes = u.attributes.clone();
-    out.attributes.insert("long_name".into(), "wind speed".into());
-    Ok(out)
 }

@@ -64,7 +64,7 @@ pub fn synth_members(
 /// Stacks equal-shape members along a new leading `member` axis
 /// (`AxisKind::Generic`, coordinates `0..n`). Mask and data are carried
 /// through unchanged; member order is the slice order.
-pub fn stack(members: &[Variable]) -> Result<Variable> {
+pub(crate) fn stack(members: &[Variable]) -> Result<Variable> {
     let Some(first) = members.first() else {
         return Err(CdmsError::EmptySelection("no ensemble members to stack".into()));
     };
@@ -108,7 +108,7 @@ fn drop_member_axis(stacked: &Variable, array: cdms::MaskedArray, id: &str) -> R
 /// Ensemble mean across the leading `member` axis, through the
 /// deterministic [`reduce::mean_axis`] kernel (bit-identical to the eager
 /// reduction, invariant under thread count).
-pub fn mean(stacked: &Variable) -> Result<Variable> {
+pub(crate) fn mean(stacked: &Variable) -> Result<Variable> {
     let arr = reduce::mean_axis(&stacked.array, 0)?;
     drop_member_axis(stacked, arr, &format!("{}_ensmean", stacked.id))
 }
@@ -116,27 +116,21 @@ pub fn mean(stacked: &Variable) -> Result<Variable> {
 /// The `q`-th ensemble percentile (0–100) across the `member` axis
 /// ([`reduce::percentile_axis`]: `total_cmp` sort + linear interpolation,
 /// deterministic).
-pub fn percentile(stacked: &Variable, q: f64) -> Result<Variable> {
+pub(crate) fn percentile(stacked: &Variable, q: f64) -> Result<Variable> {
     let arr = reduce::percentile_axis(&stacked.array, 0, q)?;
     drop_member_axis(stacked, arr, &format!("{}_p{q:.0}", stacked.id))
 }
 
 /// Ensemble envelope: `(min, max)` across the `member` axis.
-pub fn extremes(stacked: &Variable) -> Result<(Variable, Variable)> {
+pub(crate) fn extremes(stacked: &Variable) -> Result<(Variable, Variable)> {
     let lo = drop_member_axis(stacked, reduce::min_axis(&stacked.array, 0)?, &format!("{}_min", stacked.id))?;
     let hi = drop_member_axis(stacked, reduce::max_axis(&stacked.array, 0)?, &format!("{}_max", stacked.id))?;
     Ok((lo, hi))
 }
 
 /// Clips a variable to a region's lat/lon box.
-pub fn clip_region(var: &Variable, region: &Region) -> Result<Variable> {
+pub(crate) fn clip_region(var: &Variable, region: &Region) -> Result<Variable> {
     var.subset_lat_lon(region.lat, region.lon)
-}
-
-/// Per-region climatology normals: clip to the region, then the monthly
-/// climatology (12 calendar-month means) of the clipped field.
-pub fn region_normals(var: &Variable, region: &Region) -> Result<Variable> {
-    climatology::monthly_climatology(&clip_region(var, region)?)
 }
 
 /// Wires a full ensemble workload into a [`TaskGraph`]:

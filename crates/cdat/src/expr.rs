@@ -30,16 +30,10 @@
 //! ## Determinism
 //!
 //! Chunk boundaries are a fixed function of the array length
-//! ([`CHUNK`] elements, a multiple of the 64-lane mask words), never of the
+//! (`CHUNK` elements, a multiple of the 64-lane mask words), never of the
 //! worker count, and chunks are written to disjoint output windows — so
 //! serial and parallel evaluation produce identical bytes, for any
 //! `RAYON_NUM_THREADS`.
-//!
-//! Closures that are not `Send + Sync` (the public `ops::apply` /
-//! `conditioned::masked_where` signatures accept plain `Fn`) cannot cross
-//! the parallel dispatch; [`map_local`], [`mask_where_local`] and
-//! [`mask_where_other_local`] run the same fused single-pass kernels
-//! serially for those entry points.
 
 // Hot path: the fused expression kernels sit under every analysis call.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
@@ -52,7 +46,7 @@ use rayon::prelude::*;
 /// Elements per evaluation chunk: a multiple of the 64-lane mask word so
 /// chunk edges never split a word, small enough that a leaf window, a
 /// scratch operand and the output stay cache-resident.
-pub const CHUNK: usize = 4096;
+pub(crate) const CHUNK: usize = 4096;
 
 /// Minimum element count before parallel dispatch is worth a thread scope.
 const PARALLEL_CUTOFF: usize = 2 * CHUNK;
@@ -202,7 +196,7 @@ impl<'a> Expr<'a> {
 
     /// Element-wise binary op with mask union; same shapes only (the
     /// `cdat` layer guarantees this via `check_domains`).
-    pub fn binop(self, op: BinOp, other: Expr<'a>) -> Self {
+    pub(crate) fn binop(self, op: BinOp, other: Expr<'a>) -> Self {
         Expr { node: Node::Bin { op, a: Box::new(self.node), b: Box::new(other.node) } }
     }
 
@@ -222,7 +216,7 @@ impl<'a> Expr<'a> {
     }
 
     /// `(v - sub) / div` per lane — the standardize transform.
-    pub fn sub_div(self, sub: f32, div: f32) -> Self {
+    pub(crate) fn sub_div(self, sub: f32, div: f32) -> Self {
         self.map(UnaryFn::SubDiv { sub, div })
     }
 
@@ -232,7 +226,7 @@ impl<'a> Expr<'a> {
     }
 
     /// Arbitrary `Send + Sync` transform per lane.
-    pub fn apply(self, f: impl Fn(f32) -> f32 + Send + Sync + 'a) -> Self {
+    pub(crate) fn apply(self, f: impl Fn(f32) -> f32 + Send + Sync + 'a) -> Self {
         self.map(UnaryFn::Func(Box::new(f)))
     }
 
@@ -479,67 +473,6 @@ fn other_lanes(mw: &mut [u64], cd: &[f32], cw: &[u64], p: impl Fn(f32) -> bool) 
     }
 }
 
-/// Fused single-pass `map` for closures without `Send + Sync` (the public
-/// `ops::apply` signature). Serial, but still one output allocation and
-/// word-packed mask logic instead of clone-then-rewrite.
-pub fn map_local(a: &MaskedArray, f: impl Fn(f32) -> f32) -> Result<MaskedArray> {
-    let n = a.len();
-    let mut data = vec![0.0f32; n];
-    let mut maskb = vec![false; n];
-    for (c, (dd, mb)) in data.chunks_mut(CHUNK).zip(maskb.chunks_mut(CHUNK)).enumerate() {
-        let mut words = vec![0u64; dd.len().div_ceil(LANES)];
-        load_leaf(a, c * CHUNK, dd, &mut words);
-        map_lanes(dd, &mut words, &f);
-        mask::unpack_into(&words, mb);
-    }
-    MaskedArray::with_mask(data, maskb, a.shape())
-}
-
-/// Fused single-pass `mask_where` for non-`Sync` predicates.
-pub fn mask_where_local(a: &MaskedArray, pred: impl Fn(f32) -> bool) -> Result<MaskedArray> {
-    let n = a.len();
-    let mut data = vec![0.0f32; n];
-    let mut maskb = vec![false; n];
-    for (c, (dd, mb)) in data.chunks_mut(CHUNK).zip(maskb.chunks_mut(CHUNK)).enumerate() {
-        let mut words = vec![0u64; dd.len().div_ceil(LANES)];
-        load_leaf(a, c * CHUNK, dd, &mut words);
-        pred_lanes(dd, &mut words, &pred);
-        mask::unpack_into(&words, mb);
-    }
-    MaskedArray::with_mask(data, maskb, a.shape())
-}
-
-/// Fused single-pass conditioned mask for non-`Sync` predicates: masks `a`
-/// wherever `cond`'s lane is masked or satisfies `pred`. Shapes must match
-/// (callers run `check_domains` first).
-pub fn mask_where_other_local(
-    a: &MaskedArray,
-    cond: &MaskedArray,
-    pred: impl Fn(f32) -> bool,
-) -> Result<MaskedArray> {
-    if a.shape() != cond.shape() {
-        return Err(CdmsError::ShapeMismatch {
-            expected: a.shape().to_vec(),
-            got: cond.shape().to_vec(),
-        });
-    }
-    let n = a.len();
-    let mut data = vec![0.0f32; n];
-    let mut maskb = vec![false; n];
-    for (c, (dd, mb)) in data.chunks_mut(CHUNK).zip(maskb.chunks_mut(CHUNK)).enumerate() {
-        let lo = c * CHUNK;
-        let mut words = vec![0u64; dd.len().div_ceil(LANES)];
-        load_leaf(a, lo, dd, &mut words);
-        let mut cd = vec![0.0f32; dd.len()];
-        let mut cw = vec![0u64; words.len()];
-        let cond_node = Node::Leaf(cond);
-        eval_chunk(&cond_node, lo, &mut cd, &mut cw);
-        other_lanes(&mut words, &cd, &cw, &pred);
-        mask::unpack_into(&words, mb);
-    }
-    MaskedArray::with_mask(data, maskb, a.shape())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,19 +524,6 @@ mod tests {
         let a = MaskedArray::zeros(&[4]);
         let b = MaskedArray::zeros(&[5]);
         assert!((Expr::leaf(&a) + Expr::leaf(&b)).eval().is_err());
-    }
-
-    #[test]
-    fn local_helpers_match_eager() {
-        let a = arr(vec![-1.0, 4.0, 2.0], vec![false, false, true]);
-        let m = map_local(&a, |v| v.sqrt()).unwrap();
-        let e = a.map(|v| v.sqrt());
-        assert_eq!(m.mask(), e.mask());
-        assert_eq!(m.data(), e.data());
-        let w = mask_where_local(&a, |v| v > 3.0).unwrap();
-        let ew = a.mask_where(|v| v > 3.0);
-        assert_eq!(w.mask(), ew.mask());
-        assert_eq!(w.data(), ew.data());
     }
 
     #[test]

@@ -3,19 +3,13 @@
 //! slicer and volume plots (paper §III.C, Fig 4).
 
 use cdms::axis::AxisKind;
-use cdms::{CdmsError, MaskedArray, Result, Variable};
+use cdms::{CdmsError, Result, Variable};
 
 /// Averages over a latitude band and returns a `(time, lon)` section —
 /// the classic 2D Hovmöller diagram.
 pub fn lon_time_section(var: &Variable, lat_band: (f64, f64)) -> Result<Variable> {
     let sub = var.subset_kind(AxisKind::Latitude, lat_band.0, lat_band.1)?;
     crate::averager::average_over(&sub, AxisKind::Latitude)
-}
-
-/// Averages over a longitude band and returns a `(time, lat)` section.
-pub fn lat_time_section(var: &Variable, lon_band: (f64, f64)) -> Result<Variable> {
-    let sub = var.subset_kind(AxisKind::Longitude, lon_band.0, lon_band.1)?;
-    crate::averager::average_over(&sub, AxisKind::Longitude)
 }
 
 /// Builds the Hovmöller *volume*: a `(time, lat, lon)` variable reordered
@@ -113,29 +107,6 @@ pub fn zonal_phase_speed(section: &Variable) -> Result<f64> {
     Ok(total_shift_deg / total_dt)
 }
 
-/// Stacks per-time 2D sections into a 3D masked array `(time, n1, n2)` —
-/// utility for building custom Hovmöller volumes.
-pub fn stack_time(slabs: &[MaskedArray]) -> Result<MaskedArray> {
-    let refs: Vec<&MaskedArray> = slabs.iter().collect();
-    if refs.is_empty() {
-        return Err(CdmsError::Invalid("nothing to stack".into()));
-    }
-    let slab_shape = refs[0].shape().to_vec();
-    let reshaped: Vec<MaskedArray> = refs
-        .iter()
-        .map(|a| {
-            let mut s = vec![1usize];
-            s.extend(a.shape());
-            a.reshape(&s)
-        })
-        .collect::<Result<_>>()?;
-    let refs2: Vec<&MaskedArray> = reshaped.iter().collect();
-    let out = MaskedArray::concat(&refs2, 0)?;
-    let mut expect = vec![slabs.len()];
-    expect.extend(&slab_shape);
-    out.reshape(&expect)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,15 +120,6 @@ mod tests {
         assert_eq!(s.shape(), &[6, 32]);
         assert_eq!(s.axes[0].kind, AxisKind::Time);
         assert_eq!(s.axes[1].kind, AxisKind::Longitude);
-    }
-
-    #[test]
-    fn lat_time_section_shape() {
-        let ds = SynthesisSpec::new(4, 1, 16, 32).build();
-        let pr = ds.variable("pr").unwrap();
-        let s = lat_time_section(pr, (0.0, 90.0)).unwrap();
-        assert_eq!(s.shape(), &[4, 16]);
-        assert_eq!(s.axes[1].kind, AxisKind::Latitude);
     }
 
     #[test]
@@ -207,16 +169,5 @@ mod tests {
         let tiny = SynthesisSpec::new(1, 1, 4, 8).build();
         let s = lon_time_section(tiny.variable("wave").unwrap(), (-30.0, 30.0)).unwrap();
         assert!(zonal_phase_speed(&s).is_err()); // nt < 2
-    }
-
-    #[test]
-    fn stack_time_rebuilds_volume() {
-        let ds = SynthesisSpec::new(3, 1, 4, 8).build();
-        let wave = ds.variable("wave").unwrap();
-        let slabs: Vec<MaskedArray> =
-            (0..3).map(|t| wave.array.take(0, t).unwrap()).collect();
-        let rebuilt = stack_time(&slabs).unwrap();
-        assert_eq!(rebuilt, wave.array);
-        assert!(stack_time(&[]).is_err());
     }
 }

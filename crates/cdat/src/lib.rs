@@ -45,7 +45,6 @@
 
 pub mod averager;
 pub mod climatology;
-pub mod conditioned;
 pub mod eager_ref;
 pub mod ensemble;
 pub mod eof;
@@ -61,3 +60,6 @@ pub mod statistics;
 pub mod taskgraph;
 
 pub use cdms::{CdmsError, Result};
+
+#[cfg(test)]
+mod conditioned;

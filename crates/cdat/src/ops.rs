@@ -13,7 +13,7 @@ use cdms::{CdmsError, Result, Variable};
 
 /// Checks two variables share compatible domains (same shape; axis values
 /// equal within tolerance for same-length axes).
-pub fn check_domains(a: &Variable, b: &Variable) -> Result<()> {
+pub(crate) fn check_domains(a: &Variable, b: &Variable) -> Result<()> {
     if a.shape() != b.shape() {
         return Err(CdmsError::ShapeMismatch {
             expected: a.shape().to_vec(),
@@ -82,18 +82,8 @@ pub fn mul_scalar(a: &Variable, s: f32) -> Result<Variable> {
     Ok(v)
 }
 
-/// Applies a unary function element-wise (non-finite results mask).
-///
-/// The closure is not required to be `Send + Sync`, so this runs the fused
-/// single-pass kernel serially; use [`apply_sync`] for a parallel map.
-pub fn apply(a: &Variable, id: &str, f: impl Fn(f32) -> f32) -> Result<Variable> {
-    let mut v = Variable::new(id, crate::expr::map_local(&a.array, f)?, a.axes.clone())?;
-    v.attributes = a.attributes.clone();
-    Ok(v)
-}
-
-/// [`apply`] for thread-safe closures: the fused map runs chunked in
-/// parallel. Same semantics (non-finite results mask).
+/// Applies `f` to every valid element; a non-finite result masks the
+/// element. The fused map runs chunked in parallel.
 pub fn apply_sync(
     a: &Variable,
     id: &str,
@@ -168,21 +158,6 @@ mod tests {
         assert!((c.array.mean().unwrap() - (a.array.mean().unwrap() - 273.15)).abs() < 1e-3);
         let k = mul_scalar(&a, 2.0).unwrap();
         assert!((k.array.mean().unwrap() - 2.0 * a.array.mean().unwrap()).abs() < 1e-2);
-    }
-
-    #[test]
-    fn apply_masks_nonfinite() {
-        let lat = Axis::latitude(vec![0.0, 10.0]).unwrap();
-        let v = Variable::new(
-            "x",
-            MaskedArray::from_vec(vec![-4.0, 9.0], &[2]).unwrap(),
-            vec![lat],
-        )
-        .unwrap();
-        let r = apply(&v, "sqrt_x", |x| x.sqrt()).unwrap();
-        assert_eq!(r.array.get_valid(&[0]).unwrap(), None);
-        assert_eq!(r.array.get_valid(&[1]).unwrap(), Some(3.0));
-        assert_eq!(r.id, "sqrt_x");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, OnceLock};
 
 /// Default capacity of the process-global cache: a hyperwall's worth of
 /// distinct grid pairs, small enough that eviction scans stay trivial.
-pub const DEFAULT_GLOBAL_CAPACITY: usize = 32;
+pub(crate) const DEFAULT_GLOBAL_CAPACITY: usize = 32;
 
 /// Cumulative cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -7,8 +7,8 @@
 //! panel must derive the same color scale. Every reduction here is instead
 //! computed as **fixed-size block partials merged in a fixed pairwise tree
 //! order**: block boundaries are a function of the array length only
-//! ([`BLOCK`] lanes), each block's partial is accumulated in lane order
-//! with Neumaier-compensated summation ([`Neumaier`]), and the merge tree
+//! (`BLOCK` lanes), each block's partial is accumulated in lane order
+//! with Neumaier-compensated summation (`Neumaier`), and the merge tree
 //! depends only on the block count. Threads race to *fill* slots of a
 //! pre-sized partial vector, never to accumulate into shared state, so the
 //! result is bit-identical for any `RAYON_NUM_THREADS` — proven across
@@ -16,14 +16,14 @@
 //!
 //! # The moment kernel: four blocks per pass
 //!
-//! [`moments`] (and the pipeline's standardize pass) do not walk one block
+//! `moments` (and the pipeline's standardize pass) do not walk one block
 //! at a time. Four consecutive blocks advance together, block `l` of the
 //! group in SIMD lane `l`, so the four serial dependency chains overlap and
 //! the adds are packed. Which lanes meet in which order *inside* a block,
 //! where the blocks begin and how their partials merge are untouched, and
 //! the per-lane arithmetic yields the same bits as the ordered form:
 //!
-//! * **TwoSum is Neumaier's error term.** [`Neumaier::add`] branches on
+//! * **TwoSum is Neumaier's error term.** `Neumaier::add` branches on
 //!   `|sum| >= |v|` to compute `(big - t) + small` with `t = sum + v`. For
 //!   finite operands that is Dekker's FastTwoSum: `big - t` is exact and
 //!   the result is the rounding error `e = (sum + v) - t` *exactly*. The
@@ -51,7 +51,7 @@
 //!
 //! # Axis reductions
 //!
-//! [`weighted_mean_axis`], [`mean_axis`] and [`selected_mean_axis`] take
+//! [`weighted_mean_axis`], [`mean_axis`] and `selected_mean_axis` take
 //! the other route to the same guarantee: each output cell's accumulation
 //! runs serially in ascending axis order — the exact order (and precision)
 //! the pre-fusion eager code used, so results are additionally
@@ -81,14 +81,14 @@ use rayon::prelude::*;
 /// Lanes per partial-sum block. Fixed — never derived from the worker
 /// count — so the partial layout (and thus the merged result) is a
 /// function of the data alone.
-pub const BLOCK: usize = 4096;
+pub(crate) const BLOCK: usize = 4096;
 
 /// Neumaier-compensated accumulator: tracks a running compensation term so
 /// adding many small values to a large sum does not lose them. Unlike
 /// plain Kahan, the compensation also survives when the addend exceeds the
 /// running sum.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Neumaier {
+pub(crate) struct Neumaier {
     sum: f64,
     comp: f64,
 }
@@ -96,7 +96,7 @@ pub struct Neumaier {
 impl Neumaier {
     /// Adds one value.
     #[inline]
-    pub fn add(&mut self, v: f64) {
+    pub(crate) fn add(&mut self, v: f64) {
         let t = self.sum + v;
         if self.sum.abs() >= v.abs() {
             self.comp += (self.sum - t) + v;
@@ -109,14 +109,14 @@ impl Neumaier {
     /// Merges another accumulator into this one. Always called in the same
     /// tree order by `blocked`, so the operation need not be associative.
     #[inline]
-    pub fn merge(&mut self, o: &Neumaier) {
+    pub(crate) fn merge(&mut self, o: &Neumaier) {
         self.add(o.sum);
         self.comp += o.comp;
     }
 
     /// The compensated total.
     #[inline]
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         self.sum + self.comp
     }
 }
@@ -124,7 +124,7 @@ impl Neumaier {
 /// Count + compensated Σv + Σv² over valid lanes: everything a mean /
 /// population-variance / standardize needs from one pass.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MomentSums {
+pub(crate) struct MomentSums {
     /// Number of valid lanes.
     pub n: u64,
     sum: Neumaier,
@@ -140,7 +140,7 @@ impl MomentSums {
     }
 
     /// Mean of valid lanes, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         if self.n == 0 {
             return None;
         }
@@ -148,14 +148,14 @@ impl MomentSums {
     }
 
     /// Population variance of valid lanes (clamped at 0), `None` when empty.
-    pub fn variance(&self) -> Option<f64> {
+    pub(crate) fn variance(&self) -> Option<f64> {
         let n = self.n as f64;
         let mean = self.mean()?;
         Some((self.sum_sq.value() / n - mean * mean).max(0.0))
     }
 
     /// Population standard deviation, `None` when empty.
-    pub fn std(&self) -> Option<f64> {
+    pub(crate) fn std(&self) -> Option<f64> {
         Some(self.variance()?.sqrt())
     }
 }
@@ -163,7 +163,7 @@ impl MomentSums {
 /// All the pairwise sums correlation and RMSE need, gathered over mutually
 /// valid lanes in one shared pass.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PairSums {
+pub(crate) struct PairSums {
     /// Number of mutually valid pairs.
     pub n: u64,
     sx: Neumaier,
@@ -201,7 +201,7 @@ impl PairSums {
 
     /// Pearson correlation over the pairs; `None` when `n < 2` or either
     /// variance is zero.
-    pub fn correlation(&self) -> Option<f64> {
+    pub(crate) fn correlation(&self) -> Option<f64> {
         if self.n < 2 {
             return None;
         }
@@ -214,14 +214,6 @@ impl PairSums {
             return None;
         }
         Some(cov / (vx.sqrt() * vy.sqrt()))
-    }
-
-    /// Root-mean-square difference over the pairs; `None` when empty.
-    pub fn rmse(&self) -> Option<f64> {
-        if self.n == 0 {
-            return None;
-        }
-        Some((self.sdd.value() / self.n as f64).sqrt())
     }
 }
 
@@ -412,13 +404,13 @@ pub(crate) fn moments_of(n: usize, src: &impl RowSource) -> MomentSums {
 
 /// Global moment sums (n, Σv, Σv²) over valid lanes — one deterministic
 /// pass serving mean, variance and standardize.
-pub fn moments(arr: &MaskedArray) -> MomentSums {
+pub(crate) fn moments(arr: &MaskedArray) -> MomentSums {
     moments_of(arr.len(), arr)
 }
 
 /// Global pair sums over mutually valid lanes of two equal-shape arrays —
 /// the shared kernel behind correlation and RMSE.
-pub fn pair_sums(a: &MaskedArray, b: &MaskedArray) -> PairSums {
+pub(crate) fn pair_sums(a: &MaskedArray, b: &MaskedArray) -> PairSums {
     let n = a.len().min(b.len());
     let (ad, am) = (a.data(), a.mask());
     let (bd, bm) = (b.data(), b.mask());
@@ -570,7 +562,7 @@ pub fn mean_axis(arr: &MaskedArray, axis: usize) -> Result<MaskedArray> {
 /// arithmetic of the pre-fusion eager loop (first contribution assigns,
 /// later ones add), so results are bit-identical to it — with output cells
 /// distributed over the pool.
-pub fn selected_mean_axis(
+pub(crate) fn selected_mean_axis(
     arr: &MaskedArray,
     axis: usize,
     selected: &[usize],
@@ -626,12 +618,12 @@ pub fn selected_mean_axis(
 /// results are bit-identical to it, with outer slabs distributed over the
 /// pool. Order-insensitive anyway for NaN-free data, so thread-count
 /// invariance is immediate.
-pub fn min_axis(arr: &MaskedArray, axis: usize) -> Result<MaskedArray> {
+pub(crate) fn min_axis(arr: &MaskedArray, axis: usize) -> Result<MaskedArray> {
     extreme_axis(arr, axis, true)
 }
 
 /// Maximum along `axis` — [`min_axis`]'s mirror (from `−∞`).
-pub fn max_axis(arr: &MaskedArray, axis: usize) -> Result<MaskedArray> {
+pub(crate) fn max_axis(arr: &MaskedArray, axis: usize) -> Result<MaskedArray> {
     extreme_axis(arr, axis, false)
 }
 
@@ -677,7 +669,7 @@ fn extreme_axis(arr: &MaskedArray, axis: usize, want_min: bool) -> Result<Masked
 /// `q/100 × (n−1)` in `f64`. Masked lanes are skipped; cells with no valid
 /// input are masked. Output cells are independent, so parallelism over the
 /// outer slabs cannot change any cell's value.
-pub fn percentile_axis(arr: &MaskedArray, axis: usize, q: f64) -> Result<MaskedArray> {
+pub(crate) fn percentile_axis(arr: &MaskedArray, axis: usize, q: f64) -> Result<MaskedArray> {
     if !(0.0..=100.0).contains(&q) {
         return Err(CdmsError::Invalid(format!("percentile {q} outside [0, 100]")));
     }
@@ -714,6 +706,17 @@ pub fn percentile_axis(arr: &MaskedArray, axis: usize, q: f64) -> Result<MaskedA
             }
         });
     MaskedArray::with_mask(data, mask, &out_shape)
+}
+
+#[cfg(test)]
+impl PairSums {
+    /// Root-mean-square difference over the pairs; `None` when empty.
+    pub(crate) fn rmse(&self) -> Option<f64> {
+        if self.n == 0 {
+            return None;
+        }
+        Some((self.sdd.value() / self.n as f64).sqrt())
+    }
 }
 
 #[cfg(test)]

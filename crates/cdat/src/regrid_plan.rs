@@ -46,14 +46,6 @@ impl RegridMethod {
         }
     }
 
-    /// Canonical lowercase name (`"bilinear"` / `"conservative"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RegridMethod::Bilinear => "bilinear",
-            RegridMethod::Conservative => "conservative",
-        }
-    }
-
     /// Parses a method name as used by calculator strings and workflow
     /// module parameters.
     pub fn parse(s: &str) -> Option<RegridMethod> {
@@ -106,7 +98,6 @@ pub struct RegridPlan {
     src_shape: (usize, usize),
     dst_shape: (usize, usize),
     src_fp: u64,
-    dst_fp: u64,
     row_ptr: Vec<usize>,
     cols: Vec<u32>,
     weights: Vec<f64>,
@@ -149,7 +140,6 @@ impl RegridPlan {
             src_shape: (ny_s, nx_s),
             dst_shape: (ny_t, nx_t),
             src_fp: axes_fingerprint(src_lat, src_lon),
-            dst_fp: target.fingerprint(),
             row_ptr,
             cols,
             weights,
@@ -158,39 +148,9 @@ impl RegridPlan {
         })
     }
 
-    /// The method this plan was built for.
-    pub fn method(&self) -> RegridMethod {
-        self.method
-    }
-
-    /// `(nlat, nlon)` of the source grid.
-    pub fn src_shape(&self) -> (usize, usize) {
-        self.src_shape
-    }
-
-    /// `(nlat, nlon)` of the target grid.
-    pub fn dst_shape(&self) -> (usize, usize) {
-        self.dst_shape
-    }
-
     /// Number of stored (column, weight) pairs.
     pub fn nnz(&self) -> usize {
         self.weights.len()
-    }
-
-    /// The cache key of this plan (see [`plan_key`]).
-    pub fn key(&self) -> u64 {
-        plan_key(self.src_fp, self.dst_fp, self.method)
-    }
-
-    /// Fingerprint of the source (lat, lon) axes the plan was built from.
-    pub fn src_fingerprint(&self) -> u64 {
-        self.src_fp
-    }
-
-    /// Fingerprint of the target grid.
-    pub fn dst_fingerprint(&self) -> u64 {
-        self.dst_fp
     }
 
     /// Applies the planned operator to `var`: one sparse mat-vec per
@@ -546,6 +506,25 @@ fn order(a: f64, b: f64) -> (f64, f64) {
 }
 
 #[cfg(test)]
+impl RegridMethod {
+    /// Canonical lowercase name (`"bilinear"` / `"conservative"`).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            RegridMethod::Bilinear => "bilinear",
+            RegridMethod::Conservative => "conservative",
+        }
+    }
+}
+
+#[cfg(test)]
+impl RegridPlan {
+    /// `(nlat, nlon)` of the target grid.
+    pub(crate) fn dst_shape(&self) -> (usize, usize) {
+        self.dst_shape
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -556,19 +535,6 @@ mod tests {
         }
         assert_eq!(RegridMethod::parse(" Conservative "), Some(RegridMethod::Conservative));
         assert_eq!(RegridMethod::parse("cubic"), None);
-    }
-
-    #[test]
-    fn plan_keys_separate_methods_and_grids() {
-        let a = RectGrid::uniform(8, 16).unwrap();
-        let b = RectGrid::uniform(4, 8).unwrap();
-        let pb = RegridPlan::bilinear(&a.lat, &a.lon, &b).unwrap();
-        let pc = RegridPlan::conservative(&a.lat, &a.lon, &b).unwrap();
-        assert_ne!(pb.key(), pc.key());
-        let reversed = RegridPlan::bilinear(&b.lat, &b.lon, &a).unwrap();
-        assert_ne!(pb.key(), reversed.key());
-        // deterministic across rebuilds
-        assert_eq!(pb.key(), RegridPlan::bilinear(&a.lat, &a.lon, &b).unwrap().key());
     }
 
     #[test]

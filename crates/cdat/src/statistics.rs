@@ -25,13 +25,6 @@ pub fn correlation(a: &Variable, b: &Variable) -> Result<f64> {
     p.correlation().ok_or_else(|| CdmsError::Invalid("zero variance".into()))
 }
 
-/// Root-mean-square error between two variables over valid pairs.
-pub fn rmse(a: &Variable, b: &Variable) -> Result<f64> {
-    crate::ops::check_domains(a, b)?;
-    let p = reduce::pair_sums(&a.array, &b.array);
-    p.rmse().ok_or_else(|| CdmsError::EmptySelection("no valid pairs".into()))
-}
-
 /// Least-squares linear trend along the time axis, per grid point:
 /// returns a variable of slopes in units of `[var]/[time unit]`.
 /// Points with fewer than 3 valid times are masked.
@@ -167,15 +160,6 @@ mod tests {
             c.array.mask_at(&[i]).unwrap();
         }
         assert!(correlation(&c, &b).is_err()); // no pairs
-    }
-
-    #[test]
-    fn rmse_basics() {
-        let a = time_var(vec![1.0, 2.0, 3.0]);
-        let b = time_var(vec![1.0, 2.0, 3.0]);
-        assert!(rmse(&a, &b).unwrap() < 1e-12);
-        let c = time_var(vec![2.0, 3.0, 4.0]);
-        assert!((rmse(&a, &c).unwrap() - 1.0).abs() < 1e-9);
     }
 
     #[test]

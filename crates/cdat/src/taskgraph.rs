@@ -59,7 +59,7 @@ pub struct TaskGraph {
 /// Hard cap on graph size: scheduler state (dependency counts, ready heap,
 /// done set) is sized per task, and graphs are often built from
 /// user-supplied workflow files.
-pub const MAX_TASKS: usize = 100_000;
+pub(crate) const MAX_TASKS: usize = 100_000;
 
 /// Execution report: per-task wall time plus the result set.
 #[derive(Debug, Clone)]
@@ -108,51 +108,9 @@ impl TaskGraph {
     }
 
     /// Adds a source task that just provides an existing variable.
-    pub fn add_source(&mut self, name: &str, var: Variable) -> Result<()> {
+    pub(crate) fn add_source(&mut self, name: &str, var: Variable) -> Result<()> {
         let var = Arc::new(var);
         self.add_task(name, &[], move |_| Ok((*var).clone()))
-    }
-
-    /// Adds a source task that reads `variable` from an `.ncr` file at run
-    /// time, degrading gracefully on damage:
-    ///
-    /// * transient storage errors (EINTR-style, injected flakiness)
-    ///   propagate as-is so the graph's [`RetryPolicy`] re-runs the read;
-    /// * a file that fails strict checksum verification is re-read with
-    ///   salvage semantics — the task still succeeds as long as the
-    ///   requested variable's sections are intact.
-    pub fn add_dataset_source(&mut self, name: &str, path: &Path, variable: &str) -> Result<()> {
-        self.add_dataset_source_with(Arc::new(cdms::storage::LocalDisk), name, path, variable)
-    }
-
-    /// [`TaskGraph::add_dataset_source`] through an explicit storage
-    /// backend (fault injection, tests).
-    pub fn add_dataset_source_with(
-        &mut self,
-        storage: Arc<dyn cdms::Storage>,
-        name: &str,
-        path: &Path,
-        variable: &str,
-    ) -> Result<()> {
-        let path = path.to_path_buf();
-        let variable = variable.to_string();
-        self.add_task(name, &[], move |_| {
-            match cdms::format::read_dataset_with(storage.as_ref(), &path) {
-                Ok(ds) => Ok(ds.require(&variable)?.clone()),
-                Err(e) if e.is_transient() => Err(e),
-                Err(_) => {
-                    // Strictly unreadable: salvage what the checksums vouch for.
-                    let (ds, report) =
-                        cdms::format::read_dataset_salvage_with(storage.as_ref(), &path)?;
-                    ds.variable(&variable).cloned().ok_or_else(|| {
-                        CdmsError::Format(format!(
-                            "variable '{variable}' not salvageable from '{}': {report}",
-                            path.display()
-                        ))
-                    })
-                }
-            }
-        })
     }
 
     /// Adds a source task that streams ONE chunk window of `variable` out
@@ -160,8 +118,7 @@ impl TaskGraph {
     /// with ranged reads instead of ever loading the whole series, so the
     /// graph's working set stays at the streaming cache budget.
     ///
-    /// Fault behaviour matches [`TaskGraph::add_dataset_source`] in
-    /// spirit: transient storage errors propagate so the graph's
+    /// Transient storage errors propagate so the graph's
     /// [`RetryPolicy`] re-runs the node, and when `degrade` is set a
     /// permanently damaged window falls back to the best intact pyramid
     /// level (or a masked slab) instead of failing the graph.
@@ -190,7 +147,7 @@ impl TaskGraph {
         clippy::too_many_arguments,
         reason = "`add_streaming_window_source`'s arguments plus the backend and stream options"
     )]
-    pub fn add_streaming_window_source_with(
+    pub(crate) fn add_streaming_window_source_with(
         &mut self,
         storage: Arc<dyn cdms::Storage>,
         name: &str,
@@ -238,7 +195,7 @@ impl TaskGraph {
     /// consulted once, then the plan is applied member by member. The
     /// task's output stacks the regridded members along a new leading `member`
     /// axis, in the order of `inputs`.
-    pub fn add_regrid_batch_task(
+    pub(crate) fn add_regrid_batch_task(
         &mut self,
         name: &str,
         inputs: &[&str],
@@ -278,16 +235,6 @@ impl TaskGraph {
                 .ok_or_else(|| CdmsError::NotFound(format!("dependency '{dep}'")))?;
             crate::pipeline::run(var, &steps)
         })
-    }
-
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// True when the graph has no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
     }
 
     /// Resolves every task's dependencies to task indices, in declared
@@ -392,6 +339,14 @@ impl std::fmt::Debug for TaskGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let names: Vec<&str> = self.tasks.iter().map(|t| t.name.as_str()).collect();
         f.debug_struct("TaskGraph").field("tasks", &names).finish()
+    }
+}
+
+#[cfg(test)]
+impl TaskGraph {
+    /// True when the graph has no tasks.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.tasks.is_empty()
     }
 }
 
@@ -588,82 +543,6 @@ mod tests {
         g.retry = RetryPolicy::retries(2, Duration::ZERO);
         let err = g.run_parallel().unwrap_err();
         assert!(err.to_string().contains("transient"), "{err}");
-    }
-
-    fn saved_dataset(tag: &str) -> (std::path::PathBuf, cdms::Dataset) {
-        let dir = std::env::temp_dir()
-            .join(format!("cdat_taskgraph_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let ds = SynthesisSpec::new(2, 2, 8, 16).build();
-        let path = dir.join("src.ncr");
-        ds.save(&path).unwrap();
-        (path, ds)
-    }
-
-    #[test]
-    fn dataset_source_reads_variable_from_disk() {
-        let (path, ds) = saved_dataset("read");
-        let mut g = TaskGraph::new();
-        g.add_dataset_source("ta", &path, "ta").unwrap();
-        let report = g.run_serial().unwrap();
-        assert_eq!(report.outputs["ta"].array, ds.variable("ta").unwrap().array);
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    }
-
-    #[test]
-    fn dataset_source_retries_transient_storage_faults() {
-        use cdms::storage::{FaultyStorage, StorageFault, StorageFaultPlan};
-        let (path, ds) = saved_dataset("transient");
-        // The read is storage op 0; make it (and the next one) fail
-        // EINTR-style so a single RetryPolicy retry clears it.
-        let plan = StorageFaultPlan::none().inject(0, StorageFault::Transient { times: 2 });
-        let storage = Arc::new(FaultyStorage::new(plan));
-        let mut g = TaskGraph::new();
-        g.add_dataset_source_with(storage.clone(), "ta", &path, "ta").unwrap();
-
-        // fail-fast policy: the transient error surfaces
-        let err = g.run_serial().unwrap_err();
-        assert!(err.to_string().contains("transient"), "{err}");
-
-        // with retries the same graph succeeds (fresh storage, same plan)
-        let plan = StorageFaultPlan::none().inject(0, StorageFault::Transient { times: 2 });
-        let mut g = TaskGraph::new();
-        g.add_dataset_source_with(Arc::new(FaultyStorage::new(plan)), "ta", &path, "ta")
-            .unwrap();
-        g.retry = RetryPolicy::retries(3, Duration::ZERO);
-        let report = g.run_serial().unwrap();
-        assert_eq!(report.outputs["ta"].array, ds.variable("ta").unwrap().array);
-        assert!(report.attempt_timings["ta"].len() > 1, "should have retried");
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    }
-
-    #[test]
-    fn dataset_source_degrades_to_salvage_on_corruption() {
-        let (path, ds) = saved_dataset("salvage");
-        // Corrupt the metadata section of a variable other than "ta":
-        // strict read fails, salvage still recovers "ta", so the graph
-        // keeps running.
-        let (mut bytes, layout) = cdms::format_v3::to_bytes_v3_with(&ds, &Default::default());
-        let victim = layout
-            .sections
-            .iter()
-            .find(|s| matches!(&s.variable, Some((id, _)) if id != "ta"))
-            .expect("synth dataset has a second variable");
-        bytes[victim.payload.start] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let mut g = TaskGraph::new();
-        g.add_dataset_source("ta", &path, "ta").unwrap();
-        let report = g.run_serial().unwrap();
-        assert_eq!(report.outputs["ta"].array, ds.variable("ta").unwrap().array);
-
-        // asking for the corrupted variable itself fails with a reason
-        let (_, corrupt_id) = victim.variable.clone().map(|(id, _)| ((), id)).unwrap();
-        let mut g = TaskGraph::new();
-        g.add_dataset_source("broken", &path, &corrupt_id).unwrap();
-        let err = g.run_serial().unwrap_err();
-        assert!(err.to_string().contains("not salvageable"), "{err}");
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     fn saved_v3_dataset(tag: &str, window: usize) -> (std::path::PathBuf, cdms::Dataset) {

@@ -5,8 +5,7 @@
 //! kernels in `cdat::expr` operate on *words*: mask propagation for a binary
 //! op over 64 elements is a single `OR`, and a zero word proves the whole
 //! lane group valid so the `f32` inner loop can skip per-element mask
-//! branches entirely. [`MaskWords`] is that kernel-side currency, plus the
-//! free functions [`pack_into`]/[`unpack_into`] for converting chunk-sized
+//! branches entirely. [`pack_into`]/[`unpack_into`] convert chunk-sized
 //! windows without an owned allocation.
 //!
 //! Bit convention matches the `Vec<bool>` mask: bit `i % 64` of word
@@ -16,130 +15,6 @@
 
 /// Number of mask lanes carried per packed word.
 pub const LANES: usize = 64;
-
-/// An owned bit-packed mask: bit set ⇒ element masked (missing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaskWords {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl MaskWords {
-    /// An all-valid mask of `len` lanes.
-    pub fn none(len: usize) -> Self {
-        Self { words: vec![0u64; len.div_ceil(LANES)], len }
-    }
-
-    /// A fully masked mask of `len` lanes (tail bits stay 0).
-    pub fn all(len: usize) -> Self {
-        let mut m = Self::none(len);
-        for (i, w) in m.words.iter_mut().enumerate() {
-            *w = tail_mask(len, i);
-        }
-        m
-    }
-
-    /// Packs a `&[bool]` mask (true = masked) into words.
-    pub fn from_bools(mask: &[bool]) -> Self {
-        let mut m = Self::none(mask.len());
-        pack_into(mask, &mut m.words);
-        m
-    }
-
-    /// Expands back to the `Vec<bool>` representation.
-    pub fn to_bools(&self) -> Vec<bool> {
-        let mut out = vec![false; self.len];
-        unpack_into(&self.words, &mut out);
-        out
-    }
-
-    /// Number of lanes (elements), not words.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the mask covers zero lanes.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The packed words, least-significant bit = lowest flat index.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Mutable packed words. Callers must keep tail bits at 0.
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Whether lane `i` is masked; out-of-range lanes read as valid.
-    pub fn get(&self, i: usize) -> bool {
-        if i >= self.len {
-            return false;
-        }
-        let w = self.words.get(i / LANES).copied().unwrap_or_default();
-        (w >> (i % LANES)) & 1 == 1
-    }
-
-    /// Sets lane `i` (no-op out of range).
-    pub fn set(&mut self, i: usize, masked: bool) {
-        if i >= self.len {
-            return;
-        }
-        if let Some(w) = self.words.get_mut(i / LANES) {
-            let bit = 1u64 << (i % LANES);
-            if masked {
-                *w |= bit;
-            } else {
-                *w &= !bit;
-            }
-        }
-    }
-
-    /// Word-wise `self |= other`: union of missing lanes — the mask rule for
-    /// every binary elementwise op. Lengths must match.
-    pub fn or_assign(&mut self, other: &MaskWords) {
-        debug_assert_eq!(self.len, other.len);
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
-    /// Word-wise `self &= other`: intersection of missing lanes.
-    pub fn and_assign(&mut self, other: &MaskWords) {
-        debug_assert_eq!(self.len, other.len);
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            *w &= o;
-        }
-    }
-
-    /// Number of masked lanes (popcount over words; tail bits are 0).
-    pub fn count_masked(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Number of valid lanes.
-    pub fn count_valid(&self) -> usize {
-        self.len - self.count_masked()
-    }
-
-    /// True when no lane is masked — one branch per 64 elements.
-    pub fn all_valid(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-}
-
-/// A word whose low `min(len - i*64, 64)` bits are set: the fully-masked
-/// pattern for word `i` of a `len`-lane mask.
-fn tail_mask(len: usize, word_index: usize) -> u64 {
-    let used = len.saturating_sub(word_index * LANES).min(LANES);
-    if used == LANES {
-        u64::MAX
-    } else {
-        (1u64 << used) - 1
-    }
-}
 
 /// Packs `bools` (true = masked) into `words`; `words` must hold at least
 /// `bools.len().div_ceil(64)` entries. Extra words and tail bits are zeroed.
@@ -173,64 +48,6 @@ pub fn unpack_into(words: &[u64], bools: &mut [bool]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pack_unpack_roundtrip_odd_lengths() {
-        for len in [0usize, 1, 63, 64, 65, 127, 128, 130, 1000] {
-            let bools: Vec<bool> = (0..len).map(|i| i % 3 == 0 || i % 7 == 2).collect();
-            let m = MaskWords::from_bools(&bools);
-            assert_eq!(m.len(), len);
-            assert_eq!(m.to_bools(), bools);
-            assert_eq!(m.count_masked(), bools.iter().filter(|&&b| b).count());
-            for (i, &b) in bools.iter().enumerate() {
-                assert_eq!(m.get(i), b, "lane {i} of {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn tail_bits_stay_zero() {
-        let m = MaskWords::all(70);
-        assert_eq!(m.count_masked(), 70);
-        assert_eq!(m.words().len(), 2);
-        assert_eq!(m.words()[1], (1u64 << 6) - 1);
-        // packing a mask with trailing true lanes must not leak past len
-        let bools = vec![true; 65];
-        let p = MaskWords::from_bools(&bools);
-        assert_eq!(p.words()[1], 1);
-    }
-
-    #[test]
-    fn or_and_match_boolean_logic() {
-        let a_bools: Vec<bool> = (0..150).map(|i| i % 2 == 0).collect();
-        let b_bools: Vec<bool> = (0..150).map(|i| i % 3 == 0).collect();
-        let (a, b) = (MaskWords::from_bools(&a_bools), MaskWords::from_bools(&b_bools));
-
-        let mut or = a.clone();
-        or.or_assign(&b);
-        let want_or: Vec<bool> = a_bools.iter().zip(&b_bools).map(|(&x, &y)| x || y).collect();
-        assert_eq!(or.to_bools(), want_or);
-
-        let mut and = a.clone();
-        and.and_assign(&b);
-        let want_and: Vec<bool> = a_bools.iter().zip(&b_bools).map(|(&x, &y)| x && y).collect();
-        assert_eq!(and.to_bools(), want_and);
-    }
-
-    #[test]
-    fn set_get_and_all_valid() {
-        let mut m = MaskWords::none(100);
-        assert!(m.all_valid());
-        m.set(64, true);
-        assert!(!m.all_valid());
-        assert!(m.get(64));
-        assert_eq!(m.count_valid(), 99);
-        m.set(64, false);
-        assert!(m.all_valid());
-        m.set(500, true); // out of range: no-op
-        assert!(m.all_valid());
-        assert!(!m.get(500));
-    }
 
     #[test]
     fn window_pack_into_zeroes_spare_words() {

@@ -9,10 +9,9 @@ mod ops;
 mod reduce;
 mod slice;
 
-pub use mask::MaskWords;
 pub use ops::BinOp;
 pub use reduce::Reduction;
-pub use slice::SliceSpec;
+pub(crate) use slice::SliceSpec;
 
 use crate::error::{CdmsError, Result};
 
@@ -95,22 +94,13 @@ impl MaskedArray {
         Self { mask: vec![false; n], data, shape: shape.to_vec() }
     }
 
-    /// Decodes `data` against a fill value: elements equal to (or within
-    /// `1e-6` relative of) `fill` become masked. This is how variables with a
-    /// `missing_value` attribute materialize their mask.
-    pub fn from_filled_data(data: Vec<f32>, shape: &[usize], fill: f32) -> Result<Self> {
-        let tol = fill.abs().max(1.0) * 1e-6;
-        let mask = data.iter().map(|&v| (v - fill).abs() <= tol || v.is_nan()).collect();
-        Self::with_mask(data, mask, shape)
-    }
-
     /// The array's shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
     }
 
     /// Number of dimensions.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.shape.len()
     }
 
@@ -156,24 +146,8 @@ impl MaskedArray {
         (&mut self.data, &mut self.mask)
     }
 
-    /// The mask bit-packed into `u64` words (bit set = masked) — the
-    /// representation the fused kernels in `cdat::expr` consume. Packing is
-    /// one linear pass; see `array::mask` for why the `Vec<bool>` stays the
-    /// canonical storage behind the public API.
-    pub fn mask_words(&self) -> MaskWords {
-        MaskWords::from_bools(&self.mask)
-    }
-
-    /// Builds an array from data plus a bit-packed mask.
-    pub fn with_mask_words(data: Vec<f32>, words: &MaskWords, shape: &[usize]) -> Result<Self> {
-        if data.len() != words.len() {
-            return Err(CdmsError::Invalid("data/mask length mismatch".into()));
-        }
-        Self::with_mask(data, words.to_bools(), shape)
-    }
-
     /// Flat offset of a multi-index.
-    pub fn offset(&self, index: &[usize]) -> Result<usize> {
+    pub(crate) fn offset(&self, index: &[usize]) -> Result<usize> {
         if index.len() != self.rank() {
             return Err(CdmsError::ShapeMismatch {
                 expected: self.shape.clone(),
@@ -202,14 +176,6 @@ impl MaskedArray {
         Ok(if self.mask[off] { None } else { Some(self.data[off]) })
     }
 
-    /// Sets the element at `index` and marks it valid.
-    pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
-        let off = self.offset(index)?;
-        self.data[off] = value;
-        self.mask[off] = false;
-        Ok(())
-    }
-
     /// Masks out the element at `index`.
     pub fn mask_at(&mut self, index: &[usize]) -> Result<()> {
         let off = self.offset(index)?;
@@ -231,17 +197,8 @@ impl MaskedArray {
         }
     }
 
-    /// Returns the data with masked elements replaced by `fill`.
-    pub fn to_filled(&self, fill: f32) -> Vec<f32> {
-        self.data
-            .iter()
-            .zip(&self.mask)
-            .map(|(&v, &m)| if m { fill } else { v })
-            .collect()
-    }
-
     /// Iterator over `(flat_index, value)` of valid elements.
-    pub fn iter_valid(&self) -> impl Iterator<Item = (usize, f32)> + '_ {
+    pub(crate) fn iter_valid(&self) -> impl Iterator<Item = (usize, f32)> + '_ {
         self.data
             .iter()
             .zip(&self.mask)
@@ -284,15 +241,6 @@ impl MaskedArray {
             });
         }
         Ok(Self { data: self.data.clone(), mask: self.mask.clone(), shape: shape.to_vec() })
-    }
-
-    /// Removes all length-1 dimensions (keeps at least rank 1).
-    pub fn squeeze(&self) -> Self {
-        let mut shape: Vec<usize> = self.shape.iter().copied().filter(|&d| d != 1).collect();
-        if shape.is_empty() {
-            shape.push(1);
-        }
-        Self { data: self.data.clone(), mask: self.mask.clone(), shape }
     }
 
     /// Permutes axes: `perm[i]` is the source axis of destination axis `i`.
@@ -381,6 +329,26 @@ impl MaskedArray {
 }
 
 #[cfg(test)]
+impl MaskedArray {
+    /// Sets the element at `index` and marks it valid.
+    pub(crate) fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
+        let off = self.offset(index)?;
+        self.data[off] = value;
+        self.mask[off] = false;
+        Ok(())
+    }
+
+    /// Removes all length-1 dimensions (keeps at least rank 1).
+    pub(crate) fn squeeze(&self) -> Self {
+        let mut shape: Vec<usize> = self.shape.iter().copied().filter(|&d| d != 1).collect();
+        if shape.is_empty() {
+            shape.push(1);
+        }
+        Self { data: self.data.clone(), mask: self.mask.clone(), shape }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -414,19 +382,6 @@ mod tests {
         assert_eq!(a.get_valid(&[0, 1]).unwrap(), None);
         a.set(&[0, 1], 9.0).unwrap();
         assert_eq!(a.get_valid(&[0, 1]).unwrap(), Some(9.0));
-    }
-
-    #[test]
-    fn from_filled_data_detects_missing() {
-        let a = MaskedArray::from_filled_data(vec![1.0, 1e20, 2.0, f32::NAN], &[4], 1e20).unwrap();
-        assert_eq!(a.mask(), &[false, true, false, true]);
-        assert_eq!(a.valid_count(), 2);
-    }
-
-    #[test]
-    fn to_filled_replaces_masked() {
-        let a = MaskedArray::with_mask(vec![1.0, 2.0], vec![false, true], &[2]).unwrap();
-        assert_eq!(a.to_filled(-9.0), vec![1.0, -9.0]);
     }
 
     #[test]

@@ -19,9 +19,8 @@ pub enum BinOp {
 impl BinOp {
     /// Applies the operation to a pair of scalars.
     ///
-    /// Division by zero yields a NaN which callers mask via
-    /// [`MaskedArray::mask_invalid`].
-    pub fn apply(self, a: f32, b: f32) -> f32 {
+    /// Division by zero yields a NaN, which callers mask.
+    pub(crate) fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             BinOp::Add => a + b,
             BinOp::Sub => a - b,
@@ -42,7 +41,7 @@ impl BinOp {
 
 /// Computes the broadcast shape of two shapes, numpy rules: align trailing
 /// axes; a dimension broadcasts if equal or one side is 1.
-pub fn broadcast_shape(a: &[usize], b: &[usize]) -> Result<Vec<usize>> {
+pub(crate) fn broadcast_shape(a: &[usize], b: &[usize]) -> Result<Vec<usize>> {
     let rank = a.len().max(b.len());
     let mut out = vec![0usize; rank];
     for i in 0..rank {
@@ -121,10 +120,6 @@ impl MaskedArray {
     pub fn add(&self, other: &MaskedArray) -> Result<MaskedArray> {
         self.binop(other, BinOp::Add)
     }
-    /// `self - other` with broadcasting.
-    pub fn sub(&self, other: &MaskedArray) -> Result<MaskedArray> {
-        self.binop(other, BinOp::Sub)
-    }
     /// `self * other` with broadcasting.
     pub fn mul(&self, other: &MaskedArray) -> Result<MaskedArray> {
         self.binop(other, BinOp::Mul)
@@ -158,29 +153,6 @@ impl MaskedArray {
     /// Multiplies every valid element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> MaskedArray {
         self.map(|v| v * s)
-    }
-
-    /// Masks any NaN/inf data elements in place and returns the count masked.
-    pub fn mask_invalid(&mut self) -> usize {
-        let mut n = 0;
-        for i in 0..self.len() {
-            if !self.mask()[i] && !self.data()[i].is_finite() {
-                self.mask_mut()[i] = true;
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Masks elements where `pred(value)` holds (CDMS `masked_where`).
-    pub fn mask_where(&self, pred: impl Fn(f32) -> bool) -> MaskedArray {
-        let mut out = self.clone();
-        for i in 0..out.len() {
-            if !out.mask()[i] && pred(out.data()[i]) {
-                out.mask_mut()[i] = true;
-            }
-        }
-        out
     }
 }
 
@@ -263,13 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_where_thresholds() {
-        let a = a2x3();
-        let b = a.mask_where(|v| v > 3.0);
-        assert_eq!(b.valid_count(), 4);
-    }
-
-    #[test]
     fn scalar_ops() {
         let a = a2x3();
         assert_eq!(a.add_scalar(1.0).get(&[0, 0]).unwrap(), 1.0);
@@ -283,12 +248,5 @@ mod tests {
         assert_eq!(a.binop(&b, BinOp::Min).unwrap().data(), &[2.0, 3.0]);
         assert_eq!(a.binop(&b, BinOp::Max).unwrap().data(), &[3.0, 5.0]);
         assert_eq!(a.binop(&b, BinOp::Pow).unwrap().data(), &[8.0, 125.0]);
-    }
-
-    #[test]
-    fn mask_invalid_counts() {
-        let mut a = MaskedArray::from_vec(vec![1.0, f32::NAN, f32::INFINITY], &[3]).unwrap();
-        assert_eq!(a.mask_invalid(), 2);
-        assert_eq!(a.valid_count(), 1);
     }
 }

@@ -7,7 +7,7 @@ use crate::error::{CdmsError, Result};
 
 /// A per-axis slice specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SliceSpec {
+pub(crate) struct SliceSpec {
     /// First index, inclusive.
     pub start: usize,
     /// Last index, exclusive.
@@ -18,22 +18,22 @@ pub struct SliceSpec {
 
 impl SliceSpec {
     /// A full-axis slice for an axis of length `n`.
-    pub fn all(n: usize) -> Self {
+    pub(crate) fn all(n: usize) -> Self {
         SliceSpec { start: 0, stop: n, step: 1 }
     }
 
     /// A contiguous range `[start, stop)`.
-    pub fn range(start: usize, stop: usize) -> Self {
+    pub(crate) fn range(start: usize, stop: usize) -> Self {
         SliceSpec { start, stop, step: 1 }
     }
 
     /// A single-index slice (keeps the axis with length 1).
-    pub fn at(i: usize) -> Self {
+    pub(crate) fn at(i: usize) -> Self {
         SliceSpec { start: i, stop: i + 1, step: 1 }
     }
 
     /// Number of indices selected.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         if self.stop <= self.start || self.step == 0 {
             0
         } else {
@@ -42,19 +42,19 @@ impl SliceSpec {
     }
 
     /// True when the selection is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The selected indices.
-    pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn indices(&self) -> impl Iterator<Item = usize> + '_ {
         (self.start..self.stop).step_by(self.step.max(1))
     }
 }
 
 impl MaskedArray {
     /// Extracts a sub-array: one [`SliceSpec`] per axis.
-    pub fn slice(&self, specs: &[SliceSpec]) -> Result<MaskedArray> {
+    pub(crate) fn slice(&self, specs: &[SliceSpec]) -> Result<MaskedArray> {
         if specs.len() != self.rank() {
             return Err(CdmsError::Invalid(format!(
                 "need {} slice specs, got {}",
@@ -120,7 +120,7 @@ impl MaskedArray {
     /// Extracts the `i`-th hyperslab along `axis`, dropping that axis.
     /// E.g. `take(0, t)` pulls timestep `t` out of a `(time, lev, lat, lon)`
     /// variable as a `(lev, lat, lon)` array.
-    pub fn take(&self, axis: usize, i: usize) -> Result<MaskedArray> {
+    pub(crate) fn take(&self, axis: usize, i: usize) -> Result<MaskedArray> {
         if axis >= self.rank() {
             return Err(CdmsError::AxisOutOfRange { axis, rank: self.rank() });
         }

@@ -29,24 +29,6 @@ impl AttValue {
             _ => None,
         }
     }
-
-    /// Returns a numeric payload coerced to `f64` when possible.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            AttValue::Float(v) => Some(*v),
-            AttValue::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// Returns the integer payload if this is an [`AttValue::Int`].
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            AttValue::Int(v) => Some(*v),
-            AttValue::Float(v) if v.fract() == 0.0 => Some(*v as i64),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for AttValue {
@@ -82,10 +64,11 @@ impl From<i64> for AttValue {
 }
 
 /// An ordered attribute map (name → value).
-pub type Attributes = BTreeMap<String, AttValue>;
+pub(crate) type Attributes = BTreeMap<String, AttValue>;
 
 /// Convenience constructor for an attribute map from `(name, value)` pairs.
-pub fn attrs<I, K, V>(pairs: I) -> Attributes
+#[cfg(test)]
+pub(crate) fn attrs<I, K, V>(pairs: I) -> Attributes
 where
     I: IntoIterator<Item = (K, V)>,
     K: Into<String>,
@@ -97,17 +80,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn coercions() {
-        assert_eq!(AttValue::from("K").as_text(), Some("K"));
-        assert_eq!(AttValue::from(2.5).as_f64(), Some(2.5));
-        assert_eq!(AttValue::from(3i64).as_f64(), Some(3.0));
-        assert_eq!(AttValue::from(3i64).as_i64(), Some(3));
-        assert_eq!(AttValue::Float(4.0).as_i64(), Some(4));
-        assert_eq!(AttValue::Float(4.5).as_i64(), None);
-        assert_eq!(AttValue::from("x").as_f64(), None);
-    }
 
     #[test]
     fn attrs_builder_orders_keys() {

@@ -6,7 +6,7 @@
 //! cell widths and area weights.
 
 use crate::attr::Attributes;
-use crate::calendar::{Calendar, CompTime, RelTime};
+use crate::calendar::{Calendar, RelTime};
 use crate::error::{CdmsError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -23,7 +23,7 @@ pub enum AxisKind {
 
 impl AxisKind {
     /// Guesses the kind from a CF-ish axis id/units, as CDMS does.
-    pub fn infer(id: &str, units: &str) -> AxisKind {
+    pub(crate) fn infer(id: &str, units: &str) -> AxisKind {
         let id = id.to_ascii_lowercase();
         let units = units.to_ascii_lowercase();
         if id.starts_with("lat") || units.contains("degrees_north") {
@@ -183,7 +183,7 @@ impl Axis {
 
     /// Generates midpoint bounds if absent (half-way between neighbours,
     /// extrapolated at the ends). Latitude bounds are clamped to ±90.
-    pub fn gen_bounds(&mut self) {
+    pub(crate) fn gen_bounds(&mut self) {
         if self.bounds.is_some() {
             return;
         }
@@ -228,7 +228,7 @@ impl Axis {
     }
 
     /// Cell widths from bounds (generating bounds if needed).
-    pub fn cell_widths(&self) -> Vec<f64> {
+    pub(crate) fn cell_widths(&self) -> Vec<f64> {
         let mut ax = self.clone();
         ax.bounds_or_gen().iter().map(|(lo, hi)| (hi - lo).abs()).collect()
     }
@@ -248,30 +248,6 @@ impl Axis {
         } else {
             self.cell_widths()
         }
-    }
-
-    /// Index of the coordinate nearest to `x`. For circular longitude axes
-    /// the comparison is modulo 360.
-    pub fn nearest_index(&self, x: f64) -> usize {
-        let circular = self.is_circular();
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (i, &v) in self.values.iter().enumerate() {
-            let d = if circular {
-                let mut d = (v - x).rem_euclid(360.0);
-                if d > 180.0 {
-                    d = 360.0 - d;
-                }
-                d
-            } else {
-                (v - x).abs()
-            };
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
     }
 
     /// Indices whose coordinates fall in `[lo, hi]` (either order accepted).
@@ -298,7 +274,7 @@ impl Axis {
     }
 
     /// Subsets the axis to indices `[start, stop)`.
-    pub fn subset(&self, start: usize, stop: usize) -> Result<Axis> {
+    pub(crate) fn subset(&self, start: usize, stop: usize) -> Result<Axis> {
         if stop > self.len() || start >= stop {
             return Err(CdmsError::Invalid(format!(
                 "bad subset {start}..{stop} on axis '{}' (len {})",
@@ -310,16 +286,6 @@ impl Axis {
         ax.values = self.values[start..stop].to_vec();
         ax.bounds = self.bounds.as_ref().map(|b| b[start..stop].to_vec());
         Ok(ax)
-    }
-
-    /// Decodes the time value at `i` to a component time. Errors for
-    /// non-time axes.
-    pub fn time_at(&self, i: usize) -> Result<CompTime> {
-        if self.kind != AxisKind::Time {
-            return Err(CdmsError::Time(format!("axis '{}' is not a time axis", self.id)));
-        }
-        let rel = RelTime::parse(&self.units)?;
-        Ok(rel.decode(self.values[i], self.calendar))
     }
 
     /// Fractional index of coordinate `x` for interpolation: returns
@@ -351,6 +317,19 @@ impl Axis {
         let span = self.values[hi] - self.values[lo];
         let frac = if span.abs() < 1e-300 { 0.0 } else { (x - self.values[lo]) / span };
         (lo, frac.clamp(0.0, 1.0))
+    }
+}
+
+#[cfg(test)]
+impl Axis {
+    /// Decodes the time value at `i` to a component time. Errors for
+    /// non-time axes.
+    pub(crate) fn time_at(&self, i: usize) -> Result<crate::calendar::CompTime> {
+        if self.kind != AxisKind::Time {
+            return Err(CdmsError::Time(format!("axis '{}' is not a time axis", self.id)));
+        }
+        let rel = RelTime::parse(&self.units)?;
+        Ok(rel.decode(self.values[i], self.calendar))
     }
 }
 
@@ -427,16 +406,6 @@ mod tests {
         let ax = Axis::linspace("x", 0.0, 10.0, 11, "m").unwrap();
         let w = ax.weights();
         assert!(w.iter().all(|&v| (v - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn nearest_index_plain_and_circular() {
-        let ax = Axis::linspace("lat", -90.0, 90.0, 19, "degrees_north").unwrap();
-        assert_eq!(ax.nearest_index(0.0), 9);
-        assert_eq!(ax.nearest_index(-200.0), 0);
-        let lon = Axis::linspace("lon", 0.0, 350.0, 36, "degrees_east").unwrap();
-        assert_eq!(lon.nearest_index(359.0), 0); // wraps
-        assert_eq!(lon.nearest_index(-10.0), 35);
     }
 
     #[test]

@@ -24,29 +24,8 @@ pub enum Calendar {
 }
 
 impl Calendar {
-    /// Parses the CF `calendar` attribute string.
-    pub fn parse(s: &str) -> Result<Calendar> {
-        match s.to_ascii_lowercase().as_str() {
-            "gregorian" | "standard" | "proleptic_gregorian" => Ok(Calendar::Gregorian),
-            "noleap" | "365_day" => Ok(Calendar::NoLeap365),
-            "all_leap" | "366_day" => Ok(Calendar::AllLeap366),
-            "360_day" => Ok(Calendar::Day360),
-            other => Err(CdmsError::Time(format!("unknown calendar '{other}'"))),
-        }
-    }
-
-    /// CF attribute string for this calendar.
-    pub fn cf_name(&self) -> &'static str {
-        match self {
-            Calendar::Gregorian => "gregorian",
-            Calendar::NoLeap365 => "noleap",
-            Calendar::AllLeap366 => "all_leap",
-            Calendar::Day360 => "360_day",
-        }
-    }
-
     /// Whether `year` is a leap year under this calendar.
-    pub fn is_leap(&self, year: i64) -> bool {
+    pub(crate) fn is_leap(&self, year: i64) -> bool {
         match self {
             Calendar::Gregorian => (year % 4 == 0 && year % 100 != 0) || year % 400 == 0,
             Calendar::NoLeap365 | Calendar::Day360 => false,
@@ -55,7 +34,7 @@ impl Calendar {
     }
 
     /// Days in `month` (1-based) of `year`.
-    pub fn days_in_month(&self, year: i64, month: u32) -> u32 {
+    pub(crate) fn days_in_month(&self, year: i64, month: u32) -> u32 {
         if *self == Calendar::Day360 {
             return 30;
         }
@@ -74,7 +53,7 @@ impl Calendar {
     }
 
     /// Days in `year`.
-    pub fn days_in_year(&self, year: i64) -> u32 {
+    pub(crate) fn days_in_year(&self, year: i64) -> u32 {
         match self {
             Calendar::Day360 => 360,
             Calendar::NoLeap365 => 365,
@@ -103,7 +82,7 @@ impl Calendar {
     }
 
     /// Absolute day number (days since 0001-01-01 00:00) of a component time.
-    pub fn absolute_days(&self, t: &CompTime) -> f64 {
+    pub(crate) fn absolute_days(&self, t: &CompTime) -> f64 {
         let mut days = self.days_to_year(t.year);
         for m in 1..t.month {
             days += self.days_in_month(t.year, m) as i64;
@@ -113,7 +92,11 @@ impl Calendar {
     }
 
     /// Inverse of [`Calendar::absolute_days`].
-    pub fn from_absolute_days(&self, mut days: f64) -> CompTime {
+    #[expect(
+        clippy::wrong_self_convention,
+        reason = "the calendar is the conversion's context; the name pairs with `absolute_days`"
+    )]
+    pub(crate) fn from_absolute_days(&self, mut days: f64) -> CompTime {
         // Find the year by stepping; fast estimate then refine.
         let approx_len = match self {
             Calendar::Day360 => 360.0,
@@ -174,7 +157,7 @@ pub struct CompTime {
 
 impl CompTime {
     /// Midnight on the given date.
-    pub fn date(year: i64, month: u32, day: u32) -> Self {
+    pub(crate) fn date(year: i64, month: u32, day: u32) -> Self {
         CompTime { year, month, day, hour: 0, minute: 0, second: 0.0 }
     }
 }
@@ -203,7 +186,7 @@ pub enum TimeUnits {
 impl TimeUnits {
     /// Length of one unit in days; months/years are calendar-dependent and
     /// handled separately.
-    pub fn days_per_unit(&self) -> Option<f64> {
+    pub(crate) fn days_per_unit(&self) -> Option<f64> {
         match self {
             TimeUnits::Seconds => Some(1.0 / 86400.0),
             TimeUnits::Minutes => Some(1.0 / 1440.0),
@@ -260,27 +243,6 @@ impl RelTime {
             return Err(CdmsError::Time(format!("bad date in '{s}'")));
         }
         Ok(RelTime { units, epoch })
-    }
-
-    /// Canonical unit string (`"days since 2000-01-01 00:00:0.0"` style).
-    pub fn to_units_string(&self) -> String {
-        let unit = match self.units {
-            TimeUnits::Seconds => "seconds",
-            TimeUnits::Minutes => "minutes",
-            TimeUnits::Hours => "hours",
-            TimeUnits::Days => "days",
-            TimeUnits::Months => "months",
-            TimeUnits::Years => "years",
-        };
-        format!(
-            "{unit} since {:04}-{:02}-{:02} {:02}:{:02}:{:02}",
-            self.epoch.year,
-            self.epoch.month,
-            self.epoch.day,
-            self.epoch.hour,
-            self.epoch.minute,
-            self.epoch.second as u32
-        )
     }
 
     /// Decodes a relative value to a component time under `cal`.
@@ -342,14 +304,6 @@ impl RelTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_calendars() {
-        assert_eq!(Calendar::parse("noleap").unwrap(), Calendar::NoLeap365);
-        assert_eq!(Calendar::parse("STANDARD").unwrap(), Calendar::Gregorian);
-        assert_eq!(Calendar::parse("360_day").unwrap(), Calendar::Day360);
-        assert!(Calendar::parse("lunar").is_err());
-    }
 
     #[test]
     fn gregorian_leap_rules() {
@@ -446,14 +400,6 @@ mod tests {
         let t = r.decode(55.0, Calendar::Gregorian);
         assert_eq!(t.year, 2005);
         assert_eq!(r.encode(&CompTime::date(2005, 1, 1), Calendar::Gregorian), 55.0);
-    }
-
-    #[test]
-    fn units_string_roundtrip() {
-        let r = RelTime::parse("days since 2000-01-01").unwrap();
-        let s = r.to_units_string();
-        let r2 = RelTime::parse(&s).unwrap();
-        assert_eq!(r, r2);
     }
 
     #[test]

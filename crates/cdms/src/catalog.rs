@@ -42,7 +42,7 @@ pub enum EntryStatus {
     /// The file is damaged but some variables were recovered; `open`
     /// serves the salvaged subset.
     Salvaged {
-        /// What the salvage pass found (from [`crate::SalvageReport`]).
+        /// What the salvage pass found (from `crate::SalvageReport`).
         reason: String,
     },
     /// Nothing recoverable; `open` fails with this reason instead of
@@ -71,13 +71,6 @@ pub struct CatalogEntry {
     pub size_error: Option<String>,
     /// File health as of the last scan/publish.
     pub status: EntryStatus,
-}
-
-impl CatalogEntry {
-    /// True when the backing file verified cleanly.
-    pub fn is_healthy(&self) -> bool {
-        self.status == EntryStatus::Healthy
-    }
 }
 
 /// A facet query: every `(facet, value)` pair must match.
@@ -245,11 +238,6 @@ impl EsgCatalog {
         Ok(())
     }
 
-    /// All entries.
-    pub fn entries(&self) -> &[CatalogEntry] {
-        &self.entries
-    }
-
     /// Searches by facet query.
     pub fn search(&self, query: &FacetQuery) -> Vec<&CatalogEntry> {
         self.entries.iter().filter(|e| query.matches(e)).collect()
@@ -287,39 +275,6 @@ impl EsgCatalog {
             }
             _ => Dataset::open(path),
         }
-    }
-
-    /// Opens a dataset by id for out-of-core streaming instead of a full
-    /// transfer. Local entries (and local paths behind simulated remote
-    /// nodes) that are not quarantined are streamable; the returned
-    /// session reads chunk frames on demand at a bounded memory budget —
-    /// the interactive-browse workflow for series far larger than RAM.
-    /// No transfer latency is charged up front: nothing moves until
-    /// chunks are fetched.
-    pub fn open_streaming(
-        &self,
-        id: &str,
-        opts: crate::stream::StreamOptions,
-    ) -> Result<crate::stream::StreamingDataset> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.id == id)
-            .ok_or_else(|| CdmsError::NotFound(format!("catalog entry '{id}'")))?;
-        if let EntryStatus::Quarantined { reason } = &entry.status {
-            return Err(CdmsError::Format(format!(
-                "catalog entry '{id}' is quarantined: {reason}"
-            )));
-        }
-        let path = match &entry.source {
-            DataSource::LocalFile(p) => p,
-            DataSource::EsgNode { path, .. } | DataSource::ParaViewServer { path, .. } => path,
-        };
-        crate::stream::StreamingDataset::open_with(
-            std::sync::Arc::new(crate::storage::LocalDisk),
-            path,
-            opts,
-        )
     }
 
     /// Opens one variable of a dataset with *server-side* subsetting — the
@@ -366,6 +321,22 @@ fn file_size(path: &Path) -> (u64, Option<String>) {
 }
 
 #[cfg(test)]
+impl CatalogEntry {
+    /// True when the backing file verified cleanly.
+    pub(crate) fn is_healthy(&self) -> bool {
+        self.status == EntryStatus::Healthy
+    }
+}
+
+#[cfg(test)]
+impl EsgCatalog {
+    /// All entries.
+    pub(crate) fn entries(&self) -> &[CatalogEntry] {
+        &self.entries
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::SynthesisSpec;
@@ -374,51 +345,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cdms_catalog_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
-    }
-
-    #[test]
-    fn open_streaming_serves_v3_entries_lazily() {
-        let root = temp_root("streamv3");
-        std::fs::create_dir_all(&root).unwrap();
-        let mut ds = SynthesisSpec::new(6, 1, 8, 12).build();
-        ds.id = "big_series".to_string();
-        let v3opts = crate::format_v3::V3Options { window: 2, levels: 2, compress: true };
-        crate::format_v3::write_dataset_v3_with(
-            &crate::storage::LocalDisk,
-            &ds,
-            &root.join("series.ncr"),
-            &v3opts,
-        )
-        .unwrap();
-        let mut flat = SynthesisSpec::new(2, 1, 4, 8).build();
-        flat.id = "flat".to_string();
-        // a file of format version 2, which earlier builds wrote
-        let mut v2 = crate::format::to_bytes(&flat);
-        v2[4] = 2;
-        std::fs::write(root.join("flat.ncr"), v2).unwrap();
-
-        let cat = EsgCatalog::new(&root).unwrap();
-        // the v3 file indexes as a healthy entry like any other
-        assert!(cat.entries().iter().any(|e| e.id == "big_series" && e.is_healthy()));
-        // the version-2 file is quarantined under its file stem
-        let flat = cat.entries().iter().find(|e| e.id == "flat").unwrap();
-        assert!(matches!(flat.status, EntryStatus::Quarantined { .. }), "{:?}", flat.status);
-
-        let sd = cat
-            .open_streaming("big_series", crate::stream::StreamOptions::default())
-            .unwrap();
-        let sv = sd.variable("ta").unwrap();
-        assert_eq!(sv.n_times(), 6);
-        let want = ds.variable("ta").unwrap().time_slab(3).unwrap();
-        assert_eq!(sv.time_slab(3).unwrap().array, want.array);
-
-        // and is not streamable: this build reads no version but 3
-        let err = cat
-            .open_streaming("flat", crate::stream::StreamOptions::default())
-            .unwrap_err();
-        assert!(err.to_string().contains("unsupported version 2"), "{err}");
-        assert!(cat.open_streaming("missing", Default::default()).is_err());
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl Dataset {
             .ok_or_else(|| CdmsError::NotFound(format!("variable '{id}' in dataset '{}'", self.id)))
     }
 
-    /// Removes a variable by id, returning it.
-    pub fn remove_variable(&mut self, id: &str) -> Option<Variable> {
-        let pos = self.variables.iter().position(|v| v.id == id)?;
-        Some(self.variables.remove(pos))
-    }
-
     /// All variables, in insertion order.
     pub fn variables(&self) -> &[Variable] {
         &self.variables
@@ -83,6 +77,15 @@ impl Dataset {
     /// Reads a dataset from a `.ncr` file.
     pub fn open(path: impl AsRef<Path>) -> Result<Dataset> {
         crate::format::read_dataset(path.as_ref())
+    }
+}
+
+#[cfg(test)]
+impl Dataset {
+    /// Removes a variable by id, returning it.
+    pub(crate) fn remove_variable(&mut self, id: &str) -> Option<Variable> {
+        let pos = self.variables.iter().position(|v| v.id == id)?;
+        Some(self.variables.remove(pos))
     }
 }
 

@@ -25,7 +25,7 @@ pub enum CdmsError {
     Io(String),
     /// A *transient* I/O failure (EINTR-style interruption, timeout,
     /// injected flakiness): retrying the same operation may succeed.
-    /// [`crate::storage::write_atomic`] retries these internally and
+    /// `crate::storage::write_atomic` retries these internally and
     /// `cdat` task graphs re-run dataset sources that surface them.
     TransientIo(String),
     /// A calendar/time conversion failed.
@@ -34,7 +34,7 @@ pub enum CdmsError {
 
 impl CdmsError {
     /// True for errors a retry may clear ([`CdmsError::TransientIo`]).
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(self, CdmsError::TransientIo(_))
     }
 }

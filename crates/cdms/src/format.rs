@@ -83,7 +83,7 @@ impl SalvageReport {
     }
 
     /// One-line human summary (used by catalog quarantine reasons).
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "{} of {} sections corrupt; recovered {} variable(s), lost {}{}",
             self.sections_corrupt,
@@ -496,7 +496,7 @@ pub(crate) fn salvage_prelude(full: &[u8]) -> Salvage<'_> {
 
 /// Writes a dataset to a `.ncr` file crash-safely (v3 at
 /// [`V3Options::default`], atomic temp-file + fsync + rename via
-/// [`crate::storage::write_atomic`]).
+/// `crate::storage::write_atomic`).
 pub fn write_dataset(ds: &Dataset, path: &Path) -> Result<()> {
     write_dataset_with(&LocalDisk, ds, path)
 }
@@ -512,7 +512,7 @@ pub fn read_dataset(path: &Path) -> Result<Dataset> {
 }
 
 /// Reads through an explicit storage backend (fault injection, tests).
-pub fn read_dataset_with(storage: &dyn Storage, path: &Path) -> Result<Dataset> {
+pub(crate) fn read_dataset_with(storage: &dyn Storage, path: &Path) -> Result<Dataset> {
     let bytes = storage.read(path).map_err(|e| with_path(e, path))?;
     from_bytes(&bytes).map_err(|e| with_path(e, path))
 }
@@ -533,12 +533,12 @@ pub(crate) fn with_path(e: CdmsError, path: &Path) -> CdmsError {
 /// Reads with salvage semantics: recovers the variables whose sections are
 /// intact and reports what was lost. When the header section is gone the
 /// dataset id falls back to the file stem.
-pub fn read_dataset_salvage(path: &Path) -> Result<(Dataset, SalvageReport)> {
+pub(crate) fn read_dataset_salvage(path: &Path) -> Result<(Dataset, SalvageReport)> {
     read_dataset_salvage_with(&LocalDisk, path)
 }
 
 /// Salvage-reads through an explicit storage backend.
-pub fn read_dataset_salvage_with(
+pub(crate) fn read_dataset_salvage_with(
     storage: &dyn Storage,
     path: &Path,
 ) -> Result<(Dataset, SalvageReport)> {

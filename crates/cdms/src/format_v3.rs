@@ -61,7 +61,7 @@ use std::path::Path;
 /// codec u8, element count u64.
 const CHUNK_HEAD_LEN: usize = 21;
 /// Raw (uncompressed) chunk body.
-pub const CODEC_RAW: u8 = 0;
+pub(crate) const CODEC_RAW: u8 = 0;
 /// PackBits run-length-encoded chunk body.
 pub const CODEC_RLE: u8 = 1;
 
@@ -168,7 +168,7 @@ impl V3VarMeta {
     }
 
     /// The (up to two) trailing non-time dims the pyramid downsamples.
-    pub fn pyramid_dims(&self) -> Vec<usize> {
+    pub(crate) fn pyramid_dims(&self) -> Vec<usize> {
         let mut dims: Vec<usize> =
             (0..self.shape.len()).filter(|&d| Some(d) != self.time_axis).collect();
         let keep = dims.len().min(2);
@@ -272,7 +272,7 @@ impl V3Meta {
     }
 
     /// The axes of variable `var`, resolved through its refs.
-    pub fn var_axes(&self, var: usize) -> Result<Vec<Axis>> {
+    pub(crate) fn var_axes(&self, var: usize) -> Result<Vec<Axis>> {
         let meta = self
             .vars
             .get(var)
@@ -1097,7 +1097,7 @@ fn read_exact_at(
 // ---- file I/O ----
 
 /// Writes v3 crash-safely (atomic temp-file + fsync + rename + parent-dir
-/// fsync via [`crate::storage::write_atomic`]) through an explicit backend
+/// fsync via `crate::storage::write_atomic`) through an explicit backend
 /// with explicit options; [`crate::format::write_dataset`] writes the
 /// defaults.
 pub fn write_dataset_v3_with(

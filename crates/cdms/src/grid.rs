@@ -80,19 +80,6 @@ impl RectGrid {
         areas
     }
 
-    /// Total area of all cells (≈ 4π for a global grid).
-    pub fn total_area(&self) -> f64 {
-        self.cell_areas().iter().sum()
-    }
-
-    /// True when both grids have identical axis values (within 1e-9°).
-    pub fn same_as(&self, other: &RectGrid) -> bool {
-        fn close(a: &[f64], b: &[f64]) -> bool {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-9)
-        }
-        close(&self.lat.values, &other.lat.values) && close(&self.lon.values, &other.lon.values)
-    }
-
     /// Stable 64-bit fingerprint of the grid geometry. Equal fingerprints
     /// mean the grids produce identical regrid weights: the hash covers
     /// axis kind, length, the exact `f64` bit patterns of the centre values
@@ -155,7 +142,7 @@ fn hash_axis(h: &mut Fnv, a: &Axis) {
 
 /// Nodes and weights of `n`-point Gauss–Legendre quadrature on `[-1, 1]`,
 /// nodes ascending. Newton iteration on the Legendre polynomial.
-pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
     let mut nodes = vec![0.0f64; n];
     let mut weights = vec![0.0f64; n];
     let m = n.div_ceil(2);
@@ -204,6 +191,14 @@ pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
         weights[n / 2] = 2.0 / (dp * dp);
     }
     (nodes, weights)
+}
+
+#[cfg(test)]
+impl RectGrid {
+    /// Total area of all cells (≈ 4π for a global grid).
+    pub(crate) fn total_area(&self) -> f64 {
+        self.cell_areas().iter().sum()
+    }
 }
 
 #[cfg(test)]
@@ -336,14 +331,5 @@ mod tests {
             lon: Axis::longitude(with.lon.values.clone()).unwrap(),
         };
         assert_ne!(with.fingerprint(), without.fingerprint());
-    }
-
-    #[test]
-    fn same_as_compares_values() {
-        let a = RectGrid::uniform(4, 8).unwrap();
-        let b = RectGrid::uniform(4, 8).unwrap();
-        let c = RectGrid::uniform(8, 16).unwrap();
-        assert!(a.same_as(&b));
-        assert!(!a.same_as(&c));
     }
 }

@@ -38,7 +38,7 @@
 //!   file is written, and read, as format v3 (below); a file of any other
 //!   version is refused as unsupported. It splits the file into
 //!   CRC32C-checksummed sections so corruption is detected per section;
-//!   [`format::read_dataset_salvage`] recovers the intact variables from a
+//!   `format::read_dataset_salvage` recovers the intact variables from a
 //!   damaged file and reports what was lost.
 //! * [`storage`] — the hardened I/O layer beneath the format: a [`Storage`]
 //!   trait with a [`storage::LocalDisk`] backend, crash-safe atomic writes
@@ -76,29 +76,26 @@
 //! ```
 
 pub mod array;
-pub mod attr;
+pub(crate) mod attr;
 pub mod axis;
 pub mod calendar;
 pub mod catalog;
 mod container;
-pub mod dataset;
-pub mod error;
+pub(crate) mod dataset;
+pub(crate) mod error;
 pub mod format;
 pub mod format_v3;
 pub mod grid;
 pub mod storage;
 pub mod stream;
 pub mod synth;
-pub mod variable;
+pub(crate) mod variable;
 
-pub use array::{MaskWords, MaskedArray};
+pub use array::MaskedArray;
 pub use attr::AttValue;
 pub use axis::{Axis, AxisKind};
-pub use calendar::{Calendar, CompTime, RelTime, TimeUnits};
 pub use dataset::Dataset;
 pub use error::{CdmsError, Result};
-pub use format::{LostVariable, SalvageReport};
-pub use format_v3::{V3Layout, V3Options};
 pub use grid::RectGrid;
 pub use storage::Storage;
 pub use stream::{StreamOptions, StreamReport, StreamingDataset, StreamingVariable};

@@ -13,7 +13,7 @@
 //!   `hyperwall::fault::FaultPlan` semantics: short writes, torn writes at
 //!   byte *k*, bit flips, ENOSPC, EINTR-style transient errors and scripted
 //!   crashes, addressed by primitive-operation index.
-//! * [`write_atomic`] — temp file + fsync + length/checksum verification +
+//! * `write_atomic` — temp file + fsync + length/checksum verification +
 //!   atomic rename. After a crash at *any* primitive step the destination
 //!   path holds either the complete old file or the complete new file,
 //!   never a hybrid (the crash-safety tests enumerate every step).
@@ -90,7 +90,7 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 
 /// Continues a CRC32C computation: `crc32c_update(crc32c(a), b)` equals
 /// `crc32c` of `a` and `b` concatenated.
-pub fn crc32c_update(seed: u32, bytes: &[u8]) -> u32 {
+pub(crate) fn crc32c_update(seed: u32, bytes: &[u8]) -> u32 {
     let (blocks, tail) = bytes.as_chunks::<CRC_BLOCK>();
     let crc = blocks.iter().fold(seed, |crc, block| crc32c_join(crc, crc32c_block(block)));
     crc32c_serial(crc, tail)
@@ -234,7 +234,7 @@ const fn shift_operator(len: u64) -> [u32; 32] {
 
 /// The primitive filesystem operations the `.ncr` persistence layer is
 /// built from. Keeping the surface this small lets [`FaultyStorage`]
-/// misbehave at every individual step of [`write_atomic`], so crash-safety
+/// misbehave at every individual step of `write_atomic`, so crash-safety
 /// is testable as an enumeration rather than a hope.
 pub trait Storage: Send + Sync {
     /// Reads a whole file.
@@ -251,7 +251,7 @@ pub trait Storage: Send + Sync {
     /// Flushes file content to stable storage (`fsync`).
     fn sync(&self, path: &Path) -> Result<()>;
     /// Flushes a *directory* to stable storage. POSIX makes the rename in
-    /// [`write_atomic`] atomic but not durable: until the parent directory
+    /// `write_atomic` atomic but not durable: until the parent directory
     /// is fsynced, a power loss can roll the directory entry back to the
     /// old file. Called on the destination's parent after every rename.
     fn sync_dir(&self, dir: &Path) -> Result<()>;
@@ -317,7 +317,7 @@ impl Storage for LocalDisk {
 // ---- the atomic writer ----
 
 /// How many times a transient ([`CdmsError::TransientIo`]) primitive
-/// failure is retried inside [`write_atomic`] before it is reported.
+/// failure is retried inside `write_atomic` before it is reported.
 pub const TRANSIENT_RETRIES: u32 = 3;
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -354,7 +354,7 @@ fn retry_transient<T>(mut op: impl FnMut() -> Result<T>) -> Result<T> {
 /// the rename has already landed: the caller must treat the publish as
 /// not-yet-durable, but the destination still parses as exactly one of the
 /// two complete states.
-pub fn write_atomic(storage: &dyn Storage, path: &Path, bytes: &[u8]) -> Result<()> {
+pub(crate) fn write_atomic(storage: &dyn Storage, path: &Path, bytes: &[u8]) -> Result<()> {
     let tmp = temp_sibling(path);
     let result = write_atomic_steps(storage, &tmp, path, bytes);
     if result.is_err() {
@@ -440,7 +440,7 @@ pub enum StorageFault {
 /// chunk's frame offset is known from the file layout — deterministically,
 /// regardless of how many unrelated reads come first.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadFault {
+pub(crate) struct ReadFault {
     /// `read_at` calls whose starting offset falls in this range trigger
     /// the fault.
     pub offsets: Range<u64>,
@@ -490,18 +490,13 @@ impl StorageFaultPlan {
     }
 
     /// The fault scripted for `op`, if any.
-    pub fn at(&self, op: u64) -> Option<&StorageFault> {
+    pub(crate) fn at(&self, op: u64) -> Option<&StorageFault> {
         self.per_op.get(&op)
     }
 
     /// The scripted read faults, in priority order.
-    pub fn read_faults(&self) -> &[ReadFault] {
+    pub(crate) fn read_faults(&self) -> &[ReadFault] {
         &self.reads
-    }
-
-    /// True when nothing is scripted.
-    pub fn is_empty(&self) -> bool {
-        self.per_op.is_empty() && self.reads.is_empty()
     }
 }
 
@@ -558,12 +553,12 @@ impl FaultyStorage {
     }
 
     /// Primitive operations issued so far.
-    pub fn ops(&self) -> u64 {
+    pub(crate) fn ops(&self) -> u64 {
         self.op.load(Ordering::SeqCst)
     }
 
     /// True once a scripted crash has fired.
-    pub fn crashed(&self) -> bool {
+    pub(crate) fn crashed(&self) -> bool {
         self.crashed.load(Ordering::SeqCst)
     }
 
@@ -758,6 +753,14 @@ impl Storage for FaultyStorage {
             return Err(CdmsError::Io("storage backend crashed (injected)".into()));
         }
         self.inner.remove(path)
+    }
+}
+
+#[cfg(test)]
+impl StorageFaultPlan {
+    /// True when nothing is scripted.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.per_op.is_empty() && self.reads.is_empty()
     }
 }
 

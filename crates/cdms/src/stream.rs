@@ -312,21 +312,6 @@ impl StreamingDataset {
         })
     }
 
-    /// Dataset id from the header.
-    pub fn id(&self) -> &str {
-        &self.shared.meta.id
-    }
-
-    /// The decoded file metadata (axes, per-variable shapes, chunk map).
-    pub fn meta(&self) -> &V3Meta {
-        &self.shared.meta
-    }
-
-    /// Ids of the variables in the file.
-    pub fn variable_ids(&self) -> Vec<&str> {
-        self.shared.meta.vars.iter().map(|v| v.id.as_str()).collect()
-    }
-
     /// A lazy view of one variable.
     pub fn variable(&self, id: &str) -> Result<StreamingVariable> {
         let var = self
@@ -394,7 +379,7 @@ impl StreamingVariable {
     }
 
     /// Full (not per-window) shape.
-    pub fn shape(&self) -> &[usize] {
+    pub(crate) fn shape(&self) -> &[usize] {
         self.shared
             .meta
             .vars
@@ -566,14 +551,6 @@ impl StreamingVariable {
         self.assemble_window(&data, w)
     }
 
-    /// Materializes the whole variable (strict, full resolution) —
-    /// bounded-memory only in the sense that chunks stream through the
-    /// cache; the result itself is the full array.
-    pub fn materialize(&self) -> Result<Variable> {
-        let axes = self.shared.meta.var_axes(self.var)?;
-        format_v3::assemble_variable(self.meta()?, axes, |w| self.window_strict(w).map(Some))
-    }
-
     // ---- internals ----
 
     /// Maps a global time step to (window, index-within-window).
@@ -731,6 +708,19 @@ fn extract_step(
 }
 
 #[cfg(test)]
+impl StreamingDataset {
+    /// Dataset id from the header.
+    pub(crate) fn id(&self) -> &str {
+        &self.shared.meta.id
+    }
+
+    /// The decoded file metadata (axes, per-variable shapes, chunk map).
+    pub(crate) fn meta(&self) -> &V3Meta {
+        &self.shared.meta
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::format_v3::V3Options;
@@ -800,19 +790,6 @@ mod tests {
             assert_eq!(got.axes, want.axes, "window {w}");
             // and the degraded path is identical on healthy storage
             assert_eq!(sv.window_variable_degraded(w).unwrap().array, want.array);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn materialize_matches_source() {
-        let opts = V3Options { window: 4, levels: 2, compress: false };
-        let (ds, path) = write_sample("mat.ncr", &opts);
-        let sd = StreamingDataset::open(&path).unwrap();
-        for var in ds.variables() {
-            let got = sd.variable(&var.id).unwrap().materialize().unwrap();
-            assert_eq!(got.array, var.array);
-            assert_eq!(got.axes, var.axes);
         }
         std::fs::remove_file(&path).ok();
     }

@@ -120,7 +120,7 @@ impl SynthesisSpec {
     }
 
     /// The time axis (daily, noleap calendar, from 2000-01-01).
-    pub fn time_axis(&self) -> Axis {
+    pub(crate) fn time_axis(&self) -> Axis {
         built(
             "time axis",
             Axis::time(
@@ -132,12 +132,12 @@ impl SynthesisSpec {
     }
 
     /// The pressure-level axis (hPa, descending pressure = ascending height).
-    pub fn level_axis(&self) -> Axis {
+    pub(crate) fn level_axis(&self) -> Axis {
         built("level axis", Axis::pressure_levels(STANDARD_PLEVS[..self.nlev].to_vec()))
     }
 
     /// The latitude axis (uniform cell centres, pole-inset).
-    pub fn lat_axis(&self) -> Axis {
+    pub(crate) fn lat_axis(&self) -> Axis {
         let dlat = 180.0 / self.nlat as f64;
         built(
             "latitude axis",
@@ -146,7 +146,7 @@ impl SynthesisSpec {
     }
 
     /// The longitude axis (uniform, global, starting at 0°E).
-    pub fn lon_axis(&self) -> Axis {
+    pub(crate) fn lon_axis(&self) -> Axis {
         let dlon = 360.0 / self.nlon as f64;
         built("longitude axis", Axis::longitude((0..self.nlon).map(|i| dlon * i as f64).collect()))
     }

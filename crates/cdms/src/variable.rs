@@ -9,7 +9,6 @@ use crate::array::{MaskedArray, SliceSpec};
 use crate::attr::{AttValue, Attributes};
 use crate::axis::{Axis, AxisKind};
 use crate::error::{CdmsError, Result};
-use crate::grid::RectGrid;
 
 /// A self-describing data variable.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +45,7 @@ impl Variable {
     }
 
     /// Builder-style attribute setter.
-    pub fn with_attr(mut self, name: &str, value: impl Into<AttValue>) -> Variable {
+    pub(crate) fn with_attr(mut self, name: &str, value: impl Into<AttValue>) -> Variable {
         self.attributes.insert(name.to_string(), value.into());
         self
     }
@@ -84,20 +83,8 @@ impl Variable {
         self.axis_index(kind).map(|i| &self.axes[i])
     }
 
-    /// The axis with the given id.
-    pub fn axis_by_id(&self, id: &str) -> Option<&Axis> {
-        self.axes.iter().find(|a| a.id == id)
-    }
-
-    /// The horizontal grid, when the variable has both lat and lon axes.
-    pub fn grid(&self) -> Option<RectGrid> {
-        let lat = self.axis(AxisKind::Latitude)?.clone();
-        let lon = self.axis(AxisKind::Longitude)?.clone();
-        RectGrid::new(lat, lon).ok()
-    }
-
     /// Subsets by index ranges, one [`SliceSpec`] per axis; axes follow.
-    pub fn slice(&self, specs: &[SliceSpec]) -> Result<Variable> {
+    pub(crate) fn slice(&self, specs: &[SliceSpec]) -> Result<Variable> {
         let array = self.array.slice(specs)?;
         let mut axes = Vec::with_capacity(self.axes.len());
         for (ax, spec) in self.axes.iter().zip(specs) {
@@ -154,28 +141,6 @@ impl Variable {
         Ok(v)
     }
 
-    /// Subsets the time axis by *date strings* (`"YYYY-MM-DD"` or
-    /// `"YYYY-MM-DD HH:MM:SS"`, inclusive on both ends) — the CDMS
-    /// `var(time=("2000-1-15", "2000-3-1"))` call.
-    pub fn subset_time(&self, start: &str, stop: &str) -> Result<Variable> {
-        let idx = self
-            .axis_index(AxisKind::Time)
-            .ok_or_else(|| CdmsError::NotFound(format!("time axis on '{}'", self.id)))?;
-        let axis = &self.axes[idx];
-        let rel = crate::calendar::RelTime::parse(&axis.units)?;
-        let parse_date = |s: &str| -> Result<f64> {
-            // reuse the relative-time parser by prefixing a unit clause
-            let synthetic = format!("days since {s}");
-            let epoch = crate::calendar::RelTime::parse(&synthetic)
-                .map_err(|_| CdmsError::Time(format!("bad date '{s}'")))?
-                .epoch;
-            Ok(rel.encode(&epoch, axis.calendar))
-        };
-        let lo = parse_date(start)?;
-        let hi = parse_date(stop)?;
-        self.subset_kind(AxisKind::Time, lo, hi)
-    }
-
     /// Reorders axes to the canonical `(time, level, lat, lon)` order
     /// (present kinds only, generic axes last), returning a new variable.
     pub fn to_canonical_order(&self) -> Result<Variable> {
@@ -226,6 +191,14 @@ impl Variable {
 }
 
 #[cfg(test)]
+impl Variable {
+    /// The axis with the given id.
+    pub(crate) fn axis_by_id(&self, id: &str) -> Option<&Axis> {
+        self.axes.iter().find(|a| a.id == id)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::calendar::Calendar;
@@ -264,13 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_extraction() {
-        let v = sample();
-        let g = v.grid().unwrap();
-        assert_eq!(g.shape(), (3, 4));
-    }
-
-    #[test]
     fn coordinate_subsetting() {
         let v = sample();
         let sub = v.subset_kind(AxisKind::Latitude, -10.0, 35.0).unwrap();
@@ -299,36 +265,6 @@ mod tests {
         assert_eq!(s.axes.len(), 2);
         assert_eq!(s.array.get(&[0, 0]).unwrap(), 100.0);
         assert!(v.time_slab(2).is_err());
-    }
-
-    #[test]
-    fn subset_time_by_date_strings() {
-        // daily axis, 60 days from 2000-01-01 (noleap)
-        let time = Axis::time(
-            (0..60).map(|t| t as f64).collect(),
-            "days since 2000-01-01",
-            Calendar::NoLeap365,
-        )
-        .unwrap();
-        let lat = Axis::latitude(vec![0.0]).unwrap();
-        let arr = MaskedArray::from_fn(&[60, 1], |ix| ix[0] as f32);
-        let v = Variable::new("x", arr, vec![time, lat]).unwrap();
-        // January 10 through February 5 inclusive: days 9..=35
-        let sub = v.subset_time("2000-01-10", "2000-02-05").unwrap();
-        assert_eq!(sub.shape()[0], 27);
-        assert_eq!(sub.array.get(&[0, 0]).unwrap(), 9.0);
-        assert_eq!(sub.array.get(&[26, 0]).unwrap(), 35.0);
-        // out-of-record range errors
-        assert!(v.subset_time("2001-01-01", "2001-02-01").is_err());
-        assert!(v.subset_time("garbage", "2000-02-01").is_err());
-        // no time axis
-        let lat_only = Variable::new(
-            "y",
-            MaskedArray::zeros(&[1]),
-            vec![Axis::latitude(vec![0.0]).unwrap()],
-        )
-        .unwrap();
-        assert!(lat_only.subset_time("2000-01-01", "2000-01-02").is_err());
     }
 
     #[test]

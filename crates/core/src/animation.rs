@@ -2,8 +2,8 @@
 //!
 //! "Animating over one of the data dimensions (typically time) provides a
 //! very effective method for viewing and browsing 4D data" (§III.D). There
-//! is one playhead — an index, `looping`, `step` / `seek` / `render_loop` —
-//! over two frame sources: [`AnimationController`] pre-translates every
+//! is one playhead — an index, `seek` and `render_loop` — over two frame
+//! sources: [`AnimationController`] pre-translates every
 //! timestep into memory and clones frame *t*; [`StreamingAnimation`]
 //! fetches, salvages and translates frame *t* off a `.ncr` v3 file as the
 //! playhead reaches it. Either way the plot keeps its interactive state,
@@ -12,23 +12,12 @@
 // Hot path: on a wall client the playhead's indices arrive off a socket.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
-use crate::plots::{offset_index, Plot};
+use crate::plots::Plot;
 use crate::translation::{translate_scalar, TranslationOptions};
 use crate::{Dv3dError, Result};
 use cdms::axis::AxisKind;
 use cdms::{StreamReport, StreamingVariable, Variable};
 use rvtk::ImageData;
-
-/// The frame a step of `delta` from `current` lands on among `n` frames:
-/// wrapped when `looping`, clamped to the ends otherwise. No `delta`
-/// overflows — the wrap reduces it first, the clamp saturates.
-fn stepped(current: usize, delta: i64, n: usize, looping: bool) -> usize {
-    if !looping {
-        return offset_index(current, delta, n);
-    }
-    let (current, n) = (current as i64, (n as i64).max(1));
-    (current + delta.rem_euclid(n)).rem_euclid(n) as usize
-}
 
 /// Where a [`Playhead`]'s frames come from. Two implementations: frames
 /// held in memory, and frames streamed off disk.
@@ -105,18 +94,8 @@ impl<S: FrameSource> Playhead<S> {
     }
 
     /// Number of frames.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.frames.n_frames()
-    }
-
-    /// Never true (both sources hold ≥ 1 frame by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current frame index.
-    pub fn current(&self) -> usize {
-        self.current
     }
 
     /// Installs frame `index` into the plot; the playhead moves only when
@@ -125,12 +104,6 @@ impl<S: FrameSource> Playhead<S> {
         plot.set_image(self.frames.frame(index)?)?;
         self.current = index;
         Ok(index)
-    }
-
-    /// Steps by `delta` (negative allowed), honouring `looping`, and
-    /// installs the frame into the plot. Returns the new index.
-    pub fn step(&mut self, plot: &mut dyn Plot, delta: i64) -> Result<usize> {
-        self.show(plot, stepped(self.current, delta, self.len(), self.looping))
     }
 
     /// Jumps to an absolute frame.
@@ -170,29 +143,6 @@ impl AnimationController {
             (0..var.n_times()).map(|t| translate_scalar(&var.time_slab(t)?, opts)).collect();
         Ok(Playhead::over(frames?))
     }
-
-    /// Builds a controller like [`AnimationController::from_variable`],
-    /// first regridding the whole variable onto `target`. The regrid plan
-    /// is cached workspace-wide and applied to every timestep plane in one
-    /// parallel pass, so re-animating (or animating a second variable on
-    /// the same grid pair) skips the planning cost entirely.
-    pub fn from_variable_regridded(
-        var: &Variable,
-        target: &cdms::RectGrid,
-        method: cdat::regrid_plan::RegridMethod,
-        opts: &TranslationOptions,
-    ) -> Result<AnimationController> {
-        let regridded = cdat::regrid::regrid(var, target, method).map_err(Dv3dError::from)?;
-        AnimationController::from_variable(&regridded, opts)
-    }
-
-    /// Builds a controller from pre-made frames.
-    pub fn from_frames(frames: Vec<ImageData>) -> Result<AnimationController> {
-        if frames.is_empty() {
-            return Err(Dv3dError::Config("animation needs at least one frame".into()));
-        }
-        Ok(Playhead::over(frames))
-    }
 }
 
 impl StreamingAnimation {
@@ -208,6 +158,43 @@ impl StreamingAnimation {
     /// Fault-tolerance counters for the underlying streaming session.
     pub fn report(&self) -> StreamReport {
         self.frames.var.report()
+    }
+}
+
+/// The frame a step of `delta` from `current` lands on among `n` frames:
+/// wrapped when `looping`, clamped to the ends otherwise. No `delta`
+/// overflows — the wrap reduces it first, the clamp saturates.
+#[cfg(test)]
+fn stepped(current: usize, delta: i64, n: usize, looping: bool) -> usize {
+    if !looping {
+        return crate::plots::offset_index(current, delta, n);
+    }
+    let (current, n) = (current as i64, (n as i64).max(1));
+    (current + delta.rem_euclid(n)).rem_euclid(n) as usize
+}
+
+#[cfg(test)]
+impl<S: FrameSource> Playhead<S> {
+    /// Current frame index.
+    pub(crate) fn current(&self) -> usize {
+        self.current
+    }
+
+    /// Steps by `delta` (negative allowed), honouring `looping`, and
+    /// installs the frame into the plot. Returns the new index.
+    pub(crate) fn step(&mut self, plot: &mut dyn Plot, delta: i64) -> Result<usize> {
+        self.show(plot, stepped(self.current, delta, self.len(), self.looping))
+    }
+}
+
+#[cfg(test)]
+impl AnimationController {
+    /// Builds a controller from pre-made frames.
+    pub(crate) fn from_frames(frames: Vec<ImageData>) -> Result<AnimationController> {
+        if frames.is_empty() {
+            return Err(Dv3dError::Config("animation needs at least one frame".into()));
+        }
+        Ok(Playhead::over(frames))
     }
 }
 
@@ -232,26 +219,6 @@ mod tests {
         let (anim, _) = controller_and_cell();
         assert_eq!(anim.len(), 4);
         assert_eq!(anim.current(), 0);
-    }
-
-    #[test]
-    fn regridded_animation_reuses_one_plan_across_frames() {
-        use cdat::regrid_plan::RegridMethod;
-        let ds = SynthesisSpec::new(6, 1, 8, 16).build();
-        let pr = ds.variable("pr").unwrap();
-        // deliberately odd target shape so the cache key is unique to this test
-        let target = cdms::RectGrid::uniform(7, 13).unwrap();
-        let opts = TranslationOptions::default();
-        let before = cdat::plan_cache::global_stats();
-        let a = AnimationController::from_variable_regridded(pr, &target, RegridMethod::Bilinear, &opts)
-            .unwrap();
-        let b = AnimationController::from_variable_regridded(pr, &target, RegridMethod::Bilinear, &opts)
-            .unwrap();
-        assert_eq!(a.len(), 6);
-        assert_eq!(b.len(), 6);
-        assert_eq!(a.frames[0].dims, b.frames[0].dims);
-        let after = cdat::plan_cache::global_stats();
-        assert!(after.hits > before.hits, "second animation must hit the cached plan");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! speed   = sqrt(ua*ua + va*va)
 //! lo      = regrid(ta, 16, 32)
 //! cons    = regrid(ta, 16, 32, 'conservative')
+//! ta_p    = plev(ta, 850, 500)
 //! ```
 
 use crate::{Dv3dError, Result};
@@ -344,6 +345,22 @@ fn apply_function(name: &str, args: Vec<CalcValue>, strings: Vec<String>) -> Res
             };
             Ok(CalcValue::Variable(regrid::regrid(v, &grid, method)?))
         }
+        "plev" => {
+            let Some((CalcValue::Variable(v), levels)) = args.split_first() else {
+                return Err(Dv3dError::Config(
+                    "plev(x, p1, p2, ...) wants a variable, then pressure levels".into(),
+                ));
+            };
+            let levels: Vec<f64> = levels
+                .iter()
+                .map(|l| {
+                    l.as_scalar().ok_or_else(|| {
+                        Dv3dError::Config("plev(): every level must be a number".into())
+                    })
+                })
+                .collect::<Result<_>>()?;
+            Ok(CalcValue::Variable(regrid::pressure_interp(v, &levels)?))
+        }
         "corr" => {
             let (a, b) = match (args.first(), args.get(1)) {
                 (Some(CalcValue::Variable(a)), Some(CalcValue::Variable(b))) => (a, b),
@@ -483,6 +500,49 @@ mod tests {
         assert!(evaluate(&mut d, "regrid(ta, 4, 8, 'cubic')").is_err());
         let r = evaluate(&mut d, "corr(ta, ta)").unwrap();
         assert!((r.as_scalar().unwrap() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn avg_takes_the_time_mean_and_collapses_every_axis() {
+        let mut d = ds();
+        let tm = evaluate(&mut d, "avg(ta, 'time')").unwrap();
+        assert_eq!(tm.as_variable().unwrap().shape(), &[2, 8, 16]);
+        let all = evaluate(&mut d, "avg(ta, 'time', 'lev', 'lat', 'lon')").unwrap();
+        assert_eq!(all.as_variable().unwrap().array.len(), 1);
+    }
+
+    #[test]
+    fn plev_is_the_direct_vertical_interpolation_bit_for_bit() {
+        let mut d = SynthesisSpec::new(2, 6, 8, 16).build();
+        // 962 and 550 hPa fall between levels; 1100 hPa is below the
+        // column, so its level comes back masked
+        let direct =
+            regrid::pressure_interp(d.variable("ta").unwrap(), &[1100.0, 962.0, 550.0]).unwrap();
+        let got = evaluate(&mut d, "plev(ta, 1100, 962, 550)").unwrap();
+        let got = got.as_variable().unwrap();
+        assert_eq!(got.shape(), direct.shape());
+        let bits = |v: &Variable| v.array.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(&direct));
+        assert_eq!(got.array.mask(), direct.array.mask());
+        assert!(got.array.mask().iter().any(|&m| m));
+        assert_eq!(got.axes, direct.axes);
+    }
+
+    #[test]
+    fn plev_refuses_a_variable_without_a_level_axis() {
+        let mut d = ds();
+        assert!(d.variable("tos").unwrap().axis_index(AxisKind::Level).is_none());
+        let err = evaluate(&mut d, "plev(tos, 500)").unwrap_err().to_string();
+        assert!(err.contains("level axis on 'tos'"), "{err}");
+    }
+
+    #[test]
+    fn plev_refuses_an_empty_level_list_and_a_missing_variable() {
+        let mut d = ds();
+        let err = evaluate(&mut d, "plev(ta)").unwrap_err().to_string();
+        assert!(err.contains("no target levels"), "{err}");
+        let err = evaluate(&mut d, "plev(500, 850)").unwrap_err().to_string();
+        assert!(err.contains("wants a variable, then pressure levels"), "{err}");
     }
 
     #[test]

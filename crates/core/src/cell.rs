@@ -65,7 +65,7 @@ impl Dv3dCell {
     }
 
     /// Wraps an already-built plot (composite plots take this path).
-    pub fn from_plot(name: &str, plot: Box<dyn Plot>) -> Dv3dCell {
+    pub(crate) fn from_plot(name: &str, plot: Box<dyn Plot>) -> Dv3dCell {
         Dv3dCell {
             name: name.to_string(),
             plot,
@@ -103,11 +103,6 @@ impl Dv3dCell {
         }
         self.base_map = Some(coast);
         Ok(())
-    }
-
-    /// True when a base map is installed.
-    pub fn has_base_map(&self) -> bool {
-        self.base_map.is_some()
     }
 
     /// Applies a configuration operation: camera ops are handled here, the
@@ -223,9 +218,17 @@ impl Dv3dCell {
     }
 
     /// Overrides the camera (synchronized navigation).
-    pub fn set_camera(&mut self, camera: Camera) {
+    pub(crate) fn set_camera(&mut self, camera: Camera) {
         self.camera = camera;
         self.camera_valid = true;
+    }
+}
+
+#[cfg(test)]
+impl Dv3dCell {
+    /// True when a base map is installed.
+    pub(crate) fn has_base_map(&self) -> bool {
+        self.base_map.is_some()
     }
 }
 

@@ -4,7 +4,7 @@
 //! project view organizes spreadsheets into projects, the variable view
 //! lists and edits the selected dataset's variables, and the plot view
 //! exposes the palette of prebuilt plot workflows — which is
-//! [`crate::plots::PALETTE`] itself: label, inputs needed, and the key
+//! `crate::plots::PALETTE` itself: label, inputs needed, and the key
 //! `prebuilt_plot_workflow` takes.
 
 use crate::{Dv3dError, Result};

@@ -20,10 +20,10 @@
 //!   (the "DV3D translation module", §III.G).
 //! * [`plots`] — the plot types of §III.C: [`plots::SlicerPlot`],
 //!   [`plots::VolumePlot`], [`plots::IsosurfacePlot`],
-//!   [`plots::HovmollerPlot`] (slicer + volume over time-as-height) and
-//!   [`plots::VectorSlicerPlot`] — and [`plots::PALETTE`], the one list of
+//!   `plots::HovmollerPlot` (slicer + volume over time-as-height) and
+//!   `plots::VectorSlicerPlot` — and `plots::PALETTE`, the one list of
 //!   them that every front-end below reads (§III.E).
-//! * [`transfer`] — the interactive *leveling* editor that reshapes color
+//! * `transfer` — the interactive *leveling* editor that reshapes color
 //!   and opacity transfer functions with mouse drags (§III.F).
 //! * [`cell`] — the DV3D spreadsheet cell: plot + base map + labels +
 //!   colorbar + pick display + navigation (§III.G).
@@ -65,7 +65,7 @@ pub mod interaction;
 pub mod modules;
 pub mod plots;
 pub mod spreadsheet;
-pub mod transfer;
+pub(crate) mod transfer;
 pub mod translation;
 
 /// Errors raised by DV3D operations.
@@ -130,12 +130,10 @@ pub type Result<T> = std::result::Result<T, Dv3dError>;
 
 /// The common imports.
 pub mod prelude {
-    pub use crate::animation::AnimationController;
     pub use crate::cell::Dv3dCell;
     pub use crate::interaction::{CameraOp, ConfigOp};
     pub use crate::plots::{Plot, PlotSpec};
     pub use crate::spreadsheet::Dv3dSpreadsheet;
-    pub use crate::transfer::TransferEditor;
     pub use crate::translation::{translate_scalar, translate_vector, TranslationOptions};
     pub use crate::{Dv3dError, Result};
 }

@@ -8,7 +8,7 @@
 //! external tools like R or MatLab — uses
 //! `ModuleRegistry::register_external_tool`; see the integration tests.)
 //!
-//! The list of plot types is [`crate::plots::PALETTE`]: the plot modules
+//! The list of plot types is `crate::plots::PALETTE`: the plot modules
 //! are registered by walking it, and a prebuilt workflow, `uvcdat plot
 //! --type` and a hyperwall cell each look a row up by key and build their
 //! cell through the one chain [`cell_chain_actions`] records.
@@ -33,8 +33,8 @@ use vistrails::WfError;
 pub mod tags {
     pub const DATASET: &str = "cdms.Dataset";
     pub const VARIABLE: &str = "cdms.Variable";
-    pub const IMAGE: &str = "rvtk.ImageData";
-    pub const PLOT: &str = "dv3d.PlotSpec";
+    pub(crate) const IMAGE: &str = "rvtk.ImageData";
+    pub(crate) const PLOT: &str = "dv3d.PlotSpec";
     pub const FRAME: &str = "rvtk.Frame";
 }
 

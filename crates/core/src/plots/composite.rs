@@ -34,11 +34,6 @@ impl CompositePlot {
         Ok(CompositePlot { members })
     }
 
-    /// The member plots.
-    pub fn members(&self) -> &[Box<dyn Plot>] {
-        &self.members
-    }
-
 }
 
 impl Plot for CompositePlot {
@@ -90,6 +85,14 @@ impl Plot for CompositePlot {
             .map(|m| m.type_name())
             .collect::<Vec<_>>()
             .join(" + ")
+    }
+}
+
+#[cfg(test)]
+impl CompositePlot {
+    /// The member plots.
+    pub(crate) fn members(&self) -> &[Box<dyn Plot>] {
+        &self.members
     }
 }
 

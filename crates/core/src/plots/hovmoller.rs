@@ -18,7 +18,7 @@ pub enum HovmollerMode {
 
 /// A Hovmöller plot: delegates to a slicer or volume plot over a
 /// time-as-z volume, but identifies itself distinctly (labels, palette).
-pub struct HovmollerPlot {
+pub(crate) struct HovmollerPlot {
     inner: Box<dyn Plot>,
     mode: HovmollerMode,
 }
@@ -31,17 +31,12 @@ impl std::fmt::Debug for HovmollerPlot {
 
 impl HovmollerPlot {
     /// Wraps a time-as-z image in the requested mode.
-    pub fn new(image: ImageData, mode: HovmollerMode) -> Result<HovmollerPlot> {
+    pub(crate) fn new(image: ImageData, mode: HovmollerMode) -> Result<HovmollerPlot> {
         let inner: Box<dyn Plot> = match mode {
             HovmollerMode::Slicer => Box::new(SlicerPlot::new(image, None)?),
             HovmollerMode::Volume => Box::new(VolumePlot::new(image)?),
         };
         Ok(HovmollerPlot { inner, mode })
-    }
-
-    /// The underlying mode.
-    pub fn mode(&self) -> HovmollerMode {
-        self.mode
     }
 }
 
@@ -79,6 +74,14 @@ impl Plot for HovmollerPlot {
 
     fn status_line(&self) -> String {
         format!("hovmoller(time-as-z) {}", self.inner.status_line())
+    }
+}
+
+#[cfg(test)]
+impl HovmollerPlot {
+    /// The underlying mode.
+    pub(crate) fn mode(&self) -> HovmollerMode {
+        self.mode
     }
 }
 

@@ -64,7 +64,7 @@ impl IsosurfacePlot {
 
     /// Extracts the current surface, served from the cache (shared, not
     /// copied) when the isovalue hasn't changed since the last extraction.
-    pub fn extract(&self) -> Result<Arc<PolyData>> {
+    pub(crate) fn extract(&self) -> Result<Arc<PolyData>> {
         if let Some((v, surf)) = self.cache.lock().as_ref() {
             if *v == self.isovalue {
                 return Ok(Arc::clone(surf));

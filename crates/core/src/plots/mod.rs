@@ -6,7 +6,7 @@
 //! and volumes. DV3D cells, the spreadsheet, the animation controller and
 //! the hyperwall clients all drive plots exclusively through this trait.
 //!
-//! [`PALETTE`] is the one list of the plot types the package ships: the
+//! `PALETTE` is the one list of the plot types the package ships: the
 //! workflow modules, the prebuilt workflows, the CLI's `--type`, the wall's
 //! cells and the GUI model's plot view are all read off it. A new plot type
 //! is a `plots/x.rs` and one row.
@@ -19,10 +19,10 @@ mod vector_slicer;
 mod volume;
 
 pub use composite::CompositePlot;
-pub use hovmoller::{HovmollerMode, HovmollerPlot};
+pub(crate) use hovmoller::{HovmollerMode, HovmollerPlot};
 pub use isosurface::IsosurfacePlot;
 pub use slicer::SlicerPlot;
-pub use vector_slicer::VectorSlicerPlot;
+pub(crate) use vector_slicer::VectorSlicerPlot;
 pub use volume::VolumePlot;
 
 use crate::interaction::{ConfigOp, VectorMode};
@@ -182,7 +182,7 @@ impl PlotSpec {
         })
     }
 
-    /// The label of this plot type's [`PALETTE`] row.
+    /// The label of this plot type's `PALETTE` row.
     pub fn palette_name(&self) -> &'static str {
         PALETTE.iter().find(|row| (row.is)(self)).map_or("Plot", |row| row.label)
     }
@@ -301,7 +301,7 @@ const VECTOR_SLICER: PaletteRow = PaletteRow {
 
 /// The plot palette, in the order the plot view lists it. A row named
 /// above is also where its plot's [`Plot::type_name`] comes from.
-pub const PALETTE: [PaletteRow; 9] = [
+pub(crate) const PALETTE: [PaletteRow; 9] = [
     SLICER,
     PaletteRow {
         key: "slicer_overlay",

@@ -13,7 +13,7 @@ use rvtk::ImageData;
 
 /// An interactive vector-field slice plane.
 #[derive(Debug, Clone)]
-pub struct VectorSlicerPlot {
+pub(crate) struct VectorSlicerPlot {
     image: ImageData,
     /// The slicing axis (planes are perpendicular to it).
     pub axis: Axis3,
@@ -41,7 +41,7 @@ fn has_vectors(image: &ImageData) -> Result<()> {
 
 impl VectorSlicerPlot {
     /// A vector slicer over `image` (must carry vectors), z-plane default.
-    pub fn new(image: ImageData, mode: VectorMode) -> Result<VectorSlicerPlot> {
+    pub(crate) fn new(image: ImageData, mode: VectorMode) -> Result<VectorSlicerPlot> {
         has_vectors(&image)?;
         let editor = TransferEditor::new(image_range(&image));
         let slice_index = image.dims[2] / 2;

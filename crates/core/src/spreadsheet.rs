@@ -41,11 +41,6 @@ impl Dv3dSpreadsheet {
         }
     }
 
-    /// Grid size `(rows, cols)`.
-    pub fn size(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     /// Places a cell; newly placed cells start active.
     pub fn place(&mut self, at: (usize, usize), cell: Dv3dCell) -> Result<()> {
         if at.0 >= self.rows || at.1 >= self.cols {
@@ -66,21 +61,6 @@ impl Dv3dSpreadsheet {
         self.cells.get(&at)
     }
 
-    /// Mutable cell access.
-    pub fn cell_mut(&mut self, at: (usize, usize)) -> Option<&mut Dv3dCell> {
-        self.cells.get_mut(&at)
-    }
-
-    /// Number of placed cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when no cell is placed.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Activates or deactivates a cell.
     pub fn set_active(&mut self, at: (usize, usize), active: bool) -> Result<()> {
         if !self.cells.contains_key(&at) {
@@ -91,11 +71,6 @@ impl Dv3dSpreadsheet {
             self.active.push(at);
         }
         Ok(())
-    }
-
-    /// Positions of the active cells.
-    pub fn active_cells(&self) -> &[(usize, usize)] {
-        &self.active
     }
 
     /// Applies a configuration op to all active cells — the synchronized
@@ -147,6 +122,29 @@ impl Dv3dSpreadsheet {
             frames.insert(*at, cell.render(cell_width, cell_height)?);
         }
         Ok(frames)
+    }
+}
+
+#[cfg(test)]
+impl Dv3dSpreadsheet {
+    /// Grid size `(rows, cols)`.
+    pub(crate) fn size(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Mutable cell access.
+    pub(crate) fn cell_mut(&mut self, at: (usize, usize)) -> Option<&mut Dv3dCell> {
+        self.cells.get_mut(&at)
+    }
+
+    /// Number of placed cells.
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Positions of the active cells.
+    pub(crate) fn active_cells(&self) -> &[(usize, usize)] {
+        &self.active
     }
 }
 

@@ -32,7 +32,7 @@ pub struct TransferEditor {
 
 impl TransferEditor {
     /// An editor initialized to show the middle half of the data range.
-    pub fn new(data_range: (f32, f32)) -> TransferEditor {
+    pub(crate) fn new(data_range: (f32, f32)) -> TransferEditor {
         let span = (data_range.1 - data_range.0).max(1e-6);
         TransferEditor {
             data_range,
@@ -47,7 +47,7 @@ impl TransferEditor {
     /// Applies `op` when it is one of the colormap / leveling ops every
     /// plot hands to its editor; `Ok(false)` means the op is not the
     /// editor's and the plot should look at it.
-    pub fn configure(&mut self, op: &ConfigOp) -> Result<bool> {
+    pub(crate) fn configure(&mut self, op: &ConfigOp) -> Result<bool> {
         match op {
             ConfigOp::Leveling { dx, dy } => self.drag(*dx, *dy),
             ConfigOp::NextColormap => self.next_colormap(),
@@ -65,7 +65,7 @@ impl TransferEditor {
     /// Applies a mouse drag: horizontal motion moves the *level* across the
     /// data range, vertical motion scales the *window*. `dx`/`dy` are in
     /// normalized cell coordinates (−1 ‥ 1 spans the whole cell).
-    pub fn drag(&mut self, dx: f64, dy: f64) {
+    pub(crate) fn drag(&mut self, dx: f64, dy: f64) {
         let span = (self.data_range.1 - self.data_range.0).max(1e-6);
         self.level = (self.level + dx as f32 * span / 2.0)
             .clamp(self.data_range.0, self.data_range.1);
@@ -74,14 +74,14 @@ impl TransferEditor {
     }
 
     /// The opacity transfer function for the current state.
-    pub fn opacity_function(&self) -> OpacityTransferFunction {
+    pub(crate) fn opacity_function(&self) -> OpacityTransferFunction {
         OpacityTransferFunction::leveling(self.level, self.window, self.max_opacity)
     }
 
     /// The color transfer function over the *windowed* sub-range, so color
     /// contrast follows the leveling operation too; inverted with the
     /// colormap, as [`TransferEditor::lookup_table`] is.
-    pub fn color_function(&self) -> ColorTransferFunction {
+    pub(crate) fn color_function(&self) -> ColorTransferFunction {
         let lo = (self.level - self.window / 2.0).max(self.data_range.0);
         let hi = (self.level + self.window / 2.0).min(self.data_range.1);
         let (lo, hi) = if hi > lo { (lo, hi) } else { self.data_range };
@@ -96,7 +96,7 @@ impl TransferEditor {
     }
 
     /// Cycles to the next available colormap (the keypress operation).
-    pub fn next_colormap(&mut self) {
+    pub(crate) fn next_colormap(&mut self) {
         self.colormap = match self.colormap {
             ColormapName::Jet => ColormapName::Viridis,
             ColormapName::Viridis => ColormapName::CoolWarm,
@@ -108,7 +108,7 @@ impl TransferEditor {
     }
 
     /// Selects a colormap by name; returns false for unknown names.
-    pub fn set_colormap(&mut self, name: &str) -> bool {
+    pub(crate) fn set_colormap(&mut self, name: &str) -> bool {
         match ColormapName::parse(name) {
             Some(c) => {
                 self.colormap = c;
@@ -119,13 +119,13 @@ impl TransferEditor {
     }
 
     /// Toggles colormap inversion.
-    pub fn toggle_invert(&mut self) {
+    pub(crate) fn toggle_invert(&mut self) {
         self.inverted = !self.inverted;
     }
 
     /// Rescales to a new data range, preserving the *relative* window and
     /// level (used when animation steps to a timestep with a new range).
-    pub fn rescale(&mut self, new_range: (f32, f32)) {
+    pub(crate) fn rescale(&mut self, new_range: (f32, f32)) {
         let old_span = (self.data_range.1 - self.data_range.0).max(1e-6);
         let rel_level = (self.level - self.data_range.0) / old_span;
         let rel_window = self.window / old_span;

@@ -268,7 +268,8 @@ impl Config {
     /// Loads the `dv3dlint.toml` at `path` over the defaults; the
     /// workspace root is the file's directory. A file that cannot be read
     /// is an error, not a silent fall-back to the defaults, and so is a
-    /// section or key this function does not read (a misspelt `enabled`
+    /// section or key this function does not read, or a key it reads that
+    /// holds the wrong type (a misspelt `enabled`, or `enabled = "false"`,
     /// would otherwise leave its rule on without a word).
     pub fn load(path: &Path) -> Result<Config, ConfigError> {
         let src = std::fs::read_to_string(path)
@@ -280,7 +281,7 @@ impl Config {
             _ => PathBuf::from("."),
         };
         let mut cfg = Config::defaults(root);
-        let mut o = Overlay { toml: &t, read: Vec::new() };
+        let mut o = Overlay { toml: &t, read: Vec::new(), mistyped: None };
         o.list("workspace", "crates", &mut cfg.crate_dirs);
         o.enabled("rules.mask_propagation", &mut cfg.mask_enabled);
         o.list("rules.mask_propagation", "crates", &mut cfg.mask_crates);
@@ -295,7 +296,7 @@ impl Config {
         o.list("rules.nondet_reduction", "reduction_modules", &mut cfg.reduction_modules);
         o.enabled("rules.unbounded_growth", &mut cfg.unbounded_enabled);
         o.list("rules.unbounded_growth", "input_modules", &mut cfg.input_modules);
-        match o.unknown() {
+        match o.mistyped.take().or_else(|| o.unknown()) {
             Some(what) => Err(ConfigError(format!("{what} in {}", path.display()))),
             None => Ok(cfg),
         }
@@ -303,25 +304,36 @@ impl Config {
 }
 
 /// Copies a parsed `dv3dlint.toml` onto a [`Config`], remembering every
-/// key it reads: whatever the file holds beyond those is unknown.
+/// key it reads: whatever the file holds beyond those is unknown. The
+/// first key it reads that holds the wrong type is kept in `mistyped`.
 struct Overlay<'t> {
     toml: &'t Toml,
     read: Vec<(&'static str, &'static str)>,
+    mistyped: Option<String>,
 }
 
 impl Overlay<'_> {
     fn list(&mut self, section: &'static str, key: &'static str, into: &mut Vec<String>) {
         self.read.push((section, key));
-        if let Some(v) = self.toml.str_list(section, key) {
-            *into = v;
+        match self.toml.get(section, key).map(|_| self.toml.str_list(section, key)) {
+            None => {}
+            Some(Some(v)) => *into = v,
+            Some(None) => self.wrong_type(section, key, "a string or a list of strings"),
         }
     }
 
     fn enabled(&mut self, section: &'static str, into: &mut bool) {
         self.read.push((section, "enabled"));
-        if let Some(b) = self.toml.boolean(section, "enabled") {
-            *into = b;
+        match self.toml.get(section, "enabled").map(|_| self.toml.boolean(section, "enabled")) {
+            None => {}
+            Some(Some(b)) => *into = b,
+            Some(None) => self.wrong_type(section, "enabled", "`true` or `false`"),
         }
+    }
+
+    fn wrong_type(&mut self, section: &str, key: &str, want: &str) {
+        self.mistyped
+            .get_or_insert_with(|| format!("key `{key}` in `[{section}]` must be {want}"));
     }
 
     /// The file's first section or key that no call above read.
@@ -380,6 +392,30 @@ name = "x # not a comment"
         assert!(Toml::parse("[unclosed").is_err());
         assert!(Toml::parse("key value").is_err());
         assert!(Toml::parse("key = [\"a\"").is_err());
+    }
+
+    #[test]
+    fn a_known_key_of_the_wrong_type_is_refused() {
+        let dir = std::env::temp_dir().join(format!("dv3dlint-config-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        for (name, toml, expected) in [
+            (
+                "string_enabled.toml",
+                "[rules.lock_order]\nenabled = \"false\"\n",
+                "key `enabled` in `[rules.lock_order]` must be `true` or `false`",
+            ),
+            (
+                "numeric_crates.toml",
+                "[rules.error_hygiene]\ncrates = 3\n",
+                "key `crates` in `[rules.error_hygiene]` must be a string or a list of strings",
+            ),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, toml).expect("write config");
+            let err = Config::load(&path).expect_err(name).to_string();
+            assert!(err.contains(expected), "{name}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

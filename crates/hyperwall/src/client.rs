@@ -1,7 +1,7 @@
 //! The client (display) node: executes its 1-cell sub-workflow locally at
 //! full resolution, responds to propagated interaction ops, and ships every
 //! frame it renders to the server as a keyframe or a dirty-tile delta (wire
-//! revision [`PROTO_DELTA`], the only one there is).
+//! revision `PROTO_DELTA`, the only one there is).
 //!
 //! There is one message loop, [`ClientNode::run_with_faults`]: it
 //! misbehaves exactly as its [`ClientFaults`] script says (crash at a

@@ -1,6 +1,6 @@
 //! Spawning a full loopback wall: server + N client threads, one scenario.
 //!
-//! [`run_wall`] runs a healthy wall; [`run_wall_with_faults`] runs the same
+//! [`run_wall`] runs a healthy wall; `run_wall_with_faults` runs the same
 //! scenario under a [`FaultPlan`], exercising the degradation path: panels
 //! whose client crashes are served from the server mirror, and the
 //! [`WallRunReport`] counts how many panel-frames the audience saw at
@@ -73,16 +73,6 @@ impl WallRunReport {
             self.frames.iter().map(|f| f.mirror_ms).sum::<f64>() / self.degraded_frames as f64
         }
     }
-
-    /// Fraction of panel-frames served degraded, in `[0, 1]`.
-    pub fn degraded_fraction(&self) -> f64 {
-        let total = (self.n_clients as u64) * (self.frames.len() as u64);
-        if total == 0 {
-            0.0
-        } else {
-            self.degraded_frames as f64 / total as f64
-        }
-    }
 }
 
 /// Runs a complete wall scenario on loopback: `n_frames` distributed
@@ -112,7 +102,7 @@ pub fn run_wall(
 /// The run completes — all `n_frames` frames are served — regardless of
 /// which clients the plan kills; failed panels are mirror-substituted and
 /// their recovery is attempted with capped exponential backoff.
-pub fn run_wall_with_faults(
+pub(crate) fn run_wall_with_faults(
     cfg: &WallWorkflowConfig,
     mirror_downsample: usize,
     n_frames: u64,
@@ -193,6 +183,19 @@ pub fn run_single_node_baseline(cfg: &WallWorkflowConfig, n_frames: u64) -> Resu
         }
     }
     Ok(start.elapsed().as_secs_f64() * 1000.0)
+}
+
+#[cfg(test)]
+impl WallRunReport {
+    /// Fraction of panel-frames served degraded, in `[0, 1]`.
+    pub(crate) fn degraded_fraction(&self) -> f64 {
+        let total = (self.n_clients as u64) * (self.frames.len() as u64);
+        if total == 0 {
+            0.0
+        } else {
+            self.degraded_frames as f64 / total as f64
+        }
+    }
 }
 
 #[cfg(test)]

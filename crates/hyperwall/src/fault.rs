@@ -59,13 +59,8 @@ pub struct ClientFaults {
 }
 
 impl ClientFaults {
-    /// True when nothing is scripted.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
     /// Frame at which this client drops its connection, if scripted.
-    pub fn drop_at(&self) -> Option<u64> {
+    pub(crate) fn drop_at(&self) -> Option<u64> {
         self.faults.iter().find_map(|f| match f {
             Fault::DropAtFrame(n) => Some(*n),
             _ => None,
@@ -73,7 +68,7 @@ impl ClientFaults {
     }
 
     /// Scripted delay before every reply, in milliseconds.
-    pub fn reply_delay_ms(&self) -> u64 {
+    pub(crate) fn reply_delay_ms(&self) -> u64 {
         self.faults
             .iter()
             .find_map(|f| match f {
@@ -84,7 +79,7 @@ impl ClientFaults {
     }
 
     /// Frame whose `FrameDone` is replaced by garbage bytes, if scripted.
-    pub fn corrupt_at(&self) -> Option<u64> {
+    pub(crate) fn corrupt_at(&self) -> Option<u64> {
         self.faults.iter().find_map(|f| match f {
             Fault::CorruptAtFrame(n) => Some(*n),
             _ => None,
@@ -92,7 +87,7 @@ impl ClientFaults {
     }
 
     /// How many reconnect attempts the client must pretend fail.
-    pub fn refused_reconnects(&self) -> u32 {
+    pub(crate) fn refused_reconnects(&self) -> u32 {
         self.faults
             .iter()
             .find_map(|f| match f {
@@ -103,7 +98,7 @@ impl ClientFaults {
     }
 
     /// Scripted slow-loris delay in milliseconds per byte (0 = none).
-    pub fn slow_loris_ms(&self) -> u64 {
+    pub(crate) fn slow_loris_ms(&self) -> u64 {
         self.faults
             .iter()
             .find_map(|f| match f {
@@ -115,7 +110,7 @@ impl ClientFaults {
 
     /// Message (frame / request) mid-way through which the connection is
     /// cut, if scripted.
-    pub fn mid_request_disconnect_at(&self) -> Option<u64> {
+    pub(crate) fn mid_request_disconnect_at(&self) -> Option<u64> {
         self.faults.iter().find_map(|f| match f {
             Fault::MidRequestDisconnect(n) => Some(*n),
             _ => None,
@@ -124,7 +119,7 @@ impl ClientFaults {
 
     /// Frame whose delta/keyframe payload is corrupted in flight, if
     /// scripted.
-    pub fn corrupt_delta_at(&self) -> Option<u64> {
+    pub(crate) fn corrupt_delta_at(&self) -> Option<u64> {
         self.faults.iter().find_map(|f| match f {
             Fault::CorruptDeltaAt(n) => Some(*n),
             _ => None,
@@ -133,7 +128,7 @@ impl ClientFaults {
 
     /// Frame whose transport message is encoded then discarded, if
     /// scripted.
-    pub fn drop_delta_at(&self) -> Option<u64> {
+    pub(crate) fn drop_delta_at(&self) -> Option<u64> {
         self.faults.iter().find_map(|f| match f {
             Fault::DropDeltaAt(n) => Some(*n),
             _ => None,
@@ -141,7 +136,7 @@ impl ClientFaults {
     }
 
     /// `(frame, delay_ms)` for a scripted late transport send, if any.
-    pub fn delay_delta_at(&self) -> Option<(u64, u64)> {
+    pub(crate) fn delay_delta_at(&self) -> Option<(u64, u64)> {
         self.faults.iter().find_map(|f| match f {
             Fault::DelayDeltaAt(n, ms) => Some((*n, *ms)),
             _ => None,
@@ -174,10 +169,30 @@ pub(crate) fn cut_mid_frame(stream: &mut TcpStream, framed: &[u8]) -> std::io::R
     half
 }
 
+/// A scripted failure scenario for a whole wall run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FaultPlan {
+    per_client: BTreeMap<usize, ClientFaults>,
+}
+
+impl FaultPlan {
+    /// The empty plan: every client behaves.
+    pub fn none() -> FaultPlan {
+        FaultPlan::default()
+    }
+
+    /// The faults scripted for `client` (empty set when unscripted).
+    pub fn client(&self, client: usize) -> ClientFaults {
+        self.per_client.get(&client).cloned().unwrap_or_default()
+    }
+}
+
 /// SplitMix64 — the only randomness of the seeded plans, which are pure
 /// functions of their seed.
+#[cfg(test)]
 struct SplitMix64(u64);
 
+#[cfg(test)]
 impl SplitMix64 {
     fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -201,36 +216,29 @@ impl SplitMix64 {
     }
 }
 
-/// A scripted failure scenario for a whole wall run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    per_client: BTreeMap<usize, ClientFaults>,
+#[cfg(test)]
+impl ClientFaults {
+    /// True when nothing is scripted.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.faults.is_empty()
+    }
 }
 
+#[cfg(test)]
 impl FaultPlan {
-    /// The empty plan: every client behaves.
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
     /// Scripts a fault for one client. Chainable.
-    pub fn inject(mut self, client: usize, fault: Fault) -> FaultPlan {
+    pub(crate) fn inject(mut self, client: usize, fault: Fault) -> FaultPlan {
         self.per_client.entry(client).or_default().faults.push(fault);
         self
     }
 
-    /// The faults scripted for `client` (empty set when unscripted).
-    pub fn client(&self, client: usize) -> ClientFaults {
-        self.per_client.get(&client).cloned().unwrap_or_default()
-    }
-
     /// True when no client has scripted faults.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.per_client.values().all(ClientFaults::is_empty)
     }
 
     /// Clients with at least one scripted fault.
-    pub fn faulty_clients(&self) -> Vec<usize> {
+    pub(crate) fn faulty_clients(&self) -> Vec<usize> {
         self.per_client
             .iter()
             .filter(|(_, f)| !f.is_empty())
@@ -241,7 +249,12 @@ impl FaultPlan {
     /// A seeded random crash: picks one victim client and one crash frame
     /// deterministically from `seed` (SplitMix64), with `refusals` flaky
     /// reconnect attempts. Same seed → same scenario, always.
-    pub fn seeded_crash(seed: u64, n_clients: usize, n_frames: u64, refusals: u32) -> FaultPlan {
+    pub(crate) fn seeded_crash(
+        seed: u64,
+        n_clients: usize,
+        n_frames: u64,
+        refusals: u32,
+    ) -> FaultPlan {
         assert!(n_clients > 0 && n_frames > 0, "empty wall scenario");
         let mut rng = SplitMix64(seed);
         let victim = (rng.next() % n_clients as u64) as usize;
@@ -256,7 +269,7 @@ impl FaultPlan {
     /// each is scripted one transport fault — corrupt, drop, or a small
     /// within-deadline delay — at a frame early enough that the keyframe
     /// resync can complete before the run ends. Same seed → same storm.
-    pub fn seeded_delta_storm(
+    pub(crate) fn seeded_delta_storm(
         seed: u64,
         n_clients: usize,
         n_frames: u64,

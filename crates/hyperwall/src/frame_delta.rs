@@ -86,7 +86,7 @@
 //!
 //! A key or a delta is the only pixel content on the wire. The server
 //! derives the touchscreen's mirror of a live panel from what it already
-//! holds: [`box_filter`] over the panel's assembled frame.
+//! holds: `box_filter` over the panel's assembled frame.
 
 // Hot path: pixel messages are decoded off the wire inside every frame.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
@@ -109,7 +109,13 @@ pub const DEFAULT_KEYFRAME_EVERY: u64 = 16;
 ///
 /// Each output row first sums its source rows column by column, then each
 /// output pixel sums its columns of that: every source byte is read once.
-pub fn box_filter(rgba: &[u8], width: usize, height: usize, out_w: usize, out_h: usize) -> Vec<u8> {
+pub(crate) fn box_filter(
+    rgba: &[u8],
+    width: usize,
+    height: usize,
+    out_w: usize,
+    out_h: usize,
+) -> Vec<u8> {
     let span = |i: usize, n: usize, out: usize| {
         let lo = i * n / out;
         lo..((i + 1) * n / out).max(lo + 1)
@@ -446,7 +452,7 @@ pub struct WireTile {
 // construction: decode(encode(x)) == x for every pixel stream.
 
 /// RLE-encodes a raw RGBA8 pixel stream.
-pub fn rle_encode(rgba: &[u8]) -> Vec<u8> {
+pub(crate) fn rle_encode(rgba: &[u8]) -> Vec<u8> {
     rle_encode_rows(Rows::packed(rgba, rgba.len() / 4, 1))
 }
 
@@ -478,15 +484,6 @@ fn rle_encode_rows(image: Rows) -> Vec<u8> {
         out.extend_from_slice(&c);
     }
     out
-}
-
-/// Decodes an RLE stream, validating against the byte length the claimed
-/// geometry requires. Never panics on attacker-shaped input; never
-/// allocates beyond `expected_len`.
-pub fn rle_decode(data: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    rle_decode_into(data, expected_len, &mut out)?;
-    Ok(out)
 }
 
 /// [`rle_decode`] appending to a caller-owned buffer, so a receiver can
@@ -602,11 +599,6 @@ impl FrameStreamer {
     /// delta (`ResyncRequest`).
     pub fn force_keyframe(&mut self) {
         self.force_key = true;
-    }
-
-    /// Epoch of the current keyframe lineage (0 before the first frame).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Encodes one rendered frame into the fields of a `FrameKey` or
@@ -764,7 +756,7 @@ impl FrameAssembler {
 
     /// True once a keyframe has established a valid base and every
     /// subsequent delta validated.
-    pub fn is_synced(&self) -> bool {
+    pub(crate) fn is_synced(&self) -> bool {
         self.synced
     }
 
@@ -778,18 +770,8 @@ impl FrameAssembler {
     }
 
     /// Epoch of the committed frame (0 before the first keyframe).
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Keyframes committed so far.
-    pub fn keys_applied(&self) -> u64 {
-        self.keys_applied
-    }
-
-    /// Deltas committed so far.
-    pub fn deltas_applied(&self) -> u64 {
-        self.deltas_applied
     }
 
     /// Audits the committed frame by reading it: recomputes every tile's
@@ -927,6 +909,37 @@ impl FrameAssembler {
         self.last_hash = frame_hash;
         self.deltas_applied += 1;
         Ok(Applied::Delta { tiles: tiles.len() })
+    }
+}
+
+/// Decodes an RLE stream, validating against the byte length the claimed
+/// geometry requires. Never panics on attacker-shaped input; never
+/// allocates beyond `expected_len`.
+#[cfg(test)]
+pub(crate) fn rle_decode(data: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    rle_decode_into(data, expected_len, &mut out)?;
+    Ok(out)
+}
+
+#[cfg(test)]
+impl FrameStreamer {
+    /// Epoch of the current keyframe lineage (0 before the first frame).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+}
+
+#[cfg(test)]
+impl FrameAssembler {
+    /// Keyframes committed so far.
+    pub(crate) fn keys_applied(&self) -> u64 {
+        self.keys_applied
+    }
+
+    /// Deltas committed so far.
+    pub(crate) fn deltas_applied(&self) -> u64 {
+        self.deltas_applied
     }
 }
 

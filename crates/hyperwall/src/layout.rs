@@ -21,11 +21,6 @@ impl WallLayout {
         WallLayout { rows: 3, cols: 5, panel_px: (1366, 768) }
     }
 
-    /// A reduced wall for tests/benches.
-    pub fn small(rows: usize, cols: usize, panel_px: (usize, usize)) -> WallLayout {
-        WallLayout { rows, cols, panel_px }
-    }
-
     /// Number of panels (= client nodes = workflow cells).
     pub fn n_panels(&self) -> usize {
         self.rows * self.cols
@@ -37,15 +32,23 @@ impl WallLayout {
     }
 
     /// Panel (row, col) of a cell index, row-major.
-    pub fn panel_of(&self, cell: usize) -> Option<(usize, usize)> {
+    pub(crate) fn panel_of(&self, cell: usize) -> Option<(usize, usize)> {
         if cell >= self.n_panels() {
             return None;
         }
         Some((cell / self.cols, cell % self.cols))
     }
+}
+
+#[cfg(test)]
+impl WallLayout {
+    /// A reduced wall for tests/benches.
+    pub(crate) fn small(rows: usize, cols: usize, panel_px: (usize, usize)) -> WallLayout {
+        WallLayout { rows, cols, panel_px }
+    }
 
     /// Cell index of a panel position.
-    pub fn cell_of(&self, row: usize, col: usize) -> Option<usize> {
+    pub(crate) fn cell_of(&self, row: usize, col: usize) -> Option<usize> {
         if row >= self.rows || col >= self.cols {
             return None;
         }
@@ -54,7 +57,7 @@ impl WallLayout {
 
     /// The server's low-resolution mirror size for one cell, given a
     /// downsample factor.
-    pub fn mirror_px(&self, downsample: usize) -> (usize, usize) {
+    pub(crate) fn mirror_px(&self, downsample: usize) -> (usize, usize) {
         let d = downsample.max(1);
         (self.panel_px.0 / d, self.panel_px.1 / d)
     }

@@ -47,7 +47,7 @@
 //! died. The fault layer keeps the wall animating through client failures:
 //!
 //! * **Deadlines everywhere.** Every protocol exchange runs under a read /
-//!   write timeout ([`protocol::read_message_deadline`] and friends), every
+//!   write timeout (`protocol::read_message_deadline` and friends), every
 //!   message length is capped at [`protocol::MAX_MESSAGE_BYTES`], and the
 //!   server can interleave [`protocol::Message::Heartbeat`] probes to
 //!   detect silent clients between frames.

@@ -72,7 +72,7 @@ pub const MAX_MESSAGE_BYTES: usize = 8 << 20;
 /// revision 2 carried the pixel messages as JSON; revision 3's `frame_hash`
 /// was FNV-1a over the frame's bytes, and revision 4's FNV-1a over the
 /// tiles' FNV-1a hashes.
-pub const PROTO_DELTA: u32 = 6;
+pub(crate) const PROTO_DELTA: u32 = 6;
 
 /// First body byte of a binary `FrameKey`.
 const TAG_KEY: u8 = 0x01;
@@ -95,7 +95,7 @@ pub const TILE_HEADER_BYTES: usize = 3 * 8 + 4;
 pub enum Message {
     /// Client → server: identify after connecting (also used when a
     /// recovering client re-handshakes after a disconnect), declaring the
-    /// wire revision it speaks; anything but [`PROTO_DELTA`] is refused.
+    /// wire revision it speaks; anything but `PROTO_DELTA` is refused.
     Hello { client_id: usize, proto: u32 },
     /// Server → client: the 1-cell sub-workflow to own.
     AssignWorkflow {
@@ -141,7 +141,7 @@ pub enum Message {
         seq: u64,
         width: usize,
         height: usize,
-        /// RLE-compressed RGBA8 (see [`crate::frame_delta::rle_encode`]).
+        /// RLE-compressed RGBA8 (see `crate::frame_delta::rle_encode`).
         payload: Vec<u8>,
         /// The pixel hash folded over the pixel hashes of the decoded
         /// frame's tiles, in grid order (the [`crate::frame_delta`] docs).
@@ -208,7 +208,7 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 /// without sending it: the binary record for the two pixel variants, JSON
 /// for the rest (see the module docs). Fault-injection paths use this to
 /// dribble or truncate a frame byte-by-byte; everything else should call
-/// [`write_message_deadline`]. A message whose body would exceed
+/// `write_message_deadline`. A message whose body would exceed
 /// [`MAX_MESSAGE_BYTES`] is refused here rather than sent.
 pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
     match msg {
@@ -384,7 +384,7 @@ fn decode_body(body: &[u8]) -> Result<Message> {
 }
 
 /// Writes one message (u32-LE length prefix + body).
-pub fn write_message(stream: &mut impl Write, msg: &Message) -> Result<()> {
+pub(crate) fn write_message(stream: &mut impl Write, msg: &Message) -> Result<()> {
     let framed = encode_frame(msg)?;
     stream.write_all(&framed)?;
     stream.flush()?;
@@ -446,7 +446,7 @@ fn expiry_as_timeout(e: WallError, what_expired: std::fmt::Arguments<'_>) -> Wal
 /// makes every syscall "succeed" and holds the reader hostage for as long
 /// as it likes. Here one clock covers length prefix and body together, and
 /// the entire message must land before it runs out.
-pub fn read_message_deadline(
+pub(crate) fn read_message_deadline(
     stream: &mut TcpStream,
     deadline: Duration,
     what: &str,
@@ -513,7 +513,7 @@ fn read_exact_deadline(
 /// [`WallError::Timeout`] instead of wedging the thread. Peeking (not
 /// reading) during the idle wait means an idle slice can never
 /// desynchronise a half-received frame.
-pub fn read_message_idle(
+pub(crate) fn read_message_idle(
     stream: &mut TcpStream,
     slice: Duration,
     deadline: Duration,
@@ -534,7 +534,7 @@ pub fn read_message_idle(
 }
 
 /// Writes one message with a deadline; expiry maps to [`WallError::Timeout`].
-pub fn write_message_deadline(
+pub(crate) fn write_message_deadline(
     stream: &mut TcpStream,
     msg: &Message,
     deadline: Duration,

@@ -24,7 +24,7 @@
 //! are the link's own because dv3dlint resolves calls by name); `tell` is
 //! "send to panel *i*, degrade it on failure" on top of them. A client is
 //! admitted by one path, the first time and after a crash alike: `hello`
-//! (which panel it serves; a hello of any revision but [`PROTO_DELTA`] is
+//! (which panel it serves; a hello of any revision but `PROTO_DELTA` is
 //! refused, and the assembler is built at the bound panel size) → `offer`
 //! (its stored assignment) → `confirm` (`Ready`, then the op log). The
 //! number of panels is the number of cells the server was bound with; the
@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use vistrails::executor::Executor;
 use vistrails::pipeline::Pipeline;
 
-/// Health of one wall panel, as [`HyperwallServer::panel_states`] reports it.
+/// Health of one wall panel, as `HyperwallServer::panel_states` reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanelState {
     /// The display client renders this panel at full resolution.
@@ -236,7 +236,6 @@ pub struct HyperwallServer {
     /// Interaction ops broadcast so far, replayed at reconnect so a
     /// recovered panel matches the rest of the wall.
     op_log: Vec<ConfigOp>,
-    heartbeat_seq: u64,
     current_frame: u64,
     degraded_frames_total: u64,
     reconnects_total: u64,
@@ -278,7 +277,6 @@ impl HyperwallServer {
             tuning,
             assignments: Vec::new(),
             op_log: Vec::new(),
-            heartbeat_seq: 0,
             current_frame: 0,
             degraded_frames_total: 0,
             reconnects_total: 0,
@@ -438,32 +436,6 @@ impl HyperwallServer {
             let _ = cell.configure(op);
         }
         Ok(start.elapsed().as_secs_f64() * 1000.0)
-    }
-
-    /// Probes every live client with a `Heartbeat` and degrades the silent
-    /// ones. Returns the number of panels still live afterwards.
-    pub fn heartbeat(&mut self) -> Result<usize> {
-        self.heartbeat_seq += 1;
-        let seq = self.heartbeat_seq;
-        let deadline = self.tuning.io_deadline;
-        for i in 0..self.panels.len() {
-            let Some(Panel::Live(link)) = self.panels.get_mut(i) else { continue };
-            let probe = link
-                .send_msg(&Message::Heartbeat { seq }, deadline, "Heartbeat")
-                .and_then(|()| link.recv_msg(deadline, "HeartbeatAck"))
-                .and_then(|(reply, _)| match reply {
-                    Message::HeartbeatAck { client_id, seq: s } if client_id == i && s == seq => {
-                        Ok(())
-                    }
-                    other => Err(WallError::Protocol(format!(
-                        "expected HeartbeatAck({seq}), got {other:?}"
-                    ))),
-                });
-            if let Err(e) = probe {
-                self.degrade(i, &format!("heartbeat failed: {e}"));
-            }
-        }
-        Ok(self.panels.iter().filter(|p| matches!(p, Panel::Live(_))).count())
     }
 
     /// Executes one distributed frame: reconnect any panels whose backoff
@@ -739,13 +711,8 @@ impl HyperwallServer {
         Ok(())
     }
 
-    /// Number of connected clients (live or degraded panels).
-    pub fn n_clients(&self) -> usize {
-        self.panels.len()
-    }
-
     /// Current health of every panel.
-    pub fn panel_states(&self) -> Vec<PanelState> {
+    pub(crate) fn panel_states(&self) -> Vec<PanelState> {
         self.panels
             .iter()
             .map(|p| match p {
@@ -761,22 +728,22 @@ impl HyperwallServer {
     }
 
     /// Successful panel recoveries.
-    pub fn reconnects_total(&self) -> u64 {
+    pub(crate) fn reconnects_total(&self) -> u64 {
         self.reconnects_total
     }
 
     /// FrameDone waits that expired at the deadline.
-    pub fn deadline_misses_total(&self) -> u64 {
+    pub(crate) fn deadline_misses_total(&self) -> u64 {
         self.deadline_misses_total
     }
 
     /// Total wire bytes of `FrameDelta` messages received.
-    pub fn delta_bytes_total(&self) -> u64 {
+    pub(crate) fn delta_bytes_total(&self) -> u64 {
         self.delta_bytes_total
     }
 
     /// Total wire bytes of `FrameKey` messages received.
-    pub fn key_bytes_total(&self) -> u64 {
+    pub(crate) fn key_bytes_total(&self) -> u64 {
         self.key_bytes_total
     }
 
@@ -810,8 +777,16 @@ impl HyperwallServer {
 
     /// The last committed full-resolution RGBA frame for panel `i`, if its
     /// assembler is synced.
-    pub fn panel_frame(&self, i: usize) -> Option<&[u8]> {
+    pub(crate) fn panel_frame(&self, i: usize) -> Option<&[u8]> {
         self.panels.get(i).and_then(Panel::assembler).and_then(|a| a.frame())
+    }
+}
+
+#[cfg(test)]
+impl HyperwallServer {
+    /// Number of connected clients (live or degraded panels).
+    pub(crate) fn n_clients(&self) -> usize {
+        self.panels.len()
     }
 }
 
@@ -982,50 +957,6 @@ mod tests {
         assert!(report.mirror_ms > 0.0, "{report:?}");
         for f in fakes {
             f.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn heartbeat_degrades_silent_clients() {
-        let mut server = HyperwallServer::bind_tuned(&cfg(), 4, fast_tuning()).unwrap();
-        let addr = server.addr().unwrap();
-        let clients: Vec<_> = (0..2usize)
-            .map(|id| {
-                std::thread::spawn(move || {
-                    let mut s = std::net::TcpStream::connect(addr).unwrap();
-                    let hello = Message::Hello { client_id: id, proto: PROTO_DELTA };
-                    write_message(&mut s, &hello).unwrap();
-                    match read_message(&mut s).unwrap() {
-                        Message::AssignWorkflow { .. } => {}
-                        other => panic!("{other:?}"),
-                    }
-                    write_message(&mut s, &Message::Ready { client_id: id }).unwrap();
-                    // client 0 answers heartbeats; client 1 goes silent
-                    if id == 0 {
-                        match read_message(&mut s).unwrap() {
-                            Message::Heartbeat { seq } => write_message(
-                                &mut s,
-                                &Message::HeartbeatAck { client_id: id, seq },
-                            )
-                            .unwrap(),
-                            other => panic!("{other:?}"),
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(700));
-                })
-            })
-            .collect();
-        server.accept_clients(2).unwrap();
-        server.assign_workflows(&cfg()).unwrap();
-        let live = server.heartbeat().unwrap();
-        assert_eq!(live, 1);
-        assert_eq!(
-            server.panel_states(),
-            vec![PanelState::Live, PanelState::Degraded]
-        );
-        assert_eq!(server.deadline_misses_total(), 0);
-        for c in clients {
-            c.join().unwrap();
         }
     }
 

@@ -6,7 +6,7 @@
 //! "edited version of the workflow" the paper's server ships to clients.
 
 use crate::Result;
-pub(crate) use dv3d::modules::cell_from_plot_stage;
+pub use dv3d::modules::cell_from_plot_stage;
 pub use dv3d::modules::CellChain;
 use dv3d::modules::{cell_chain_actions, single_variable_row, synth_source_actions};
 use vistrails::module::ModuleRegistry;
@@ -45,7 +45,7 @@ const WALL_CELLS: [(&str, &str); 5] = [
 /// Builds the full wall pipeline by applying the recorded actions of the
 /// shared data source (module 1) and of each cell's chain; cell `i` uses
 /// ids `10i + {10, 11, 12, 13}` (`+ 14` is the slot of a Hovmöller stage).
-pub fn build_wall_pipeline(cfg: &WallWorkflowConfig) -> Result<(Pipeline, Vec<CellChain>)> {
+pub(crate) fn build_wall_pipeline(cfg: &WallWorkflowConfig) -> Result<(Pipeline, Vec<CellChain>)> {
     let mut actions = synth_source_actions(1, cfg.synth);
     let mut chains = Vec::with_capacity(cfg.n_cells);
     for (i, (variable, plot)) in WALL_CELLS.iter().cycle().take(cfg.n_cells).enumerate() {
@@ -74,7 +74,7 @@ pub fn build_wall_pipeline(cfg: &WallWorkflowConfig) -> Result<(Pipeline, Vec<Ce
 }
 
 /// The registry a wall node (server or client) uses.
-pub fn wall_registry() -> ModuleRegistry {
+pub(crate) fn wall_registry() -> ModuleRegistry {
     let mut reg = ModuleRegistry::new();
     dv3d::modules::register_all(&mut reg);
     reg
@@ -82,7 +82,7 @@ pub fn wall_registry() -> ModuleRegistry {
 
 /// Splits the wall pipeline into one sub-pipeline per cell — the per-client
 /// workflow edit of §III.H.
-pub fn split_per_client(
+pub(crate) fn split_per_client(
     pipeline: &Pipeline,
     chains: &[CellChain],
 ) -> Result<Vec<Pipeline>> {

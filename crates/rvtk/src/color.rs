@@ -22,14 +22,11 @@ impl Color {
 
     pub const BLACK: Color = Color::rgb(0.0, 0.0, 0.0);
     pub const WHITE: Color = Color::rgb(1.0, 1.0, 1.0);
-    pub const RED: Color = Color::rgb(1.0, 0.0, 0.0);
-    pub const GREEN: Color = Color::rgb(0.0, 1.0, 0.0);
-    pub const BLUE: Color = Color::rgb(0.0, 0.0, 1.0);
     /// Fully transparent black.
     pub const TRANSPARENT: Color = Color::rgba(0.0, 0.0, 0.0, 0.0);
 
     /// Linear interpolation between two colors (component-wise, incl. alpha).
-    pub fn lerp(self, o: Color, t: f32) -> Color {
+    pub(crate) fn lerp(self, o: Color, t: f32) -> Color {
         let t = t.clamp(0.0, 1.0);
         Color {
             r: self.r + (o.r - self.r) * t,
@@ -40,7 +37,7 @@ impl Color {
     }
 
     /// Multiplies RGB by `k`, leaving alpha (diffuse shading).
-    pub fn scaled(self, k: f32) -> Color {
+    pub(crate) fn scaled(self, k: f32) -> Color {
         Color { r: self.r * k, g: self.g * k, b: self.b * k, a: self.a }
     }
 
@@ -61,7 +58,7 @@ impl Color {
     }
 
     /// Unpacks from 8-bit RGBA.
-    pub fn from_u8(c: [u8; 4]) -> Color {
+    pub(crate) fn from_u8(c: [u8; 4]) -> Color {
         Color {
             r: c[0] as f32 / 255.0,
             g: c[1] as f32 / 255.0,
@@ -110,6 +107,15 @@ fn quantize(v: f32) -> u8 {
     // the low byte of the sum's bits is `k`, which is at most 255, and
     // `k + 1` is reached only below `t = 255`
     (r.to_bits() as u8).wrapping_add(u8::from(t + 0.5 >= (r - MAGIC) + 1.0))
+}
+
+#[cfg(test)]
+impl Color {
+    pub(crate) const RED: Color = Color::rgb(1.0, 0.0, 0.0);
+
+    pub(crate) const GREEN: Color = Color::rgb(0.0, 1.0, 0.0);
+
+    pub(crate) const BLUE: Color = Color::rgb(0.0, 0.0, 1.0);
 }
 
 #[cfg(test)]

@@ -11,13 +11,11 @@
 //! * [`streamlines`] / [`glyphs_on_slice`] — vector-field visualization
 //!   (Vector slicer).
 //! * [`threshold`] — keep points whose scalar passes a predicate.
-//! * [`probe`] — point probing (the spreadsheet cell "pick" operation).
 
 mod contour2d;
 mod glyph;
 mod isosurface;
 mod outline;
-mod probe;
 mod slice;
 mod streamline;
 mod threshold;
@@ -26,7 +24,6 @@ pub use contour2d::{auto_levels, contour_lines};
 pub use glyph::{glyphs_on_slice, GlyphOptions};
 pub use isosurface::{isosurface, isosurface_colored};
 pub use outline::outline;
-pub use probe::{probe, ProbeResult};
 pub use slice::SliceAxis;
 pub use streamline::{streamlines, StreamlineOptions};
 pub use threshold::threshold;

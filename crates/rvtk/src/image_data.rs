@@ -97,11 +97,6 @@ impl ImageData {
         Ok(self)
     }
 
-    /// Number of points.
-    pub fn num_points(&self) -> usize {
-        self.scalars.len()
-    }
-
     /// Flat index of point `(i, j, k)`.
     #[inline]
     pub fn index(&self, i: usize, j: usize, k: usize) -> usize {
@@ -186,7 +181,7 @@ impl ImageData {
 
     /// Trilinear interpolation of the vector field at a continuous index
     /// coordinate.
-    pub fn sample_vector_continuous(&self, c: Vec3) -> Option<[f32; 3]> {
+    pub(crate) fn sample_vector_continuous(&self, c: Vec3) -> Option<[f32; 3]> {
         let vectors = self.vectors.as_ref()?;
         let [nx, ny, nz] = self.dims;
         if c.x < 0.0 || c.y < 0.0 || c.z < 0.0 {
@@ -243,37 +238,6 @@ impl ImageData {
             diff(self.scalar(i, j, km), self.scalar(i, j, kp), (kp - km) as f64 * self.spacing[2])
         };
         Vec3::new(gx, gy, gz)
-    }
-
-    /// Downsamples by integer `factor` along every axis (point decimation) —
-    /// the hyperwall server's low-resolution mirror uses this.
-    pub fn downsample(&self, factor: usize) -> ImageData {
-        let factor = factor.max(1);
-        let nd = |n: usize| n.div_ceil(factor);
-        let dims = [nd(self.dims[0]), nd(self.dims[1]), nd(self.dims[2])];
-        let mut scalars = Vec::with_capacity(dims[0] * dims[1] * dims[2]);
-        let mut vectors = self.vectors.as_ref().map(|_| Vec::with_capacity(scalars.capacity()));
-        for k in (0..self.dims[2]).step_by(factor) {
-            for j in (0..self.dims[1]).step_by(factor) {
-                for i in (0..self.dims[0]).step_by(factor) {
-                    scalars.push(self.scalar(i, j, k));
-                    if let (Some(out), Some(src)) = (vectors.as_mut(), self.vectors.as_ref()) {
-                        out.push(src[self.index(i, j, k)]);
-                    }
-                }
-            }
-        }
-        ImageData {
-            dims,
-            spacing: [
-                self.spacing[0] * factor as f64,
-                self.spacing[1] * factor as f64,
-                self.spacing[2] * factor as f64,
-            ],
-            origin: self.origin,
-            scalars,
-            vectors,
-        }
     }
 }
 
@@ -384,20 +348,5 @@ mod tests {
         let img = ImageData::from_fn([4, 4, 4], [2.0, 1.0, 1.0], [0.0; 3], |x, _, _| x as f32);
         let g = img.gradient(1, 1, 1);
         assert!((g.x - 0.5).abs() < 1e-9); // d(scalar)/d(world x) = 1 index / 2 world
-    }
-
-    #[test]
-    fn downsample_halves_dims() {
-        let img = ramp().with_vectors(vec![[1.0, 0.0, 0.0]; 64]).unwrap();
-        let d = img.downsample(2);
-        assert_eq!(d.dims, [2, 2, 2]);
-        assert_eq!(d.spacing, [2.0; 3]);
-        assert_eq!(d.scalar(1, 1, 1), img.scalar(2, 2, 2));
-        assert_eq!(d.vectors.as_ref().unwrap().len(), 8);
-        // factor 1 is identity
-        let same = img.downsample(1);
-        assert_eq!(same.scalars, img.scalars);
-        // factor 0 clamps to 1
-        assert_eq!(img.downsample(0).dims, img.dims);
     }
 }

@@ -90,4 +90,4 @@ impl std::error::Error for VtkError {
 }
 
 /// Convenient result alias.
-pub type Result<T> = std::result::Result<T, VtkError>;
+pub(crate) type Result<T> = std::result::Result<T, VtkError>;

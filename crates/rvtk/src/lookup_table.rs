@@ -147,11 +147,6 @@ impl LookupTable {
     pub fn set_range(&mut self, range: (f32, f32)) {
         self.range = range;
     }
-
-    /// Returns the inverted version of this table.
-    pub fn invert(&self) -> LookupTable {
-        Self::with_resolution(self.name, self.range, self.table.len(), !self.inverted)
-    }
 }
 
 impl Default for LookupTable {
@@ -185,12 +180,6 @@ pub struct ColorTransferFunction {
 }
 
 impl ColorTransferFunction {
-    /// From explicit nodes (sorted internally).
-    pub fn from_nodes(mut nodes: Vec<(f32, Color)>) -> ColorTransferFunction {
-        nodes.sort_by(|a, b| a.0.total_cmp(&b.0));
-        ColorTransferFunction { nodes }
-    }
-
     /// From a named colormap stretched over `range`; a range given high to
     /// low runs the map backwards (an inverted colormap).
     pub fn from_colormap(name: ColormapName, range: (f32, f32)) -> ColorTransferFunction {
@@ -244,7 +233,7 @@ pub struct OpacityTransferFunction {
 
 impl OpacityTransferFunction {
     /// From explicit nodes (sorted internally, opacities clamped).
-    pub fn from_nodes(mut nodes: Vec<(f32, f32)>) -> OpacityTransferFunction {
+    pub(crate) fn from_nodes(mut nodes: Vec<(f32, f32)>) -> OpacityTransferFunction {
         for n in &mut nodes {
             n.1 = n.1.clamp(0.0, 1.0);
         }
@@ -324,16 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn inversion_swaps_ends() {
-        let lut = LookupTable::new(ColormapName::Grayscale, (0.0, 1.0));
-        let inv = lut.invert();
-        assert_eq!(inv.map(0.0), Color::WHITE);
-        assert_eq!(inv.map(1.0), Color::BLACK);
-        // double inversion restores
-        assert_eq!(inv.invert().map(0.0), Color::BLACK);
-    }
-
-    #[test]
     fn grayscale_is_monotone_in_luminance() {
         let lut = LookupTable::new(ColormapName::Grayscale, (0.0, 1.0));
         let mut prev = -1.0f32;
@@ -352,18 +331,6 @@ mod tests {
         let mid = lut.map(0.5).luminance();
         let hi = lut.map(1.0).luminance();
         assert!(lo < mid && mid < hi);
-    }
-
-    #[test]
-    fn ctf_interpolates_between_nodes() {
-        let ctf = ColorTransferFunction::from_nodes(vec![
-            (0.0, Color::BLACK),
-            (10.0, Color::WHITE),
-        ]);
-        let mid = ctf.map(5.0);
-        assert!((mid.r - 0.5).abs() < 1e-6);
-        assert_eq!(ctf.map(-1.0), Color::BLACK);
-        assert_eq!(ctf.map(11.0), Color::WHITE);
     }
 
     #[test]

@@ -25,7 +25,7 @@ impl Vec3 {
     }
 
     /// Cross product.
-    pub fn cross(self, o: Vec3) -> Vec3 {
+    pub(crate) fn cross(self, o: Vec3) -> Vec3 {
         Vec3::new(
             self.y * o.z - self.z * o.y,
             self.z * o.x - self.x * o.z,
@@ -54,12 +54,12 @@ impl Vec3 {
     }
 
     /// Component-wise minimum.
-    pub fn min(self, o: Vec3) -> Vec3 {
+    pub(crate) fn min(self, o: Vec3) -> Vec3 {
         Vec3::new(self.x.min(o.x), self.y.min(o.y), self.z.min(o.z))
     }
 
     /// Component-wise maximum.
-    pub fn max(self, o: Vec3) -> Vec3 {
+    pub(crate) fn max(self, o: Vec3) -> Vec3 {
         Vec3::new(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
     }
 }
@@ -105,7 +105,7 @@ pub struct Mat4 {
 
 impl Mat4 {
     /// The identity matrix.
-    pub fn identity() -> Mat4 {
+    pub(crate) fn identity() -> Mat4 {
         let mut m = [[0.0; 4]; 4];
         for (i, row) in m.iter_mut().enumerate() {
             row[i] = 1.0;
@@ -113,26 +113,8 @@ impl Mat4 {
         Mat4 { m }
     }
 
-    /// A translation matrix.
-    pub fn translate(t: Vec3) -> Mat4 {
-        let mut out = Mat4::identity();
-        out.m[0][3] = t.x;
-        out.m[1][3] = t.y;
-        out.m[2][3] = t.z;
-        out
-    }
-
-    /// A non-uniform scale matrix.
-    pub fn scale(s: Vec3) -> Mat4 {
-        let mut out = Mat4::identity();
-        out.m[0][0] = s.x;
-        out.m[1][1] = s.y;
-        out.m[2][2] = s.z;
-        out
-    }
-
     /// Rotation about an arbitrary unit axis by `angle` radians (Rodrigues).
-    pub fn rotate(axis: Vec3, angle: f64) -> Mat4 {
+    pub(crate) fn rotate(axis: Vec3, angle: f64) -> Mat4 {
         let a = axis.normalized();
         let (s, c) = angle.sin_cos();
         let t = 1.0 - c;
@@ -151,7 +133,7 @@ impl Mat4 {
     }
 
     /// A right-handed look-at view matrix.
-    pub fn look_at(eye: Vec3, center: Vec3, up: Vec3) -> Mat4 {
+    pub(crate) fn look_at(eye: Vec3, center: Vec3, up: Vec3) -> Mat4 {
         let f = (center - eye).normalized();
         let s = f.cross(up).normalized();
         let u = s.cross(f);
@@ -164,7 +146,7 @@ impl Mat4 {
 
     /// A right-handed perspective projection (fov in radians, maps to
     /// clip space with z in [-1, 1]).
-    pub fn perspective(fov_y: f64, aspect: f64, near: f64, far: f64) -> Mat4 {
+    pub(crate) fn perspective(fov_y: f64, aspect: f64, near: f64, far: f64) -> Mat4 {
         let f = 1.0 / (fov_y / 2.0).tan();
         let mut out = Mat4 { m: [[0.0; 4]; 4] };
         out.m[0][0] = f / aspect;
@@ -178,7 +160,7 @@ impl Mat4 {
     /// An orthographic projection. `near`/`far` are positive distances in
     /// front of the camera (view-space z = `-near` maps to NDC z = -1,
     /// z = `-far` to +1), matching [`Mat4::perspective`]'s convention.
-    pub fn orthographic(half_height: f64, aspect: f64, near: f64, far: f64) -> Mat4 {
+    pub(crate) fn orthographic(half_height: f64, aspect: f64, near: f64, far: f64) -> Mat4 {
         let half_width = half_height * aspect;
         let (zn, zf) = (-near, -far);
         let mut out = Mat4::identity();
@@ -261,7 +243,7 @@ impl Mat4 {
     }
 
     /// Transforms a direction (w = 0, no translation).
-    pub fn transform_vector(&self, v: Vec3) -> Vec3 {
+    pub(crate) fn transform_vector(&self, v: Vec3) -> Vec3 {
         Vec3::new(
             self.m[0][0] * v.x + self.m[0][1] * v.y + self.m[0][2] * v.z,
             self.m[1][0] * v.x + self.m[1][1] * v.y + self.m[1][2] * v.z,
@@ -279,7 +261,7 @@ pub struct Bounds {
 
 impl Bounds {
     /// An empty (inverted) bounds ready to be grown.
-    pub fn empty() -> Bounds {
+    pub(crate) fn empty() -> Bounds {
         Bounds {
             min: Vec3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY),
             max: Vec3::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY),
@@ -287,24 +269,24 @@ impl Bounds {
     }
 
     /// Expands to include `p`.
-    pub fn include(&mut self, p: Vec3) {
+    pub(crate) fn include(&mut self, p: Vec3) {
         self.min = self.min.min(p);
         self.max = self.max.max(p);
     }
 
     /// Expands to include another bounds.
-    pub fn union(&mut self, o: &Bounds) {
+    pub(crate) fn union(&mut self, o: &Bounds) {
         self.min = self.min.min(o.min);
         self.max = self.max.max(o.max);
     }
 
     /// True if no point was ever included.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.min.x > self.max.x
     }
 
     /// Geometric centre.
-    pub fn center(&self) -> Vec3 {
+    pub(crate) fn center(&self) -> Vec3 {
         (self.min + self.max) * 0.5
     }
 
@@ -344,6 +326,27 @@ impl Bounds {
             }
         }
         Some((t0, t1))
+    }
+}
+
+#[cfg(test)]
+impl Mat4 {
+    /// A translation matrix.
+    pub(crate) fn translate(t: Vec3) -> Mat4 {
+        let mut out = Mat4::identity();
+        out.m[0][3] = t.x;
+        out.m[1][3] = t.y;
+        out.m[2][3] = t.z;
+        out
+    }
+
+    /// A non-uniform scale matrix.
+    pub(crate) fn scale(s: Vec3) -> Mat4 {
+        let mut out = Mat4::identity();
+        out.m[0][0] = s.x;
+        out.m[1][1] = s.y;
+        out.m[2][2] = s.z;
+        out
     }
 }
 

@@ -3,7 +3,7 @@
 //! rasterizer.
 
 use crate::image_data::value_range;
-use crate::math::{Bounds, Vec3};
+use crate::math::Vec3;
 
 /// Polygonal geometry.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -26,78 +26,16 @@ impl PolyData {
         PolyData::default()
     }
 
-    /// Number of points.
-    pub fn num_points(&self) -> usize {
-        self.points.len()
-    }
-
     /// Adds a point, returning its index.
     pub fn add_point(&mut self, p: Vec3) -> u32 {
         self.points.push(p);
         (self.points.len() - 1) as u32
     }
 
-    /// World-space bounding box over all points.
-    pub fn bounds(&self) -> Bounds {
-        let mut b = Bounds::empty();
-        for &p in &self.points {
-            b.include(p);
-        }
-        b
-    }
-
     /// Scalar range ignoring NaNs ([`value_range`]); `None` when scalars
     /// are absent.
     pub fn scalar_range(&self) -> Option<(f32, f32)> {
         value_range(self.scalars.as_ref()?)
-    }
-
-    /// Computes area-weighted per-point normals from the triangle mesh.
-    pub fn compute_normals(&mut self) {
-        let mut normals = vec![Vec3::ZERO; self.points.len()];
-        for tri in &self.triangles {
-            let [a, b, c] = tri.map(|i| self.points[i as usize]);
-            // un-normalized cross product weights by triangle area
-            let n = (b - a).cross(c - a);
-            for &i in tri {
-                normals[i as usize] = normals[i as usize] + n;
-            }
-        }
-        for n in &mut normals {
-            *n = n.normalized();
-        }
-        self.normals = Some(normals);
-    }
-
-    /// Appends another mesh (points, cells and attributes), re-indexing.
-    /// Attribute arrays present on one side only are padded with defaults.
-    pub fn append(&mut self, other: &PolyData) {
-        let offset = self.points.len() as u32;
-        self.points.extend_from_slice(&other.points);
-        match (&mut self.normals, &other.normals) {
-            (Some(a), Some(b)) => a.extend_from_slice(b),
-            (Some(a), None) => a.extend(std::iter::repeat_n(Vec3::ZERO, other.points.len())),
-            (None, Some(b)) => {
-                let mut a = vec![Vec3::ZERO; offset as usize];
-                a.extend_from_slice(b);
-                self.normals = Some(a);
-            }
-            (None, None) => {}
-        }
-        match (&mut self.scalars, &other.scalars) {
-            (Some(a), Some(b)) => a.extend_from_slice(b),
-            (Some(a), None) => a.extend(std::iter::repeat_n(0.0, other.points.len())),
-            (None, Some(b)) => {
-                let mut a = vec![0.0; offset as usize];
-                a.extend_from_slice(b);
-                self.scalars = Some(a);
-            }
-            (None, None) => {}
-        }
-        self.triangles
-            .extend(other.triangles.iter().map(|t| t.map(|i| i + offset)));
-        self.lines
-            .extend(other.lines.iter().map(|l| l.iter().map(|&i| i + offset).collect::<Vec<_>>()));
     }
 
     /// Total surface area of the triangle mesh.
@@ -128,6 +66,35 @@ impl PolyData {
             }
         }
         edges.values().all(|&c| c == 2)
+    }
+}
+
+#[cfg(test)]
+impl PolyData {
+    /// World-space bounding box over all points.
+    pub(crate) fn bounds(&self) -> crate::math::Bounds {
+        let mut b = crate::math::Bounds::empty();
+        for &p in &self.points {
+            b.include(p);
+        }
+        b
+    }
+
+    /// Computes area-weighted per-point normals from the triangle mesh.
+    pub(crate) fn compute_normals(&mut self) {
+        let mut normals = vec![Vec3::ZERO; self.points.len()];
+        for tri in &self.triangles {
+            let [a, b, c] = tri.map(|i| self.points[i as usize]);
+            // un-normalized cross product weights by triangle area
+            let n = (b - a).cross(c - a);
+            for &i in tri {
+                normals[i as usize] = normals[i as usize] + n;
+            }
+        }
+        for n in &mut normals {
+            *n = n.normalized();
+        }
+        self.normals = Some(normals);
     }
 }
 
@@ -188,49 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn append_reindexes_cells() {
-        let mut a = tri();
-        let b = tri();
-        a.append(&b);
-        assert_eq!(a.points.len(), 6);
-        assert_eq!(a.triangles.len(), 2);
-        assert_eq!(a.triangles[1], [3, 4, 5]);
-    }
-
-    #[test]
-    fn append_pads_missing_attributes() {
-        let mut a = tri();
-        a.scalars = Some(vec![1.0, 2.0, 3.0]);
-        let mut b = tri();
-        b.normals = Some(vec![Vec3::new(0.0, 0.0, 1.0); 3]);
-        a.append(&b);
-        assert_eq!(a.scalars.as_ref().unwrap().len(), 6);
-        assert_eq!(a.scalars.as_ref().unwrap()[4], 0.0);
-        assert_eq!(a.normals.as_ref().unwrap().len(), 6);
-        assert_eq!(a.normals.as_ref().unwrap()[0], Vec3::ZERO);
-    }
-
-    #[test]
     fn scalar_range_skips_nan() {
         let mut pd = tri();
         pd.scalars = Some(vec![1.0, f32::NAN, 3.0]);
         assert_eq!(pd.scalar_range(), Some((1.0, 3.0)));
         pd.scalars = None;
         assert_eq!(pd.scalar_range(), None);
-    }
-
-    #[test]
-    fn lines_survive_append() {
-        let mut pd = PolyData::new();
-        pd.add_point(Vec3::ZERO);
-        pd.add_point(Vec3::new(1.0, 0.0, 0.0));
-        pd.lines.push(vec![0, 1]);
-        let mut other = PolyData::new();
-        other.add_point(Vec3::new(2.0, 0.0, 0.0));
-        other.add_point(Vec3::new(3.0, 0.0, 0.0));
-        other.lines.push(vec![0, 1]);
-        pd.append(&other);
-        assert_eq!(pd.lines.len(), 2);
-        assert_eq!(pd.lines[1], vec![2, 3]);
     }
 }

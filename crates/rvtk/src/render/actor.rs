@@ -102,19 +102,22 @@ impl Actor {
         self
     }
 
-    /// Builder-style representation setter.
-    pub fn with_representation(mut self, rep: Representation) -> Actor {
-        self.property.representation = rep;
-        self
-    }
-
     /// World-space bounds (transform applied).
-    pub fn bounds(&self) -> Bounds {
+    pub(crate) fn bounds(&self) -> Bounds {
         let mut b = Bounds::empty();
         for &p in &self.poly_data.points {
             b.include(self.transform.transform_point(p));
         }
         b
+    }
+}
+
+#[cfg(test)]
+impl Actor {
+    /// Builder-style representation setter.
+    pub(crate) fn with_representation(mut self, rep: Representation) -> Actor {
+        self.property.representation = rep;
+        self
     }
 }
 

@@ -44,7 +44,7 @@ impl Camera {
     }
 
     /// Unit vector from focal point toward the eye.
-    pub fn direction_of_projection(&self) -> Vec3 {
+    pub(crate) fn direction_of_projection(&self) -> Vec3 {
         (self.focal_point - self.position).normalized()
     }
 
@@ -65,7 +65,7 @@ impl Camera {
 
     /// Positions the camera to frame `bounds` from the (+x, +y, +z) octant,
     /// VTK's reset-camera behaviour.
-    pub fn reset_to_bounds(&mut self, bounds: &Bounds) {
+    pub(crate) fn reset_to_bounds(&mut self, bounds: &Bounds) {
         if bounds.is_empty() {
             return;
         }

@@ -33,10 +33,10 @@ pub struct TileRect {
 
 impl TileGrid {
     /// The default tile edge in pixels.
-    pub const TILE: usize = 32;
+    pub(crate) const TILE: usize = 32;
 
     /// A grid of `tile × tile` tiles over a `width × height` screen.
-    pub fn new(width: usize, height: usize, tile: usize) -> TileGrid {
+    pub(crate) fn new(width: usize, height: usize, tile: usize) -> TileGrid {
         TileGrid { width, height, tile: tile.max(1) }
     }
 
@@ -51,7 +51,7 @@ impl TileGrid {
     }
 
     /// Screen height in pixels.
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
@@ -135,7 +135,7 @@ impl TileGrid {
     /// pixel bbox `[x0, x1] × [y0, y1]` (screen-clamped), row-major.
     /// Bounds are pixel coordinates — whole numbers, possibly ±∞ — and are
     /// cast saturating to `i32`; a NaN bound casts to pixel 0.
-    pub fn for_tiles_over(&self, x0: f64, x1: f64, y0: f64, y1: f64, f: impl FnMut(usize)) {
+    pub(crate) fn for_tiles_over(&self, x0: f64, x1: f64, y0: f64, y1: f64, f: impl FnMut(usize)) {
         self.tile_span([x0, x1, y0, y1].map(|b| b as i32)).tiles(self.cols()).for_each(f);
     }
 }
@@ -225,7 +225,7 @@ impl Framebuffer {
     }
 
     /// Clears color and depth.
-    pub fn clear(&mut self, background: Color) {
+    pub(crate) fn clear(&mut self, background: Color) {
         self.color.fill(background);
         self.depth.fill(f32::INFINITY);
     }
@@ -328,7 +328,7 @@ impl Framebuffer {
 
     /// Quantizes the image to packed RGBA8 bytes (row-major, y = 0 top) —
     /// the lossless wire format of the hyperwall frame-delta transport.
-    /// Bands of [`TileGrid::TILE`] rows are quantized in parallel, each
+    /// Bands of `TileGrid::TILE` rows are quantized in parallel, each
     /// written once into the output's spare capacity.
     pub fn to_rgba8(&self) -> Vec<u8> {
         let mut out = Vec::new();

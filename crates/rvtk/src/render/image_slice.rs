@@ -99,7 +99,7 @@ impl ImageSlice {
     }
 
     /// World-space bounds: the box of the four corners.
-    pub fn bounds(&self) -> Bounds {
+    pub(crate) fn bounds(&self) -> Bounds {
         let mut b = Bounds::empty();
         for &p in &self.corners {
             b.include(p);

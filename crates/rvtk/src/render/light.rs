@@ -16,13 +16,8 @@ pub struct Light {
 
 impl Light {
     /// A white headlight-style light travelling along `direction`.
-    pub fn directional(direction: Vec3) -> Light {
+    pub(crate) fn directional(direction: Vec3) -> Light {
         Light { direction: direction.normalized(), color: Color::WHITE, intensity: 1.0 }
-    }
-
-    /// Lambertian diffuse factor for a surface normal (two-sided).
-    pub fn diffuse(&self, normal: Vec3) -> f32 {
-        self.incident().diffuse(normal.normalized())
     }
 
     /// The per-light constants of [`Light::diffuse`], evaluated once so a
@@ -50,27 +45,5 @@ impl IncidentLight {
 impl Default for Light {
     fn default() -> Light {
         Light::directional(Vec3::new(-0.4, 0.5, -0.8))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn diffuse_peaks_facing_light() {
-        let l = Light::directional(Vec3::new(0.0, 0.0, -1.0));
-        assert!((l.diffuse(Vec3::new(0.0, 0.0, 1.0)) - 1.0).abs() < 1e-6);
-        // two-sided: reversed normal shades the same
-        assert!((l.diffuse(Vec3::new(0.0, 0.0, -1.0)) - 1.0).abs() < 1e-6);
-        // grazing
-        assert!(l.diffuse(Vec3::new(1.0, 0.0, 0.0)) < 1e-6);
-    }
-
-    #[test]
-    fn intensity_scales() {
-        let mut l = Light::directional(Vec3::new(0.0, 0.0, -1.0));
-        l.intensity = 0.5;
-        assert!((l.diffuse(Vec3::new(0.0, 0.0, 1.0)) - 0.5).abs() < 1e-6);
     }
 }

@@ -529,7 +529,7 @@ pub(crate) fn draw(
 /// Unprojects a screen pixel back to a world-space ray; used by pick
 /// operations. Returns `(origin, direction)` or `None` for singular
 /// matrices.
-pub fn pixel_ray(
+pub(crate) fn pixel_ray(
     view_proj: &Mat4,
     width: usize,
     height: usize,

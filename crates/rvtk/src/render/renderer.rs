@@ -67,11 +67,6 @@ impl Renderer {
         &self.actors
     }
 
-    /// Mutable actor access (for interactive reconfiguration).
-    pub fn actors_mut(&mut self) -> &mut Vec<Actor> {
-        &mut self.actors
-    }
-
     /// All slice planes.
     pub fn image_slices(&self) -> &[ImageSlice] {
         &self.slices

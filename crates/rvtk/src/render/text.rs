@@ -8,7 +8,7 @@ use crate::render::framebuffer::Framebuffer;
 /// Glyph height in pixels (at scale 1).
 pub const GLYPH_HEIGHT: usize = 7;
 /// Glyph width in pixels (at scale 1), excluding the 1px advance gap.
-pub const GLYPH_WIDTH: usize = 5;
+pub(crate) const GLYPH_WIDTH: usize = 5;
 
 /// 5×7 glyph bitmaps: each row is 5 bits, MSB = leftmost pixel.
 fn glyph(c: char) -> [u8; 7] {

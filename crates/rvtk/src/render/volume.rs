@@ -66,7 +66,7 @@ pub struct VolumeProperty {
 
 impl VolumeProperty {
     /// A reasonable default over the given scalar range.
-    pub fn over_range(range: (f32, f32)) -> VolumeProperty {
+    pub(crate) fn over_range(range: (f32, f32)) -> VolumeProperty {
         let level = (range.0 + range.1) / 2.0;
         let window = (range.1 - range.0).max(1e-6);
         VolumeProperty {

@@ -9,7 +9,6 @@ use crate::color::Color;
 use crate::render::framebuffer::Framebuffer;
 use crate::render::renderer::Renderer;
 use std::cell::OnceCell;
-use std::path::Path;
 
 /// Stereo rendering modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,18 +48,8 @@ impl RenderWindow {
         }
     }
 
-    /// Window width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Window height.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// The current image: black before the first `render`.
-    pub fn framebuffer(&self) -> &Framebuffer {
+    pub(crate) fn framebuffer(&self) -> &Framebuffer {
         self.image.get_or_init(|| Framebuffer::new(self.width, self.height))
     }
 
@@ -127,11 +116,6 @@ impl RenderWindow {
         } else {
             renderer.camera.distance() / 30.0
         }
-    }
-
-    /// Saves the current image as PPM.
-    pub fn save_ppm(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.framebuffer().save_ppm(path)
     }
 }
 

@@ -103,16 +103,6 @@ impl Executor {
         &self.registry
     }
 
-    /// Clears the result cache.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Number of cached module results.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Executes the full pipeline; returns per-module outputs and a log.
     pub fn execute(&mut self, pipeline: &Pipeline) -> Result<ExecResults> {
         self.execute_subset(pipeline, None)
@@ -203,6 +193,14 @@ fn wrap_exec_err(id: ModuleId, e: WfError) -> WfError {
     match e {
         WfError::Execution { message, .. } => WfError::Execution { module: id, message },
         other => WfError::Execution { module: id, message: other.to_string() },
+    }
+}
+
+#[cfg(test)]
+impl Executor {
+    /// Number of cached module results.
+    pub(crate) fn cache_len(&self) -> usize {
+        self.cache.len()
     }
 }
 
@@ -336,17 +334,6 @@ mod tests {
         assert_eq!(counter.load(Ordering::SeqCst), 6);
         // clearing the salt restores the original signatures → cache hits
         exec.registry.set_cache_salt("m.src", 0);
-        exec.execute(&diamond()).unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 6);
-    }
-
-    #[test]
-    fn clear_cache_forces_recompute() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut exec = Executor::new(registry(counter.clone()));
-        exec.execute(&diamond()).unwrap();
-        assert!(exec.cache_len() > 0);
-        exec.clear_cache();
         exec.execute(&diamond()).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 6);
     }

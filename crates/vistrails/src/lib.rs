@@ -125,16 +125,13 @@ impl std::error::Error for WfError {
 }
 
 /// Convenient result alias.
-pub type Result<T> = std::result::Result<T, WfError>;
+pub(crate) type Result<T> = std::result::Result<T, WfError>;
 
-/// The common imports.
+/// The imports a workflow needs: register modules, record a version tree,
+/// run it.
 pub mod prelude {
-    pub use crate::execlog::ExecutionLog;
-    pub use crate::executor::{ExecResults, Executor};
-    pub use crate::module::{single, ModuleDescriptor, ModuleRegistry, PortType, WfModule};
-    pub use crate::pipeline::{Connection, Pipeline};
+    pub use crate::executor::Executor;
+    pub use crate::module::{single, ModuleRegistry, PortType};
     pub use crate::provenance::{Action, Vistrail};
-    pub use crate::spreadsheet::{CellAddress, CellBinding, Spreadsheet};
-    pub use crate::value::{ParamValue, Params, WfData};
-    pub use crate::{Result, WfError};
+    pub use crate::value::{ParamValue, WfData};
 }

@@ -47,7 +47,7 @@ impl PortType {
     }
 
     /// Whether data of type `other` can flow into this port (static check).
-    pub fn compatible(&self, other: &PortType) -> bool {
+    pub(crate) fn compatible(&self, other: &PortType) -> bool {
         self == other
             || *self == PortType::Any
             || *other == PortType::Any
@@ -77,12 +77,12 @@ pub struct ModuleDescriptor {
 
 impl ModuleDescriptor {
     /// Finds an input port spec by name.
-    pub fn input(&self, name: &str) -> Option<&PortSpec> {
+    pub(crate) fn input(&self, name: &str) -> Option<&PortSpec> {
         self.inputs.iter().find(|p| p.name == name)
     }
 
     /// Finds an output port spec by name.
-    pub fn output(&self, name: &str) -> Option<&PortSpec> {
+    pub(crate) fn output(&self, name: &str) -> Option<&PortSpec> {
         self.outputs.iter().find(|p| p.name == name)
     }
 }
@@ -146,7 +146,7 @@ impl ModuleRegistry {
     }
 
     /// Registers a module implementation under `package.type`.
-    pub fn register(&mut self, module: Arc<dyn WfModule>) {
+    pub(crate) fn register(&mut self, module: Arc<dyn WfModule>) {
         self.modules.insert(module.descriptor().type_name.clone(), module);
     }
 
@@ -164,13 +164,8 @@ impl ModuleRegistry {
         }
     }
 
-    /// The cache salt for `type_name` (0 when none is registered).
-    pub fn cache_salt(&self, type_name: &str) -> u64 {
-        self.cache_salts.get(type_name).copied().unwrap_or(0)
-    }
-
     /// All registered cache salts, for signature computation.
-    pub fn cache_salts(&self) -> &BTreeMap<String, u64> {
+    pub(crate) fn cache_salts(&self) -> &BTreeMap<String, u64> {
         &self.cache_salts
     }
 

@@ -104,7 +104,7 @@ impl Pipeline {
     }
 
     /// Removes a connection.
-    pub fn disconnect(&mut self, to: (ModuleId, &str)) -> Result<()> {
+    pub(crate) fn disconnect(&mut self, to: (ModuleId, &str)) -> Result<()> {
         let before = self.connections.len();
         self.connections
             .retain(|c| !(c.to_module == to.0 && c.to_port == to.1));
@@ -132,7 +132,7 @@ impl Pipeline {
     /// `i` is the `i`-th module by id). Errors with the offending ids on a
     /// cycle, and on connections referencing unknown modules (possible
     /// after deserializing an untrusted pipeline).
-    pub fn topology(&self) -> Result<(Vec<ModuleId>, Topology)> {
+    pub(crate) fn topology(&self) -> Result<(Vec<ModuleId>, Topology)> {
         let ids: Vec<ModuleId> = self.modules.keys().copied().collect();
         let mut deps: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
         for c in &self.connections {
@@ -149,12 +149,6 @@ impl Pipeline {
             WfError::Cycle(stuck.iter().filter_map(|&i| ids.get(i).copied()).collect())
         })?;
         Ok((ids, topo))
-    }
-
-    /// Every module, after all of its inputs: by depth, then by id.
-    pub fn topological_order(&self) -> Result<Vec<ModuleId>> {
-        let (ids, topo) = self.topology()?;
-        Ok(topo.order().iter().filter_map(|&i| ids.get(i).copied()).collect())
     }
 
     /// Validates the pipeline against a registry: module types exist,
@@ -226,13 +220,6 @@ impl Pipeline {
         })
     }
 
-    /// A stable signature of one module's identity for caching: its type,
-    /// parameters, and (recursively) the signatures of its inputs.
-    pub fn module_signature(&self, id: ModuleId) -> u64 {
-        static NO_SALTS: BTreeMap<String, u64> = BTreeMap::new();
-        self.module_signature_salted(id, &NO_SALTS)
-    }
-
     /// [`Pipeline::module_signature`] with per-module-type cache salts
     /// mixed in: a nonzero salt for a type changes the signature of every
     /// module of that type *and*, through the recursive walk, of every
@@ -240,7 +227,11 @@ impl Pipeline {
     /// regrid weight math behind `cdat.Regrid`) invalidates all cached
     /// pipeline outputs that depend on it. An empty map (or all-zero
     /// salts) reproduces the unsalted signature exactly.
-    pub fn module_signature_salted(&self, id: ModuleId, salts: &BTreeMap<String, u64>) -> u64 {
+    pub(crate) fn module_signature_salted(
+        &self,
+        id: ModuleId,
+        salts: &BTreeMap<String, u64>,
+    ) -> u64 {
         fn walk(p: &Pipeline, id: ModuleId, salts: &BTreeMap<String, u64>, depth: usize) -> u64 {
             let mut h = Fnv::new();
             if depth > 10_000 {
@@ -278,6 +269,22 @@ impl Pipeline {
     /// Parses from JSON.
     pub fn from_json(s: &str) -> Result<Pipeline> {
         serde_json::from_str(s).map_err(|e| WfError::Serde(e.to_string()))
+    }
+}
+
+#[cfg(test)]
+impl Pipeline {
+    /// Every module, after all of its inputs: by depth, then by id.
+    pub(crate) fn topological_order(&self) -> Result<Vec<ModuleId>> {
+        let (ids, topo) = self.topology()?;
+        Ok(topo.order().iter().filter_map(|&i| ids.get(i).copied()).collect())
+    }
+
+    /// A stable signature of one module's identity for caching: its type,
+    /// parameters, and (recursively) the signatures of its inputs.
+    pub(crate) fn module_signature(&self, id: ModuleId) -> u64 {
+        static NO_SALTS: BTreeMap<String, u64> = BTreeMap::new();
+        self.module_signature_salted(id, &NO_SALTS)
     }
 }
 

@@ -62,7 +62,7 @@ impl Action {
 
 /// One node of the version tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VersionNode {
+pub(crate) struct VersionNode {
     pub id: VersionId,
     /// Parent version (`None` only for the root).
     pub parent: Option<VersionId>,
@@ -127,7 +127,7 @@ impl Vistrail {
     }
 
     /// The path of versions from the root to `version` (inclusive).
-    pub fn path_to(&self, version: VersionId) -> Result<Vec<VersionId>> {
+    pub(crate) fn path_to(&self, version: VersionId) -> Result<Vec<VersionId>> {
         let mut path = Vec::new();
         let mut cur = Some(version);
         while let Some(id) = cur {
@@ -167,29 +167,6 @@ impl Vistrail {
         self.tags.get(name).copied()
     }
 
-    /// All tags.
-    pub fn tags(&self) -> &BTreeMap<String, VersionId> {
-        &self.tags
-    }
-
-    /// Children of a version (the branches leaving it).
-    pub fn children(&self, version: VersionId) -> Vec<VersionId> {
-        self.nodes
-            .values()
-            .filter(|n| n.parent == Some(version))
-            .map(|n| n.id)
-            .collect()
-    }
-
-    /// All leaf versions (current heads of every branch).
-    pub fn leaves(&self) -> Vec<VersionId> {
-        self.nodes
-            .keys()
-            .copied()
-            .filter(|&id| self.children(id).is_empty())
-            .collect()
-    }
-
     /// Number of versions (including the root).
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -200,13 +177,8 @@ impl Vistrail {
         self.nodes.is_empty()
     }
 
-    /// A version's node.
-    pub fn node(&self, version: VersionId) -> Option<&VersionNode> {
-        self.nodes.get(&version)
-    }
-
     /// Lowest common ancestor of two versions.
-    pub fn common_ancestor(&self, a: VersionId, b: VersionId) -> Result<VersionId> {
+    pub(crate) fn common_ancestor(&self, a: VersionId, b: VersionId) -> Result<VersionId> {
         let pa = self.path_to(a)?;
         let pb = self.path_to(b)?;
         let mut lca = Self::ROOT;
@@ -244,6 +216,32 @@ impl Vistrail {
     /// Parses a vistrail from JSON.
     pub fn from_json(s: &str) -> Result<Vistrail> {
         serde_json::from_str(s).map_err(|e| WfError::Serde(e.to_string()))
+    }
+}
+
+#[cfg(test)]
+impl Vistrail {
+    /// Children of a version (the branches leaving it).
+    pub(crate) fn children(&self, version: VersionId) -> Vec<VersionId> {
+        self.nodes
+            .values()
+            .filter(|n| n.parent == Some(version))
+            .map(|n| n.id)
+            .collect()
+    }
+
+    /// All leaf versions (current heads of every branch).
+    pub(crate) fn leaves(&self) -> Vec<VersionId> {
+        self.nodes
+            .keys()
+            .copied()
+            .filter(|&id| self.children(id).is_empty())
+            .collect()
+    }
+
+    /// A version's node.
+    pub(crate) fn node(&self, version: VersionId) -> Option<&VersionNode> {
+        self.nodes.get(&version)
     }
 }
 

@@ -45,7 +45,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Fail fast (the default).
-    pub fn none() -> RetryPolicy {
+    pub(crate) fn none() -> RetryPolicy {
         RetryPolicy::default()
     }
 
@@ -167,16 +167,10 @@ impl Topology {
     pub fn order(&self) -> &[usize] {
         &self.order
     }
-
-    /// Nodes in the widest depth level: the most workers [`run`] uses. A
-    /// chain is one node wide, so it runs on the caller.
-    pub fn width(&self) -> usize {
-        self.width
-    }
 }
 
 /// Runs the DAG on `workers` workers (clamped to at least 1, at most the
-/// [`Topology::width`]), `body(i, outputs)` computing node `i` under `retry`, where
+/// `Topology::width`), `body(i, outputs)` computing node `i` under `retry`, where
 /// `outputs[j]` is written once, when node `j` succeeds, and read without a
 /// lock from then on. Returns every node's outcome by index; a node the
 /// first failure cancelled has none.
@@ -355,16 +349,6 @@ mod tests {
         assert_eq!(order(&[vec![3], vec![], vec![1], vec![]]), Ok(vec![1, 3, 0, 2]));
         // 1 ↔ 2, and 3 behind them
         assert_eq!(order(&[vec![], vec![2], vec![1], vec![2]]), Err(vec![1, 2, 3]));
-    }
-
-    #[test]
-    fn width_is_the_widest_depth_level() {
-        let width = |deps: &[Vec<usize>]| Topology::new(deps).map(|t| t.width());
-        assert_eq!(width(&[]), Ok(0));
-        assert_eq!(width(&[vec![], vec![0], vec![1], vec![2]]), Ok(1));
-        // 0 → {1, 2, 3} → 4, beside the lone 5
-        let diamond = [vec![], vec![0], vec![0], vec![0], vec![1, 2, 3], vec![]];
-        assert_eq!(width(&diamond), Ok(3));
     }
 
     /// What ran before the run drained is in its slot, the failure

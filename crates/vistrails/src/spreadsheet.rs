@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A cell position `(row, col)`.
-pub type CellAddress = (usize, usize);
+pub(crate) type CellAddress = (usize, usize);
 
 /// What a cell displays.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -47,25 +47,6 @@ impl Spreadsheet {
             cells: BTreeMap::new(),
             active: BTreeSet::new(),
         }
-    }
-
-    /// Grid dimensions `(rows, cols)`.
-    pub fn size(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Grows (never shrinks below occupied cells) the grid.
-    pub fn resize(&mut self, rows: usize, cols: usize) -> Result<()> {
-        let max_r = self.cells.keys().map(|&(r, _)| r + 1).max().unwrap_or(0);
-        let max_c = self.cells.keys().map(|&(_, c)| c + 1).max().unwrap_or(0);
-        if rows < max_r || cols < max_c {
-            return Err(WfError::Invalid(format!(
-                "cannot shrink to {rows}x{cols}: occupied to {max_r}x{max_c}"
-            )));
-        }
-        self.rows = rows.max(1);
-        self.cols = cols.max(1);
-        Ok(())
     }
 
     fn check(&self, at: CellAddress) -> Result<()> {
@@ -122,21 +103,6 @@ impl Spreadsheet {
         Ok(())
     }
 
-    /// All occupied cells in row-major order.
-    pub fn occupied(&self) -> Vec<(CellAddress, &CellBinding)> {
-        self.cells.iter().map(|(&a, b)| (a, b)).collect()
-    }
-
-    /// Number of bound cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when no cell is bound.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Activates / deactivates a cell. Interaction ops target active cells.
     pub fn set_active(&mut self, at: CellAddress, active: bool) -> Result<()> {
         if !self.cells.contains_key(&at) {
@@ -148,16 +114,6 @@ impl Spreadsheet {
             self.active.remove(&at);
         }
         Ok(())
-    }
-
-    /// The active cells in row-major order.
-    pub fn active_cells(&self) -> Vec<CellAddress> {
-        self.active.iter().copied().collect()
-    }
-
-    /// Activates every bound cell.
-    pub fn activate_all(&mut self) {
-        self.active = self.cells.keys().copied().collect();
     }
 
     /// Serializes the sheet together with its vistrail so it can be saved
@@ -182,6 +138,29 @@ impl Spreadsheet {
         let saved: Saved =
             serde_json::from_str(s).map_err(|e| WfError::Serde(e.to_string()))?;
         Ok((saved.sheet, saved.vistrail))
+    }
+}
+
+#[cfg(test)]
+impl Spreadsheet {
+    /// Grid dimensions `(rows, cols)`.
+    pub(crate) fn size(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Number of bound cells.
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// The active cells in row-major order.
+    pub(crate) fn active_cells(&self) -> Vec<CellAddress> {
+        self.active.iter().copied().collect()
+    }
+
+    /// Activates every bound cell.
+    pub(crate) fn activate_all(&mut self) {
+        self.active = self.cells.keys().copied().collect();
     }
 }
 
@@ -253,15 +232,6 @@ mod tests {
         s.set_active((0, 0), true).unwrap();
         s.clear_cell((0, 0));
         assert!(s.active_cells().is_empty());
-    }
-
-    #[test]
-    fn resize_protects_occupied_cells() {
-        let mut s = Spreadsheet::new("main", 3, 3);
-        s.set_cell((2, 2), binding(1)).unwrap();
-        assert!(s.resize(2, 2).is_err());
-        s.resize(5, 3).unwrap();
-        assert_eq!(s.size(), (5, 3));
     }
 
     #[test]

@@ -44,22 +44,6 @@ impl ParamValue {
         }
     }
 
-    /// Boolean payload.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            ParamValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Float-list payload.
-    pub fn as_float_list(&self) -> Option<&[f64]> {
-        match self {
-            ParamValue::FloatList(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// A stable content signature for caching.
     pub(crate) fn signature(&self, h: &mut Fnv) {
         match self {
@@ -188,26 +172,10 @@ impl WfData {
         }
     }
 
-    /// Integer coercion.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            WfData::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// String payload.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             WfData::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Boolean payload.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            WfData::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -219,19 +187,57 @@ impl WfData {
 pub(crate) struct Fnv(pub u64);
 
 impl Fnv {
-    pub fn new() -> Fnv {
+    pub(crate) fn new() -> Fnv {
         Fnv(0xcbf29ce484222325)
     }
 
-    pub fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x100000001b3);
         }
     }
 
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+#[cfg(test)]
+impl ParamValue {
+    /// Boolean payload.
+    pub(crate) fn as_bool(&self) -> Option<bool> {
+        match self {
+            ParamValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Float-list payload.
+    pub(crate) fn as_float_list(&self) -> Option<&[f64]> {
+        match self {
+            ParamValue::FloatList(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+#[cfg(test)]
+impl WfData {
+    /// Integer coercion.
+    pub(crate) fn as_int(&self) -> Option<i64> {
+        match self {
+            WfData::Int(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// Boolean payload.
+    pub(crate) fn as_bool(&self) -> Option<bool> {
+        match self {
+            WfData::Bool(b) => Some(*b),
+            _ => None,
+        }
     }
 }
 

@@ -20,6 +20,7 @@ use uvcdat::dv3d::cell::Dv3dCell;
 use uvcdat::dv3d::interaction::{CameraOp, ConfigOp};
 use uvcdat::dv3d::plots::PlotSpec;
 use uvcdat::dv3d::translation::{translate_scalar, TranslationOptions};
+use uvcdat::hyperwall::frame_delta::fnv1a;
 use uvcdat::rvtk::render::{Framebuffer, RenderWindow, Renderer, StereoMode};
 use uvcdat::rvtk::{Color, ImageData};
 
@@ -54,10 +55,6 @@ fn scene(spec: PlotSpec, background: Color) -> Renderer {
     r.camera.azimuth(25.0);
     r.camera.elevation(20.0);
     r
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// `r` drawn into a `Framebuffer::new` that already holds another frame:
