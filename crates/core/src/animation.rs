@@ -69,8 +69,6 @@ impl FrameSource for Streamed {
 pub struct Playhead<S> {
     frames: S,
     current: usize,
-    /// Wrap around at the ends.
-    pub looping: bool,
 }
 
 /// Steps a plot through a time series translated into memory up front.
@@ -90,7 +88,7 @@ pub type StreamingAnimation = Playhead<Streamed>;
 
 impl<S: FrameSource> Playhead<S> {
     fn over(frames: S) -> Playhead<S> {
-        Playhead { frames, current: 0, looping: true }
+        Playhead { frames, current: 0 }
     }
 
     /// Number of frames.
@@ -180,10 +178,11 @@ impl<S: FrameSource> Playhead<S> {
         self.current
     }
 
-    /// Steps by `delta` (negative allowed), honouring `looping`, and
-    /// installs the frame into the plot. Returns the new index.
-    pub(crate) fn step(&mut self, plot: &mut dyn Plot, delta: i64) -> Result<usize> {
-        self.show(plot, stepped(self.current, delta, self.len(), self.looping))
+    /// Steps by `delta` (negative allowed), wrapping at the ends when
+    /// `looping` and clamping otherwise, and installs the frame into the
+    /// plot. Returns the new index.
+    pub(crate) fn step(&mut self, plot: &mut dyn Plot, delta: i64, looping: bool) -> Result<usize> {
+        self.show(plot, stepped(self.current, delta, self.len(), looping))
     }
 }
 
@@ -233,7 +232,7 @@ mod tests {
     fn stepping_updates_plot_data() {
         let (mut anim, mut cell) = controller_and_cell();
         let d0 = cell.plot().image().scalars.clone();
-        anim.step(cell.plot_mut(), 1).unwrap();
+        anim.step(cell.plot_mut(), 1, true).unwrap();
         assert_eq!(anim.current(), 1);
         assert_ne!(cell.plot().image().scalars, d0);
     }
@@ -241,14 +240,13 @@ mod tests {
     #[test]
     fn looping_wraps_both_directions() {
         let (mut anim, mut cell) = controller_and_cell();
-        anim.step(cell.plot_mut(), -1).unwrap();
+        anim.step(cell.plot_mut(), -1, true).unwrap();
         assert_eq!(anim.current(), 3);
-        anim.step(cell.plot_mut(), 2).unwrap();
+        anim.step(cell.plot_mut(), 2, true).unwrap();
         assert_eq!(anim.current(), 1);
-        anim.looping = false;
-        anim.step(cell.plot_mut(), 100).unwrap();
+        anim.step(cell.plot_mut(), 100, false).unwrap();
         assert_eq!(anim.current(), 3);
-        anim.step(cell.plot_mut(), -100).unwrap();
+        anim.step(cell.plot_mut(), -100, false).unwrap();
         assert_eq!(anim.current(), 0);
     }
 
@@ -361,8 +359,8 @@ mod tests {
             assert_eq!(frames.len(), 8);
 
             // stepping across the wrap keeps working with faults active
-            assert_eq!(anim.step(cell.plot_mut(), 1).unwrap(), 0);
-            assert_eq!(anim.step(cell.plot_mut(), -1).unwrap(), 7);
+            assert_eq!(anim.step(cell.plot_mut(), 1, true).unwrap(), 0);
+            assert_eq!(anim.step(cell.plot_mut(), -1, true).unwrap(), 7);
 
             let report = anim.report();
             assert_eq!(report.degraded, 2, "{report}");
@@ -391,9 +389,9 @@ mod tests {
             // an isosurface colored by a field of other dims refuses every frame
             let odd = ImageData::from_fn([3, 3, 3], [1.0; 3], [0.0; 3], |x, _, _| x as f32);
             let mut refusing = IsosurfacePlot::new(odd.clone(), Some(odd), None).unwrap();
-            assert!(precomputed.step(&mut refusing, 1).is_err());
+            assert!(precomputed.step(&mut refusing, 1, true).is_err());
             assert_eq!(precomputed.current(), 0);
-            assert!(streamed.step(&mut refusing, 1).is_err());
+            assert!(streamed.step(&mut refusing, 1, true).is_err());
             assert_eq!(streamed.current(), 0);
             assert!(precomputed.seek(&mut refusing, 2).is_err());
             assert_eq!(precomputed.current(), 0);
@@ -409,12 +407,10 @@ mod tests {
                 (false, i64::MAX, 3),
                 (false, i64::MIN, 0),
             ] {
-                precomputed.looping = looping;
-                streamed.looping = looping;
                 precomputed.seek(cell.plot_mut(), 1).unwrap();
                 streamed.seek(cell.plot_mut(), 1).unwrap();
-                assert_eq!(precomputed.step(cell.plot_mut(), delta).unwrap(), lands_on);
-                assert_eq!(streamed.step(cell.plot_mut(), delta).unwrap(), lands_on);
+                assert_eq!(precomputed.step(cell.plot_mut(), delta, looping).unwrap(), lands_on);
+                assert_eq!(streamed.step(cell.plot_mut(), delta, looping).unwrap(), lands_on);
             }
             std::fs::remove_file(&path).ok();
         }

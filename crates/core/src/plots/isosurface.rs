@@ -13,9 +13,12 @@ use std::sync::Arc;
 
 /// An interactive isosurface view.
 ///
-/// Extraction is the expensive step (marching tetrahedra over every cell),
-/// so the surface is cached and only re-extracted when the isovalue or the
-/// data changes — camera navigation re-renders at rasterization cost only.
+/// Extraction is the expensive step: `rvtk::filters::isosurface` finds the
+/// crossed cells from per-row bit words, marches their tetrahedra in
+/// bands of a slab's cell rows on every core, and writes each vertex once
+/// (DESIGN §22). A new field or isovalue — a first frame, a scrub step, an
+/// isovalue drag — pays for it; the surface is cached otherwise, so camera
+/// navigation re-renders at rasterization cost only.
 #[derive(Debug)]
 pub struct IsosurfacePlot {
     image: ImageData,

@@ -8,11 +8,15 @@
 //! so the two must agree bit for bit — points, normals, scalars and
 //! triangles, in order — at pools of 1, 2 and 8 threads. The fields cover
 //! NaN holes, a NaN plane right under a slab boundary (where the upper
-//! slab owns the edges of the plane it shares with the lower one), and an
-//! integer field cut at grid values, where vertices land on grid points
-//! and triangles collapse. The root package's `tests/iso_oracle.rs` holds
-//! the Fig 3 fixture and the benchmark's field, the one place the weld
-//! merged two distinct edges.
+//! slab owns the edges of the plane it shares with the lower one), a NaN
+//! half-row right under each row a band of cell rows can end on (where the
+//! later band owns part of the row it shares with the band before), grids
+//! whose cell rows split into bands with a remainder, grids one cell thick
+//! in y or z, rows longer than a 64-point classification word with NaN
+//! beside a word boundary, and an integer field cut at grid values, where vertices land
+//! on grid points and triangles collapse. The root package's
+//! `tests/iso_oracle.rs` holds the Fig 3 fixture and the benchmark's
+//! field, the one place the weld merged two distinct edges.
 
 #[path = "support/iso_reference.rs"]
 mod iso_reference;
@@ -126,5 +130,73 @@ fn integer_field_cut_at_grid_values_keys_vertices_by_grid_point() {
         let want = reference(field, value, None);
         assert!(want.triangles.len() < emitted.mesh.triangles.len(), "nothing collapsed at {value}");
         check(field, value, None, &format!("integer field at {value}"));
+    }
+}
+
+#[test]
+fn nan_half_row_under_a_band_boundary_hands_the_row_to_the_later_band() {
+    // NaN over half of grid row y, in every plane: the cells of rows y - 1
+    // and y skip that half, so there the keys of row y + 1 are first
+    // reached by cell row y + 1. A band of cell rows may end on any row, so
+    // the NaN goes under each in turn; whichever row a band boundary lies
+    // on, one field puts the NaN right under it, and the band after the
+    // boundary must own part of the row the two bands share.
+    let [nx, ny, nz] = [14, 24, 5];
+    let half = nx / 2;
+    // a surface that crosses every row in the NaN half, at x ≈ 3
+    let slanted = ImageData::from_fn([nx, ny, nz], [1.0; 3], [0.0; 3], |x, y, z| {
+        (x + 0.8 * (0.7 * y).sin() + 0.3 * z) as f32
+    });
+    for y in 0..ny - 2 {
+        let mut img = slanted.clone();
+        for z in 0..nz {
+            for x in 0..half {
+                set_nan(&mut img, x, y, z);
+            }
+        }
+        let in_row = |[x, row, _]: [usize; 3]| row == y + 1 && x < half;
+        let crossed = emit(&img, 3.3, None).keys.iter().any(|key| match *key {
+            Key::Edge(a, b) => in_row(a) && in_row(b),
+            Key::Point(p) => in_row(p),
+        });
+        assert!(crossed, "the surface must cross row {} beside the NaN", y + 1);
+        check(&img, 3.3, None, &format!("NaN half-row {y}"));
+    }
+}
+
+#[test]
+fn cell_rows_that_split_into_bands_with_a_remainder_match_the_weld() {
+    // prime counts of cell rows: no band height above one divides them
+    for ny in [12, 14, 18, 20, 24, 30, 32, 38] {
+        let c = (ny - 1) as f64 / 2.0;
+        let mut img = ImageData::from_fn([11, ny, 6], [1.0; 3], [0.0; 3], move |x, y, z| {
+            (((x - 5.0).powi(2) + (0.4 * (y - c)).powi(2) + (z - 2.5).powi(2)) as f32).sqrt()
+        });
+        set_nan(&mut img, 4, ny / 3, 2);
+        assert!(check(&img, 3.2, None, &format!("{ny} rows")) > 0);
+    }
+}
+
+#[test]
+fn grids_one_cell_thick_match_the_weld() {
+    let tilted = |dims| ImageData::from_fn(dims, [1.0; 3], [0.0; 3], |x, y, z| (x - 0.6 * y + 0.45 * z) as f32);
+    for dims in [[12, 2, 9], [12, 9, 2], [9, 2, 2]] {
+        assert!(check(&tilted(dims), 2.7, None, &format!("{dims:?}")) > 0);
+        assert!(check(&tilted(dims), 3.0, None, &format!("{dims:?} at a grid value")) > 0);
+    }
+}
+
+#[test]
+fn rows_longer_than_a_word_match_the_weld() {
+    // a row is classified 64 points to a word: the cells at x = 63 and
+    // x = 127 take their upper corners' bits from the next word, and a NaN
+    // at x = 64 must remove the cells on both sides of the boundary
+    let ripple = |x: f64, y: f64, z: f64| ((0.21 * x).sin() + 0.3 * y - 0.2 * z) as f32;
+    let mut img = ImageData::from_fn([130, 6, 4], [1.0; 3], [0.0; 3], ripple);
+    for x in [63, 64, 128] {
+        set_nan(&mut img, x, 2, 1);
+    }
+    for value in [0.1, 0.5, 1.0] {
+        assert!(check(&img, value, None, &format!("130-point rows at {value}")) > 0);
     }
 }

@@ -1,5 +1,10 @@
 //! Property-based tests on cross-crate invariants (proptest).
 
+#[path = "../crates/rvtk/tests/support/iso_reference.rs"]
+#[allow(dead_code, reason = "the properties use the old march and its key merge, not the weld")]
+mod iso_reference;
+
+use iso_reference::{emit, merge_by_key};
 use proptest::prelude::*;
 use uvcdat::cdat::regrid;
 use uvcdat::cdms::array::{MaskedArray, Reduction};
@@ -25,6 +30,19 @@ fn unpaired_edges(surf: &PolyData) -> Vec<(Vec3, Vec3)> {
         .filter(|&(_, n)| n != 2)
         .map(|((a, b), _)| (surf.points[a as usize], surf.points[b as usize]))
         .collect()
+}
+
+/// A mesh as bits: points, normals, scalars and triangles, in order.
+type MeshBits = (Vec<[u64; 3]>, Vec<[u64; 3]>, Vec<u32>, Vec<[u32; 3]>);
+
+fn mesh_bits(surf: &PolyData) -> MeshBits {
+    let vec_bits = |v: &[Vec3]| v.iter().map(|p| [p.x, p.y, p.z].map(f64::to_bits)).collect();
+    (
+        vec_bits(&surf.points),
+        vec_bits(surf.normals.as_deref().unwrap_or_default()),
+        surf.scalars.iter().flatten().map(|s| s.to_bits()).collect(),
+        surf.triangles.clone(),
+    )
 }
 
 /// Strategy: a small masked array with arbitrary data and mask.
@@ -191,6 +209,38 @@ proptest! {
                     prop_assert!(near(a) && near(b), "n={} r={} open edge {:?}-{:?} far from NaN at {:?}", n, r, a, b, v);
                 }
             }
+        }
+    }
+
+    /// The isosurface is the same bits at every pool, and the same as the
+    /// old march with its points merged by key: random small fields (2–12
+    /// points per axis, so the cell rows of some split into two bands),
+    /// values on a quarter-unit lattice, random NaN voxels, and half the
+    /// time an isovalue equal to a grid value, where vertices land on grid
+    /// points and triangles collapse.
+    #[test]
+    fn isosurface_is_bit_identical_at_every_pool(
+        (nx, ny, nz) in (2usize..13, 2usize..13, 2usize..13),
+        values in proptest::collection::vec(-16i32..16, 1728),
+        nans in proptest::collection::vec(0usize..1728, 0..5),
+        on_grid in any::<bool>(),
+        pick in 0usize..1728,
+        off_grid in -3.9f32..3.9,
+    ) {
+        let n = nx * ny * nz;
+        let mut scalars: Vec<f32> = values[..n].iter().map(|&v| v as f32 * 0.25).collect();
+        for &v in &nans {
+            scalars[v % n] = f32::NAN;
+        }
+        let value = match (0..n).map(|i| scalars[(pick + i) % n]).find(|v| !v.is_nan()) {
+            Some(v) if on_grid => v,
+            _ => off_grid,
+        };
+        let img = ImageData::new([nx, ny, nz], [1.0, 0.5, 2.0], [0.0; 3], scalars).unwrap();
+        let want = mesh_bits(&merge_by_key(&emit(&img, value, None)).0);
+        for threads in [1, 2, 8] {
+            let got = mesh_bits(&rayon::with_threads(threads, || isosurface(&img, value)).unwrap());
+            prop_assert!(got == want, "{:?} at {} differs at {} threads", [nx, ny, nz], value, threads);
         }
     }
 
