@@ -22,9 +22,9 @@
 
 use crate::regrid_plan::RegridPlan;
 use cdms::Result;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Default capacity of the process-global cache: a hyperwall's worth of
 /// distinct grid pairs, small enough that eviction scans stay trivial.
@@ -108,10 +108,7 @@ impl BuildSlot {
     fn wait(&self) {
         let mut done = self.done.lock();
         while !*done {
-            done = self
-                .cv
-                .wait(done)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            done = self.cv.wait(done);
         }
     }
 

@@ -263,6 +263,7 @@ impl EsgCatalog {
             DataSource::EsgNode { path, .. } | DataSource::ParaViewServer { path, .. } => {
                 if let Some(bw) = self.simulated_bandwidth {
                     let secs = entry.size_bytes as f64 / bw.max(1.0);
+                    parking_lot::assert_unlocked("the simulated transfer");
                     std::thread::sleep(Duration::from_secs_f64(secs.min(2.0)));
                 }
                 path
@@ -305,6 +306,7 @@ impl EsgCatalog {
         if let Some(bw) = self.simulated_bandwidth {
             let bytes = (sub.array.len() * 4) as f64;
             let secs = bytes / bw.max(1.0);
+            parking_lot::assert_unlocked("the simulated transfer");
             std::thread::sleep(Duration::from_secs_f64(secs.min(2.0)));
         }
         Ok(sub)

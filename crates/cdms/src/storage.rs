@@ -293,11 +293,13 @@ impl Storage for LocalDisk {
     }
 
     fn sync(&self, path: &Path) -> Result<()> {
+        parking_lot::assert_unlocked("an fsync");
         Ok(std::fs::File::open(path)?.sync_all()?)
     }
 
     fn sync_dir(&self, dir: &Path) -> Result<()> {
         let dir = if dir.as_os_str().is_empty() { Path::new(".") } else { dir };
+        parking_lot::assert_unlocked("a directory fsync");
         Ok(std::fs::File::open(dir)?.sync_all()?)
     }
 
@@ -598,6 +600,7 @@ impl FaultyStorage {
             }
             Some(StorageFault::DelayedRead { ms }) => {
                 // a slow primitive, not a failed one: stall, then behave
+                parking_lot::assert_unlocked("an injected slow primitive");
                 std::thread::sleep(std::time::Duration::from_millis(*ms));
                 Ok(None)
             }
@@ -657,6 +660,7 @@ impl Storage for FaultyStorage {
         match fault {
             None => self.inner.read_at(path, offset, len),
             Some(StorageFault::DelayedRead { ms }) => {
+                parking_lot::assert_unlocked("an injected slow read");
                 std::thread::sleep(std::time::Duration::from_millis(ms));
                 self.inner.read_at(path, offset, len)
             }

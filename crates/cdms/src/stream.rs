@@ -459,6 +459,7 @@ impl StreamingVariable {
                         .backoff_base_ms
                         .saturating_mul(1u64 << shift)
                         .min(opts.backoff_cap_ms);
+                    parking_lot::assert_unlocked("the chunk retry backoff");
                     std::thread::sleep(Duration::from_millis(ms));
                 }
                 Err(e) => return Err(self.fail_chunk(key, e)),

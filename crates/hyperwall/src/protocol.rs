@@ -461,6 +461,7 @@ pub(crate) fn read_message_deadline_sized(
     deadline: Duration,
     what: &str,
 ) -> Result<(Message, usize)> {
+    parking_lot::assert_unlocked(what);
     let end = std::time::Instant::now() + deadline;
     let out = read_frame(|buf| read_exact_deadline(stream, buf, end));
     stream.set_read_timeout(None).ok();
@@ -540,6 +541,7 @@ pub(crate) fn write_message_deadline(
     deadline: Duration,
     what: &str,
 ) -> Result<()> {
+    parking_lot::assert_unlocked(what);
     stream.set_write_timeout(Some(deadline))?;
     let out = write_message(stream, msg);
     stream.set_write_timeout(None).ok();
@@ -702,6 +704,28 @@ mod tests {
         let mut held = _held;
         write_message(&mut held, &msg).unwrap();
         assert_eq!(read_message(&mut stream).unwrap(), msg);
+    }
+
+    /// A guard held across a deadline read keeps its lock for as long as
+    /// the peer takes: the lock checker refuses the read before it starts.
+    /// Read first and lock after, and the same exchange passes.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_guard_held_across_a_deadline_read_panics() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let state = parking_lot::Mutex::new(0);
+        let held = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _state = state.lock();
+            read_message_deadline(&mut stream, Duration::from_millis(50), "frame")
+        }));
+        let msg = held.expect_err("a read under a guard").downcast::<String>().unwrap();
+        assert!(msg.starts_with("lock held across a blocking call: frame"), "{msg}");
+        write_message(&mut peer, &Message::Heartbeat { seq: 1 }).unwrap();
+        let got = read_message_deadline(&mut stream, Duration::from_secs(2), "frame").unwrap();
+        *state.lock() += 1;
+        assert_eq!(got, Message::Heartbeat { seq: 1 });
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! the socket and the panel's frame assembler; or `Degraded`, which owns
 //! the retry schedule. There is no live panel without a socket to handle,
 //! and none without an assembler: every client ships pixels. The link has
-//! the server's only send and receive (`send_msg`, `recv_msg`; the names
-//! are the link's own because dv3dlint resolves calls by name); `tell` is
+//! the server's only send and receive (`send_msg`, `recv_msg`); `tell` is
 //! "send to panel *i*, degrade it on failure" on top of them. A client is
 //! admitted by one path, the first time and after a crash alike: `hello`
 //! (which panel it serves; a hello of any revision but `PROTO_DELTA` is
@@ -34,7 +33,7 @@
 //! What deliberately stays as it was: every deadline and cap; heartbeats;
 //! `MAX_TRANSPORT_PER_FRAME`; a rejected delta is answered with a resync
 //! request, never a degradation; the op log is unbounded but paced by the
-//! operator (its `allow` says why). A hot-path file that denies
+//! operator (the comment at its push says why). A hot-path file that denies
 //! `clippy::indexing_slicing`: panel ids arrive in a client's `Hello` and per-panel state is
 //! looked up inside every frame, so access goes through `.get()` and
 //! iterators.
@@ -426,7 +425,9 @@ impl HyperwallServer {
     /// clients. Returns the broadcast wall time in ms.
     pub fn broadcast_op(&mut self, op: &ConfigOp) -> Result<f64> {
         let start = Instant::now();
-        // dv3dlint: allow(unbounded_growth) -- reconnect replay needs the full op history (ops are relative deltas over the reset assignment state), and growth is paced by operator interaction, not client traffic
+        // Unbounded on purpose: reconnect replay needs the full op history
+        // (ops are relative deltas over the reset assignment state), and it
+        // grows with operator interaction, not with client traffic.
         self.op_log.push(op.clone());
         let msg = Message::Op(op.clone());
         for i in 0..self.panels.len() {
@@ -788,6 +789,19 @@ impl HyperwallServer {
     pub(crate) fn n_clients(&self) -> usize {
         self.panels.len()
     }
+
+    /// The lengths of every collection the server holds: per panel, the
+    /// op log and the incident timeline.
+    fn held_lengths(&self) -> [usize; 6] {
+        [
+            self.panels.len(),
+            self.chains.len(),
+            self.mirror.len(),
+            self.assignments.len(),
+            self.op_log.len(),
+            self.incidents.len(),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -874,6 +888,38 @@ mod tests {
         }
         // the configuration it was bound with is the one it takes
         server.assign_workflows(&cfg()).unwrap();
+    }
+
+    /// Nothing the server holds grows with the frame count on a healthy
+    /// wall: the same lengths after 100 frames as after 10.
+    #[test]
+    fn a_healthy_wall_holds_as_much_after_100_frames_as_after_10() {
+        let mut server = HyperwallServer::bind_tuned(&cfg(), 4, fast_tuning()).unwrap();
+        let addr = server.addr().unwrap();
+        let clients: Vec<_> = (0..2)
+            .map(|id| {
+                std::thread::spawn(move || {
+                    crate::client::ClientNode::connect_v2(addr, id).unwrap().run().unwrap()
+                })
+            })
+            .collect();
+        server.accept_clients(2).unwrap();
+        server.assign_workflows(&cfg()).unwrap();
+        let op = ConfigOp::Camera(dv3d::interaction::CameraOp::Azimuth(5.0));
+        server.broadcast_op(&op).unwrap();
+        let mut held = Vec::new();
+        for frame in 0..100 {
+            let report = server.execute_frame(frame).unwrap();
+            assert_eq!(report.degraded, vec![false; 2], "{:?}", server.incidents);
+            if frame == 9 || frame == 99 {
+                held.push(server.held_lengths());
+            }
+        }
+        server.shutdown().unwrap();
+        for client in clients {
+            assert_eq!(client.join().unwrap(), 100);
+        }
+        assert_eq!(held[0], held[1]);
     }
 
     #[test]

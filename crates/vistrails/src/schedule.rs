@@ -19,11 +19,11 @@
 // Hot path: the DAG scheduler sits under every task graph and workflow.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Condvar, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// How a run reacts to a failing node: total attempts per node, and the
@@ -72,6 +72,7 @@ impl RetryPolicy {
                         return (timings, Err(e));
                     }
                     if !backoff.is_zero() {
+                        parking_lot::assert_unlocked("the retry backoff sleep");
                         std::thread::sleep(backoff);
                         backoff *= 2;
                     }
@@ -248,8 +249,7 @@ fn worker<T, E, F>(
     let mut guard = shared.state.lock();
     loop {
         while guard.ready.is_empty() && !guard.finished(n) {
-            let cv = &shared.cv;
-            guard = cv.wait(guard).unwrap_or_else(std::sync::PoisonError::into_inner);
+            guard = shared.cv.wait(guard);
         }
         if guard.finished(n) {
             drop(guard);

@@ -174,3 +174,99 @@ fn port_type_helper_matches_runtime_values() {
     assert!(t.accepts(&WfData::opaque(tags::VARIABLE, v)));
     assert!(!t.accepts(&WfData::opaque(tags::DATASET, 3u8)));
 }
+
+/// The text of `path` under the repository root.
+fn repo_file(path: &std::path::Path) -> String {
+    std::fs::read_to_string(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(path))
+        .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The lines of the TOML table `[name]` in `manifest`, up to the next table.
+fn toml_table<'a>(manifest: &'a str, name: &str) -> Vec<&'a str> {
+    let header = format!("[{name}]");
+    let lines = manifest.lines().skip_while(|l| l.trim() != header).skip(1);
+    lines.take_while(|l| !l.starts_with('[')).map(str::trim).collect()
+}
+
+/// The first-party crates' paths: the root package and each of `crates/`.
+fn first_party() -> Vec<std::path::PathBuf> {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut dirs: Vec<_> = std::fs::read_dir(&crates).unwrap().map(|e| e.unwrap().path()).collect();
+    dirs.sort();
+    dirs.insert(0, std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")));
+    dirs
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The lint floor: every first-party manifest opts into the workspace
+/// `[lints]` table, and that table forbids `unsafe_code`, denies
+/// `unused_must_use` and `dead_code`, and denies iterating a hash map (whose
+/// order changes from process to process).
+#[test]
+fn every_crate_takes_the_workspace_lint_floor() {
+    for dir in first_party() {
+        let manifest = repo_file(&dir.join("Cargo.toml"));
+        let lints = toml_table(&manifest, "lints");
+        let at = dir.display();
+        assert!(lints.contains(&"workspace = true"), "{at}: no [lints] workspace = true");
+    }
+    let root = repo_file(std::path::Path::new("Cargo.toml"));
+    let rust = toml_table(&root, "workspace.lints.rust");
+    for lint in ["unsafe_code = \"forbid\"", "unused_must_use = \"deny\"", "dead_code = \"deny\""] {
+        assert!(rust.contains(&lint), "[workspace.lints.rust] lacks {lint}");
+    }
+    let clippy = toml_table(&root, "workspace.lints.clippy");
+    assert!(clippy.contains(&"iter_over_hash_type = \"deny\""), "{clippy:?}");
+}
+
+/// Every public `*Error` enum is `#[non_exhaustive]`, so a variant can be
+/// added without breaking callers, and its `Error` impl has a `source()`, so
+/// the error it wraps reaches whoever reports it.
+#[test]
+fn every_public_error_is_non_exhaustive_and_has_a_source() {
+    let mut files = Vec::new();
+    for dir in first_party() {
+        rust_files(&dir.join("src"), &mut files);
+    }
+    let mut seen = 0;
+    for file in files {
+        let text = std::fs::read_to_string(&file).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let name = line.strip_prefix("pub enum ").and_then(|r| r.strip_suffix(" {"));
+            let Some(name) = name else {
+                continue;
+            };
+            if !name.ends_with("Error") {
+                continue;
+            }
+            seen += 1;
+            let attrs = lines[..i].iter().rev();
+            let mut attrs = attrs.take_while(|l| l.starts_with("#[") || l.starts_with("///"));
+            assert!(
+                attrs.any(|l| *l == "#[non_exhaustive]"),
+                "{}: {name} is not #[non_exhaustive]",
+                file.display()
+            );
+            let impl_at = text.find(&format!("impl std::error::Error for {name} {{"));
+            let body = impl_at.map(|at| &text[at..at + text[at..].find("\n}").unwrap_or(0)]);
+            assert!(
+                body.is_some_and(|b| b.contains("fn source(")),
+                "{}: {name} has no Error impl with a source()",
+                file.display()
+            );
+        }
+    }
+    assert!(seen >= 7, "found {seen} public error enums");
+}

@@ -343,3 +343,154 @@ proptest! {
         }
     }
 }
+
+/// What a field shows: the bits of each valid value, `None` where masked.
+fn shown(a: &MaskedArray) -> Vec<Option<u64>> {
+    a.data().iter().zip(a.mask()).map(|(x, &m)| (!m).then_some(u64::from(x.to_bits()))).collect()
+}
+
+/// `v` with the cells `masked` picks masked too, every masked cell holding
+/// `garbage`.
+fn with_garbage(v: &Variable, masked: impl Fn(usize) -> bool, garbage: f32) -> Variable {
+    let mut out = v.clone();
+    let (data, mask) = out.array.parts_mut();
+    for (i, (x, m)) in data.iter_mut().zip(mask).enumerate() {
+        *m |= masked(i);
+        if *m {
+            *x = garbage;
+        }
+    }
+    out
+}
+
+/// The first level of a (time, level, lat, lon) field, as (time, lat, lon).
+fn first_level(v: &Variable) -> Variable {
+    let &[nt, nlev, ny, nx] = v.shape() else { panic!("{:?}", v.shape()) };
+    let rows = (0..nt).map(|t| t * nlev * ny * nx..(t * nlev + 1) * ny * nx);
+    let data = rows.clone().flat_map(|r| &v.array.data()[r]).copied().collect();
+    let mask = rows.flat_map(|r| &v.array.mask()[r]).copied().collect();
+    let axes = vec![v.axes[0].clone(), v.axes[2].clone(), v.axes[3].clone()];
+    let array = MaskedArray::with_mask(data, mask, &[nt, ny, nx]).unwrap();
+    Variable::new(&format!("{}_sfc", v.id), array, axes).unwrap()
+}
+
+type Shown = Result<Vec<Option<u64>>, String>;
+
+/// Every calculator function, and every public `cdat` kernel the calculator
+/// cannot reach, run on the masked `ta` and `ua` of `ds`: what each shows.
+fn every_kernel(ds: &mut Dataset) -> Vec<(&'static str, Shown)> {
+    use uvcdat::cdat::expr::{Expr, PredFn};
+    use uvcdat::cdat::pipeline::{self, AnalysisStep::*};
+    use uvcdat::cdat::regrid_plan::{RegridMethod::Bilinear, RegridPlan};
+    use uvcdat::cdat::{averager, climatology, eager_ref, ensemble, eof, hovmoller, ops, reduce};
+    use uvcdat::dv3d::calculator::{evaluate, CalcValue};
+    let mut out: Vec<(&'static str, Shown)> = [
+        "ta - 273.15", "ta + ua", "ta - ua", "ta * ua", "ta / ua", "2 - ta", "2 / ta", "-ua",
+        "sqrt(ta)", "abs(ua)", "anom(ta)", "trend(ta)", "stdz(ta)", "avg(ta, 'time')",
+        "avg(ta, 'lev')", "avg(ta, 'lat')", "avg(ta, 'lon')", "avg(ta, 'lat', 'lon')",
+        "regrid(ta, 5, 9)", "regrid(ta, 5, 9, 'conservative')", "plev(ta, 700, 400)",
+        "corr(ta, ua)",
+    ]
+    .into_iter()
+    .map(|stmt| {
+        let got = evaluate(ds, stmt).map_err(|e| e.to_string()).map(|v| match v {
+            CalcValue::Variable(v) => shown(&v.array),
+            CalcValue::Scalar(s) => vec![Some(s.to_bits())],
+        });
+        (stmt, got)
+    })
+    .collect();
+    let (ta, ua) = (ds.require("ta").unwrap().clone(), ds.require("ua").unwrap().clone());
+    let (ts, us) = (first_level(&ta), first_level(&ua));
+    let grid = RectGrid::uniform(5, 9).unwrap();
+    let vars = |vs: &[Variable]| vs.iter().flat_map(|v| shown(&v.array)).collect::<Vec<_>>();
+    let var = |r: uvcdat::cdms::Result<Variable>| r.map(|v| shown(&v.array));
+    let array = |a: MaskedArray| shown(&a);
+    let bits = |xs: &[f64]| xs.iter().map(|x| Some(x.to_bits())).collect::<Vec<_>>();
+    let one = |x: f64| vec![Some(x.to_bits())];
+    let section = || hovmoller::lon_time_section(&ts, (-30.0, 30.0));
+    let (lat, lon) = (ta.axes[2].clone(), ta.axes[3].clone());
+    let steps = [Anomaly, Standardize, AddScalar(1.0), MulScalar(2.0)];
+    let steps = [&steps[..], &[MaskGreater(3.0), MaskLess(-3.0), SpatialMean]].concat();
+    let fused = Expr::leaf(&ta.array).add_scalar(-250.0).mul_scalar(0.5).sqrt();
+    let fused = fused.mask_where(PredFn::Greater(8.0));
+    let fused = fused.mask_where_other(Expr::leaf(&ua.array), PredFn::Less(-5.0));
+    let region = ensemble::Region::new("tropics", (-30.0, 30.0), (0.0, 180.0));
+    let members = vec![ts.clone(), us.clone()];
+    let cdat: Vec<(&'static str, uvcdat::cdms::Result<Vec<Option<u64>>>)> = vec![
+        ("spatial_mean", var(averager::spatial_mean(&ta))),
+        ("zonal_mean", var(averager::zonal_mean(&ta))),
+        ("running_mean_time", var(averager::running_mean_time(&ta, 5))),
+        ("monthly_climatology", var(climatology::monthly_climatology(&ta))),
+        (
+            "eof_analysis",
+            eof::eof_analysis(&ts, 2)
+                .map(|r| [vars(&r.eofs), bits(&r.pcs.concat()), bits(&r.explained)].concat()),
+        ),
+        ("lon_time_section", var(section())),
+        ("hovmoller_volume", var(hovmoller::hovmoller_volume(&ts))),
+        ("zonal_phase_speed", section().and_then(|s| hovmoller::zonal_phase_speed(&s)).map(one)),
+        ("magnitude", var(ops::magnitude(&ta, &ua))),
+        ("regrid_batch", regrid::regrid_batch(&[&ta, &ua], &grid, Bilinear).map(|v| vars(&v))),
+        ("bilinear", var(regrid::bilinear(&ta, &grid))),
+        ("conservative", var(regrid::conservative(&ta, &grid))),
+        ("plan apply", RegridPlan::conservative(&lat, &lon, &grid).and_then(|p| var(p.apply(&ua)))),
+        ("area_mean_2d", ts.time_slab(0).and_then(|s| regrid::area_mean_2d(&s)).map(one)),
+        ("mean_axis", reduce::mean_axis(&ta.array, 1).map(array)),
+        ("weighted_mean_axis", reduce::weighted_mean_axis(&ta.array, 2, &[1.0; 8]).map(array)),
+        ("pipeline", var(pipeline::run(&ta, &steps))),
+        ("expr", fused.eval().map(array)),
+        ("eager_ref spatial_mean", var(eager_ref::spatial_mean(&ta))),
+        ("eager_ref running_mean_time", var(eager_ref::running_mean_time(&ta, 5))),
+        ("eager_ref anomaly", var(eager_ref::anomaly(&ta))),
+        ("eager_ref standardize", var(eager_ref::standardize(&ta))),
+        (
+            "ensemble",
+            ensemble::build_graph(members, grid.clone(), Bilinear, &[region])
+                .and_then(|g| g.run_serial())
+                .map(|r| r.outputs.values().flat_map(|v| shown(&v.array)).collect()),
+        ),
+    ];
+    out.extend(cdat.into_iter().map(|(name, got)| (name, got.map_err(|e| e.to_string()))));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Data under the mask never reaches an output: `ta` and `ua` masked
+    /// alike, their masked cells filled once with one garbage value and
+    /// once with another, give every kernel the same mask and the same
+    /// bits at every valid cell. A point is masked at every time and level
+    /// as land is, or each cell at random; with a random mask no point is
+    /// valid at every time, which the EOF analysis needs, so it fails, the
+    /// same way in both runs.
+    #[test]
+    fn masked_data_never_reaches_an_output(
+        seed in 0u64..u64::MAX,
+        percent in 0u64..60,
+        per_cell in any::<bool>(),
+        garbage in (-1e30f32..1e30f32, -1e30f32..1e30f32),
+    ) {
+        let (nlat, nlon) = (8, 16);
+        let base = uvcdat::cdms::synth::SynthesisSpec::new(40, 3, nlat, nlon).build();
+        let masked = |i: usize| {
+            let point = i % (nlat * nlon);
+            let cell = if per_cell { i } else { point };
+            let h = (seed ^ cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (h >> 32) % 100 < percent || point.is_multiple_of(11)
+        };
+        let [one, two] = [garbage.0, garbage.1].map(|g| {
+            let mut ds = base.clone();
+            for id in ["ta", "ua"] {
+                ds.add_variable(with_garbage(ds.require(id).unwrap(), masked, g));
+            }
+            every_kernel(&mut ds)
+        });
+        for ((name, a), (_, b)) in one.iter().zip(&two) {
+            let no_whole_series = per_cell && *name == "eof_analysis";
+            prop_assert!(a.is_ok() || no_whole_series, "{}: {:?}", name, a.as_ref().err());
+            prop_assert!(a == b, "{}: data under the mask reached the output", name);
+        }
+    }
+}
