@@ -26,10 +26,12 @@
 //! all go through it, and refuse any other version — v1 and v2, which
 //! earlier builds wrote, included — as `unsupported version N`.
 //!
-//! One [`Writer`] frames sections in place (length placeholder, payload
-//! streamed straight into the output, length patched, CRC appended) and
-//! emits trailer and footer. Reading has three entry points over one frame
-//! parser and one directory parser:
+//! One [`Writer`] frames metadata sections in place (length placeholder,
+//! payload streamed straight into the output, length patched, CRC
+//! appended), copies a run of chunk frames whose CRCs the caller computed
+//! into the image on one parallel region, and emits trailer and footer.
+//! Reading has three entry points over one frame parser and one directory
+//! parser:
 //!
 //! * [`verify_all`] — the strict whole-file check: every frame is parsed,
 //!   CRC-verified and held to its directory entry, contiguously.
@@ -346,8 +348,8 @@ fn encoded_len(payload_lens: impl Iterator<Item = usize>) -> usize {
 }
 
 /// Writes a [`VERSION_V3`] file image: preamble, then each section framed in
-/// place — no per-section buffer, no payload copy — then trailer and
-/// footer.
+/// place, then trailer and footer. Every byte of the image is written
+/// once, into one allocation sized up front.
 pub(crate) struct Writer {
     buf: Vec<u8>,
     reserved: usize,
@@ -389,6 +391,41 @@ impl Writer {
         self.entries.push(entry);
         self.spans.push(SectionSpan { kind, frame: offset..self.buf.len(), payload, variable });
         entry
+    }
+
+    /// Appends one frame of `kind` per `(payload, crc)`, in order, where
+    /// `crc` is the payload's CRC32C, computed by the caller beside its
+    /// encode. The frames are copied into the image on one parallel region,
+    /// each at the offset the lengths before it fix, so the image is the
+    /// same at any thread count. Returns where each frame landed.
+    pub(crate) fn frames(&mut self, kind: SectionKind, payloads: &[(Vec<u8>, u32)]) -> Vec<Entry> {
+        let mut offset = self.buf.len() as u64;
+        let entries: Vec<Entry> = payloads
+            .iter()
+            .map(|(payload, crc)| {
+                let entry = Entry { kind, offset, len: payload.len() as u64, crc: *crc };
+                offset += entry.frame_len() as u64;
+                entry
+            })
+            .collect();
+        let counts: Vec<usize> = entries.iter().map(Entry::frame_len).collect();
+        rayon::extend_counted(&mut self.buf, &counts, |i, mut frame| {
+            if let Some((payload, crc)) = payloads.get(i) {
+                frame.push(kind.as_u8());
+                frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+                frame.extend_from_slice(payload);
+                frame.extend_from_slice(&crc.to_le_bytes());
+            }
+            frame.finish();
+        });
+        self.entries.extend_from_slice(&entries);
+        self.spans.extend(entries.iter().map(|e| SectionSpan {
+            kind,
+            frame: e.frame(),
+            payload: e.payload(),
+            variable: None,
+        }));
+        entries
     }
 
     /// Emits the trailer — the directory of every section written, plus the

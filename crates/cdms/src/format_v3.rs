@@ -49,7 +49,7 @@ use crate::error::{CdmsError, Result};
 use crate::format::{
     self, AxisSlot, Salvage, SalvageReport, Salvaged, SectionKind, SectionSpan,
 };
-use crate::storage::Storage;
+use crate::storage::{crc32c, Storage};
 use crate::{MaskedArray, Variable};
 use rayon::prelude::*;
 use std::borrow::{Borrow, Cow};
@@ -60,6 +60,8 @@ use std::path::Path;
 /// Bytes of a chunk payload ahead of its body: identity triple u32 × 3,
 /// codec u8, element count u64.
 const CHUNK_HEAD_LEN: usize = 21;
+/// Where the codec byte sits in a chunk payload: after the identity triple.
+const CODEC_AT: usize = 12;
 /// Raw (uncompressed) chunk body.
 pub(crate) const CODEC_RAW: u8 = 0;
 /// PackBits run-length-encoded chunk body.
@@ -285,10 +287,12 @@ impl V3Meta {
 
 /// Serializes a dataset in v3, returning the byte map alongside.
 ///
-/// Chunk payloads (downsample + optional compression — the expensive part)
-/// are encoded in parallel into pre-allocated slots, so the output bytes
-/// are identical at any `RAYON_NUM_THREADS`; the frame assembly is
-/// sequential.
+/// Chunk payloads (downsample, optional compression and the payload's
+/// CRC32C — the expensive part) are encoded in parallel into pre-allocated
+/// slots, and `container::Writer::frames` copies them into the image on a
+/// second region at offsets their lengths fix, so the output bytes are
+/// identical at any `RAYON_NUM_THREADS`. The metadata sections are framed
+/// serially.
 pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Vec<u8>, V3Layout) {
     let window = opts.window.max(1);
     let req_levels = opts.levels.max(1);
@@ -322,7 +326,7 @@ pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Vec<u8>, V3Layout) {
                 .flat_map(move |w| (0..m.levels).map(move |l| (vi, w, l)))
         })
         .collect();
-    let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); jobs.len()];
+    let mut payloads: Vec<(Vec<u8>, u32)> = vec![(Vec::new(), crc32c(&[])); jobs.len()];
     {
         let metas = &metas;
         payloads.par_iter_mut().zip(jobs.par_iter()).for_each(|(slot, &(vi, w, l))| {
@@ -339,7 +343,7 @@ pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Vec<u8>, V3Layout) {
     let sizes = std::iter::once(format::header_size(ds))
         .chain(axes.iter().map(|ax| format::axis_size(ax)))
         .chain(variables().map(|(var, meta)| format::var_head_size(var, &meta.axis_refs) + 8))
-        .chain(payloads.iter().map(Vec::len))
+        .chain(payloads.iter().map(|(payload, _)| payload.len()))
         .chain(std::iter::once(4 + CHUNKDIR_ENTRY_LEN * jobs.len()));
     let mut w = Writer::new(sizes);
     w.section(SectionKind::Header, None, |buf| format::put_header(buf, ds, axes.len()));
@@ -355,20 +359,16 @@ pub fn to_bytes_v3_with(ds: &Dataset, opts: &V3Options) -> (Vec<u8>, V3Layout) {
         });
     }
 
-    let mut chunk_spans: Vec<ChunkSpan> = Vec::with_capacity(jobs.len());
-    let mut chunk_dir: Vec<ChunkDirEntry> = Vec::with_capacity(jobs.len());
-    for (&(var, window, level), payload) in jobs.iter().zip(&payloads) {
-        let at = w.section(SectionKind::Chunk, None, |buf| buf.extend_from_slice(payload));
-        chunk_dir.push(ChunkDirEntry {
-            var,
-            window,
-            level,
-            offset: at.offset,
-            len: at.len,
-            crc: at.crc,
-        });
-        chunk_spans.push(ChunkSpan { var, window, level, frame: at.frame(), payload: at.payload() });
-    }
+    let located = w.frames(SectionKind::Chunk, &payloads);
+    let (chunk_dir, chunk_spans): (Vec<ChunkDirEntry>, Vec<ChunkSpan>) = jobs
+        .iter()
+        .zip(&located)
+        .map(|(&(var, window, level), at)| {
+            let (offset, len, crc) = (at.offset, at.len, at.crc);
+            let span = ChunkSpan { var, window, level, frame: at.frame(), payload: at.payload() };
+            (ChunkDirEntry { var, window, level, offset, len, crc }, span)
+        })
+        .unzip();
     w.section(SectionKind::ChunkDir, None, |buf| put_chunkdir(buf, &chunk_dir));
 
     let (bytes, sections, footer) = w.finish();
@@ -408,7 +408,11 @@ fn effective_levels(meta: &V3VarMeta, requested: usize) -> usize {
 }
 
 /// Encodes one chunk payload: header, then the (possibly downsampled,
-/// possibly compressed) data + mask body.
+/// possibly compressed) data + mask body. Returns it with its CRC32C.
+///
+/// The head and the raw body are written into one buffer. PackBits reads
+/// that body and writes the head and its runs into a second buffer, which
+/// replaces the first, codec byte patched, only when it is smaller.
 fn encode_chunk_payload(
     var: &Variable,
     meta: &V3VarMeta,
@@ -416,7 +420,7 @@ fn encode_chunk_payload(
     w: usize,
     level: usize,
     compress: bool,
-) -> Vec<u8> {
+) -> (Vec<u8>, u32) {
     // Window slab (full resolution). With time first (or no time axis) it
     // is one contiguous run of the variable's data and mask; otherwise it
     // is sliced out. `time_window` only fails when the range is
@@ -446,28 +450,29 @@ fn encode_chunk_payload(
     };
 
     let n = data.len();
-    let mut raw = Vec::with_capacity(format::raw_body_size(n).unwrap_or(0));
-    format::put_raw_body(&mut raw, data, mask);
+    let mut out = Vec::with_capacity(CHUNK_HEAD_LEN + format::raw_body_size(n).unwrap_or(0));
+    out.put_u32_le(vi as u32);
+    out.put_u32_le(w as u32);
+    out.put_u32_le(level as u32);
+    out.push(CODEC_RAW);
+    out.put_u64_le(n as u64);
+    format::put_raw_body(&mut out, data, mask);
 
-    let (codec, body) = if compress {
-        let rle = packbits_encode(&raw);
-        if rle.len() < raw.len() {
-            (CODEC_RLE, rle)
-        } else {
-            (CODEC_RAW, raw)
+    if compress {
+        let (head, raw) = out.split_at(CHUNK_HEAD_LEN);
+        // PackBits' worst case, one tag per 128 literal bytes: it never grows
+        let mut packed = Vec::with_capacity(out.len() + out.len().div_ceil(128));
+        packed.extend_from_slice(head);
+        packbits_encode_into(raw, &mut packed);
+        if packed.len() < out.len() {
+            if let Some(codec) = packed.get_mut(CODEC_AT) {
+                *codec = CODEC_RLE;
+            }
+            out = packed;
         }
-    } else {
-        (CODEC_RAW, raw)
-    };
-
-    let mut out = Vec::with_capacity(CHUNK_HEAD_LEN + body.len());
-    out.extend_from_slice(&(vi as u32).to_le_bytes());
-    out.extend_from_slice(&(w as u32).to_le_bytes());
-    out.extend_from_slice(&(level as u32).to_le_bytes());
-    out.push(codec);
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    }
+    let crc = crc32c(&out);
+    (out, crc)
 }
 
 /// Mean-of-valid-cells downsampling of `dims` by `2^level`. A destination
@@ -499,15 +504,15 @@ fn downsample(
     // the row over the dims before it.
     let rank = shape.len();
     let row_len = shape.last().copied().unwrap_or(1).max(1);
-    let row_step = step(rank.saturating_sub(1));
+    // the innermost dim's step is 1 or `factor`, a power of two: a shift
+    let row_shift = step(rank.saturating_sub(1)).trailing_zeros();
     let mut outer = vec![0usize; rank.saturating_sub(1)];
     for (vals, masks) in data.chunks(row_len).zip(mask.chunks(row_len)) {
         let base: usize =
             outer.iter().zip(&out_strides).enumerate().map(|(d, (&i, &s))| i / step(d) * s).sum();
         for (j, (&v, &m)) in vals.iter().zip(masks).enumerate() {
-            if let (false, Some(s), Some(c)) =
-                (m, sum.get_mut(base + j / row_step), count.get_mut(base + j / row_step))
-            {
+            let at = base + (j >> row_shift);
+            if let (false, Some(s), Some(c)) = (m, sum.get_mut(at), count.get_mut(at)) {
                 *s += v as f64;
                 *c += 1;
             }
@@ -584,42 +589,62 @@ fn row_major_strides(shape: &[usize]) -> Vec<usize> {
 
 /// Classic PackBits: tag `0..=127` = literal run of tag+1 bytes; tag
 /// `129..=255` = the next byte repeated `257-tag` times; 128 is unused.
-pub(crate) fn packbits_encode(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 4 + 16);
+/// Appends the encoding of `input` to `out`.
+///
+/// A repeat is the longest run (≤ 128) of one byte at the current position,
+/// taken when it is at least 3 long. Otherwise a literal runs up to the next
+/// position that starts a triple (three equal bytes), 128 bytes at most.
+/// [`next_triple`] finds that position eight candidates at a time; the
+/// byte-wise loop it replaced is the test module's oracle.
+pub(crate) fn packbits_encode_into(input: &[u8], out: &mut Vec<u8>) {
+    let n = input.len();
     let mut i = 0usize;
-    while i < input.len() {
+    while let Some(&b) = input.get(i) {
         // measure the run starting here
-        let b = input[i];
-        let mut run = 1usize;
-        while run < 128 && i + run < input.len() && input[i + run] == b {
-            run += 1;
-        }
+        let run = input.get(i..n.min(i + 128)).map_or(1, |r| {
+            r.iter().take_while(|&&c| c == b).count()
+        });
         if run >= 3 {
             out.push((257 - run) as u8);
             out.push(b);
             i += run;
             continue;
         }
-        // literal run: until the next ≥3 repeat or 128 bytes
-        let lit_start = i;
-        let mut j = i;
-        while j < input.len() && j - lit_start < 128 {
-            let c = input[j];
-            let mut r = 1usize;
-            while r < 3 && j + r < input.len() && input[j + r] == c {
-                r += 1;
-            }
-            if r >= 3 {
-                break;
-            }
-            j += 1;
-        }
-        let lit = &input[lit_start..j.max(lit_start + 1)];
+        // literal run: until the next triple or 128 bytes; no triple
+        // starts at `i` itself, so it holds at least one byte
+        let end = n.min(i + 128);
+        let j = next_triple(input, i + 1, end.min(n.saturating_sub(2))).unwrap_or(end);
+        let lit = input.get(i..j).unwrap_or_default();
         out.push((lit.len() - 1) as u8);
         out.extend_from_slice(lit);
-        i = lit_start + lit.len();
+        i = j;
     }
-    out
+}
+
+/// The first `p` in `from..to` with `input[p] == input[p + 1] ==
+/// input[p + 2]`, if any; `to + 2 <= input.len()`.
+///
+/// Eight candidates a step: the words at `p`, `p + 1` and `p + 2` are
+/// equal in byte `k` exactly when candidate `p + k` starts a triple, so
+/// the first zero byte of `(a ^ b) | (b ^ c)` names the first one. The
+/// zero-byte test is exact in every byte (no borrow crosses bytes), and
+/// the words are little-endian, so the lowest zero byte is the first
+/// candidate.
+fn next_triple(input: &[u8], from: usize, to: usize) -> Option<usize> {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let word = |at: usize| input.get(at..)?.first_chunk::<8>().map(|w| u64::from_le_bytes(*w));
+    let mut p = from;
+    while p + 8 <= to {
+        let (Some(a), Some(b), Some(c)) = (word(p), word(p + 1), word(p + 2)) else { break };
+        let diff = (a ^ b) | (b ^ c);
+        // 0x80 in each byte of `diff` that is zero, 0 in every other
+        let zero = !(((diff & LOW7) + LOW7) | diff | LOW7);
+        if zero != 0 {
+            return Some(p + (zero.trailing_zeros() / 8) as usize);
+        }
+        p += 8;
+    }
+    (p..to).find(|&p| matches!(input.get(p..p + 3), Some([a, b, c]) if a == b && b == c))
 }
 
 /// Decodes PackBits into `out`, replacing what it held, requiring exactly
@@ -1206,6 +1231,100 @@ mod tests {
             ds.variable(vid).unwrap().time_window(2..6).unwrap().array,
             "undamaged windows must be bit-exact"
         );
+    }
+
+    fn packbits_encode(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        packbits_encode_into(input, &mut out);
+        out
+    }
+
+    /// The byte-wise PackBits encoder that `packbits_encode_into` replaced:
+    /// its literal scan tests three bytes at every position.
+    fn packbits_encode_bytewise(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(input.len() / 4 + 16);
+        let mut i = 0usize;
+        while i < input.len() {
+            // measure the run starting here
+            let b = input[i];
+            let mut run = 1usize;
+            while run < 128 && i + run < input.len() && input[i + run] == b {
+                run += 1;
+            }
+            if run >= 3 {
+                out.push((257 - run) as u8);
+                out.push(b);
+                i += run;
+                continue;
+            }
+            // literal run: until the next ≥3 repeat or 128 bytes
+            let lit_start = i;
+            let mut j = i;
+            while j < input.len() && j - lit_start < 128 {
+                let c = input[j];
+                let mut r = 1usize;
+                while r < 3 && j + r < input.len() && input[j + r] == c {
+                    r += 1;
+                }
+                if r >= 3 {
+                    break;
+                }
+                j += 1;
+            }
+            let lit = &input[lit_start..j.max(lit_start + 1)];
+            out.push((lit.len() - 1) as u8);
+            out.extend_from_slice(lit);
+            i = lit_start + lit.len();
+        }
+        out
+    }
+
+    /// One input for the PackBits property: pieces of random bytes, runs of
+    /// 1–300 bytes, repeats of 1–4 copies placed so they straddle an 8-byte
+    /// boundary, and literals of 127, 128 or 129 distinct bytes, ending
+    /// just before a run or at the end.
+    fn packbits_case(rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+        use rand::Rng;
+        let mut out = Vec::new();
+        for _ in 0..rng.gen_range(0usize..=6) {
+            match rng.gen_range(0u8..4) {
+                0 => out.extend((0..rng.gen_range(0usize..=40)).map(|_| rng.gen_range(0u8..=3))),
+                1 => out.extend(std::iter::repeat_n(rng.gen_range(0u8..=255), rng.gen_range(1usize..=300))),
+                2 => {
+                    // start the repeat 1–7 bytes before the next multiple of 8
+                    let pad = (8 - out.len() % 8) % 8 + 8 - rng.gen_range(1usize..=7);
+                    out.extend((0..pad).map(|k| (k % 2) as u8 + 100));
+                    out.extend(std::iter::repeat_n(rng.gen_range(0u8..=255), rng.gen_range(1usize..=4)));
+                }
+                _ => {
+                    let len = rng.gen_range(127usize..=129);
+                    let start = rng.gen_range(0u8..=255);
+                    out.extend((0..len).map(|k| start.wrapping_add(k as u8)));
+                }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
+        /// The word-at-a-time encoder writes the byte-wise encoder's bytes,
+        /// and the decoder returns the input. Empty and 1–2-byte inputs
+        /// come from the case builder's empty and short draws, and from the
+        /// prefixes checked beside each case.
+        #[test]
+        fn packbits_is_the_bytewise_encoder(seed in 0u64..u64::MAX) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let case = packbits_case(&mut rng);
+            let mut dec = Vec::new();
+            for input in [&case[..], &case[..case.len().min(1)], &case[..case.len().min(2)]] {
+                let enc = packbits_encode(input);
+                proptest::prop_assert_eq!(&enc, &packbits_encode_bytewise(input), "{:?}", input);
+                packbits_decode_into(&enc, input.len(), &mut dec).unwrap();
+                proptest::prop_assert_eq!(&dec[..], input);
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   `hyperwall::fault::FaultPlan` semantics: short writes, torn writes at
 //!   byte *k*, bit flips, ENOSPC, EINTR-style transient errors and scripted
 //!   crashes, addressed by primitive-operation index.
-//! * `write_atomic` — temp file + fsync + length/checksum verification +
+//! * `write_atomic` — temp file + fsync + length + read-back comparison +
 //!   atomic rename. After a crash at *any* primitive step the destination
 //!   path holds either the complete old file or the complete new file,
 //!   never a hybrid (the crash-safety tests enumerate every step).
@@ -344,7 +344,7 @@ fn retry_transient<T>(mut op: impl FnMut() -> Result<T>) -> Result<T> {
 }
 
 /// Writes `bytes` to `path` crash-safely: temp file in the same directory,
-/// fsync, length + CRC32C read-back verification, an atomic rename, then an
+/// fsync, length + read-back comparison, an atomic rename, then an
 /// fsync of the parent directory so the rename itself is durable (without
 /// it a power loss can roll the directory entry back to the old file).
 ///
@@ -380,11 +380,12 @@ fn write_atomic_steps(storage: &dyn Storage, tmp: &Path, path: &Path, bytes: &[u
     }
     // Read-back verification catches silent corruption between the buffer
     // and the media (bit flips, lying writes) before the rename publishes
-    // anything.
+    // anything. Equality misses no difference, where two checksums could
+    // collide.
     let readback = retry_transient(|| storage.read(tmp))?;
-    if crc32c(&readback) != crc32c(bytes) {
+    if readback != bytes {
         return Err(CdmsError::Io(format!(
-            "write verification failed: checksum mismatch on {}",
+            "write verification failed: read-back differs from the buffer on {}",
             tmp.display()
         )));
     }
@@ -413,7 +414,7 @@ pub enum StorageFault {
     /// and the operation (and every later one) fails.
     TornWrite { at: usize },
     /// One bit of the payload flips between buffer and media (silent
-    /// corruption). Caught by the read-back checksum; on a read, the
+    /// corruption). Caught by the read-back comparison; on a read, the
     /// returned bytes are corrupted instead.
     BitFlip { bit: u64 },
     /// The disk fills mid-operation (half the payload lands, then ENOSPC).

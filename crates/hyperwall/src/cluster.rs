@@ -157,7 +157,7 @@ pub(crate) fn run_wall_with_faults(
         reconnects: server.reconnects_total(),
         deadline_misses: server.deadline_misses_total(),
         final_states: server.panel_states(),
-        incidents: server.incidents.clone(),
+        incidents: server.incidents.iter().cloned().collect(),
         delta_bytes: server.delta_bytes_total(),
         key_bytes: server.key_bytes_total(),
         resync_requests: server.resync_requests_total(),

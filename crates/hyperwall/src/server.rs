@@ -52,6 +52,7 @@ use crate::workflow::{
 use crate::{Result, WallError};
 use dv3d::cell::Dv3dCell;
 use dv3d::interaction::ConfigOp;
+use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use vistrails::executor::Executor;
@@ -243,9 +244,17 @@ pub struct HyperwallServer {
     key_bytes_total: u64,
     resync_requests_total: u64,
     delta_rejects_total: u64,
-    /// Human-readable fault timeline ("frame 2: panel 1 degraded: …").
-    pub incidents: Vec<String>,
+    /// Human-readable fault timeline ("frame 2: panel 1 degraded: …"): the
+    /// last 64 lines, oldest first.
+    pub incidents: VecDeque<String>,
+    /// Lines the timeline has been given, those it has let go included.
+    pub incidents_total: u64,
 }
+
+/// Lines of [`HyperwallServer::incidents`] kept. Each degrade and each
+/// reconnect attempt adds one, so a client that crashes and comes back
+/// every few frames would otherwise grow it for the life of the server.
+const INCIDENTS_KEPT: usize = 64;
 
 impl HyperwallServer {
     /// Binds a listener and prepares the wall workflow + local mirror,
@@ -284,7 +293,8 @@ impl HyperwallServer {
             key_bytes_total: 0,
             resync_requests_total: 0,
             delta_rejects_total: 0,
-            incidents: Vec::new(),
+            incidents: VecDeque::new(),
+            incidents_total: 0,
         })
     }
 
@@ -604,7 +614,17 @@ impl HyperwallServer {
             attempts: 0,
             next_retry_frame: self.current_frame + self.tuning.backoff_base_frames.max(1),
         };
-        self.incidents.push(format!("frame {}: panel {i} degraded: {reason}", self.current_frame));
+        self.incident(format!("frame {}: panel {i} degraded: {reason}", self.current_frame));
+    }
+
+    /// Books one line of the fault timeline, letting the oldest go once
+    /// [`INCIDENTS_KEPT`] are held.
+    fn incident(&mut self, line: String) {
+        if self.incidents.len() == INCIDENTS_KEPT {
+            self.incidents.pop_front();
+        }
+        self.incidents.push_back(line);
+        self.incidents_total += 1;
     }
 
     /// True when some degraded panel is due a reconnect attempt at `frame`.
@@ -634,7 +654,7 @@ impl HyperwallServer {
                         }
                         Err(e) => format!("frame {frame}: rejected reconnect: {e}"),
                     };
-                    self.incidents.push(incident);
+                    self.incident(incident);
                 }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
@@ -947,6 +967,43 @@ mod tests {
         assert!(report.mirror_ms > 0.0, "{report:?}");
         assert_eq!(server.degraded_frames_total(), 2);
         assert!(!server.incidents.is_empty());
+    }
+
+    /// A client that crashes after every hand-shake and comes straight
+    /// back adds a degrade and a reconnect line a frame; the timeline keeps
+    /// the last `INCIDENTS_KEPT` of them and counts them all.
+    #[test]
+    fn a_client_that_keeps_crashing_leaves_the_incidents_at_their_cap() {
+        let one = WallWorkflowConfig { n_cells: 1, ..cfg() };
+        let mut server = HyperwallServer::bind_tuned(&one, 4, fast_tuning()).unwrap();
+        let addr = server.addr().unwrap();
+        let cycles = INCIDENTS_KEPT as u64;
+        let crasher = std::thread::spawn(move || {
+            for _ in 0..=cycles {
+                let mut s = std::net::TcpStream::connect(addr).unwrap();
+                write_message(&mut s, &Message::Hello { client_id: 0, proto: PROTO_DELTA })
+                    .unwrap();
+                match read_message(&mut s).unwrap() {
+                    Message::AssignWorkflow { .. } => {}
+                    other => panic!("{other:?}"),
+                }
+                write_message(&mut s, &Message::Ready { client_id: 0 }).unwrap();
+                // and hang up before the next Execute is answered
+            }
+        });
+        server.accept_clients(1).unwrap();
+        server.assign_workflows(&one).unwrap();
+        for frame in 0..=cycles {
+            let report = server.execute_frame(frame).unwrap();
+            assert_eq!(report.degraded, [true], "frame {frame}");
+        }
+        crasher.join().unwrap();
+        assert_eq!(server.reconnects_total(), cycles, "{:?}", server.incidents);
+        assert_eq!(server.incidents_total, 2 * cycles + 1);
+        assert_eq!(server.incidents.len(), INCIDENTS_KEPT);
+        let last = server.incidents.back().unwrap();
+        assert!(last.starts_with(&format!("frame {cycles}: panel 0 degraded")), "{last}");
+        assert_eq!(server.held_lengths()[5], INCIDENTS_KEPT);
     }
 
     #[test]
