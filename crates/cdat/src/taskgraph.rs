@@ -71,9 +71,11 @@ pub struct TaskReport {
     /// Per-task wall time of each individual attempt, in order (length 1
     /// everywhere unless the retry policy re-ran a failing task).
     pub attempt_timings: BTreeMap<String, Vec<Duration>>,
-    /// Workers the run was given (1 for `run_serial`). The scheduler
-    /// starts at most as many as the graph's widest depth level.
+    /// Workers the run was given (1 for `run_serial`).
     pub workers: usize,
+    /// Workers the run started (1 for `run_serial`): the scheduler starts
+    /// at most as many as the graph's widest depth level.
+    pub started: usize,
     /// Total wall time of the run.
     pub total: Duration,
 }
@@ -331,7 +333,9 @@ impl TaskGraph {
             attempt_timings.insert(t.name.clone(), attempts);
             outputs.insert(t.name.clone(), out);
         }
-        Ok(TaskReport { outputs, timings, attempt_timings, workers, total: start.elapsed() })
+        let started = topo.workers(workers);
+        let total = start.elapsed();
+        Ok(TaskReport { outputs, timings, attempt_timings, workers, started, total })
     }
 }
 
@@ -459,6 +463,18 @@ mod tests {
             p.total,
             s.total
         );
+    }
+
+    #[test]
+    fn a_chain_starts_one_worker_at_any_pool() {
+        let ds = SynthesisSpec::new(4, 1, 4, 8).build();
+        let mut g = TaskGraph::new();
+        g.add_source("ta", ds.variable("ta").unwrap().clone()).unwrap();
+        g.add_task("anom", &["ta"], |deps| climatology::anomaly(&deps["ta"])).unwrap();
+        g.add_task("series", &["anom"], |deps| averager::spatial_mean(&deps["anom"])).unwrap();
+        let (pooled, serial) = (g.run_with_pool(4).unwrap(), g.run_serial().unwrap());
+        assert_eq!((pooled.workers, pooled.started), (3, 1));
+        assert_eq!((serial.workers, serial.started), (1, 1));
     }
 
     #[test]

@@ -7,15 +7,20 @@
 //! optionally with a simulated per-megabyte latency so transfer-bound
 //! workflows can be studied.
 //!
-//! The scan is corruption-aware: a damaged `.ncr` file no longer silently
-//! disappears from the catalog. Files that salvage partially are indexed
-//! with [`EntryStatus::Salvaged`] (only the recovered variables listed);
-//! files with nothing recoverable are kept as [`EntryStatus::Quarantined`]
-//! entries whose `open` fails with the recorded reason.
+//! Every entry is built one way, by a scan and a publish alike: from the
+//! file's verified metadata (`format_v3::verified_meta`: every checksum,
+//! the trailer, the footer and the metadata sections), so listing a file
+//! decodes none of its chunks. A damaged file does not disappear from the
+//! catalog: a file that step refuses is salvaged, and is indexed as
+//! [`EntryStatus::Salvaged`] (only the recovered variables listed) or,
+//! with nothing recoverable, kept as [`EntryStatus::Quarantined`], whose
+//! `open` fails with the recorded reason.
 
+use crate::attr::Attributes;
 use crate::dataset::Dataset;
 use crate::error::{CdmsError, Result};
-use crate::format;
+use crate::storage::{LocalDisk, Storage};
+use crate::{format, format_v3};
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -36,11 +41,13 @@ pub enum DataSource {
 /// Health of a catalog entry's backing file, decided at scan/publish time.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum EntryStatus {
-    /// The file parsed cleanly under strict checksum verification.
+    /// Every checksum and the metadata verified. Chunk bodies are decoded
+    /// when the entry is opened, so a chunk whose CRC holds but whose body
+    /// does not decode fails that strict read.
     #[default]
     Healthy,
-    /// The file is damaged but some variables were recovered; `open`
-    /// serves the salvaged subset.
+    /// The metadata step refused the file, and salvage recovered some
+    /// variables; `open` serves them.
     Salvaged {
         /// What the salvage pass found (from `crate::SalvageReport`).
         reason: String,
@@ -100,17 +107,8 @@ impl FacetQuery {
     }
 
     fn matches(&self, entry: &CatalogEntry) -> bool {
-        for (k, v) in &self.clauses {
-            if entry.facets.get(k) != Some(v) {
-                return false;
-            }
-        }
-        if let Some(var) = &self.variable {
-            if !entry.variables.contains(var) {
-                return false;
-            }
-        }
-        true
+        self.clauses.iter().all(|(k, v)| entry.facets.get(k) == Some(v))
+            && self.variable.as_ref().is_none_or(|var| entry.variables.contains(var))
     }
 }
 
@@ -138,77 +136,53 @@ impl EsgCatalog {
             .collect();
         paths.sort();
         for path in paths {
-            catalog.scan_file(&path);
+            catalog.index(DataSource::LocalFile(path));
         }
         Ok(catalog)
     }
 
-    /// Indexes one on-disk `.ncr` file, degrading gracefully on corruption:
-    /// strict open → `Healthy`; partial salvage → `Salvaged`; otherwise a
-    /// `Quarantined` entry recording why the file is unusable.
-    fn scan_file(&mut self, path: &Path) {
-        let source = DataSource::LocalFile(path.to_path_buf());
-        match Dataset::open(path) {
-            Ok(ds) => self.index_dataset(&ds, source, EntryStatus::Healthy),
-            Err(open_err) => match format::read_dataset_salvage(path) {
-                Ok((ds, report)) if !report.recovered_variables.is_empty() => {
-                    self.index_dataset(
-                        &ds,
-                        source,
-                        EntryStatus::Salvaged { reason: report.summary() },
-                    );
-                }
-                Ok((ds, report)) => {
-                    self.quarantine(&ds.id, path, source, report.summary());
-                }
-                Err(_) => {
-                    let stem = path
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_default();
-                    self.quarantine(&stem, path, source, open_err.to_string());
-                }
-            },
-        }
-    }
-
-    /// Records an unusable file so it stays visible (and explainable)
-    /// instead of silently vanishing from the catalog.
-    fn quarantine(&mut self, id: &str, path: &Path, source: DataSource, reason: String) {
-        let (size_bytes, size_error) = file_size(path);
-        self.entries.retain(|e| e.id != id);
-        self.entries.push(CatalogEntry {
-            id: id.to_string(),
-            facets: BTreeMap::new(),
-            variables: Vec::new(),
-            source,
-            size_bytes,
-            size_error,
-            status: EntryStatus::Quarantined { reason },
-        });
-    }
-
-    fn index_dataset(&mut self, ds: &Dataset, source: DataSource, status: EntryStatus) {
-        let (size_bytes, size_error) = match &source {
-            DataSource::LocalFile(p)
-            | DataSource::EsgNode { path: p, .. }
-            | DataSource::ParaViewServer { path: p, .. } => file_size(p),
+    /// Builds the entry for the file behind `source`, replacing any entry
+    /// of its id: the one way an entry is made. A file the metadata step
+    /// accepts is `Healthy`; one it refuses is salvaged, and is `Salvaged`
+    /// when a variable comes back, else `Quarantined`. A file whose id
+    /// cannot be read takes its stem as id.
+    fn index(&mut self, source: DataSource) {
+        let path = source.path();
+        let read = LocalDisk.read(path);
+        let (size_bytes, size_error) = match &read {
+            Ok(bytes) => (bytes.len() as u64, None),
+            Err(e) => (0, Some(e.to_string())),
         };
-        let facets = ds
-            .attributes
-            .iter()
-            .filter_map(|(k, v)| v.as_text().map(|t| (k.clone(), t.to_string())))
-            .collect();
-        self.entries.retain(|e| e.id != ds.id);
-        self.entries.push(CatalogEntry {
-            id: ds.id.clone(),
-            facets,
-            variables: ds.variable_ids(),
-            source,
-            size_bytes,
-            size_error,
-            status,
+        let described = read.and_then(|bytes| match format_v3::verified_meta(&bytes) {
+            Ok(meta) => {
+                let variables = meta.vars.into_iter().map(|v| v.id).collect();
+                Ok((meta.id, meta.attributes, variables, EntryStatus::Healthy))
+            }
+            Err(strict) => {
+                let (ds, report) = format::from_bytes_salvage(&bytes).map_err(|_| strict)?;
+                let reason = report.summary();
+                let status = if report.recovered_variables.is_empty() {
+                    EntryStatus::Quarantined { reason }
+                } else {
+                    EntryStatus::Salvaged { reason }
+                };
+                let variables = ds.variable_ids();
+                Ok((ds.id, ds.attributes, variables, status))
+            }
         });
+        let (id, attributes, variables, status) = described.unwrap_or_else(|e| {
+            let reason = format::with_path(e, path).to_string();
+            (String::new(), Attributes::new(), Vec::new(), EntryStatus::Quarantined { reason })
+        });
+        let stem = || path.file_stem().map(|s| s.to_string_lossy().into_owned());
+        let id = if id.is_empty() { stem().unwrap_or_default() } else { id };
+        let facets = attributes
+            .into_iter()
+            .filter_map(|(k, v)| v.as_text().map(|t| (k, t.to_string())))
+            .collect();
+        self.entries.retain(|e| e.id != id);
+        let entry = CatalogEntry { id, facets, variables, source, size_bytes, size_error, status };
+        self.entries.push(entry);
     }
 
     /// Publishes a dataset into the catalog: writes the `.ncr` file under the
@@ -221,7 +195,7 @@ impl EsgCatalog {
             None => DataSource::LocalFile(path),
             Some(n) => DataSource::EsgNode { node: n.to_string(), path },
         };
-        self.index_dataset(ds, source, EntryStatus::Healthy);
+        self.index(source);
         Ok(())
     }
 
@@ -230,11 +204,7 @@ impl EsgCatalog {
     pub fn publish_paraview(&mut self, ds: &Dataset, host: &str) -> Result<()> {
         let path = self.root.join(format!("{}.ncr", ds.id));
         ds.save(&path)?;
-        self.index_dataset(
-            ds,
-            DataSource::ParaViewServer { host: host.to_string(), path },
-            EntryStatus::Healthy,
-        );
+        self.index(DataSource::ParaViewServer { host: host.to_string(), path });
         Ok(())
     }
 
@@ -248,34 +218,8 @@ impl EsgCatalog {
     /// entries fail with the recorded reason; salvaged entries serve the
     /// recovered variables.
     pub fn open(&self, id: &str) -> Result<Dataset> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.id == id)
-            .ok_or_else(|| CdmsError::NotFound(format!("catalog entry '{id}'")))?;
-        if let EntryStatus::Quarantined { reason } = &entry.status {
-            return Err(CdmsError::Format(format!(
-                "catalog entry '{id}' is quarantined: {reason}"
-            )));
-        }
-        let path = match &entry.source {
-            DataSource::LocalFile(p) => p,
-            DataSource::EsgNode { path, .. } | DataSource::ParaViewServer { path, .. } => {
-                if let Some(bw) = self.simulated_bandwidth {
-                    let secs = entry.size_bytes as f64 / bw.max(1.0);
-                    parking_lot::assert_unlocked("the simulated transfer");
-                    std::thread::sleep(Duration::from_secs_f64(secs.min(2.0)));
-                }
-                path
-            }
-        };
-        match &entry.status {
-            EntryStatus::Salvaged { .. } => {
-                let (ds, _report) = format::read_dataset_salvage(path)?;
-                Ok(ds)
-            }
-            _ => Dataset::open(path),
-        }
+        let entry = self.entry(id)?;
+        self.serve(entry, |ds| Ok((ds, entry.size_bytes)))
     }
 
     /// Opens one variable of a dataset with *server-side* subsetting — the
@@ -290,35 +234,67 @@ impl EsgCatalog {
         lat: (f64, f64),
         lon: (f64, f64),
     ) -> Result<crate::Variable> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.id == id)
-            .ok_or_else(|| CdmsError::NotFound(format!("catalog entry '{id}'")))?;
-        let DataSource::ParaViewServer { path, .. } = &entry.source else {
+        let entry = self.entry(id)?;
+        if !matches!(entry.source, DataSource::ParaViewServer { .. }) {
             return Err(CdmsError::Invalid(format!(
                 "'{id}' is not behind a ParaView server; open() it instead"
             )));
-        };
-        // "server side": full read + subset happen before the transfer
-        let ds = Dataset::open(path)?;
-        let sub = ds.require(variable)?.subset_lat_lon(lat, lon)?;
-        if let Some(bw) = self.simulated_bandwidth {
-            let bytes = (sub.array.len() * 4) as f64;
-            let secs = bytes / bw.max(1.0);
+        }
+        self.serve(entry, |ds| {
+            let sub = ds.require(variable)?.subset_lat_lon(lat, lon)?;
+            let bytes = (sub.array.len() * 4) as u64;
+            Ok((sub, bytes))
+        })
+    }
+
+    fn entry(&self, id: &str) -> Result<&CatalogEntry> {
+        self.entries
+            .iter()
+            .find(|e| e.id == id)
+            .ok_or_else(|| CdmsError::NotFound(format!("catalog entry '{id}'")))
+    }
+
+    /// The one read path of both opens. A quarantined entry fails with its
+    /// reason; otherwise the file is decoded as the status says — strictly
+    /// when `Healthy`, by salvage when `Salvaged` — and `pick` chooses what
+    /// leaves the "server" and how many bytes that is, which a remote entry
+    /// is charged as its simulated transfer.
+    fn serve<T>(
+        &self,
+        entry: &CatalogEntry,
+        pick: impl FnOnce(Dataset) -> Result<(T, u64)>,
+    ) -> Result<T> {
+        if let (EntryStatus::Quarantined { reason }, id) = (&entry.status, &entry.id) {
+            return Err(CdmsError::Format(format!("catalog entry '{id}' is quarantined: {reason}")));
+        }
+        let path = entry.source.path();
+        let decoded = LocalDisk.read(path).and_then(|bytes| match entry.status {
+            EntryStatus::Healthy => format::from_bytes(&bytes),
+            _ => format::from_bytes_salvage(&bytes).map(|(ds, _)| ds),
+        });
+        let mut ds = decoded.map_err(|e| format::with_path(e, path))?;
+        if ds.id.is_empty() {
+            ds.id.clone_from(&entry.id);
+        }
+        let (served, bytes) = pick(ds)?;
+        let remote = !matches!(entry.source, DataSource::LocalFile(_));
+        if let Some(bw) = self.simulated_bandwidth.filter(|_| remote) {
+            let secs = bytes as f64 / bw.max(1.0);
             parking_lot::assert_unlocked("the simulated transfer");
             std::thread::sleep(Duration::from_secs_f64(secs.min(2.0)));
         }
-        Ok(sub)
+        Ok(served)
     }
 }
 
-/// Reads the on-disk size, surfacing the error instead of reporting an
-/// unreadable file as zero-size (which hid permission/race problems).
-fn file_size(path: &Path) -> (u64, Option<String>) {
-    match std::fs::metadata(path) {
-        Ok(m) => (m.len(), None),
-        Err(e) => (0, Some(e.to_string())),
+impl DataSource {
+    /// The file behind the source.
+    fn path(&self) -> &Path {
+        match self {
+            DataSource::LocalFile(path)
+            | DataSource::EsgNode { path, .. }
+            | DataSource::ParaViewServer { path, .. } => path,
+        }
     }
 }
 
@@ -341,6 +317,7 @@ impl EsgCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container;
     use crate::synth::SynthesisSpec;
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -375,16 +352,23 @@ mod tests {
     #[test]
     fn rescans_existing_files_on_new() {
         let root = temp_root("rescan");
-        {
+        let published = {
             let mut cat = EsgCatalog::new(&root).unwrap();
             let mut ds = SynthesisSpec::new(1, 1, 4, 8).build();
             ds.id = "persisted".to_string();
             cat.publish(&ds, None).unwrap();
-        }
+            cat
+        };
         let cat2 = EsgCatalog::new(&root).unwrap();
         assert_eq!(cat2.entries().len(), 1);
         assert_eq!(cat2.entries()[0].id, "persisted");
         assert!(cat2.entries()[0].variables.contains(&"wave".to_string()));
+        // a publish and a rescan build the same entry
+        let built = |e: &CatalogEntry| {
+            (e.facets.clone(), e.variables.clone(), e.status.clone(), e.size_bytes, e.size_error.clone())
+        };
+        assert_eq!(built(&published.entries()[0]), built(&cat2.entries()[0]));
+        assert!(!cat2.entries()[0].facets.is_empty());
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -525,6 +509,103 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, "b");
         assert_eq!(cat.search(&FacetQuery::new()).len(), 2);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_chunk_that_does_not_decode_behind_its_crc_is_healthy_until_opened() {
+        // every CRC holds, and only decoding chunk (ta, window 1, level 0)
+        // refuses the file: the scan decodes no chunk, `open` does
+        let root = temp_root("undecodable");
+        std::fs::create_dir_all(&root).unwrap();
+        let ds = SynthesisSpec::new(6, 2, 8, 12).seed(11).build();
+        let file = format_v3::fixtures::rle_overrun(&ds, (0, 1, 0), &[2, 9, 9, 9]);
+        std::fs::write(root.join("undecodable.ncr"), &file).unwrap();
+        let cat = EsgCatalog::new(&root).unwrap();
+        let entry = &cat.entries()[0];
+        assert!(entry.is_healthy(), "{:?}", entry.status);
+        assert_eq!((&entry.id, &entry.variables), (&ds.id, &ds.variable_ids()));
+        let err = cat.open(&ds.id).unwrap_err().to_string();
+        assert!(err.contains("overruns declared size"), "{err}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_salvaged_paraview_entry_subsets_what_salvage_recovered() {
+        let root = temp_root("pv_salv");
+        let mut cat = EsgCatalog::new(&root).unwrap();
+        let mut ds = SynthesisSpec::new(2, 2, 16, 32).build();
+        ds.id = "pv_damaged".to_string();
+        cat.publish_paraview(&ds, "discover.nasa.gov").unwrap();
+        // damaged after publishing: the last VarMeta (not `ta`'s) flipped
+        let (mut bytes, layout) = format_v3::to_bytes_v3_with(&ds, &Default::default());
+        let victim = layout.sections.iter().rfind(|s| s.variable.is_some()).unwrap();
+        bytes[victim.payload.start + victim.payload.len() / 2] ^= 0xFF;
+        std::fs::write(root.join("pv_damaged.ncr"), &bytes).unwrap();
+        cat.index(cat.entries()[0].source.clone());
+
+        let entry = &cat.entries()[0];
+        assert!(matches!(entry.status, EntryStatus::Salvaged { .. }), "{:?}", entry.status);
+        let subset = |var: &str| cat.open_variable_subset("pv_damaged", var, (-20.0, 20.0), (0.0, 360.0));
+        assert!(subset("ta").unwrap().shape()[2] < 16);
+        let lost = &victim.variable.as_ref().unwrap().0;
+        assert!(matches!(subset(lost), Err(CdmsError::NotFound(_))));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_seeded_mutation_sweep_never_mislabels_or_panics() {
+        use rand::{Rng, SeedableRng};
+        let root = temp_root("sweep");
+        let mut ds = SynthesisSpec::new(5, 1, 4, 8).build();
+        ds.id = "swept".to_string();
+        EsgCatalog::new(&root).unwrap().publish(&ds, None).unwrap();
+        let path = root.join("swept.ncr");
+        let clean = std::fs::read(&path).unwrap();
+        let (encoded, layout) = format_v3::to_bytes_v3_with(&ds, &Default::default());
+        assert_eq!(clean, encoded, "the byte map is the published file's");
+
+        // the clean file; three byte flips in the preamble, the footer and
+        // the first two frames of every section kind; sixteen truncations
+        let mut rng = rand::rngs::StdRng::seed_from_u64(55);
+        let mut frames = vec![0..container::PREAMBLE_LEN, layout.footer.clone()];
+        for (i, s) in layout.sections.iter().enumerate() {
+            if layout.sections[..i].iter().filter(|t| t.kind == s.kind).count() < 2 {
+                frames.push(s.frame.clone());
+            }
+        }
+        let mut mutants = vec![clean.clone()];
+        for frame in frames.iter().flat_map(|f| [f; 3]) {
+            let mut bytes = clean.clone();
+            bytes[rng.gen_range(frame.clone())] ^= rng.gen_range(1..=255u8);
+            mutants.push(bytes);
+        }
+        mutants.extend((0..16).map(|_| clean[..rng.gen_range(0..clean.len())].to_vec()));
+
+        let mut seen = [0; 3];
+        for bytes in &mutants {
+            std::fs::write(&path, bytes).unwrap();
+            let cat = EsgCatalog::new(&root).unwrap();
+            assert_eq!(cat.entries().len(), 1, "a damaged file stays listed");
+            let entry = &cat.entries()[0];
+            let opened = cat.open(&entry.id);
+            match &entry.status {
+                EntryStatus::Healthy => {
+                    seen[0] += 1;
+                    assert!(container::verify_all(bytes).is_ok());
+                }
+                EntryStatus::Salvaged { .. } => {
+                    seen[1] += 1;
+                    assert_eq!(opened.unwrap().variable_ids(), entry.variables);
+                }
+                EntryStatus::Quarantined { reason } => {
+                    seen[2] += 1;
+                    let err = opened.unwrap_err().to_string();
+                    assert!(err.contains(reason.as_str()), "{err} does not name {reason}");
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "healthy, salvaged, quarantined: {seen:?}");
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -46,7 +46,7 @@ pub use crate::container::{SectionKind, SectionSpan, VERSION_V3};
 pub(crate) const MAX_AXES: usize = 1 << 20;
 pub(crate) const MAX_VARS: usize = 1_000_000;
 
-/// One variable `read_dataset_salvage` could not recover.
+/// One variable salvage could not recover.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LostVariable {
     /// The id, when the variable's own section was intact enough to name it.
@@ -367,7 +367,6 @@ pub(crate) fn resolve_axes(
 /// mismatch, and any version but [`VERSION_V3`], is a
 /// [`CdmsError::Format`].
 pub fn from_bytes(buf: &[u8]) -> Result<Dataset> {
-    container::check_preamble(buf)?;
     crate::format_v3::from_bytes_v3(buf)
 }
 
@@ -508,12 +507,7 @@ pub fn write_dataset_with(storage: &dyn Storage, ds: &Dataset, path: &Path) -> R
 
 /// Reads a dataset from a `.ncr` file (strict: any checksum failure errors).
 pub fn read_dataset(path: &Path) -> Result<Dataset> {
-    read_dataset_with(&LocalDisk, path)
-}
-
-/// Reads through an explicit storage backend (fault injection, tests).
-pub(crate) fn read_dataset_with(storage: &dyn Storage, path: &Path) -> Result<Dataset> {
-    let bytes = storage.read(path).map_err(|e| with_path(e, path))?;
+    let bytes = LocalDisk.read(path).map_err(|e| with_path(e, path))?;
     from_bytes(&bytes).map_err(|e| with_path(e, path))
 }
 
@@ -528,28 +522,6 @@ pub(crate) fn with_path(e: CdmsError, path: &Path) -> CdmsError {
         CdmsError::Io(msg) => CdmsError::Io(format!("{}: {msg}", path.display())),
         other => other,
     }
-}
-
-/// Reads with salvage semantics: recovers the variables whose sections are
-/// intact and reports what was lost. When the header section is gone the
-/// dataset id falls back to the file stem.
-pub(crate) fn read_dataset_salvage(path: &Path) -> Result<(Dataset, SalvageReport)> {
-    read_dataset_salvage_with(&LocalDisk, path)
-}
-
-/// Salvage-reads through an explicit storage backend.
-pub(crate) fn read_dataset_salvage_with(
-    storage: &dyn Storage,
-    path: &Path,
-) -> Result<(Dataset, SalvageReport)> {
-    let bytes = storage.read(path).map_err(|e| with_path(e, path))?;
-    let (mut ds, report) = from_bytes_salvage(&bytes).map_err(|e| with_path(e, path))?;
-    if ds.id.is_empty() {
-        if let Some(stem) = path.file_stem().map(|s| s.to_string_lossy().into_owned()) {
-            ds.id = stem;
-        }
-    }
-    Ok((ds, report))
 }
 
 // ---- encoding helpers ----

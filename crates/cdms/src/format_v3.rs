@@ -33,9 +33,10 @@
 //!
 //! The strict reader (behind [`crate::format::from_bytes`]) and the ranged
 //! open ([`read_meta_with`]) read the metadata through one function, so
-//! they refuse the same files; the strict reader then decodes every chunk
-//! and rebuilds variables from level 0 — `from_bytes(to_bytes(ds))` is
-//! bit-exact with the source dataset. Salvage (behind
+//! they refuse the same files. The strict reader's metadata step, which the
+//! catalog indexes by, verifies the whole image first; the strict reader
+//! then decodes every chunk and rebuilds variables from level 0 —
+//! `from_bytes(to_bytes(ds))` is bit-exact with the source dataset. Salvage (behind
 //! [`crate::format::from_bytes_salvage`]) recovers per chunk by the policy
 //! the streamer serves by (`best_window`): a corrupt level-0 chunk falls
 //! back to the best intact pyramid level (upsampled, nearest-neighbor), or
@@ -992,14 +993,22 @@ fn read_meta<'a>(
 
 // ---- strict decode ----
 
-/// Strict v3 decoder: the container verifies every frame, the trailer
-/// directory and the footer; [`read_meta`] the metadata and the chunk
-/// directory; then every chunk of every level gets a full decode — so a
-/// corrupt-but-CRC-consistent pyramid cannot hide — and variables are
-/// rebuilt from level 0.
-pub(crate) fn from_bytes_v3(full: &[u8]) -> Result<Dataset> {
+/// The strict reader's metadata step, and all of it that the catalog
+/// runs: the preamble check, then the container verifies every frame, the
+/// trailer directory and the footer, then [`read_meta`] reads the
+/// metadata and the chunk directory off the verified image. No chunk is
+/// decoded.
+pub(crate) fn verified_meta(full: &[u8]) -> Result<V3Meta> {
+    container::check_preamble(full)?;
     let directory = container::verify_all(full)?;
-    let meta = read_meta(&directory, full.len() as u64, |e| e.slice_of(full).map(Cow::Borrowed))?;
+    read_meta(&directory, full.len() as u64, |e| e.slice_of(full).map(Cow::Borrowed))
+}
+
+/// Strict v3 decoder: [`verified_meta`], then every chunk of every level
+/// gets a full decode — so a corrupt-but-CRC-consistent pyramid cannot
+/// hide — and variables are rebuilt from level 0.
+pub(crate) fn from_bytes_v3(full: &[u8]) -> Result<Dataset> {
+    let meta = verified_meta(full)?;
     let mut ds = Dataset::new(&meta.id);
     ds.attributes = meta.attributes.clone();
     for (vi, vm) in meta.vars.iter().enumerate() {
@@ -1134,8 +1143,91 @@ pub fn write_dataset_v3_with(
     crate::storage::write_atomic(storage, path, &to_bytes_v3_with(ds, opts).0)
 }
 
+/// Files damaged behind valid checksums, for this module's tests and the
+/// catalog's. Each is framed by `container::Writer`, so every frame CRC,
+/// the trailer and the footer are valid and only the structural checks or
+/// a chunk decode can refuse it.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use super::*;
+
+    pub(crate) fn packbits_encode(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        packbits_encode_into(input, &mut out);
+        out
+    }
+
+    /// The sections of `ds`'s encode at `opts`, after `edit` has changed
+    /// their payloads, framed anew; then a chunk directory listing the
+    /// chunk frames as written, after `edit_dir` has changed it (given the
+    /// offset the trailer will land at).
+    pub(crate) fn reframe(
+        ds: &Dataset,
+        opts: &V3Options,
+        edit: impl FnOnce(&mut Vec<(SectionKind, Vec<u8>)>),
+        edit_dir: impl FnOnce(&mut Vec<ChunkDirEntry>, u64),
+    ) -> Vec<u8> {
+        let (bytes, layout) = to_bytes_v3_with(ds, opts);
+        let mut sections: Vec<_> = layout
+            .sections
+            .iter()
+            .filter(|s| !matches!(s.kind, SectionKind::ChunkDir | SectionKind::Trailer))
+            .map(|s| (s.kind, bytes[s.payload.clone()].to_vec()))
+            .collect();
+        edit(&mut sections);
+        let n_chunks = sections.iter().filter(|(kind, _)| *kind == SectionKind::Chunk).count();
+        let dir_len = 4 + CHUNKDIR_ENTRY_LEN * n_chunks;
+        let mut w = Writer::new(sections.iter().map(|(_, p)| p.len()).chain([dir_len]));
+        let (mut dir, mut end) = (Vec::new(), container::PREAMBLE_LEN as u64);
+        for (kind, payload) in &sections {
+            let at = w.section(*kind, None, |buf| buf.extend_from_slice(payload));
+            end = at.offset + at.frame_len() as u64;
+            if *kind == SectionKind::Chunk {
+                let (var, window, level) = chunk_identity(&mut &payload[..]).unwrap();
+                let (offset, len, crc) = (at.offset, at.len, at.crc);
+                dir.push(ChunkDirEntry { var, window, level, offset, len, crc });
+            }
+        }
+        let len = dir_len as u64;
+        let chunkdir = Entry { kind: SectionKind::ChunkDir, offset: end, len, crc: 0 };
+        edit_dir(&mut dir, chunkdir.frame().end as u64);
+        assert_eq!(dir.len(), n_chunks, "an edit keeps the directory's size");
+        w.section(SectionKind::ChunkDir, None, |buf| put_chunkdir(buf, &dir));
+        w.finish().0
+    }
+
+    /// A chunk payload with its body PackBits-coded, then `tail` — encoded
+    /// runs — appended after the runs that make up the body.
+    fn rle_coded(payload: &[u8], tail: &[u8]) -> Vec<u8> {
+        let identity = chunk_identity(&mut &payload[..]).unwrap();
+        // the element count follows the identity triple and the codec byte
+        let n = get_u64(&mut &payload[13..]).unwrap() as usize;
+        let mut unpacked = Vec::new();
+        let raw = chunk_body(payload, identity, n, &mut unpacked).unwrap().map(<[u8]>::to_vec);
+        let mut out = payload[..CHUNK_HEAD_LEN].to_vec();
+        out[12] = CODEC_RLE;
+        out.extend(packbits_encode(&raw.unwrap_or(unpacked)));
+        out.extend_from_slice(tail);
+        out
+    }
+
+    /// `ds` encoded at the default options with every chunk PackBits-coded,
+    /// and the chunk `victim` given `run`, one run past its body: every CRC
+    /// holds, and only decoding that chunk refuses the file.
+    pub(crate) fn rle_overrun(ds: &Dataset, victim: (usize, usize, usize), run: &[u8]) -> Vec<u8> {
+        let chunks = |sections: &mut Vec<(SectionKind, Vec<u8>)>| {
+            for (_, payload) in sections.iter_mut().filter(|(kind, _)| *kind == SectionKind::Chunk) {
+                let hit = chunk_identity(&mut &payload[..]).unwrap() == victim;
+                *payload = rle_coded(payload, if hit { run } else { &[] });
+            }
+        };
+        reframe(ds, &V3Options::default(), chunks, |_, _| {})
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::fixtures::*;
     use super::*;
     use crate::calendar::Calendar;
     use crate::format::{from_bytes, from_bytes_salvage, to_bytes};
@@ -1231,12 +1323,6 @@ mod tests {
             ds.variable(vid).unwrap().time_window(2..6).unwrap().array,
             "undamaged windows must be bit-exact"
         );
-    }
-
-    fn packbits_encode(input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        packbits_encode_into(input, &mut out);
-        out
     }
 
     /// The byte-wise PackBits encoder that `packbits_encode_into` replaced:
@@ -1424,50 +1510,7 @@ mod tests {
         assert_eq!(back.variable("g").unwrap().array.data(), &[4.0, 4.0]);
     }
 
-    // ---- structural damage behind valid checksums ----
-    //
-    // Each file below is framed by `container::Writer`, so every frame CRC,
-    // the trailer and the footer are valid and only the structural checks
-    // can refuse it.
-
-    /// The sections of `ds`'s encode at `opts`, after `edit` has changed
-    /// their payloads, framed anew; then a chunk directory listing the
-    /// chunk frames as written, after `edit_dir` has changed it (given the
-    /// offset the trailer will land at).
-    fn reframe(
-        ds: &Dataset,
-        opts: &V3Options,
-        edit: impl FnOnce(&mut Vec<(SectionKind, Vec<u8>)>),
-        edit_dir: impl FnOnce(&mut Vec<ChunkDirEntry>, u64),
-    ) -> Vec<u8> {
-        let (bytes, layout) = to_bytes_v3_with(ds, opts);
-        let mut sections: Vec<_> = layout
-            .sections
-            .iter()
-            .filter(|s| !matches!(s.kind, SectionKind::ChunkDir | SectionKind::Trailer))
-            .map(|s| (s.kind, bytes[s.payload.clone()].to_vec()))
-            .collect();
-        edit(&mut sections);
-        let n_chunks = sections.iter().filter(|(kind, _)| *kind == SectionKind::Chunk).count();
-        let dir_len = 4 + CHUNKDIR_ENTRY_LEN * n_chunks;
-        let mut w = Writer::new(sections.iter().map(|(_, p)| p.len()).chain([dir_len]));
-        let (mut dir, mut end) = (Vec::new(), container::PREAMBLE_LEN as u64);
-        for (kind, payload) in &sections {
-            let at = w.section(*kind, None, |buf| buf.extend_from_slice(payload));
-            end = at.offset + at.frame_len() as u64;
-            if *kind == SectionKind::Chunk {
-                let (var, window, level) = chunk_identity(&mut &payload[..]).unwrap();
-                let (offset, len, crc) = (at.offset, at.len, at.crc);
-                dir.push(ChunkDirEntry { var, window, level, offset, len, crc });
-            }
-        }
-        let len = dir_len as u64;
-        let chunkdir = Entry { kind: SectionKind::ChunkDir, offset: end, len, crc: 0 };
-        edit_dir(&mut dir, chunkdir.frame().end as u64);
-        assert_eq!(dir.len(), n_chunks, "an edit keeps the directory's size");
-        w.section(SectionKind::ChunkDir, None, |buf| put_chunkdir(buf, &dir));
-        w.finish().0
-    }
+    // ---- structural damage behind valid checksums (`fixtures`) ----
 
     /// The strict read and the ranged open refuse `file`, each with an
     /// error naming `why`, and salvage does not panic on it.
@@ -1533,21 +1576,6 @@ mod tests {
         }
     }
 
-    /// A chunk payload with its body PackBits-coded, then `tail` — encoded
-    /// runs — appended after the runs that make up the body.
-    fn rle_coded(payload: &[u8], tail: &[u8]) -> Vec<u8> {
-        let identity = chunk_identity(&mut &payload[..]).unwrap();
-        // the element count follows the identity triple and the codec byte
-        let n = get_u64(&mut &payload[13..]).unwrap() as usize;
-        let mut unpacked = Vec::new();
-        let raw = chunk_body(payload, identity, n, &mut unpacked).unwrap().map(<[u8]>::to_vec);
-        let mut out = payload[..CHUNK_HEAD_LEN].to_vec();
-        out[12] = CODEC_RLE;
-        out.extend(packbits_encode(&raw.unwrap_or(unpacked)));
-        out.extend_from_slice(tail);
-        out
-    }
-
     #[test]
     fn packbits_runs_past_the_declared_size_fail_in_a_reused_buffer() {
         let large: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
@@ -1582,24 +1610,10 @@ mod tests {
         // reads no chunk, so the streamer meets the chunk when it reads it,
         // with the session's PackBits buffer last holding a larger body
         let ds = sample();
-        let opts = V3Options::default();
         let victim = (0, 1, 0);
         assert_eq!(ds.variables()[0].id, "ta");
         for (tag, run) in [("literal_past", &[2u8, 9, 9, 9][..]), ("repeat_past", &[253, 7])] {
-            let file = reframe(
-                &ds,
-                &opts,
-                |sections| {
-                    for (kind, payload) in sections.iter_mut() {
-                        if *kind != SectionKind::Chunk {
-                            continue;
-                        }
-                        let hit = chunk_identity(&mut &payload[..]).unwrap() == victim;
-                        *payload = rle_coded(payload, if hit { run } else { &[] });
-                    }
-                },
-                |_, _| {},
-            );
+            let file = rle_overrun(&ds, victim, run);
             let err = from_bytes(&file).unwrap_err().to_string();
             assert!(err.contains("overruns declared size"), "{tag}, strict: {err}");
             // salvage serves the window from the pyramid

@@ -38,7 +38,7 @@
 //!   file is written, and read, as format v3 (below); a file of any other
 //!   version is refused as unsupported. It splits the file into
 //!   CRC32C-checksummed sections so corruption is detected per section;
-//!   `format::read_dataset_salvage` recovers the intact variables from a
+//!   [`format::from_bytes_salvage`] recovers the intact variables from a
 //!   damaged file and reports what was lost.
 //! * [`storage`] — the hardened I/O layer beneath the format: a [`Storage`]
 //!   trait with a [`storage::LocalDisk`] backend, crash-safe atomic writes
@@ -54,9 +54,9 @@
 //!   per-chunk retry and pyramid/masked-fill degradation, so
 //!   animation of a series far larger than RAM never stalls on a fault.
 //! * [`catalog`] — a directory-backed stand-in for Earth System Grid (ESG)
-//!   federated data access: search by attribute, open remote variables;
-//!   corrupt files are quarantined or salvaged with a recorded reason
-//!   instead of poisoning the scan.
+//!   federated data access: search by attribute, open remote variables.
+//!   Files are indexed from their verified metadata, no chunk decoded;
+//!   corrupt files are salvaged or quarantined with a recorded reason.
 //! * [`synth`] — deterministic synthetic climate fields (temperature,
 //!   geopotential, humidity, divergence-free winds, propagating equatorial
 //!   waves, land/sea mask) substituting for NASA model output.

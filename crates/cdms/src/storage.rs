@@ -403,8 +403,8 @@ fn write_atomic_steps(storage: &dyn Storage, tmp: &Path, path: &Path, bytes: &[u
 // ---- deterministic fault injection ----
 
 /// One scripted misbehaviour of the storage substrate, fired at a specific
-/// primitive-operation index (the storage-layer analogue of
-/// `hyperwall::fault::Fault`).
+/// primitive-operation index (the storage-layer analogue of a field of
+/// `hyperwall::fault::ClientFaults`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageFault {
     /// `write_all` persists only the first `keep` bytes but reports

@@ -92,8 +92,8 @@ impl ClientNode {
     ///   handshake (reconnect, `Hello`, wait for re-`AssignWorkflow`),
     ///   honouring any scripted reconnect refusals.
     pub fn run_with_faults(mut self, faults: ClientFaults) -> Result<u64> {
-        let delay = Duration::from_millis(faults.reply_delay_ms());
-        let mut refusals_left = faults.refused_reconnects();
+        let delay = Duration::from_millis(faults.reply_delay_ms.unwrap_or(0));
+        let mut refusals_left = faults.refused_reconnects.unwrap_or(0);
         let mut dropped = false;
         let mut corrupted = false;
         let mut cut = false;
@@ -131,8 +131,8 @@ impl ClientNode {
                 Message::Execute { frame } => {
                     // scripted crash: vanish without answering; scripted
                     // torn frame: send half the FrameDone bytes first
-                    let crash = !dropped && faults.drop_at() == Some(frame);
-                    if crash || (!cut && faults.mid_request_disconnect_at() == Some(frame)) {
+                    let crash = !dropped && faults.drop_at == Some(frame);
+                    if crash || (!cut && faults.mid_request_disconnect_at == Some(frame)) {
                         if crash {
                             dropped = true;
                         } else {
@@ -150,16 +150,16 @@ impl ClientNode {
                         expect_reassign = true;
                         continue;
                     }
-                    if faults.slow_loris_ms() > 0 {
+                    if let Some(ms) = faults.slow_loris_ms.filter(|&ms| ms > 0) {
                         let (done, _) = self.render_frame(frame)?;
                         let framed = encode_frame(&done)?;
-                        let sent = dribble(&mut self.stream, &framed, faults.slow_loris_ms());
+                        let sent = dribble(&mut self.stream, &framed, ms);
                         if sent < framed.len() {
                             break;
                         }
                         continue;
                     }
-                    if !corrupted && faults.corrupt_at() == Some(frame) {
+                    if !corrupted && faults.corrupt_at == Some(frame) {
                         // scripted corruption: a plausible length prefix
                         // followed by bytes that are not a Message
                         corrupted = true;
@@ -235,17 +235,17 @@ impl ClientNode {
     /// resync path must absorb.
     fn send_transport(&mut self, frame: u64, rgba: &[u8], faults: &ClientFaults) -> Result<()> {
         let (mut msg, _) = self.streamer.encode(self.id, frame, rgba)?;
-        if let Some((f, ms)) = faults.delay_delta_at() {
+        if let Some((f, ms)) = faults.delay_delta_at {
             if f == frame {
                 std::thread::sleep(Duration::from_millis(ms));
             }
         }
-        if faults.drop_delta_at() == Some(frame) {
+        if faults.drop_delta_at == Some(frame) {
             // encoded, then discarded: the server gets FrameDone with no
             // pixels and must answer with a ResyncRequest
             return Ok(());
         }
-        if faults.corrupt_delta_at() == Some(frame) {
+        if faults.corrupt_delta_at == Some(frame) {
             corrupt_transport(&mut msg);
         }
         write_message_deadline(&mut self.stream, &msg, IO_DEADLINE, "FrameDelta")

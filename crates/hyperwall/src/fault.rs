@@ -14,140 +14,49 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// One scripted misbehaviour of a display client.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Fault {
+/// What one display client is scripted to do wrong, read by the client
+/// loop at each protocol step: plain data, unset (`None`) unless a test
+/// scripted it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClientFaults {
     /// Drop the TCP connection upon receiving `Execute { frame }` —
     /// simulates a client crash mid-animation.
-    DropAtFrame(u64),
+    pub(crate) drop_at: Option<u64>,
     /// Sleep this many milliseconds before every reply — simulates a
     /// saturated node; large values trip the server's frame deadline.
-    DelayReplies(u64),
+    pub(crate) reply_delay_ms: Option<u64>,
     /// Answer `Execute { frame }` with garbage bytes instead of a valid
     /// `FrameDone` — simulates wire corruption / a buggy client build.
-    CorruptAtFrame(u64),
+    pub(crate) corrupt_at: Option<u64>,
     /// Pretend the first K reconnect attempts fail (flaky network between
     /// the crash and the recovery).
-    RefuseReconnect(u32),
+    pub(crate) refused_reconnects: Option<u32>,
     /// Dribble every outbound message one byte at a time with this delay
     /// (milliseconds per byte) — the classic slow-loris: the connection is
     /// alive but a frame never completes within any reasonable deadline.
-    SlowLoris(u64),
+    pub(crate) slow_loris_ms: Option<u64>,
     /// Cut the connection halfway through sending the message of frame N —
     /// the peer sees a truncated frame, not a clean close.
-    MidRequestDisconnect(u64),
+    pub(crate) mid_request_disconnect_at: Option<u64>,
     /// Flip payload bytes inside the `FrameKey` / `FrameDelta` for this
     /// frame before sending — the message still parses, but its content
     /// hashes no longer match; the server must reject it atomically and
     /// request a keyframe resync (never display a torn tile).
-    CorruptDeltaAt(u64),
+    pub(crate) corrupt_delta_at: Option<u64>,
     /// Encode this frame's transport message, then discard it instead of
     /// sending — the server sees `FrameDone` with no pixel content and
     /// must request a resync (the panel stays live; no degradation).
-    DropDeltaAt(u64),
-    /// Sleep this many milliseconds before sending the transport message
-    /// of frame `.0` — a late (but within-deadline) delta must apply
+    pub(crate) drop_delta_at: Option<u64>,
+    /// `(frame, ms)`: sleep `ms` milliseconds before sending the transport
+    /// message of `frame` — a late (but within-deadline) delta must apply
     /// normally; a very late one trips the ordinary frame deadline.
-    DelayDeltaAt(u64, u64),
+    pub(crate) delay_delta_at: Option<(u64, u64)>,
 }
 
-/// All faults scripted for a single client, with query helpers the client
-/// loop calls at each decision point.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClientFaults {
-    faults: Vec<Fault>,
-}
-
-impl ClientFaults {
-    /// Frame at which this client drops its connection, if scripted.
-    pub(crate) fn drop_at(&self) -> Option<u64> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::DropAtFrame(n) => Some(*n),
-            _ => None,
-        })
-    }
-
-    /// Scripted delay before every reply, in milliseconds.
-    pub(crate) fn reply_delay_ms(&self) -> u64 {
-        self.faults
-            .iter()
-            .find_map(|f| match f {
-                Fault::DelayReplies(d) => Some(*d),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
-    /// Frame whose `FrameDone` is replaced by garbage bytes, if scripted.
-    pub(crate) fn corrupt_at(&self) -> Option<u64> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::CorruptAtFrame(n) => Some(*n),
-            _ => None,
-        })
-    }
-
-    /// How many reconnect attempts the client must pretend fail.
-    pub(crate) fn refused_reconnects(&self) -> u32 {
-        self.faults
-            .iter()
-            .find_map(|f| match f {
-                Fault::RefuseReconnect(k) => Some(*k),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
-    /// Scripted slow-loris delay in milliseconds per byte (0 = none).
-    pub(crate) fn slow_loris_ms(&self) -> u64 {
-        self.faults
-            .iter()
-            .find_map(|f| match f {
-                Fault::SlowLoris(ms) => Some(*ms),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
-    /// Message (frame / request) mid-way through which the connection is
-    /// cut, if scripted.
-    pub(crate) fn mid_request_disconnect_at(&self) -> Option<u64> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::MidRequestDisconnect(n) => Some(*n),
-            _ => None,
-        })
-    }
-
-    /// Frame whose delta/keyframe payload is corrupted in flight, if
-    /// scripted.
-    pub(crate) fn corrupt_delta_at(&self) -> Option<u64> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::CorruptDeltaAt(n) => Some(*n),
-            _ => None,
-        })
-    }
-
-    /// Frame whose transport message is encoded then discarded, if
-    /// scripted.
-    pub(crate) fn drop_delta_at(&self) -> Option<u64> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::DropDeltaAt(n) => Some(*n),
-            _ => None,
-        })
-    }
-
-    /// `(frame, delay_ms)` for a scripted late transport send, if any.
-    pub(crate) fn delay_delta_at(&self) -> Option<(u64, u64)> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::DelayDeltaAt(n, ms) => Some((*n, *ms)),
-            _ => None,
-        })
-    }
-}
-
-/// The slow-loris send ([`Fault::SlowLoris`]): `framed` goes out one byte
-/// every `ms_per_byte` milliseconds, so the frame never completes within
-/// the peer's deadline even though the socket is live. Returns the bytes
-/// that made it out before the peer (rightly) hung up.
+/// The slow-loris send (`ClientFaults::slow_loris_ms`): `framed` goes out
+/// one byte every `ms_per_byte` milliseconds, so the frame never completes
+/// within the peer's deadline even though the socket is live. Returns the
+/// bytes that made it out before the peer (rightly) hung up.
 pub(crate) fn dribble(stream: &mut TcpStream, framed: &[u8], ms_per_byte: u64) -> usize {
     for (sent, byte) in framed.iter().enumerate() {
         if stream.write_all(std::slice::from_ref(byte)).is_err() {
@@ -159,9 +68,9 @@ pub(crate) fn dribble(stream: &mut TcpStream, framed: &[u8], ms_per_byte: u64) -
     framed.len()
 }
 
-/// The torn frame ([`Fault::MidRequestDisconnect`]): half of `framed`, then
-/// the connection is cut — the peer sees a truncated frame, not a clean
-/// close.
+/// The torn frame (`ClientFaults::mid_request_disconnect_at`): half of
+/// `framed`, then the connection is cut — the peer sees a truncated frame,
+/// not a clean close.
 pub(crate) fn cut_mid_frame(stream: &mut TcpStream, framed: &[u8]) -> std::io::Result<()> {
     let half = stream.write_all(framed.get(..framed.len() / 2).unwrap_or_default());
     stream.flush().ok();
@@ -216,34 +125,48 @@ impl SplitMix64 {
     }
 }
 
+/// One scripted misbehaviour, as a test writes it: [`FaultPlan::inject`]
+/// sets the matching [`ClientFaults`] field.
 #[cfg(test)]
-impl ClientFaults {
-    /// True when nothing is scripted.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Fault {
+    DropAtFrame(u64),
+    DelayReplies(u64),
+    CorruptAtFrame(u64),
+    RefuseReconnect(u32),
+    SlowLoris(u64),
+    MidRequestDisconnect(u64),
+    CorruptDeltaAt(u64),
+    DropDeltaAt(u64),
+    DelayDeltaAt(u64, u64),
 }
 
 #[cfg(test)]
 impl FaultPlan {
-    /// Scripts a fault for one client. Chainable.
+    /// Scripts a fault for one client. Chainable. A field already scripted
+    /// keeps its first value.
     pub(crate) fn inject(mut self, client: usize, fault: Fault) -> FaultPlan {
-        self.per_client.entry(client).or_default().faults.push(fault);
+        fn first<T>(field: &mut Option<T>, value: T) {
+            field.get_or_insert(value);
+        }
+        let f = self.per_client.entry(client).or_default();
+        match fault {
+            Fault::DropAtFrame(n) => first(&mut f.drop_at, n),
+            Fault::DelayReplies(ms) => first(&mut f.reply_delay_ms, ms),
+            Fault::CorruptAtFrame(n) => first(&mut f.corrupt_at, n),
+            Fault::RefuseReconnect(k) => first(&mut f.refused_reconnects, k),
+            Fault::SlowLoris(ms) => first(&mut f.slow_loris_ms, ms),
+            Fault::MidRequestDisconnect(n) => first(&mut f.mid_request_disconnect_at, n),
+            Fault::CorruptDeltaAt(n) => first(&mut f.corrupt_delta_at, n),
+            Fault::DropDeltaAt(n) => first(&mut f.drop_delta_at, n),
+            Fault::DelayDeltaAt(n, ms) => first(&mut f.delay_delta_at, (n, ms)),
+        }
         self
     }
 
-    /// True when no client has scripted faults.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.per_client.values().all(ClientFaults::is_empty)
-    }
-
-    /// Clients with at least one scripted fault.
+    /// Clients with at least one scripted fault: those `inject` named.
     pub(crate) fn faulty_clients(&self) -> Vec<usize> {
-        self.per_client
-            .iter()
-            .filter(|(_, f)| !f.is_empty())
-            .map(|(&c, _)| c)
-            .collect()
+        self.per_client.keys().copied().collect()
     }
 
     /// A seeded random crash: picks one victim client and one crash frame
@@ -298,47 +221,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn queries_find_scripted_faults() {
+    fn inject_scripts_each_field_and_the_first_value_wins() {
         let plan = FaultPlan::none()
             .inject(2, Fault::DropAtFrame(5))
             .inject(2, Fault::RefuseReconnect(3))
+            .inject(2, Fault::DropAtFrame(6))
             .inject(0, Fault::DelayReplies(40))
             .inject(1, Fault::CorruptAtFrame(1))
             .inject(3, Fault::SlowLoris(25))
-            .inject(4, Fault::MidRequestDisconnect(3));
-        assert_eq!(plan.client(2).drop_at(), Some(5));
-        assert_eq!(plan.client(2).refused_reconnects(), 3);
-        assert_eq!(plan.client(0).reply_delay_ms(), 40);
-        assert_eq!(plan.client(1).corrupt_at(), Some(1));
-        assert_eq!(plan.client(3).slow_loris_ms(), 25);
-        assert_eq!(plan.client(4).mid_request_disconnect_at(), Some(3));
-        // unscripted client: all-clear defaults
-        let clean = plan.client(9);
-        assert!(clean.is_empty());
-        assert_eq!(clean.drop_at(), None);
-        assert_eq!(clean.reply_delay_ms(), 0);
-        assert_eq!(clean.corrupt_at(), None);
-        assert_eq!(clean.refused_reconnects(), 0);
-        assert_eq!(clean.slow_loris_ms(), 0);
-        assert_eq!(clean.mid_request_disconnect_at(), None);
-        assert_eq!(plan.faulty_clients(), vec![0, 1, 2, 3, 4]);
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::none().is_empty());
-    }
-
-    #[test]
-    fn delta_fault_queries_find_scripted_faults() {
-        let plan = FaultPlan::none()
-            .inject(0, Fault::CorruptDeltaAt(2))
-            .inject(1, Fault::DropDeltaAt(4))
-            .inject(2, Fault::DelayDeltaAt(3, 15));
-        assert_eq!(plan.client(0).corrupt_delta_at(), Some(2));
-        assert_eq!(plan.client(1).drop_delta_at(), Some(4));
-        assert_eq!(plan.client(2).delay_delta_at(), Some((3, 15)));
-        let clean = plan.client(9);
-        assert_eq!(clean.corrupt_delta_at(), None);
-        assert_eq!(clean.drop_delta_at(), None);
-        assert_eq!(clean.delay_delta_at(), None);
+            .inject(4, Fault::MidRequestDisconnect(3))
+            .inject(5, Fault::CorruptDeltaAt(2))
+            .inject(6, Fault::DropDeltaAt(4))
+            .inject(7, Fault::DelayDeltaAt(3, 15));
+        assert_eq!(plan.client(2).drop_at, Some(5));
+        assert_eq!(plan.client(2).refused_reconnects, Some(3));
+        assert_eq!(plan.client(0).reply_delay_ms, Some(40));
+        assert_eq!(plan.client(1).corrupt_at, Some(1));
+        assert_eq!(plan.client(3).slow_loris_ms, Some(25));
+        assert_eq!(plan.client(4).mid_request_disconnect_at, Some(3));
+        assert_eq!(plan.client(5).corrupt_delta_at, Some(2));
+        assert_eq!(plan.client(6).drop_delta_at, Some(4));
+        assert_eq!(plan.client(7).delay_delta_at, Some((3, 15)));
+        // an unscripted client is the all-clear default
+        assert_eq!(plan.client(9), ClientFaults::default());
+        assert_eq!(plan.faulty_clients(), (0..8).collect::<Vec<_>>());
+        assert!(FaultPlan::none().faulty_clients().is_empty());
     }
 
     #[test]
@@ -353,9 +260,9 @@ mod tests {
         for &v in &victims {
             let f = a.client(v);
             let frame = f
-                .corrupt_delta_at()
-                .or(f.drop_delta_at())
-                .or(f.delay_delta_at().map(|(n, _)| n))
+                .corrupt_delta_at
+                .or(f.drop_delta_at)
+                .or(f.delay_delta_at.map(|(n, _)| n))
                 .expect("victim has a delta fault");
             assert!((1..=7).contains(&frame), "fault frame {frame} leaves no recovery room");
         }
@@ -372,14 +279,16 @@ mod tests {
     #[test]
     fn seeded_plans_are_pinned() {
         assert_eq!(
-            format!("{:?}", FaultPlan::seeded_crash(7, 3, 8, 2)),
-            "FaultPlan { per_client: {0: ClientFaults { faults: [DropAtFrame(4), \
-             RefuseReconnect(2)] }} }"
+            FaultPlan::seeded_crash(7, 3, 8, 2),
+            FaultPlan::none()
+                .inject(0, Fault::DropAtFrame(4))
+                .inject(0, Fault::RefuseReconnect(2))
         );
         assert_eq!(
-            format!("{:?}", FaultPlan::seeded_delta_storm(5, 3, 10, 2)),
-            "FaultPlan { per_client: {1: ClientFaults { faults: [DropDeltaAt(3)] }, \
-             2: ClientFaults { faults: [CorruptDeltaAt(3)] }} }"
+            FaultPlan::seeded_delta_storm(5, 3, 10, 2),
+            FaultPlan::none()
+                .inject(1, Fault::DropDeltaAt(3))
+                .inject(2, Fault::CorruptDeltaAt(3))
         );
     }
 
@@ -392,14 +301,14 @@ mod tests {
         assert_eq!(victims.len(), 1);
         assert!(victims[0] < 15);
         let faults = a.client(victims[0]);
-        assert!(faults.drop_at().unwrap() < 8);
-        assert_eq!(faults.refused_reconnects(), 2);
+        assert!(faults.drop_at.unwrap() < 8);
+        assert_eq!(faults.refused_reconnects, Some(2));
         // different seeds explore different scenarios
         let scenarios: std::collections::BTreeSet<_> = (0..32)
             .map(|s| {
                 let p = FaultPlan::seeded_crash(s, 15, 8, 0);
                 let v = p.faulty_clients()[0];
-                (v, p.client(v).drop_at().unwrap())
+                (v, p.client(v).drop_at.unwrap())
             })
             .collect();
         assert!(scenarios.len() > 5, "seeds barely vary: {scenarios:?}");

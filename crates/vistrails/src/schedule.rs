@@ -168,13 +168,19 @@ impl Topology {
     pub fn order(&self) -> &[usize] {
         &self.order
     }
+
+    /// The workers a [`run`] asked for `requested` starts: at least 1, at
+    /// most the nodes of the widest depth level.
+    pub fn workers(&self, requested: usize) -> usize {
+        requested.clamp(1, self.width.max(1))
+    }
 }
 
-/// Runs the DAG on `workers` workers (clamped to at least 1, at most the
-/// `Topology::width`), `body(i, outputs)` computing node `i` under `retry`, where
-/// `outputs[j]` is written once, when node `j` succeeds, and read without a
-/// lock from then on. Returns every node's outcome by index; a node the
-/// first failure cancelled has none.
+/// Runs the DAG on [`Topology::workers`] of `workers`, `body(i, outputs)`
+/// computing node `i` under `retry`, where `outputs[j]` is written once,
+/// when node `j` succeeds, and read without a lock from then on. Returns
+/// every node's outcome by index; a node the first failure cancelled has
+/// none.
 ///
 /// The workers are the items of one `rayon` region of that width, so a run
 /// starts no thread of its own and a one-worker run stays on the caller. A
@@ -195,7 +201,7 @@ where
     F: Fn(usize, &[OnceLock<T>]) -> Result<T, E> + Sync,
 {
     let n = topo.order.len();
-    let workers = workers.clamp(1, topo.width.max(1));
+    let workers = topo.workers(workers);
     // The heap is bounded by the node count; with_capacity states the cap.
     let mut ready = BinaryHeap::with_capacity(n);
     for (index, (&c, &height)) in topo.deps_left.iter().zip(&topo.height).enumerate() {
