@@ -19,7 +19,7 @@
 use crate::attr::Attributes;
 use crate::dataset::Dataset;
 use crate::error::{CdmsError, Result};
-use crate::storage::{LocalDisk, Storage};
+use crate::storage::{self, LocalDisk, Storage};
 use crate::{format, format_v3};
 
 use std::collections::BTreeMap;
@@ -141,14 +141,20 @@ impl EsgCatalog {
         Ok(catalog)
     }
 
-    /// Builds the entry for the file behind `source`, replacing any entry
-    /// of its id: the one way an entry is made. A file the metadata step
-    /// accepts is `Healthy`; one it refuses is salvaged, and is `Salvaged`
-    /// when a variable comes back, else `Quarantined`. A file whose id
-    /// cannot be read takes its stem as id.
+    /// Builds the entry for the file behind `source` from a read of it.
     fn index(&mut self, source: DataSource) {
+        let read = LocalDisk.read(source.path());
+        self.index_image(source, read);
+    }
+
+    /// Builds the entry for the file behind `source` from `read`, its bytes
+    /// or why they could not be read, replacing any entry of its id: the one
+    /// way an entry is made. A file the metadata step accepts is `Healthy`;
+    /// one it refuses is salvaged, and is `Salvaged` when a variable comes
+    /// back, else `Quarantined`. A file whose id cannot be read takes its
+    /// stem as id.
+    fn index_image(&mut self, source: DataSource, read: Result<Vec<u8>>) {
         let path = source.path();
-        let read = LocalDisk.read(path);
         let (size_bytes, size_error) = match &read {
             Ok(bytes) => (bytes.len() as u64, None),
             Err(e) => (0, Some(e.to_string())),
@@ -189,23 +195,32 @@ impl EsgCatalog {
     /// catalog root and indexes it. `node = None` publishes locally; a node
     /// name marks the entry as a "remote" ESG holding.
     pub fn publish(&mut self, ds: &Dataset, node: Option<&str>) -> Result<()> {
-        let path = self.root.join(format!("{}.ncr", ds.id));
-        ds.save(&path)?;
+        let (path, image) = self.save(ds)?;
         let source = match node {
             None => DataSource::LocalFile(path),
             Some(n) => DataSource::EsgNode { node: n.to_string(), path },
         };
-        self.index(source);
+        self.index_image(source, Ok(image));
         Ok(())
     }
 
     /// Publishes a dataset behind a simulated ParaView server (remote
     /// compute: the server can subset before transfer).
     pub fn publish_paraview(&mut self, ds: &Dataset, host: &str) -> Result<()> {
-        let path = self.root.join(format!("{}.ncr", ds.id));
-        ds.save(&path)?;
-        self.index(DataSource::ParaViewServer { host: host.to_string(), path });
+        let (path, image) = self.save(ds)?;
+        self.index_image(DataSource::ParaViewServer { host: host.to_string(), path }, Ok(image));
         Ok(())
+    }
+
+    /// Writes `ds` crash-safely as `<id>.ncr` under the root, as
+    /// [`Dataset::save`] does, and returns the path and the file's image:
+    /// the write read the file back and found it equal to that image, so a
+    /// publish indexes the image instead of reading the file a second time.
+    fn save(&self, ds: &Dataset) -> Result<(PathBuf, Vec<u8>)> {
+        let path = self.root.join(format!("{}.ncr", ds.id));
+        let image = format::to_bytes(ds);
+        storage::write_atomic(&LocalDisk, &path, &image)?;
+        Ok((path, image))
     }
 
     /// Searches by facet query.
@@ -369,6 +384,35 @@ mod tests {
         };
         assert_eq!(built(&published.entries()[0]), built(&cat2.entries()[0]));
         assert!(!cat2.entries()[0].facets.is_empty());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_published_entry_is_the_entry_a_scan_of_the_root_builds() {
+        let root = temp_root("publish_is_scan");
+        let mut cat = EsgCatalog::new(&root).unwrap();
+        let dataset = |id: &str, nt| {
+            let mut ds = SynthesisSpec::new(nt, 1, 4, 8).build();
+            ds.id = id.to_string();
+            ds
+        };
+        // one dataset down each publish path
+        cat.publish(&dataset("local", 1), None).unwrap();
+        cat.publish(&dataset("remote", 2), Some("esg-node-llnl")).unwrap();
+        cat.publish_paraview(&dataset("served", 3), "discover.nasa.gov").unwrap();
+        let scanned = EsgCatalog::new(&root).unwrap();
+        assert_eq!(scanned.entries().len(), 3);
+        for published in cat.entries() {
+            let scan = scanned.entries().iter().find(|e| e.id == published.id).unwrap();
+            let built = |e: &CatalogEntry| {
+                let source = DataSource::LocalFile(e.source.path().to_path_buf());
+                let facets = (e.facets.clone(), e.variables.clone(), e.status.clone());
+                (source, facets, e.size_bytes, e.size_error.clone())
+            };
+            assert_eq!(built(published), built(scan), "{}", published.id);
+            let on_disk = std::fs::metadata(scan.source.path()).unwrap().len();
+            assert_eq!((published.status.clone(), published.size_bytes), (EntryStatus::Healthy, on_disk));
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 

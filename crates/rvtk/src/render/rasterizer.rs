@@ -10,10 +10,10 @@
 //! copies into the 32×32 screen tiles their box overlaps, and tile-row
 //! bands are rasterized in parallel — each tile owns its pixels, so no
 //! locking is needed, and a tile visits only the primitives binned into it
-//! (see `tile.rs`). A triangle whose box holds no pixel centre is not
-//! assembled at all. Lines and point sprites carry their endpoints by
-//! value; a slice quad carries its texture and the inverse of its
-//! homography, and is drawn in each tile it covers before the tile's
+//! (see `tile.rs`). A triangle whose box holds no pixel centre the kernel
+//! would plot is not assembled at all. Lines and point sprites carry their
+//! endpoints by value; a slice quad carries its texture and the inverse of
+//! its homography, and is drawn in each tile it covers before the tile's
 //! triangles. Output is bit-identical to the historic row-band engine kept
 //! in `scanline_ref.rs`, which draws no quads and every triangle whose
 //! corners survive the projection: the identity is over scenes of actors.
@@ -86,10 +86,11 @@ pub(crate) struct TriRef {
     pub v: [u32; 3],
     /// Inclusive box `[x0, x1, y0, y1]` of the pixel centres the tile
     /// kernel may plot, saturated to `i32` and never empty (see [`reach`]):
-    /// for a small triangle `⌈min − s⌉` / `⌊max + s⌋` per axis, for any
-    /// other `⌊min⌋` / `⌈max⌉`, the scanline box. It travels with the ref
-    /// so that binning, and a tile rejecting an entry that misses its
-    /// rectangle, never touch a vertex.
+    /// for a small triangle `⌈min − s⌉` / `⌊max + s⌋` per axis, and of a
+    /// micro-triangle's at most 2 × 2 such centres only those that pass the
+    /// kernel's edge test; for any other `⌊min⌋` / `⌈max⌉`, the scanline
+    /// box. It travels with the ref so that binning, and a tile rejecting
+    /// an entry that misses its rectangle, never touch a vertex.
     pub bbox: [i32; 4],
 }
 
@@ -194,6 +195,27 @@ pub(crate) fn signed_area(a: &ScreenVertex, b: &ScreenVertex, c: &ScreenVertex) 
     (b.sx - a.sx) * (c.sy - a.sy) - (c.sx - a.sx) * (b.sy - a.sy)
 }
 
+/// The tile kernel's inside test at pixel centre `(px, py)`: the
+/// barycentric weights `[ŵ₀, ŵ₁, ŵ₂]` of `[a, b, c]` there, taken with
+/// `inv_area = 1 / signed_area(a, b, c)`, or `None` when one is below
+/// `−1e-9`. The kernel plots by it and assembly boxes a micro-triangle by
+/// it, so the two agree to the bit.
+#[inline]
+pub(crate) fn weights_at(
+    [a, b, c]: [&ScreenVertex; 3],
+    inv_area: f64,
+    px: f64,
+    py: f64,
+) -> Option<[f64; 3]> {
+    let w0 = ((b.sx - px) * (c.sy - py) - (c.sx - px) * (b.sy - py)) * inv_area;
+    let w1 = ((c.sx - px) * (a.sy - py) - (a.sx - px) * (c.sy - py)) * inv_area;
+    let w2 = 1.0 - w0 - w1;
+    if w0 < -1e-9 || w1 < -1e-9 || w2 < -1e-9 {
+        return None;
+    }
+    Some([w0, w1, w2])
+}
+
 /// The ref of the triangle over frame vertices `v` — corners `[a, b, c]`
 /// with sample boxes `samples` — boxed by the pixel centres the tile
 /// kernel can plot, or `None` when there are none: the kernel rejects a
@@ -201,27 +223,49 @@ pub(crate) fn signed_area(a: &ScreenVertex, b: &ScreenVertex, c: &ScreenVertex) 
 /// empty reaches no centre. Small means a corner extent of at most
 /// `SMALL_EXTENT` on both axes (no infinite corner passes) and an area of
 /// at least `SMALL_AREA`; DESIGN §24 proves that the kernel rejects every
-/// centre of the scanline box that a small triangle's box leaves out. Any
-/// other triangle keeps the scanline box `⌊min3⌋` / `⌈max3⌉`, which is
-/// never empty; no NaN reaches it (a non-finite projection drops the
-/// vertex, and scaling a finite NDC coordinate to the screen can overflow
-/// to ±∞ but not to NaN).
+/// centre of the scanline box that a small triangle's sample box leaves
+/// out. A small triangle whose sample box holds at most 2 × 2 centres — a
+/// micro-triangle — is tested at each of them by [`weights_at`], as the
+/// kernel would test it, and is boxed by the centres that pass, or dropped
+/// when none does. Any other triangle keeps the scanline box `⌊min3⌋` /
+/// `⌈max3⌉`, which is never empty; no NaN reaches it (a non-finite
+/// projection drops the vertex, and scaling a finite NDC coordinate to the
+/// screen can overflow to ±∞ but not to NaN).
 fn reach(v: [u32; 3], [a, b, c]: [&ScreenVertex; 3], samples: [[i32; 4]; 3]) -> Option<TriRef> {
-    let area = signed_area(a, b, c).abs();
-    if area < DEGENERATE_AREA {
+    let area = signed_area(a, b, c);
+    if area.abs() < DEGENERATE_AREA {
         return None;
     }
     let (x_lo, x_hi) = (a.sx.min(b.sx).min(c.sx), a.sx.max(b.sx).max(c.sx));
     let (y_lo, y_hi) = (a.sy.min(b.sy).min(c.sy), a.sy.max(b.sy).max(c.sy));
-    let small = area >= SMALL_AREA && x_hi - x_lo <= SMALL_EXTENT && y_hi - y_lo <= SMALL_EXTENT;
-    let bbox = if small {
-        let [sa, sb, sc] = samples;
-        union3(sa, sb, sc)
-    } else {
-        [floor_ceil(x_lo).0, floor_ceil(x_hi).1, floor_ceil(y_lo).0, floor_ceil(y_hi).1]
-    };
-    let [x0, x1, y0, y1] = bbox;
-    (x0 <= x1 && y0 <= y1).then_some(TriRef { v, bbox })
+    let small =
+        area.abs() >= SMALL_AREA && x_hi - x_lo <= SMALL_EXTENT && y_hi - y_lo <= SMALL_EXTENT;
+    if !small {
+        let bbox = [floor_ceil(x_lo).0, floor_ceil(x_hi).1, floor_ceil(y_lo).0, floor_ceil(y_hi).1];
+        return Some(TriRef { v, bbox });
+    }
+    let [sa, sb, sc] = samples;
+    let bbox @ [x0, x1, y0, y1] = union3(sa, sb, sc);
+    if x0 > x1 || y0 > y1 {
+        return None;
+    }
+    if x1.abs_diff(x0) > 1 || y1.abs_diff(y0) > 1 {
+        return Some(TriRef { v, bbox });
+    }
+    // The box's four corner centres, tested even where they coincide: a
+    // branch on the box's shape costs more than the repeated tests (DESIGN
+    // §24). Each side then keeps its bound if a covered centre lies on it,
+    // else takes the opposite one.
+    let inv_area = 1.0 / area;
+    let covers = |x: i32, y: i32| weights_at([a, b, c], inv_area, x.into(), y.into()).is_some();
+    let (c00, c10, c01, c11) = (covers(x0, y0), covers(x1, y0), covers(x0, y1), covers(x1, y1));
+    if !(c00 | c10 | c01 | c11) {
+        return None;
+    }
+    let side = |on: bool, own: i32, opposite: i32| if on { own } else { opposite };
+    let (x0, x1) = (side(c00 | c01, x0, x1), side(c10 | c11, x1, x0));
+    let (y0, y1) = (side(c00 | c10, y0, y1), side(c01 | c11, y1, y0));
+    Some(TriRef { v, bbox: [x0, x1, y0, y1] })
 }
 
 /// An actor's surface triangles between the vertex pass and assembly: its
@@ -549,6 +593,8 @@ mod tests {
     use super::*;
     use crate::poly_data::PolyData;
     use crate::render::camera::Camera;
+    use crate::image_data::ImageData;
+    use crate::render::renderer::Renderer;
     use crate::render::test_rng::Rng;
     use std::sync::Arc;
 
@@ -1084,6 +1130,42 @@ mod tests {
             let samples = corners.map(|v| sample_box(v.sx, v.sy));
             let [a, b, c] = &corners;
             assert_eq!(reach(t.v, [a, b, c], samples).map(|r| r.bbox), Some(t.bbox));
+        }
+    }
+
+    /// The work of one `drag_iso`-shaped frame: the isosurface of an
+    /// analytic field on the benchmark's 180 × 90 × 8 grid (2° apart, levels
+    /// 10 apart) at its range midpoint, seen at 480 × 360 by the reset
+    /// camera turned 30°. Its vertices, the refs assembly keeps and their
+    /// tile bin entries.
+    fn iso_frame_work() -> [usize; 3] {
+        let wave = |i: f64, j: f64, k: f64| {
+            ((0.31 * i).sin() * (0.23 * j).cos() + 0.6 * (0.9 * k + 0.13 * i - 0.07 * j).sin())
+                as f32
+        };
+        let field = ImageData::from_fn([180, 90, 8], [2.0, 2.0, 10.0], [0.0, -89.0, 0.0], wave);
+        let (lo, hi) = field.scalar_range().unwrap();
+        let mesh = crate::filters::isosurface(&field, (lo + hi) / 2.0).unwrap();
+        let mut scene = Renderer::new();
+        scene.add_actor(Actor::from_poly_data(mesh));
+        scene.reset_camera();
+        scene.camera.azimuth(30.0);
+        let (w, h) = (480, 360);
+        let cam = &scene.camera;
+        let vp = cam.projection_matrix(w as f64 / h as f64).mul_mat(&cam.view_matrix());
+        let prims = frame_primitives(scene.actors(), &vp, &scene.lights, w, h);
+        let grid = TileGrid::with_default_tile(w, h);
+        let bins = tile::bin_primitives(&prims, &grid);
+        let entries = (0..grid.len()).map(|t| bins.tris(t).count()).sum();
+        [prims.verts.len(), prims.tris.len(), entries]
+    }
+
+    #[test]
+    fn the_work_of_an_isosurface_frame_is_pinned() {
+        // exact counts, so a change that culls less (or more) moves a pin
+        for threads in [1, 2, 8] {
+            let work = rayon::with_threads(threads, iso_frame_work);
+            assert_eq!(work, [125_546, 103_779, 109_401], "{threads} threads");
         }
     }
 

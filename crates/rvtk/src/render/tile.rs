@@ -32,10 +32,12 @@
 //! domains intersected with the tile rectangle. A triangle's domain is its
 //! [`TriRef::bbox`]: the scanline `⌊min3⌋` / `⌈max3⌉` box, less, for a
 //! small triangle, the pixel centres farther than `s = 2⁻⁶` outside its
-//! corners, which the edge test rejects (DESIGN §24); a triangle that
-//! reaches no centre, or that the kernel would reject as degenerate, is
-//! not in the list. Since every pixel belongs to exactly one tile,
-//! and primitives are replayed per tile in list order (quads, then
+//! corners, which the edge test rejects, and less, for a micro-triangle
+//! (at most 2 × 2 centres left), the centres that fail the edge test
+//! itself, [`weights_at`], which assembly runs on them (DESIGN §24). A
+//! triangle that reaches no centre, or that the kernel would reject as
+//! degenerate, is not in the list. Since every pixel belongs to exactly
+//! one tile, and primitives are replayed per tile in list order (quads, then
 //! triangles, then lines, then points), each pixel sees the plot sequence
 //! the scanline engine would have issued, less visits that plot nothing,
 //! at any thread count — exactly
@@ -55,8 +57,8 @@ use crate::color::Color;
 use crate::render::framebuffer::{BandView, Framebuffer, TileGrid, TileSpan};
 use crate::render::image_slice::ScreenQuad;
 use crate::render::rasterizer::{
-    painter_key, signed_area, PrimitiveList, RasterLine, RasterPoint, ScreenVertex, TriRef,
-    DEGENERATE_AREA,
+    painter_key, signed_area, weights_at, PrimitiveList, RasterLine, RasterPoint, ScreenVertex,
+    TriRef, DEGENERATE_AREA,
 };
 use rayon::prelude::*;
 
@@ -464,8 +466,6 @@ impl<'a> TileView<'a> {
         let [Some(a), Some(b), Some(c)] = t.v.map(|i| verts.get(i as usize)) else {
             return;
         };
-        let (ax, bx, cx) = (a.sx, b.sx, c.sx);
-        let (ay, by, cy) = (a.sy, b.sy, c.sy);
         let (az, bz, cz) = (a.z, b.z, c.z);
         // signed area; reject degenerate (assembly already dropped these)
         let area = signed_area(a, b, c);
@@ -478,14 +478,10 @@ impl<'a> TileView<'a> {
         for y in (ymin.unsigned_abs() as usize)..=(ymax.unsigned_abs() as usize) {
             let py = y as f64;
             for x in (xmin.unsigned_abs() as usize)..=(xmax.unsigned_abs() as usize) {
-                let px = x as f64;
-                // barycentric coordinates
-                let w0 = ((bx - px) * (cy - py) - (cx - px) * (by - py)) * inv_area;
-                let w1 = ((cx - px) * (ay - py) - (ax - px) * (cy - py)) * inv_area;
-                let w2 = 1.0 - w0 - w1;
-                if w0 < -1e-9 || w1 < -1e-9 || w2 < -1e-9 {
+                // barycentric coordinates, by the test assembly boxed by
+                let Some([w0, w1, w2]) = weights_at([a, b, c], inv_area, x as f64, py) else {
                     continue;
-                }
+                };
                 let z = (w0 * az as f64 + w1 * bz as f64 + w2 * cz as f64) as f32;
                 if !(-1.001..=1.001).contains(&z) {
                     continue; // outside clip volume
@@ -763,17 +759,35 @@ mod tests {
     enum Boxed {
         /// `|area| < 1e-12`: the kernel rejects it, assembly drops it.
         Degenerate,
-        /// Small, and no pixel centre within `s` of it.
+        /// Small, and no pixel centre within `s` of it — or, when at most
+        /// 2 × 2 centres are, none of them passes the kernel's edge test.
         Unreached,
+        /// Small, at most 2 × 2 centres within `s`, and some pass the
+        /// kernel's edge test: the box of those that pass.
+        Covered([i32; 4]),
         /// Small: `⌈min − s⌉` / `⌊max + s⌋`, cast saturating.
         Small([i32; 4]),
         /// Anything else: the scanline `⌊min⌋` / `⌈max⌉`, cast saturating.
         Scanline([i32; 4]),
     }
 
+    /// A small triangle's box: `⌈min − s⌉` / `⌊max + s⌋`, cast saturating.
+    fn sample_box([ax, bx, cx]: [f64; 3], [ay, by, cy]: [f64; 3]) -> [i32; 4] {
+        let ([x_lo, x_hi], [y_lo, y_hi]) =
+            ([min3(ax, bx, cx), max3(ax, bx, cx)], [min3(ay, by, cy), max3(ay, by, cy)]);
+        [(x_lo - S).ceil(), (x_hi + S).floor(), (y_lo - S).ceil(), (y_hi + S).floor()]
+            .map(|b| b as i32)
+    }
+
+    /// The inclusive box `[x0, x1, y0, y1]` of some pixel centres.
+    fn box_of(centres: &[(i32, i32)]) -> Option<[i32; 4]> {
+        let (xs, ys) = (centres.iter().map(|&(x, _)| x), centres.iter().map(|&(_, y)| y));
+        Some([xs.clone().min()?, xs.max()?, ys.clone().min()?, ys.max()?])
+    }
+
     fn rule(sx @ [ax, bx, cx]: [f64; 3], sy @ [ay, by, cy]: [f64; 3]) -> Boxed {
-        const S: f64 = 0.015_625;
-        let area = ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)).abs();
+        let signed = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay);
+        let area = signed.abs();
         if area < 1e-12 {
             return Boxed::Degenerate;
         }
@@ -782,39 +796,61 @@ mod tests {
         if area >= 2f64.powi(-20) && x_hi - x_lo <= 62.0 && y_hi - y_lo <= 62.0 {
             // empty once cast: beyond the i32 limits both bounds saturate
             // to one value, and such a box is kept (and bins to no tile)
-            let [x0, x1, y0, y1] =
-                [(x_lo - S).ceil(), (x_hi + S).floor(), (y_lo - S).ceil(), (y_hi + S).floor()]
-                    .map(|b| b as i32);
+            let [x0, x1, y0, y1] = sample_box(sx, sy);
             if x0 > x1 || y0 > y1 {
                 return Boxed::Unreached;
             }
-            return Boxed::Small([x0, x1, y0, y1]);
+            if x1.abs_diff(x0) > 1 || y1.abs_diff(y0) > 1 {
+                return Boxed::Small([x0, x1, y0, y1]);
+            }
+            // the kernel's barycentric test at each of those centres
+            let inv = 1.0 / signed;
+            let covered = |px: f64, py: f64| {
+                let w0 = ((bx - px) * (cy - py) - (cx - px) * (by - py)) * inv;
+                let w1 = ((cx - px) * (ay - py) - (ax - px) * (cy - py)) * inv;
+                let w2 = 1.0 - w0 - w1;
+                !(w0 < -1e-9 || w1 < -1e-9 || w2 < -1e-9)
+            };
+            let hits: Vec<(i32, i32)> = (y0..=y1)
+                .flat_map(|y| (x0..=x1).map(move |x| (x, y)))
+                .filter(|&(x, y)| covered(f64::from(x), f64::from(y)))
+                .collect();
+            return box_of(&hits).map_or(Boxed::Unreached, Boxed::Covered);
         }
         Boxed::Scanline(float_box(sx, sy).map(|b| b as i32))
     }
 
+    /// The sample margin `s`, and `2⁻³⁰` for nudges either side of it.
+    const S: f64 = 0.015_625;
+    const EPS: f64 = 1.0 / 1_073_741_824.0;
+    const BIG: f64 = 1e300;
+
+    /// Coordinates the casts can get wrong: exactly integral, sub-pixel on
+    /// either side of an integer and of zero, negative, beyond i32 and
+    /// beyond any integer type.
+    const POOL: [f64; 36] = [
+        0.0, -0.0, 1.0, -1.0, 7.0, 31.0, 32.0, 479.0, 0.25, -0.25, 0.999_999, -0.999_999,
+        31.5, 32.000_001, 2_147_483_647.0, 2_147_483_647.5, 2_147_483_648.0,
+        -2_147_483_648.0, -2_147_483_648.5, -2_147_483_649.0, 4.0e9, -4.0e9, BIG, -BIG,
+        f64::MAX, f64::MIN, f64::MAX / 2.0, f64::INFINITY, f64::NEG_INFINITY,
+        f64::MIN_POSITIVE, -f64::MIN_POSITIVE,
+        // either side of the two i32 limits, where the casts saturate
+        // and the step back from them must
+        2_147_483_646.5, 2_147_483_648.5, -2_147_483_647.5, 2_147_483_646.0,
+        -2_147_483_647.0,
+    ];
+
+    /// Offsets from an integer either side of the sample margin.
+    const NUDGES: [f64; 7] = [0.0, 1e-12, S - EPS, S, S + EPS, 0.5, 1.0 - S];
+
+    fn pick(rng: &mut Rng, from: &[f64]) -> f64 {
+        from.get((rng.next() % from.len() as u64) as usize).copied().unwrap_or(0.0)
+    }
+
     #[test]
     fn a_tri_box_is_its_sample_box_when_small_and_the_scanline_box_otherwise() {
-        const BIG: f64 = 1e300;
-        const S: f64 = 0.015_625;
-        const EPS: f64 = 1.0 / 1_073_741_824.0; // 2⁻³⁰
-        // coordinates the casts can get wrong: exactly integral, sub-pixel
-        // on either side of an integer and of zero, negative, beyond i32
-        // and beyond any integer type
-        let pool = [
-            0.0, -0.0, 1.0, -1.0, 7.0, 31.0, 32.0, 479.0, 0.25, -0.25, 0.999_999, -0.999_999,
-            31.5, 32.000_001, 2_147_483_647.0, 2_147_483_647.5, 2_147_483_648.0,
-            -2_147_483_648.0, -2_147_483_648.5, -2_147_483_649.0, 4.0e9, -4.0e9, BIG, -BIG,
-            f64::MAX, f64::MIN, f64::MAX / 2.0, f64::INFINITY, f64::NEG_INFINITY,
-            f64::MIN_POSITIVE, -f64::MIN_POSITIVE,
-            // either side of the two i32 limits, where the casts saturate
-            // and the step back from them must
-            2_147_483_646.5, 2_147_483_648.5, -2_147_483_647.5, 2_147_483_646.0,
-            -2_147_483_647.0,
-        ];
-        // offsets from an integer either side of the sample margin
-        let nudges = [0.0, 1e-12, S - EPS, S, S + EPS, 0.5, 1.0 - S];
-        let mut seen: [usize; 4] = [0; 4];
+        let (pool, nudges) = (POOL, NUDGES);
+        let mut seen: [usize; 5] = [0; 5];
         let mut saturated_small = 0;
         let mut check = |sx: [f64; 3], sy: [f64; 3]| {
             let mut prims = PrimitiveList::default();
@@ -826,6 +862,7 @@ mod tests {
                 Boxed::Unreached => (1, None),
                 Boxed::Small(b) => (2, Some(b)),
                 Boxed::Scanline(b) => (3, Some(b)),
+                Boxed::Covered(b) => (4, Some(b)),
             };
             assert_eq!((kept, got), (bbox.is_some(), bbox), "corners {sx:?} {sy:?}: {want:?}");
             if let Some(n) = seen.get_mut(slot) {
@@ -841,9 +878,6 @@ mod tests {
             check([v, v, v + 1.0], [v, v + 1.0, v]);
         }
         let mut rng = Rng(0x0dd_ba11_5eed);
-        let pick = |rng: &mut Rng, from: &[f64]| {
-            from.get((rng.next() % from.len() as u64) as usize).copied().unwrap_or(0.0)
-        };
         let coord = |rng: &mut Rng| match rng.next() % 3 {
             0 => pick(rng, &pool),
             1 => (rng.next() % 1_000) as f64 - 500.0, // integral
@@ -870,12 +904,80 @@ mod tests {
             };
             check(sx, sy);
         }
-        let [degenerate, unreached, small, scanline] = seen;
+        let [degenerate, unreached, small, scanline, covered] = seen;
         assert!(
-            degenerate > 200 && unreached > 200 && small > 200 && scanline > 200,
+            degenerate > 200 && unreached > 200 && small > 200 && scanline > 200 && covered > 200,
             "every rule must be reached: {seen:?}"
         );
         assert!(saturated_small > 400, "small boxes must reach the limits: {saturated_small}");
+    }
+
+    #[test]
+    fn a_micro_triangle_is_kept_exactly_when_the_kernel_plots_a_centre_and_boxed_by_those() {
+        // The kernel is the oracle: each micro-triangle (small, at most
+        // 2 × 2 centres within `s`) is drawn alone on an empty 48 × 48 tile
+        // through its old sample box, and assembly must keep it exactly
+        // when a centre is plotted, boxed by the plotted centres. The box
+        // contract's pool values that land on the tile once moved 8 px in,
+        // its nudges, both windings.
+        const IN: f64 = 8.0;
+        const SIDE: usize = 48;
+        let pool: Vec<f64> = POOL.into_iter().filter(|v| (-IN..=32.0).contains(v)).collect();
+        let mut fb = Framebuffer::new(SIDE, SIDE);
+        let mut owners = vec![0u32; SIDE * SIDE];
+        let mut seen = [0usize; 2];
+        let mut two_by_two = 0;
+        let mut check = |sx: [f64; 3], sy: [f64; 3]| {
+            if !matches!(rule(sx, sy), Boxed::Covered(_) | Boxed::Unreached) {
+                return; // not small
+            }
+            let [x0, x1, y0, y1] = sample_box(sx, sy);
+            if x0 > x1 || y0 > y1 || x1 - x0 > 1 || y1 - y0 > 1 {
+                return; // no centre within `s`, or not a micro-triangle
+            }
+            fb.clear(Color::BLACK);
+            let at = |i: usize| ScreenVertex { sx: sx[i], sy: sy[i], z: 0.0, color: Color::WHITE };
+            {
+                let mut band = fb.band_views(SIDE).into_iter().next().expect("one band");
+                let mut tile = TileView::new(&mut band, 0, SIDE, &mut owners);
+                tile.triangle(&[0, 1, 2].map(at), &TriRef { v: [0, 1, 2], bbox: [x0, x1, y0, y1] });
+            }
+            let plotted: Vec<(i32, i32)> = (y0..=y1)
+                .flat_map(|y| (x0..=x1).map(move |x| (x, y)))
+                .filter(|&(x, y)| fb.depth_at(x as usize, y as usize) != f32::INFINITY)
+                .collect();
+            let want = box_of(&plotted);
+            let mut prims = PrimitiveList::default();
+            let kept = push_tri(&mut prims, sx, sy);
+            let got = prims.tris.first().map(|t| t.bbox);
+            assert_eq!((kept, got), (want.is_some(), want), "corners {sx:?} {sy:?}");
+            seen[usize::from(kept)] += 1;
+            two_by_two += usize::from(x1 > x0 && y1 > y0);
+        };
+        for &v in &pool {
+            let v = v + IN;
+            check([v, v + 1.0, v], [v, v, v + 1.0]);
+            check([v, v, v + 1.0], [v, v + 1.0, v]);
+        }
+        let mut rng = Rng(0x5eed_0c0e_2ed0);
+        // per axis, corners a nudge (either sign) off an anchor on, or
+        // half-way between, pixel centres, or off the anchor one pixel on
+        let axis = |rng: &mut Rng| -> [f64; 3] {
+            let anchor = pick(rng, &pool).round() + IN + pick(rng, &[0.0, 0.5]);
+            let spread = pick(rng, &[0.0, 1.0]);
+            [(); 3].map(|()| {
+                let nudge = pick(rng, &NUDGES) * pick(rng, &[1.0, -1.0]);
+                anchor + spread * pick(rng, &[0.0, 1.0]) + nudge
+            })
+        };
+        for round in 0..12_000 {
+            let (sx, sy) = (axis(&mut rng), axis(&mut rng));
+            // every other draw with two corners swapped: the other winding
+            let swap = |[a, b, c]: [f64; 3]| if round % 2 == 0 { [a, b, c] } else { [b, a, c] };
+            check(swap(sx), swap(sy));
+        }
+        let [dropped, kept] = seen;
+        assert!(dropped > 500 && kept > 500 && two_by_two > 200, "{seen:?}, {two_by_two} 2 × 2");
     }
 
     /// `TileGrid::for_tiles_over` as it stood when binning replayed every
