@@ -285,12 +285,20 @@ mod tests {
         ];
         let g = build_graph(ms, target, RegridMethod::Conservative, &regions).unwrap();
         let s = g.run_serial().unwrap();
+        // f32 `==` would pass -0.0 for 0.0 and fail a NaN equal to itself
+        let bits = |v: &Variable| v.array.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for pool in [1, 2, 8] {
             let p = g.run_with_pool(pool).unwrap();
+            if pool <= 2 {
+                // the ensemble bench times a pool of 2 only once 2 workers start
+                assert_eq!(p.started, pool, "workers started at pool {pool}");
+            }
             assert_eq!(s.outputs.len(), p.outputs.len(), "pool {pool}");
             for (name, want) in &s.outputs {
                 let got = p.outputs.get(name).unwrap_or_else(|| panic!("missing {name}"));
-                assert_eq!(want.array, got.array, "task {name}, pool {pool}");
+                assert_eq!(bits(want), bits(got), "task {name}, pool {pool}");
+                assert_eq!(want.array.mask(), got.array.mask(), "task {name}, pool {pool}");
+                assert_eq!(want.shape(), got.shape(), "task {name}, pool {pool}");
             }
         }
     }

@@ -9,10 +9,12 @@
 //! * [`Storage`] — the primitive-operation trait the atomic writer is built
 //!   from (`read` / `write_all` / `sync` / `len` / `rename` / `remove`).
 //! * [`LocalDisk`] — the real filesystem.
-//! * [`FaultyStorage`] — a deterministic fault-injecting wrapper mirroring
-//!   `hyperwall::fault::FaultPlan` semantics: short writes, torn writes at
-//!   byte *k*, bit flips, ENOSPC, EINTR-style transient errors and scripted
-//!   crashes, addressed by primitive-operation index.
+//! * [`FaultyStorage`] — a deterministic fault-injecting wrapper: short
+//!   writes, torn writes at byte *k*, bit flips, ENOSPC, EINTR-style
+//!   transient errors and scripted crashes, addressed by primitive-operation
+//!   index. The wall injects its faults the same way, from outside the code
+//!   under test: `hyperwall::fault`'s test-only `FaultyLink` wraps the wall
+//!   client's link.
 //! * `write_atomic` — temp file + fsync + length + read-back comparison +
 //!   atomic rename. After a crash at *any* primitive step the destination
 //!   path holds either the complete old file or the complete new file,
@@ -403,8 +405,8 @@ fn write_atomic_steps(storage: &dyn Storage, tmp: &Path, path: &Path, bytes: &[u
 // ---- deterministic fault injection ----
 
 /// One scripted misbehaviour of the storage substrate, fired at a specific
-/// primitive-operation index (the storage-layer analogue of a field of
-/// `hyperwall::fault::ClientFaults`).
+/// primitive-operation index (the storage-layer analogue of one of the
+/// faults `hyperwall::fault::FaultyLink` plays on a wall client's link).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageFault {
     /// `write_all` persists only the first `keep` bytes but reports

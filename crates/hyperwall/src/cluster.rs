@@ -539,7 +539,7 @@ mod tests {
         assert_eq!(report.synced_final, vec![false, true]);
     }
 
-    /// A slow-loris client dribbles its `FrameDone` one byte at a time: the
+    /// A slow-loris client dribbles its frame one byte at a time: the
     /// frame deadline trips even though the socket stays alive, the panel
     /// degrades, and the rest of the wall keeps animating.
     #[test]

@@ -1,22 +1,71 @@
 //! Deterministic fault injection for wall resilience testing.
 //!
-//! A [`FaultPlan`] scripts exactly what goes wrong, where, and when: client
-//! code consults its [`ClientFaults`] at each protocol step and misbehaves
-//! on cue. Because the plan is plain data (and the seeded constructor is a
-//! pure function of its seed), every failure scenario is reproducible —
-//! the degradation/recovery tests in [`crate::cluster`] are ordinary
-//! deterministic unit tests, not flaky chaos runs. The wall client's two
-//! scripted sends — the slow-loris dribble and the half-frame cut — live
-//! here too.
+//! Faults are injected from outside the code under test, as
+//! `cdms::storage::FaultyStorage` wraps the `Storage` trait: the client's
+//! message loop has no fault branch, and in tests `FaultyLink` wraps its TCP
+//! link and plays a [`ClientFaults`] script on it message by message. A
+//! [`FaultPlan`] says which client plays which script; the plan is plain
+//! data and the seeded plans are pure functions of their seed, so the
+//! degradation/recovery tests in [`crate::cluster`] are ordinary
+//! deterministic unit tests, not flaky chaos runs.
+//!
+//! Only tests script faults: outside them both types have no field,
+//! [`FaultPlan::client`] hands out the empty script, and the link it is
+//! played on is the TCP link itself.
 
-use std::collections::BTreeMap;
-use std::io::Write;
+use crate::Result;
 use std::net::TcpStream;
-use std::time::Duration;
 
-/// What one display client is scripted to do wrong, read by the client
-/// loop at each protocol step: plain data, unset (`None`) unless a test
-/// scripted it.
+/// What one display client is scripted to do wrong. Only tests script
+/// faults: outside them the script is empty.
+#[cfg(not(test))]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClientFaults {}
+
+#[cfg(not(test))]
+impl ClientFaults {
+    /// The link client `_id` plays this script on: the TCP link itself,
+    /// since there is nothing to play.
+    pub(crate) fn link(self, stream: TcpStream, _id: usize) -> Result<TcpStream> {
+        Ok(stream)
+    }
+}
+
+/// A scripted failure scenario for a whole wall run. Only tests script
+/// faults: outside them every plan is the empty one.
+#[cfg(not(test))]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FaultPlan {}
+
+impl FaultPlan {
+    /// The empty plan: every client behaves.
+    pub fn none() -> FaultPlan {
+        FaultPlan::default()
+    }
+}
+
+#[cfg(not(test))]
+impl FaultPlan {
+    /// The faults scripted for a client: none.
+    pub fn client(&self, _client: usize) -> ClientFaults {
+        ClientFaults::default()
+    }
+}
+
+#[cfg(test)]
+use {
+    crate::client::{dial, Link},
+    crate::protocol::{encode_frame, read_message_deadline, Message},
+    crate::WallError,
+    std::collections::BTreeMap,
+    std::io::Write,
+    std::net::SocketAddr,
+    std::time::Duration,
+};
+
+/// What one display client is scripted to do wrong, played by its
+/// [`FaultyLink`]: plain data, unset (`None`) unless a test scripted it.
+#[cfg(test)]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClientFaults {
     /// Drop the TCP connection upon receiving `Execute { frame }` —
@@ -25,18 +74,19 @@ pub struct ClientFaults {
     /// Sleep this many milliseconds before every reply — simulates a
     /// saturated node; large values trip the server's frame deadline.
     pub(crate) reply_delay_ms: Option<u64>,
-    /// Answer `Execute { frame }` with garbage bytes instead of a valid
-    /// `FrameDone` — simulates wire corruption / a buggy client build.
+    /// Answer `Execute { frame }` with garbage bytes instead of the frame —
+    /// simulates wire corruption / a buggy client build.
     pub(crate) corrupt_at: Option<u64>,
     /// Pretend the first K reconnect attempts fail (flaky network between
     /// the crash and the recovery).
     pub(crate) refused_reconnects: Option<u32>,
-    /// Dribble every outbound message one byte at a time with this delay
+    /// Dribble every frame's replies one byte at a time with this delay
     /// (milliseconds per byte) — the classic slow-loris: the connection is
     /// alive but a frame never completes within any reasonable deadline.
     pub(crate) slow_loris_ms: Option<u64>,
-    /// Cut the connection halfway through sending the message of frame N —
-    /// the peer sees a truncated frame, not a clean close.
+    /// Cut the connection halfway through sending the pixel message of
+    /// frame N, then redial — the peer sees a truncated frame, not a clean
+    /// close.
     pub(crate) mid_request_disconnect_at: Option<u64>,
     /// Flip payload bytes inside the `FrameKey` / `FrameDelta` for this
     /// frame before sending — the message still parses, but its content
@@ -53,47 +103,11 @@ pub struct ClientFaults {
     pub(crate) delay_delta_at: Option<(u64, u64)>,
 }
 
-/// The slow-loris send (`ClientFaults::slow_loris_ms`): `framed` goes out
-/// one byte every `ms_per_byte` milliseconds, so the frame never completes
-/// within the peer's deadline even though the socket is live. Returns the
-/// bytes that made it out before the peer (rightly) hung up.
-pub(crate) fn dribble(stream: &mut TcpStream, framed: &[u8], ms_per_byte: u64) -> usize {
-    for (sent, byte) in framed.iter().enumerate() {
-        if stream.write_all(std::slice::from_ref(byte)).is_err() {
-            return sent;
-        }
-        stream.flush().ok();
-        std::thread::sleep(Duration::from_millis(ms_per_byte));
-    }
-    framed.len()
-}
-
-/// The torn frame (`ClientFaults::mid_request_disconnect_at`): half of
-/// `framed`, then the connection is cut — the peer sees a truncated frame,
-/// not a clean close.
-pub(crate) fn cut_mid_frame(stream: &mut TcpStream, framed: &[u8]) -> std::io::Result<()> {
-    let half = stream.write_all(framed.get(..framed.len() / 2).unwrap_or_default());
-    stream.flush().ok();
-    stream.shutdown(std::net::Shutdown::Both).ok();
-    half
-}
-
 /// A scripted failure scenario for a whole wall run.
+#[cfg(test)]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     per_client: BTreeMap<usize, ClientFaults>,
-}
-
-impl FaultPlan {
-    /// The empty plan: every client behaves.
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    /// The faults scripted for `client` (empty set when unscripted).
-    pub fn client(&self, client: usize) -> ClientFaults {
-        self.per_client.get(&client).cloned().unwrap_or_default()
-    }
 }
 
 /// SplitMix64 — the only randomness of the seeded plans, which are pure
@@ -143,6 +157,11 @@ pub(crate) enum Fault {
 
 #[cfg(test)]
 impl FaultPlan {
+    /// The faults scripted for `client` (empty set when unscripted).
+    pub fn client(&self, client: usize) -> ClientFaults {
+        self.per_client.get(&client).cloned().unwrap_or_default()
+    }
+
     /// Scripts a fault for one client. Chainable. A field already scripted
     /// keeps its first value.
     pub(crate) fn inject(mut self, client: usize, fault: Fault) -> FaultPlan {
@@ -214,6 +233,155 @@ impl FaultPlan {
         }
         plan
     }
+}
+
+/// A client's TCP link playing a [`ClientFaults`] script message by
+/// message, keyed by the frame each message names. The loop it serves never
+/// learns that a fault fired: the crash and the garbage reply answer
+/// `Execute` before the loop sees it, and the other faults act on replies.
+#[cfg(test)]
+pub(crate) struct FaultyLink {
+    stream: TcpStream,
+    /// The server, read off the stream, and the panel: whom to redial and
+    /// say hello as after a crash.
+    server: SocketAddr,
+    id: usize,
+    /// What is left of the script: a once-only fault goes as it fires.
+    script: ClientFaults,
+    /// The connection is closed: the rest of the frame is not sent, and the
+    /// next command is read on a redialed one.
+    closed: bool,
+}
+
+#[cfg(test)]
+impl ClientFaults {
+    /// The link client `id` plays this script on: its TCP link, wrapped.
+    pub(crate) fn link(self, stream: TcpStream, id: usize) -> Result<FaultyLink> {
+        Ok(FaultyLink { server: stream.peer_addr()?, stream, id, script: self, closed: false })
+    }
+}
+
+#[cfg(test)]
+impl FaultyLink {
+    /// Closes the socket now, so that the server sees a dead peer, not a
+    /// slow one, while the client redials.
+    fn hang_up(&mut self) {
+        self.stream.shutdown(std::net::Shutdown::Both).ok();
+        self.closed = true;
+    }
+
+    /// Redials the server and says hello, the first `refused_reconnects`
+    /// attempts failing as on a flaky network; gives up after 40.
+    fn redial(&mut self) -> Result<()> {
+        for attempt in 0u64..40 {
+            std::thread::sleep(Duration::from_millis(5 * (attempt + 1).min(10)));
+            match self.script.refused_reconnects.as_mut() {
+                Some(refusals) if *refusals > 0 => *refusals -= 1,
+                _ => {
+                    if let Ok(stream) = dial(self.server, self.id) {
+                        (self.stream, self.closed) = (stream, false);
+                        return Ok(());
+                    }
+                }
+            }
+        }
+        Err(WallError::Protocol(format!("client {} gave up redialing", self.id)))
+    }
+}
+
+/// Takes a once-only fault out of the script when it is due at `frame`.
+#[cfg(test)]
+fn fires(fault: &mut Option<u64>, frame: u64) -> bool {
+    fault.take_if(|at| *at == frame).is_some()
+}
+
+#[cfg(test)]
+impl Link for FaultyLink {
+    fn command(&mut self) -> Result<Message> {
+        loop {
+            let msg = if self.closed {
+                self.redial()?;
+                // the server may have given this panel up, and a blocking
+                // read would hang the client thread forever
+                let reassign = Duration::from_secs(2);
+                read_message_deadline(&mut self.stream, reassign, "re-AssignWorkflow")?
+            } else {
+                self.stream.command()?
+            };
+            let Message::Execute { frame } = msg else { return Ok(msg) };
+            if fires(&mut self.script.drop_at, frame) {
+                // the crash: vanish without answering
+                self.hang_up();
+            } else if fires(&mut self.script.corrupt_at, frame) {
+                // a plausible length prefix, then 16 bytes that are not a
+                // Message
+                self.stream.write_all(b"\x10\0\0\0!!not-json-data!")?;
+            } else {
+                return Ok(msg);
+            }
+        }
+    }
+
+    fn reply(&mut self, msg: &Message) -> Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        if !matches!(msg, Message::FrameDone { .. }) {
+            // before Ready, HeartbeatAck and a frame's first message
+            let delay = self.script.reply_delay_ms.unwrap_or(0);
+            std::thread::sleep(Duration::from_millis(delay));
+        }
+        if let Message::FrameKey { frame, .. } | Message::FrameDelta { frame, .. } = *msg {
+            if let Some((_, ms)) = self.script.delay_delta_at.filter(|&(at, _)| at == frame) {
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+            if fires(&mut self.script.drop_delta_at, frame) {
+                // encoded, then discarded: the server gets FrameDone with
+                // no pixels and must answer with a ResyncRequest
+                return Ok(());
+            }
+            if fires(&mut self.script.mid_request_disconnect_at, frame) {
+                // the torn frame: half the message, then the cut
+                let framed = encode_frame(msg)?;
+                self.stream.write_all(framed.get(..framed.len() / 2).unwrap_or_default()).ok();
+                self.hang_up();
+                return Ok(());
+            }
+            if fires(&mut self.script.corrupt_delta_at, frame) {
+                return self.stream.reply(&corrupt_transport(msg.clone()));
+            }
+        }
+        let frame_reply = !matches!(msg, Message::Ready { .. } | Message::HeartbeatAck { .. });
+        match self.script.slow_loris_ms {
+            // one byte at a time, never within the server's deadline,
+            // until the server (rightly) hangs up
+            Some(ms @ 1..) if frame_reply => encode_frame(msg)?.iter().try_for_each(|byte| {
+                self.stream.write_all(std::slice::from_ref(byte))?;
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(())
+            }),
+            _ => self.stream.reply(msg),
+        }
+    }
+}
+
+/// Flips a payload byte of a transport message (with no payload, its frame
+/// hash) so that it still parses as a `Message` but fails its content
+/// hashes — the scripted [`Fault::CorruptDeltaAt`] wire corruption.
+#[cfg(test)]
+fn corrupt_transport(mut msg: Message) -> Message {
+    let (byte, frame_hash) = match &mut msg {
+        Message::FrameDelta { tiles, frame_hash, .. } => {
+            (tiles.first_mut().and_then(|t| t.data.get_mut(1)), frame_hash)
+        }
+        Message::FrameKey { payload, frame_hash, .. } => (payload.get_mut(1), frame_hash),
+        _ => return msg,
+    };
+    match byte {
+        Some(b) => *b ^= 0xA5,
+        None => *frame_hash ^= 0xDEAD_BEEF,
+    }
+    msg
 }
 
 #[cfg(test)]

@@ -67,10 +67,12 @@
 //!   frame and runs that path on whoever dials in. The number of panels is
 //!   fixed when the server is bound; `accept_clients` and
 //!   `assign_workflows` refuse an argument that disagrees with it.
-//! * **Reproducible failure.** [`fault::FaultPlan`] injects failures
+//! * **Reproducible failure.** [`fault::FaultPlan`] scripts failures
 //!   deterministically (drop at frame N, delayed replies, corrupt bytes,
 //!   refused reconnects), so every degradation/recovery path has an exact,
-//!   seedable test.
+//!   seedable test. The faults are injected from outside the client: its
+//!   message loop has no fault branch, and tests wrap its link in one that
+//!   plays the script, so a non-test build carries none of it.
 //!
 //! Degradation is accounted for in [`cluster::WallRunReport`]:
 //! `degraded_frames`, `reconnects` and `deadline_misses` quantify how much
